@@ -1,12 +1,6 @@
 GO ?= go
 
-# bench-compare inputs: the baseline and candidate snapshots, and the
-# tolerated ns/op growth in percent.
-OLD ?= BENCH_0005.json
-NEW ?= BENCH_0006.json
-THRESHOLD ?= 15
-
-.PHONY: all build vet test race ci bench bench-smoke bench-compare profile
+.PHONY: all build vet test race ci bench profile
 
 all: ci
 
@@ -19,27 +13,19 @@ vet:
 test:
 	$(GO) test ./...
 
+# benchmark/ is left out: its smoke test's parallel subtests share the
+# harness's speed-probe buffers (see scripts/ci.sh).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/benchmark$$')
+	$(GO) test ./benchmark
 
 # Tier-1 gate plus the race detector over the parallelized packages.
 ci: build vet race
 
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): five
+# workloads end to end plus the per-layer ladder.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem .
-
-# Quick hot-path perf snapshot; writes BENCH_smoke.json for the
-# perf trajectory (see BENCH_0001.json for the PR-1 before/after) and
-# gates the zero-allocation invariants of the send, trainer, and
-# evaluation hot paths.
-bench-smoke:
-	./scripts/bench_smoke.sh
-
-# Diff two BENCH_*.json snapshots and fail on >$(THRESHOLD)% ns/op
-# regressions or intra-family speedup losses:
-# make bench-compare OLD=BENCH_0003.json NEW=BENCH_0004.json
-bench-compare:
-	$(GO) run ./scripts/bench_compare -old $(OLD) -new $(NEW) -threshold $(THRESHOLD)
+	bash benchmark/run.sh
 
 # Capture pprof CPU+alloc profiles (figure2 run + dense-wake arm) and
 # their top-20 summaries under profiles/ — the input for DESIGN.md's

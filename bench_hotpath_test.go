@@ -1,14 +1,18 @@
-// Hot-path benchmarks tracking the allocation and throughput trajectory
-// of the simulator's inner loops (see BENCH_0001.json): one full SAMO
-// study arm exercises the per-message send path and the per-batch
-// gradient path together; the trainer benchmark isolates local updates.
+// Hot-path benchmarks and allocation gates for the simulator's inner
+// loops: one full SAMO study arm exercises the per-message send path
+// and the per-batch gradient path together; the trainer benchmark
+// isolates local updates. The Test* functions hold the zero-allocation
+// invariants of those paths, and the parallel engine's allocation
+// overhead, in tier-1.
 package gossipmia
 
 import (
+	"runtime"
 	"testing"
 
 	"gossipmia/internal/core"
 	"gossipmia/internal/data"
+	"gossipmia/internal/experiment"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/nn"
 	"gossipmia/internal/tensor"
@@ -58,7 +62,7 @@ func BenchmarkStudyRunSAMO(b *testing.B) {
 }
 
 // benchSim builds a small simulator for send-path benchmarks.
-func benchSim(b *testing.B, protocol string) *gossip.Simulator {
+func benchSim(b testing.TB, protocol string) *gossip.Simulator {
 	b.Helper()
 	rng := tensor.NewRNG(17)
 	gen, err := data.NewGenerator(data.CIFAR10, rng)
@@ -92,35 +96,88 @@ func benchSim(b *testing.B, protocol string) *gossip.Simulator {
 // path (arena-backed copy, recycled on merge). The seed implementation
 // cloned the full parameter vector on every send.
 func BenchmarkSimulatorSend(b *testing.B) {
-	b.Run("sync-merge", func(b *testing.B) {
-		sim := benchSim(b, "samo-nodelay")
-		params := sim.Nodes()[0].Model.ParamsCopy()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Send(0, 1, params); err != nil {
-				b.Fatal(err)
+	for _, path := range sendPaths {
+		b.Run(path.name, func(b *testing.B) {
+			send := path.sender(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := send(); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("pooled-inbox", func(b *testing.B) {
-		sim := benchSim(b, "samo")
+		})
+	}
+}
+
+// sendPaths are the two Instant-transport transmission paths, each as a
+// closure sending one message from node 0 to node 1.
+var sendPaths = []struct {
+	name   string
+	sender func(tb testing.TB) func() error
+}{
+	{"sync-merge", func(tb testing.TB) func() error {
+		sim := benchSim(tb, "samo-nodelay")
+		params := sim.Nodes()[0].Model.ParamsCopy()
+		return func() error { return sim.Send(0, 1, params) }
+	}},
+	{"pooled-inbox", func(tb testing.TB) func() error {
+		sim := benchSim(tb, "samo")
 		params := sim.Nodes()[0].Model.ParamsCopy()
 		receiver := sim.Nodes()[1]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := sim.Send(0, 1, params); err != nil {
-				b.Fatal(err)
-			}
+		return func() error {
+			err := sim.Send(0, 1, params)
 			receiver.RecycleInbox()
+			return err
+		}
+	}},
+}
+
+// zeroAllocs fails the test unless op, already warmed up, allocates
+// nothing per call.
+func zeroAllocs(t *testing.T, what string, op func() error) {
+	t.Helper()
+	var err error
+	allocs := testing.AllocsPerRun(200, func() {
+		if operr := op(); operr != nil {
+			err = operr
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("%s allocates %.1f/op at steady state, want 0", what, allocs)
+	}
+}
+
+// TestSimulatorSendZeroAllocs: the Instant per-message send path — the
+// seed cloned the parameter vector on every send — allocates nothing.
+func TestSimulatorSendZeroAllocs(t *testing.T) {
+	for _, path := range sendPaths {
+		t.Run(path.name, func(t *testing.T) {
+			zeroAllocs(t, "Simulator.Send ("+path.name+")", path.sender(t))
+		})
+	}
 }
 
 // BenchmarkTrainerEpoch isolates the local-update gradient path: one
 // epoch of minibatch SGD on a single node's split.
 func BenchmarkTrainerEpoch(b *testing.B) {
+	epoch := trainerEpoch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := epoch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// trainerEpoch returns a closure running one epoch of minibatch SGD on
+// a fixed node split, after one warm-up epoch.
+func trainerEpoch(b testing.TB) func() error {
+	b.Helper()
 	rng := tensor.NewRNG(3)
 	gen, err := data.NewGenerator(data.CIFAR10, rng)
 	if err != nil {
@@ -132,11 +189,78 @@ func BenchmarkTrainerEpoch(b *testing.B) {
 		b.Fatal(err)
 	}
 	updater := gossip.NewSGDUpdater(nn.SGDConfig{LR: 0.05, Momentum: 0.9}, 16, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := updater.Update(model, ds, rng); err != nil {
-			b.Fatal(err)
-		}
+	epoch := func() error { return updater.Update(model, ds, rng) }
+	if err := epoch(); err != nil {
+		b.Fatal(err)
 	}
+	return epoch
+}
+
+// TestTrainerEpochZeroAllocs: a steady-state local-update epoch reuses
+// its batch and gradient scratch and allocates nothing.
+func TestTrainerEpochZeroAllocs(t *testing.T) {
+	zeroAllocs(t, "Trainer epoch", trainerEpoch(t))
+}
+
+// denseWakeStudy is the single dense-wake SAMO arm of
+// BenchmarkIntraArmSpeedup: nearly every node wakes every few ticks, so
+// the node-parallel tick engine has batches to fan out.
+func denseWakeStudy(tb testing.TB, workers int) *core.Study {
+	tb.Helper()
+	train, err := experiment.TrainingFor(data.CIFAR10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	study, err := core.NewStudy(core.StudyConfig{
+		Label:    "intra-arm/samo/k=3/dense-wakes",
+		Corpus:   data.CIFAR10,
+		Protocol: "samo",
+		Sim: gossip.Config{
+			Nodes: 24, ViewSize: 3, Rounds: 2,
+			TicksPerRound: 20, WakeMean: 5, WakeStd: 2,
+			Seed: 7,
+		},
+		Train:          train,
+		Part:           core.PartitionConfig{TrainPerNode: 32, TestPerNode: 32},
+		GlobalTestSize: 128,
+		EvalEvery:      2,
+		EvalNodes:      8,
+		Workers:        workers,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return study
+}
+
+// TestParallelPathAllocRatio: the node-parallel engine reuses its unit,
+// batch, and pool scratch across ticks, so a workers=4 run of the
+// dense-wake arm must allocate within 8% of the serial run (it sits
+// near 5%; the per-batch goroutine spawns the pool replaced cost
+// +16.5%). Creep beyond the margin means per-batch or per-stage scratch
+// has started leaking back into the hot loop.
+func TestParallelPathAllocRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	// Heap objects allocated by one build-and-run of the arm, all
+	// goroutines counted; the smaller of two runs drops one-time costs.
+	mallocs := func(workers int) uint64 {
+		best := ^uint64(0)
+		for run := 0; run < 2; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := denseWakeStudy(t, workers).Run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	serial, parallel := mallocs(1), mallocs(4)
+	if limit := float64(serial) * 1.08; float64(parallel) > limit {
+		t.Fatalf("workers=4 allocates %d objects vs %d serial (limit %.0f): per-batch scratch is leaking", parallel, serial, limit)
+	}
+	t.Logf("workers=4: %d allocations, serial: %d", parallel, serial)
 }

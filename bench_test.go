@@ -481,9 +481,9 @@ func BenchmarkExtensionMessageLoss(b *testing.B) {
 
 // parallelWorkerMatrix is the deduplicated worker sweep of the speedup
 // benchmarks: serial, 2, 4, plus one-per-CPU when that differs. The
-// explicit 2/4 rows make the speedup visible in snapshots on multi-core
-// runners, and deduplication keeps BENCH_*.json free of the duplicate
-// `workers=1#01` rows that a 1-core GOMAXPROCS used to produce.
+// explicit 2/4 rows make the speedup visible on multi-core runners, and
+// deduplication avoids the duplicate `workers=1#01` rows that a 1-core
+// GOMAXPROCS used to produce.
 func parallelWorkerMatrix() []int {
 	counts := []int{1, 2, 4}
 	if n := runtime.GOMAXPROCS(0); n != 1 && n != 2 && n != 4 {
@@ -537,30 +537,7 @@ func BenchmarkIntraArmSpeedup(b *testing.B) {
 	for _, workers := range parallelWorkerMatrix() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				train, err := experiment.TrainingFor(data.CIFAR10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				study, err := core.NewStudy(core.StudyConfig{
-					Label:    "intra-arm/samo/k=3/dense-wakes",
-					Corpus:   data.CIFAR10,
-					Protocol: "samo",
-					Sim: gossip.Config{
-						Nodes: 24, ViewSize: 3, Rounds: 2,
-						TicksPerRound: 20, WakeMean: 5, WakeStd: 2,
-						Seed: 7,
-					},
-					Train:          train,
-					Part:           core.PartitionConfig{TrainPerNode: 32, TestPerNode: 32},
-					GlobalTestSize: 128,
-					EvalEvery:      2,
-					EvalNodes:      8,
-					Workers:        workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := study.Run()
+				res, err := denseWakeStudy(b, workers).Run()
 				if err != nil {
 					b.Fatal(err)
 				}

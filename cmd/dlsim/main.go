@@ -11,22 +11,16 @@
 //	dlsim run -spec sweep.json -scale tiny     # declarative spec, local
 //	dlsim run -spec sweep.json -remote http://127.0.0.1:8080
 //	                                           # submit to a service, stream events
-//	dlsim sweep -spec sweep.json -out runs/s   # persisted: manifest + caches + streams
+//	dlsim sweep -spec sweep.json -out runs/s   # persisted: manifest + arm store + streams
 //	dlsim sweep -spec sweep.json -out runs/s -resume
-//	dlsim sweep -spec big.json -out runs/b -store
-//	                                           # arm caches in one embedded store
 //	dlsim serve -addr 127.0.0.1:8080           # HTTP/JSON job service
-//	dlsim serve -checkpoint cp -store cp/store # jobs share one result store
+//	dlsim serve -checkpoint cp                 # jobs share one result store (cp/store)
 //	dlsim worker -server http://127.0.0.1:8080 # pull-mode worker: claim arms,
 //	                                           # execute, upload (fleet-scalable)
 //	dlsim list                                 # the scenario catalog
 //	dlsim list -jobs -addr URL -limit 20       # a service's job table, paged
-//	dlsim list -store runs/b/store -figure f2  # cached arms of a result store
+//	dlsim list -store runs/s/store -figure f2  # cached arms of a result store
 //	dlsim version                              # build + spec-schema identity
-//
-// The pre-subcommand flat invocation (dlsim -figure 3, dlsim -spec
-// f.json -out d -resume, dlsim -list) keeps working and maps onto
-// run/sweep/list.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -52,31 +45,31 @@ func main() {
 	}
 }
 
-// run dispatches a subcommand; an invocation that starts with a flag
-// (or is empty) takes the legacy flat path, which covers run and sweep
-// under the original flag set.
+// run dispatches a subcommand. Anything else — no arguments, or a
+// leading flag — gets the usage on stderr and an error.
 func run(args []string) error {
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		cmd, rest := args[0], args[1:]
-		switch cmd {
-		case "run", "sweep":
-			return runAndSweep(cmd, rest)
-		case "serve":
-			return serveCmd(rest)
-		case "worker":
-			return workerCmd(rest)
-		case "list":
-			return listCmd(rest)
-		case "version":
-			return versionCmd(rest)
-		case "help":
-			printUsage(os.Stdout)
-			return nil
-		default:
-			return fmt.Errorf("unknown command %q (want run, sweep, serve, worker, list, or version)", cmd)
-		}
+	cmd, rest := "", args
+	if len(args) > 0 {
+		cmd, rest = args[0], args[1:]
 	}
-	return runAndSweep("", args)
+	switch cmd {
+	case "run", "sweep":
+		return runAndSweep(cmd, rest)
+	case "serve":
+		return serveCmd(rest)
+	case "worker":
+		return workerCmd(rest)
+	case "list":
+		return listCmd(rest)
+	case "version":
+		return versionCmd(rest)
+	case "help":
+		printUsage(os.Stdout)
+		return nil
+	default:
+		printUsage(os.Stderr)
+		return fmt.Errorf("unknown command %q (want run, sweep, serve, worker, list, or version)", cmd)
+	}
 }
 
 func printUsage(w *os.File) {
@@ -86,7 +79,7 @@ usage: dlsim <command> [flags]
 commands:
   run      run a figure/scenario or a declarative spec (locally or against -remote)
   sweep    run a spec persisted to a result directory (-out), resumable (-resume);
-           -store keeps arm caches in one embedded indexed store
+           arm results are cached in the embedded store under OUT/store
   serve    expose the engine as an HTTP/JSON job service
   worker   pull arm work orders from a service (-server URL) and execute them;
            any number of workers form a fleet sharing the service's result store
@@ -95,7 +88,6 @@ commands:
            -limit/-offset)
   version  print build, Go, and spec-schema identity
 
-Legacy flat flags (dlsim -figure 3, dlsim -spec f.json -out d) still work.
 Run dlsim <command> -h for each command's flags.`))
 }
 
@@ -106,26 +98,18 @@ func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// runAndSweep implements run, sweep, and the legacy flat invocation
-// (cmd ""). All three share one flag set so every pre-subcommand flag
-// keeps working in its new home; sweep additionally requires -spec and
-// -out.
+// runAndSweep implements run and sweep. The two share one flag set;
+// sweep additionally requires -spec and -out.
 func runAndSweep(cmd string, args []string) (retErr error) {
-	name := cmd
-	if name == "" {
-		name = "dlsim"
-	}
-	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var diag diagFlags
 	diag.register(fs)
 	figure := fs.String("figure", "all", `figure or scenario to run (see dlsim list): 2..9, "latency", "churn", "dynamics", "tables", "attacks", or "all"`)
 	specPath := fs.String("spec", "", "run a declarative scenario spec (JSON file) instead of a catalog figure")
-	outDir := fs.String("out", "", "result directory: manifest, per-arm caches, streamed events, results.csv (requires -spec)")
+	outDir := fs.String("out", "", "result directory: manifest, arm cache (embedded store under OUT/store), streamed events, results.csv (requires -spec)")
 	resume := fs.Bool("resume", false, "with -spec and -out: skip arms whose cached results already exist in the out directory")
-	useStore := fs.Bool("store", false, "with -out: keep per-arm caches in an embedded indexed result store under OUT/store instead of one JSON file per arm (same bytes, one log; resume scans the store once instead of opening a file per arm)")
 	events := fs.String("events", "jsonl", `with -out: per-arm event stream format, "jsonl", "csv", or "none"`)
 	remote := fs.String("remote", "", "submit the run to a dlsim service at this base URL instead of executing locally (requires -spec)")
-	list := fs.Bool("list", false, "print the available figures/scenarios and exit")
 	scaleName := fs.String("scale", "quick", "experiment scale: tiny, quick, or paper")
 	seed := fs.Int64("seed", 0, "override the scale's base seed (0 keeps the preset)")
 	csv := fs.Bool("csv", false, "also print per-round CSV series for every arm")
@@ -144,11 +128,6 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", *workers)
-	}
-
-	if *list {
-		printCatalog(os.Stdout)
-		return nil
 	}
 
 	stopDiag, err := diag.start()
@@ -196,18 +175,18 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 			return fmt.Errorf("network overlay flags cannot be combined with -spec: declare the network per arm in the spec file")
 		}
 		if *remote != "" {
-			if *outDir != "" || *resume || *useStore {
-				return fmt.Errorf("-out, -resume, and -store are local-run flags and cannot be combined with -remote")
+			if *outDir != "" || *resume {
+				return fmt.Errorf("-out and -resume are local-run flags and cannot be combined with -remote")
 			}
 			return runRemote(ctx, *remote, *specPath, *scaleName, *seed, *workers, *csv, *plotFlag)
 		}
-		return runSpecFile(ctx, *specPath, *scaleName, *seed, *workers, *outDir, *resume, *useStore, *events, *csv, *plotFlag)
+		return runSpecFile(ctx, *specPath, *scaleName, *seed, *workers, *outDir, *resume, *events, *csv, *plotFlag)
 	}
 	if *remote != "" {
 		return fmt.Errorf("-remote requires -spec (submit a spec file to the service)")
 	}
-	if *outDir != "" || *resume || *useStore {
-		return fmt.Errorf("-out, -resume, and -store require -spec")
+	if *outDir != "" || *resume {
+		return fmt.Errorf("-out and -resume require -spec")
 	}
 
 	switch *figure {
@@ -254,15 +233,11 @@ func newRunner(scaleName string, seed int64, workers int) (*dlsim.Runner, error)
 }
 
 // runSpecFile loads and runs a declarative spec through the SDK,
-// optionally persisting the run (manifest, caches, event streams) to a
-// result directory — with -store, per-arm caches go to the embedded
-// result store under outDir/store instead of one file per arm.
-func runSpecFile(ctx context.Context, path, scaleName string, seed int64, workers int, outDir string, resume, useStore bool, events string, csv, renderPlot bool) error {
+// optionally persisting the run (manifest, arm cache, event streams) to
+// a result directory.
+func runSpecFile(ctx context.Context, path, scaleName string, seed int64, workers int, outDir string, resume bool, events string, csv, renderPlot bool) error {
 	if resume && outDir == "" {
 		return fmt.Errorf("-resume requires -out")
-	}
-	if useStore && outDir == "" {
-		return fmt.Errorf("-store requires -out")
 	}
 	sp, err := dlsim.LoadSpec(path)
 	if err != nil {
@@ -276,12 +251,8 @@ func runSpecFile(ctx context.Context, path, scaleName string, seed int64, worker
 	if outDir == "" {
 		res, err = runner.Run(ctx, sp)
 	} else {
-		opts := dlsim.DirOptions{OutDir: outDir, Resume: resume, Events: events}
-		if useStore {
-			opts.StoreDir = filepath.Join(outDir, "store")
-		}
 		var report *dlsim.RunReport
-		res, report, err = runner.RunDir(ctx, sp, opts)
+		res, report, err = runner.RunDir(ctx, sp, dlsim.DirOptions{OutDir: outDir, Resume: resume, Events: events})
 		if err == nil {
 			cached := 0
 			for _, a := range report.Arms {
@@ -514,11 +485,10 @@ func listJobs(addr string, limit, offset int) error {
 	}
 	st, err := client.Statz(ctx)
 	if err != nil {
-		// Older services have no /v1/statz; the job table above is
-		// still the answer, so degrade quietly.
-		return nil
+		return fmt.Errorf("service status: %w", err)
 	}
-	fmt.Printf("service %s: %d queued, %d running\n", st.Status, st.Queued, st.Running)
+	fmt.Printf("service %s: %d queued (depth %d), %d running (%d slots)\n",
+		st.Status, st.Queued, st.QueueDepth, st.Running, st.Slots)
 	fmt.Printf("work: queue=%d leases=%d workers=%d claims=%d completes=%d reclaims=%d stale=%d arms(remote/local)=%d/%d\n",
 		st.Work.QueueDepth, st.Work.ActiveLeases, st.Work.Workers,
 		st.Work.Claims, st.Work.Completes, st.Work.Reclaims, st.Work.StaleUploads,
@@ -596,14 +566,15 @@ func netOverlay(transport string, latency, churn, drop float64) (experiment.NetO
 }
 
 func printCatalog(w *os.File) {
-	fmt.Fprintln(w, "figures and scenarios (-figure NAME):")
+	fmt.Fprintln(w, "figures and scenarios (dlsim run -figure NAME):")
 	for _, e := range experiment.Catalog() {
 		fmt.Fprintf(w, "  %-9s %s\n", e.Name, e.Desc)
 	}
 	fmt.Fprintln(w, "  all       every figure and scenario above, in catalog order")
 	fmt.Fprintln(w, strings.TrimSpace(`
 network overlay flags (apply to any figure): -transport, -latency, -churn, -drop
-declarative specs: -spec file.json [-out dir [-resume]] (see examples/specs/)
+declarative specs: dlsim run -spec file.json, or persisted and resumable:
+  dlsim sweep -spec file.json -out dir [-resume] (see examples/specs/)
 service mode: dlsim serve; submit with dlsim run -spec file.json -remote URL`))
 }
 

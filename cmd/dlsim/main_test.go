@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +29,7 @@ func TestScaleByName(t *testing.T) {
 }
 
 func TestRunTables(t *testing.T) {
-	if err := run([]string{"-figure", "tables"}); err != nil {
+	if err := run([]string{"run", "-figure", "tables"}); err != nil {
 		t.Fatalf("tables: %v", err)
 	}
 }
@@ -35,58 +38,55 @@ func TestRunSingleFigureTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	if err := run([]string{"-figure", "8", "-scale", "tiny", "-csv"}); err != nil {
+	if err := run([]string{"run", "-figure", "8", "-scale", "tiny", "-csv"}); err != nil {
 		t.Fatalf("figure 8: %v", err)
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
 	for _, figure := range []string{"99", "1", "10", "latency-sweep", ""} {
-		if err := run([]string{"-figure", figure}); err == nil || !strings.Contains(err.Error(), "unknown figure") {
+		if err := run([]string{"run", "-figure", figure}); err == nil || !strings.Contains(err.Error(), "unknown figure") {
 			t.Fatalf("figure %q error = %v", figure, err)
 		}
 	}
-	if err := run([]string{"-scale", "nope", "-figure", "tables"}); err == nil || !strings.Contains(err.Error(), "unknown scale") {
+	if err := run([]string{"run", "-scale", "nope", "-figure", "tables"}); err == nil || !strings.Contains(err.Error(), "unknown scale") {
 		t.Fatalf("unknown scale error = %v", err)
 	}
-	if err := run([]string{"-bogus"}); err == nil {
+	if err := run([]string{"run", "-bogus"}); err == nil {
 		t.Fatal("bogus flag accepted")
 	}
-	if err := run([]string{"-figure", "2", "-transport", "pigeon"}); err == nil {
+	if err := run([]string{"run", "-figure", "2", "-transport", "pigeon"}); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
-	if err := run([]string{"-figure", "2", "-churn", "1.5"}); err == nil {
+	if err := run([]string{"run", "-figure", "2", "-churn", "1.5"}); err == nil {
 		t.Fatal("churn fraction >= 1 accepted")
 	}
-	if err := run([]string{"-figure", "2", "-drop", "-0.1"}); err == nil {
+	if err := run([]string{"run", "-figure", "2", "-drop", "-0.1"}); err == nil {
 		t.Fatal("negative drop accepted")
 	}
 	// An explicit instant transport with latency parameters would
 	// silently run the zero-delay network; it must error instead.
-	if err := run([]string{"-figure", "2", "-transport", "instant", "-latency", "50"}); err == nil {
+	if err := run([]string{"run", "-figure", "2", "-transport", "instant", "-latency", "50"}); err == nil {
 		t.Fatal("instant+latency accepted")
 	}
 	// Scenarios pin their own networks: overlay flags must not be
 	// silently ignored, neither per scenario nor under -figure all.
-	if err := run([]string{"-figure", "latency", "-scale", "tiny", "-latency", "200"}); err == nil {
+	if err := run([]string{"run", "-figure", "latency", "-scale", "tiny", "-latency", "200"}); err == nil {
 		t.Fatal("latency scenario accepted an overlay")
 	}
-	if err := run([]string{"-figure", "all", "-latency", "50"}); err == nil {
+	if err := run([]string{"run", "-figure", "all", "-latency", "50"}); err == nil {
 		t.Fatal("-figure all accepted an overlay")
 	}
-	if err := run([]string{"-figure", "tables", "-latency", "50"}); err == nil {
+	if err := run([]string{"run", "-figure", "tables", "-latency", "50"}); err == nil {
 		t.Fatal("-figure tables accepted an overlay")
 	}
 	// But an explicit default transport is not an overlay.
-	if err := run([]string{"-figure", "tables", "-transport", "instant"}); err != nil {
+	if err := run([]string{"run", "-figure", "tables", "-transport", "instant"}); err != nil {
 		t.Fatalf("-figure tables -transport instant rejected: %v", err)
 	}
 }
 
 func TestListFlag(t *testing.T) {
-	if err := run([]string{"-list"}); err != nil {
-		t.Fatalf("-list: %v", err)
-	}
 	if err := run([]string{"list"}); err != nil {
 		t.Fatalf("list subcommand: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestListFlag(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	// The catalog is the single source of truth for -list AND -figure:
+	// The catalog is the single source of truth for list AND -figure:
 	// every name -figure accepts (other than "all") must be listed,
 	// including the tables/attacks pseudo-figures the old listing omitted.
 	for _, want := range []string{"2", "9", "latency", "churn", "dynamics", "tables", "attacks"} {
@@ -115,14 +115,14 @@ func TestListFlag(t *testing.T) {
 // for names outside the catalog). The cheap pseudo-figure actually
 // runs; simulation entries are resolved but not executed.
 func TestCatalogNamesAllRunnable(t *testing.T) {
-	if err := run([]string{"-figure", "tables"}); err != nil {
+	if err := run([]string{"run", "-figure", "tables"}); err != nil {
 		t.Fatalf("tables: %v", err)
 	}
 	for _, e := range experiment.Catalog() {
 		// Dispatch with a bad scale: a listed name must get past name
 		// resolution (and fail, if at all, on the scale), never report
 		// "unknown figure".
-		err := run([]string{"-figure", e.Name, "-scale", "nope"})
+		err := run([]string{"run", "-figure", e.Name, "-scale", "nope"})
 		if err == nil || strings.Contains(err.Error(), "unknown figure") {
 			t.Fatalf("catalog name %q not accepted by -figure: %v", e.Name, err)
 		}
@@ -130,11 +130,21 @@ func TestCatalogNamesAllRunnable(t *testing.T) {
 }
 
 // TestSubcommandDispatch pins the subcommand surface: known commands
-// parse their own flags, unknown commands error, and the legacy flat
-// flags keep working under run and sweep.
+// parse their own flags; anything else — a bogus name, no arguments, or
+// the retired flat grammar (dlsim -figure 3, dlsim -list) — is an
+// unknown command.
 func TestSubcommandDispatch(t *testing.T) {
-	if err := run([]string{"bogus"}); err == nil || !strings.Contains(err.Error(), "unknown command") {
-		t.Fatalf("unknown command error = %v", err)
+	for _, args := range [][]string{
+		{"bogus"},
+		nil,
+		{"-figure", "3"},
+		{"-figure", "tables"},
+		{"-list"},
+		{"-spec", "x.json", "-out", "d", "-resume"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "unknown command") {
+			t.Fatalf("dlsim %v: error = %v, want unknown command", args, err)
+		}
 	}
 	if err := run([]string{"run", "-figure", "tables"}); err != nil {
 		t.Fatalf("run -figure tables: %v", err)
@@ -220,10 +230,10 @@ func TestRunScenarioTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	if err := run([]string{"-figure", "churn", "-scale", "tiny"}); err != nil {
+	if err := run([]string{"run", "-figure", "churn", "-scale", "tiny"}); err != nil {
 		t.Fatalf("churn scenario: %v", err)
 	}
-	if err := run([]string{"-figure", "8", "-scale", "tiny", "-transport", "latency", "-latency", "20", "-churn", "0.3"}); err != nil {
+	if err := run([]string{"run", "-figure", "8", "-scale", "tiny", "-transport", "latency", "-latency", "20", "-churn", "0.3"}); err != nil {
 		t.Fatalf("figure 8 under network overlay: %v", err)
 	}
 }
@@ -245,42 +255,36 @@ func writeTestSpec(t *testing.T) string {
 }
 
 func TestRunSpecFlagValidation(t *testing.T) {
-	if err := run([]string{"-out", "somewhere"}); err == nil {
+	if err := run([]string{"run", "-out", "somewhere"}); err == nil {
 		t.Fatal("-out without -spec accepted")
 	}
-	if err := run([]string{"-resume"}); err == nil {
+	if err := run([]string{"run", "-resume"}); err == nil {
 		t.Fatal("-resume without -spec accepted")
 	}
-	if err := run([]string{"-spec", "x.json", "-resume"}); err == nil {
+	if err := run([]string{"run", "-spec", "x.json", "-resume"}); err == nil {
 		t.Fatal("-resume without -out accepted")
 	}
-	if err := run([]string{"-spec", "x.json", "-figure", "2"}); err == nil {
+	if err := run([]string{"run", "-spec", "x.json", "-figure", "2"}); err == nil {
 		t.Fatal("-spec with -figure accepted")
 	}
-	if err := run([]string{"-spec", "x.json", "-repeats", "3"}); err == nil {
+	if err := run([]string{"run", "-spec", "x.json", "-repeats", "3"}); err == nil {
 		t.Fatal("-spec with -repeats accepted")
 	}
 	// Specs declare networks per arm; an overlay would silently degrade
 	// a sweep's control arms.
-	if err := run([]string{"-spec", "x.json", "-latency", "50"}); err == nil ||
+	if err := run([]string{"run", "-spec", "x.json", "-latency", "50"}); err == nil ||
 		!strings.Contains(err.Error(), "overlay") {
 		t.Fatalf("-spec with a network overlay accepted: %v", err)
 	}
-	if err := run([]string{"-spec", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
+	if err := run([]string{"run", "-spec", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
 		t.Fatal("missing spec file accepted")
 	}
-	if err := run([]string{"-spec", "x.json", "-store"}); err == nil ||
-		!strings.Contains(err.Error(), "-store requires -out") {
-		t.Fatalf("-store without -out: %v", err)
+	// The store is where a sweep caches, not a switch.
+	if err := run([]string{"sweep", "-spec", "x.json", "-out", "d", "-store"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("retired sweep -store flag: %v", err)
 	}
-	if err := run([]string{"-store"}); err == nil {
-		t.Fatal("-store without -spec accepted")
-	}
-	if err := run([]string{"run", "-spec", "x.json", "-remote", "http://x", "-store"}); err == nil ||
-		!strings.Contains(err.Error(), "cannot be combined with -remote") {
-		t.Fatalf("-store with -remote: %v", err)
-	}
-	if err := run([]string{"-spec", writeTestSpec(t), "-out", filepath.Join(t.TempDir(), "o"), "-events", "bogus"}); err == nil ||
+	if err := run([]string{"run", "-spec", writeTestSpec(t), "-out", filepath.Join(t.TempDir(), "o"), "-events", "bogus"}); err == nil ||
 		!strings.Contains(err.Error(), "unknown event format") {
 		t.Fatalf("bad -events value: %v", err)
 	}
@@ -319,44 +323,61 @@ func TestListFlagValidation(t *testing.T) {
 	}
 }
 
-// TestSweepStoreTiny: a -store sweep produces the same results.csv as
-// the file backend, keeps no per-arm files, resumes from the store, and
-// its arms are visible through dlsim list -store.
+// TestSweepStoreTiny: a sweep caches its arms in the store under
+// OUT/store and nowhere else, resumes from it, and its arms are visible
+// through dlsim list -store.
 func TestSweepStoreTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
 	path := writeTestSpec(t)
-	fileOut := filepath.Join(t.TempDir(), "file")
-	storeOut := filepath.Join(t.TempDir(), "store")
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", fileOut}); err != nil {
-		t.Fatalf("file sweep: %v", err)
+	out := filepath.Join(t.TempDir(), "run")
+	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", out}); err != nil {
+		t.Fatalf("sweep: %v", err)
 	}
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut, "-store"}); err != nil {
-		t.Fatalf("store sweep: %v", err)
-	}
-	want, err := os.ReadFile(filepath.Join(fileOut, "results.csv"))
+	want, err := os.ReadFile(filepath.Join(out, "results.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(storeOut, "results.csv"))
+	if _, err := os.Stat(filepath.Join(out, "store", "wal.log")); err != nil {
+		t.Fatalf("sweep left no store under OUT/store: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(out, "arms")); !os.IsNotExist(err) {
+		t.Fatalf("sweep left an arms directory (stat err %v)", err)
+	}
+	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", out, "-resume"}); err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	got, err := os.ReadFile(filepath.Join(out, "results.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(want) {
-		t.Fatalf("store-backed results.csv differs:\n%s\nvs\n%s", got, want)
+		t.Fatalf("resumed results.csv differs:\n%s\nvs\n%s", got, want)
 	}
-	if _, err := os.Stat(filepath.Join(storeOut, "arms")); !os.IsNotExist(err) {
-		t.Fatalf("store sweep left an arms directory (stat err %v)", err)
-	}
-	if err := run([]string{"sweep", "-spec", path, "-scale", "tiny", "-out", storeOut, "-store", "-resume"}); err != nil {
-		t.Fatalf("store resume: %v", err)
-	}
-	if err := run([]string{"list", "-store", filepath.Join(storeOut, "store")}); err != nil {
+	if err := run([]string{"list", "-store", filepath.Join(out, "store")}); err != nil {
 		t.Fatalf("list -store: %v", err)
 	}
-	if err := run([]string{"list", "-store", filepath.Join(storeOut, "store"), "-figure", "cli smoke", "-limit", "1"}); err != nil {
+	if err := run([]string{"list", "-store", filepath.Join(out, "store"), "-figure", "cli smoke", "-limit", "1"}); err != nil {
 		t.Fatalf("list -store paged: %v", err)
+	}
+}
+
+// TestListJobsReportsStatzFailure: the job table printing is not the
+// whole answer — a service that lists jobs but refuses /v1/statz (here
+// a 500) must fail the command, not be mistaken for an older build.
+func TestListJobsReportsStatzFailure(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/jobs" {
+			fmt.Fprint(w, `{"jobs":[],"total":0,"offset":0,"limit":0}`)
+			return
+		}
+		http.Error(w, `{"error":"statz exploded"}`, http.StatusInternalServerError)
+	}))
+	defer ts.Close()
+	err := run([]string{"list", "-jobs", "-addr", ts.URL})
+	if err == nil || !strings.Contains(err.Error(), "service status") {
+		t.Fatalf("list -jobs over a failing statz: error = %v", err)
 	}
 }
 
@@ -367,11 +388,11 @@ func TestRunSpecFileTiny(t *testing.T) {
 	path := writeTestSpec(t)
 	// -plot must keep working for spec runs (it renders from the SDK
 	// result's records, not the internal figure).
-	if err := run([]string{"-spec", path, "-scale", "tiny", "-plot"}); err != nil {
+	if err := run([]string{"run", "-spec", path, "-scale", "tiny", "-plot"}); err != nil {
 		t.Fatalf("spec run: %v", err)
 	}
 	out := filepath.Join(t.TempDir(), "run")
-	if err := run([]string{"-spec", path, "-scale", "tiny", "-out", out}); err != nil {
+	if err := run([]string{"run", "-spec", path, "-scale", "tiny", "-out", out}); err != nil {
 		t.Fatalf("spec run with -out: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(out, "manifest.json")); err != nil {
@@ -381,7 +402,7 @@ func TestRunSpecFileTiny(t *testing.T) {
 		t.Fatalf("results.csv missing: %v", err)
 	}
 	// A second invocation with -resume serves everything from cache.
-	if err := run([]string{"-spec", path, "-scale", "tiny", "-out", out, "-resume"}); err != nil {
+	if err := run([]string{"run", "-spec", path, "-scale", "tiny", "-out", out, "-resume"}); err != nil {
 		t.Fatalf("resumed spec run: %v", err)
 	}
 }

@@ -31,8 +31,8 @@ func serveCmd(args []string) error {
 	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")
 	retries := fs.Int("retries", 1, "execution attempts per job; transient failures retry with backoff up to this budget")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "base delay of the job retry backoff")
-	checkpoint := fs.String("checkpoint", "", "directory for per-job checkpoint caches; retries and restarts resume from it")
-	storeDir := fs.String("store", "", "embedded result store directory shared by every job's arm caches (requires -checkpoint); content-hash keys dedup arms across jobs and restarts")
+	checkpoint := fs.String("checkpoint", "", "directory for per-job run directories and the result store every job shares; retries and restarts resume from it")
+	storeDir := fs.String("store", "", "put the shared result store here instead of CHECKPOINT/store (requires -checkpoint); content-hash keys dedup arms across jobs and restarts")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain window on SIGTERM/SIGINT before running jobs are checkpointed and aborted")
 	lease := fs.Duration("lease", 15*time.Second, "work-lease TTL for distributed workers; a worker that misses heartbeats this long has its arm reclaimed")
 	armAttempts := fs.Int("arm-attempts", 0, "distinct workers an arm may fail on before it is contained and executed locally; 0 keeps the default (3)")
@@ -62,7 +62,7 @@ func serveCmd(args []string) error {
 		return fmt.Errorf("serve needs -audit in [0, 1], got %v", *audit)
 	}
 	if *storeDir != "" && *checkpoint == "" {
-		return fmt.Errorf("-store requires -checkpoint (the store backs the per-job checkpoint caches)")
+		return fmt.Errorf("-store requires -checkpoint (the store holds the checkpointed arms)")
 	}
 	var level slog.Level
 	if err := level.UnmarshalText([]byte(*logLevel)); err != nil {

@@ -9,14 +9,13 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-// BenchmarkEvalRound isolates the per-round evaluation path — batched
-// accuracy sweep, scratch-backed MPE attack, generalization error over
-// every eval node — on a trained simulator. With the per-study
-// evalScratch and the models' reusable batch scratch warmed up, a
-// steady-state evaluation round must allocate nothing; bench-smoke
-// gates allocs_per_op == 0 on this benchmark so the invariant cannot
-// silently rot.
-func BenchmarkEvalRound(b *testing.B) {
+// evalRoundFixture trains a simulator and returns a closure running one
+// steady-state evaluation round — batched accuracy sweep,
+// scratch-backed MPE attack, generalization error over every eval node
+// — with every reusable buffer (the per-study evalScratch, the models'
+// batch scratch, attack score slices, threshold points) warmed up.
+func evalRoundFixture(b testing.TB) func() error {
+	b.Helper()
 	cfg := workersStudyConfig(1)
 	study, err := NewStudy(cfg)
 	if err != nil {
@@ -57,16 +56,46 @@ func BenchmarkEvalRound(b *testing.B) {
 	}
 	evalIDs := study.pickEvalNodes(simCfg.Nodes, rng)
 	es := newEvalScratch(len(evalIDs))
-	// Warm up every reusable buffer: model batch scratch, attack score
-	// slices, threshold points.
-	if _, err := study.evaluateRound(0, sim, evalIDs, globalTest, nil, es); err != nil {
+	round := func() error {
+		_, err := study.evaluateRound(0, sim, evalIDs, globalTest, nil, es)
+		return err
+	}
+	if err := round(); err != nil {
 		b.Fatal(err)
 	}
+	return round
+}
+
+// BenchmarkEvalRound isolates the per-round evaluation path on a
+// trained simulator.
+func BenchmarkEvalRound(b *testing.B) {
+	round := evalRoundFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := study.evaluateRound(0, sim, evalIDs, globalTest, nil, es); err != nil {
+		if err := round(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestEvalRoundZeroAllocs: a steady-state evaluation round must
+// allocate nothing, so the scratch-reuse invariant cannot silently rot.
+func TestEvalRoundZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a simulator")
+	}
+	round := evalRoundFixture(t)
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		if rerr := round(); rerr != nil {
+			err = rerr
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("evaluateRound allocates %.1f/op at steady state, want 0", allocs)
 	}
 }

@@ -2,7 +2,7 @@ package experiment
 
 // ArmExecutor hook contract: substituting a remote-style execution for
 // any subset of arms must leave every run-directory artifact — the
-// results.csv, the per-arm caches, the event streams — byte-identical
+// results.csv, the arm cache's rows, the event streams — byte-identical
 // to a plain in-process run. This is the engine-level half of the
 // distributed-execution acceptance criterion.
 
@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gossipmia/internal/spec"
@@ -79,19 +81,27 @@ func TestRunSpecDirExecHookByteIdentical(t *testing.T) {
 	if figureDump(refFig) != figureDump(hookedFig) {
 		t.Fatal("exec-hooked figure diverged from plain run")
 	}
+	// The store's files hold the rows in arm-completion order, which
+	// the worker pool does not fix; its rows are the artifact.
 	ref, hooked := dirBytes(t, refDir), dirBytes(t, hookedDir)
+	for rel, v := range storeRows(t, filepath.Join(refDir, "store")) {
+		ref["store row "+rel] = v
+	}
+	for rel, v := range storeRows(t, filepath.Join(hookedDir, "store")) {
+		hooked["store row "+rel] = v
+	}
 	if len(ref) != len(hooked) {
-		t.Fatalf("artifact sets differ: %d vs %d files", len(ref), len(hooked))
+		t.Fatalf("artifact sets differ: %d vs %d", len(ref), len(hooked))
 	}
 	for rel, want := range ref {
 		got, ok := hooked[rel]
 		if !ok {
 			t.Fatalf("hooked run missing artifact %s", rel)
 		}
-		if rel == "manifest.json" {
+		if rel == "manifest.json" || strings.HasPrefix(rel, "store"+string(filepath.Separator)) {
 			// The manifest carries wall-clock fields (startedAt, elapsed)
 			// that legitimately differ; its result-bearing content is
-			// covered by the caches, streams, and results.csv below.
+			// covered by the cache rows, streams, and results.csv.
 			continue
 		}
 		if got != want {
@@ -111,17 +121,17 @@ func TestExecHookDecline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offered := 0
+	var offered atomic.Int64 // the hook runs on the arm workers
 	declined, err := RunSpecExec(t.Context(), sweepSpec(), sc, nil,
 		func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
-			offered++
+			offered.Add(1)
 			return Arm{}, false, nil
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if offered != 3 {
-		t.Fatalf("hook consulted for %d arms, want 3", offered)
+	if offered.Load() != 3 {
+		t.Fatalf("hook consulted for %d arms, want 3", offered.Load())
 	}
 	if figureDump(ref) != figureDump(declined) {
 		t.Fatal("declining hook diverged from plain run")

@@ -23,7 +23,6 @@ import (
 	"gossipmia/internal/par"
 	"gossipmia/internal/sink"
 	"gossipmia/internal/spec"
-	"gossipmia/internal/store"
 )
 
 // ErrArmPanic marks an arm execution that panicked. The executor
@@ -399,27 +398,21 @@ func churnOf(events []spec.Churn) []gossip.ChurnEvent {
 // SpecRunOptions configure RunSpecDir.
 type SpecRunOptions struct {
 	// OutDir receives the run artifacts: manifest.json, results.csv,
-	// per-arm result caches under arms/, and per-arm event streams
-	// under events/.
+	// per-arm event streams under events/, and (unless StoreDir points
+	// elsewhere) the arm cache under store/.
 	OutDir string
 	// Resume skips arms whose cached result (keyed by arm content hash
-	// + scale fingerprint, including the seed) already exists in
-	// OutDir/arms — the re-run of an interrupted sweep only executes
+	// + scale fingerprint, including the seed) already exists in the
+	// arm cache — the re-run of an interrupted sweep only executes
 	// what is missing and still produces byte-identical output.
 	Resume bool
 	// Events selects the per-arm stream format: "jsonl" (default),
 	// "csv", or "none".
 	Events string
-	// StoreDir, when non-empty, keeps the per-arm result cache in an
-	// embedded indexed store (internal/store) at this directory instead
-	// of one JSON file per arm under OutDir/arms — the layout that stays
-	// fast at 10^5–10^7 arms: resume reads one log + segment set in a
-	// single ordered scan instead of opening a file per arm, and `dlsim
-	// list -store` serves figures from a range-scannable index. Cache
-	// semantics are unchanged: records carry the same canonical JSON and
-	// self-checksum as the file backend, so results are byte-identical
-	// either way. An existing OutDir/arms directory is read as a
-	// fallback and migrated into the store on resume.
+	// StoreDir is the directory of the embedded store (internal/store)
+	// holding the arm cache; empty means OutDir/store. Several runs may
+	// point at one store — arms are keyed by content hash, so common
+	// arms dedup across runs (the job service shares one this way).
 	StoreDir string
 	// ExtraSinks, when non-nil, attaches an additional per-arm sink
 	// alongside the run directory's event files (the hook the SDK's
@@ -428,8 +421,8 @@ type SpecRunOptions struct {
 	// — neither to event files nor to extra sinks.
 	ExtraSinks func(i int, label string) (sink.Sink, error)
 	// OnArmDone, when non-nil, observes every arm as it is satisfied
-	// (executed or loaded from cache), after its cache file is durably
-	// on disk. It is invoked from worker goroutines with distinct arms
+	// (executed or loaded from cache), after its cache record is in the
+	// store. It is invoked from worker goroutines with distinct arms
 	// per call, in completion order — not spec order.
 	OnArmDone func(i int, report SpecArmReport)
 	// Exec, when non-nil, is offered every non-cached arm before local
@@ -450,7 +443,6 @@ type SpecArmReport struct {
 	// cache instead of executed.
 	Cached         bool    `json:"cached"`
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	ResultFile     string  `json:"resultFile"`
 	EventsFile     string  `json:"eventsFile,omitempty"`
 }
 
@@ -464,46 +456,6 @@ type SpecManifest struct {
 	StartedAt      string          `json:"startedAt"`
 	ElapsedSeconds float64         `json:"elapsedSeconds"`
 	Arms           []SpecArmReport `json:"arms"`
-}
-
-// armCacheFile is the on-disk cached result of one arm.
-type armCacheFile struct {
-	Label           string                `json:"label"`
-	Key             string                `json:"key"`
-	Records         []metrics.RoundRecord `json:"records"`
-	MessagesSent    int                   `json:"messagesSent"`
-	BytesSent       int                   `json:"bytesSent"`
-	RealizedEpsilon float64               `json:"realizedEpsilon,omitempty"`
-	NoiseMultiplier float64               `json:"noiseMultiplier,omitempty"`
-	// Sum is the integrity checksum of the entry: the SHA-256 of the
-	// cache's canonical JSON with this field empty. A cache whose
-	// content does not reproduce its Sum — truncated, hand-edited, or
-	// torn by a filesystem that reordered the atomic rename — is
-	// ignored on resume and the arm recomputed.
-	Sum string `json:"sum"`
-}
-
-// arm converts a validated cache entry back into the executed form.
-func (c armCacheFile) arm() Arm {
-	return Arm{
-		Label:           c.Label,
-		Series:          &metrics.Series{Label: c.Label, Records: c.Records},
-		MessagesSent:    c.MessagesSent,
-		BytesSent:       c.BytesSent,
-		RealizedEpsilon: c.RealizedEpsilon,
-		NoiseMultiplier: c.NoiseMultiplier,
-	}
-}
-
-// checksum returns the integrity sum of the entry's content.
-func (c armCacheFile) checksum() (string, error) {
-	c.Sum = ""
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return "", fmt.Errorf("experiment: cache checksum: %w", err)
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // armKey returns the resume cache key of an arm under a scale: the
@@ -540,7 +492,7 @@ func slugify(label string) string {
 }
 
 // writeFileAtomic writes data via a temp file + rename, so an
-// interrupted run never leaves a torn cache entry for resume to trust.
+// interrupted run never leaves a torn results.csv or manifest.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
@@ -550,11 +502,10 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // RunSpecDir runs a spec like RunSpec and additionally persists the run
-// to opts.OutDir: a manifest (spec hash, seed, workers, timings), a
-// per-arm result cache enabling -resume (one JSON file per arm, or one
-// embedded store when opts.StoreDir is set), per-arm streamed event
-// files, and a results.csv summary. The returned report says which arms
-// ran and which were loaded from cache.
+// to opts.OutDir: a manifest (spec hash, seed, workers, timings), the
+// arm cache enabling -resume (one embedded store), per-arm streamed
+// event files, and a results.csv summary. The returned report says
+// which arms ran and which were loaded from cache.
 //
 // results.csv streams: a row lands (in completion order) as each arm
 // commits, so an interrupted sweep leaves a usable partial CSV. On
@@ -563,9 +514,9 @@ func writeFileAtomic(path string, data []byte) error {
 // produces, for any worker count and any resume history.
 //
 // On cancellation the sweep checkpoints cleanly: completed arms keep
-// their durably-written cache entries (no manifest is written for the
-// aborted run), so a later Resume re-executes only what is missing and
-// produces byte-identical output.
+// their cache records (no manifest is written for the aborted run), so
+// a later Resume re-executes only what is missing and produces
+// byte-identical output.
 func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOptions) (*FigureResult, *SpecManifest, error) {
 	if opts.OutDir == "" {
 		return nil, nil, fmt.Errorf("%w: RunSpecDir needs an output directory", ErrScale)
@@ -575,6 +526,9 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	}
 	if opts.Events != "jsonl" && opts.Events != "csv" && opts.Events != "none" {
 		return nil, nil, fmt.Errorf("%w: unknown event format %q (want jsonl, csv, or none)", ErrScale, opts.Events)
+	}
+	if opts.StoreDir == "" {
+		opts.StoreDir = filepath.Join(opts.OutDir, "store")
 	}
 	// runSpecHooked validates below; here only the expansion (for cache
 	// keys) and the content hash are needed.
@@ -586,203 +540,53 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	if err != nil {
 		return nil, nil, err
 	}
-	fileCache := opts.StoreDir == ""
-	armsDir := filepath.Join(opts.OutDir, "arms")
-	eventsDir := filepath.Join(opts.OutDir, "events")
-	if fileCache {
-		if err := os.MkdirAll(armsDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
-		}
-	} else if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
-	}
+	// events/ sits under OutDir, so one MkdirAll makes both.
+	dir := opts.OutDir
 	if opts.Events != "none" {
-		if err := os.MkdirAll(eventsDir, 0o755); err != nil {
-			return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
-		}
+		dir = filepath.Join(opts.OutDir, "events")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
 	}
 
 	reports := make([]SpecArmReport, len(arms))
 	keys := make([]string, len(arms))
-	legacyFiles := make([]string, len(arms))
 	for i, a := range arms {
-		key, err := armKey(a, sc)
-		if err != nil {
+		if keys[i], err = armKey(a, sc); err != nil {
 			return nil, nil, err
 		}
-		keys[i] = key
-		name := slugify(a.Label) + "-" + key[:8]
-		legacyFiles[i] = filepath.Join("arms", name+".json")
-		reports[i] = SpecArmReport{
-			Label: a.Label,
-			Key:   key,
-		}
-		if fileCache {
-			reports[i].ResultFile = legacyFiles[i]
-		}
+		reports[i] = SpecArmReport{Label: a.Label, Key: keys[i]}
 		if opts.Events != "none" {
-			reports[i].EventsFile = filepath.Join("events", name+"."+opts.Events)
+			reports[i].EventsFile = filepath.Join("events", slugify(a.Label)+"-"+keys[i][:8]+"."+opts.Events)
 		}
 	}
-
-	var st *store.Store
-	if !fileCache {
-		s, release, err := store.OpenShared(opts.StoreDir, store.Options{})
-		if err != nil {
-			return nil, nil, fmt.Errorf("experiment: result store: %w", err)
-		}
-		st = s
-		defer release()
+	cache, release, err := openArmCache(opts.StoreDir, sp.Name, keys)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Resume prescan, store mode: ONE ordered range scan collects every
-	// wanted cached record — zero per-arm file opens however many arms
-	// are cached. The legacy arms/ directory (if any) backfills misses
-	// below and its hits are migrated into the store.
-	var prescanned [][]byte
-	if opts.Resume && st != nil {
-		prescanned, err = prescanStoreArms(st, keys)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	legacyArms := false
-	if !fileCache {
-		if fi, err := os.Stat(armsDir); err == nil && fi.IsDir() {
-			legacyArms = true
-		}
-	}
-
+	defer release()
 	csv, err := newCSVStream(filepath.Join(opts.OutDir, "results.csv"))
 	if err != nil {
 		return nil, nil, err
 	}
 	defer csv.close()
+	run := &dirRun{cache: cache, csv: csv, reports: reports, onDone: opts.OnArmDone}
 
 	started := time.Now()
-	h := specHooks{
-		exec: opts.Exec,
-		done: func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error {
-			reports[i].ElapsedSeconds = elapsed.Seconds()
-			cache := armCacheFile{
-				Label:           arm.Label,
-				Key:             keys[i],
-				Records:         arm.Series.Records,
-				MessagesSent:    arm.MessagesSent,
-				BytesSent:       arm.BytesSent,
-				RealizedEpsilon: arm.RealizedEpsilon,
-				NoiseMultiplier: arm.NoiseMultiplier,
-			}
-			sum, err := cache.checksum()
-			if err != nil {
-				return err
-			}
-			cache.Sum = sum
-			raw, err := json.MarshalIndent(cache, "", " ")
-			if err != nil {
-				return err
-			}
-			if fileCache {
-				if err := writeFileAtomic(filepath.Join(opts.OutDir, reports[i].ResultFile), raw); err != nil {
-					return err
-				}
-			} else if err := putStoreArm(st, sp.Name, keys[i], arm, raw); err != nil {
-				return err
-			}
-			if err := csv.row(arm); err != nil {
-				return err
-			}
-			if opts.OnArmDone != nil {
-				opts.OnArmDone(i, reports[i])
-			}
-			return nil
-		},
-	}
-	if opts.Events != "none" || opts.ExtraSinks != nil {
-		h.sinks = func(i int, a spec.Arm) (sink.Sink, error) {
-			var sinks sink.Multi
-			if opts.Events != "none" {
-				f, err := sink.NewFile(filepath.Join(opts.OutDir, reports[i].EventsFile), opts.Events, a.Label)
-				if err != nil {
-					return nil, err
-				}
-				sinks = append(sinks, f)
-			}
-			if opts.ExtraSinks != nil {
-				extra, err := opts.ExtraSinks(i, a.Label)
-				if err != nil {
-					_ = sinks.Close()
-					return nil, err
-				}
-				if extra != nil {
-					sinks = append(sinks, extra)
-				}
-			}
-			switch len(sinks) {
-			case 0:
-				return nil, nil
-			case 1:
-				return sinks[0], nil
-			default:
-				return sinks, nil
-			}
-		}
-	}
+	h := specHooks{exec: opts.Exec, done: run.done, sinks: dirSinks(opts, reports)}
 	if opts.Resume {
-		h.lookup = func(i int, a spec.Arm) (Arm, bool) {
-			var arm Arm
-			var ok bool
-			if fileCache {
-				arm, ok = loadArmCache(filepath.Join(opts.OutDir, reports[i].ResultFile), keys[i], a.Label)
-			} else {
-				arm, ok = decodeArmCache(prescanned[i], keys[i], a.Label)
-				prescanned[i] = nil // decoded or rejected; free the raw bytes
-				if ok {
-					// A crash may have made the record durable but torn
-					// the listing-index row behind it; repair in passing.
-					if err := ensureStoreIndex(st, sp.Name, keys[i], arm); err != nil {
-						ok = false
-					}
-				}
-				if !ok && legacyArms {
-					// Pre-store run directory: serve the hit from the old
-					// per-arm file and migrate it into the store, so the
-					// next resume needs no fallback.
-					raw, err := os.ReadFile(filepath.Join(opts.OutDir, legacyFiles[i]))
-					if err == nil {
-						if arm, ok = decodeArmCache(raw, keys[i], a.Label); ok {
-							if err := putStoreArm(st, sp.Name, keys[i], arm, raw); err != nil {
-								ok = false // migration failed: recompute rather than half-trust
-							}
-						}
-					}
-				}
-			}
-			if ok {
-				reports[i].Cached = true
-				if err := csv.row(arm); err != nil {
-					return Arm{}, false // stream broken: recompute path surfaces the error
-				}
-				if opts.OnArmDone != nil {
-					opts.OnArmDone(i, reports[i])
-				}
-			}
-			return arm, ok
+		// ONE ordered range scan collects every wanted cached record,
+		// however many arms are cached.
+		if err := cache.prescan(); err != nil {
+			return nil, nil, err
 		}
+		h.lookup = run.lookup
 	}
-
 	fig, err := runSpecHooked(ctx, sp, sc, h)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// The streamed rows landed in completion order; the final artifact
-	// is the canonical spec-order table, swapped in atomically.
-	if err := csv.close(); err != nil {
-		return nil, nil, fmt.Errorf("experiment: results.csv: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(opts.OutDir, "results.csv"), []byte(resultsCSV(fig))); err != nil {
-		return nil, nil, fmt.Errorf("experiment: results.csv: %w", err)
-	}
 	man := &SpecManifest{
 		Spec:           sp.Name,
 		SpecHash:       specHash,
@@ -793,28 +597,110 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		ElapsedSeconds: time.Since(started).Seconds(),
 		Arms:           reports,
 	}
-	raw, err := json.MarshalIndent(man, "", " ")
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiment: manifest: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(opts.OutDir, "manifest.json"), raw); err != nil {
-		return nil, nil, fmt.Errorf("experiment: manifest: %w", err)
+	if err := run.finish(opts.OutDir, fig, man); err != nil {
+		return nil, nil, err
 	}
 	return fig, man, nil
 }
 
-// loadArmCache loads one arm's cached result if present and
-// trustworthy: the file must decode, its integrity checksum must
-// reproduce, and the key (content hash) and label must both match — so
-// a truncated or corrupted file, or a cache written by a different
-// spec, scale, or seed, is ignored (and the arm recomputed) rather
-// than resumed from.
-func loadArmCache(path, key, label string) (Arm, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
+// dirRun is what RunSpecDir's per-arm hooks share: the arm cache, the
+// streaming results.csv, and the per-arm reports the manifest is built
+// from. The hooks run on worker goroutines, distinct arms per call.
+type dirRun struct {
+	cache   *armCache
+	csv     *csvStream
+	reports []SpecArmReport
+	onDone  func(i int, report SpecArmReport)
+}
+
+// lookup is the resume hook: it serves arm i from the cache. The arm
+// counts as cached only once its results.csv row is written — if the
+// stream is broken the arm is recomputed, and that path surfaces the
+// error.
+func (r *dirRun) lookup(i int, a spec.Arm) (Arm, bool) {
+	arm, ok := r.cache.lookup(i, a.Label)
+	if !ok || r.csv.row(arm) != nil {
 		return Arm{}, false
 	}
-	return decodeArmCache(raw, key, label)
+	r.reports[i].Cached = true
+	if r.onDone != nil {
+		r.onDone(i, r.reports[i])
+	}
+	return arm, true
+}
+
+// done is the completion hook: it commits an executed arm to the cache
+// and streams its results.csv row.
+func (r *dirRun) done(i int, _ spec.Arm, arm Arm, elapsed time.Duration) error {
+	r.reports[i].ElapsedSeconds = elapsed.Seconds()
+	if err := r.cache.put(i, arm); err != nil {
+		return err
+	}
+	if err := r.csv.row(arm); err != nil {
+		return err
+	}
+	if r.onDone != nil {
+		r.onDone(i, r.reports[i])
+	}
+	return nil
+}
+
+// finish writes a completed run's final artifacts. The streamed
+// results.csv rows landed in completion order; the final file is the
+// canonical spec-order table, swapped in atomically, followed by the
+// manifest.
+func (r *dirRun) finish(outDir string, fig *FigureResult, man *SpecManifest) error {
+	if err := r.csv.close(); err != nil {
+		return fmt.Errorf("experiment: results.csv: %w", err)
+	}
+	if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), []byte(resultsCSV(fig))); err != nil {
+		return fmt.Errorf("experiment: results.csv: %w", err)
+	}
+	raw, err := json.MarshalIndent(man, "", " ")
+	if err != nil {
+		return fmt.Errorf("experiment: manifest: %w", err)
+	}
+	if err := writeFileAtomic(filepath.Join(outDir, "manifest.json"), raw); err != nil {
+		return fmt.Errorf("experiment: manifest: %w", err)
+	}
+	return nil
+}
+
+// dirSinks returns the per-arm sink factory of a directory-backed run:
+// the arm's event file (unless Events is "none") fanned out with
+// opts.ExtraSinks. It returns nil when neither is wanted.
+func dirSinks(opts SpecRunOptions, reports []SpecArmReport) func(i int, a spec.Arm) (sink.Sink, error) {
+	if opts.Events == "none" && opts.ExtraSinks == nil {
+		return nil
+	}
+	return func(i int, a spec.Arm) (sink.Sink, error) {
+		var sinks sink.Multi
+		if opts.Events != "none" {
+			f, err := sink.NewFile(filepath.Join(opts.OutDir, reports[i].EventsFile), opts.Events, a.Label)
+			if err != nil {
+				return nil, err
+			}
+			sinks = append(sinks, f)
+		}
+		if opts.ExtraSinks != nil {
+			extra, err := opts.ExtraSinks(i, a.Label)
+			if err != nil {
+				_ = sinks.Close()
+				return nil, err
+			}
+			if extra != nil {
+				sinks = append(sinks, extra)
+			}
+		}
+		switch len(sinks) {
+		case 0:
+			return nil, nil
+		case 1:
+			return sinks[0], nil
+		default:
+			return sinks, nil
+		}
+	}
 }
 
 // resultsCSVHeader is the results.csv column row.

@@ -12,6 +12,7 @@ import (
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/spec"
+	"gossipmia/internal/store"
 )
 
 // sweepSpec is a small three-arm spec used across the engine tests: a
@@ -24,6 +25,41 @@ func sweepSpec() *spec.Spec {
 			Base: spec.Arm{Label: "cifar10", Corpus: "cifar10", Protocol: "samo", ViewSize: 2, SeedOffset: 40},
 			Axes: []spec.Axis{{Field: "latency", Values: []any{0.0, 15.0, 30.0}}},
 		},
+	}
+}
+
+// storeRows returns every row of the (closed) store at dir, by key.
+func storeRows(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rows := map[string]string{}
+	if err := st.Scan("", "", func(k string, v []byte) error {
+		rows[k] = string(v)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// overwriteStoreRows replaces rows of the (closed) store at dir.
+func overwriteStoreRows(t *testing.T, dir string, rows map[string][]byte) {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{NoBackground: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range rows {
+		if err := st.Put(k, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -82,7 +118,8 @@ func TestRunSpecDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestRunSpecDirWritesArtifacts checks the full run-directory contract:
-// manifest, per-arm caches, per-arm event streams, and results.csv.
+// manifest, the arm cache under store/ (and nowhere else), per-arm
+// event streams, and results.csv.
 func TestRunSpecDirWritesArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -114,6 +151,10 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 	if onDisk.SpecHash != wantHash {
 		t.Fatalf("on-disk manifest hash = %q", onDisk.SpecHash)
 	}
+	if _, err := os.Stat(filepath.Join(dir, "arms")); !os.IsNotExist(err) {
+		t.Fatalf("run created an arms/ directory (err=%v)", err)
+	}
+	rows := storeRows(t, filepath.Join(dir, "store"))
 	for i, ar := range man.Arms {
 		if ar.Cached {
 			t.Fatalf("fresh run reported arm %q cached", ar.Label)
@@ -121,17 +162,10 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 		if ar.ElapsedSeconds <= 0 {
 			t.Fatalf("arm %q has no timing", ar.Label)
 		}
-		// The cache round-trips to the in-memory arm.
-		craw, err := os.ReadFile(filepath.Join(dir, ar.ResultFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cache armCacheFile
-		if err := json.Unmarshal(craw, &cache); err != nil {
-			t.Fatal(err)
-		}
-		if cache.Label != fig.Arms[i].Label || len(cache.Records) != len(fig.Arms[i].Series.Records) {
-			t.Fatalf("cache for %q diverges from result", ar.Label)
+		// The cache record round-trips to the in-memory arm.
+		cached, ok := decodeArmRecord([]byte(rows[storeArmKey(ar.Key)]), ar.Key, ar.Label)
+		if !ok || cached.Series.CSV() != fig.Arms[i].Series.CSV() || cached.MessagesSent != fig.Arms[i].MessagesSent {
+			t.Fatalf("cache record for %q diverges from result", ar.Label)
 		}
 		// The event stream holds one JSONL line per evaluated round,
 		// tagged with the arm label.
@@ -357,9 +391,8 @@ func TestDynamicsKindResolution(t *testing.T) {
 
 // TestRunSpecDirCancellationCheckpoints is the cancellation contract:
 // a mid-sweep cancel surfaces ctx.Err() within one arm boundary, the
-// out directory holds only atomic (complete) cache files for the arms
-// that finished, and a subsequent resume produces output byte-identical
-// to an uninterrupted run.
+// store holds exactly the arms that finished, and a subsequent resume
+// produces output byte-identical to an uninterrupted run.
 func TestRunSpecDirCancellationCheckpoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -390,18 +423,15 @@ func TestRunSpecDirCancellationCheckpoints(t *testing.T) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
 
-	// Only complete, atomically-written caches may remain.
-	entries, err := os.ReadDir(filepath.Join(dir, "arms"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 {
-		t.Fatalf("cancelled run left %d cache files, want exactly the completed arm", len(entries))
-	}
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			t.Fatalf("cancelled run left a torn temp file %q", e.Name())
+	// Only the completed arm's record may remain.
+	records := 0
+	for k := range storeRows(t, filepath.Join(dir, "store")) {
+		if strings.HasPrefix(k, storeArmPrefix) {
+			records++
 		}
+	}
+	if records != 1 {
+		t.Fatalf("cancelled run left %d cache records, want exactly the completed arm", records)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "manifest.json")); !os.IsNotExist(err) {
 		t.Fatalf("cancelled run wrote a manifest (err=%v); an aborted sweep must not look complete", err)
@@ -444,16 +474,17 @@ func TestRunSpecCancelledBeforeStart(t *testing.T) {
 }
 
 // TestResumeIgnoresCorruptCache is the resume-robustness contract: a
-// truncated or content-tampered per-arm cache file is detected (decode
-// error / integrity-sum mismatch), ignored, and recomputed — the sweep
-// completes with byte-identical results instead of aborting or
-// trusting bad data.
+// cache record that is truncated, content-tampered (only the integrity
+// sum can tell), filed under another arm's key, or carrying another
+// label is detected, ignored, and recomputed — the sweep completes
+// with byte-identical results instead of aborting or trusting bad data.
 func TestResumeIgnoresCorruptCache(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	sc := TinyScale()
 	full := sweepSpec()
+	full.Sweep.Axes[0].Values = []any{0.0, 10.0, 20.0, 30.0, 40.0}
 
 	refDir := t.TempDir()
 	refFig, _, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: refDir})
@@ -466,51 +497,119 @@ func TestResumeIgnoresCorruptCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storeDir := filepath.Join(dir, "store")
+	rows := storeRows(t, storeDir)
+	rowOf := func(i int) []byte { return []byte(rows[storeArmKey(man.Arms[i].Key)]) }
+	reencode := func(rec armRecord) []byte {
+		t.Helper()
+		raw, err := json.MarshalIndent(rec, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
 
-	// Arm 0: truncated mid-JSON (a crash during a non-atomic copy).
-	f0 := filepath.Join(dir, man.Arms[0].ResultFile)
-	raw, err := os.ReadFile(f0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(f0, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Arm 0: truncated mid-JSON.
+	truncated := rowOf(0)[:len(rowOf(0))/2]
 
-	// Arm 1: decodes fine and keeps its key, but a record was altered —
-	// only the integrity sum can catch this.
-	f1 := filepath.Join(dir, man.Arms[1].ResultFile)
-	raw, err = os.ReadFile(f1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tampered armCacheFile
-	if err := json.Unmarshal(raw, &tampered); err != nil {
+	// Arm 1: decodes fine and keeps its key, but a record was altered.
+	var tampered armRecord
+	if err := json.Unmarshal(rowOf(1), &tampered); err != nil {
 		t.Fatal(err)
 	}
 	if len(tampered.Records) == 0 {
 		t.Fatal("cache has no records to tamper with")
 	}
 	tampered.Records[0].TestAcc += 0.25
-	edited, err := json.MarshalIndent(tampered, "", " ")
-	if err != nil {
+
+	// Arm 2: arm 4's intact, self-consistent record under arm 2's key.
+	wrongKey := rowOf(4)
+
+	// Arm 3: a self-consistent record with arm 3's key but another label.
+	var relabeled armRecord
+	if err := json.Unmarshal(rowOf(3), &relabeled); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(f1, edited, 0o644); err != nil {
+	relabeled.Label = man.Arms[4].Label
+	if relabeled.Sum, err = relabeled.checksum(); err != nil {
 		t.Fatal(err)
 	}
+
+	overwriteStoreRows(t, storeDir, map[string][]byte{
+		storeArmKey(man.Arms[0].Key): truncated,
+		storeArmKey(man.Arms[1].Key): reencode(tampered),
+		storeArmKey(man.Arms[2].Key): wrongKey,
+		storeArmKey(man.Arms[3].Key): reencode(relabeled),
+	})
 
 	resumed, man2, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: dir, Resume: true})
 	if err != nil {
 		t.Fatalf("resume over corrupt caches aborted: %v", err)
 	}
-	if man2.Arms[0].Cached || man2.Arms[1].Cached {
-		t.Fatalf("resume trusted a corrupt cache: %+v", man2.Arms)
+	for i, kind := range []string{"truncated", "tampered", "wrong-key", "wrong-label"} {
+		if man2.Arms[i].Cached {
+			t.Fatalf("resume trusted the %s record of arm %d", kind, i)
+		}
 	}
-	if !man2.Arms[2].Cached {
+	if !man2.Arms[4].Cached {
 		t.Fatal("resume recomputed the intact arm")
 	}
 	if figureDump(resumed) != figureDump(refFig) {
 		t.Fatal("resume after corruption diverged from the reference run")
+	}
+}
+
+// TestResumeCountsArmCachedOnlyAfterCSVRow: when the results.csv
+// stream is broken the resume hook declines the cached arm (it is
+// recomputed, and that path surfaces the error) — so the manifest must
+// not call the arm cached, and nobody is told it is done.
+func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
+	arm := Arm{Label: "a", Series: &metrics.Series{Label: "a", Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5}}}}
+	cache, release, err := openArmCache(filepath.Join(t.TempDir(), "store"), "csvfail", []string{strings.Repeat("ab", 32)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	if err := cache.put(0, arm); err != nil {
+		t.Fatal(err)
+	}
+	// A results.csv opened read-only: every row write fails.
+	path := filepath.Join(t.TempDir(), "results.csv")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	run := &dirRun{
+		cache:   cache,
+		csv:     &csvStream{f: f},
+		reports: []SpecArmReport{{Label: "a"}},
+		onDone:  func(int, SpecArmReport) { t.Error("OnArmDone fired for an arm that was not served") },
+	}
+	if err := cache.prescan(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); ok {
+		t.Fatal("lookup served an arm whose results.csv row failed")
+	}
+	if run.reports[0].Cached {
+		t.Fatal("arm reported cached although it will be recomputed")
+	}
+
+	// Same record, working stream: served and reported.
+	w, err := newCSVStream(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	run.csv, run.onDone = w, nil
+	if err := cache.prescan(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); !ok || !run.reports[0].Cached {
+		t.Fatal("lookup declined an intact arm over a working stream")
 	}
 }

@@ -1,34 +1,37 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
 
+	"gossipmia/internal/metrics"
 	"gossipmia/internal/store"
 )
 
-// Store-backed arm caching. With SpecRunOptions.StoreDir set, per-arm
-// results land in one embedded store (internal/store) instead of one
-// JSON file each under arms/ — the difference between a resume that
-// opens 10^5 files and one that streams a single log + segment set.
-// The record bytes are exactly the bytes the file cache would hold
-// (canonical JSON with the self-checksum Sum), so the integrity
-// semantics — decode, reproduce Sum, match key and label — carry over
-// unchanged and results stay byte-identical between the two backends.
+// The arm cache. Every directory-backed run keeps its per-arm results
+// in one embedded store (internal/store) — OutDir/store unless several
+// runs share one, as the job service's do — so a resume streams a
+// single log + segment set instead of opening a file per arm. Each
+// record is canonical JSON with a self-checksum and is trusted only
+// when it decodes, reproduces its Sum, and matches the arm's key and
+// label; anything else is recomputed.
 //
 // Key space:
 //
-//	"a!" + <64-hex arm content hash>          → armCacheFile JSON
+//	"a!" + <64-hex arm content hash>          → armRecord JSON
 //	"i!" + spec + "\x00" + label + "\x00" + hash[:16]
 //	                                          → StoreArmSummary JSON
 //
-// The "a!" row is the resume cache, point-looked-up (bloom-served) or
-// range-prescanned. The "i!" row is the listing index: its key embeds
-// the figure name and the arm label — which carries the sweep-axis
-// value, e.g. "purchase100 beta=0.25" — so `dlsim list -store` serves
-// a figure's arms with one bounded range scan in label order, no
-// record-body reads.
+// The "a!" row is the resume cache, range-prescanned. The "i!" row is
+// the listing index: its key embeds the figure name and the arm label —
+// which carries the sweep-axis value, e.g. "purchase100 beta=0.25" — so
+// `dlsim list -store` serves a figure's arms with one bounded range
+// scan in label order, no record-body reads. spec.Validate rejects
+// control characters in names and labels, so a spec file cannot forge
+// the NUL separators.
 const (
 	storeArmPrefix   = "a!"
 	storeIndexPrefix = "i!"
@@ -44,6 +47,86 @@ func storeIndexKey(specName, label, key string) string {
 		short = short[:16]
 	}
 	return storeIndexPrefix + specName + "\x00" + label + "\x00" + short
+}
+
+// armRecord is the cached result of one arm.
+type armRecord struct {
+	Label           string                `json:"label"`
+	Key             string                `json:"key"`
+	Records         []metrics.RoundRecord `json:"records"`
+	MessagesSent    int                   `json:"messagesSent"`
+	BytesSent       int                   `json:"bytesSent"`
+	RealizedEpsilon float64               `json:"realizedEpsilon,omitempty"`
+	NoiseMultiplier float64               `json:"noiseMultiplier,omitempty"`
+	// Sum is the integrity checksum of the entry: the SHA-256 of the
+	// record's canonical JSON with this field empty. A record whose
+	// content does not reproduce its Sum — truncated, hand-edited, or
+	// torn — is ignored on resume and the arm recomputed.
+	Sum string `json:"sum"`
+}
+
+// arm converts a validated record back into the executed form.
+func (c armRecord) arm() Arm {
+	return Arm{
+		Label:           c.Label,
+		Series:          &metrics.Series{Label: c.Label, Records: c.Records},
+		MessagesSent:    c.MessagesSent,
+		BytesSent:       c.BytesSent,
+		RealizedEpsilon: c.RealizedEpsilon,
+		NoiseMultiplier: c.NoiseMultiplier,
+	}
+}
+
+// checksum returns the integrity sum of the record's content.
+func (c armRecord) checksum() (string, error) {
+	c.Sum = ""
+	raw, err := json.Marshal(c)
+	if err != nil {
+		return "", fmt.Errorf("experiment: cache checksum: %w", err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// encodeArmRecord renders an executed arm as its checksummed record.
+func encodeArmRecord(key string, arm Arm) ([]byte, error) {
+	rec := armRecord{
+		Label:           arm.Label,
+		Key:             key,
+		Records:         arm.Series.Records,
+		MessagesSent:    arm.MessagesSent,
+		BytesSent:       arm.BytesSent,
+		RealizedEpsilon: arm.RealizedEpsilon,
+		NoiseMultiplier: arm.NoiseMultiplier,
+	}
+	sum, err := rec.checksum()
+	if err != nil {
+		return nil, err
+	}
+	rec.Sum = sum
+	return json.MarshalIndent(rec, "", " ")
+}
+
+// decodeArmRecord validates and decodes one cached arm record: the
+// JSON must decode, its integrity checksum must reproduce, and the key
+// (content hash) and label must both match — so a truncated or
+// corrupted record, or one written by a different spec, scale, or
+// seed, is ignored (and the arm recomputed) rather than resumed from.
+func decodeArmRecord(raw []byte, key, label string) (Arm, bool) {
+	if len(raw) == 0 {
+		return Arm{}, false
+	}
+	var rec armRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return Arm{}, false
+	}
+	if sum, err := rec.checksum(); err != nil || rec.Sum != sum {
+		return Arm{}, false
+	}
+	if rec.Key != key || rec.Label != label {
+		return Arm{}, false
+	}
+	return rec.arm(), true
 }
 
 // StoreArmSummary is the listing-index row of one cached arm: the
@@ -74,80 +157,88 @@ func storeArmSummary(specName, key string, arm Arm) StoreArmSummary {
 	}
 }
 
-// putStoreArm commits one arm to the store: the full cache record plus
-// its listing-index row. raw is the canonical armCacheFile JSON — the
-// exact bytes the file backend would write.
-func putStoreArm(st *store.Store, specName, key string, arm Arm, raw []byte) error {
-	if err := st.Put(storeArmKey(key), raw); err != nil {
-		return err
-	}
-	idx, err := json.Marshal(storeArmSummary(specName, key, arm))
+// armCache is one run's view of the arm store: the spec's arms by
+// index, their content-hash keys, and — after prescan — the raw cached
+// records resume will decode. Methods are safe across distinct arm
+// indices (the store serializes its own writes).
+type armCache struct {
+	st   *store.Store
+	spec string
+	keys []string
+	raw  [][]byte
+}
+
+// openArmCache opens (creating if needed) the store at dir through the
+// process-wide shared handle; the returned release drops this run's
+// reference.
+func openArmCache(dir, specName string, keys []string) (*armCache, func() error, error) {
+	st, release, err := store.OpenShared(dir, store.Options{})
 	if err != nil {
-		return fmt.Errorf("experiment: index row: %w", err)
+		return nil, nil, fmt.Errorf("experiment: result store: %w", err)
 	}
-	return st.Put(storeIndexKey(specName, arm.Label, key), idx)
+	return &armCache{st: st, spec: specName, keys: keys}, release, nil
 }
 
-// ensureStoreIndex repairs a missing listing-index row for a cached
-// arm — the case where a crash tore the index Put but the record Put
-// before it was durable. The existence probe is a bloom-served point
-// lookup, so resuming 10^5 intact arms costs microseconds each and
-// writes nothing.
-func ensureStoreIndex(st *store.Store, specName, key string, arm Arm) error {
-	ik := storeIndexKey(specName, arm.Label, key)
-	ok, err := st.Has(ik)
-	if err != nil || ok {
-		return err
-	}
-	idx, err := json.Marshal(storeArmSummary(specName, key, arm))
-	if err != nil {
-		return fmt.Errorf("experiment: index row: %w", err)
-	}
-	return st.Put(ik, idx)
-}
-
-// decodeArmCache validates and decodes one cached arm record from its
-// raw bytes — the shared trust path of both cache backends: the JSON
-// must decode, its integrity checksum must reproduce, and the key and
-// label must match (see loadArmCache).
-func decodeArmCache(raw []byte, key, label string) (Arm, bool) {
-	if len(raw) == 0 {
-		return Arm{}, false
-	}
-	var cache armCacheFile
-	if err := json.Unmarshal(raw, &cache); err != nil {
-		return Arm{}, false
-	}
-	if sum, err := cache.checksum(); err != nil || cache.Sum != sum {
-		return Arm{}, false
-	}
-	if cache.Key != key || cache.Label != label {
-		return Arm{}, false
-	}
-	return cache.arm(), true
-}
-
-// prescanStoreArms serves the resume lookup in one pass: a single
-// ordered scan over the record range collects the raw bytes of every
-// wanted key. No per-arm file opens, no per-arm point lookups — the
-// scan touches the log and segment set once, sequentially, and skips
-// everything outside the "a!" range via fence keys.
-func prescanStoreArms(st *store.Store, keys []string) ([][]byte, error) {
-	want := make(map[string]int, len(keys))
-	for i, k := range keys {
+// prescan serves the resume lookups in one pass: a single ordered scan
+// over the record range collects the raw bytes of every wanted key. No
+// per-arm point lookups — the scan touches the log and segment set
+// once, sequentially, and skips everything outside the "a!" range via
+// fence keys.
+func (c *armCache) prescan() error {
+	want := make(map[string]int, len(c.keys))
+	for i, k := range c.keys {
 		want[storeArmKey(k)] = i
 	}
-	raw := make([][]byte, len(keys))
-	err := st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
+	c.raw = make([][]byte, len(c.keys))
+	err := c.st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
 		if i, ok := want[k]; ok {
-			raw[i] = append([]byte(nil), v...)
+			c.raw[i] = append([]byte(nil), v...)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("experiment: store prescan: %w", err)
+		return fmt.Errorf("experiment: store prescan: %w", err)
 	}
-	return raw, nil
+	return nil
+}
+
+// lookup returns arm i's prescanned record if it is trustworthy. A
+// crash may have made the record durable but torn the listing-index
+// row behind it; the row is repaired in passing — the existence probe
+// is a bloom-served point lookup, so resuming 10^5 intact arms costs
+// microseconds each and writes nothing.
+func (c *armCache) lookup(i int, label string) (Arm, bool) {
+	arm, ok := decodeArmRecord(c.raw[i], c.keys[i], label)
+	c.raw[i] = nil // decoded or rejected; free the raw bytes
+	if !ok {
+		return Arm{}, false
+	}
+	has, err := c.st.Has(storeIndexKey(c.spec, label, c.keys[i]))
+	if err == nil && !has {
+		err = c.putIndex(i, arm)
+	}
+	return arm, err == nil
+}
+
+// put commits arm i: the full record, then its listing-index row.
+func (c *armCache) put(i int, arm Arm) error {
+	raw, err := encodeArmRecord(c.keys[i], arm)
+	if err != nil {
+		return err
+	}
+	if err := c.st.Put(storeArmKey(c.keys[i]), raw); err != nil {
+		return err
+	}
+	return c.putIndex(i, arm)
+}
+
+// putIndex writes arm i's listing-index row.
+func (c *armCache) putIndex(i int, arm Arm) error {
+	idx, err := json.Marshal(storeArmSummary(c.spec, c.keys[i], arm))
+	if err != nil {
+		return fmt.Errorf("experiment: index row: %w", err)
+	}
+	return c.st.Put(storeIndexKey(c.spec, arm.Label, c.keys[i]), idx)
 }
 
 // ListStoreArms pages through a store's listing index in (figure,

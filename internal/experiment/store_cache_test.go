@@ -15,7 +15,8 @@ import (
 	"gossipmia/internal/store"
 )
 
-// storeOpts returns store-backed run options rooted in out.
+// storeOpts returns run options rooted in out with the store location
+// spelled out.
 func storeOpts(out string) SpecRunOptions {
 	return SpecRunOptions{
 		OutDir:   out,
@@ -24,62 +25,64 @@ func storeOpts(out string) SpecRunOptions {
 	}
 }
 
-// TestStoreBackendMatchesFileBackend is the migration contract: the
-// same sweep through the store backend produces a byte-identical
-// results.csv and identical figure to the per-file backend — and no
-// arms/ directory at all.
-func TestStoreBackendMatchesFileBackend(t *testing.T) {
+// TestRunDirIsStoreOnly pins the run-directory layout: with no StoreDir
+// the arm cache is the store at OutDir/store — the same directory an
+// explicit StoreDir of OutDir/store names — holding one record and one
+// index row per arm, and no arms/ directory exists at all.
+func TestRunDirIsStoreOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	sc := TinyScale()
-
-	fileDir := t.TempDir()
-	fileFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: fileDir, Events: "none"})
+	dir := t.TempDir()
+	fig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileCSV, err := os.ReadFile(filepath.Join(fileDir, "results.csv"))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, "arms")); !os.IsNotExist(err) {
+		t.Fatalf("run created an arms/ directory (err=%v)", err)
 	}
-
-	storeDir := t.TempDir()
-	storeFig, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, storeOpts(storeDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if figureDump(fileFig) != figureDump(storeFig) {
-		t.Fatal("store-backed figure diverged from file-backed run")
-	}
-	storeCSV, err := os.ReadFile(filepath.Join(storeDir, "results.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(storeCSV) != string(fileCSV) {
-		t.Fatal("store-backed results.csv diverged from file-backed run")
-	}
-	if _, err := os.Stat(filepath.Join(storeDir, "arms")); !os.IsNotExist(err) {
-		t.Fatalf("store-backed run created an arms/ directory (err=%v)", err)
-	}
-	for _, ar := range man.Arms {
-		if ar.ResultFile != "" {
-			t.Fatalf("store-backed manifest points at a result file %q", ar.ResultFile)
-		}
-	}
-	// The store holds one record and one index row per arm.
-	page, total, err := ListStoreArms(filepath.Join(storeDir, "store"), "", 0, 0)
+	page, total, err := ListStoreArms(filepath.Join(dir, "store"), "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if total != 3 || len(page) != 3 {
 		t.Fatalf("listing index has %d/%d rows, want 3", len(page), total)
 	}
+
+	// Naming OutDir/store explicitly is the same directory: a resume
+	// finds every arm the default run cached.
+	opts := storeOpts(dir)
+	opts.Resume = true
+	resumed, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ar := range man.Arms {
+		if !ar.Cached {
+			t.Fatalf("explicit OutDir/store missed arm %q cached by the default run", ar.Label)
+		}
+	}
+	if figureDump(resumed) != figureDump(fig) {
+		t.Fatal("resume through the explicit store path diverged")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "manifest.json results.csv store" {
+		t.Fatalf("run directory holds %q, want manifest.json results.csv store", got)
+	}
 }
 
-// TestStoreResumeSkipsCompletedArms mirrors the file-backend
-// acceptance test: a prefix-complete store-backed sweep resumed over
-// the full spec runs only the missing arm and lands byte-identical.
+// TestStoreResumeSkipsCompletedArms: a store shared between run
+// directories dedups by content hash — a prefix of the sweep run into
+// one directory is served from cache when the full sweep runs into
+// another, which executes only the missing arm and lands byte-identical.
 func TestStoreResumeSkipsCompletedArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -97,19 +100,18 @@ func TestStoreResumeSkipsCompletedArms(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
+	shared := filepath.Join(t.TempDir(), "shared-store")
 	arms, err := full.ExpandArms()
 	if err != nil {
 		t.Fatal(err)
 	}
 	partial := &spec.Spec{Name: full.Name, Caption: full.Caption, Arms: arms[:2]}
-	if _, _, err := RunSpecDir(t.Context(), partial, sc, storeOpts(dir)); err != nil {
+	if _, _, err := RunSpecDir(t.Context(), partial, sc, SpecRunOptions{OutDir: t.TempDir(), StoreDir: shared, Events: "none"}); err != nil {
 		t.Fatal(err)
 	}
 
-	opts := storeOpts(dir)
-	opts.Resume = true
-	resumed, man, err := RunSpecDir(t.Context(), full, sc, opts)
+	dir := t.TempDir()
+	resumed, man, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: dir, StoreDir: shared, Events: "none", Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,6 +135,9 @@ func TestStoreResumeSkipsCompletedArms(t *testing.T) {
 	}
 	if string(gotCSV) != string(refCSV) {
 		t.Fatal("store-backed resumed results.csv diverged")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "store")); !os.IsNotExist(err) {
+		t.Fatalf("run with a shared StoreDir also created OutDir/store (err=%v)", err)
 	}
 }
 
@@ -243,69 +248,76 @@ func TestStoreResumeSurvivesTornLog(t *testing.T) {
 	}
 }
 
-// TestLegacyCacheMigratesIntoStore: pointing a store at a pre-store
-// run directory serves resume hits from the old per-arm files and
-// migrates them, so the next resume never touches arms/ again.
-func TestLegacyCacheMigratesIntoStore(t *testing.T) {
+// TestLegacyArmsDirIgnored: a run directory left by an older build
+// still has arms/*.json per-arm cache files. They are neither read —
+// every arm is recomputed into the store, however valid the old files
+// look — nor harmed.
+func TestLegacyArmsDirIgnored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	sc := TinyScale()
-	dir := t.TempDir()
-	// A file-backed run leaves arms/*.json.
-	refFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none"})
+	refDir := t.TempDir()
+	refFig, refMan, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: refDir, Events: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	// The old layout: the very same record bytes, one file per arm,
+	// named <label slug>-<key[:8]>.json.
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "arms"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rows := storeRows(t, filepath.Join(refDir, "store"))
+	for _, ar := range refMan.Arms {
+		name := slugify(ar.Label) + "-" + ar.Key[:8] + ".json"
+		if err := os.WriteFile(filepath.Join(dir, "arms", name), []byte(rows[storeArmKey(ar.Key)]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := dirBytes(t, filepath.Join(dir, "arms"))
+
 	opts := storeOpts(dir)
 	opts.Resume = true
-	migrated, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
+	fig, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, ar := range man.Arms {
-		if !ar.Cached {
-			t.Fatalf("legacy cache miss for %q", ar.Label)
+		if ar.Cached {
+			t.Fatalf("arm %q was served from a legacy arms/ file", ar.Label)
 		}
 	}
-	if figureDump(migrated) != figureDump(refFig) {
-		t.Fatal("legacy-migrated resume diverged")
+	if figureDump(fig) != figureDump(refFig) {
+		t.Fatal("run beside a legacy arms/ directory diverged")
 	}
-
-	// Remove the legacy files: the store alone now serves everything.
-	if err := os.RemoveAll(filepath.Join(dir, "arms")); err != nil {
-		t.Fatal(err)
+	after := dirBytes(t, filepath.Join(dir, "arms"))
+	if len(after) != len(before) {
+		t.Fatalf("arms/ went from %d to %d files", len(before), len(after))
 	}
-	again, man2, err := RunSpecDir(t.Context(), sweepSpec(), sc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ar := range man2.Arms {
-		if !ar.Cached {
-			t.Fatalf("store miss after migration for %q", ar.Label)
+	for name, want := range before {
+		if after[name] != want {
+			t.Fatalf("legacy file arms/%s was modified", name)
 		}
-	}
-	if figureDump(again) != figureDump(refFig) {
-		t.Fatal("post-migration resume diverged")
 	}
 }
 
-// TestPartialCSVOnCancel is the streaming-results contract, both
-// backends: a cancelled sweep leaves a parseable results.csv holding
-// the header plus one row per completed arm, and resume regenerates
-// the canonical full file.
+// TestPartialCSVOnCancel is the streaming-results contract, with the
+// store at its default location and named explicitly: a cancelled sweep
+// leaves a parseable results.csv holding the header plus one row per
+// completed arm, and resume regenerates the canonical full file.
 func TestPartialCSVOnCancel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	for _, backend := range []string{"files", "store"} {
-		t.Run(backend, func(t *testing.T) {
+	for _, where := range []string{"default", "store"} {
+		t.Run(where, func(t *testing.T) {
 			sc := TinyScale()
 			sc.Workers = 1 // deterministic: cancel lands between arm 0 and 1
 			dir := t.TempDir()
 			opts := SpecRunOptions{OutDir: dir, Events: "none"}
-			if backend == "store" {
+			if where == "store" {
 				opts.StoreDir = filepath.Join(dir, "store")
 			}
 			ctx, cancel := context.WithCancel(context.Background())
@@ -416,31 +428,23 @@ func TestListStoreArmsPaging(t *testing.T) {
 	}
 }
 
-// --- the acceptance benchmark: resume-scan, per-file vs store ---
-
 // benchArmRecords builds n synthetic cache records with realistic
-// shapes: 64-hex content-hash keys and canonical armCacheFile JSON.
+// shapes: 64-hex content-hash keys and canonical armRecord JSON.
 func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	b.Helper()
 	keys := make([]string, n)
 	raws := make([][]byte, n)
 	for i := 0; i < n; i++ {
 		keys[i] = fmt.Sprintf("%064x", i*2654435761)
-		cache := armCacheFile{
-			Label: fmt.Sprintf("purchase100 beta=%.4f", 0.1+float64(i)*0.0005),
-			Key:   keys[i],
-			Records: []metrics.RoundRecord{{
+		label := fmt.Sprintf("purchase100 beta=%.4f", 0.1+float64(i)*0.0005)
+		raw, err := encodeArmRecord(keys[i], Arm{
+			Label: label,
+			Series: &metrics.Series{Label: label, Records: []metrics.RoundRecord{{
 				Round: 3, TestAcc: 0.61, MIAAcc: 0.52, TPRAt1FPR: 0.08, GenError: 0.10,
-			}},
+			}}},
 			MessagesSent: 1000 + i,
 			BytesSent:    64000 + i,
-		}
-		sum, err := cache.checksum()
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache.Sum = sum
-		raw, err := json.MarshalIndent(cache, "", " ")
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -450,68 +454,34 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 }
 
 // BenchmarkResumeScan measures what resume pays to retrieve every
-// cached arm record, per-file backend vs store backend — the
-// acceptance number for the store migration. Both sides return the
-// same raw bytes (validation and decode cost downstream is identical
-// and excluded); the difference is pure storage-crossing cost: one
-// open+read+close per arm vs one ordered scan of a segment set.
+// cached arm record: one ordered scan of a flushed segment set
+// (validation and decode cost downstream is excluded).
 func BenchmarkResumeScan(b *testing.B) {
 	const n = 5000
 	keys, raws := benchArmRecords(b, n)
-
-	b.Run("files", func(b *testing.B) {
-		dir := b.TempDir()
-		paths := make([]string, n)
-		for i := range keys {
-			paths[i] = filepath.Join(dir, fmt.Sprintf("arm-%s.json", keys[i][:8]))
-			if err := os.WriteFile(paths[i], raws[i], 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for it := 0; it < b.N; it++ {
-			total := 0
-			for _, p := range paths {
-				raw, err := os.ReadFile(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += len(raw)
-			}
-			if total == 0 {
-				b.Fatal("read nothing")
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
-	})
-
-	b.Run("store", func(b *testing.B) {
-		dir := b.TempDir()
-		st, err := store.Open(dir, store.Options{NoBackground: true})
-		if err != nil {
+	st, err := store.Open(b.TempDir(), store.Options{NoBackground: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	for i := range keys {
+		if err := st.Put(storeArmKey(keys[i]), raws[i]); err != nil {
 			b.Fatal(err)
 		}
-		defer st.Close()
-		for i := range keys {
-			if err := st.Put(storeArmKey(keys[i]), raws[i]); err != nil {
-				b.Fatal(err)
-			}
+	}
+	if err := st.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		count := 0
+		err := st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
+			count++
+			return nil
+		})
+		if err != nil || count != n {
+			b.Fatalf("scan: count=%d err=%v", count, err)
 		}
-		if err := st.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for it := 0; it < b.N; it++ {
-			total, count := 0, 0
-			err := st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
-				total += len(v)
-				count++
-				return nil
-			})
-			if err != nil || count != n {
-				b.Fatalf("scan: count=%d err=%v", count, err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
-	})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
 }

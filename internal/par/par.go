@@ -9,9 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // WorkerPanic is the value re-raised on the calling goroutine when a
@@ -49,61 +46,24 @@ func ForEach(workers, n int, fn func(i int)) {
 // never interrupted — a work item either runs to completion or does not
 // run at all, which is what lets the sweep cache stay atomic on abort.
 //
-// A panic on a pool goroutine does not kill the process behind the
-// caller's back: the first panicking item is captured (with its stack),
-// the remaining workers wind down, and the panic is re-raised on the
-// calling goroutine as a *WorkerPanic — so a recover() around the
-// fork-join call observes every failure mode, nested pools included.
+// The items run on a short-lived Pool, so a panicking item is handled
+// as Pool.ForEach documents: captured with its stack and re-raised on
+// the calling goroutine as a *WorkerPanic, nested pools included.
 func forEach(ctx context.Context, workers, n int, fn func(i int)) {
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	done := ctx.Done()
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			if done != nil && ctx.Err() != nil {
-				return
-			}
-			fn(i)
-		}
+	if n <= 0 {
 		return
 	}
-	var next atomic.Int64
-	var panicked atomic.Pointer[WorkerPanic]
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					wp, ok := r.(*WorkerPanic) // nested pool: keep the innermost stack
-					if !ok {
-						wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
-					}
-					panicked.CompareAndSwap(nil, wp)
-				}
-			}()
-			for {
-				if done != nil && ctx.Err() != nil {
-					return
-				}
-				if panicked.Load() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
+	if ctx.Done() != nil {
+		run := fn
+		fn = func(i int) {
+			if ctx.Err() == nil {
+				run(i)
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
+	p := NewPool(min(Workers(workers), n))
+	defer p.Close()
+	p.ForEach(n, fn)
 }
 
 // ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns

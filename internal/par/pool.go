@@ -18,13 +18,14 @@ import (
 //
 // A Pool serves one fork-join at a time: ForEach must not be called
 // concurrently or reentrantly from inside a work item (nested fan-outs
-// use their own Pool or the spawn-based ForEach). Work items identify
-// their work by index and must confine writes to per-index state, as
-// with ForEach.
+// use their own Pool, as the package-level ForEach does). Work items
+// identify their work by index and must confine writes to per-index
+// state, as with ForEach.
 type Pool struct {
 	workers int           // total workers including the calling goroutine
 	work    chan struct{} // one token wakes one helper for the current run
 	done    sync.WaitGroup
+	exited  sync.WaitGroup // helpers that have returned after Close
 
 	// Per-run state, published to helpers by the work-channel send and
 	// read back by the caller after done.Wait (both are
@@ -47,8 +48,10 @@ func NewPool(workers int) *Pool {
 		return p
 	}
 	p.work = make(chan struct{}, w-1)
+	p.exited.Add(w - 1)
 	for g := 0; g < w-1; g++ {
 		go func() {
+			defer p.exited.Done()
 			for range p.work {
 				p.runShared()
 				p.done.Done()
@@ -58,11 +61,14 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Close releases the pool's helper goroutines. The pool must be idle;
-// ForEach must not be called after Close.
+// Close releases the pool's helper goroutines and returns once they
+// have exited, so short-lived pools made in a tight loop never pile up
+// parked helpers. The pool must be idle; ForEach must not be called
+// after Close.
 func (p *Pool) Close() {
 	if p.work != nil {
 		close(p.work)
+		p.exited.Wait()
 	}
 }
 

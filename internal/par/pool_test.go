@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -93,6 +94,25 @@ func TestPoolUsableAfterPanic(t *testing.T) {
 	}
 }
 
+// TestPoolCloseWaitsForHelpers: Close returns only once the helpers
+// are gone, so a tight loop of short-lived pools (what the package
+// ForEach is) holds a bounded number of goroutines instead of leaving
+// every closed pool's helpers queued up to exit.
+func TestPoolCloseWaitsForHelpers(t *testing.T) {
+	const workers = 4
+	before := runtime.NumGoroutine()
+	peak := 0
+	for i := 0; i < 2000; i++ {
+		ForEach(workers, workers, func(int) {})
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	// A helper that has signalled its exit may still be counted for an
+	// instant; more than one pool's worth means helpers outlive Close.
+	if limit := before + workers - 1; peak > limit {
+		t.Fatalf("goroutines peaked at %d across short-lived pools, want <= %d", peak, limit)
+	}
+}
+
 func BenchmarkPoolForEach(b *testing.B) {
 	p := NewPool(4)
 	defer p.Close()
@@ -102,15 +122,5 @@ func BenchmarkPoolForEach(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.ForEach(8, fn)
-	}
-}
-
-func BenchmarkSpawnForEach(b *testing.B) {
-	var sink atomic.Int64
-	fn := func(i int) { sink.Add(1) }
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ForEach(4, 8, fn)
 	}
 }

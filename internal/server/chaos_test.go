@@ -14,6 +14,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -251,16 +252,20 @@ func TestDrainDeadlineCheckpointRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the first arm's cache file: from here the second arm is
-	// mid-flight for ~250ms — the window the drain deadline lands in.
-	var caches []string
+	// Wait for the first arm's results.csv row, streamed once its cache
+	// record is in the store: from here the second arm is mid-flight for
+	// ~250ms — the window the drain deadline lands in.
 	for deadline := time.Now().Add(20 * time.Second); ; {
-		caches, _ = filepath.Glob(filepath.Join(dir, "*", "arms", "*.json"))
-		if len(caches) >= 1 {
+		rows := 0
+		if csvs, _ := filepath.Glob(filepath.Join(dir, "*", "results.csv")); len(csvs) == 1 {
+			raw, _ := os.ReadFile(csvs[0])
+			rows = strings.Count(string(raw), "\n") - 1 // minus the header
+		}
+		if rows >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("no arm cache file appeared")
+			t.Fatal("no arm was checkpointed")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

@@ -17,18 +17,17 @@
 // v1 endpoints:
 //
 //	POST   /v1/jobs             submit {spec, scale, seed, workers}
-//	GET    /v1/jobs             list jobs, newest first; ?limit=N and
-//	                            ?offset=N page and switch the response
-//	                            to the {jobs, total, offset, limit}
-//	                            envelope
+//	GET    /v1/jobs             list jobs, newest first, as a {jobs,
+//	                            total, offset, limit} envelope;
+//	                            ?limit=N and ?offset=N page
 //	GET    /v1/jobs/{id}        job status (result embedded once done)
 //	DELETE /v1/jobs/{id}        cancel (frees the queue slot)
 //	GET    /v1/jobs/{id}/events NDJSON round records: replay + follow
 //	                            (?offset=N resumes after N lines)
 //	GET    /v1/catalog          scenario catalog and scales
 //	GET    /v1/version          build identity + spec-schema hash
-//	GET    /v1/healthz          liveness + queue stats
-//	GET    /v1/statz            dispatch + cache counters snapshot
+//	GET    /v1/healthz          liveness: {"status": ok|draining}
+//	GET    /v1/statz            jobs, queue, dispatch + cache counters
 //	POST   /v1/work/claim       worker fleet: long-poll one arm lease
 //	POST   /v1/work/register    announce a worker before its first claim
 //	POST   /v1/work/deregister  remove a worker from the live set now
@@ -56,6 +55,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -189,17 +189,17 @@ type Config struct {
 	AuditFraction float64
 	// CheckpointDir, when set, persists per-job run directories keyed
 	// by dedup key under it: retries and post-restart resubmissions
-	// resume from the per-arm caches instead of recomputing, and a
+	// resume from the arm cache instead of recomputing, and a
 	// drained-with-deadline job leaves its completed arms behind.
 	CheckpointDir string
-	// StoreDir, when set together with CheckpointDir, keeps every
-	// job's per-arm result records in one embedded result store
-	// (internal/store) at this path instead of one JSON file per arm
-	// under each job directory. Arms are keyed by content hash, so
-	// jobs that share arms — a resubmission after restart, or two
-	// sweeps overlapping on a common baseline — share cached results
-	// across job boundaries. The server holds the store open for its
-	// lifetime; concurrent jobs write through the one shared handle.
+	// StoreDir is where a checkpointing server keeps every job's
+	// per-arm result records: one embedded result store
+	// (internal/store), by default CheckpointDir/store. Arms are keyed
+	// by content hash, so jobs that share arms — a resubmission after
+	// restart, or two sweeps overlapping on a common baseline — share
+	// cached results across job boundaries. The server holds the store
+	// open for its lifetime; concurrent jobs write through the one
+	// shared handle. Without CheckpointDir it is unused.
 	StoreDir string
 	// Fault injects failures into job execution (chaos testing); nil
 	// injects nothing.
@@ -231,6 +231,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RateBurst <= 0 {
 		c.RateBurst = 10
+	}
+	if c.StoreDir == "" && c.CheckpointDir != "" {
+		c.StoreDir = filepath.Join(c.CheckpointDir, "store")
 	}
 	c.Retry = c.Retry.withDefaults()
 	if c.Log == nil {
@@ -543,14 +546,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleList is GET /v1/jobs. Without query parameters it answers with
-// the bare newest-first array clients have always decoded; with ?limit
-// and/or ?offset it answers with the paged envelope — jobs, total,
-// offset, limit — so a dashboard over a long-retention service fetches
-// a window instead of the whole table.
+// handleList is GET /v1/jobs: the newest-first job table in the
+// {jobs, total, offset, limit} envelope. ?limit and ?offset page it, so
+// a dashboard over a long-retention service fetches a window instead
+// of the whole table; limit 0 (the default) means everything.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	paged := q.Has("limit") || q.Has("offset")
 	limit, offset := 0, 0
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -572,16 +573,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	total := len(s.order)
 	out := []*dlsim.JobStatus{}
 	for i := total - 1 - offset; i >= 0; i-- {
-		if paged && limit > 0 && len(out) >= limit {
+		if limit > 0 && len(out) >= limit {
 			break
 		}
 		out = append(out, s.statusOf(s.jobs[s.order[i]], false))
 	}
 	s.mu.Unlock()
-	if !paged {
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
 	writeJSON(w, http.StatusOK, dlsim.JobPage{Jobs: out, Total: total, Offset: offset, Limit: limit})
 }
 
@@ -661,28 +658,18 @@ func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, dlsim.Version())
 }
 
-// handleHealthz is GET /v1/healthz.
+// handleHealthz is GET /v1/healthz: a liveness probe that takes no
+// lock, so it answers however busy the job table is. Job and queue
+// counts live in /v1/statz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	queued := len(s.pending)
-	running := 0
-	for _, j := range s.jobs {
-		if j.status == dlsim.StatusRunning {
-			running++
-		}
-	}
-	total := len(s.jobs)
-	s.mu.Unlock()
-	status := "ok"
+	writeJSON(w, http.StatusOK, map[string]string{"status": s.statusWord()})
+}
+
+// statusWord is the service's one-word state, shared by healthz and
+// statz.
+func (s *Server) statusWord() string {
 	if s.draining.Load() {
-		status = "draining"
+		return "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":     status,
-		"jobs":       total,
-		"queued":     queued,
-		"running":    running,
-		"queueDepth": s.cfg.QueueDepth,
-		"slots":      s.cfg.Jobs,
-	})
+	return "ok"
 }

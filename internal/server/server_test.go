@@ -331,10 +331,16 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestMetaEndpoints covers catalog, version, healthz, and the job
-// listing through the SDK client.
+// TestMetaEndpoints covers catalog, version, healthz, statz, and the
+// job listing through the SDK client.
 func TestMetaEndpoints(t *testing.T) {
-	client := newTestService(t, Config{DefaultScale: "tiny"})
+	svc := New(Config{DefaultScale: "tiny", Jobs: 2, QueueDepth: 7})
+	ts := httptest.NewServer(svc)
+	t.Cleanup(func() {
+		svc.Close()
+		ts.Close()
+	})
+	client := dlsim.NewClient(ts.URL)
 
 	entries, err := client.Catalog(t.Context())
 	if err != nil {
@@ -359,19 +365,40 @@ func TestMetaEndpoints(t *testing.T) {
 	if err := client.Health(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-
-	jobs, err := client.Jobs(t.Context())
+	// healthz is liveness only — and must answer while the job table's
+	// lock is held; the counts it used to carry are statz's.
+	svc.mu.Lock()
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	svc.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 0 {
-		t.Fatalf("fresh service lists %d jobs", len(jobs))
+	var health map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || len(health) != 1 || health["status"] != "ok" {
+		t.Fatalf("healthz = %v (%v), want exactly {status: ok}", health, err)
+	}
+	st, err := client.Statz(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Status != "ok" || st.QueueDepth != 7 || st.Slots != 2 || st.Jobs != 0 {
+		t.Fatalf("statz = %+v", st)
+	}
+
+	page, err := client.JobsPage(t.Context(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(page.Jobs) != 0 || page.Total != 0 {
+		t.Fatalf("fresh service lists %d jobs of %d", len(page.Jobs), page.Total)
 	}
 }
 
-// TestListPagination: GET /v1/jobs without parameters keeps answering
-// the bare newest-first array; with ?limit/?offset it answers the
-// paged envelope, windows correctly, and rejects malformed values.
+// TestListPagination: GET /v1/jobs always answers the {jobs, total,
+// offset, limit} envelope, newest first; ?limit/?offset window it
+// correctly and malformed values are rejected.
 func TestListPagination(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -404,13 +431,22 @@ func TestListPagination(t *testing.T) {
 		ids = append(ids, j.ID)
 	}
 
-	// Legacy shape: no parameters, bare array, every job, newest first.
-	jobs, err := client.Jobs(t.Context())
+	// No parameters: the envelope all the same, every job, newest first.
+	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 5 || jobs[0].ID != ids[4] || jobs[4].ID != ids[0] {
-		t.Fatalf("bare list = %d jobs, first %q last %q", len(jobs), jobs[0].ID, jobs[len(jobs)-1].ID)
+	var bare dlsim.JobPage
+	err = json.NewDecoder(resp.Body).Decode(&bare)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("GET /v1/jobs is not the envelope: %v", err)
+	}
+	if bare.Total != 5 || bare.Limit != 0 || bare.Offset != 0 || len(bare.Jobs) != 5 {
+		t.Fatalf("unparameterized list = %d jobs, meta %d/%d/%d", len(bare.Jobs), bare.Total, bare.Offset, bare.Limit)
+	}
+	if jobs := bare.Jobs; jobs[0].ID != ids[4] || jobs[4].ID != ids[0] {
+		t.Fatalf("unparameterized list runs from %q to %q", jobs[0].ID, jobs[4].ID)
 	}
 
 	// A window from the middle: offset 1 skips the newest, limit 2
@@ -451,21 +487,31 @@ func TestListPagination(t *testing.T) {
 	}
 }
 
-// TestStoreBackedCheckpointSurvivesRestart: with StoreDir configured,
-// job checkpoints land in the shared result store (no per-arm files),
-// and a service restarted over the same store serves a resubmission
-// entirely from cache — zero re-streamed rounds.
+// TestStoreBackedCheckpointSurvivesRestart: a checkpointing service
+// keeps its jobs' arms in one shared result store — CheckpointDir/store
+// unless StoreDir says otherwise, never per-job caches — and a service
+// restarted over the same store serves a resubmission entirely from
+// cache: zero re-streamed rounds.
 func TestStoreBackedCheckpointSurvivesRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	dir := t.TempDir()
-	cfg := Config{
-		DefaultScale:  "tiny",
-		CheckpointDir: filepath.Join(dir, "cp"),
-		StoreDir:      filepath.Join(dir, "store"),
+	for _, tc := range []struct{ name, storeDir, wantStore string }{
+		{"default", "", "cp/store"},
+		{"explicit", "elsewhere", "elsewhere"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{DefaultScale: "tiny", CheckpointDir: filepath.Join(dir, "cp")}
+			if tc.storeDir != "" {
+				cfg.StoreDir = filepath.Join(dir, tc.storeDir)
+			}
+			storeBackedRestart(t, cfg, filepath.Join(dir, tc.wantStore))
+		})
 	}
+}
 
+func storeBackedRestart(t *testing.T, cfg Config, wantStore string) {
 	svc1 := New(cfg)
 	ts1 := httptest.NewServer(svc1)
 	c1 := dlsim.NewClient(ts1.URL)
@@ -483,12 +529,14 @@ func TestStoreBackedCheckpointSurvivesRestart(t *testing.T) {
 	svc1.Close()
 	ts1.Close()
 
-	// The arms live in the store, not as per-arm files under the job's
-	// checkpoint directory.
-	if armDirs, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, "*", "arms")); len(armDirs) != 0 {
-		t.Fatalf("store-backed job left arms directories: %v", armDirs)
+	// The arms live in the one shared store, not in caches under the
+	// job's checkpoint directory.
+	perJob, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, "*", "arms"))
+	perJobStores, _ := filepath.Glob(filepath.Join(cfg.CheckpointDir, "*", "store"))
+	if len(perJob)+len(perJobStores) != 0 {
+		t.Fatalf("job left per-job caches: %v %v", perJob, perJobStores)
 	}
-	if _, err := os.Stat(filepath.Join(cfg.StoreDir, "wal.log")); err != nil {
+	if _, err := os.Stat(filepath.Join(wantStore, "wal.log")); err != nil {
 		t.Fatalf("store not populated: %v", err)
 	}
 
@@ -585,12 +633,12 @@ func TestJobRetentionPrunesOldTerminalJobs(t *testing.T) {
 	if _, err := client.Job(t.Context(), first.ID); !errors.Is(err, dlsim.ErrNotFound) {
 		t.Fatalf("evicted job lookup = %v, want ErrNotFound", err)
 	}
-	jobs, err := client.Jobs(t.Context())
+	page, err := client.JobsPage(t.Context(), 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(jobs) != 1 || jobs[0].ID != sj.ID {
-		t.Fatalf("retained jobs = %+v", jobs)
+	if len(page.Jobs) != 1 || page.Jobs[0].ID != sj.ID {
+		t.Fatalf("retained jobs = %+v", page.Jobs)
 	}
 	// An evicted key re-executes rather than resurrecting the pruned job.
 	re, err := client.Submit(t.Context(), dlsim.JobRequest{Spec: smallSpec(), Scale: "tiny"})

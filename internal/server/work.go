@@ -357,16 +357,14 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	status := "ok"
-	if s.draining.Load() {
-		status = "draining"
-	}
 	writeJSON(w, http.StatusOK, dlsim.ServiceStats{
-		Status:   status,
-		Jobs:     total,
-		Queued:   queued,
-		Running:  running,
-		Draining: s.draining.Load(),
+		Status:     s.statusWord(),
+		Jobs:       total,
+		Queued:     queued,
+		Running:    running,
+		QueueDepth: s.cfg.QueueDepth,
+		Slots:      s.cfg.Jobs,
+		Draining:   s.draining.Load(),
 		Work: dlsim.WorkStats{
 			QueueDepth:   ds.QueueDepth,
 			ActiveLeases: ds.ActiveLeases,

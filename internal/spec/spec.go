@@ -22,6 +22,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // ErrSpec is returned for invalid scenario specs.
@@ -186,6 +187,13 @@ var (
 	knownTransports = []string{"instant", "latency", "lossy"}
 )
 
+// hasControl reports whether s contains a control character. Spec
+// names and arm labels become parts of result-store index keys joined
+// by NUL, file names, and table rows, so none may carry one.
+func hasControl(s string) bool {
+	return strings.IndexFunc(s, unicode.IsControl) >= 0
+}
+
 func oneOf(v string, set []string) bool {
 	for _, s := range set {
 		if v == s {
@@ -202,6 +210,9 @@ func oneOf(v string, set []string) bool {
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("%w: spec has no name", ErrSpec)
+	}
+	if hasControl(s.Name) {
+		return fmt.Errorf("%w: spec name %q contains a control character", ErrSpec, s.Name)
 	}
 	if len(s.Arms) == 0 && s.Sweep == nil {
 		return fmt.Errorf("%w: %q has neither arms nor a sweep", ErrSpec, s.Name)
@@ -234,6 +245,9 @@ func (s *Spec) Validate() error {
 func (a Arm) validate() error {
 	if a.Label == "" {
 		return errors.New("empty label")
+	}
+	if hasControl(a.Label) {
+		return errors.New("label contains a control character")
 	}
 	if !oneOf(a.Corpus, knownCorpora) {
 		return fmt.Errorf("unknown corpus %q (want one of %v)", a.Corpus, knownCorpora)

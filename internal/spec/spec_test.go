@@ -29,6 +29,67 @@ func TestParseRejectsMalformedSpecs(t *testing.T) {
 	}
 }
 
+// controlCharSpecs are spec files whose name or an arm label (written
+// or sweep-generated) carries a control character — "\u0000" is legal
+// JSON. The result store's listing index joins name, label, and key
+// with NUL, so the first would list inside figure "f2"'s range.
+var controlCharSpecs = []string{
+	`{"name":"f2\u0000x","arms":[{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2}]}`,
+	`{"name":"x","arms":[{"label":"a\u0000b","corpus":"cifar10","protocol":"samo","viewSize":2}]}`,
+	`{"name":"x\n","arms":[{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2}]}`,
+	`{"name":"x","sweep":{"base":{"label":"b\u0000","corpus":"cifar10","protocol":"samo","viewSize":2},"axes":[{"field":"beta","values":[0.1,0.2]}]}}`,
+}
+
+func TestValidateRejectsControlCharacters(t *testing.T) {
+	for _, raw := range controlCharSpecs {
+		if _, err := Parse([]byte(raw)); !errors.Is(err, ErrSpec) || !strings.Contains(err.Error(), "control character") {
+			t.Fatalf("%s: error = %v, want a control-character rejection", raw, err)
+		}
+	}
+	// Built in code, not parsed: Validate is the gate either way.
+	sp := &Spec{Name: "f2\x00x", Arms: []Arm{validArm()}}
+	if err := sp.Validate(); !errors.Is(err, ErrSpec) {
+		t.Fatalf("in-memory spec with a NUL name: error = %v", err)
+	}
+	// Printable non-ASCII stays legal.
+	sp = &Spec{Name: "β sweep", Arms: []Arm{validArm()}}
+	sp.Arms[0].Label = "ε=0.5 / k=2"
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("printable non-ASCII rejected: %v", err)
+	}
+}
+
+// FuzzParse: whatever bytes arrive, an accepted spec has a name and
+// labels free of control characters, and its content hash computes.
+func FuzzParse(f *testing.F) {
+	f.Add([]byte(`{"name":"x","arms":[{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2}]}`))
+	f.Add([]byte(`{"name":"x","sweep":{"base":{"label":"b","corpus":"cifar10","protocol":"samo","viewSize":2},"axes":[{"field":"beta","values":[0.1,0.2]}]}}`))
+	for _, raw := range controlCharSpecs {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sp, err := Parse(raw)
+		if err != nil {
+			return
+		}
+		arms, err := sp.ExpandArms()
+		if err != nil {
+			t.Fatalf("accepted spec does not expand: %v", err)
+		}
+		if hasControl(sp.Name) {
+			t.Fatalf("accepted spec name %q", sp.Name)
+		}
+		for _, a := range arms {
+			if hasControl(a.Label) {
+				t.Fatalf("accepted arm label %q", a.Label)
+			}
+		}
+		if _, err := sp.Hash(); err != nil {
+			t.Fatalf("accepted spec does not hash: %v", err)
+		}
+	})
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	raw := `{
 		"name": "demo",

@@ -385,15 +385,6 @@ func (c *Client) Job(ctx context.Context, id string) (*JobStatus, error) {
 	return &job, nil
 }
 
-// Jobs lists every job the service knows, newest first.
-func (c *Client) Jobs(ctx context.Context) ([]JobStatus, error) {
-	var jobs []JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &jobs); err != nil {
-		return nil, err
-	}
-	return jobs, nil
-}
-
 // JobPage is one window of the service's job table, newest first.
 // Total counts every job the service retains, so offset+len(Jobs) vs
 // Total tells a pager whether more windows remain.
@@ -404,8 +395,8 @@ type JobPage struct {
 	Limit  int          `json:"limit"`
 }
 
-// JobsPage lists one window of the job table: limit jobs (0 = no
-// limit) starting offset jobs from the newest. Use it instead of Jobs
+// JobsPage lists one window of the job table, newest first: limit jobs
+// (0 = no limit) starting offset jobs from the newest. Use a limit
 // against services retaining more jobs than one response should carry.
 func (c *Client) JobsPage(ctx context.Context, limit, offset int) (*JobPage, error) {
 	if limit < 0 || offset < 0 {

@@ -202,8 +202,8 @@ func (r *Runner) Run(ctx context.Context, sp *Spec) (*Result, error) {
 // DirOptions configure RunDir.
 type DirOptions struct {
 	// OutDir receives the run artifacts: manifest.json, results.csv,
-	// per-arm result caches under arms/, per-arm event streams under
-	// events/.
+	// per-arm event streams under events/, and (unless StoreDir points
+	// elsewhere) the arm cache under store/.
 	OutDir string
 	// Resume skips arms whose cached result (keyed by content hash and
 	// scale fingerprint including the seed) already exists in OutDir.
@@ -211,13 +211,11 @@ type DirOptions struct {
 	// Events selects the per-arm stream format: "jsonl" (default),
 	// "csv", or "none".
 	Events string
-	// StoreDir, when set, keeps per-arm result caches in one embedded
-	// indexed result store at this path instead of one JSON file per
-	// arm under OutDir/arms — the backend for sweeps whose arm count
-	// makes per-file caching a bottleneck. Resume scans the store once
-	// instead of opening a file per arm, results stay byte-identical
-	// to the file backend, and several runs may share one store (arms
-	// are keyed by content hash, so common arms dedup across runs).
+	// StoreDir is the directory of the embedded indexed result store
+	// holding the per-arm resume cache; empty means OutDir/store.
+	// Resume scans the store once however many arms are cached, and
+	// several runs may share one store (arms are keyed by content
+	// hash, so common arms dedup across runs).
 	StoreDir string
 }
 
@@ -232,8 +230,7 @@ type ArmReport struct {
 	// cache instead of executed.
 	Cached         bool    `json:"cached"`
 	ElapsedSeconds float64 `json:"elapsedSeconds"`
-	// ResultFile/EventsFile are OutDir-relative artifact paths.
-	ResultFile string `json:"resultFile"`
+	// EventsFile is the OutDir-relative path of the arm's event stream.
 	EventsFile string `json:"eventsFile,omitempty"`
 }
 
@@ -278,8 +275,7 @@ func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result
 	for _, a := range man.Arms {
 		report.Arms = append(report.Arms, ArmReport{
 			Label: a.Label, Key: a.Key, Cached: a.Cached,
-			ElapsedSeconds: a.ElapsedSeconds,
-			ResultFile:     a.ResultFile, EventsFile: a.EventsFile,
+			ElapsedSeconds: a.ElapsedSeconds, EventsFile: a.EventsFile,
 		})
 	}
 	return resultOf(fig), report, nil

@@ -167,15 +167,18 @@ type CacheStats struct {
 	HitRate float64 `json:"hitRate"`
 }
 
-// ServiceStats is the GET /v1/statz counters snapshot.
+// ServiceStats is the GET /v1/statz snapshot: the service's one status
+// document (healthz answers liveness only).
 type ServiceStats struct {
-	Status   string     `json:"status"` // "ok" or "draining"
-	Jobs     int        `json:"jobs"`   // jobs retained in memory
-	Queued   int        `json:"queued"`
-	Running  int        `json:"running"`
-	Work     WorkStats  `json:"work"`
-	Cache    CacheStats `json:"cache"`
-	Draining bool       `json:"draining,omitempty"`
+	Status     string     `json:"status"` // "ok" or "draining"
+	Jobs       int        `json:"jobs"`   // jobs retained in memory
+	Queued     int        `json:"queued"`
+	Running    int        `json:"running"`
+	QueueDepth int        `json:"queueDepth"` // pending-queue capacity
+	Slots      int        `json:"slots"`      // jobs executing concurrently at most
+	Work       WorkStats  `json:"work"`
+	Cache      CacheStats `json:"cache"`
+	Draining   bool       `json:"draining,omitempty"`
 }
 
 // ClaimWork claims one work order from the service, long-polling up
