@@ -316,6 +316,16 @@ func TestListFlagValidation(t *testing.T) {
 	if err := run([]string{"list", "-store", filepath.Join(t.TempDir(), "missing")}); err == nil {
 		t.Fatal("missing store directory accepted")
 	}
+	// A store of the earlier segment layout is refused with what to do
+	// about it, not listed from its log alone.
+	segmented := t.TempDir()
+	if err := os.WriteFile(filepath.Join(segmented, "MANIFEST.json"), []byte(`{"version":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"list", "-store", segmented}); err == nil ||
+		!strings.Contains(err.Error(), "remove the directory to recompute") {
+		t.Fatalf("list -store of a segment-layout directory: %v", err)
+	}
 	// serve's -store is a -checkpoint companion.
 	if err := run([]string{"serve", "-store", "d"}); err == nil ||
 		!strings.Contains(err.Error(), "-store requires -checkpoint") {

@@ -575,11 +575,6 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	started := time.Now()
 	h := specHooks{exec: opts.Exec, done: run.done, sinks: dirSinks(opts, reports)}
 	if opts.Resume {
-		// ONE ordered range scan collects every wanted cached record,
-		// however many arms are cached.
-		if err := cache.prescan(); err != nil {
-			return nil, nil, err
-		}
 		h.lookup = run.lookup
 	}
 	fig, err := runSpecHooked(ctx, sp, sc, h)

@@ -49,7 +49,7 @@ func storeRows(t *testing.T, dir string) map[string]string {
 // overwriteStoreRows replaces rows of the (closed) store at dir.
 func overwriteStoreRows(t *testing.T, dir string, rows map[string][]byte) {
 	t.Helper()
-	st, err := store.Open(dir, store.Options{NoBackground: true})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,9 +589,6 @@ func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 		reports: []SpecArmReport{{Label: "a"}},
 		onDone:  func(int, SpecArmReport) { t.Error("OnArmDone fired for an arm that was not served") },
 	}
-	if err := cache.prescan(); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); ok {
 		t.Fatal("lookup served an arm whose results.csv row failed")
 	}
@@ -606,9 +603,6 @@ func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 	}
 	defer w.close()
 	run.csv, run.onDone = w, nil
-	if err := cache.prescan(); err != nil {
-		t.Fatal(err)
-	}
 	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); !ok || !run.reports[0].Cached {
 		t.Fatal("lookup declined an intact arm over a working stream")
 	}

@@ -13,11 +13,11 @@ import (
 
 // The arm cache. Every directory-backed run keeps its per-arm results
 // in one embedded store (internal/store) — OutDir/store unless several
-// runs share one, as the job service's do — so a resume streams a
-// single log + segment set instead of opening a file per arm. Each
-// record is canonical JSON with a self-checksum and is trusted only
-// when it decodes, reproduces its Sum, and matches the arm's key and
-// label; anything else is recomputed.
+// runs share one, as the job service's do — so a resume reads one log
+// at indexed offsets instead of opening a file per arm. Each record is
+// canonical JSON with a self-checksum and is trusted only when it
+// decodes, reproduces its Sum, and matches the arm's key and label;
+// anything else is recomputed.
 //
 // Key space:
 //
@@ -25,13 +25,13 @@ import (
 //	"i!" + spec + "\x00" + label + "\x00" + hash[:16]
 //	                                          → StoreArmSummary JSON
 //
-// The "a!" row is the resume cache, range-prescanned. The "i!" row is
-// the listing index: its key embeds the figure name and the arm label —
-// which carries the sweep-axis value, e.g. "purchase100 beta=0.25" — so
-// `dlsim list -store` serves a figure's arms with one bounded range
-// scan in label order, no record-body reads. spec.Validate rejects
-// control characters in names and labels, so a spec file cannot forge
-// the NUL separators.
+// The "a!" row is the resume cache, read by point lookup. The "i!" row
+// is the listing index: its key embeds the figure name and the arm
+// label — which carries the sweep-axis value, e.g. "purchase100
+// beta=0.25" — so `dlsim list -store` serves a figure's arms with one
+// bounded range scan in label order, no record-body reads.
+// spec.Validate rejects control characters in names and labels, so a
+// spec file cannot forge the NUL separators.
 const (
 	storeArmPrefix   = "a!"
 	storeIndexPrefix = "i!"
@@ -158,14 +158,12 @@ func storeArmSummary(specName, key string, arm Arm) StoreArmSummary {
 }
 
 // armCache is one run's view of the arm store: the spec's arms by
-// index, their content-hash keys, and — after prescan — the raw cached
-// records resume will decode. Methods are safe across distinct arm
-// indices (the store serializes its own writes).
+// index and their content-hash keys. Methods are safe for concurrent
+// use (the store serializes its own writes).
 type armCache struct {
 	st   *store.Store
 	spec string
 	keys []string
-	raw  [][]byte
 }
 
 // openArmCache opens (creating if needed) the store at dir through the
@@ -179,37 +177,19 @@ func openArmCache(dir, specName string, keys []string) (*armCache, func() error,
 	return &armCache{st: st, spec: specName, keys: keys}, release, nil
 }
 
-// prescan serves the resume lookups in one pass: a single ordered scan
-// over the record range collects the raw bytes of every wanted key. No
-// per-arm point lookups — the scan touches the log and segment set
-// once, sequentially, and skips everything outside the "a!" range via
-// fence keys.
-func (c *armCache) prescan() error {
-	want := make(map[string]int, len(c.keys))
-	for i, k := range c.keys {
-		want[storeArmKey(k)] = i
-	}
-	c.raw = make([][]byte, len(c.keys))
-	err := c.st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
-		if i, ok := want[k]; ok {
-			c.raw[i] = append([]byte(nil), v...)
-		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("experiment: store prescan: %w", err)
-	}
-	return nil
-}
-
-// lookup returns arm i's prescanned record if it is trustworthy. A
-// crash may have made the record durable but torn the listing-index
-// row behind it; the row is repaired in passing — the existence probe
-// is a bloom-served point lookup, so resuming 10^5 intact arms costs
-// microseconds each and writes nothing.
+// lookup returns arm i's cached record if it is trustworthy: one point
+// lookup, whatever else a shared store holds. A record the store
+// cannot read back (its checksum no longer reproduces) is a miss like
+// any other, and the arm is recomputed. A crash may have made the
+// record durable but torn the listing-index row behind it; the row is
+// repaired in passing — the existence probe reads the store's
+// in-memory index, so resuming 10^5 intact arms writes nothing.
 func (c *armCache) lookup(i int, label string) (Arm, bool) {
-	arm, ok := decodeArmRecord(c.raw[i], c.keys[i], label)
-	c.raw[i] = nil // decoded or rejected; free the raw bytes
+	raw, ok, err := c.st.Get(storeArmKey(c.keys[i]))
+	if err != nil || !ok {
+		return Arm{}, false
+	}
+	arm, ok := decodeArmRecord(raw, c.keys[i], label)
 	if !ok {
 		return Arm{}, false
 	}

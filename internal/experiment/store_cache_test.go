@@ -192,7 +192,7 @@ func TestStoreResumeSurvivesTornLog(t *testing.T) {
 
 			// Which arm records survived the tear determines the
 			// expected cache hits.
-			st, err := store.Open(filepath.Join(dir, "store"), store.Options{NoBackground: true})
+			st, err := store.Open(filepath.Join(dir, "store"), store.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,12 +366,66 @@ func TestPartialCSVOnCancel(t *testing.T) {
 	}
 }
 
+// TestLookupRecomputesUnreadableRecord: a byte flipped in the middle of
+// a record under an open store makes the store's Get fail its checksum.
+// The resume lookup treats that as a miss — the arm is recomputed and
+// its re-Put repairs the store — and the neighbouring record is served.
+func TestLookupRecomputesUnreadableRecord(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	keys := []string{strings.Repeat("ab", 32), strings.Repeat("cd", 32)}
+	cache, release, err := openArmCache(dir, "bitrot", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	arms := make([]Arm, len(keys))
+	for i, label := range []string{"hit", "intact"} {
+		arms[i] = Arm{Label: label, Series: &metrics.Series{Label: label, Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5}}}}
+		if err := cache.put(i, arms[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, "wal.log")
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := strings.Index(string(log), `"testAcc"`) // inside arm 0's record, the first in the log
+	if at < 0 {
+		t.Fatal("no record body in the log")
+	}
+	f, err := os.OpenFile(logPath, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{'T'}, int64(at+1)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if _, _, err := cache.st.Get(storeArmKey(keys[0])); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("store Get of the flipped record = %v, want ErrCorrupt", err)
+	}
+	if _, ok := cache.lookup(0, "hit"); ok {
+		t.Fatal("lookup served a record the store could not read back")
+	}
+	if arm, ok := cache.lookup(1, "intact"); !ok || arm.Label != "intact" {
+		t.Fatal("lookup missed the intact record beside the flipped one")
+	}
+	if err := cache.put(0, arms[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := cache.lookup(0, "hit"); !ok {
+		t.Fatal("recomputed arm not served after its re-Put")
+	}
+}
+
 // TestListStoreArmsPaging drives the listing index: figure filtering,
 // label ordering, and limit/offset paging — all without touching
 // record bodies.
 func TestListStoreArmsPaging(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoBackground: true})
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,34 +507,35 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	return keys, raws
 }
 
-// BenchmarkResumeScan measures what resume pays to retrieve every
-// cached arm record: one ordered scan of a flushed segment set
+// BenchmarkResumeLookup measures what resume pays to retrieve every
+// cached arm record from a reopened store: one point lookup per arm
 // (validation and decode cost downstream is excluded).
-func BenchmarkResumeScan(b *testing.B) {
+func BenchmarkResumeLookup(b *testing.B) {
 	const n = 5000
 	keys, raws := benchArmRecords(b, n)
-	st, err := store.Open(b.TempDir(), store.Options{NoBackground: true})
+	dir := b.TempDir()
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer st.Close()
 	for i := range keys {
 		if err := st.Put(storeArmKey(keys[i]), raws[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := st.Flush(); err != nil {
+	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
+	if st, err = store.Open(dir, store.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
-		count := 0
-		err := st.Scan(storeArmPrefix, store.PrefixEnd(storeArmPrefix), func(k string, v []byte) error {
-			count++
-			return nil
-		})
-		if err != nil || count != n {
-			b.Fatalf("scan: count=%d err=%v", count, err)
+		for _, k := range keys {
+			if _, ok, err := st.Get(storeArmKey(k)); err != nil || !ok {
+				b.Fatalf("get %s: found %v: %v", k, ok, err)
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")

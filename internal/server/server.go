@@ -306,12 +306,15 @@ func New(cfg Config) *Server {
 		}),
 	}
 	if cfg.StoreDir != "" {
-		if _, release, err := store.OpenShared(cfg.StoreDir, store.Options{}); err != nil {
+		if st, release, err := store.OpenShared(cfg.StoreDir, store.Options{}); err != nil {
 			// Surface the problem at startup but let jobs run: each
 			// attempt reopens and reports the real error on its job.
 			cfg.Log.Warn("result store unavailable at startup", "dir", cfg.StoreDir, "error", err)
 		} else {
 			s.storeRelease = release
+			if n := st.Stats().TruncatedBytes; n > 0 {
+				cfg.Log.Warn("result store discarded a torn log tail; arms recorded in it will be recomputed", "dir", cfg.StoreDir, "bytes", n)
+			}
 		}
 	}
 	// The hardening chain around every /v1 route, outermost first:

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -508,6 +510,25 @@ func TestStoreBackedCheckpointSurvivesRestart(t *testing.T) {
 			}
 			storeBackedRestart(t, cfg, filepath.Join(dir, tc.wantStore))
 		})
+	}
+}
+
+// TestStartupLogsDiscardedStoreTail: the store's log is the whole
+// store, so when opening it cuts a torn tail off, the service says how
+// many bytes went instead of recomputing those arms without a word.
+func TestStartupLogsDiscardedStoreTail(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	if err := os.MkdirAll(storeDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(storeDir, "wal.log"), []byte("thirteen torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	svc := New(Config{CheckpointDir: t.TempDir(), StoreDir: storeDir, Log: slog.New(slog.NewTextHandler(&logged, nil))})
+	svc.Close()
+	if out := logged.String(); !strings.Contains(out, "discarded a torn log tail") || !strings.Contains(out, "bytes=13") {
+		t.Fatalf("startup log does not report the 13 discarded bytes:\n%s", out)
 	}
 }
 

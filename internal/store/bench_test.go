@@ -18,28 +18,33 @@ func benchVal(i int) []byte {
 		i, i, 1000+i, 64000+i, i*7))
 }
 
-func benchStore(b *testing.B, n int) *Store {
+// benchStore returns a store of n records reopened from dir, the state
+// a resume finds.
+func benchStore(b *testing.B, dir string, n int) *Store {
 	b.Helper()
-	s, err := Open(b.TempDir(), Options{NoBackground: true})
+	s, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(func() { s.Close() })
 	for i := 0; i < n; i++ {
 		if err := s.Put(benchKey(i), benchVal(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
+	if s, err = Open(dir, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
 	return s
 }
 
-// BenchmarkStorePut measures the append path: log frame + memtable
-// insert, with the amortized flush cost included.
+// BenchmarkStorePut measures the append path: one log frame and one
+// index insert.
 func BenchmarkStorePut(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{NoBackground: true})
+	s, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -53,11 +58,11 @@ func BenchmarkStorePut(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreGet measures bloom-guided point lookups against a
-// flushed segment, alternating present and absent keys — the resume
-// cache-hit pattern.
+// BenchmarkStoreGet measures point lookups, alternating present keys
+// (index probe + positional read + checksum) and absent ones (index
+// probe) — the resume cache-hit pattern.
 func BenchmarkStoreGet(b *testing.B) {
-	s := benchStore(b, benchRecords)
+	s := benchStore(b, b.TempDir(), benchRecords)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,10 +78,10 @@ func BenchmarkStoreGet(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreScan measures a full ordered sweep — the bulk resume
-// prescan. Reported per record via b.N scaling over the whole corpus.
+// BenchmarkStoreScan measures a full ordered sweep — a listing of the
+// whole store: one sort of the keys, one positional read per record.
 func BenchmarkStoreScan(b *testing.B) {
-	s := benchStore(b, benchRecords)
+	s := benchStore(b, b.TempDir(), benchRecords)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,19 +96,17 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreReopen measures crash-recovery latency: open a store
-// whose records sit in one flushed segment (manifest + segment header
-// reads, no log replay).
+// BenchmarkStoreReopen measures recovery latency: one sequential read
+// of the log rebuilding the index.
 func BenchmarkStoreReopen(b *testing.B) {
-	s := benchStore(b, benchRecords)
-	dir := s.Dir()
-	if err := s.Close(); err != nil {
+	dir := b.TempDir()
+	if err := benchStore(b, dir, benchRecords).Close(); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s2, err := Open(dir, Options{NoBackground: true})
+		s2, err := Open(dir, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,9 +10,9 @@ import (
 // Crash-consistency suite: the recovery contract is "reopen lands on
 // the last durable record". These tests manufacture every torn state a
 // kill can leave — the log cut at every byte boundary of its final
-// record, a garbage tail, a half-written segment without its manifest
-// entry — and assert reopen recovers exactly the durable prefix and
-// that writes resume cleanly afterward.
+// record, a garbage tail — and assert reopen recovers exactly the
+// durable prefix, says how many bytes it discarded, and that writes
+// resume cleanly afterward.
 
 // TestTornLogEveryByteBoundary writes N records, then for every
 // possible truncation point inside the final record verifies reopen
@@ -48,6 +48,10 @@ func TestTornLogEveryByteBoundary(t *testing.T) {
 				t.Fatal(err)
 			}
 			s2 := testOpen(t, d2, Options{})
+			// The torn bytes are cut off and accounted for.
+			if st := s2.Stats(); st.LogBytes+st.TruncatedBytes != cut || (cut < after && st.LogBytes != before) {
+				t.Fatalf("cut at +%d: stats %+v, want the log back at %d and the rest truncated", cut-before, st, before)
+			}
 			// The four durable records always survive.
 			for i := 0; i < 4; i++ {
 				k := fmt.Sprintf("durable-%d", i)
@@ -105,12 +109,26 @@ func TestGarbageLogTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("\xde\xad\xbe\xef garbage tail that is no frame")); err != nil {
+	garbage := []byte("\xde\xad\xbe\xef garbage tail that is no frame")
+	if _, err := f.Write(garbage); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
+	// A read-only open skips the tail and leaves it in place.
+	ro := testOpen(t, dir, Options{ReadOnly: true})
+	if v, ok, err := ro.Get("good"); err != nil || !ok || string(v) != "payload" {
+		t.Fatalf("read-only Get(good) = %q ok=%v err=%v", v, ok, err)
+	}
+	if st := ro.Stats(); st.TruncatedBytes != 0 || fileSize(t, logPath) != st.LogBytes+int64(len(garbage)) {
+		t.Fatalf("read-only open touched the tail: %+v, file %d bytes", st, fileSize(t, logPath))
+	}
+	ro.Close()
+
 	s2 := testOpen(t, dir, Options{})
+	if st := s2.Stats(); st.TruncatedBytes != int64(len(garbage)) || fileSize(t, logPath) != st.LogBytes {
+		t.Fatalf("repair: %+v, file %d bytes, want %d garbage bytes truncated", st, fileSize(t, logPath), len(garbage))
+	}
 	if v, ok, err := s2.Get("good"); err != nil || !ok || string(v) != "payload" {
 		t.Fatalf("Get(good) = %q ok=%v err=%v", v, ok, err)
 	}
@@ -119,74 +137,6 @@ func TestGarbageLogTail(t *testing.T) {
 	s3 := testOpen(t, dir, Options{})
 	if v, ok, err := s3.Get("next"); err != nil || !ok || string(v) != "after-repair" {
 		t.Fatalf("Get(next) = %q ok=%v err=%v", v, ok, err)
-	}
-}
-
-// TestCrashBetweenSegmentAndManifest models a flush interrupted after
-// the segment file landed but before the manifest pinned it: the
-// records must still be recovered — from the log, which only resets
-// after the manifest swap.
-func TestCrashBetweenSegmentAndManifest(t *testing.T) {
-	dir := t.TempDir()
-	s := testOpen(t, dir, Options{})
-	for i := 0; i < 30; i++ {
-		put(t, s, fmt.Sprintf("r-%02d", i), i)
-	}
-	// Write the segment the way flush would, but "crash" before the
-	// manifest swap: the segment exists, the manifest and log don't
-	// know about it.
-	keys := make([]string, 0, 30)
-	for i := 0; i < 30; i++ {
-		keys = append(keys, fmt.Sprintf("r-%02d", i))
-	}
-	seg, err := writeSegment(filepath.Join(dir, "000000.seg"), keys,
-		func(k string) []byte { return []byte("from-orphan") }, s.opt)
-	if err != nil {
-		t.Fatalf("writeSegment: %v", err)
-	}
-	seg.close()
-	s.Close()
-
-	s2 := testOpen(t, dir, Options{})
-	st := s2.Stats()
-	if st.Segments != 0 {
-		t.Fatalf("orphan segment adopted: %+v", st)
-	}
-	if st.MemtableRecords != 30 {
-		t.Fatalf("log replay recovered %d records, want 30", st.MemtableRecords)
-	}
-	// Values come from the log, not the orphan.
-	if v, ok, _ := s2.Get("r-00"); !ok || string(v) != "v0" {
-		t.Fatalf("Get(r-00) = %q ok=%v, want v0 from log", v, ok)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "000000.seg")); !os.IsNotExist(err) {
-		t.Fatal("orphan segment not swept")
-	}
-}
-
-// TestTruncatedSegmentRejected: a segment named by the manifest but
-// torn on disk must fail open loudly, not silently serve a prefix.
-func TestTruncatedSegmentRejected(t *testing.T) {
-	dir := t.TempDir()
-	s := testOpen(t, dir, Options{})
-	for i := 0; i < 50; i++ {
-		put(t, s, key3(i), i)
-	}
-	mustFlush(t, s)
-	s.Close()
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(matches) != 1 {
-		t.Fatalf("want 1 segment, have %v", matches)
-	}
-	b, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(matches[0], b[:len(b)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, Options{}); err == nil {
-		t.Fatal("Open accepted a truncated live segment")
 	}
 }
 
@@ -221,7 +171,7 @@ func TestRepeatedKillPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			s2 := testOpen(t, d2, Options{})
-			got := s2.Stats().MemtableRecords
+			got := s2.Stats().Records
 			want := i
 			if cut != bounds[i] { // mid-record cut drops record i-1's tail
 				want = i - 1

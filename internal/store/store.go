@@ -1,38 +1,36 @@
-// Package store implements the embedded indexed result store behind
-// resumable sweeps and the job service's checkpoint caches: an
-// append-only, crash-safe log + LSM layout sized for sweeps of
-// 10^5–10^7 arm results, replacing one-file-per-arm caches whose
-// resume cost is dominated by per-arm open/read syscalls.
+// Package store implements the embedded result store behind resumable
+// sweeps and the job service's checkpoint caches: one append-only,
+// CRC-framed log (wal.log, format in wal.go) and an in-memory index of
+// where each key's newest record sits in it.
 //
-// Layout. Every Put lands in two places: an append-only write-ahead
-// log (wal.log; length-prefixed, CRC-32C-checksummed records) that
-// makes the write durable in order, and an in-memory memtable that
-// serves reads. When the memtable exceeds Options.MemtableBytes it is
-// flushed to a sorted, immutable segment file carrying a bloom filter
-// (point lookups skip segments that cannot contain the key), a sparse
-// fence-key index (lookups and range scans seek by key instead of
-// reading the segment), and a per-record CRC. A MANIFEST file pins the
-// live segment set and is replaced atomically (temp file + rename +
-// directory sync), so reopening after a crash recovers exactly the
-// manifest's segments plus the log's durable tail — a torn final log
-// record is detected by its checksum and truncated away. Background
-// compaction merges segments (newest record wins) to bound read
-// fan-out.
+// Put appends one frame and points the index at it. Get is an index
+// probe plus one positional read whose checksum is verified. Scan
+// sorts the in-range keys on demand and reads each value at its
+// offset. Open rebuilds the index with one sequential read of the log;
+// a torn or corrupt tail marks the durable end, and a writable Open
+// truncates it away so appends resume at a frame boundary
+// (Stats.TruncatedBytes says how much went).
+//
+// There is no delete and no rewrite: results are content-addressed and
+// immutable, so the only mutation is an idempotent overwrite. The
+// superseded frame stays in the log and is counted in Stats.DeadBytes.
+// Keys are ordered lexicographically as raw bytes. The index holds
+// every key in memory; DESIGN.md has the measured cost at 10^6 records.
 //
 // One process owns a store at a time (an exclusive LOCK file keeps
 // others out; Options.ReadOnly opens without the lock for inspection,
 // and OpenShared refcounts one handle across concurrent users inside
-// a process). Keys are ordered lexicographically as raw bytes. There
-// is no delete: results are content-addressed and immutable, so the
-// only mutation is an idempotent overwrite.
+// a process).
 package store
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,110 +45,67 @@ var ErrReadOnly = errors.New("store: opened read-only")
 // ErrLocked is returned by Open when another process holds the store.
 var ErrLocked = errors.New("store: locked by another process")
 
-// ErrCorrupt marks unreadable on-disk state: a segment whose checksums
-// do not reproduce, or a manifest naming files that do not exist.
+// ErrCorrupt marks unreadable on-disk state: a record whose checksum
+// does not reproduce, or a directory in a layout this package does not
+// read.
 var ErrCorrupt = errors.New("store: corrupt")
 
-// Options size and harden a store. The zero value is usable.
+// Options configure Open. The zero value opens read-write.
 type Options struct {
-	// MemtableBytes bounds the in-memory write buffer; exceeding it
-	// flushes the memtable to a segment. Default 8 MiB.
-	MemtableBytes int
-	// BloomBitsPerKey sizes each segment's bloom filter. Default 10
-	// (~1% false-positive rate).
-	BloomBitsPerKey int
-	// IndexInterval is the sparse-index stride: one fence key every
-	// this many records. Default 32.
-	IndexInterval int
-	// CompactAt triggers background compaction when the live segment
-	// count reaches it. Default 8. <= 1 disables auto-compaction.
-	CompactAt int
-	// SyncWrites fsyncs the log after every Put. Off by default: each
-	// Put still reaches the kernel (surviving a process kill) before
-	// returning, and Flush/Close fsync — only a machine crash can lose
-	// the un-synced tail.
-	SyncWrites bool
 	// ReadOnly opens without the process lock and never mutates the
-	// directory: no log repair, no flush, no compaction. Safe for
-	// inspecting a store another process owns.
+	// directory: nothing is created and a torn log tail is skipped, not
+	// truncated. Safe for inspecting a store another process owns; it
+	// sees the records that were durable when it opened.
 	ReadOnly bool
-	// NoBackground disables the automatic background compactor;
-	// Compact still works when called explicitly. Used by tests that
-	// need a deterministic segment layout.
-	NoBackground bool
-}
-
-// withDefaults resolves unset fields.
-func (o Options) withDefaults() Options {
-	if o.MemtableBytes <= 0 {
-		o.MemtableBytes = 8 << 20
-	}
-	if o.BloomBitsPerKey <= 0 {
-		o.BloomBitsPerKey = 10
-	}
-	if o.IndexInterval <= 0 {
-		o.IndexInterval = 32
-	}
-	if o.CompactAt == 0 {
-		o.CompactAt = 8
-	}
-	return o
 }
 
 // Stats is a point-in-time snapshot of the store's shape and counters.
 type Stats struct {
-	// MemtableRecords/MemtableBytes describe the unflushed write buffer.
-	MemtableRecords, MemtableBytes int
-	// Segments and SegmentRecords describe the live immutable set.
-	Segments, SegmentRecords int
-	// LogBytes is the current write-ahead log size.
-	LogBytes int64
+	// Records is the number of live keys.
+	Records int
+	// LogBytes is the durable length of the log; DeadBytes the part of
+	// it held by frames a later Put of the same key superseded — the
+	// space a rewrite would reclaim, if one is ever needed.
+	LogBytes, DeadBytes int64
+	// TruncatedBytes is the length of the torn or corrupt tail this
+	// (writable) Open cut off the log. Whatever it held is gone.
+	TruncatedBytes int64
 	// Puts/Gets/Scans count operations since open.
 	Puts, Gets, Scans uint64
-	// BloomChecks counts segment bloom probes; BloomSkips the probes
-	// that pruned a segment; BloomFalsePositives the probes that passed
-	// but found no record — BloomFalsePositives/BloomChecks is the
-	// measured false-positive rate.
-	BloomChecks, BloomSkips, BloomFalsePositives uint64
-	// Flushes/Compactions count memtable flushes and segment merges.
-	Flushes, Compactions uint64
+
+	// Always zero: the segment layout these described is gone, and
+	// benchmark/ladder.go, which a non-benchmark PR may not edit, still
+	// reads them. They go with the store.flushes/compactions/segments/
+	// bloom_fp_ratio rows in the next benchmark PR (ROADMAP).
+	Flushes, Compactions             uint64
+	Segments                         int
+	BloomChecks, BloomFalsePositives uint64
 }
 
-// Store is an embedded log-structured key-value store. It is safe for
+// Store is an embedded log-backed key-value store. It is safe for
 // concurrent use.
 type Store struct {
-	dir string
-	opt Options
+	readOnly bool
 
-	mu   sync.RWMutex
-	mem  map[string][]byte
-	memB int
-	wal  *wal
-	segs []*segment // oldest first; later segments win on equal keys
-	man  manifest
-	lock *os.File
-	// retired holds files of segments replaced by compaction; readers
-	// snapshotted before the swap may still be on them, so the handles
-	// stay open until Close.
-	retired []*os.File
-	closed  bool
+	mu        sync.RWMutex
+	f         *os.File // the log; nil when a read-only Open found none
+	size      int64    // durable length, where the next frame goes
+	index     map[string]span
+	buf       []byte // scratch frame, reused across Puts
+	dead      int64
+	truncated int64
+	lock      *os.File
+	closed    bool
 
-	compacting bool
-	bg         sync.WaitGroup
-
-	puts, gets, scans    atomic.Uint64
-	bloomChecks          atomic.Uint64
-	bloomSkips, bloomFPs atomic.Uint64
-	flushes, compactions atomic.Uint64
+	puts, gets, scans atomic.Uint64
 }
 
-// Open opens (creating if absent) the store in dir. Unless
-// opts.ReadOnly, the directory is locked against other processes,
-// orphan files from interrupted flushes are removed, and a torn tail
-// of the write-ahead log is truncated to the last durable record. A
-// read-only open never creates: an absent directory is an error.
+// Open opens (creating if absent) the store in dir and indexes its
+// log. Unless opts.ReadOnly, the directory is locked against other
+// processes and a torn tail of the log is truncated to the last
+// durable record. A read-only open never creates: an absent directory
+// is an error.
 func Open(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if opts.ReadOnly {
 		if fi, err := os.Stat(dir); err != nil {
 			return nil, fmt.Errorf("store: open read-only: %w", err)
@@ -160,7 +115,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	} else if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
 	}
-	s := &Store{dir: dir, opt: opts, mem: map[string][]byte{}}
+	// MANIFEST.json is the root of the segment layout this package wrote
+	// before the log became the whole store. Opening that directory's log
+	// alone would silently show a subset of its results.
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST.json")); err == nil {
+		return nil, fmt.Errorf("store: %s has a MANIFEST.json: its records are in segment files of an earlier layout that is no longer read; remove the directory to recompute them: %w", dir, ErrCorrupt)
+	}
+	s := &Store{readOnly: opts.ReadOnly, index: map[string]span{}}
 	if !opts.ReadOnly {
 		lock, err := acquireLock(filepath.Join(dir, "LOCK"))
 		if err != nil {
@@ -168,371 +129,222 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 		s.lock = lock
 	}
-	fail := func(err error) (*Store, error) {
-		if s.lock != nil {
-			releaseLock(s.lock)
-		}
+	if err := s.openLog(filepath.Join(dir, "wal.log")); err != nil {
+		s.Close()
 		return nil, err
 	}
-	man, err := loadManifest(dir)
-	if err != nil {
-		return fail(err)
-	}
-	s.man = man
-	for _, name := range man.Segments {
-		seg, err := openSegment(filepath.Join(dir, name))
-		if err != nil {
-			for _, g := range s.segs {
-				g.close()
-			}
-			return fail(err)
-		}
-		s.segs = append(s.segs, seg)
-	}
-	if !opts.ReadOnly {
-		s.removeOrphans()
-	}
-	w, err := openWAL(filepath.Join(dir, "wal.log"), opts.ReadOnly, func(key string, val []byte) {
-		if old, ok := s.mem[key]; ok {
-			s.memB -= len(key) + len(old)
-		}
-		// val aliases the replay scratch buffer; the memtable owns its
-		// values, so copy.
-		s.mem[key] = append([]byte(nil), val...)
-		s.memB += len(key) + len(val)
-	})
-	if err != nil {
-		for _, g := range s.segs {
-			g.close()
-		}
-		return fail(err)
-	}
-	s.wal = w
 	return s, nil
 }
 
-// removeOrphans deletes segment and temp files the manifest does not
-// reference — the leavings of a flush or compaction interrupted before
-// its manifest swap. Their records are still recoverable: a flush's
-// records stay in the log until the manifest pins the segment.
-func (s *Store) removeOrphans() {
-	live := make(map[string]bool, len(s.man.Segments))
-	for _, name := range s.man.Segments {
-		live[name] = true
+// openLog opens the log at path, builds the index from it, and (when
+// writable) truncates whatever follows the last intact frame so the
+// next append does not extend garbage.
+func (s *Store) openLog(path string) error {
+	flags := os.O_RDWR | os.O_CREATE
+	if s.readOnly {
+		flags = os.O_RDONLY
 	}
-	entries, err := os.ReadDir(s.dir)
+	f, err := os.OpenFile(path, flags, 0o644)
+	if s.readOnly && os.IsNotExist(err) {
+		return nil // never written: an empty store
+	}
 	if err != nil {
-		return
+		return fmt.Errorf("store: open log: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".tmp") || (strings.HasSuffix(name, ".seg") && !live[name]) {
-			_ = os.Remove(filepath.Join(s.dir, name))
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("store: open log: %w", err)
+	}
+	// Replay is one sequential pass; 64 KiB reads keep it to a syscall
+	// per ~90 records without charging a small store for the buffer.
+	s.size, err = replayLog(bufio.NewReaderSize(f, 1<<16), fi.Size(), s.point)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if tail := fi.Size() - s.size; tail > 0 && !s.readOnly {
+		if err := f.Truncate(s.size); err != nil {
+			f.Close()
+			return fmt.Errorf("store: repair log: %w", err)
 		}
+		s.truncated = tail
 	}
+	s.f = f
+	return nil
 }
 
-// Put records key -> val. The write is appended to the log (reaching
-// the kernel before Put returns; fsynced when Options.SyncWrites) and
-// becomes immediately visible to Get and Scan. Overwrites are allowed;
-// the newest value wins. Key and value are copied.
+// point makes sp the live record of key.
+func (s *Store) point(key string, sp span) {
+	if old, ok := s.index[key]; ok {
+		s.dead += old.frameLen()
+	}
+	s.index[key] = sp
+}
+
+// Put records key -> val with one append to the log, which reaches the
+// kernel (surviving a process kill) before Put returns; Close fsyncs.
+// The record is immediately visible to Get and Scan. Overwrites are
+// allowed; the newest value wins.
 func (s *Store) Put(key string, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch {
 	case s.closed:
 		return ErrClosed
-	case s.opt.ReadOnly:
+	case s.readOnly:
 		return ErrReadOnly
 	}
-	if err := s.wal.append(key, val, s.opt.SyncWrites); err != nil {
-		return err
+	frame := appendFrame(s.buf[:0], key, val)
+	s.buf = frame[:0]
+	// Written at the durable end, not the file cursor: a failed or short
+	// write leaves its bytes past s.size, where the next Put overwrites
+	// them or the next Open truncates them.
+	if _, err := s.f.WriteAt(frame, s.size); err != nil {
+		return fmt.Errorf("store: append log: %w", err)
 	}
-	v := append([]byte(nil), val...)
-	if old, ok := s.mem[key]; ok {
-		s.memB -= len(key) + len(old)
-	}
-	s.mem[key] = v
-	s.memB += len(key) + len(v)
+	s.point(key, span{off: s.size, n: uint32(len(frame) - frameHeader)})
+	s.size += int64(len(frame))
 	s.puts.Add(1)
-	if s.memB >= s.opt.MemtableBytes {
-		return s.flushLocked()
-	}
 	return nil
 }
 
 // Get returns the newest value recorded for key. The returned slice is
-// the caller's to keep.
+// the caller's to keep. A record that no longer reproduces its checksum
+// is an ErrCorrupt error, not an absent key.
 func (s *Store) Get(key string) ([]byte, bool, error) {
 	s.gets.Add(1)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, false, ErrClosed
+	sp, ok, err := s.probe(key)
+	if err != nil || !ok {
+		return nil, false, err
 	}
-	if v, ok := s.mem[key]; ok {
-		out := append([]byte(nil), v...)
-		s.mu.RUnlock()
-		return out, true, nil
-	}
-	segs := s.segs // immutable snapshot; slice is replaced, never mutated
-	s.mu.RUnlock()
-	// Newest segment first: later flushes shadow earlier ones.
-	for i := len(segs) - 1; i >= 0; i-- {
-		v, ok, err := segs[i].get(key, &s.bloomChecks, &s.bloomSkips, &s.bloomFPs)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			return v, true, nil
-		}
-	}
-	return nil, false, nil
+	val, err := s.read(key, sp, make([]byte, sp.frameLen()))
+	return val, err == nil, err
 }
 
-// Has reports whether key has a recorded value, without copying it.
+// Has reports whether key has a recorded value: an index probe, no I/O.
 func (s *Store) Has(key string) (bool, error) {
-	v, ok, err := s.Get(key)
-	_ = v
+	_, ok, err := s.probe(key)
 	return ok, err
 }
 
-// Scan streams every live record with start <= key < end in ascending
-// key order, newest value per key. An empty end means "to the last
-// key". The value slice passed to fn is only valid during the call;
-// fn returning an error stops the scan and returns that error.
+// probe looks key up in the index.
+func (s *Store) probe(key string) (span, bool, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return span{}, false, ErrClosed
+	}
+	sp, ok := s.index[key]
+	return sp, ok, nil
+}
+
+// read reads key's frame at sp into buf, which must hold it, and
+// returns the value, aliasing buf. Frames are immutable once written,
+// so a span stays readable however many Puts followed the probe that
+// found it.
+func (s *Store) read(key string, sp span, buf []byte) ([]byte, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return nil, ErrClosed
+	}
+	buf = buf[:sp.frameLen()]
+	var k, val []byte
+	_, err := s.f.ReadAt(buf, sp.off)
+	if err == nil {
+		k, val, err = decodePayload(binary.LittleEndian.Uint32(buf[4:8]), buf[frameHeader:])
+	}
+	if err == nil && string(k) != key {
+		err = fmt.Errorf("store: frame holds another key: %w", ErrCorrupt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("store: read %q at %d: %w", key, sp.off, err)
+	}
+	return val, nil
+}
+
+// Scan streams every record with start <= key < end in ascending key
+// order, as of the call. An empty end means "to the last key". The
+// value slice passed to fn is only valid during the call; fn returning
+// an error stops the scan and returns that error. No lock is held
+// across fn.
 func (s *Store) Scan(start, end string, fn func(key string, val []byte) error) error {
-	return s.scan(start, end, true, func(key string, val []byte) error { return fn(key, val) })
-}
-
-// ScanKeys streams keys like Scan without materializing values — the
-// cheap form for existence sweeps over large stores.
-func (s *Store) ScanKeys(start, end string, fn func(key string) error) error {
-	return s.scan(start, end, false, func(key string, _ []byte) error { return fn(key) })
-}
-
-func (s *Store) scan(start, end string, wantValues bool, fn func(string, []byte) error) error {
 	s.scans.Add(1)
+	type entry struct {
+		key string
+		sp  span
+	}
+	var ents []entry
+	var longest int64
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
 		return ErrClosed
 	}
-	// Snapshot the sources under the lock: the in-range memtable
-	// entries copied out as slice headers (values are immutable once
-	// stored, but the map itself is not — Put mutates it), segments by
-	// reference (files replaced by compaction stay open until Close).
-	memKeys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
+	for k, sp := range s.index {
 		if k >= start && (end == "" || k < end) {
-			memKeys = append(memKeys, k)
+			ents = append(ents, entry{k, sp})
+			longest = max(longest, sp.frameLen())
 		}
 	}
-	sort.Strings(memKeys)
-	memVals := make([][]byte, len(memKeys))
-	for i, k := range memKeys {
-		memVals[i] = s.mem[k]
-	}
-	segs := s.segs
 	s.mu.RUnlock()
+	slices.SortFunc(ents, func(a, b entry) int { return strings.Compare(a.key, b.key) })
 
-	// Merge sources in priority order: memtable shadows every segment,
-	// a later segment shadows an earlier one. An empty memtable drops
-	// out, so the common post-flush scan merges segments alone — and a
-	// single-segment store streams with no merge overhead at all.
-	its := make([]iterator, 0, len(segs)+1)
-	if len(memKeys) > 0 {
-		its = append(its, &memIter{keys: memKeys, vals: memVals})
-	}
-	for i := len(segs) - 1; i >= 0; i-- {
-		it, err := segs[i].iter(start, wantValues)
+	buf := make([]byte, longest)
+	for _, e := range ents {
+		val, err := s.read(e.key, e.sp, buf)
 		if err != nil {
 			return err
 		}
-		its = append(its, it)
-	}
-	return mergeScan(its, end, fn)
-}
-
-// Flush writes the memtable to a new segment, pins it in the manifest,
-// resets the log, and fsyncs everything — the durability barrier.
-func (s *Store) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.closed:
-		return ErrClosed
-	case s.opt.ReadOnly:
-		return ErrReadOnly
-	}
-	return s.flushLocked()
-}
-
-// flushLocked is Flush with s.mu held.
-func (s *Store) flushLocked() error {
-	if len(s.mem) == 0 {
-		return s.wal.sync()
-	}
-	keys := make([]string, 0, len(s.mem))
-	for k := range s.mem {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	name := fmt.Sprintf("%06d.seg", s.man.NextSeg)
-	seg, err := writeSegment(filepath.Join(s.dir, name), keys, func(k string) []byte { return s.mem[k] }, s.opt)
-	if err != nil {
-		return err
-	}
-	man := s.man
-	man.NextSeg++
-	man.Segments = append(append([]string(nil), man.Segments...), name)
-	if err := saveManifest(s.dir, man); err != nil {
-		seg.close()
-		_ = os.Remove(seg.path)
-		return err
-	}
-	s.man = man
-	s.segs = append(append([]*segment(nil), s.segs...), seg)
-	s.mem = map[string][]byte{}
-	s.memB = 0
-	if err := s.wal.reset(); err != nil {
-		return err
-	}
-	s.flushes.Add(1)
-	if !s.opt.NoBackground && s.opt.CompactAt > 1 && len(s.segs) >= s.opt.CompactAt && !s.compacting {
-		s.compacting = true
-		s.bg.Add(1)
-		go func() {
-			defer s.bg.Done()
-			_ = s.compact()
-			s.mu.Lock()
-			s.compacting = false
-			s.mu.Unlock()
-		}()
+		if err := fn(e.key, val); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Compact merges every live segment into one (newest record wins),
-// bounding point-lookup fan-out and reclaiming overwritten space. It
-// runs concurrently with reads and writes; only the final manifest
-// swap takes the write lock.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	switch {
-	case s.closed:
-		s.mu.Unlock()
-		return ErrClosed
-	case s.opt.ReadOnly:
-		s.mu.Unlock()
-		return ErrReadOnly
-	}
-	s.mu.Unlock()
-	return s.compact()
-}
-
-func (s *Store) compact() error {
-	s.mu.Lock()
-	snap := s.segs
-	next := s.man.NextSeg
-	s.mu.Unlock()
-	if len(snap) < 2 {
-		return nil
-	}
-	name := fmt.Sprintf("%06d.seg", next)
-	seg, err := mergeSegments(filepath.Join(s.dir, name), snap, s.opt)
-	if err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		seg.close()
-		_ = os.Remove(seg.path)
-		return ErrClosed
-	}
-	// Segments flushed while the merge ran are newer than everything in
-	// it; they stay, after the merged segment.
-	newer := s.segs[len(snap):]
-	man := s.man
-	man.NextSeg = next + 1
-	man.Segments = append([]string{name}, manifestNames(newer)...)
-	if err := saveManifest(s.dir, man); err != nil {
-		seg.close()
-		_ = os.Remove(seg.path)
-		return err
-	}
-	s.man = man
-	for _, old := range snap {
-		// Keep the handle open for in-flight readers; unlink the path.
-		s.retired = append(s.retired, old.f)
-		_ = os.Remove(old.path)
-	}
-	s.segs = append([]*segment{seg}, newer...)
-	s.compactions.Add(1)
-	return nil
-}
-
-// Close syncs the log, waits for background compaction, and releases
-// the process lock. The memtable is not flushed to a segment — the log
-// replays it on the next Open.
+// Close fsyncs the log and releases the process lock.
 func (s *Store) Close() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
 		return nil
 	}
-	var syncErr error
-	if !s.opt.ReadOnly {
-		syncErr = s.wal.sync()
-	}
 	s.closed = true
-	s.mu.Unlock()
-	s.bg.Wait()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.wal.close()
-	for _, g := range s.segs {
-		g.close()
-	}
-	for _, f := range s.retired {
-		_ = f.Close()
+	var err error
+	if s.f != nil {
+		if !s.readOnly {
+			err = s.f.Sync()
+		}
+		if cerr := s.f.Close(); err == nil && !s.readOnly {
+			err = cerr
+		}
 	}
 	if s.lock != nil {
 		releaseLock(s.lock)
 		s.lock = nil
 	}
-	return syncErr
+	if err != nil {
+		return fmt.Errorf("store: close log: %w", err)
+	}
+	return nil
 }
 
 // Stats snapshots the store's shape and counters.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
-	st := Stats{
-		MemtableRecords: len(s.mem),
-		MemtableBytes:   s.memB,
-		Segments:        len(s.segs),
-		LogBytes:        s.wal.size,
+	defer s.mu.RUnlock()
+	return Stats{
+		Records:        len(s.index),
+		LogBytes:       s.size,
+		DeadBytes:      s.dead,
+		TruncatedBytes: s.truncated,
+		Puts:           s.puts.Load(),
+		Gets:           s.gets.Load(),
+		Scans:          s.scans.Load(),
 	}
-	for _, g := range s.segs {
-		st.SegmentRecords += g.count
-	}
-	s.mu.RUnlock()
-	st.Puts = s.puts.Load()
-	st.Gets = s.gets.Load()
-	st.Scans = s.scans.Load()
-	st.BloomChecks = s.bloomChecks.Load()
-	st.BloomSkips = s.bloomSkips.Load()
-	st.BloomFalsePositives = s.bloomFPs.Load()
-	st.Flushes = s.flushes.Load()
-	st.Compactions = s.compactions.Load()
-	return st
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // PrefixEnd returns the exclusive upper bound of a prefix scan: the
 // smallest key greater than every key starting with prefix, or "" when
@@ -546,13 +358,4 @@ func PrefixEnd(prefix string) string {
 		}
 	}
 	return ""
-}
-
-// manifestNames lists the file names of segments, in order.
-func manifestNames(segs []*segment) []string {
-	names := make([]string, len(segs))
-	for i, g := range segs {
-		names[i] = filepath.Base(g.path)
-	}
-	return names
 }

@@ -1,21 +1,21 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
 
-// testOpen opens a deterministic store for tests: tiny memtable
-// thresholds are set per-test; background compaction is off so the
-// segment layout is a function of the operations alone.
+// testOpen opens a store the test's cleanup closes.
 func testOpen(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	opts.NoBackground = true
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -47,18 +47,19 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
-func TestReopenRecoversLogAndSegments(t *testing.T) {
+func TestReopenRecoversLog(t *testing.T) {
 	dir := t.TempDir()
 	s := testOpen(t, dir, Options{})
 	for i := 0; i < 50; i++ {
-		put(t, s, fmt.Sprintf("seg-%03d", i), i)
+		put(t, s, fmt.Sprintf("rec-%03d", i), i)
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	// These stay in the log only — no flush before close.
+	// A second generation appends behind the first.
+	s = testOpen(t, dir, Options{})
 	for i := 50; i < 80; i++ {
-		put(t, s, fmt.Sprintf("seg-%03d", i), i)
+		put(t, s, fmt.Sprintf("rec-%03d", i), i)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -66,11 +67,11 @@ func TestReopenRecoversLogAndSegments(t *testing.T) {
 
 	s2 := testOpen(t, dir, Options{})
 	st := s2.Stats()
-	if st.Segments != 1 || st.SegmentRecords != 50 || st.MemtableRecords != 30 {
-		t.Fatalf("reopened shape = %+v, want 1 segment / 50 seg records / 30 mem records", st)
+	if st.Records != 80 || st.LogBytes != fileSize(t, filepath.Join(dir, "wal.log")) || st.DeadBytes != 0 || st.TruncatedBytes != 0 {
+		t.Fatalf("reopened shape = %+v, want 80 records spanning the whole log, nothing dead or truncated", st)
 	}
 	for i := 0; i < 80; i++ {
-		k := fmt.Sprintf("seg-%03d", i)
+		k := fmt.Sprintf("rec-%03d", i)
 		v, ok, err := s2.Get(k)
 		if err != nil || !ok || string(v) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("after reopen Get(%s) = %q ok=%v err=%v", k, v, ok, err)
@@ -88,12 +89,10 @@ func put(t *testing.T, s *Store, k string, i int) {
 func TestOverwriteNewestWins(t *testing.T) {
 	dir := t.TempDir()
 	s := testOpen(t, dir, Options{})
-	// Same key through three generations: old segment, newer segment,
-	// memtable. Each layer must shadow the ones below, across reopen.
+	// Same key three times: the newest frame must shadow the earlier
+	// ones, live and across reopen, and the earlier ones count as dead.
 	mustPut(t, s, "k", "gen1")
-	mustFlush(t, s)
 	mustPut(t, s, "k", "gen2")
-	mustFlush(t, s)
 	mustPut(t, s, "k", "gen3")
 	for _, phase := range []string{"live", "reopened"} {
 		v, ok, err := s.Get("k")
@@ -111,6 +110,9 @@ func TestOverwriteNewestWins(t *testing.T) {
 		if err != nil || n != 1 {
 			t.Fatalf("%s scan: n=%d err=%v", phase, n, err)
 		}
+		if st := s.Stats(); st.Records != 1 || st.DeadBytes != st.LogBytes*2/3 {
+			t.Fatalf("%s stats = %+v, want 1 record and two of three equal frames dead", phase, st)
+		}
 		if phase == "live" {
 			s.Close()
 			s = testOpen(t, dir, Options{})
@@ -125,24 +127,22 @@ func mustPut(t *testing.T, s *Store, k, v string) {
 	}
 }
 
-func mustFlush(t *testing.T, s *Store) {
-	t.Helper()
-	if err := s.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-}
-
 func TestScanMergesLayersInOrder(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{IndexInterval: 4})
-	// Interleave keys across three layers so the merge has to zip.
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{})
+	// Three generations, one before a reopen and two after, interleave
+	// their keys in the log, so log order is far from key order; every
+	// third key is first written with a stale value and overwritten a
+	// generation later, so the scan must also pick the newest frame.
 	for i := 0; i < 90; i += 3 {
 		put(t, s, key3(i), i)
+		put(t, s, key3(i+1), -1)
 	}
-	mustFlush(t, s)
+	s.Close()
+	s = testOpen(t, dir, Options{})
 	for i := 1; i < 90; i += 3 {
 		put(t, s, key3(i), i)
 	}
-	mustFlush(t, s)
 	for i := 2; i < 90; i += 3 {
 		put(t, s, key3(i), i)
 	}
@@ -173,15 +173,6 @@ func TestScanMergesLayersInOrder(t *testing.T) {
 		t.Fatalf("ranged scan = %d keys [%s..%s], want 30 [k-030..k-059]",
 			len(ranged), ranged[0], ranged[len(ranged)-1])
 	}
-
-	// ScanKeys agrees with Scan.
-	var keys []string
-	if err := s.ScanKeys("", "", func(k string) error { keys = append(keys, k); return nil }); err != nil {
-		t.Fatalf("ScanKeys: %v", err)
-	}
-	if len(keys) != len(got) {
-		t.Fatalf("ScanKeys saw %d keys, Scan saw %d", len(keys), len(got))
-	}
 }
 
 func key3(i int) string { return fmt.Sprintf("k-%03d", i) }
@@ -193,100 +184,6 @@ func atoi(t *testing.T, k string) int {
 		t.Fatalf("bad key %q", k)
 	}
 	return i
-}
-
-func TestCompactMergesToOneSegment(t *testing.T) {
-	dir := t.TempDir()
-	s := testOpen(t, dir, Options{IndexInterval: 8})
-	for gen := 0; gen < 5; gen++ {
-		for i := gen * 20; i < gen*20+40; i++ { // overlapping ranges force real merging
-			put(t, s, key3(i), i+gen*1000)
-		}
-		mustFlush(t, s)
-	}
-	if st := s.Stats(); st.Segments != 5 {
-		t.Fatalf("pre-compaction segments = %d, want 5", st.Segments)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	st := s.Stats()
-	if st.Segments != 1 {
-		t.Fatalf("post-compaction segments = %d, want 1", st.Segments)
-	}
-	// 5 generations of 40 keys starting at gen*20 cover k-000..k-119.
-	if st.SegmentRecords != 120 {
-		t.Fatalf("post-compaction records = %d, want 120", st.SegmentRecords)
-	}
-	// Newest generation wins where ranges overlapped: key 40 was
-	// written by gen 1 (values 1040) and gen 2 (value 2040); gen 2 wins.
-	v, ok, err := s.Get(key3(40))
-	if err != nil || !ok || string(v) != "v2040" {
-		t.Fatalf("Get(k-040) = %q ok=%v err=%v, want v2040", v, ok, err)
-	}
-	// Old segment files are unlinked.
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
-	if len(matches) != 1 {
-		t.Fatalf("disk has %d .seg files after compaction, want 1: %v", len(matches), matches)
-	}
-	// Everything still readable after reopen.
-	s.Close()
-	s2 := testOpen(t, dir, Options{})
-	for i := 0; i < 120; i++ {
-		if _, ok, err := s2.Get(key3(i)); err != nil || !ok {
-			t.Fatalf("after compact+reopen Get(%s) ok=%v err=%v", key3(i), ok, err)
-		}
-	}
-}
-
-func TestAutoFlushAtMemtableThreshold(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{MemtableBytes: 1024})
-	for i := 0; i < 200; i++ {
-		put(t, s, fmt.Sprintf("auto-%04d", i), i)
-	}
-	st := s.Stats()
-	if st.Flushes == 0 || st.Segments == 0 {
-		t.Fatalf("no automatic flush at 1KiB threshold: %+v", st)
-	}
-	if got := st.MemtableRecords + st.SegmentRecords; got != 200 {
-		t.Fatalf("records across layers = %d, want 200", got)
-	}
-}
-
-func TestBloomFalsePositiveRate(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{})
-	const n = 5000
-	for i := 0; i < n; i++ {
-		put(t, s, fmt.Sprintf("present-%05d", i), i)
-	}
-	mustFlush(t, s)
-	// Probe absent keys that sort inside the segment's key range, so
-	// pruning is the bloom filter's job, not the cheap min/max check.
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("present-%05dz", i)
-		if _, ok, err := s.Get(k); ok || err != nil {
-			t.Fatalf("Get(%s) = ok=%v err=%v", k, ok, err)
-		}
-	}
-	st := s.Stats()
-	if st.BloomChecks == 0 {
-		t.Fatal("bloom filter never consulted")
-	}
-	fp := float64(st.BloomFalsePositives) / float64(st.BloomChecks)
-	t.Logf("bloom: %d checks, %d skips, %d false positives (%.3f%% FP rate)",
-		st.BloomChecks, st.BloomSkips, st.BloomFalsePositives, 100*fp)
-	// 10 bits/key targets ~0.9%; 3% leaves noise margin without letting
-	// a broken filter (≈100% FP) pass.
-	if fp > 0.03 {
-		t.Fatalf("bloom FP rate %.3f exceeds 3%%", fp)
-	}
-	// And present keys must never be skipped (no false negatives).
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("present-%05d", i)
-		if _, ok, err := s.Get(k); !ok || err != nil {
-			t.Fatalf("false negative on %s: ok=%v err=%v", k, ok, err)
-		}
-	}
 }
 
 func TestLockExcludesSecondOpener(t *testing.T) {
@@ -315,7 +212,7 @@ func TestLockExcludesSecondOpener(t *testing.T) {
 
 func TestOpenSharedRefcounts(t *testing.T) {
 	dir := t.TempDir()
-	s1, rel1, err := OpenShared(dir, Options{NoBackground: true})
+	s1, rel1, err := OpenShared(dir, Options{})
 	if err != nil {
 		t.Fatalf("OpenShared: %v", err)
 	}
@@ -347,32 +244,8 @@ func TestOpenSharedRefcounts(t *testing.T) {
 	}
 }
 
-func TestOrphanSegmentsCleanedAtOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := testOpen(t, dir, Options{})
-	put(t, s, "live", 1)
-	mustFlush(t, s)
-	s.Close()
-	// Simulate a flush that crashed before its manifest swap: a segment
-	// file and a temp file the manifest does not know about.
-	for _, name := range []string{"999999.seg", "000777.seg.tmp"} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte("garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s2 := testOpen(t, dir, Options{})
-	if _, ok, err := s2.Get("live"); !ok || err != nil {
-		t.Fatalf("Get(live) after orphan sweep: ok=%v err=%v", ok, err)
-	}
-	for _, name := range []string{"999999.seg", "000777.seg.tmp"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
-			t.Fatalf("orphan %s survived open", name)
-		}
-	}
-}
-
 func TestConcurrentPutGetScan(t *testing.T) {
-	s := testOpen(t, t.TempDir(), Options{MemtableBytes: 4096})
+	s := testOpen(t, t.TempDir(), Options{})
 	const writers, perWriter = 4, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -414,8 +287,8 @@ func TestConcurrentPutGetScan(t *testing.T) {
 	}()
 	wg.Wait()
 	n := 0
-	if err := s.ScanKeys("", "", func(string) error { n++; return nil }); err != nil {
-		t.Fatalf("final ScanKeys: %v", err)
+	if err := s.Scan("", "", func(string, []byte) error { n++; return nil }); err != nil {
+		t.Fatalf("final Scan: %v", err)
 	}
 	if n != writers*perWriter {
 		t.Fatalf("final key count = %d, want %d", n, writers*perWriter)
@@ -444,20 +317,17 @@ func TestEmptyStoreScans(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	mustFlush(t, s) // flushing an empty memtable is a no-op sync
-	if st := s.Stats(); st.Segments != 0 {
-		t.Fatalf("empty flush created a segment: %+v", st)
+	if ok, err := s.Has("k"); ok || err != nil {
+		t.Fatalf("Has on an empty store = %v, %v", ok, err)
 	}
 }
 
 func TestHundredThousandRecordsOneScanBoundedFiles(t *testing.T) {
 	// The acceptance shape for 10^5-arm sweeps: every record lands in
-	// one log + a bounded segment set, so a resume-style full scan
-	// touches O(segments) files, never O(records). A 1 MiB memtable
-	// forces repeated flushes; compaction must then keep the live
-	// segment count bounded regardless of record count.
+	// the one log, so the directory holds O(1) files, never O(records),
+	// and a resume-style full scan reads that one file.
 	dir := t.TempDir()
-	s := testOpen(t, dir, Options{MemtableBytes: 1 << 20})
+	s := testOpen(t, dir, Options{})
 	const n = 100_000
 	val := []byte(`{"testAcc":0.5,"miaAcc":0.5,"tprAt1FPR":0.01,"genError":0.1}`)
 	for i := 0; i < n; i++ {
@@ -465,41 +335,142 @@ func TestHundredThousandRecordsOneScanBoundedFiles(t *testing.T) {
 			t.Fatalf("Put %d: %v", i, err)
 		}
 	}
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	if names := dirNames(t, dir); len(names) > 2 {
+		t.Fatalf("store dir holds %v for %d records, want the lock and the log", names, n)
 	}
-	st := s.Stats()
-	if st.Segments < 1 || st.Segments > 2 {
-		t.Fatalf("compacted segment count = %d, want 1-2 (O(1), not O(records))", st.Segments)
+	scanCount := func(s *Store) int {
+		t.Helper()
+		got, prev := 0, ""
+		if err := s.Scan("", "", func(key string, v []byte) error {
+			if key <= prev {
+				return fmt.Errorf("scan out of order: %q after %q", key, prev)
+			}
+			got, prev = got+1, key
+			return nil
+		}); err != nil {
+			t.Fatalf("Scan: %v", err)
+		}
+		return got
 	}
-	// The directory holds the log, the manifest, the lock, and the
-	// segments — not a file per record.
+	if got := scanCount(s); got != n {
+		t.Fatalf("scan yielded %d records, want %d", got, n)
+	}
+	// Reopen exercises recovery at the same scale, then the same
+	// single-scan coverage.
+	s.Close()
+	s2 := testOpen(t, dir, Options{ReadOnly: true})
+	if got := scanCount(s2); got != n {
+		t.Fatalf("post-reopen scan yielded %d records, want %d", got, n)
+	}
+}
+
+// dirNames lists dir's entries.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) > st.Segments+3 {
-		t.Fatalf("store dir holds %d files for %d records, want <= segments+3", len(entries), n)
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
 	}
-	got := 0
-	if err := s.Scan("", "", func(key string, v []byte) error {
-		got++
-		return nil
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
+	return names
+}
+
+// TestReopenAtScale is the size the store was built for, with default
+// options: 1.2×10^5 arm-sized records under content-hash-shaped keys
+// survive Close and Open, in two files. The segment layout lost records
+// here — its background compactor and a concurrent flush picked the
+// same segment file name.
+func TestReopenAtScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes 84 MB")
 	}
-	if got != n {
-		t.Fatalf("scan yielded %d records, want %d", got, n)
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{})
+	const n = 120_000
+	key := func(i int) string { return fmt.Sprintf("a!%064x", i) }
+	val := func(i int) []byte {
+		v := bytes.Repeat([]byte{'x'}, 700)
+		copy(v, fmt.Sprintf("%d|", i))
+		return v
 	}
-	// Reopen exercises recovery at the same scale: manifest + footers
-	// only, then the same single-scan coverage.
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), val(i)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen after %d puts: %v", n, err)
+	}
+	defer s2.Close()
+	for i := 0; i < n; i++ {
+		v, ok, err := s2.Get(key(i))
+		if err != nil || !ok || !bytes.Equal(v, val(i)) {
+			t.Fatalf("Get(%d) after reopen: ok=%v err=%v len=%d", i, ok, err, len(v))
+		}
+	}
+	if names := dirNames(t, dir); !slices.Equal(names, []string{"LOCK", "wal.log"}) {
+		t.Fatalf("store dir holds %v, want exactly LOCK and wal.log", names)
+	}
+}
+
+// TestLegacyLayoutRefused: a directory the segment layout flushed in
+// keeps most of its records in .seg files this package no longer
+// reads; opening its log alone would show a subset as if it were all.
+func TestLegacyLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{})
+	mustPut(t, s, "in-the-log", "v")
 	s.Close()
-	s2 := testOpen(t, dir, Options{ReadOnly: true})
-	got = 0
-	if err := s2.ScanKeys("", "", func(string) error { got++; return nil }); err != nil {
-		t.Fatalf("ScanKeys after reopen: %v", err)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), []byte(`{"version":1,"segments":["000000.seg"],"next_seg":1}`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if got != n {
-		t.Fatalf("post-reopen scan yielded %d records, want %d", got, n)
+	for _, opts := range []Options{{}, {ReadOnly: true}} {
+		_, err := Open(dir, opts)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "remove the directory to recompute") {
+			t.Fatalf("Open(%+v) of a segment-layout directory = %v, want ErrCorrupt saying to remove it", opts, err)
+		}
+	}
+	// The refusal holds no lock.
+	if err := os.Remove(filepath.Join(dir, "MANIFEST.json")); err != nil {
+		t.Fatal(err)
+	}
+	testOpen(t, dir, Options{})
+}
+
+// TestGetDetectsBitRot: the checksum is verified on every read, not
+// only at Open, so a byte flipped under an open store is an error on
+// the record it hit and nowhere else.
+func TestGetDetectsBitRot(t *testing.T) {
+	dir := t.TempDir()
+	s := testOpen(t, dir, Options{})
+	mustPut(t, s, "before", "intact")
+	off := s.Stats().LogBytes
+	mustPut(t, s, "hit", "flipped-in-the-middle")
+	mustPut(t, s, "after", "intact")
+	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{'F'}, off+frameHeader+10); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get("hit"); ok || !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Get of a rotted record = ok=%v err=%v, want ErrCorrupt", ok, err)
+	}
+	for _, k := range []string{"before", "after"} {
+		if v, ok, err := s.Get(k); err != nil || !ok || string(v) != "intact" {
+			t.Fatalf("Get(%s) beside a rotted record = %q ok=%v err=%v", k, v, ok, err)
+		}
+	}
+	if err := s.Scan("", "", func(string, []byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Scan over a rotted record = %v, want ErrCorrupt", err)
 	}
 }

@@ -5,168 +5,98 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
-// castagnoli is the CRC-32C table shared by the log and segments —
-// hardware-accelerated on every platform the simulator targets.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// wal is the write-ahead log: an append-only file of framed records,
+// The log (wal.log) is an append-only file of framed records,
 //
 //	u32 LE payload length | u32 LE CRC-32C(payload) | payload
 //	payload = uvarint(len(key)) key uvarint(len(val)) val
 //
 // A record is durable once its bytes are in the file; the checksum
-// rejects a torn final record after a crash, and repair truncates the
-// file back to the last intact frame so appends resume cleanly.
-type wal struct {
-	f    *os.File
-	size int64
-	buf  []byte // scratch frame, reused across appends
+// rejects a torn final record after a crash, and a writable Open
+// truncates the file back to the last intact frame so appends resume
+// cleanly. frameHeader is the size of the two leading words.
+const frameHeader = 8
+
+// castagnoli is the CRC-32C table — hardware-accelerated on every
+// platform the simulator targets.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// span locates one record's frame in the log: the offset of its header
+// and the payload length the header carries.
+type span struct {
+	off int64
+	n   uint32
 }
 
-// openWAL opens (creating if absent) the log at path, replaying every
-// durable record into apply in append order. In read-only mode a torn
-// tail is ignored but left in place; otherwise it is truncated away.
-func openWAL(path string, readOnly bool, apply func(key string, val []byte)) (*wal, error) {
-	flags := os.O_RDWR | os.O_CREATE
-	if readOnly {
-		flags = os.O_RDONLY
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return &wal{}, nil
-		}
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open log: %w", err)
-	}
-	durable, err := replayWAL(f, apply)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if readOnly {
-		f.Close()
-		return &wal{}, nil
-	}
-	// Truncate a torn tail so the next append starts at a frame
-	// boundary instead of extending garbage.
-	if err := f.Truncate(durable); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: repair log: %w", err)
-	}
-	if _, err := f.Seek(durable, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: seek log: %w", err)
-	}
-	return &wal{f: f, size: durable}, nil
-}
+// frameLen is the frame's size in the file, header included.
+func (sp span) frameLen() int64 { return frameHeader + int64(sp.n) }
 
-// replayWAL streams intact records into apply and returns the offset
-// just past the last one. A short or checksum-failing frame marks the
-// durable end — everything before it is valid by induction.
-func replayWAL(f *os.File, apply func(string, []byte)) (int64, error) {
-	var durable int64
-	var hdr [8]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return durable, nil // clean EOF or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > 1<<30 { // implausible length: torn or corrupt frame
-			return durable, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return durable, nil // torn payload
-		}
-		if crc32.Checksum(payload, castagnoli) != sum {
-			return durable, nil // bit rot or torn overwrite
-		}
-		key, val, err := decodeKV(payload)
-		if err != nil {
-			return durable, nil
-		}
-		apply(key, val)
-		durable += int64(len(hdr)) + int64(n)
-	}
-}
-
-// append frames and writes one record. The write reaches the kernel
-// before return; sync additionally fsyncs for machine-crash safety.
-func (w *wal) append(key string, val []byte, sync bool) error {
-	payload := appendKV(w.buf[:0], key, val)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	frame := append(hdr[:], payload...)
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("store: append log: %w", err)
-	}
-	w.size += int64(len(frame))
-	w.buf = payload[:0]
-	if sync {
-		return w.sync()
-	}
-	return nil
-}
-
-// sync fsyncs the log.
-func (w *wal) sync() error {
-	if w.f == nil {
-		return nil
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: sync log: %w", err)
-	}
-	return nil
-}
-
-// reset empties the log after its contents are pinned in a segment.
-func (w *wal) reset() error {
-	if err := w.f.Truncate(0); err != nil {
-		return fmt.Errorf("store: reset log: %w", err)
-	}
-	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("store: reset log: %w", err)
-	}
-	w.size = 0
-	return w.sync()
-}
-
-func (w *wal) close() {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-}
-
-// appendKV appends the uvarint-framed key/value pair encoding to dst.
-func appendKV(dst []byte, key string, val []byte) []byte {
+// appendFrame appends key -> val's frame to dst.
+func appendFrame(dst []byte, key string, val []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
 	dst = binary.AppendUvarint(dst, uint64(len(val)))
 	dst = append(dst, val...)
+	payload := dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, castagnoli))
 	return dst
 }
 
-// decodeKV parses an appendKV payload. The returned val aliases b.
-func decodeKV(b []byte) (string, []byte, error) {
-	kl, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < kl {
-		return "", nil, fmt.Errorf("store: record key frame: %w", ErrCorrupt)
+// decodePayload checks a payload against the checksum its frame header
+// carries and splits it. The returned key and val alias payload.
+func decodePayload(sum uint32, payload []byte) (key, val []byte, err error) {
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, nil, fmt.Errorf("store: record checksum: %w", ErrCorrupt)
 	}
-	key := string(b[n : n+int(kl)])
-	b = b[n+int(kl):]
-	vl, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) != vl {
-		return "", nil, fmt.Errorf("store: record value frame: %w", ErrCorrupt)
+	kl, n := binary.Uvarint(payload)
+	if n <= 0 || uint64(len(payload)-n) < kl {
+		return nil, nil, fmt.Errorf("store: record key frame: %w", ErrCorrupt)
 	}
-	return key, b[n : n+int(vl)], nil
+	key, rest := payload[n:n+int(kl)], payload[n+int(kl):]
+	vl, n := binary.Uvarint(rest)
+	if n <= 0 || uint64(len(rest)-n) != vl {
+		return nil, nil, fmt.Errorf("store: record value frame: %w", ErrCorrupt)
+	}
+	return key, rest[n:], nil
+}
+
+// replayLog reads a log of size bytes from r, passing each intact
+// record's key and location to apply in append order, and returns the
+// offset just past the last one. A frame that runs past the end of the
+// file, fails its checksum or does not decode marks the durable end —
+// everything before it is valid by induction. A failed read is an
+// error: it says nothing about where the durable end is.
+func replayLog(r io.Reader, size int64, apply func(key string, sp span)) (int64, error) {
+	var durable int64
+	var hdr [frameHeader]byte
+	var payload []byte
+	for size-durable >= frameHeader {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return durable, fmt.Errorf("store: replay log at %d: %w", durable, err)
+		}
+		sp := span{off: durable, n: binary.LittleEndian.Uint32(hdr[0:4])}
+		// The length is checked against the file before it sizes an
+		// allocation: four garbage bytes could otherwise claim 4 GiB.
+		if sp.frameLen() > size-durable {
+			break
+		}
+		if cap(payload) < int(sp.n) {
+			payload = make([]byte, sp.n)
+		}
+		payload = payload[:sp.n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return durable, fmt.Errorf("store: replay log at %d: %w", durable, err)
+		}
+		key, _, err := decodePayload(binary.LittleEndian.Uint32(hdr[4:8]), payload)
+		if err != nil {
+			break
+		}
+		apply(string(key), sp)
+		durable += sp.frameLen()
+	}
+	return durable, nil
 }

@@ -32,7 +32,7 @@ fi
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
 go test ./benchmark
-go test -run='^Fuzz' ./internal/wire ./internal/spec
+go test -run='^Fuzz' ./internal/wire ./internal/spec ./internal/store
 
 # pkg/dlsim API gate: the public SDK must not leak internal types into
 # its exported signatures (the stability promise of the package). The
@@ -203,6 +203,12 @@ cmp -s "$specout/store-run/results.csv" "$specout/store-ref/results.csv" || {
 }
 "$specout/dlsim-store" list -store "$specout/store-run/store" -limit 5 | head -n 1 | grep -q '^2000 cached arms' || {
     echo "list -store does not report 2000 cached arms" >&2
+    exit 1
+}
+# The log is the whole store: a kill -9 and a resume leave no other file.
+[ "$(ls -A "$specout/store-run/store" | tr '\n' ' ')" = "LOCK wal.log " ] || {
+    echo "store directory holds more than LOCK and wal.log:" >&2
+    ls -A "$specout/store-run/store" >&2
     exit 1
 }
 echo "store smoke ok"
