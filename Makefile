@@ -27,8 +27,8 @@ ci: build vet race
 bench:
 	bash benchmark/run.sh
 
-# Capture pprof CPU+alloc profiles (figure2 run + dense-wake arm) and
-# their top-20 summaries under profiles/ — the input for DESIGN.md's
-# "Where the time goes" section.
+# Capture pprof CPU+alloc profiles (figure2 run, dense-wake arm,
+# light-arm sweep) and their top-20 summaries under profiles/ — the
+# input for DESIGN.md's "Where the time goes" section.
 profile:
 	./scripts/profile.sh

@@ -7,6 +7,8 @@
 package gossipmia
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -15,6 +17,7 @@ import (
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/nn"
+	"gossipmia/internal/spec"
 	"gossipmia/internal/tensor"
 )
 
@@ -233,11 +236,19 @@ func denseWakeStudy(tb testing.TB, workers int) *core.Study {
 	return study
 }
 
+// parallelCreepBudget is how many more heap objects one workers=4 run
+// of the dense-wake arm (40 ticks, ~190 wakes) may allocate than the
+// serial run: the engine's per-run set-up — pool goroutines, unit and
+// batch scratch grown once — sits near 155. It is an absolute count
+// because the serial run's own count is not a yardstick: the arm arena
+// cut it threefold and left the engine's share where it was.
+const parallelCreepBudget = 220
+
 // TestParallelPathAllocRatio: the node-parallel engine reuses its unit,
 // batch, and pool scratch across ticks, so a workers=4 run of the
-// dense-wake arm must allocate within 8% of the serial run (it sits
-// near 5%; the per-batch goroutine spawns the pool replaced cost
-// +16.5%). Creep beyond the margin means per-batch or per-stage scratch
+// dense-wake arm must stay within parallelCreepBudget objects of the
+// serial run (the per-batch goroutine spawns the pool replaced cost
+// +595). Creep beyond the budget means per-batch or per-stage scratch
 // has started leaking back into the hot loop.
 func TestParallelPathAllocRatio(t *testing.T) {
 	if testing.Short() {
@@ -259,8 +270,83 @@ func TestParallelPathAllocRatio(t *testing.T) {
 		return best
 	}
 	serial, parallel := mallocs(1), mallocs(4)
-	if limit := float64(serial) * 1.08; float64(parallel) > limit {
-		t.Fatalf("workers=4 allocates %d objects vs %d serial (limit %.0f): per-batch scratch is leaking", parallel, serial, limit)
+	if parallel > serial+parallelCreepBudget {
+		t.Fatalf("workers=4 allocates %d objects vs %d serial (budget +%d): per-batch scratch is leaking", parallel, serial, parallelCreepBudget)
 	}
 	t.Logf("workers=4: %d allocations, serial: %d", parallel, serial)
+}
+
+// lightArmSpec is n of dlbench's light arms (benchmark/workloads.go):
+// sub-millisecond arms — the shape of a large sweep, where what an arm
+// allocates and discards decides how often the collector runs.
+func lightArmSpec(n int) *spec.Spec {
+	arms := make([]spec.Arm, n)
+	for i := range arms {
+		proto := []string{"samo", "base"}[i%2]
+		arms[i] = spec.Arm{
+			Label:          fmt.Sprintf("light/%05d/%s", i, proto),
+			Corpus:         string(data.FashionMNIST),
+			Protocol:       proto,
+			ViewSize:       2,
+			SeedOffset:     int64(i),
+			Train:          &spec.Train{Hidden: []int{4}, LR: 0.05, BatchSize: 8, LocalEpochs: 1},
+			TrainPerFactor: 0.34,
+		}
+	}
+	return &spec.Spec{Name: "light arms", Arms: arms}
+}
+
+// runLightArms runs n light arms serially through RunSpec and returns
+// what they cost: bytes and heap objects allocated, collections run.
+func runLightArms(tb testing.TB, n int) (bytes, objects uint64, gcs uint32) {
+	tb.Helper()
+	sc := experiment.TinyScale()
+	sc.Workers = 1
+	sp := lightArmSpec(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := experiment.RunSpec(context.Background(), sp, sc); err != nil {
+		tb.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs, after.NumGC - before.NumGC
+}
+
+// BenchmarkLightArmSweep runs 64 light arms per iteration and reports
+// the two numbers a sweep's speed hangs on besides compute: KiB
+// allocated per arm and collections per arm.
+func BenchmarkLightArmSweep(b *testing.B) {
+	const arms = 64
+	runLightArms(b, 1)
+	var bytes uint64
+	var gcs uint32
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		by, _, gc := runLightArms(b, arms)
+		bytes += by
+		gcs += gc
+	}
+	n := float64(b.N * arms)
+	b.ReportMetric(float64(bytes)/1024/n, "KiB/arm")
+	b.ReportMetric(float64(gcs)/n, "gc-cycles/arm")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/n, "us/arm")
+}
+
+// TestLightArmAllocBudget: a light arm takes its datasets, models,
+// scratch, generators and message buffers from the recycled arm arena,
+// so after a warm-up arm it allocates at most 96 KiB in 400 objects
+// (it sits near 55 KiB and 330; before the arena, 358 KiB and 638).
+// Growth means per-arm state has gone back to the heap.
+func TestLightArmAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	const arms = 64
+	runLightArms(t, 1)
+	bytes, objects, _ := runLightArms(t, arms)
+	kib, objs := float64(bytes)/1024/arms, float64(objects)/arms
+	if kib > 96 || objs > 400 {
+		t.Fatalf("a light arm allocates %.1f KiB in %.0f objects, budget 96 KiB in 400", kib, objs)
+	}
+	t.Logf("light arm: %.1f KiB, %.0f objects", kib, objs)
 }

@@ -55,7 +55,7 @@ func evalRoundFixture(b testing.TB) func() error {
 		b.Fatal(err)
 	}
 	evalIDs := study.pickEvalNodes(simCfg.Nodes, rng)
-	es := newEvalScratch(len(evalIDs))
+	es := newEvalScratch(len(evalIDs), nil)
 	round := func() error {
 		_, err := study.evaluateRound(0, sim, evalIDs, globalTest, nil, es)
 		return err

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/dp"
@@ -247,11 +248,36 @@ func (s *Study) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
 
+// arenas recycles arm arenas between the arms of a process. An arena
+// outlives its arm only inside this pool, which the collector empties.
+var arenas = sync.Pool{New: func() any { return new(tensor.Arena) }}
+
 // RunContext executes the study arm like Run, aborting between rounds
 // when ctx is cancelled. Cancellation is checked at every round
 // boundary (before the round's evaluation), so a cancelled run returns
 // ctx.Err() within one round without producing a partial record.
+//
+// Everything with the arm's lifetime — datasets, models, trainers,
+// scratch, generators, message buffers — comes from one pooled arena
+// that is reset when the arm ends; the Result holds none of it. Under
+// KeepFinalModels the snapshots outlive the arm, so that arm runs on
+// the heap.
 func (s *Study) RunContext(ctx context.Context) (*Result, error) {
+	if s.cfg.KeepFinalModels {
+		return s.run(ctx, nil)
+	}
+	// Not deferred: an arena abandoned by a panic may still be written
+	// by the arm's goroutines and must not reach another arm.
+	arena := arenas.Get().(*tensor.Arena)
+	res, err := s.run(ctx, arena)
+	arena.Reset()
+	arenas.Put(arena)
+	return res, err
+}
+
+// run executes the arm with arena (nil = the heap) as the source of
+// everything that dies with it.
+func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	cfg := s.cfg
 	simCfg := cfg.Sim.Defaulted()
 	// One Workers knob drives every intra-arm layer: the simulator's
@@ -260,12 +286,13 @@ func (s *Study) RunContext(ctx context.Context) (*Result, error) {
 	if simCfg.Workers == 0 {
 		simCfg.Workers = cfg.Workers
 	}
-	rng := tensor.NewRNG(simCfg.Seed)
+	rng := arena.RNG(simCfg.Seed)
 
 	gen, err := data.NewGenerator(cfg.Corpus, rng)
 	if err != nil {
 		return nil, fmt.Errorf("core: corpus: %w", err)
 	}
+	gen.SetArena(arena)
 
 	parts, err := s.buildPartition(gen, simCfg.Nodes, rng)
 	if err != nil {
@@ -288,6 +315,7 @@ func (s *Study) RunContext(ctx context.Context) (*Result, error) {
 		return nil, fmt.Errorf("core: model: %w", err)
 	}
 	initial.SetWorkers(par.Workers(cfg.Workers))
+	initial.SetArena(arena)
 
 	protocol, err := gossip.ProtocolByName(cfg.Protocol)
 	if err != nil {
@@ -306,7 +334,7 @@ func (s *Study) RunContext(ctx context.Context) (*Result, error) {
 
 	evalIDs := s.pickEvalNodes(simCfg.Nodes, rng)
 	series := &metrics.Series{Label: cfg.Label}
-	scratch := newEvalScratch(len(evalIDs))
+	scratch := newEvalScratch(len(evalIDs), arena)
 
 	observer := func(round int, sim *gossip.Simulator) error {
 		if err := ctx.Err(); err != nil {
@@ -530,13 +558,14 @@ type evalScratch struct {
 	models                       []*nn.MLP
 }
 
-// newEvalScratch sizes the scratch for n evaluated nodes per round.
-func newEvalScratch(n int) *evalScratch {
+// newEvalScratch sizes the scratch for n evaluated nodes per round, the
+// metric slots in a.
+func newEvalScratch(n int, a *tensor.Arena) *evalScratch {
 	return &evalScratch{
-		accs:    make([]float64, n),
-		miaAccs: make([]float64, n),
-		tprs:    make([]float64, n),
-		genErrs: make([]float64, n),
+		accs:    a.Vector(n),
+		miaAccs: a.Vector(n),
+		tprs:    a.Vector(n),
+		genErrs: a.Vector(n),
 		attack:  make([]mia.Scratch, n),
 	}
 }

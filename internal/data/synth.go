@@ -39,6 +39,7 @@ func (c GaussianConfig) Validate() error {
 type GaussianGenerator struct {
 	cfg        GaussianConfig
 	prototypes []tensor.Vector
+	rowArena
 }
 
 // NewGaussianGenerator draws the class prototypes with rng and returns a
@@ -75,7 +76,7 @@ func (g *GaussianGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 	}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
-		x := tensor.NewVector(g.cfg.Dim)
+		x := g.arena.Vector(g.cfg.Dim)
 		rng.FillNormal(x, 0, g.cfg.Noise)
 		proto := g.prototypes[label]
 		for j := range x {
@@ -121,6 +122,7 @@ func (c BasketConfig) Validate() error {
 type BasketGenerator struct {
 	cfg        BasketConfig
 	prototypes [][]bool
+	rowArena
 }
 
 // NewBasketGenerator draws the class prototype baskets with rng.
@@ -152,7 +154,7 @@ func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		proto := g.prototypes[label]
-		x := tensor.NewVector(g.cfg.Dim)
+		x := g.arena.Vector(g.cfg.Dim)
 		for j, bit := range proto {
 			v := bit
 			if rng.Float64() < g.cfg.FlipProb {
@@ -174,11 +176,20 @@ func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 type Generator interface {
 	// Sample draws n fresh labelled examples.
 	Sample(n int, rng *tensor.RNG) *Dataset
+	// SetArena makes a the source of every row sampled from now on
+	// (nil, the default, is the heap); the rows die at a.Reset.
+	SetArena(a *tensor.Arena)
 	// Classes returns the number of labels.
 	Classes() int
 	// Dim returns the input dimensionality.
 	Dim() int
 }
+
+// rowArena is the SetArena half of Generator, shared by both families.
+type rowArena struct{ arena *tensor.Arena }
+
+// SetArena implements Generator.
+func (r *rowArena) SetArena(a *tensor.Arena) { r.arena = a }
 
 // Classes implements Generator.
 func (g *GaussianGenerator) Classes() int { return g.cfg.Classes }

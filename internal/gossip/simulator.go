@@ -230,7 +230,10 @@ var _ Network = (*Simulator)(nil)
 
 // New builds a simulator. Every node starts from a clone of the shared
 // initial model (the common θ0 of the paper), owns its NodeData split,
-// and gets an updater from factory.
+// and gets an updater from factory. The initial model's arena (nn.MLP
+// SetArena; nil = the heap) also supplies the simulator's random
+// generators and message buffers, so the simulator shares the models'
+// allocation lifetime.
 func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeData, factory UpdaterFactory) (*Simulator, error) {
 	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
@@ -242,7 +245,9 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	if len(nodeData) != cfg.Nodes {
 		return nil, fmt.Errorf("%w: %d node datasets for %d nodes", ErrConfig, len(nodeData), cfg.Nodes)
 	}
-	rng := tensor.NewRNG(cfg.Seed)
+	// arena.RNG(rng.Int63()) below is rng.Split() on a recycled generator.
+	arena := initial.Arena()
+	rng := arena.RNG(cfg.Seed)
 	topo, err := graph.NewRegular(cfg.Nodes, cfg.ViewSize, rng)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build topology: %w", err)
@@ -253,14 +258,14 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 		nodes:    make([]*Node, cfg.Nodes),
 		protocol: protocol,
 		rng:      rng,
-		pool:     tensor.NewVecPool(initial.NumParams()),
+		pool:     tensor.NewVecPool(initial.NumParams(), arena),
 	}
 	if sr, ok := protocol.(SyncReceiver); ok {
 		s.syncRecv = sr.ReceivesSynchronously()
 	}
 	if cfg.Dynamics == DynamicsCyclon {
 		shuffleLen := cfg.ViewSize/2 + 1
-		s.sampler, err = rps.New(cfg.Nodes, cfg.ViewSize, shuffleLen, rng.Split())
+		s.sampler, err = rps.New(cfg.Nodes, cfg.ViewSize, shuffleLen, arena.RNG(rng.Int63()))
 		if err != nil {
 			return nil, fmt.Errorf("gossip: build peer sampler: %w", err)
 		}
@@ -275,7 +280,7 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 			Model:    initial.Clone(),
 			Data:     nodeData[i],
 			Updater:  factory(i),
-			RNG:      rng.Split(),
+			RNG:      arena.RNG(rng.Int63()),
 			pool:     s.pool,
 			interval: interval,
 			// Uniform phase offset so wake-ups interleave from the start.

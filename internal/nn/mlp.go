@@ -38,12 +38,16 @@ type MLP struct {
 	deltas []tensor.Vector // back-propagated errors per layer
 	probs  tensor.Vector   // softmax output scratch
 
-	// Batched scratch for BatchGrad, lazily sized to the largest batch
-	// seen (Clone does not copy it). bActs[l] and bDeltas[l] hold
-	// row-major batchCap × width matrices.
-	batchCap int
-	bActs    []tensor.Vector
-	bDeltas  []tensor.Vector
+	// Batched scratch, lazily sized to the largest batch seen (Clone
+	// does not copy it): bActs[l] and bDeltas[l] hold row-major rows ×
+	// width matrices. The two grow apart (batchRows) because
+	// forward-only scoring never reads the deltas.
+	bActs   []tensor.Vector
+	bDeltas []tensor.Vector
+
+	// arena supplies the parameters of clones and every scratch vector
+	// sized after SetArena (nil = the heap).
+	arena *tensor.Arena
 
 	// workers bounds the goroutines the batched GEMM kernels may tile
 	// over (0 or 1 = serial). Tiling is bit-identical, so the setting
@@ -91,12 +95,12 @@ func (m *MLP) allocScratch() {
 	m.acts = make([]tensor.Vector, layers+1)
 	m.deltas = make([]tensor.Vector, layers)
 	for i, s := range m.sizes {
-		m.acts[i] = tensor.NewVector(s)
+		m.acts[i] = m.arena.Vector(s)
 		if i > 0 {
-			m.deltas[i-1] = tensor.NewVector(s)
+			m.deltas[i-1] = m.arena.Vector(s)
 		}
 	}
-	m.probs = tensor.NewVector(m.sizes[len(m.sizes)-1])
+	m.probs = m.arena.Vector(m.sizes[len(m.sizes)-1])
 }
 
 // weight returns the live slice holding layer l's weight matrix
@@ -142,18 +146,31 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 
 // Clone returns a model with the same architecture and a deep copy of the
 // parameters, with its own scratch buffers (safe to use from another
-// goroutine than the original). The GEMM worker budget carries over.
+// goroutine than the original). The layer tables are immutable and
+// shared; the GEMM worker budget and the arena carry over.
 func (m *MLP) Clone() *MLP {
 	out := &MLP{
-		sizes:   append([]int(nil), m.sizes...),
-		params:  m.params.Clone(),
-		wOff:    append([]int(nil), m.wOff...),
-		bOff:    append([]int(nil), m.bOff...),
+		sizes:   m.sizes,
+		params:  m.arena.Vector(len(m.params)),
+		wOff:    m.wOff,
+		bOff:    m.bOff,
 		workers: m.workers,
+		arena:   m.arena,
 	}
+	copy(out.params, m.params)
 	out.allocScratch()
 	return out
 }
+
+// SetArena makes a the source of this model's later allocations: the
+// parameters and scratch of every Clone (and of their clones), lazily
+// sized batch scratch, and the buffers of a Trainer built over the
+// model. Everything so allocated dies at a.Reset, so the models must
+// not be used past it. nil (the default) allocates from the heap.
+func (m *MLP) SetArena(a *tensor.Arena) { m.arena = a }
+
+// Arena returns the arena set by SetArena, nil for the heap.
+func (m *MLP) Arena() *tensor.Arena { return m.arena }
 
 // SetWorkers bounds the goroutines the batched kernels (BatchGrad,
 // ScoreBatch) may tile their GEMMs over; 0 or 1 keeps them serial. The
@@ -362,7 +379,8 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 			return 0, err
 		}
 	}
-	m.ensureBatchScratch(B)
+	m.bActs = m.batchRows(m.bActs, m.sizes, B)
+	m.bDeltas = m.batchRows(m.bDeltas, m.sizes[1:], B)
 	grad.Zero()
 	layers := len(m.sizes) - 1
 	m.batchForward(xs)
@@ -415,7 +433,7 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 // batchForward runs the blocked forward pass A_{l+1} = relu(A_l·W_lᵀ +
 // b_l) over the B examples in xs, filling m.bActs with batch-major
 // rows. Callers must have validated input dimensions and sized the
-// scratch with ensureBatchScratch(len(xs)). Each logit accumulates its
+// activations with batchRows for len(xs) rows. Each logit accumulates its
 // terms in increasing input-index order — the same chained sum as the
 // per-example forward — so the rows are bit-identical to calling
 // forward example by example.
@@ -476,7 +494,7 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 		}
 		chunk := xs[start:end]
 		B := len(chunk)
-		m.ensureBatchScratch(B)
+		m.bActs = m.batchRows(m.bActs, m.sizes, B)
 		m.batchForward(chunk)
 		logits := m.bActs[layers][:B*classes]
 		for r := 0; r < B; r++ {
@@ -486,22 +504,19 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 	return nil
 }
 
-// ensureBatchScratch sizes the batch-major scratch matrices for batches
-// of up to n rows.
-func (m *MLP) ensureBatchScratch(n int) {
-	if n <= m.batchCap {
-		return
+// batchRows returns mats, one batch-major matrix per width, grown to
+// hold n rows. Growing abandons the smaller set: inside an arena that
+// is dead weight until Reset, so callers grow only what they read.
+func (m *MLP) batchRows(mats []tensor.Vector, widths []int, n int) []tensor.Vector {
+	if mats == nil {
+		mats = make([]tensor.Vector, len(widths))
+	} else if len(mats[0]) >= n*widths[0] {
+		return mats
 	}
-	layers := len(m.sizes) - 1
-	m.bActs = make([]tensor.Vector, layers+1)
-	m.bDeltas = make([]tensor.Vector, layers)
-	for i, s := range m.sizes {
-		m.bActs[i] = tensor.NewVector(n * s)
-		if i > 0 {
-			m.bDeltas[i-1] = tensor.NewVector(n * s)
-		}
+	for i, w := range widths {
+		mats[i] = m.arena.Vector(n * w)
 	}
-	m.batchCap = n
+	return mats
 }
 
 // Softmax writes the softmax of logits into out (same length), using the

@@ -100,12 +100,17 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 	if epochs <= 0 {
 		epochs = 1
 	}
+	if opt.velocity == nil {
+		// Sized here rather than on the first Step so the momentum
+		// buffer shares the model's allocation lifetime.
+		opt.velocity = model.arena.Vector(model.NumParams())
+	}
 	return &Trainer{
 		Model:     model,
 		Opt:       opt,
 		BatchSize: batchSize,
 		Epochs:    epochs,
-		grad:      tensor.NewVector(model.NumParams()),
+		grad:      model.arena.Vector(model.NumParams()),
 	}
 }
 
@@ -118,7 +123,7 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
 	if len(t.grad) != t.Model.NumParams() {
-		t.grad = tensor.NewVector(t.Model.NumParams())
+		t.grad = t.Model.arena.Vector(t.Model.NumParams())
 	}
 	n := len(xs)
 	bs := t.BatchSize

@@ -78,7 +78,7 @@ func TestGemmKernelsMatchNaiveBitExact(t *testing.T) {
 }
 
 func TestVecPoolRecycles(t *testing.T) {
-	p := NewVecPool(8)
+	p := NewVecPool(8, nil)
 	if p.Len() != 8 {
 		t.Fatalf("Len = %d", p.Len())
 	}

@@ -2,58 +2,58 @@ package tensor
 
 import "sync"
 
-// VecPool is a sync.Pool-backed arena of fixed-length Vectors. The gossip
-// simulator uses one to recycle per-message parameter buffers instead of
-// allocating a fresh Clone for every transmission. Vectors handed out
-// are NOT zeroed — callers overwrite them entirely.
+// VecPool is a free list of fixed-length Vectors drawn from an Arena.
+// The gossip simulator uses one to recycle per-message parameter
+// buffers instead of allocating a fresh Clone for every transmission.
+// Vectors handed out are NOT zeroed — callers overwrite them entirely.
 //
-// Internally both the vectors and the *Vector boxes that carry them
-// through sync.Pool are recycled, so a Get/Put cycle performs zero
-// steady-state allocation (storing a bare slice in a sync.Pool would
-// box its header on every Put).
+// The list grows to the peak number of buffers in flight and lives as
+// long as the pool's owner (one simulator, one arm), so a Get/Put cycle
+// allocates nothing at steady state.
 //
 // A VecPool is safe for concurrent use.
 type VecPool struct {
 	n     int
-	vecs  sync.Pool // holds *Vector carrying a live buffer
-	boxes sync.Pool // holds empty *Vector carriers for reuse
+	arena *Arena
+	mu    sync.Mutex
+	free  []Vector
 }
 
-// NewVecPool returns a pool of vectors of length n.
-func NewVecPool(n int) *VecPool {
-	p := &VecPool{n: n}
-	p.vecs.New = func() any {
-		v := NewVector(n)
-		return &v
-	}
-	p.boxes.New = func() any { return new(Vector) }
-	return p
+// NewVecPool returns a pool of vectors of length n whose buffers come
+// from a (nil = the heap).
+func NewVecPool(n int, a *Arena) *VecPool {
+	return &VecPool{n: n, arena: a}
 }
 
 // Len returns the pooled vector length.
 func (p *VecPool) Len() int { return p.n }
 
 // Get returns a vector of length n. Requests matching the pool's length
-// are served from the arena; other lengths fall back to a fresh
+// are served from the free list; other lengths fall back to a fresh
 // allocation (they would poison the pool).
 func (p *VecPool) Get(n int) Vector {
 	if n != p.n {
 		return NewVector(n)
 	}
-	vp := p.vecs.Get().(*Vector)
-	v := *vp
-	*vp = nil
-	p.boxes.Put(vp)
-	return v
+	p.mu.Lock()
+	if last := len(p.free) - 1; last >= 0 {
+		v := p.free[last]
+		p.free = p.free[:last]
+		p.mu.Unlock()
+		return v
+	}
+	p.mu.Unlock()
+	return p.arena.Vector(n)
 }
 
-// Put returns v to the arena. Vectors of the wrong length are dropped so
-// arbitrary caller-constructed buffers can be released safely.
+// Put returns v to the free list. Vectors of the wrong length are
+// dropped so arbitrary caller-constructed buffers can be released
+// safely.
 func (p *VecPool) Put(v Vector) {
 	if len(v) != p.n {
 		return
 	}
-	vp := p.boxes.Get().(*Vector)
-	*vp = v
-	p.vecs.Put(vp)
+	p.mu.Lock()
+	p.free = append(p.free, v)
+	p.mu.Unlock()
 }

@@ -1,10 +1,12 @@
 #!/bin/sh
-# profile.sh — capture pprof CPU + allocation profiles for the two
+# profile.sh — capture pprof CPU + allocation profiles for the three
 # workloads the perf work steers by: the figure2 end-to-end run (via
-# dlsim's -cpuprofile/-memprofile flags) and the dense-wake arm (via
-# the IntraArmSpeedup benchmark). Writes raw profiles plus plain-text
-# top-20 summaries under profiles/ — the summaries are what DESIGN.md's
-# "Where the time goes" section is built from.
+# dlsim's -cpuprofile/-memprofile flags), the dense-wake arm (via the
+# IntraArmSpeedup benchmark) and a sweep of sub-millisecond arms (via
+# the LightArmSweep benchmark, which also prints KiB and collections
+# per arm). Writes raw profiles plus plain-text top-20 summaries under
+# profiles/ — the summaries are what DESIGN.md's "Where the time goes"
+# section is built from.
 #
 # Usage: scripts/profile.sh [outdir]   (default: profiles/)
 set -eu
@@ -26,7 +28,13 @@ go test -run=NONE -bench='BenchmarkIntraArmSpeedup' -benchtime=5x \
     -memprofile "$OUT/intraarm_mem.pprof" \
     -o "$OUT/bench.test" . >/dev/null
 
-for p in figure2_cpu figure2_mem intraarm_cpu intraarm_mem; do
+echo "== light-arm sweep (LightArmSweep benchmark, 64 arms per iteration) =="
+go test -run=NONE -bench='BenchmarkLightArmSweep' -benchtime=100x \
+    -cpuprofile "$OUT/lightarm_cpu.pprof" \
+    -memprofile "$OUT/lightarm_mem.pprof" \
+    -o "$OUT/bench.test" . | grep '^Benchmark'
+
+for p in figure2_cpu figure2_mem intraarm_cpu intraarm_mem lightarm_cpu lightarm_mem; do
     case "$p" in
         *_mem) sample="-sample_index=alloc_space" ;;
         *) sample="" ;;
