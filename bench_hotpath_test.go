@@ -341,6 +341,12 @@ func TestLightArmAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
+	if raceDetector {
+		// sync.Pool drops a share of its items at random under the race
+		// detector, so arms re-allocate the arena and the byte count
+		// swings between 97 and 140 KiB from run to run.
+		t.Skip("the arm arena's sync.Pool is lossy under -race")
+	}
 	const arms = 64
 	runLightArms(t, 1)
 	bytes, objects, _ := runLightArms(t, arms)

@@ -25,6 +25,7 @@ import (
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/graph"
 	"gossipmia/internal/mia"
+	"gossipmia/internal/netmodel"
 	"gossipmia/internal/nn"
 	"gossipmia/internal/tensor"
 )
@@ -333,11 +334,11 @@ func BenchmarkExtensionEpidemic(b *testing.B) {
 		specs := []struct {
 			label    string
 			protocol string
-			dynamic  bool
+			dynamics gossip.DynamicsKind
 		}{
-			{"cifar10/samo/k=2/static", "samo", false},
-			{"cifar10/samo/k=2/dynamic", "samo", true},
-			{"cifar10/epidemic/fanout=2", "epidemic", false},
+			{"cifar10/samo/k=2/static", "samo", gossip.DynamicsStatic},
+			{"cifar10/samo/k=2/dynamic", "samo", gossip.DynamicsPeerSwap},
+			{"cifar10/epidemic/fanout=2", "epidemic", gossip.DynamicsStatic},
 		}
 		arms := make([]experiment.Arm, 0, len(specs))
 		for off, spec := range specs {
@@ -350,7 +351,7 @@ func BenchmarkExtensionEpidemic(b *testing.B) {
 				Corpus:   data.CIFAR10,
 				Protocol: spec.protocol,
 				Sim: gossip.Config{
-					Nodes: sc.Nodes, ViewSize: 2, Dynamic: spec.dynamic,
+					Nodes: sc.Nodes, ViewSize: 2, Dynamics: spec.dynamics,
 					Rounds: sc.Rounds, Seed: sc.Seed*53 + int64(off),
 				},
 				Train:          train,
@@ -448,7 +449,7 @@ func BenchmarkExtensionMessageLoss(b *testing.B) {
 				Protocol: "samo",
 				Sim: gossip.Config{
 					Nodes: sc.Nodes, ViewSize: 3, Rounds: sc.Rounds,
-					DropProb: drop, Seed: sc.Seed*71 + int64(off),
+					Net: netmodel.Config{DropProb: drop}, Seed: sc.Seed*71 + int64(off),
 				},
 				Train:          train,
 				Part:           core.PartitionConfig{TrainPerNode: sc.TrainPerNode, TestPerNode: sc.TestPerNode},

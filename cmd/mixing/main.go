@@ -34,16 +34,9 @@ func run(args []string) error {
 		return err
 	}
 
-	var sc experiment.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = experiment.TinyScale()
-	case "quick":
-		sc = experiment.QuickScale()
-	case "paper":
-		sc = experiment.PaperScale()
-	default:
-		return fmt.Errorf("unknown scale %q", *scaleName)
+	sc, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		return err
 	}
 	if *n > 0 {
 		sc.SpectralN = *n

@@ -21,11 +21,11 @@ func main() {
 
 func run() error {
 	arms := []struct {
-		label   string
-		dynamic bool
+		label    string
+		dynamics gossip.DynamicsKind
 	}{
-		{"static", false},
-		{"dynamic", true},
+		{"static", gossip.DynamicsStatic},
+		{"dynamic", gossip.DynamicsPeerSwap},
 	}
 	fmt.Print("max per-node canary TPR at 1% FPR by round (2-regular, SAMO, CIFAR-10-like):\n")
 	for _, arm := range arms {
@@ -36,7 +36,7 @@ func run() error {
 			Sim: gossip.Config{
 				Nodes:    10,
 				ViewSize: 2,
-				Dynamic:  arm.dynamic,
+				Dynamics: arm.dynamics,
 				Rounds:   12,
 				Seed:     7,
 			},

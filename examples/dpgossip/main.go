@@ -33,7 +33,7 @@ func run() error {
 			Sim: gossip.Config{
 				Nodes:    8,
 				ViewSize: 3,
-				Dynamic:  true,
+				Dynamics: gossip.DynamicsPeerSwap,
 				Rounds:   6,
 				Seed:     int64(100 + i),
 			},

@@ -35,7 +35,7 @@ func run() error {
 			Sim: gossip.Config{
 				Nodes:    10,
 				ViewSize: 2,
-				Dynamic:  true,
+				Dynamics: gossip.DynamicsPeerSwap,
 				Rounds:   10,
 				Seed:     int64(31 + i),
 			},

@@ -27,7 +27,7 @@ func run() error {
 		Sim: gossip.Config{
 			Nodes:    12,
 			ViewSize: 3,
-			Dynamic:  true,
+			Dynamics: gossip.DynamicsPeerSwap,
 			Rounds:   10,
 			Seed:     42,
 		},

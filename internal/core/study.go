@@ -197,7 +197,7 @@ type Result struct {
 	// BytesSent is the total wire-format traffic in bytes.
 	BytesSent int
 	// MessagesDropped counts transmissions lost in transit — to the
-	// probabilistic failure model (Sim.DropProb / Sim.Net.DropProb), an
+	// probabilistic failure model (Sim.Net.DropProb), an
 	// active network partition, or an offline (churned-out) receiver.
 	MessagesDropped int
 	// MessagesDelayed counts transmissions that went through the

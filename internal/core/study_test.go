@@ -223,7 +223,7 @@ func TestStudyEvalNodesSubset(t *testing.T) {
 func TestStudyBaseProtocolAndDynamic(t *testing.T) {
 	cfg := quickConfig()
 	cfg.Protocol = "base"
-	cfg.Sim.Dynamic = true
+	cfg.Sim.Dynamics = gossip.DynamicsPeerSwap
 	cfg.Sim.Rounds = 4
 	st, err := NewStudy(cfg)
 	if err != nil {

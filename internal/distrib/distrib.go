@@ -277,6 +277,9 @@ type workerRec struct {
 // Dispatcher is safe for concurrent use. Close releases its janitor.
 type Dispatcher struct {
 	cfg Config
+	// now is the dispatcher's clock, read only with mu held so that an
+	// in-package test may replace it (under mu) while the janitor runs.
+	now func() time.Time
 
 	mu       sync.Mutex
 	queue    []*unit
@@ -299,6 +302,7 @@ type Dispatcher struct {
 func New(cfg Config) *Dispatcher {
 	d := &Dispatcher{
 		cfg:         cfg.withDefaults(),
+		now:         time.Now,
 		leases:      make(map[string]*lease),
 		workers:     make(map[string]*workerRec),
 		wake:        make(chan struct{}),
@@ -371,20 +375,13 @@ func (d *Dispatcher) quarantineLocked(rec *workerRec, now time.Time, reason stri
 	rec.probeLease = ""
 	d.quarEvts++
 	for _, l := range d.leases {
-		if l.worker != rec.name || l.done {
+		if l.worker != rec.name || !d.endLeaseLocked(l, rec, now) {
 			continue
 		}
-		l.done = true
 		l.tainted = true
-		l.resolvedAt = now
-		rec.leases--
-		if l.u.state != unitLeased {
-			continue
-		}
-		d.reclaims++
-		if !d.failUnitLocked(l.u, rec.name, "worker quarantined: "+reason) {
-			l.u.state = unitQueued
-			d.queue = append([]*unit{l.u}, d.queue...)
+		if l.u.state == unitLeased {
+			d.reclaims++
+			d.retryUnitLocked(l.u, true, rec.name, "worker quarantined: "+reason)
 		}
 	}
 	// Wake every parked claim: requeued units need a new worker, and a
@@ -429,12 +426,69 @@ func (d *Dispatcher) failUnitLocked(u *unit, worker, reason string) bool {
 	return true
 }
 
+// endLeaseLocked retires a lease and releases its worker's slot. It
+// reports whether the lease was still active.
+func (d *Dispatcher) endLeaseLocked(l *lease, rec *workerRec, now time.Time) bool {
+	if l.done {
+		return false
+	}
+	l.done = true
+	l.resolvedAt = now
+	rec.leases--
+	return true
+}
+
+// chargeLocked bills the worker for a lease that went wrong: a failed
+// half-open probe sends it straight back to quarantine with a doubled
+// cooldown, anything else raises its score by weight.
+func (d *Dispatcher) chargeLocked(rec *workerRec, l *lease, weight float64, now time.Time, reason string) {
+	if l.probe && rec.state == workerQuarantined {
+		rec.probeLease = ""
+		d.quarantineLocked(rec, now, "probe failed: "+reason)
+	} else {
+		d.penalizeLocked(rec, weight, now, reason)
+	}
+}
+
+// retryUnitLocked sends an unresolved unit back for another worker. A
+// non-empty reason first charges the unit a failed attempt on worker,
+// which may poison it instead. held says the lease that just ended was
+// the one holding the unit, so the unit goes to the front of the queue;
+// otherwise it is already queued again (the lease expired earlier) or
+// leased to another worker, and stays where it is.
+func (d *Dispatcher) retryUnitLocked(u *unit, held bool, worker, reason string) {
+	if reason != "" && d.failUnitLocked(u, worker, reason) {
+		d.dequeueLocked(u) // no-op unless the unit sat re-queued
+		return
+	}
+	if held {
+		u.state = unitQueued
+		d.queue = append([]*unit{u}, d.queue...)
+		d.wakeLocked()
+	}
+}
+
+// failLeaseLocked handles an upload the server will not take — an
+// execution error or a rejected payload: retire the lease, bill the
+// worker (blame is its side of the story, reason the unit's), and
+// re-queue or poison the unit so another worker retries it. stale=true
+// reports the unit had already been resolved elsewhere.
+func (d *Dispatcher) failLeaseLocked(l *lease, rec *workerRec, weight float64, blame, reason string, now time.Time) (stale bool) {
+	held := d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased
+	d.chargeLocked(rec, l, weight, now, blame)
+	if l.u.state == unitResolved {
+		d.stales++
+		return true
+	}
+	d.retryUnitLocked(l.u, held, l.worker, reason)
+	return false
+}
+
 // Register adds the worker to the registry ahead of its first claim.
 // Registration is optional — a claim registers implicitly — but an
 // explicit handshake lets the fleet count the worker as live before
 // it parks and pairs with Deregister for a clean exit.
 func (d *Dispatcher) Register(worker string) error {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -443,8 +497,7 @@ func (d *Dispatcher) Register(worker string) error {
 	if d.draining {
 		return ErrDraining
 	}
-	rec := d.recLocked(worker, now)
-	rec.registered = true
+	d.recLocked(worker, d.now()).registered = true
 	return nil
 }
 
@@ -454,35 +507,22 @@ func (d *Dispatcher) Register(worker string) error {
 // worker is leaving, not misbehaving), though a late upload against
 // them is still accepted while the unit sits unclaimed.
 func (d *Dispatcher) Deregister(worker string) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rec, ok := d.workers[worker]
 	if !ok || d.closed {
 		return
 	}
-	requeued := false
+	now := d.now()
 	for _, l := range d.leases {
-		if l.worker != worker || l.done {
-			continue
-		}
-		l.done = true
-		l.resolvedAt = now
-		rec.leases--
-		if l.u.state == unitLeased {
-			l.u.state = unitQueued
-			d.queue = append([]*unit{l.u}, d.queue...)
+		if l.worker == worker && d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased {
 			d.reclaims++
-			requeued = true
+			d.retryUnitLocked(l.u, true, worker, "")
 		}
 	}
-	delete(d.workers, worker)
 	// Parked claims from the worker, if any, re-register it on their
-	// next pass; waking them here lets an already-departed worker's
-	// stragglers notice the empty queue promptly.
-	if requeued {
-		d.wakeLocked()
-	}
+	// next pass.
+	delete(d.workers, worker)
 }
 
 // Execute submits the unit to the worker fleet and blocks until a
@@ -499,7 +539,7 @@ func (d *Dispatcher) Execute(ctx context.Context, spec Unit) (any, string, error
 		d.mu.Unlock()
 		return nil, "", ErrClosed
 	}
-	if d.draining || !d.liveLocked(time.Now()) {
+	if d.draining || d.liveWorkersLocked(d.now()) == 0 {
 		d.noWorkers++
 		d.mu.Unlock()
 		return nil, "", ErrNoWorkers
@@ -547,26 +587,12 @@ func (d *Dispatcher) dequeueLocked(u *unit) {
 	}
 }
 
-// liveLocked reports whether any live (not quarantined, not draining)
-// worker is parked in a claim or was seen within WorkerTTL.
-func (d *Dispatcher) liveLocked(now time.Time) bool {
-	for _, rec := range d.workers {
-		if rec.state != workerLive {
-			continue
-		}
-		if rec.parked > 0 || now.Sub(rec.seen) <= d.cfg.WorkerTTL {
-			return true
-		}
-	}
-	return false
-}
-
 // LiveWorkers counts workers currently parked in a claim or seen
 // within WorkerTTL, excluding quarantined and draining ones.
 func (d *Dispatcher) LiveWorkers() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.liveWorkersLocked(time.Now())
+	return d.liveWorkersLocked(d.now())
 }
 
 func (d *Dispatcher) liveWorkersLocked(now time.Time) int {
@@ -593,7 +619,6 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 	timer := time.NewTimer(wait)
 	defer timer.Stop()
 	for {
-		now := time.Now()
 		d.mu.Lock()
 		if d.closed {
 			d.mu.Unlock()
@@ -603,6 +628,7 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 			d.mu.Unlock()
 			return Lease{}, false, ErrDraining
 		}
+		now := d.now()
 		rec := d.recLocked(worker, now)
 		probe := false
 		if rec.state == workerQuarantined {
@@ -659,14 +685,13 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 		case <-timer.C:
 		case <-ctx.Done():
 		}
-		now = time.Now()
 		d.mu.Lock()
 		if r, ok := d.workers[worker]; ok {
 			r.parked--
 			if r.parked < 0 {
 				r.parked = 0
 			}
-			r.seen = now
+			r.seen = d.now()
 		}
 		d.mu.Unlock()
 		if !again {
@@ -678,13 +703,13 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 // Heartbeat extends a lease's deadline by LeaseTTL and returns the new
 // deadline. Expired, resolved, or unknown leases get ErrLeaseNotFound.
 func (d *Dispatcher) Heartbeat(leaseID string) (time.Time, error) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l, ok := d.leases[leaseID]
 	if !ok || l.done || l.u.state != unitLeased {
 		return time.Time{}, ErrLeaseNotFound
 	}
+	now := d.now()
 	l.deadline = now.Add(d.cfg.LeaseTTL)
 	d.recLocked(l.worker, now)
 	return l.deadline, nil
@@ -703,23 +728,19 @@ func (d *Dispatcher) Heartbeat(leaseID string) (time.Time, error) {
 // worker (or poisoned) rather than failing the submitter — a broken
 // worker must not take the sweep down with it.
 func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale bool, err error) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l, ok := d.leases[leaseID]
 	if !ok {
 		return false, ErrLeaseNotFound
 	}
+	now := d.now()
 	rec := d.recLocked(l.worker, now)
-	active := !l.done
-	if active {
-		l.done = true
-		l.resolvedAt = now
-		rec.leases--
-	}
 	if workErr != nil {
-		return d.completeErrLocked(l, rec, active, workErr, now)
+		rec.uploadErrs++
+		return d.failLeaseLocked(l, rec, 1, "execution error: "+workErr.Error(), workErr.Error(), now), nil
 	}
+	d.endLeaseLocked(l, rec, now)
 	u := l.u
 	if l.tainted || u.state == unitResolved {
 		d.stales++
@@ -739,95 +760,36 @@ func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale 
 	return false, nil
 }
 
-// completeErrLocked handles an error upload: penalize the worker,
-// record the failure on the unit, and re-queue (or poison) the unit
-// so another worker retries it.
-func (d *Dispatcher) completeErrLocked(l *lease, rec *workerRec, active bool, workErr error, now time.Time) (bool, error) {
-	rec.uploadErrs++
-	if l.probe && rec.state == workerQuarantined {
-		// The half-open probe failed: straight back to quarantine with
-		// a doubled cooldown.
-		rec.probeLease = ""
-		d.quarantineLocked(rec, now, "probe failed: "+workErr.Error())
-	} else {
-		d.penalizeLocked(rec, 1, now, "execution error: "+workErr.Error())
-	}
-	u := l.u
-	if u.state == unitResolved {
-		d.stales++
-		return true, nil
-	}
-	if d.failUnitLocked(u, l.worker, workErr.Error()) {
-		d.dequeueLocked(u) // no-op unless the unit sat re-queued
-		return false, nil
-	}
-	// Not poisoned: make sure the unit is back in the queue. It may
-	// already be there (the lease expired earlier) or leased to
-	// another worker (leave that lease alone).
-	if active && u.state == unitLeased {
-		u.state = unitQueued
-		d.queue = append([]*unit{u}, d.queue...)
-		d.wakeLocked()
-	}
-	return false, nil
-}
-
 // Reject refuses an upload whose payload failed server-side
 // verification (checksum mismatch): the worker takes a heavy health
 // penalty, the unit is charged a failure and re-queued (or poisoned),
 // and the lease is tainted so nothing else arrives on it. stale=true
 // reports the unit had already been resolved elsewhere.
 func (d *Dispatcher) Reject(leaseID, reason string) (stale bool, err error) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l, ok := d.leases[leaseID]
 	if !ok {
 		return false, ErrLeaseNotFound
 	}
+	now := d.now()
 	rec := d.recLocked(l.worker, now)
-	active := !l.done
-	if active {
-		l.done = true
-		l.resolvedAt = now
-		rec.leases--
-	}
 	l.tainted = true
 	d.rejected++
 	rec.mismatches++
-	if l.probe && rec.state == workerQuarantined {
-		rec.probeLease = ""
-		d.quarantineLocked(rec, now, "probe failed: "+reason)
-	} else {
-		d.penalizeLocked(rec, 2, now, reason)
-	}
-	u := l.u
-	if u.state == unitResolved {
-		d.stales++
-		return true, nil
-	}
-	if d.failUnitLocked(u, l.worker, reason) {
-		d.dequeueLocked(u)
-		return false, nil
-	}
-	if active && u.state == unitLeased {
-		u.state = unitQueued
-		d.queue = append([]*unit{u}, d.queue...)
-		d.wakeLocked()
-	}
-	return false, nil
+	return d.failLeaseLocked(l, rec, 2, reason, reason, now), nil
 }
 
 // Quarantine forces the worker into quarantine immediately, whatever
 // its score — the audit path calls this when a worker is caught
 // returning divergent bytes.
 func (d *Dispatcher) Quarantine(worker, reason string) {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return
 	}
+	now := d.now()
 	rec := d.recLocked(worker, now)
 	rec.mismatches++
 	if rec.state == workerQuarantined {
@@ -888,9 +850,9 @@ func (d *Dispatcher) Close() {
 
 // Stats returns a counters snapshot with one row per known worker.
 func (d *Dispatcher) Stats() Stats {
-	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	now := d.now()
 	active := 0
 	for _, l := range d.leases {
 		if !l.done {
@@ -960,13 +922,12 @@ func (d *Dispatcher) janitor() {
 			return
 		case <-tick.C:
 		}
-		now := time.Now()
 		d.mu.Lock()
 		if d.closed {
 			d.mu.Unlock()
 			return
 		}
-		requeued := false
+		now := d.now()
 		for id, l := range d.leases {
 			if l.done {
 				// Keep resolved leases around long enough for a late
@@ -979,32 +940,17 @@ func (d *Dispatcher) janitor() {
 			if !now.After(l.deadline) {
 				continue
 			}
-			l.done = true
-			l.resolvedAt = now
 			rec := d.recLockedNoTouch(l.worker)
-			if rec != nil {
-				rec.leases--
-				rec.expiries++
-				if l.probe && rec.state == workerQuarantined {
-					rec.probeLease = ""
-					d.quarantineLocked(rec, now, "probe lease expired")
-				} else {
-					d.penalizeLocked(rec, 1, now, "lease expired without heartbeat")
-				}
-			}
+			d.endLeaseLocked(l, rec, now)
+			rec.expiries++
+			d.chargeLocked(rec, l, 1, now, "lease expired without heartbeat")
 			if l.u.state == unitLeased {
 				d.reclaims++
-				if !d.failUnitLocked(l.u, l.worker, "lease expired (worker crashed or wedged)") {
-					l.u.state = unitQueued
-					d.queue = append([]*unit{l.u}, d.queue...)
-					requeued = true
-				}
+				d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
 			}
 		}
-		if len(d.queue) > 0 && (d.draining || !d.liveLocked(now)) {
+		if len(d.queue) > 0 && (d.draining || d.liveWorkersLocked(now) == 0) {
 			d.failQueueLocked()
-		} else if requeued {
-			d.wakeLocked()
 		}
 		for w, rec := range d.workers {
 			if rec.parked > 0 || rec.leases > 0 {

@@ -88,6 +88,15 @@ func TestQuarantineOnRepeatedErrors(t *testing.T) {
 	}
 }
 
+// advanceClock moves the dispatcher's clock dt ahead of where it was,
+// so a test can cross a cooldown without sleeping through it.
+func advanceClock(d *Dispatcher, dt time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	clock := d.now
+	d.now = func() time.Time { return clock().Add(dt) }
+}
+
 // TestProbeReinstatesWorker: after the cooldown a quarantined worker
 // gets exactly one half-open probe claim; completing it successfully
 // reinstates the worker with a clean score.
@@ -101,7 +110,7 @@ func TestProbeReinstatesWorker(t *testing.T) {
 	if _, _, err := d.Claim(context.Background(), "w1", time.Millisecond); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("claim inside cooldown = %v, want ErrQuarantined", err)
 	}
-	time.Sleep(cfg.Cooldown + 10*time.Millisecond)
+	advanceClock(d, cfg.Cooldown+10*time.Millisecond)
 
 	// Keep the fleet live through a second worker so Execute queues.
 	registerWorker(t, d, "w2")
@@ -135,7 +144,7 @@ func TestProbeFailureDoublesCooldown(t *testing.T) {
 	registerWorker(t, d, "w1")
 
 	d.Quarantine("w1", "bad bytes")
-	time.Sleep(cfg.Cooldown + 10*time.Millisecond)
+	advanceClock(d, cfg.Cooldown+10*time.Millisecond)
 	registerWorker(t, d, "w2")
 
 	done := execAsync(context.Background(), d, testUnit("probe2"))

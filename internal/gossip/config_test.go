@@ -29,8 +29,8 @@ func TestConfigValidateErrorPaths(t *testing.T) {
 		{"bad ticks", func(c *Config) { c.TicksPerRound = 0 }, "ticksPerRound"},
 		{"bad wake mean", func(c *Config) { c.WakeMean = 0 }, "wakeMean"},
 		{"negative wake std", func(c *Config) { c.WakeStd = -1 }, "wakeStd"},
-		{"drop prob one", func(c *Config) { c.DropProb = 1 }, "dropProb"},
-		{"drop prob negative", func(c *Config) { c.DropProb = -0.2 }, "dropProb"},
+		{"drop prob one", func(c *Config) { c.Net.DropProb = 1 }, "dropProb"},
+		{"drop prob negative", func(c *Config) { c.Net.DropProb = -0.2 }, "dropProb"},
 		{"dynamics out of range", func(c *Config) { c.Dynamics = DynamicsCyclon + 1 }, "dynamics"},
 		{"net invalid", func(c *Config) { c.Net = netmodel.Config{DropProb: 7} }, "net"},
 		{"net bad partition", func(c *Config) {
@@ -134,11 +134,6 @@ func TestConfigDefaultedRoundTrip(t *testing.T) {
 	}
 	if got := explicit.Defaulted(); !reflect.DeepEqual(got, explicit) {
 		t.Fatalf("explicit values overwritten: %+v vs %+v", got, explicit)
-	}
-	// ...and resolves the Dynamic shorthand.
-	dyn := Config{Nodes: 8, ViewSize: 2, Rounds: 3, Dynamic: true}.Defaulted()
-	if dyn.Dynamics != DynamicsPeerSwap {
-		t.Fatalf("Dynamic shorthand resolved to %v", dyn.Dynamics)
 	}
 }
 

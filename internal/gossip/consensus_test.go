@@ -69,7 +69,7 @@ func TestGossipDrivesConsensus(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sim := perturbedConsensusSim(t, Config{
-				Nodes: 12, ViewSize: 3, Rounds: 20, Seed: 21, Dynamic: true,
+				Nodes: 12, ViewSize: 3, Rounds: 20, Seed: 21, Dynamics: DynamicsPeerSwap,
 			}, tc.protocol)
 			before := dispersion(t, sim)
 			if err := sim.Run(nil); err != nil {
@@ -87,17 +87,17 @@ func TestDynamicConsensusBeatsStaticOnSparseGraph(t *testing.T) {
 	// The learning-level counterpart of Figure 10: with the same sparse
 	// 2-regular budget and no training, PeerSwap dynamics must reach
 	// tighter consensus than the static graph.
-	run := func(dynamic bool) float64 {
+	run := func(dynamics DynamicsKind) float64 {
 		sim := perturbedConsensusSim(t, Config{
-			Nodes: 20, ViewSize: 2, Rounds: 25, Seed: 33, Dynamic: dynamic,
+			Nodes: 20, ViewSize: 2, Rounds: 25, Seed: 33, Dynamics: dynamics,
 		}, SAMO{})
 		if err := sim.Run(nil); err != nil {
 			t.Fatal(err)
 		}
 		return dispersion(t, sim)
 	}
-	static := run(false)
-	dynamic := run(true)
+	static := run(DynamicsStatic)
+	dynamic := run(DynamicsPeerSwap)
 	if dynamic >= static {
 		t.Fatalf("dynamic dispersion %v should be below static %v", dynamic, static)
 	}

@@ -12,10 +12,6 @@ func TestDynamicsDefaulting(t *testing.T) {
 	if c.Dynamics != DynamicsStatic {
 		t.Fatalf("default dynamics = %d, want static", c.Dynamics)
 	}
-	c = Config{Nodes: 6, ViewSize: 2, Rounds: 1, Dynamic: true}.Defaulted()
-	if c.Dynamics != DynamicsPeerSwap {
-		t.Fatalf("dynamic=true dynamics = %d, want peerswap", c.Dynamics)
-	}
 	c = Config{Nodes: 6, ViewSize: 2, Rounds: 1, Dynamics: DynamicsCyclon}.Defaulted()
 	if c.Dynamics != DynamicsCyclon {
 		t.Fatalf("explicit dynamics overridden: %d", c.Dynamics)

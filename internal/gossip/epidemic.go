@@ -1,15 +1,13 @@
 package gossip
 
-import (
-	"fmt"
-)
+import "slices"
 
 // Epidemic implements Epidemic Learning (De Vos et al., NeurIPS 2023), a
 // dynamic-by-construction protocol the paper's related work highlights:
-// on each wake-up a node merges pending models (like SAMO) and then
-// sends its model to Fanout peers sampled uniformly from the whole
-// network, with no fixed view at all. It is the limit case of topology
-// dynamics and a useful extension baseline for the mixing analysis.
+// on each wake-up a node merges pending models (like SAMO) and sends
+// its model to Fanout peers sampled uniformly from the whole network,
+// with no fixed view at all. It is the limit case of topology dynamics
+// and a useful extension baseline for the mixing analysis.
 type Epidemic struct {
 	// Fanout is the number of uniformly sampled recipients per wake-up
 	// (s in the Epidemic Learning paper). Values below 1 are treated
@@ -18,41 +16,31 @@ type Epidemic struct {
 }
 
 var _ Protocol = Epidemic{}
+var _ PassiveReceiver = Epidemic{}
 
 // Name implements Protocol.
 func (Epidemic) Name() string { return "epidemic" }
 
-// OnWake implements Protocol: merge-once, train, then push to Fanout
-// uniformly random peers.
-func (p Epidemic) OnWake(node *Node, net Network) error {
-	if err := (SAMO{}).mergeAndTrain(node); err != nil {
-		return err
-	}
-	n := net.Size()
-	if n < 2 {
-		return fmt.Errorf("epidemic with %d nodes: %w", n, ErrProtocol)
-	}
-	fanout := p.Fanout
-	if fanout < 1 {
-		fanout = 1
-	}
-	if fanout > n-1 {
-		fanout = n - 1
-	}
-	// Sample fanout distinct peers other than the sender.
-	seen := make(map[int]bool, fanout)
-	for len(seen) < fanout {
-		j := node.RNG.Intn(n)
-		if j == node.ID || seen[j] {
-			continue
-		}
-		seen[j] = true
-		if err := net.Send(node.ID, j, node.Model.Params()); err != nil {
-			return err
+// ReceivesPassively implements PassiveReceiver: OnReceive is a pure
+// inbox append.
+func (Epidemic) ReceivesPassively() bool { return true }
+
+// Targets implements Protocol: Fanout distinct peers other than the
+// sender, drawn uniformly from the whole network (the view is unused).
+func (p Epidemic) Targets(node *Node, _ []int, size int, dst []int) ([]int, error) {
+	fanout := min(max(p.Fanout, 1), size-1)
+	picked := len(dst)
+	for len(dst)-picked < fanout {
+		j := node.RNG.Intn(size)
+		if j != node.ID && !slices.Contains(dst[picked:], j) {
+			dst = append(dst, j)
 		}
 	}
-	return nil
+	return dst, nil
 }
+
+// Wake implements Protocol: merge-once and train, as in SAMO.
+func (Epidemic) Wake(node *Node) error { return SAMO{}.Wake(node) }
 
 // OnReceive implements Protocol: store for the next merge, as in SAMO.
 func (Epidemic) OnReceive(node *Node, msg Message) error {

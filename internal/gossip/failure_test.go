@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"gossipmia/internal/metrics"
+	"gossipmia/internal/netmodel"
 	"gossipmia/internal/tensor"
 	"gossipmia/internal/wire"
 )
 
 func TestDropProbValidation(t *testing.T) {
-	cfg := Config{Nodes: 6, ViewSize: 2, Rounds: 1, DropProb: 1}.Defaulted()
+	cfg := Config{Nodes: 6, ViewSize: 2, Rounds: 1, Net: netmodel.Config{DropProb: 1}}.Defaulted()
 	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("dropProb=1 error = %v", err)
 	}
-	cfg.DropProb = -0.1
+	cfg.Net.DropProb = -0.1
 	if err := cfg.Validate(); !errors.Is(err, ErrConfig) {
 		t.Fatalf("dropProb<0 error = %v", err)
 	}
@@ -22,7 +23,7 @@ func TestDropProbValidation(t *testing.T) {
 
 func TestDropNearOnePreventsDelivery(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
-	sim, err := New(Config{Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 1, DropProb: 0.999},
+	sim, err := New(Config{Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 1, Net: netmodel.Config{DropProb: 0.999}},
 		SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,7 @@ func TestDropNearOnePreventsDelivery(t *testing.T) {
 
 func TestLearningSurvivesModerateLoss(t *testing.T) {
 	model, parts, globalTest := testWorld(t, 8, 20)
-	sim, err := New(Config{Nodes: 8, ViewSize: 3, Rounds: 12, Seed: 5, DropProb: 0.3},
+	sim, err := New(Config{Nodes: 8, ViewSize: 3, Rounds: 12, Seed: 5, Net: netmodel.Config{DropProb: 0.3}},
 		SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	}
 	node := sim.Nodes()[0]
 	before := sim.MessagesSent()
-	if err := (Epidemic{Fanout: 3}).OnWake(node, sim); err != nil {
+	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 3 {
@@ -121,7 +122,8 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	}
 	// Fanout beyond n-1 is capped.
 	before = sim.MessagesSent()
-	if err := (Epidemic{Fanout: 100}).OnWake(node, sim); err != nil {
+	sim.protocol = Epidemic{Fanout: 100}
+	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 5 {
@@ -129,7 +131,8 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	}
 	// Fanout below 1 becomes 1.
 	before = sim.MessagesSent()
-	if err := (Epidemic{}).OnWake(node, sim); err != nil {
+	sim.protocol = Epidemic{}
+	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 1 {
@@ -154,7 +157,7 @@ func TestEpidemicMergesLikeSAMO(t *testing.T) {
 		t.Fatal("epidemic should store on receive")
 	}
 	before := node.Model.ParamsCopy()
-	if err := (Epidemic{Fanout: 1}).OnWake(node, sim); err != nil {
+	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Inbox) != 0 {

@@ -60,8 +60,8 @@ func TestColoredScheduleBeatsContiguousPacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTickEngine(sim, SAMO{}, cfg.Workers)
-	defer e.close()
+	e := newTickEngine(sim, cfg.Workers)
+	defer e.pool.Close()
 	next := 0
 	planned, err := e.planStage(&next)
 	if err != nil {

@@ -182,7 +182,7 @@ func TestSAMOMergeOnceSemantics(t *testing.T) {
 		t.Fatalf("inbox size %d, want 1", len(node.Inbox))
 	}
 	// On wake it merges, trains, clears the inbox, and sends to all.
-	if err := (SAMO{}).OnWake(node, sim); err != nil {
+	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Inbox) != 0 {
@@ -217,7 +217,7 @@ func TestSAMONoDelayAblationMergesImmediately(t *testing.T) {
 
 func TestDynamicKeepsGraphRegular(t *testing.T) {
 	model, parts, _ := testWorld(t, 10, 10)
-	sim, err := New(Config{Nodes: 10, ViewSize: 2, Dynamic: true, Rounds: 5, Seed: 7},
+	sim, err := New(Config{Nodes: 10, ViewSize: 2, Dynamics: DynamicsPeerSwap, Rounds: 5, Seed: 7},
 		SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)

@@ -1,50 +1,46 @@
 package gossip
 
 import (
-	"fmt"
-
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/par"
-	"gossipmia/internal/wire"
 )
 
 // This file implements node-parallel tick execution: a single arm's
-// tick loop fanned out over worker goroutines while staying
-// byte-identical to the serial loop in simulator.go.
+// tick fanned out over worker goroutines while staying byte-identical
+// to Simulator.serialTick. The engine owns only the scheduling — which
+// wakes may run together, in what order, and whose error is reported;
+// what a wake, a send and a delivery do is the Simulator's primitives
+// (simulator.go), called here in the serial loop's order.
 //
-// Each tick runs in phases:
+// After churn and drainDue (Run, shared with the serial loop) a tick is:
 //
-//  1. Churn transitions (serial, unchanged).
-//  2. Due queued deliveries, grouped by receiver and handed to the
-//     protocol concurrently on the engine's worker pool — per-receiver
-//     drain order preserved. OnReceive touches only receiver-local
-//     state (model, inbox, the node's own RNG), so receivers commute.
-//  3. Wake-ups, in one or more stages. Every stage is a serial
+//  1. Due queued deliveries, grouped by receiver and handed to
+//     receiveQueued concurrently on the engine's worker pool —
+//     per-receiver drain order preserved. OnReceive touches only
+//     receiver-local state (model, inbox, the node's own RNG), so
+//     receivers commute.
+//  2. Wake-ups, in one or more stages. Every stage is a serial
 //     *planning* pass followed by a parallel *compute* pass:
 //
 //     Planning walks due wakers in node-ID order and performs exactly
-//     the shared-state work the serial loop would: topology dynamics
-//     (PeerSwap / Cyclon shuffles mutate the shared graph or sampler),
-//     a view snapshot, the protocol's peer selection
-//     (WakePlanner.PlanTargets, drawing the node's own RNG in serial
-//     order), and the transport's per-send Plan calls — whose drop
-//     coins and counters consume the shared stream in exactly the
-//     serial send order (ascending waker ID, view order within a
-//     wake).
+//     the shared-state work the serial loop would: planWake (topology
+//     dynamics, then the protocol's Targets drawing the node's own RNG
+//     in serial order) and one planSend per target — whose drop coins
+//     and counters consume the shared stream in exactly the serial send
+//     order (ascending waker ID, target order within a wake).
 //
 //     Compute packs the planned wakes into conflict-free batches by
 //     greedy precedence coloring over the touch-set interference
 //     graph (see computeStage) and runs each batch's wakes
 //     concurrently on the engine's persistent worker pool: each
-//     wake's local work (WakePlanner.ComputeWake — merge pending
-//     models, train) plus its inline deliveries (protocol.OnReceive
-//     on the target, for transports that deliver at the send tick).
-//     Two wakes conflict when their touched node sets — the waker
-//     plus its inline targets — intersect; conflicting wakes are
-//     assigned strictly increasing colors, so they execute in serial
-//     order with a barrier between their batches, while
-//     non-conflicting wakes share a batch regardless of where they
-//     sit in node-ID order.
+//     wake's local work (Protocol.Wake — merge pending models, train)
+//     plus carry for each of its sends (inline OnReceive on the
+//     target, or the queued copy). Two wakes conflict when their
+//     touched node sets — the waker plus its inline targets —
+//     intersect; conflicting wakes are assigned strictly increasing
+//     colors, so they execute in serial order with a barrier between
+//     their batches, while non-conflicting wakes share a batch
+//     regardless of where they sit in node-ID order.
 //
 //     For protocols whose OnReceive can advance the receiver's RNG
 //     (training on receive, like BaseGossip), a stage ends early when
@@ -53,48 +49,23 @@ import (
 //     receive-triggered training draws from its RNG *before* its own
 //     wake draws, so its planning must wait until the earlier wakes
 //     have computed. Protocols that implement PassiveReceiver
-//     (standard SAMO — OnReceive only appends to the inbox) have no
-//     such draw, so the whole tick plans in a single stage and the
-//     coloring alone enforces the compute order — including a waker
-//     that receives before (or after) its own wake in serial order.
+//     (standard SAMO, Epidemic — OnReceive only appends to the inbox)
+//     have no such draw, so the whole tick plans in a single stage and
+//     the coloring alone enforces the compute order — including a
+//     waker that receives before (or after) its own wake in serial
+//     order.
 //
-//  4. Commit (serial): queued sends copied during compute are pushed
-//     into the transport's delivery heap in (waker, send) order — the
-//     exact order the serial loop's Send calls would have scheduled
-//     them, preserving the heap's FIFO tie-break.
+//  3. Commit (serial): queued sends copied during compute are
+//     scheduled in (waker, send) order — the exact order the serial
+//     loop's Send calls would have scheduled them, preserving the
+//     delivery queue's FIFO tie-break.
 //
 // Because planning preserves every shared-RNG draw and counter update
 // in serial order, compute touches only node-local state under mutual
 // exclusion with conflicting units ordered as the serial loop orders
 // them, and commit preserves queue order, the observable run — every
 // parameter byte, every counter, every error — equals the serial
-// loop's for any worker count. Protocols opt in via WakePlanner;
-// Epidemic cannot (its fanout sampling draws *after* training), so it
-// keeps the serial loop.
-
-// WakePlanner is implemented by protocols whose wake-time peer
-// selection can run ahead of the wake's local work without changing
-// the node's RNG draw order — i.e. OnWake's selection draws (if any)
-// happen before any other RNG use of the wake. The parallel tick
-// engine then splits a wake into PlanTargets (serial planning pass)
-// and ComputeWake (parallel compute pass), and transmits
-// node.Model.Params() to the planned targets itself, exactly as OnWake
-// would after its local work.
-type WakePlanner interface {
-	// PlanTargets appends the peers this wake will send to, in send
-	// order, to dst and returns it. It must consume exactly the
-	// node-RNG draws OnWake performs for peer selection, and must
-	// report the same error OnWake would for an unusable view.
-	PlanTargets(node *Node, view []int, size int, dst []int) ([]int, error)
-	// ComputeWake performs the wake's local work — merging pending
-	// models, training — without sending.
-	ComputeWake(node *Node) error
-}
-
-var (
-	_ WakePlanner = BaseGossip{}
-	_ WakePlanner = SAMO{}
-)
+// loop's for any worker count and every protocol.
 
 // SchedStats describes the schedule the node-parallel engine executed
 // for one run: how many wake-ups it planned and how tightly it packed
@@ -125,45 +96,25 @@ func (st SchedStats) Occupancy() float64 {
 	return float64(st.Units) / float64(st.Batches)
 }
 
-// sendMode classifies a planned transmission.
-type sendMode uint8
-
-const (
-	sendDropped sendMode = iota // lost: failure model, partition, or offline receiver
-	sendInline                  // delivered at the send tick, inside the compute pass
-	sendQueued                  // scheduled into the delivery heap at commit
-)
-
-// plannedSend is one transmission whose fate the planning pass fixed.
-type plannedSend struct {
-	to        int
-	deliverAt int
-	mode      sendMode
-	buf       []float64 // queued payload, copied during compute
-}
-
 // tickUnit is one planned wake-up.
 type tickUnit struct {
-	node    *Node
-	targets []int
-	sends   []plannedSend
-	err     error
+	node  *Node
+	sends []plannedSend
+	err   error
 }
 
 // recvGroup is one receiver's due deliveries for the current tick, in
 // drain order.
 type recvGroup struct {
 	to    int
-	idxs  []int // indices into Simulator.drainBuf
+	idxs  []int // indices into the tick's due deliveries
 	err   error
 	errAt int // drain index of the failing delivery, for deterministic reporting
 }
 
 // tickEngine holds the reusable scratch of the parallel tick loop.
 type tickEngine struct {
-	s       *Simulator
-	planner WakePlanner
-	workers int
+	s *Simulator
 	// passive marks a PassiveReceiver protocol: inline deliveries do
 	// not advance the receiver's RNG, so planning never needs to wait
 	// for compute and each tick is a single stage.
@@ -173,6 +124,7 @@ type tickEngine struct {
 	pool *par.Pool
 
 	units       []tickUnit
+	due         []netmodel.Delivery // this tick's deliveries, from drainDue
 	recv        []recvGroup
 	group       []int  // node -> recvGroup index this tick, -1 when none
 	tainted     []bool // per-node inline-target marks of the current stage
@@ -204,11 +156,9 @@ type tickEngine struct {
 }
 
 // newTickEngine assembles the engine and its persistent pool.
-func newTickEngine(s *Simulator, planner WakePlanner, workers int) *tickEngine {
+func newTickEngine(s *Simulator, workers int) *tickEngine {
 	e := &tickEngine{
 		s:         s,
-		planner:   planner,
-		workers:   workers,
 		pool:      par.NewPool(workers),
 		group:     make([]int, len(s.nodes)),
 		tainted:   make([]bool, len(s.nodes)),
@@ -229,56 +179,28 @@ func newTickEngine(s *Simulator, planner WakePlanner, workers int) *tickEngine {
 	return e
 }
 
-// close releases the engine's worker pool.
-func (e *tickEngine) close() { e.pool.Close() }
-
-// runParallel is Run on the node-parallel engine.
-func (s *Simulator) runParallel(observer Observer, planner WakePlanner, workers int) error {
-	e := newTickEngine(s, planner, workers)
-	defer e.close()
-	defer func() { s.sched = e.stats }()
-	totalTicks := s.cfg.Rounds * s.cfg.TicksPerRound
-	for ; s.tick < totalTicks; s.tick++ {
-		e.stats.Ticks++
-		s.applyChurn()
-		if err := e.deliverDue(); err != nil {
-			return err
-		}
-		if err := e.runWakes(); err != nil {
-			return err
-		}
-		if err := s.observeTick(observer); err != nil {
-			return err
-		}
+// tick is serialTick on the node-parallel engine.
+func (e *tickEngine) tick(due []netmodel.Delivery) error {
+	e.stats.Ticks++
+	if err := e.deliver(due); err != nil {
+		return err
 	}
-	return nil
+	return e.runWakes()
 }
 
-// deliverDue is the parallel counterpart of Simulator.deliverDue:
-// deliveries to offline nodes are screened out serially (counters and
-// arena recycling), the rest are grouped by receiver and processed
-// concurrently with per-receiver drain order preserved. On failure the
-// error of the earliest drained delivery is reported, matching the
-// serial loop's first-failure semantics.
-func (e *tickEngine) deliverDue() error {
-	s := e.s
-	if s.transport.Pending() == 0 {
-		return nil
-	}
-	s.drainBuf = s.transport.Drain(s.drainBuf[:0], s.tick)
+// deliver groups the tick's due deliveries by receiver and processes
+// the groups concurrently with per-receiver drain order preserved. On
+// failure the error of the earliest drained delivery is reported,
+// matching the serial loop's first-failure semantics.
+func (e *tickEngine) deliver(due []netmodel.Delivery) error {
+	e.due = due
 	e.recv = e.recv[:0]
-	for i := range s.drainBuf {
-		d := &s.drainBuf[i]
-		if s.down[d.To] {
-			s.messagesDropped++
-			s.pool.Put(d.Params)
-			d.Params = nil
-			continue
-		}
-		gi := e.group[d.To]
+	for i := range due {
+		to := due[i].To
+		gi := e.group[to]
 		if gi < 0 {
-			gi = e.growRecv(d.To)
-			e.group[d.To] = gi
+			gi = e.growRecv(to)
+			e.group[to] = gi
 		}
 		e.recv[gi].idxs = append(e.recv[gi].idxs, i)
 	}
@@ -297,19 +219,10 @@ func (e *tickEngine) deliverDue() error {
 
 // runRecvGroup drains one receiver's due deliveries in drain order.
 func (e *tickEngine) runRecvGroup(gi int) {
-	s := e.s
 	g := &e.recv[gi]
 	for _, di := range g.idxs {
-		d := &s.drainBuf[di]
-		params := d.Params
-		d.Params = nil
-		err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: params})
-		if s.syncRecv {
-			s.pool.Put(params) // VecPool is safe for concurrent use
-		}
-		if err != nil {
-			g.err = fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
-			g.errAt = di
+		if err := e.s.receiveQueued(&e.due[di]); err != nil {
+			g.err, g.errAt = err, di
 			return
 		}
 	}
@@ -348,23 +261,21 @@ func (e *tickEngine) runWakes() error {
 		if err := e.computeStage(); err != nil {
 			return err
 		}
-		if err := e.commitStage(); err != nil {
-			return err
-		}
+		e.commitStage()
 	}
 	return nil
 }
 
 // planStage is the serial planning pass: it advances *next over due
-// wakers in node-ID order — applying dynamics, snapshotting views,
-// selecting peers, and planning transports exactly as the serial loop
-// interleaves them — until the scan ends or (for protocols whose
-// OnReceive advances the receiver's RNG) the next waker is an inline
-// target of a wake already planned in this stage, whose compute must
-// run first to keep that node's RNG order serial. PassiveReceiver
-// protocols never break: their receive path is an inbox append, so a
-// tainted waker's planning reads the same RNG state either way, and
-// the compute-order hazard is handled by the precedence coloring.
+// wakers in node-ID order — planWake, then planSend per target, exactly
+// as the serial loop interleaves them — until the scan ends or (for
+// protocols whose OnReceive advances the receiver's RNG) the next waker
+// is an inline target of a wake already planned in this stage, whose
+// compute must run first to keep that node's RNG order serial.
+// PassiveReceiver protocols never break: their receive path is an inbox
+// append, so a tainted waker's planning reads the same RNG state either
+// way, and the compute-order hazard is handled by the precedence
+// coloring.
 func (e *tickEngine) planStage(next *int) (int, error) {
 	s := e.s
 	e.units = e.units[:0]
@@ -382,59 +293,29 @@ func (e *tickEngine) planStage(next *int) (int, error) {
 		if !e.passive && e.tainted[node.ID] {
 			break // planned earlier wakes deliver to it this tick
 		}
-		switch s.cfg.Dynamics {
-		case DynamicsPeerSwap:
-			s.topo.PeerSwap(node.ID, node.RNG)
-		case DynamicsCyclon:
-			s.sampler.Shuffle(node.ID)
+		targets, err := s.planWake(node)
+		if err != nil {
+			return 0, err
 		}
 		u := e.growUnit()
 		u.node = node
-		// The snapshot is consumed here and now: a later same-tick
-		// waker's PeerSwap must not be visible to this wake, exactly as
-		// in the serial loop's read-during-wake ordering.
-		view := s.View(node.ID)
-		var err error
-		u.targets, err = e.planner.PlanTargets(node, view, len(s.nodes), u.targets[:0])
-		if err != nil {
-			return 0, fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, s.tick, err)
-		}
-		wireBytes := wire.ParamsWireSize(node.Model.NumParams())
-		for _, to := range u.targets {
-			if to < 0 || to >= len(s.nodes) {
-				err := fmt.Errorf("%w: send to unknown node %d", ErrProtocol, to)
-				return 0, fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, s.tick, err)
+		for _, to := range targets {
+			p, err := s.planSend(node.ID, to, node.Model.NumParams())
+			if err != nil {
+				return 0, s.wakeErr(node, err)
 			}
-			s.messagesSent++
-			s.bytesSent += wireBytes
-			if s.down[to] {
-				s.messagesDropped++
-				u.sends = append(u.sends, plannedSend{to: to, mode: sendDropped})
-				continue
+			u.sends = append(u.sends, p)
+			if p.mode == sendInline && !e.passive && !e.tainted[to] {
+				e.tainted[to] = true
+				e.taintedList = append(e.taintedList, to)
 			}
-			deliverAt, dropped := s.transport.Plan(s.tick, node.ID, to, wireBytes)
-			if dropped {
-				s.messagesDropped++
-				u.sends = append(u.sends, plannedSend{to: to, mode: sendDropped})
-				continue
-			}
-			if deliverAt <= s.tick {
-				u.sends = append(u.sends, plannedSend{to: to, mode: sendInline})
-				if !e.passive && !e.tainted[to] {
-					e.tainted[to] = true
-					e.taintedList = append(e.taintedList, to)
-				}
-				continue
-			}
-			s.messagesDelayed++
-			u.sends = append(u.sends, plannedSend{to: to, deliverAt: deliverAt, mode: sendQueued})
 		}
 		node.nextWake = s.tick + node.interval
 	}
 	return len(e.units), nil
 }
 
-// growUnit appends a unit slot, reusing target/send capacity.
+// growUnit appends a unit slot, reusing send capacity.
 func (e *tickEngine) growUnit() *tickUnit {
 	if len(e.units) < cap(e.units) {
 		e.units = e.units[:len(e.units)+1]
@@ -563,56 +444,31 @@ func (e *tickEngine) computeStage() error {
 }
 
 // runUnit performs one wake's compute: the protocol's local work, then
-// its planned sends — inline deliveries on this goroutine (the batch
-// guarantees exclusive access to the targets), queued payload copies
-// for the commit pass.
+// carry for each planned send — inline deliveries on this goroutine
+// (the batch guarantees exclusive access to the targets), queued
+// payload copies for the commit pass.
 func (e *tickEngine) runUnit(u *tickUnit) error {
 	s := e.s
-	if err := e.planner.ComputeWake(u.node); err != nil {
-		return fmt.Errorf("gossip: node %d wake at tick %d: %w", u.node.ID, s.tick, err)
+	if err := s.protocol.Wake(u.node); err != nil {
+		return s.wakeErr(u.node, err)
 	}
 	params := u.node.Model.Params()
 	for si := range u.sends {
-		p := &u.sends[si]
-		switch p.mode {
-		case sendInline:
-			msg := Message{From: u.node.ID}
-			if s.syncRecv {
-				msg.Params = params
-			} else {
-				buf := s.pool.Get(len(params))
-				copy(buf, params)
-				msg.Params = buf
-			}
-			if err := s.protocol.OnReceive(s.nodes[p.to], msg); err != nil {
-				return fmt.Errorf("gossip: node %d wake at tick %d: %w", u.node.ID, s.tick, err)
-			}
-		case sendQueued:
-			buf := s.pool.Get(len(params))
-			copy(buf, params)
-			p.buf = buf
+		if err := s.carry(&u.sends[si], params); err != nil {
+			return s.wakeErr(u.node, err)
 		}
 	}
 	return nil
 }
 
-// commitStage schedules the stage's queued sends into the transport in
-// (waker, send) order — the serial loop's send order, preserving the
-// delivery heap's FIFO tie-break for same-tick deliveries.
-func (e *tickEngine) commitStage() error {
-	s := e.s
+// commitStage schedules the stage's queued sends in (waker, send) order
+// — the serial loop's send order, preserving the delivery queue's FIFO
+// tie-break for same-tick deliveries.
+func (e *tickEngine) commitStage() {
 	for ui := range e.units {
 		u := &e.units[ui]
 		for si := range u.sends {
-			p := &u.sends[si]
-			if p.mode != sendQueued || p.buf == nil {
-				continue
-			}
-			s.transport.Schedule(netmodel.Delivery{
-				From: u.node.ID, To: p.to, SentTick: s.tick, DeliverAt: p.deliverAt, Params: p.buf,
-			})
-			p.buf = nil
+			e.s.schedule(&u.sends[si])
 		}
 	}
-	return nil
 }

@@ -5,7 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"gossipmia/internal/data"
 	"gossipmia/internal/netmodel"
+	"gossipmia/internal/nn"
+	"gossipmia/internal/tensor"
 )
 
 // runFingerprint runs one simulation and captures everything the engine
@@ -13,6 +16,14 @@ import (
 // parameter vector (exact bits), the unmerged inbox payloads, and all
 // run counters.
 func runFingerprint(t *testing.T, cfg Config, protocol Protocol) string {
+	t.Helper()
+	fp, _ := runFingerprintSched(t, cfg, protocol)
+	return fp
+}
+
+// runFingerprintSched is runFingerprint plus the schedule the run
+// reports, which says which tick loop it took.
+func runFingerprintSched(t *testing.T, cfg Config, protocol Protocol) (string, SchedStats) {
 	t.Helper()
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
 	sim, err := New(cfg, protocol, model, parts, testFactory())
@@ -36,7 +47,7 @@ func runFingerprint(t *testing.T, cfg Config, protocol Protocol) string {
 		}
 	}
 	return fmt.Sprintf("sent=%d dropped=%d delayed=%d bytes=%d pending=%d|%x",
-		sim.MessagesSent(), sim.MessagesDropped(), sim.MessagesDelayed(), sim.BytesSent(), sim.PendingDeliveries(), out)
+		sim.MessagesSent(), sim.MessagesDropped(), sim.MessagesDelayed(), sim.BytesSent(), sim.PendingDeliveries(), out), sim.SchedStats()
 }
 
 func appendBits(dst []byte, v float64) []byte {
@@ -80,28 +91,41 @@ func parallelScenarios() map[string]Config {
 	}
 }
 
-// TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single
-// arm's run must be byte-identical — every parameter bit, every inbox
-// payload, every counter — for any Workers setting, for every protocol
-// and scenario in the matrix. Run under -race this also proves the
-// compute batches share no node state.
-func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
-	protocols := map[string]Protocol{
+// matrixProtocols is every protocol the matrix runs: everything
+// ProtocolByName resolves.
+func matrixProtocols() map[string]Protocol {
+	return map[string]Protocol{
 		"base":         BaseGossip{},
 		"samo":         SAMO{},
 		"samo-nodelay": SAMO{MergeOnReceive: true},
-		"epidemic":     Epidemic{Fanout: 2}, // no WakePlanner: pins the serial fallback
+		"epidemic":     Epidemic{Fanout: 2},
 	}
+}
+
+// TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single
+// arm's run must be byte-identical — every parameter bit, every inbox
+// payload, every counter — for any Workers setting, for every protocol
+// and scenario in the matrix, with the serial loop at Workers = 1 and
+// the engine (it planned wake units) above. Run under -race this also
+// proves the compute batches share no node state.
+func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
 	for scName, cfg := range parallelScenarios() {
-		for pName, proto := range protocols {
+		for pName, proto := range matrixProtocols() {
 			t.Run(scName+"/"+pName, func(t *testing.T) {
 				cfg := cfg
 				cfg.Workers = 1
-				want := runFingerprint(t, cfg, proto)
+				want, sched := runFingerprintSched(t, cfg, proto)
+				if sched != (SchedStats{}) {
+					t.Fatalf("workers=1 ran on the engine: %+v", sched)
+				}
 				for _, workers := range []int{2, 3, 8} {
 					cfg.Workers = workers
-					if got := runFingerprint(t, cfg, proto); got != want {
+					got, sched := runFingerprintSched(t, cfg, proto)
+					if got != want {
 						t.Fatalf("workers=%d diverged from serial run", workers)
+					}
+					if sched.Units == 0 {
+						t.Fatalf("workers=%d did not run on the engine", workers)
 					}
 				}
 			})
@@ -109,50 +133,54 @@ func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelEngineEngages makes sure the matrix above actually
-// exercises the engine: with Workers > 1 and a planning protocol the
-// parallel path must be taken (guarded indirectly — a waker that sends
-// to itself would deadlock conflict batching; here we just pin the
-// WakePlanner wiring).
-func TestParallelEngineEngages(t *testing.T) {
-	if _, ok := Protocol(BaseGossip{}).(WakePlanner); !ok {
-		t.Fatal("BaseGossip must implement WakePlanner")
-	}
-	if _, ok := Protocol(SAMO{}).(WakePlanner); !ok {
-		t.Fatal("SAMO must implement WakePlanner")
-	}
-	if _, ok := Protocol(Epidemic{}).(WakePlanner); ok {
-		t.Fatal("Epidemic draws targets after training; it must not plan wakes")
-	}
+// failingUpdater fails its node's failAt-th local update and every one
+// after it.
+type failingUpdater struct {
+	LocalUpdater
+	failAt, calls int
 }
 
-// TestPlanTargetsMatchesOnWakeSelection pins the WakePlanner contract
-// for BaseGossip: planning consumes exactly the RNG draw OnWake's
-// selection does, leaving the node stream in the same state.
-func TestPlanTargetsMatchesOnWakeSelection(t *testing.T) {
-	model, parts, _ := testWorld(t, 6, 10)
-	cfg := Config{Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 5}
-	simA, err := New(cfg, BaseGossip{}, model, parts, testFactory())
-	if err != nil {
-		t.Fatal(err)
+func (u *failingUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {
+	if u.calls++; u.calls >= u.failAt {
+		return fmt.Errorf("injected failure on update %d", u.calls)
 	}
-	simB, err := New(cfg, BaseGossip{}, model, parts, testFactory())
-	if err != nil {
-		t.Fatal(err)
+	return u.LocalUpdater.Update(model, train, rng)
+}
+
+// TestFirstErrorMatchesSerialLoop holds the engine to "report exactly
+// the error the serial loop would have hit first": every node's updater
+// starts failing after a few updates, so one tick can hold several
+// failing wakes and deliveries, in one batch or across batches, and the
+// error string — which names the node and the tick — must be the serial
+// loop's at every worker count.
+func TestFirstErrorMatchesSerialLoop(t *testing.T) {
+	run := func(t *testing.T, cfg Config, proto Protocol) string {
+		model, parts, _ := testWorld(t, cfg.Nodes, 10)
+		inner := testFactory()
+		sim, err := New(cfg, proto, model, parts, func(id int) LocalUpdater {
+			return &failingUpdater{LocalUpdater: inner(id), failAt: 2 + id%3}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err = sim.Run(nil); err == nil {
+			t.Fatal("run survived the injected failures")
+		}
+		return err.Error()
 	}
-	nodeA, nodeB := simA.Nodes()[0], simB.Nodes()[0]
-	view := simA.View(0)
-	targets, err := BaseGossip{}.PlanTargets(nodeA, view, 6, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantView := simB.View(0)
-	want := wantView[nodeB.RNG.Intn(len(wantView))]
-	if len(targets) != 1 || targets[0] != want {
-		t.Fatalf("planned targets %v, OnWake would pick %d", targets, want)
-	}
-	// Streams must now agree.
-	if a, b := nodeA.RNG.Int63(), nodeB.RNG.Int63(); a != b {
-		t.Fatalf("RNG streams diverged after planning: %d vs %d", a, b)
+	for scName, cfg := range parallelScenarios() {
+		for pName, proto := range matrixProtocols() {
+			t.Run(scName+"/"+pName, func(t *testing.T) {
+				cfg := cfg
+				cfg.Workers = 1
+				want := run(t, cfg, proto)
+				for _, workers := range []int{2, 3, 8} {
+					cfg.Workers = workers
+					if got := run(t, cfg, proto); got != want {
+						t.Fatalf("workers=%d reported %q, serial loop %q", workers, got, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -3,36 +3,29 @@ package gossip
 import (
 	"errors"
 	"fmt"
-
-	"gossipmia/internal/tensor"
 )
 
 // ErrProtocol is returned for protocol-level failures (empty views,
 // incompatible models).
 var ErrProtocol = errors.New("gossip: protocol error")
 
-// Network is the sending facility handed to protocols on wake-up: Send
-// transmits a copy of params to the given peer, View lists the node's
-// current neighbors, and Size reports the network size (used by
-// protocols that sample peers beyond the view, e.g. Epidemic).
-type Network interface {
-	// Send delivers params to peer `to`. Delivery is immediate in the
-	// simulator (the paper's model exchange has no transmission delay).
-	Send(from, to int, params tensor.Vector) error
-	// View returns the sender's current neighbor set.
-	View(node int) []int
-	// Size returns the total number of nodes.
-	Size() int
-}
-
-// Protocol defines a gossip learning protocol by its two reactions:
-// waking up within a time frame, and receiving a model from a peer.
+// Protocol defines a gossip learning protocol by the three parts of
+// Algorithms 1 and 2: whom a waking node sends to, what it does to its
+// own model on waking, and what it does with a model it receives. The
+// simulator does the sending: each wake is Targets, then Wake, then one
+// transmission of the node's current model per target — in both tick
+// loops, so neither can disagree with the other about a protocol.
 type Protocol interface {
 	// Name returns a short identifier ("base", "samo").
 	Name() string
-	// OnWake is invoked when node wakes; the protocol may train, merge,
-	// and send through net.
-	OnWake(node *Node, net Network) error
+	// Targets appends to dst the peers this wake sends to, in send
+	// order, chosen from view (the node's current neighbors) or from
+	// the whole network of size nodes. It runs before Wake and may draw
+	// from node.RNG for the selection only.
+	Targets(node *Node, view []int, size int, dst []int) ([]int, error)
+	// Wake performs the wake's local work — merging pending models,
+	// training — without sending.
+	Wake(node *Node) error
 	// OnReceive is invoked when node receives msg.
 	OnReceive(node *Node, msg Message) error
 }
@@ -80,15 +73,18 @@ func (BaseGossip) Name() string { return "base" }
 // consumes the incoming model inside OnReceive.
 func (BaseGossip) ReceivesSynchronously() bool { return true }
 
-// OnWake implements Protocol: select j ∈ N_i at random, send θi.
-func (BaseGossip) OnWake(node *Node, net Network) error {
-	view := net.View(node.ID)
+// Targets implements Protocol: select j ∈ N_i uniformly at random — the
+// wake's only RNG use.
+func (BaseGossip) Targets(node *Node, view []int, size int, dst []int) ([]int, error) {
 	if len(view) == 0 {
-		return fmt.Errorf("node %d has empty view: %w", node.ID, ErrProtocol)
+		return dst, fmt.Errorf("node %d has empty view: %w", node.ID, ErrProtocol)
 	}
-	j := view[node.RNG.Intn(len(view))]
-	return net.Send(node.ID, j, node.Model.Params())
+	return append(dst, view[node.RNG.Intn(len(view))]), nil
 }
+
+// Wake implements Protocol: Base Gossip trains on receive, so the wake
+// itself has no local work.
+func (BaseGossip) Wake(*Node) error { return nil }
 
 // OnReceive implements Protocol: θi ← (θi+θj)/2, then local update. The
 // pairwise average runs on the unrolled add/scale vector kernels:
@@ -105,20 +101,6 @@ func (BaseGossip) OnReceive(node *Node, msg Message) error {
 	params.Scale(0.5)
 	return node.localUpdate()
 }
-
-// PlanTargets implements WakePlanner: the one uniformly chosen neighbor,
-// drawn exactly as OnWake draws it (the wake's only RNG use, so the
-// planning pass leaves the node's stream in the same state).
-func (BaseGossip) PlanTargets(node *Node, view []int, size int, dst []int) ([]int, error) {
-	if len(view) == 0 {
-		return dst, fmt.Errorf("node %d has empty view: %w", node.ID, ErrProtocol)
-	}
-	return append(dst, view[node.RNG.Intn(len(view))]), nil
-}
-
-// ComputeWake implements WakePlanner: Base Gossip trains on receive, so
-// the wake itself has no local work.
-func (BaseGossip) ComputeWake(*Node) error { return nil }
 
 // SAMO is Algorithm 2 (Send-All-Merge-Once): received models are stored;
 // on wake, if any were received, the node averages them with its own
@@ -155,27 +137,20 @@ func (p SAMO) ReceivesSynchronously() bool { return p.MergeOnReceive }
 // nodelay ablation trains on receive and stays staged.
 func (p SAMO) ReceivesPassively() bool { return !p.MergeOnReceive }
 
-// OnWake implements Protocol.
-func (p SAMO) OnWake(node *Node, net Network) error {
-	if err := p.mergeAndTrain(node); err != nil {
-		return err
-	}
-	for _, j := range net.View(node.ID) {
-		if err := net.Send(node.ID, j, node.Model.Params()); err != nil {
-			return err
-		}
-	}
-	return nil
+// Targets implements Protocol: SAMO disseminates to its whole current
+// view, consuming no randomness.
+func (SAMO) Targets(node *Node, view []int, size int, dst []int) ([]int, error) {
+	return append(dst, view...), nil
 }
 
-// mergeAndTrain performs the merge-once step of Algorithm 2 (lines 3–7):
-// if any models are pending, average them with the node's own and run one
-// local update. Shared with the Epidemic extension protocol. The average
-// accumulates directly into the node's live parameter vector — same
-// summation order as tensor.Average (own model first, inbox order next)
-// but with zero allocation — and the consumed buffers are recycled into
-// the simulator's arena.
-func (p SAMO) mergeAndTrain(node *Node) error {
+// Wake implements Protocol: the merge-once step of Algorithm 2 (lines
+// 3–7) — if any models are pending, average them with the node's own
+// and run one local update. The average accumulates directly into the
+// node's live parameter vector — same summation order as tensor.Average
+// (own model first, inbox order next) but with zero allocation — and
+// the consumed buffers are recycled into the simulator's arena. For the
+// nodelay ablation the inbox is always empty and this is a no-op.
+func (SAMO) Wake(node *Node) error {
 	if len(node.Inbox) == 0 {
 		return nil
 	}
@@ -207,18 +182,6 @@ func (p SAMO) OnReceive(node *Node, msg Message) error {
 	node.Inbox = append(node.Inbox, msg)
 	return nil
 }
-
-// PlanTargets implements WakePlanner: SAMO disseminates to its whole
-// current view, consuming no randomness.
-func (SAMO) PlanTargets(node *Node, view []int, size int, dst []int) ([]int, error) {
-	return append(dst, view...), nil
-}
-
-// ComputeWake implements WakePlanner: the merge-once step plus one local
-// update — exactly the pre-send portion of OnWake. For the nodelay
-// ablation the inbox is always empty and this is a no-op, matching
-// OnWake there too.
-func (p SAMO) ComputeWake(node *Node) error { return p.mergeAndTrain(node) }
 
 // ProtocolByName resolves a protocol identifier used in configs and CLIs.
 func ProtocolByName(name string) (Protocol, error) {

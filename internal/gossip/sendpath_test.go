@@ -62,8 +62,9 @@ func TestSendAccountingAcrossReceivePaths(t *testing.T) {
 // TestSyncFastPathMatchesCloningSend verifies that skipping the
 // defensive per-message clone for synchronous protocols changes nothing
 // observable: a base-gossip run must produce the same models, message
-// counts, and bytes as the historical always-clone behavior, which
-// cloneAlwaysNet reproduces by wrapping the same simulator.
+// counts, and bytes as the historical always-clone behavior, which the
+// reference reproduces with the same wake (planWake, then Wake) and a
+// send of its own that clones before delivery.
 func TestSyncFastPathMatchesCloningSend(t *testing.T) {
 	// Fast path: the simulator's own Send (no clone for BaseGossip).
 	fast := sendPathSim(t, "base", 21)
@@ -71,24 +72,28 @@ func TestSyncFastPathMatchesCloningSend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: identical simulation, but every OnWake goes through a
-	// wrapper network whose Send clones, as the seed implementation did.
 	ref := sendPathSim(t, "base", 21)
-	wrapped := &cloneAlwaysNet{inner: ref}
 	totalTicks := ref.cfg.Rounds * ref.cfg.TicksPerRound
 	for ; ref.tick < totalTicks; ref.tick++ {
 		for _, node := range ref.nodes {
 			if node.nextWake > ref.tick {
 				continue
 			}
-			switch ref.cfg.Dynamics {
-			case DynamicsPeerSwap:
-				ref.topo.PeerSwap(node.ID, node.RNG)
-			case DynamicsCyclon:
-				ref.sampler.Shuffle(node.ID)
-			}
-			if err := ref.protocol.OnWake(node, wrapped); err != nil {
+			targets, err := ref.planWake(node)
+			if err != nil {
 				t.Fatal(err)
+			}
+			if err := ref.protocol.Wake(node); err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range targets {
+				params := node.Model.Params()
+				ref.messagesSent++
+				ref.bytesSent += wire.ParamsWireSize(len(params))
+				msg := Message{From: node.ID, Params: params.Clone()}
+				if err := ref.protocol.OnReceive(ref.nodes[to], msg); err != nil {
+					t.Fatal(err)
+				}
 			}
 			node.nextWake = ref.tick + node.interval
 		}
@@ -104,25 +109,6 @@ func TestSyncFastPathMatchesCloningSend(t *testing.T) {
 		}
 	}
 }
-
-// cloneAlwaysNet forwards to the simulator but forces the historical
-// defensive clone before delivery.
-type cloneAlwaysNet struct {
-	inner *Simulator
-}
-
-func (c *cloneAlwaysNet) Send(from, to int, params tensor.Vector) error {
-	if to < 0 || to >= len(c.inner.nodes) {
-		return ErrProtocol
-	}
-	c.inner.messagesSent++
-	c.inner.bytesSent += wire.ParamsWireSize(len(params))
-	msg := Message{From: from, Params: params.Clone()}
-	return c.inner.protocol.OnReceive(c.inner.nodes[to], msg)
-}
-
-func (c *cloneAlwaysNet) View(node int) []int { return c.inner.View(node) }
-func (c *cloneAlwaysNet) Size() int           { return c.inner.Size() }
 
 // TestInboxBuffersAreRecycled checks the pooled-inbox path: after a
 // SAMO merge the inbox is emptied and its buffers returned to the arena
@@ -144,7 +130,7 @@ func TestInboxBuffersAreRecycled(t *testing.T) {
 	if &node.Inbox[0].Params[0] == &sender.Model.Params()[0] {
 		t.Fatal("retaining protocol received an aliased buffer")
 	}
-	if err := (SAMO{}).mergeAndTrain(node); err != nil {
+	if err := (SAMO{}).Wake(node); err != nil {
 		t.Fatal(err)
 	}
 	if len(node.Inbox) != 0 {

@@ -21,15 +21,14 @@ var ErrConfig = errors.New("gossip: invalid config")
 // DynamicsKind selects how the communication topology evolves.
 type DynamicsKind int
 
-// The three supported dynamics. The paper studies Static and PeerSwap;
-// Cyclon replaces the k-regular undirected graph with a full random
-// peer sampling service whose directed views refresh on every wake-up
-// (Section 2.4's "RPS such as [35]").
+// The three supported dynamics; the zero value is Static. The paper
+// studies Static and PeerSwap (on wake, a node first swaps its graph
+// position with a random neighbor); Cyclon replaces the k-regular
+// undirected graph with a full random peer sampling service whose
+// directed views refresh on every wake-up (Section 2.4's "RPS such as
+// [35]").
 const (
-	// DynamicsDefault resolves to PeerSwap when Config.Dynamic is set,
-	// Static otherwise (backward-compatible zero value).
-	DynamicsDefault DynamicsKind = iota
-	DynamicsStatic
+	DynamicsStatic DynamicsKind = iota
 	DynamicsPeerSwap
 	DynamicsCyclon
 )
@@ -40,12 +39,7 @@ type Config struct {
 	Nodes int
 	// ViewSize is k, the regular degree (2, 5, 10 or 25 in the paper).
 	ViewSize int
-	// Dynamic selects PeerSwap topology dynamics: on wake, a node first
-	// swaps its graph position with a random neighbor. Shorthand for
-	// Dynamics = DynamicsPeerSwap.
-	Dynamic bool
-	// Dynamics selects the topology evolution explicitly; when left at
-	// DynamicsDefault the Dynamic flag decides.
+	// Dynamics selects the topology evolution.
 	Dynamics DynamicsKind
 	// Rounds is the number of communication rounds to simulate.
 	Rounds int
@@ -54,16 +48,12 @@ type Config struct {
 	// WakeMean/WakeStd parameterize the per-node wake interval
 	// Δi ~ N(WakeMean, WakeStd²) sampled once at start (paper: 100, 10).
 	WakeMean, WakeStd float64
-	// DropProb is the probability that any model transmission is lost in
-	// transit (failure injection; 0 disables). Gossip protocols tolerate
-	// loss by design — dropped models are simply never merged. It is
-	// absorbed by the transport layer (netmodel.Lossy); Net.DropProb
-	// takes precedence when both are set.
-	DropProb float64
 	// Net selects and parameterizes the transport model for message
-	// delivery. The zero value is the Instant transport — the paper's
-	// zero-transmission-delay semantics, byte-identical to the seed
-	// implementation.
+	// delivery, including the probability Net.DropProb that a
+	// transmission is lost in transit (gossip protocols tolerate loss by
+	// design — dropped models are simply never merged). The zero value
+	// is the Instant transport — the paper's zero-transmission-delay
+	// semantics, byte-identical to the seed implementation.
 	Net netmodel.Config
 	// Churn schedules node departures and rejoins, in ticks. While a
 	// node is down it neither wakes nor receives: transmissions
@@ -81,9 +71,7 @@ type Config struct {
 	// conflict-free wake, each node on its own RNG stream) between a
 	// serial planning pass and a serial commit pass, so runs are
 	// byte-identical to the serial path for every setting. 0 means one
-	// worker per CPU, 1 forces the fully serial loop. Protocols whose
-	// peer selection cannot be planned ahead of the wake's local work
-	// (Epidemic) always take the serial loop.
+	// worker per CPU, 1 forces the fully serial loop.
 	Workers int
 }
 
@@ -110,13 +98,6 @@ func (c Config) Defaulted() Config {
 	if c.WakeStd == 0 {
 		c.WakeStd = 10
 	}
-	if c.Dynamics == DynamicsDefault {
-		if c.Dynamic {
-			c.Dynamics = DynamicsPeerSwap
-		} else {
-			c.Dynamics = DynamicsStatic
-		}
-	}
 	return c
 }
 
@@ -135,10 +116,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("%w: ticksPerRound=%d wakeMean=%v wakeStd=%v",
 			ErrConfig, c.TicksPerRound, c.WakeMean, c.WakeStd)
 	}
-	if c.DropProb < 0 || c.DropProb >= 1 {
-		return fmt.Errorf("%w: dropProb=%v out of [0,1)", ErrConfig, c.DropProb)
-	}
-	if c.Dynamics < DynamicsDefault || c.Dynamics > DynamicsCyclon {
+	if c.Dynamics < DynamicsStatic || c.Dynamics > DynamicsCyclon {
 		return fmt.Errorf("%w: dynamics=%d", ErrConfig, c.Dynamics)
 	}
 	if err := c.Net.Validate(c.Nodes); err != nil {
@@ -193,8 +171,10 @@ type Simulator struct {
 	// transport decides, per message, between loss, inline delivery,
 	// and queued delivery at a later tick (drained at tick start).
 	transport netmodel.Transport
-	// drainBuf is the reusable scratch for draining due deliveries.
+	// drainBuf and targets are the reusable scratch of drainDue and
+	// planWake.
 	drainBuf []netmodel.Delivery
+	targets  []int
 
 	// churn state: transitions sorted by tick, the index of the next
 	// one to apply, and the per-node offline flags.
@@ -203,7 +183,7 @@ type Simulator struct {
 	down      []bool
 
 	// pool recycles per-message parameter buffers; syncRecv marks that
-	// the protocol consumes messages inside OnReceive, letting Send skip
+	// the protocol consumes messages inside OnReceive, letting carry skip
 	// the per-message copy entirely.
 	pool     *tensor.VecPool
 	syncRecv bool
@@ -225,8 +205,6 @@ type churnTransition struct {
 	tick, node int
 	up         bool
 }
-
-var _ Network = (*Simulator)(nil)
 
 // New builds a simulator. Every node starts from a clone of the shared
 // initial model (the common θ0 of the paper), owns its NodeData split,
@@ -292,11 +270,7 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	// kinds, and its drop coin interleaves with the run exactly as the
 	// seed implementation's DropProb check did — the Instant path stays
 	// byte-identical.
-	netCfg := cfg.Net
-	if netCfg.DropProb == 0 {
-		netCfg.DropProb = cfg.DropProb
-	}
-	s.transport, err = netmodel.New(netCfg, cfg.Nodes, rng)
+	s.transport, err = netmodel.New(cfg.Net, cfg.Nodes, rng)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build transport: %w", err)
 	}
@@ -365,28 +339,66 @@ func (s *Simulator) Tick() int { return s.tick }
 
 // SchedStats reports the schedule the node-parallel tick engine
 // executed — planned wake units, conflict-free batches, and stages.
-// All-zero when the run took the serial loop (Workers <= 1 or a
-// non-planning protocol).
+// All-zero when the run took the serial loop (Workers <= 1).
 func (s *Simulator) SchedStats() SchedStats { return s.sched }
 
-// Send implements Network: the transport plans the transmission's fate —
-// lost (failure model, partition, or offline receiver), delivered
-// inline on this call stack (the Instant transport, the paper's
+// Every run is made of the six primitives below, each decision written
+// once: planWake and planSend fix, in serial order, everything that
+// touches shared state (topology, the transport's RNG, the counters);
+// carry moves a payload and touches only the two nodes involved;
+// schedule, drainDue and receiveQueued are the queue's two ends. The
+// serial loop calls them back to back per wake; the node-parallel
+// engine (parallel.go) calls the same ones from its plan, compute and
+// commit passes.
+
+// sendMode classifies a planned transmission.
+type sendMode uint8
+
+const (
+	sendDropped sendMode = iota // lost: failure model, partition, or offline receiver
+	sendInline                  // delivered at the send tick, by carry
+	sendQueued                  // copied by carry, put on the delivery queue by schedule
+)
+
+// plannedSend is one transmission whose fate planSend fixed.
+type plannedSend struct {
+	from, to  int
+	deliverAt int
+	mode      sendMode
+	buf       tensor.Vector // queued payload, copied by carry
+}
+
+// planWake opens one wake-up of node: topology dynamics first (PeerSwap
+// or a Cyclon shuffle, Section 2.4), then the protocol's peer selection
+// on the view as it stands — a later same-tick waker's swap must not be
+// visible to this wake. The returned slice is valid until the next
+// planWake.
+func (s *Simulator) planWake(node *Node) ([]int, error) {
+	switch s.cfg.Dynamics {
+	case DynamicsPeerSwap:
+		s.topo.PeerSwap(node.ID, node.RNG)
+	case DynamicsCyclon:
+		s.sampler.Shuffle(node.ID)
+	}
+	var err error
+	s.targets, err = s.protocol.Targets(node, s.View(node.ID), len(s.nodes), s.targets[:0])
+	if err != nil {
+		return nil, s.wakeErr(node, err)
+	}
+	return s.targets, nil
+}
+
+// planSend decides the fate of one transmission of a model of nparams
+// parameters: lost (failure model, partition, or offline receiver),
+// delivered inline at the send tick (the Instant transport, the paper's
 // zero-delay semantics), or queued for a later tick. The sender pays
 // the communication cost in every case.
-//
-// Allocation discipline on the inline path: when the protocol merges
-// synchronously (SyncReceiver), the receiver reads the sender's live
-// parameters directly and no copy is made. Otherwise — and for every
-// queued delivery, whose payload must survive the sender's future
-// updates — the private copy comes from a recycled arena buffer
-// (returned to the pool after the merge), so steady-state sends
-// allocate nothing on any path.
-func (s *Simulator) Send(from, to int, params tensor.Vector) error {
+func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
+	p := plannedSend{from: from, to: to}
 	if to < 0 || to >= len(s.nodes) {
-		return fmt.Errorf("%w: send to unknown node %d", ErrProtocol, to)
+		return p, fmt.Errorf("%w: send to unknown node %d", ErrProtocol, to)
 	}
-	wireBytes := wire.ParamsWireSize(len(params))
+	wireBytes := wire.ParamsWireSize(nparams)
 	s.messagesSent++
 	s.bytesSent += wireBytes
 	// An offline receiver loses the message at send time, before the
@@ -394,35 +406,74 @@ func (s *Simulator) Send(from, to int, params tensor.Vector) error {
 	// dead and the seed RNG stream is untouched.
 	if s.down[to] {
 		s.messagesDropped++
-		return nil
+		return p, nil
 	}
 	deliverAt, dropped := s.transport.Plan(s.tick, from, to, wireBytes)
-	if dropped {
+	switch {
+	case dropped:
 		s.messagesDropped++
+	case deliverAt <= s.tick:
+		p.mode = sendInline
+	default:
+		s.messagesDelayed++
+		p.mode, p.deliverAt = sendQueued, deliverAt
+	}
+	return p, nil
+}
+
+// carry moves the payload of a planned send. Allocation discipline:
+// when the protocol merges synchronously (SyncReceiver), an inline
+// receiver reads the sender's live parameters directly and no copy is
+// made. Otherwise — and for every queued delivery, whose payload must
+// survive the sender's future updates — the private copy comes from a
+// recycled arena buffer (returned to the pool after the merge), so
+// steady-state sends allocate nothing on any path.
+func (s *Simulator) carry(p *plannedSend, params tensor.Vector) error {
+	if p.mode == sendDropped {
 		return nil
 	}
-	if deliverAt <= s.tick {
-		msg := Message{From: from}
-		if s.syncRecv {
-			msg.Params = params
-		} else {
-			buf := s.pool.Get(len(params))
-			copy(buf, params)
-			msg.Params = buf
-		}
-		return s.protocol.OnReceive(s.nodes[to], msg)
+	payload := params
+	if p.mode == sendQueued || !s.syncRecv {
+		payload = s.pool.Get(len(params))
+		copy(payload, params)
 	}
-	buf := s.pool.Get(len(params))
-	copy(buf, params)
-	s.messagesDelayed++
+	if p.mode == sendQueued {
+		p.buf = payload
+		return nil
+	}
+	return s.protocol.OnReceive(s.nodes[p.to], Message{From: p.from, Params: payload})
+}
+
+// schedule puts a queued send that carry has copied on the transport's
+// delivery queue. Callers schedule in send order, which the queue keeps
+// as the tie-break between deliveries due at the same tick.
+func (s *Simulator) schedule(p *plannedSend) {
+	if p.buf == nil {
+		return
+	}
 	s.transport.Schedule(netmodel.Delivery{
-		From: from, To: to, SentTick: s.tick, DeliverAt: deliverAt, Params: buf,
+		From: p.from, To: p.to, SentTick: s.tick, DeliverAt: p.deliverAt, Params: p.buf,
 	})
+	p.buf = nil
+}
+
+// Send transmits params from one node to another on the spot: planSend,
+// carry, schedule. The serial loop's wakes send through it; the engine
+// calls the three steps from its separate passes.
+func (s *Simulator) Send(from, to int, params tensor.Vector) error {
+	p, err := s.planSend(from, to, len(params))
+	if err != nil {
+		return err
+	}
+	if err := s.carry(&p, params); err != nil {
+		return err
+	}
+	s.schedule(&p)
 	return nil
 }
 
-// View implements Network: the k-regular neighborhood, or the RPS view
-// under Cyclon dynamics.
+// View returns node's current neighbor set: the k-regular neighborhood,
+// or the RPS view under Cyclon dynamics.
 func (s *Simulator) View(node int) []int {
 	if s.sampler != nil {
 		return s.sampler.View(node)
@@ -430,43 +481,79 @@ func (s *Simulator) View(node int) []int {
 	return s.topo.Neighbors(node)
 }
 
-// Size implements Network.
-func (s *Simulator) Size() int { return len(s.nodes) }
-
 // Run simulates cfg.Rounds rounds, invoking observer (when non-nil) at
 // every round boundary. Each tick proceeds in a fixed order: churn
 // transitions, then queued deliveries due this tick, then node wake-ups
 // in ID order — so runs are deterministic for every transport.
 //
-// With Workers resolving above one and a WakePlanner protocol, ticks
-// execute on the node-parallel engine (see parallel.go), which is
-// byte-identical to the serial loop below by construction.
+// With Workers resolving above one, each tick's deliveries and wake-ups
+// execute on the node-parallel engine (see parallel.go), which calls
+// the same primitives as serialTick in the same serial order and is
+// therefore byte-identical to it.
 func (s *Simulator) Run(observer Observer) error {
+	tick := s.serialTick
 	if workers := par.Workers(s.cfg.Workers); workers > 1 {
-		if planner, ok := s.protocol.(WakePlanner); ok {
-			return s.runParallel(observer, planner, workers)
-		}
+		e := newTickEngine(s, workers)
+		defer func() {
+			e.pool.Close()
+			s.sched = e.stats
+		}()
+		tick = e.tick
 	}
 	totalTicks := s.cfg.Rounds * s.cfg.TicksPerRound
 	for ; s.tick < totalTicks; s.tick++ {
 		s.applyChurn()
-		if err := s.deliverDue(); err != nil {
+		if err := tick(s.drainDue()); err != nil {
 			return err
-		}
-		for _, node := range s.nodes {
-			if node.nextWake > s.tick || s.down[node.ID] {
-				continue
-			}
-			if err := s.wake(node); err != nil {
-				return err
-			}
-			node.nextWake = s.tick + node.interval
 		}
 		if err := s.observeTick(observer); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// serialTick is the reference tick: due deliveries in drain order, then
+// every due wake-up in node-ID order, each run to completion before the
+// next starts.
+func (s *Simulator) serialTick(due []netmodel.Delivery) error {
+	for i := range due {
+		if err := s.receiveQueued(&due[i]); err != nil {
+			return err
+		}
+	}
+	for _, node := range s.nodes {
+		if node.nextWake > s.tick || s.down[node.ID] {
+			continue
+		}
+		if err := s.wake(node); err != nil {
+			return err
+		}
+		node.nextWake = s.tick + node.interval
+	}
+	return nil
+}
+
+// wake performs one wake-up of node on the serial loop.
+func (s *Simulator) wake(node *Node) error {
+	targets, err := s.planWake(node)
+	if err != nil {
+		return err
+	}
+	if err := s.protocol.Wake(node); err != nil {
+		return s.wakeErr(node, err)
+	}
+	for _, to := range targets {
+		if err := s.Send(node.ID, to, node.Model.Params()); err != nil {
+			return s.wakeErr(node, err)
+		}
+	}
+	return nil
+}
+
+// wakeErr attributes a wake-time failure to its node and tick.
+func (s *Simulator) wakeErr(node *Node, err error) error {
+	return fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, s.tick, err)
 }
 
 // observeTick fires observer when the current tick closes a round.
@@ -498,48 +585,39 @@ func (s *Simulator) applyChurn() {
 	}
 }
 
-// deliverDue drains the transport's queue for the current tick and
-// hands each message to the protocol. Queued payloads are arena
-// buffers: a synchronously merging protocol consumes them here and the
-// buffer is recycled immediately; a retaining protocol keeps the buffer
-// in the node's inbox until RecycleInbox. Deliveries to a node that
-// went offline after the send are lost.
-func (s *Simulator) deliverDue() error {
+// drainDue takes the current tick's due deliveries off the transport's
+// queue, in delivery order, and returns those whose receiver is up; a
+// delivery to a node that went offline after the send is lost here and
+// its buffer recycled.
+func (s *Simulator) drainDue() []netmodel.Delivery {
 	if s.transport.Pending() == 0 {
 		return nil
 	}
-	s.drainBuf = s.transport.Drain(s.drainBuf[:0], s.tick)
-	for i := range s.drainBuf {
-		d := &s.drainBuf[i]
-		params := d.Params
-		d.Params = nil
+	due := s.transport.Drain(s.drainBuf[:0], s.tick)
+	s.drainBuf = due[:0]
+	for _, d := range due {
 		if s.down[d.To] {
 			s.messagesDropped++
-			s.pool.Put(params)
+			s.pool.Put(d.Params)
 			continue
 		}
-		err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: params})
-		if s.syncRecv {
-			s.pool.Put(params)
-		}
-		if err != nil {
-			return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
-		}
+		s.drainBuf = append(s.drainBuf, d)
 	}
-	return nil
+	return s.drainBuf
 }
 
-// wake performs one wake-up of node: topology dynamics first (PeerSwap
-// or a Cyclon shuffle, Section 2.4), then the protocol's wake action.
-func (s *Simulator) wake(node *Node) error {
-	switch s.cfg.Dynamics {
-	case DynamicsPeerSwap:
-		s.topo.PeerSwap(node.ID, node.RNG)
-	case DynamicsCyclon:
-		s.sampler.Shuffle(node.ID)
+// receiveQueued hands one due delivery to the protocol. Queued payloads
+// are arena buffers: a synchronously merging protocol consumes the
+// buffer here and it is recycled immediately; a retaining protocol
+// keeps it in the node's inbox until RecycleInbox.
+func (s *Simulator) receiveQueued(d *netmodel.Delivery) error {
+	err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: d.Params})
+	if s.syncRecv {
+		s.pool.Put(d.Params) // VecPool is safe for concurrent use
 	}
-	if err := s.protocol.OnWake(node, s); err != nil {
-		return fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, s.tick, err)
+	d.Params = nil
+	if err != nil {
+		return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
 	}
 	return nil
 }

@@ -282,8 +282,11 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	// other traffic muddies the counters).
 	for ; sim.tick < 12; sim.tick++ {
 		sim.applyChurn()
-		if err := sim.deliverDue(); err != nil {
-			t.Fatal(err)
+		due := sim.drainDue()
+		for i := range due {
+			if err := sim.receiveQueued(&due[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if sim.MessagesDropped() != 0 {
@@ -383,13 +386,13 @@ func TestChurnedInboxIsRecycled(t *testing.T) {
 }
 
 func TestInstantWithDropProbMatchesSeedStream(t *testing.T) {
-	// The refactor routes DropProb through the Lossy transport; the coin
-	// flips must consume the simulator RNG exactly as the seed code did,
+	// Net.DropProb on the Instant transport is the Lossy transport; the
+	// coin flips must consume the simulator RNG exactly as the seed code did,
 	// so two identically-seeded runs — and, transitively, the pinned
 	// golden figures — stay byte-identical.
 	run := func() (tensor.Vector, int) {
 		model, parts, _ := testWorld(t, 6, 10)
-		sim, err := New(Config{Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 42, DropProb: 0.3},
+		sim, err := New(Config{Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 42, Net: netmodel.Config{DropProb: 0.3}},
 			SAMO{}, model, parts, testFactory())
 		if err != nil {
 			t.Fatal(err)
@@ -403,23 +406,5 @@ func TestInstantWithDropProbMatchesSeedStream(t *testing.T) {
 	b, dropsB := run()
 	if dropsA == 0 || dropsA != dropsB || !tensor.EqualApprox(a, b, 0) {
 		t.Fatalf("dropProb runs diverged: drops %d vs %d", dropsA, dropsB)
-	}
-}
-
-func TestNetDropProbTakesPrecedence(t *testing.T) {
-	model, parts, _ := testWorld(t, 6, 10)
-	sim, err := New(Config{
-		Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 1,
-		DropProb: 0.001,
-		Net:      netmodel.Config{DropProb: 0.999},
-	}, SAMO{}, model, parts, testFactory())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.Run(nil); err != nil {
-		t.Fatal(err)
-	}
-	if float64(sim.MessagesDropped()) < 0.9*float64(sim.MessagesSent()) {
-		t.Fatalf("Net.DropProb ignored: dropped %d of %d", sim.MessagesDropped(), sim.MessagesSent())
 	}
 }

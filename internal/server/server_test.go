@@ -333,6 +333,36 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
+// TestBodyDecodingIsUniform holds every body-decoding route to the
+// same answers: an unknown field is a 400, a body over the limit a
+// 413 — not a 400 quoting the reader's error.
+func TestBodyDecodingIsUniform(t *testing.T) {
+	svc := New(Config{DefaultScale: "tiny", MaxBodyBytes: 512})
+	ts := httptest.NewServer(svc)
+	t.Cleanup(func() {
+		svc.Close()
+		ts.Close()
+	})
+	oversize := `{"worker":"` + strings.Repeat("w", 1024) + `"}`
+	for _, route := range []string{
+		"/v1/jobs", "/v1/work/claim", "/v1/work/register", "/v1/work/deregister", "/v1/work/L1/result",
+	} {
+		for body, want := range map[string]int{
+			`{"bogus":1}`: http.StatusBadRequest,
+			oversize:      http.StatusRequestEntityTooLarge,
+		} {
+			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with %d-byte body -> %d, want %d", route, len(body), resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 // TestMetaEndpoints covers catalog, version, healthz, statz, and the
 // job listing through the SDK client.
 func TestMetaEndpoints(t *testing.T) {

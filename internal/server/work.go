@@ -152,10 +152,7 @@ func (s *Server) auditArm(ctx context.Context, j *job, order dlsim.WorkOrder, wo
 // design) and answers 204 when the wait elapses without work.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req dlsim.ClaimRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad claim request: %v", err)
+	if !decodeBody(w, r, &req, "claim request") {
 		return
 	}
 	if req.Worker == "" {
@@ -211,10 +208,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 // crash.
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req dlsim.RegisterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad register request: %v", err)
+	if !decodeBody(w, r, &req, "register request") {
 		return
 	}
 	if req.Worker == "" {
@@ -237,10 +231,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 // unknown worker is a no-op, so the call is safe to retry.
 func (s *Server) handleDeregister(w http.ResponseWriter, r *http.Request) {
 	var req dlsim.RegisterRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad deregister request: %v", err)
+	if !decodeBody(w, r, &req, "deregister request") {
 		return
 	}
 	if req.Worker == "" {
@@ -282,15 +273,7 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("lease")
 	var res dlsim.WorkResult
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&res); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "result exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		writeErr(w, http.StatusBadRequest, "bad work result: %v", err)
+	if !decodeBody(w, r, &res, "work result") {
 		return
 	}
 	var outcome *dlsim.ArmResult

@@ -47,6 +47,33 @@ if [ -n "$leaks" ]; then
 fi
 echo "pkg/dlsim api gate ok"
 
+# start_serve LOG ARGS… starts the race-enabled `dlsim serve` on an
+# ephemeral port at tiny scale with ARGS, logging to LOG, waits for it
+# to print its address, and sets serve_pid and base. stop_serve sends
+# it SIGTERM (a graceful drain) and waits for it to exit.
+start_serve() {
+    serve_log=$1
+    shift
+    "$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny "$@" >"$serve_log" 2>&1 &
+    serve_pid=$!
+    i=0
+    while [ $i -lt 100 ]; do
+        base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$serve_log")
+        [ -n "$base" ] && return 0
+        kill -0 "$serve_pid" 2>/dev/null || { cat "$serve_log" >&2; exit 1; }
+        sleep 0.1
+        i=$((i + 1))
+    done
+    echo "serve never printed its address" >&2
+    cat "$serve_log" >&2
+    exit 1
+}
+stop_serve() {
+    kill "$serve_pid"
+    wait "$serve_pid" 2>/dev/null || true
+    serve_pid=""
+}
+
 # Spec-engine smoke: run one example spec end-to-end at tiny scale,
 # exercising the manifest, arm store, event streams, and resume.
 specout=$(mktemp -d)
@@ -65,18 +92,7 @@ echo "spec smoke ok"
 # a tiny example spec through the CLI thin client (streams NDJSON
 # events), then submit a second job over raw HTTP and cancel it.
 go build -race -o "$specout/dlsim" ./cmd/dlsim
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny >"$specout/serve.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/serve.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/serve.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "serve never printed its address" >&2; cat "$specout/serve.log" >&2; exit 1; }
+start_serve "$specout/serve.log"
 
 "$specout/dlsim" run -spec examples/specs/latency_churn_dp.json -scale tiny -remote "$base" >"$specout/remote.log"
 grep -q '^event ' "$specout/remote.log" || { echo "remote run streamed no events" >&2; cat "$specout/remote.log" >&2; exit 1; }
@@ -98,9 +114,7 @@ case "$status" in
     *) echo "job after DELETE has status '$status'" >&2; exit 1 ;;
 esac
 curl -sf "$base/v1/healthz" >/dev/null
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 echo "service smoke ok"
 
 # Chaos smoke, race-enabled: serve with injected transient faults, a
@@ -110,39 +124,13 @@ echo "service smoke ok"
 # results.csv must be byte-identical to the fault-free sweep's from the
 # spec smoke above (same spec, scale, and seed).
 ckpt="$specout/ckpt"
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$ckpt" -inject "arm-error=3,errors=1" -retries 3 -retry-base 10ms \
-    -drain 50ms >"$specout/chaos1.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/chaos1.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/chaos1.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "chaos serve never printed its address" >&2; cat "$specout/chaos1.log" >&2; exit 1; }
+start_serve "$specout/chaos1.log" -checkpoint "$ckpt" -inject "arm-error=3,errors=1" -retries 3 -retry-base 10ms -drain 50ms
 printf '{"scale":"tiny","spec":%s}' "$(cat examples/specs/latency_churn_dp.json)" >"$specout/chaosreq.json"
 curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$specout/chaosreq.json" "$base/v1/jobs" >/dev/null
 sleep 0.5
-kill -TERM "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny -checkpoint "$ckpt" >"$specout/chaos2.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/chaos2.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/chaos2.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "chaos restart never printed its address" >&2; cat "$specout/chaos2.log" >&2; exit 1; }
+start_serve "$specout/chaos2.log" -checkpoint "$ckpt"
 # The CLI thin client blocks until the resubmitted job is terminal.
 "$specout/dlsim" run -spec examples/specs/latency_churn_dp.json -scale tiny -remote "$base" >"$specout/chaos-run.log"
 chaos_csv=$(find "$ckpt" -name results.csv | head -n 1)
@@ -152,9 +140,7 @@ cmp -s "$chaos_csv" "$specout/run/results.csv" || {
     diff "$chaos_csv" "$specout/run/results.csv" >&2 || true
     exit 1
 }
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 echo "chaos smoke ok"
 
 # Store smoke: a multi-thousand-arm tiny sweep killed hard mid-run
@@ -225,19 +211,7 @@ echo "store smoke ok"
 distspec=examples/specs/protocol_latency_grid.json
 "$specout/dlsim-store" sweep -spec "$distspec" -scale tiny -out "$specout/dist-file" -events none >/dev/null
 dckpt="$specout/dist-ckpt"
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$dckpt" -lease 2s >"$specout/dist.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/dist.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/dist.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "distributed serve never printed its address" >&2; cat "$specout/dist.log" >&2; exit 1; }
+start_serve "$specout/dist.log" -checkpoint "$dckpt" -lease 2s
 "$specout/dlsim" worker -server "$base" -name w1 -parallel 2 >"$specout/dist-w1.log" 2>&1 &
 w1_pid=$!
 "$specout/dlsim" worker -server "$base" -name w2 -parallel 2 >"$specout/dist-w2.log" 2>&1 &
@@ -264,25 +238,11 @@ cmp -s "$dist_csv" "$specout/dist-file/results.csv" || {
 grep -q 'arm done' "$specout/dist-w1.log" || { echo "surviving worker executed no arms" >&2; cat "$specout/dist-w1.log" >&2; exit 1; }
 kill "$w1_pid" 2>/dev/null || true
 wait "$w1_pid" 2>/dev/null || true
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 
 # Restart over the same store, no fleet: the resubmission is served
 # entirely from the cluster-shared cache.
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$dckpt" >"$specout/dist2.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/dist2.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/dist2.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "distributed restart never printed its address" >&2; cat "$specout/dist2.log" >&2; exit 1; }
+start_serve "$specout/dist2.log" -checkpoint "$dckpt"
 "$specout/dlsim" run -spec "$distspec" -scale tiny -remote "$base" >"$specout/dist-cached.log"
 if grep -q '^event ' "$specout/dist-cached.log"; then
     echo "store-served resubmission re-executed arms (streamed events)" >&2
@@ -294,9 +254,7 @@ grep -q 'cache: 6 hits / 0 misses' "$specout/dist-statz.log" || {
     cat "$specout/dist-statz.log" >&2
     exit 1
 }
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 echo "distributed smoke ok"
 
 # Self-healing fleet smoke, race-enabled: a three-worker fleet where
@@ -308,19 +266,7 @@ echo "distributed smoke ok"
 # single-process baseline. statz must show the penalty counters and
 # the per-worker table.
 hckpt="$specout/heal-ckpt"
-"$specout/dlsim" serve -addr 127.0.0.1:0 -scale tiny \
-    -checkpoint "$hckpt" -lease 2s >"$specout/heal.log" 2>&1 &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base=$(sed -n 's|^dlsim: serving on \(http://[^ ]*\).*|\1|p' "$specout/heal.log")
-    [ -n "$base" ] && break
-    kill -0 "$serve_pid" 2>/dev/null || { cat "$specout/heal.log" >&2; exit 1; }
-    sleep 0.1
-    i=$((i + 1))
-done
-[ -n "$base" ] || { echo "self-heal serve never printed its address" >&2; cat "$specout/heal.log" >&2; exit 1; }
+start_serve "$specout/heal.log" -checkpoint "$hckpt" -lease 2s
 "$specout/dlsim" worker -server "$base" -name good1 >"$specout/heal-good1.log" 2>&1 &
 hw1_pid=$!
 "$specout/dlsim" worker -server "$base" -name good2 >"$specout/heal-good2.log" 2>&1 &
@@ -372,9 +318,7 @@ grep -q 'workers=0' "$specout/heal-statz2.log" || {
     cat "$specout/heal-statz2.log" >&2
     exit 1
 }
-kill "$serve_pid"
-wait "$serve_pid" 2>/dev/null || true
-serve_pid=""
+stop_serve
 echo "self-heal smoke ok"
 
 # Every sweep, checkpoint, and fleet run above cached its arms in an
