@@ -478,8 +478,9 @@ func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (goss
 }
 
 // evalNode measures one eval slot: global test accuracy, the MPE
-// attack (on the slot's scratch), and generalization error, written
-// into the slot's indexed result cells.
+// attack (on the slot's scratch), and generalization error from the
+// accuracies the attack's own passes counted, written into the slot's
+// indexed result cells. One ScoreBatch pass per split.
 func (s *Study) evalNode(i int, evalIDs []int, nodes []*gossip.Node,
 	globalTest *data.Dataset, es *evalScratch) error {
 	id := evalIDs[i]
@@ -496,12 +497,7 @@ func (s *Study) evalNode(i int, evalIDs []int, nodes []*gossip.Node,
 	}
 	es.miaAccs[i] = res.Accuracy
 	es.tprs[i] = res.TPRAt1FPR
-
-	ge, err := metrics.GenError(node.Model, node.Data)
-	if err != nil {
-		return fmt.Errorf("core: gen error node %d: %w", id, err)
-	}
-	es.genErrs[i] = ge
+	es.genErrs[i] = res.TrainAcc - res.TestAcc
 	return nil
 }
 

@@ -96,7 +96,8 @@ func ScoresWith(m Method, model *nn.MLP, ds *data.Dataset) ([]float64, error) {
 		return nil, data.ErrEmpty
 	}
 	var s Scratch
-	return s.scoresInto(m, model, ds, make([]float64, 0, ds.Len()))
+	scores, _, err := s.scoresInto(m, model, ds, make([]float64, 0, ds.Len()))
+	return scores, err
 }
 
 // AttackNodeWith runs the thresholded attack of AttackNode with an

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gossipmia/internal/metrics"
 	"gossipmia/internal/tensor"
 )
 
@@ -134,6 +135,33 @@ func TestAllMethodsDetectOverfitting(t *testing.T) {
 	}
 	if direct != mpe {
 		t.Fatalf("AttackNode %+v != AttackNodeWith(MPE) %+v", direct, mpe)
+	}
+}
+
+// The accuracies AttackNode counts in its scoring passes are the floats
+// metrics.Accuracy computes in passes of its own.
+func TestAttackNodeAccuraciesMatchMetricsAccuracy(t *testing.T) {
+	model, nd := trainOverfitModel(t)
+	trainAcc, err := metrics.Accuracy(model, nd.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testAcc, err := metrics.Accuracy(model, nd.Test)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trainAcc == testAcc {
+		t.Fatalf("fixture does not separate the splits: both %v", trainAcc)
+	}
+	for _, m := range AllMethods() {
+		res, err := AttackNodeWith(m, model, nd)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		if res.TrainAcc != trainAcc || res.TestAcc != testAcc {
+			t.Fatalf("%s: accuracies (%v, %v), metrics.Accuracy (%v, %v)",
+				m, res.TrainAcc, res.TestAcc, trainAcc, testAcc)
+		}
 	}
 }
 

@@ -75,10 +75,15 @@ func TPRAtFPR(member, nonMember []float64, maxFPR float64) (float64, error) {
 	return s.tprAtFPR(member, nonMember, maxFPR)
 }
 
-// Result bundles the two vulnerability measures for one victim model.
+// Result bundles the two vulnerability measures for one victim model
+// with the model's top-1 accuracy on the two splits the attack scored:
+// the terms of the generalization error (Equation 8), counted in the
+// same forward passes.
 type Result struct {
 	Accuracy  float64 // Equation (6), optimal threshold
 	TPRAt1FPR float64 // Equation (7)
+	TrainAcc  float64 // Equation (5) on the members
+	TestAcc   float64 // Equation (5) on the non-members
 }
 
 // AttackNode runs the omniscient MPE attack of the threat model against

@@ -34,11 +34,12 @@ func (s *Scratch) AttackNode(model *nn.MLP, nd data.NodeData) (Result, error) {
 // method, reusing the scratch buffers.
 func (s *Scratch) AttackNodeWith(m Method, model *nn.MLP, nd data.NodeData) (Result, error) {
 	var err error
-	s.member, err = s.scoresInto(m, model, nd.Train, s.member[:0])
+	var trainHits, testHits int
+	s.member, trainHits, err = s.scoresInto(m, model, nd.Train, s.member[:0])
 	if err != nil {
 		return Result{}, fmt.Errorf("mia: member scores: %w", err)
 	}
-	s.nonMember, err = s.scoresInto(m, model, nd.Test, s.nonMember[:0])
+	s.nonMember, testHits, err = s.scoresInto(m, model, nd.Test, s.nonMember[:0])
 	if err != nil {
 		return Result{}, fmt.Errorf("mia: non-member scores: %w", err)
 	}
@@ -50,15 +51,23 @@ func (s *Scratch) AttackNodeWith(m Method, model *nn.MLP, nd data.NodeData) (Res
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Accuracy: acc, TPRAt1FPR: tpr}, nil
+	return Result{
+		Accuracy:  acc,
+		TPRAt1FPR: tpr,
+		TrainAcc:  float64(trainHits) / float64(nd.Train.Len()),
+		TestAcc:   float64(testHits) / float64(nd.Test.Len()),
+	}, nil
 }
 
 // scoresInto appends the method-m score of every example in ds to dst,
 // sweeping the model through its batched scoring path (bit-identical to
-// the per-example forward) and reusing the scratch probability row.
-func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []float64) ([]float64, error) {
+// the per-example forward) and reusing the scratch probability row. The
+// same pass counts the examples the model classifies correctly (hits),
+// so an evaluation that wants both the attack and top-1 accuracy
+// forward-passes the split once.
+func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []float64) ([]float64, int, error) {
 	if ds.Len() == 0 {
-		return dst, data.ErrEmpty
+		return dst, 0, data.ErrEmpty
 	}
 	// Reject an unknown method before the sweep: the batched forward
 	// has no early exit, so a per-example failure would still pay for
@@ -66,15 +75,19 @@ func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []fl
 	switch m {
 	case MethodMPE, MethodEntropy, MethodConfidence, MethodLoss:
 	default:
-		return dst, fmt.Errorf("mia: unknown method %d", int(m))
+		return dst, 0, fmt.Errorf("mia: unknown method %d", int(m))
 	}
 	if len(s.probs) != model.Classes() {
 		s.probs = tensor.NewVector(model.Classes())
 	}
 	var scoreErr error
+	hits := 0
 	err := model.ScoreBatch(ds.X, func(i int, logits tensor.Vector) {
 		if scoreErr != nil {
 			return
+		}
+		if logits.ArgMax() == ds.Y[i] {
+			hits++
 		}
 		nn.Softmax(logits, s.probs)
 		v, err := MethodScore(m, s.probs, ds.Y[i])
@@ -85,9 +98,9 @@ func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []fl
 		dst = append(dst, v)
 	})
 	if err != nil {
-		return dst, err
+		return dst, hits, err
 	}
-	return dst, scoreErr
+	return dst, hits, scoreErr
 }
 
 // attackPoint is one (score, membership) observation of the threshold

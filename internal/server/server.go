@@ -52,7 +52,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"path/filepath"
@@ -237,7 +236,7 @@ func (c Config) withDefaults() Config {
 	}
 	c.Retry = c.Retry.withDefaults()
 	if c.Log == nil {
-		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.Log = slog.New(slog.DiscardHandler)
 	}
 	if c.now == nil {
 		c.now = time.Now

@@ -562,6 +562,22 @@ func TestStartupLogsDiscardedStoreTail(t *testing.T) {
 	}
 }
 
+// TestDefaultLoggerIsDisabled: a service given no logger must not
+// format a request line per call only to throw it away; one given a
+// logger still gets the line.
+func TestDefaultLoggerIsDisabled(t *testing.T) {
+	if (Config{}).withDefaults().Log.Enabled(t.Context(), slog.LevelError) {
+		t.Fatal("the zero Config's logger is enabled: every request pays for a discarded line")
+	}
+	var logged bytes.Buffer
+	svc := New(Config{Log: slog.New(slog.NewTextHandler(&logged, nil))})
+	defer svc.Close()
+	svc.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/v1/healthz", nil))
+	if out := logged.String(); !strings.Contains(out, "msg=request") || !strings.Contains(out, "path=/v1/healthz") || !strings.Contains(out, "status=200") {
+		t.Fatalf("a caller-supplied logger did not receive the request line:\n%s", out)
+	}
+}
+
 func storeBackedRestart(t *testing.T, cfg Config, wantStore string) {
 	svc1 := New(cfg)
 	ts1 := httptest.NewServer(svc1)

@@ -64,7 +64,7 @@ func (a *Arena) RNG(seed int64) *RNG {
 	if a.nrng == len(a.rngs) {
 		a.rngs = append(a.rngs, NewRNG(seed))
 	} else {
-		a.rngs[a.nrng].r.Seed(seed)
+		a.rngs[a.nrng].reseed(seed)
 	}
 	g := a.rngs[a.nrng]
 	a.nrng++

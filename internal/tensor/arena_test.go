@@ -139,19 +139,21 @@ func draws(g *RNG) []any {
 	out := []any{g.Int63(), g.Float64(), g.Normal(1, 2), g.Intn(1000), g.Perm(9)}
 	order := []int{0, 1, 2, 3, 4, 5, 6}
 	g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	v := NewVector(5)
+	v, k := NewVector(5), NewVector(7)
 	g.FillNormal(v, 0, 1)
-	return append(out, order, v, g.Split().Int63(), g.Int63())
+	g.KaimingNormal(k, 3)
+	return append(out, order, v, k, g.Dirichlet(6, 0.3), g.Dirichlet(4, 2.5), g.Split().Int63(), g.Int63())
 }
 
+// A generator the arena recycles after use is math/rand's fresh one.
 func TestArenaRNGMatchesFreshRNG(t *testing.T) {
 	var a Arena
 	first := a.RNG(1)
 	draws(first) // advance the generator that will be recycled
 	a.Reset()
-	for _, seed := range []int64{1, 42, -7, 1 << 40} {
+	for _, seed := range edgeSeeds {
 		g := a.RNG(seed)
-		if got, want := draws(g), draws(NewRNG(seed)); !reflect.DeepEqual(got, want) {
+		if got, want := draws(g), draws(oracleRNG(seed)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: re-seeded stream %v, fresh stream %v", seed, got, want)
 		}
 	}

@@ -8,14 +8,22 @@ import (
 // RNG wraps math/rand with the sampling helpers the training and
 // simulation code needs. It is deliberately a thin value type so each
 // component can own an independent, seeded stream (no global RNG).
+// math/rand supplies the samplers; the source under them is rngSource,
+// stream-identical to rand.NewSource and much cheaper to seed.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src *rngSource
 }
 
 // NewRNG returns a deterministic generator seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	src := new(rngSource)
+	src.Seed(seed)
+	return &RNG{r: rand.New(src), src: src}
 }
+
+// reseed restarts the generator in place as NewRNG(seed).
+func (g *RNG) reseed(seed int64) { g.src.Seed(seed) }
 
 // Split derives a new independent generator from this one; useful for
 // giving each node or each experiment arm its own stream while keeping

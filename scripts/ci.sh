@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
-# targets run once over their seed corpus, no fuzzing time), a
+# targets run once over their seed corpus, no fuzzing time), the
+# one-generator import gate (math/rand only under internal/tensor), a
 # declarative-spec end-to-end smoke at tiny scale, a race-enabled
 # service smoke (serve + submit + stream + cancel over HTTP), and the
 # pkg/dlsim API gate (no internal types in exported signatures).
@@ -32,7 +33,21 @@ fi
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
 go test ./benchmark
-go test -run='^Fuzz' ./internal/wire ./internal/spec ./internal/store
+go test -run='^Fuzz' ./internal/wire ./internal/spec ./internal/store ./internal/tensor
+
+# One generator family: every stream in the program comes from
+# tensor.RNG, whose source seeds in under 2 µs and is held to math/rand's
+# Go 1 stream by its tests. A second import of math/rand would bring
+# back a 10 µs seeding, or a stream no golden covers, behind its back.
+# benchmark/ is the measuring harness, not the program, and is exempt.
+strays=$(grep -rlE --include='*.go' --exclude='*_test.go' '"math/rand(/v2)?"' . |
+    grep -vE '^\./(internal/tensor|benchmark)/' || true)
+if [ -n "$strays" ]; then
+    echo "math/rand imported outside internal/tensor:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+echo "rng import gate ok"
 
 # pkg/dlsim API gate: the public SDK must not leak internal types into
 # its exported signatures (the stability promise of the package). The

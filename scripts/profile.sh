@@ -46,3 +46,9 @@ rm -f "$OUT/bench.test"
 
 echo "profiles and top-20 summaries written to $OUT/"
 grep -m4 'flat%' -A6 "$OUT/intraarm_cpu.txt" | head -8 || true
+# The light arm's two shares DESIGN.md §4 quotes: seeding, and the
+# generalization-error passes, which have no line while evalNode scores
+# each split once (PR 16) — one reappearing here is a regression.
+echo "light arm, cumulative under (*Study).run:"
+go tool pprof -top -cum -nodecount=400 "$OUT/lightarm_cpu.pprof" 2>/dev/null |
+    grep -E 'flat%|\(\*Study\)\.run$|rngSource\)\.Seed|metrics\.GenError' || true
