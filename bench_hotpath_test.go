@@ -17,8 +17,8 @@ import (
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/nn"
-	"gossipmia/internal/spec"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // smallStudy is a fixed-size SAMO arm small enough to run per benchmark

@@ -1,4 +1,4 @@
-// Command dlsim runs the paper's experiments (Figures 2–9), the
+// Command dlsim runs the paper's experiments (Figures 2–10), the
 // extension scenarios, and arbitrary declarative scenario specs at a
 // chosen scale — locally, as a persisted resumable sweep, or as a
 // client of a dlsim service. It is a thin shell over the public
@@ -104,7 +104,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var diag diagFlags
 	diag.register(fs)
-	figure := fs.String("figure", "all", `figure or scenario to run (see dlsim list): 2..9, "latency", "churn", "dynamics", "tables", "attacks", or "all"`)
+	figure := fs.String("figure", "all", `figure or scenario to run (see dlsim list): 2..10, "latency", "churn", "dynamics", "tables", "attacks", or "all"`)
 	specPath := fs.String("spec", "", "run a declarative scenario spec (JSON file) instead of a catalog figure")
 	outDir := fs.String("out", "", "result directory: manifest, arm cache (embedded store under OUT/store), streamed events, results.csv (requires -spec)")
 	resume := fs.Bool("resume", false, "with -spec and -out: skip arms whose cached results already exist in the out directory")

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 func TestScaleByName(t *testing.T) {
@@ -44,7 +44,7 @@ func TestRunSingleFigureTiny(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	for _, figure := range []string{"99", "1", "10", "latency-sweep", ""} {
+	for _, figure := range []string{"99", "1", "11", "latency-sweep", ""} {
 		if err := run([]string{"run", "-figure", figure}); err == nil || !strings.Contains(err.Error(), "unknown figure") {
 			t.Fatalf("figure %q error = %v", figure, err)
 		}
@@ -103,7 +103,7 @@ func TestListFlag(t *testing.T) {
 	// The catalog is the single source of truth for list AND -figure:
 	// every name -figure accepts (other than "all") must be listed,
 	// including the tables/attacks pseudo-figures the old listing omitted.
-	for _, want := range []string{"2", "9", "latency", "churn", "dynamics", "tables", "attacks"} {
+	for _, want := range []string{"2", "9", "10", "latency", "churn", "dynamics", "tables", "attacks"} {
 		if !names[want] {
 			t.Fatalf("catalog missing %q", want)
 		}
@@ -117,6 +117,14 @@ func TestListFlag(t *testing.T) {
 func TestCatalogNamesAllRunnable(t *testing.T) {
 	if err := run([]string{"run", "-figure", "tables"}); err != nil {
 		t.Fatalf("tables: %v", err)
+	}
+	// Figure 10 has no spec: it is the spectral analysis, rendered as
+	// text, with run's own -scale and -seed.
+	if err := run([]string{"run", "-figure", "10", "-scale", "tiny", "-seed", "3"}); err != nil {
+		t.Fatalf("figure 10: %v", err)
+	}
+	if err := run([]string{"run", "-figure", "10", "-scale", "tiny", "-latency", "2"}); err == nil {
+		t.Fatal("figure 10 accepted a network overlay it cannot apply")
 	}
 	for _, e := range experiment.Catalog() {
 		// Dispatch with a bad scale: a listed name must get past name

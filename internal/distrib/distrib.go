@@ -6,7 +6,7 @@
 // connected so the caller can fall back to local execution.
 //
 // The dispatcher is deliberately generic: a Unit carries an opaque
-// wire payload and a content-hash key, and outcomes are delivered as
+// payload and a content-hash key, and outcomes are delivered as
 // opaque values. Idempotency lives one layer up — unit keys are the
 // experiment content hashes, so executing the same unit twice yields
 // the same bytes and a duplicate completion is a harmless no-op
@@ -147,15 +147,18 @@ func (c Config) withDefaults() Config {
 }
 
 // Unit is one independently executable piece of work: a single arm of
-// a job, identified by its content-hash key, with the wire order the
-// server hands to whichever worker claims it.
+// a job, identified by its content-hash key, with the order the server
+// hands to whichever worker claims it.
 type Unit struct {
-	Key     string // sha256 content hash; the idempotency identity
-	Job     string
-	Spec    string
-	Label   string
-	Index   int
-	Payload []byte // opaque wire order (JSON) served on claim
+	Key   string // sha256 content hash; the idempotency identity
+	Job   string
+	Spec  string
+	Label string
+	Index int
+	// Payload is the order served on claim, opaque to the dispatcher. A
+	// reclaimed unit is leased again with the same value, so whoever
+	// serves it copies before writing per-lease fields.
+	Payload any
 }
 
 // Lease is a claimed unit with a renewal deadline.

@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // remoteStyleExec re-executes the offered arm the way a worker does:

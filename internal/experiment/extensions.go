@@ -11,7 +11,7 @@ import (
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/mia"
 	"gossipmia/internal/par"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // AttackComparison reports, for one trained deployment, how each attack

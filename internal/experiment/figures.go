@@ -9,8 +9,8 @@ import (
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/par"
 	"gossipmia/internal/plot"
-	"gossipmia/internal/spec"
 	"gossipmia/internal/stats"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // Arm is one curve of a figure: its label, per-round series, and

@@ -7,7 +7,7 @@ import (
 	"gossipmia/internal/data"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/netmodel"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // NetOverlay applies one network model uniformly to every arm a Scale

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // CatalogEntry is one runnable entry of the scenario catalog: a paper
@@ -13,7 +13,7 @@ import (
 // pkg/dlsim SDK, and the HTTP service's /v1/catalog: exactly the names
 // it lists are the names they accept.
 type CatalogEntry struct {
-	// Name is the identifier ("2".."9", "latency", "churn", ...).
+	// Name is the identifier ("2".."10", "latency", "churn", ...).
 	Name string
 	// Desc is the one-line description shown by listings.
 	Desc string
@@ -82,6 +82,14 @@ func Catalog() []CatalogEntry {
 			Spec: func(Scale) *spec.Spec { return Figure8Spec() }},
 		{Name: "9", Desc: "RQ7: DP-SGD privacy-budget sweep (epsilon)",
 			Spec: func(Scale) *spec.Spec { return Figure9Spec() }},
+		{Name: "10", Desc: "Section 4: lambda2(W*) of accumulated mixing products, static vs dynamic k-regular graphs",
+			Text: func(sc Scale) (string, error) {
+				res, err := RunFigure10(sc)
+				if err != nil {
+					return "", err
+				}
+				return res.Table(), nil
+			}, RejectsOverlay: true},
 		{Name: "latency", Desc: "network scenario: per-link latency / staleness sweep, SAMO vs Base",
 			Spec: func(Scale) *spec.Spec { return LatencySweepSpec() }, RejectsOverlay: true},
 		{Name: "churn", Desc: "network scenario: node churn and healing partition recovery",

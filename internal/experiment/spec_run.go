@@ -22,7 +22,7 @@ import (
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/par"
 	"gossipmia/internal/sink"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // ErrArmPanic marks an arm execution that panicked. The executor

@@ -11,8 +11,8 @@ import (
 
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
-	"gossipmia/internal/spec"
 	"gossipmia/internal/store"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // sweepSpec is a small three-arm spec used across the engine tests: a

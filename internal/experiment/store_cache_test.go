@@ -11,8 +11,8 @@ import (
 	"testing"
 
 	"gossipmia/internal/metrics"
-	"gossipmia/internal/spec"
 	"gossipmia/internal/store"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // storeOpts returns run options rooted in out with the store location

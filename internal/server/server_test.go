@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/spec"
 	"gossipmia/pkg/dlsim"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // newTestService starts a Server behind an httptest listener and

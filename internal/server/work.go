@@ -28,7 +28,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -57,17 +56,13 @@ const maxClaimWait = 30 * time.Second
 func (s *Server) armExecutor(j *job) dlsim.ArmExecutor {
 	return func(ctx context.Context, order dlsim.WorkOrder) (*dlsim.ArmResult, bool, error) {
 		order.Job = j.id
-		payload, err := json.Marshal(order)
-		if err != nil {
-			return nil, false, fmt.Errorf("server: encode work order: %w", err)
-		}
 		out, worker, err := s.dispatch.Execute(ctx, distrib.Unit{
 			Key:     order.Key,
 			Job:     j.id,
 			Spec:    order.Spec,
 			Label:   order.Label,
 			Index:   order.Index,
-			Payload: payload,
+			Payload: order,
 		})
 		if errors.Is(err, distrib.ErrNoWorkers) {
 			s.localArms.Add(1)
@@ -191,9 +186,11 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	var order dlsim.WorkOrder
-	if err := json.Unmarshal(lease.Unit.Payload, &order); err != nil {
-		writeErr(w, http.StatusInternalServerError, "corrupt work order: %v", err)
+	// The assertion copies the order: a reclaimed unit serves the same
+	// payload value again, under a fresh lease.
+	order, ok := lease.Unit.Payload.(dlsim.WorkOrder)
+	if !ok {
+		writeErr(w, http.StatusInternalServerError, "work unit %q carries a %T, not a work order", lease.Unit.Label, lease.Unit.Payload)
 		return
 	}
 	order.Lease = lease.ID
@@ -370,25 +367,14 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 }
 
 // workerRows converts the dispatcher's per-worker snapshot into the
-// wire representation.
+// wire representation (a struct conversion: the two cannot drift).
 func workerRows(in []distrib.WorkerStatus) []dlsim.WorkerRow {
 	if len(in) == 0 {
 		return nil
 	}
 	rows := make([]dlsim.WorkerRow, len(in))
 	for i, ws := range in {
-		rows[i] = dlsim.WorkerRow{
-			Name:        ws.Name,
-			State:       ws.State,
-			Score:       ws.Score,
-			Leases:      ws.Leases,
-			Completes:   ws.Completes,
-			Expiries:    ws.Expiries,
-			Errors:      ws.Errors,
-			Mismatches:  ws.Mismatches,
-			Quarantines: ws.Quarantines,
-			Registered:  ws.Registered,
-		}
+		rows[i] = dlsim.WorkerRow(ws)
 	}
 	return rows
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -437,5 +438,71 @@ func TestDuplicateUploadNoOp(t *testing.T) {
 	}
 	if st.Work.StaleUploads < 1 {
 		t.Fatalf("stale uploads = %d, want >= 1: %+v", st.Work.StaleUploads, st.Work)
+	}
+}
+
+// TestReclaimedOrderServedAgainUnchanged: the dispatcher keeps one
+// order value per unit and handleClaim copies it per claim, so a unit
+// reclaimed after its lease expired reaches the second worker with
+// exactly the first claim's fields under a fresh lease, and the arm
+// (whose pointer fields every claim shares) still runs byte-identical
+// to the in-process reference.
+func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sp := singleArmSpec()
+	sp.Arms[0].Net = &dlsim.Net{Transport: "latency", LatencyMean: 2, LatencyJitter: 0.5}
+	sp.Arms[0].Train = &dlsim.Train{Hidden: []int{4}, LR: 0.05, BatchSize: 8, LocalEpochs: 1}
+	refJSON := referenceRunSpec(t, sp)
+
+	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny", LeaseTTL: 300 * time.Millisecond})
+	for _, name := range []string{"first", "second"} {
+		if err := client.RegisterWorker(t.Context(), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitLive(t, svc, 2)
+	job, err := client.Submit(t.Context(), dlsim.JobRequest{Spec: sp, Scale: "tiny", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	claim := func(worker string) *dlsim.WorkOrder {
+		t.Helper()
+		order, err := client.ClaimWork(t.Context(), worker, 10*time.Second)
+		if err != nil || order == nil {
+			t.Fatalf("%s: claim = (%+v, %v)", worker, order, err)
+		}
+		return order
+	}
+	first := claim("first")
+	// "first" never heartbeats: "second" parks until the lease lapses
+	// and the unit is queued again.
+	second := claim("second")
+	if second.Lease == "" || second.Lease == first.Lease {
+		t.Fatalf("reclaimed unit served under lease %q, first was %q", second.Lease, first.Lease)
+	}
+	want := *first
+	want.Lease = second.Lease
+	if !reflect.DeepEqual(*second, want) || second.Job != job.ID {
+		t.Fatalf("reclaimed order differs beyond its lease:\n got %+v\nwant %+v", *second, want)
+	}
+
+	arm, err := executeWorkOrder(t.Context(), second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if receipt, err := client.CompleteWork(t.Context(), second.Lease, workResult(arm)); err != nil || receipt.Stale {
+		t.Fatalf("upload under the fresh lease = (%+v, %v)", receipt, err)
+	}
+	final, err := client.Await(t.Context(), job.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != dlsim.StatusDone {
+		t.Fatalf("job = %q (%s), want done", final.Status, final.Error)
+	}
+	if got := resultJSON(t, final.Result); got != refJSON {
+		t.Fatalf("reclaimed arm diverged from the in-process run:\n got %s\nwant %s", got, refJSON)
 	}
 }

@@ -19,6 +19,15 @@
 // Results are deterministic: for a fixed spec, scale, and seed, any
 // worker count — and either transport, in-process or HTTP — produces
 // identical records.
+//
+// The scenario types ([Spec], [Arm], [DP], [Net], [Partition], [Churn],
+// [Train], [Sweep], [Axis]) are aliases of the types of
+// gossipmia/pkg/dlsim/spec, where the scenario language is defined and
+// documented once; the engine, the service and work orders all carry
+// those same values. That package also exports Parse, Load, ErrSpec,
+// MaxSweepArms, SchemaHash, and the methods (*Spec).Validate,
+// (*Spec).Hash, (*Spec).ExpandArms and Arm.Hash; [ParseSpec] and
+// [LoadSpec] forward to Parse and Load.
 package dlsim
 
 import (
@@ -177,10 +186,7 @@ type sinkAdapter struct {
 func (a *sinkAdapter) Record(rec metricRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.out.Record(Event{Arm: a.arm, RoundRecord: RoundRecord{
-		Round: rec.Round, TestAcc: rec.TestAcc, MIAAcc: rec.MIAAcc,
-		TPRAt1FPR: rec.TPRAt1FPR, GenError: rec.GenError,
-	}})
+	return a.out.Record(Event{Arm: a.arm, RoundRecord: RoundRecord(rec)})
 }
 
 func (a *sinkAdapter) Close() error { return nil }
@@ -188,11 +194,7 @@ func (a *sinkAdapter) Close() error { return nil }
 // Run executes a scenario spec and returns its result. Cancelling ctx
 // stops the run and returns an error wrapping ctx.Err().
 func (r *Runner) Run(ctx context.Context, sp *Spec) (*Result, error) {
-	compiled, err := sp.compile()
-	if err != nil {
-		return nil, err
-	}
-	fig, err := experiment.RunSpecExec(ctx, compiled, r.scale, r.sinkFor(), r.execFor())
+	fig, err := experiment.RunSpecExec(ctx, sp, r.scale, r.sinkFor(), r.execFor())
 	if err != nil {
 		return nil, err
 	}
@@ -251,11 +253,7 @@ type RunReport struct {
 // atomically-written caches, so re-invoking with Resume executes only
 // what is missing and produces byte-identical output.
 func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result, *RunReport, error) {
-	compiled, err := sp.compile()
-	if err != nil {
-		return nil, nil, err
-	}
-	fig, man, err := experiment.RunSpecDir(ctx, compiled, r.scale, experiment.SpecRunOptions{
+	fig, man, err := experiment.RunSpecDir(ctx, sp, r.scale, experiment.SpecRunOptions{
 		OutDir:     opts.OutDir,
 		Resume:     opts.Resume,
 		Events:     opts.Events,
@@ -273,10 +271,7 @@ func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result
 		Workers:  man.Workers,
 	}
 	for _, a := range man.Arms {
-		report.Arms = append(report.Arms, ArmReport{
-			Label: a.Label, Key: a.Key, Cached: a.Cached,
-			ElapsedSeconds: a.ElapsedSeconds, EventsFile: a.EventsFile,
-		})
+		report.Arms = append(report.Arms, ArmReport(a))
 	}
 	return resultOf(fig), report, nil
 }
@@ -308,7 +303,7 @@ func (r *Runner) FigureSpec(name string) (*Spec, error) {
 	if !ok || !e.Runnable() {
 		return nil, fmt.Errorf("dlsim: no runnable catalog entry %q", name)
 	}
-	return specOf(e.Spec(r.scale))
+	return e.Spec(r.scale), nil
 }
 
 // CatalogEntry describes one runnable scenario of the catalog.
@@ -317,7 +312,7 @@ type CatalogEntry struct {
 	Name string `json:"name"`
 	// Desc is the one-line description.
 	Desc string `json:"desc"`
-	// Runnable is false for text-only entries (tables, attacks), which
+	// Runnable is false for text-only entries (tables, 10, attacks), which
 	// the CLI renders but RunFigure and the job service cannot execute.
 	Runnable bool `json:"runnable"`
 }

@@ -3,12 +3,18 @@ package dlsim
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
+
+// The SDK's scenario names are the spec package's types, not copies of
+// them: the value a caller builds is the value the engine runs.
+var _ *spec.Spec = (*Spec)(nil)
 
 // testSpec is a small two-arm scenario for SDK tests.
 func testSpec() *Spec {
@@ -55,25 +61,69 @@ func TestSpecValidateAndHash(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("unknown corpus accepted")
 	}
+	// A nil spec is an error at every entry point, never a panic.
 	var nilSpec *Spec
-	if err := nilSpec.Validate(); err == nil {
-		t.Fatal("nil spec accepted")
+	if err := nilSpec.Validate(); !errors.Is(err, spec.ErrSpec) {
+		t.Fatalf("nil spec Validate = %v, want ErrSpec", err)
 	}
-	// The public hash is the engine's content hash.
-	h, err := testSpec().Hash()
+	if _, err := nilSpec.Hash(); !errors.Is(err, spec.ErrSpec) {
+		t.Fatalf("nil spec Hash = %v, want ErrSpec", err)
+	}
+	runner, err := NewRunner(WithScale("tiny"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	internal, err := testSpec().compile()
+	if _, err := runner.Run(t.Context(), nil); !errors.Is(err, spec.ErrSpec) {
+		t.Fatalf("Run(nil) = %v, want ErrSpec", err)
+	}
+	if _, _, err := runner.RunDir(t.Context(), nil, DirOptions{OutDir: t.TempDir()}); !errors.Is(err, spec.ErrSpec) {
+		t.Fatalf("RunDir(nil) = %v, want ErrSpec", err)
+	}
+	// Parse errors keep the SDK's prefix and the engine's sentinel.
+	if _, err := ParseSpec([]byte(`{"name":""}`)); !errors.Is(err, spec.ErrSpec) || !strings.HasPrefix(err.Error(), "dlsim: ") {
+		t.Fatalf("ParseSpec error = %v", err)
+	}
+	if _, err := LoadSpec(filepath.Join(t.TempDir(), "missing.json")); err == nil || !strings.HasPrefix(err.Error(), "dlsim: ") {
+		t.Fatalf("LoadSpec error = %v", err)
+	}
+}
+
+// TestSweepAxisIntsAndFloats: a sweep written in Go with int axis values
+// is the sweep a JSON file with the same numbers decodes to — the same
+// arms, labels and content hash.
+func TestSweepAxisIntsAndFloats(t *testing.T) {
+	sweep := func(views, epochs []any) *Spec {
+		return &Spec{Name: "axis numbers", Sweep: &Sweep{
+			Base: Arm{Label: "b", Corpus: "cifar10", Protocol: "samo", ViewSize: 2},
+			Axes: []Axis{{Field: "viewSize", Values: views}, {Field: "localEpochs", Values: epochs}},
+		}}
+	}
+	ints := sweep([]any{2, 4}, []any{int64(1), int64(2)})
+	floats := sweep([]any{2.0, 4.0}, []any{1.0, 2.0})
+	if err := ints.Validate(); err != nil {
+		t.Fatalf("int-valued sweep rejected: %v", err)
+	}
+	got, err := ints.ExpandArms()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := internal.Hash()
+	want, err := floats.ExpandArms()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h != want {
-		t.Fatalf("public hash %s != engine hash %s", h, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("int and float sweeps expand differently:\n%+v\n%+v", got, want)
+	}
+	hi, err := ints.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf, err := floats.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hi != hf {
+		t.Fatalf("int sweep hash %s != float sweep hash %s", hi, hf)
 	}
 }
 
@@ -102,18 +152,15 @@ func TestRunnerMatchesEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run(t.Context(), testSpec())
+	sp := testSpec()
+	res, err := runner.Run(t.Context(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	internal, err := testSpec().compile()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sc := experiment.TinyScale()
 	sc.Workers = 2
-	fig, err := experiment.RunSpec(t.Context(), internal, sc)
+	fig, err := experiment.RunSpec(t.Context(), sp, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +177,7 @@ func TestRunnerMatchesEngine(t *testing.T) {
 		}
 		for j, rec := range arm.Records {
 			w := want.Series.Records[j]
-			if rec != (RoundRecord{Round: w.Round, TestAcc: w.TestAcc, MIAAcc: w.MIAAcc, TPRAt1FPR: w.TPRAt1FPR, GenError: w.GenError}) {
+			if rec != RoundRecord(w) {
 				t.Fatalf("arm %q record %d diverges: %+v vs %+v", arm.Label, j, rec, w)
 			}
 		}

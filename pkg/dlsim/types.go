@@ -4,185 +4,44 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
-// Spec is one declarative scenario: a named set of arms, optionally
-// augmented by a cartesian sweep that expands into further arms. It is
-// the stable public face of the engine's scenario language — the JSON
-// encoding is identical to the spec files dlsim runs and the bodies
-// POST /v1/jobs accepts.
-type Spec struct {
-	Name    string `json:"name"`
-	Caption string `json:"caption,omitempty"`
-	Arms    []Arm  `json:"arms,omitempty"`
-	Sweep   *Sweep `json:"sweep,omitempty"`
-}
+// The scenario language — its types, validation, sweep expansion and
+// content hashes — is defined once, in gossipmia/pkg/dlsim/spec. These
+// aliases keep the SDK's names for it: a dlsim.Spec IS a spec.Spec, so
+// the value a caller builds is the value the engine runs, with no
+// conversion in between. The JSON encoding is that of the spec files
+// dlsim runs and the bodies POST /v1/jobs accepts.
+type (
+	Spec      = spec.Spec
+	Arm       = spec.Arm
+	DP        = spec.DP
+	Net       = spec.Net
+	Partition = spec.Partition
+	Churn     = spec.Churn
+	Train     = spec.Train
+	Sweep     = spec.Sweep
+	Axis      = spec.Axis
+)
 
-// Arm describes one experimental arm declaratively. Zero values of the
-// optional fields select the seed semantics: static topology, IID
-// partition, no DP, no canaries, instant transport, no churn, the
-// corpus's catalog training configuration.
-type Arm struct {
-	// Label identifies the arm in tables and event streams; it must be
-	// unique within the spec.
-	Label string `json:"label"`
-	// Corpus is the dataset stand-in: "cifar10", "cifar100",
-	// "fashionmnist", or "purchase100".
-	Corpus string `json:"corpus"`
-	// Protocol is the gossip protocol: "base", "samo", or "samo-nodelay".
-	Protocol string `json:"protocol"`
-	// ViewSize is k, the regular degree.
-	ViewSize int `json:"viewSize"`
-	// Dynamics selects the topology evolution: "" or "static",
-	// "peerswap", or "cyclon".
-	Dynamics string `json:"dynamics,omitempty"`
-	// Beta > 0 selects the Dirichlet non-IID partition with that β.
-	Beta float64 `json:"beta,omitempty"`
-	// DP enables node-level DP-SGD.
-	DP *DP `json:"dp,omitempty"`
-	// Canaries plants the scale's canary budget (worst-case audit).
-	Canaries bool `json:"canaries,omitempty"`
-	// SeedOffset separates the arm's RNG streams from its siblings'.
-	SeedOffset int64 `json:"seedOffset"`
-	// Net pins the arm's transport model; nil keeps the instant
-	// transport.
-	Net *Net `json:"net,omitempty"`
-	// Churn schedules explicit node departures and rejoins (ticks).
-	Churn []Churn `json:"churn,omitempty"`
-	// ChurnFraction in (0,1) is the shorthand: that fraction of nodes
-	// leaves at one third of the run and rejoins at two thirds.
-	ChurnFraction float64 `json:"churnFraction,omitempty"`
-	// Train overrides the corpus's catalog training config entirely.
-	Train *Train `json:"train,omitempty"`
-	// TrainPerFactor scales the per-node training-set size.
-	TrainPerFactor float64 `json:"trainPerFactor,omitempty"`
-	// LocalEpochs > 0 overrides only the local epoch count.
-	LocalEpochs int `json:"localEpochs,omitempty"`
-}
+// LoadSpec reads, parses, and validates a scenario spec file (the same
+// JSON format dlsim -spec runs).
+func LoadSpec(path string) (*Spec, error) { return prefixed(spec.Load(path)) }
 
-// DP is the declarative face of the DP-SGD configuration.
-type DP struct {
-	Epsilon float64 `json:"epsilon"`
-	Delta   float64 `json:"delta"`
-	Clip    float64 `json:"clip"`
-}
+// ParseSpec decodes and validates a scenario spec from JSON. Unknown
+// fields are rejected so typos cannot silently select defaults.
+func ParseSpec(raw []byte) (*Spec, error) { return prefixed(spec.Parse(raw)) }
 
-// Net is the declarative face of the transport configuration.
-type Net struct {
-	// Transport is "instant", "latency", or "lossy".
-	Transport string `json:"transport"`
-	// LatencyMean/LatencyJitter parameterize the per-link delay (ticks).
-	LatencyMean   float64 `json:"latencyMean,omitempty"`
-	LatencyJitter float64 `json:"latencyJitter,omitempty"`
-	// BandwidthBytesPerTick > 0 adds the wire-size serialization term.
-	BandwidthBytesPerTick int `json:"bandwidthBytesPerTick,omitempty"`
-	// DropProb is the i.i.d. transmission loss probability.
-	DropProb float64 `json:"dropProb,omitempty"`
-	// Partitions schedules healing network partitions (ticks).
-	Partitions []Partition `json:"partitions,omitempty"`
-}
-
-// Partition is one scheduled network partition.
-type Partition struct {
-	FromTick int   `json:"fromTick"`
-	ToTick   int   `json:"toTick"`
-	Members  []int `json:"members"`
-}
-
-// Churn is one scheduled departure/rejoin event.
-type Churn struct {
-	Node      int `json:"node"`
-	LeaveTick int `json:"leaveTick"`
-	// RejoinTick 0 means the node never comes back.
-	RejoinTick int `json:"rejoinTick,omitempty"`
-}
-
-// Train is the declarative face of the training configuration.
-type Train struct {
-	Hidden      []int   `json:"hidden,omitempty"`
-	LR          float64 `json:"lr"`
-	Momentum    float64 `json:"momentum,omitempty"`
-	WeightDecay float64 `json:"weightDecay,omitempty"`
-	LRDecay     float64 `json:"lrDecay,omitempty"`
-	BatchSize   int     `json:"batchSize,omitempty"`
-	LocalEpochs int     `json:"localEpochs"`
-}
-
-// Sweep expands the cartesian product of its axes over a base arm.
-type Sweep struct {
-	Base Arm    `json:"base"`
-	Axes []Axis `json:"axes"`
-}
-
-// Axis is one sweep dimension: the arm field it sets and the values it
-// takes (see the spec documentation for the supported field names).
-type Axis struct {
-	Field  string `json:"field"`
-	Values []any  `json:"values"`
-}
-
-// compile converts the public spec into the engine's representation,
-// applying the engine's full structural validation (unknown names,
-// duplicate labels, shared seed offsets, unexpandable sweeps).
-func (s *Spec) compile() (*spec.Spec, error) {
-	if s == nil {
-		return nil, fmt.Errorf("dlsim: nil spec")
-	}
-	raw, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("dlsim: encode spec: %w", err)
-	}
-	sp, err := spec.Parse(raw)
+// prefixed marks a spec error as coming through the SDK.
+func prefixed(sp *Spec, err error) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dlsim: %w", err)
 	}
 	return sp, nil
-}
-
-// Validate reports structural errors in the spec without running it.
-func (s *Spec) Validate() error {
-	_, err := s.compile()
-	return err
-}
-
-// Hash returns the spec's canonical content hash: the SHA-256 of its
-// expanded arm list. Two specs that expand to the same arms hash
-// identically; the hash keys the engine's resume cache and the
-// service's job dedup.
-func (s *Spec) Hash() (string, error) {
-	sp, err := s.compile()
-	if err != nil {
-		return "", err
-	}
-	return sp.Hash()
-}
-
-// LoadSpec reads, parses, and validates a scenario spec file (the same
-// JSON format dlsim -spec runs).
-func LoadSpec(path string) (*Spec, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("dlsim: read %s: %w", path, err)
-	}
-	return ParseSpec(raw)
-}
-
-// ParseSpec decodes and validates a scenario spec from JSON. Unknown
-// fields are rejected so typos cannot silently select defaults.
-func ParseSpec(raw []byte) (*Spec, error) {
-	if _, err := spec.Parse(raw); err != nil {
-		return nil, fmt.Errorf("dlsim: %w", err)
-	}
-	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, fmt.Errorf("dlsim: decode spec: %w", err)
-	}
-	return &s, nil
 }
 
 // RoundRecord holds the per-round measurements the engine reports:
@@ -276,20 +135,6 @@ func (r *Result) Table() string {
 	return b.String()
 }
 
-// specOf converts an engine spec into the public representation (the
-// JSON encodings are identical by construction).
-func specOf(sp *spec.Spec) (*Spec, error) {
-	raw, err := json.Marshal(sp)
-	if err != nil {
-		return nil, fmt.Errorf("dlsim: encode spec: %w", err)
-	}
-	var s Spec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return nil, fmt.Errorf("dlsim: decode spec: %w", err)
-	}
-	return &s, nil
-}
-
 // resultOf converts the engine's figure into the public result.
 func resultOf(fig *experiment.FigureResult) *Result {
 	res := &Result{Name: fig.Name, Caption: fig.Caption, Notes: fig.Notes}
@@ -302,10 +147,7 @@ func resultOf(fig *experiment.FigureResult) *Result {
 			NoiseMultiplier: arm.NoiseMultiplier,
 		}
 		for _, rec := range arm.Series.Records {
-			out.Records = append(out.Records, RoundRecord{
-				Round: rec.Round, TestAcc: rec.TestAcc, MIAAcc: rec.MIAAcc,
-				TPRAt1FPR: rec.TPRAt1FPR, GenError: rec.GenError,
-			})
+			out.Records = append(out.Records, RoundRecord(rec))
 		}
 		res.Arms = append(res.Arms, out)
 	}

@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"runtime/debug"
 
-	"gossipmia/internal/spec"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // VersionInfo identifies a build of the simulator: its module path and

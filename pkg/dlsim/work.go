@@ -13,7 +13,6 @@ package dlsim
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -285,8 +284,7 @@ func (c *Client) Statz(ctx context.Context) (*ServiceStats, error) {
 }
 
 // execFor adapts the Runner's public ArmExecutor into the engine's
-// hook, converting between the internal and wire arm representations
-// (their JSON encodings are identical by construction).
+// hook: the order carries the arm the engine expanded, as is.
 func (r *Runner) execFor() experiment.ArmExecutor {
 	if r.exec == nil {
 		return nil
@@ -297,15 +295,9 @@ func (r *Runner) execFor() experiment.ArmExecutor {
 			Label: u.Arm.Label,
 			Index: u.Index,
 			Key:   u.Key,
+			Arm:   u.Arm,
 			Scale: r.scaleName,
 			Seed:  r.scale.Seed,
-		}
-		raw, err := json.Marshal(u.Arm)
-		if err != nil {
-			return experiment.Arm{}, false, fmt.Errorf("dlsim: encode arm: %w", err)
-		}
-		if err := json.Unmarshal(raw, &order.Arm); err != nil {
-			return experiment.Arm{}, false, fmt.Errorf("dlsim: decode arm: %w", err)
 		}
 		res, handled, err := r.exec(ctx, order)
 		if !handled || err != nil {
@@ -327,15 +319,13 @@ func resLabel(res *ArmResult) string {
 }
 
 // engineArmOf converts a wire arm result back into the engine's form.
-// RoundRecord mirrors metrics.RoundRecord field-for-field and floats
-// round-trip JSON exactly, so the conversion preserves bytes.
+// RoundRecord converts to metrics.RoundRecord as a struct (a field on
+// one side only does not compile) and floats round-trip JSON exactly,
+// so the conversion preserves bytes.
 func engineArmOf(a ArmResult) experiment.Arm {
 	s := &metrics.Series{Label: a.Label}
 	for _, r := range a.Records {
-		s.Append(metrics.RoundRecord{
-			Round: r.Round, TestAcc: r.TestAcc, MIAAcc: r.MIAAcc,
-			TPRAt1FPR: r.TPRAt1FPR, GenError: r.GenError,
-		})
+		s.Append(metrics.RoundRecord(r))
 	}
 	return experiment.Arm{
 		Label:           a.Label,

@@ -4,8 +4,9 @@
 # targets run once over their seed corpus, no fuzzing time), the
 # one-generator import gate (math/rand only under internal/tensor), a
 # declarative-spec end-to-end smoke at tiny scale, a race-enabled
-# service smoke (serve + submit + stream + cancel over HTTP), and the
-# pkg/dlsim API gate (no internal types in exported signatures).
+# service smoke (serve + submit + stream + cancel over HTTP), the
+# pkg/dlsim API gate (no internal types in exported signatures), and the
+# one-schema import gate (internal/spec is benchmark/'s shim only).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,8 @@ fi
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
 go test ./benchmark
+# (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
+# rest of that package's black-box tests until the directory goes.)
 go test -run='^Fuzz' ./internal/wire ./internal/spec ./internal/store ./internal/tensor
 
 # One generator family: every stream in the program comes from
@@ -49,12 +52,25 @@ if [ -n "$strays" ]; then
 fi
 echo "rng import gate ok"
 
-# pkg/dlsim API gate: the public SDK must not leak internal types into
-# its exported signatures (the stability promise of the package). The
-# grep matches qualified references to internal packages in the
-# documented API surface.
-api=$(go doc -all ./pkg/dlsim)
-leaks=$(echo "$api" | grep -nE 'internal/|\b(experiment|metrics|sink|spec|core|gossip|netmodel|par|data|nn|mia|server)\.[A-Z]' || true)
+# One scenario schema: the language lives in pkg/dlsim/spec, and
+# internal/spec is an alias file kept for benchmark/ until a benchmark
+# PR repoints its imports. Nothing else may import it — so pkg/dlsim
+# cannot leak an internal spec type, because it cannot import one.
+strays=$(grep -rl --include='*.go' '"gossipmia/internal/spec"' . |
+    grep -v '^\./benchmark/' || true)
+if [ -n "$strays" ]; then
+    echo "gossipmia/internal/spec imported outside benchmark/:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+echo "spec import gate ok"
+
+# pkg/dlsim API gate: the public SDK and its scenario package must not
+# leak internal types into their exported signatures (the stability
+# promise of both). The grep matches qualified references to internal
+# packages in the documented API surface.
+api=$(go doc -all ./pkg/dlsim; go doc -all ./pkg/dlsim/spec)
+leaks=$(echo "$api" | grep -nE 'internal/|\b(experiment|metrics|sink|core|gossip|netmodel|par|data|nn|mia|server)\.[A-Z]' || true)
 if [ -n "$leaks" ]; then
     echo "pkg/dlsim leaks internal types into its exported API:" >&2
     echo "$leaks" >&2
