@@ -104,7 +104,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	var diag diagFlags
 	diag.register(fs)
-	figure := fs.String("figure", "all", `figure or scenario to run (see dlsim list): 2..10, "latency", "churn", "dynamics", "tables", "attacks", or "all"`)
+	figure := fs.String("figure", "all", `catalog entry to run (a name printed by dlsim list), or "all"`)
 	specPath := fs.String("spec", "", "run a declarative scenario spec (JSON file) instead of a catalog figure")
 	outDir := fs.String("out", "", "result directory: manifest, arm cache (embedded store under OUT/store), streamed events, results.csv (requires -spec)")
 	resume := fs.Bool("resume", false, "with -spec and -out: skip arms whose cached results already exist in the out directory")
@@ -114,7 +114,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	seed := fs.Int64("seed", 0, "override the scale's base seed (0 keeps the preset)")
 	csv := fs.Bool("csv", false, "also print per-round CSV series for every arm")
 	plotFlag := fs.Bool("plot", false, "also render ASCII tradeoff scatter plots")
-	repeats := fs.Int("repeats", 0, "replicate a single figure over N seeds and report bootstrap CIs")
+	repeats := fs.Int("repeats", 0, "replicate one spec-backed figure over N >= 2 seeds and report bootstrap CIs instead of its table")
 	workers := fs.Int("workers", 0, "worker goroutines for arms, intra-arm tick execution, per-node evaluation, and tiled GEMM (0 = one per CPU, 1 = serial); results are identical for any value")
 	transport := fs.String("transport", "", `network transport overlay: "instant" (default), "latency", or "lossy"`)
 	latency := fs.Float64("latency", 0, "mean per-link delay in ticks (implies -transport latency; jitter is 30% of the mean)")
@@ -128,6 +128,9 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	}
 	if *workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", *workers)
+	}
+	if *repeats != 0 && *repeats < 2 {
+		return fmt.Errorf("-repeats needs at least 2 seeds, got %d", *repeats)
 	}
 
 	stopDiag, err := diag.start()
@@ -164,7 +167,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 		if *figure != "all" {
 			return fmt.Errorf("-spec and -figure are mutually exclusive (got -figure %s)", *figure)
 		}
-		if *repeats > 1 {
+		if *repeats != 0 {
 			return fmt.Errorf("-repeats does not apply to -spec runs")
 		}
 		// Specs declare their networks per arm; letting the overlay
@@ -189,10 +192,12 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 		return fmt.Errorf("-out and -resume require -spec")
 	}
 
-	switch *figure {
-	case "all":
+	if *figure == "all" {
+		if *repeats != 0 {
+			return fmt.Errorf("-repeats replicates one figure and does not apply to -figure all")
+		}
 		if sc.Net != (experiment.NetOverlay{}) {
-			return fmt.Errorf("network overlay flags cannot be combined with -figure all: the latency and churn scenarios pin their own networks per arm")
+			return fmt.Errorf("network overlay flags cannot be combined with -figure all: some entries pin their own networks per arm (marked - by dlsim list)")
 		}
 		for _, e := range experiment.Catalog() {
 			if err := runEntry(ctx, e, sc, *csv, *plotFlag); err != nil {
@@ -200,26 +205,31 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 			}
 		}
 		return nil
-	default:
-		e, ok := experiment.CatalogEntryByName(*figure)
-		if !ok {
-			return fmt.Errorf("unknown figure %q (run dlsim list for the catalog)", *figure)
-		}
-		if e.RejectsOverlay && sc.Net != (experiment.NetOverlay{}) {
-			return fmt.Errorf("network overlay flags have no effect on -figure %s", e.Name)
-		}
-		if *repeats > 1 && e.Runnable() {
-			rep, err := experiment.Replicate(func(rsc experiment.Scale) (*experiment.FigureResult, error) {
-				return e.Run(ctx, rsc)
-			}, sc, *repeats, 0.95)
-			if err != nil {
-				return err
-			}
-			fmt.Println(rep.Table())
-			return nil
-		}
+	}
+	e, ok := experiment.CatalogEntryByName(*figure)
+	if !ok {
+		return fmt.Errorf("unknown figure %q (run dlsim list for the catalog)", *figure)
+	}
+	if e.RejectsOverlay && sc.Net != (experiment.NetOverlay{}) {
+		return fmt.Errorf("network overlay flags have no effect on -figure %s", e.Name)
+	}
+	if *repeats == 0 {
 		return runEntry(ctx, e, sc, *csv, *plotFlag)
 	}
+	if !e.Runnable() {
+		return fmt.Errorf("-figure %s renders text and cannot be replicated: -repeats applies to spec-backed entries", e.Name)
+	}
+	if *csv || *plotFlag {
+		return fmt.Errorf("-repeats prints bootstrap intervals, not per-round series: it cannot be combined with -csv or -plot")
+	}
+	rep, err := experiment.Replicate(func(rsc experiment.Scale) (*experiment.FigureResult, error) {
+		return e.Run(ctx, rsc)
+	}, sc, *repeats, 0.95)
+	if err != nil {
+		return err
+	}
+	fmt.Println(rep.Table())
+	return nil
 }
 
 // newRunner assembles the SDK runner the CLI's local spec runs go
@@ -455,7 +465,7 @@ func listCmd(args []string) error {
 		if !e.Runnable {
 			kind = "*"
 		}
-		fmt.Printf("  %-9s %s%s\n", e.Name, kind, e.Desc)
+		fmt.Printf("  %-15s %s%s\n", e.Name, kind, e.Desc)
 	}
 	fmt.Println("entries marked * are text-only and cannot run as service jobs")
 	return nil
@@ -568,11 +578,20 @@ func netOverlay(transport string, latency, churn, drop float64) (experiment.NetO
 func printCatalog(w *os.File) {
 	fmt.Fprintln(w, "figures and scenarios (dlsim run -figure NAME):")
 	for _, e := range experiment.Catalog() {
-		fmt.Fprintf(w, "  %-9s %s\n", e.Name, e.Desc)
+		text, pinned := " ", " "
+		if !e.Runnable() {
+			text = "*"
+		}
+		if e.RejectsOverlay {
+			pinned = "-"
+		}
+		fmt.Fprintf(w, "  %-15s %s%s %s\n", e.Name, text, pinned, e.Desc)
 	}
-	fmt.Fprintln(w, "  all       every figure and scenario above, in catalog order")
+	fmt.Fprintln(w, "  all                every entry above, in catalog order")
 	fmt.Fprintln(w, strings.TrimSpace(`
-network overlay flags (apply to any figure): -transport, -latency, -churn, -drop
+* renders text instead of running a spec: no -repeats, and not a service job
+- takes no network overlay; the overlay flags -transport, -latency, -churn, -drop
+  apply to every other entry
 declarative specs: dlsim run -spec file.json, or persisted and resumable:
   dlsim sweep -spec file.json -out dir [-resume] (see examples/specs/)
 service mode: dlsim serve; submit with dlsim run -spec file.json -remote URL`))

@@ -84,6 +84,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"run", "-figure", "tables", "-transport", "instant"}); err != nil {
 		t.Fatalf("-figure tables -transport instant rejected: %v", err)
 	}
+	// -repeats replicates one spec-backed figure and prints intervals;
+	// anywhere it cannot apply it is an error, not a flag that is dropped.
+	for _, args := range [][]string{
+		{"run", "-figure", "tables", "-repeats", "3"},
+		{"run", "-figure", "all", "-scale", "tiny", "-repeats", "3"},
+		{"run", "-figure", "8", "-scale", "tiny", "-repeats", "1"},
+		{"run", "-figure", "8", "-scale", "tiny", "-repeats", "2", "-csv"},
+		{"run", "-figure", "8", "-scale", "tiny", "-repeats", "2", "-plot"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-repeats") {
+			t.Fatalf("dlsim %v: error = %v, want a -repeats error", args, err)
+		}
+	}
 }
 
 func TestListFlag(t *testing.T) {
@@ -103,7 +116,8 @@ func TestListFlag(t *testing.T) {
 	// The catalog is the single source of truth for list AND -figure:
 	// every name -figure accepts (other than "all") must be listed,
 	// including the tables/attacks pseudo-figures the old listing omitted.
-	for _, want := range []string{"2", "9", "10", "latency", "churn", "dynamics", "tables", "attacks"} {
+	for _, want := range []string{"2", "9", "10", "latency", "churn", "dynamics", "tables", "attacks",
+		"samo-delay", "loss", "epidemic", "overfit", "dynamics-model"} {
 		if !names[want] {
 			t.Fatalf("catalog missing %q", want)
 		}
@@ -125,6 +139,16 @@ func TestCatalogNamesAllRunnable(t *testing.T) {
 	}
 	if err := run([]string{"run", "-figure", "10", "-scale", "tiny", "-latency", "2"}); err == nil {
 		t.Fatal("figure 10 accepted a network overlay it cannot apply")
+	}
+	// The single-node study (what cmd/miaeval was) and the dynamics-model
+	// ablation are text entries of the same kind.
+	for _, name := range []string{"overfit", "dynamics-model"} {
+		if err := run([]string{"run", "-figure", name, "-scale", "tiny"}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := run([]string{"run", "-figure", name, "-scale", "tiny", "-drop", "0.1"}); err == nil {
+			t.Fatalf("%s accepted a network overlay it cannot apply", name)
+		}
 	}
 	for _, e := range experiment.Catalog() {
 		// Dispatch with a bad scale: a listed name must get past name

@@ -75,7 +75,7 @@ func TestRunFigure2Tiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunFigure2(sc)
+	fig, err := runEntry("2", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestRunFigure5Tiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunFigure5(sc)
+	fig, err := runEntry("5", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunFigure6Tiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunFigure6(sc)
+	fig, err := runEntry("6", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestRunFigure7NotesAndPlots(t *testing.T) {
 	sc := TinyScale()
 	sc.Rounds = 4
 	sc.EvalEvery = 1 // enough points for a rank correlation
-	fig, err := RunFigure7(sc)
+	fig, err := runEntry("7", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestRunFigure9Tiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunFigure9(sc)
+	fig, err := runEntry("9", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSpectralCheckpoints(t *testing.T) {
 func TestRunArmsRejectsBadScale(t *testing.T) {
 	bad := TinyScale()
 	bad.Rounds = 0
-	if _, err := RunFigure2(bad); !errors.Is(err, ErrScale) {
+	if _, err := runEntry("2", bad); !errors.Is(err, ErrScale) {
 		t.Fatalf("bad scale error = %v", err)
 	}
 	if _, err := RunFigure10(bad); !errors.Is(err, ErrScale) {

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -66,9 +65,47 @@ func DynamicsComparisonSpec() *spec.Spec {
 	}
 }
 
-// RunDynamicsComparison runs the dynamics-comparison spec.
-func RunDynamicsComparison(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), DynamicsComparisonSpec(), sc)
+// SAMODelaySpec isolates SAMO's delayed aggregation: samo-nodelay keeps
+// the full-view dissemination but merges pairwise on receive, so the
+// difference between the two arms is the merge-once rule alone.
+func SAMODelaySpec() *spec.Spec {
+	return &spec.Spec{
+		Name:    "Ablation: SAMO delayed aggregation",
+		Caption: "merge-once vs merge-on-receive with identical dissemination (CIFAR-10-like, k=5, static)",
+		Sweep: &spec.Sweep{
+			Base: spec.Arm{
+				Label:      "cifar10/k=5",
+				Corpus:     string(data.CIFAR10),
+				ViewSize:   5,
+				SeedOffset: 1200,
+			},
+			Axes: []spec.Axis{
+				{Field: "protocol", Values: []any{"samo", "samo-nodelay"}},
+			},
+		},
+	}
+}
+
+// EpidemicSpec compares Epidemic Learning — every wake sends to two
+// peers drawn uniformly from the whole network, the limit case of
+// topology dynamics — against SAMO over a static and a PeerSwap
+// 2-regular graph.
+func EpidemicSpec() *spec.Spec {
+	arms := []spec.Arm{
+		{Label: "cifar10/samo/k=2/static", Protocol: "samo"},
+		{Label: "cifar10/samo/k=2/dynamic", Protocol: "samo", Dynamics: "peerswap"},
+		{Label: "cifar10/epidemic/fanout=2", Protocol: "epidemic"},
+	}
+	for i := range arms {
+		arms[i].Corpus = string(data.CIFAR10)
+		arms[i].ViewSize = 2
+		arms[i].SeedOffset = 1100 + int64(i)
+	}
+	return &spec.Spec{
+		Name:    "Extension: Epidemic Learning",
+		Caption: "uniform random fanout vs SAMO over fixed and PeerSwap views (CIFAR-10-like)",
+		Arms:    arms,
+	}
 }
 
 // RunAttackComparison trains one SAMO deployment on the CIFAR-10-like

@@ -41,7 +41,7 @@ func TestRunDynamicsComparisonTiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunDynamicsComparison(sc)
+	fig, err := runEntry("dynamics", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunDynamicsComparisonTiny(t *testing.T) {
 	}
 	bad := TinyScale()
 	bad.Rounds = 0
-	if _, err := RunDynamicsComparison(bad); !errors.Is(err, ErrScale) {
+	if _, err := runEntry("dynamics", bad); !errors.Is(err, ErrScale) {
 		t.Fatalf("bad scale error = %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestReplicate(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	rep, err := Replicate(RunFigure8, sc, 2, 0.9)
+	rep, err := Replicate(entryRunner("8"), sc, 2, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +89,10 @@ func TestReplicate(t *testing.T) {
 			t.Fatalf("replicated table missing %q:\n%s", want, table)
 		}
 	}
-	if _, err := Replicate(RunFigure8, sc, 1, 0.9); !errors.Is(err, ErrScale) {
+	if _, err := Replicate(entryRunner("8"), sc, 1, 0.9); !errors.Is(err, ErrScale) {
 		t.Fatalf("repeats=1 error = %v", err)
 	}
-	if _, err := Replicate(RunFigure8, sc, 2, 2); !errors.Is(err, ErrScale) {
+	if _, err := Replicate(entryRunner("8"), sc, 2, 2); !errors.Is(err, ErrScale) {
 		t.Fatalf("confidence error = %v", err)
 	}
 }
@@ -110,7 +110,7 @@ func TestArmBytesAccounting(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	fig, err := RunFigure8(sc)
+	fig, err := runEntry("8", sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -161,11 +160,6 @@ func Figure2Spec() *spec.Spec {
 	}
 }
 
-// RunFigure2 runs the Figure 2 spec.
-func RunFigure2(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure2Spec(), sc)
-}
-
 // Figure3Spec (RQ2): static vs dynamic topology on a sparse 2-regular
 // graph with SAMO, across the four corpora.
 func Figure3Spec() *spec.Spec {
@@ -189,11 +183,6 @@ func Figure3Spec() *spec.Spec {
 		Caption: "MIA vulnerability vs global test accuracy, static vs dynamic, 2-regular graph (SAMO)",
 		Arms:    arms,
 	}
-}
-
-// RunFigure3 runs the Figure 3 spec.
-func RunFigure3(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure3Spec(), sc)
 }
 
 // Figure4Spec (RQ3): canary-based worst-case audit — maximum per-node
@@ -220,11 +209,6 @@ func Figure4Spec() *spec.Spec {
 		Caption: "Max canary TPR@1%FPR over communication rounds, static vs dynamic, 2-regular graph",
 		Arms:    arms,
 	}
-}
-
-// RunFigure4 runs the Figure 4 spec.
-func RunFigure4(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure4Spec(), sc)
 }
 
 // Figure5Spec (RQ4): view-size sweep on the CIFAR-10-like corpus with
@@ -254,11 +238,6 @@ func Figure5Spec(sc Scale) *spec.Spec {
 		Caption: "Max MIA accuracy and TPR@1%FPR vs view size, static vs dynamic (CIFAR-10-like, SAMO)",
 		Arms:    arms,
 	}
-}
-
-// RunFigure5 runs the Figure 5 spec.
-func RunFigure5(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure5Spec(sc), sc)
 }
 
 // Figure6Spec (RQ5): Dirichlet non-IID sweep on the Purchase100-like
@@ -295,11 +274,6 @@ func Figure6Spec() *spec.Spec {
 	}
 }
 
-// RunFigure6 runs the Figure 6 spec.
-func RunFigure6(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure6Spec(), sc)
-}
-
 // Figure7Spec (RQ6): MIA vulnerability against generalization error
 // across the four corpora (static vs dynamic, 2-regular, SAMO). The
 // series carry both quantities per round.
@@ -324,17 +298,6 @@ func Figure7Spec() *spec.Spec {
 		Caption: "MIA vulnerability vs generalization error across corpora (static vs dynamic)",
 		Arms:    arms,
 	}
-}
-
-// RunFigure7 runs the Figure 7 spec and appends the RQ6 rank
-// correlations.
-func RunFigure7(sc Scale) (*FigureResult, error) {
-	fig, err := RunSpec(context.Background(), Figure7Spec(), sc)
-	if err != nil {
-		return nil, err
-	}
-	AppendFigure7Notes(fig)
-	return fig, nil
 }
 
 // AppendFigure7Notes quantifies the RQ6 link per arm: rank correlation
@@ -378,11 +341,6 @@ func Figure8Spec() *spec.Spec {
 	}
 }
 
-// RunFigure8 runs the Figure 8 spec.
-func RunFigure8(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure8Spec(), sc)
-}
-
 // Figure9Spec (RQ7): DP-SGD privacy-budget sweep (plus a non-DP
 // baseline) on the Purchase100-like corpus, static vs dynamic.
 func Figure9Spec() *spec.Spec {
@@ -414,11 +372,6 @@ func Figure9Spec() *spec.Spec {
 		Caption: "MIA vulnerability and test accuracy vs DP-SGD budget epsilon (delta=1e-5), static vs dynamic",
 		Arms:    arms,
 	}
-}
-
-// RunFigure9 runs the Figure 9 spec.
-func RunFigure9(sc Scale) (*FigureResult, error) {
-	return RunSpec(context.Background(), Figure9Spec(), sc)
 }
 
 func dynLabel(dynamic bool) string {

@@ -53,23 +53,46 @@ func (m *MixingResult) Table() string {
 // graphs of degree 2, 5, 10 and 25 in the static and dynamic
 // (random-permutation) settings, averaged over SpectralRuns runs.
 func RunFigure10(sc Scale) (*MixingResult, error) {
+	return mixingCurves(sc, "Figure 10", "lambda2(W*) vs iterations",
+		[]int{2, 5, 10, 25}, []mixKind{mixStatic, mixPermutation})
+}
+
+// RunDynamicsModel compares the experimental dynamics against the
+// idealized model of Section 4 on mixing quality: λ₂(W*) on a sparse
+// (2-regular) and a denser (5-regular) graph when it never changes,
+// when every step applies one PeerSwap per node (what the simulator's
+// dynamic arms do), and when every step is a fresh random permutation
+// (what the analysis assumes). The static and permutation rows are
+// Figure 10's; the PeerSwap rows show where the experiments sit between
+// them. A PeerSwap relabels two adjacent nodes, so it never joins two
+// components: where the random 2-regular graph comes out as several
+// cycles, PeerSwap stays at 1 like the static graph while the
+// permutation model mixes.
+func RunDynamicsModel(sc Scale) (*MixingResult, error) {
+	return mixingCurves(sc, "Ablation: dynamics model",
+		"lambda2(W*) vs iterations, static vs PeerSwap vs random permutation",
+		[]int{2, 5}, []mixKind{mixStatic, mixPeerSwap, mixPermutation})
+}
+
+// mixingCurves computes one curve per degree that fits the scale's
+// spectral network and per kind, in that order.
+func mixingCurves(sc Scale, name, caption string, degrees []int, kinds []mixKind) (*MixingResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	checkpoints := spectralCheckpoints(sc.SpectralIters)
 	res := &MixingResult{
-		Name: "Figure 10",
-		Caption: fmt.Sprintf(
-			"lambda2(W*) vs iterations, n=%d, avg of %d runs", sc.SpectralN, sc.SpectralRuns),
+		Name:    name,
+		Caption: fmt.Sprintf("%s, n=%d, avg of %d runs", caption, sc.SpectralN, sc.SpectralRuns),
 	}
-	for _, k := range []int{2, 5, 10, 25} {
+	for _, k := range degrees {
 		if k >= sc.SpectralN {
 			continue
 		}
-		for _, dynamic := range []bool{false, true} {
-			curve, err := mixingCurve(sc, k, dynamic, checkpoints)
+		for _, kind := range kinds {
+			curve, err := mixingCurve(sc, k, kind, checkpoints)
 			if err != nil {
-				return nil, fmt.Errorf("experiment: figure 10 k=%d dynamic=%v: %w", k, dynamic, err)
+				return nil, fmt.Errorf("experiment: %s k=%d %s: %w", name, k, kind, err)
 			}
 			res.Curves = append(res.Curves, curve)
 		}
@@ -77,25 +100,32 @@ func RunFigure10(sc Scale) (*MixingResult, error) {
 	return res, nil
 }
 
+// mixKind is how the graph of a mixing sequence evolves between steps.
+// The values are also the per-kind seed offsets of mixingCurve, so they
+// must not be reordered (0 and 1 are Figure 10's static and dynamic
+// streams).
+type mixKind int
+
+const (
+	mixStatic      mixKind = iota // the same graph every step
+	mixPermutation                // Section 4's model: all nodes permuted every step
+	mixPeerSwap                   // the experiments' dynamics: one PeerSwap per node every step
+)
+
+// String is the curve-label prefix of the kind.
+func (k mixKind) String() string { return [...]string{"Stat", "Dyn", "Swap"}[k] }
+
 // mixingCurve averages the contraction trajectory over independent runs.
-func mixingCurve(sc Scale, k int, dynamic bool, checkpoints []int) (MixingCurve, error) {
-	setting := "Stat"
-	if dynamic {
-		setting = "Dyn"
-	}
+func mixingCurve(sc Scale, k int, kind mixKind, checkpoints []int) (MixingCurve, error) {
 	curve := MixingCurve{
-		Label:      fmt.Sprintf("%s, %d-reg", setting, k),
+		Label:      fmt.Sprintf("%s, %d-reg", kind, k),
 		Iterations: checkpoints,
 		Mean:       make([]float64, len(checkpoints)),
 		Std:        make([]float64, len(checkpoints)),
 	}
 	samples := make([][]float64, len(checkpoints))
 	for run := 0; run < sc.SpectralRuns; run++ {
-		seed := sc.Seed*7_919 + int64(run*1000+k*10)
-		if dynamic {
-			seed++
-		}
-		rng := tensor.NewRNG(seed)
+		rng := tensor.NewRNG(sc.Seed*7_919 + int64(run*1000+k*10) + int64(kind))
 		n := sc.SpectralN
 		if n*k%2 != 0 {
 			n++
@@ -105,9 +135,12 @@ func mixingCurve(sc Scale, k int, dynamic bool, checkpoints []int) (MixingCurve,
 			return MixingCurve{}, err
 		}
 		var seq *graph.Sequence
-		if dynamic {
+		switch kind {
+		case mixPermutation:
 			seq, err = graph.DynamicSequence(g, sc.SpectralIters, rng)
-		} else {
+		case mixPeerSwap:
+			seq, err = graph.PeerSwapSequence(g, sc.SpectralIters, n, rng)
+		default:
 			seq, err = graph.StaticSequence(g, sc.SpectralIters)
 		}
 		if err != nil {

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"gossipmia/internal/data"
@@ -84,18 +83,6 @@ func totalTicks(sim gossip.Config) int {
 	return sim.Defaulted().TicksPerRound * sim.Rounds
 }
 
-// rejectOverlay errors when a scenario that pins its own per-arm
-// network is combined with a Scale-level overlay: silently ignoring the
-// overlay (or letting it degrade a scenario's control arm) would
-// misreport what was measured.
-func rejectOverlay(scenario string, sc Scale) error {
-	if sc.Net != (NetOverlay{}) {
-		return fmt.Errorf("%w: the %s scenario pins its own network per arm and cannot run under a network overlay (drop the -transport/-latency/-churn/-drop flags)",
-			ErrScale, scenario)
-	}
-	return nil
-}
-
 // churnSchedule makes the first round(frac·nodes) node IDs — capped so
 // at least one node stays up — leave at one third of the run and
 // rejoin at two thirds. It is a pure function of its arguments, so
@@ -162,12 +149,25 @@ func LatencySweepSpec() *spec.Spec {
 	}
 }
 
-// RunLatencySweep runs the latency-sweep spec.
-func RunLatencySweep(sc Scale) (*FigureResult, error) {
-	if err := rejectOverlay("latency", sc); err != nil {
-		return nil, err
+// MessageLossSpec (network scenario "loss"): SAMO on a 3-regular graph
+// with 0%, 20% and 40% of transmissions lost, on the FashionMNIST-like
+// corpus — how much of the merge-once protocol's accuracy and leakage
+// survives when a share of the models it waits for never arrives.
+func MessageLossSpec() *spec.Spec {
+	return &spec.Spec{
+		Name:    "Scenario: message loss",
+		Caption: "SAMO under i.i.d. transmission loss (FashionMNIST-like, k=3)",
+		Sweep: &spec.Sweep{
+			Base: spec.Arm{
+				Label:      "fashionmnist/samo/k=3",
+				Corpus:     string(data.FashionMNIST),
+				Protocol:   "samo",
+				ViewSize:   3,
+				SeedOffset: 1300,
+			},
+			Axes: []spec.Axis{{Field: "drop", Values: []any{0.0, 0.2, 0.4}}},
+		},
 	}
-	return RunSpec(context.Background(), LatencySweepSpec(), sc)
 }
 
 // ChurnRecoverySpec (network scenario "churn"): SAMO on a sparse graph
@@ -200,14 +200,6 @@ func ChurnRecoverySpec(sc Scale) *spec.Spec {
 		Caption: "Accuracy dip and recovery under node churn and a healing half/half partition (CIFAR-10-like, SAMO)",
 		Arms:    arms,
 	}
-}
-
-// RunChurnRecovery runs the churn-recovery spec.
-func RunChurnRecovery(sc Scale) (*FigureResult, error) {
-	if err := rejectOverlay("churn", sc); err != nil {
-		return nil, err
-	}
-	return RunSpec(context.Background(), ChurnRecoverySpec(sc), sc)
 }
 
 // churnSpecSchedule is churnSchedule in the declarative vocabulary.

@@ -40,7 +40,7 @@ func TestInstantFigureMatchesSeedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig, err := RunFigure2(TinyScale())
+	fig, err := runEntry("2", TinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLatencyFigureMatchesGolden(t *testing.T) {
 	}
 	sc := TinyScale()
 	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 20, LatencyJitter: 6}
-	fig, err := RunFigure2(sc)
+	fig, err := runEntry("2", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestNetworkScenariosDeterministicAcrossWorkers(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	runners := map[string]func(Scale) (*FigureResult, error){
-		"latency": RunLatencySweep,
-		"churn":   RunChurnRecovery,
+		"latency": entryRunner("latency"),
+		"churn":   entryRunner("churn"),
 	}
 	for name, runner := range runners {
 		var ref string
@@ -116,7 +116,7 @@ func TestLatencySweepArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	fig, err := RunLatencySweep(TinyScale())
+	fig, err := runEntry("latency", TinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestChurnRecoveryArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	fig, err := RunChurnRecovery(TinyScale())
+	fig, err := runEntry("churn", TinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +151,10 @@ func TestChurnRecoveryArms(t *testing.T) {
 func TestScenariosRejectOverlay(t *testing.T) {
 	sc := TinyScale()
 	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 200}
-	if _, err := RunLatencySweep(sc); err == nil {
+	if _, err := runEntry("latency", sc); err == nil {
 		t.Fatal("latency sweep accepted a network overlay")
 	}
-	if _, err := RunChurnRecovery(sc); err == nil {
+	if _, err := runEntry("churn", sc); err == nil {
 		t.Fatal("churn recovery accepted a network overlay")
 	}
 }
@@ -189,7 +189,7 @@ func TestNetOverlayAppliesToArms(t *testing.T) {
 	}
 	sc := TinyScale()
 	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 15, LatencyJitter: 5, ChurnFraction: 0.3}
-	fig, err := RunFigure8(sc) // the smallest figure: two arms
+	fig, err := runEntry("8", sc) // the smallest figure: two arms
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestNetOverlayAppliesToArms(t *testing.T) {
 	}
 	// The overlay must actually reach the simulator: under latency and
 	// churn the fixed-seed figure cannot match the instant baseline.
-	base, err := RunFigure8(TinyScale())
+	base, err := runEntry("8", TinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ func TestFigureIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *FigureResult {
 		sc := TinyScale()
 		sc.Workers = workers
-		fig, err := RunFigure3(sc)
+		fig, err := runEntry("3", sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestReplicateIdenticalAcrossWorkerCounts(t *testing.T) {
 	run := func(workers int) *ReplicatedResult {
 		sc := TinyScale()
 		sc.Workers = workers
-		rep, err := Replicate(RunFigure8, sc, 3, 0.9)
+		rep, err := Replicate(entryRunner("8"), sc, 3, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}

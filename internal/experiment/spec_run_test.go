@@ -67,10 +67,10 @@ func TestRunSpecMatchesFigureRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	// The figure runner is a thin builder over RunSpec: running the
+	// A catalog entry is a spec builder over RunSpec: running the
 	// emitted spec by hand must reproduce the figure byte for byte.
 	sc := TinyScale()
-	direct, err := RunFigure8(sc)
+	direct, err := runEntry("8", sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestRunSpecMatchesFigureRunner(t *testing.T) {
 		t.Fatal(err)
 	}
 	if figureDump(direct) != figureDump(viaSpec) {
-		t.Fatal("RunFigure8 and RunSpec(Figure8Spec()) diverge")
+		t.Fatal("catalog entry 8 and RunSpec(Figure8Spec()) diverge")
 	}
 }
 

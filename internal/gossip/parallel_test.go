@@ -94,12 +94,11 @@ func parallelScenarios() map[string]Config {
 // matrixProtocols is every protocol the matrix runs: everything
 // ProtocolByName resolves.
 func matrixProtocols() map[string]Protocol {
-	return map[string]Protocol{
-		"base":         BaseGossip{},
-		"samo":         SAMO{},
-		"samo-nodelay": SAMO{MergeOnReceive: true},
-		"epidemic":     Epidemic{Fanout: 2},
+	m := map[string]Protocol{}
+	for _, p := range protocols {
+		m[p.Name()] = p
 	}
+	return m
 }
 
 // TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single

@@ -183,18 +183,24 @@ func (p SAMO) OnReceive(node *Node, msg Message) error {
 	return nil
 }
 
+// protocols is every protocol a configuration can name.
+var protocols = []Protocol{BaseGossip{}, SAMO{}, SAMO{MergeOnReceive: true}, Epidemic{Fanout: 2}}
+
 // ProtocolByName resolves a protocol identifier used in configs and CLIs.
 func ProtocolByName(name string) (Protocol, error) {
-	switch name {
-	case "base":
-		return BaseGossip{}, nil
-	case "samo":
-		return SAMO{}, nil
-	case "samo-nodelay":
-		return SAMO{MergeOnReceive: true}, nil
-	case "epidemic":
-		return Epidemic{Fanout: 2}, nil
-	default:
-		return nil, fmt.Errorf("unknown protocol %q: %w", name, ErrProtocol)
+	for _, p := range protocols {
+		if p.Name() == name {
+			return p, nil
+		}
 	}
+	return nil, fmt.Errorf("unknown protocol %q (want one of %v): %w", name, ProtocolNames(), ErrProtocol)
+}
+
+// ProtocolNames lists the identifiers ProtocolByName resolves.
+func ProtocolNames() []string {
+	names := make([]string, len(protocols))
+	for i, p := range protocols {
+		names[i] = p.Name()
+	}
+	return names
 }

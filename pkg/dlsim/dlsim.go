@@ -282,15 +282,9 @@ func (r *Runner) RunFigure(ctx context.Context, name string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("dlsim: unknown figure %q (see Catalog)", name)
 	}
-	if !e.Runnable() {
-		return nil, fmt.Errorf("dlsim: figure %q renders text only and cannot run as a spec", name)
-	}
-	fig, err := experiment.RunSpecExec(ctx, e.Spec(r.scale), r.scale, r.sinkFor(), r.execFor())
+	fig, err := e.RunExec(ctx, r.scale, r.sinkFor(), r.execFor())
 	if err != nil {
 		return nil, err
-	}
-	if e.Post != nil {
-		e.Post(fig)
 	}
 	return resultOf(fig), nil
 }
@@ -312,8 +306,9 @@ type CatalogEntry struct {
 	Name string `json:"name"`
 	// Desc is the one-line description.
 	Desc string `json:"desc"`
-	// Runnable is false for text-only entries (tables, 10, attacks), which
-	// the CLI renders but RunFigure and the job service cannot execute.
+	// Runnable is true for entries backed by a declarative spec. The
+	// rest render text: the CLI prints them, but RunFigure, FigureSpec
+	// and the job service, which all work on specs, refuse them.
 	Runnable bool `json:"runnable"`
 }
 

@@ -62,7 +62,9 @@ type Arm struct {
 	// Corpus is the dataset stand-in ("cifar10", "cifar100",
 	// "fashionmnist", "purchase100").
 	Corpus string `json:"corpus"`
-	// Protocol is the gossip protocol ("base", "samo", "samo-nodelay").
+	// Protocol is the gossip protocol ("base", "samo", "samo-nodelay",
+	// or "epidemic", which sends to 2 peers drawn from the whole network
+	// whatever the view).
 	Protocol string `json:"protocol"`
 	// ViewSize is k, the regular degree.
 	ViewSize int `json:"viewSize"`
@@ -187,7 +189,7 @@ func Parse(raw []byte) (*Spec, error) {
 // name to an implementation stays the executor's job.
 var (
 	knownCorpora    = []string{"cifar10", "cifar100", "fashionmnist", "purchase100"}
-	knownProtocols  = []string{"base", "samo", "samo-nodelay"}
+	knownProtocols  = []string{"base", "samo", "samo-nodelay", "epidemic"}
 	knownDynamics   = []string{"", "static", "peerswap", "cyclon"}
 	knownTransports = []string{"instant", "latency", "lossy"}
 )

@@ -3,6 +3,8 @@ package spec
 import (
 	"strings"
 	"testing"
+
+	"gossipmia/internal/gossip"
 )
 
 func TestLabelValueFormatting(t *testing.T) {
@@ -36,10 +38,38 @@ func TestAxisFieldNamesSorted(t *testing.T) {
 // /v1/version report. A change of the scenario language — a field, an
 // axis, an accepted name — re-pins it on purpose; a package move or a
 // refactor must not (the hash prints reflect type strings, so it moves
-// if the package is ever renamed).
+// if the package is ever renamed). Re-pinned once since 697ba872…: the
+// protocol name "epidemic" was admitted (it ran on the engine, and only
+// a Go benchmark could reach it).
 func TestSchemaHashPinned(t *testing.T) {
-	const want = "697ba8729c22d096fe1cba0eec779939fe0d488da90e76d22e40645a4d3eb058"
+	const want = "a4af656ad7834a46caa3f6e8293872bddcfaa4401336609b60fe4169528f7933"
 	if got := SchemaHash(); got != want {
 		t.Fatalf("SchemaHash() = %s, want %s", got, want)
+	}
+}
+
+// TestProtocolNamesMatchEngine keeps the two lists of protocol names —
+// the ones Validate accepts and the ones the engine resolves — one set:
+// "epidemic" ran on the engine for three PRs while Validate refused it.
+func TestProtocolNamesMatchEngine(t *testing.T) {
+	validate := func(protocol string) error {
+		sp := &Spec{Name: "p", Arms: []Arm{{Label: "a", Corpus: "cifar10", Protocol: protocol, ViewSize: 2}}}
+		return sp.Validate()
+	}
+	for _, name := range knownProtocols {
+		if _, err := gossip.ProtocolByName(name); err != nil {
+			t.Errorf("Validate accepts %q, the engine does not: %v", name, err)
+		}
+	}
+	for _, name := range gossip.ProtocolNames() {
+		if err := validate(name); err != nil {
+			t.Errorf("the engine resolves %q, Validate does not: %v", name, err)
+		}
+	}
+	if _, err := gossip.ProtocolByName("pigeon"); err == nil {
+		t.Error("the engine resolves \"pigeon\"")
+	}
+	if err := validate("pigeon"); err == nil {
+		t.Error("Validate accepts \"pigeon\"")
 	}
 }

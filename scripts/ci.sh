@@ -2,11 +2,14 @@
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus, no fuzzing time), the
-# one-generator import gate (math/rand only under internal/tensor), a
-# declarative-spec end-to-end smoke at tiny scale, a race-enabled
-# service smoke (serve + submit + stream + cancel over HTTP), the
-# pkg/dlsim API gate (no internal types in exported signatures), and the
-# one-schema import gate (internal/spec is benchmark/'s shim only).
+# one-generator import gate (math/rand only under internal/tensor), the
+# one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
+# declarative-spec end-to-end smoke at tiny scale, the whole catalog
+# run twice under the race detector (workers 1 and 4, compared), a
+# race-enabled service smoke (serve + submit + stream + cancel over
+# HTTP), the pkg/dlsim API gate (no internal types in exported
+# signatures), and the one-schema import gate (internal/spec is
+# benchmark/'s shim only).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -65,6 +68,18 @@ if [ -n "$strays" ]; then
 fi
 echo "spec import gate ok"
 
+# One way in: an experiment is an entry of the catalog `dlsim list`
+# prints, and a scenario of one's own is a spec file. A second binary,
+# or an example program that assembles studies from internal/ packages,
+# is an index nothing checks and an API the engine cannot move under.
+strays=$( (ls cmd | grep -vx dlsim; ls examples | grep -vx specs; find examples -name '*.go') || true)
+if [ -n "$strays" ]; then
+    echo "cmd/ holds more than dlsim, or examples/ more than specs/:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+echo "layout gate ok"
+
 # pkg/dlsim API gate: the public SDK and its scenario package must not
 # leak internal types into their exported signatures (the stability
 # promise of both). The grep matches qualified references to internal
@@ -119,10 +134,22 @@ test -f "$specout/run/results.csv"
 go run ./cmd/dlsim sweep -spec examples/specs/latency_churn_dp.json -scale tiny -out "$specout/run" -resume
 echo "spec smoke ok"
 
+# Catalog smoke, race-enabled: everything `dlsim list` prints runs at
+# tiny scale, and prints the same bytes serially and on four workers —
+# the determinism claim checked over the whole index, not over the
+# figures that have a test of their own.
+go build -race -o "$specout/dlsim" ./cmd/dlsim
+"$specout/dlsim" run -figure all -scale tiny -workers 1 >"$specout/catalog-w1.txt"
+"$specout/dlsim" run -figure all -scale tiny -workers 4 >"$specout/catalog-w4.txt"
+cmp "$specout/catalog-w1.txt" "$specout/catalog-w4.txt" || {
+    echo "dlsim run -figure all: 4 workers diverge from the serial run" >&2
+    exit 1
+}
+echo "catalog smoke ok"
+
 # Service smoke, race-enabled: start serve on an ephemeral port, submit
 # a tiny example spec through the CLI thin client (streams NDJSON
 # events), then submit a second job over raw HTTP and cancel it.
-go build -race -o "$specout/dlsim" ./cmd/dlsim
 start_serve "$specout/serve.log"
 
 "$specout/dlsim" run -spec examples/specs/latency_churn_dp.json -scale tiny -remote "$base" >"$specout/remote.log"
