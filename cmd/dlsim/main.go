@@ -151,10 +151,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 		sc.Seed = *seed
 	}
 	sc.Workers = *workers
-	sc.Net, err = netOverlay(*transport, *latency, *churn, *drop)
-	if err != nil {
-		return err
-	}
+	net, churnFraction := netOverlay(*transport, *latency, *churn, *drop)
 
 	if cmd == "sweep" && (*specPath == "" || *outDir == "") {
 		return fmt.Errorf("sweep requires -spec and -out")
@@ -170,11 +167,9 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 		if *repeats != 0 {
 			return fmt.Errorf("-repeats does not apply to -spec runs")
 		}
-		// Specs declare their networks per arm; letting the overlay
-		// reach a spec's control arms (e.g. the latency=0 baselines of
-		// a sweep) would silently degrade them, so the combination is
-		// rejected — same policy as the built-in latency/churn scenarios.
-		if sc.Net != (experiment.NetOverlay{}) {
+		// A spec file declares its networks per arm; the overlay flags
+		// fill in catalog entries only.
+		if net != nil || churnFraction != 0 {
 			return fmt.Errorf("network overlay flags cannot be combined with -spec: declare the network per arm in the spec file")
 		}
 		if *remote != "" {
@@ -192,30 +187,33 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 		return fmt.Errorf("-out and -resume require -spec")
 	}
 
-	if *figure == "all" {
-		if *repeats != 0 {
-			return fmt.Errorf("-repeats replicates one figure and does not apply to -figure all")
+	entries := experiment.Catalog()
+	if *figure != "all" {
+		e, ok := experiment.CatalogEntryByName(*figure)
+		if !ok {
+			return fmt.Errorf("unknown figure %q (run dlsim list for the catalog)", *figure)
 		}
-		if sc.Net != (experiment.NetOverlay{}) {
-			return fmt.Errorf("network overlay flags cannot be combined with -figure all: some entries pin their own networks per arm (marked - by dlsim list)")
+		entries = []experiment.CatalogEntry{e}
+	}
+	// The overlay is filled into each entry's spec before anything runs;
+	// an entry that cannot take one (marked - by dlsim list) refuses here.
+	for i := range entries {
+		if entries[i], err = entries[i].Overlaid(net, churnFraction); err != nil {
+			return err
 		}
-		for _, e := range experiment.Catalog() {
+	}
+	if *repeats == 0 {
+		for _, e := range entries {
 			if err := runEntry(ctx, e, sc, *csv, *plotFlag); err != nil {
 				return fmt.Errorf("figure %s: %w", e.Name, err)
 			}
 		}
 		return nil
 	}
-	e, ok := experiment.CatalogEntryByName(*figure)
-	if !ok {
-		return fmt.Errorf("unknown figure %q (run dlsim list for the catalog)", *figure)
+	if *figure == "all" {
+		return fmt.Errorf("-repeats replicates one figure and does not apply to -figure all")
 	}
-	if e.RejectsOverlay && sc.Net != (experiment.NetOverlay{}) {
-		return fmt.Errorf("network overlay flags have no effect on -figure %s", e.Name)
-	}
-	if *repeats == 0 {
-		return runEntry(ctx, e, sc, *csv, *plotFlag)
-	}
+	e := entries[0]
 	if !e.Runnable() {
 		return fmt.Errorf("-figure %s renders text and cannot be replicated: -repeats applies to spec-backed entries", e.Name)
 	}
@@ -333,7 +331,7 @@ func runRemote(ctx context.Context, base, path, scaleName string, seed int64, wo
 // executor under ctx.
 func runEntry(ctx context.Context, e experiment.CatalogEntry, sc experiment.Scale, csv, renderPlot bool) error {
 	if !e.Runnable() {
-		out, err := e.Text(sc)
+		out, err := e.Render(sc)
 		if err != nil {
 			return err
 		}
@@ -544,35 +542,34 @@ func versionCmd(args []string) error {
 	return nil
 }
 
-// netOverlay folds the network flags into the experiment overlay,
-// inferring the transport kind from the strongest flag given.
-func netOverlay(transport string, latency, churn, drop float64) (experiment.NetOverlay, error) {
-	o := experiment.NetOverlay{
-		Transport:     transport,
-		LatencyTicks:  latency,
-		LatencyJitter: latency * 0.3,
-		DropProb:      drop,
-		ChurnFraction: churn,
-	}
+// netOverlay folds the network flags into the run-wide network that is
+// filled into every arm of a catalog entry's spec — one transport
+// description (nil when no transport flag says anything) and a churn
+// fraction — inferring the transport from the strongest flag given.
+// CatalogEntry.Overlaid validates it.
+func netOverlay(transport string, latency, churn, drop float64) (*dlsim.Net, float64) {
 	// An explicit -transport instant with no latency knobs means the
-	// same as omitting the flag; normalize so the zero-overlay checks
-	// (tables, scenarios, all) treat them identically. With latency
-	// knobs it stays "instant" and Validate rejects the contradiction.
-	if o.Transport == "instant" && latency == 0 {
-		o.Transport = ""
+	// same as omitting the flag. With latency knobs it stays "instant"
+	// and validation rejects the contradiction.
+	if transport == "instant" && latency == 0 {
+		transport = ""
 	}
-	if o.Transport == "" {
+	if transport == "" {
 		switch {
-		case drop > 0:
-			o.Transport = "lossy"
-		case latency > 0:
-			o.Transport = "latency"
+		case drop != 0:
+			transport = "lossy"
+		case latency != 0:
+			transport = "latency"
+		default:
+			return nil, churn
 		}
 	}
-	if err := o.Validate(); err != nil {
-		return experiment.NetOverlay{}, err
-	}
-	return o, nil
+	return &dlsim.Net{
+		Transport:     transport,
+		LatencyMean:   latency,
+		LatencyJitter: latency * 0.3,
+		DropProb:      drop,
+	}, churn
 }
 
 func printCatalog(w *os.File) {
@@ -582,7 +579,7 @@ func printCatalog(w *os.File) {
 		if !e.Runnable() {
 			text = "*"
 		}
-		if e.RejectsOverlay {
+		if !e.TakesOverlay() {
 			pinned = "-"
 		}
 		fmt.Fprintf(w, "  %-15s %s%s %s\n", e.Name, text, pinned, e.Desc)

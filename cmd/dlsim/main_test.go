@@ -105,7 +105,7 @@ func TestListFlag(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, e := range experiment.Catalog() {
-		if (e.Spec == nil) == (e.Text == nil) || e.Desc == "" {
+		if (e.Spec == nil && e.Text == nil) || e.Desc == "" {
 			t.Fatalf("catalog entry %q incomplete", e.Name)
 		}
 		if names[e.Name] {
@@ -236,25 +236,32 @@ func TestSweepSubcommandTiny(t *testing.T) {
 }
 
 func TestNetOverlayFlagInference(t *testing.T) {
-	o, err := netOverlay("", 40, 0, 0)
-	if err != nil || o.Transport != "latency" || o.LatencyTicks != 40 || o.LatencyJitter != 12 {
-		t.Fatalf("latency inference = %+v, %v", o, err)
+	net, churn := netOverlay("", 40, 0, 0)
+	if net == nil || net.Transport != "latency" || net.LatencyMean != 40 || net.LatencyJitter != 12 || churn != 0 {
+		t.Fatalf("latency inference = %+v, %v", net, churn)
 	}
-	o, err = netOverlay("", 0, 0, 0.2)
-	if err != nil || o.Transport != "lossy" {
-		t.Fatalf("lossy inference = %+v, %v", o, err)
+	if net, _ = netOverlay("", 0, 0, 0.2); net == nil || net.Transport != "lossy" || net.DropProb != 0.2 {
+		t.Fatalf("lossy inference = %+v", net)
 	}
-	o, err = netOverlay("", 0, 0.3, 0)
-	if err != nil || o.Transport != "" || o.ChurnFraction != 0.3 {
-		t.Fatalf("churn-only overlay = %+v, %v", o, err)
+	if net, churn = netOverlay("", 0, 0.3, 0); net != nil || churn != 0.3 {
+		t.Fatalf("churn-only overlay = %+v, %v", net, churn)
 	}
 	// Explicit -transport instant with no other knobs is the default.
-	o, err = netOverlay("instant", 0, 0, 0)
-	if err != nil || o != (experiment.NetOverlay{}) {
-		t.Fatalf("explicit instant not normalized: %+v, %v", o, err)
+	if net, churn = netOverlay("instant", 0, 0, 0); net != nil || churn != 0 {
+		t.Fatalf("explicit instant not normalized: %+v, %v", net, churn)
 	}
-	if _, err := netOverlay("latency", -1, 0, 0); err == nil {
-		t.Fatal("negative latency accepted")
+	// What the flags say is validated where it is filled in.
+	for _, args := range [][]string{
+		{"-transport", "latency", "-latency", "-1"},
+		{"-latency", "-1"},
+		{"-drop", "1.5"},
+		{"-churn", "1"},
+		{"-transport", "pigeon"},
+	} {
+		err := run(append([]string{"run", "-figure", "8", "-scale", "tiny"}, args...))
+		if err == nil || !strings.Contains(err.Error(), "network overlay:") {
+			t.Fatalf("dlsim run -figure 8 %v: error = %v, want a network overlay error", args, err)
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func mixedArms() []StudyConfig {
 		arm("cifar10/base/h8/latency/workers4", func(c *StudyConfig) {
 			c.Corpus, c.Protocol, c.Train.Hidden, c.Workers = data.CIFAR10, "base", []int{8}, 4
 			c.Sim.Nodes, c.Sim.TicksPerRound, c.Sim.WakeMean, c.Sim.WakeStd = 12, 10, 4, 2
-			c.Sim.Net = netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 3, LatencyJitter: 2}
+			c.Sim.Net = netmodel.Config{Transport: "latency", LatencyMean: 3, LatencyJitter: 2}
 		}),
 		arm("purchase100/samo-nodelay/h4", func(c *StudyConfig) {
 			c.Corpus, c.Protocol, c.Train.Hidden = data.Purchase100, "samo-nodelay", []int{4}
@@ -39,7 +39,7 @@ func mixedArms() []StudyConfig {
 		arm("cifar100/samo/h32-8/lossy/cyclon/canaries", func(c *StudyConfig) {
 			c.Corpus, c.Train.Hidden, c.Canaries = data.CIFAR100, []int{32, 8}, 8
 			c.Sim.Dynamics = gossip.DynamicsCyclon
-			c.Sim.Net = netmodel.Config{Kind: netmodel.KindLossy, DropProb: 0.2}
+			c.Sim.Net = netmodel.Config{Transport: "lossy", DropProb: 0.2}
 		}),
 		arm("fashion/base/h4/dp/dirichlet", func(c *StudyConfig) {
 			c.Protocol, c.Train.Hidden = "base", []int{4}

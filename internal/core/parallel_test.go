@@ -78,7 +78,7 @@ func TestSeriesIdenticalAcrossWorkerCountsLatencyChurn(t *testing.T) {
 		cfg.Sim.TicksPerRound = 10
 		cfg.Sim.WakeMean = 4
 		cfg.Sim.WakeStd = 2
-		cfg.Sim.Net = netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 3, LatencyJitter: 2}
+		cfg.Sim.Net = netmodel.Config{Transport: "latency", LatencyMean: 3, LatencyJitter: 2}
 		cfg.Sim.Churn = []gossip.ChurnEvent{
 			{Node: 1, LeaveTick: 6, RejoinTick: 15},
 			{Node: 5, LeaveTick: 12},

@@ -23,6 +23,7 @@ import (
 	"gossipmia/internal/nn"
 	"gossipmia/internal/par"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // ErrStudy is returned for invalid study configurations.
@@ -55,26 +56,12 @@ func Transient(err error) error {
 // IsTransient reports whether err carries the transient marker.
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// TrainConfig carries the Table 2 hyperparameters plus the MLP
-// architecture used for the corpus. LRDecay in (0,1) enables the
-// per-epoch learning-rate decay mitigation of Section 5.
-type TrainConfig struct {
-	Hidden      []int
-	LR          float64
-	Momentum    float64
-	WeightDecay float64
-	LRDecay     float64
-	BatchSize   int
-	LocalEpochs int
-}
-
-// Validate reports configuration errors.
-func (c TrainConfig) Validate() error {
-	if c.LR <= 0 || c.LocalEpochs <= 0 {
-		return fmt.Errorf("%w: lr=%v epochs=%d", ErrStudy, c.LR, c.LocalEpochs)
-	}
-	return nil
-}
+// TrainConfig and DPConfig are the scenario language's training and
+// DP-SGD blocks: an arm's declared values reach the study as written.
+type (
+	TrainConfig = spec.Train
+	DPConfig    = spec.DP
+)
 
 // PartitionConfig describes how the corpus is spread across nodes.
 // DirichletBeta == 0 selects the IID partition; otherwise the Dirichlet
@@ -83,15 +70,6 @@ type PartitionConfig struct {
 	TrainPerNode  int
 	TestPerNode   int
 	DirichletBeta float64
-}
-
-// DPConfig enables node-level DP-SGD (RQ7). Epsilon/Delta form the
-// per-node privacy target for the whole run; the noise multiplier is
-// calibrated with the RDP accountant from the expected step count.
-type DPConfig struct {
-	Epsilon float64
-	Delta   float64
-	Clip    float64
 }
 
 // StudyConfig fully describes one experimental arm.
@@ -171,8 +149,8 @@ func (c StudyConfig) Defaulted() StudyConfig {
 
 // Validate reports configuration errors.
 func (c StudyConfig) Validate() error {
-	if err := c.Train.Validate(); err != nil {
-		return err
+	if c.Train.LR <= 0 || c.Train.LocalEpochs <= 0 {
+		return fmt.Errorf("%w: lr=%v epochs=%d", ErrStudy, c.Train.LR, c.Train.LocalEpochs)
 	}
 	if c.Part.TrainPerNode <= 0 && c.Part.DirichletBeta == 0 {
 		return fmt.Errorf("%w: trainPerNode=%d", ErrStudy, c.Part.TrainPerNode)

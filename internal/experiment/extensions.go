@@ -6,7 +6,6 @@ import (
 
 	"gossipmia/internal/core"
 	"gossipmia/internal/data"
-	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/mia"
 	"gossipmia/internal/par"
@@ -108,35 +107,39 @@ func EpidemicSpec() *spec.Spec {
 	}
 }
 
-// RunAttackComparison trains one SAMO deployment on the CIFAR-10-like
-// corpus and attacks every node's final model with each score method.
-func RunAttackComparison(sc Scale) (*AttackComparison, error) {
+// AttackComparisonSpec is the one arm the attack comparison trains: a
+// SAMO deployment on the CIFAR-10-like corpus.
+func AttackComparisonSpec() *spec.Spec {
+	return &spec.Spec{
+		Name:    "Extension: attack comparison",
+		Caption: "attack score functions against every node's final model (CIFAR-10-like, SAMO)",
+		Arms: []spec.Arm{{
+			Label:    "attack-comparison",
+			Corpus:   string(data.CIFAR10),
+			Protocol: "samo",
+			ViewSize: 5,
+		}},
+	}
+}
+
+// RunAttackComparison trains one arm (AttackComparisonSpec's, possibly
+// with a run-wide network filled in) and attacks every node's final
+// model with each score method. It is not a spec run: it needs the
+// final models, evaluates only the last round, and keeps the seed
+// derivation it has always had.
+func RunAttackComparison(sc Scale, a spec.Arm) (*AttackComparison, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	train, err := TrainingFor(data.CIFAR10)
+	cfg, err := studyConfig(sc, a)
 	if err != nil {
 		return nil, err
 	}
-	simCfg := gossip.Config{
-		Nodes: sc.Nodes, ViewSize: 5, Rounds: sc.Rounds, Seed: sc.Seed*17 + 3,
-	}
-	if err := sc.Net.applySim(&simCfg); err != nil {
-		return nil, err
-	}
-	study, err := core.NewStudy(core.StudyConfig{
-		Label:           "attack-comparison",
-		Corpus:          data.CIFAR10,
-		Protocol:        "samo",
-		Sim:             simCfg,
-		Train:           train,
-		Part:            core.PartitionConfig{TrainPerNode: sc.TrainPerNode, TestPerNode: sc.TestPerNode},
-		GlobalTestSize:  sc.GlobalTestSize,
-		EvalEvery:       sc.Rounds, // only the final round matters here
-		EvalNodes:       1,
-		KeepFinalModels: true,
-		Workers:         sc.Workers,
-	})
+	cfg.Sim.Seed = sc.Seed*17 + 3
+	cfg.EvalEvery = sc.Rounds // only the final round matters here
+	cfg.EvalNodes = 1
+	cfg.KeepFinalModels = true
+	study, err := core.NewStudy(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ func TestRunAttackComparisonTiny(t *testing.T) {
 		t.Skip("integration runner")
 	}
 	sc := TinyScale()
-	cmp, err := RunAttackComparison(sc)
+	cmp, err := RunAttackComparison(sc, AttackComparisonSpec().Arms[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReplicate(t *testing.T) {
 func TestRunAttackComparisonBadScale(t *testing.T) {
 	bad := TinyScale()
 	bad.Nodes = 0
-	if _, err := RunAttackComparison(bad); !errors.Is(err, ErrScale) {
+	if _, err := RunAttackComparison(bad, AttackComparisonSpec().Arms[0]); !errors.Is(err, ErrScale) {
 		t.Fatalf("bad scale error = %v", err)
 	}
 }

@@ -5,77 +5,30 @@ import (
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/gossip"
-	"gossipmia/internal/netmodel"
 	"gossipmia/pkg/dlsim/spec"
 )
 
-// NetOverlay applies one network model uniformly to every arm a Scale
-// runs. The zero value keeps the Instant transport — the seed
-// semantics — so existing presets and goldens are unaffected. It is the
-// experiment-level face of the netmodel knobs: dlsim's -transport,
-// -latency, and -churn flags land here.
-type NetOverlay struct {
-	// Transport selects the model: "" or "instant", "latency", "lossy".
-	Transport string
-	// LatencyTicks/LatencyJitter parameterize the per-link delay
-	// distribution (ticks).
-	LatencyTicks, LatencyJitter float64
-	// BandwidthBytesPerTick > 0 adds the wire-size serialization term.
-	BandwidthBytesPerTick int
-	// DropProb is the i.i.d. transmission loss probability.
-	DropProb float64
-	// ChurnFraction in [0,1) makes that fraction of nodes leave at one
-	// third of the run and rejoin at two thirds.
-	ChurnFraction float64
-}
-
-// netConfig maps the overlay's transport fields onto a netmodel.Config;
-// the single mapping shared by Validate and applySim, so a knob cannot
-// validate one way and run another.
-func (o NetOverlay) netConfig() (netmodel.Config, error) {
-	kind, err := netmodel.KindByName(o.Transport)
+// overlay fills a run-wide network — one transport description and a
+// churn fraction, what dlsim's -transport/-latency/-drop/-churn flags
+// say — into every arm of sp and returns the result: an ordinary spec
+// with its sweep expanded, which prints, parses, submits and runs like
+// any other. It reports false, and fills nothing, unless sp takes an
+// overlay: filling over an arm that declares its own network or churn
+// (a scenario's arms, or the zero-delay control beside them) would
+// misreport what was measured.
+func overlay(sp *spec.Spec, net *spec.Net, churnFraction float64) (*spec.Spec, bool) {
+	arms, err := sp.ExpandArms()
 	if err != nil {
-		return netmodel.Config{}, fmt.Errorf("%w: %v", ErrScale, err)
+		return sp, false
 	}
-	return netmodel.Config{
-		Kind:        kind,
-		LatencyMean: o.LatencyTicks, LatencyJitter: o.LatencyJitter,
-		BandwidthBytesPerTick: o.BandwidthBytesPerTick,
-		DropProb:              o.DropProb,
-	}, nil
-}
-
-// Validate reports overlay errors, including parameter combinations the
-// selected transport would silently ignore (netmodel.Config.Validate
-// rejects latency knobs on the instant transport).
-func (o NetOverlay) Validate() error {
-	cfg, err := o.netConfig()
-	if err != nil {
-		return err
+	for i := range arms {
+		a := &arms[i]
+		if a.Net != nil || len(a.Churn) > 0 || a.ChurnFraction > 0 {
+			return sp, false
+		}
+		a.Net, a.ChurnFraction = net, churnFraction
 	}
-	if o.ChurnFraction < 0 || o.ChurnFraction >= 1 {
-		return fmt.Errorf("%w: churn fraction %v out of [0,1)", ErrScale, o.ChurnFraction)
-	}
-	if err := cfg.Validate(2); err != nil {
-		return fmt.Errorf("%w: %v", ErrScale, err)
-	}
-	return nil
-}
-
-// applySim writes the overlay into a simulator configuration.
-func (o NetOverlay) applySim(sim *gossip.Config) error {
-	if o == (NetOverlay{}) {
-		return nil
-	}
-	cfg, err := o.netConfig()
-	if err != nil {
-		return err
-	}
-	sim.Net = cfg
-	if o.ChurnFraction > 0 {
-		sim.Churn = churnSchedule(sim.Nodes, totalTicks(*sim), o.ChurnFraction)
-	}
-	return nil
+	return &spec.Spec{Name: sp.Name, Caption: sp.Caption, Arms: arms}, true
 }
 
 // totalTicks returns the run length of a simulator config in ticks.
@@ -87,7 +40,7 @@ func totalTicks(sim gossip.Config) int {
 // at least one node stays up — leave at one third of the run and
 // rejoin at two thirds. It is a pure function of its arguments, so
 // every repeat and worker count sees the same schedule.
-func churnSchedule(nodes, ticks int, frac float64) []gossip.ChurnEvent {
+func churnSchedule(nodes, ticks int, frac float64) []spec.Churn {
 	m := int(frac*float64(nodes) + 0.5)
 	if m > nodes-1 {
 		m = nodes - 1
@@ -95,21 +48,21 @@ func churnSchedule(nodes, ticks int, frac float64) []gossip.ChurnEvent {
 	if m <= 0 {
 		return nil
 	}
-	events := make([]gossip.ChurnEvent, m)
+	events := make([]spec.Churn, m)
 	for i := 0; i < m; i++ {
-		events[i] = gossip.ChurnEvent{Node: i, LeaveTick: ticks / 3, RejoinTick: 2 * ticks / 3}
+		events[i] = spec.Churn{Node: i, LeaveTick: ticks / 3, RejoinTick: 2 * ticks / 3}
 	}
 	return events
 }
 
 // halfPartition cuts the network in half for the middle third of the
 // run: the classic split-brain-then-heal scenario.
-func halfPartition(nodes, ticks int) []netmodel.Partition {
+func halfPartition(nodes, ticks int) []spec.Partition {
 	members := make([]int, nodes/2)
 	for i := range members {
 		members[i] = i
 	}
-	return []netmodel.Partition{{FromTick: ticks / 3, ToTick: 2 * ticks / 3, Members: members}}
+	return []spec.Partition{{FromTick: ticks / 3, ToTick: 2 * ticks / 3, Members: members}}
 }
 
 // LatencySweepSpec (network scenario "latency"): SAMO vs Base Gossip
@@ -180,8 +133,8 @@ func MessageLossSpec() *spec.Spec {
 func ChurnRecoverySpec(sc Scale) *spec.Spec {
 	ticks := totalTicks(gossip.Config{Rounds: sc.Rounds})
 	nodes := sc.nodesFor(string(data.CIFAR10))
-	churn := churnSpecSchedule(nodes, ticks, 1.0/3)
-	parts := halfPartitionSpec(nodes, ticks)
+	churn := churnSchedule(nodes, ticks, 1.0/3)
+	parts := halfPartition(nodes, ticks)
 	arms := []spec.Arm{
 		{Label: "cifar10/samo/k=2/baseline", SeedOffset: 900},
 		{Label: "cifar10/samo/k=2/churn=1/3", SeedOffset: 901, Churn: churn},
@@ -200,24 +153,4 @@ func ChurnRecoverySpec(sc Scale) *spec.Spec {
 		Caption: "Accuracy dip and recovery under node churn and a healing half/half partition (CIFAR-10-like, SAMO)",
 		Arms:    arms,
 	}
-}
-
-// churnSpecSchedule is churnSchedule in the declarative vocabulary.
-func churnSpecSchedule(nodes, ticks int, frac float64) []spec.Churn {
-	events := churnSchedule(nodes, ticks, frac)
-	out := make([]spec.Churn, len(events))
-	for i, ev := range events {
-		out[i] = spec.Churn{Node: ev.Node, LeaveTick: ev.LeaveTick, RejoinTick: ev.RejoinTick}
-	}
-	return out
-}
-
-// halfPartitionSpec is halfPartition in the declarative vocabulary.
-func halfPartitionSpec(nodes, ticks int) []spec.Partition {
-	parts := halfPartition(nodes, ticks)
-	out := make([]spec.Partition, len(parts))
-	for i, p := range parts {
-		out[i] = spec.Partition{FromTick: p.FromTick, ToTick: p.ToTick, Members: p.Members}
-	}
-	return out
 }

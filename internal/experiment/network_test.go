@@ -1,14 +1,17 @@
 package experiment
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/netmodel"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // -update-golden regenerates the committed figure goldens from the
@@ -58,9 +61,7 @@ func TestLatencyFigureMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 8 simulations")
 	}
-	sc := TinyScale()
-	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 20, LatencyJitter: 6}
-	fig, err := runEntry("2", sc)
+	fig, err := runOverlaid("2", TinyScale(), &spec.Net{Transport: "latency", LatencyMean: 20, LatencyJitter: 6}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,61 +149,89 @@ func TestChurnRecoveryArms(t *testing.T) {
 	}
 }
 
+// TestScenariosRejectOverlay: which entries take a run-wide network is
+// computed from their arms, and comes out as the seven the catalog used
+// to mark by hand — every text entry but attacks (they train no gossip
+// arms) and the three scenarios whose arms declare their own network.
 func TestScenariosRejectOverlay(t *testing.T) {
-	sc := TinyScale()
-	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 200}
-	if _, err := runEntry("latency", sc); err == nil {
-		t.Fatal("latency sweep accepted a network overlay")
-	}
-	if _, err := runEntry("churn", sc); err == nil {
-		t.Fatal("churn recovery accepted a network overlay")
-	}
-}
-
-func TestNetOverlayValidate(t *testing.T) {
-	bad := []NetOverlay{
-		{Transport: "pigeon"},
-		{ChurnFraction: 1},
-		{ChurnFraction: -0.5},
-		{DropProb: 1.5},
-		{Transport: "latency", LatencyTicks: -1},
-		// Parameters the instant transport would silently ignore are
-		// rejected instead.
-		{Transport: "instant", LatencyTicks: 5},
-		{LatencyTicks: 5},
-		{Transport: "instant", BandwidthBytesPerTick: 100},
-	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Fatalf("bad overlay %d accepted: %+v", i, o)
+	net := &spec.Net{Transport: "latency", LatencyMean: 200}
+	var refusing []string
+	for _, e := range Catalog() {
+		_, err := e.Overlaid(net, 0)
+		if (err == nil) != e.TakesOverlay() {
+			t.Fatalf("%s: TakesOverlay = %v, Overlaid error = %v", e.Name, e.TakesOverlay(), err)
+		}
+		if err != nil {
+			refusing = append(refusing, e.Name)
+		}
+		if same, err := e.Overlaid(nil, 0); err != nil || (same.Spec == nil) != (e.Spec == nil) {
+			t.Fatalf("%s: the empty overlay is not a no-op: %v", e.Name, err)
 		}
 	}
-	good := NetOverlay{Transport: "latency", LatencyTicks: 20, LatencyJitter: 5, ChurnFraction: 0.25}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("good overlay rejected: %v", err)
+	want := []string{"tables", "10", "latency", "churn", "loss", "overfit", "dynamics-model"}
+	if !slices.Equal(refusing, want) {
+		t.Fatalf("entries refusing an overlay = %v, want %v", refusing, want)
+	}
+	// A bad overlay is refused as such, whatever the entry.
+	for _, bad := range []struct {
+		net   *spec.Net
+		churn float64
+	}{
+		{&spec.Net{Transport: "pigeon"}, 0},
+		{&spec.Net{Transport: "instant", LatencyMean: 5}, 0},
+		{&spec.Net{Transport: "lossy", DropProb: 1.5}, 0},
+		{nil, 1},
+		{nil, -0.5},
+	} {
+		e, _ := CatalogEntryByName("8")
+		if _, err := e.Overlaid(bad.net, bad.churn); err == nil || !strings.Contains(err.Error(), "network overlay:") {
+			t.Fatalf("overlay %+v churn %v: error = %v", bad.net, bad.churn, err)
+		}
 	}
 }
 
+// TestNetOverlayAppliesToArms: an overlaid entry's spec marshals,
+// parses back and runs to the same figure, and the overlay reaches the
+// simulator.
 func TestNetOverlayAppliesToArms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
+	e, _ := CatalogEntryByName("8") // the smallest figure: two arms
+	e, err := e.Overlaid(&spec.Net{Transport: "latency", LatencyMean: 15, LatencyJitter: 5}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sc := TinyScale()
-	sc.Net = NetOverlay{Transport: "latency", LatencyTicks: 15, LatencyJitter: 5, ChurnFraction: 0.3}
-	fig, err := runEntry("8", sc) // the smallest figure: two arms
+	raw, err := json.Marshal(e.Spec(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fig.Arms) != 2 {
-		t.Fatalf("arms = %d", len(fig.Arms))
+	parsed, err := spec.Parse(raw)
+	if err != nil {
+		t.Fatalf("the overlaid spec does not parse back: %v\n%s", err, raw)
 	}
-	// The overlay must actually reach the simulator: under latency and
-	// churn the fixed-seed figure cannot match the instant baseline.
-	base, err := runEntry("8", TinyScale())
+	for _, a := range parsed.Arms {
+		if a.Net == nil || a.Net.LatencyMean != 15 || a.ChurnFraction != 0.3 {
+			t.Fatalf("arm %q lost the overlay: %+v", a.Label, a)
+		}
+	}
+	direct, err := e.Run(t.Context(), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if figureDump(fig) == figureDump(base) {
+	reparsed, err := RunSpec(t.Context(), parsed, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if figureDump(direct) != figureDump(reparsed) {
+		t.Fatal("the parsed-back overlaid spec ran to a different figure")
+	}
+	base, err := runEntry("8", sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(direct.Arms) != 2 || figureDump(direct) == figureDump(base) {
 		t.Fatal("network overlay did not change the simulation")
 	}
 }
@@ -236,7 +265,7 @@ func TestHalfPartitionShape(t *testing.T) {
 	}
 	cfg := gossip.Config{
 		Nodes: 10, ViewSize: 2, Rounds: 3,
-		Net: netmodel.Config{Kind: netmodel.KindLossy, Partitions: parts},
+		Net: netmodel.Config{Transport: "lossy", Partitions: parts},
 	}
 	if err := cfg.Defaulted().Validate(); err != nil {
 		t.Fatalf("half partition invalid: %v", err)

@@ -6,14 +6,25 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // runEntry runs a spec entry of the catalog by name — the one way in
 // that the CLI, the SDK and these tests share.
 func runEntry(name string, sc Scale) (*FigureResult, error) {
+	return runOverlaid(name, sc, nil, 0)
+}
+
+// runOverlaid is runEntry with a run-wide network filled in.
+func runOverlaid(name string, sc Scale, net *spec.Net, churnFraction float64) (*FigureResult, error) {
 	e, ok := CatalogEntryByName(name)
 	if !ok {
 		return nil, fmt.Errorf("no catalog entry %q", name)
+	}
+	e, err := e.Overlaid(net, churnFraction)
+	if err != nil {
+		return nil, err
 	}
 	return e.Run(context.Background(), sc)
 }
@@ -34,7 +45,7 @@ func TestCatalogRunsEveryEntry(t *testing.T) {
 		sc := TinyScale()
 		sc.Workers = workers
 		if !e.Runnable() {
-			out, err := e.Text(sc)
+			out, err := e.Render(sc)
 			if err != nil {
 				t.Fatalf("%s with %d workers: %v", e.Name, workers, err)
 			}

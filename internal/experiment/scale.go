@@ -49,11 +49,6 @@ type Scale struct {
 	// construction, so results are byte-identical for every worker
 	// count.
 	Workers int
-	// Net overlays a network model (transport, latency, loss, churn) on
-	// every arm; the zero value keeps the Instant transport, i.e. the
-	// seed semantics. Scenario runners that pin their own network per
-	// arm ignore the overlay for those arms.
-	Net NetOverlay
 }
 
 // Validate reports scale errors.
@@ -66,7 +61,7 @@ func (s Scale) Validate() error {
 		return fmt.Errorf("%w: spectral n=%d iters=%d runs=%d",
 			ErrScale, s.SpectralN, s.SpectralIters, s.SpectralRuns)
 	}
-	return s.Net.Validate()
+	return nil
 }
 
 // nodesFor returns the network size for a corpus (the paper uses 60

@@ -19,7 +19,6 @@ import (
 	"gossipmia/internal/faultinject"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
-	"gossipmia/internal/netmodel"
 	"gossipmia/internal/par"
 	"gossipmia/internal/sink"
 	"gossipmia/pkg/dlsim/spec"
@@ -240,89 +239,12 @@ func runSpecArmSafe(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (a
 	return runSpecArm(ctx, sc, a, snk)
 }
 
-// runSpecArm interprets one declarative arm against a scale: it
-// resolves the corpus's training catalog entry, applies the arm's
-// overrides, assembles the simulator and study configuration, and runs
-// the study, streaming evaluated rounds into snk (when non-nil).
+// runSpecArm runs one declarative arm at a scale, streaming evaluated
+// rounds into snk (when non-nil).
 func runSpecArm(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (Arm, error) {
-	train, err := TrainingFor(data.CorpusName(a.Corpus))
+	cfg, err := studyConfig(sc, a)
 	if err != nil {
 		return Arm{}, err
-	}
-	if a.Train != nil {
-		train = core.TrainConfig{
-			Hidden: a.Train.Hidden, LR: a.Train.LR, Momentum: a.Train.Momentum,
-			WeightDecay: a.Train.WeightDecay, LRDecay: a.Train.LRDecay,
-			BatchSize: a.Train.BatchSize, LocalEpochs: a.Train.LocalEpochs,
-		}
-	}
-	if a.LocalEpochs > 0 {
-		train.LocalEpochs = a.LocalEpochs
-	}
-	trainPer := sc.TrainPerNode
-	if a.TrainPerFactor > 0 {
-		trainPer = int(float64(trainPer) * a.TrainPerFactor)
-	}
-	nodes := sc.nodesFor(a.Corpus)
-	viewSize := a.ViewSize
-	if viewSize >= nodes {
-		viewSize = nodes - 1
-	}
-	// k-regular feasibility: n*k must be even.
-	if nodes*viewSize%2 != 0 {
-		viewSize--
-	}
-	if viewSize < 1 {
-		return Arm{}, fmt.Errorf("cannot fit view size %d in %d nodes: %w", a.ViewSize, nodes, ErrScale)
-	}
-	dyn, err := dynamicsKind(a.Dynamics)
-	if err != nil {
-		return Arm{}, err
-	}
-	simCfg := gossip.Config{
-		Nodes:    nodes,
-		ViewSize: viewSize,
-		Dynamics: dyn,
-		Rounds:   sc.Rounds,
-		Seed:     sc.Seed*1_000_003 + a.SeedOffset,
-	}
-	// The arm's own network model wins; otherwise the Scale-level
-	// overlay (dlsim -transport/-latency/-churn) applies.
-	if err := sc.Net.applySim(&simCfg); err != nil {
-		return Arm{}, err
-	}
-	if a.Net != nil {
-		net, err := netConfigOf(a.Net)
-		if err != nil {
-			return Arm{}, err
-		}
-		simCfg.Net = net
-	}
-	if len(a.Churn) > 0 {
-		simCfg.Churn = churnOf(a.Churn)
-	}
-	if a.ChurnFraction > 0 {
-		simCfg.Churn = churnSchedule(nodes, totalTicks(simCfg), a.ChurnFraction)
-	}
-	var dpCfg *core.DPConfig
-	if a.DP != nil {
-		dpCfg = &core.DPConfig{Epsilon: a.DP.Epsilon, Delta: a.DP.Delta, Clip: a.DP.Clip}
-	}
-	cfg := core.StudyConfig{
-		Label:          a.Label,
-		Corpus:         data.CorpusName(a.Corpus),
-		Protocol:       a.Protocol,
-		Sim:            simCfg,
-		Train:          train,
-		Part:           core.PartitionConfig{TrainPerNode: trainPer, TestPerNode: sc.TestPerNode, DirichletBeta: a.Beta},
-		DP:             dpCfg,
-		GlobalTestSize: sc.GlobalTestSize,
-		EvalEvery:      sc.EvalEvery,
-		EvalNodes:      sc.EvalNodes,
-		Workers:        sc.Workers,
-	}
-	if a.Canaries {
-		cfg.Canaries = sc.Canaries
 	}
 	if snk != nil {
 		cfg.OnRecord = snk.Record
@@ -351,48 +273,72 @@ func runSpecArm(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (Arm, 
 	}, nil
 }
 
-// dynamicsKind resolves a spec dynamics name.
-func dynamicsKind(name string) (gossip.DynamicsKind, error) {
-	switch name {
-	case "", "static":
-		return gossip.DynamicsStatic, nil
-	case "peerswap":
-		return gossip.DynamicsPeerSwap, nil
-	case "cyclon":
-		return gossip.DynamicsCyclon, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown dynamics %q", ErrScale, name)
-	}
-}
-
-// netConfigOf converts a declarative transport config.
-func netConfigOf(n *spec.Net) (netmodel.Config, error) {
-	kind, err := netmodel.KindByName(n.Transport)
+// studyConfig is the one translation from a declared arm to the study
+// the engine runs: it resolves the corpus's training catalog entry,
+// sizes the deployment from the scale, and hands the arm's training, DP,
+// network and churn blocks over as they are written.
+func studyConfig(sc Scale, a spec.Arm) (core.StudyConfig, error) {
+	train, err := TrainingFor(data.CorpusName(a.Corpus))
 	if err != nil {
-		return netmodel.Config{}, fmt.Errorf("%w: %v", ErrScale, err)
+		return core.StudyConfig{}, err
 	}
-	cfg := netmodel.Config{
-		Kind:        kind,
-		LatencyMean: n.LatencyMean, LatencyJitter: n.LatencyJitter,
-		BandwidthBytesPerTick: n.BandwidthBytesPerTick,
-		DropProb:              n.DropProb,
+	if a.Train != nil {
+		train = *a.Train
 	}
-	for _, p := range n.Partitions {
-		cfg.Partitions = append(cfg.Partitions, netmodel.Partition{
-			FromTick: p.FromTick, ToTick: p.ToTick,
-			Members: append([]int(nil), p.Members...),
-		})
+	if a.LocalEpochs > 0 {
+		train.LocalEpochs = a.LocalEpochs
+	}
+	trainPer := sc.TrainPerNode
+	if a.TrainPerFactor > 0 {
+		trainPer = int(float64(trainPer) * a.TrainPerFactor)
+	}
+	nodes := sc.nodesFor(a.Corpus)
+	viewSize := a.ViewSize
+	if viewSize >= nodes {
+		viewSize = nodes - 1
+	}
+	// k-regular feasibility: n*k must be even.
+	if nodes*viewSize%2 != 0 {
+		viewSize--
+	}
+	if viewSize < 1 {
+		return core.StudyConfig{}, fmt.Errorf("cannot fit view size %d in %d nodes: %w", a.ViewSize, nodes, ErrScale)
+	}
+	dyn, err := gossip.DynamicsByName(a.Dynamics)
+	if err != nil {
+		return core.StudyConfig{}, err
+	}
+	sim := gossip.Config{
+		Nodes:    nodes,
+		ViewSize: viewSize,
+		Dynamics: dyn,
+		Rounds:   sc.Rounds,
+		Seed:     sc.Seed*1_000_003 + a.SeedOffset,
+		Churn:    a.Churn,
+	}
+	if a.Net != nil {
+		sim.Net = *a.Net
+	}
+	if a.ChurnFraction > 0 {
+		sim.Churn = churnSchedule(nodes, totalTicks(sim), a.ChurnFraction)
+	}
+	cfg := core.StudyConfig{
+		Label:          a.Label,
+		Corpus:         data.CorpusName(a.Corpus),
+		Protocol:       a.Protocol,
+		Sim:            sim,
+		Train:          train,
+		Part:           core.PartitionConfig{TrainPerNode: trainPer, TestPerNode: sc.TestPerNode, DirichletBeta: a.Beta},
+		DP:             a.DP,
+		GlobalTestSize: sc.GlobalTestSize,
+		EvalEvery:      sc.EvalEvery,
+		EvalNodes:      sc.EvalNodes,
+		Workers:        sc.Workers,
+	}
+	if a.Canaries {
+		cfg.Canaries = sc.Canaries
 	}
 	return cfg, nil
-}
-
-// churnOf converts a declarative churn schedule.
-func churnOf(events []spec.Churn) []gossip.ChurnEvent {
-	out := make([]gossip.ChurnEvent, len(events))
-	for i, ev := range events {
-		out[i] = gossip.ChurnEvent{Node: ev.Node, LeaveTick: ev.LeaveTick, RejoinTick: ev.RejoinTick}
-	}
-	return out
 }
 
 // SpecRunOptions configure RunSpecDir.

@@ -379,12 +379,12 @@ func TestDynamicsKindResolution(t *testing.T) {
 		"": gossip.DynamicsStatic, "static": gossip.DynamicsStatic,
 		"peerswap": gossip.DynamicsPeerSwap, "cyclon": gossip.DynamicsCyclon,
 	} {
-		kind, err := dynamicsKind(name)
+		kind, err := gossip.DynamicsByName(name)
 		if err != nil || kind != want {
-			t.Fatalf("dynamicsKind(%q) = %v, %v", name, kind, err)
+			t.Fatalf("DynamicsByName(%q) = %v, %v", name, kind, err)
 		}
 	}
-	if _, err := dynamicsKind("brownian"); !errors.Is(err, ErrScale) {
+	if _, err := gossip.DynamicsByName("brownian"); !errors.Is(err, gossip.ErrConfig) {
 		t.Fatalf("unknown dynamics error = %v", err)
 	}
 }

@@ -34,7 +34,7 @@ func TestConfigValidateErrorPaths(t *testing.T) {
 		{"dynamics out of range", func(c *Config) { c.Dynamics = DynamicsCyclon + 1 }, "dynamics"},
 		{"net invalid", func(c *Config) { c.Net = netmodel.Config{DropProb: 7} }, "net"},
 		{"net bad partition", func(c *Config) {
-			c.Net = netmodel.Config{Kind: netmodel.KindLossy,
+			c.Net = netmodel.Config{Transport: "lossy",
 				Partitions: []netmodel.Partition{{FromTick: 3, ToTick: 2, Members: []int{0}}}}
 		}, "partition"},
 		{"churn node out of range", func(c *Config) {
@@ -140,11 +140,11 @@ func TestConfigDefaultedRoundTrip(t *testing.T) {
 func TestConfigDefaultedPreservesNetworkFields(t *testing.T) {
 	c := Config{
 		Nodes: 8, ViewSize: 2, Rounds: 3,
-		Net:   netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 12},
+		Net:   netmodel.Config{Transport: "latency", LatencyMean: 12},
 		Churn: []ChurnEvent{{Node: 1, LeaveTick: 10, RejoinTick: 20}},
 	}
 	got := c.Defaulted()
-	if !reflect.DeepEqual(got.Net, netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 12}) {
+	if !reflect.DeepEqual(got.Net, netmodel.Config{Transport: "latency", LatencyMean: 12}) {
 		t.Fatalf("Net mangled by Defaulted: %+v", got.Net)
 	}
 	if len(got.Churn) != 1 || got.Churn[0] != (ChurnEvent{Node: 1, LeaveTick: 10, RejoinTick: 20}) {

@@ -81,10 +81,10 @@ func parallelScenarios() map[string]Config {
 		"instant/peerswap": dyn(base, DynamicsPeerSwap),
 		"instant/cyclon":   dyn(base, DynamicsCyclon),
 		"instant/drop":     withNet(base, netmodel.Config{DropProb: 0.2}),
-		"latency/static":   withNet(base, netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 3, LatencyJitter: 2}),
-		"latency/churn":    withChurn(withNet(base, netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 3, LatencyJitter: 2})),
+		"latency/static":   withNet(base, netmodel.Config{Transport: "latency", LatencyMean: 3, LatencyJitter: 2}),
+		"latency/churn":    withChurn(withNet(base, netmodel.Config{Transport: "latency", LatencyMean: 3, LatencyJitter: 2})),
 		"lossy/latency": withChurn(withNet(dyn(base, DynamicsPeerSwap), netmodel.Config{
-			Kind: netmodel.KindLossy, LatencyMean: 2, LatencyJitter: 1, DropProb: 0.1,
+			Transport: "lossy", LatencyMean: 2, LatencyJitter: 1, DropProb: 0.1,
 			Partitions: []netmodel.Partition{{FromTick: 4, ToTick: 12, Members: []int{0, 1, 2, 3}}},
 		})),
 		"instant/churn": withChurn(base),

@@ -13,6 +13,7 @@ import (
 	"gossipmia/internal/rps"
 	"gossipmia/internal/tensor"
 	"gossipmia/internal/wire"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // ErrConfig is returned for invalid simulator configurations.
@@ -33,6 +34,20 @@ const (
 	DynamicsCyclon
 )
 
+// DynamicsByName resolves the name a scenario gives its dynamics.
+func DynamicsByName(name string) (DynamicsKind, error) {
+	switch name {
+	case "", "static":
+		return DynamicsStatic, nil
+	case "peerswap":
+		return DynamicsPeerSwap, nil
+	case "cyclon":
+		return DynamicsCyclon, nil
+	default:
+		return 0, fmt.Errorf("%w: unknown dynamics %q (want static, peerswap, or cyclon)", ErrConfig, name)
+	}
+}
+
 // Config describes one simulated deployment, mirroring Section 3.1.
 type Config struct {
 	// Nodes is the network size (150 in the paper).
@@ -48,12 +63,13 @@ type Config struct {
 	// WakeMean/WakeStd parameterize the per-node wake interval
 	// Δi ~ N(WakeMean, WakeStd²) sampled once at start (paper: 100, 10).
 	WakeMean, WakeStd float64
-	// Net selects and parameterizes the transport model for message
-	// delivery, including the probability Net.DropProb that a
-	// transmission is lost in transit (gossip protocols tolerate loss by
-	// design — dropped models are simply never merged). The zero value
-	// is the Instant transport — the paper's zero-transmission-delay
-	// semantics, byte-identical to the seed implementation.
+	// Net is the arm's declared network (a spec.Net, as written in the
+	// scenario): the transport model for message delivery, including the
+	// probability Net.DropProb that a transmission is lost in transit
+	// (gossip protocols tolerate loss by design — dropped models are
+	// simply never merged). The zero value is the Instant transport —
+	// the paper's zero-transmission-delay semantics, byte-identical to
+	// the seed implementation.
 	Net netmodel.Config
 	// Churn schedules node departures and rejoins, in ticks. While a
 	// node is down it neither wakes nor receives: transmissions
@@ -75,16 +91,9 @@ type Config struct {
 	Workers int
 }
 
-// ChurnEvent schedules one departure (and optional rejoin) of a node.
-type ChurnEvent struct {
-	Node      int
-	LeaveTick int
-	// RejoinTick 0 (the zero value) means the node never comes back. A
-	// positive RejoinTick must follow LeaveTick: a rejoin scheduled at
-	// or before the departure is almost certainly a typo, and Validate
-	// rejects it rather than silently treating it as a permanent leave.
-	RejoinTick int
-}
+// ChurnEvent is the scenario language's churn event: an arm's declared
+// schedule is the schedule the simulator runs.
+type ChurnEvent = spec.Churn
 
 // Defaulted returns a copy of c with unset timing fields replaced by the
 // paper's values.
@@ -119,37 +128,15 @@ func (c Config) Validate() error {
 	if c.Dynamics < DynamicsStatic || c.Dynamics > DynamicsCyclon {
 		return fmt.Errorf("%w: dynamics=%d", ErrConfig, c.Dynamics)
 	}
-	if err := c.Net.Validate(c.Nodes); err != nil {
+	if err := netmodel.Validate(c.Net, c.Nodes); err != nil {
 		return fmt.Errorf("%w: net: %w", ErrConfig, err)
 	}
+	if err := (spec.Arm{Churn: c.Churn}).ValidateNetwork(); err != nil {
+		return fmt.Errorf("%w: %v", ErrConfig, err)
+	}
 	for i, ev := range c.Churn {
-		if ev.Node < 0 || ev.Node >= c.Nodes {
+		if ev.Node >= c.Nodes {
 			return fmt.Errorf("%w: churn event %d: node %d out of [0,%d)", ErrConfig, i, ev.Node, c.Nodes)
-		}
-		if ev.LeaveTick < 0 {
-			return fmt.Errorf("%w: churn event %d: leaveTick=%d", ErrConfig, i, ev.LeaveTick)
-		}
-		if ev.RejoinTick < 0 || (ev.RejoinTick > 0 && ev.RejoinTick <= ev.LeaveTick) {
-			return fmt.Errorf("%w: churn event %d: rejoinTick=%d not after leaveTick=%d (use 0 for a permanent leave)",
-				ErrConfig, i, ev.RejoinTick, ev.LeaveTick)
-		}
-		// Overlapping outages for one node have no sensible semantics
-		// (the duplicate-transition skip would end the union of outages
-		// at the earliest rejoin), so they are rejected. An event with
-		// no rejoin occupies [LeaveTick, infinity).
-		for j, prev := range c.Churn[:i] {
-			if prev.Node != ev.Node {
-				continue
-			}
-			overlaps := func(a, b ChurnEvent) bool {
-				if a.RejoinTick <= a.LeaveTick { // a never rejoins
-					return b.LeaveTick >= a.LeaveTick
-				}
-				return b.LeaveTick >= a.LeaveTick && b.LeaveTick < a.RejoinTick
-			}
-			if overlaps(prev, ev) || overlaps(ev, prev) {
-				return fmt.Errorf("%w: churn events %d and %d overlap for node %d", ErrConfig, j, i, ev.Node)
-			}
 		}
 	}
 	return nil

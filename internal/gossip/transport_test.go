@@ -12,7 +12,7 @@ func TestLatencyTransportDelaysDelivery(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
 		Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 11,
-		Net: netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 5, LatencyJitter: 2},
+		Net: netmodel.Config{Transport: "latency", LatencyMean: 5, LatencyJitter: 2},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestLatencyTransportEventuallyDelivers(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
 		Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 11,
-		Net: netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 10, LatencyJitter: 3},
+		Net: netmodel.Config{Transport: "latency", LatencyMean: 10, LatencyJitter: 3},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestLearningSurvivesLatency(t *testing.T) {
 	model, parts, globalTest := testWorld(t, 8, 20)
 	sim, err := New(Config{
 		Nodes: 8, ViewSize: 3, Rounds: 12, Seed: 5,
-		Net: netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 30, LatencyJitter: 10},
+		Net: netmodel.Config{Transport: "latency", LatencyMean: 30, LatencyJitter: 10},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestLatencyRunsAreDeterministic(t *testing.T) {
 		sim, err := New(Config{
 			Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 42,
 			Net: netmodel.Config{
-				Kind: netmodel.KindLatency, LatencyMean: 8, LatencyJitter: 4,
+				Transport: "latency", LatencyMean: 8, LatencyJitter: 4,
 				BandwidthBytesPerTick: 2048,
 			},
 		}, proto, model, parts, testFactory())
@@ -117,7 +117,7 @@ func TestPartitionBlocksCrossCutTraffic(t *testing.T) {
 	sim, err := New(Config{
 		Nodes: 6, ViewSize: 2, Rounds: 3, Seed: 9,
 		Net: netmodel.Config{
-			Kind: netmodel.KindLossy,
+			Transport: "lossy",
 			// Split the whole run (and the post-run probes below):
 			// nodes {0,1,2} vs {3,4,5}.
 			Partitions: []netmodel.Partition{{FromTick: 0, ToTick: total + 100, Members: []int{0, 1, 2}}},
@@ -155,7 +155,7 @@ func TestPartitionHeals(t *testing.T) {
 	sim, err := New(Config{
 		Nodes: 8, ViewSize: 3, Rounds: 12, Seed: 5,
 		Net: netmodel.Config{
-			Kind:       netmodel.KindLossy,
+			Transport:  "lossy",
 			Partitions: []netmodel.Partition{{FromTick: total / 3, ToTick: 2 * total / 3, Members: []int{0, 1, 2, 3}}},
 		},
 	}, SAMO{}, model, parts, testFactory())
@@ -242,7 +242,7 @@ func TestChurnLosesInFlightMessages(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
 		Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 3,
-		Net:   netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 10},
+		Net:   netmodel.Config{Transport: "latency", LatencyMean: 10},
 		Churn: []ChurnEvent{{Node: 1, LeaveTick: 5, RejoinTick: 90}},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
@@ -269,7 +269,7 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
 		Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 3,
-		Net:   netmodel.Config{Kind: netmodel.KindLatency, LatencyMean: 10}, // jitter 0: exactly 10 ticks
+		Net:   netmodel.Config{Transport: "latency", LatencyMean: 10}, // jitter 0: exactly 10 ticks
 		Churn: []ChurnEvent{{Node: 1, LeaveTick: 2, RejoinTick: 8}},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {

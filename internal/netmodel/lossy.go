@@ -41,13 +41,12 @@ var _ Transport = (*Lossy)(nil)
 // design: for the seed-compatible Instant+DropProb configuration the
 // drop stream must interleave with the simulator's other draws exactly
 // as the seed implementation did. Parameter validation is delegated to
-// Config.Validate so the rules live in one place.
+// Validate so the rules live in one place.
 func NewLossy(dropProb float64, parts []Partition, nodes int, inner Transport, rng *tensor.RNG) (*Lossy, error) {
 	if inner == nil || rng == nil {
 		return nil, fmt.Errorf("%w: nil inner transport or rng", ErrConfig)
 	}
-	cfg := Config{Kind: KindLossy, DropProb: dropProb, Partitions: parts}
-	if err := cfg.Validate(nodes); err != nil {
+	if err := Validate(Config{Transport: "lossy", DropProb: dropProb, Partitions: parts}, nodes); err != nil {
 		return nil, err
 	}
 	t := &Lossy{dropProb: dropProb, inner: inner, rng: rng}

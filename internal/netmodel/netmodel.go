@@ -31,114 +31,29 @@ import (
 	"math"
 
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // ErrConfig is returned for invalid network-model configurations.
 var ErrConfig = errors.New("netmodel: invalid config")
 
-// Kind selects a transport implementation.
-type Kind int
-
-// The supported transports. KindInstant is the zero value so existing
-// configurations keep the seed semantics.
-const (
-	KindInstant Kind = iota
-	KindLatency
-	KindLossy
+// Config describes a transport and Partition one scheduled cut: they
+// are the scenario language's own types, so an arm's declared network
+// reaches New as it was written. The zero Config (no transport name) is
+// Instant with no loss — the seed semantics.
+type (
+	Config    = spec.Net
+	Partition = spec.Partition
 )
 
-// String returns the CLI name of the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindInstant:
-		return "instant"
-	case KindLatency:
-		return "latency"
-	case KindLossy:
-		return "lossy"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// KindByName resolves a CLI transport name.
-func KindByName(name string) (Kind, error) {
-	switch name {
-	case "", "instant":
-		return KindInstant, nil
-	case "latency":
-		return KindLatency, nil
-	case "lossy":
-		return KindLossy, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown transport %q (want instant, latency, or lossy)", ErrConfig, name)
-	}
-}
-
-// Partition is one scheduled network partition: while the tick clock is
-// in [FromTick, ToTick), messages with exactly one endpoint in Members
-// are lost. The partition heals at ToTick.
-type Partition struct {
-	FromTick, ToTick int
-	// Members is one side of the cut; the complement is the other side.
-	Members []int
-}
-
-// Config describes a transport. The zero value selects Instant with no
-// loss — the seed semantics.
-type Config struct {
-	Kind Kind
-
-	// LatencyMean/LatencyJitter parameterize the per-link propagation
-	// delay (ticks): each directed link samples its delay once from
-	// N(LatencyMean, LatencyJitter²), clamped to at least one tick.
-	// Used by KindLatency (and by KindLossy when LatencyMean,
-	// LatencyJitter, or BandwidthBytesPerTick is set, which makes loss
-	// wrap latency).
-	LatencyMean, LatencyJitter float64
-
-	// BandwidthBytesPerTick > 0 adds a serialization term of
-	// ceil(wireBytes / BandwidthBytesPerTick) ticks per message, with
-	// wireBytes the wire-format frame size of the payload.
-	BandwidthBytesPerTick int
-
-	// DropProb is the i.i.d. probability that a message is lost
-	// (KindLossy, or KindInstant for seed compatibility).
-	DropProb float64
-
-	// Partitions schedules network partitions (KindLossy).
-	Partitions []Partition
-}
-
 // Validate reports configuration errors; nodes is the network size the
-// transport will serve.
-func (c Config) Validate(nodes int) error {
-	if c.Kind < KindInstant || c.Kind > KindLossy {
-		return fmt.Errorf("%w: kind=%d", ErrConfig, int(c.Kind))
-	}
-	if c.LatencyMean < 0 || c.LatencyJitter < 0 {
-		return fmt.Errorf("%w: latency mean=%v jitter=%v", ErrConfig, c.LatencyMean, c.LatencyJitter)
-	}
-	// Parameters the selected transport would silently ignore are
-	// rejected: a zero-delay transport with latency knobs set is a
-	// misconfiguration, not a request for zero delay.
-	if c.Kind == KindInstant && (c.LatencyMean > 0 || c.LatencyJitter > 0 || c.BandwidthBytesPerTick > 0) {
-		return fmt.Errorf("%w: the instant transport cannot model latency or bandwidth (use kind %q or %q)",
-			ErrConfig, KindLatency, KindLossy)
-	}
-	if c.BandwidthBytesPerTick < 0 {
-		return fmt.Errorf("%w: bandwidth=%d bytes/tick", ErrConfig, c.BandwidthBytesPerTick)
-	}
-	if c.DropProb < 0 || c.DropProb >= 1 {
-		return fmt.Errorf("%w: dropProb=%v out of [0,1)", ErrConfig, c.DropProb)
+// transport will serve. The rules that do not need it are the
+// language's (spec.Arm.ValidateNetwork); only the member range is added.
+func Validate(c Config, nodes int) error {
+	if err := (spec.Arm{Net: &c}).ValidateNetwork(); err != nil {
+		return fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	for i, p := range c.Partitions {
-		if p.FromTick < 0 || p.ToTick <= p.FromTick {
-			return fmt.Errorf("%w: partition %d ticks [%d,%d)", ErrConfig, i, p.FromTick, p.ToTick)
-		}
-		if len(p.Members) == 0 {
-			return fmt.Errorf("%w: partition %d has no members", ErrConfig, i)
-		}
 		for _, m := range p.Members {
 			if m < 0 || m >= nodes {
 				return fmt.Errorf("%w: partition %d member %d out of [0,%d)", ErrConfig, i, m, nodes)
@@ -188,37 +103,33 @@ type Transport interface {
 
 // New builds the transport described by cfg for a network of `nodes`
 // nodes. The rng is used both at construction (sampling per-link
-// delays) and at run time (drop decisions); for KindInstant with a
-// drop probability it is consumed in exactly the seed implementation's
-// order, keeping fixed-seed runs byte-identical.
+// delays) and at run time (drop decisions); for the instant transport
+// with a drop probability it is consumed in exactly the seed
+// implementation's order, keeping fixed-seed runs byte-identical.
 func New(cfg Config, nodes int, rng *tensor.RNG) (Transport, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("%w: %d nodes", ErrConfig, nodes)
 	}
-	if err := cfg.Validate(nodes); err != nil {
+	if err := Validate(cfg, nodes); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case KindInstant:
-		if cfg.DropProb > 0 {
-			return NewLossy(cfg.DropProb, nil, nodes, NewInstant(), rng)
-		}
-		return NewInstant(), nil
-	case KindLatency:
-		lat := NewLatency(cfg, nodes, rng)
-		if cfg.DropProb > 0 {
-			return NewLossy(cfg.DropProb, nil, nodes, lat, rng)
-		}
-		return lat, nil
-	case KindLossy:
-		var inner Transport = NewInstant()
+	var inner Transport = NewInstant()
+	switch cfg.Transport {
+	case "", "instant":
+	case "latency":
+		inner = NewLatency(cfg, nodes, rng)
+	case "lossy":
 		if cfg.LatencyMean > 0 || cfg.LatencyJitter > 0 || cfg.BandwidthBytesPerTick > 0 {
 			inner = NewLatency(cfg, nodes, rng)
 		}
 		return NewLossy(cfg.DropProb, cfg.Partitions, nodes, inner, rng)
 	default:
-		return nil, fmt.Errorf("%w: kind=%d", ErrConfig, int(cfg.Kind))
+		return nil, fmt.Errorf("%w: transport %q", ErrConfig, cfg.Transport)
 	}
+	if cfg.DropProb > 0 {
+		return NewLossy(cfg.DropProb, nil, nodes, inner, rng)
+	}
+	return inner, nil
 }
 
 // bwTicks returns the serialization delay for a frame of `bytes` wire

@@ -7,27 +7,9 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-func TestKindByName(t *testing.T) {
-	for name, want := range map[string]Kind{
-		"": KindInstant, "instant": KindInstant,
-		"latency": KindLatency, "lossy": KindLossy,
-	} {
-		got, err := KindByName(name)
-		if err != nil || got != want {
-			t.Fatalf("KindByName(%q) = %v, %v", name, got, err)
-		}
-		if name != "" && got.String() != name {
-			t.Fatalf("round trip %q -> %q", name, got.String())
-		}
-	}
-	if _, err := KindByName("smoke-signals"); !errors.Is(err, ErrConfig) {
-		t.Fatalf("unknown kind error = %v", err)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Kind: Kind(99)},
+		{Transport: "smoke-signals"},
 		{LatencyMean: -1},
 		{LatencyJitter: -0.5},
 		{BandwidthBytesPerTick: -8},
@@ -36,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		// Latency/bandwidth knobs on the (default) instant transport
 		// would be silently ignored; they are rejected instead.
 		{LatencyMean: 5},
+		{Transport: "instant", LatencyMean: 5},
 		{LatencyJitter: 2},
 		{BandwidthBytesPerTick: 100},
 		{Partitions: []Partition{{FromTick: 5, ToTick: 5, Members: []int{0}}}},
@@ -44,13 +27,13 @@ func TestConfigValidate(t *testing.T) {
 		{Partitions: []Partition{{FromTick: 0, ToTick: 5, Members: []int{9}}}},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(4); !errors.Is(err, ErrConfig) {
+		if err := Validate(cfg, 4); !errors.Is(err, ErrConfig) {
 			t.Fatalf("bad config %d accepted: %+v", i, cfg)
 		}
 	}
-	good := Config{Kind: KindLossy, LatencyMean: 3, DropProb: 0.2,
+	good := Config{Transport: "lossy", LatencyMean: 3, DropProb: 0.2,
 		Partitions: []Partition{{FromTick: 10, ToTick: 20, Members: []int{0, 1}}}}
-	if err := good.Validate(4); err != nil {
+	if err := Validate(good, 4); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 }
@@ -100,7 +83,7 @@ func TestQueueFIFOTieBreak(t *testing.T) {
 }
 
 func TestLatencyDeterministicAndPositive(t *testing.T) {
-	cfg := Config{Kind: KindLatency, LatencyMean: 10, LatencyJitter: 4}
+	cfg := Config{Transport: "latency", LatencyMean: 10, LatencyJitter: 4}
 	a := NewLatency(cfg, 8, tensor.NewRNG(5))
 	b := NewLatency(cfg, 8, tensor.NewRNG(5))
 	for i := 0; i < 8; i++ {
@@ -123,7 +106,7 @@ func TestLatencyDeterministicAndPositive(t *testing.T) {
 }
 
 func TestLatencyBandwidthTerm(t *testing.T) {
-	cfg := Config{Kind: KindLatency, LatencyMean: 5, BandwidthBytesPerTick: 100}
+	cfg := Config{Transport: "latency", LatencyMean: 5, BandwidthBytesPerTick: 100}
 	tr := NewLatency(cfg, 4, tensor.NewRNG(1))
 	base, _ := tr.Plan(0, 0, 1, 0)
 	withBytes, _ := tr.Plan(0, 0, 1, 250) // ceil(250/100) = 3 extra ticks
@@ -133,7 +116,7 @@ func TestLatencyBandwidthTerm(t *testing.T) {
 }
 
 func TestLatencyQueueRoundTrip(t *testing.T) {
-	tr := NewLatency(Config{Kind: KindLatency, LatencyMean: 4}, 4, tensor.NewRNG(2))
+	tr := NewLatency(Config{Transport: "latency", LatencyMean: 4}, 4, tensor.NewRNG(2))
 	payload := tensor.Vector{1, 2, 3}
 	at, dropped := tr.Plan(10, 0, 1, 0)
 	if dropped || at <= 10 {
@@ -215,11 +198,12 @@ func TestNewMapsKinds(t *testing.T) {
 		name string
 	}{
 		{Config{}, "instant"},
+		{Config{Transport: "instant"}, "instant"},
 		{Config{DropProb: 0.1}, "lossy(instant)"},
-		{Config{Kind: KindLatency, LatencyMean: 5}, "latency"},
-		{Config{Kind: KindLatency, LatencyMean: 5, DropProb: 0.1}, "lossy(latency)"},
-		{Config{Kind: KindLossy, DropProb: 0.1}, "lossy(instant)"},
-		{Config{Kind: KindLossy, LatencyMean: 5}, "lossy(latency)"},
+		{Config{Transport: "latency", LatencyMean: 5}, "latency"},
+		{Config{Transport: "latency", LatencyMean: 5, DropProb: 0.1}, "lossy(latency)"},
+		{Config{Transport: "lossy", DropProb: 0.1}, "lossy(instant)"},
+		{Config{Transport: "lossy", LatencyMean: 5}, "lossy(latency)"},
 	}
 	for _, c := range cases {
 		tr, err := New(c.cfg, 6, rng)

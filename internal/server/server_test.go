@@ -317,6 +317,12 @@ func TestRequestValidation(t *testing.T) {
 	if resp := post(`{"spec":{"name":"x","arms":[{"label":"a","corpus":"nope","protocol":"samo","viewSize":2}]}}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid spec -> %d", resp.StatusCode)
 	}
+	// A later arm the engine would refuse is an invalid spec at the door:
+	// this used to be queued (202), run its first arm, and fail at the second.
+	if resp := post(`{"spec":{"name":"x","arms":[{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2},
+		{"label":"b","corpus":"cifar10","protocol":"samo","viewSize":2,"seedOffset":1,"net":{"transport":"instant","latencyMean":5}}]}}`); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("spec with an unrunnable second arm -> %d", resp.StatusCode)
+	}
 	if resp := post(`{"spec":{"name":"x","arms":[{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2}]},"scale":"galactic"}`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown scale -> %d", resp.StatusCode)
 	}

@@ -146,6 +146,15 @@ func TestArmValidation(t *testing.T) {
 		{"bad partition", func(a *Arm) {
 			a.Net = &Net{Transport: "lossy", Partitions: []Partition{{FromTick: 5, ToTick: 3, Members: []int{0}}}}
 		}},
+		// What the instant transport would silently ignore, and churn
+		// schedules the engine refuses: rejected when the spec is read, not
+		// when the sweep reaches the arm.
+		{"latency on instant", func(a *Arm) { a.Net = &Net{Transport: "instant", LatencyMean: 5} }},
+		{"bandwidth on instant", func(a *Arm) { a.Net = &Net{Transport: "instant", BandwidthBytesPerTick: 100} }},
+		{"rejoin before leave", func(a *Arm) { a.Churn = []Churn{{Node: 0, LeaveTick: 10, RejoinTick: 5}} }},
+		{"overlapping outages", func(a *Arm) {
+			a.Churn = []Churn{{Node: 1, LeaveTick: 10, RejoinTick: 40}, {Node: 1, LeaveTick: 20, RejoinTick: 50}}
+		}},
 		{"churn fraction out of range", func(a *Arm) { a.ChurnFraction = 1 }},
 		{"churn and fraction", func(a *Arm) {
 			a.ChurnFraction = 0.2

@@ -220,9 +220,6 @@ func TestRunFigureAndCatalog(t *testing.T) {
 	if e, ok := byName["8"]; !ok || !e.Runnable {
 		t.Fatalf("figure 8 missing or not runnable: %+v", byName["8"])
 	}
-	if e, ok := byName["tables"]; !ok || e.Runnable {
-		t.Fatalf("tables entry wrong: %+v", byName["tables"])
-	}
 	runner, err := NewRunner(WithScale("tiny"))
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +227,17 @@ func TestRunFigureAndCatalog(t *testing.T) {
 	if _, err := runner.RunFigure(t.Context(), "nope"); err == nil {
 		t.Fatal("unknown figure accepted")
 	}
-	if _, err := runner.RunFigure(t.Context(), "tables"); err == nil {
-		t.Fatal("text-only figure accepted")
+	// attacks is text that owns the arm it trains: still not a spec run.
+	for _, name := range []string{"tables", "attacks"} {
+		if byName[name].Runnable {
+			t.Fatalf("text entry %s listed as runnable", name)
+		}
+		if _, err := runner.RunFigure(t.Context(), name); err == nil {
+			t.Fatalf("text-only figure %s accepted", name)
+		}
+		if _, err := runner.FigureSpec(name); err == nil {
+			t.Fatalf("text-only figure %s has a FigureSpec", name)
+		}
 	}
 	// FigureSpec emits the exact spec RunFigure executes.
 	sp, err := runner.FigureSpec("8")

@@ -80,8 +80,8 @@ type Arm struct {
 	// SeedOffset separates the arm's RNG streams from its siblings';
 	// the effective simulator seed is scaleSeed*1_000_003 + SeedOffset.
 	SeedOffset int64 `json:"seedOffset"`
-	// Net pins the arm's transport model; nil inherits the run-level
-	// network overlay (if any), i.e. the instant transport by default.
+	// Net declares the arm's transport model; nil is the instant
+	// transport, the paper's zero-delay network.
 	Net *Net `json:"net,omitempty"`
 	// Churn schedules explicit node departures and rejoins (ticks).
 	Churn []Churn `json:"churn,omitempty"`
@@ -97,40 +97,57 @@ type Arm struct {
 	LocalEpochs int `json:"localEpochs,omitempty"`
 }
 
-// DP is the declarative face of the DP-SGD configuration.
+// DP enables node-level DP-SGD (RQ7). Epsilon/Delta form the per-node
+// privacy target for the whole run; the engine calibrates the noise
+// multiplier with its RDP accountant from the expected step count.
 type DP struct {
 	Epsilon float64 `json:"epsilon"`
 	Delta   float64 `json:"delta"`
 	Clip    float64 `json:"clip"`
 }
 
-// Net is the declarative face of the transport configuration.
+// Net describes a transport; it is the value the engine's network
+// layer is built from. A spec names its transport; the engine's zero
+// value (no name) is the instant transport with no loss.
 type Net struct {
-	// Transport is "instant", "latency", or "lossy".
+	// Transport is "instant" (every message delivered inline at the send
+	// tick), "latency" (per-link delays through a tick-ordered queue), or
+	// "lossy" (loss and partitions, wrapping latency when a latency or
+	// bandwidth knob is set and instant delivery otherwise).
 	Transport string `json:"transport"`
-	// LatencyMean/LatencyJitter parameterize the per-link delay (ticks).
+	// LatencyMean/LatencyJitter parameterize the per-link propagation
+	// delay (ticks): each directed link samples its delay once from
+	// N(LatencyMean, LatencyJitter²), clamped to at least one tick.
 	LatencyMean   float64 `json:"latencyMean,omitempty"`
 	LatencyJitter float64 `json:"latencyJitter,omitempty"`
-	// BandwidthBytesPerTick > 0 adds the wire-size serialization term.
+	// BandwidthBytesPerTick > 0 adds a serialization term of
+	// ceil(wireBytes / BandwidthBytesPerTick) ticks per message.
 	BandwidthBytesPerTick int `json:"bandwidthBytesPerTick,omitempty"`
-	// DropProb is the i.i.d. transmission loss probability.
+	// DropProb is the i.i.d. probability that a transmission is lost, on
+	// any transport.
 	DropProb float64 `json:"dropProb,omitempty"`
-	// Partitions schedules healing network partitions (ticks).
+	// Partitions schedules healing network partitions ("lossy" only).
 	Partitions []Partition `json:"partitions,omitempty"`
 }
 
-// Partition is one scheduled network partition.
+// Partition is one scheduled network partition: while the tick clock is
+// in [FromTick, ToTick), messages with exactly one endpoint in Members
+// are lost. The partition heals at ToTick.
 type Partition struct {
-	FromTick int   `json:"fromTick"`
-	ToTick   int   `json:"toTick"`
-	Members  []int `json:"members"`
+	FromTick int `json:"fromTick"`
+	ToTick   int `json:"toTick"`
+	// Members is one side of the cut; the complement is the other side.
+	Members []int `json:"members"`
 }
 
-// Churn is one scheduled departure/rejoin event.
+// Churn schedules one departure (and optional rejoin) of a node.
 type Churn struct {
 	Node      int `json:"node"`
 	LeaveTick int `json:"leaveTick"`
-	// RejoinTick 0 means the node never comes back.
+	// RejoinTick 0 (the zero value) means the node never comes back. A
+	// positive RejoinTick must follow LeaveTick: a rejoin scheduled at
+	// or before the departure is almost certainly a typo, and validation
+	// rejects it rather than treating it as a permanent leave.
 	RejoinTick int `json:"rejoinTick,omitempty"`
 }
 
@@ -279,14 +296,44 @@ func (a Arm) validate() error {
 			return fmt.Errorf("dp epsilon=%v delta=%v clip=%v", a.DP.Epsilon, a.DP.Delta, a.DP.Clip)
 		}
 	}
-	if a.Net != nil {
-		n := a.Net
-		if !oneOf(n.Transport, knownTransports) {
+	// The engine's zero value has no transport name; a spec spells it.
+	if a.Net != nil && a.Net.Transport == "" {
+		return fmt.Errorf("net names no transport (want one of %v)", knownTransports)
+	}
+	if err := a.ValidateNetwork(); err != nil {
+		return err
+	}
+	if a.TrainPerFactor < 0 || a.LocalEpochs < 0 {
+		return fmt.Errorf("trainPerFactor=%v localEpochs=%d", a.TrainPerFactor, a.LocalEpochs)
+	}
+	if a.Train != nil && (a.Train.LR <= 0 || a.Train.LocalEpochs <= 0) {
+		return fmt.Errorf("train override lr=%v epochs=%d", a.Train.LR, a.Train.LocalEpochs)
+	}
+	return nil
+}
+
+// ValidateNetwork reports the errors in the arm's network description
+// — Net, Churn and ChurnFraction — that do not depend on the deployment
+// size. It is the one statement of these rules: Validate applies it to
+// every arm of a spec, and the engine applies it to the configuration
+// it is handed, adding only what needs the node count (partition
+// members and churned nodes in range). An empty transport name is the
+// engine's zero value and means "instant".
+func (a Arm) ValidateNetwork() error {
+	if n := a.Net; n != nil {
+		instant := n.Transport == "" || n.Transport == "instant"
+		if !instant && !oneOf(n.Transport, knownTransports) {
 			return fmt.Errorf("unknown transport %q (want one of %v)", n.Transport, knownTransports)
 		}
 		if n.LatencyMean < 0 || n.LatencyJitter < 0 || n.BandwidthBytesPerTick < 0 {
 			return fmt.Errorf("net latency mean=%v jitter=%v bandwidth=%d",
 				n.LatencyMean, n.LatencyJitter, n.BandwidthBytesPerTick)
+		}
+		// Knobs the selected transport would silently ignore are
+		// rejected: zero delay with a latency set is a misconfiguration,
+		// not a request for zero delay.
+		if instant && (n.LatencyMean > 0 || n.LatencyJitter > 0 || n.BandwidthBytesPerTick > 0) {
+			return errors.New(`net: the instant transport cannot model latency or bandwidth (use "latency" or "lossy")`)
 		}
 		if n.DropProb < 0 || n.DropProb >= 1 {
 			return fmt.Errorf("net dropProb %v out of [0,1)", n.DropProb)
@@ -305,21 +352,33 @@ func (a Arm) validate() error {
 		return errors.New("churn and churnFraction are mutually exclusive")
 	}
 	for i, ev := range a.Churn {
-		if ev.Node < 0 || ev.LeaveTick < 0 || ev.RejoinTick < 0 {
-			return fmt.Errorf("churn event %d: node=%d leave=%d rejoin=%d",
-				i, ev.Node, ev.LeaveTick, ev.RejoinTick)
+		if ev.Node < 0 || ev.LeaveTick < 0 {
+			return fmt.Errorf("churn event %d: node=%d leaveTick=%d", i, ev.Node, ev.LeaveTick)
 		}
-	}
-	if a.TrainPerFactor < 0 || a.LocalEpochs < 0 {
-		return fmt.Errorf("trainPerFactor=%v localEpochs=%d", a.TrainPerFactor, a.LocalEpochs)
-	}
-	if a.Train != nil && (a.Train.LR <= 0 || a.Train.LocalEpochs <= 0) {
-		return fmt.Errorf("train override lr=%v epochs=%d", a.Train.LR, a.Train.LocalEpochs)
+		if ev.RejoinTick < 0 || (ev.RejoinTick > 0 && ev.RejoinTick <= ev.LeaveTick) {
+			return fmt.Errorf("churn event %d: rejoinTick=%d not after leaveTick=%d (use 0 for a permanent leave)",
+				i, ev.RejoinTick, ev.LeaveTick)
+		}
+		// Overlapping outages of one node have no sensible semantics (the
+		// union of the outages would end at the earliest rejoin). An
+		// event with no rejoin occupies [LeaveTick, infinity).
+		for j, prev := range a.Churn[:i] {
+			if prev.Node == ev.Node && (prev.covers(ev.LeaveTick) || ev.covers(prev.LeaveTick)) {
+				return fmt.Errorf("churn events %d and %d overlap for node %d", j, i, ev.Node)
+			}
+		}
 	}
 	return nil
 }
 
-// Train is the declarative face of the training configuration.
+// covers reports whether the node is down at tick under this event.
+func (c Churn) covers(tick int) bool {
+	return tick >= c.LeaveTick && (c.RejoinTick == 0 || tick < c.RejoinTick)
+}
+
+// Train carries the Table 2 hyperparameters plus the MLP architecture
+// used for the corpus. LRDecay in (0,1) enables the per-epoch
+// learning-rate decay mitigation of Section 5.
 type Train struct {
 	Hidden      []int   `json:"hidden,omitempty"`
 	LR          float64 `json:"lr"`

@@ -3,8 +3,6 @@ package spec
 import (
 	"strings"
 	"testing"
-
-	"gossipmia/internal/gossip"
 )
 
 func TestLabelValueFormatting(t *testing.T) {
@@ -45,31 +43,5 @@ func TestSchemaHashPinned(t *testing.T) {
 	const want = "a4af656ad7834a46caa3f6e8293872bddcfaa4401336609b60fe4169528f7933"
 	if got := SchemaHash(); got != want {
 		t.Fatalf("SchemaHash() = %s, want %s", got, want)
-	}
-}
-
-// TestProtocolNamesMatchEngine keeps the two lists of protocol names —
-// the ones Validate accepts and the ones the engine resolves — one set:
-// "epidemic" ran on the engine for three PRs while Validate refused it.
-func TestProtocolNamesMatchEngine(t *testing.T) {
-	validate := func(protocol string) error {
-		sp := &Spec{Name: "p", Arms: []Arm{{Label: "a", Corpus: "cifar10", Protocol: protocol, ViewSize: 2}}}
-		return sp.Validate()
-	}
-	for _, name := range knownProtocols {
-		if _, err := gossip.ProtocolByName(name); err != nil {
-			t.Errorf("Validate accepts %q, the engine does not: %v", name, err)
-		}
-	}
-	for _, name := range gossip.ProtocolNames() {
-		if err := validate(name); err != nil {
-			t.Errorf("the engine resolves %q, Validate does not: %v", name, err)
-		}
-	}
-	if _, err := gossip.ProtocolByName("pigeon"); err == nil {
-		t.Error("the engine resolves \"pigeon\"")
-	}
-	if err := validate("pigeon"); err == nil {
-		t.Error("Validate accepts \"pigeon\"")
 	}
 }

@@ -5,9 +5,9 @@
 # one-generator import gate (math/rand only under internal/tensor), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
-# run twice under the race detector (workers 1 and 4, compared), a
-# race-enabled service smoke (serve + submit + stream + cancel over
-# HTTP), the pkg/dlsim API gate (no internal types in exported
+# and two overlaid runs twice under the race detector (workers 1 and 4,
+# compared), a race-enabled service smoke (serve + submit + stream +
+# cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
 # signatures), and the one-schema import gate (internal/spec is
 # benchmark/'s shim only).
 set -eu
@@ -145,6 +145,21 @@ cmp "$specout/catalog-w1.txt" "$specout/catalog-w4.txt" || {
     echo "dlsim run -figure all: 4 workers diverge from the serial run" >&2
     exit 1
 }
+# The catalog runs every entry bare; an overlaid run — a run-wide network
+# filled into the entry's spec, and the attack comparison's own arm —
+# goes through the node-parallel engine here and nowhere else.
+overlaid() {
+    out=$1
+    shift
+    "$specout/dlsim" run -scale tiny -workers 1 "$@" >"$specout/$out-w1.txt"
+    "$specout/dlsim" run -scale tiny -workers 4 "$@" >"$specout/$out-w4.txt"
+    cmp "$specout/$out-w1.txt" "$specout/$out-w4.txt" || {
+        echo "dlsim run $*: 4 workers diverge from the serial run" >&2
+        exit 1
+    }
+}
+overlaid overlay-8 -figure 8 -latency 20 -churn 0.3
+overlaid overlay-attacks -figure attacks -drop 0.2
 echo "catalog smoke ok"
 
 # Service smoke, race-enabled: start serve on an ephemeral port, submit
