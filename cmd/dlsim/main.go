@@ -520,7 +520,8 @@ func listJobs(addr string, limit, offset int) error {
 	return nil
 }
 
-// versionCmd prints the build identity (module, Go, spec schema).
+// versionCmd prints the build identity (module, Go, spec schema) and
+// the kernel tier of the process that answered.
 func versionCmd(args []string) error {
 	fs := flag.NewFlagSet("version", flag.ContinueOnError)
 	addr := fs.String("addr", "", "query a dlsim service at this base URL instead of the local build")
@@ -539,6 +540,9 @@ func versionCmd(args []string) error {
 	}
 	fmt.Printf("dlsim %s\nmodule: %s\ngo: %s\nspec-schema: %s\n",
 		v.Version, v.Module, v.GoVersion, v.SpecSchemaHash)
+	if v.Kernels != "" { // a service older than the field does not say
+		fmt.Printf("kernels: %s\n", v.Kernels)
+	}
 	return nil
 }
 

@@ -17,17 +17,20 @@ import (
 // ("byte-identical for any Workers setting") extend through the
 // minibatch and scoring hot paths.
 //
-// Tiling only pays above a size threshold. The serial kernels sustain
-// about 1<<18 m·n·k products per 80µs on the reference host, and a
-// spawn-based fan-out costs ~2µs of handoff, so the threshold admits
-// GEMMs of ≥1<<17 products (~40µs serial): a two-way cut then keeps the
-// handoff under ~10% of the tile's arithmetic. Below the floor — the
-// tiny per-node minibatches of the quick-scale experiments — the
-// serial kernels keep the local-update path allocation-free.
+// Tiling only pays above a size threshold. The AVX2 kernels run 1<<19
+// m·n·k products in 44-52µs on the reference host (NT and TN, 64 rows;
+// 11-14µs at the 1<<17 the Go kernels' 40µs used to buy), and a
+// spawn-based two-way cut measures 2-4µs dearer than the serial call
+// when nothing overlaps, so the threshold admits GEMMs of ≥1<<19
+// products: each half is then ≥20µs of arithmetic and the hand-off
+// stays under ~10% of it. Below the floor — the tiny per-node
+// minibatches of the quick-scale experiments — the serial kernels keep
+// the local-update path allocation-free. (On the Go tier the same
+// floor is ≈190µs of arithmetic: later than it need be, never a loss.)
 const (
 	// gemmParMinFlops is the minimum m*n*k before the parallel path
 	// engages; below it the goroutine hand-off dominates the arithmetic.
-	gemmParMinFlops = 1 << 17
+	gemmParMinFlops = 1 << 19
 	// gemmParMinRows is the smallest row block worth a goroutine.
 	gemmParMinRows = 8
 )

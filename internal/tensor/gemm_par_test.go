@@ -12,9 +12,9 @@ func fillRand(v []float64, rng *RNG) {
 }
 
 // TestGemmTiledBitIdentity sweeps odd shapes and worker counts and
-// requires the worker-tiled kernels to produce byte-for-byte the same
-// output as the serial kernels, including the accumulate-into-C
-// semantics (C starts non-zero).
+// requires the worker-tiled kernels, on either tier, to produce
+// byte-for-byte the output of the serial Go kernels, including the
+// accumulate-into-C semantics (C starts non-zero).
 func TestGemmTiledBitIdentity(t *testing.T) {
 	dims := []int{1, 3, 17, 64, 129}
 	rng := NewRNG(7)
@@ -50,16 +50,22 @@ func TestGemmTiledBitIdentity(t *testing.T) {
 				}
 				for _, kn := range kernels {
 					want := append([]float64(nil), c0...)
-					kn.serial(want)
-					for _, workers := range []int{1, 2, 3, 8} {
-						got := append([]float64(nil), c0...)
-						kn.tiled(got, workers)
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("Gemm%sW m=%d n=%d k=%d workers=%d: element %d = %x, serial %x",
-									kn.name, m, n, k, workers, i, got[i], want[i])
+					onGoTier(func() { kn.serial(want) })
+					tiled := func() {
+						for _, workers := range []int{1, 2, 3, 8} {
+							got := append([]float64(nil), c0...)
+							kn.tiled(got, workers)
+							for i := range got {
+								if got[i] != want[i] {
+									t.Fatalf("Gemm%sW m=%d n=%d k=%d workers=%d on the %s tier: element %d = %x, serial %x",
+										kn.name, m, n, k, workers, Kernels(), i, got[i], want[i])
+								}
 							}
 						}
+					}
+					tiled()
+					if useAVX2 {
+						onGoTier(tiled)
 					}
 				}
 			}
@@ -77,7 +83,7 @@ func TestGemmTNRangeCoversAllRows(t *testing.T) {
 	fillRand(a, rng)
 	fillRand(b, rng)
 	want := make([]float64, m*n)
-	GemmTN(want, a, b, m, n, k)
+	onGoTier(func() { GemmTN(want, a, b, m, n, k) })
 	for _, cuts := range [][]int{{0, 17}, {0, 1, 17}, {0, 8, 9, 17}, {0, 4, 8, 12, 17}} {
 		got := make([]float64, m*n)
 		for i := 0; i+1 < len(cuts); i++ {
@@ -106,8 +112,8 @@ func TestGemmTilesThreshold(t *testing.T) {
 		{1024, 64, 64, 256, 256, 128},
 		{1024, 64, 64, 4, 1, 1}, // single-P runtime: tiling can't overlap
 		{1024, 64, 64, 8, 2, 2}, // budget clamped to available processors
-		{64, 64, 32, 4, 8, 4},   // 1<<17 products: at the calibrated floor
-		{64, 64, 31, 4, 8, 1},   // just below the floor
+		{64, 64, 128, 4, 8, 4},  // 1<<19 products: at the calibrated floor
+		{64, 64, 127, 4, 8, 1},  // just below the floor
 	}
 	for _, c := range cases {
 		if got := gemmTilesFor(c.m, c.n, c.k, c.workers, c.procs); got != c.want {

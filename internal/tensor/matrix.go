@@ -136,11 +136,31 @@ func (m *Matrix) AddOuter(a float64, x, y Vector) error {
 // terms in increasing k order — a single chained sum, exactly like the
 // scalar loops above — so results are bit-identical to the per-vector
 // kernels for any batch size.
+//
+// On amd64 with AVX2 an assembly tier (kernels_amd64.s) runs the same
+// chains four output elements to an instruction and hands back what it
+// does not take: row remainders, the k tail of GemmTN, and shapes too
+// small to fill the lanes. The loops here finish from where it stopped,
+// are the only path everywhere else, and are the oracle its tests
+// compare with.
+
+// useAVX2 is the start-up half of the tier choice. It is a variable
+// only so that the tests can clear it and run the Go kernels.
+var useAVX2 = hasAVX2()
+
+// Kernels names the tier the GEMM kernels run on in this process:
+// "avx2" or "go". Results do not depend on it; speed does.
+func Kernels() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // GemmNT accumulates C += A·Bᵀ for row-major flat slices: A is m×k, B is
 // n×k, C is m×n. Rows of B are reused across a block of four A rows.
 func GemmNT(c, a, b []float64, m, n, k int) {
-	i := 0
+	i := gemmNTVec(c, a, b, m, n, k)
 	for ; i+4 <= m; i += 4 {
 		a0 := a[(i+0)*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k]
@@ -195,7 +215,7 @@ func gemmTNRange(c, a, b []float64, m, n, k, lo, hi int) {
 		return
 	}
 	cr := c[lo*n : hi*n]
-	t := 0
+	t := gemmTNVec(c, a, b, m, n, k, lo, hi)
 	for ; t+4 <= k; t += 4 {
 		a0 := a[(t+0)*m+lo : (t+0)*m+hi]
 		a1 := a[(t+1)*m+lo : (t+1)*m+hi]
@@ -242,7 +262,7 @@ func gemmTNRange(c, a, b []float64, m, n, k, lo, hi int) {
 // deltas, A = layer deltas, B = weights): rows of B are reused across a
 // block of four A rows.
 func GemmNN(c, a, b []float64, m, n, k int) {
-	i := 0
+	i := gemmNNVec(c, a, b, m, n, k)
 	for ; i+4 <= m; i += 4 {
 		a0 := a[(i+0)*k : (i+1)*k]
 		a1 := a[(i+1)*k : (i+2)*k]

@@ -40,13 +40,14 @@ func (v Vector) Fill(c float64) {
 func (v Vector) Zero() { v.Fill(0) }
 
 // AddInPlace sets v += w. It returns an error when lengths differ.
-// The loop is unrolled four-wide; element-wise updates are independent,
-// so results are identical to the scalar loop.
+// Element-wise updates are independent, so the AVX2 tier (addVec, see
+// matrix.go) and the four-wide unrolled loop that finishes after it
+// give the results of the scalar loop.
 func (v Vector) AddInPlace(w Vector) error {
 	if len(v) != len(w) {
 		return fmt.Errorf("add %d += %d: %w", len(v), len(w), ErrShape)
 	}
-	i := 0
+	i := addVec(v, w)
 	for ; i+4 <= len(v); i += 4 {
 		v[i] += w[i]
 		v[i+1] += w[i+1]
@@ -70,9 +71,10 @@ func (v Vector) SubInPlace(w Vector) error {
 	return nil
 }
 
-// Scale sets v *= c. Unrolled four-wide (element-wise, order-free).
+// Scale sets v *= c: the AVX2 tier first, then unrolled four-wide
+// (element-wise, order-free).
 func (v Vector) Scale(c float64) {
-	i := 0
+	i := scaleVec(v, c)
 	for ; i+4 <= len(v); i += 4 {
 		v[i] *= c
 		v[i+1] *= c

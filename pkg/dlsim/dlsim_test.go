@@ -277,6 +277,9 @@ func TestVersionIdentity(t *testing.T) {
 	if v.SpecSchemaHash != spec.SchemaHash() {
 		t.Fatal("version does not report the engine's schema hash")
 	}
+	if v.Kernels != "avx2" && v.Kernels != "go" {
+		t.Fatalf("version names kernel tier %q", v.Kernels)
+	}
 	if Version() != v {
 		t.Fatal("Version is not deterministic")
 	}

@@ -1,5 +1,6 @@
 #!/bin/sh
-# ci.sh — the tier-1 gate plus gofmt cleanliness, vet, the race
+# ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
+# cross-build (the kernels' pure-Go tier), the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus, no fuzzing time), the
 # one-generator import gate (math/rand only under internal/tensor), the
@@ -22,7 +23,13 @@ if [ -n "$unformatted" ]; then
 fi
 
 go build ./...
+# vet's asmdecl pass holds the frame sizes and argument offsets of
+# internal/tensor's assembly to their Go declarations.
 go vet ./...
+# The AVX2 kernels have a pure-Go tier that is the only one off amd64;
+# cross-compiling (offline, ~30 s cold) keeps its files building.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/tensor
 # staticcheck is advisory-but-enforced where available: the container
 # image may not ship it, so the gate activates only when installed.
 if command -v staticcheck >/dev/null 2>&1; then
