@@ -1,6 +1,7 @@
 // Package gossipmia's root benchmarks measure layers, not experiments:
 // BenchmarkParallelSpeedup and BenchmarkIntraArmSpeedup track the
-// parallel engine against the forced-serial path, and the
+// parallel engine against the forced-serial path, BenchmarkHostParallel
+// what the host's second core is worth to them, and the
 // micro-benchmarks at the bottom the hot kernels of the substrates.
 // The paper's tables, figures, ablations and extensions are catalog
 // entries — `dlsim list` prints them, `dlsim run -figure NAME` runs
@@ -15,7 +16,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/experiment"
@@ -39,9 +42,9 @@ func parallelWorkerMatrix() []int {
 }
 
 // BenchmarkParallelSpeedup runs multi-arm figures across the worker
-// matrix. The Workers knob now drives every level — arm fan-out,
-// node-parallel tick execution inside each arm, per-node evaluation,
-// and tiled GEMM — and arms own their seeds, so every configuration
+// matrix. The Workers knob drives every level — arm fan-out,
+// node-parallel tick execution inside each arm and per-node
+// evaluation — and arms own their seeds, so every configuration
 // produces byte-identical figures (asserted by
 // TestFigureIdenticalAcrossWorkerCounts and the intra-arm determinism
 // tests). On a multi-core machine the workers=4 rows should run well
@@ -90,6 +93,39 @@ func BenchmarkIntraArmSpeedup(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkHostParallel asks the host the question every multicore row
+// above depends on: what two busy threads buy over one. One fixed
+// serial GemmNT loop runs twice in series, then twice side by side on
+// two goroutines; the metric is the ratio (2.0 = a whole second core,
+// 1.0 = none to give). ci.sh prints it beside the engine's ratio.
+func BenchmarkHostParallel(b *testing.B) {
+	const m, n, k, reps = 64, 64, 64, 400
+	loop := func() {
+		c, x, w := make([]float64, m*n), make([]float64, m*k), make([]float64, n*k)
+		tensor.NewRNG(1).FillNormal(x, 0, 1)
+		tensor.NewRNG(2).FillNormal(w, 0, 1)
+		for r := 0; r < reps; r++ {
+			tensor.GemmNT(c, x, w, m, n, k)
+		}
+	}
+	var series, parallel time.Duration
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		loop()
+		loop()
+		series += time.Since(start)
+		start = time.Now()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		for g := 0; g < 2; g++ {
+			go func() { defer wg.Done(); loop() }()
+		}
+		wg.Wait()
+		parallel += time.Since(start)
+	}
+	b.ReportMetric(float64(series)/float64(parallel), "host-x")
 }
 
 // --- substrate micro-benchmarks -------------------------------------

@@ -115,7 +115,7 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	csv := fs.Bool("csv", false, "also print per-round CSV series for every arm")
 	plotFlag := fs.Bool("plot", false, "also render ASCII tradeoff scatter plots")
 	repeats := fs.Int("repeats", 0, "replicate one spec-backed figure over N >= 2 seeds and report bootstrap CIs instead of its table")
-	workers := fs.Int("workers", 0, "worker goroutines for arms, intra-arm tick execution, per-node evaluation, and tiled GEMM (0 = one per CPU, 1 = serial); results are identical for any value")
+	workers := fs.Int("workers", 0, "worker goroutines for arms, intra-arm tick execution, and per-node evaluation (0 = one per CPU, 1 = serial); results are identical for any value")
 	transport := fs.String("transport", "", `network transport overlay: "instant" (default), "latency", or "lossy"`)
 	latency := fs.Float64("latency", 0, "mean per-link delay in ticks (implies -transport latency; jitter is 30% of the mean)")
 	churn := fs.Float64("churn", 0, "fraction of nodes that leave at 1/3 of the run and rejoin at 2/3")

@@ -119,13 +119,11 @@ type StudyConfig struct {
 	// Workers is the intra-arm parallelism knob. It bounds the
 	// goroutines used to fan out the per-node evaluation (test accuracy,
 	// MIA attack, generalization error, and the canary audit) at each
-	// observed round, the simulator's node-parallel tick execution
-	// (gossip.Config.Workers), and the worker-tiled GEMM kernels of
-	// minibatch training and batched scoring: 0 means one worker per
-	// CPU, 1 forces the serial paths. Every layer is deterministic by
-	// construction — indexed result slots, buffered-commit tick ordering,
-	// bit-identical GEMM tiles — so the resulting Series is byte-identical
-	// for every worker count.
+	// observed round and the simulator's node-parallel tick execution
+	// (gossip.Config.Workers): 0 means one worker per CPU, 1 forces the
+	// serial paths. Both are deterministic by construction — indexed
+	// result slots, buffered-commit tick ordering — so the resulting
+	// Series is byte-identical for every worker count.
 	Workers int
 }
 
@@ -147,18 +145,14 @@ func (c StudyConfig) Defaulted() StudyConfig {
 	return c
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. The bounds of the training
+// and DP blocks are the scenario language's; the rest needs the study.
 func (c StudyConfig) Validate() error {
-	if c.Train.LR <= 0 || c.Train.LocalEpochs <= 0 {
-		return fmt.Errorf("%w: lr=%v epochs=%d", ErrStudy, c.Train.LR, c.Train.LocalEpochs)
+	if err := errors.Join(c.Train.Validate(), c.DP.Validate()); err != nil {
+		return fmt.Errorf("%w: %v", ErrStudy, err)
 	}
 	if c.Part.TrainPerNode <= 0 && c.Part.DirichletBeta == 0 {
 		return fmt.Errorf("%w: trainPerNode=%d", ErrStudy, c.Part.TrainPerNode)
-	}
-	if c.DP != nil {
-		if c.DP.Epsilon <= 0 || c.DP.Delta <= 0 || c.DP.Delta >= 1 || c.DP.Clip <= 0 {
-			return fmt.Errorf("%w: dp eps=%v delta=%v clip=%v", ErrStudy, c.DP.Epsilon, c.DP.Delta, c.DP.Clip)
-		}
 	}
 	if c.DiscardSeries && c.OnRecord == nil {
 		return fmt.Errorf("%w: DiscardSeries without an OnRecord sink would lose every measurement", ErrStudy)
@@ -258,9 +252,8 @@ func (s *Study) RunContext(ctx context.Context) (*Result, error) {
 func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	cfg := s.cfg
 	simCfg := cfg.Sim.Defaulted()
-	// One Workers knob drives every intra-arm layer: the simulator's
-	// node-parallel tick engine and (via the initial model, whose clones
-	// seed every node) the worker-tiled GEMM kernels.
+	// One Workers knob drives both intra-arm levels: the simulator's
+	// node-parallel tick engine and the per-node evaluation.
 	if simCfg.Workers == 0 {
 		simCfg.Workers = cfg.Workers
 	}
@@ -292,7 +285,6 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: model: %w", err)
 	}
-	initial.SetWorkers(par.Workers(cfg.Workers))
 	initial.SetArena(arena)
 
 	protocol, err := gossip.ProtocolByName(cfg.Protocol)

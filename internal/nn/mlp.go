@@ -48,11 +48,6 @@ type MLP struct {
 	// arena supplies the parameters of clones and every scratch vector
 	// sized after SetArena (nil = the heap).
 	arena *tensor.Arena
-
-	// workers bounds the goroutines the batched GEMM kernels may tile
-	// over (0 or 1 = serial). Tiling is bit-identical, so the setting
-	// never changes results; Clone propagates it to per-node models.
-	workers int
 }
 
 // NewMLP builds an MLP with the given layer sizes (input, hidden...,
@@ -147,15 +142,14 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 // Clone returns a model with the same architecture and a deep copy of the
 // parameters, with its own scratch buffers (safe to use from another
 // goroutine than the original). The layer tables are immutable and
-// shared; the GEMM worker budget and the arena carry over.
+// shared; the arena carries over.
 func (m *MLP) Clone() *MLP {
 	out := &MLP{
-		sizes:   m.sizes,
-		params:  m.arena.Vector(len(m.params)),
-		wOff:    m.wOff,
-		bOff:    m.bOff,
-		workers: m.workers,
-		arena:   m.arena,
+		sizes:  m.sizes,
+		params: m.arena.Vector(len(m.params)),
+		wOff:   m.wOff,
+		bOff:   m.bOff,
+		arena:  m.arena,
 	}
 	copy(out.params, m.params)
 	out.allocScratch()
@@ -171,18 +165,6 @@ func (m *MLP) SetArena(a *tensor.Arena) { m.arena = a }
 
 // Arena returns the arena set by SetArena, nil for the heap.
 func (m *MLP) Arena() *tensor.Arena { return m.arena }
-
-// SetWorkers bounds the goroutines the batched kernels (BatchGrad,
-// ScoreBatch) may tile their GEMMs over; 0 or 1 keeps them serial. The
-// tiled path is bit-identical to the serial one, so this knob never
-// changes results — it only engages above a matrix-size threshold, so
-// small minibatches keep the allocation-free serial kernels either way.
-func (m *MLP) SetWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.workers = n
-}
 
 // forward runs the network on x, filling m.acts. The final activation is
 // the logits (no softmax).
@@ -405,7 +387,7 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
 		delta := m.bDeltas[l][:B*out]
 		src := m.bActs[l][:B*in]
-		tensor.GemmTNW(gw, delta, src, out, in, B, m.workers)
+		tensor.GemmTN(gw, delta, src, out, in, B)
 		for r := 0; r < B; r++ {
 			drow := delta[r*out : (r+1)*out]
 			for o, d := range drow {
@@ -417,7 +399,7 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 		}
 		prev := m.bDeltas[l-1][:B*in]
 		prev.Zero()
-		tensor.GemmNNW(prev, delta, m.weight(l), B, in, out, m.workers)
+		tensor.GemmNN(prev, delta, m.weight(l), B, in, out)
 		hidden := m.bActs[l][:B*in]
 		for i, h := range hidden {
 			if h <= 0 {
@@ -453,7 +435,7 @@ func (m *MLP) batchForward(xs []tensor.Vector) {
 		for r := 0; r < B; r++ {
 			copy(dst[r*out:(r+1)*out], b)
 		}
-		tensor.GemmNTW(dst, src, w, B, out, in, m.workers)
+		tensor.GemmNT(dst, src, w, B, out, in)
 		if l < layers-1 {
 			for i, v := range dst {
 				if v < 0 {

@@ -10,8 +10,8 @@ import (
 // TestScoreBatchMatchesPerExampleForward pins the bit-identity contract
 // of the batched scoring path: for every example, the logits handed to
 // the callback must equal the per-example forward pass exactly — same
-// bits, not just same values — for any worker setting and for batch
-// sizes around the chunk boundary.
+// bits, not just same values — for batch sizes around the chunk
+// boundary.
 func TestScoreBatchMatchesPerExampleForward(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	model, err := NewMLP([]int{19, 23, 7}, rng)
@@ -32,27 +32,24 @@ func TestScoreBatchMatchesPerExampleForward(t *testing.T) {
 			}
 			want[i] = lg
 		}
-		for _, workers := range []int{0, 4} {
-			model.SetWorkers(workers)
-			seen := 0
-			err := model.ScoreBatch(xs, func(i int, logits tensor.Vector) {
-				if i != seen {
-					t.Fatalf("callback order: got example %d, want %d", i, seen)
-				}
-				seen++
-				for j := range logits {
-					if math.Float64bits(logits[j]) != math.Float64bits(want[i][j]) {
-						t.Fatalf("n=%d workers=%d example %d logit %d = %x, per-example %x",
-							n, workers, i, j, logits[j], want[i][j])
-					}
-				}
-			})
-			if err != nil {
-				t.Fatal(err)
+		seen := 0
+		err := model.ScoreBatch(xs, func(i int, logits tensor.Vector) {
+			if i != seen {
+				t.Fatalf("callback order: got example %d, want %d", i, seen)
 			}
-			if seen != n {
-				t.Fatalf("scored %d of %d examples", seen, n)
+			seen++
+			for j := range logits {
+				if math.Float64bits(logits[j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("n=%d example %d logit %d = %x, per-example %x",
+						n, i, j, logits[j], want[i][j])
+				}
 			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen != n {
+			t.Fatalf("scored %d of %d examples", seen, n)
 		}
 	}
 }
@@ -70,26 +67,7 @@ func TestScoreBatchRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestCloneCarriesWorkers pins the propagation that lets the study set
-// one knob on the initial model and have every per-node clone inherit
-// it.
-func TestCloneCarriesWorkers(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	model, err := NewMLP([]int{4, 3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model.SetWorkers(6)
-	if got := model.Clone().workers; got != 6 {
-		t.Fatalf("clone workers = %d, want 6", got)
-	}
-	model.SetWorkers(-3)
-	if model.workers != 0 {
-		t.Fatalf("negative workers should clamp to 0, got %d", model.workers)
-	}
-}
-
-// TestCloneCarriesArena pins the other propagation the study relies on:
+// TestCloneCarriesArena pins the propagation the study relies on:
 // a clone of a model with an arena lives entirely in that arena — its
 // parameters, its scratch, its trainer's buffers and its lazily sized
 // batch scratch — and a clone of the clone does too.

@@ -33,43 +33,13 @@ func Workers(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach invokes fn(i) exactly once for every i in [0, n), distributing
-// indices over min(Workers(workers), n) goroutines. When a single worker
-// results, fn runs inline on the calling goroutine in index order. fn
-// must confine its writes to per-index state.
-func ForEach(workers, n int, fn func(i int)) {
-	forEach(context.Background(), workers, n, fn)
-}
-
-// forEach is the shared scheduler: like ForEach, but once ctx is
-// cancelled no further index is started. Indices already running are
-// never interrupted — a work item either runs to completion or does not
-// run at all, which is what lets the sweep cache stay atomic on abort.
-//
-// The items run on a short-lived Pool, so a panicking item is handled
-// as Pool.ForEach documents: captured with its stack and re-raised on
-// the calling goroutine as a *WorkerPanic, nested pools included.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if ctx.Done() != nil {
-		run := fn
-		fn = func(i int) {
-			if ctx.Err() == nil {
-				run(i)
-			}
-		}
-	}
-	p := NewPool(min(Workers(workers), n))
-	defer p.Close()
-	p.ForEach(n, fn)
-}
-
-// ForEachErr runs fn(i) for every i in [0, n) like ForEach and returns
-// the error of the lowest failing index (deterministic regardless of
-// which goroutine observed it first), or nil when every call succeeds.
-// All indices run even when some fail.
+// ForEachErr invokes fn(i) exactly once for every i in [0, n),
+// distributing indices over min(Workers(workers), n) goroutines, and
+// returns the error of the lowest failing index (deterministic
+// regardless of which goroutine observed it first), or nil when every
+// call succeeds. All indices run even when some fail. When a single
+// worker results, fn runs inline on the calling goroutine in index
+// order. fn must confine its writes to per-index state.
 func ForEachErr(workers, n int, fn func(i int) error) error {
 	return ForEachErrCtx(context.Background(), workers, n, fn)
 }
@@ -78,9 +48,24 @@ func ForEachErr(workers, n int, fn func(i int) error) error {
 // the fan-out at the next index boundary — items already started run to
 // completion, no new item is launched — and the call reports ctx.Err()
 // unless an earlier (lower-index) item had already failed on its own.
+// An item either runs to completion or does not run at all, which is
+// what lets the sweep cache stay atomic on abort.
+//
+// The items run on a short-lived Pool, so a panicking item is handled
+// as Pool.ForEach documents: captured with its stack and re-raised on
+// the calling goroutine as a *WorkerPanic, nested pools included.
 func ForEachErrCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
+	if n <= 0 {
+		return ctx.Err()
+	}
 	errs := make([]error, n)
-	forEach(ctx, workers, n, func(i int) { errs[i] = fn(i) })
+	p := NewPool(min(Workers(workers), n))
+	defer p.Close()
+	p.ForEach(n, func(i int) {
+		if ctx.Err() == nil {
+			errs[i] = fn(i)
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err

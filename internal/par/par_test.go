@@ -25,7 +25,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		const n = 1000
 		counts := make([]atomic.Int64, n)
-		ForEach(w, n, func(i int) { counts[i].Add(1) })
+		if err := ForEachErr(w, n, func(i int) error { counts[i].Add(1); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", w, i, c)
@@ -36,9 +38,9 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroItems(t *testing.T) {
 	ran := false
-	ForEach(4, 0, func(int) { ran = true })
-	if ran {
-		t.Fatal("fn ran for n=0")
+	err := ForEachErr(4, 0, func(int) error { ran = true; return nil })
+	if ran || err != nil {
+		t.Fatalf("n=0: fn ran = %v, err = %v", ran, err)
 	}
 }
 

@@ -18,9 +18,8 @@ import (
 //
 // A Pool serves one fork-join at a time: ForEach must not be called
 // concurrently or reentrantly from inside a work item (nested fan-outs
-// use their own Pool, as the package-level ForEach does). Work items
-// identify their work by index and must confine writes to per-index
-// state, as with ForEach.
+// use their own Pool, as ForEachErr does). Work items identify their
+// work by index and must confine writes to per-index state.
 type Pool struct {
 	workers int           // total workers including the calling goroutine
 	work    chan struct{} // one token wakes one helper for the current run
@@ -72,14 +71,11 @@ func (p *Pool) Close() {
 	}
 }
 
-// Workers returns the pool's total worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 // ForEach invokes fn(i) exactly once for every i in [0, n), distributing
-// indices over min(p.Workers(), n) workers — the calling goroutine plus
+// indices over min(workers, n) workers — the calling goroutine plus
 // parked helpers. When a single worker results, fn runs inline in index
-// order. Like ForEach, a panicking work item is captured, the fan-out
-// winds down, and the panic is re-raised here as a *WorkerPanic.
+// order. A panicking work item is captured, the fan-out winds down, and
+// the panic is re-raised here as a *WorkerPanic.
 // A nil pool runs inline and serially.
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if n <= 0 {

@@ -95,15 +95,15 @@ func TestPoolUsableAfterPanic(t *testing.T) {
 }
 
 // TestPoolCloseWaitsForHelpers: Close returns only once the helpers
-// are gone, so a tight loop of short-lived pools (what the package
-// ForEach is) holds a bounded number of goroutines instead of leaving
-// every closed pool's helpers queued up to exit.
+// are gone, so a tight loop of short-lived pools (what ForEachErr is)
+// holds a bounded number of goroutines instead of leaving every closed
+// pool's helpers queued up to exit.
 func TestPoolCloseWaitsForHelpers(t *testing.T) {
 	const workers = 4
 	before := runtime.NumGoroutine()
 	peak := 0
 	for i := 0; i < 2000; i++ {
-		ForEach(workers, workers, func(int) {})
+		ForEachErr(workers, workers, func(int) error { return nil })
 		peak = max(peak, runtime.NumGoroutine())
 	}
 	// A helper that has signalled its exit may still be counted for an

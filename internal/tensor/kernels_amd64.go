@@ -11,7 +11,7 @@ package tensor
 func gemmNTAVX2(c, a, b []float64, m, n, k int)
 
 //go:noescape
-func gemmTNAVX2(c, a, b []float64, rows, n, k, lda int)
+func gemmTNAVX2(c, a, b []float64, m, n, k int)
 
 //go:noescape
 func gemmNNAVX2(c, a, b []float64, m, n, k int)
@@ -60,15 +60,13 @@ func gemmNTVec(c, a, b []float64, m, n, k int) int {
 	return m4
 }
 
-// gemmTNVec returns the number of leading k rows done (a multiple of 4)
-// for the C rows in [lo, hi), lo < hi.
-func gemmTNVec(c, a, b []float64, m, n, k, lo, hi int) int {
+// gemmTNVec returns the number of leading k rows done (a multiple of 4).
+func gemmTNVec(c, a, b []float64, m, n, k int) int {
 	k4 := k &^ 3
-	if !useAVX2 || k4 <= 0 || n < 4 || lo < 0 || hi > m ||
-		len(c) < hi*n || len(a) < (k4-1)*m+hi || len(b) < k4*n {
+	if !useAVX2 || k4 <= 0 || m <= 0 || n < 4 || len(c) < m*n || len(a) < k4*m || len(b) < k4*n {
 		return 0
 	}
-	gemmTNAVX2(c[lo*n:hi*n], a[lo:], b, hi-lo, n, k4, m)
+	gemmTNAVX2(c, a, b, m, n, k4)
 	return k4
 }
 

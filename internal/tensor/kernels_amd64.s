@@ -276,14 +276,14 @@ ntRowsNext:
 	VADDPD  T, ACC, ACC; \
 	VMOVUPD ACC, off(DI)
 
-// func gemmTNAVX2(c, a, b []float64, rows, n, k, lda int)
-// C += Aᵀ·B over the rows C rows c and a are pre-offset to: a[t*lda+i]
-// pairs k row t with C row i. k is a positive multiple of 4; rows, n ≥ 1.
-TEXT ·gemmTNAVX2(SB), NOSPLIT, $0-104
+// func gemmTNAVX2(c, a, b []float64, m, n, k int)
+// C += Aᵀ·B: a[t*m+i] pairs k row t with C row i. k is a positive
+// multiple of 4; m, n ≥ 1.
+TEXT ·gemmTNAVX2(SB), NOSPLIT, $0-96
 	MOVQ a_base+24(FP), SI // A: k row t of the block, C row 0
 	MOVQ b_base+48(FP), DX // B: k row t of the block
 	MOVQ n+80(FP), R10
-	MOVQ lda+96(FP), R8
+	MOVQ m+72(FP), R8
 	SHLQ $3, R10 // bytes per B row and per C row
 	SHLQ $3, R8 // bytes per A row
 	LEAQ (R10)(R10*2), R11
@@ -297,7 +297,7 @@ TEXT ·gemmTNAVX2(SB), NOSPLIT, $0-104
 tnBlock:
 	MOVQ c_base+0(FP), DI // C: row i, column j
 	MOVQ SI, AX // A: k row t, C row i
-	MOVQ rows+72(FP), R13
+	MOVQ m+72(FP), R13
 
 tnRow:
 	SKIP_IF_ZERO4(tnSkip)

@@ -6,9 +6,9 @@ package tensor
 
 func hasAVX2() bool { return false }
 
-func gemmNTVec(c, a, b []float64, m, n, k int) int         { return 0 }
-func gemmTNVec(c, a, b []float64, m, n, k, lo, hi int) int { return 0 }
-func gemmNNVec(c, a, b []float64, m, n, k int) int         { return 0 }
+func gemmNTVec(c, a, b []float64, m, n, k int) int { return 0 }
+func gemmTNVec(c, a, b []float64, m, n, k int) int { return 0 }
+func gemmNNVec(c, a, b []float64, m, n, k int) int { return 0 }
 
 func addVec(v, w []float64) int           { return 0 }
 func scaleVec(v []float64, c float64) int { return 0 }

@@ -201,36 +201,26 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 // deltas, B = batch activations): blocking four k rows per pass walks C
 // once per four batch examples instead of once per example.
 func GemmTN(c, a, b []float64, m, n, k int) {
-	gemmTNRange(c, a, b, m, n, k, 0, m)
-}
-
-// gemmTNRange is GemmTN restricted to the C rows in [lo, hi) — the tile
-// kernel of GemmTNW. The slices are pre-offset by lo so the loops run
-// dense from zero, keeping the full kernel's bounds-check elimination;
-// the four-wide blocking runs over k exactly as there, so each C
-// element's accumulation order is unchanged.
-func gemmTNRange(c, a, b []float64, m, n, k, lo, hi int) {
-	rows := hi - lo
-	if rows <= 0 {
+	if m <= 0 {
 		return
 	}
-	cr := c[lo*n : hi*n]
-	t := gemmTNVec(c, a, b, m, n, k, lo, hi)
+	c = c[:m*n]
+	t := gemmTNVec(c, a, b, m, n, k)
 	for ; t+4 <= k; t += 4 {
-		a0 := a[(t+0)*m+lo : (t+0)*m+hi]
-		a1 := a[(t+1)*m+lo : (t+1)*m+hi]
-		a2 := a[(t+2)*m+lo : (t+2)*m+hi]
-		a3 := a[(t+3)*m+lo : (t+3)*m+hi]
+		a0 := a[(t+0)*m : (t+1)*m]
+		a1 := a[(t+1)*m : (t+2)*m]
+		a2 := a[(t+2)*m : (t+3)*m]
+		a3 := a[(t+3)*m : (t+4)*m]
 		b0 := b[(t+0)*n : (t+1)*n]
 		b1 := b[(t+1)*n : (t+2)*n]
 		b2 := b[(t+2)*n : (t+3)*n]
 		b3 := b[(t+3)*n : (t+4)*n]
-		for i := 0; i < rows; i++ {
+		for i := 0; i < m; i++ {
 			d0, d1, d2, d3 := a0[i], a1[i], a2[i], a3[i]
 			if d0 == 0 && d1 == 0 && d2 == 0 && d3 == 0 {
 				continue
 			}
-			crow := cr[i*n : (i+1)*n]
+			crow := c[i*n : (i+1)*n]
 			for j := range crow {
 				s := crow[j]
 				s += d0 * b0[j]
@@ -242,14 +232,14 @@ func gemmTNRange(c, a, b []float64, m, n, k, lo, hi int) {
 		}
 	}
 	for ; t < k; t++ {
-		arow := a[t*m+lo : t*m+hi]
+		arow := a[t*m : (t+1)*m]
 		brow := b[t*n : (t+1)*n]
-		for i := 0; i < rows; i++ {
+		for i := 0; i < m; i++ {
 			d := arow[i]
 			if d == 0 {
 				continue
 			}
-			crow := cr[i*n : (i+1)*n]
+			crow := c[i*n : (i+1)*n]
 			for j, bv := range brow {
 				crow[j] += d * bv
 			}

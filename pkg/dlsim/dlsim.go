@@ -98,10 +98,9 @@ func WithScale(name string) Option {
 }
 
 // WithWorkers bounds the worker goroutines at every level of a run:
-// arm fan-out, the node-parallel tick engine inside each arm, per-node
-// evaluation, and the worker-tiled GEMM kernels. 0 (default) means one
-// per CPU, 1 forces the serial paths. Results are byte-identical for
-// every value.
+// arm fan-out, the node-parallel tick engine inside each arm, and
+// per-node evaluation. 0 (default) means one per CPU, 1 forces the
+// serial paths. Results are byte-identical for every value.
 func WithWorkers(n int) Option {
 	return func(r *Runner) error {
 		if n < 0 {

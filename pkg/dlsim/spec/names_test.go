@@ -1,8 +1,12 @@
 package spec_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
+	"gossipmia/internal/core"
+	"gossipmia/internal/data"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/tensor"
@@ -90,4 +94,44 @@ func TestDynamicsNamesMatchEngine(t *testing.T) {
 		return err
 	}
 	agree(t, "dynamics", spec.KnownDynamics, []string{"Static", "peer-swap", "dynamic", "random"}, validate, engine)
+}
+
+// TestBlockRulesMatchEngine: the bounds of the DP and training blocks
+// are stated once, so a bad block is refused when the spec is read and
+// when the engine is handed the study, in the same words.
+func TestBlockRulesMatchEngine(t *testing.T) {
+	goodDP := spec.DP{Epsilon: 10, Delta: 1e-5, Clip: 1}
+	goodTrain := spec.Train{Hidden: []int{8}, LR: 0.05, LocalEpochs: 1}
+	for _, c := range []struct {
+		name  string
+		dp    *spec.DP
+		train spec.Train
+		rule  string
+	}{
+		{"zero epsilon", &spec.DP{Delta: 1e-5, Clip: 1}, goodTrain, "dp epsilon=0 delta=1e-05 clip=1"},
+		{"negative epsilon", &spec.DP{Epsilon: -1, Delta: 1e-5, Clip: 1}, goodTrain, "dp epsilon=-1 delta=1e-05 clip=1"},
+		{"zero delta", &spec.DP{Epsilon: 10, Clip: 1}, goodTrain, "dp epsilon=10 delta=0 clip=1"},
+		{"delta of one", &spec.DP{Epsilon: 10, Delta: 1, Clip: 1}, goodTrain, "dp epsilon=10 delta=1 clip=1"},
+		{"zero clip", &spec.DP{Epsilon: 10, Delta: 1e-5}, goodTrain, "dp epsilon=10 delta=1e-05 clip=0"},
+		{"zero lr", &goodDP, spec.Train{LocalEpochs: 1}, "train lr=0 localEpochs=1"},
+		{"negative lr", nil, spec.Train{LR: -0.1, LocalEpochs: 1}, "train lr=-0.1 localEpochs=1"},
+		{"zero epochs", nil, spec.Train{LR: 0.05}, "train lr=0.05 localEpochs=0"},
+	} {
+		read := validateWith(func(a *spec.Arm) { a.DP, a.Train = c.dp, &c.train })
+		_, handed := core.NewStudy(core.StudyConfig{
+			Corpus: data.CIFAR10, Protocol: "samo",
+			Sim:   gossip.Config{Nodes: 4, ViewSize: 2, Rounds: 1},
+			Train: c.train, DP: c.dp,
+			Part: core.PartitionConfig{TrainPerNode: 8, TestPerNode: 8},
+		})
+		if !errors.Is(read, spec.ErrSpec) || !strings.Contains(read.Error(), c.rule) {
+			t.Errorf("%s: Validate says %v, want ErrSpec with %q", c.name, read, c.rule)
+		}
+		if !errors.Is(handed, core.ErrStudy) || !strings.Contains(handed.Error(), c.rule) {
+			t.Errorf("%s: the engine says %v, want ErrStudy with %q", c.name, handed, c.rule)
+		}
+	}
+	if err := validateWith(func(a *spec.Arm) { a.DP, a.Train = &goodDP, &goodTrain }); err != nil {
+		t.Errorf("good blocks refused: %v", err)
+	}
 }

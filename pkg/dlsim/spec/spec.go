@@ -106,6 +106,16 @@ type DP struct {
 	Clip    float64 `json:"clip"`
 }
 
+// Validate is the one statement of the block's bounds, applied by
+// Spec.Validate to every arm and by the engine to the study it is
+// handed. A nil block is no DP, and valid.
+func (d *DP) Validate() error {
+	if d != nil && (d.Epsilon <= 0 || d.Delta <= 0 || d.Delta >= 1 || d.Clip <= 0) {
+		return fmt.Errorf("dp epsilon=%v delta=%v clip=%v", d.Epsilon, d.Delta, d.Clip)
+	}
+	return nil
+}
+
 // Net describes a transport; it is the value the engine's network
 // layer is built from. A spec names its transport; the engine's zero
 // value (no name) is the instant transport with no loss.
@@ -291,10 +301,8 @@ func (a Arm) validate() error {
 	if a.Beta < 0 {
 		return fmt.Errorf("beta %v < 0", a.Beta)
 	}
-	if a.DP != nil {
-		if a.DP.Epsilon <= 0 || a.DP.Delta <= 0 || a.DP.Delta >= 1 || a.DP.Clip <= 0 {
-			return fmt.Errorf("dp epsilon=%v delta=%v clip=%v", a.DP.Epsilon, a.DP.Delta, a.DP.Clip)
-		}
+	if err := a.DP.Validate(); err != nil {
+		return err
 	}
 	// The engine's zero value has no transport name; a spec spells it.
 	if a.Net != nil && a.Net.Transport == "" {
@@ -306,10 +314,7 @@ func (a Arm) validate() error {
 	if a.TrainPerFactor < 0 || a.LocalEpochs < 0 {
 		return fmt.Errorf("trainPerFactor=%v localEpochs=%d", a.TrainPerFactor, a.LocalEpochs)
 	}
-	if a.Train != nil && (a.Train.LR <= 0 || a.Train.LocalEpochs <= 0) {
-		return fmt.Errorf("train override lr=%v epochs=%d", a.Train.LR, a.Train.LocalEpochs)
-	}
-	return nil
+	return a.Train.Validate()
 }
 
 // ValidateNetwork reports the errors in the arm's network description
@@ -387,6 +392,15 @@ type Train struct {
 	LRDecay     float64 `json:"lrDecay,omitempty"`
 	BatchSize   int     `json:"batchSize,omitempty"`
 	LocalEpochs int     `json:"localEpochs"`
+}
+
+// Validate is the one statement of the block's bounds, applied like
+// DP.Validate. A nil block is no override, and valid.
+func (t *Train) Validate() error {
+	if t != nil && (t.LR <= 0 || t.LocalEpochs <= 0) {
+		return fmt.Errorf("train lr=%v localEpochs=%d", t.LR, t.LocalEpochs)
+	}
+	return nil
 }
 
 // ExpandArms returns the spec's full arm list: the explicit arms

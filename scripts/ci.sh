@@ -410,23 +410,28 @@ if [ -n "$legacy" ]; then
     exit 1
 fi
 
-# Intra-arm scaling smoke: a quick IntraArmSpeedup run at workers={1,4}.
-# Advisory, not a gate — single-run ns/op on a shared host is too noisy
-# to fail CI on, and on a 1-core runtime (GOMAXPROCS=1) parity is the
-# physical ceiling — but the ratio is always logged, so flat scaling can
-# never regress silently again. The numbers that gate a PR are the
-# repo benchmark's (bash benchmark/run.sh, BENCHMARK.json).
-go test -run=NONE -bench='BenchmarkIntraArmSpeedup/workers=(1|4)$' \
-    -benchtime=2x . >"$specout/scaling.log" 2>&1 || { cat "$specout/scaling.log" >&2; exit 1; }
-awk -v procs="${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}" '
-/^BenchmarkIntraArmSpeedup\/workers=1/ { w1 = $3 }
-/^BenchmarkIntraArmSpeedup\/workers=4/ { w4 = $3 }
+# Intra-arm scaling smoke: BenchmarkHostParallel (what two busy threads
+# buy over one on this host) beside BenchmarkIntraArmSpeedup at workers
+# 1 vs min(2, GOMAXPROCS), so the engine is asked only for what the host
+# can give. Advisory, not a gate — single-run ns/op on a shared host is
+# too noisy to fail CI on — but both numbers are always logged, and the
+# warning fires only on ROADMAP item 8's two thresholds together: the
+# host overlapped (>= 1.6x) and the engine did not (< 1.3x). The numbers
+# that gate a PR are the repo benchmark's (bash benchmark/run.sh,
+# BENCHMARK.json).
+procs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}
+par=2
+[ "$procs" -ge 2 ] || par=1
+go test -run=NONE -bench="BenchmarkHostParallel\$|BenchmarkIntraArmSpeedup/workers=(1|$par)\$" \
+    -benchtime=5x . >"$specout/scaling.log" 2>&1 || { cat "$specout/scaling.log" >&2; exit 1; }
+awk -v procs="$procs" -v par="$par" '
+/^BenchmarkHostParallel/ { host = $5 }
+/^BenchmarkIntraArmSpeedup\/workers=/ { split($1, name, /[=-]/); ns[name[2]] = $3 }
 END {
-    if (w1 == "" || w4 == "") { print "ci: scaling smoke ran no benchmarks"; exit 1 }
-    ratio = w1 / w4
-    printf "intra-arm scaling smoke: workers=4 speedup %.2fx over workers=1 (GOMAXPROCS=%s)\n", ratio, procs
-    if (ratio < 1.5)
-        printf "ci: WARNING: intra-arm speedup %.2fx below 1.5x%s\n", ratio,
-            (procs + 0 <= 1 ? " (expected: single-P runtime cannot overlap batches)" : " on a multi-core host: scheduler may be fragmenting")
+    if (host == "" || ns[1] == "" || ns[par] == "") { print "ci: scaling smoke ran no benchmarks"; exit 1 }
+    ratio = ns[1] / ns[par]
+    printf "intra-arm scaling smoke: workers=%d speedup %.2fx over workers=1, host factor %.2fx for two threads (GOMAXPROCS=%s)\n", par, ratio, host, procs
+    if (host >= 1.6 && ratio < 1.3)
+        printf "ci: WARNING: the host overlaps two threads (%.2fx) and the tick engine does not (%.2fx < 1.3x)\n", host, ratio
 }' "$specout/scaling.log"
 echo "scaling smoke ok"
