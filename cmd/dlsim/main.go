@@ -521,7 +521,7 @@ func listJobs(addr string, limit, offset int) error {
 }
 
 // versionCmd prints the build identity (module, Go, spec schema) and
-// the kernel tier of the process that answered.
+// the kernel tier and architecture of the process that answered.
 func versionCmd(args []string) error {
 	fs := flag.NewFlagSet("version", flag.ContinueOnError)
 	addr := fs.String("addr", "", "query a dlsim service at this base URL instead of the local build")
@@ -542,6 +542,9 @@ func versionCmd(args []string) error {
 		v.Version, v.Module, v.GoVersion, v.SpecSchemaHash)
 	if v.Kernels != "" { // a service older than the field does not say
 		fmt.Printf("kernels: %s\n", v.Kernels)
+	}
+	if v.Arch != "" {
+		fmt.Printf("arch: %s\n", v.Arch)
 	}
 	return nil
 }

@@ -110,8 +110,9 @@ func QuickScale() Scale {
 
 // PaperScale is the full deployment of Section 3.1. A figure at this
 // scale takes minutes: `dlsim run -figure 2 -scale paper` (150 nodes,
-// 250 rounds, eight arms) finished in 414 s on a host with nproc = 2,
-// default workers and the AVX2 kernels.
+// 250 rounds, eight arms) finished in 321 s on a host with nproc = 2,
+// default workers and the AVX2 kernels (435 s, the same bytes, before
+// the trainer wrote its gradient once and stepped it once).
 func PaperScale() Scale {
 	return Scale{
 		Nodes:          150,

@@ -333,17 +333,33 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 }
 
 // BatchGrad computes the mean loss and mean gradient over the given
-// examples, writing the gradient into grad (zeroed first). xs and ys must
+// examples, writing the gradient over whatever grad held. xs and ys must
 // have equal non-zero length.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
-// (tensor.GemmNT/GemmTN/GemmNN) over batch-major activation and delta
-// matrices instead of len(xs) independent per-example passes. Each
+// (tensor.GemmNT/GemmTNStore/GemmNN) over batch-major activation and
+// delta matrices instead of len(xs) independent per-example passes. Each
 // gradient element still accumulates its per-example terms in increasing
-// example order, so the result is bit-identical to looping ExampleGrad —
-// only faster, because weight and gradient rows are walked once per
-// four examples instead of once per example.
+// example order from +0, so the result is bit-identical to looping
+// ExampleGrad over a zeroed vector — only faster, because weight and
+// gradient rows are walked once per four examples instead of once per
+// example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
+	loss, err := m.batchGradSum(xs, ys, grad)
+	if err != nil {
+		return 0, err
+	}
+	inv := 1 / float64(len(xs))
+	grad.Scale(inv)
+	return loss * inv, nil
+}
+
+// batchGradSum is BatchGrad before the division by len(xs): it writes the
+// sum of the example gradients into grad — every element once, none read
+// first — and returns the sum of their losses. The trainer folds the
+// division into its optimizer step (SGD.step) instead of paying a pass
+// over the gradient for it.
+func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("batch of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
@@ -363,7 +379,6 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 	}
 	m.bActs = m.batchRows(m.bActs, m.sizes, B)
 	m.bDeltas = m.batchRows(m.bDeltas, m.sizes[1:], B)
-	grad.Zero()
 	layers := len(m.sizes) - 1
 	m.batchForward(xs)
 
@@ -379,7 +394,7 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 		row[ys[r]] -= 1
 	}
 
-	// Backward: dW_l += Δ_lᵀ·A_l, db_l += Σ_b Δ_l, Δ_{l-1} = Δ_l·W_l
+	// Backward: dW_l = Δ_lᵀ·A_l, db_l = Σ_b Δ_l, Δ_{l-1} = Δ_l·W_l
 	// masked by the ReLU of layer l-1.
 	for l := layers - 1; l >= 0; l-- {
 		in, out := m.sizes[l], m.sizes[l+1]
@@ -387,7 +402,8 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
 		delta := m.bDeltas[l][:B*out]
 		src := m.bActs[l][:B*in]
-		tensor.GemmTN(gw, delta, src, out, in, B)
+		tensor.GemmTNStore(gw, delta, src, out, in, B)
+		gb.Zero()
 		for r := 0; r < B; r++ {
 			drow := delta[r*out : (r+1)*out]
 			for o, d := range drow {
@@ -400,16 +416,9 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 		prev := m.bDeltas[l-1][:B*in]
 		prev.Zero()
 		tensor.GemmNN(prev, delta, m.weight(l), B, in, out)
-		hidden := m.bActs[l][:B*in]
-		for i, h := range hidden {
-			if h <= 0 {
-				prev[i] = 0
-			}
-		}
+		prev.ReLUMask(m.bActs[l][:B*in])
 	}
-	inv := 1 / float64(B)
-	grad.Scale(inv)
-	return loss * inv, nil
+	return loss, nil
 }
 
 // batchForward runs the blocked forward pass A_{l+1} = relu(A_l·W_lᵀ +
@@ -437,11 +446,7 @@ func (m *MLP) batchForward(xs []tensor.Vector) {
 		}
 		tensor.GemmNT(dst, src, w, B, out, in)
 		if l < layers-1 {
-			for i, v := range dst {
-				if v < 0 {
-					dst[i] = 0
-				}
-			}
+			dst.ReLU()
 		}
 	}
 }

@@ -55,9 +55,17 @@ func (s *SGD) DecayLR() {
 }
 
 // Step applies one update: v <- momentum*v + (grad + wd*params);
-// params <- params - lr*v. With zero momentum this reduces to plain SGD
-// with L2 regularization.
+// params <- params - lr*v, every product rounded before its sum
+// (tensor.SGDStep). With zero momentum this reduces to plain SGD with L2
+// regularization.
 func (s *SGD) Step(params, grad tensor.Vector) error {
+	return s.step(params, grad, 1) // grad·1 is grad, exactly
+}
+
+// step is Step on the gradient grad·scale, the product taken inside the
+// update's one pass over the three vectors: the trainer hands it the
+// summed batch gradient and 1/B.
+func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 	if len(params) != len(grad) {
 		return fmt.Errorf("sgd step params %d, grad %d: %w", len(params), len(grad), tensor.ErrShape)
 	}
@@ -66,13 +74,7 @@ func (s *SGD) Step(params, grad tensor.Vector) error {
 	} else if len(s.velocity) != len(params) {
 		return fmt.Errorf("sgd velocity %d, params %d: %w", len(s.velocity), len(params), tensor.ErrShape)
 	}
-	mom, wd, lr := s.cfg.Momentum, s.cfg.WeightDecay, s.cfg.LR
-	for i := range params {
-		g := grad[i] + wd*params[i]
-		v := mom*s.velocity[i] + g
-		s.velocity[i] = v
-		params[i] -= lr * v
-	}
+	tensor.SGDStep(params, s.velocity, grad, scale, s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR)
 	return nil
 }
 
@@ -116,8 +118,9 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 
 // RunEpochs performs Epochs passes of shuffled minibatch SGD over
 // (xs, ys) and returns the mean training loss of the final epoch. Each
-// minibatch runs through the model's batched gradient kernel
-// (MLP.BatchGrad), which is bit-identical to per-example accumulation.
+// minibatch is MLP.BatchGrad then SGD.Step to the bit — per-example
+// accumulation order included — with the division by the batch size
+// folded into the step, so the gradient is written once and read once.
 func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
@@ -153,14 +156,15 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 				t.batchXs = append(t.batchXs, xs[idx])
 				t.batchYs = append(t.batchYs, ys[idx])
 			}
-			batchLoss, err := t.Model.BatchGrad(t.batchXs, t.batchYs, t.grad)
+			lossSum, err := t.Model.batchGradSum(t.batchXs, t.batchYs, t.grad)
 			if err != nil {
 				return 0, err
 			}
-			if err := t.Opt.Step(t.Model.Params(), t.grad); err != nil {
+			inv := 1 / float64(end-start)
+			if err := t.Opt.step(t.Model.Params(), t.grad, inv); err != nil {
 				return 0, err
 			}
-			epochLoss += batchLoss
+			epochLoss += float64(lossSum * inv) // rounded, as BatchGrad returns it
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)

@@ -396,7 +396,7 @@ func TestMetaEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.SpecSchemaHash != spec.SchemaHash() || v.GoVersion == "" || v.Kernels != dlsim.Version().Kernels {
+	if v.SpecSchemaHash != spec.SchemaHash() || v.GoVersion == "" || v.Kernels != dlsim.Version().Kernels || v.Arch != dlsim.Version().Arch {
 		t.Fatalf("version = %+v", v)
 	}
 

@@ -53,16 +53,22 @@ func randSlice(rng *RNG, n int) []float64 {
 }
 
 // gemmKernel pairs a blocked kernel with the naive loop it must equal.
-// All three take A as m·k and B as n·k elements.
+// All of them take A as m·k and B as n·k elements. A kernel with accum
+// set writes C without reading it and must leave the bits accum, the
+// accumulating kernel it stands in for, leaves in a C of +0.
 type gemmKernel struct {
-	name       string
-	run, naive func(c, a, b []float64, m, n, k int)
+	name              string
+	run, naive, accum func(c, a, b []float64, m, n, k int)
 }
 
 var gemmKernels = []gemmKernel{
-	{"NT", GemmNT, naiveGemmNT},
-	{"TN", GemmTN, naiveGemmTN},
-	{"NN", GemmNN, naiveGemmNN},
+	{name: "NT", run: GemmNT, naive: naiveGemmNT},
+	{name: "TN", run: GemmTN, naive: naiveGemmTN},
+	{name: "NN", run: GemmNN, naive: naiveGemmNN},
+	{name: "TNStore", run: GemmTNStore, accum: GemmTN, naive: func(c, a, b []float64, m, n, k int) {
+		clear(c[:m*n])
+		naiveGemmTN(c, a, b, m, n, k)
+	}},
 }
 
 // onGoTier runs f with the AVX2 tier switched off.
@@ -163,7 +169,9 @@ func (ar gemmArenas) cWithCanaries(n int) (c, buf []float64) {
 // special values of plant sprinkled over A, B and C, and requires the
 // tier this host detected to produce the bits of the Go tier and to
 // leave the canaries around C alone. With no special value planted both
-// must equal the naive loop.
+// must equal the naive loop. A store kernel meets a C full of NaN on the
+// detected tier and full of canaries on the Go tier: one element read,
+// or one left unwritten, and the two disagree.
 func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng *RNG, zeroGap int, plant byte) {
 	t.Helper()
 	a, b, init := ar.a(m*k), ar.b(n*k), make([]float64, m*n)
@@ -173,6 +181,9 @@ func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng
 		sprinkle(v, 6, pool, rng)
 	}
 	sprinkle(a, zeroGap, []float64{0}, rng)
+	if kn.accum != nil {
+		Vector(init).Fill(math.NaN())
+	}
 
 	c, buf := ar.cWithCanaries(m * n)
 	copy(c, init)
@@ -185,11 +196,24 @@ func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng
 	}
 
 	want := Vector(init).Clone()
+	if kn.accum != nil {
+		want.Fill(canary)
+	}
 	onGoTier(func() { kn.run(want, a, b, m, n, k) })
 	for i := range want {
 		if !sameBits(got[i], want[i]) {
 			t.Fatalf("Gemm%s %dx%dx%d (plant %#x): element %d = %x on the %s tier, %x on the go tier",
 				kn.name, m, n, k, plant, i, math.Float64bits(got[i]), Kernels(), math.Float64bits(want[i]))
+		}
+	}
+	if kn.accum != nil {
+		acc := NewVector(m * n)
+		onGoTier(func() { kn.accum(acc, a, b, m, n, k) })
+		for i := range acc {
+			if !sameBits(want[i], acc[i]) {
+				t.Fatalf("Gemm%s %dx%dx%d (plant %#x): element %d = %x, the accumulate form leaves %x in a cleared C",
+					kn.name, m, n, k, plant, i, math.Float64bits(want[i]), math.Float64bits(acc[i]))
+			}
 		}
 	}
 	if plant != 0 {
@@ -233,6 +257,45 @@ func TestGemmKernelsMatchNaiveBitExact(t *testing.T) {
 		for _, kn := range gemmKernels {
 			checkGemmTiers(t, ar, kn, sh[0], sh[1], sh[2], rng, rng.Intn(4), 0)
 			checkGemmTiers(t, ar, kn, sh[0], sh[1], sh[2], rng, 2, plantAll)
+		}
+	}
+}
+
+// TestGemmTNStoreSignedZeros holds the two places where writing C = AᵀB
+// differs from accumulating into a cleared C by the sign of a zero,
+// which random operands all but never reach. A chain whose four
+// products are all −0 must still come out +0, because the accumulate
+// form starts from +0 and +0 + −0 is +0: the store form may not assign
+// its first product. And a row whose four deltas are ±0, which the
+// accumulate form skips and leaves at +0, must be written as +0. n = 23
+// runs the sixteen-column, four-column and masked-tail paths of the
+// assembly, n = 3 the Go loop; k = 8 adds a second block that is all
+// skipped rows.
+func TestGemmTNStoreSignedZeros(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, n := range []int{3, 4, 23} {
+		for _, k := range []int{4, 8} {
+			const m = 3
+			a, b := NewVector(k*m), NewVector(k*n)
+			b.Fill(negZero)
+			for r := 0; r < 4; r++ {
+				a[r*m+0] = 1                    // four products of −0
+				a[r*m+1] = negZero              // a skipped row
+				a[r*m+2] = float64(1 - 2*(r&1)) // +0 and −0 products in turn
+			}
+			check := func() {
+				c := NewVector(m * n)
+				c.Fill(math.NaN())
+				GemmTNStore(c, a, b, m, n, k)
+				for i, v := range c {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("GemmTNStore %dx%dx%d on the %s tier: C[%d] = %v (%#x), want +0",
+							m, n, k, Kernels(), i, v, math.Float64bits(v))
+					}
+				}
+			}
+			check()
+			onGoTier(check)
 		}
 	}
 }
@@ -359,6 +422,97 @@ func TestUnrolledVectorKernels(t *testing.T) {
 			}
 			check()
 			onGoTier(check)
+		}
+	}
+}
+
+// elementwiseLens straddle the four-lane blocking of the element-wise
+// kernels and its remainder loop.
+var elementwiseLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65}
+
+// TestFusedElementwiseKernels holds ReLU, ReLUMask and SGDStep, on both
+// tiers, to the scalar Go statements they replaced in nn — signed
+// zeros, NaN and the rest included — on operands that end against an
+// inaccessible page. The products of the step are converted before they
+// are added so that this oracle means the same where the compiler has a
+// fused multiply-add.
+func TestFusedElementwiseKernels(t *testing.T) {
+	rng := NewRNG(17)
+	arenas := [3]func(int) []float64{guardedArena(t, 128), guardedArena(t, 128), guardedArena(t, 128)}
+	// operands returns fresh copies of the given vectors at the ends of
+	// the arenas.
+	operands := func(src ...[]float64) [3]Vector {
+		var out [3]Vector
+		for i, v := range src {
+			out[i] = arenas[i](len(v))
+			copy(out[i], v)
+		}
+		return out
+	}
+	onBothTiers := func(f func()) {
+		f()
+		onGoTier(f)
+	}
+	type hyper struct{ scale, wd, mom, lr float64 }
+	hypers := []hyper{
+		{1, 0, 0, 0.1}, {1.0 / 3, 5e-4, 0.9, 0.05}, {1.0 / 16, 0, 0.9, 0.1}, {1.0 / 7, 5e-4, 0, 0.01},
+		{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0}, {math.Inf(1), math.NaN(), 0x1p600, -0x1p-1060},
+	}
+	for _, n := range elementwiseLens {
+		for _, plant := range []byte{0, plantAll, plantZero} {
+			x, y, z := randSlice(rng, n), randSlice(rng, n), randSlice(rng, n)
+			for _, v := range [][]float64{x, y, z} {
+				sprinkle(v, 3, specials(plant), rng)
+			}
+
+			onBothTiers(func() {
+				v := operands(x)[0]
+				v.ReLU()
+				for i, got := range v {
+					want := x[i]
+					if want < 0 {
+						want = 0
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("ReLU n=%d on the %s tier: relu(%v) = %v (%#x)", n, Kernels(), x[i], got, math.Float64bits(got))
+					}
+				}
+			})
+
+			onBothTiers(func() {
+				op := operands(x, y)
+				v, h := op[0], op[1]
+				v.ReLUMask(h)
+				for i, got := range v {
+					want := x[i]
+					if y[i] <= 0 {
+						want = 0
+					}
+					if !sameBits(got, want) {
+						t.Fatalf("ReLUMask n=%d on the %s tier: v=%v h=%v gives %v (%#x)", n, Kernels(), x[i], y[i], got, math.Float64bits(got))
+					}
+				}
+			})
+
+			for _, hp := range hypers {
+				onBothTiers(func() {
+					op := operands(x, y, z)
+					p, vel, grad := op[0], op[1], op[2]
+					SGDStep(p, vel, grad, hp.scale, hp.wd, hp.mom, hp.lr)
+					for i := range p {
+						g := float64(z[i]*hp.scale) + float64(hp.wd*x[i])
+						v := float64(hp.mom*y[i]) + g
+						wantP := x[i] - float64(hp.lr*v)
+						if !sameBits(vel[i], v) || !sameBits(p[i], wantP) {
+							t.Fatalf("SGDStep n=%d %+v on the %s tier: element %d (p=%v vel=%v grad=%v) gives p=%v vel=%v, want %v %v",
+								n, hp, Kernels(), i, x[i], y[i], z[i], p[i], vel[i], wantP, v)
+						}
+						if !sameBits(grad[i], z[i]) {
+							t.Fatalf("SGDStep n=%d on the %s tier wrote grad[%d]", n, Kernels(), i)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,6 +1,6 @@
 package tensor
 
-// The AVX2 tier of the GEMM kernels and of two element-wise vector
+// The AVX2 tier of the GEMM kernels and of the element-wise vector
 // operations (kernels_amd64.s), and the choice between it and the Go
 // loops in matrix.go and vector.go. The choice is made once at start-up
 // from the CPU and the OS, and per call from m, n, k; both tiers
@@ -12,6 +12,9 @@ func gemmNTAVX2(c, a, b []float64, m, n, k int)
 
 //go:noescape
 func gemmTNAVX2(c, a, b []float64, m, n, k int)
+
+//go:noescape
+func gemmTNStoreAVX2(c, a, b []float64, m, n int)
 
 //go:noescape
 func gemmNNAVX2(c, a, b []float64, m, n, k int)
@@ -70,6 +73,16 @@ func gemmTNVec(c, a, b []float64, m, n, k int) int {
 	return k4
 }
 
+// gemmTNStoreVec writes C from the first four k rows and reports whether
+// it did. The caller has cut c to m·n and checked k ≥ 4.
+func gemmTNStoreVec(c, a, b []float64, m, n int) bool {
+	if !useAVX2 || n < 4 || len(a) < 4*m || len(b) < 4*n {
+		return false
+	}
+	gemmTNStoreAVX2(c, a, b, m, n)
+	return true
+}
+
 // gemmNNVec returns the number of leading C rows done (a multiple of 4).
 func gemmNNVec(c, a, b []float64, m, n, k int) int {
 	m4 := m &^ 3
@@ -86,8 +99,17 @@ func addAVX2(v, w []float64, n int)
 //go:noescape
 func scaleAVX2(v []float64, n int, c float64)
 
+//go:noescape
+func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64)
+
+//go:noescape
+func reluAVX2(v []float64, n int)
+
+//go:noescape
+func reluMaskAVX2(v, h []float64, n int)
+
 // The element-wise kernels return the number of leading elements done
-// (a multiple of 4). addVec's operands have equal length.
+// (a multiple of 4). Operands have equal length.
 
 func addVec(v, w []float64) int {
 	n4 := len(v) &^ 3
@@ -104,5 +126,32 @@ func scaleVec(v []float64, c float64) int {
 		return 0
 	}
 	scaleAVX2(v, n4, c)
+	return n4
+}
+
+func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) int {
+	n4 := len(p) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0
+	}
+	sgdStepAVX2(p, vel, grad, n4, scale, wd, mom, lr)
+	return n4
+}
+
+func reluVec(v []float64) int {
+	n4 := len(v) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0
+	}
+	reluAVX2(v, n4)
+	return n4
+}
+
+func reluMaskVec(v, h []float64) int {
+	n4 := len(v) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0
+	}
+	reluMaskAVX2(v, h, n4)
 	return n4
 }

@@ -1,13 +1,13 @@
 #include "textflag.h"
 
 // The AVX2 tier of the blocked GEMM kernels in matrix.go (and, at the
-// end, of Vector.AddInPlace and Vector.Scale). Each GEMM kernel
+// end, of the element-wise kernels in vector.go). Each GEMM kernel
 // puts four *output elements* in the four lanes of a register, so every
 // C element is still one chained sum over increasing k that starts from
-// the value C held, and every product is rounded (VMULPD) before it is
-// added (VADDPD) — never VFMADD, which rounds once and changes the
-// bits. The all-zero skip tests of the Go kernels sit where they sit
-// there. The Go side (kernels_amd64.go) checks slice lengths and shapes
+// the value C held (from +0 in GemmTNStore), and every product is
+// rounded (VMULPD) before it is added (VADDPD) — never a fused
+// multiply-add, which rounds once and changes the bits. The all-zero
+// skip tests of the Go kernels sit where they sit there. The Go side (kernels_amd64.go) checks slice lengths and shapes
 // before it calls in; nothing here reads or writes outside m, n, k.
 
 // tailMask<> holds the lane masks of a column tail: the 32 bytes at
@@ -262,12 +262,16 @@ ntRowsNext:
 // and each vector of the row does s = c; s += d0*b0; s += d1*b1;
 // s += d2*b2; s += d3*b3 — the Go kernel's statement sequence, four
 // columns wide.
+//
+// GemmTNStore's first block is the same chain started from the +0 held
+// in Y10 instead of from C, which it never reads. The first add stays:
+// +0 + (−0) is +0, where the bare product would be −0.
 
-// TN_CHAIN runs the four-term chain on the vector at off(DI).
-#define TN_CHAIN(off, ACC, T) \
-	VMOVUPD off(DI), ACC; \
+// TN_TERMS adds the block's four products, in order, to the value in
+// START, leaves the sum in ACC and stores it at off(DI).
+#define TN_TERMS(off, START, ACC, T) \
 	VMULPD  off(BX), Y12, T; \
-	VADDPD  T, ACC, ACC; \
+	VADDPD  T, START, ACC; \
 	VMULPD  off(BX)(R10*1), Y13, T; \
 	VADDPD  T, ACC, ACC; \
 	VMULPD  off(BX)(R10*2), Y14, T; \
@@ -276,23 +280,58 @@ ntRowsNext:
 	VADDPD  T, ACC, ACC; \
 	VMOVUPD ACC, off(DI)
 
+// TN_CHAIN runs the four-term chain on the vector at off(DI).
+#define TN_CHAIN(off, ACC, T) \
+	VMOVUPD off(DI), ACC; \
+	TN_TERMS(off, ACC, ACC, T)
+
+// TN_TAIL_TERMS is TN_TERMS on the last n%4 columns of a row, under the
+// lane mask in Y11, into Y0.
+#define TN_TAIL_TERMS(START) \
+	VMASKMOVPD (BX), Y11, Y4; \
+	VMULPD     Y4, Y12, Y4; \
+	VADDPD     Y4, START, Y0; \
+	VMASKMOVPD (BX)(R10*1), Y11, Y4; \
+	VMULPD     Y4, Y13, Y4; \
+	VADDPD     Y4, Y0, Y0; \
+	VMASKMOVPD (BX)(R10*2), Y11, Y4; \
+	VMULPD     Y4, Y14, Y4; \
+	VADDPD     Y4, Y0, Y0; \
+	VMASKMOVPD (BX)(R11*1), Y11, Y4; \
+	VMULPD     Y4, Y15, Y4; \
+	VADDPD     Y4, Y0, Y0; \
+	VMASKMOVPD Y0, Y11, (DI)
+
+// TN_SETUP loads what both TN kernels keep for the whole call: the row
+// strides of B and C (R10, R11 = 3·R10) and of A (R8, R9 = 3·R8) in
+// bytes, and the mask of the first n%4 lanes in Y11. Clobbers CX, BX.
+#define TN_SETUP \
+	MOVQ n+80(FP), R10; \
+	MOVQ m+72(FP), R8; \
+	SHLQ $3, R10; \
+	SHLQ $3, R8; \
+	LEAQ (R10)(R10*2), R11; \
+	LEAQ (R8)(R8*2), R9; \
+	MOVQ n+80(FP), CX; \
+	ANDQ $3, CX; \
+	NEGQ CX; \
+	LEAQ tailMask<>+32(SB), BX; \
+	VMOVDQU (BX)(CX*8), Y11
+
+// TN_BROADCAST_D puts the row's four deltas in Y12..Y15.
+#define TN_BROADCAST_D \
+	VBROADCASTSD (AX), Y12; \
+	VBROADCASTSD (AX)(R8*1), Y13; \
+	VBROADCASTSD (AX)(R8*2), Y14; \
+	VBROADCASTSD (AX)(R9*1), Y15
+
 // func gemmTNAVX2(c, a, b []float64, m, n, k int)
 // C += Aᵀ·B: a[t*m+i] pairs k row t with C row i. k is a positive
 // multiple of 4; m, n ≥ 1.
 TEXT ·gemmTNAVX2(SB), NOSPLIT, $0-96
 	MOVQ a_base+24(FP), SI // A: k row t of the block, C row 0
 	MOVQ b_base+48(FP), DX // B: k row t of the block
-	MOVQ n+80(FP), R10
-	MOVQ m+72(FP), R8
-	SHLQ $3, R10 // bytes per B row and per C row
-	SHLQ $3, R8 // bytes per A row
-	LEAQ (R10)(R10*2), R11
-	LEAQ (R8)(R8*2), R9
-	MOVQ n+80(FP), CX
-	ANDQ $3, CX
-	NEGQ CX
-	LEAQ tailMask<>+32(SB), AX
-	VMOVDQU (AX)(CX*8), Y11 // the first n%4 lanes
+	TN_SETUP
 
 tnBlock:
 	MOVQ c_base+0(FP), DI // C: row i, column j
@@ -301,10 +340,7 @@ tnBlock:
 
 tnRow:
 	SKIP_IF_ZERO4(tnSkip)
-	VBROADCASTSD (AX), Y12
-	VBROADCASTSD (AX)(R8*1), Y13
-	VBROADCASTSD (AX)(R8*2), Y14
-	VBROADCASTSD (AX)(R9*1), Y15
+	TN_BROADCAST_D
 	MOVQ DX, BX
 	MOVQ n+80(FP), R12
 
@@ -333,19 +369,7 @@ tnColsTail:
 	TESTQ R12, R12
 	JZ    tnRowDone
 	VMASKMOVPD (DI), Y11, Y0
-	VMASKMOVPD (BX), Y11, Y4
-	VMULPD     Y4, Y12, Y4
-	VADDPD     Y4, Y0, Y0
-	VMASKMOVPD (BX)(R10*1), Y11, Y4
-	VMULPD     Y4, Y13, Y4
-	VADDPD     Y4, Y0, Y0
-	VMASKMOVPD (BX)(R10*2), Y11, Y4
-	VMULPD     Y4, Y14, Y4
-	VADDPD     Y4, Y0, Y0
-	VMASKMOVPD (BX)(R11*1), Y11, Y4
-	VMULPD     Y4, Y15, Y4
-	VADDPD     Y4, Y0, Y0
-	VMASKMOVPD Y0, Y11, (DI)
+	TN_TAIL_TERMS(Y0)
 	LEAQ       (DI)(R12*8), DI
 
 tnRowDone:
@@ -362,6 +386,77 @@ tnRowDone:
 tnSkip:
 	ADDQ R10, DI
 	JMP  tnRowDone
+
+// func gemmTNStoreAVX2(c, a, b []float64, m, n int)
+// C = Aᵀ·B over one block of four k rows: every element of C is
+// written, none is read. m ≥ 1, n ≥ 4.
+TEXT ·gemmTNStoreAVX2(SB), NOSPLIT, $0-88
+	MOVQ c_base+0(FP), DI // C: row i, column j
+	MOVQ a_base+24(FP), AX // A: k row 0, C row i
+	MOVQ b_base+48(FP), DX // B: k row 0
+	TN_SETUP
+	VXORPD Y10, Y10, Y10 // +0, the start of every chain
+	MOVQ m+72(FP), R13
+
+tsRow:
+	SKIP_IF_ZERO4(tsZeroRow)
+	TN_BROADCAST_D
+	MOVQ DX, BX
+	MOVQ n+80(FP), R12
+
+tsCols16:
+	CMPQ R12, $16
+	JLT  tsCols4
+	TN_TERMS(0, Y10, Y0, Y4)
+	TN_TERMS(32, Y10, Y1, Y5)
+	TN_TERMS(64, Y10, Y2, Y6)
+	TN_TERMS(96, Y10, Y3, Y7)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $16, R12
+	JMP  tsCols16
+
+tsCols4:
+	CMPQ R12, $4
+	JLT  tsColsTail
+	TN_TERMS(0, Y10, Y0, Y4)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, R12
+	JMP  tsCols4
+
+tsColsTail:
+	TESTQ R12, R12
+	JZ    tsRowDone
+	TN_TAIL_TERMS(Y10)
+	LEAQ  (DI)(R12*8), DI
+
+tsRowDone:
+	ADDQ $8, AX
+	DECQ R13
+	JNZ  tsRow
+	VZEROUPPER
+	RET
+
+	// Four deltas of ±0: the accumulate form skips the row, which a
+	// cleared C leaves at +0, so the store form writes +0.
+tsZeroRow:
+	MOVQ n+80(FP), R12
+
+tsZero4:
+	CMPQ R12, $4
+	JLT  tsZeroTail
+	VMOVUPD Y10, (DI)
+	ADDQ $32, DI
+	SUBQ $4, R12
+	JMP  tsZero4
+
+tsZeroTail:
+	TESTQ R12, R12
+	JZ    tsRowDone
+	VMASKMOVPD Y10, Y11, (DI)
+	LEAQ  (DI)(R12*8), DI
+	JMP   tsRowDone
 
 // ---------------------------------------------------------------------
 // GemmNN: lanes are four consecutive columns of C. A 4-row × 8-column
@@ -508,7 +603,7 @@ nnRowsNext:
 
 // ---------------------------------------------------------------------
 // The element-wise kernels: the Go loop's statement, four elements
-// wide. n is a positive multiple of 4 in both.
+// wide. n is a positive multiple of 4 in all of them.
 
 // func addAVX2(v, w []float64, n int)
 // v += w.
@@ -544,5 +639,81 @@ scaleLoop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     scaleLoop
+	VZEROUPPER
+	RET
+
+// func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64)
+// g = grad·scale + wd·p; v = mom·vel + g; vel = v; p −= lr·v, every
+// product rounded before its add and none skipped when its factor is 0.
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-112
+	MOVQ p_base+0(FP), DI
+	MOVQ vel_base+24(FP), SI
+	MOVQ grad_base+48(FP), DX
+	MOVQ n+72(FP), CX
+	VBROADCASTSD scale+80(FP), Y12
+	VBROADCASTSD wd+88(FP), Y13
+	VBROADCASTSD mom+96(FP), Y14
+	VBROADCASTSD lr+104(FP), Y15
+	SHLQ $3, CX
+	XORQ AX, AX
+
+stepLoop:
+	VMOVUPD (DI)(AX*1), Y1
+	VMULPD  (DX)(AX*1), Y12, Y0
+	VMULPD  Y1, Y13, Y2
+	VADDPD  Y2, Y0, Y0 // g
+	VMULPD  (SI)(AX*1), Y14, Y3
+	VADDPD  Y0, Y3, Y3 // v
+	VMOVUPD Y3, (SI)(AX*1)
+	VMULPD  Y3, Y15, Y4
+	VSUBPD  Y4, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     stepLoop
+	VZEROUPPER
+	RET
+
+// func reluAVX2(v []float64, n int)
+// if v < 0 { v = 0 }. VMAXPD returns its second source (the memory
+// operand here) when the two compare equal or either is a NaN, so −0
+// and NaN come back untouched, as the Go statement leaves them; with
+// the operands swapped −0 would become +0 and NaN 0.
+TEXT ·reluAVX2(SB), NOSPLIT, $0-32
+	MOVQ v_base+0(FP), DI
+	MOVQ n+24(FP), CX
+	VXORPD Y15, Y15, Y15
+	SHLQ $3, CX
+	XORQ AX, AX
+
+reluLoop:
+	VMAXPD  (DI)(AX*1), Y15, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     reluLoop
+	VZEROUPPER
+	RET
+
+// func reluMaskAVX2(v, h []float64, n int)
+// if h <= 0 { v = 0 }. Predicate 2 is LE, ordered: h <= +0 is true for
+// either zero and false for a NaN, as in Go; VANDNPD then keeps v where
+// the mask is clear and leaves +0 where it is set, whatever v held.
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-56
+	MOVQ v_base+0(FP), DI
+	MOVQ h_base+24(FP), SI
+	MOVQ n+48(FP), CX
+	VXORPD Y15, Y15, Y15
+	SHLQ $3, CX
+	XORQ AX, AX
+
+reluMaskLoop:
+	VMOVUPD (SI)(AX*1), Y0
+	VCMPPD  $2, Y15, Y0, Y1
+	VANDNPD (DI)(AX*1), Y1, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     reluMaskLoop
 	VZEROUPPER
 	RET

@@ -247,6 +247,45 @@ func GemmTN(c, a, b []float64, m, n, k int) {
 	}
 }
 
+// GemmTNStore sets C = Aᵀ·B: the bits GemmTN leaves in a C of +0, written
+// without reading C or clearing it first. The first four k rows start
+// every chain from a literal +0 and still add to it (+0 + −0 is +0, not
+// the −0 the bare product would store), a row whose four deltas are all
+// ±0 — which GemmTN skips — is written as +0, and GemmTN accumulates
+// the rest.
+func GemmTNStore(c, a, b []float64, m, n, k int) {
+	if m <= 0 {
+		return
+	}
+	c = c[:m*n]
+	if k < 4 {
+		Vector(c).Zero()
+		GemmTN(c, a, b, m, n, k)
+		return
+	}
+	if !gemmTNStoreVec(c, a, b, m, n) {
+		a0, a1, a2, a3 := a[:m], a[m:2*m], a[2*m:3*m], a[3*m:4*m]
+		b0, b1, b2, b3 := b[:n], b[n:2*n], b[2*n:3*n], b[3*n:4*n]
+		for i := 0; i < m; i++ {
+			d0, d1, d2, d3 := a0[i], a1[i], a2[i], a3[i]
+			crow := c[i*n : (i+1)*n]
+			if d0 == 0 && d1 == 0 && d2 == 0 && d3 == 0 {
+				clear(crow)
+				continue
+			}
+			for j := range crow {
+				var s float64
+				s += d0 * b0[j]
+				s += d1 * b1[j]
+				s += d2 * b2[j]
+				s += d3 * b3[j]
+				crow[j] = s
+			}
+		}
+	}
+	GemmTN(c, a[4*m:], b[4*n:], m, n, k-4)
+}
+
 // GemmNN accumulates C += A·B for row-major flat slices: A is m×k, B is
 // k×n, C is m×n. This is the delta back-propagation kernel (C = previous
 // deltas, A = layer deltas, B = weights): rows of B are reused across a

@@ -86,6 +86,48 @@ func (v Vector) Scale(c float64) {
 	}
 }
 
+// ReLU sets every negative element of v to +0. −0 and NaN are not
+// negative and stay as they are.
+func (v Vector) ReLU() {
+	for i := reluVec(v); i < len(v); i++ {
+		if v[i] < 0 {
+			v[i] = 0
+		}
+	}
+}
+
+// ReLUMask sets v[i] to +0 wherever h[i] <= 0 (either zero; not NaN):
+// the derivative of ReLU at activations h applied to deltas v. h is at
+// least as long as v.
+func (v Vector) ReLUMask(h Vector) {
+	h = h[:len(v)]
+	for i := reluMaskVec(v, h); i < len(v); i++ {
+		if h[i] <= 0 {
+			v[i] = 0
+		}
+	}
+}
+
+// SGDStep applies one step of SGD with momentum and L2 weight decay to
+// p from the gradient grad·scale, element by element:
+//
+//	g := grad·scale + wd·p;  v := mom·vel + g;  vel = v;  p −= lr·v
+//
+// Every product is rounded before it is added — the conversions below
+// keep a compiler that has a fused multiply-add from using it — and
+// none is skipped when its factor is 0, so the AVX2 tier and this loop
+// give the same bits on every architecture. vel and grad are at least
+// as long as p.
+func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) {
+	vel, grad = vel[:len(p)], grad[:len(p)]
+	for i := sgdStepVec(p, vel, grad, scale, wd, mom, lr); i < len(p); i++ {
+		g := float64(grad[i]*scale) + float64(wd*p[i])
+		v := float64(mom*vel[i]) + g
+		vel[i] = v
+		p[i] -= float64(lr * v)
+	}
+}
+
 // Axpy sets v += a*w (the BLAS axpy kernel). It returns an error when
 // lengths differ. Unrolled four-wide (element-wise, order-free).
 func (v Vector) Axpy(a float64, w Vector) error {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -279,6 +280,9 @@ func TestVersionIdentity(t *testing.T) {
 	}
 	if v.Kernels != "avx2" && v.Kernels != "go" {
 		t.Fatalf("version names kernel tier %q", v.Kernels)
+	}
+	if v.Arch != runtime.GOARCH {
+		t.Fatalf("version names architecture %q", v.Arch)
 	}
 	if Version() != v {
 		t.Fatal("Version is not deterministic")

@@ -1,7 +1,9 @@
 #!/bin/sh
 # profile.sh — capture pprof CPU + allocation profiles for the three
-# workloads the perf work steers by: the figure2 end-to-end run (via
-# dlsim's -cpuprofile/-memprofile flags), the dense-wake arm (via the
+# workloads the perf work steers by: the figure2 end-to-end run at quick
+# scale and default workers, the shape dlbench's figure2_quick measures
+# (via dlsim's -cpuprofile/-memprofile flags; five seeds merged, since
+# one run is little over a second of samples), the dense-wake arm (via the
 # IntraArmSpeedup benchmark) and a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB and collections
 # per arm). Writes raw profiles plus plain-text top-20 summaries under
@@ -15,12 +17,15 @@ cd "$(dirname "$0")/.."
 OUT=${1:-profiles}
 mkdir -p "$OUT"
 
-echo "== figure2 (tiny scale, workers=4) =="
+echo "== figure2 (quick scale, default workers, seeds 1-5) =="
 go build -o "$OUT/dlsim" ./cmd/dlsim
-"$OUT/dlsim" run -figure 2 -scale tiny -workers 4 \
-    -cpuprofile "$OUT/figure2_cpu.pprof" \
-    -memprofile "$OUT/figure2_mem.pprof" >/dev/null
-rm -f "$OUT/dlsim"
+for seed in 1 2 3 4 5; do
+    "$OUT/dlsim" run -figure 2 -scale quick -seed "$seed" \
+        -cpuprofile "$OUT/figure2_cpu_$seed.pprof" \
+        -memprofile "$OUT/figure2_mem.pprof" >/dev/null
+done
+go tool pprof -proto "$OUT"/figure2_cpu_[1-5].pprof >"$OUT/figure2_cpu.pprof" 2>/dev/null
+rm -f "$OUT/dlsim" "$OUT"/figure2_cpu_[1-5].pprof
 
 echo "== dense-wake arm (IntraArmSpeedup benchmark, workers sweep) =="
 go test -run=NONE -bench='BenchmarkIntraArmSpeedup' -benchtime=5x \
@@ -46,6 +51,16 @@ rm -f "$OUT/bench.test"
 
 echo "profiles and top-20 summaries written to $OUT/"
 grep -m4 'flat%' -A6 "$OUT/intraarm_cpu.txt" | head -8 || true
+# The heavy arm outside its GEMMs, the table of DESIGN.md §4: the fused
+# step, what is left of clearing and scaling the gradient, the ReLU and
+# its mask, and memmove by caller. One of them climbing back is a
+# regression.
+echo "heavy arm (figure2, quick scale), flat share of samples:"
+go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
+    grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX2$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|runtime\.memmove$' || true
+echo "runtime.memmove by caller:"
+go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
+    awk '/\| +runtime\.memmove$/ { exit } /\|/ && !/calls%/ { print }' || true
 # The light arm's two shares DESIGN.md §4 quotes: seeding, and the
 # generalization-error passes, which have no line while evalNode scores
 # each split once (PR 16) — one reappearing here is a regression.
