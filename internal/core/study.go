@@ -109,13 +109,6 @@ type StudyConfig struct {
 	// sinks attach to. An error aborts the run.
 	OnRecord func(metrics.RoundRecord) error
 
-	// DiscardSeries stops the study from retaining per-round records:
-	// Result.Series then carries only the label. Combined with an
-	// OnRecord sink this bounds an arbitrarily long run at O(1) retained
-	// round records instead of O(rounds). Requires OnRecord, otherwise
-	// the measurements would be silently lost.
-	DiscardSeries bool
-
 	// Workers is the intra-arm parallelism knob. It bounds the
 	// goroutines used to fan out the per-node evaluation (test accuracy,
 	// MIA attack, generalization error, and the canary audit) at each
@@ -154,9 +147,6 @@ func (c StudyConfig) Validate() error {
 	if c.Part.TrainPerNode <= 0 && c.Part.DirichletBeta == 0 {
 		return fmt.Errorf("%w: trainPerNode=%d", ErrStudy, c.Part.TrainPerNode)
 	}
-	if c.DiscardSeries && c.OnRecord == nil {
-		return fmt.Errorf("%w: DiscardSeries without an OnRecord sink would lose every measurement", ErrStudy)
-	}
 	return nil
 }
 
@@ -168,17 +158,6 @@ type Result struct {
 	MessagesSent int
 	// BytesSent is the total wire-format traffic in bytes.
 	BytesSent int
-	// MessagesDropped counts transmissions lost in transit — to the
-	// probabilistic failure model (Sim.Net.DropProb), an
-	// active network partition, or an offline (churned-out) receiver.
-	MessagesDropped int
-	// MessagesDelayed counts transmissions that went through the
-	// transport's delivery queue instead of arriving inline (zero on
-	// the Instant transport).
-	MessagesDelayed int
-	// MessagesUndelivered counts transmissions still in flight when the
-	// run ended (sent and paid for, never received).
-	MessagesUndelivered int
 	// RealizedEpsilon is the per-node (ε,δ)-DP guarantee actually spent,
 	// computed from the maximum realized step count across nodes; zero
 	// when DP is disabled.
@@ -324,9 +303,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 				return fmt.Errorf("core: record sink at round %d: %w", round, Transient(err))
 			}
 		}
-		if !cfg.DiscardSeries {
-			series.Append(rec)
-		}
+		series.Append(rec)
 		return nil
 	}
 	if err := sim.Run(observer); err != nil {
@@ -334,14 +311,11 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	}
 
 	res := &Result{
-		Series:              series,
-		MessagesSent:        sim.MessagesSent(),
-		BytesSent:           sim.BytesSent(),
-		MessagesDropped:     sim.MessagesDropped(),
-		MessagesDelayed:     sim.MessagesDelayed(),
-		MessagesUndelivered: sim.PendingDeliveries(),
-		NoiseMultiplier:     sigma,
-		Sched:               sim.SchedStats(),
+		Series:          series,
+		MessagesSent:    sim.MessagesSent(),
+		BytesSent:       sim.BytesSent(),
+		NoiseMultiplier: sigma,
+		Sched:           sim.SchedStats(),
 	}
 	if cfg.KeepFinalModels {
 		for _, node := range sim.Nodes() {

@@ -290,40 +290,6 @@ func TestStudyOnRecordStreamsRounds(t *testing.T) {
 	}
 }
 
-// TestStudyDiscardSeries proves the O(1) streaming mode: with a sink
-// attached and DiscardSeries set, the result retains no round records
-// while the sink receives them all.
-func TestStudyDiscardSeries(t *testing.T) {
-	count := 0
-	cfg := quickConfig()
-	cfg.OnRecord = func(metrics.RoundRecord) error { count++; return nil }
-	cfg.DiscardSeries = true
-	st, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series.Records) != 0 {
-		t.Fatalf("discarded series still holds %d records", len(res.Series.Records))
-	}
-	if count != 3 { // EvalEvery=2 over 6 rounds: rounds 1, 3, 5
-		t.Fatalf("sink saw %d records, want 3", count)
-	}
-	if res.Series.Label != cfg.Label {
-		t.Fatalf("series label = %q", res.Series.Label)
-	}
-
-	// DiscardSeries without a sink would silently lose the run.
-	bad := quickConfig()
-	bad.DiscardSeries = true
-	if _, err := NewStudy(bad); !errors.Is(err, ErrStudy) {
-		t.Fatalf("DiscardSeries without OnRecord accepted: %v", err)
-	}
-}
-
 // TestStudyOnRecordErrorAborts proves a failing sink aborts the run
 // with its error.
 func TestStudyOnRecordErrorAborts(t *testing.T) {

@@ -63,9 +63,6 @@ func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG) (*GaussianGenerat
 	return g, nil
 }
 
-// Config returns the generator configuration.
-func (g *GaussianGenerator) Config() GaussianConfig { return g.cfg }
-
 // Sample draws n labelled examples with balanced class frequencies
 // (round-robin labels, then shuffled).
 func (g *GaussianGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
@@ -140,9 +137,6 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG) (*BasketGenerator, er
 	}
 	return g, nil
 }
-
-// Config returns the generator configuration.
-func (g *BasketGenerator) Config() BasketConfig { return g.cfg }
 
 // Sample draws n labelled basket examples with balanced classes.
 func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {

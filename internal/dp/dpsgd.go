@@ -60,9 +60,6 @@ func NewUpdater(cfg SGDConfig) (*Updater, error) {
 // Steps returns the number of noisy SGD steps performed so far.
 func (u *Updater) Steps() int { return u.steps }
 
-// Config returns the updater configuration.
-func (u *Updater) Config() SGDConfig { return u.cfg }
-
 // Update implements gossip.LocalUpdater: Epochs passes of shuffled
 // minibatch DP-SGD over train.
 func (u *Updater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {

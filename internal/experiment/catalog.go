@@ -104,11 +104,11 @@ func DatasetCatalogTable() string {
 func TrainingCatalogTable() string {
 	var b strings.Builder
 	b.WriteString("Table 2: Training Configuration (paper -> reproduction)\n")
-	fmt.Fprintf(&b, "%-14s %-10s %8s %9s %7s %7s %7s  %s\n",
+	fmt.Fprintf(&b, "%-14s %-15s %8s %9s %7s %7s %7s  %s\n",
 		"Dataset", "Model", "LR", "Momentum", "WD", "Epochs", "Rounds", "Repro (MLP hidden, lr, epochs)")
 	for _, row := range TrainingCatalog() {
-		fmt.Fprintf(&b, "%-14s %-10s %8.4f %9.2f %7.0e %7d %7d  hidden=%v lr=%.3f epochs=%d\n",
-			row.Corpus, row.PaperModel, row.PaperLR, row.PaperMomentum,
+		fmt.Fprintf(&b, "%-14s %-15s %8.4f %9.2f %7.0e %7d %7d  hidden=%v lr=%.3f epochs=%d\n",
+			row.Corpus, row.PaperModel+" ("+row.PaperParams+")", row.PaperLR, row.PaperMomentum,
 			row.PaperWeightDecay, row.PaperLocalEpochs, row.PaperRounds,
 			row.Train.Hidden, row.Train.LR, row.Train.LocalEpochs)
 	}

@@ -164,13 +164,6 @@ func TestRunFigure7NotesAndPlots(t *testing.T) {
 	if !strings.Contains(scatter, "MIA accuracy") {
 		t.Fatalf("tradeoff plot missing labels:\n%s", scatter)
 	}
-	gen, err := fig.GenErrorPlot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(gen, "generalization error") {
-		t.Fatalf("gen-error plot missing labels:\n%s", gen)
-	}
 }
 
 func TestRunFigure9Tiny(t *testing.T) {

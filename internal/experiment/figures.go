@@ -106,15 +106,6 @@ func (f *FigureResult) TradeoffPlot() (string, error) {
 		"global test accuracy", "MIA accuracy")
 }
 
-// GenErrorPlot is the Figure 7 presentation: generalization error on x,
-// MIA accuracy on y.
-func (f *FigureResult) GenErrorPlot() (string, error) {
-	return f.Plot(
-		func(r metrics.RoundRecord) float64 { return r.GenError },
-		func(r metrics.RoundRecord) float64 { return r.MIAAcc },
-		"generalization error", "MIA accuracy")
-}
-
 // innerWorkers divides a worker budget across n concurrently running
 // outer tasks, so nested fan-outs (repeats > arms > per-node eval)
 // share one bound instead of multiplying it. The division rounds up:

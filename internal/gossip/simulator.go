@@ -281,9 +281,6 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	return s, nil
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Nodes returns the simulator's nodes. Callers must treat them as
 // read-only between Run callbacks.
 func (s *Simulator) Nodes() []*Node { return s.nodes }
@@ -320,9 +317,6 @@ func (s *Simulator) NodeDown(id int) bool { return s.down[id] }
 // BytesSent returns the total wire-format bytes transmitted, using the
 // wire package's frame size for each model.
 func (s *Simulator) BytesSent() int { return s.bytesSent }
-
-// Tick returns the current simulation tick.
-func (s *Simulator) Tick() int { return s.tick }
 
 // SchedStats reports the schedule the node-parallel tick engine
 // executed — planned wake units, conflict-free batches, and stages.

@@ -30,8 +30,8 @@ func TestNewRegularParameters(t *testing.T) {
 	}
 	for _, tc := range []struct{ n, k int }{{10, 2}, {10, 5}, {150, 25}, {8, 3}, {6, 5}} {
 		g := mustRegular(t, tc.n, tc.k, 7)
-		if g.N() != tc.n || g.K() != tc.k {
-			t.Fatalf("shape: %d/%d", g.N(), g.K())
+		if g.N() != tc.n || g.k != tc.k {
+			t.Fatalf("shape: %d/%d", g.N(), g.k)
 		}
 	}
 }
@@ -290,8 +290,8 @@ func TestPeerSwapSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Len() != 10 {
-		t.Fatalf("sequence length = %d", seq.Len())
+	if len(seq.steps) != 10 {
+		t.Fatalf("sequence length = %d", len(seq.steps))
 	}
 	c, err := seq.ContractionFactor(0, 100, rng)
 	if err != nil {

@@ -86,9 +86,6 @@ func (g *Regular) trySwitch(rng *tensor.RNG) {
 // N returns the number of nodes.
 func (g *Regular) N() int { return g.n }
 
-// K returns the regular degree (view size).
-func (g *Regular) K() int { return g.k }
-
 // Neighbors returns a copy of node i's view.
 func (g *Regular) Neighbors(i int) []int {
 	return append([]int(nil), g.adj[i]...)

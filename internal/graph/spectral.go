@@ -49,49 +49,29 @@ func (g *Regular) ApplyMixing(x, out tensor.Vector) (tensor.Vector, error) {
 	return out, nil
 }
 
-// Mixer is one symmetric doubly-stochastic mixing step: a graph (regular
-// or weighted) that can apply W·x. Implementations must be immutable
-// snapshots once appended to a Sequence.
-type Mixer interface {
-	// N returns the number of nodes.
-	N() int
-	// ApplyMixing computes out = W·x (out allocated when nil).
-	ApplyMixing(x, out tensor.Vector) (tensor.Vector, error)
-	// CloneMixer returns an independent snapshot.
-	CloneMixer() Mixer
-}
-
-// CloneMixer implements Mixer for Regular.
-func (g *Regular) CloneMixer() Mixer { return g.Clone() }
-
-var _ Mixer = (*Regular)(nil)
-
 // Sequence is a time-ordered list of mixing steps W(1..T); its product
 // W* = W(T)···W(1) is the overall mixing operator studied in Section 4.
 // Steps are stored as snapshots (clones), so later mutation of the
 // source graph does not change the sequence.
 type Sequence struct {
-	steps []Mixer
+	steps []*Regular
 	n     int
 }
 
 // NewSequence returns an empty sequence for graphs on n nodes.
 func NewSequence(n int) *Sequence { return &Sequence{n: n} }
 
-// Append snapshots m as the next mixing step.
-func (s *Sequence) Append(m Mixer) error {
-	if m.N() != s.n {
-		return fmt.Errorf("graph: appending %d-node mixer to %d-node sequence: %w", m.N(), s.n, tensor.ErrShape)
+// Append snapshots g as the next mixing step.
+func (s *Sequence) Append(g *Regular) error {
+	if g.N() != s.n {
+		return fmt.Errorf("graph: appending %d-node graph to %d-node sequence: %w", g.N(), s.n, tensor.ErrShape)
 	}
-	s.steps = append(s.steps, m.CloneMixer())
+	s.steps = append(s.steps, g.Clone())
 	return nil
 }
 
-// Len returns the number of mixing steps.
-func (s *Sequence) Len() int { return len(s.steps) }
-
 // Apply computes W*·x = W(T)···W(1)·x using upTo steps (all when
-// upTo <= 0 or upTo > Len).
+// upTo <= 0 or upTo > the number of steps).
 func (s *Sequence) Apply(x tensor.Vector, upTo int) (tensor.Vector, error) {
 	if upTo <= 0 || upTo > len(s.steps) {
 		upTo = len(s.steps)

@@ -34,22 +34,6 @@ func Accuracy(model *nn.MLP, ds *data.Dataset) (float64, error) {
 	return float64(correct) / float64(ds.Len()), nil
 }
 
-// MeanLoss returns the average cross-entropy loss of model on ds.
-func MeanLoss(model *nn.MLP, ds *data.Dataset) (float64, error) {
-	if ds.Len() == 0 {
-		return 0, data.ErrEmpty
-	}
-	var s float64
-	for i, x := range ds.X {
-		l, err := model.Loss(x, ds.Y[i])
-		if err != nil {
-			return 0, fmt.Errorf("metrics: loss example %d: %w", i, err)
-		}
-		s += l
-	}
-	return s / float64(ds.Len()), nil
-}
-
 // GenError returns the generalization error of Equation (8): local train
 // accuracy minus local test accuracy.
 func GenError(model *nn.MLP, nd data.NodeData) (float64, error) {
@@ -81,17 +65,6 @@ func Max(xs []float64) float64 {
 	best := math.Inf(-1)
 	for _, x := range xs {
 		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
-// Min returns the minimum of xs (+Inf for empty input).
-func Min(xs []float64) float64 {
-	best := math.Inf(1)
-	for _, x := range xs {
-		if x < best {
 			best = x
 		}
 	}

@@ -62,13 +62,6 @@ func TestAccuracyImprovesWithTraining(t *testing.T) {
 	if after <= before {
 		t.Fatalf("accuracy did not improve: %v -> %v", before, after)
 	}
-	loss, err := MeanLoss(model, ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loss <= 0 || math.IsInf(loss, 0) {
-		t.Fatalf("loss = %v", loss)
-	}
 }
 
 func TestGenError(t *testing.T) {
@@ -103,14 +96,14 @@ func TestAggregations(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Fatalf("mean = %v", Mean(xs))
 	}
-	if Max(xs) != 4 || Min(xs) != 1 {
-		t.Fatalf("max/min = %v/%v", Max(xs), Min(xs))
+	if Max(xs) != 4 {
+		t.Fatalf("max = %v", Max(xs))
 	}
 	if Mean(nil) != 0 {
 		t.Fatalf("empty mean = %v", Mean(nil))
 	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Fatal("empty max/min should be infinities")
+	if !math.IsInf(Max(nil), -1) {
+		t.Fatal("empty max should be -Inf")
 	}
 	if s := Std([]float64{2, 2, 2}); s != 0 {
 		t.Fatalf("constant std = %v", s)

@@ -83,33 +83,13 @@ func (c *CanarySet) NodeTPR(nodeID int, model *nn.MLP) (float64, error) {
 	return TPRAtFPR(memberScores, nonScores, 0.01)
 }
 
-// MeanTPR returns the average per-node canary TPR@1%FPR across nodes.
-func (c *CanarySet) MeanTPR(models []*nn.MLP) (float64, error) {
-	if len(models) != len(c.PerNode) {
-		return 0, fmt.Errorf("%w: %d models for %d nodes", ErrCanary, len(models), len(c.PerNode))
-	}
-	var sum float64
-	for i, m := range models {
-		tpr, err := c.NodeTPR(i, m)
-		if err != nil {
-			return 0, err
-		}
-		sum += tpr
-	}
-	return sum / float64(len(models)), nil
-}
-
-// MaxTPR returns the maximum per-node canary TPR@1%FPR across all nodes,
-// the quantity Figure 4 tracks over communication rounds. models[i] must
-// be node i's current model.
-func (c *CanarySet) MaxTPR(models []*nn.MLP) (float64, error) {
-	return c.MaxTPRWorkers(models, 1)
-}
-
-// MaxTPRWorkers is MaxTPR with the per-node audits fanned out over the
-// given worker count (0 = one per CPU). Each goroutine scores under a
-// distinct node's model, so no cloning is needed, and the maximum is
-// taken in node order — the result is identical for every worker count.
+// MaxTPRWorkers returns the maximum per-node canary TPR@1%FPR across all
+// nodes, the quantity Figure 4 tracks over communication rounds, with
+// the per-node audits fanned out over the given worker count (0 = one
+// per CPU). models[i] must be node i's current model. Each goroutine
+// scores under a distinct node's model, so no cloning is needed, and the
+// maximum is taken in node order — the result is identical for every
+// worker count.
 func (c *CanarySet) MaxTPRWorkers(models []*nn.MLP, workers int) (float64, error) {
 	if len(models) != len(c.PerNode) {
 		return 0, fmt.Errorf("%w: %d models for %d nodes", ErrCanary, len(models), len(c.PerNode))

@@ -50,16 +50,6 @@ func AllMethods() []Method {
 	return []Method{MethodMPE, MethodEntropy, MethodConfidence, MethodLoss}
 }
 
-// MethodByName resolves a method identifier used in CLIs.
-func MethodByName(name string) (Method, error) {
-	for _, m := range AllMethods() {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("mia: unknown attack method %q", name)
-}
-
 // MethodScore computes the membership score of method m for predicted
 // distribution p and true label y. Lower means more member-like.
 func MethodScore(m Method, p tensor.Vector, y int) (float64, error) {

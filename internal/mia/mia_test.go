@@ -64,7 +64,7 @@ func TestBestThresholdAccuracySeparated(t *testing.T) {
 	// Perfectly separated scores -> accuracy 1 at a threshold between.
 	member := []float64{0.1, 0.2, 0.3}
 	non := []float64{0.9, 1.0, 1.1}
-	acc, tau, err := BestThresholdAccuracy(member, non)
+	acc, tau, err := new(Scratch).bestThresholdAccuracy(member, non)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestBestThresholdAccuracySeparated(t *testing.T) {
 func TestBestThresholdAccuracyIndistinguishable(t *testing.T) {
 	// Identical distributions -> accuracy 0.5.
 	same := []float64{1, 2, 3, 4}
-	acc, _, err := BestThresholdAccuracy(same, same)
+	acc, _, err := new(Scratch).bestThresholdAccuracy(same, same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestBestThresholdAccuracyImbalanced(t *testing.T) {
 	for i := range non {
 		non[i] = 1
 	}
-	acc, _, err := BestThresholdAccuracy(member, non)
+	acc, _, err := new(Scratch).bestThresholdAccuracy(member, non)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,10 @@ func TestBestThresholdAccuracyImbalanced(t *testing.T) {
 }
 
 func TestBestThresholdAccuracyErrors(t *testing.T) {
-	if _, _, err := BestThresholdAccuracy(nil, []float64{1}); !errors.Is(err, ErrNoScores) {
+	if _, _, err := new(Scratch).bestThresholdAccuracy(nil, []float64{1}); !errors.Is(err, ErrNoScores) {
 		t.Fatalf("empty member error = %v", err)
 	}
-	if _, _, err := BestThresholdAccuracy([]float64{1}, nil); !errors.Is(err, ErrNoScores) {
+	if _, _, err := new(Scratch).bestThresholdAccuracy([]float64{1}, nil); !errors.Is(err, ErrNoScores) {
 		t.Fatalf("empty non-member error = %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestBestThresholdAccuracyRangeProperty(t *testing.T) {
 			member[i] = rng.Normal(0, 1)
 			non[i] = rng.Normal(0.5, 1)
 		}
-		acc, _, err := BestThresholdAccuracy(member, non)
+		acc, _, err := new(Scratch).bestThresholdAccuracy(member, non)
 		if err != nil {
 			return false
 		}
@@ -362,11 +362,11 @@ func TestCanaryAuditDetectsMemorization(t *testing.T) {
 	if freshTPR >= tpr {
 		t.Fatalf("fresh model TPR %v should be below memorized %v", freshTPR, tpr)
 	}
-	// MaxTPR validates model count.
-	if _, err := set.MaxTPR([]*nn.MLP{model}); !errors.Is(err, ErrCanary) {
+	// MaxTPRWorkers validates model count.
+	if _, err := set.MaxTPRWorkers([]*nn.MLP{model}, 1); !errors.Is(err, ErrCanary) {
 		t.Fatalf("model count error = %v", err)
 	}
-	maxTPR, err := set.MaxTPR([]*nn.MLP{model, fresh})
+	maxTPR, err := set.MaxTPRWorkers([]*nn.MLP{model, fresh}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,17 +55,6 @@ func Scores(model *nn.MLP, ds *data.Dataset) ([]float64, error) {
 	return ScoresWith(MethodMPE, model, ds)
 }
 
-// BestThresholdAccuracy returns the maximum achievable accuracy of the
-// thresholded attack of Equation (4) — predict member when score ≤ τ̃ —
-// over all thresholds, along with the maximizing τ̃. This is the paper's
-// worst-case MIA accuracy metric (Equation 6) with balanced reweighting:
-// member and non-member sides contribute equally regardless of their
-// counts, matching the "sampled equally" attack set construction.
-func BestThresholdAccuracy(member, nonMember []float64) (acc, threshold float64, err error) {
-	var s Scratch
-	return s.bestThresholdAccuracy(member, nonMember)
-}
-
 // TPRAtFPR returns the true-positive rate of the score-thresholded attack
 // at the largest threshold whose false-positive rate does not exceed
 // maxFPR (Equation 7 uses maxFPR = 0.01). Members are positives and are

@@ -126,7 +126,12 @@ func (f *floatSorter) Len() int           { return len(f.v) }
 func (f *floatSorter) Less(i, j int) bool { return f.v[i] < f.v[j] }
 func (f *floatSorter) Swap(i, j int)      { f.v[i], f.v[j] = f.v[j], f.v[i] }
 
-// bestThresholdAccuracy is BestThresholdAccuracy on reusable buffers.
+// bestThresholdAccuracy returns the maximum achievable accuracy of the
+// thresholded attack of Equation (4) — predict member when score ≤ τ̃ —
+// over all thresholds, along with the maximizing τ̃. This is the paper's
+// worst-case MIA accuracy metric (Equation 6) with balanced reweighting:
+// member and non-member sides contribute equally regardless of their
+// counts, matching the "sampled equally" attack set construction.
 // Ties sit on the same side of every candidate threshold and are summed
 // as one group, so the (unstable) sort order within a tie never affects
 // the result.

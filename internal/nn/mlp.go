@@ -111,9 +111,6 @@ func (m *MLP) bias(l int) tensor.Vector {
 	return m.params[m.bOff[l] : m.bOff[l]+out]
 }
 
-// Sizes returns a copy of the layer widths.
-func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
-
 // NumParams returns the total number of trainable parameters.
 func (m *MLP) NumParams() int { return len(m.params) }
 

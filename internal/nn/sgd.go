@@ -32,9 +32,6 @@ func NewSGD(cfg SGDConfig) *SGD {
 	return &SGD{cfg: cfg}
 }
 
-// Config returns the optimizer hyperparameters.
-func (s *SGD) Config() SGDConfig { return s.cfg }
-
 // Reset clears the momentum buffer (used when a node replaces its model
 // with an aggregated one and optimizer state no longer matches).
 func (s *SGD) Reset() {

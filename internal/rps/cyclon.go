@@ -76,12 +76,6 @@ func New(n, viewSize, shuffleLen int, rng *tensor.RNG) (*Service, error) {
 	return s, nil
 }
 
-// N returns the number of nodes.
-func (s *Service) N() int { return s.n }
-
-// ViewSize returns the per-node view capacity.
-func (s *Service) ViewSize() int { return s.viewSize }
-
 // View returns the peer ids currently in node i's view.
 func (s *Service) View(i int) []int {
 	out := make([]int, len(s.views[i]))

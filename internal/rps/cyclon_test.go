@@ -40,7 +40,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestViewsStartFullAndValid(t *testing.T) {
 	s := mustService(t, 20, 4, 3, 2)
-	for i := 0; i < s.N(); i++ {
+	for i := 0; i < s.n; i++ {
 		if len(s.View(i)) != 4 {
 			t.Fatalf("node %d view size %d", i, len(s.View(i)))
 		}
@@ -56,7 +56,7 @@ func TestShuffleInvariantsProperty(t *testing.T) {
 			return false
 		}
 		for step := 0; step < 200; step++ {
-			s.Shuffle(rng.Intn(s.N()))
+			s.Shuffle(rng.Intn(s.n))
 			if s.Validate() != nil {
 				return false
 			}
@@ -72,10 +72,10 @@ func TestShuffleKeepsNetworkConnected(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	s := mustService(t, 40, 5, 3, 5)
 	for step := 0; step < 2000; step++ {
-		s.Shuffle(rng.Intn(s.N()))
+		s.Shuffle(rng.Intn(s.n))
 	}
-	if got := s.Reachable(0); got != s.N() {
-		t.Fatalf("only %d of %d nodes reachable after shuffling", got, s.N())
+	if got := s.Reachable(0); got != s.n {
+		t.Fatalf("only %d of %d nodes reachable after shuffling", got, s.n)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestViewsActuallyChange(t *testing.T) {
 	s := mustService(t, 20, 4, 3, 11)
 	before := append([]int(nil), s.View(0)...)
 	for step := 0; step < 100; step++ {
-		s.Shuffle(rng.Intn(s.N()))
+		s.Shuffle(rng.Intn(s.n))
 	}
 	after := s.View(0)
 	same := true
@@ -148,7 +148,7 @@ func TestSelfDescriptorSpreads(t *testing.T) {
 	// shuffle and checking all views for 0.
 	s.Shuffle(0)
 	found := false
-	for j := 0; j < s.N(); j++ {
+	for j := 0; j < s.n; j++ {
 		if j == 0 {
 			continue
 		}

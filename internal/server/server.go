@@ -173,10 +173,6 @@ type Config struct {
 	// and executes locally, with the per-worker error history surfaced
 	// on the job status. Default 3.
 	MaxArmAttempts int
-	// FailThreshold is the decaying per-worker health score at which
-	// the dispatcher quarantines a worker. Default 2.5 (three quick
-	// errors or two checksum mismatches).
-	FailThreshold float64
 	// QuarantineCooldown is the base quarantine duration (doubling per
 	// consecutive quarantine, capped at 8×). Default 4×LeaseTTL.
 	QuarantineCooldown time.Duration
@@ -298,10 +294,9 @@ func New(cfg Config) *Server {
 		jobs:       map[string]*job{},
 		byKey:      map[string]*job{},
 		dispatch: distrib.New(distrib.Config{
-			LeaseTTL:      cfg.LeaseTTL,
-			MaxAttempts:   cfg.MaxArmAttempts,
-			FailThreshold: cfg.FailThreshold,
-			Cooldown:      cfg.QuarantineCooldown,
+			LeaseTTL:    cfg.LeaseTTL,
+			MaxAttempts: cfg.MaxArmAttempts,
+			Cooldown:    cfg.QuarantineCooldown,
 		}),
 	}
 	if cfg.StoreDir != "" {

@@ -1,8 +1,7 @@
 // Package sink streams experiment results as they are produced. A Sink
 // consumes one arm's RoundRecords in round order, fed through the
-// observer hook on core.Study — so an arbitrarily long run can write
-// its series to disk (JSONL or CSV) while the study itself retains O(1)
-// round records instead of O(rounds).
+// observer hook on core.Study — so a run writes its series to disk
+// (JSONL or CSV) round by round, as each is measured.
 //
 // Each Sink instance serves a single arm's stream: concurrent arms get
 // independent sinks (and, in the spec engine, independent files), which
@@ -31,8 +30,7 @@ type Sink interface {
 	Close() error
 }
 
-// Memory retains every record in order — the in-memory sink used to
-// rebuild a metrics.Series from a stream (and by tests).
+// Memory retains every record in order.
 type Memory struct {
 	Records []metrics.RoundRecord
 }
@@ -45,11 +43,6 @@ func (m *Memory) Record(r metrics.RoundRecord) error {
 
 // Close implements Sink.
 func (m *Memory) Close() error { return nil }
-
-// Series converts the retained records into a labeled series.
-func (m *Memory) Series(label string) *metrics.Series {
-	return &metrics.Series{Label: label, Records: m.Records}
-}
 
 // jsonlEvent is one JSONL line: the arm label plus the record fields,
 // flattened so the stream is self-describing and greppable.

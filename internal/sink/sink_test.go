@@ -32,12 +32,11 @@ func feed(t *testing.T, s Sink) {
 func TestMemorySinkBuildsSeries(t *testing.T) {
 	m := &Memory{}
 	feed(t, m)
-	series := m.Series("arm-x")
-	if series.Label != "arm-x" || len(series.Records) != 2 {
-		t.Fatalf("series = %+v", series)
+	if len(m.Records) != 2 {
+		t.Fatalf("records = %+v", m.Records)
 	}
-	if series.Records[1] != sampleRecords()[1] {
-		t.Fatalf("record mangled: %+v", series.Records[1])
+	if m.Records[1] != sampleRecords()[1] {
+		t.Fatalf("record mangled: %+v", m.Records[1])
 	}
 }
 

@@ -342,8 +342,8 @@ func FuzzGemmKernels(f *testing.F) {
 
 func TestVecPoolRecycles(t *testing.T) {
 	p := NewVecPool(8, nil)
-	if p.Len() != 8 {
-		t.Fatalf("Len = %d", p.Len())
+	if p.n != 8 {
+		t.Fatalf("pool length = %d", p.n)
 	}
 	v := p.Get(8)
 	if len(v) != 8 {

@@ -16,30 +16,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns the element at row i, column j.
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a view (not a copy) of row i.
-func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
 
 // MatVec computes out = m * x. When out is nil a fresh vector is
 // allocated; otherwise it must have length m.Rows.
@@ -61,72 +39,6 @@ func (m *Matrix) MatVec(x, out Vector) (Vector, error) {
 		out[i] = s
 	}
 	return out, nil
-}
-
-// MatVecT computes out = mᵀ * x (x has length m.Rows, out m.Cols). When
-// out is nil a fresh vector is allocated.
-func (m *Matrix) MatVecT(x, out Vector) (Vector, error) {
-	if len(x) != m.Rows {
-		return nil, fmt.Errorf("matvecT (%dx%d)ᵀ*%d: %w", m.Rows, m.Cols, len(x), ErrShape)
-	}
-	if out == nil {
-		out = NewVector(m.Cols)
-	} else if len(out) != m.Cols {
-		return nil, fmt.Errorf("matvecT out %d != %d: %w", len(out), m.Cols, ErrShape)
-	}
-	out.Zero()
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			out[j] += w * xi
-		}
-	}
-	return out, nil
-}
-
-// MatMul returns a*b. It returns an error on incompatible shapes.
-func MatMul(a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("matmul (%dx%d)*(%dx%d): %w", a.Rows, a.Cols, b.Rows, b.Cols, ErrShape)
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
-// AddOuter adds a*x*yᵀ to m in place (rank-one update). x must have
-// length m.Rows and y length m.Cols.
-func (m *Matrix) AddOuter(a float64, x, y Vector) error {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		return fmt.Errorf("outer (%d,%d) into (%dx%d): %w", len(x), len(y), m.Rows, m.Cols, ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		ax := a * x[i]
-		if ax == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] += ax * y[j]
-		}
-	}
-	return nil
 }
 
 // The blocked kernels below are the minibatch hot path of the nn
@@ -368,7 +280,7 @@ func (m *Matrix) IsSymmetric(tol float64) bool {
 	}
 	for i := 0; i < m.Rows; i++ {
 		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+			if math.Abs(m.Data[i*m.Cols+j]-m.Data[j*m.Cols+i]) > tol {
 				return false
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMatVec(t *testing.T) {
@@ -22,59 +21,6 @@ func TestMatVec(t *testing.T) {
 	}
 	if _, err := m.MatVec(Vector{1, 1, 1}, NewVector(3)); !errors.Is(err, ErrShape) {
 		t.Fatalf("out shape error = %v", err)
-	}
-}
-
-func TestMatVecT(t *testing.T) {
-	m := NewMatrix(2, 3)
-	copy(m.Data, []float64{1, 2, 3, 4, 5, 6})
-	out, err := m.MatVecT(Vector{1, 2}, nil)
-	if err != nil {
-		t.Fatalf("MatVecT: %v", err)
-	}
-	if !EqualApprox(out, Vector{9, 12, 15}, 1e-15) {
-		t.Fatalf("matvecT = %v", out)
-	}
-	if _, err := m.MatVecT(Vector{1, 2, 3}, nil); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape error = %v", err)
-	}
-}
-
-func TestMatMulIdentity(t *testing.T) {
-	m := NewMatrix(3, 3)
-	for i := range m.Data {
-		m.Data[i] = float64(i)
-	}
-	got, err := MatMul(m, Identity(3))
-	if err != nil {
-		t.Fatalf("MatMul: %v", err)
-	}
-	if !EqualApprox(Vector(got.Data), Vector(m.Data), 1e-15) {
-		t.Fatalf("m*I != m: %v", got.Data)
-	}
-	got, err = MatMul(Identity(3), m)
-	if err != nil {
-		t.Fatalf("MatMul: %v", err)
-	}
-	if !EqualApprox(Vector(got.Data), Vector(m.Data), 1e-15) {
-		t.Fatalf("I*m != m: %v", got.Data)
-	}
-	if _, err := MatMul(NewMatrix(2, 3), NewMatrix(2, 3)); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape error = %v", err)
-	}
-}
-
-func TestAddOuter(t *testing.T) {
-	m := NewMatrix(2, 2)
-	if err := m.AddOuter(2, Vector{1, 2}, Vector{3, 4}); err != nil {
-		t.Fatalf("AddOuter: %v", err)
-	}
-	want := []float64{6, 8, 12, 16}
-	if !EqualApprox(Vector(m.Data), Vector(want), 1e-15) {
-		t.Fatalf("outer = %v, want %v", m.Data, want)
-	}
-	if err := m.AddOuter(1, Vector{1}, Vector{1, 2}); !errors.Is(err, ErrShape) {
-		t.Fatalf("shape error = %v", err)
 	}
 }
 
@@ -99,39 +45,6 @@ func TestDoublyStochasticAndSymmetric(t *testing.T) {
 	}
 	if NewMatrix(2, 3).IsDoublyStochastic(1e-12) {
 		t.Fatal("non-square cannot be doubly stochastic")
-	}
-}
-
-// Property: (A*B)*x == A*(B*x) for random small matrices.
-func TestMatMulMatVecConsistency(t *testing.T) {
-	f := func(seed int64) bool {
-		g := NewRNG(seed)
-		a, b := NewMatrix(4, 3), NewMatrix(3, 5)
-		g.FillNormal(Vector(a.Data), 0, 1)
-		g.FillNormal(Vector(b.Data), 0, 1)
-		x := NewVector(5)
-		g.FillNormal(x, 0, 1)
-
-		ab, err := MatMul(a, b)
-		if err != nil {
-			return false
-		}
-		lhs, err := ab.MatVec(x, nil)
-		if err != nil {
-			return false
-		}
-		bx, err := b.MatVec(x, nil)
-		if err != nil {
-			return false
-		}
-		rhs, err := a.MatVec(bx, nil)
-		if err != nil {
-			return false
-		}
-		return EqualApprox(lhs, rhs, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -25,9 +25,6 @@ func NewVecPool(n int, a *Arena) *VecPool {
 	return &VecPool{n: n, arena: a}
 }
 
-// Len returns the pooled vector length.
-func (p *VecPool) Len() int { return p.n }
-
 // Get returns a vector of length n. Requests matching the pool's length
 // are served from the free list; other lengths fall back to a fresh
 // allocation (they would poison the pool).

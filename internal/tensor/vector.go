@@ -242,18 +242,6 @@ func Average(vs []Vector) (Vector, error) {
 	return out, nil
 }
 
-// Lerp returns (1-t)*v + t*w without modifying the operands.
-func Lerp(v, w Vector, t float64) (Vector, error) {
-	if len(v) != len(w) {
-		return nil, fmt.Errorf("lerp %d, %d: %w", len(v), len(w), ErrShape)
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = (1-t)*v[i] + t*w[i]
-	}
-	return out, nil
-}
-
 // EqualApprox reports whether v and w have the same length and all
 // elements differ by at most tol.
 func EqualApprox(v, w Vector, tol float64) bool {

@@ -39,9 +39,6 @@ func TestVectorShapeErrors(t *testing.T) {
 	if _, err := Dot(v, w); !errors.Is(err, ErrShape) {
 		t.Fatalf("Dot error = %v, want ErrShape", err)
 	}
-	if _, err := Lerp(v, w, 0.5); !errors.Is(err, ErrShape) {
-		t.Fatalf("Lerp error = %v, want ErrShape", err)
-	}
 }
 
 func TestAxpyDotNorm(t *testing.T) {
@@ -123,16 +120,6 @@ func TestAverage(t *testing.T) {
 	}
 	if _, err := Average([]Vector{{1}, {1, 2}}); !errors.Is(err, ErrShape) {
 		t.Fatalf("mismatched average error = %v", err)
-	}
-}
-
-func TestLerp(t *testing.T) {
-	out, err := Lerp(Vector{0, 10}, Vector{10, 20}, 0.5)
-	if err != nil {
-		t.Fatalf("Lerp: %v", err)
-	}
-	if !EqualApprox(out, Vector{5, 15}, 1e-15) {
-		t.Fatalf("lerp = %v", out)
 	}
 }
 

