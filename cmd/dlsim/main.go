@@ -497,9 +497,9 @@ func listJobs(addr string, limit, offset int) error {
 	}
 	fmt.Printf("service %s: %d queued (depth %d), %d running (%d slots)\n",
 		st.Status, st.Queued, st.QueueDepth, st.Running, st.Slots)
-	fmt.Printf("work: queue=%d leases=%d workers=%d claims=%d completes=%d reclaims=%d stale=%d arms(remote/local)=%d/%d\n",
+	fmt.Printf("work: queue=%d leases=%d workers=%d claims=%d chained=%d completes=%d reclaims=%d stale=%d arms(remote/local)=%d/%d\n",
 		st.Work.QueueDepth, st.Work.ActiveLeases, st.Work.Workers,
-		st.Work.Claims, st.Work.Completes, st.Work.Reclaims, st.Work.StaleUploads,
+		st.Work.Claims, st.Work.Chained, st.Work.Completes, st.Work.Reclaims, st.Work.StaleUploads,
 		st.Work.RemoteArms, st.Work.LocalArms)
 	if st.Work.Poisoned+st.Work.Rejected+st.Work.Quarantines+st.Work.Audits > 0 {
 		fmt.Printf("health: poisoned=%d rejected=%d quarantines=%d audits=%d/%d failed\n",

@@ -190,7 +190,11 @@ func workerLoop(ctx context.Context, client *dlsim.Client, log *slog.Logger, who
 // a lease expiry abandons the arm mid-run.
 func runOrder(ctx context.Context, client *dlsim.Client, log *slog.Logger, order *dlsim.WorkOrder, workers int) {
 	log = log.With("lease", order.Lease, "job", order.Job, "arm", order.Label)
-	log.Info("claimed arm", "spec", order.Spec, "scale", order.Scale)
+	via := "claim"
+	if order.Chained {
+		via = "chained" // handed over in the previous upload's receipt
+	}
+	log.Info("claimed arm", "spec", order.Spec, "scale", order.Scale, "key", order.Key, "via", via)
 
 	// WithoutCancel keeps context values (the fault injector) while
 	// severing the arm from shutdown; cancelArm remains the lease

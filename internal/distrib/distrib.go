@@ -613,14 +613,15 @@ func (d *Dispatcher) liveWorkersLocked(now time.Time) int {
 
 // Claim hands the caller the oldest queued unit under a fresh lease,
 // long-polling up to wait when the queue is empty. ok=false means the
-// wait elapsed (or ctx was cancelled) with no work available. Claims
+// wait elapsed (or ctx was cancelled) with no work available; wait <= 0
+// does not park — the caller gets what the queue holds now, which is
+// how a result upload asks for its worker's next unit. Claims
 // from a quarantined worker are refused with a *QuarantineError until
 // its cooldown elapses; the first claim after the cooldown is a
 // half-open probe — exactly one lease whose outcome decides between
 // reinstatement and a doubled quarantine.
 func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duration) (Lease, bool, error) {
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	var timeout <-chan time.Time // armed by the first park
 	for {
 		d.mu.Lock()
 		if d.closed {
@@ -668,13 +669,22 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 			if probe {
 				rec.probeLease = l.id
 			}
-			out := Lease{ID: l.id, Unit: u.Unit, Worker: worker, Deadline: l.deadline, TTL: d.cfg.LeaseTTL}
+			out := d.leaseOf(l)
 			d.mu.Unlock()
 			return out, true, nil
+		}
+		if wait <= 0 {
+			d.mu.Unlock()
+			return Lease{}, false, nil
 		}
 		rec.parked++
 		wake := d.wake
 		d.mu.Unlock()
+		if timeout == nil {
+			timer := time.NewTimer(wait)
+			defer timer.Stop()
+			timeout = timer.C
+		}
 
 		again := false
 		select {
@@ -685,7 +695,7 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 			// a parked worker learns the server is gone immediately
 			// instead of hanging out its poll window.
 			again = true
-		case <-timer.C:
+		case <-timeout:
 		case <-ctx.Done():
 		}
 		d.mu.Lock()
@@ -701,6 +711,25 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 			return Lease{}, false, ctx.Err()
 		}
 	}
+}
+
+// Lookup reports the unit and holder of a lease the dispatcher still
+// remembers — live, or ended within the stale-upload window — so the
+// server can name worker, job and arm beside a lease ID and claim on
+// behalf of the worker that uploaded under it.
+func (d *Dispatcher) Lookup(leaseID string) (Lease, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l, ok := d.leases[leaseID]
+	if !ok {
+		return Lease{}, false
+	}
+	return d.leaseOf(l), true
+}
+
+// leaseOf is the caller's view of a lease record.
+func (d *Dispatcher) leaseOf(l *lease) Lease {
+	return Lease{ID: l.id, Unit: l.u.Unit, Worker: l.worker, Deadline: l.deadline, TTL: d.cfg.LeaseTTL}
 }
 
 // Heartbeat extends a lease's deadline by LeaseTTL and returns the new
@@ -911,10 +940,7 @@ func (d *Dispatcher) failQueueLocked() {
 	d.queue = nil
 }
 
-// janitor expires overdue leases (reclaiming their units to the front
-// of the queue, charging the holder's health score), fails queued
-// units over to local execution when the worker fleet disappears, and
-// prunes stale bookkeeping.
+// janitor runs sweep every Sweep until the dispatcher closes.
 func (d *Dispatcher) janitor() {
 	defer close(d.janitorDone)
 	tick := time.NewTicker(d.cfg.Sweep)
@@ -925,53 +951,64 @@ func (d *Dispatcher) janitor() {
 			return
 		case <-tick.C:
 		}
-		d.mu.Lock()
-		if d.closed {
-			d.mu.Unlock()
+		if !d.sweep() {
 			return
 		}
-		now := d.now()
-		for id, l := range d.leases {
-			if l.done {
-				// Keep resolved leases around long enough for a late
-				// duplicate upload to be answered as stale.
-				if now.Sub(l.resolvedAt) > 4*d.cfg.LeaseTTL {
-					delete(d.leases, id)
-				}
-				continue
-			}
-			if !now.After(l.deadline) {
-				continue
-			}
-			rec := d.recLockedNoTouch(l.worker)
-			d.endLeaseLocked(l, rec, now)
-			rec.expiries++
-			d.chargeLocked(rec, l, 1, now, "lease expired without heartbeat")
-			if l.u.state == unitLeased {
-				d.reclaims++
-				d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
-			}
-		}
-		if len(d.queue) > 0 && (d.draining || d.liveWorkersLocked(now) == 0) {
-			d.failQueueLocked()
-		}
-		for w, rec := range d.workers {
-			if rec.parked > 0 || rec.leases > 0 {
-				continue
-			}
-			// A quarantined worker is remembered until well past its
-			// release so it cannot shed the quarantine by vanishing and
-			// re-registering under the same name.
-			horizon := rec.seen
-			if rec.state == workerQuarantined && rec.quarUntil.After(horizon) {
-				horizon = rec.quarUntil
-			}
-			if now.Sub(horizon) > 2*d.cfg.WorkerTTL {
-				delete(d.workers, w)
-			}
-		}
-		d.mu.Unlock()
 	}
+}
+
+// sweep is one janitor pass at the dispatcher's clock: it expires
+// overdue leases (reclaiming their units to the front of the queue,
+// charging the holder's health score), fails queued units over to local
+// execution when the worker fleet disappears, and prunes stale
+// bookkeeping. It reports false once the dispatcher is closed.
+func (d *Dispatcher) sweep() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return false
+	}
+	now := d.now()
+	for id, l := range d.leases {
+		if l.done {
+			// Keep resolved leases around long enough for a late
+			// duplicate upload to be answered as stale.
+			if now.Sub(l.resolvedAt) > 4*d.cfg.LeaseTTL {
+				delete(d.leases, id)
+			}
+			continue
+		}
+		if !now.After(l.deadline) {
+			continue
+		}
+		rec := d.recLockedNoTouch(l.worker)
+		d.endLeaseLocked(l, rec, now)
+		rec.expiries++
+		d.chargeLocked(rec, l, 1, now, "lease expired without heartbeat")
+		if l.u.state == unitLeased {
+			d.reclaims++
+			d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
+		}
+	}
+	if len(d.queue) > 0 && (d.draining || d.liveWorkersLocked(now) == 0) {
+		d.failQueueLocked()
+	}
+	for w, rec := range d.workers {
+		if rec.parked > 0 || rec.leases > 0 {
+			continue
+		}
+		// A quarantined worker is remembered until well past its
+		// release so it cannot shed the quarantine by vanishing and
+		// re-registering under the same name.
+		horizon := rec.seen
+		if rec.state == workerQuarantined && rec.quarUntil.After(horizon) {
+			horizon = rec.quarUntil
+		}
+		if now.Sub(horizon) > 2*d.cfg.WorkerTTL {
+			delete(d.workers, w)
+		}
+	}
+	return true
 }
 
 // recLockedNoTouch looks a worker up without refreshing its liveness

@@ -13,9 +13,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"gossipmia/internal/metrics"
+	"gossipmia/internal/sink"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -171,5 +175,109 @@ func TestExecHookRejectsMislabeledResult(t *testing.T) {
 		})
 	if err == nil {
 		t.Fatal("mislabeled executor result was accepted")
+	}
+}
+
+// localGauge counts the arms executing in this process through their
+// sinks: a local arm opens its sink before its first round and closes it
+// after its last. The replay of an arm the executor handled opens one
+// too, so the executor marks those first. Each local arm lingers at its
+// first record until a third arm shows up (crowd) or a moment passes, so
+// a missing bound is seen however few CPUs run the test.
+type localGauge struct {
+	mu        sync.Mutex
+	handled   map[int]bool
+	cur, peak int
+	limit     int
+	crowd     chan struct{} // closed once more than limit arms are in flight
+}
+
+type gaugeSink struct {
+	g        *localGauge
+	lingered bool
+}
+
+func (g *localGauge) sinkFor(i int, _ string) (sink.Sink, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.handled[i] {
+		return nil, nil
+	}
+	g.cur++
+	if g.cur > g.limit && g.peak <= g.limit {
+		close(g.crowd)
+	}
+	g.peak = max(g.peak, g.cur)
+	return &gaugeSink{g: g}, nil
+}
+
+func (s *gaugeSink) Record(metrics.RoundRecord) error {
+	if !s.lingered {
+		s.lingered = true
+		select {
+		case <-s.g.crowd:
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	return nil
+}
+
+func (s *gaugeSink) Close() error {
+	s.g.mu.Lock()
+	defer s.g.mu.Unlock()
+	s.g.cur--
+	return nil
+}
+
+// TestLocalBoundSurvivesOfferDepth: under an offer depth of eight a run
+// keeps eight arms on offer, but what the executor declines — all of it
+// with no fleet, everything from the fifth arm on when the fleet is lost
+// mid-job — still runs Workers arms at a time here, and the figure is the
+// Workers-wide run's, byte for byte.
+func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sp := sweepSpec()
+	sp.Sweep.Axes[0].Values = []any{0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0, 22.0}
+	sc := TinyScale()
+	sc.Workers = 2
+	ref, err := RunSpec(t.Context(), sp, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := WithOfferDepth(t.Context(), func() int { return 8 })
+	for name, lostFrom := range map[string]int{"no fleet": 0, "fleet lost mid-job": 4} {
+		g := &localGauge{handled: map[int]bool{}, limit: sc.Workers, crowd: make(chan struct{})}
+		// The fleet's arms leave the executor only once all lostFrom of
+		// them are in it: the window is wider than Workers, or this hangs.
+		var inside atomic.Int64
+		all := make(chan struct{})
+		got, err := RunSpecExec(deep, sp, sc, g.sinkFor, func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
+			if u.Index >= lostFrom {
+				return Arm{}, false, nil
+			}
+			g.mu.Lock()
+			g.handled[u.Index] = true
+			g.mu.Unlock()
+			if inside.Add(1) == int64(lostFrom) {
+				close(all)
+			}
+			select {
+			case <-all:
+			case <-time.After(10 * time.Second):
+				return Arm{}, true, fmt.Errorf("arm %d waited alone: the window is not %d wide", u.Index, lostFrom)
+			}
+			return remoteStyleExec(ctx, u)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if g.peak > sc.Workers || g.peak == 0 {
+			t.Fatalf("%s: %d arms ran locally at once, want at most Workers = %d (and some)", name, g.peak, sc.Workers)
+		}
+		if figureDump(ref) != figureDump(got) {
+			t.Fatalf("%s: figure diverged from the Workers-wide run", name)
+		}
 	}
 }

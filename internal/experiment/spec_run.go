@@ -105,8 +105,25 @@ type ArmExecutor func(ctx context.Context, u ArmUnit) (Arm, bool, error)
 type specHooks struct {
 	lookup func(i int, a spec.Arm) (Arm, bool)
 	exec   ArmExecutor
-	sinks  func(i int, a spec.Arm) (sink.Sink, error)
-	done   func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error
+	// keys, when set, are the arms' content hashes the caller already
+	// has, one per arm; the executor is then offered those and no arm is
+	// hashed twice.
+	keys  []string
+	sinks func(i int, a spec.Arm) (sink.Sink, error)
+	done  func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error
+}
+
+type offerDepthKey struct{}
+
+// WithOfferDepth returns a context under which a run with an
+// ArmExecutor keeps up to depth() arms on offer to it at once, asked
+// again as arms are launched — the job service passes twice its
+// dispatcher's live slot count, so every slot has one unit leased and
+// one queued behind it however many slots join or leave mid-job. The
+// run's own Workers still bounds the arms executing in this process:
+// what the executor declines waits for one of those places.
+func WithOfferDepth(ctx context.Context, depth func() int) context.Context {
+	return context.WithValue(ctx, offerDepthKey{}, depth)
 }
 
 func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*FigureResult, error) {
@@ -124,7 +141,14 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*
 	scArm.Workers = innerWorkers(sc.Workers, len(arms))
 	fig := &FigureResult{Name: sp.Name, Caption: sp.Caption}
 	fig.Arms = make([]Arm, len(arms))
-	err = par.ForEachErrCtx(ctx, sc.Workers, len(arms), func(i int) error {
+	// With an executor the arms mostly wait on a fleet, so more of them
+	// are on offer than may run here: local is the gate that holds what
+	// the executor declines to Workers arms at a time all the same.
+	var local chan struct{}
+	if h.exec != nil {
+		local = make(chan struct{}, par.Workers(sc.Workers))
+	}
+	runArm := func(i int) error {
 		a := arms[i]
 		if h.lookup != nil {
 			if cached, ok := h.lookup(i, a); ok {
@@ -138,6 +162,14 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*
 			return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, err)
 		}
 		if !remote {
+			if local != nil {
+				select {
+				case local <- struct{}{}:
+					defer func() { <-local }()
+				case <-ctx.Done():
+					return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, ctx.Err())
+				}
+			}
 			var snk sink.Sink
 			if h.sinks != nil {
 				s, err := h.sinks(i, a)
@@ -163,7 +195,18 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*
 		}
 		fig.Arms[i] = arm
 		return nil
-	})
+	}
+	if h.exec == nil {
+		err = par.ForEachErrCtx(ctx, sc.Workers, len(arms), runArm)
+	} else {
+		depth, _ := ctx.Value(offerDepthKey{}).(func() int)
+		err = par.ForEachErrWindow(ctx, len(arms), func() int {
+			if depth == nil {
+				return cap(local)
+			}
+			return max(cap(local), depth())
+		}, runArm)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -180,9 +223,14 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 	if h.exec == nil {
 		return Arm{}, false, nil
 	}
-	key, err := armKey(a, sc)
-	if err != nil {
-		return Arm{}, false, err
+	var key string
+	if h.keys != nil {
+		key = h.keys[i]
+	} else {
+		var err error
+		if key, err = armKey(a, sc); err != nil {
+			return Arm{}, false, err
+		}
 	}
 	arm, handled, err := h.exec(ctx, ArmUnit{Index: i, Key: key, Spec: sp.Name, Arm: a, Scale: sc})
 	if err != nil {
@@ -519,7 +567,7 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	run := &dirRun{cache: cache, csv: csv, reports: reports, onDone: opts.OnArmDone}
 
 	started := time.Now()
-	h := specHooks{exec: opts.Exec, done: run.done, sinks: dirSinks(opts, reports)}
+	h := specHooks{exec: opts.Exec, keys: keys, done: run.done, sinks: dirSinks(opts, reports)}
 	if opts.Resume {
 		h.lookup = run.lookup
 	}

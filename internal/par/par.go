@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"sync/atomic"
 )
 
 // WorkerPanic is the value re-raised on the calling goroutine when a
@@ -66,10 +68,64 @@ func ForEachErrCtx(ctx context.Context, workers, n int, fn func(i int) error) er
 			errs[i] = fn(i)
 		}
 	})
+	return firstErr(ctx, errs)
+}
+
+// firstErr is the verdict of a fan-out: the error of the lowest failing
+// index, else the context's.
+func firstErr(ctx context.Context, errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return ctx.Err()
+}
+
+// asWorkerPanic wraps a recovered panic value with the stack of the
+// goroutine it is called on; a nested fan-out's *WorkerPanic passes
+// through, keeping the innermost stack.
+func asWorkerPanic(r any) *WorkerPanic {
+	if wp, ok := r.(*WorkerPanic); ok {
+		return wp
+	}
+	return &WorkerPanic{Value: r, Stack: debug.Stack()}
+}
+
+// ForEachErrWindow is ForEachErrCtx for items that mostly wait on
+// someone else (an arm on offer to a remote fleet): each item runs on a
+// goroutine of its own and at most width() of them are in flight, width
+// being asked again before every launch, so the window follows a bound
+// that moves while the fan-out runs. A width below one counts as one.
+// Error, cancellation and panic behaviour are ForEachErrCtx's.
+func ForEachErrWindow(ctx context.Context, n int, width func() int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var panicked atomic.Pointer[WorkerPanic]
+	done := make(chan struct{})
+	inflight := 0
+	for i := 0; i < n && ctx.Err() == nil && panicked.Load() == nil; i++ {
+		for inflight >= max(width(), 1) {
+			<-done
+			inflight--
+		}
+		inflight++
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, asWorkerPanic(r))
+				}
+				done <- struct{}{}
+			}()
+			if ctx.Err() == nil {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	for ; inflight > 0; inflight-- {
+		<-done
+	}
+	if wp := panicked.Load(); wp != nil {
+		panic(wp)
+	}
+	return firstErr(ctx, errs)
 }

@@ -124,3 +124,89 @@ func TestForEachErrCtxNilErrorWhenUncancelled(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestForEachErrWindowFollowsItsWidth: every index runs once, never more
+// than width() at a time, and a width that grows mid-run is used.
+func TestForEachErrWindowFollowsItsWidth(t *testing.T) {
+	const n = 200
+	var width, inflight, peak atomic.Int64 // peak: what index 16 saw in flight
+	width.Store(2)
+	counts := make([]atomic.Int64, n)
+	gate := make(chan struct{})
+	err := ForEachErrWindow(context.Background(), n, func() int { return int(width.Load()) }, func(i int) error {
+		counts[i].Add(1)
+		now := inflight.Add(1)
+		defer inflight.Add(-1)
+		if now > width.Load() {
+			t.Errorf("index %d: %d items in flight under a width of %d", i, now, width.Load())
+		}
+		switch {
+		case i == 10:
+			width.Store(6) // the launches after this one see it
+		case i > 10 && i < 16:
+			<-gate // held until six are in flight at once
+		case i == 16:
+			for inflight.Load() < 6 { // launched is not yet running
+				runtime.Gosched()
+			}
+			peak.Store(inflight.Load())
+			close(gate)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range counts {
+		if c := counts[i].Load(); c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
+	}
+	if peak.Load() != 6 {
+		t.Fatalf("peak in flight = %d, want the grown width 6", peak.Load())
+	}
+}
+
+func TestForEachErrWindowErrorsCancelAndPanic(t *testing.T) {
+	one := func() int { return 0 } // below one counts as one: serial, in order
+	errA := errors.New("a")
+	err := ForEachErrWindow(context.Background(), 50, func() int { return 4 }, func(i int) error {
+		switch i {
+		case 7:
+			return errA
+		case 30:
+			return fmt.Errorf("later failure")
+		}
+		return nil
+	})
+	if !errors.Is(err, errA) {
+		t.Fatalf("got %v, want the lowest-index error", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := 0
+	err = ForEachErrWindow(ctx, 100, one, func(i int) error {
+		ran++
+		if i == 1 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || ran != 2 {
+		t.Fatalf("err = %v after %d items, want context.Canceled after 2", err, ran)
+	}
+
+	defer func() {
+		wp, ok := recover().(*WorkerPanic)
+		if !ok || wp.Value != "boom" || len(wp.Stack) == 0 {
+			t.Fatalf("recovered %v, want the item's panic as a *WorkerPanic with its stack", wp)
+		}
+	}()
+	_ = ForEachErrWindow(context.Background(), 10, func() int { return 3 }, func(i int) error {
+		if i == 4 {
+			panic("boom")
+		}
+		return nil
+	})
+	t.Fatal("the item's panic was swallowed")
+}

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -114,11 +113,7 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 func (p *Pool) runShared() {
 	defer func() {
 		if r := recover(); r != nil {
-			wp, ok := r.(*WorkerPanic) // nested pool: keep the innermost stack
-			if !ok {
-				wp = &WorkerPanic{Value: r, Stack: debug.Stack()}
-			}
-			p.panicked.CompareAndSwap(nil, wp)
+			p.panicked.CompareAndSwap(nil, asWorkerPanic(r))
 		}
 	}()
 	for p.panicked.Load() == nil {

@@ -263,9 +263,10 @@ func (s *Server) runAttempt(ctx context.Context, j *job) (*dlsim.Result, error) 
 		dlsim.WithSeed(j.scale.Seed),
 		dlsim.WithWorkers(j.scale.Workers),
 		dlsim.WithSink(&jobSink{log: j.events}),
-		// Arms are offered to the worker fleet first; with no workers
-		// connected the executor declines synchronously and the arm
-		// runs in-process exactly as before.
+		// Arms are offered to the worker fleet first, offerDepth of them
+		// at a time; with no workers connected the executor declines
+		// synchronously and the arm runs in-process, Workers at a time,
+		// exactly as before.
 		dlsim.WithArmExecutor(s.armExecutor(j)),
 	)
 	if err != nil {
@@ -316,6 +317,7 @@ func (s *Server) runJob(j *job) {
 	// The fault injector rides the context into the engine's execution
 	// path; production runs carry a nil injector at zero cost.
 	ctx := faultinject.With(j.ctx, s.cfg.Fault)
+	ctx = experiment.WithOfferDepth(ctx, s.offerDepth)
 	seed := retrySeed(j.key)
 	var res *dlsim.Result
 	var err error

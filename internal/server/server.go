@@ -32,7 +32,8 @@
 //	POST   /v1/work/register    announce a worker before its first claim
 //	POST   /v1/work/deregister  remove a worker from the live set now
 //	POST   /v1/work/{lease}/heartbeat  renew a lease
-//	POST   /v1/work/{lease}/result     upload an arm outcome
+//	POST   /v1/work/{lease}/result     upload an arm outcome (?next=1: and
+//	                                   claim the next, in the receipt)
 //
 // The work endpoints implement distributed sweep execution: `dlsim
 // worker` processes claim per-arm work units under deadline-bearing
@@ -269,6 +270,8 @@ type Server struct {
 	// count checkpoint-cache lookups across jobs (statz observability).
 	localArms, remoteArms  atomic.Int64
 	cacheHits, cacheMisses atomic.Int64
+	// chained counts claims answered in a result upload's receipt.
+	chained atomic.Int64
 	// audits/auditsFailed count result audits (re-executions of
 	// worker-completed arms) and the divergences they caught.
 	audits, auditsFailed atomic.Int64
@@ -433,10 +436,20 @@ func (s *Server) liveJobs() int {
 
 // writeJSON writes one JSON response.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	writeBody(w, code, v, " ")
+}
+
+// writeWire is writeJSON unindented, for the two responses the SDK reads
+// once per arm: a work order and a result receipt.
+func writeWire(w http.ResponseWriter, code int, v any) {
+	writeBody(w, code, v, "")
+}
+
+func writeBody(w http.ResponseWriter, code int, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
+	enc.SetIndent("", indent)
 	_ = enc.Encode(v)
 }
 

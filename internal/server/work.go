@@ -7,7 +7,8 @@ package server
 //	POST /v1/work/deregister        announce a clean worker departure
 //	POST /v1/work/claim             long-poll one arm work order
 //	POST /v1/work/{lease}/heartbeat renew the lease deadline
-//	POST /v1/work/{lease}/result    upload the arm's outcome
+//	POST /v1/work/{lease}/result    upload the arm's outcome; with ?next=1
+//	                                the receipt carries the worker's next order
 //	GET  /v1/statz                  dispatch + cache counters snapshot
 //
 // Jobs decompose into per-arm units through the SDK's ArmExecutor
@@ -36,6 +37,7 @@ import (
 
 	"gossipmia/internal/core"
 	"gossipmia/internal/distrib"
+	"gossipmia/internal/par"
 	"gossipmia/internal/server/middleware"
 	"gossipmia/pkg/dlsim"
 )
@@ -54,6 +56,9 @@ const maxClaimWait = 30 * time.Second
 // byte-identity; a divergent worker is quarantined on the spot and
 // the local result wins.
 func (s *Server) armExecutor(j *job) dlsim.ArmExecutor {
+	// The job keeps more arms on offer than its Workers (see offerDepth);
+	// the audits it runs here keep to Workers at a time.
+	auditing := make(chan struct{}, par.Workers(j.scale.Workers))
 	return func(ctx context.Context, order dlsim.WorkOrder) (*dlsim.ArmResult, bool, error) {
 		order.Job = j.id
 		out, worker, err := s.dispatch.Execute(ctx, distrib.Unit{
@@ -89,13 +94,26 @@ func (s *Server) armExecutor(j *job) dlsim.ArmExecutor {
 		}
 		s.remoteArms.Add(1)
 		if auditSampled(order.Key, s.cfg.AuditFraction) {
-			if local, divergent := s.auditArm(ctx, j, order, worker, res); divergent {
+			select {
+			case auditing <- struct{}{}:
+			case <-ctx.Done():
+				return nil, true, ctx.Err()
+			}
+			local, divergent := s.auditArm(ctx, j, order, worker, res)
+			<-auditing
+			if divergent {
 				return local, true, nil
 			}
 		}
 		return res, true, nil
 	}
 }
+
+// offerDepth is how many arms a job keeps on offer to the dispatcher:
+// two per live slot, one leased and one queued behind it, so the claim
+// that rides on a slot's result upload finds a unit waiting. With no
+// fleet it is zero and the job runs Workers arms wide, in process.
+func (s *Server) offerDepth() int { return 2 * s.dispatch.LiveWorkers() }
 
 // auditSampled picks the deterministic audit sample: the arm content
 // hash's leading 60 bits, reduced mod 1e6, against fraction·1e6. The
@@ -186,16 +204,29 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
-	// The assertion copies the order: a reclaimed unit serves the same
-	// payload value again, under a fresh lease.
+	order, err := orderOf(lease)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	s.log.Info("work claimed", "requestID", middleware.RequestIDFrom(r.Context()),
+		"worker", lease.Worker, "lease", lease.ID, "job", order.Job, "key", order.Key)
+	writeWire(w, http.StatusOK, order)
+}
+
+// orderOf is the work order a lease is served as: the unit's payload
+// under the lease's own ID, window and holder. The assertion copies the
+// order — a reclaimed unit serves the same payload value again, under a
+// fresh lease.
+func orderOf(lease distrib.Lease) (*dlsim.WorkOrder, error) {
 	order, ok := lease.Unit.Payload.(dlsim.WorkOrder)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, "work unit %q carries a %T, not a work order", lease.Unit.Label, lease.Unit.Payload)
-		return
+		return nil, fmt.Errorf("work unit %q carries a %T, not a work order", lease.Unit.Label, lease.Unit.Payload)
 	}
 	order.Lease = lease.ID
 	order.LeaseSeconds = lease.TTL.Seconds()
-	writeJSON(w, http.StatusOK, order)
+	order.Worker = lease.Worker
+	return &order, nil
 }
 
 // handleRegister is POST /v1/work/register: the explicit fleet-join
@@ -267,16 +298,28 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // means the payload was corrupted (in flight or by the worker) — the
 // result is rejected with 422, never reaches the store, and the
 // worker's health score takes the double-weight mismatch penalty.
+//
+// An upload sent with ?next=1 also claims: once the result is taken,
+// the lease's worker is handed the unit at the head of the queue, if
+// there is one and the worker may claim, as `next` in the receipt — the
+// steady state of a busy slot is this one request per arm. Only an
+// upload that asks is answered so: a worker that does not know the
+// field would hold, and be charged for, a lease it never saw.
 func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("lease")
 	var res dlsim.WorkResult
 	if !decodeBody(w, r, &res, "work result") {
 		return
 	}
+	// held names the worker, job and arm behind the lease ID, for the
+	// log line and the chained claim; it is zero for a lease long pruned.
+	held, _ := s.dispatch.Lookup(id)
+	verdict := "completed"
 	var outcome *dlsim.ArmResult
 	var workErr error
 	switch {
 	case res.Error != "":
+		verdict = "error"
 		workErr = fmt.Errorf("server: worker execution: %s", res.Error)
 		if res.Transient {
 			workErr = core.Transient(workErr)
@@ -286,16 +329,14 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 		return
 	case res.Sum != res.Arm.Checksum():
 		stale, err := s.dispatch.Reject(id, "result checksum mismatch")
-		if errors.Is(err, distrib.ErrLeaseNotFound) {
-			writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
-			return
-		}
-		if stale {
+		if stale || errors.Is(err, distrib.ErrLeaseNotFound) {
 			// The arm already resolved from elsewhere; the corrupt
 			// duplicate is discarded without ceremony.
+			s.logUpload(r, held, id, "stale", nil)
 			writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
 			return
 		}
+		s.logUpload(r, held, id, "rejected", nil)
 		writeErr(w, http.StatusUnprocessableEntity,
 			"result checksum mismatch for arm %q: claimed %.12s…, computed %.12s…",
 			res.Arm.Label, res.Sum, res.Arm.Checksum())
@@ -308,14 +349,53 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 		// The server restarted or pruned the lease long after expiry.
 		// The upload is a duplicate of work that was (or will be)
 		// redone; acknowledge it so the worker moves on.
-		writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
-		return
+		stale, err = true, nil
 	}
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "complete failed: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: stale})
+	receipt := dlsim.WorkReceipt{Stale: stale}
+	if stale {
+		verdict = "stale"
+	}
+	if workErr == nil && held.Worker != "" && r.URL.Query().Get("next") == "1" {
+		receipt.Next = s.chainClaim(r.Context(), held.Worker)
+	}
+	s.logUpload(r, held, id, verdict, receipt.Next)
+	writeWire(w, http.StatusOK, receipt)
+}
+
+// chainClaim is the claim a result upload makes for its worker: the
+// dispatcher's ordinary Claim, not parking. A refusal — quarantine, a
+// probe still out, a draining server — yields no order here and is
+// reported by the plain claim the worker falls back to.
+func (s *Server) chainClaim(ctx context.Context, worker string) *dlsim.WorkOrder {
+	lease, ok, err := s.dispatch.Claim(ctx, worker, 0)
+	if err != nil || !ok {
+		return nil
+	}
+	order, err := orderOf(lease)
+	if err != nil {
+		s.log.Warn("chained lease cannot be served; it will expire", "lease", lease.ID, "error", err)
+		return nil
+	}
+	order.Chained = true
+	s.chained.Add(1)
+	return order
+}
+
+// logUpload is the result handler's line of the ID chain: the request,
+// the lease it uploaded under with its worker, job and arm key, what
+// became of the upload, and the lease chained onto it, if any.
+func (s *Server) logUpload(r *http.Request, held distrib.Lease, lease, verdict string, next *dlsim.WorkOrder) {
+	nextLease, nextKey := "", ""
+	if next != nil {
+		nextLease, nextKey = next.Lease, next.Key
+	}
+	s.log.Info("work result", "requestID", middleware.RequestIDFrom(r.Context()),
+		"worker", held.Worker, "lease", lease, "job", held.Unit.Job, "key", held.Unit.Key,
+		"verdict", verdict, "nextLease", nextLease, "nextKey", nextKey)
 }
 
 // handleStatz is GET /v1/statz: the queue/dispatch/cache counters
@@ -350,6 +430,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			ActiveLeases: ds.ActiveLeases,
 			Workers:      ds.Workers,
 			Claims:       ds.Claims,
+			Chained:      s.chained.Load(),
 			Completes:    ds.Completes,
 			Reclaims:     ds.Reclaims,
 			StaleUploads: ds.StaleUploads,

@@ -444,7 +444,7 @@ func TestDuplicateUploadNoOp(t *testing.T) {
 // TestReclaimedOrderServedAgainUnchanged: the dispatcher keeps one
 // order value per unit and handleClaim copies it per claim, so a unit
 // reclaimed after its lease expired reaches the second worker with
-// exactly the first claim's fields under a fresh lease, and the arm
+// exactly the first claim's fields under a fresh lease and holder, and the arm
 // (whose pointer fields every claim shares) still runs byte-identical
 // to the in-process reference.
 func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
@@ -483,7 +483,7 @@ func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
 		t.Fatalf("reclaimed unit served under lease %q, first was %q", second.Lease, first.Lease)
 	}
 	want := *first
-	want.Lease = second.Lease
+	want.Lease, want.Worker = second.Lease, "second"
 	if !reflect.DeepEqual(*second, want) || second.Job != job.ID {
 		t.Fatalf("reclaimed order differs beyond its lease:\n got %+v\nwant %+v", *second, want)
 	}

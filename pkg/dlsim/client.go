@@ -12,6 +12,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -38,9 +39,12 @@ type JobRequest struct {
 	Scale string `json:"scale,omitempty"`
 	// Seed overrides the scale's base seed (0 keeps the preset).
 	Seed int64 `json:"seed,omitempty"`
-	// Workers bounds the job's worker goroutines (0 = one per CPU).
-	// Worker count never affects results, so it is excluded from the
-	// dedup key.
+	// Workers bounds the job's worker goroutines in the service's own
+	// process (0 = one per CPU): the arms it executes itself when no
+	// worker fleet is connected, the goroutines inside each of them, and
+	// its audits. It does not bound how many fleet slots the job keeps
+	// busy — the service keeps two arms on offer per live slot. Worker
+	// count never affects results, so it is excluded from the dedup key.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -188,6 +192,11 @@ type Client struct {
 	hc    *http.Client
 	token string
 	retry RetryPolicy
+
+	// next holds, per worker name, the orders the service chained onto
+	// that worker's result uploads and ClaimWork has not handed out yet.
+	nextMu sync.Mutex
+	next   map[string][]*WorkOrder
 }
 
 // ClientOption configures a Client.

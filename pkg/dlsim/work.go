@@ -67,6 +67,11 @@ type WorkOrder struct {
 	// LeaseSeconds is how long the lease stays valid without a
 	// heartbeat; workers renew at a fraction of it.
 	LeaseSeconds float64 `json:"leaseSeconds,omitempty"`
+	// Worker is the worker the lease was issued to. Chained marks an
+	// order that arrived in a result upload's receipt (WorkReceipt.Next)
+	// rather than in answer to a claim.
+	Worker  string `json:"worker,omitempty"`
+	Chained bool   `json:"chained,omitempty"`
 }
 
 // ClaimRequest is the POST /v1/work/claim body.
@@ -111,6 +116,12 @@ type WorkReceipt struct {
 	// duplicate or post-reclaim upload) and this payload was discarded
 	// — harmless, because execution is idempotent by content hash.
 	Stale bool `json:"stale,omitempty"`
+	// Next is the uploading worker's next order, already under a lease
+	// of its own: the service claims on the worker's behalf when the
+	// upload asks it to (?next=1, which Client.CompleteWork always does)
+	// and a unit is waiting. The Client keeps it for the worker's next
+	// ClaimWork, so a busy slot spends one request per arm.
+	Next *WorkOrder `json:"next,omitempty"`
 }
 
 // WorkLease is the heartbeat response: the renewed lease window.
@@ -126,6 +137,7 @@ type WorkStats struct {
 	ActiveLeases int   `json:"activeLeases"` // claimed, not yet resolved
 	Workers      int   `json:"workers"`      // live workers
 	Claims       int64 `json:"claims"`
+	Chained      int64 `json:"chained"` // claims answered on a result upload
 	Completes    int64 `json:"completes"`
 	Reclaims     int64 `json:"reclaims"`     // expired leases re-dispatched
 	StaleUploads int64 `json:"staleUploads"` // duplicate uploads ignored
@@ -181,12 +193,21 @@ type ServiceStats struct {
 }
 
 // ClaimWork claims one work order from the service, long-polling up
-// to wait. It returns (nil, nil) when the wait elapsed with no work
+// to wait (a positive wait below one second, the wire's unit, asks for
+// one). It returns (nil, nil) when the wait elapsed with no work
 // available. 429/503 responses are retried per the client's retry
-// policy, honoring Retry-After.
+// policy, honoring Retry-After. An order the service chained onto one
+// of the worker's earlier CompleteWork calls is returned first, without
+// a request: its lease is already running.
 func (c *Client) ClaimWork(ctx context.Context, worker string, wait time.Duration) (*WorkOrder, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("dlsim: claim needs a worker name")
+	}
+	if order := c.takeNext(worker); order != nil {
+		return order, nil
+	}
+	if wait > 0 && wait < time.Second {
+		wait = time.Second
 	}
 	var order WorkOrder
 	err := c.do(ctx, http.MethodPost, "/v1/work/claim",
@@ -198,6 +219,22 @@ func (c *Client) ClaimWork(ctx context.Context, worker string, wait time.Duratio
 		return nil, nil
 	}
 	return &order, nil
+}
+
+// takeNext pops the oldest chained order kept for worker, nil if none.
+func (c *Client) takeNext(worker string) *WorkOrder {
+	c.nextMu.Lock()
+	defer c.nextMu.Unlock()
+	kept := c.next[worker]
+	if len(kept) == 0 {
+		return nil
+	}
+	if len(kept) == 1 {
+		delete(c.next, worker)
+	} else {
+		c.next[worker] = kept[1:]
+	}
+	return kept[0]
 }
 
 // HeartbeatWork renews a lease and returns its remaining window.
@@ -212,11 +249,23 @@ func (c *Client) HeartbeatWork(ctx context.Context, lease string) (time.Duration
 	return time.Duration(out.DeadlineSeconds * float64(time.Second)), nil
 }
 
-// CompleteWork uploads a work order's outcome under its lease.
+// CompleteWork uploads a work order's outcome under its lease, and asks
+// the service to answer with the worker's next order (WorkReceipt.Next)
+// when one is waiting. The Client keeps that order for the worker's
+// next ClaimWork; a service that predates the field never sends one,
+// and ClaimWork then claims over the wire as before.
 func (c *Client) CompleteWork(ctx context.Context, lease string, res WorkResult) (*WorkReceipt, error) {
 	var out WorkReceipt
-	if err := c.do(ctx, http.MethodPost, "/v1/work/"+lease+"/result", res, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/work/"+lease+"/result?next=1", res, &out); err != nil {
 		return nil, err
+	}
+	if next := out.Next; next != nil && next.Worker != "" {
+		c.nextMu.Lock()
+		if c.next == nil {
+			c.next = make(map[string][]*WorkOrder)
+		}
+		c.next[next.Worker] = append(c.next[next.Worker], next)
+		c.nextMu.Unlock()
 	}
 	return &out, nil
 }
@@ -235,11 +284,16 @@ func (c *Client) RegisterWorker(ctx context.Context, worker string) error {
 // DeregisterWorker removes the worker from the service's live set
 // immediately, instead of leaving the server to notice its absence
 // after the liveness window lapses. Any lease the worker still holds
-// is reclaimed for re-dispatch.
+// is reclaimed for re-dispatch, at no charge to worker or arm.
 func (c *Client) DeregisterWorker(ctx context.Context, worker string) error {
 	if worker == "" {
 		return fmt.Errorf("dlsim: deregister needs a worker name")
 	}
+	// The service requeues every lease the worker holds, the chained
+	// orders it never started included.
+	c.nextMu.Lock()
+	delete(c.next, worker)
+	c.nextMu.Unlock()
 	return c.do(ctx, http.MethodPost, "/v1/work/deregister", RegisterRequest{Worker: worker}, nil)
 }
 

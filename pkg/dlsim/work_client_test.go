@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -181,5 +182,108 @@ func TestCompleteWorkStaleReceipt(t *testing.T) {
 		WorkResult{Error: "boom", Transient: true})
 	if err != nil || !receipt.Stale {
 		t.Fatalf("complete = (%+v, %v), want stale receipt", receipt, err)
+	}
+}
+
+// scriptedFleet is a fake service for the chained-claim tests: it counts
+// claim requests and their wait, requires every upload to ask for the
+// next order, and answers an upload with whatever receipt is scripted
+// for its lease (a plain one when nothing is).
+type scriptedFleet struct {
+	claims   atomic.Int64
+	lastWait atomic.Int64
+	receipts map[string]WorkReceipt
+}
+
+func (f *scriptedFleet) serve(t *testing.T) *httptest.Server {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/v1/work/claim":
+			var req ClaimRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				t.Errorf("bad claim body: %v", err)
+			}
+			f.lastWait.Store(int64(req.WaitSeconds))
+			n := f.claims.Add(1)
+			json.NewEncoder(w).Encode(WorkOrder{Lease: fmt.Sprintf("claimed-%d", n), Label: "a", Worker: req.Worker})
+		case r.URL.Path == "/v1/work/deregister":
+			w.WriteHeader(http.StatusNoContent)
+		default: // /v1/work/{lease}/result
+			if r.URL.Query().Get("next") != "1" {
+				t.Errorf("upload %s did not ask for the next order", r.URL)
+			}
+			lease := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/work/"), "/result")
+			json.NewEncoder(w).Encode(f.receipts[lease])
+		}
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestCompleteWorkKeepsChainedOrders: an order the service chains onto an
+// upload is what the named worker's next ClaimWork returns, oldest
+// first, with no request made; another worker's claim, and the worker's
+// own once nothing is kept, go over the wire; and DeregisterWorker drops
+// what was kept, since the service requeues it.
+func TestCompleteWorkKeepsChainedOrders(t *testing.T) {
+	chained := func(lease string) WorkReceipt {
+		return WorkReceipt{Next: &WorkOrder{Lease: lease, Label: "b", Worker: "w1", Chained: true}}
+	}
+	f := &scriptedFleet{receipts: map[string]WorkReceipt{"L1": chained("N1"), "L2": chained("N2"), "L3": chained("N3")}}
+	client := NewClient(f.serve(t).URL)
+	ctx := context.Background()
+
+	for _, lease := range []string{"L1", "L2"} {
+		if receipt, err := client.CompleteWork(ctx, lease, WorkResult{Error: "x"}); err != nil || receipt.Next == nil {
+			t.Fatalf("upload %s = (%+v, %v), want a chained receipt", lease, receipt, err)
+		}
+	}
+	if order, err := client.ClaimWork(ctx, "w2", time.Second); err != nil || order.Lease != "claimed-1" {
+		t.Fatalf("another worker's claim = (%+v, %v), want one over the wire", order, err)
+	}
+	for _, want := range []string{"N1", "N2"} {
+		order, err := client.ClaimWork(ctx, "w1", time.Second)
+		if err != nil || order == nil || order.Lease != want || !order.Chained {
+			t.Fatalf("claim = (%+v, %v), want the kept order %s", order, err, want)
+		}
+	}
+	if n := f.claims.Load(); n != 1 {
+		t.Fatalf("the service saw %d claims, want only w2's", n)
+	}
+	if order, err := client.ClaimWork(ctx, "w1", time.Second); err != nil || order.Lease != "claimed-2" {
+		t.Fatalf("claim with nothing kept = (%+v, %v), want one over the wire", order, err)
+	}
+
+	if _, err := client.CompleteWork(ctx, "L3", WorkResult{Error: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.DeregisterWorker(ctx, "w1"); err != nil {
+		t.Fatal(err)
+	}
+	if order, err := client.ClaimWork(ctx, "w1", time.Second); err != nil || order.Lease != "claimed-3" {
+		t.Fatalf("claim after deregistering = (%+v, %v), want one over the wire: N3 went back to the service", order, err)
+	}
+}
+
+// TestNewWorkerAgainstOldService: a service from before the chain ignores
+// the ask and sends a receipt with no `next`; the worker's next claim is
+// a plain one. And the claim's wait travels in whole seconds, a positive
+// wait below one rounding up: zero would ask the service not to park.
+func TestNewWorkerAgainstOldService(t *testing.T) {
+	f := &scriptedFleet{}
+	client := NewClient(f.serve(t).URL)
+	ctx := context.Background()
+	if receipt, err := client.CompleteWork(ctx, "L1", WorkResult{Error: "x"}); err != nil || receipt.Next != nil || receipt.Stale {
+		t.Fatalf("upload = (%+v, %v), want a plain receipt", receipt, err)
+	}
+	for wait, want := range map[time.Duration]int64{500 * time.Millisecond: 1, time.Nanosecond: 1, 0: 0, 15 * time.Second: 15, 2500 * time.Millisecond: 2} {
+		before := f.claims.Load()
+		order, err := client.ClaimWork(ctx, "w1", wait)
+		if err != nil || order == nil || f.claims.Load() != before+1 {
+			t.Fatalf("claim = (%+v, %v) after %d requests, want one over the wire", order, err, f.claims.Load()-before)
+		}
+		if got := f.lastWait.Load(); got != want {
+			t.Fatalf("a %v wait went out as waitSeconds=%d, want %d", wait, got, want)
+		}
 	}
 }

@@ -46,7 +46,7 @@ go test -race $(go list ./... | grep -v '/benchmark$')
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor
+go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./internal/server
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, whose source seeds in under 2 µs and is held to math/rand's
@@ -284,7 +284,9 @@ echo "store smoke ok"
 # attach a two-worker pull fleet, submit a sweep, and SIGKILL one
 # worker mid-run — the lease expires, the arm is reclaimed, and the job
 # must still complete with a results.csv byte-identical to the
-# single-process sweep. Then
+# single-process sweep, and /v1/statz must show that result uploads
+# carried claims (chained > 0): with four slots live the job keeps all
+# six arms on offer, so the first slot to finish finds one queued. Then
 # restart the server over the same store with no workers and resubmit:
 # every arm must be served from the cluster-shared store with zero
 # re-execution (no events streamed, all-hits cache counters).
@@ -296,6 +298,14 @@ start_serve "$specout/dist.log" -checkpoint "$dckpt" -lease 2s
 w1_pid=$!
 "$specout/dlsim" worker -server "$base" -name w2 -parallel 2 >"$specout/dist-w2.log" 2>&1 &
 w2_pid=$!
+# The job sizes its offer from the slots live when it starts an arm:
+# submit once all four have registered.
+i=0
+while [ $i -lt 100 ]; do
+    "$specout/dlsim" list -jobs -addr "$base" | grep -q ' workers=4 ' && break
+    sleep 0.05
+    i=$((i + 1))
+done
 "$specout/dlsim" run -spec "$distspec" -scale tiny -workers 4 -remote "$base" >"$specout/dist-run.log" 2>&1 &
 run_pid=$!
 # Kill w2 the moment it has an arm on lease: a mid-run worker loss.
@@ -316,6 +326,12 @@ cmp -s "$dist_csv" "$specout/dist-file/results.csv" || {
     exit 1
 }
 grep -q 'arm done' "$specout/dist-w1.log" || { echo "surviving worker executed no arms" >&2; cat "$specout/dist-w1.log" >&2; exit 1; }
+"$specout/dlsim" list -jobs -addr "$base" >"$specout/dist-chain.log"
+grep -Eq '^work: .* chained=[1-9]' "$specout/dist-chain.log" || {
+    echo "no claim rode on a result upload (statz chained=0):" >&2
+    cat "$specout/dist-chain.log" >&2
+    exit 1
+}
 kill "$w1_pid" 2>/dev/null || true
 wait "$w1_pid" 2>/dev/null || true
 stop_serve
