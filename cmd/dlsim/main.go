@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/metrics"
 	"gossipmia/pkg/dlsim"
 )
 
@@ -275,7 +274,7 @@ func runSpecFile(ctx context.Context, path, scaleName string, seed int64, worker
 	if err != nil {
 		return err
 	}
-	return printResult(res, csv, renderPlot)
+	return printFigure(experiment.FigureOf(res), csv, renderPlot)
 }
 
 // runRemote submits a spec to a dlsim service, streams its round
@@ -318,7 +317,7 @@ func runRemote(ctx context.Context, base, path, scaleName string, seed int64, wo
 	}
 	switch job.Status {
 	case dlsim.StatusDone:
-		return printResult(job.Result, csv, renderPlot)
+		return printFigure(experiment.FigureOf(job.Result), csv, renderPlot)
 	case dlsim.StatusCancelled:
 		return fmt.Errorf("job %s was cancelled", job.ID)
 	default:
@@ -345,8 +344,10 @@ func runEntry(ctx context.Context, e experiment.CatalogEntry, sc experiment.Scal
 	return printFigure(fig, csv, renderPlot)
 }
 
-// printFigure prints an engine-side figure (catalog entries, which may
-// need the internal plot renderer).
+// printFigure prints a run: its table, then optionally the tradeoff
+// plot and per-arm CSV series. Every run goes through it — a catalog
+// entry as the engine returns it, a spec run (local or remote) through
+// experiment.FigureOf.
 func printFigure(fig *experiment.FigureResult, csv, renderPlot bool) error {
 	fmt.Println(fig.Table())
 	if renderPlot {
@@ -362,50 +363,6 @@ func printFigure(fig *experiment.FigureResult, csv, renderPlot bool) error {
 		}
 	}
 	return nil
-}
-
-// printResult prints an SDK result (spec runs, local or remote).
-func printResult(res *dlsim.Result, csv, renderPlot bool) error {
-	fmt.Println(res.Table())
-	if renderPlot {
-		p, err := figureOf(res).TradeoffPlot()
-		if err != nil {
-			return fmt.Errorf("plot: %w", err)
-		}
-		fmt.Println(p)
-	}
-	if csv {
-		for _, arm := range res.Arms {
-			fmt.Printf("# %s\nround,test_acc,mia_acc,tpr_at_1fpr,gen_error\n", arm.Label)
-			for _, r := range arm.Records {
-				fmt.Printf("%d,%.6f,%.6f,%.6f,%.6f\n", r.Round, r.TestAcc, r.MIAAcc, r.TPRAt1FPR, r.GenError)
-			}
-			fmt.Println()
-		}
-	}
-	return nil
-}
-
-// figureOf converts an SDK result back into the engine's figure shape
-// so presentation (plots, palettes, axis labels) has exactly one
-// implementation regardless of where the result came from.
-func figureOf(res *dlsim.Result) *experiment.FigureResult {
-	fig := &experiment.FigureResult{Name: res.Name, Caption: res.Caption, Notes: res.Notes}
-	for _, arm := range res.Arms {
-		s := &metrics.Series{Label: arm.Label}
-		for _, r := range arm.Records {
-			s.Append(metrics.RoundRecord{
-				Round: r.Round, TestAcc: r.TestAcc, MIAAcc: r.MIAAcc,
-				TPRAt1FPR: r.TPRAt1FPR, GenError: r.GenError,
-			})
-		}
-		fig.Arms = append(fig.Arms, experiment.Arm{
-			Label: arm.Label, Series: s,
-			MessagesSent: arm.MessagesSent, BytesSent: arm.BytesSent,
-			RealizedEpsilon: arm.RealizedEpsilon, NoiseMultiplier: arm.NoiseMultiplier,
-		})
-	}
-	return fig
 }
 
 // listCmd prints the catalog (the local build's or a remote service's),

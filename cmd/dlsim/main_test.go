@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/experiment"
+	"gossipmia/pkg/dlsim"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -490,4 +492,48 @@ func TestSeedOverride(t *testing.T) {
 		t.Fatal("test assumes tiny seed != 777")
 	}
 	_ = experiment.TinyScale() // keep the import honest
+}
+
+// stdoutOf runs the CLI with args and returns what it printed.
+func stdoutOf(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() {
+		raw, _ := io.ReadAll(r)
+		out <- string(raw)
+	}()
+	saved := os.Stdout
+	os.Stdout = w
+	runErr := run(args)
+	os.Stdout = saved
+	w.Close()
+	printed := <-out
+	if runErr != nil {
+		t.Fatalf("%v: %v", args, runErr)
+	}
+	return printed
+}
+
+// TestRunFigureTableIsSDKTable: the CLI prints a catalog figure through
+// the same table the SDK returns for it — one renderer for every run.
+func TestRunFigureTableIsSDKTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	printed := stdoutOf(t, "run", "-figure", "2", "-scale", "tiny")
+	runner, err := dlsim.NewRunner(dlsim.WithScale("tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runner.RunFigure(t.Context(), "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Table() + "\n"; printed != want {
+		t.Fatalf("dlsim run -figure 2 printed:\n%s\nRunner.RunFigure's table:\n%s", printed, want)
+	}
 }

@@ -107,16 +107,17 @@ type Config struct {
 	// failed it (or 2×MaxAttempts attempts in total, so a one-worker
 	// fleet cannot cycle forever). Default 3.
 	MaxAttempts int
-	// FailThreshold is the decaying health score at which a worker is
-	// quarantined. Completions decay the score; expiries and reported
-	// errors add 1, checksum mismatches add 2. Default 2.5 — three
-	// quick errors or two mismatches trip it.
-	FailThreshold float64
 	// Cooldown is the base quarantine duration; consecutive
 	// quarantines double it up to 8×. It is also the score decay
 	// half-life. Default 4×LeaseTTL.
 	Cooldown time.Duration
 }
+
+// failThreshold is the decaying health score at which a worker is
+// quarantined. Completions decay the score; expiries and reported
+// errors add 1, checksum mismatches add 2: three quick errors or two
+// mismatches trip it.
+const failThreshold = 2.5
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -136,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 2.5
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 4 * c.LeaseTTL
@@ -264,7 +262,7 @@ type workerRec struct {
 	parked     int // claimers currently long-polling
 	state      workerState
 
-	score   float64 // decaying failure score; quarantine at FailThreshold
+	score   float64 // decaying failure score; quarantine at failThreshold
 	scoreAt time.Time
 
 	quarUntil   time.Time
@@ -350,7 +348,7 @@ func (d *Dispatcher) decayLocked(rec *workerRec, now time.Time) {
 func (d *Dispatcher) penalizeLocked(rec *workerRec, weight float64, now time.Time, reason string) {
 	d.decayLocked(rec, now)
 	rec.score += weight
-	if rec.state == workerLive && rec.score >= d.cfg.FailThreshold {
+	if rec.state == workerLive && rec.score >= failThreshold {
 		d.quarantineLocked(rec, now, reason)
 	}
 }
@@ -827,7 +825,7 @@ func (d *Dispatcher) Quarantine(worker, reason string) {
 	if rec.state == workerQuarantined {
 		return
 	}
-	rec.score = d.cfg.FailThreshold
+	rec.score = failThreshold
 	d.quarantineLocked(rec, now, reason)
 }
 

@@ -2,13 +2,13 @@ package experiment
 
 import (
 	"fmt"
-	"strings"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/par"
 	"gossipmia/internal/plot"
 	"gossipmia/internal/stats"
+	"gossipmia/pkg/dlsim/result"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -23,20 +23,35 @@ type Arm struct {
 	NoiseMultiplier float64
 }
 
-// AtMaxTestAcc returns the record of the round achieving the best global
-// test accuracy, the operating point the paper quotes ("maximum global
-// test accuracy relative to an MIA vulnerability of ...").
-func (a Arm) AtMaxTestAcc() metrics.RoundRecord {
-	var best metrics.RoundRecord
-	found := false
-	for _, r := range a.Series.Records {
-		if !found || r.TestAcc > best.TestAcc {
-			best = r
-			found = true
-		}
+// Result returns the arm in the public form the SDK, the fleet and the
+// arm cache carry. The two share the Records slice; nothing is copied.
+func (a Arm) Result() result.ArmResult {
+	return result.ArmResult{
+		Label:           a.Label,
+		Records:         a.Series.Records,
+		MessagesSent:    a.MessagesSent,
+		BytesSent:       a.BytesSent,
+		RealizedEpsilon: a.RealizedEpsilon,
+		NoiseMultiplier: a.NoiseMultiplier,
 	}
-	return best
 }
+
+// ArmOf returns the engine form of a public arm result, the inverse of
+// Arm.Result: the two share the Records slice.
+func ArmOf(r result.ArmResult) Arm {
+	return Arm{
+		Label:           r.Label,
+		Series:          &metrics.Series{Label: r.Label, Records: r.Records},
+		MessagesSent:    r.MessagesSent,
+		BytesSent:       r.BytesSent,
+		RealizedEpsilon: r.RealizedEpsilon,
+		NoiseMultiplier: r.NoiseMultiplier,
+	}
+}
+
+// AtMaxTestAcc returns the record of the round achieving the best global
+// test accuracy (result.ArmResult.AtMaxTestAcc).
+func (a Arm) AtMaxTestAcc() metrics.RoundRecord { return a.Result().AtMaxTestAcc() }
 
 // FigureResult collects the arms of one paper figure.
 type FigureResult struct {
@@ -48,29 +63,29 @@ type FigureResult struct {
 	Notes []string
 }
 
-// Table renders the per-arm summary rows for the figure.
-func (f *FigureResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s — %s\n", f.Name, f.Caption)
-	fmt.Fprintf(&b, "%-38s %8s %8s %8s %8s %8s %9s %9s %8s\n",
-		"arm", "maxAcc", "MIA@max", "maxMIA", "maxTPR", "maxGen", "messages", "MiB", "epsilon")
-	for _, a := range f.Arms {
-		at := a.AtMaxTestAcc()
-		maxGen := 0.0
-		for _, r := range a.Series.Records {
-			if r.GenError > maxGen {
-				maxGen = r.GenError
-			}
-		}
-		fmt.Fprintf(&b, "%-38s %8.3f %8.3f %8.3f %8.3f %8.3f %9d %9.1f %8.2f\n",
-			a.Label, at.TestAcc, at.MIAAcc, a.Series.MaxMIAAcc(), a.Series.MaxTPR(),
-			maxGen, a.MessagesSent, float64(a.BytesSent)/(1<<20), a.RealizedEpsilon)
+// Result returns the figure in its public form, arm by arm through
+// Arm.Result.
+func (f *FigureResult) Result() *result.Result {
+	res := &result.Result{Name: f.Name, Caption: f.Caption, Notes: f.Notes, Arms: make([]result.ArmResult, len(f.Arms))}
+	for i, a := range f.Arms {
+		res.Arms[i] = a.Result()
 	}
-	for _, note := range f.Notes {
-		fmt.Fprintf(&b, "note: %s\n", note)
-	}
-	return b.String()
+	return res
 }
+
+// FigureOf returns the engine form of a public result, arm by arm
+// through ArmOf.
+func FigureOf(r *result.Result) *FigureResult {
+	fig := &FigureResult{Name: r.Name, Caption: r.Caption, Notes: r.Notes, Arms: make([]Arm, len(r.Arms))}
+	for i, a := range r.Arms {
+		fig.Arms[i] = ArmOf(a)
+	}
+	return fig
+}
+
+// Table renders the per-arm summary rows for the figure
+// (result.Result.Table).
+func (f *FigureResult) Table() string { return f.Result().Table() }
 
 // plotGlyphs is the palette cycled across arms in scatter plots.
 var plotGlyphs = []rune{'s', 'd', 'o', 'x', '+', '#', '@', '%', '&', '~', '^', '='}

@@ -12,6 +12,7 @@ import (
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/store"
+	"gossipmia/pkg/dlsim/result"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -163,7 +164,7 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 			t.Fatalf("arm %q has no timing", ar.Label)
 		}
 		// The cache record round-trips to the in-memory arm.
-		cached, ok := decodeArmRecord([]byte(rows[storeArmKey(ar.Key)]), ar.Key, ar.Label)
+		cached, ok := decodeArmRecord([]byte(rows[storeArmKey(ar.Key)]), ar.Label)
 		if !ok || cached.Series.CSV() != fig.Arms[i].Series.CSV() || cached.MessagesSent != fig.Arms[i].MessagesSent {
 			t.Fatalf("cache record for %q diverges from result", ar.Label)
 		}
@@ -177,10 +178,7 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 		if len(lines) != len(fig.Arms[i].Series.Records) {
 			t.Fatalf("arm %q: %d event lines for %d records", ar.Label, len(lines), len(fig.Arms[i].Series.Records))
 		}
-		var ev struct {
-			Arm string `json:"arm"`
-			metrics.RoundRecord
-		}
+		var ev result.Event
 		if err := json.Unmarshal([]byte(lines[0]), &ev); err != nil {
 			t.Fatal(err)
 		}
@@ -500,46 +498,47 @@ func TestResumeIgnoresCorruptCache(t *testing.T) {
 	storeDir := filepath.Join(dir, "store")
 	rows := storeRows(t, storeDir)
 	rowOf := func(i int) []byte { return []byte(rows[storeArmKey(man.Arms[i].Key)]) }
-	reencode := func(rec armRecord) []byte {
+	decoded := func(i int) result.ArmResult {
 		t.Helper()
-		raw, err := json.MarshalIndent(rec, "", " ")
-		if err != nil {
+		var res result.ArmResult
+		if err := json.Unmarshal(rowOf(i)[sumLen:], &res); err != nil {
 			t.Fatal(err)
 		}
-		return raw
+		return res
 	}
 
 	// Arm 0: truncated mid-JSON.
 	truncated := rowOf(0)[:len(rowOf(0))/2]
 
-	// Arm 1: decodes fine and keeps its key, but a record was altered.
-	var tampered armRecord
-	if err := json.Unmarshal(rowOf(1), &tampered); err != nil {
-		t.Fatal(err)
-	}
-	if len(tampered.Records) == 0 {
+	// Arm 1: decodes fine and keeps its sum, but a record was altered.
+	tamperedArm := decoded(1)
+	if len(tamperedArm.Records) == 0 {
 		t.Fatal("cache has no records to tamper with")
 	}
-	tampered.Records[0].TestAcc += 0.25
+	tamperedArm.Records[0].TestAcc += 0.25
+	body, err := json.Marshal(tamperedArm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := append(append([]byte{}, rowOf(1)[:sumLen]...), body...)
 
 	// Arm 2: arm 4's intact, self-consistent record under arm 2's key.
 	wrongKey := rowOf(4)
 
-	// Arm 3: a self-consistent record with arm 3's key but another label.
-	var relabeled armRecord
-	if err := json.Unmarshal(rowOf(3), &relabeled); err != nil {
-		t.Fatal(err)
-	}
-	relabeled.Label = man.Arms[4].Label
-	if relabeled.Sum, err = relabeled.checksum(); err != nil {
+	// Arm 3: a self-consistent record under arm 3's key but with another
+	// label.
+	relabeledArm := decoded(3)
+	relabeledArm.Label = man.Arms[4].Label
+	relabeled, err := encodeArmRecord(ArmOf(relabeledArm))
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	overwriteStoreRows(t, storeDir, map[string][]byte{
 		storeArmKey(man.Arms[0].Key): truncated,
-		storeArmKey(man.Arms[1].Key): reencode(tampered),
+		storeArmKey(man.Arms[1].Key): tampered,
 		storeArmKey(man.Arms[2].Key): wrongKey,
-		storeArmKey(man.Arms[3].Key): reencode(relabeled),
+		storeArmKey(man.Arms[3].Key): relabeled,
 	})
 
 	resumed, man2, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: dir, Resume: true})

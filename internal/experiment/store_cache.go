@@ -1,27 +1,27 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
 
-	"gossipmia/internal/metrics"
 	"gossipmia/internal/store"
+	"gossipmia/pkg/dlsim/result"
 )
 
 // The arm cache. Every directory-backed run keeps its per-arm results
 // in one embedded store (internal/store) — OutDir/store unless several
 // runs share one, as the job service's do — so a resume reads one log
 // at indexed offsets instead of opening a file per arm. Each record is
-// canonical JSON with a self-checksum and is trusted only when it
-// decodes, reproduces its Sum, and matches the arm's key and label;
-// anything else is recomputed.
+// the arm's canonical result.ArmResult JSON behind its sum and is
+// trusted only when it reproduces the sum, re-encodes to itself and
+// carries the arm's label; anything else is recomputed.
 //
 // Key space:
 //
-//	"a!" + <64-hex arm content hash>          → armRecord JSON
+//	"a!" + <64-hex arm content hash>          → <64-hex sum> ArmResult JSON
 //	"i!" + spec + "\x00" + label + "\x00" + hash[:16]
 //	                                          → StoreArmSummary JSON
 //
@@ -49,84 +49,44 @@ func storeIndexKey(specName, label, key string) string {
 	return storeIndexPrefix + specName + "\x00" + label + "\x00" + short
 }
 
-// armRecord is the cached result of one arm.
-type armRecord struct {
-	Label           string                `json:"label"`
-	Key             string                `json:"key"`
-	Records         []metrics.RoundRecord `json:"records"`
-	MessagesSent    int                   `json:"messagesSent"`
-	BytesSent       int                   `json:"bytesSent"`
-	RealizedEpsilon float64               `json:"realizedEpsilon,omitempty"`
-	NoiseMultiplier float64               `json:"noiseMultiplier,omitempty"`
-	// Sum is the integrity checksum of the entry: the SHA-256 of the
-	// record's canonical JSON with this field empty. A record whose
-	// content does not reproduce its Sum — truncated, hand-edited, or
-	// torn — is ignored on resume and the arm recomputed.
-	Sum string `json:"sum"`
-}
+// sumLen is the length of the hex sha256 that prefixes a cached record.
+const sumLen = 2 * sha256.Size
 
-// arm converts a validated record back into the executed form.
-func (c armRecord) arm() Arm {
-	return Arm{
-		Label:           c.Label,
-		Series:          &metrics.Series{Label: c.Label, Records: c.Records},
-		MessagesSent:    c.MessagesSent,
-		BytesSent:       c.BytesSent,
-		RealizedEpsilon: c.RealizedEpsilon,
-		NoiseMultiplier: c.NoiseMultiplier,
-	}
-}
-
-// checksum returns the integrity sum of the record's content.
-func (c armRecord) checksum() (string, error) {
-	c.Sum = ""
-	raw, err := json.Marshal(c)
+// encodeArmRecord renders an executed arm as its cache record: the
+// arm's canonical result.ArmResult JSON — the bytes a fleet upload's
+// checksum covers — prefixed by result.Sum of exactly those bytes.
+func encodeArmRecord(arm Arm) ([]byte, error) {
+	raw, err := json.Marshal(arm.Result())
 	if err != nil {
-		return "", fmt.Errorf("experiment: cache checksum: %w", err)
+		return nil, fmt.Errorf("experiment: cache record: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// encodeArmRecord renders an executed arm as its checksummed record.
-func encodeArmRecord(key string, arm Arm) ([]byte, error) {
-	rec := armRecord{
-		Label:           arm.Label,
-		Key:             key,
-		Records:         arm.Series.Records,
-		MessagesSent:    arm.MessagesSent,
-		BytesSent:       arm.BytesSent,
-		RealizedEpsilon: arm.RealizedEpsilon,
-		NoiseMultiplier: arm.NoiseMultiplier,
-	}
-	sum, err := rec.checksum()
-	if err != nil {
-		return nil, err
-	}
-	rec.Sum = sum
-	return json.MarshalIndent(rec, "", " ")
+	rec := make([]byte, 0, sumLen+len(raw))
+	rec = append(rec, result.Sum(raw)...)
+	return append(rec, raw...), nil
 }
 
 // decodeArmRecord validates and decodes one cached arm record: the
-// JSON must decode, its integrity checksum must reproduce, and the key
-// (content hash) and label must both match — so a truncated or
-// corrupted record, or one written by a different spec, scale, or
-// seed, is ignored (and the arm recomputed) rather than resumed from.
-func decodeArmRecord(raw []byte, key, label string) (Arm, bool) {
-	if len(raw) == 0 {
+// body must reproduce its sum, decode, re-encode to the same bytes and
+// carry the arm's label — so a torn or corrupted record, one in an
+// older format, or one another arm wrote is ignored (and the arm
+// recomputed) rather than resumed from. The key needs no check here:
+// the store checks each frame's key on read.
+func decodeArmRecord(raw []byte, label string) (Arm, bool) {
+	if len(raw) < sumLen {
 		return Arm{}, false
 	}
-	var rec armRecord
-	if err := json.Unmarshal(raw, &rec); err != nil {
+	body := raw[sumLen:]
+	if result.Sum(body) != string(raw[:sumLen]) {
 		return Arm{}, false
 	}
-	if sum, err := rec.checksum(); err != nil || rec.Sum != sum {
+	var res result.ArmResult
+	if err := json.Unmarshal(body, &res); err != nil || res.Label != label {
 		return Arm{}, false
 	}
-	if rec.Key != key || rec.Label != label {
+	if canon, err := json.Marshal(res); err != nil || !bytes.Equal(canon, body) {
 		return Arm{}, false
 	}
-	return rec.arm(), true
+	return ArmOf(res), true
 }
 
 // StoreArmSummary is the listing-index row of one cached arm: the
@@ -189,7 +149,7 @@ func (c *armCache) lookup(i int, label string) (Arm, bool) {
 	if err != nil || !ok {
 		return Arm{}, false
 	}
-	arm, ok := decodeArmRecord(raw, c.keys[i], label)
+	arm, ok := decodeArmRecord(raw, label)
 	if !ok {
 		return Arm{}, false
 	}
@@ -202,7 +162,7 @@ func (c *armCache) lookup(i int, label string) (Arm, bool) {
 
 // put commits arm i: the full record, then its listing-index row.
 func (c *armCache) put(i int, arm Arm) error {
-	raw, err := encodeArmRecord(c.keys[i], arm)
+	raw, err := encodeArmRecord(arm)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/store"
+	"gossipmia/pkg/dlsim/result"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -483,7 +484,7 @@ func TestListStoreArmsPaging(t *testing.T) {
 }
 
 // benchArmRecords builds n synthetic cache records with realistic
-// shapes: 64-hex content-hash keys and canonical armRecord JSON.
+// shapes: 64-hex content-hash keys and sum-prefixed ArmResult JSON.
 func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	b.Helper()
 	keys := make([]string, n)
@@ -491,7 +492,7 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	for i := 0; i < n; i++ {
 		keys[i] = fmt.Sprintf("%064x", i*2654435761)
 		label := fmt.Sprintf("purchase100 beta=%.4f", 0.1+float64(i)*0.0005)
-		raw, err := encodeArmRecord(keys[i], Arm{
+		raw, err := encodeArmRecord(Arm{
 			Label: label,
 			Series: &metrics.Series{Label: label, Records: []metrics.RoundRecord{{
 				Round: 3, TestAcc: 0.61, MIAAcc: 0.52, TPRAt1FPR: 0.08, GenError: 0.10,
@@ -539,4 +540,162 @@ func BenchmarkResumeLookup(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
+}
+
+// legacyArmRecord renders res in the arm cache's earlier record format:
+// indented JSON repeating the key, with a "sum" over the record's
+// compact JSON written with an empty sum.
+func legacyArmRecord(t *testing.T, key string, res result.ArmResult) []byte {
+	t.Helper()
+	rec := struct {
+		Label           string               `json:"label"`
+		Key             string               `json:"key"`
+		Records         []result.RoundRecord `json:"records"`
+		MessagesSent    int                  `json:"messagesSent"`
+		BytesSent       int                  `json:"bytesSent"`
+		RealizedEpsilon float64              `json:"realizedEpsilon,omitempty"`
+		NoiseMultiplier float64              `json:"noiseMultiplier,omitempty"`
+		Sum             string               `json:"sum"`
+	}{res.Label, key, res.Records, res.MessagesSent, res.BytesSent, res.RealizedEpsilon, res.NoiseMultiplier, ""}
+	compact, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Sum = result.Sum(compact)
+	raw, err := json.MarshalIndent(rec, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestLegacyArmRecordIsMiss: a store written in the earlier record
+// format is a cache miss arm by arm — the resume recomputes every arm,
+// rewrites its record in the current format, and results.csv is
+// byte-identical to a fresh run's.
+func TestLegacyArmRecordIsMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sc := TinyScale()
+	refDir := t.TempDir()
+	if _, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: refDir, Events: "none"}); err != nil {
+		t.Fatal(err)
+	}
+	refCSV, err := os.ReadFile(filepath.Join(refDir, "results.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	_, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeDir := filepath.Join(dir, "store")
+	rows := storeRows(t, storeDir)
+	legacy := map[string][]byte{}
+	for _, ar := range man.Arms {
+		arm, ok := decodeArmRecord([]byte(rows[storeArmKey(ar.Key)]), ar.Label)
+		if !ok {
+			t.Fatalf("fresh record of %q does not decode", ar.Label)
+		}
+		legacy[storeArmKey(ar.Key)] = legacyArmRecord(t, ar.Key, arm.Result())
+	}
+	overwriteStoreRows(t, storeDir, legacy)
+	if err := os.Remove(filepath.Join(dir, "results.csv")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, man2, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none", Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ar := range man2.Arms {
+		if ar.Cached {
+			t.Fatalf("resume served arm %q from a legacy record", ar.Label)
+		}
+	}
+	gotCSV, err := os.ReadFile(filepath.Join(dir, "results.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gotCSV) != string(refCSV) {
+		t.Fatalf("results.csv after a legacy-store resume diverged:\n%s\nwant:\n%s", gotCSV, refCSV)
+	}
+	rows = storeRows(t, storeDir)
+	for _, ar := range man2.Arms {
+		if _, ok := decodeArmRecord([]byte(rows[storeArmKey(ar.Key)]), ar.Label); !ok {
+			t.Fatalf("arm %q was not rewritten in the current format", ar.Label)
+		}
+	}
+}
+
+// TestArmRecordSumIsChecksum: the sum a cache record carries is the
+// Checksum of the ArmResult it decodes to — the value a fleet upload
+// is verified against — and the decoded arm is the one encoded.
+func TestArmRecordSumIsChecksum(t *testing.T) {
+	arm := Arm{
+		Label: "cifar10 latency=15",
+		Series: &metrics.Series{Label: "cifar10 latency=15", Records: []metrics.RoundRecord{
+			{Round: 1, TestAcc: 0.1 + 0.2, MIAAcc: 0.5, TPRAt1FPR: 1e-3, GenError: -0.0625},
+			{Round: 2, TestAcc: 2.0 / 3, MIAAcc: 0.71, TPRAt1FPR: 0.04, GenError: 0.3},
+		}},
+		MessagesSent:    1234,
+		BytesSent:       56789,
+		RealizedEpsilon: 7.5,
+		NoiseMultiplier: 1.1,
+	}
+	raw, err := encodeArmRecord(arm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := decodeArmRecord(raw, arm.Label)
+	if !ok {
+		t.Fatal("a freshly encoded record does not decode")
+	}
+	if sum := got.Result().Checksum(); string(raw[:sumLen]) != sum || sum != arm.Result().Checksum() {
+		t.Fatalf("record sum %s, decoded Checksum %s, encoded Checksum %s", raw[:sumLen], sum, arm.Result().Checksum())
+	}
+	if _, ok := decodeArmRecord(raw, "another label"); ok {
+		t.Fatal("a record was served for another label")
+	}
+}
+
+// FuzzArmRecord: the cache-record decoder never panics, and whatever it
+// accepts is canonical — it re-encodes to the same bytes, whose sum is
+// the decoded arm's Checksum.
+func FuzzArmRecord(f *testing.F) {
+	arm := Arm{Label: "a", Series: &metrics.Series{Label: "a", Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5, MIAAcc: 0.75}}}, MessagesSent: 3}
+	valid, err := encodeArmRecord(arm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A correct sum over a body that is valid but not canonical JSON.
+	spaced := []byte(`{"label": "a", "records": [], "messagesSent": 0, "bytesSent": 0}`)
+	f.Add(valid, "a")
+	f.Add(valid, "b")
+	f.Add(valid[:len(valid)-1], "a")
+	f.Add(append([]byte(result.Sum(spaced)), spaced...), "a")
+	f.Add([]byte(`{"label":"a","key":"k","records":null,"messagesSent":0,"bytesSent":0,"sum":""}`), "a")
+	f.Add([]byte{}, "")
+	f.Fuzz(func(t *testing.T, raw []byte, label string) {
+		got, ok := decodeArmRecord(raw, label)
+		if !ok {
+			return
+		}
+		if got.Label != label {
+			t.Fatalf("accepted label %q for %q", got.Label, label)
+		}
+		again, err := encodeArmRecord(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(raw) {
+			t.Fatalf("accepted %q re-encodes to %q", raw, again)
+		}
+		if sum := got.Result().Checksum(); string(raw[:sumLen]) != sum {
+			t.Fatalf("accepted sum %s, Checksum %s", raw[:sumLen], sum)
+		}
+	})
 }

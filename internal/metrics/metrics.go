@@ -11,6 +11,7 @@ import (
 	"gossipmia/internal/data"
 	"gossipmia/internal/nn"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/result"
 )
 
 // Accuracy returns top-1 accuracy of model on ds (Equation 5). The
@@ -85,15 +86,9 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// RoundRecord holds the per-round averages the paper reports: global test
-// accuracy, the two MIA vulnerability measures, and generalization error.
-type RoundRecord struct {
-	Round     int     `json:"round"`
-	TestAcc   float64 `json:"testAcc"`
-	MIAAcc    float64 `json:"miaAcc"`
-	TPRAt1FPR float64 `json:"tprAt1FPR"`
-	GenError  float64 `json:"genError"`
-}
+// RoundRecord holds the per-round averages the paper reports. It is the
+// public record type, so a series crosses to the SDK without a copy.
+type RoundRecord = result.RoundRecord
 
 // Series is an ordered collection of round records for one experimental
 // arm (one curve in a figure).

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gossipmia/internal/experiment"
+	"gossipmia/internal/sink"
 	"gossipmia/pkg/dlsim"
 	"gossipmia/pkg/dlsim/spec"
 )
@@ -147,12 +148,11 @@ func TestSubmitStreamByteIdentical(t *testing.T) {
 			t.Fatalf("arm %q: streamed %d events, want %d", want.Label, len(streamed), len(want.Series.Records))
 		}
 		for j, w := range want.Series.Records {
-			pub := dlsim.RoundRecord{Round: w.Round, TestAcc: w.TestAcc, MIAAcc: w.MIAAcc, TPRAt1FPR: w.TPRAt1FPR, GenError: w.GenError}
-			if got.Records[j] != pub {
-				t.Fatalf("arm %q result record %d diverges: %+v vs %+v", got.Label, j, got.Records[j], pub)
+			if got.Records[j] != w {
+				t.Fatalf("arm %q result record %d diverges: %+v vs %+v", got.Label, j, got.Records[j], w)
 			}
-			if streamed[j] != pub {
-				t.Fatalf("arm %q streamed record %d diverges: %+v vs %+v", got.Label, j, streamed[j], pub)
+			if streamed[j] != w {
+				t.Fatalf("arm %q streamed record %d diverges: %+v vs %+v", got.Label, j, streamed[j], w)
 			}
 		}
 	}
@@ -720,5 +720,44 @@ func TestJobRetentionPrunesOldTerminalJobs(t *testing.T) {
 	}
 	if re.Deduped {
 		t.Fatalf("submission deduped onto an evicted job: %+v", re)
+	}
+}
+
+// TestOneEventEncoding: a round record leaves the process as one line
+// whichever way it is streamed — the engine's JSONL event file, the
+// job's NDJSON event log, and the SDK's Event marshaled directly are
+// the same bytes.
+func TestOneEventEncoding(t *testing.T) {
+	ev := dlsim.Event{Arm: `cifar10 "latency"=15`, RoundRecord: dlsim.RoundRecord{
+		Round: 7, TestAcc: 0.1 + 0.2, MIAAcc: 2.0 / 3, TPRAt1FPR: 1e-7, GenError: -0.125,
+	}}
+	want, err := json.Marshal(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var file bytes.Buffer
+	jsonl := sink.NewJSONL(&file, ev.Arm)
+	if err := jsonl.Record(ev.RoundRecord); err != nil {
+		t.Fatal(err)
+	}
+	if err := jsonl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log := newEventLog()
+	if err := (&jobSink{log: log}).Record(ev); err != nil {
+		t.Fatal(err)
+	}
+	lines, _, _ := log.next(0)
+	if len(lines) != 1 {
+		t.Fatalf("job log holds %d lines, want 1", len(lines))
+	}
+
+	if got := strings.TrimSuffix(file.String(), "\n"); got != string(want) {
+		t.Fatalf("JSONL line %s, want %s", got, want)
+	}
+	if string(lines[0]) != string(want) {
+		t.Fatalf("NDJSON line %s, want %s", lines[0], want)
 	}
 }

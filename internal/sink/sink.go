@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"gossipmia/internal/metrics"
+	"gossipmia/pkg/dlsim/result"
 )
 
 // Sink consumes one arm's round records in round order. Implementations
@@ -44,14 +45,7 @@ func (m *Memory) Record(r metrics.RoundRecord) error {
 // Close implements Sink.
 func (m *Memory) Close() error { return nil }
 
-// jsonlEvent is one JSONL line: the arm label plus the record fields,
-// flattened so the stream is self-describing and greppable.
-type jsonlEvent struct {
-	Arm string `json:"arm"`
-	metrics.RoundRecord
-}
-
-// JSONL writes one self-describing JSON object per evaluated round.
+// JSONL writes one result.Event line per evaluated round.
 type JSONL struct {
 	arm string
 	w   *bufio.Writer
@@ -70,7 +64,7 @@ func NewJSONL(w io.Writer, arm string) *JSONL {
 
 // Record implements Sink.
 func (j *JSONL) Record(r metrics.RoundRecord) error {
-	raw, err := json.Marshal(jsonlEvent{Arm: j.arm, RoundRecord: r})
+	raw, err := json.Marshal(result.Event{Arm: j.arm, RoundRecord: r})
 	if err != nil {
 		return fmt.Errorf("sink: jsonl: %w", err)
 	}

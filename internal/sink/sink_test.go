@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/metrics"
+	"gossipmia/pkg/dlsim/result"
 )
 
 func sampleRecords() []metrics.RoundRecord {
@@ -47,10 +48,7 @@ func TestJSONLSinkStream(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("lines = %d:\n%s", len(lines), b.String())
 	}
-	var ev struct {
-		Arm string `json:"arm"`
-		metrics.RoundRecord
-	}
+	var ev result.Event
 	if err := json.Unmarshal([]byte(lines[1]), &ev); err != nil {
 		t.Fatal(err)
 	}

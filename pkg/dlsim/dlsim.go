@@ -36,13 +36,8 @@ import (
 	"sync"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/metrics"
 	"gossipmia/internal/sink"
 )
-
-// metricRecord names the engine's record type for the unexported sink
-// adapter; it never appears in an exported signature.
-type metricRecord = metrics.RoundRecord
 
 // Sink observes a run's measurements as they are produced: one call
 // per evaluated round per arm, tagged with the arm label. Records of
@@ -182,10 +177,10 @@ type sinkAdapter struct {
 	arm string
 }
 
-func (a *sinkAdapter) Record(rec metricRecord) error {
+func (a *sinkAdapter) Record(rec RoundRecord) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.out.Record(Event{Arm: a.arm, RoundRecord: RoundRecord(rec)})
+	return a.out.Record(Event{Arm: a.arm, RoundRecord: rec})
 }
 
 func (a *sinkAdapter) Close() error { return nil }
@@ -197,7 +192,7 @@ func (r *Runner) Run(ctx context.Context, sp *Spec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resultOf(fig), nil
+	return fig.Result(), nil
 }
 
 // DirOptions configure RunDir.
@@ -272,7 +267,7 @@ func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result
 	for _, a := range man.Arms {
 		report.Arms = append(report.Arms, ArmReport(a))
 	}
-	return resultOf(fig), report, nil
+	return fig.Result(), report, nil
 }
 
 // RunFigure executes a runnable catalog entry by name (see Catalog).
@@ -285,7 +280,7 @@ func (r *Runner) RunFigure(ctx context.Context, name string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return resultOf(fig), nil
+	return fig.Result(), nil
 }
 
 // FigureSpec returns the declarative spec behind a runnable catalog

@@ -178,7 +178,7 @@ func TestRunnerMatchesEngine(t *testing.T) {
 		}
 		for j, rec := range arm.Records {
 			w := want.Series.Records[j]
-			if rec != RoundRecord(w) {
+			if rec != w {
 				t.Fatalf("arm %q record %d diverges: %+v vs %+v", arm.Label, j, rec, w)
 			}
 		}
@@ -322,5 +322,21 @@ func TestRunDirStreamsToSink(t *testing.T) {
 	}
 	if events != 0 {
 		t.Fatalf("cached resume streamed %d events, want 0", events)
+	}
+}
+
+// TestArmExecutorResultChecked: a nil or mislabeled executor result
+// fails the run at the engine's one label check.
+func TestArmExecutorResultChecked(t *testing.T) {
+	for name, res := range map[string]*ArmResult{"nil": nil, "mislabeled": {Label: "impostor"}} {
+		runner, err := NewRunner(WithScale("tiny"), WithArmExecutor(func(context.Context, WorkOrder) (*ArmResult, bool, error) {
+			return res, true, nil
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runner.Run(t.Context(), testSpec()); err == nil || !strings.Contains(err.Error(), "remote executor returned arm") {
+			t.Fatalf("%s result: err = %v", name, err)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/metrics"
 )
 
 // ErrLeaseExpired reports a work lease the server no longer honors:
@@ -357,36 +356,12 @@ func (r *Runner) execFor() experiment.ArmExecutor {
 		if !handled || err != nil {
 			return experiment.Arm{}, handled, err
 		}
-		if res == nil || res.Label != u.Arm.Label {
-			return experiment.Arm{}, true, fmt.Errorf("dlsim: arm executor returned result for %q, want %q",
-				resLabel(res), u.Arm.Label)
+		// A nil result reaches the engine as an arm with no series,
+		// which it refuses beside a mislabeled one.
+		var arm experiment.Arm
+		if res != nil {
+			arm = experiment.ArmOf(*res)
 		}
-		return engineArmOf(*res), true, nil
-	}
-}
-
-func resLabel(res *ArmResult) string {
-	if res == nil {
-		return "<nil>"
-	}
-	return res.Label
-}
-
-// engineArmOf converts a wire arm result back into the engine's form.
-// RoundRecord converts to metrics.RoundRecord as a struct (a field on
-// one side only does not compile) and floats round-trip JSON exactly,
-// so the conversion preserves bytes.
-func engineArmOf(a ArmResult) experiment.Arm {
-	s := &metrics.Series{Label: a.Label}
-	for _, r := range a.Records {
-		s.Append(metrics.RoundRecord(r))
-	}
-	return experiment.Arm{
-		Label:           a.Label,
-		Series:          s,
-		MessagesSent:    a.MessagesSent,
-		BytesSent:       a.BytesSent,
-		RealizedEpsilon: a.RealizedEpsilon,
-		NoiseMultiplier: a.NoiseMultiplier,
+		return arm, true, nil
 	}
 }

@@ -46,7 +46,7 @@ go test -race $(go list ./... | grep -v '/benchmark$')
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./internal/server
+go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, whose source seeds in under 2 µs and is held to math/rand's
