@@ -21,6 +21,10 @@
 //	dlsim list -jobs -addr URL -limit 20       # a service's job table, paged
 //	dlsim list -store runs/s/store -figure f2  # cached arms of a result store
 //	dlsim version                              # build + spec-schema identity
+//
+// DLSIM_TOKEN is the service's one shared bearer token: serve locks the
+// service with it, and every subcommand that talks to a service sends
+// it. It is an environment variable, not a flag, so it stays out of ps.
 package main
 
 import (
@@ -88,6 +92,16 @@ commands:
   version  print build, Go, and spec-schema identity
 
 Run dlsim <command> -h for each command's flags.`))
+}
+
+// tokenEnv names the environment variable holding the shared bearer
+// token.
+const tokenEnv = "DLSIM_TOKEN"
+
+// newClient builds the client of every subcommand that talks to a
+// service, authenticated with $DLSIM_TOKEN when it is set.
+func newClient(addr string, opts ...dlsim.ClientOption) *dlsim.Client {
+	return dlsim.NewClient(addr, append(opts, dlsim.WithToken(os.Getenv(tokenEnv)))...)
 }
 
 // signalContext is the root context of CLI runs: Ctrl-C cancels it,
@@ -284,7 +298,7 @@ func runRemote(ctx context.Context, base, path, scaleName string, seed int64, wo
 	if err != nil {
 		return err
 	}
-	client := dlsim.NewClient(base)
+	client := newClient(base)
 	job, err := client.Submit(ctx, dlsim.JobRequest{Spec: sp, Scale: scaleName, Seed: seed, Workers: workers})
 	if err != nil {
 		return err
@@ -410,7 +424,7 @@ func listCmd(args []string) error {
 	}
 	ctx, stop := signalContext()
 	defer stop()
-	entries, err := dlsim.NewClient(*addr).Catalog(ctx)
+	entries, err := newClient(*addr).Catalog(ctx)
 	if err != nil {
 		return err
 	}
@@ -431,7 +445,7 @@ func listCmd(args []string) error {
 func listJobs(addr string, limit, offset int) error {
 	ctx, stop := signalContext()
 	defer stop()
-	client := dlsim.NewClient(addr)
+	client := newClient(addr)
 	page, err := client.JobsPage(ctx, limit, offset)
 	if err != nil {
 		return err
@@ -489,7 +503,7 @@ func versionCmd(args []string) error {
 	if *addr != "" {
 		ctx, stop := signalContext()
 		defer stop()
-		remote, err := dlsim.NewClient(*addr).Version(ctx)
+		remote, err := newClient(*addr).Version(ctx)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/experiment"
+	"gossipmia/internal/server"
 	"gossipmia/pkg/dlsim"
 	"gossipmia/pkg/dlsim/spec"
 )
@@ -429,6 +431,27 @@ func TestListJobsReportsStatzFailure(t *testing.T) {
 	err := run([]string{"list", "-jobs", "-addr", ts.URL})
 	if err == nil || !strings.Contains(err.Error(), "service status") {
 		t.Fatalf("list -jobs over a failing statz: error = %v", err)
+	}
+}
+
+// TestClientsSendToken: a subcommand talking to a locked service
+// authenticates with DLSIM_TOKEN, and without it gets the 401.
+func TestClientsSendToken(t *testing.T) {
+	svc := server.New(server.Config{Token: "sekrit"})
+	ts := httptest.NewServer(svc)
+	defer func() {
+		ts.Close()
+		svc.Close()
+	}()
+	t.Setenv(tokenEnv, "sekrit")
+	if err := run([]string{"version", "-addr", ts.URL}); err != nil {
+		t.Fatalf("version -addr with %s set: %v", tokenEnv, err)
+	}
+	t.Setenv(tokenEnv, "")
+	err := run([]string{"version", "-addr", ts.URL})
+	var ae *dlsim.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusUnauthorized {
+		t.Fatalf("version -addr without %s: error = %v, want 401", tokenEnv, err)
 	}
 }
 

@@ -13,21 +13,16 @@ import (
 
 	"gossipmia/internal/faultinject"
 	"gossipmia/internal/server"
-	"gossipmia/internal/server/middleware"
 )
 
-// serveCmd runs the HTTP/JSON scenario service until interrupted.
+// serveCmd runs the HTTP/JSON scenario service until interrupted. With
+// DLSIM_TOKEN set, every request must carry it as a bearer token.
 func serveCmd(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port; the bound address is printed)")
 	jobs := fs.Int("jobs", 1, "scenarios executing concurrently; everything else waits in the queue")
 	queue := fs.Int("queue", 16, "bounded pending-queue depth; submissions beyond it get HTTP 503")
 	scale := fs.String("scale", "quick", "default scale for submissions that do not set one: tiny, quick, or paper")
-	tokens := fs.String("tokens", "", "bearer tokens as comma-separated token[:tenant] entries; empty disables auth")
-	rate := fs.Float64("rate", 0, "per-tenant request rate limit in req/s; 0 disables")
-	burst := fs.Int("burst", 10, "per-tenant rate-limit burst")
-	quota := fs.Int("quota", 0, "max queued+running jobs per tenant; 0 disables")
-	timeout := fs.Duration("timeout", 0, "per-request handling timeout for non-streaming endpoints; 0 disables")
 	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")
 	retries := fs.Int("retries", 1, "execution attempts per job; transient failures retry with backoff up to this budget")
 	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "base delay of the job retry backoff")
@@ -35,8 +30,6 @@ func serveCmd(args []string) error {
 	storeDir := fs.String("store", "", "put the shared result store here instead of CHECKPOINT/store (requires -checkpoint); content-hash keys dedup arms across jobs and restarts")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain window on SIGTERM/SIGINT before running jobs are checkpointed and aborted")
 	lease := fs.Duration("lease", 15*time.Second, "work-lease TTL for distributed workers; a worker that misses heartbeats this long has its arm reclaimed")
-	armAttempts := fs.Int("arm-attempts", 0, "distinct workers an arm may fail on before it is contained and executed locally; 0 keeps the default (3)")
-	quarantine := fs.Duration("quarantine", 0, "base quarantine cooldown for misbehaving workers; 0 keeps the default (4x the lease TTL)")
 	audit := fs.Float64("audit", 0, "fraction of worker-completed arms to re-execute locally and cross-check byte-for-byte (0 disables, 1 audits everything); a divergent worker is quarantined")
 	inject := fs.String("inject", "", `fault-injection spec for chaos testing, e.g. "arm-error=2,errors=3,arm-panic=5,panics=1,event-delay=10ms"`)
 	logLevel := fs.String("log", "info", "log level: debug, info, warn, or error")
@@ -51,12 +44,6 @@ func serveCmd(args []string) error {
 	}
 	if *lease <= 0 {
 		return fmt.Errorf("serve needs -lease > 0")
-	}
-	if *armAttempts < 0 {
-		return fmt.Errorf("serve needs -arm-attempts >= 0")
-	}
-	if *quarantine < 0 {
-		return fmt.Errorf("serve needs -quarantine >= 0")
 	}
 	if *audit < 0 || *audit > 1 {
 		return fmt.Errorf("serve needs -audit in [0, 1], got %v", *audit)
@@ -84,26 +71,20 @@ func serveCmd(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *addr, err)
 	}
-	limiter := middleware.NewLimiter(*rate, *burst)
+	token := os.Getenv(tokenEnv)
 	svc := server.New(server.Config{
-		Jobs:                   *jobs,
-		QueueDepth:             *queue,
-		DefaultScale:           *scale,
-		MaxBodyBytes:           *maxBody,
-		AuthTokens:             middleware.ParseTokens(*tokens),
-		RateLimit:              *rate,
-		RateBurst:              *burst,
-		MaxActiveJobsPerTenant: *quota,
-		RequestTimeout:         *timeout,
-		Retry:                  server.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
-		CheckpointDir:          *checkpoint,
-		StoreDir:               *storeDir,
-		LeaseTTL:               *lease,
-		MaxArmAttempts:         *armAttempts,
-		QuarantineCooldown:     *quarantine,
-		AuditFraction:          *audit,
-		Fault:                  injector,
-		Log:                    log,
+		Jobs:          *jobs,
+		QueueDepth:    *queue,
+		DefaultScale:  *scale,
+		MaxBodyBytes:  *maxBody,
+		Token:         token,
+		Retry:         server.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
+		CheckpointDir: *checkpoint,
+		StoreDir:      *storeDir,
+		LeaseTTL:      *lease,
+		AuditFraction: *audit,
+		Fault:         injector,
+		Log:           log,
 	})
 	httpSrv := &http.Server{Handler: svc}
 
@@ -112,8 +93,7 @@ func serveCmd(args []string) error {
 	fmt.Printf("dlsim: serving on http://%s (jobs=%d queue=%d scale=%s)\n",
 		ln.Addr(), *jobs, *queue, *scale)
 	log.Info("service configured",
-		"auth", len(middleware.ParseTokens(*tokens)) > 0,
-		"rate", limiter.String(), "quota", *quota,
+		"auth", token != "",
 		"retries", *retries, "checkpoint", *checkpoint, "store", *storeDir, "drain", *drain)
 
 	ctx, stop := signalContext()

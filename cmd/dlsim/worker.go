@@ -22,7 +22,8 @@ import (
 // lease while the arm runs, and uploads the outcome with its content
 // checksum. Any number of workers may point at one service; the
 // server leases each arm to exactly one of them at a time and
-// reclaims arms whose worker disappears.
+// reclaims arms whose worker disappears. DLSIM_TOKEN, when set, is sent
+// as the bearer token.
 //
 // On SIGINT/SIGTERM the worker drains: it stops claiming new arms,
 // finishes and uploads the arms it already holds, deregisters, and
@@ -31,7 +32,6 @@ import (
 func workerCmd(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	serverURL := fs.String("server", "", "dlsim service base URL to pull work from (required)")
-	token := fs.String("token", "", "bearer token, when the service requires auth")
 	name := fs.String("name", "", "worker name for lease bookkeeping (default: host-pid)")
 	parallel := fs.Int("parallel", 1, "arms this worker executes concurrently")
 	workers := fs.Int("workers", 1, "goroutines inside each arm (intra-arm parallelism); results are identical for any value")
@@ -78,16 +78,12 @@ func workerCmd(args []string) error {
 		who = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 
-	// Claims and heartbeats retry on 429/503 honoring Retry-After, so a
-	// draining or rate-limited server backs the fleet off instead of
+	// Claims and heartbeats retry on 503 (and a gateway's 429) honoring
+	// Retry-After, so a draining server backs the fleet off instead of
 	// hammering it.
-	opts := []dlsim.ClientOption{dlsim.WithClientRetry(dlsim.RetryPolicy{
+	client := newClient(*serverURL, dlsim.WithClientRetry(dlsim.RetryPolicy{
 		MaxAttempts: 4, BaseDelay: 250 * time.Millisecond,
-	})}
-	if *token != "" {
-		opts = append(opts, dlsim.WithToken(*token))
-	}
-	client := dlsim.NewClient(*serverURL, opts...)
+	}))
 
 	ctx, stop := signalContext()
 	defer stop()

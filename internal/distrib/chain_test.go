@@ -130,7 +130,7 @@ func TestChainRefusedWhereAClaimIs(t *testing.T) {
 	}
 
 	// Cooldown over: one probe, and nothing chained while it is out.
-	advance(d.cfg.Cooldown + time.Second)
+	advance(d.cooldown() + time.Second)
 	probe := mustClaimNow(t, d, "w1", "a") // reclaimed to the front
 	if _, ok, err := claimNow(d, "w1"); ok || !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("chain with the probe outstanding = (%v, %v), want ErrQuarantined", ok, err)

@@ -73,7 +73,7 @@ type UnitFailure struct {
 	Reason string
 }
 
-// PoisonedError resolves a unit whose failures span MaxAttempts
+// PoisonedError resolves a unit whose failures span maxAttempts
 // distinct workers (or twice that many total attempts): the arm, not
 // the fleet, is the likely culprit, so the submitter should run it
 // locally and surface the history. errors.Is(err, ErrPoisoned)
@@ -90,8 +90,8 @@ func (e *PoisonedError) Error() string {
 
 func (e *PoisonedError) Unwrap() error { return ErrPoisoned }
 
-// Config tunes lease, liveness, and self-healing windows. Zero values
-// pick defaults.
+// Config tunes the lease and liveness windows. Zero values pick
+// defaults; the self-healing windows derive from LeaseTTL.
 type Config struct {
 	// LeaseTTL is how long a claimed unit stays assigned without a
 	// heartbeat before it is reclaimed for re-dispatch. Default 15s.
@@ -103,21 +103,23 @@ type Config struct {
 	// Sweep is the janitor period. Default LeaseTTL/8 clamped to
 	// [5ms, 250ms].
 	Sweep time.Duration
-	// MaxAttempts poisons a unit once that many distinct workers have
-	// failed it (or 2×MaxAttempts attempts in total, so a one-worker
-	// fleet cannot cycle forever). Default 3.
-	MaxAttempts int
-	// Cooldown is the base quarantine duration; consecutive
-	// quarantines double it up to 8×. It is also the score decay
-	// half-life. Default 4×LeaseTTL.
-	Cooldown time.Duration
 }
 
-// failThreshold is the decaying health score at which a worker is
-// quarantined. Completions decay the score; expiries and reported
-// errors add 1, checksum mismatches add 2: three quick errors or two
-// mismatches trip it.
-const failThreshold = 2.5
+const (
+	// failThreshold is the decaying health score at which a worker is
+	// quarantined. Completions decay the score; expiries and reported
+	// errors add 1, checksum mismatches add 2: three quick errors or two
+	// mismatches trip it.
+	failThreshold = 2.5
+	// maxAttempts poisons a unit once that many distinct workers have
+	// failed it (or 2×maxAttempts attempts in total, so a one-worker
+	// fleet cannot cycle forever).
+	maxAttempts = 3
+	// cooldownLeases is the base quarantine duration in lease TTLs;
+	// consecutive quarantines double it up to 8×. The cooldown is also
+	// the score decay half-life.
+	cooldownLeases = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -134,12 +136,6 @@ func (c Config) withDefaults() Config {
 		if c.Sweep > 250*time.Millisecond {
 			c.Sweep = 250 * time.Millisecond
 		}
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 4 * c.LeaseTTL
 	}
 	return c
 }
@@ -317,6 +313,9 @@ func New(cfg Config) *Dispatcher {
 // LeaseTTL reports the configured lease deadline window.
 func (d *Dispatcher) LeaseTTL() time.Duration { return d.cfg.LeaseTTL }
 
+// cooldown is the base quarantine duration.
+func (d *Dispatcher) cooldown() time.Duration { return cooldownLeases * d.cfg.LeaseTTL }
+
 func (d *Dispatcher) wakeLocked() {
 	close(d.wake)
 	d.wake = make(chan struct{})
@@ -335,10 +334,10 @@ func (d *Dispatcher) recLocked(worker string, now time.Time) *workerRec {
 }
 
 // decayLocked applies exponential decay to the worker's failure score
-// with a half-life of Cooldown.
+// with a half-life of one cooldown.
 func (d *Dispatcher) decayLocked(rec *workerRec, now time.Time) {
 	if dt := now.Sub(rec.scoreAt); dt > 0 && rec.score > 0 {
-		rec.score *= math.Pow(0.5, dt.Seconds()/d.cfg.Cooldown.Seconds())
+		rec.score *= math.Pow(0.5, dt.Seconds()/d.cooldown().Seconds())
 	}
 	rec.scoreAt = now
 }
@@ -372,7 +371,7 @@ func (d *Dispatcher) quarantineLocked(rec *workerRec, now time.Time, reason stri
 	mult := time.Duration(1) << min(rec.quarCount, 3)
 	rec.quarCount++
 	rec.quarantines++
-	rec.quarUntil = now.Add(d.cfg.Cooldown * mult)
+	rec.quarUntil = now.Add(d.cooldown() * mult)
 	rec.probeLease = ""
 	d.quarEvts++
 	for _, l := range d.leases {
@@ -403,7 +402,7 @@ func (d *Dispatcher) reinstateLocked(rec *workerRec, now time.Time) {
 }
 
 // failUnitLocked records a failed attempt and poisons the unit when
-// its failures span MaxAttempts distinct workers (or 2×MaxAttempts
+// its failures span maxAttempts distinct workers (or 2×maxAttempts
 // attempts in total). Poisoned units are resolved immediately with a
 // PoisonedError; the caller must not requeue them. Reports whether
 // the unit was poisoned.
@@ -414,7 +413,7 @@ func (d *Dispatcher) failUnitLocked(u *unit, worker, reason string) bool {
 	for _, f := range u.failures {
 		distinct[f.Worker] = true
 	}
-	if len(distinct) < d.cfg.MaxAttempts && u.attempts < 2*d.cfg.MaxAttempts {
+	if len(distinct) < maxAttempts && u.attempts < 2*maxAttempts {
 		return false
 	}
 	u.state = unitResolved

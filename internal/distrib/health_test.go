@@ -101,16 +101,14 @@ func advanceClock(d *Dispatcher, dt time.Duration) {
 // gets exactly one half-open probe claim; completing it successfully
 // reinstates the worker with a clean score.
 func TestProbeReinstatesWorker(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Cooldown = 40 * time.Millisecond
-	d := newTestDispatcher(t, cfg)
+	d := newTestDispatcher(t, fastCfg())
 	registerWorker(t, d, "w1")
 
 	d.Quarantine("w1", "test says so")
 	if _, _, err := d.Claim(context.Background(), "w1", time.Millisecond); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("claim inside cooldown = %v, want ErrQuarantined", err)
 	}
-	advanceClock(d, cfg.Cooldown+10*time.Millisecond)
+	advanceClock(d, d.cooldown()+10*time.Millisecond)
 
 	// Keep the fleet live through a second worker so Execute queues.
 	registerWorker(t, d, "w2")
@@ -138,13 +136,11 @@ func TestProbeReinstatesWorker(t *testing.T) {
 // straight back to quarantine with a longer cooldown instead of
 // reinstating it.
 func TestProbeFailureDoublesCooldown(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Cooldown = 30 * time.Millisecond
-	d := newTestDispatcher(t, cfg)
+	d := newTestDispatcher(t, fastCfg())
 	registerWorker(t, d, "w1")
 
 	d.Quarantine("w1", "bad bytes")
-	advanceClock(d, cfg.Cooldown+10*time.Millisecond)
+	advanceClock(d, d.cooldown()+10*time.Millisecond)
 	registerWorker(t, d, "w2")
 
 	done := execAsync(context.Background(), d, testUnit("probe2"))
@@ -161,9 +157,12 @@ func TestProbeFailureDoublesCooldown(t *testing.T) {
 		t.Fatalf("claim after failed probe = %v, want QuarantineError", err)
 	}
 	// Second quarantine: cooldown doubled (2x base), so the release
-	// time sits beyond one base cooldown from now.
-	if until := time.Until(qe.Until); until < cfg.Cooldown {
-		t.Fatalf("cooldown after failed probe = %v, want >= %v (doubled)", until, cfg.Cooldown)
+	// time sits beyond one base cooldown from the dispatcher's now.
+	d.mu.Lock()
+	left := qe.Until.Sub(d.now())
+	d.mu.Unlock()
+	if left <= d.cooldown() {
+		t.Fatalf("cooldown after failed probe = %v, want > %v (doubled)", left, d.cooldown())
 	}
 	if s := d.Stats(); s.Quarantines != 2 {
 		t.Fatalf("quarantine events = %d, want 2", s.Quarantines)
@@ -178,11 +177,11 @@ func TestProbeFailureDoublesCooldown(t *testing.T) {
 	}
 }
 
-// TestPoisonAfterDistinctWorkerFailures: a unit failed by MaxAttempts
+// TestPoisonAfterDistinctWorkerFailures: a unit failed by maxAttempts
 // distinct workers stops cycling and resolves with a PoisonedError
 // carrying the per-worker history.
 func TestPoisonAfterDistinctWorkerFailures(t *testing.T) {
-	d := newTestDispatcher(t, fastCfg()) // MaxAttempts default 3
+	d := newTestDispatcher(t, fastCfg())
 
 	registerWorker(t, d, "w1")
 	done := execAsync(context.Background(), d, testUnit("cursed"))

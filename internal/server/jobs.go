@@ -31,8 +31,6 @@ type job struct {
 	// seed/workers fields. Execution goes through the public SDK Runner.
 	scale     experiment.Scale
 	scaleName string
-	// tenant is the authenticated submitter; quotas count by it.
-	tenant string
 
 	status string
 	errMsg string
@@ -133,9 +131,8 @@ func jobKey(specHash string, sc experiment.Scale) (string, error) {
 
 // submit registers a new job (or returns the existing job with the
 // same dedup key) and enqueues it. The bool reports dedup; the error
-// is ErrQueueFull when the bounded queue cannot accept the job and
-// ErrQuotaExceeded when the tenant is at its active-job cap.
-func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName, tenant string) (*job, bool, error) {
+// is ErrQueueFull when the bounded queue cannot accept the job.
+func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName string) (*job, bool, error) {
 	specHash, err := sp.Hash()
 	if err != nil {
 		return nil, false, err
@@ -150,20 +147,6 @@ func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName, tenant s
 	if existing, ok := s.byKey[key]; ok {
 		return existing, true, nil
 	}
-	// The quota counts live (queued + running) jobs per tenant. It sits
-	// after dedup on purpose: attaching to an existing execution costs
-	// the tenant nothing.
-	if limit := s.cfg.MaxActiveJobsPerTenant; limit > 0 {
-		live := 0
-		for _, j := range s.jobs {
-			if j.tenant == tenant && !dlsim.TerminalStatus(j.status) {
-				live++
-			}
-		}
-		if live >= limit {
-			return nil, false, ErrQuotaExceeded
-		}
-	}
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	s.seq++
 	j := &job{
@@ -172,7 +155,6 @@ func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName, tenant s
 		spec:      sp,
 		scale:     sc,
 		scaleName: scaleName,
-		tenant:    tenant,
 		status:    dlsim.StatusQueued,
 		submitted: s.now(),
 		cancel:    cancel,
@@ -364,7 +346,7 @@ func (s *Server) runJob(j *job) {
 	j.events.finish()
 	s.pruneLocked()
 	s.log.Info("job finished",
-		"job", j.id, "tenant", j.tenant, "status", j.status,
+		"job", j.id, "status", j.status,
 		"attempts", j.attempts, "error", j.errMsg,
 		"elapsed", j.finished.Sub(j.started).Round(time.Millisecond))
 }
@@ -452,7 +434,6 @@ func (s *Server) statusOf(j *job, deduped bool) *dlsim.JobStatus {
 		Scale:       j.scaleName,
 		Seed:        j.scale.Seed,
 		Workers:     j.scale.Workers,
-		Tenant:      j.tenant,
 		Attempts:    j.attempts,
 		Events:      j.events.len(),
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),

@@ -1,85 +1,31 @@
 package middleware
 
 import (
-	"context"
 	"crypto/subtle"
 	"net/http"
 	"strings"
 )
 
-// AnonymousTenant identifies requests on a service running with auth
-// disabled (no tokens configured): everyone shares one tenant, so rate
-// limits and quotas still apply globally.
-const AnonymousTenant = "anonymous"
-
-// tenantKey keys the authenticated tenant on the context.
-type tenantKey struct{}
-
-// TenantFrom returns the authenticated tenant of the request, or "".
-func TenantFrom(ctx context.Context) string {
-	t, _ := ctx.Value(tenantKey{}).(string)
-	return t
-}
-
-// Auth validates the Authorization bearer token against the configured
-// token→tenant table and stores the resolved tenant identity in the
-// request context for the quota and rate-limit layers. An empty table
-// disables authentication: every request proceeds as AnonymousTenant.
-// Missing or unknown tokens are rejected with 401; comparison is
-// constant-time per candidate so token values do not leak through
-// timing.
-func Auth(tokens map[string]string) Middleware {
+// Auth locks the service behind one shared bearer token. An empty token
+// leaves the service open: next is returned unchanged, so an open
+// service pays nothing per request. Otherwise every request must carry
+// "Authorization: Bearer TOKEN"; a missing, malformed or wrong header is
+// answered 401 with a WWW-Authenticate challenge. The comparison is
+// constant-time so the token does not leak through timing.
+func Auth(token string) Middleware {
 	return func(next http.Handler) http.Handler {
+		if token == "" {
+			return next
+		}
+		want := []byte(token)
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			tenant := AnonymousTenant
-			if len(tokens) > 0 {
-				header := r.Header.Get("Authorization")
-				bearer, ok := strings.CutPrefix(header, "Bearer ")
-				if !ok || bearer == "" {
-					w.Header().Set("WWW-Authenticate", `Bearer realm="dlsim"`)
-					writeError(w, http.StatusUnauthorized, "missing bearer token")
-					return
-				}
-				tenant = ""
-				for tok, name := range tokens {
-					if subtle.ConstantTimeCompare([]byte(tok), []byte(bearer)) == 1 {
-						tenant = name
-					}
-				}
-				if tenant == "" {
-					w.Header().Set("WWW-Authenticate", `Bearer realm="dlsim"`)
-					writeError(w, http.StatusUnauthorized, "unknown token")
-					return
-				}
+			bearer, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+			if !ok || subtle.ConstantTimeCompare([]byte(bearer), want) != 1 {
+				w.Header().Set("WWW-Authenticate", `Bearer realm="dlsim"`)
+				writeError(w, http.StatusUnauthorized, "missing or wrong bearer token")
+				return
 			}
-			if sw, ok := w.(*statusWriter); ok {
-				sw.tenant = tenant
-			}
-			ctx := context.WithValue(r.Context(), tenantKey{}, tenant)
-			next.ServeHTTP(w, r.WithContext(ctx))
+			next.ServeHTTP(w, r)
 		})
 	}
-}
-
-// ParseTokens decodes the CLI's token table: comma-separated
-// token[:tenant] entries. A bare token's tenant defaults to the token's
-// first 8 characters, enough to tell tenants apart in logs without
-// echoing whole credentials.
-func ParseTokens(s string) map[string]string {
-	out := map[string]string{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		tok, tenant, ok := strings.Cut(part, ":")
-		if !ok || tenant == "" {
-			tenant = tok
-			if len(tenant) > 8 {
-				tenant = tenant[:8]
-			}
-		}
-		out[tok] = tenant
-	}
-	return out
 }

@@ -2,21 +2,21 @@
 // service: small, composable http.Handler interceptors assembled into
 // one chain wrapped around every /v1 endpoint. The canonical order is
 //
-//	Recover → RequestID → Log → BodyLimit → Auth → RateLimit → Timeout
+//	Recover → RequestID → Log → BodyLimit → Auth
 //
 // outermost first: panic recovery must observe everything (including a
-// panicking logger), identity must exist before logging, the request
-// must be authenticated before it can consume a tenant's rate budget,
-// and the timeout binds only the work the request was admitted to do.
-// Each middleware is independent and testable on its own; the service
+// panicking logger), identity must exist before logging, and logging
+// sits outside Auth so rejected requests are logged too. Each
+// middleware is independent and testable on its own; the service
 // composes them with Chain.
 package middleware
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"strconv"
 	"time"
 )
 
@@ -50,10 +50,6 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	wrote  bool
-	// tenant is filled in by Auth for the access log: context values
-	// set deeper in the chain are invisible to outer middlewares, so
-	// the shared writer doubles as request-scoped scratch space.
-	tenant string
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
@@ -93,19 +89,10 @@ func BodyLimit(n int64) Middleware {
 	}
 }
 
-// Timeout bounds a request's handling time by deriving a deadline
-// context. It must not wrap streaming endpoints (event follows are
-// long-lived by design); the service applies it to the non-streaming
-// routes only. d <= 0 disables the middleware.
-func Timeout(d time.Duration) Middleware {
-	return func(next http.Handler) http.Handler {
-		if d <= 0 {
-			return next
-		}
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			ctx, cancel := context.WithTimeout(r.Context(), d)
-			defer cancel()
-			next.ServeHTTP(w, r.WithContext(ctx))
-		})
-	}
+// RetryAfter sets h's Retry-After header to wait in the integral
+// seconds the header requires, rounding up so "retry after 0s" never
+// invites an immediate re-spin. Every 503, and the 403 of a
+// quarantined worker, carries one.
+func RetryAfter(h http.Header, wait time.Duration) {
+	h.Set("Retry-After", strconv.FormatInt(max(1, int64(math.Ceil(wait.Seconds()))), 10))
 }

@@ -66,9 +66,8 @@ func RequestIDFrom(ctx context.Context) string {
 }
 
 // Log emits one structured line per request: method, path, status,
-// duration, tenant (once authenticated), and request ID. It sits inside
-// RequestID and outside Auth, so unauthenticated rejections are logged
-// too (with an empty tenant).
+// duration, and request ID. It sits inside RequestID and outside Auth,
+// so unauthenticated rejections are logged too.
 func Log(log *slog.Logger) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -78,14 +77,10 @@ func Log(log *slog.Logger) Middleware {
 			}
 			start := time.Now()
 			next.ServeHTTP(sw, r)
-			// The tenant is resolved by Auth, deeper in the chain; it
-			// reaches the log line through the shared response writer
-			// because context values never flow back up the stack.
 			log.Info("request",
 				"requestID", RequestIDFrom(r.Context()),
 				"method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "durationMS", time.Since(start).Milliseconds(),
-				"tenant", sw.tenant)
+				"status", sw.status, "durationMS", time.Since(start).Milliseconds())
 		})
 	}
 }

@@ -5,7 +5,7 @@ package server
 // end to end over the HTTP API with real simulations.
 //
 //   - an arm that keeps failing on distinct workers is contained after
-//     MaxAttempts, executes locally, and the job completes with the
+//     three workers, executes locally, and the job completes with the
 //     per-worker error history in its status;
 //   - a worker whose uploads fail checksum verification is quarantined
 //     and its bytes never reach the result store;
@@ -65,7 +65,7 @@ func waitLive(t *testing.T, svc *Server, n int) {
 }
 
 // TestPoisonedArmFallsBackLocal is acceptance criterion (a): an arm
-// that fails on MaxArmAttempts distinct workers stops being
+// that fails on three distinct workers stops being
 // redispatched, executes locally, the job completes byte-identical to
 // the fault-free run, and the job status carries every worker's
 // failure.

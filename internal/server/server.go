@@ -7,12 +7,12 @@
 //
 // Every /v1 endpoint sits behind the hardening chain of
 // internal/server/middleware (panic recovery → request ID → structured
-// logging → body-size limit → token auth → per-tenant rate limit →
-// request timeout), and job execution is resilient by construction:
-// transient failures retry with exponential backoff and deterministic
-// jitter, arm panics become failed jobs instead of a dead process, and
-// Drain stops intake and finishes — or, with a checkpoint directory,
-// checkpoints — the work in flight before shutting down.
+// logging → body-size limit → shared-token auth), and job execution is
+// resilient by construction: transient failures retry with exponential
+// backoff and deterministic jitter, arm panics become failed jobs
+// instead of a dead process, and Drain stops intake and finishes — or,
+// with a checkpoint directory, checkpoints — the work in flight before
+// shutting down.
 //
 // v1 endpoints:
 //
@@ -77,14 +77,11 @@ var ErrQueueFull = errors.New("server: job queue full")
 // maps to HTTP 503 with a Retry-After header.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
-// ErrQuotaExceeded is returned when a tenant already has its maximum
-// number of active jobs; it maps to HTTP 429 with a Retry-After header.
-var ErrQuotaExceeded = errors.New("server: active-job quota exceeded")
-
 // RetryPolicy bounds how job execution retries transient failures:
 // MaxAttempts total tries with exponential backoff from BaseDelay,
-// capped at MaxDelay, jittered deterministically per job so a thundering
-// herd of identical retries spreads without a randomness source.
+// capped at maxRetryDelay, jittered deterministically per job so a
+// thundering herd of identical retries spreads without a randomness
+// source.
 type RetryPolicy struct {
 	// MaxAttempts is the total execution budget per job (first try
 	// included). <= 1 disables retries.
@@ -92,9 +89,10 @@ type RetryPolicy struct {
 	// BaseDelay is the backoff before the first retry; attempt k waits
 	// BaseDelay * 2^(k-1), jittered. Default 100ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 5s.
-	MaxDelay time.Duration
 }
+
+// maxRetryDelay caps a job's retry backoff.
+const maxRetryDelay = 5 * time.Second
 
 // withDefaults resolves unset fields.
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -103,9 +101,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 100 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 5 * time.Second
 	}
 	return p
 }
@@ -116,8 +111,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // reproducible run to run yet distinct across jobs.
 func (p RetryPolicy) backoff(k int, seed uint64) time.Duration {
 	d := p.BaseDelay << (k - 1)
-	if d > p.MaxDelay || d <= 0 { // <= 0: shift overflow
-		d = p.MaxDelay
+	if d > maxRetryDelay || d <= 0 { // <= 0: shift overflow
+		d = maxRetryDelay
 	}
 	// splitmix64: one multiply-xor round is plenty for jitter.
 	z := seed + uint64(k)*0x9e3779b97f4a7c15
@@ -149,34 +144,15 @@ type Config struct {
 	// Queued and running jobs are never evicted. Default 256.
 	MaxJobs int
 
-	// AuthTokens maps bearer tokens to tenant names. Empty disables
-	// authentication (every caller is the anonymous tenant).
-	AuthTokens map[string]string
-	// RateLimit grants each tenant this many requests/second (token
-	// bucket of RateBurst). <= 0 disables rate limiting.
-	RateLimit float64
-	// RateBurst is the token-bucket burst per tenant. Default 10.
-	RateBurst int
-	// MaxActiveJobsPerTenant caps a tenant's queued+running jobs; the
-	// excess submission gets 429. <= 0 disables the quota.
-	MaxActiveJobsPerTenant int
-	// RequestTimeout bounds non-streaming request handling. <= 0
-	// disables it; the events stream is never subject to it.
-	RequestTimeout time.Duration
+	// Token is the one bearer token every request must carry. Empty
+	// leaves the service open.
+	Token string
 
 	// Retry is the transient-failure retry policy for job execution.
 	Retry RetryPolicy
 	// LeaseTTL is how long a worker-claimed arm stays leased without a
 	// heartbeat before it is reclaimed for re-dispatch. Default 15s.
 	LeaseTTL time.Duration
-	// MaxArmAttempts contains a poison arm: once that many distinct
-	// workers have failed it, the arm stops cycling through the fleet
-	// and executes locally, with the per-worker error history surfaced
-	// on the job status. Default 3.
-	MaxArmAttempts int
-	// QuarantineCooldown is the base quarantine duration (doubling per
-	// consecutive quarantine, capped at 8×). Default 4×LeaseTTL.
-	QuarantineCooldown time.Duration
 	// AuditFraction in (0, 1] re-executes that fraction of
 	// worker-completed arms locally (sampled deterministically by arm
 	// content hash) and cross-checks byte-identity; a worker caught
@@ -224,9 +200,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 256
-	}
-	if c.RateBurst <= 0 {
-		c.RateBurst = 10
 	}
 	if c.StoreDir == "" && c.CheckpointDir != "" {
 		c.StoreDir = filepath.Join(c.CheckpointDir, "store")
@@ -296,11 +269,7 @@ func New(cfg Config) *Server {
 		notify:     make(chan struct{}, 1),
 		jobs:       map[string]*job{},
 		byKey:      map[string]*job{},
-		dispatch: distrib.New(distrib.Config{
-			LeaseTTL:    cfg.LeaseTTL,
-			MaxAttempts: cfg.MaxArmAttempts,
-			Cooldown:    cfg.QuarantineCooldown,
-		}),
+		dispatch:   distrib.New(distrib.Config{LeaseTTL: cfg.LeaseTTL}),
 	}
 	if cfg.StoreDir != "" {
 		if st, release, err := store.OpenShared(cfg.StoreDir, store.Options{}); err != nil {
@@ -316,38 +285,30 @@ func New(cfg Config) *Server {
 	}
 	// The hardening chain around every /v1 route, outermost first:
 	// recovery must see everything, identity must exist before logging,
-	// auth must resolve the tenant before rate limiting can meter it.
-	base := middleware.Chain(
+	// and a rejected token is logged like any other answer.
+	chain := middleware.Chain(
 		middleware.Recover(cfg.Log),
 		middleware.RequestID(),
 		middleware.Log(cfg.Log),
 		middleware.BodyLimit(cfg.MaxBodyBytes),
-		middleware.Auth(cfg.AuthTokens),
-		middleware.RateLimit(middleware.NewLimiter(cfg.RateLimit, cfg.RateBurst)),
+		middleware.Auth(cfg.Token),
 	)
-	// The timeout applies to request/response endpoints only: an events
-	// follow is long-lived by design and must outlive any such bound.
-	std := middleware.Chain(base, middleware.Timeout(cfg.RequestTimeout))
 	mux := http.NewServeMux()
-	handle := func(pattern string, mw middleware.Middleware, h http.HandlerFunc) {
-		mux.Handle(pattern, mw(h))
-	}
-	handle("POST /v1/jobs", std, s.handleSubmit)
-	handle("GET /v1/jobs", std, s.handleList)
-	handle("GET /v1/jobs/{id}", std, s.handleJob)
-	handle("DELETE /v1/jobs/{id}", std, s.handleCancel)
-	handle("GET /v1/jobs/{id}/events", base, s.handleEvents)
-	// The claim long-poll, like the events follow, must outlive any
-	// request timeout: it rides the base chain.
-	handle("POST /v1/work/claim", base, s.handleClaim)
-	handle("POST /v1/work/register", std, s.handleRegister)
-	handle("POST /v1/work/deregister", std, s.handleDeregister)
-	handle("POST /v1/work/{lease}/heartbeat", std, s.handleHeartbeat)
-	handle("POST /v1/work/{lease}/result", std, s.handleWorkResult)
-	handle("GET /v1/catalog", std, s.handleCatalog)
-	handle("GET /v1/version", std, s.handleVersion)
-	handle("GET /v1/healthz", std, s.handleHealthz)
-	handle("GET /v1/statz", std, s.handleStatz)
+	handle := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, chain(h)) }
+	handle("POST /v1/jobs", s.handleSubmit)
+	handle("GET /v1/jobs", s.handleList)
+	handle("GET /v1/jobs/{id}", s.handleJob)
+	handle("DELETE /v1/jobs/{id}", s.handleCancel)
+	handle("GET /v1/jobs/{id}/events", s.handleEvents)
+	handle("POST /v1/work/claim", s.handleClaim)
+	handle("POST /v1/work/register", s.handleRegister)
+	handle("POST /v1/work/deregister", s.handleDeregister)
+	handle("POST /v1/work/{lease}/heartbeat", s.handleHeartbeat)
+	handle("POST /v1/work/{lease}/result", s.handleWorkResult)
+	handle("GET /v1/catalog", s.handleCatalog)
+	handle("GET /v1/version", s.handleVersion)
+	handle("GET /v1/healthz", s.handleHealthz)
+	handle("GET /v1/statz", s.handleStatz)
 	s.mux = mux
 	s.wg.Add(cfg.Jobs)
 	for i := 0; i < cfg.Jobs; i++ {
@@ -514,19 +475,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	sc.Workers = req.Workers
 
-	j, deduped, err := s.submit(req.Spec, sc, scaleName, middleware.TenantFrom(r.Context()))
+	j, deduped, err := s.submit(req.Spec, sc, scaleName)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Retry-After makes the back-off machine-readable: clients must
 		// not have to parse the error string to know to come back.
 		middleware.RetryAfter(w.Header(), 2*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "job queue full (depth %d): retry later", s.cfg.QueueDepth)
-		return
-	case errors.Is(err, ErrQuotaExceeded):
-		middleware.RetryAfter(w.Header(), 2*time.Second)
-		writeErr(w, http.StatusTooManyRequests,
-			"tenant %q already has %d active jobs: wait for one to finish",
-			middleware.TenantFrom(r.Context()), s.cfg.MaxActiveJobsPerTenant)
 		return
 	case err != nil:
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)

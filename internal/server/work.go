@@ -49,7 +49,7 @@ const maxClaimWait = 30 * time.Second
 // (handled=false) when no worker fleet is live, so the engine runs
 // the arm in-process — the no-worker behavior is byte-identical to a
 // server without the distributed path. An arm the fleet kept failing
-// (poisoned after MaxArmAttempts distinct-worker failures) also falls
+// (poisoned after three distinct-worker failures) also falls
 // back to local execution, with the per-worker error history recorded
 // on the job. With AuditFraction set, a deterministic sample of
 // worker-completed arms is re-executed locally and cross-checked for
@@ -160,9 +160,8 @@ func (s *Server) auditArm(ctx context.Context, j *job, order dlsim.WorkOrder, wo
 	return local, true
 }
 
-// handleClaim is POST /v1/work/claim. It long-polls on the `base`
-// middleware chain (no request timeout — the poll is long-lived by
-// design) and answers 204 when the wait elapses without work.
+// handleClaim is POST /v1/work/claim. It long-polls up to the
+// requested wait and answers 204 when the wait elapses without work.
 func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 	var req dlsim.ClaimRequest
 	if !decodeBody(w, r, &req, "claim request") {

@@ -229,7 +229,7 @@ func TestWorkerTransientErrorRetries(t *testing.T) {
 	svc, _, client := newChaosService(t, Config{
 		Jobs:         1,
 		DefaultScale: "tiny",
-		Retry:        RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond},
+		Retry:        RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
 	})
 	var failed atomic.Bool
 	ctx, stopWorker := context.WithCancel(context.Background())

@@ -65,9 +65,6 @@ type JobStatus struct {
 	Scale   string `json:"scale"`
 	Seed    int64  `json:"seed"`
 	Workers int    `json:"workers"`
-	// Tenant is the authenticated submitter ("anonymous" on an open
-	// service).
-	Tenant string `json:"tenant,omitempty"`
 	// Attempts counts execution tries; a value above 1 means the
 	// service retried transient failures before this outcome.
 	Attempts int `json:"attempts,omitempty"`
@@ -118,8 +115,9 @@ func (e *APIError) Error() string {
 }
 
 // Retryable reports whether the failure is congestion that a backoff
-// can outwait (429 rate limit/quota, 503 queue full or draining, 502/504
-// intermediary trouble) rather than a property of the request.
+// can outwait (503 queue full or draining; 429, 502 or 504 from a
+// gateway in front of the service) rather than a property of the
+// request.
 func (e *APIError) Retryable() bool {
 	switch e.Status {
 	case http.StatusTooManyRequests, http.StatusServiceUnavailable,
@@ -210,7 +208,7 @@ func WithHTTPClient(hc *http.Client) ClientOption {
 }
 
 // WithToken attaches a bearer token to every request — required against
-// a service running with -tokens.
+// a service started with DLSIM_TOKEN set. An empty token sends none.
 func WithToken(token string) ClientOption {
 	return func(c *Client) { c.token = token }
 }

@@ -289,11 +289,16 @@ echo "store smoke ok"
 # six arms on offer, so the first slot to finish finds one queued. Then
 # restart the server over the same store with no workers and resubmit:
 # every arm must be served from the cluster-shared store with zero
-# re-execution (no events streamed, all-hits cache counters).
+# re-execution (no events streamed, all-hits cache counters). The
+# service is locked with DLSIM_TOKEN throughout, which serve, both
+# workers, list -jobs and run -remote read; a bare request gets 401.
 distspec=examples/specs/protocol_latency_grid.json
 "$specout/dlsim-store" sweep -spec "$distspec" -scale tiny -out "$specout/dist-file" -events none >/dev/null
 dckpt="$specout/dist-ckpt"
+export DLSIM_TOKEN=ci-dist-token
 start_serve "$specout/dist.log" -checkpoint "$dckpt" -lease 2s
+code=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/statz")
+[ "$code" = 401 ] || { echo "locked service answered a tokenless request with $code, want 401" >&2; exit 1; }
 "$specout/dlsim" worker -server "$base" -name w1 -parallel 2 >"$specout/dist-w1.log" 2>&1 &
 w1_pid=$!
 "$specout/dlsim" worker -server "$base" -name w2 -parallel 2 >"$specout/dist-w2.log" 2>&1 &
@@ -351,6 +356,7 @@ grep -q 'cache: 6 hits / 0 misses' "$specout/dist-statz.log" || {
     exit 1
 }
 stop_serve
+unset DLSIM_TOKEN
 echo "distributed smoke ok"
 
 # Self-healing fleet smoke, race-enabled: a three-worker fleet where
