@@ -24,9 +24,7 @@ func serveCmd(args []string) error {
 	queue := fs.Int("queue", 16, "bounded pending-queue depth; submissions beyond it get HTTP 503")
 	scale := fs.String("scale", "quick", "default scale for submissions that do not set one: tiny, quick, or paper")
 	maxBody := fs.Int64("max-body", 1<<20, "request body size limit in bytes")
-	retries := fs.Int("retries", 1, "execution attempts per job; transient failures retry with backoff up to this budget")
-	retryBase := fs.Duration("retry-base", 100*time.Millisecond, "base delay of the job retry backoff")
-	checkpoint := fs.String("checkpoint", "", "directory for per-job run directories and the result store every job shares; retries and restarts resume from it")
+	checkpoint := fs.String("checkpoint", "", "directory for per-job run directories and the result store every job shares; restarts resume from it")
 	storeDir := fs.String("store", "", "put the shared result store here instead of CHECKPOINT/store (requires -checkpoint); content-hash keys dedup arms across jobs and restarts")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain window on SIGTERM/SIGINT before running jobs are checkpointed and aborted")
 	lease := fs.Duration("lease", 15*time.Second, "work-lease TTL for distributed workers; a worker that misses heartbeats this long has its arm reclaimed")
@@ -78,7 +76,6 @@ func serveCmd(args []string) error {
 		DefaultScale:  *scale,
 		MaxBodyBytes:  *maxBody,
 		Token:         token,
-		Retry:         server.RetryPolicy{MaxAttempts: *retries, BaseDelay: *retryBase},
 		CheckpointDir: *checkpoint,
 		StoreDir:      *storeDir,
 		LeaseTTL:      *lease,
@@ -94,7 +91,7 @@ func serveCmd(args []string) error {
 		ln.Addr(), *jobs, *queue, *scale)
 	log.Info("service configured",
 		"auth", token != "",
-		"retries", *retries, "checkpoint", *checkpoint, "store", *storeDir, "drain", *drain)
+		"checkpoint", *checkpoint, "store", *storeDir, "drain", *drain)
 
 	ctx, stop := signalContext()
 	defer stop()

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"gossipmia/internal/experiment"
 	"gossipmia/internal/faultinject"
 	"gossipmia/pkg/dlsim"
 )
@@ -241,8 +240,7 @@ func runOrder(ctx context.Context, client *dlsim.Client, log *slog.Logger, order
 	result := dlsim.WorkResult{ElapsedSeconds: elapsed.Seconds()}
 	if runErr != nil {
 		result.Error = runErr.Error()
-		result.Transient = experiment.IsTransient(runErr)
-		log.Warn("arm failed", "err", runErr, "transient", result.Transient)
+		log.Warn("arm failed", "err", runErr)
 	} else {
 		result.Arm = res
 		// The checksum covers the bytes this worker actually computed;

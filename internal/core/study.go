@@ -30,13 +30,12 @@ import (
 var ErrStudy = errors.New("core: invalid study config")
 
 // ErrTransient marks an error as transient: the run failed for a reason
-// that is expected to clear on its own (an I/O hiccup in a record sink,
-// an injected fault, a remote dependency blip) rather than a property of
-// the study itself. Callers holding a retry budget — the job service,
-// sweep drivers — test errors.Is(err, ErrTransient) to decide whether a
-// re-execution can possibly succeed; everything else is fatal and must
-// surface immediately. Determinism makes retries safe: a re-run of the
-// same arm yields byte-identical records.
+// its source declares will clear on its own (an injected fault) rather
+// than a property of the study itself. The experiment engine's arm loop
+// is the one caller that tests it, and re-runs such an arm in place;
+// everything else — a record sink's error included, unless the sink
+// marks it — is fatal and surfaces immediately. Determinism makes the
+// re-run safe: the same arm yields byte-identical records.
 var ErrTransient = errors.New("transient")
 
 // Transient wraps err so it classifies as transient (errors.Is
@@ -297,10 +296,10 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 			return err
 		}
 		if cfg.OnRecord != nil {
-			// A sink failure is an I/O problem, not a science problem:
-			// mark it transient so a retrying caller re-runs the arm.
+			// A sink's error aborts the run as it is: only the sink knows
+			// whether it can clear, and marks it Transient if so.
 			if err := cfg.OnRecord(rec); err != nil {
-				return fmt.Errorf("core: record sink at round %d: %w", round, Transient(err))
+				return fmt.Errorf("core: record sink at round %d: %w", round, err)
 			}
 		}
 		series.Append(rec)

@@ -14,12 +14,12 @@ import (
 )
 
 // pinned returns a dispatcher whose clock stands still, whose janitor
-// never fires on its own (Sweep is an hour) and whose workers stay live
-// until they deregister (WorkerTTL is a day), with the function that
+// never fires on its own (sweep is an hour) and whose workers stay live
+// until they deregister (workerTTL is a day), with the function that
 // moves the clock. A test expires leases by advancing and calling sweep.
 func pinned(t *testing.T) (*Dispatcher, func(time.Duration)) {
 	t.Helper()
-	d := newTestDispatcher(t, Config{LeaseTTL: 10 * time.Second, WorkerTTL: 24 * time.Hour, Sweep: time.Hour})
+	d := newTestDispatcher(t, Config{LeaseTTL: 10 * time.Second, workerTTL: 24 * time.Hour, sweep: time.Hour})
 	clock := time.Unix(1_700_000_000, 0)
 	d.mu.Lock()
 	d.now = func() time.Time { return clock } // called with d.mu held

@@ -96,13 +96,14 @@ type Config struct {
 	// LeaseTTL is how long a claimed unit stays assigned without a
 	// heartbeat before it is reclaimed for re-dispatch. Default 15s.
 	LeaseTTL time.Duration
-	// WorkerTTL is how long a worker counts as live after its last
+
+	// workerTTL is how long a worker counts as live after its last
 	// claim, heartbeat, or upload. A worker parked in a long-poll
-	// claim is always live. Default 2×LeaseTTL.
-	WorkerTTL time.Duration
-	// Sweep is the janitor period. Default LeaseTTL/8 clamped to
-	// [5ms, 250ms].
-	Sweep time.Duration
+	// claim is always live. Default 2×LeaseTTL; tests may set it.
+	workerTTL time.Duration
+	// sweep is the janitor period. Default LeaseTTL/8 clamped to
+	// [5ms, 250ms]; tests may set it.
+	sweep time.Duration
 }
 
 const (
@@ -125,16 +126,16 @@ func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 15 * time.Second
 	}
-	if c.WorkerTTL <= 0 {
-		c.WorkerTTL = 2 * c.LeaseTTL
+	if c.workerTTL <= 0 {
+		c.workerTTL = 2 * c.LeaseTTL
 	}
-	if c.Sweep <= 0 {
-		c.Sweep = c.LeaseTTL / 8
-		if c.Sweep < 5*time.Millisecond {
-			c.Sweep = 5 * time.Millisecond
+	if c.sweep <= 0 {
+		c.sweep = c.LeaseTTL / 8
+		if c.sweep < 5*time.Millisecond {
+			c.sweep = 5 * time.Millisecond
 		}
-		if c.Sweep > 250*time.Millisecond {
-			c.Sweep = 250 * time.Millisecond
+		if c.sweep > 250*time.Millisecond {
+			c.sweep = 250 * time.Millisecond
 		}
 	}
 	return c
@@ -502,7 +503,7 @@ func (d *Dispatcher) Register(worker string) error {
 }
 
 // Deregister removes the worker from the live set immediately — no
-// waiting for WorkerTTL to lapse. Leases it still holds are reclaimed
+// waiting for workerTTL to lapse. Leases it still holds are reclaimed
 // to the front of the queue (without charging the unit a failure; the
 // worker is leaving, not misbehaving), though a late upload against
 // them is still accepted while the unit sits unclaimed.
@@ -588,7 +589,7 @@ func (d *Dispatcher) dequeueLocked(u *unit) {
 }
 
 // LiveWorkers counts workers currently parked in a claim or seen
-// within WorkerTTL, excluding quarantined and draining ones.
+// within workerTTL, excluding quarantined and draining ones.
 func (d *Dispatcher) LiveWorkers() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -601,7 +602,7 @@ func (d *Dispatcher) liveWorkersLocked(now time.Time) int {
 		if rec.state != workerLive {
 			continue
 		}
-		if rec.parked > 0 || now.Sub(rec.seen) <= d.cfg.WorkerTTL {
+		if rec.parked > 0 || now.Sub(rec.seen) <= d.cfg.workerTTL {
 			n++
 		}
 	}
@@ -937,10 +938,10 @@ func (d *Dispatcher) failQueueLocked() {
 	d.queue = nil
 }
 
-// janitor runs sweep every Sweep until the dispatcher closes.
+// janitor runs sweep every cfg.sweep until the dispatcher closes.
 func (d *Dispatcher) janitor() {
 	defer close(d.janitorDone)
-	tick := time.NewTicker(d.cfg.Sweep)
+	tick := time.NewTicker(d.cfg.sweep)
 	defer tick.Stop()
 	for {
 		select {
@@ -1001,7 +1002,7 @@ func (d *Dispatcher) sweep() bool {
 		if rec.state == workerQuarantined && rec.quarUntil.After(horizon) {
 			horizon = rec.quarUntil
 		}
-		if now.Sub(horizon) > 2*d.cfg.WorkerTTL {
+		if now.Sub(horizon) > 2*d.cfg.workerTTL {
 			delete(d.workers, w)
 		}
 	}

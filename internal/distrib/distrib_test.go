@@ -10,7 +10,7 @@ import (
 
 // fastCfg keeps lease windows tiny so expiry paths run in milliseconds.
 func fastCfg() Config {
-	return Config{LeaseTTL: 50 * time.Millisecond, WorkerTTL: 250 * time.Millisecond, Sweep: 5 * time.Millisecond}
+	return Config{LeaseTTL: 50 * time.Millisecond, workerTTL: 250 * time.Millisecond, sweep: 5 * time.Millisecond}
 }
 
 func newTestDispatcher(t *testing.T, cfg Config) *Dispatcher {
@@ -35,7 +35,7 @@ func execAsync(ctx context.Context, d *Dispatcher, u Unit) chan outcome {
 	return ch
 }
 
-// registerWorker marks a worker live (seen within WorkerTTL) with one
+// registerWorker marks a worker live (seen within workerTTL) with one
 // short empty claim, without leaving a claimer parked that would race
 // the test for subsequently queued units.
 func registerWorker(t *testing.T, d *Dispatcher, name string) {
@@ -172,7 +172,7 @@ func TestExpiredLeaseUploadStillAccepted(t *testing.T) {
 
 	done := execAsync(context.Background(), d, testUnit("late"))
 	l := claimOrFatal(t, d, "w1")
-	// The fleet stays live (w1 was seen within WorkerTTL) while the
+	// The fleet stays live (w1 was seen within workerTTL) while the
 	// lease expires and the unit sits requeued, unclaimed.
 	waitFor(t, func() bool { return d.Stats().Reclaims == 1 })
 
@@ -210,7 +210,7 @@ func TestDuplicateCompleteIsStale(t *testing.T) {
 // runs the arm locally instead of waiting forever.
 func TestWorkerVanishesFallsBack(t *testing.T) {
 	cfg := fastCfg()
-	cfg.WorkerTTL = 30 * time.Millisecond
+	cfg.workerTTL = 30 * time.Millisecond
 	d := newTestDispatcher(t, cfg)
 
 	// One short poll marks the worker live, then it disappears.

@@ -11,7 +11,7 @@ import (
 
 // TestRegisterDeregisterLifecycle: an explicit registration makes the
 // fleet live before the first claim, and deregistration removes the
-// worker from the live set immediately — not after 2×WorkerTTL —
+// worker from the live set immediately — not after 2×workerTTL —
 // reclaiming any lease it still holds.
 func TestRegisterDeregisterLifecycle(t *testing.T) {
 	d := newTestDispatcher(t, fastCfg())
@@ -324,11 +324,11 @@ func TestParkedClaimReturnsOnDrain(t *testing.T) {
 }
 
 // TestJanitorForgetsIdleWorkerKeepsParked: the janitor prunes a
-// worker seen beyond 2×WorkerTTL, but never one parked in a claim,
+// worker seen beyond 2×workerTTL, but never one parked in a claim,
 // however long the park lasts.
 func TestJanitorForgetsIdleWorkerKeepsParked(t *testing.T) {
 	cfg := fastCfg()
-	cfg.WorkerTTL = 20 * time.Millisecond
+	cfg.workerTTL = 20 * time.Millisecond
 	d := newTestDispatcher(t, cfg)
 
 	registerWorker(t, d, "idle")
@@ -344,13 +344,13 @@ func TestJanitorForgetsIdleWorkerKeepsParked(t *testing.T) {
 		return false
 	})
 
-	// Past 2×WorkerTTL the idle worker is forgotten; the parked one
+	// Past 2×workerTTL the idle worker is forgotten; the parked one
 	// stays, still counted live.
 	waitFor(t, func() bool {
 		per := d.Stats().PerWorker
 		return len(per) == 1 && per[0].Name == "parked"
 	})
-	time.Sleep(3 * cfg.WorkerTTL)
+	time.Sleep(3 * cfg.workerTTL)
 	per := d.Stats().PerWorker
 	if len(per) != 1 || per[0].Name != "parked" {
 		t.Fatalf("registry after long park = %+v", per)

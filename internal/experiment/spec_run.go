@@ -31,18 +31,13 @@ import (
 // every sibling job riding in it).
 var ErrArmPanic = errors.New("experiment: arm panicked")
 
-// IsTransient reports whether err is worth retrying: the run failed on
-// something expected to clear (sink I/O, injected faults) rather than
-// on the scenario itself. Panics and validation errors are never
-// transient. See core.ErrTransient for the taxonomy.
-func IsTransient(err error) bool { return core.IsTransient(err) }
-
 // RunSpec is the one generic executor every figure and scenario routes
 // through: it expands and validates the spec's arms, runs each as a
 // core.Study at the given scale on the worker pool, and assembles the
 // figure. Arms are fully independent — each derives its seed from the
 // scale and its own seed offset — and land in spec order, so the figure
-// is byte-identical to a serial run for any worker count.
+// is byte-identical to a serial run for any worker count. An arm that
+// fails on a transient error is re-run in place (see armAttempts).
 //
 // Cancelling ctx stops the run promptly: no new arm is started, arms in
 // flight abort at their next round boundary, and the call returns an
@@ -170,18 +165,10 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*
 					return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, ctx.Err())
 				}
 			}
-			var snk sink.Sink
-			if h.sinks != nil {
-				s, err := h.sinks(i, a)
-				if err != nil {
-					return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, err)
-				}
-				snk = s
-			}
-			arm, err = runSpecArmSafe(ctx, scArm, a, snk)
-			if snk != nil {
-				if cerr := snk.Close(); cerr != nil && err == nil {
-					err = cerr
+			for attempt := 1; ; attempt++ {
+				arm, err = runSpecArmLocal(ctx, scArm, i, a, h.sinks)
+				if err == nil || attempt == armAttempts || ctx.Err() != nil || !core.IsTransient(err) {
+					break
 				}
 			}
 			if err != nil {
@@ -263,6 +250,36 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 		}
 	}
 	return arm, true, nil
+}
+
+// armAttempts bounds the executions of one local arm that keeps failing
+// on an error its source marked transient (see core.IsTransient): an
+// injected fault, or a sink's error the sink marked. Panics, invalid
+// arms, cancellation and any other sink error fail at once. There is no
+// backoff: none of these is congestion, and waiting that out is the
+// client's RetryPolicy's job on the wire.
+const armAttempts = 3
+
+// runSpecArmLocal executes arm i once in this process: it opens the
+// arm's sink, runs the arm behind the resilience boundary and closes the
+// sink. Each call opens a fresh sink — an event file is truncated — so a
+// retried arm streams from its first round again.
+func runSpecArmLocal(ctx context.Context, sc Scale, i int, a spec.Arm, sinks func(int, spec.Arm) (sink.Sink, error)) (Arm, error) {
+	var snk sink.Sink
+	if sinks != nil {
+		s, err := sinks(i, a)
+		if err != nil {
+			return Arm{}, err
+		}
+		snk = s
+	}
+	arm, err := runSpecArmSafe(ctx, sc, a, snk)
+	if snk != nil {
+		if cerr := snk.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+	}
+	return arm, err
 }
 
 // runSpecArmSafe is runSpecArm behind the resilience boundary: it fires

@@ -31,7 +31,7 @@ type Config struct {
 	ArmErrorEvery int
 	// ArmErrorBudget caps how many errors are injected in total; 0 with
 	// ArmErrorEvery > 0 means unlimited. A finite budget is what lets a
-	// retried job eventually converge.
+	// retried arm eventually converge.
 	ArmErrorBudget int
 	// ArmPanicEvery > 0 makes every Nth ArmStart call panic (1 = every
 	// call). Panics count against ArmPanicBudget.

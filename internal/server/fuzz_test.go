@@ -38,7 +38,7 @@ func FuzzWorkBodies(f *testing.F) {
 	for _, shape := range []any{
 		dlsim.ClaimRequest{Worker: "w1", WaitSeconds: 15},
 		dlsim.WorkResult{Arm: arm, Sum: arm.Checksum(), ElapsedSeconds: 0.002},
-		dlsim.WorkResult{Error: "arm failed", Transient: true},
+		dlsim.WorkResult{Error: "arm failed"},
 		dlsim.WorkReceipt{Stale: true},
 		dlsim.WorkReceipt{Next: &order},
 	} {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -34,9 +33,6 @@ type job struct {
 
 	status string
 	errMsg string
-	// attempts counts execution tries; > 1 means transient failures
-	// were retried.
-	attempts int
 	// workerFailures is the aggregated per-worker error history of arms
 	// the fleet mishandled: poison-contained arms record every distinct
 	// worker that failed them, audits record workers caught uploading
@@ -221,24 +217,13 @@ func (s *Server) signalLocked() {
 	}
 }
 
-// retrySeed derives the deterministic jitter seed of a job from its
-// dedup key, so two jobs never share a retry schedule yet each job's
-// schedule is reproducible.
-func retrySeed(key string) uint64 {
-	raw, err := hex.DecodeString(key)
-	if err != nil || len(raw) < 8 {
-		return uint64(len(key))
-	}
-	return binary.BigEndian.Uint64(raw[:8])
-}
-
-// runAttempt executes the job once through the public SDK Runner — the
+// runAttempt executes the job through the public SDK Runner — the
 // service is itself a pkg/dlsim consumer, so the wire result and
 // streamed events are the SDK's types by construction. With a
-// checkpoint directory configured the attempt runs directory-backed
-// with resume on: completed arms are served from their caches (and do
-// not re-stream), so a retry — or a resubmission after a restart —
-// pays only for the arms that never finished.
+// checkpoint directory configured the job runs directory-backed with
+// resume on: completed arms are served from their caches (and do not
+// re-stream), so a resubmission after a restart pays only for the arms
+// that never finished.
 func (s *Server) runAttempt(ctx context.Context, j *job) (*dlsim.Result, error) {
 	runner, err := dlsim.NewRunner(
 		dlsim.WithScale(j.scaleName),
@@ -278,14 +263,8 @@ func (s *Server) runAttempt(ctx context.Context, j *job) (*dlsim.Result, error) 
 	return runner.Run(ctx, j.spec)
 }
 
-// runJob executes one dequeued job, retrying transient failures under
-// the server's retry policy with exponential backoff and deterministic
-// jitter. Fatal errors — panics recovered into ErrArmPanic, validation
-// failures, cancellation — terminate immediately. Every evaluated
-// round lands in the job's event log as it is produced; retried arms
-// re-stream rounds they had already produced, which is safe because the
-// engine is deterministic (the re-streamed lines are byte-identical)
-// and the SDK client drops the duplicates by round order.
+// runJob executes one dequeued job and records its terminal status.
+// Every evaluated round lands in the job's event log as it is produced.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
 	if j.status != dlsim.StatusQueued { // cancelled while queued
@@ -300,29 +279,10 @@ func (s *Server) runJob(j *job) {
 	// path; production runs carry a nil injector at zero cost.
 	ctx := faultinject.With(j.ctx, s.cfg.Fault)
 	ctx = experiment.WithOfferDepth(ctx, s.offerDepth)
-	seed := retrySeed(j.key)
-	var res *dlsim.Result
-	var err error
-	attempts := 0
-	for {
-		attempts++
-		res, err = s.runAttempt(ctx, j)
-		if err == nil || j.ctx.Err() != nil || !experiment.IsTransient(err) ||
-			attempts >= s.cfg.Retry.MaxAttempts {
-			break
-		}
-		wait := s.cfg.Retry.backoff(attempts, seed)
-		s.log.Warn("job attempt failed on a transient error; backing off",
-			"job", j.id, "attempt", attempts, "backoff", wait, "error", err)
-		select {
-		case <-j.ctx.Done():
-		case <-time.After(wait):
-		}
-	}
+	res, err := s.runAttempt(ctx, j)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.attempts = attempts
 	j.finished = s.now()
 	switch {
 	case err == nil:
@@ -346,8 +306,7 @@ func (s *Server) runJob(j *job) {
 	j.events.finish()
 	s.pruneLocked()
 	s.log.Info("job finished",
-		"job", j.id, "status", j.status,
-		"attempts", j.attempts, "error", j.errMsg,
+		"job", j.id, "status", j.status, "error", j.errMsg,
 		"elapsed", j.finished.Sub(j.started).Round(time.Millisecond))
 }
 
@@ -382,14 +341,14 @@ func (s *Server) cancelJob(j *job) {
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention
 // cap, bounding what a long-running service holds (full results and
-// event logs are only retained for the MaxJobs most recent jobs;
+// event logs are only retained for the maxJobs most recent jobs;
 // queued and running jobs are never evicted). Callers hold s.mu.
 func (s *Server) pruneLocked() {
-	if len(s.jobs) <= s.cfg.MaxJobs {
+	if len(s.jobs) <= s.cfg.maxJobs {
 		return
 	}
 	kept := s.order[:0]
-	excess := len(s.jobs) - s.cfg.MaxJobs
+	excess := len(s.jobs) - s.cfg.maxJobs
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if excess > 0 && dlsim.TerminalStatus(j.status) {
@@ -434,7 +393,6 @@ func (s *Server) statusOf(j *job, deduped bool) *dlsim.JobStatus {
 		Scale:       j.scaleName,
 		Seed:        j.scale.Seed,
 		Workers:     j.scale.Workers,
-		Attempts:    j.attempts,
 		Events:      j.events.len(),
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
 	}

@@ -8,9 +8,9 @@
 // Every /v1 endpoint sits behind the hardening chain of
 // internal/server/middleware (panic recovery → request ID → structured
 // logging → body-size limit → shared-token auth), and job execution is
-// resilient by construction: transient failures retry with exponential
-// backoff and deterministic jitter, arm panics become failed jobs
-// instead of a dead process, and Drain stops intake and finishes — or,
+// resilient by construction: the engine re-runs an arm that failed on a
+// transient error, arm panics become failed jobs instead of a dead
+// process, and Drain stops intake and finishes — or,
 // with a checkpoint directory, checkpoints — the work in flight before
 // shutting down.
 //
@@ -77,52 +77,6 @@ var ErrQueueFull = errors.New("server: job queue full")
 // maps to HTTP 503 with a Retry-After header.
 var ErrDraining = errors.New("server: draining, not accepting jobs")
 
-// RetryPolicy bounds how job execution retries transient failures:
-// MaxAttempts total tries with exponential backoff from BaseDelay,
-// capped at maxRetryDelay, jittered deterministically per job so a
-// thundering herd of identical retries spreads without a randomness
-// source.
-type RetryPolicy struct {
-	// MaxAttempts is the total execution budget per job (first try
-	// included). <= 1 disables retries.
-	MaxAttempts int
-	// BaseDelay is the backoff before the first retry; attempt k waits
-	// BaseDelay * 2^(k-1), jittered. Default 100ms.
-	BaseDelay time.Duration
-}
-
-// maxRetryDelay caps a job's retry backoff.
-const maxRetryDelay = 5 * time.Second
-
-// withDefaults resolves unset fields.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = 100 * time.Millisecond
-	}
-	return p
-}
-
-// backoff returns the wait before retry attempt k (k >= 1), with
-// deterministic jitter in [50%, 100%] of the exponential step derived
-// from seed — typically the job's dedup key — so the schedule is
-// reproducible run to run yet distinct across jobs.
-func (p RetryPolicy) backoff(k int, seed uint64) time.Duration {
-	d := p.BaseDelay << (k - 1)
-	if d > maxRetryDelay || d <= 0 { // <= 0: shift overflow
-		d = maxRetryDelay
-	}
-	// splitmix64: one multiply-xor round is plenty for jitter.
-	z := seed + uint64(k)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z%1024) / 1024
-	return time.Duration(float64(d) * (0.5 + 0.5*frac))
-}
-
 // Config sizes and hardens the service.
 type Config struct {
 	// Jobs is the number of scenarios executing concurrently (worker
@@ -138,18 +92,11 @@ type Config struct {
 	// MaxBodyBytes bounds a request body (enforced by the middleware
 	// chain). Default 1 MiB.
 	MaxBodyBytes int64
-	// MaxJobs caps how many jobs (with their results and event logs)
-	// the service retains; beyond it the oldest terminal jobs are
-	// evicted so a long-running instance's memory stays bounded.
-	// Queued and running jobs are never evicted. Default 256.
-	MaxJobs int
 
 	// Token is the one bearer token every request must carry. Empty
 	// leaves the service open.
 	Token string
 
-	// Retry is the transient-failure retry policy for job execution.
-	Retry RetryPolicy
 	// LeaseTTL is how long a worker-claimed arm stays leased without a
 	// heartbeat before it is reclaimed for re-dispatch. Default 15s.
 	LeaseTTL time.Duration
@@ -160,8 +107,8 @@ type Config struct {
 	// used. 0 disables audits.
 	AuditFraction float64
 	// CheckpointDir, when set, persists per-job run directories keyed
-	// by dedup key under it: retries and post-restart resubmissions
-	// resume from the arm cache instead of recomputing, and a
+	// by dedup key under it: post-restart resubmissions resume from the
+	// arm cache instead of recomputing, and a
 	// drained-with-deadline job leaves its completed arms behind.
 	CheckpointDir string
 	// StoreDir is where a checkpointing server keeps every job's
@@ -180,6 +127,12 @@ type Config struct {
 	// discard logger, keeping embedded/test use quiet.
 	Log *slog.Logger
 
+	// maxJobs caps how many jobs (with their results and event logs)
+	// the service retains; beyond it the oldest terminal jobs are
+	// evicted so a long-running instance's memory stays bounded.
+	// Queued and running jobs are never evicted. Default 256; tests may
+	// lower it.
+	maxJobs int
 	// now stamps job transitions; tests may pin it.
 	now func() time.Time
 }
@@ -198,13 +151,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 20
 	}
-	if c.MaxJobs <= 0 {
-		c.MaxJobs = 256
+	if c.maxJobs <= 0 {
+		c.maxJobs = 256
 	}
 	if c.StoreDir == "" && c.CheckpointDir != "" {
 		c.StoreDir = filepath.Join(c.CheckpointDir, "store")
 	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Log == nil {
 		c.Log = slog.New(slog.DiscardHandler)
 	}
@@ -252,7 +204,7 @@ type Server struct {
 	// storeRelease drops the server's lifetime reference on the shared
 	// result store (nil without Config.StoreDir). Holding one reference
 	// from New to Close keeps the store — and its process lock — open
-	// across jobs instead of churning open/close per attempt.
+	// across jobs instead of churning open/close per job.
 	storeRelease func() error
 }
 
@@ -274,7 +226,7 @@ func New(cfg Config) *Server {
 	if cfg.StoreDir != "" {
 		if st, release, err := store.OpenShared(cfg.StoreDir, store.Options{}); err != nil {
 			// Surface the problem at startup but let jobs run: each
-			// attempt reopens and reports the real error on its job.
+			// job reopens it and reports the real error.
 			cfg.Log.Warn("result store unavailable at startup", "dir", cfg.StoreDir, "error", err)
 		} else {
 			s.storeRelease = release

@@ -676,13 +676,13 @@ func TestCancelThenResubmitReexecutes(t *testing.T) {
 }
 
 // TestJobRetentionPrunesOldTerminalJobs: a bounded service evicts the
-// oldest terminal jobs (and their event logs) past MaxJobs; live jobs
+// oldest terminal jobs (and their event logs) past maxJobs; live jobs
 // are never evicted.
 func TestJobRetentionPrunesOldTerminalJobs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	client := newTestService(t, Config{Jobs: 1, MaxJobs: 1, DefaultScale: "tiny"})
+	client := newTestService(t, Config{Jobs: 1, maxJobs: 1, DefaultScale: "tiny"})
 
 	first, err := client.Submit(t.Context(), dlsim.JobRequest{Spec: smallSpec(), Scale: "tiny"})
 	if err != nil {

@@ -35,7 +35,6 @@ import (
 	"strconv"
 	"time"
 
-	"gossipmia/internal/core"
 	"gossipmia/internal/distrib"
 	"gossipmia/internal/par"
 	"gossipmia/internal/server/middleware"
@@ -320,9 +319,6 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 	case res.Error != "":
 		verdict = "error"
 		workErr = fmt.Errorf("server: worker execution: %s", res.Error)
-		if res.Transient {
-			workErr = core.Transient(workErr)
-		}
 	case res.Arm == nil:
 		writeErr(w, http.StatusBadRequest, "work result has neither arm nor error")
 		return

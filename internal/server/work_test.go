@@ -214,23 +214,19 @@ func TestWorkerKillReclaimByteIdentical(t *testing.T) {
 	}
 }
 
-// TestWorkerTransientErrorRetries: a worker-side failure (what
-// `-inject arm-error` produces on a worker) no longer fails the job's
-// attempt — the dispatcher charges the worker's health score, requeues
-// the arm, and the same (now behaving) worker redoes it. The job
-// completes on its first attempt, byte-identical to the fault-free
-// run, and the worker's error shows in the per-worker stats.
+// TestWorkerTransientErrorRetries: a worker-side failure (what a
+// worker uploads once its engine gives up on an arm) does not fail the
+// job — the dispatcher charges the worker's health score, requeues the
+// arm, and the same (now behaving) worker redoes it. The job completes
+// byte-identical to the fault-free run, and the worker's error shows in
+// the per-worker stats.
 func TestWorkerTransientErrorRetries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	_, refJSON := referenceRun(t)
 
-	svc, _, client := newChaosService(t, Config{
-		Jobs:         1,
-		DefaultScale: "tiny",
-		Retry:        RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-	})
+	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 	var failed atomic.Bool
 	ctx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
@@ -245,7 +241,7 @@ func TestWorkerTransientErrorRetries(t *testing.T) {
 			}
 			if failed.CompareAndSwap(false, true) {
 				client.CompleteWork(ctx, order.Lease,
-					dlsim.WorkResult{Error: "injected worker fault", Transient: true})
+					dlsim.WorkResult{Error: "injected worker fault"})
 				continue
 			}
 			arm, runErr := executeWorkOrder(ctx, order)
@@ -276,9 +272,6 @@ func TestWorkerTransientErrorRetries(t *testing.T) {
 	}
 	if final.Status != dlsim.StatusDone {
 		t.Fatalf("job after worker fault = %q (%s), want done", final.Status, final.Error)
-	}
-	if final.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (the worker error requeues the arm, not the job)", final.Attempts)
 	}
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("redispatched distributed result diverged:\n got %s\nwant %s", got, refJSON)

@@ -65,9 +65,6 @@ type JobStatus struct {
 	Scale   string `json:"scale"`
 	Seed    int64  `json:"seed"`
 	Workers int    `json:"workers"`
-	// Attempts counts execution tries; a value above 1 means the
-	// service retried transient failures before this outcome.
-	Attempts int `json:"attempts,omitempty"`
 	// Events counts the round records streamed so far.
 	Events      int    `json:"events"`
 	SubmittedAt string `json:"submittedAt"`
@@ -145,7 +142,7 @@ func (e *APIError) Is(target error) bool {
 }
 
 // RetryPolicy bounds the client's retries: MaxAttempts total tries per
-// call with exponential backoff from BaseDelay capped at MaxDelay,
+// call with exponential backoff from BaseDelay capped at maxRetryDelay,
 // deterministically jittered. The server's Retry-After hint, when
 // present and longer, wins over the computed backoff.
 type RetryPolicy struct {
@@ -154,17 +151,15 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BaseDelay seeds the exponential backoff. Default 200ms.
 	BaseDelay time.Duration
-	// MaxDelay caps the backoff. Default 10s.
-	MaxDelay time.Duration
 }
+
+// maxRetryDelay caps the client's backoff.
+const maxRetryDelay = 10 * time.Second
 
 // withDefaults resolves unset fields.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.BaseDelay <= 0 {
 		p.BaseDelay = 200 * time.Millisecond
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = 10 * time.Second
 	}
 	return p
 }
@@ -173,8 +168,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // deterministic jitter in [50%, 100%] of the exponential step.
 func (p RetryPolicy) backoff(k int) time.Duration {
 	d := p.BaseDelay << (k - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
+	if d > maxRetryDelay || d <= 0 {
+		d = maxRetryDelay
 	}
 	z := uint64(k) * 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -447,9 +442,9 @@ func (e *errStreamDropped) Unwrap() error { return e.err }
 // reconnects automatically under the retry budget, resuming from the
 // replay offset already consumed via the server's ?offset parameter.
 // Records of an arm are delivered to fn exactly once in round order
-// even across reconnects and server-side retries: the engine is
-// deterministic, so a re-streamed round is byte-identical and the
-// client drops it by its round number.
+// even across reconnects and arms the engine re-ran after a transient
+// error: the engine is deterministic, so a re-streamed round is
+// byte-identical and the client drops it by its round number.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
 	offset := 0
 	lastRound := map[string]int{}
@@ -511,7 +506,7 @@ func (c *Client) streamEvents(ctx context.Context, id string, offset *int, lastR
 			return fmt.Errorf("dlsim: events: bad line %q: %w", line, err)
 		}
 		if last, seen := lastRound[ev.Arm]; seen && ev.Round <= last {
-			continue // re-streamed by a server-side retry: drop
+			continue // re-streamed by an arm retry: drop
 		}
 		lastRound[ev.Arm] = ev.Round
 		if err := fn(ev); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // fastRetry keeps test backoffs in the microsecond range.
-var fastRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: 10 * time.Microsecond}
+var fastRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}
 
 // minimalSpec passes client-side validation.
 func minimalSpec() *Spec {
@@ -136,7 +136,7 @@ func TestEventsReconnectResumes(t *testing.T) {
 				t.Errorf("reconnect offset = %q, want 2", off)
 			}
 			// The server replays one already-delivered record (a
-			// server-side retry re-streamed it) plus the fresh tail.
+			// re-run arm re-streamed it) plus the fresh tail.
 			fmt.Fprintln(w, `{"arm":"a","round":3}`)
 			fmt.Fprintln(w, `{"arm":"a","round":6}`)
 			fmt.Fprintln(w, `{"arm":"b","round":0}`)

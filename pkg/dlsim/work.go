@@ -96,9 +96,8 @@ type WorkResult struct {
 	// Error reports a failed execution. The server charges it to the
 	// worker's health score and re-dispatches the arm to another
 	// worker; an arm that fails across distinct workers is contained
-	// and executed locally. Transient is advisory.
-	Error     string `json:"error,omitempty"`
-	Transient bool   `json:"transient,omitempty"`
+	// and executed locally.
+	Error string `json:"error,omitempty"`
 	// ElapsedSeconds is the worker-side execution time.
 	ElapsedSeconds float64 `json:"elapsedSeconds,omitempty"`
 }

@@ -172,14 +172,14 @@ func TestHeartbeatRenewal(t *testing.T) {
 func TestCompleteWorkStaleReceipt(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var res WorkResult
-		if err := json.NewDecoder(r.Body).Decode(&res); err != nil || res.Error != "boom" || !res.Transient {
+		if err := json.NewDecoder(r.Body).Decode(&res); err != nil || res.Error != "boom" {
 			t.Errorf("bad result body: %v (%+v)", err, res)
 		}
 		json.NewEncoder(w).Encode(WorkReceipt{Stale: true})
 	}))
 	defer ts.Close()
 	receipt, err := NewClient(ts.URL).CompleteWork(context.Background(), "L7",
-		WorkResult{Error: "boom", Transient: true})
+		WorkResult{Error: "boom"})
 	if err != nil || !receipt.Stale {
 		t.Fatalf("complete = (%+v, %v), want stale receipt", receipt, err)
 	}

@@ -197,14 +197,15 @@ curl -sf "$base/v1/healthz" >/dev/null
 stop_serve
 echo "service smoke ok"
 
-# Chaos smoke, race-enabled: serve with injected transient faults, a
-# retry budget, and a checkpoint directory; submit the example spec;
+# Chaos smoke, race-enabled: serve with injected transient faults (the
+# engine re-runs the failed arm) and a checkpoint directory; submit the
+# example spec;
 # SIGTERM mid-run (graceful drain checkpoints at an arm boundary);
 # restart clean and resubmit. The resumed run must finish and its
 # results.csv must be byte-identical to the fault-free sweep's from the
 # spec smoke above (same spec, scale, and seed).
 ckpt="$specout/ckpt"
-start_serve "$specout/chaos1.log" -checkpoint "$ckpt" -inject "arm-error=3,errors=1" -retries 3 -retry-base 10ms -drain 50ms
+start_serve "$specout/chaos1.log" -checkpoint "$ckpt" -inject "arm-error=3,errors=1" -drain 50ms
 printf '{"scale":"tiny","spec":%s}' "$(cat examples/specs/latency_churn_dp.json)" >"$specout/chaosreq.json"
 curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$specout/chaosreq.json" "$base/v1/jobs" >/dev/null
 sleep 0.5
