@@ -50,6 +50,18 @@ func mixedArms() []StudyConfig {
 			c.Corpus, c.Workers = data.CIFAR10, 4
 			c.Sim.TicksPerRound, c.Sim.WakeMean, c.Sim.WakeStd = 10, 4, 2
 		}),
+		// ≈45k parameters, above the arena's oversize cap: the pool lends
+		// heap-backed gradients, inbox sums and message buffers.
+		arm("purchase100/samo/h64", func(c *StudyConfig) {
+			c.Corpus, c.Train.Hidden = data.Purchase100, []int{64}
+		}),
+		arm("fashion/epidemic/h16", func(c *StudyConfig) {
+			c.Protocol = "epidemic"
+		}),
+		// Queued deliveries land in the receivers' inbox sums.
+		arm("fashion/samo/h16/latency", func(c *StudyConfig) {
+			c.Sim.Net = netmodel.Config{Transport: "latency", LatencyMean: 30, LatencyJitter: 20}
+		}),
 	}
 }
 

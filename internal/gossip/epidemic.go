@@ -21,8 +21,8 @@ var _ PassiveReceiver = Epidemic{}
 // Name implements Protocol.
 func (Epidemic) Name() string { return "epidemic" }
 
-// ReceivesPassively implements PassiveReceiver: OnReceive is a pure
-// inbox append.
+// ReceivesPassively implements PassiveReceiver: OnReceive only adds to
+// the inbox.
 func (Epidemic) ReceivesPassively() bool { return true }
 
 // Targets implements Protocol: Fanout distinct peers other than the
@@ -42,8 +42,6 @@ func (p Epidemic) Targets(node *Node, _ []int, size int, dst []int) ([]int, erro
 // Wake implements Protocol: merge-once and train, as in SAMO.
 func (Epidemic) Wake(node *Node) error { return SAMO{}.Wake(node) }
 
-// OnReceive implements Protocol: store for the next merge, as in SAMO.
-func (Epidemic) OnReceive(node *Node, msg Message) error {
-	node.Inbox = append(node.Inbox, msg)
-	return nil
-}
+// OnReceive implements Protocol: add to the inbox for the next merge,
+// as in SAMO.
+func (Epidemic) OnReceive(node *Node, msg Message) error { return node.receive(msg.Params) }

@@ -7,7 +7,6 @@ import (
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/tensor"
-	"gossipmia/internal/wire"
 )
 
 func TestDropProbValidation(t *testing.T) {
@@ -76,7 +75,7 @@ func TestBytesSentAccounting(t *testing.T) {
 	if err := sim.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.MessagesSent() * wire.ParamsWireSize(model.NumParams())
+	want := sim.MessagesSent() * paramsWireSize(model.NumParams())
 	if sim.BytesSent() != want {
 		t.Fatalf("bytes sent %d, want %d", sim.BytesSent(), want)
 	}
@@ -153,14 +152,14 @@ func TestEpidemicMergesLikeSAMO(t *testing.T) {
 	if err := sim.Send(1, 0, other); err != nil {
 		t.Fatal(err)
 	}
-	if len(node.Inbox) != 1 {
-		t.Fatal("epidemic should store on receive")
+	if node.Inbox.Count != 1 || !sameBits(node.Inbox.Sum, sumOf(node.Model.Params(), other)) {
+		t.Fatal("epidemic should add the model to its inbox on receive")
 	}
 	before := node.Model.ParamsCopy()
 	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
-	if len(node.Inbox) != 0 {
+	if node.Inbox.Count != 0 || node.Inbox.Sum != nil {
 		t.Fatal("inbox not cleared")
 	}
 	if tensor.EqualApprox(node.Model.Params(), before, 1e-12) {

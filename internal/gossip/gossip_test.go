@@ -2,6 +2,7 @@ package gossip
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"gossipmia/internal/data"
@@ -178,14 +179,17 @@ func TestSAMOMergeOnceSemantics(t *testing.T) {
 	if !tensor.EqualApprox(node.Model.Params(), before, 0) {
 		t.Fatal("SAMO merged on receive")
 	}
-	if len(node.Inbox) != 1 {
-		t.Fatalf("inbox size %d, want 1", len(node.Inbox))
+	if node.Inbox.Count != 1 {
+		t.Fatalf("inbox count %d, want 1", node.Inbox.Count)
+	}
+	if !sameBits(node.Inbox.Sum, sumOf(before, other)) {
+		t.Fatal("inbox sum is not the own model plus the received one")
 	}
 	// On wake it merges, trains, clears the inbox, and sends to all.
 	if err := sim.wake(node); err != nil {
 		t.Fatal(err)
 	}
-	if len(node.Inbox) != 0 {
+	if node.Inbox.Count != 0 || node.Inbox.Sum != nil {
 		t.Fatal("inbox not cleared on wake")
 	}
 	if tensor.EqualApprox(node.Model.Params(), before, 1e-12) {
@@ -210,7 +214,7 @@ func TestSAMONoDelayAblationMergesImmediately(t *testing.T) {
 	if tensor.EqualApprox(node.Model.Params(), before, 1e-12) {
 		t.Fatal("no-delay ablation did not merge on receive")
 	}
-	if len(node.Inbox) != 0 {
+	if node.Inbox.Count != 0 || node.Inbox.Sum != nil {
 		t.Fatal("no-delay ablation should not store models")
 	}
 }
@@ -314,10 +318,30 @@ func TestMessageIsPrivateCopy(t *testing.T) {
 	if err := sim.Send(1, 0, params); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the sender's params must not affect the stored message.
-	stored := sim.Nodes()[0].Inbox[0].Params.Clone()
+	// Mutating the sender's params must not affect the stored sum.
+	stored := sim.Nodes()[0].Inbox.Sum.Clone()
 	params[0] += 1000
-	if !tensor.EqualApprox(sim.Nodes()[0].Inbox[0].Params, stored, 0) {
-		t.Fatal("message shares storage with sender")
+	if !sameBits(sim.Nodes()[0].Inbox.Sum, stored) {
+		t.Fatal("inbox sum shares storage with the sender")
 	}
+}
+
+// sumOf is own + received, the inbox sum after one receive.
+func sumOf(own, received tensor.Vector) tensor.Vector {
+	sum := own.Clone()
+	_ = sum.AddInPlace(received)
+	return sum
+}
+
+// sameBits reports whether v and w hold the same floats, bit for bit.
+func sameBits(v, w tensor.Vector) bool {
+	if len(v) != len(w) {
+		return false
+	}
+	for i := range v {
+		if math.Float64bits(v[i]) != math.Float64bits(w[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -17,11 +17,10 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-// Message is a model transmitted between peers. For protocols that
-// retain messages (an inbox), Params is a private arena-backed copy
-// owned by the receiver until RecycleInbox returns it; for synchronous
-// protocols (SyncReceiver) it aliases the sender's live parameters for
-// the duration of OnReceive and must not be stored.
+// Message is a model transmitted between peers. Params aliases the
+// sender's live parameters, or a recycled queue buffer, for the
+// duration of OnReceive only: a protocol consumes it there and never
+// stores it.
 type Message struct {
 	From   int
 	Params tensor.Vector
@@ -43,35 +42,78 @@ type Node struct {
 	Data    data.NodeData
 	Updater LocalUpdater
 
-	// Inbox stores received models that have not been merged yet (the
-	// set Θi of Algorithm 2, minus the node's own model).
-	Inbox []Message
+	// Inbox holds the received models not merged yet (the set Θi of
+	// Algorithm 2, minus the node's own model) as their running sum.
+	Inbox Inbox
 
 	// RNG is the node's private random stream (minibatch shuffling,
 	// neighbor selection, DP noise).
 	RNG *tensor.RNG
-
-	// pool is the simulator's shared buffer arena for message params;
-	// nil for nodes constructed outside a simulator.
-	pool *tensor.VecPool
 
 	// wake schedule (ticks).
 	interval int
 	nextWake int
 }
 
-// RecycleInbox returns the inbox messages' parameter buffers to the
-// simulator's arena and truncates the inbox. Protocols that merge
-// pending models must call it instead of truncating Inbox directly so
-// pooled buffers are reused by future transmissions.
-func (n *Node) RecycleInbox() {
-	for i := range n.Inbox {
-		if n.pool != nil {
-			n.pool.Put(n.Inbox[i].Params)
-		}
-		n.Inbox[i].Params = nil
+// Inbox is a merge-once node's pending models, added up as they arrive.
+// A node's model changes only at its own wake, so the sum of its model
+// and the received ones, taken in arrival order, is the sum the merge
+// would take at the wake: the same floats added in the same order.
+type Inbox struct {
+	// Count is the number of models received since the last merge.
+	Count int
+	// Sum is the node's own model plus every received model, nil while
+	// Count is 0. Its buffer comes from the model's pool.
+	Sum tensor.Vector
+}
+
+// receive adds a received model to the node's running sum; the first
+// one since the last merge starts the sum from a copy of the node's own
+// model.
+func (n *Node) receive(params tensor.Vector) error {
+	if err := n.checkReceived(params); err != nil {
+		return err
 	}
-	n.Inbox = n.Inbox[:0]
+	own := n.Model.Params()
+	if n.Inbox.Count == 0 {
+		n.Inbox.Sum = n.Model.Pool().Get(len(own))
+		copy(n.Inbox.Sum, own)
+	}
+	_ = n.Inbox.Sum.AddInPlace(params) // lengths verified above
+	n.Inbox.Count++
+	return nil
+}
+
+// checkReceived rejects a received model whose size is not the node's.
+func (n *Node) checkReceived(params tensor.Vector) error {
+	if len(params) != n.Model.NumParams() {
+		return fmt.Errorf("node %d received model of size %d, has %d: %w",
+			n.ID, len(params), n.Model.NumParams(), ErrProtocol)
+	}
+	return nil
+}
+
+// merge sets the node's model to the average of its own and the pending
+// ones, sum·1/(n+1), and empties the inbox. It reports whether anything
+// was pending.
+func (n *Node) merge() bool {
+	if n.Inbox.Count == 0 {
+		return false
+	}
+	params := n.Model.Params()
+	copy(params, n.Inbox.Sum)
+	params.Scale(1 / float64(n.Inbox.Count+1))
+	n.RecycleInbox()
+	return true
+}
+
+// RecycleInbox drops the pending models unmerged: the sum's buffer goes
+// back to the model's pool and the count to zero.
+func (n *Node) RecycleInbox() {
+	if n.Inbox.Sum != nil {
+		n.Model.Pool().Put(n.Inbox.Sum)
+	}
+	n.Inbox = Inbox{}
 }
 
 // localUpdate runs the node's updater on its own training split.
@@ -84,8 +126,8 @@ func (n *Node) localUpdate() error {
 
 // SGDUpdater is the standard local updater: Epochs passes of minibatch
 // SGD with the Table 2 hyperparameters. It keeps one Trainer alive
-// across wake-ups so the gradient and shuffle scratch are allocated once
-// per node rather than once per local update.
+// across wake-ups so the optimizer state and shuffle scratch are
+// allocated once per node rather than once per local update.
 type SGDUpdater struct {
 	opt       *nn.SGD
 	batchSize int

@@ -49,7 +49,7 @@ import (
 //     receive-triggered training draws from its RNG *before* its own
 //     wake draws, so its planning must wait until the earlier wakes
 //     have computed. Protocols that implement PassiveReceiver
-//     (standard SAMO, Epidemic — OnReceive only appends to the inbox)
+//     (standard SAMO, Epidemic — OnReceive only adds to the inbox sum)
 //     have no such draw, so the whole tick plans in a single stage and
 //     the coloring alone enforces the compute order — including a
 //     waker that receives before (or after) its own wake in serial
@@ -272,9 +272,9 @@ func (e *tickEngine) runWakes() error {
 // protocols whose OnReceive advances the receiver's RNG) the next waker
 // is an inline target of a wake already planned in this stage, whose
 // compute must run first to keep that node's RNG order serial.
-// PassiveReceiver protocols never break: their receive path is an inbox
-// append, so a tainted waker's planning reads the same RNG state either
-// way, and the compute-order hazard is handled by the precedence
+// PassiveReceiver protocols never break: their receive path only adds
+// to the inbox sum, so a tainted waker's planning reads the same RNG
+// state either way, and the compute-order hazard is handled by the precedence
 // coloring.
 func (e *tickEngine) planStage(next *int) (int, error) {
 	s := e.s

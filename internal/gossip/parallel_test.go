@@ -13,8 +13,8 @@ import (
 
 // runFingerprint runs one simulation and captures everything the engine
 // is contracted to reproduce byte for byte: every node's final
-// parameter vector (exact bits), the unmerged inbox payloads, and all
-// run counters.
+// parameter vector (exact bits), the unmerged inbox (count and sum),
+// and all run counters.
 func runFingerprint(t *testing.T, cfg Config, protocol Protocol) string {
 	t.Helper()
 	fp, _ := runFingerprintSched(t, cfg, protocol)
@@ -38,12 +38,9 @@ func runFingerprintSched(t *testing.T, cfg Config, protocol Protocol) (string, S
 		for _, v := range node.Model.Params() {
 			out = appendBits(out, v)
 		}
-		out = append(out, byte(len(node.Inbox)))
-		for _, m := range node.Inbox {
-			out = append(out, byte(m.From))
-			for _, v := range m.Params {
-				out = appendBits(out, v)
-			}
+		out = append(out, byte(node.Inbox.Count))
+		for _, v := range node.Inbox.Sum {
+			out = appendBits(out, v)
 		}
 	}
 	return fmt.Sprintf("sent=%d dropped=%d delayed=%d bytes=%d pending=%d|%x",
@@ -103,7 +100,7 @@ func matrixProtocols() map[string]Protocol {
 
 // TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single
 // arm's run must be byte-identical — every parameter bit, every inbox
-// payload, every counter — for any Workers setting, for every protocol
+// sum, every counter — for any Workers setting, for every protocol
 // and scenario in the matrix, with the serial loop at Workers = 1 and
 // the engine (it planned wake units) above. Run under -race this also
 // proves the compute batches share no node state.

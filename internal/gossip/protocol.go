@@ -26,25 +26,16 @@ type Protocol interface {
 	// Wake performs the wake's local work — merging pending models,
 	// training — without sending.
 	Wake(node *Node) error
-	// OnReceive is invoked when node receives msg.
+	// OnReceive is invoked when node receives msg. It consumes
+	// msg.Params before it returns (see Message), so the simulator hands
+	// it the sender's live parameters without a copy.
 	OnReceive(node *Node, msg Message) error
 }
 
-// SyncReceiver is optionally implemented by protocols whose OnReceive
-// fully consumes msg.Params before returning (merging synchronously,
-// never storing the buffer). The simulator then skips the defensive
-// per-message copy and hands the receiver the sender's live parameters
-// directly — the zero-allocation fast path of the send pipeline.
-type SyncReceiver interface {
-	// ReceivesSynchronously reports whether OnReceive never retains
-	// msg.Params beyond the call.
-	ReceivesSynchronously() bool
-}
-
 // PassiveReceiver is optionally implemented by protocols whose
-// OnReceive only stores the message (an inbox append) without
-// consuming the receiver's RNG stream or mutating its model or
-// optimizer state. The node-parallel tick engine can then plan a
+// OnReceive only reads the receiver's model into its running sum (the
+// inbox) without consuming the receiver's RNG stream or mutating its
+// model or optimizer state. The node-parallel tick engine can then plan a
 // node's wake before earlier same-tick inline deliveries to it have
 // computed — the plan reads the same RNG state either way — so a
 // dense tick packs into one plan/compute stage instead of fragmenting
@@ -64,14 +55,9 @@ type PassiveReceiver interface {
 type BaseGossip struct{}
 
 var _ Protocol = BaseGossip{}
-var _ SyncReceiver = BaseGossip{}
 
 // Name implements Protocol.
 func (BaseGossip) Name() string { return "base" }
-
-// ReceivesSynchronously implements SyncReceiver: the pairwise average
-// consumes the incoming model inside OnReceive.
-func (BaseGossip) ReceivesSynchronously() bool { return true }
 
 // Targets implements Protocol: select j ∈ N_i uniformly at random — the
 // wake's only RNG use.
@@ -92,20 +78,20 @@ func (BaseGossip) Wake(*Node) error { return nil }
 // the scalar loop, so results are bit-identical — only the sweep is
 // four-wide.
 func (BaseGossip) OnReceive(node *Node, msg Message) error {
-	params := node.Model.Params()
-	if len(params) != len(msg.Params) {
-		return fmt.Errorf("node %d received model of size %d, has %d: %w",
-			node.ID, len(msg.Params), len(params), ErrProtocol)
+	if err := node.checkReceived(msg.Params); err != nil {
+		return err
 	}
+	params := node.Model.Params()
 	_ = params.AddInPlace(msg.Params) // lengths verified above
 	params.Scale(0.5)
 	return node.localUpdate()
 }
 
-// SAMO is Algorithm 2 (Send-All-Merge-Once): received models are stored;
-// on wake, if any were received, the node averages them with its own
-// model, performs one local update, clears the store, and in all cases
-// sends its current model to every neighbor.
+// SAMO is Algorithm 2 (Send-All-Merge-Once): received models are stored
+// (as their running sum, see Inbox); on wake, if any were received, the
+// node averages them with its own model, performs one local update,
+// clears the store, and in all cases sends its current model to every
+// neighbor.
 type SAMO struct {
 	// MergeOnReceive is an ablation switch: when true, incoming models
 	// are merged pairwise immediately (like Base Gossip) but the node
@@ -115,7 +101,6 @@ type SAMO struct {
 }
 
 var _ Protocol = SAMO{}
-var _ SyncReceiver = SAMO{}
 var _ PassiveReceiver = SAMO{}
 
 // Name implements Protocol.
@@ -126,13 +111,8 @@ func (p SAMO) Name() string {
 	return "samo"
 }
 
-// ReceivesSynchronously implements SyncReceiver: only the nodelay
-// ablation merges inside OnReceive; standard SAMO stores the buffer in
-// the inbox until the next wake-up.
-func (p SAMO) ReceivesSynchronously() bool { return p.MergeOnReceive }
-
 // ReceivesPassively implements PassiveReceiver: standard SAMO's
-// OnReceive is a pure inbox append (no RNG draw, no training), so the
+// OnReceive only adds to the inbox (no RNG draw, no training), so the
 // parallel engine may plan wakes past pending inline deliveries. The
 // nodelay ablation trains on receive and stays staged.
 func (p SAMO) ReceivesPassively() bool { return !p.MergeOnReceive }
@@ -145,42 +125,32 @@ func (SAMO) Targets(node *Node, view []int, size int, dst []int) ([]int, error) 
 
 // Wake implements Protocol: the merge-once step of Algorithm 2 (lines
 // 3–7) — if any models are pending, average them with the node's own
-// and run one local update. The average accumulates directly into the
-// node's live parameter vector — same summation order as tensor.Average
-// (own model first, inbox order next) but with zero allocation — and
-// the consumed buffers are recycled into the simulator's arena. For the
+// and run one local update. The inbox already holds the sum in the
+// order tensor.Average takes it (own model first, arrival order next),
+// so the merge is one scaled copy into the live parameters. For the
 // nodelay ablation the inbox is always empty and this is a no-op.
 func (SAMO) Wake(node *Node) error {
-	if len(node.Inbox) == 0 {
+	if !node.merge() {
 		return nil
 	}
-	params := node.Model.Params()
-	for _, m := range node.Inbox {
-		if err := params.AddInPlace(m.Params); err != nil {
-			return fmt.Errorf("node %d merge: %w", node.ID, err)
-		}
-	}
-	params.Scale(1 / float64(len(node.Inbox)+1))
-	node.RecycleInbox()
 	return node.localUpdate()
 }
 
-// OnReceive implements Protocol. The nodelay ablation's pairwise merge
-// uses the same unrolled add/scale kernels as BaseGossip.OnReceive
-// (bit-identical to the scalar loop).
+// OnReceive implements Protocol: add the model to the inbox's running
+// sum. The nodelay ablation's pairwise merge instead uses the same
+// unrolled add/scale kernels as BaseGossip.OnReceive (bit-identical to
+// the scalar loop).
 func (p SAMO) OnReceive(node *Node, msg Message) error {
 	if p.MergeOnReceive {
-		params := node.Model.Params()
-		if len(params) != len(msg.Params) {
-			return fmt.Errorf("node %d received model of size %d, has %d: %w",
-				node.ID, len(msg.Params), len(params), ErrProtocol)
+		if err := node.checkReceived(msg.Params); err != nil {
+			return err
 		}
+		params := node.Model.Params()
 		_ = params.AddInPlace(msg.Params) // lengths verified above
 		params.Scale(0.5)
 		return node.localUpdate()
 	}
-	node.Inbox = append(node.Inbox, msg)
-	return nil
+	return node.receive(msg.Params)
 }
 
 // protocols is every protocol a configuration can name.

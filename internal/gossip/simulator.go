@@ -12,7 +12,6 @@ import (
 	"gossipmia/internal/par"
 	"gossipmia/internal/rps"
 	"gossipmia/internal/tensor"
-	"gossipmia/internal/wire"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -169,11 +168,9 @@ type Simulator struct {
 	churnNext int
 	down      []bool
 
-	// pool recycles per-message parameter buffers; syncRecv marks that
-	// the protocol consumes messages inside OnReceive, letting carry skip
-	// the per-message copy entirely.
-	pool     *tensor.VecPool
-	syncRecv bool
+	// pool is the initial model's, shared by every node's: it recycles
+	// the copies of queued payloads.
+	pool *tensor.VecPool
 
 	tick            int
 	messagesSent    int
@@ -197,8 +194,8 @@ type churnTransition struct {
 // initial model (the common θ0 of the paper), owns its NodeData split,
 // and gets an updater from factory. The initial model's arena (nn.MLP
 // SetArena; nil = the heap) also supplies the simulator's random
-// generators and message buffers, so the simulator shares the models'
-// allocation lifetime.
+// generators, and its pool the message buffers and inbox sums, so the
+// simulator shares the models' allocation lifetime.
 func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeData, factory UpdaterFactory) (*Simulator, error) {
 	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
@@ -223,10 +220,7 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 		nodes:    make([]*Node, cfg.Nodes),
 		protocol: protocol,
 		rng:      rng,
-		pool:     tensor.NewVecPool(initial.NumParams(), arena),
-	}
-	if sr, ok := protocol.(SyncReceiver); ok {
-		s.syncRecv = sr.ReceivesSynchronously()
+		pool:     initial.Pool(),
 	}
 	if cfg.Dynamics == DynamicsCyclon {
 		shuffleLen := cfg.ViewSize/2 + 1
@@ -246,7 +240,6 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 			Data:     nodeData[i],
 			Updater:  factory(i),
 			RNG:      arena.RNG(rng.Int63()),
-			pool:     s.pool,
 			interval: interval,
 			// Uniform phase offset so wake-ups interleave from the start.
 			nextWake: rng.Intn(interval),
@@ -314,9 +307,16 @@ func (s *Simulator) TransportName() string { return s.transport.Name() }
 // NodeDown reports whether node id is currently churned out.
 func (s *Simulator) NodeDown(id int) bool { return s.down[id] }
 
-// BytesSent returns the total wire-format bytes transmitted, using the
-// wire package's frame size for each model.
+// BytesSent returns the total wire-format bytes transmitted,
+// paramsWireSize for each model.
 func (s *Simulator) BytesSent() int { return s.bytesSent }
+
+// paramsWireSize is the size in bytes of a model of n parameters on the
+// wire: a little-endian frame of the flat parameter vector, magic(4)
+// version(2) reserved(2) count(8) payload(8·n) crc(4). The simulator
+// charges every message this many bytes (RQ4's "models sent" measured
+// in bytes); nothing is serialized.
+func paramsWireSize(n int) int { return 4 + 2 + 2 + 8 + 8*n + 4 }
 
 // SchedStats reports the schedule the node-parallel tick engine
 // executed — planned wake units, conflict-free batches, and stages.
@@ -379,7 +379,7 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	if to < 0 || to >= len(s.nodes) {
 		return p, fmt.Errorf("%w: send to unknown node %d", ErrProtocol, to)
 	}
-	wireBytes := wire.ParamsWireSize(nparams)
+	wireBytes := paramsWireSize(nparams)
 	s.messagesSent++
 	s.bytesSent += wireBytes
 	// An offline receiver loses the message at send time, before the
@@ -402,27 +402,22 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	return p, nil
 }
 
-// carry moves the payload of a planned send. Allocation discipline:
-// when the protocol merges synchronously (SyncReceiver), an inline
-// receiver reads the sender's live parameters directly and no copy is
-// made. Otherwise — and for every queued delivery, whose payload must
-// survive the sender's future updates — the private copy comes from a
-// recycled arena buffer (returned to the pool after the merge), so
-// steady-state sends allocate nothing on any path.
+// carry moves the payload of a planned send. An inline receiver reads
+// the sender's live parameters: OnReceive consumes them before it
+// returns, so no copy is made. A queued payload must survive the
+// sender's future updates, so it is copied into a buffer from the pool,
+// which takes it back as soon as it is delivered; steady-state sends
+// allocate nothing on either path.
 func (s *Simulator) carry(p *plannedSend, params tensor.Vector) error {
-	if p.mode == sendDropped {
-		return nil
+	switch p.mode {
+	case sendDropped: // nothing to move
+	case sendInline:
+		return s.protocol.OnReceive(s.nodes[p.to], Message{From: p.from, Params: params})
+	case sendQueued:
+		p.buf = s.pool.Get(len(params))
+		copy(p.buf, params)
 	}
-	payload := params
-	if p.mode == sendQueued || !s.syncRecv {
-		payload = s.pool.Get(len(params))
-		copy(payload, params)
-	}
-	if p.mode == sendQueued {
-		p.buf = payload
-		return nil
-	}
-	return s.protocol.OnReceive(s.nodes[p.to], Message{From: p.from, Params: payload})
+	return nil
 }
 
 // schedule puts a queued send that carry has copied on the transport's
@@ -550,8 +545,8 @@ func (s *Simulator) observeTick(observer Observer) error {
 
 // applyChurn processes the churn transitions scheduled for the current
 // tick. A departing node loses its unmerged inbox (volatile state —
-// the buffers go back to the arena); its model persists across the
-// outage.
+// the sum's buffer goes back to the pool); its model persists across
+// the outage.
 func (s *Simulator) applyChurn() {
 	for s.churnNext < len(s.churn) && s.churn[s.churnNext].tick <= s.tick {
 		tr := s.churn[s.churnNext]
@@ -587,15 +582,11 @@ func (s *Simulator) drainDue() []netmodel.Delivery {
 	return s.drainBuf
 }
 
-// receiveQueued hands one due delivery to the protocol. Queued payloads
-// are arena buffers: a synchronously merging protocol consumes the
-// buffer here and it is recycled immediately; a retaining protocol
-// keeps it in the node's inbox until RecycleInbox.
+// receiveQueued hands one due delivery to the protocol, which consumes
+// the payload, and recycles the payload's buffer.
 func (s *Simulator) receiveQueued(d *netmodel.Delivery) error {
 	err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: d.Params})
-	if s.syncRecv {
-		s.pool.Put(d.Params) // VecPool is safe for concurrent use
-	}
+	s.pool.Put(d.Params) // VecPool is safe for concurrent use
 	d.Params = nil
 	if err != nil {
 		return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)

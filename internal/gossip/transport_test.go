@@ -25,7 +25,7 @@ func TestLatencyTransportDelaysDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing arrives on the sender's call stack: the message is queued.
-	if len(receiver.Inbox) != 0 {
+	if receiver.Inbox.Count != 0 {
 		t.Fatal("latency transport delivered inline")
 	}
 	if sim.MessagesDelayed() != 1 || sim.PendingDeliveries() != 1 {
@@ -102,8 +102,8 @@ func TestLatencyRunsAreDeterministic(t *testing.T) {
 		}
 		return sim.Nodes()[0].Model.ParamsCopy()
 	}
-	// base is a SyncReceiver (queued payloads recycled after the merge);
-	// samo retains them in the inbox — both must be reproducible.
+	// base merges a queued payload pairwise, samo adds it to the inbox
+	// sum — both must be reproducible.
 	for _, protocol := range []string{"base", "samo"} {
 		if !tensor.EqualApprox(run(protocol), run(protocol), 0) {
 			t.Fatalf("%s: identical seeds produced different latency runs", protocol)
@@ -275,7 +275,8 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Send(0, 1, sim.Nodes()[0].Model.Params()); err != nil {
+	sent := sim.Nodes()[0].Model.ParamsCopy()
+	if err := sim.Send(0, 1, sent); err != nil {
 		t.Fatal(err) // queued at tick 0, due tick 10 — after the rejoin
 	}
 	// Drive ticks 0..11 through churn and delivery only (no wakes, so no
@@ -292,8 +293,12 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	if sim.MessagesDropped() != 0 {
 		t.Fatalf("post-rejoin delivery dropped (%d drops)", sim.MessagesDropped())
 	}
-	if len(sim.Nodes()[1].Inbox) != 1 {
-		t.Fatalf("inbox = %d, want the late delivery", len(sim.Nodes()[1].Inbox))
+	receiver := sim.Nodes()[1]
+	if receiver.Inbox.Count != 1 {
+		t.Fatalf("inbox count = %d, want the late delivery", receiver.Inbox.Count)
+	}
+	if !sameBits(receiver.Inbox.Sum, sumOf(receiver.Model.Params(), sent)) {
+		t.Fatal("the late delivery did not land in the inbox sum")
 	}
 }
 
@@ -367,19 +372,29 @@ func TestChurnedInboxIsRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Deliver before the leave tick; the unmerged inbox must be dropped
-	// when the node goes down.
+	// when the node goes down, its sum's buffer back in the pool.
 	if err := sim.Send(0, 1, sim.Nodes()[0].Model.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if len(sim.Nodes()[1].Inbox) != 1 {
-		t.Fatalf("inbox = %d, want 1", len(sim.Nodes()[1].Inbox))
+	node := sim.Nodes()[1]
+	if node.Inbox.Count != 1 || node.Inbox.Sum == nil {
+		t.Fatalf("inbox count = %d, want 1 and a sum", node.Inbox.Count)
+	}
+	sum := node.Inbox.Sum
+	for ; sim.tick <= 1; sim.tick++ {
+		sim.applyChurn()
+	}
+	if !sim.NodeDown(1) || node.Inbox.Count != 0 || node.Inbox.Sum != nil {
+		t.Fatalf("after the leave: down=%v, inbox count %d", sim.NodeDown(1), node.Inbox.Count)
+	}
+	if got := sim.pool.Get(len(sum)); &got[0] != &sum[0] {
+		t.Fatal("the dropped inbox sum did not go back to the pool")
+	} else {
+		sim.pool.Put(got)
 	}
 	if err := sim.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	// The node rejoined and kept running; nothing from before the crash
-	// may linger unless it was received after the rejoin and is pending
-	// a wake that never came — either way the crash-time inbox is gone.
 	if sim.NodeDown(1) {
 		t.Fatal("node 1 still down")
 	}

@@ -98,21 +98,20 @@ type threePassTrainer struct {
 
 func (o *threePassTrainer) batchGrad(xs []tensor.Vector, ys []int) float64 {
 	m, grad, B := o.m, o.grad, len(xs)
-	m.bActs = m.batchRows(m.bActs, m.sizes, B)
-	m.bDeltas = m.batchRows(m.bDeltas, m.sizes[1:], B)
+	batch := tensor.NewVector(m.batchFloats(B, true))
 	grad.Zero()
 	layers := len(m.sizes) - 1
 	in0 := m.sizes[0]
 	for r, x := range xs {
-		copy(m.bActs[0][r*in0:(r+1)*in0], x)
+		copy(m.act(batch, 0, B)[r*in0:(r+1)*in0], x)
 	}
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
-		dst := m.bActs[l+1][:B*out]
+		dst := m.act(batch, l+1, B)
 		for r := 0; r < B; r++ {
 			copy(dst[r*out:(r+1)*out], m.bias(l))
 		}
-		tensor.GemmNT(dst, m.bActs[l][:B*in], m.weight(l), B, out, in)
+		tensor.GemmNT(dst, m.act(batch, l, B), m.weight(l), B, out, in)
 		if l < layers-1 {
 			for i, v := range dst {
 				if v < 0 {
@@ -124,16 +123,16 @@ func (o *threePassTrainer) batchGrad(xs []tensor.Vector, ys []int) float64 {
 	classes := m.sizes[layers]
 	var loss float64
 	for r := 0; r < B; r++ {
-		row := m.bDeltas[layers-1][r*classes : (r+1)*classes]
-		Softmax(m.bActs[layers][r*classes:(r+1)*classes], row)
+		row := m.delta(batch, layers-1, B)[r*classes : (r+1)*classes]
+		Softmax(m.act(batch, layers, B)[r*classes:(r+1)*classes], row)
 		loss += crossEntropyFromProbs(row, ys[r])
 		row[ys[r]] -= 1
 	}
 	for l := layers - 1; l >= 0; l-- {
 		in, out := m.sizes[l], m.sizes[l+1]
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
-		delta := m.bDeltas[l][:B*out]
-		tensor.GemmTN(grad[m.wOff[l]:m.wOff[l]+in*out], delta, m.bActs[l][:B*in], out, in, B)
+		delta := m.delta(batch, l, B)
+		tensor.GemmTN(grad[m.wOff[l]:m.wOff[l]+in*out], delta, m.act(batch, l, B), out, in, B)
 		for r := 0; r < B; r++ {
 			for o, d := range delta[r*out : (r+1)*out] {
 				gb[o] += d
@@ -142,10 +141,10 @@ func (o *threePassTrainer) batchGrad(xs []tensor.Vector, ys []int) float64 {
 		if l == 0 {
 			break
 		}
-		prev := m.bDeltas[l-1][:B*in]
+		prev := m.delta(batch, l-1, B)
 		prev.Zero()
 		tensor.GemmNN(prev, delta, m.weight(l), B, in, out)
-		for i, h := range m.bActs[l][:B*in] {
+		for i, h := range m.act(batch, l, B) {
 			if h <= 0 {
 				prev[i] = 0
 			}
@@ -245,7 +244,18 @@ func TestTrainerEpochMatchesThreePassOracle(t *testing.T) {
 						grad:     tensor.NewVector(model.NumParams()),
 					}
 					tr := NewTrainer(model, NewSGD(cfg), batch, 3)
-					tr.grad.Fill(math.NaN()) // nothing may be read from it before it is written
+					// The gradient and batch scratch the trainer borrows come
+					// out of the pool full of NaN: nothing may be read from
+					// them before it is written.
+					rows := batch
+					if rows <= 0 {
+						rows = n
+					}
+					for _, size := range []int{model.NumParams(), model.batchFloats(rows, true)} {
+						poisoned := tensor.NewVector(size)
+						poisoned.Fill(math.NaN())
+						model.pool.Put(poisoned)
+					}
 					loss, err := tr.RunEpochs(xs, ys, tensor.NewRNG(5))
 					if err != nil {
 						t.Fatal(err)

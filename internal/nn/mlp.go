@@ -30,24 +30,20 @@ type MLP struct {
 	sizes  []int         // layer widths, len >= 2: [in, h..., out]
 	params tensor.Vector // flat parameters: per layer W (out*in) then b (out)
 
-	// Per-layer offsets into params.
-	wOff, bOff []int
+	// Per-layer offsets into params, and aOff[l] = Σ sizes[:l], the
+	// offsets of the batch matrices in one row of batch scratch.
+	wOff, bOff, aOff []int
 
-	// Scratch buffers reused across calls.
+	// Per-example scratch buffers reused across calls.
 	acts   []tensor.Vector // acts[0] = input copy, acts[l] = activation of layer l
 	deltas []tensor.Vector // back-propagated errors per layer
 	probs  tensor.Vector   // softmax output scratch
 
-	// Batched scratch, lazily sized to the largest batch seen (Clone
-	// does not copy it): bActs[l] and bDeltas[l] hold row-major rows ×
-	// width matrices. The two grow apart (batchRows) because
-	// forward-only scoring never reads the deltas.
-	bActs   []tensor.Vector
-	bDeltas []tensor.Vector
-
-	// arena supplies the parameters of clones and every scratch vector
-	// sized after SetArena (nil = the heap).
+	// arena supplies the parameters and scratch of clones (nil = the
+	// heap); pool, shared with every clone, lends the batch scratch and
+	// the trainer's gradient for one call.
 	arena *tensor.Arena
+	pool  *tensor.VecPool
 }
 
 // NewMLP builds an MLP with the given layer sizes (input, hidden...,
@@ -63,7 +59,7 @@ func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 			return nil, fmt.Errorf("non-positive layer size in %v: %w", sizes, ErrArchitecture)
 		}
 	}
-	m := &MLP{sizes: append([]int(nil), sizes...)}
+	m := &MLP{sizes: append([]int(nil), sizes...), pool: tensor.NewVecPool(nil)}
 	layers := len(sizes) - 1
 	m.wOff = make([]int, layers)
 	m.bOff = make([]int, layers)
@@ -74,6 +70,10 @@ func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 		total += in * out
 		m.bOff[l] = total
 		total += out
+	}
+	m.aOff = make([]int, len(sizes)+1)
+	for i, s := range sizes {
+		m.aOff[i+1] = m.aOff[i] + s
 	}
 	m.params = tensor.NewVector(total)
 	for l := 0; l < layers; l++ {
@@ -139,14 +139,16 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 // Clone returns a model with the same architecture and a deep copy of the
 // parameters, with its own scratch buffers (safe to use from another
 // goroutine than the original). The layer tables are immutable and
-// shared; the arena carries over.
+// shared; the arena and the pool carry over.
 func (m *MLP) Clone() *MLP {
 	out := &MLP{
 		sizes:  m.sizes,
 		params: m.arena.Vector(len(m.params)),
 		wOff:   m.wOff,
 		bOff:   m.bOff,
+		aOff:   m.aOff,
 		arena:  m.arena,
+		pool:   m.pool,
 	}
 	copy(out.params, m.params)
 	out.allocScratch()
@@ -154,14 +156,23 @@ func (m *MLP) Clone() *MLP {
 }
 
 // SetArena makes a the source of this model's later allocations: the
-// parameters and scratch of every Clone (and of their clones), lazily
-// sized batch scratch, and the buffers of a Trainer built over the
-// model. Everything so allocated dies at a.Reset, so the models must
-// not be used past it. nil (the default) allocates from the heap.
-func (m *MLP) SetArena(a *tensor.Arena) { m.arena = a }
+// parameters and scratch of every Clone (and of their clones), the
+// buffers of a Trainer built over the model, and a new pool, shared by
+// the later clones, whose vectors come from a. Everything so allocated
+// dies at a.Reset, so the models must not be used past it. nil (the
+// default) allocates from the heap.
+func (m *MLP) SetArena(a *tensor.Arena) {
+	m.arena = a
+	m.pool = tensor.NewVecPool(a)
+}
 
 // Arena returns the arena set by SetArena, nil for the heap.
 func (m *MLP) Arena() *tensor.Arena { return m.arena }
+
+// Pool returns the free list the model and its clones borrow their
+// batch scratch and gradients from. The gossip simulator recycles its
+// message buffers through it too, so one arm has one.
+func (m *MLP) Pool() *tensor.VecPool { return m.pool }
 
 // forward runs the network on x, filling m.acts. The final activation is
 // the logits (no softmax).
@@ -342,7 +353,9 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 // gradient rows are walked once per four examples instead of once per
 // example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
-	loss, err := m.batchGradSum(xs, ys, grad)
+	batch := m.pool.Get(m.batchFloats(len(xs), true))
+	loss, err := m.batchGradSum(xs, ys, grad, batch)
+	m.pool.Put(batch)
 	if err != nil {
 		return 0, err
 	}
@@ -351,12 +364,43 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 	return loss * inv, nil
 }
 
+// Batch scratch is one call's batch-major matrices of B rows, back to
+// back in one vector borrowed from the pool: the activations of every
+// layer, the input copy first, then for training the errors of every
+// layer's output. Offsets scale with B, so scratch sized for more rows
+// serves a smaller batch. Every element a pass reads it first writes —
+// the pool hands vectors out dirty.
+
+// batchFloats returns the length of batch scratch for rows rows: the
+// activations, and the errors when deltas is set.
+func (m *MLP) batchFloats(rows int, deltas bool) int {
+	n := m.aOff[len(m.sizes)]
+	if deltas {
+		n += n - m.sizes[0]
+	}
+	return rows * n
+}
+
+// act returns the B × sizes[l] activation matrix of layer l in batch.
+func (m *MLP) act(batch tensor.Vector, l, B int) tensor.Vector {
+	off := B * m.aOff[l]
+	return batch[off : off+B*m.sizes[l]]
+}
+
+// delta returns the B × sizes[l+1] error matrix of layer l's output in
+// batch.
+func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
+	off := B * (m.aOff[len(m.sizes)] + m.aOff[l+1] - m.sizes[0])
+	return batch[off : off+B*m.sizes[l+1]]
+}
+
 // batchGradSum is BatchGrad before the division by len(xs): it writes the
 // sum of the example gradients into grad — every element once, none read
-// first — and returns the sum of their losses. The trainer folds the
-// division into its optimizer step (SGD.step) instead of paying a pass
-// over the gradient for it.
-func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
+// first — and returns the sum of their losses. batch is scratch of at
+// least batchFloats(len(xs), true). The trainer folds the division into
+// its optimizer step (SGD.step) instead of paying a pass over the
+// gradient for it.
+func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("batch of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
@@ -374,15 +418,13 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad tensor.Vector) (fl
 			return 0, err
 		}
 	}
-	m.bActs = m.batchRows(m.bActs, m.sizes, B)
-	m.bDeltas = m.batchRows(m.bDeltas, m.sizes[1:], B)
 	layers := len(m.sizes) - 1
-	m.batchForward(xs)
+	m.batchForward(xs, batch)
 
 	// Loss and output deltas: softmax rows, p - onehot(y).
 	classes := m.sizes[layers]
-	logits := m.bActs[layers][:B*classes]
-	dOut := m.bDeltas[layers-1][:B*classes]
+	logits := m.act(batch, layers, B)
+	dOut := m.delta(batch, layers-1, B)
 	var loss float64
 	for r := 0; r < B; r++ {
 		row := dOut[r*classes : (r+1)*classes]
@@ -397,9 +439,8 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad tensor.Vector) (fl
 		in, out := m.sizes[l], m.sizes[l+1]
 		gw := grad[m.wOff[l] : m.wOff[l]+in*out]
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
-		delta := m.bDeltas[l][:B*out]
-		src := m.bActs[l][:B*in]
-		tensor.GemmTNStore(gw, delta, src, out, in, B)
+		delta := m.delta(batch, l, B)
+		tensor.GemmTNStore(gw, delta, m.act(batch, l, B), out, in, B)
 		gb.Zero()
 		for r := 0; r < B; r++ {
 			drow := delta[r*out : (r+1)*out]
@@ -410,34 +451,32 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad tensor.Vector) (fl
 		if l == 0 {
 			break
 		}
-		prev := m.bDeltas[l-1][:B*in]
+		prev := m.delta(batch, l-1, B)
 		prev.Zero()
 		tensor.GemmNN(prev, delta, m.weight(l), B, in, out)
-		prev.ReLUMask(m.bActs[l][:B*in])
+		prev.ReLUMask(m.act(batch, l, B))
 	}
 	return loss, nil
 }
 
 // batchForward runs the blocked forward pass A_{l+1} = relu(A_l·W_lᵀ +
-// b_l) over the B examples in xs, filling m.bActs with batch-major
-// rows. Callers must have validated input dimensions and sized the
-// activations with batchRows for len(xs) rows. Each logit accumulates its
-// terms in increasing input-index order — the same chained sum as the
-// per-example forward — so the rows are bit-identical to calling
+// b_l) over the B examples in xs, filling the activations of batch.
+// Callers must have validated input dimensions. Each logit accumulates
+// its terms in increasing input-index order — the same chained sum as
+// the per-example forward — so the rows are bit-identical to calling
 // forward example by example.
-func (m *MLP) batchForward(xs []tensor.Vector) {
+func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector) {
 	B := len(xs)
 	layers := len(m.sizes) - 1
 	in0 := m.sizes[0]
-	a0 := m.bActs[0][:B*in0]
+	a0 := m.act(batch, 0, B)
 	for r, x := range xs {
 		copy(a0[r*in0:(r+1)*in0], x)
 	}
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
 		w, b := m.weight(l), m.bias(l)
-		src := m.bActs[l][:B*in]
-		dst := m.bActs[l+1][:B*out]
+		src, dst := m.act(batch, l, B), m.act(batch, l+1, B)
 		for r := 0; r < B; r++ {
 			copy(dst[r*out:(r+1)*out], b)
 		}
@@ -450,18 +489,19 @@ func (m *MLP) batchForward(xs []tensor.Vector) {
 
 // scoreChunk is the row count of one ScoreBatch forward pass: large
 // enough that the blocked GEMM kernels pay off, small enough that the
-// per-model scratch stays modest (scoreChunk × Σ widths floats).
+// borrowed scratch stays modest (scoreChunk × Σ widths floats).
 const scoreChunk = 64
 
 // ScoreBatch runs the model forward over xs in fixed-size chunks using
 // the same blocked GEMM kernels as BatchGrad and invokes score(i,
 // logits) once per example, in order, with example i's logit row. The
-// row aliases internal scratch and is only valid during the callback.
+// row aliases scratch borrowed for the call and is only valid during
+// the callback.
 //
 // The logits are bit-identical to the per-example forward pass
 // (Predict, ProbsInto), so scoring sweeps — accuracy, MIA attacks —
 // can batch without changing a single result bit. Steady-state calls
-// perform no allocation once the scratch has grown to scoreChunk rows.
+// perform no allocation: the scratch goes back to the pool.
 func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vector)) error {
 	in0 := m.sizes[0]
 	for i, x := range xs {
@@ -469,38 +509,20 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 			return fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), in0, tensor.ErrShape)
 		}
 	}
+	batch := m.pool.Get(m.batchFloats(min(len(xs), scoreChunk), false))
+	defer m.pool.Put(batch)
 	layers := len(m.sizes) - 1
 	classes := m.sizes[layers]
 	for start := 0; start < len(xs); start += scoreChunk {
-		end := start + scoreChunk
-		if end > len(xs) {
-			end = len(xs)
-		}
-		chunk := xs[start:end]
+		chunk := xs[start:min(start+scoreChunk, len(xs))]
 		B := len(chunk)
-		m.bActs = m.batchRows(m.bActs, m.sizes, B)
-		m.batchForward(chunk)
-		logits := m.bActs[layers][:B*classes]
+		m.batchForward(chunk, batch)
+		logits := m.act(batch, layers, B)
 		for r := 0; r < B; r++ {
 			score(start+r, logits[r*classes:(r+1)*classes])
 		}
 	}
 	return nil
-}
-
-// batchRows returns mats, one batch-major matrix per width, grown to
-// hold n rows. Growing abandons the smaller set: inside an arena that
-// is dead weight until Reset, so callers grow only what they read.
-func (m *MLP) batchRows(mats []tensor.Vector, widths []int, n int) []tensor.Vector {
-	if mats == nil {
-		mats = make([]tensor.Vector, len(widths))
-	} else if len(mats[0]) >= n*widths[0] {
-		return mats
-	}
-	for i, w := range widths {
-		mats[i] = m.arena.Vector(n * w)
-	}
-	return mats
 }
 
 // Softmax writes the softmax of logits into out (same length), using the

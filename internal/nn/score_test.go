@@ -114,35 +114,44 @@ func TestCloneCarriesArena(t *testing.T) {
 	}
 }
 
-// TestScoreBatchSizesNoDeltas: forward-only scoring must not size the
-// backward pass's delta matrices, and growing the activations for a
-// larger scoring batch must leave the deltas at the training batch.
+// TestScoreBatchSizesNoDeltas: forward-only scoring borrows activation
+// matrices only, never the backward pass's deltas, and every batch call
+// returns what it borrowed, so a repeat of a call draws nothing new.
 func TestScoreBatchSizesNoDeltas(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	model, err := NewMLP([]int{6, 5, 3}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var a tensor.Arena
+	model.SetArena(&a)
 	xs := make([]tensor.Vector, 20)
 	ys := make([]int, len(xs))
 	for i := range xs {
 		xs[i] = tensor.NewVector(6)
 	}
-	score := func(n int) {
+	grad := tensor.NewVector(model.NumParams())
+	draws := func(op func() error) int {
 		t.Helper()
-		if err := model.ScoreBatch(xs[:n], func(int, tensor.Vector) {}); err != nil {
+		before := a.Used()
+		if err := op(); err != nil {
 			t.Fatal(err)
 		}
+		return (a.Used() - before) / 8
 	}
-	score(4)
-	if len(model.bActs[0]) != 4*6 || model.bDeltas != nil {
-		t.Fatalf("after scoring 4 rows: %d activation floats, deltas %v", len(model.bActs[0]), model.bDeltas)
+	score := func(n int) func() error {
+		return func() error { return model.ScoreBatch(xs[:n], func(int, tensor.Vector) {}) }
 	}
-	if _, err := model.BatchGrad(xs[:8], ys[:8], tensor.NewVector(model.NumParams())); err != nil {
-		t.Fatal(err)
+	gradient := func() error { _, err := model.BatchGrad(xs[:8], ys[:8], grad); return err }
+	if got := draws(score(4)); got != 4*(6+5+3) {
+		t.Fatalf("scoring 4 rows borrowed %d floats, want %d activations", got, 4*(6+5+3))
 	}
-	score(20)
-	if acts, deltas := len(model.bActs[0])/6, len(model.bDeltas[0])/5; acts != 20 || deltas != 8 {
-		t.Fatalf("after an 8-row gradient and a 20-row score: %d activation rows, %d delta rows, want 20 and 8", acts, deltas)
+	if got := draws(gradient); got != 8*(6+5+3)+8*(5+3) {
+		t.Fatalf("an 8-row gradient borrowed %d floats, want %d activations and deltas", got, 8*(6+5+3)+8*(5+3))
+	}
+	for _, op := range []func() error{score(4), gradient} {
+		if got := draws(op); got != 0 {
+			t.Fatalf("a repeated call drew %d more floats: the scratch was not returned", got)
+		}
 	}
 }

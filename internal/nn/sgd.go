@@ -86,7 +86,9 @@ type Trainer struct {
 
 	// Scratch reused across RunEpochs calls so a long-lived trainer
 	// performs no steady-state allocation on the local-update hot path.
-	grad    tensor.Vector
+	// The gradient and the batch matrices are borrowed from the model's
+	// pool per call instead: an arm holds one set per goroutine that is
+	// training, not one per node.
 	order   []int
 	batchXs []tensor.Vector
 	batchYs []int
@@ -109,7 +111,6 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 		Opt:       opt,
 		BatchSize: batchSize,
 		Epochs:    epochs,
-		grad:      model.arena.Vector(model.NumParams()),
 	}
 }
 
@@ -122,14 +123,16 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
-	if len(t.grad) != t.Model.NumParams() {
-		t.grad = t.Model.arena.Vector(t.Model.NumParams())
-	}
 	n := len(xs)
 	bs := t.BatchSize
 	if bs <= 0 || bs > n {
 		bs = n
 	}
+	m := t.Model
+	grad := m.pool.Get(m.NumParams())
+	batch := m.pool.Get(m.batchFloats(bs, true))
+	defer m.pool.Put(grad)
+	defer m.pool.Put(batch)
 	if cap(t.order) < n {
 		t.order = make([]int, n)
 	}
@@ -153,12 +156,12 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 				t.batchXs = append(t.batchXs, xs[idx])
 				t.batchYs = append(t.batchYs, ys[idx])
 			}
-			lossSum, err := t.Model.batchGradSum(t.batchXs, t.batchYs, t.grad)
+			lossSum, err := m.batchGradSum(t.batchXs, t.batchYs, grad, batch)
 			if err != nil {
 				return 0, err
 			}
 			inv := 1 / float64(end-start)
-			if err := t.Opt.step(t.Model.Params(), t.grad, inv); err != nil {
+			if err := t.Opt.step(m.Params(), grad, inv); err != nil {
 				return 0, err
 			}
 			epochLoss += float64(lossSum * inv) // rounded, as BatchGrad returns it

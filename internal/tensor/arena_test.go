@@ -165,7 +165,7 @@ func TestArenaRNGMatchesFreshRNG(t *testing.T) {
 
 func TestVecPoolOverArena(t *testing.T) {
 	var a Arena
-	p := NewVecPool(8, &a)
+	p := NewVecPool(&a)
 	v := p.Get(8)
 	if a.Used() != 64 {
 		t.Fatalf("pool buffer did not come from the arena: used %d", a.Used())

@@ -340,29 +340,29 @@ func FuzzGemmKernels(f *testing.F) {
 	})
 }
 
+// TestVecPoolRecycles: each length has its own free list, last in first
+// out, and a Get never hands out a vector that is still in use.
 func TestVecPoolRecycles(t *testing.T) {
-	p := NewVecPool(8, nil)
-	if p.n != 8 {
-		t.Fatalf("pool length = %d", p.n)
+	p := NewVecPool(nil)
+	v, w := p.Get(8), p.Get(8)
+	if len(v) != 8 || len(w) != 8 || &v[0] == &w[0] {
+		t.Fatal("two live Get(8) share storage")
 	}
-	v := p.Get(8)
-	if len(v) != 8 {
-		t.Fatalf("Get(8) len = %d", len(v))
-	}
-	v.Fill(3)
-	p.Put(v)
-	w := p.Get(8)
-	if len(w) != 8 {
-		t.Fatalf("recycled len = %d", len(w))
-	}
-	// Mismatched lengths must not poison the pool.
 	odd := p.Get(5)
-	if len(odd) != 5 {
-		t.Fatalf("Get(5) len = %d", len(odd))
+	p.Put(v)
+	p.Put(odd)
+	p.Put(w)
+	if got := p.Get(8); &got[0] != &w[0] {
+		t.Fatal("Get(8) did not reuse the last vector of length 8 put back")
 	}
-	p.Put(odd) // dropped
-	if got := p.Get(8); len(got) != 8 {
-		t.Fatalf("pool poisoned: len %d", len(got))
+	if got := p.Get(8); &got[0] != &v[0] {
+		t.Fatal("Get(8) did not reuse the first vector of length 8 put back")
+	}
+	if got := p.Get(5); &got[0] != &odd[0] {
+		t.Fatal("Get(5) did not reuse the vector of length 5")
+	}
+	if got := p.Get(8); &got[0] == &v[0] || &got[0] == &w[0] {
+		t.Fatal("an empty free list handed out a vector in use")
 	}
 }
 

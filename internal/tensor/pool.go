@@ -2,40 +2,37 @@ package tensor
 
 import "sync"
 
-// VecPool is a free list of fixed-length Vectors drawn from an Arena.
-// The gossip simulator uses one to recycle per-message parameter
-// buffers instead of allocating a fresh Clone for every transmission.
-// Vectors handed out are NOT zeroed — callers overwrite them entirely.
+// VecPool is a length-keyed free list of Vectors drawn from an Arena. An
+// arm's models share one: the trainer borrows its gradient and the MLP
+// its batch matrices for one call, and the gossip simulator its queued
+// message buffers and the nodes' running sums until they are merged.
+// Vectors handed out are NOT zeroed — callers write every element before
+// reading it.
 //
-// The list grows to the peak number of buffers in flight and lives as
-// long as the pool's owner (one simulator, one arm), so a Get/Put cycle
-// allocates nothing at steady state.
+// The list of each length grows to the peak number of that length in
+// use at once and lives as long as the pool's owner (one arm), so a
+// Get/Put cycle allocates nothing at steady state.
 //
 // A VecPool is safe for concurrent use.
 type VecPool struct {
-	n     int
 	arena *Arena
 	mu    sync.Mutex
-	free  []Vector
+	free  map[int][]Vector
 }
 
-// NewVecPool returns a pool of vectors of length n whose buffers come
-// from a (nil = the heap).
-func NewVecPool(n int, a *Arena) *VecPool {
-	return &VecPool{n: n, arena: a}
+// NewVecPool returns a pool whose buffers come from a (nil = the heap).
+func NewVecPool(a *Arena) *VecPool {
+	return &VecPool{arena: a, free: map[int][]Vector{}}
 }
 
-// Get returns a vector of length n. Requests matching the pool's length
-// are served from the free list; other lengths fall back to a fresh
-// allocation (they would poison the pool).
+// Get returns a vector of length n: the last one of that length Put
+// back, or a new one from the pool's arena.
 func (p *VecPool) Get(n int) Vector {
-	if n != p.n {
-		return NewVector(n)
-	}
 	p.mu.Lock()
-	if last := len(p.free) - 1; last >= 0 {
-		v := p.free[last]
-		p.free = p.free[:last]
+	if list := p.free[n]; len(list) > 0 {
+		v := list[len(list)-1]
+		list[len(list)-1] = nil
+		p.free[n] = list[:len(list)-1]
 		p.mu.Unlock()
 		return v
 	}
@@ -43,14 +40,10 @@ func (p *VecPool) Get(n int) Vector {
 	return p.arena.Vector(n)
 }
 
-// Put returns v to the free list. Vectors of the wrong length are
-// dropped so arbitrary caller-constructed buffers can be released
-// safely.
+// Put returns v to the free list of its length. v must not be used
+// after it.
 func (p *VecPool) Put(v Vector) {
-	if len(v) != p.n {
-		return
-	}
 	p.mu.Lock()
-	p.free = append(p.free, v)
+	p.free[len(v)] = append(p.free[len(v)], v)
 	p.mu.Unlock()
 }

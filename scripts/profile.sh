@@ -2,8 +2,8 @@
 # profile.sh — capture pprof CPU + allocation profiles for the three
 # workloads the perf work steers by: the figure2 end-to-end run at quick
 # scale and default workers, the shape dlbench's figure2_quick measures
-# (via dlsim's -cpuprofile/-memprofile flags; five seeds merged, since
-# one run is little over a second of samples), the dense-wake arm (via the
+# (via dlsim's -cpuprofile/-memprofile flags; five seeds merged for each,
+# since one run is little over a second of samples), the dense-wake arm (via the
 # IntraArmSpeedup benchmark) and a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB and collections
 # per arm). Writes raw profiles plus plain-text top-20 summaries under
@@ -22,10 +22,12 @@ go build -o "$OUT/dlsim" ./cmd/dlsim
 for seed in 1 2 3 4 5; do
     "$OUT/dlsim" run -figure 2 -scale quick -seed "$seed" \
         -cpuprofile "$OUT/figure2_cpu_$seed.pprof" \
-        -memprofile "$OUT/figure2_mem.pprof" >/dev/null
+        -memprofile "$OUT/figure2_mem_$seed.pprof" >/dev/null
 done
-go tool pprof -proto "$OUT"/figure2_cpu_[1-5].pprof >"$OUT/figure2_cpu.pprof" 2>/dev/null
-rm -f "$OUT/dlsim" "$OUT"/figure2_cpu_[1-5].pprof
+for p in cpu mem; do
+    go tool pprof -proto "$OUT"/figure2_${p}_[1-5].pprof >"$OUT/figure2_$p.pprof" 2>/dev/null
+done
+rm -f "$OUT/dlsim" "$OUT"/figure2_cpu_[1-5].pprof "$OUT"/figure2_mem_[1-5].pprof
 
 echo "== dense-wake arm (IntraArmSpeedup benchmark, workers sweep) =="
 go test -run=NONE -bench='BenchmarkIntraArmSpeedup' -benchtime=5x \
@@ -61,6 +63,12 @@ go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
 echo "runtime.memmove by caller:"
 go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
     awk '/\| +runtime\.memmove$/ { exit } /\|/ && !/calls%/ { print }' || true
+# What the heavy arm holds: the bytes its arenas hand out (the oversize
+# vectors the arena passes to the heap included), by the caller that
+# asked for them.
+echo "heavy arm, bytes allocated by caller of tensor.(*Arena).Vector:"
+go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$OUT/figure2_mem.pprof" 2>/dev/null |
+    awk '/\| +gossipmia\/internal\/tensor\.\(\*Arena\)\.Vector$/ { exit } /\|/ && !/calls%/ { print }' || true
 # The light arm's two shares DESIGN.md §4 quotes: seeding, and the
 # generalization-error passes, which have no line while evalNode scores
 # each split once (PR 16) — one reappearing here is a regression.
