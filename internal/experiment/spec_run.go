@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -100,9 +102,10 @@ type ArmExecutor func(ctx context.Context, u ArmUnit) (Arm, bool, error)
 type specHooks struct {
 	lookup func(i int, a spec.Arm) (Arm, bool)
 	exec   ArmExecutor
-	// keys, when set, are the arms' content hashes the caller already
-	// has, one per arm; the executor is then offered those and no arm is
-	// hashed twice.
+	// keys are the arms' content hashes (armKeys), one per arm, that the
+	// executor is offered. A caller that has them already sets them, so
+	// no arm is hashed twice; otherwise a run with an executor hashes
+	// them before its first arm.
 	keys  []string
 	sinks func(i int, a spec.Arm) (sink.Sink, error)
 	done  func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error
@@ -142,6 +145,11 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*
 	var local chan struct{}
 	if h.exec != nil {
 		local = make(chan struct{}, par.Workers(sc.Workers))
+		if h.keys == nil {
+			if h.keys, err = armKeys(arms, sc); err != nil {
+				return nil, err
+			}
+		}
 	}
 	runArm := func(i int) error {
 		a := arms[i]
@@ -210,16 +218,7 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 	if h.exec == nil {
 		return Arm{}, false, nil
 	}
-	var key string
-	if h.keys != nil {
-		key = h.keys[i]
-	} else {
-		var err error
-		if key, err = armKey(a, sc); err != nil {
-			return Arm{}, false, err
-		}
-	}
-	arm, handled, err := h.exec(ctx, ArmUnit{Index: i, Key: key, Spec: sp.Name, Arm: a, Scale: sc})
+	arm, handled, err := h.exec(ctx, ArmUnit{Index: i, Key: h.keys[i], Spec: sp.Name, Arm: a, Scale: sc})
 	if err != nil {
 		return Arm{}, true, err
 	}
@@ -469,22 +468,34 @@ type SpecManifest struct {
 	Arms           []SpecArmReport `json:"arms"`
 }
 
-// armKey returns the resume cache key of an arm under a scale: the
-// SHA-256 of the arm's canonical JSON together with the scale
-// fingerprint (seed included, worker count excluded — workers never
-// affect results, so a resumed run may use a different pool size).
-func armKey(a spec.Arm, sc Scale) (string, error) {
+// armKeys returns the resume cache keys of arms under one scale: for
+// each arm the SHA-256 of {"arm":<arm JSON>,"scale":<scale JSON>}, the
+// bytes json.Marshal gives that pair. The scale fingerprint (seed
+// included, worker count excluded — workers never affect results, so a
+// resumed run may use a different pool size) is encoded once.
+func armKeys(arms []spec.Arm, sc Scale) ([]string, error) {
 	sc.Workers = 0
-	payload := struct {
-		Arm   spec.Arm `json:"arm"`
-		Scale Scale    `json:"scale"`
-	}{a, sc}
-	raw, err := json.Marshal(payload)
+	scale, err := json.Marshal(sc)
 	if err != nil {
-		return "", fmt.Errorf("experiment: arm key: %w", err)
+		return nil, fmt.Errorf("experiment: arm key: %w", err)
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	keys := make([]string, len(arms))
+	for i, a := range arms {
+		buf.Reset()
+		buf.WriteString(`{"arm":`)
+		if err := enc.Encode(a); err != nil {
+			return nil, fmt.Errorf("experiment: arm key: %w", err)
+		}
+		buf.Truncate(buf.Len() - 1) // Encode's newline
+		buf.WriteString(`,"scale":`)
+		buf.Write(scale)
+		buf.WriteByte('}')
+		sum := sha256.Sum256(buf.Bytes())
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	return keys, nil
 }
 
 // slugify makes an arm label filesystem-safe.
@@ -560,12 +571,12 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
 	}
 
+	keys, err := armKeys(arms, sc)
+	if err != nil {
+		return nil, nil, err
+	}
 	reports := make([]SpecArmReport, len(arms))
-	keys := make([]string, len(arms))
 	for i, a := range arms {
-		if keys[i], err = armKey(a, sc); err != nil {
-			return nil, nil, err
-		}
 		reports[i] = SpecArmReport{Label: a.Label, Key: keys[i]}
 		if opts.Events != "none" {
 			reports[i].EventsFile = filepath.Join("events", slugify(a.Label)+"-"+keys[i][:8]+"."+opts.Events)
@@ -576,7 +587,7 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		return nil, nil, err
 	}
 	defer release()
-	csv, err := newCSVStream(filepath.Join(opts.OutDir, "results.csv"))
+	csv, err := newCSVStream(filepath.Join(opts.OutDir, "results.csv"), len(arms))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -603,7 +614,7 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		ElapsedSeconds: time.Since(started).Seconds(),
 		Arms:           reports,
 	}
-	if err := run.finish(opts.OutDir, fig, man); err != nil {
+	if err := run.finish(opts.OutDir, man); err != nil {
 		return nil, nil, err
 	}
 	return fig, man, nil
@@ -625,7 +636,7 @@ type dirRun struct {
 // error.
 func (r *dirRun) lookup(i int, a spec.Arm) (Arm, bool) {
 	arm, ok := r.cache.lookup(i, a.Label)
-	if !ok || r.csv.row(arm) != nil {
+	if !ok || r.csv.row(i, arm) != nil {
 		return Arm{}, false
 	}
 	r.reports[i].Cached = true
@@ -642,7 +653,7 @@ func (r *dirRun) done(i int, _ spec.Arm, arm Arm, elapsed time.Duration) error {
 	if err := r.cache.put(i, arm); err != nil {
 		return err
 	}
-	if err := r.csv.row(arm); err != nil {
+	if err := r.csv.row(i, arm); err != nil {
 		return err
 	}
 	if r.onDone != nil {
@@ -653,13 +664,13 @@ func (r *dirRun) done(i int, _ spec.Arm, arm Arm, elapsed time.Duration) error {
 
 // finish writes a completed run's final artifacts. The streamed
 // results.csv rows landed in completion order; the final file is the
-// canonical spec-order table, swapped in atomically, followed by the
-// manifest.
-func (r *dirRun) finish(outDir string, fig *FigureResult, man *SpecManifest) error {
+// canonical spec-order table — the same rows, kept as they were
+// streamed — swapped in atomically, followed by the manifest.
+func (r *dirRun) finish(outDir string, man *SpecManifest) error {
 	if err := r.csv.close(); err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), []byte(resultsCSV(fig))); err != nil {
+	if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), r.csv.table()); err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
 	raw, err := json.MarshalIndent(man, "", " ")
@@ -712,9 +723,12 @@ func dirSinks(opts SpecRunOptions, reports []SpecArmReport) func(i int, a spec.A
 // resultsCSVHeader is the results.csv column row.
 const resultsCSVHeader = "arm,max_acc,mia_at_max,max_mia,max_tpr,max_gen,messages,bytes,epsilon\n"
 
-// resultsCSVRow renders one arm's summary row. Labels are free-form
-// text from user spec files and are RFC 4180-quoted.
-func resultsCSVRow(b *strings.Builder, a Arm) {
+// appendResultsCSVRow appends one arm's summary row: the label, RFC
+// 4180-quoted (labels are free-form text from user spec files); test
+// and MIA accuracy at the best round and the maximal MIA accuracy, TPR
+// and generalization error, at six decimals; the traffic; and ε at four
+// — the bytes of "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%.4f\n".
+func appendResultsCSVRow(b []byte, a Arm) []byte {
 	at := a.AtMaxTestAcc()
 	maxGen := 0.0
 	for _, r := range a.Series.Records {
@@ -722,32 +736,30 @@ func resultsCSVRow(b *strings.Builder, a Arm) {
 			maxGen = r.GenError
 		}
 	}
-	fmt.Fprintf(b, "%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%.4f\n",
-		sink.Quote(a.Label), at.TestAcc, at.MIAAcc, a.Series.MaxMIAAcc(), a.Series.MaxTPR(),
-		maxGen, a.MessagesSent, a.BytesSent, a.RealizedEpsilon)
-}
-
-// resultsCSV renders the per-arm summary table as CSV, in spec order.
-func resultsCSV(fig *FigureResult) string {
-	var b strings.Builder
-	b.WriteString(resultsCSVHeader)
-	for _, a := range fig.Arms {
-		resultsCSVRow(&b, a)
+	b = append(b, sink.Quote(a.Label)...)
+	for _, f := range [...]float64{at.TestAcc, at.MIAAcc, a.Series.MaxMIAAcc(), a.Series.MaxTPR(), maxGen} {
+		b = strconv.AppendFloat(append(b, ','), f, 'f', 6, 64)
 	}
-	return b.String()
+	b = strconv.AppendInt(append(b, ','), int64(a.MessagesSent), 10)
+	b = strconv.AppendInt(append(b, ','), int64(a.BytesSent), 10)
+	b = strconv.AppendFloat(append(b, ','), a.RealizedEpsilon, 'f', 4, 64)
+	return append(b, '\n')
 }
 
 // csvStream appends results.csv rows as arms commit, in completion
 // order and unbuffered — each row reaches the kernel before the commit
-// returns, so a killed sweep leaves a usable partial CSV. The hooks
-// that feed it run on worker goroutines; the mutex serializes rows.
+// returns, so a killed sweep leaves a usable partial CSV — and keeps
+// each arm's row by spec index for the final file. The hooks that feed
+// it run on worker goroutines; the mutex serializes rows.
 type csvStream struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	rows [][]byte
 }
 
-// newCSVStream truncates path and writes the header row.
-func newCSVStream(path string) (*csvStream, error) {
+// newCSVStream truncates path and writes the header row; the run has n
+// arms.
+func newCSVStream(path string, n int) (*csvStream, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: results.csv: %w", err)
@@ -756,25 +768,33 @@ func newCSVStream(path string) (*csvStream, error) {
 		f.Close()
 		return nil, fmt.Errorf("experiment: results.csv: %w", err)
 	}
-	return &csvStream{f: f}, nil
+	return &csvStream{f: f, rows: make([][]byte, n)}, nil
 }
 
-// row appends one arm's summary row.
-func (w *csvStream) row(a Arm) error {
-	var b strings.Builder
-	resultsCSVRow(&b, a)
+// row renders arm i's summary row, keeps it and appends it to the file.
+func (w *csvStream) row(i int, a Arm) error {
+	row := appendResultsCSVRow(make([]byte, 0, 96+len(a.Label)), a)
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.rows[i] = row
 	if w.f == nil {
 		return nil
 	}
-	if _, err := w.f.WriteString(b.String()); err != nil {
+	if _, err := w.f.Write(row); err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
 	return nil
 }
 
-// close closes the stream; later rows are dropped. Idempotent.
+// table returns the header and the kept rows in spec order: results.csv
+// as a serial, uninterrupted run writes it.
+func (w *csvStream) table() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return bytes.Join(append([][]byte{[]byte(resultsCSVHeader)}, w.rows...), nil)
+}
+
+// close closes the stream; later rows are kept, not written. Idempotent.
 func (w *csvStream) close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -2,8 +2,12 @@ package experiment
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +15,7 @@ import (
 
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
+	"gossipmia/internal/sink"
 	"gossipmia/internal/store"
 	"gossipmia/pkg/dlsim/result"
 	"gossipmia/pkg/dlsim/spec"
@@ -319,6 +324,61 @@ func TestRunSpecDirOptionValidation(t *testing.T) {
 	}
 }
 
+// armKey is one arm's key through armKeys.
+func armKey(a spec.Arm, sc Scale) (string, error) {
+	keys, err := armKeys([]spec.Arm{a}, sc)
+	if err != nil {
+		return "", err
+	}
+	return keys[0], nil
+}
+
+// marshalledArmKey is the arm key as the pair's json.Marshal spells it:
+// the form armKeys must reproduce byte for byte, or every cached arm
+// of an older run would miss.
+func marshalledArmKey(t *testing.T, a spec.Arm, sc Scale) string {
+	t.Helper()
+	sc.Workers = 0
+	raw, err := json.Marshal(struct {
+		Arm   spec.Arm `json:"arm"`
+		Scale Scale    `json:"scale"`
+	}{a, sc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
+}
+
+// TestArmKeysMatchMarshalledPair: the keys armKeys hashes from one
+// encoding of the scale are the keys of the marshalled (arm, scale)
+// pair, for arms whose JSON needs escaping, optional blocks and
+// exponent-form numbers, under scales with and without workers.
+func TestArmKeysMatchMarshalledPair(t *testing.T) {
+	sp := sweepSpec()
+	arms, err := sp.ExpandArms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms = append(arms,
+		spec.Arm{Label: `<b> & "q" \ ` + "\u2028é", Corpus: "purchase100", Protocol: "base", ViewSize: 3, Dynamics: "peerswap",
+			Beta: 1e-7, DP: &spec.DP{Epsilon: 1e21, Delta: 1e-5, Clip: 1}, Canaries: true, SeedOffset: -9,
+			Net: &spec.Net{Transport: "latency", LatencyMean: 20, LatencyJitter: 6}, ChurnFraction: 0.25,
+			Train: &spec.Train{Hidden: []int{4, 2}, LR: 0.05, BatchSize: 8, LocalEpochs: 2}, TrainPerFactor: 0.34, LocalEpochs: 3},
+	)
+	for _, sc := range []Scale{TinyScale(), PaperScale(), {Seed: -1, Workers: 7, Nodes: 1 << 40}} {
+		keys, err := armKeys(arms, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range arms {
+			if want := marshalledArmKey(t, a, sc); keys[i] != want {
+				t.Fatalf("armKeys(%q) = %s, the marshalled pair hashes to %s", a.Label, keys[i], want)
+			}
+		}
+	}
+}
+
 func TestArmKeyProperties(t *testing.T) {
 	a := spec.Arm{Label: "a", Corpus: "cifar10", Protocol: "samo", ViewSize: 2}
 	sc := TinyScale()
@@ -346,20 +406,66 @@ func TestArmKeyProperties(t *testing.T) {
 }
 
 func TestResultsCSVEscapesLabels(t *testing.T) {
-	fig := &FigureResult{Arms: []Arm{{
-		Label:  `cifar10, "hard" arm`,
-		Series: &metrics.Series{Records: []metrics.RoundRecord{{Round: 0}}},
-	}}}
-	out := resultsCSV(fig)
-	if !strings.Contains(out, `"cifar10, ""hard"" arm",`) {
+	row := func(label string) string {
+		return string(appendResultsCSVRow(nil, Arm{
+			Label:  label,
+			Series: &metrics.Series{Records: []metrics.RoundRecord{{Round: 0}}},
+		}))
+	}
+	if out := row(`cifar10, "hard" arm`); !strings.HasPrefix(out, `"cifar10, ""hard"" arm",`) {
 		t.Fatalf("label not CSV-escaped:\n%s", out)
 	}
-	plain := &FigureResult{Arms: []Arm{{
-		Label:  "cifar10/samo",
-		Series: &metrics.Series{Records: []metrics.RoundRecord{{Round: 0}}},
-	}}}
-	if !strings.Contains(resultsCSV(plain), "cifar10/samo,") {
-		t.Fatalf("plain label needlessly quoted:\n%s", resultsCSV(plain))
+	if out := row("cifar10/samo"); !strings.HasPrefix(out, "cifar10/samo,") {
+		t.Fatalf("plain label needlessly quoted:\n%s", out)
+	}
+}
+
+// fmtResultsCSVRow is the results.csv row as fmt formatted it before
+// rows were built with strconv: the oracle appendResultsCSVRow is held
+// byte-identical to.
+func fmtResultsCSVRow(a Arm) string {
+	at := a.AtMaxTestAcc()
+	maxGen := 0.0
+	for _, r := range a.Series.Records {
+		if r.GenError > maxGen {
+			maxGen = r.GenError
+		}
+	}
+	return fmt.Sprintf("%s,%.6f,%.6f,%.6f,%.6f,%.6f,%d,%d,%.4f\n",
+		sink.Quote(a.Label), at.TestAcc, at.MIAAcc, a.Series.MaxMIAAcc(), a.Series.MaxTPR(),
+		maxGen, a.MessagesSent, a.BytesSent, a.RealizedEpsilon)
+}
+
+// TestResultsCSVRowMatchesFmt holds the strconv-built results.csv row to
+// the fmt format it replaced, byte for byte: signed zeros, values that
+// round up at the sixth decimal, exponent-range and non-finite floats,
+// an empty series (whose maxima are -Inf), extreme integers, ε at four
+// decimals and labels that need RFC 4180 quoting.
+func TestResultsCSVRowMatchesFmt(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	inf, nan := math.Inf(1), math.NaN()
+	values := []float64{0, negZero, 0.9999995, 0.99999949999, 5e-7, 4.9999e-7, -5e-7, 1e21, -1e21, 1.5e300,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, 0.1 + 0.2, 2.0 / 3, 0.125, 0.00005, 0.00004999, inf, -inf, nan}
+	labels := []string{"plain", "cifar10, \"hard\" arm", "line\nbreak", "cr\rhere", `"`, "", "β=0.25 <&>"}
+	var arms []Arm
+	for i, v := range values {
+		w := values[(i*7+3)%len(values)]
+		arms = append(arms, Arm{
+			Label: labels[i%len(labels)],
+			Series: &metrics.Series{Records: []metrics.RoundRecord{
+				{Round: 1, TestAcc: v, MIAAcc: w, TPRAt1FPR: -v, GenError: w},
+				{Round: 2, TestAcc: w, MIAAcc: v, TPRAt1FPR: v, GenError: -w},
+			}},
+			MessagesSent:    []int{0, -1, math.MaxInt, math.MinInt}[i%4],
+			BytesSent:       []int{1 << 40, math.MinInt, 7, -0}[i%4],
+			RealizedEpsilon: v,
+		})
+	}
+	arms = append(arms, Arm{Label: "empty", Series: &metrics.Series{}, RealizedEpsilon: 0.00005})
+	for _, a := range arms {
+		if got, want := string(appendResultsCSVRow(nil, a)), fmtResultsCSVRow(a); got != want {
+			t.Fatalf("row of %+v:\n got %q\nwant %q", a, got, want)
+		}
 	}
 }
 
@@ -584,7 +690,7 @@ func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 	defer f.Close()
 	run := &dirRun{
 		cache:   cache,
-		csv:     &csvStream{f: f},
+		csv:     &csvStream{f: f, rows: make([][]byte, 1)},
 		reports: []SpecArmReport{{Label: "a"}},
 		onDone:  func(int, SpecArmReport) { t.Error("OnArmDone fired for an arm that was not served") },
 	}
@@ -596,7 +702,7 @@ func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 	}
 
 	// Same record, working stream: served and reported.
-	w, err := newCSVStream(path)
+	w, err := newCSVStream(path, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -15,9 +14,11 @@ import (
 // in one embedded store (internal/store) — OutDir/store unless several
 // runs share one, as the job service's do — so a resume reads one log
 // at indexed offsets instead of opening a file per arm. Each record is
-// the arm's canonical result.ArmResult JSON behind its sum and is
-// trusted only when it reproduces the sum, re-encodes to itself and
-// carries the arm's label; anything else is recomputed.
+// the arm's canonical result.ArmResult JSON behind its sum. The trust
+// rule: a record is trusted only if its bytes are exactly the canonical
+// encoding of an arm with this label, behind a matching sum — checked
+// by result.ReadCanonical, the strict reader, in one pass. Anything
+// else is recomputed.
 //
 // Key space:
 //
@@ -65,12 +66,11 @@ func encodeArmRecord(arm Arm) ([]byte, error) {
 	return append(rec, raw...), nil
 }
 
-// decodeArmRecord validates and decodes one cached arm record: the
-// body must reproduce its sum, decode, re-encode to the same bytes and
-// carry the arm's label — so a torn or corrupted record, one in an
-// older format, or one another arm wrote is ignored (and the arm
-// recomputed) rather than resumed from. The key needs no check here:
-// the store checks each frame's key on read.
+// decodeArmRecord validates and decodes one cached arm record by the
+// trust rule above — so a torn or corrupted record, one in an older
+// format, or one another arm wrote is ignored (and the arm recomputed)
+// rather than resumed from. The key needs no check here: the store
+// checks each frame's key on read.
 func decodeArmRecord(raw []byte, label string) (Arm, bool) {
 	if len(raw) < sumLen {
 		return Arm{}, false
@@ -79,11 +79,8 @@ func decodeArmRecord(raw []byte, label string) (Arm, bool) {
 	if result.Sum(body) != string(raw[:sumLen]) {
 		return Arm{}, false
 	}
-	var res result.ArmResult
-	if err := json.Unmarshal(body, &res); err != nil || res.Label != label {
-		return Arm{}, false
-	}
-	if canon, err := json.Marshal(res); err != nil || !bytes.Equal(canon, body) {
+	res, ok := result.ReadCanonical(body)
+	if !ok || res.Label != label {
 		return Arm{}, false
 	}
 	return ArmOf(res), true

@@ -1,12 +1,15 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -157,11 +160,9 @@ func TestStoreResumeSurvivesTornLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, len(arms))
-	for i, a := range arms {
-		if keys[i], err = armKey(a, sc); err != nil {
-			t.Fatal(err)
-		}
+	keys, err := armKeys(arms, sc)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	refDir := t.TempDir()
@@ -510,7 +511,7 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 
 // BenchmarkResumeLookup measures what resume pays to retrieve every
 // cached arm record from a reopened store: one point lookup per arm
-// (validation and decode cost downstream is excluded).
+// (decode and validation are excluded; BenchmarkResumePass has them).
 func BenchmarkResumeLookup(b *testing.B) {
 	const n = 5000
 	keys, raws := benchArmRecords(b, n)
@@ -542,10 +543,73 @@ func BenchmarkResumeLookup(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/arm")
 }
 
+// lightArmSpec is n of dlbench's light arms (benchmark/workloads.go):
+// sub-millisecond arms, one evaluated round each.
+func lightArmSpec(n int) *spec.Spec {
+	arms := make([]spec.Arm, n)
+	for i := range arms {
+		proto := []string{"samo", "base"}[i%2]
+		arms[i] = spec.Arm{
+			Label:          fmt.Sprintf("light/%05d/%s", i, proto),
+			Corpus:         "fashionmnist",
+			Protocol:       proto,
+			ViewSize:       2,
+			SeedOffset:     int64(i),
+			Train:          &spec.Train{Hidden: []int{4}, LR: 0.05, BatchSize: 8, LocalEpochs: 1},
+			TrainPerFactor: 0.34,
+		}
+	}
+	return &spec.Spec{Name: "light arms", Arms: arms}
+}
+
+// finishedLightDir runs sp into a new directory and returns the options
+// that wrote it: the finished directory a resume pass reads.
+func finishedLightDir(b *testing.B, sp *spec.Spec, sc Scale) SpecRunOptions {
+	b.Helper()
+	dir := b.TempDir()
+	opts := SpecRunOptions{OutDir: filepath.Join(dir, "run"), StoreDir: filepath.Join(dir, "store"), Events: "none"}
+	if _, _, err := RunSpecDir(b.Context(), sp, sc, opts); err != nil {
+		b.Fatal(err)
+	}
+	return opts
+}
+
+// BenchmarkResumePass measures a whole resume pass, the read side of
+// the sweep layer as dlbench's sweep_resume runs it: RunSpecDir with
+// Resume over a finished directory of light arms (no event files, two
+// workers) — keys, lookups, decode and validation, results.csv and the
+// manifest — with every arm served from the cache.
+func BenchmarkResumePass(b *testing.B) {
+	const n = 256
+	sp := lightArmSpec(n)
+	sc := TinyScale()
+	sc.Workers = 2
+	opts := finishedLightDir(b, sp, sc)
+	opts.Resume = true
+	b.ReportAllocs()
+	b.ResetTimer()
+	// The label marks the passes' samples, on every goroutine they start,
+	// for scripts/profile.sh.
+	pprof.Do(b.Context(), pprof.Labels("bench", "resume-pass"), func(ctx context.Context) {
+		for it := 0; it < b.N; it++ {
+			_, man, err := RunSpecDir(ctx, sp, sc, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ar := range man.Arms {
+				if !ar.Cached {
+					b.Fatalf("resume pass recomputed arm %q", ar.Label)
+				}
+			}
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/arm")
+}
+
 // legacyArmRecord renders res in the arm cache's earlier record format:
 // indented JSON repeating the key, with a "sum" over the record's
 // compact JSON written with an empty sum.
-func legacyArmRecord(t *testing.T, key string, res result.ArmResult) []byte {
+func legacyArmRecord(t testing.TB, key string, res result.ArmResult) []byte {
 	t.Helper()
 	rec := struct {
 		Label           string               `json:"label"`
@@ -662,9 +726,35 @@ func TestArmRecordSumIsChecksum(t *testing.T) {
 	}
 }
 
-// FuzzArmRecord: the cache-record decoder never panics, and whatever it
-// accepts is canonical — it re-encodes to the same bytes, whose sum is
-// the decoded arm's Checksum.
+// oracleDecodeArmRecord is the trust rule as it was first written, kept
+// as the oracle of the strict reader: the body reproduces its sum,
+// decodes with json.Unmarshal to an arm with this label, and re-encodes
+// to exactly itself.
+func oracleDecodeArmRecord(raw []byte, label string) (result.ArmResult, bool) {
+	if len(raw) < sumLen {
+		return result.ArmResult{}, false
+	}
+	body := raw[sumLen:]
+	if result.Sum(body) != string(raw[:sumLen]) {
+		return result.ArmResult{}, false
+	}
+	var res result.ArmResult
+	if err := json.Unmarshal(body, &res); err != nil || res.Label != label {
+		return result.ArmResult{}, false
+	}
+	if canon, err := json.Marshal(res); err != nil || !bytes.Equal(canon, body) {
+		return result.ArmResult{}, false
+	}
+	return res, true
+}
+
+// FuzzArmRecord holds decodeArmRecord, and the strict reader under it,
+// to the oracle: for the input as a record and for the input sealed
+// behind its own sum, under the fuzzed label and under the labels
+// json.Unmarshal and the strict reader find in the body, the decoder
+// accepts exactly when the oracle does and decodes to the same arm (nil
+// records apart from empty ones, signed zeros apart), which re-encodes
+// to the body and whose Checksum is its sum.
 func FuzzArmRecord(f *testing.F) {
 	arm := Arm{Label: "a", Series: &metrics.Series{Label: "a", Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5, MIAAcc: 0.75}}}, MessagesSent: 3}
 	valid, err := encodeArmRecord(arm)
@@ -679,23 +769,72 @@ func FuzzArmRecord(f *testing.F) {
 	f.Add(append([]byte(result.Sum(spaced)), spaced...), "a")
 	f.Add([]byte(`{"label":"a","key":"k","records":null,"messagesSent":0,"bytesSent":0,"sum":""}`), "a")
 	f.Add([]byte{}, "")
+	f.Add(legacyArmRecord(f, strings.Repeat("ab", 32), arm.Result()), "a")
+	// Bodies, which the target also seals behind their sums.
+	for _, body := range []string{
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0,"realizedEpsilon":0}`,
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0,"realizedEpsilon":-0}`,
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0,"realizedEpsilon":7.5,"noiseMultiplier":1.1}`,
+		`{"label":"a","records":[{"round":-0,"testAcc":0.5,"miaAcc":0.75,"tprAt1FPR":0,"genError":-0}],"messagesSent":3,"bytesSent":0}`,
+		`{"label":"a","records":[{"round":0,"testAcc":0.5,"miaAcc":0.75,"tprAt1FPR":0,"genError":-0}],"messagesSent":3,"bytesSent":0}`,
+		`{"label":"a","records":null,"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"\u003cb\u003e \u0026 \u2028 \u2029","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"<b>","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a & b","records":[],"messagesSent":0,"bytesSent":0}`,
+		"{\"label\":\"\u2028\",\"records\":[],\"messagesSent\":0,\"bytesSent\":0}",
+		"{\"label\":\"\u2029\",\"records\":[],\"messagesSent\":0,\"bytesSent\":0}",
+		`{"label":"tab\there \"q\" \\ \u001f é","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"é","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"\u0061\/","records":[],"messagesSent":0,"bytesSent":0}`,
+		"{\"label\":\"\xff\",\"records\":[],\"messagesSent\":0,\"bytesSent\":0}",
+		`{"label":"a","records":[{"round":1,"testAcc":1e-7,"miaAcc":1e+21,"tprAt1FPR":0.000001,"genError":-1e-7}],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[{"round":1,"testAcc":0.0000001,"miaAcc":1e21,"tprAt1FPR":1e-6,"genError":-1E-7}],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[{"round":1,"testAcc":1e-07,"miaAcc":100000000000000000000,"tprAt1FPR":0.5,"genError":5e-324}],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[],"messagesSent":9223372036854775807,"bytesSent":-9223372036854775808}`,
+		`{"label":"a","records":[],"messagesSent":9223372036854775808,"bytesSent":0}`,
+		`{"label":"a", "records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0}` + "\n",
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0}x`,
+		`{"label":"a","label":"a","records":[],"messagesSent":0,"bytesSent":0}`,
+		`{"label":"a","records":[],"messagesSent":0,"bytesSent":0,"bytesSent":0}`,
+	} {
+		f.Add([]byte(body), "a")
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, label string) {
-		got, ok := decodeArmRecord(raw, label)
-		if !ok {
-			return
-		}
-		if got.Label != label {
-			t.Fatalf("accepted label %q for %q", got.Label, label)
-		}
-		again, err := encodeArmRecord(got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(again) != string(raw) {
-			t.Fatalf("accepted %q re-encodes to %q", raw, again)
-		}
-		if sum := got.Result().Checksum(); string(raw[:sumLen]) != sum {
-			t.Fatalf("accepted sum %s, Checksum %s", raw[:sumLen], sum)
+		sealed := append([]byte(result.Sum(raw)), raw...)
+		for _, rec := range [][]byte{raw, sealed} {
+			labels := []string{label}
+			if len(rec) >= sumLen {
+				var carried result.ArmResult
+				if json.Unmarshal(rec[sumLen:], &carried) == nil {
+					labels = append(labels, carried.Label)
+				}
+				if read, ok := result.ReadCanonical(rec[sumLen:]); ok {
+					labels = append(labels, read.Label)
+				}
+			}
+			for _, l := range labels {
+				got, ok := decodeArmRecord(rec, l)
+				want, wantOK := oracleDecodeArmRecord(rec, l)
+				if ok != wantOK {
+					t.Fatalf("decodeArmRecord(%q, %q) accepts %v, the oracle %v", rec, l, ok, wantOK)
+				}
+				if !ok {
+					continue
+				}
+				res := got.Result()
+				canon, err := json.Marshal(res)
+				if err != nil || !reflect.DeepEqual(res, want) {
+					t.Fatalf("record %q decodes to %+v, the oracle to %+v", rec, res, want)
+				}
+				if !bytes.Equal(canon, rec[sumLen:]) {
+					t.Fatalf("accepted %q re-encodes to %q", rec[sumLen:], canon)
+				}
+				if sum := res.Checksum(); string(rec[:sumLen]) != sum {
+					t.Fatalf("accepted sum %s, Checksum %s", rec[:sumLen], sum)
+				}
+			}
 		}
 	})
 }

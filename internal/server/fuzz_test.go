@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -12,8 +15,8 @@ import (
 	"gossipmia/pkg/dlsim"
 )
 
-// fuzzBodyLimit is the body limit FuzzWorkBodies decodes under, small
-// enough that a seed can run into it.
+// fuzzBodyLimit is the body limit FuzzWorkBodies and FuzzSubmitBody
+// decode under, small enough that a seed can run into it.
 const fuzzBodyLimit = 4 << 10
 
 // FuzzWorkBodies feeds one byte string to the three decoders of the
@@ -124,6 +127,103 @@ func FuzzWorkBodies(f *testing.F) {
 			if err != nil || !reflect.DeepEqual(got, next) {
 				t.Fatalf("claim after receipt %q = (%+v, %v), want the chained order %+v", raw, got, err, next)
 			}
+		}
+	})
+}
+
+// FuzzSubmitBody feeds one byte string to POST /v1/jobs and holds the
+// answer to its contract: no panic; the only answers are 202, 200, 400,
+// 413, 422 and 503; and a job it accepts runs what was sent — its spec
+// re-encodes to an equal spec (decoding the encoding gives one that
+// validates, encodes to the same bytes and has the same content hash),
+// and the same body again is 200, deduplicated onto that job. The
+// service's job slot is stopped before the first input, so an accepted
+// job stays queued until the target cancels it.
+func FuzzSubmitBody(f *testing.F) {
+	arm := `{"label":"a","corpus":"cifar10","protocol":"samo","viewSize":2}`
+	for _, seed := range []string{
+		`{"spec":{"name":"x","arms":[` + arm + `]}}`,
+		`{"spec":{"name":"x","arms":[` + arm + `]},"scale":"tiny","seed":7,"workers":2}`,
+		`{"spec":{"name":"x","sweep":{"base":` + arm + `,"axes":[{"field":"beta","values":[0.1,0.2]}]}}}`,
+		`{"spec":{"name":"x","arms":[` + arm + `]},"scale":"galactic"}`,
+		`{"spec":{"name":"x","arms":[` + arm + `]},"workers":-1}`,
+		`{"spec":{"name":"x","arms":[{"label":"a","corpus":"nope","protocol":"samo","viewSize":2}]}}`,
+		`{"spec":{"name":"x","arms":[],"sweep":{"base":` + arm + `,"axes":[{"field":"churnFraction","values":[0,0.25]}]}}}`,
+		`{"spec":{"name":"x","arms":[` + arm + `]},"bogus":1}`,
+		`{"spec":null}`,
+		`{"scale":"tiny"}`,
+		`{"spec":{"name":"` + strings.Repeat("n", fuzzBodyLimit) + `","arms":[` + arm + `]}}`,
+		`{"spec":{"name":"x","arms":[` + arm,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "specs", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range examples {
+		sp, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add([]byte(`{"scale":"tiny","spec":` + string(sp) + `}`))
+	}
+
+	svc := New(Config{DefaultScale: "tiny", MaxBodyBytes: fuzzBodyLimit, QueueDepth: 1})
+	svc.baseCancel()
+	svc.wg.Wait()
+	f.Cleanup(svc.Close)
+
+	submit := func(t *testing.T, raw []byte) (int, dlsim.JobStatus) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(raw)))
+		var st dlsim.JobStatus
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusOK:
+			if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.ID == "" {
+				t.Fatalf("body %q accepted with status %q (%v)", raw, rec.Body, err)
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusUnprocessableEntity, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("body %q answered %d: %s", raw, rec.Code, rec.Body)
+		}
+		return rec.Code, st
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		code, st := submit(t, raw)
+		if code != http.StatusAccepted {
+			if code == http.StatusOK {
+				t.Fatalf("body %q deduplicated onto %s, but every earlier job was cancelled", raw, st.ID)
+			}
+			return
+		}
+		svc.mu.Lock()
+		j := svc.jobs[st.ID]
+		svc.mu.Unlock()
+		defer svc.cancelJob(j)
+
+		enc, err := json.Marshal(j.spec)
+		if err != nil {
+			t.Fatalf("accepted spec of %q does not encode: %v", raw, err)
+		}
+		var back dlsim.Spec
+		if err := json.Unmarshal(enc, &back); err != nil || back.Validate() != nil {
+			t.Fatalf("accepted spec %s does not decode to a valid spec: %v, %v", enc, err, back.Validate())
+		}
+		again, err := json.Marshal(&back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("accepted spec %s re-encodes to %s (%v)", enc, again, err)
+		}
+		h1, err1 := j.spec.Hash()
+		h2, err2 := back.Hash()
+		if err1 != nil || err2 != nil || h1 != h2 {
+			t.Fatalf("accepted spec %s hashes to %s (%v), its re-encoding to %s (%v)", enc, h1, err1, h2, err2)
+		}
+		if code, dup := submit(t, raw); code != http.StatusOK || dup.ID != st.ID || !dup.Deduped {
+			t.Fatalf("body %q again answered %d for %s, want 200 for %s", raw, code, dup.ID, st.ID)
 		}
 	})
 }

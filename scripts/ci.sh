@@ -2,7 +2,8 @@
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
 # cross-build (the kernels' pure-Go tier), the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
-# targets run once over their seed corpus, no fuzzing time), the
+# targets run once over their seed corpus; only the arm cache's reader
+# is fuzzed, for 10 s), the
 # one-generator import gate (math/rand only under internal/tensor), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
@@ -47,6 +48,10 @@ go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
 go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment
+# The arm cache's reader is hand-written (result.ReadCanonical): a short
+# real fuzzing run holds it to the decode-and-re-encode oracle on inputs
+# no seed lists.
+go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s ./internal/experiment
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, whose source seeds in under 2 µs and is held to math/rand's

@@ -1,14 +1,15 @@
 #!/bin/sh
-# profile.sh — capture pprof CPU + allocation profiles for the three
+# profile.sh — capture pprof CPU + allocation profiles for the four
 # workloads the perf work steers by: the figure2 end-to-end run at quick
 # scale and default workers, the shape dlbench's figure2_quick measures
 # (via dlsim's -cpuprofile/-memprofile flags; five seeds merged for each,
 # since one run is little over a second of samples), the dense-wake arm (via the
-# IntraArmSpeedup benchmark) and a sweep of sub-millisecond arms (via
+# IntraArmSpeedup benchmark), a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB and collections
-# per arm). Writes raw profiles plus plain-text top-20 summaries under
-# profiles/ — the summaries are what DESIGN.md's "Where the time goes"
-# section is built from.
+# per arm) and a resume pass over a finished directory of them (via the
+# ResumePass benchmark, CPU only). Writes raw profiles plus plain-text
+# top-20 summaries under profiles/ — the summaries are what DESIGN.md's
+# "Where the time goes" section is built from.
 #
 # Usage: scripts/profile.sh [outdir]   (default: profiles/)
 set -eu
@@ -41,7 +42,12 @@ go test -run=NONE -bench='BenchmarkLightArmSweep' -benchtime=100x \
     -memprofile "$OUT/lightarm_mem.pprof" \
     -o "$OUT/bench.test" . | grep '^Benchmark'
 
-for p in figure2_cpu figure2_mem intraarm_cpu intraarm_mem lightarm_cpu lightarm_mem; do
+echo "== resume pass (ResumePass benchmark, 256 cached light arms per pass) =="
+go test -run=NONE -bench='BenchmarkResumePass' -benchtime=1000x \
+    -cpuprofile "$OUT/resume_cpu.pprof" \
+    -o "$OUT/bench.test" ./internal/experiment | grep '^Benchmark'
+
+for p in figure2_cpu figure2_mem intraarm_cpu intraarm_mem lightarm_cpu lightarm_mem resume_cpu; do
     case "$p" in
         *_mem) sample="-sample_index=alloc_space" ;;
         *) sample="" ;;
@@ -75,3 +81,19 @@ go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$O
 echo "light arm, cumulative under (*Study).run:"
 go tool pprof -top -cum -nodecount=400 "$OUT/lightarm_cpu.pprof" 2>/dev/null |
     grep -E 'flat%|\(\*Study\)\.run$|rngSource\)\.Seed|metrics\.GenError' || true
+# The resume pass's table of DESIGN.md §4: of the samples the passes
+# take (the benchmark labels them on every goroutine a pass starts; the
+# cold run that builds the directory is unlabelled), the cumulative
+# shares of the strict read of each cached record, the results.csv row,
+# the arm keys, the spec hash and the manifest encode.
+echo "resume pass, cumulative share of its samples:"
+go tool pprof -top -cum -unit=ms -nodecount=100000 -tagfocus=bench=resume-pass "$OUT/resume_cpu.pprof" 2>/dev/null |
+    awk '
+    /^Showing nodes accounting for/ { total = $5; sub(/ms,?$/, "", total) }
+    { name = $NF; ms = $4; sub(/ms$/, "", ms) }
+    name ~ /experiment\.(decodeArmRecord|appendResultsCSVRow|armKeys)$|spec\.\(\*Spec\)\.Hash$|json\.MarshalIndent$/ { row[name] = ms }
+    END {
+        if (total + 0 == 0) { print "  no resume-pass samples"; exit }
+        printf "  %-52s %8.0f ms\n", "all", total
+        for (n in row) printf "  %-52s %8.1f %%\n", n, 100 * row[n] / total
+    }' || true
