@@ -227,7 +227,7 @@ func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	if err := refParams.Axpy(-0.05, grad); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Update(model, train, rng.Split()); err != nil {
+	if err := u.Update(model, train, tensor.NewRNG(rng.Int63())); err != nil {
 		t.Fatal(err)
 	}
 	if !tensor.EqualApprox(model.Params(), refParams, 1e-9) {

@@ -207,7 +207,8 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	if len(nodeData) != cfg.Nodes {
 		return nil, fmt.Errorf("%w: %d node datasets for %d nodes", ErrConfig, len(nodeData), cfg.Nodes)
 	}
-	// arena.RNG(rng.Int63()) below is rng.Split() on a recycled generator.
+	// Each child stream below is arena.RNG(rng.Int63()): seeded from the
+	// topology stream's next draw, on a recycled generator.
 	arena := initial.Arena()
 	rng := arena.RNG(cfg.Seed)
 	topo, err := graph.NewRegular(cfg.Nodes, cfg.ViewSize, rng)

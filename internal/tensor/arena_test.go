@@ -134,15 +134,15 @@ func TestArenaConcurrentVector(t *testing.T) {
 	}
 }
 
-// draws exercises every sampling path of an RNG.
-func draws(g *RNG) []any {
+// draws exercises every sampling path of an RNG or its oracle.
+func draws(g sampler) []any {
 	out := []any{g.Int63(), g.Float64(), g.Normal(1, 2), g.Intn(1000), g.Perm(9)}
 	order := []int{0, 1, 2, 3, 4, 5, 6}
 	g.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	v, k := NewVector(5), NewVector(7)
 	g.FillNormal(v, 0, 1)
 	g.KaimingNormal(k, 3)
-	return append(out, order, v, k, g.Dirichlet(6, 0.3), g.Dirichlet(4, 2.5), g.Split().Int63(), g.Int63())
+	return append(out, order, v, k, g.Dirichlet(6, 0.3), g.Dirichlet(4, 2.5), g.Int63())
 }
 
 // A generator the arena recycles after use is math/rand's fresh one.

@@ -2,9 +2,9 @@
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
 # cross-build (the kernels' pure-Go tier), the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
-# targets run once over their seed corpus; only the arm cache's reader
-# is fuzzed, for 10 s), the
-# one-generator import gate (math/rand only under internal/tensor), the
+# targets run once over their seed corpus; the arm cache's reader and
+# the RNG are fuzzed, for 10 s each), the one-generator gates (math/rand
+# only in tests, and no fused multiply-add in the samplers on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -52,20 +52,37 @@ go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./intern
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
 go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s ./internal/experiment
+# tensor.RNG runs math/rand's samplers on its own lazily filled source:
+# a short real fuzzing run holds byte-coded call sequences on it to
+# rand.New(rand.NewSource(seed)) beyond the seed corpus.
+go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s ./internal/tensor
 
 # One generator family: every stream in the program comes from
-# tensor.RNG, whose source seeds in under 2 µs and is held to math/rand's
-# Go 1 stream by its tests. A second import of math/rand would bring
-# back a 10 µs seeding, or a stream no golden covers, behind its back.
-# benchmark/ is the measuring harness, not the program, and is exempt.
+# tensor.RNG, which runs the Go 1 samplers on its own source and is held
+# to math/rand's stream by its tests; math/rand is their oracle and
+# nothing else. A non-test import of it would bring back a stream no
+# golden covers behind the tests' back. benchmark/ is the measuring
+# harness, not the program, and is exempt.
 strays=$(grep -rlE --include='*.go' --exclude='*_test.go' '"math/rand(/v2)?"' . |
-    grep -vE '^\./(internal/tensor|benchmark)/' || true)
+    grep -v '^\./benchmark/' || true)
 if [ -n "$strays" ]; then
-    echo "math/rand imported outside internal/tensor:" >&2
+    echo "math/rand imported by a non-test file of the program:" >&2
     echo "$strays" >&2
     exit 1
 fi
 echo "rng import gate ok"
+# The same samplers on arm64: the compiler may fuse a*b + c there, and
+# every product in rng*.go that feeds an add is rounded explicitly so it
+# cannot. A fused multiply-add attributed to those files moves arm64's
+# stream off amd64's.
+fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/tensor=-S' ./internal/tensor 2>&1 |
+    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' | grep -E '/rng[a-z_]*\.go:' || true)
+if [ -n "$fused" ]; then
+    echo "arm64 fuses multiply-adds in the samplers:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+echo "rng arm64 rounding gate ok"
 
 # One scenario schema: the language lives in pkg/dlsim/spec, and
 # internal/spec is an alias file kept for benchmark/ until a benchmark

@@ -75,12 +75,22 @@ go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
 echo "heavy arm, bytes allocated by caller of tensor.(*Arena).Vector:"
 go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$OUT/figure2_mem.pprof" 2>/dev/null |
     awk '/\| +gossipmia\/internal\/tensor\.\(\*Arena\)\.Vector$/ { exit } /\|/ && !/calls%/ { print }' || true
-# The light arm's two shares DESIGN.md §4 quotes: seeding, and the
-# generalization-error passes, which have no line while evalNode scores
-# each split once (PR 16) — one reappearing here is a regression.
-echo "light arm, cumulative under (*Study).run:"
-go tool pprof -top -cum -nodecount=400 "$OUT/lightarm_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|\(\*Study\)\.run$|rngSource\)\.Seed|metrics\.GenError' || true
+# The light arm's shares DESIGN.md §4 quotes, of the samples under
+# (*Study).run: data synthesis (FillNormal), the generators' lazy register
+# fill and the topology (graph.NewRegular); and the generalization-error
+# passes, which have no line while evalNode scores each split once — one
+# reappearing here is a regression.
+echo "light arm, cumulative share of (*Study).run:"
+go tool pprof -top -cum -unit=ms -nodecount=100000 -focus='core\.\(\*Study\)\.run$' "$OUT/lightarm_cpu.pprof" 2>/dev/null |
+    awk '
+    { name = $NF; ms = $4; sub(/ms$/, "", ms) }
+    name ~ /core\.\(\*Study\)\.run$/ { total = ms }
+    name ~ /tensor\.\(\*RNG\)\.FillNormal$|tensor\.\(\*rngSource\)\.fill$|graph\.NewRegular$|metrics\.GenError/ { row[name] = ms }
+    END {
+        if (total + 0 == 0) { print "  no (*Study).run samples"; exit }
+        printf "  %-52s %8.0f ms\n", "(*Study).run", total
+        for (n in row) printf "  %-52s %8.1f %%\n", n, 100 * row[n] / total
+    }' || true
 # The resume pass's table of DESIGN.md §4: of the samples the passes
 # take (the benchmark labels them on every goroutine a pass starts; the
 # cold run that builds the directory is unlabelled), the cumulative

@@ -85,7 +85,6 @@ var reachability = struct {
 		// Shared test helpers.
 		{"internal/tensor.EqualApprox", "internal/gossip.TestDeterminism", "vector comparison in 28 tests of five packages"},
 		{"internal/tensor.Vector.SubInPlace", "internal/gossip.TestGossipDrivesConsensus", "distance to the consensus point"},
-		{"internal/tensor.RNG.Split", "internal/tensor.TestArenaRNGMatchesFreshRNG", "a child stream, as dp's tests hand one to the updater"},
 		{"internal/sink.Memory", "internal/sink.TestMultiSinkFansOut", "the sink a test can read back"},
 		// A forward reference: ROADMAP item 2's claims evaluator is its
 		// first caller. It leaves this list when that lands, or goes if it
