@@ -478,12 +478,12 @@ func listJobs(addr string, limit, offset int) error {
 			st.Work.AuditsFailed, st.Work.Audits)
 	}
 	if len(st.Work.PerWorker) > 0 {
-		fmt.Printf("%-24s %-12s %6s %7s %9s %8s %6s %10s %11s\n",
-			"worker", "state", "score", "leases", "completes", "expiries", "errors", "mismatches", "quarantines")
+		fmt.Printf("%-24s %-12s %7s %9s %8s %6s %10s\n",
+			"worker", "state", "leases", "completes", "expiries", "errors", "mismatches")
 		for _, row := range st.Work.PerWorker {
-			fmt.Printf("%-24s %-12s %6.2f %7d %9d %8d %6d %10d %11d\n",
-				row.Name, row.State, row.Score, row.Leases, row.Completes,
-				row.Expiries, row.Errors, row.Mismatches, row.Quarantines)
+			fmt.Printf("%-24s %-12s %7d %9d %8d %6d %10d\n",
+				row.Name, row.State, row.Leases, row.Completes,
+				row.Expiries, row.Errors, row.Mismatches)
 		}
 	}
 	fmt.Printf("cache: %d hits / %d misses (%.1f%% hit rate)\n",

@@ -9,7 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/server"
@@ -431,6 +433,40 @@ func TestListJobsReportsStatzFailure(t *testing.T) {
 	err := run([]string{"list", "-jobs", "-addr", ts.URL})
 	if err == nil || !strings.Contains(err.Error(), "service status") {
 		t.Fatalf("list -jobs over a failing statz: error = %v", err)
+	}
+}
+
+// TestQuarantinedWorkerStops: a worker whose claim is refused with 403
+// (quarantined: permanent) deregisters and exits instead of retrying.
+func TestQuarantinedWorkerStops(t *testing.T) {
+	var mu sync.Mutex
+	var paths []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		paths = append(paths, r.URL.Path)
+		mu.Unlock()
+		if r.URL.Path == "/v1/work/claim" {
+			http.Error(w, `{"error":"worker \"rogue\" is quarantined"}`, http.StatusForbidden)
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer ts.Close()
+	done := make(chan error, 1)
+	go func() { done <- run([]string{"worker", "-server", ts.URL, "-name", "rogue"}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("quarantined worker: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("quarantined worker still running")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := []string{"/v1/work/register", "/v1/work/claim", "/v1/work/deregister"}
+	if strings.Join(paths, " ") != strings.Join(want, " ") {
+		t.Fatalf("requests = %v, want %v", paths, want)
 	}
 }
 

@@ -27,7 +27,9 @@ import (
 // On SIGINT/SIGTERM the worker drains: it stops claiming new arms,
 // finishes and uploads the arms it already holds, deregisters, and
 // exits — so a clean shutdown never forces the server to wait out a
-// lease expiry.
+// lease expiry. A slot the server has quarantined (it was caught
+// uploading bytes that fail verification) stops the same way: the
+// refusal is permanent.
 func workerCmd(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	serverURL := fs.String("server", "", "dlsim service base URL to pull work from (required)")
@@ -141,21 +143,10 @@ func workerLoop(ctx context.Context, client *dlsim.Client, log *slog.Logger, who
 				return
 			}
 			if errors.Is(err, dlsim.ErrWorkerQuarantined) {
-				// The server benched this worker. Honor the cooldown
-				// hint rather than hammering the claim endpoint with
-				// requests that can only answer 403.
-				wait := 5 * time.Second
-				var ae *dlsim.APIError
-				if errors.As(err, &ae) && ae.RetryAfter > 0 {
-					wait = ae.RetryAfter
-				}
-				log.Warn("worker is quarantined; backing off", "wait", wait)
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
-				}
-				continue
+				// The server caught this slot lying and refuses it for as
+				// long as the server runs: stop, and say goodbye.
+				log.Error("worker is quarantined; stopping", "err", err)
+				return
 			}
 			// Draining, unreachable, or overloaded even after retries:
 			// back off and keep polling — the fleet outlives restarts.

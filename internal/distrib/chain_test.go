@@ -102,57 +102,52 @@ func TestClaimWaitZeroDoesNotPark(t *testing.T) {
 	mustClaimNow(t, d, "w1", "a")
 }
 
-// TestChainRefusedWhereAClaimIs: a quarantined worker, a worker whose
-// probe is still out, and a draining dispatcher get no chained lease —
-// the chain is the ordinary Claim — and a reinstated worker does.
+// TestChainRefusedWhereAClaimIs: a worker whose upload was rejected is
+// quarantined at once, so the chained claim riding on its next upload is
+// refused like its plain claim, and so is any claim on a draining
+// dispatcher — the chain is the ordinary Claim — while an honest
+// worker's chain is served.
 func TestChainRefusedWhereAClaimIs(t *testing.T) {
-	d, advance := pinned(t)
+	d, _ := pinned(t)
 	for _, w := range []string{"w1", "w2"} {
 		if err := d.Register(w); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var outs []chan outcome
-	for _, key := range []string{"a", "b", "c", "d"} {
+	for _, key := range []string{"a", "b", "c"} {
 		ch, _ := submit(t, d, testUnit(key))
 		outs = append(outs, ch)
 	}
 	held := mustClaimNow(t, d, "w1", "a")
 
-	// Quarantined: the upload under the tainted lease is stale, and the
-	// claim riding on it is refused.
-	d.Quarantine("w1", "test says so")
+	// One rejected upload quarantines: a retry under the same lease is
+	// stale, and the claim riding on it is refused.
+	if stale, err := d.Reject(held.ID, "result checksum mismatch"); err != nil || stale {
+		t.Fatalf("reject = (stale=%v, %v)", stale, err)
+	}
 	if stale, err := d.Complete(held.ID, "late", nil); err != nil || !stale {
-		t.Fatalf("upload under a tainted lease = (stale=%v, %v), want stale", stale, err)
+		t.Fatalf("upload from a quarantined worker = (stale=%v, %v), want stale", stale, err)
 	}
 	if _, ok, err := claimNow(d, "w1"); ok || !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("chain for a quarantined worker = (%v, %v), want ErrQuarantined", ok, err)
 	}
-
-	// Cooldown over: one probe, and nothing chained while it is out.
-	advance(d.cooldown() + time.Second)
-	probe := mustClaimNow(t, d, "w1", "a") // reclaimed to the front
-	if _, ok, err := claimNow(d, "w1"); ok || !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("chain with the probe outstanding = (%v, %v), want ErrQuarantined", ok, err)
-	}
-	if row := workerRow(t, d, "w1"); row.Leases != 1 {
-		t.Fatalf("probing worker holds %d leases, want the probe alone", row.Leases)
+	if row := workerRow(t, d, "w1"); row.State != "quarantined" || row.Leases != 0 {
+		t.Fatalf("worker after a rejected upload = %+v, want quarantined with no lease", row)
 	}
 
-	// The probe's own upload reinstates, so its chain is served.
-	mustComplete(t, d, probe)
-	mustClaimNow(t, d, "w1", "b")
-	if row := workerRow(t, d, "w1"); row.State != "live" {
-		t.Fatalf("worker after a good probe = %q, want live", row.State)
-	}
+	// The honest worker gets the requeued unit, and its upload's chain
+	// is served.
+	mustComplete(t, d, mustClaimNow(t, d, "w2", "a"))
+	mustClaimNow(t, d, "w2", "b")
 
 	// Draining: leases still complete, nothing new is handed out.
 	d.Drain()
 	if _, ok, err := claimNow(d, "w2"); ok || !errors.Is(err, ErrDraining) {
 		t.Fatalf("chain on a draining dispatcher = (%v, %v), want ErrDraining", ok, err)
 	}
-	if out := <-outs[0]; out.err != nil || out.worker != "w1" {
-		t.Fatalf("unit a = %+v, want w1's probe result", out)
+	if out := <-outs[0]; out.err != nil || out.worker != "w2" {
+		t.Fatalf("unit a = %+v, want w2's result", out)
 	}
 }
 
@@ -191,8 +186,8 @@ func TestDeregisterRequeuesUnstartedChainedLease(t *testing.T) {
 		t.Fatalf("stats = %+v, want the one reclaim of the deregister and nothing else", s)
 	}
 	for _, row := range s.PerWorker {
-		if row.Expiries != 0 || row.Score != 0 {
-			t.Fatalf("worker row %+v, want no expiry and no score", row)
+		if row.Expiries != 0 || row.State != "live" {
+			t.Fatalf("worker row %+v, want no expiry and still live", row)
 		}
 	}
 	if _, err := d.Heartbeat(chained.ID); !errors.Is(err, ErrLeaseNotFound) {
@@ -206,7 +201,8 @@ func TestDeregisterRequeuesUnstartedChainedLease(t *testing.T) {
 
 // TestKilledHolderChainedLeaseExpires: a chained lease whose holder died
 // is a lease like any other — it lapses at its deadline, the unit is
-// reclaimed to the front, and holder and unit are charged the expiry.
+// reclaimed to the front and charged the expiry, and the holder's
+// expiry is counted.
 func TestKilledHolderChainedLeaseExpires(t *testing.T) {
 	d, advance := pinned(t)
 	for _, w := range []string{"w1", "w2"} {
@@ -231,8 +227,8 @@ func TestKilledHolderChainedLeaseExpires(t *testing.T) {
 	d.mu.Lock()
 	attempts := unitB.attempts
 	d.mu.Unlock()
-	if s := d.Stats(); s.Reclaims != 1 || row.Expiries != 1 || row.Score != 1 || row.Leases != 0 || attempts != 1 {
-		t.Fatalf("after the deadline: reclaims %d, row %+v, unit attempts %d; want one expiry charged to w1 and to b",
+	if s := d.Stats(); s.Reclaims != 1 || row.Expiries != 1 || row.State != "live" || row.Leases != 0 || attempts != 1 {
+		t.Fatalf("after the deadline: reclaims %d, row %+v, unit attempts %d; want one expiry counted on w1 and charged to b",
 			s.Reclaims, row, attempts)
 	}
 	mustComplete(t, d, mustClaimNow(t, d, "w2", "b"))
@@ -244,20 +240,42 @@ func TestKilledHolderChainedLeaseExpires(t *testing.T) {
 // leaseModel drives one dispatcher through a seeded interleaving of
 // Claim, Complete (+ chained claim), error and rejected uploads,
 // Heartbeat, Deregister and clock advances with a sweep, checking the
-// machine's invariants after every step.
+// machine's invariants after every step and, on every claim, that a
+// worker takes back a unit it failed only when no live worker is left
+// that has not failed it.
 type leaseModel struct {
 	t       *testing.T
 	d       *Dispatcher
 	advance func(time.Duration)
 	r       *rand.Rand
 
+	workers []string // three claimable names; a rejected one is replaced
+	hired   int      // names handed out so far
 	units   []*unit
 	outs    []chan outcome
 	refused int      // Execute calls answered ErrNoWorkers on the spot
 	leases  []string // every lease ID ever handed out, ended ones included
 }
 
-var modelWorkers = []string{"w0", "w1", "w2"}
+// hire registers a fresh worker name and returns it.
+func (m *leaseModel) hire() string {
+	name := fmt.Sprintf("w%d", m.hired)
+	m.hired++
+	if err := m.d.Register(name); err != nil {
+		m.t.Fatal(err)
+	}
+	return name
+}
+
+// replace swaps a quarantined worker's name for a fresh one, so the
+// model keeps three claimable workers.
+func (m *leaseModel) replace(worker string) {
+	for i, w := range m.workers {
+		if w == worker {
+			m.workers[i] = m.hire()
+		}
+	}
+}
 
 func (m *leaseModel) submit() {
 	key := fmt.Sprintf("u%03d", len(m.outs)+m.refused)
@@ -277,8 +295,21 @@ func (m *leaseModel) claim(worker string) {
 	if err != nil && !errors.Is(err, ErrQuarantined) {
 		m.t.Fatalf("claim by %s: %v", worker, err)
 	}
-	if ok {
-		m.leases = append(m.leases, l.ID)
+	if !ok {
+		return
+	}
+	m.leases = append(m.leases, l.ID)
+	d := m.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	u, now := d.leases[l.ID].u, d.now()
+	if !u.failedOn(worker) {
+		return
+	}
+	for _, rec := range d.workers {
+		if d.liveLocked(rec, now) && !u.failedOn(rec.name) {
+			m.t.Fatalf("%s took back unit %s it failed while %s, live, has not tried it", worker, u.Key, rec.name)
+		}
 	}
 }
 
@@ -294,7 +325,7 @@ func (m *leaseModel) step() {
 	case op < 2:
 		m.submit()
 	case op < 5:
-		m.claim(modelWorkers[m.r.Intn(len(modelWorkers))])
+		m.claim(m.workers[m.r.Intn(len(m.workers))])
 	case op < 8: // upload, and the claim that rides on it
 		if l, ok := m.pickLease(); ok {
 			if _, err := m.d.Complete(l.ID, "r:"+l.Unit.Key, nil); err != nil {
@@ -309,6 +340,7 @@ func (m *leaseModel) step() {
 				_, err = m.d.Complete(l.ID, nil, errors.New("arm failed"))
 			} else {
 				_, err = m.d.Reject(l.ID, "checksum mismatch")
+				m.replace(l.Worker)
 			}
 			if err != nil {
 				m.t.Fatalf("failed upload on %s: %v", l.ID, err)
@@ -321,8 +353,8 @@ func (m *leaseModel) step() {
 			}
 		}
 	case op == 10:
-		m.d.Deregister(modelWorkers[m.r.Intn(len(modelWorkers))])
-	default: // a second, most of a lease window, or past a cooldown
+		m.d.Deregister(m.workers[m.r.Intn(len(m.workers))])
+	default: // a second, most of a lease window, past one, or past several
 		m.advance([]time.Duration{time.Second, 4 * time.Second, 11 * time.Second, 45 * time.Second}[m.r.Intn(4)])
 		m.d.sweep()
 	}
@@ -331,8 +363,8 @@ func (m *leaseModel) step() {
 // check holds the dispatcher to: every submitted unit is queued, leased
 // or resolved, and was resolved by exactly one path; a queued unit is in
 // the queue once; a leased unit has one active lease; a worker's lease
-// count is its active leases; a quarantined worker holds at most its
-// probe.
+// count is its active leases; a quarantined worker holds no active
+// lease.
 func (m *leaseModel) check(when string) {
 	d := m.d
 	d.mu.Lock()
@@ -351,8 +383,8 @@ func (m *leaseModel) check(when string) {
 		if l.u.state == unitLeased {
 			active[l.u]++
 		}
-		if rec := d.workers[l.worker]; rec != nil && rec.state == workerQuarantined && rec.probeLease != l.id {
-			m.t.Fatalf("%s: quarantined worker %s holds lease %s, not its probe %q", when, l.worker, l.id, rec.probeLease)
+		if rec := d.workers[l.worker]; rec != nil && rec.quarantined {
+			m.t.Fatalf("%s: quarantined worker %s holds lease %s", when, l.worker, l.id)
 		}
 	}
 	queued, leased, resolved := 0, 0, 0
@@ -395,18 +427,16 @@ func TestLeaseMachineRandomInterleavings(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			d, advance := pinned(t)
 			m := &leaseModel{t: t, d: d, advance: advance, r: rand.New(rand.NewSource(seed))}
-			for _, w := range modelWorkers {
-				if err := d.Register(w); err != nil {
-					t.Fatal(err)
-				}
+			for i := 0; i < 3; i++ {
+				m.workers = append(m.workers, m.hire())
 			}
 			for i := 0; i < 500; i++ {
 				m.step()
 				m.check(fmt.Sprintf("step %d", i))
 			}
-			// Wind down: past every cooldown, a fresh worker claims and
-			// completes until nothing is queued or leased; whatever the
-			// fleet lost meanwhile was failed over by a sweep.
+			// Wind down: an hour on, a fresh worker claims and completes
+			// until nothing is queued or leased; whatever the fleet lost
+			// meanwhile was failed over by a sweep.
 			advance(time.Hour)
 			for {
 				l, ok, err := claimNow(d, "closer")

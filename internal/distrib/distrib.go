@@ -12,22 +12,24 @@
 // the same bytes and a duplicate completion is a harmless no-op
 // (reported as stale).
 //
-// The dispatcher does not trust the fleet. Every worker carries a
-// decaying health score fed by its failures (lease expiries, reported
-// errors, checksum mismatches); crossing the threshold quarantines the
-// worker for a cooldown during which its claims are refused and its
-// leases are reclaimed, with a circuit-breaker half-open probe before
-// reinstatement. Units track which workers failed them, and a unit
-// that keeps failing across distinct workers is poisoned — resolved
-// with a PoisonedError carrying the per-worker history so the caller
-// can fall back to local execution instead of cycling forever.
+// A worker is trusted until it is caught lying. Proof of a lie — an
+// upload rejected for a checksum mismatch (Reject) or a divergent audit
+// (Quarantine) — quarantines the worker for the rest of the
+// dispatcher's life: its leases are requeued at once, its claims are
+// refused with ErrQuarantined, its uploads are answered stale, and its
+// record is never forgotten. Expiries and reported errors are not proof
+// and charge only the unit: it is requeued, and a unit that keeps
+// failing across distinct workers is poisoned — resolved with a
+// PoisonedError carrying the per-worker history so the caller can fall
+// back to local execution instead of cycling forever. A worker passes
+// over a unit it has already failed while a live worker that has not
+// failed it exists, so one failing worker cannot poison a unit alone.
 package distrib
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -44,27 +46,13 @@ var (
 	ErrClosed = errors.New("distrib: dispatcher closed")
 	// ErrLeaseNotFound reports an unknown or already-expired lease.
 	ErrLeaseNotFound = errors.New("distrib: unknown or expired lease")
-	// ErrQuarantined refuses claims from a quarantined worker. The
-	// concrete error is a *QuarantineError carrying the release time.
+	// ErrQuarantined refuses claims from a quarantined worker.
 	ErrQuarantined = errors.New("distrib: worker quarantined")
 	// ErrPoisoned resolves a unit that failed on too many distinct
 	// workers. The concrete error is a *PoisonedError carrying the
 	// per-worker failure history.
 	ErrPoisoned = errors.New("distrib: unit failed on too many workers")
 )
-
-// QuarantineError is the concrete claim refusal for a quarantined
-// worker; errors.Is(err, ErrQuarantined) matches it.
-type QuarantineError struct {
-	Worker string
-	Until  time.Time
-}
-
-func (e *QuarantineError) Error() string {
-	return fmt.Sprintf("distrib: worker %q quarantined until %s", e.Worker, e.Until.Format(time.RFC3339))
-}
-
-func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 
 // UnitFailure is one failed execution attempt of a unit, attributed to
 // the worker that held its lease.
@@ -91,7 +79,7 @@ func (e *PoisonedError) Error() string {
 func (e *PoisonedError) Unwrap() error { return ErrPoisoned }
 
 // Config tunes the lease and liveness windows. Zero values pick
-// defaults; the self-healing windows derive from LeaseTTL.
+// defaults; the liveness windows derive from LeaseTTL.
 type Config struct {
 	// LeaseTTL is how long a claimed unit stays assigned without a
 	// heartbeat before it is reclaimed for re-dispatch. Default 15s.
@@ -106,21 +94,10 @@ type Config struct {
 	sweep time.Duration
 }
 
-const (
-	// failThreshold is the decaying health score at which a worker is
-	// quarantined. Completions decay the score; expiries and reported
-	// errors add 1, checksum mismatches add 2: three quick errors or two
-	// mismatches trip it.
-	failThreshold = 2.5
-	// maxAttempts poisons a unit once that many distinct workers have
-	// failed it (or 2×maxAttempts attempts in total, so a one-worker
-	// fleet cannot cycle forever).
-	maxAttempts = 3
-	// cooldownLeases is the base quarantine duration in lease TTLs;
-	// consecutive quarantines double it up to 8×. The cooldown is also
-	// the score decay half-life.
-	cooldownLeases = 4
-)
+// maxAttempts poisons a unit once that many distinct workers have
+// failed it (or 2×maxAttempts attempts in total, so a one-worker fleet
+// cannot cycle forever).
+const maxAttempts = 3
 
 func (c Config) withDefaults() Config {
 	if c.LeaseTTL <= 0 {
@@ -167,16 +144,14 @@ type Lease struct {
 
 // WorkerStatus is one worker's row in the Stats snapshot.
 type WorkerStatus struct {
-	Name        string
-	State       string // "live", "quarantined", "probing", or "draining"
-	Score       float64
-	Leases      int // unresolved leases held
-	Completes   int64
-	Expiries    int64
-	Errors      int64 // worker-reported execution errors
-	Mismatches  int64 // checksum-mismatched or audit-divergent uploads
-	Quarantines int64
-	Registered  bool
+	Name       string
+	State      string // "live" or "quarantined"
+	Leases     int    // unresolved leases held
+	Completes  int64
+	Expiries   int64
+	Errors     int64 // worker-reported execution errors
+	Mismatches int64 // checksum-mismatched or audit-divergent uploads
+	Registered bool
 }
 
 // Stats is a point-in-time counters snapshot for observability.
@@ -191,7 +166,7 @@ type Stats struct {
 	NoWorkerFallbacks int64 // units answered with ErrNoWorkers
 	Poisoned          int64 // units resolved with PoisonedError
 	Rejected          int64 // uploads rejected (checksum mismatch)
-	Quarantines       int64 // quarantine events across the fleet
+	Quarantines       int64 // workers quarantined
 	Draining          bool
 	PerWorker         []WorkerStatus // sorted by name
 }
@@ -219,53 +194,22 @@ type unit struct {
 }
 
 type lease struct {
-	id       string
-	u        *unit
-	worker   string
-	deadline time.Time
-	done     bool // expired or resolved; kept briefly for stale uploads
-	// tainted marks a lease reclaimed from a quarantined worker: its
-	// late upload is never delivered, even if the unit is still queued.
-	tainted    bool
-	probe      bool // half-open probe claim of a quarantined worker
+	id         string
+	u          *unit
+	worker     string
+	deadline   time.Time
+	done       bool // expired or resolved; kept briefly for stale uploads
 	resolvedAt time.Time
 }
 
-type workerState int
-
-const (
-	workerLive workerState = iota
-	workerQuarantined
-	workerDraining // deregistered with leases still unresolved
-)
-
-func (s workerState) String() string {
-	switch s {
-	case workerQuarantined:
-		return "quarantined"
-	case workerDraining:
-		return "draining"
-	default:
-		return "live"
-	}
-}
-
 // workerRec is the registry entry for one worker: liveness, parked
-// long-polls, health score, and lifetime counters.
+// long-polls, quarantine, and lifetime counters.
 type workerRec struct {
-	name       string
-	registered bool // explicit Register handshake (vs. implicit on claim)
-	seen       time.Time
-	parked     int // claimers currently long-polling
-	state      workerState
-
-	score   float64 // decaying failure score; quarantine at failThreshold
-	scoreAt time.Time
-
-	quarUntil   time.Time
-	probeLease  string // outstanding half-open probe, if any
-	quarCount   int    // consecutive quarantines (cooldown backoff)
-	quarantines int64  // lifetime quarantine events
+	name        string
+	registered  bool // explicit Register handshake (vs. implicit on claim)
+	seen        time.Time
+	parked      int  // claimers currently long-polling
+	quarantined bool // caught lying; never lifted, never forgotten
 
 	leases                 int // unresolved leases held
 	completes, expiries    int64
@@ -311,12 +255,6 @@ func New(cfg Config) *Dispatcher {
 	return d
 }
 
-// LeaseTTL reports the configured lease deadline window.
-func (d *Dispatcher) LeaseTTL() time.Duration { return d.cfg.LeaseTTL }
-
-// cooldown is the base quarantine duration.
-func (d *Dispatcher) cooldown() time.Duration { return cooldownLeases * d.cfg.LeaseTTL }
-
 func (d *Dispatcher) wakeLocked() {
 	close(d.wake)
 	d.wake = make(chan struct{})
@@ -327,79 +265,38 @@ func (d *Dispatcher) wakeLocked() {
 func (d *Dispatcher) recLocked(worker string, now time.Time) *workerRec {
 	rec, ok := d.workers[worker]
 	if !ok {
-		rec = &workerRec{name: worker, state: workerLive, scoreAt: now}
+		rec = &workerRec{name: worker}
 		d.workers[worker] = rec
 	}
 	rec.seen = now
 	return rec
 }
 
-// decayLocked applies exponential decay to the worker's failure score
-// with a half-life of one cooldown.
-func (d *Dispatcher) decayLocked(rec *workerRec, now time.Time) {
-	if dt := now.Sub(rec.scoreAt); dt > 0 && rec.score > 0 {
-		rec.score *= math.Pow(0.5, dt.Seconds()/d.cooldown().Seconds())
+// quarantineLocked bars the worker for the rest of the dispatcher's
+// life and requeues every unit it holds.
+func (d *Dispatcher) quarantineLocked(rec *workerRec, now time.Time) {
+	if rec.quarantined {
+		return
 	}
-	rec.scoreAt = now
-}
-
-// penalizeLocked raises the worker's failure score and quarantines it
-// when the score crosses the threshold.
-func (d *Dispatcher) penalizeLocked(rec *workerRec, weight float64, now time.Time, reason string) {
-	d.decayLocked(rec, now)
-	rec.score += weight
-	if rec.state == workerLive && rec.score >= failThreshold {
-		d.quarantineLocked(rec, now, reason)
-	}
-}
-
-// rewardLocked lowers the score on a successful completion.
-func (d *Dispatcher) rewardLocked(rec *workerRec, now time.Time) {
-	d.decayLocked(rec, now)
-	rec.score -= 0.5
-	if rec.score < 0 {
-		rec.score = 0
-	}
-}
-
-// quarantineLocked puts the worker in quarantine: its claims are
-// refused until the cooldown elapses (doubling per consecutive
-// quarantine, capped at 8×), and every lease it still holds is
-// reclaimed as tainted — the unit is re-queued (or poisoned) and a
-// late upload from the worker is discarded rather than trusted.
-func (d *Dispatcher) quarantineLocked(rec *workerRec, now time.Time, reason string) {
-	rec.state = workerQuarantined
-	mult := time.Duration(1) << min(rec.quarCount, 3)
-	rec.quarCount++
-	rec.quarantines++
-	rec.quarUntil = now.Add(d.cooldown() * mult)
-	rec.probeLease = ""
+	rec.quarantined = true
 	d.quarEvts++
-	for _, l := range d.leases {
-		if l.worker != rec.name || !d.endLeaseLocked(l, rec, now) {
-			continue
-		}
-		l.tainted = true
-		if l.u.state == unitLeased {
-			d.reclaims++
-			d.retryUnitLocked(l.u, true, rec.name, "worker quarantined: "+reason)
-		}
-	}
+	d.releaseLocked(rec, now)
 	// Wake every parked claim: requeued units need a new worker, and a
 	// parked claim from the quarantined worker itself should learn of
 	// the refusal now, not when its poll window lapses.
 	d.wakeLocked()
 }
 
-// reinstateLocked returns a quarantined worker to live after a
-// successful half-open probe, resetting its score and backoff.
-func (d *Dispatcher) reinstateLocked(rec *workerRec, now time.Time) {
-	rec.state = workerLive
-	rec.score = 0
-	rec.scoreAt = now
-	rec.quarCount = 0
-	rec.probeLease = ""
-	rec.quarUntil = time.Time{}
+// releaseLocked ends every active lease the worker holds and requeues
+// its unit at the front without charging it a failure: the worker is
+// leaving or barred, and the unit did nothing wrong.
+func (d *Dispatcher) releaseLocked(rec *workerRec, now time.Time) {
+	for _, l := range d.leases {
+		if l.worker == rec.name && d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased {
+			d.reclaims++
+			d.retryUnitLocked(l.u, true, rec.name, "")
+		}
+	}
 }
 
 // failUnitLocked records a failed attempt and poisons the unit when
@@ -439,18 +336,6 @@ func (d *Dispatcher) endLeaseLocked(l *lease, rec *workerRec, now time.Time) boo
 	return true
 }
 
-// chargeLocked bills the worker for a lease that went wrong: a failed
-// half-open probe sends it straight back to quarantine with a doubled
-// cooldown, anything else raises its score by weight.
-func (d *Dispatcher) chargeLocked(rec *workerRec, l *lease, weight float64, now time.Time, reason string) {
-	if l.probe && rec.state == workerQuarantined {
-		rec.probeLease = ""
-		d.quarantineLocked(rec, now, "probe failed: "+reason)
-	} else {
-		d.penalizeLocked(rec, weight, now, reason)
-	}
-}
-
 // retryUnitLocked sends an unresolved unit back for another worker. A
 // non-empty reason first charges the unit a failed attempt on worker,
 // which may poison it instead. held says the lease that just ended was
@@ -470,13 +355,12 @@ func (d *Dispatcher) retryUnitLocked(u *unit, held bool, worker, reason string) 
 }
 
 // failLeaseLocked handles an upload the server will not take — an
-// execution error or a rejected payload: retire the lease, bill the
-// worker (blame is its side of the story, reason the unit's), and
-// re-queue or poison the unit so another worker retries it. stale=true
-// reports the unit had already been resolved elsewhere.
-func (d *Dispatcher) failLeaseLocked(l *lease, rec *workerRec, weight float64, blame, reason string, now time.Time) (stale bool) {
+// execution error or a rejected payload: retire the lease and charge
+// the unit reason, re-queueing or poisoning it so another worker
+// retries it. stale=true reports the unit had already been resolved
+// elsewhere.
+func (d *Dispatcher) failLeaseLocked(l *lease, rec *workerRec, reason string, now time.Time) (stale bool) {
 	held := d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased
-	d.chargeLocked(rec, l, weight, now, blame)
 	if l.u.state == unitResolved {
 		d.stales++
 		return true
@@ -506,21 +390,17 @@ func (d *Dispatcher) Register(worker string) error {
 // waiting for workerTTL to lapse. Leases it still holds are reclaimed
 // to the front of the queue (without charging the unit a failure; the
 // worker is leaving, not misbehaving), though a late upload against
-// them is still accepted while the unit sits unclaimed.
+// them is still accepted while the unit sits unclaimed. A quarantined
+// worker's record stays: the name cannot shed its quarantine by
+// leaving and coming back.
 func (d *Dispatcher) Deregister(worker string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	rec, ok := d.workers[worker]
-	if !ok || d.closed {
+	if !ok || d.closed || rec.quarantined {
 		return
 	}
-	now := d.now()
-	for _, l := range d.leases {
-		if l.worker == worker && d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased {
-			d.reclaims++
-			d.retryUnitLocked(l.u, true, worker, "")
-		}
-	}
+	d.releaseLocked(rec, d.now())
 	// Parked claims from the worker, if any, re-register it on their
 	// next pass.
 	delete(d.workers, worker)
@@ -589,7 +469,7 @@ func (d *Dispatcher) dequeueLocked(u *unit) {
 }
 
 // LiveWorkers counts workers currently parked in a claim or seen
-// within workerTTL, excluding quarantined and draining ones.
+// within workerTTL, excluding quarantined ones.
 func (d *Dispatcher) LiveWorkers() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -599,25 +479,59 @@ func (d *Dispatcher) LiveWorkers() int {
 func (d *Dispatcher) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, rec := range d.workers {
-		if rec.state != workerLive {
-			continue
-		}
-		if rec.parked > 0 || now.Sub(rec.seen) <= d.cfg.workerTTL {
+		if d.liveLocked(rec, now) {
 			n++
 		}
 	}
 	return n
 }
 
-// Claim hands the caller the oldest queued unit under a fresh lease,
-// long-polling up to wait when the queue is empty. ok=false means the
-// wait elapsed (or ctx was cancelled) with no work available; wait <= 0
-// does not park — the caller gets what the queue holds now, which is
-// how a result upload asks for its worker's next unit. Claims
-// from a quarantined worker are refused with a *QuarantineError until
-// its cooldown elapses; the first claim after the cooldown is a
-// half-open probe — exactly one lease whose outcome decides between
-// reinstatement and a doubled quarantine.
+// liveLocked reports whether the worker is parked in a claim or was
+// seen within workerTTL, and is not quarantined.
+func (d *Dispatcher) liveLocked(rec *workerRec, now time.Time) bool {
+	return !rec.quarantined && (rec.parked > 0 || now.Sub(rec.seen) <= d.cfg.workerTTL)
+}
+
+// failedOn reports whether worker already failed the unit.
+func (u *unit) failedOn(worker string) bool {
+	for _, f := range u.failures {
+		if f.Worker == worker {
+			return true
+		}
+	}
+	return false
+}
+
+// nextLocked returns the queue index of the unit worker claims next, or
+// -1. The front unit wins, except that a worker passes over a unit it
+// has already failed while some live worker has not failed it: a worker
+// that fails every arm then charges each unit once and leaves it to the
+// rest of the fleet, instead of taking it straight back and poisoning it
+// alone. Once every live worker has failed a unit, any of them may take
+// it, so the poison rule still ends it.
+func (d *Dispatcher) nextLocked(worker string, now time.Time) int {
+next:
+	for i, u := range d.queue {
+		if !u.failedOn(worker) {
+			return i
+		}
+		for _, rec := range d.workers {
+			if d.liveLocked(rec, now) && !u.failedOn(rec.name) {
+				continue next
+			}
+		}
+		return i
+	}
+	return -1
+}
+
+// Claim hands the caller the first queued unit it may take (see
+// nextLocked) under a fresh lease, long-polling up to wait when there is
+// none. ok=false means the wait elapsed (or ctx was cancelled) with no
+// work available; wait <= 0 does not park — the caller gets what the
+// queue holds for it now, which is how a result upload asks for its
+// worker's next unit. Claims from a quarantined worker are refused with
+// ErrQuarantined.
 func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duration) (Lease, bool, error) {
 	var timeout <-chan time.Time // armed by the first park
 	for {
@@ -632,26 +546,17 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 		}
 		now := d.now()
 		rec := d.recLocked(worker, now)
-		probe := false
-		if rec.state == workerQuarantined {
-			switch {
-			case now.Before(rec.quarUntil):
-				until := rec.quarUntil
-				d.mu.Unlock()
-				return Lease{}, false, &QuarantineError{Worker: worker, Until: until}
-			case rec.probeLease != "":
-				// One probe at a time: until the outstanding probe
-				// resolves, further claims stay refused.
-				until := now.Add(d.cfg.LeaseTTL)
-				d.mu.Unlock()
-				return Lease{}, false, &QuarantineError{Worker: worker, Until: until}
-			default:
-				probe = true
-			}
+		if rec.quarantined {
+			d.mu.Unlock()
+			return Lease{}, false, ErrQuarantined
 		}
-		if len(d.queue) > 0 {
-			u := d.queue[0]
-			d.queue = d.queue[1:]
+		if i := d.nextLocked(worker, now); i >= 0 {
+			u := d.queue[i]
+			if i == 0 {
+				d.queue = d.queue[1:]
+			} else {
+				d.queue = append(d.queue[:i], d.queue[i+1:]...)
+			}
 			u.state = unitLeased
 			d.seq++
 			l := &lease{
@@ -659,14 +564,10 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 				u:        u,
 				worker:   worker,
 				deadline: now.Add(d.cfg.LeaseTTL),
-				probe:    probe,
 			}
 			d.leases[l.id] = l
 			d.claims++
 			rec.leases++
-			if probe {
-				rec.probeLease = l.id
-			}
 			out := d.leaseOf(l)
 			d.mu.Unlock()
 			return out, true, nil
@@ -750,13 +651,13 @@ func (d *Dispatcher) Heartbeat(leaseID string) (time.Time, error) {
 // duplicate or late upload) and the payload was discarded — execution
 // is idempotent by content hash, so this is harmless. An upload
 // against a lease that expired but whose unit is still pending is
-// accepted: the bytes are the same no matter who ran the arm. Leases
-// reclaimed by a quarantine are tainted and never accepted.
+// accepted: the bytes are the same no matter who ran the arm. Every
+// upload from a quarantined worker is answered stale.
 //
-// A non-nil workErr is charged to the worker's health score and the
-// unit's failure history, and the unit is re-queued for another
-// worker (or poisoned) rather than failing the submitter — a broken
-// worker must not take the sweep down with it.
+// A non-nil workErr is charged to the unit's failure history, and the
+// unit is re-queued for another worker (or poisoned) rather than
+// failing the submitter — a broken worker must not take the sweep down
+// with it.
 func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -766,13 +667,17 @@ func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale 
 	}
 	now := d.now()
 	rec := d.recLocked(l.worker, now)
+	if rec.quarantined {
+		d.stales++
+		return true, nil
+	}
 	if workErr != nil {
 		rec.uploadErrs++
-		return d.failLeaseLocked(l, rec, 1, "execution error: "+workErr.Error(), workErr.Error(), now), nil
+		return d.failLeaseLocked(l, rec, workErr.Error(), now), nil
 	}
 	d.endLeaseLocked(l, rec, now)
 	u := l.u
-	if l.tainted || u.state == unitResolved {
+	if u.state == unitResolved {
 		d.stales++
 		return true, nil
 	}
@@ -783,18 +688,14 @@ func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale 
 	u.done <- outcome{result: result, worker: l.worker}
 	d.completes++
 	rec.completes++
-	d.rewardLocked(rec, now)
-	if l.probe && rec.state == workerQuarantined {
-		d.reinstateLocked(rec, now)
-	}
 	return false, nil
 }
 
 // Reject refuses an upload whose payload failed server-side
-// verification (checksum mismatch): the worker takes a heavy health
-// penalty, the unit is charged a failure and re-queued (or poisoned),
-// and the lease is tainted so nothing else arrives on it. stale=true
-// reports the unit had already been resolved elsewhere.
+// verification (checksum mismatch). That is proof of a lie: the unit is
+// charged a failure and re-queued (or poisoned), and the worker is
+// quarantined. stale=true reports the unit had already been resolved
+// elsewhere, or the worker was quarantined before.
 func (d *Dispatcher) Reject(leaseID, reason string) (stale bool, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -804,16 +705,20 @@ func (d *Dispatcher) Reject(leaseID, reason string) (stale bool, err error) {
 	}
 	now := d.now()
 	rec := d.recLocked(l.worker, now)
-	l.tainted = true
+	if rec.quarantined {
+		d.stales++
+		return true, nil
+	}
 	d.rejected++
 	rec.mismatches++
-	return d.failLeaseLocked(l, rec, 2, reason, reason, now), nil
+	stale = d.failLeaseLocked(l, rec, reason, now)
+	d.quarantineLocked(rec, now)
+	return stale, nil
 }
 
-// Quarantine forces the worker into quarantine immediately, whatever
-// its score — the audit path calls this when a worker is caught
-// returning divergent bytes.
-func (d *Dispatcher) Quarantine(worker, reason string) {
+// Quarantine bars the worker for good — the audit path calls this when
+// a worker is caught returning divergent bytes.
+func (d *Dispatcher) Quarantine(worker string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -822,11 +727,7 @@ func (d *Dispatcher) Quarantine(worker, reason string) {
 	now := d.now()
 	rec := d.recLocked(worker, now)
 	rec.mismatches++
-	if rec.state == workerQuarantined {
-		return
-	}
-	rec.score = failThreshold
-	d.quarantineLocked(rec, now, reason)
+	d.quarantineLocked(rec, now)
 }
 
 // Drain stops handing out new claims. Outstanding leases may still
@@ -891,22 +792,19 @@ func (d *Dispatcher) Stats() Stats {
 	}
 	per := make([]WorkerStatus, 0, len(d.workers))
 	for _, rec := range d.workers {
-		d.decayLocked(rec, now)
-		state := rec.state.String()
-		if rec.state == workerQuarantined && (rec.probeLease != "" || !now.Before(rec.quarUntil)) {
-			state = "probing"
+		state := "live"
+		if rec.quarantined {
+			state = "quarantined"
 		}
 		per = append(per, WorkerStatus{
-			Name:        rec.name,
-			State:       state,
-			Score:       rec.score,
-			Leases:      rec.leases,
-			Completes:   rec.completes,
-			Expiries:    rec.expiries,
-			Errors:      rec.uploadErrs,
-			Mismatches:  rec.mismatches,
-			Quarantines: rec.quarantines,
-			Registered:  rec.registered,
+			Name:       rec.name,
+			State:      state,
+			Leases:     rec.leases,
+			Completes:  rec.completes,
+			Expiries:   rec.expiries,
+			Errors:     rec.uploadErrs,
+			Mismatches: rec.mismatches,
+			Registered: rec.registered,
 		})
 	}
 	sort.Slice(per, func(i, j int) bool { return per[i].Name < per[j].Name })
@@ -957,9 +855,9 @@ func (d *Dispatcher) janitor() {
 
 // sweep is one janitor pass at the dispatcher's clock: it expires
 // overdue leases (reclaiming their units to the front of the queue,
-// charging the holder's health score), fails queued units over to local
-// execution when the worker fleet disappears, and prunes stale
-// bookkeeping. It reports false once the dispatcher is closed.
+// charging the unit), fails queued units over to local execution when
+// the worker fleet disappears, and prunes stale bookkeeping. It reports
+// false once the dispatcher is closed.
 func (d *Dispatcher) sweep() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -979,44 +877,33 @@ func (d *Dispatcher) sweep() bool {
 		if !now.After(l.deadline) {
 			continue
 		}
-		rec := d.recLockedNoTouch(l.worker)
+		// An active lease's holder always has a record: Deregister ends a
+		// worker's leases before dropping it, and pruning skips holders.
+		rec := d.workers[l.worker]
 		d.endLeaseLocked(l, rec, now)
 		rec.expiries++
-		d.chargeLocked(rec, l, 1, now, "lease expired without heartbeat")
 		if l.u.state == unitLeased {
 			d.reclaims++
 			d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
 		}
 	}
-	if len(d.queue) > 0 && (d.draining || d.liveWorkersLocked(now) == 0) {
-		d.failQueueLocked()
+	if len(d.queue) > 0 {
+		if d.draining || d.liveWorkersLocked(now) == 0 {
+			d.failQueueLocked()
+		} else {
+			// A claim parked over units it passed over re-reads who is
+			// live: a worker that left or lapsed may have been the one
+			// they waited for.
+			d.wakeLocked()
+		}
 	}
 	for w, rec := range d.workers {
-		if rec.parked > 0 || rec.leases > 0 {
-			continue
-		}
-		// A quarantined worker is remembered until well past its
-		// release so it cannot shed the quarantine by vanishing and
-		// re-registering under the same name.
-		horizon := rec.seen
-		if rec.state == workerQuarantined && rec.quarUntil.After(horizon) {
-			horizon = rec.quarUntil
-		}
-		if now.Sub(horizon) > 2*d.cfg.workerTTL {
+		// A quarantined worker is never forgotten, so it cannot shed
+		// the quarantine by vanishing and re-registering under the same
+		// name.
+		if rec.parked == 0 && rec.leases == 0 && !rec.quarantined && now.Sub(rec.seen) > 2*d.cfg.workerTTL {
 			delete(d.workers, w)
 		}
 	}
 	return true
-}
-
-// recLockedNoTouch looks a worker up without refreshing its liveness
-// — the janitor must not keep a vanished worker alive by penalizing
-// it.
-func (d *Dispatcher) recLockedNoTouch(worker string) *workerRec {
-	rec, ok := d.workers[worker]
-	if !ok {
-		rec = &workerRec{name: worker, state: workerLive}
-		d.workers[worker] = rec
-	}
-	return rec
 }

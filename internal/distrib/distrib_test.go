@@ -97,8 +97,8 @@ func TestClaimCompleteRoundTrip(t *testing.T) {
 	if c.l.Unit.Key != "abcdef0123456789" || c.l.Worker != "w1" {
 		t.Fatalf("lease = %+v", c.l)
 	}
-	if c.l.TTL != d.LeaseTTL() {
-		t.Fatalf("lease TTL = %v, want %v", c.l.TTL, d.LeaseTTL())
+	if c.l.TTL != d.cfg.LeaseTTL {
+		t.Fatalf("lease TTL = %v, want %v", c.l.TTL, d.cfg.LeaseTTL)
 	}
 	if stale, err := d.Complete(c.l.ID, "payload", nil); err != nil || stale {
 		t.Fatalf("Complete = (stale=%v, %v)", stale, err)
@@ -117,34 +117,40 @@ func TestClaimCompleteRoundTrip(t *testing.T) {
 // claim -> heartbeat (lease survives past its original deadline) ->
 // expiry -> reclaim -> re-dispatch to a second worker -> completion,
 // with the first worker's late upload discarded as a stale duplicate.
+// The clock is pinned: time passes, and the janitor sweeps, only here.
 func TestLeaseLifecycle(t *testing.T) {
-	d := newTestDispatcher(t, fastCfg())
-	registerWorker(t, d, "w1")
-
-	done := execAsync(context.Background(), d, testUnit("lifecycle"))
-	l1 := claimOrFatal(t, d, "w1")
+	d, advance := pinned(t)
+	if err := d.Register("w1"); err != nil {
+		t.Fatal(err)
+	}
+	done, _ := submit(t, d, testUnit("lifecycle"))
+	l1 := mustClaimNow(t, d, "w1", "lifecycle")
 
 	// Heartbeats keep the lease alive well past its original deadline.
-	end := time.Now().Add(3 * d.LeaseTTL() / 2)
-	for time.Now().Before(end) {
+	for i := 0; i < 6; i++ {
+		advance(d.cfg.LeaseTTL / 4)
 		if _, err := d.Heartbeat(l1.ID); err != nil {
 			t.Fatalf("heartbeat while live: %v", err)
 		}
-		time.Sleep(d.LeaseTTL() / 4)
+		d.sweep()
+	}
+	if s := d.Stats(); s.Reclaims != 0 || s.ActiveLeases != 1 {
+		t.Fatalf("after heartbeats past the first deadline: %+v, want the lease still out", s)
 	}
 
-	// Stop heartbeating: the janitor expires the lease and requeues the
-	// unit for re-dispatch.
-	waitFor(t, func() bool { return d.Stats().Reclaims == 1 })
+	// Stop heartbeating: past the deadline the sweep expires the lease
+	// and requeues the unit for re-dispatch.
+	advance(d.cfg.LeaseTTL + time.Second)
+	d.sweep()
+	if s := d.Stats(); s.Reclaims != 1 {
+		t.Fatalf("after the deadline: %+v, want one reclaim", s)
+	}
 	if _, err := d.Heartbeat(l1.ID); !errors.Is(err, ErrLeaseNotFound) {
 		t.Fatalf("heartbeat after expiry = %v, want ErrLeaseNotFound", err)
 	}
 
 	// A second worker picks the reclaimed unit up and completes it.
-	l2 := claimOrFatal(t, d, "w2")
-	if l2.Unit.Key != "lifecycle" {
-		t.Fatalf("re-dispatched unit = %q", l2.Unit.Key)
-	}
+	l2 := mustClaimNow(t, d, "w2", "lifecycle")
 	if stale, err := d.Complete(l2.ID, 42, nil); err != nil || stale {
 		t.Fatalf("second complete = (stale=%v, %v)", stale, err)
 	}

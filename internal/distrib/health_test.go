@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -48,132 +49,43 @@ func TestRegisterDeregisterLifecycle(t *testing.T) {
 	d.Deregister("w1") // idempotent
 }
 
-// TestQuarantineOnRepeatedErrors: three worker-reported execution
-// errors push the health score over the default threshold; the worker
-// is quarantined, its claims refused with a typed 403-mapped error,
-// and the unit it kept failing falls back to local execution instead
-// of cycling on the broken worker forever.
-func TestQuarantineOnRepeatedErrors(t *testing.T) {
-	d := newTestDispatcher(t, fastCfg())
-	registerWorker(t, d, "w1")
-
-	done := execAsync(context.Background(), d, testUnit("flaky"))
-	for i := 0; i < 3; i++ {
-		l := claimOrFatal(t, d, "w1")
+// TestErrorsChargeTheUnitNotTheWorker: a worker that reports an
+// execution error on every lease is not proof of a lie. It is never
+// quarantined and keeps claiming; the unit it keeps failing is charged
+// each time and poisons after 2×maxAttempts attempts, so the submitter
+// runs it locally instead of cycling on the broken worker forever.
+func TestErrorsChargeTheUnitNotTheWorker(t *testing.T) {
+	d, _ := pinned(t)
+	if err := d.Register("w1"); err != nil {
+		t.Fatal(err)
+	}
+	done, u := submit(t, d, testUnit("flaky"))
+	for i := 0; i < 2*maxAttempts; i++ {
+		l := mustClaimNow(t, d, "w1", "flaky")
 		if stale, err := d.Complete(l.ID, nil, fmt.Errorf("boom %d", i)); err != nil || stale {
 			t.Fatalf("error upload %d = (stale=%v, %v)", i, stale, err)
 		}
 	}
-
-	_, _, err := d.Claim(context.Background(), "w1", time.Millisecond)
-	if !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("claim after 3 errors = %v, want ErrQuarantined", err)
+	out := <-done
+	var pe *PoisonedError
+	if !errors.As(out.err, &pe) || len(pe.Failures) != 2*maxAttempts {
+		t.Fatalf("unit after %d errors = %v, want ErrPoisoned with every attempt", 2*maxAttempts, out.err)
 	}
-	var qe *QuarantineError
-	if !errors.As(err, &qe) || qe.Worker != "w1" || !qe.Until.After(time.Now()) {
-		t.Fatalf("quarantine error = %#v", err)
+	d.mu.Lock()
+	attempts := u.attempts
+	d.mu.Unlock()
+	if attempts != 2*maxAttempts {
+		t.Fatalf("unit attempts = %d, want %d", attempts, 2*maxAttempts)
 	}
-
-	// The only worker is quarantined -> the janitor fails the re-queued
-	// unit over to local execution.
-	if out := <-done; !errors.Is(out.err, ErrNoWorkers) {
-		t.Fatalf("unit with quarantined fleet = %v, want ErrNoWorkers", out.err)
+	if _, ok, err := claimNow(d, "w1"); ok || err != nil {
+		t.Fatalf("claim after %d errors = (%v, %v), want an empty queue and no refusal", 2*maxAttempts, ok, err)
 	}
 	s := d.Stats()
-	if s.Quarantines != 1 || s.Workers != 0 {
-		t.Fatalf("stats = %+v", s)
+	if s.Quarantines != 0 || s.Workers != 1 || s.Poisoned != 1 {
+		t.Fatalf("stats = %+v, want no quarantine, w1 live, one poisoned unit", s)
 	}
-	if len(s.PerWorker) != 1 || s.PerWorker[0].State != "quarantined" || s.PerWorker[0].Errors != 3 {
-		t.Fatalf("worker row = %+v", s.PerWorker)
-	}
-}
-
-// advanceClock moves the dispatcher's clock dt ahead of where it was,
-// so a test can cross a cooldown without sleeping through it.
-func advanceClock(d *Dispatcher, dt time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	clock := d.now
-	d.now = func() time.Time { return clock().Add(dt) }
-}
-
-// TestProbeReinstatesWorker: after the cooldown a quarantined worker
-// gets exactly one half-open probe claim; completing it successfully
-// reinstates the worker with a clean score.
-func TestProbeReinstatesWorker(t *testing.T) {
-	d := newTestDispatcher(t, fastCfg())
-	registerWorker(t, d, "w1")
-
-	d.Quarantine("w1", "test says so")
-	if _, _, err := d.Claim(context.Background(), "w1", time.Millisecond); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("claim inside cooldown = %v, want ErrQuarantined", err)
-	}
-	advanceClock(d, d.cooldown()+10*time.Millisecond)
-
-	// Keep the fleet live through a second worker so Execute queues.
-	registerWorker(t, d, "w2")
-	done := execAsync(context.Background(), d, testUnit("probe"))
-	l, ok, err := d.Claim(context.Background(), "w1", 2*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("probe claim = (%v, %v)", ok, err)
-	}
-	if st := d.Stats().PerWorker[0]; st.State != "probing" {
-		t.Fatalf("state during probe = %q, want probing", st.State)
-	}
-	if stale, err := d.Complete(l.ID, "proof", nil); err != nil || stale {
-		t.Fatalf("probe complete = (stale=%v, %v)", stale, err)
-	}
-	if out := <-done; out.err != nil || out.result != "proof" || out.worker != "w1" {
-		t.Fatalf("probe outcome = %+v", out)
-	}
-	st := d.Stats().PerWorker[0]
-	if st.State != "live" || st.Score != 0 {
-		t.Fatalf("worker after successful probe = %+v", st)
-	}
-}
-
-// TestProbeFailureDoublesCooldown: a failed probe sends the worker
-// straight back to quarantine with a longer cooldown instead of
-// reinstating it.
-func TestProbeFailureDoublesCooldown(t *testing.T) {
-	d := newTestDispatcher(t, fastCfg())
-	registerWorker(t, d, "w1")
-
-	d.Quarantine("w1", "bad bytes")
-	advanceClock(d, d.cooldown()+10*time.Millisecond)
-	registerWorker(t, d, "w2")
-
-	done := execAsync(context.Background(), d, testUnit("probe2"))
-	l, ok, err := d.Claim(context.Background(), "w1", 2*time.Second)
-	if err != nil || !ok {
-		t.Fatalf("probe claim = (%v, %v)", ok, err)
-	}
-	if stale, err := d.Complete(l.ID, nil, errors.New("still broken")); err != nil || stale {
-		t.Fatalf("probe error upload = (stale=%v, %v)", stale, err)
-	}
-	_, _, err = d.Claim(context.Background(), "w1", time.Millisecond)
-	var qe *QuarantineError
-	if !errors.As(err, &qe) {
-		t.Fatalf("claim after failed probe = %v, want QuarantineError", err)
-	}
-	// Second quarantine: cooldown doubled (2x base), so the release
-	// time sits beyond one base cooldown from the dispatcher's now.
-	d.mu.Lock()
-	left := qe.Until.Sub(d.now())
-	d.mu.Unlock()
-	if left <= d.cooldown() {
-		t.Fatalf("cooldown after failed probe = %v, want > %v (doubled)", left, d.cooldown())
-	}
-	if s := d.Stats(); s.Quarantines != 2 {
-		t.Fatalf("quarantine events = %d, want 2", s.Quarantines)
-	}
-	// The unit the probe failed goes to another worker.
-	l2 := claimOrFatal(t, d, "w2")
-	if stale, err := d.Complete(l2.ID, "rescued", nil); err != nil || stale {
-		t.Fatalf("rescue complete = (stale=%v, %v)", stale, err)
-	}
-	if out := <-done; out.err != nil || out.result != "rescued" {
-		t.Fatalf("outcome = %+v", out)
+	if row := workerRow(t, d, "w1"); row.State != "live" || row.Errors != 2*maxAttempts {
+		t.Fatalf("worker row = %+v", row)
 	}
 }
 
@@ -220,9 +132,10 @@ func TestPoisonAfterDistinctWorkerFailures(t *testing.T) {
 	}
 }
 
-// TestRejectTaintsLeaseAndRequeues: a checksum-mismatch rejection
-// charges the worker double, taints the lease so a follow-up upload
-// on it is discarded, and hands the unit to the next worker.
+// TestRejectTaintsLeaseAndRequeues: a single checksum-mismatch
+// rejection is proof of a lie. The worker is quarantined on the spot, a
+// follow-up upload on its lease is discarded as stale, its claims are
+// refused, and the unit goes to the next worker.
 func TestRejectTaintsLeaseAndRequeues(t *testing.T) {
 	d := newTestDispatcher(t, fastCfg())
 	registerWorker(t, d, "good")
@@ -232,10 +145,13 @@ func TestRejectTaintsLeaseAndRequeues(t *testing.T) {
 	if stale, err := d.Reject(l.ID, "result checksum mismatch"); err != nil || stale {
 		t.Fatalf("reject = (stale=%v, %v)", stale, err)
 	}
-	// The rejected worker retries its upload on the tainted lease:
+	// The rejected worker retries its upload on the same lease:
 	// discarded as stale, never delivered to the submitter.
 	if stale, err := d.Complete(l.ID, "forged", nil); err != nil || !stale {
-		t.Fatalf("upload on tainted lease = (stale=%v, %v), want stale", stale, err)
+		t.Fatalf("upload from a quarantined worker = (stale=%v, %v), want stale", stale, err)
+	}
+	if _, _, err := d.Claim(context.Background(), "evil", time.Millisecond); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("claim after one mismatch = %v, want ErrQuarantined", err)
 	}
 
 	l2 := claimOrFatal(t, d, "good")
@@ -250,27 +166,11 @@ func TestRejectTaintsLeaseAndRequeues(t *testing.T) {
 	}
 
 	s := d.Stats()
-	if s.Rejected != 1 {
-		t.Fatalf("Rejected = %d, want 1", s.Rejected)
+	if s.Rejected != 1 || s.Quarantines != 1 || s.StaleUploads != 1 {
+		t.Fatalf("stats = %+v, want one rejection, one quarantine, one stale upload", s)
 	}
-	for _, w := range s.PerWorker {
-		if w.Name == "evil" && w.Mismatches != 1 {
-			t.Fatalf("evil row = %+v", w)
-		}
-	}
-	// A second mismatch crosses the threshold (2+2 >= 2.5).
-	done2 := execAsync(context.Background(), d, testUnit("verify2"))
-	l3 := claimOrFatal(t, d, "evil")
-	if _, err := d.Reject(l3.ID, "result checksum mismatch"); err != nil {
-		t.Fatalf("second reject: %v", err)
-	}
-	if _, _, err := d.Claim(context.Background(), "evil", time.Millisecond); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("claim after 2 mismatches = %v, want ErrQuarantined", err)
-	}
-	l4 := claimOrFatal(t, d, "good")
-	d.Complete(l4.ID, "honest2", nil)
-	if out := <-done2; out.err != nil || out.result != "honest2" {
-		t.Fatalf("outcome2 = %+v", out)
+	if row := workerRow(t, d, "evil"); row.State != "quarantined" || row.Mismatches != 1 || row.Leases != 0 {
+		t.Fatalf("evil row = %+v", row)
 	}
 }
 
@@ -327,43 +227,39 @@ func TestParkedClaimReturnsOnDrain(t *testing.T) {
 // worker seen beyond 2×workerTTL, but never one parked in a claim,
 // however long the park lasts.
 func TestJanitorForgetsIdleWorkerKeepsParked(t *testing.T) {
-	cfg := fastCfg()
-	cfg.workerTTL = 20 * time.Millisecond
-	d := newTestDispatcher(t, cfg)
-
-	registerWorker(t, d, "idle")
+	d, advance := pinned(t)
+	if err := d.Register("idle"); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go d.Claim(ctx, "parked", 30*time.Second)
+	go d.Claim(ctx, "parked", time.Hour)
 	waitFor(t, func() bool {
-		for _, w := range d.Stats().PerWorker {
-			if w.Name == "parked" {
-				return true
-			}
-		}
-		return false
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		rec := d.workers["parked"]
+		return rec != nil && rec.parked == 1
 	})
 
 	// Past 2×workerTTL the idle worker is forgotten; the parked one
-	// stays, still counted live.
-	waitFor(t, func() bool {
+	// stays, still counted live, however many sweeps go by.
+	for i := 0; i < 3; i++ {
+		advance(2*d.cfg.workerTTL + time.Hour)
+		d.sweep()
 		per := d.Stats().PerWorker
-		return len(per) == 1 && per[0].Name == "parked"
-	})
-	time.Sleep(3 * cfg.workerTTL)
-	per := d.Stats().PerWorker
-	if len(per) != 1 || per[0].Name != "parked" {
-		t.Fatalf("registry after long park = %+v", per)
-	}
-	if d.LiveWorkers() != 1 {
-		t.Fatal("parked worker no longer live")
+		if len(per) != 1 || per[0].Name != "parked" {
+			t.Fatalf("registry after %d long sweeps = %+v, want the parked worker alone", i+1, per)
+		}
+		if d.LiveWorkers() != 1 {
+			t.Fatal("parked worker no longer live")
+		}
 	}
 }
 
 // TestHeartbeatRacesQuarantine hammers Heartbeat against a quarantine
 // decision on the same worker: whatever the interleaving, the lease's
 // unit resolves exactly once (via the rescue worker), heartbeats
-// never resurrect a reclaimed lease, and nothing panics under -race.
+// never resurrect a requeued lease, and nothing panics under -race.
 func TestHeartbeatRacesQuarantine(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		d := New(fastCfg())
@@ -388,7 +284,7 @@ func TestHeartbeatRacesQuarantine(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			d.Quarantine("sus", "race test")
+			d.Quarantine("sus")
 		}()
 		close(start)
 		wg.Wait()
@@ -410,5 +306,238 @@ func TestHeartbeatRacesQuarantine(t *testing.T) {
 			t.Fatalf("completes = %d, want exactly 1", s.Completes)
 		}
 		d.Close()
+	}
+}
+
+// TestQuarantineOutlivesDeregister: a quarantine is for the dispatcher's
+// life. The name survives Deregister, Register and sweeps days past
+// workerTTL; every claim from it is refused and every upload from it is
+// answered stale, while the unit it held goes to an honest worker.
+func TestQuarantineOutlivesDeregister(t *testing.T) {
+	d, advance := pinned(t)
+	for _, w := range []string{"liar", "honest"} {
+		if err := d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, _ := submit(t, d, testUnit("a"))
+	held := mustClaimNow(t, d, "liar", "a")
+	d.Quarantine("liar")
+
+	refused := func(when string) {
+		t.Helper()
+		if _, ok, err := claimNow(d, "liar"); ok || !errors.Is(err, ErrQuarantined) {
+			t.Fatalf("%s: claim = (%v, %v), want ErrQuarantined", when, ok, err)
+		}
+		if row := workerRow(t, d, "liar"); row.State != "quarantined" || row.Leases != 0 {
+			t.Fatalf("%s: liar row = %+v, want quarantined with no lease", when, row)
+		}
+	}
+	d.Deregister("liar")
+	if err := d.Register("liar"); err != nil {
+		t.Fatal(err)
+	}
+	refused("re-registered")
+	uploads := []func() (bool, error){
+		func() (bool, error) { return d.Complete(held.ID, "forged", nil) },
+		func() (bool, error) { return d.Complete(held.ID, nil, errors.New("boom")) },
+		func() (bool, error) { return d.Reject(held.ID, "result checksum mismatch") },
+	}
+	for i, up := range uploads {
+		if stale, err := up(); err != nil || !stale {
+			t.Fatalf("upload %d from the quarantined worker = (stale=%v, %v), want stale", i, stale, err)
+		}
+	}
+	mustComplete(t, d, mustClaimNow(t, d, "honest", "a"))
+	if o := <-out; o.err != nil || o.worker != "honest" {
+		t.Fatalf("unit a = %+v, want the honest worker's result", o)
+	}
+
+	for day := 1; day <= 3; day++ {
+		advance(2*d.cfg.workerTTL + time.Hour)
+		d.sweep()
+		d.Deregister("liar")
+		d.sweep()
+		refused(fmt.Sprintf("day %d, deregistered", day))
+		if err := d.Register("liar"); err != nil {
+			t.Fatal(err)
+		}
+		refused(fmt.Sprintf("day %d, registered", day))
+		if d.LiveWorkers() != 0 {
+			t.Fatalf("day %d: a quarantined worker counts as live", day)
+		}
+	}
+	if s := d.Stats(); s.Quarantines != 1 || s.Completes != 1 || s.Rejected != 0 {
+		t.Fatalf("stats = %+v, want one quarantine, one completion, no rejection counted", s)
+	}
+}
+
+// TestFlappingWorkerChargesOnlyUnits: a worker errors on every lease
+// beside an honest one, claiming three times as often. The flapper fails
+// each unit at most once and then passes it over for the honest worker,
+// so every unit resolves exactly once, by the honest worker's completion,
+// none is poisoned while the honest worker is live, and the flapper,
+// never caught lying, is never quarantined.
+func TestFlappingWorkerChargesOnlyUnits(t *testing.T) {
+	d, _ := pinned(t)
+	for _, w := range []string{"flapper", "honest"} {
+		if err := d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 16
+	outs := make([]chan outcome, n)
+	units := make([]*unit, n)
+	for i := range outs {
+		outs[i], units[i] = submit(t, d, testUnit(fmt.Sprintf("u%02d", i)))
+	}
+	r := rand.New(rand.NewSource(1))
+	var flaps int64
+	for {
+		worker := "honest"
+		if r.Intn(4) > 0 {
+			worker = "flapper"
+		}
+		l, ok, err := claimNow(d, worker)
+		if err != nil {
+			t.Fatalf("claim by %s: %v", worker, err)
+		}
+		if !ok {
+			if worker == "honest" {
+				break // the honest worker takes any unit: none is left
+			}
+			continue
+		}
+		if worker == "honest" {
+			mustComplete(t, d, l)
+			continue
+		}
+		flaps++
+		if stale, err := d.Complete(l.ID, nil, errors.New("injected arm error")); err != nil || stale {
+			t.Fatalf("error upload = (stale=%v, %v)", stale, err)
+		}
+	}
+	for i, ch := range outs {
+		if o := <-ch; o.err != nil || o.worker != "honest" {
+			t.Fatalf("unit %d = %+v, want the honest worker's result", i, o)
+		}
+		d.mu.Lock()
+		attempts := units[i].attempts
+		d.mu.Unlock()
+		if attempts > 1 {
+			t.Fatalf("unit %d charged %d attempts, want the flapper's one at most", i, attempts)
+		}
+	}
+	s := d.Stats()
+	if s.Completes != n || s.Poisoned != 0 || s.QueueDepth != 0 || s.ActiveLeases != 0 {
+		t.Fatalf("stats = %+v, want each of %d units completed once and none poisoned", s, n)
+	}
+	if row := workerRow(t, d, "flapper"); row.State != "live" || row.Errors != flaps || flaps == 0 || s.Quarantines != 0 {
+		t.Fatalf("flapper row = %+v after %d errors, want live and never quarantined", row, flaps)
+	}
+	t.Logf("%d units completed by the honest worker after %d flapper errors", n, flaps)
+}
+
+// TestFailedUnitWaitsForAnUntriedWorker: a worker passes over a unit it
+// failed while a live worker that has not failed it exists, and takes it
+// back once none does — at once when every live worker has failed it,
+// and through the sweep that wakes a parked claim after the untried
+// worker deregisters or lapses past workerTTL — so the poison rule
+// still ends a unit that fails everywhere.
+func TestFailedUnitWaitsForAnUntriedWorker(t *testing.T) {
+	d, advance := pinned(t)
+	register := func(w string) {
+		t.Helper()
+		if err := d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fail := func(l Lease) {
+		t.Helper()
+		if stale, err := d.Complete(l.ID, nil, errors.New("arm failed")); err != nil || stale {
+			t.Fatalf("error upload = (stale=%v, %v)", stale, err)
+		}
+	}
+	// park leaves a claim from worker parked and returns what it gets.
+	park := func(worker string) chan Lease {
+		t.Helper()
+		got := make(chan Lease, 1)
+		go func() {
+			l, _, _ := d.Claim(context.Background(), worker, time.Hour)
+			got <- l
+		}()
+		waitFor(t, func() bool {
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			return d.workers[worker].parked == 1
+		})
+		return got
+	}
+	register("w1")
+	register("w2")
+	out, _ := submit(t, d, testUnit("u"))
+	fail(mustClaimNow(t, d, "w1", "u"))
+	if _, ok, err := claimNow(d, "w1"); ok || err != nil {
+		t.Fatalf("w1 claim = (%v, %v), want it to pass over the unit it failed while w2 has not tried it", ok, err)
+	}
+	fail(mustClaimNow(t, d, "w2", "u"))
+	fail(mustClaimNow(t, d, "w1", "u")) // every live worker failed it
+
+	failParked := func(got chan Lease, when string) {
+		t.Helper()
+		select {
+		case l := <-got:
+			if l.Unit.Key != "u" {
+				t.Fatalf("parked claim after the untried worker %s = %+v, want unit u", when, l)
+			}
+			fail(l)
+		case <-time.After(2 * time.Second):
+			t.Fatalf("parked claim still waiting after the untried worker %s", when)
+		}
+	}
+	register("w3")
+	got := park("w1")
+	d.Deregister("w3")
+	d.sweep()
+	failParked(got, "left")
+
+	register("w4")
+	got = park("w1")
+	advance(d.cfg.workerTTL + time.Second)
+	d.sweep()
+	failParked(got, "lapsed")
+	fail(mustClaimNow(t, d, "w1", "u"))
+	var pe *PoisonedError
+	if o := <-out; !errors.As(o.err, &pe) || len(pe.Failures) != 2*maxAttempts {
+		t.Fatalf("unit u = %+v, want poisoned after %d attempts", o, 2*maxAttempts)
+	}
+}
+
+// TestStaleRejectStillQuarantines: corrupt bytes prove a lie even when
+// the arm already resolved elsewhere. Reject answers stale and still
+// quarantines the worker.
+func TestStaleRejectStillQuarantines(t *testing.T) {
+	d, advance := pinned(t)
+	for _, w := range []string{"slow", "fast"} {
+		if err := d.Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out, _ := submit(t, d, testUnit("a"))
+	late := mustClaimNow(t, d, "slow", "a")
+	advance(d.cfg.LeaseTTL + time.Second)
+	d.sweep()
+	mustComplete(t, d, mustClaimNow(t, d, "fast", "a"))
+	if o := <-out; o.err != nil || o.worker != "fast" {
+		t.Fatalf("unit a = %+v, want fast's result", o)
+	}
+	if stale, err := d.Reject(late.ID, "result checksum mismatch"); err != nil || !stale {
+		t.Fatalf("reject after the arm resolved = (stale=%v, %v), want stale", stale, err)
+	}
+	if _, _, err := claimNow(d, "slow"); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("claim after a stale corrupt upload = %v, want ErrQuarantined", err)
+	}
+	if s := d.Stats(); s.Rejected != 1 || s.Quarantines != 1 {
+		t.Fatalf("stats = %+v, want one rejection and one quarantine", s)
 	}
 }

@@ -3,8 +3,8 @@ package server
 // The chained claim over HTTP: a result upload sent with ?next=1 is
 // answered with its worker's next order, and only such an upload, only
 // when the dispatcher would serve the worker a claim. The lease-machine
-// cases that need a clock (probe outstanding, expiry of a chained lease)
-// are internal/distrib's, on its pinned clock.
+// cases that need a clock (expiry of a chained lease, a quarantine that
+// outlives deregistration) are internal/distrib's, on its pinned clock.
 
 import (
 	"bytes"
@@ -160,12 +160,12 @@ func TestNoChainUnlessAskedAndAllowed(t *testing.T) {
 			wantStatus: http.StatusOK, wantQueued: 2},
 		{name: "rejected upload", ask: true,
 			tamper:     func(res *dlsim.WorkResult) { res.Sum = strings.Repeat("0", 64) },
-			wantStatus: http.StatusUnprocessableEntity, wantQueued: 2},
+			wantStatus: http.StatusUnprocessableEntity, wantQueued: 0}, // quarantined: no worker left, failed over
 		{name: "draining server", ask: true,
 			before:     func(svc *Server) { svc.dispatch.Drain() },
 			wantStatus: http.StatusOK, wantQueued: 0}, // the drain fails the queue over
 		{name: "quarantined worker", ask: true,
-			before:     func(svc *Server) { svc.dispatch.Quarantine("w1", "test says so") },
+			before:     func(svc *Server) { svc.dispatch.Quarantine("w1") },
 			wantStatus: http.StatusOK, wantStale: true, wantQueued: 0}, // no worker left: failed over
 	}
 	for _, tc := range cases {
@@ -283,7 +283,7 @@ func TestDeregisterGivesBackUnstartedChainedOrder(t *testing.T) {
 		t.Fatalf("after the deregister: %+v, want the chained arm queued again by one reclaim", ds)
 	}
 	for _, row := range ds.PerWorker {
-		if row.Expiries != 0 || row.Score != 0 {
+		if row.Expiries != 0 || row.State != "live" {
 			t.Fatalf("worker row %+v, want nobody charged", row)
 		}
 	}

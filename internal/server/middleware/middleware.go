@@ -91,8 +91,7 @@ func BodyLimit(n int64) Middleware {
 
 // RetryAfter sets h's Retry-After header to wait in the integral
 // seconds the header requires, rounding up so "retry after 0s" never
-// invites an immediate re-spin. Every 503, and the 403 of a
-// quarantined worker, carries one.
+// invites an immediate re-spin. Every 503 carries one.
 func RetryAfter(h http.Header, wait time.Duration) {
 	h.Set("Retry-After", strconv.FormatInt(max(1, int64(math.Ceil(wait.Seconds()))), 10))
 }

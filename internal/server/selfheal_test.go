@@ -7,8 +7,8 @@ package server
 //   - an arm that keeps failing on distinct workers is contained after
 //     three workers, executes locally, and the job completes with the
 //     per-worker error history in its status;
-//   - a worker whose uploads fail checksum verification is quarantined
-//     and its bytes never reach the result store;
+//   - a worker whose upload fails checksum verification is quarantined
+//     at once and its bytes never reach the result store;
 //   - a consistently lying worker (valid checksum over wrong bytes) is
 //     caught by the re-execution audit;
 //   - a deregistered worker leaves the live set immediately;
@@ -143,10 +143,10 @@ func TestPoisonedArmFallsBackLocal(t *testing.T) {
 }
 
 // TestCorruptUploadRejectedAndQuarantined is acceptance criterion (b):
-// a worker whose uploads do not match their claimed checksum gets 422,
-// its bytes never reach the store, repeated mismatches quarantine it
-// (claims answer 403 + Retry-After mapped to ErrWorkerQuarantined),
-// and the sweep still completes byte-identical via local fallback.
+// a worker whose upload does not match its claimed checksum gets 422,
+// its bytes never reach the store, the one mismatch quarantines it
+// (its next claim answers 403, mapped to ErrWorkerQuarantined), and the
+// sweep still completes byte-identical via local fallback.
 func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -158,7 +158,7 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 
 	// The corrupter executes honestly but flips a byte after computing
 	// the checksum — exactly what `dlsim worker -inject upload-corrupt`
-	// does. Two rejected uploads cross the health threshold.
+	// does. The first rejected upload quarantines it.
 	quarantined := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -198,16 +198,18 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("store was polluted — result diverged:\n got %s\nwant %s", got, refJSON)
 	}
-	if err := <-quarantined; !errors.Is(err, dlsim.ErrWorkerQuarantined) {
-		t.Fatalf("corrupter's claim error = %v, want ErrWorkerQuarantined", err)
+	err = <-quarantined
+	var ae *dlsim.APIError
+	if !errors.Is(err, dlsim.ErrWorkerQuarantined) || !errors.As(err, &ae) || ae.RetryAfter != 0 {
+		t.Fatalf("corrupter's claim error = %v, want ErrWorkerQuarantined with no Retry-After: the refusal is permanent", err)
 	}
 
 	st, err := client.Statz(t.Context())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Work.Rejected < 2 || st.Work.Quarantines < 1 {
-		t.Fatalf("statz = %+v, want >=2 rejected uploads and a quarantine", st.Work)
+	if st.Work.Rejected != 1 || st.Work.Quarantines != 1 {
+		t.Fatalf("statz = %+v, want one rejected upload and one quarantine", st.Work)
 	}
 	var row *dlsim.WorkerRow
 	for i := range st.Work.PerWorker {
@@ -215,8 +217,8 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 			row = &st.Work.PerWorker[i]
 		}
 	}
-	if row == nil || row.State != "quarantined" || row.Mismatches < 2 {
-		t.Fatalf("per-worker row = %+v, want quarantined with >=2 mismatches", row)
+	if row == nil || row.State != "quarantined" || row.Mismatches != 1 {
+		t.Fatalf("per-worker row = %+v, want quarantined after one mismatch", row)
 	}
 }
 

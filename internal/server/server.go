@@ -40,12 +40,13 @@
 // leases, execute them with the same engine, and upload results keyed
 // by the arm's content hash — byte-identical to in-process execution,
 // cached cluster-wide through the shared result store. See
-// internal/distrib for the lease state machine. The fleet is not
-// trusted: every upload's checksum is re-verified before ingestion,
-// per-worker health scores quarantine misbehaving workers (claims get
-// 403 + Retry-After), arms that keep failing across workers are
-// contained to local execution, and an opt-in audit mode re-executes
-// a sample of worker-completed arms to cross-check byte-identity.
+// internal/distrib for the lease state machine. The fleet is trusted
+// until it is caught lying: every upload's checksum is re-verified
+// before ingestion, an opt-in audit mode re-executes a sample of
+// worker-completed arms to cross-check byte-identity, a worker caught
+// by either is quarantined for the server's life (claims get 403), and
+// arms that keep failing across workers are contained to local
+// execution.
 package server
 
 import (

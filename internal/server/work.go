@@ -21,11 +21,12 @@ package server
 // the server's result store through the ordinary RunDir ingest path
 // and the cache is shared cluster-wide.
 //
-// The fleet is semi-trusted: every uploaded result's bytes are
-// re-hashed and checked against the checksum the worker claimed
-// before ingestion, quarantined workers' claims answer 403 with a
-// Retry-After, and (when enabled) a deterministic sample of completed
-// arms is re-executed locally to catch workers that lie consistently.
+// The fleet is trusted until it is caught lying: every uploaded
+// result's bytes are re-hashed and checked against the checksum the
+// worker claimed before ingestion, (when enabled) a deterministic
+// sample of completed arms is re-executed locally to catch workers that
+// lie consistently, and a worker caught either way is quarantined for
+// the server's life — its claims answer 403, its uploads stale.
 
 import (
 	"context"
@@ -152,7 +153,7 @@ func (s *Server) auditArm(ctx context.Context, j *job, order dlsim.WorkOrder, wo
 	}
 	s.auditsFailed.Add(1)
 	reason := fmt.Sprintf("audit: divergent bytes for arm %q", order.Label)
-	s.dispatch.Quarantine(worker, reason)
+	s.dispatch.Quarantine(worker)
 	s.recordWorkerFailures(j, order.Label, []distrib.UnitFailure{{Worker: worker, Reason: reason}})
 	s.log.Warn("audit caught divergent worker; quarantined",
 		"job", j.id, "arm", order.Label, "worker", worker)
@@ -178,15 +179,9 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		wait = maxClaimWait
 	}
 	lease, ok, err := s.dispatch.Claim(r.Context(), req.Worker, wait)
-	var qe *distrib.QuarantineError
 	switch {
-	case errors.As(err, &qe):
-		retry := time.Until(qe.Until)
-		if retry < time.Second {
-			retry = time.Second
-		}
-		middleware.RetryAfter(w.Header(), retry)
-		writeErr(w, http.StatusForbidden, "worker %q is quarantined", qe.Worker)
+	case errors.Is(err, distrib.ErrQuarantined):
+		writeErr(w, http.StatusForbidden, "worker %q is quarantined", req.Worker)
 		return
 	case errors.Is(err, distrib.ErrDraining) || errors.Is(err, distrib.ErrClosed):
 		middleware.RetryAfter(w.Header(), 5*time.Second)
@@ -294,11 +289,11 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // re-hashes the decoded arm result and compares it to the checksum
 // the worker computed over its own bytes. A missing or mismatched sum
 // means the payload was corrupted (in flight or by the worker) — the
-// result is rejected with 422, never reaches the store, and the
-// worker's health score takes the double-weight mismatch penalty.
+// result is rejected with 422, never reaches the store, and the worker
+// is quarantined.
 //
 // An upload sent with ?next=1 also claims: once the result is taken,
-// the lease's worker is handed the unit at the head of the queue, if
+// the lease's worker is handed the unit its plain claim would get, if
 // there is one and the worker may claim, as `next` in the receipt — the
 // steady state of a busy slot is this one request per arm. Only an
 // upload that asks is answered so: a worker that does not know the
@@ -325,8 +320,11 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 	case res.Sum != res.Arm.Checksum():
 		stale, err := s.dispatch.Reject(id, "result checksum mismatch")
 		if stale || errors.Is(err, distrib.ErrLeaseNotFound) {
-			// The arm already resolved from elsewhere; the corrupt
-			// duplicate is discarded without ceremony.
+			// The arm already resolved from elsewhere, or the worker was
+			// quarantined before: the corrupt duplicate is discarded and
+			// answered stale. Corrupt bytes prove a lie either way, so a
+			// stale one still quarantines its worker, which learns of it
+			// on its next claim.
 			s.logUpload(r, held, id, "stale", nil)
 			writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
 			return
@@ -362,9 +360,9 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // chainClaim is the claim a result upload makes for its worker: the
-// dispatcher's ordinary Claim, not parking. A refusal — quarantine, a
-// probe still out, a draining server — yields no order here and is
-// reported by the plain claim the worker falls back to.
+// dispatcher's ordinary Claim, not parking. A refusal — quarantine or a
+// draining server — yields no order here and is reported by the plain
+// claim the worker falls back to.
 func (s *Server) chainClaim(ctx context.Context, worker string) *dlsim.WorkOrder {
 	lease, ok, err := s.dispatch.Claim(ctx, worker, 0)
 	if err != nil || !ok {

@@ -216,8 +216,8 @@ func TestWorkerKillReclaimByteIdentical(t *testing.T) {
 
 // TestWorkerTransientErrorRetries: a worker-side failure (what a
 // worker uploads once its engine gives up on an arm) does not fail the
-// job — the dispatcher charges the worker's health score, requeues the
-// arm, and the same (now behaving) worker redoes it. The job completes
+// job — the dispatcher charges the arm, requeues it, and the same (now
+// behaving, never quarantined) worker redoes it. The job completes
 // byte-identical to the fault-free run, and the worker's error shows in
 // the per-worker stats.
 func TestWorkerTransientErrorRetries(t *testing.T) {

@@ -10,6 +10,11 @@ package dlsim
 // Execution is deterministic, so a work order is idempotent: any
 // worker, any number of times, produces byte-identical records —
 // which is what makes lease reclaim and duplicate uploads safe.
+//
+// A worker is trusted until it is caught lying: an upload whose bytes
+// do not match its checksum, or an audited arm whose bytes diverge,
+// quarantines the worker for the rest of the service's life. Execution
+// errors and expired leases charge only the arm.
 
 import (
 	"context"
@@ -28,9 +33,9 @@ import (
 var ErrLeaseExpired = errors.New("dlsim: work lease expired")
 
 // ErrWorkerQuarantined reports a claim the server refused because the
-// worker's health score crossed the failure threshold (HTTP 403). The
-// response's Retry-After carries the cooldown; claiming again after it
-// elapses is the half-open probe that decides reinstatement.
+// worker was caught lying — a checksum mismatch or a divergent audit
+// (HTTP 403). The refusal is permanent for the server's life: the
+// worker should stop, not retry.
 var ErrWorkerQuarantined = errors.New("dlsim: worker quarantined")
 
 // ArmExecutor may execute one arm of a run somewhere other than this
@@ -91,12 +96,11 @@ type WorkResult struct {
 	// Sum is the sha256 of Arm's canonical JSON encoding (see
 	// ArmResult.Checksum). The server re-verifies it before ingesting
 	// the result; a missing or mismatched sum rejects the upload and
-	// penalizes the worker's health score. Required when Arm is set.
+	// quarantines the worker. Required when Arm is set.
 	Sum string `json:"sum,omitempty"`
 	// Error reports a failed execution. The server charges it to the
-	// worker's health score and re-dispatches the arm to another
-	// worker; an arm that fails across distinct workers is contained
-	// and executed locally.
+	// arm and re-dispatches the arm to another worker; an arm that
+	// fails across distinct workers is contained and executed locally.
 	Error string `json:"error,omitempty"`
 	// ElapsedSeconds is the worker-side execution time.
 	ElapsedSeconds float64 `json:"elapsedSeconds,omitempty"`
@@ -143,29 +147,24 @@ type WorkStats struct {
 	RemoteArms   int64 `json:"remoteArms"`   // arms executed by workers
 	Poisoned     int64 `json:"poisoned"`     // arms contained after repeated worker failures
 	Rejected     int64 `json:"rejected"`     // uploads refused (checksum mismatch)
-	Quarantines  int64 `json:"quarantines"`  // quarantine events across the fleet
+	Quarantines  int64 `json:"quarantines"`  // workers quarantined
 	Audits       int64 `json:"audits"`       // completed arms re-executed for audit
 	AuditsFailed int64 `json:"auditsFailed"` // audits that caught divergent bytes
 	// PerWorker is one row per known worker, sorted by name.
 	PerWorker []WorkerRow `json:"perWorker,omitempty"`
 }
 
-// WorkerRow is one worker's health and lifetime counters in /v1/statz.
+// WorkerRow is one worker's state and lifetime counters in /v1/statz.
 type WorkerRow struct {
 	Name string `json:"name"`
-	// State is "live", "quarantined", "probing" (cooldown elapsed,
-	// half-open probe pending), or "draining".
-	State string `json:"state"`
-	// Score is the decaying failure score; the worker quarantines when
-	// it crosses the dispatcher's threshold.
-	Score       float64 `json:"score"`
-	Leases      int     `json:"leases"` // unresolved leases held
-	Completes   int64   `json:"completes"`
-	Expiries    int64   `json:"expiries"`
-	Errors      int64   `json:"errors"`     // worker-reported execution errors
-	Mismatches  int64   `json:"mismatches"` // checksum/audit failures
-	Quarantines int64   `json:"quarantines"`
-	Registered  bool    `json:"registered,omitempty"`
+	// State is "live" or "quarantined" (caught lying; permanent).
+	State      string `json:"state"`
+	Leases     int    `json:"leases"` // unresolved leases held
+	Completes  int64  `json:"completes"`
+	Expiries   int64  `json:"expiries"`
+	Errors     int64  `json:"errors"`     // worker-reported execution errors
+	Mismatches int64  `json:"mismatches"` // checksum/audit failures
+	Registered bool   `json:"registered,omitempty"`
 }
 
 // CacheStats counts result-store (or file-cache) hits across jobs.

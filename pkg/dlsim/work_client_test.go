@@ -81,13 +81,12 @@ func TestClaimNoWork(t *testing.T) {
 }
 
 // TestClaimQuarantined: 403 Forbidden maps to ErrWorkerQuarantined
-// with the Retry-After cooldown hint attached, and — being a judgment
-// on the worker, not congestion — is never retried by the policy.
+// with no hint of when to come back, and — being a permanent judgment on
+// the worker, not congestion — is never retried by the policy.
 func TestClaimQuarantined(t *testing.T) {
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
-		w.Header().Set("Retry-After", "9")
 		w.WriteHeader(http.StatusForbidden)
 		fmt.Fprint(w, `{"error":"worker \"w1\" is quarantined"}`)
 	}))
@@ -98,8 +97,8 @@ func TestClaimQuarantined(t *testing.T) {
 		t.Fatalf("quarantined claim = %v, want ErrWorkerQuarantined", err)
 	}
 	var ae *APIError
-	if !errors.As(err, &ae) || ae.Retryable() || ae.RetryAfter != 9*time.Second {
-		t.Fatalf("403 = %+v, want non-retryable APIError with the cooldown hint", ae)
+	if !errors.As(err, &ae) || ae.Retryable() || ae.RetryAfter != 0 {
+		t.Fatalf("403 = %+v, want a non-retryable APIError without a Retry-After hint", ae)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("quarantined claim was sent %d times, want 1 (no retry)", calls.Load())

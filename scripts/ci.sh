@@ -385,11 +385,13 @@ echo "distributed smoke ok"
 # Self-healing fleet smoke, race-enabled: a three-worker fleet where
 # one worker corrupts every upload after checksumming it (`-inject
 # upload-corrupt`). The server must reject the corrupt bytes and
-# quarantine the rogue, one healthy worker is SIGTERM'd mid-run and
-# must finish its leased arm, upload it, and deregister cleanly, and
-# the sweep's results.csv must still be byte-identical to the
-# single-process baseline. statz must show the penalty counters and
-# the per-worker table.
+# quarantine the rogue on its first one, for good: the rogue's next
+# claim is refused and it must stop on its own, before the smoke's
+# final SIGTERM. One healthy worker is SIGTERM'd mid-run and must
+# finish its leased arm, upload it, and deregister cleanly, and the
+# sweep's results.csv must still be byte-identical to the
+# single-process baseline. statz must show the rejection counters and
+# the per-worker table with the rogue quarantined.
 hckpt="$specout/heal-ckpt"
 start_serve "$specout/heal.log" -checkpoint "$hckpt" -lease 2s
 "$specout/dlsim" worker -server "$base" -name good1 >"$specout/heal-good1.log" 2>&1 &
@@ -434,6 +436,17 @@ grep -E 'rogue +quarantined' "$specout/heal-statz.log" >/dev/null || {
     cat "$specout/heal-statz.log" >&2
     exit 1
 }
+# The quarantine is permanent, so the rogue stops by itself.
+i=0
+while [ $i -lt 200 ] && kill -0 "$hw3_pid" 2>/dev/null; do
+    sleep 0.05
+    i=$((i + 1))
+done
+if kill -0 "$hw3_pid" 2>/dev/null || ! grep -q 'worker is quarantined; stopping' "$specout/heal-rogue.log"; then
+    echo "quarantined rogue worker did not stop on its own:" >&2
+    cat "$specout/heal-rogue.log" >&2
+    exit 1
+fi
 kill -TERM "$hw1_pid" "$hw3_pid" 2>/dev/null || true
 wait "$hw1_pid" 2>/dev/null || true
 wait "$hw3_pid" 2>/dev/null || true

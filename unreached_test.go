@@ -69,7 +69,6 @@ var reachability = struct {
 		{"internal/data.Dataset.Clone", "internal/core.TestKeepFinalModelsSurviveLaterArms", "freezes a kept split before later arms reuse the arena"},
 		{"internal/data.Dataset.LabelHistogram", "internal/data.TestPartitionDirichletHeterogeneity", "the label skew a Dirichlet partition must show"},
 		{"internal/tensor.Arena.Used", "internal/core.TestArenaUseIsBoundedByRounds", "the arena's high-water mark"},
-		{"internal/distrib.Dispatcher.LeaseTTL", "internal/distrib.TestLeaseLifecycle", "the defaulted lease window the test sleeps past"},
 		{"internal/distrib.Dispatcher.Draining", "internal/server.TestDrainRefusesClaimsHonorsLeases", "the drain flag behind refused claims"},
 		{"internal/server.Server.Draining", "internal/server.TestDrainFinishesRunningJobs", "the drain flag behind refused submissions"},
 		{"internal/gossip.Simulator.Topology", "internal/gossip.TestDynamicKeepsGraphRegular", "the live graph PeerSwap rewires"},
