@@ -249,7 +249,7 @@ const parallelCreepBudget = 220
 // batch, and pool scratch across ticks, so a workers=4 run of the
 // dense-wake arm must stay within parallelCreepBudget objects of the
 // serial run (the per-batch goroutine spawns the pool replaced cost
-// +595). Creep beyond the budget means per-batch or per-stage scratch
+// +595). Creep beyond the budget means per-batch or per-tick scratch
 // has started leaking back into the hot loop.
 func TestParallelPathAllocRatio(t *testing.T) {
 	if testing.Short() {

@@ -112,8 +112,9 @@ type StudyConfig struct {
 	// goroutines used to fan out the per-node evaluation (test accuracy,
 	// MIA attack, generalization error, and the canary audit) at each
 	// observed round and the simulator's node-parallel tick execution
-	// (gossip.Config.Workers): 0 means one worker per CPU, 1 forces the
-	// serial paths. Both are deterministic by construction — indexed
+	// of merge-once protocols (gossip.Config.Workers; protocols that
+	// train on receive tick serially at every setting): 0 means one
+	// worker per CPU, 1 forces the serial paths. Both are deterministic by construction — indexed
 	// result slots, buffered-commit tick ordering — so the resulting
 	// Series is byte-identical for every worker count.
 	Workers int

@@ -5,7 +5,7 @@ import "testing"
 // denseWakeConfig saturates the scheduler: every node wakes every tick
 // (interval 1 — the tiny nonzero WakeStd dodges the paper-default 10 a
 // zero would take), SAMO sends to its whole view over an instant
-// transport, so every stage's interference graph has all N units with
+// transport, so every tick's interference graph has all N units with
 // touch sets {waker} ∪ view(waker).
 func denseWakeConfig(workers int) Config {
 	return Config{
@@ -14,10 +14,10 @@ func denseWakeConfig(workers int) Config {
 	}
 }
 
-// contiguousBatchCount replicates the scheduler this PR replaced: walk
-// the units in serial order and cut a batch at the first unit whose
-// touch set intersects the running batch's touched nodes. It is the
-// reference the colored schedule must beat on a dense stage.
+// contiguousBatchCount is the naive scheduler: walk the units in
+// serial order and cut a batch at the first unit whose touch set
+// intersects the running batch's touched nodes. It is the reference
+// the colored schedule must beat on a dense tick.
 func contiguousBatchCount(touch [][]int, nodes int) int {
 	inBatch := make([]bool, nodes)
 	var batchNodes []int
@@ -48,11 +48,11 @@ func contiguousBatchCount(touch [][]int, nodes int) int {
 }
 
 // TestColoredScheduleBeatsContiguousPacking drives one real planning
-// pass of the engine on a dense tick, captures the stage's interference
+// pass of the engine on a dense tick, captures the tick's interference
 // graph (each unit's touch set: waker plus inline targets), and checks
 // the executed colored schedule against the contiguous-run reference:
-// at least as few batches, and strictly fewer on this dense stage —
-// the degenerate case that motivated the rewrite.
+// at least as few batches, and strictly fewer on this dense tick —
+// the degenerate case the coloring exists for.
 func TestColoredScheduleBeatsContiguousPacking(t *testing.T) {
 	cfg := denseWakeConfig(4)
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
@@ -62,11 +62,10 @@ func TestColoredScheduleBeatsContiguousPacking(t *testing.T) {
 	}
 	e := newTickEngine(sim, cfg.Workers)
 	defer e.pool.Close()
-	next := 0
-	planned, err := e.planStage(&next)
-	if err != nil {
+	if err := e.plan(); err != nil {
 		t.Fatal(err)
 	}
+	planned := len(e.units)
 	if planned != cfg.Nodes {
 		t.Fatalf("planned %d units on the dense tick, want all %d nodes", planned, cfg.Nodes)
 	}
@@ -84,7 +83,7 @@ func TestColoredScheduleBeatsContiguousPacking(t *testing.T) {
 		}
 		touch = append(touch, ts)
 	}
-	if err := e.computeStage(); err != nil {
+	if err := e.compute(); err != nil {
 		t.Fatal(err)
 	}
 	colored := e.stats.Batches
@@ -93,25 +92,24 @@ func TestColoredScheduleBeatsContiguousPacking(t *testing.T) {
 		t.Fatalf("colored schedule used %d batches, contiguous reference %d", colored, contiguous)
 	}
 	if colored >= contiguous {
-		t.Fatalf("dense stage should fragment the contiguous packing (got %d batches for both); scenario no longer exercises the rewrite", colored)
+		t.Fatalf("dense tick should fragment the contiguous packing (got %d batches for both); scenario no longer exercises the coloring", colored)
 	}
 	// Greedy precedence coloring is bounded by the interference degree:
 	// with view size v every touch set has v+1 nodes and a node appears
-	// in at most a handful of sets, so a dense 24-node stage must pack
+	// in at most a handful of sets, so a dense 24-node tick must pack
 	// into single digits of batches, not the ~N of a serialized one.
 	if colored > 9 {
 		t.Errorf("colored schedule used %d batches for %d units; occupancy %.1f below bound",
 			colored, planned, float64(planned)/float64(colored))
 	}
-	t.Logf("dense stage: %d units, colored=%d batches (occupancy %.1f), contiguous=%d (occupancy %.1f)",
+	t.Logf("dense tick: %d units, colored=%d batches (occupancy %.1f), contiguous=%d (occupancy %.1f)",
 		planned, colored, float64(planned)/float64(colored), contiguous, float64(planned)/float64(contiguous))
 }
 
 // TestDenseWakeSchedStats runs the dense-wake arm end to end and pins
-// the schedule shape the engine reports: one stage per tick (SAMO is a
-// PassiveReceiver, so taint never splits a tick), every wake planned,
-// and an average occupancy that a contiguous packing of this workload
-// cannot reach (measured ~1.9 before the rewrite).
+// the schedule shape the engine reports: every tick on the engine,
+// every wake planned, and an average occupancy that a contiguous
+// packing of this workload cannot reach (it measured ~1.9).
 func TestDenseWakeSchedStats(t *testing.T) {
 	cfg := denseWakeConfig(4)
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
@@ -127,9 +125,6 @@ func TestDenseWakeSchedStats(t *testing.T) {
 	if st.Ticks != ticks {
 		t.Fatalf("SchedStats.Ticks = %d, want %d", st.Ticks, ticks)
 	}
-	if st.Stages != ticks {
-		t.Fatalf("SchedStats.Stages = %d, want one per tick for a passive protocol (%d)", st.Stages, ticks)
-	}
 	if want := cfg.Nodes * ticks; st.Units != want {
 		t.Fatalf("SchedStats.Units = %d, want %d (every node, every tick)", st.Units, want)
 	}
@@ -143,10 +138,11 @@ func TestDenseWakeSchedStats(t *testing.T) {
 
 // TestDenseWakeColoredDeterminism pins byte-identical results for the
 // dense-wake arm specifically — the workload where the colored schedule
-// reorders the most compute relative to node-ID order. Run under -race
-// this also checks the packed batches share no node state.
+// reorders the most compute relative to node-ID order — for both
+// protocols the engine runs. Run under -race this also checks the
+// packed batches share no node state.
 func TestDenseWakeColoredDeterminism(t *testing.T) {
-	for _, proto := range []Protocol{SAMO{}, BaseGossip{}} {
+	for _, proto := range []Protocol{SAMO{}, Epidemic{Fanout: 2}} {
 		cfg := denseWakeConfig(1)
 		want := runFingerprint(t, cfg, proto)
 		for _, workers := range []int{2, 4, 8} {

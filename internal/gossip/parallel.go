@@ -6,66 +6,52 @@ import (
 )
 
 // This file implements node-parallel tick execution: a single arm's
-// tick fanned out over worker goroutines while staying byte-identical
-// to Simulator.serialTick. The engine owns only the scheduling — which
-// wakes may run together, in what order, and whose error is reported;
-// what a wake, a send and a delivery do is the Simulator's primitives
-// (simulator.go), called here in the serial loop's order.
+// wake-ups fanned out over worker goroutines while staying
+// byte-identical to Simulator.serialTick. The engine owns only the
+// scheduling — which wakes may run together, in what order, and whose
+// error is reported; what a wake, a send and a delivery do is the
+// Simulator's primitives (simulator.go), called here in the serial
+// loop's order.
+//
+// Run takes the engine only for protocols that implement
+// PassiveReceiver and report passive (standard SAMO, Epidemic: the
+// merge-once protocols of Algorithm 2). Their OnReceive only adds to
+// the receiver's inbox sum, so a wake's planning reads the same state
+// whether or not earlier same-tick deliveries to the waker have run.
+// Protocols that train on receive run the serial loop at every worker
+// count.
 //
 // After churn and drainDue (Run, shared with the serial loop) a tick is:
 //
-//  1. Due queued deliveries, grouped by receiver and handed to
-//     receiveQueued concurrently on the engine's worker pool —
-//     per-receiver drain order preserved. OnReceive touches only
-//     receiver-local state (model, inbox, the node's own RNG), so
-//     receivers commute.
-//  2. Wake-ups, in one or more stages. Every stage is a serial
-//     *planning* pass followed by a parallel *compute* pass:
-//
-//     Planning walks due wakers in node-ID order and performs exactly
-//     the shared-state work the serial loop would: planWake (topology
-//     dynamics, then the protocol's Targets drawing the node's own RNG
-//     in serial order) and one planSend per target — whose drop coins
-//     and counters consume the shared stream in exactly the serial send
-//     order (ascending waker ID, target order within a wake).
-//
-//     Compute packs the planned wakes into conflict-free batches by
-//     greedy precedence coloring over the touch-set interference
-//     graph (see computeStage) and runs each batch's wakes
-//     concurrently on the engine's persistent worker pool: each
-//     wake's local work (Protocol.Wake — merge pending models, train)
-//     plus carry for each of its sends (inline OnReceive on the
-//     target, or the queued copy). Two wakes conflict when their
-//     touched node sets — the waker plus its inline targets —
-//     intersect; conflicting wakes are assigned strictly increasing
-//     colors, so they execute in serial order with a barrier between
-//     their batches, while non-conflicting wakes share a batch
-//     regardless of where they sit in node-ID order.
-//
-//     For protocols whose OnReceive can advance the receiver's RNG
-//     (training on receive, like BaseGossip), a stage ends early when
-//     the next due waker is itself an inline target of an
-//     already-planned wake: in the serial loop that node's
-//     receive-triggered training draws from its RNG *before* its own
-//     wake draws, so its planning must wait until the earlier wakes
-//     have computed. Protocols that implement PassiveReceiver
-//     (standard SAMO, Epidemic — OnReceive only adds to the inbox sum)
-//     have no such draw, so the whole tick plans in a single stage and
-//     the coloring alone enforces the compute order — including a
-//     waker that receives before (or after) its own wake in serial
-//     order.
-//
-//  3. Commit (serial): queued sends copied during compute are
+//  1. Due queued deliveries, handed to receiveDue in drain order — the
+//     serial loop's own pass.
+//  2. Plan (serial): walk due wakers in node-ID order and perform
+//     exactly the shared-state work the serial loop would: planWake
+//     (topology dynamics, then the protocol's Targets drawing the
+//     node's own RNG) and one planSend per target, whose drop coins and
+//     counters consume the shared stream in the serial send order.
+//  3. Compute: pack the planned wakes into conflict-free batches by
+//     greedy precedence coloring over the touch-set interference graph
+//     (see compute) and run each batch's wakes concurrently on the
+//     engine's persistent worker pool: each wake's local work
+//     (Protocol.Wake — merge pending models, train) plus carry for
+//     each of its sends (inline OnReceive on the target, or the queued
+//     copy). Two wakes conflict when their touched node sets — the
+//     waker plus its inline targets — intersect; conflicting wakes get
+//     strictly increasing colors, so they execute in serial order with
+//     a barrier between their batches, including a waker that receives
+//     before (or after) its own wake in serial order.
+//  4. Commit (serial): queued sends copied during compute are
 //     scheduled in (waker, send) order — the exact order the serial
 //     loop's Send calls would have scheduled them, preserving the
 //     delivery queue's FIFO tie-break.
 //
 // Because planning preserves every shared-RNG draw and counter update
-// in serial order, compute touches only node-local state under mutual
-// exclusion with conflicting units ordered as the serial loop orders
-// them, and commit preserves queue order, the observable run — every
-// parameter byte, every counter, every error — equals the serial
-// loop's for any worker count and every protocol.
+// in serial order, compute touches only node-local state with
+// conflicting wakes ordered as the serial loop orders them, and commit
+// preserves queue order, the observable run — every parameter byte,
+// every counter, every error — equals the serial loop's for any worker
+// count.
 
 // SchedStats describes the schedule the node-parallel engine executed
 // for one run: how many wake-ups it planned and how tightly it packed
@@ -77,9 +63,6 @@ import (
 type SchedStats struct {
 	// Ticks executed on the parallel engine.
 	Ticks int
-	// Stages is the number of plan/compute/commit rounds (one per tick
-	// for PassiveReceiver protocols; taint breaks add more).
-	Stages int
 	// Batches is the number of conflict-free batches computed; each
 	// batch boundary is a barrier.
 	Batches int
@@ -96,6 +79,13 @@ func (st SchedStats) Occupancy() float64 {
 	return float64(st.Units) / float64(st.Batches)
 }
 
+// receivesPassively reports whether protocol is a PassiveReceiver that
+// reports passive, the engine's only selector.
+func receivesPassively(protocol Protocol) bool {
+	pr, ok := protocol.(PassiveReceiver)
+	return ok && pr.ReceivesPassively()
+}
+
 // tickUnit is one planned wake-up.
 type tickUnit struct {
 	node  *Node
@@ -103,36 +93,18 @@ type tickUnit struct {
 	err   error
 }
 
-// recvGroup is one receiver's due deliveries for the current tick, in
-// drain order.
-type recvGroup struct {
-	to    int
-	idxs  []int // indices into the tick's due deliveries
-	err   error
-	errAt int // drain index of the failing delivery, for deterministic reporting
-}
-
 // tickEngine holds the reusable scratch of the parallel tick loop.
 type tickEngine struct {
 	s *Simulator
-	// passive marks a PassiveReceiver protocol: inline deliveries do
-	// not advance the receiver's RNG, so planning never needs to wait
-	// for compute and each tick is a single stage.
-	passive bool
 	// pool is the engine's persistent worker pool: batches are handed
 	// off over channels instead of spawning goroutines per batch.
 	pool *par.Pool
 
-	units       []tickUnit
-	due         []netmodel.Delivery // this tick's deliveries, from drainDue
-	recv        []recvGroup
-	group       []int  // node -> recvGroup index this tick, -1 when none
-	tainted     []bool // per-node inline-target marks of the current stage
-	taintedList []int
+	units []tickUnit
 
-	// Precedence-coloring scratch (computeStage). nodeColor[id] is the
-	// color of the latest unit touching node id, valid only when
-	// nodeEpoch[id] == epoch — epoch stamping makes per-stage resets
+	// Precedence-coloring scratch (compute). nodeColor[id] is the color
+	// of the latest unit touching node id, valid only when
+	// nodeEpoch[id] == epoch — epoch stamping makes per-tick resets
 	// O(1) instead of O(nodes).
 	nodeColor []int
 	nodeEpoch []int
@@ -144,13 +116,12 @@ type tickEngine struct {
 
 	// Batch execution state read by the prebound pool closure.
 	batchBase int
-	// minFail is the lowest-index unit that failed in this stage
+	// minFail is the lowest-index unit that failed in this tick
 	// (len(units) when none): units above it are skipped so the engine
 	// reports exactly the error the serial loop would have hit first.
 	minFail int
 
 	runUnitFn func(int)
-	recvFn    func(int)
 
 	stats SchedStats
 }
@@ -160,159 +131,59 @@ func newTickEngine(s *Simulator, workers int) *tickEngine {
 	e := &tickEngine{
 		s:         s,
 		pool:      par.NewPool(workers),
-		group:     make([]int, len(s.nodes)),
-		tainted:   make([]bool, len(s.nodes)),
 		nodeColor: make([]int, len(s.nodes)),
 		nodeEpoch: make([]int, len(s.nodes)),
-	}
-	for i := range e.group {
-		e.group[i] = -1
-	}
-	if pr, ok := s.protocol.(PassiveReceiver); ok {
-		e.passive = pr.ReceivesPassively()
 	}
 	e.runUnitFn = func(i int) {
 		u := &e.units[e.order[e.batchBase+i]]
 		u.err = e.runUnit(u)
 	}
-	e.recvFn = func(gi int) { e.runRecvGroup(gi) }
 	return e
 }
 
 // tick is serialTick on the node-parallel engine.
 func (e *tickEngine) tick(due []netmodel.Delivery) error {
 	e.stats.Ticks++
-	if err := e.deliver(due); err != nil {
+	if err := e.s.receiveDue(due); err != nil {
 		return err
 	}
-	return e.runWakes()
-}
-
-// deliver groups the tick's due deliveries by receiver and processes
-// the groups concurrently with per-receiver drain order preserved. On
-// failure the error of the earliest drained delivery is reported,
-// matching the serial loop's first-failure semantics.
-func (e *tickEngine) deliver(due []netmodel.Delivery) error {
-	e.due = due
-	e.recv = e.recv[:0]
-	for i := range due {
-		to := due[i].To
-		gi := e.group[to]
-		if gi < 0 {
-			gi = e.growRecv(to)
-			e.group[to] = gi
-		}
-		e.recv[gi].idxs = append(e.recv[gi].idxs, i)
+	if err := e.plan(); err != nil {
+		return err
 	}
-	e.pool.ForEach(len(e.recv), e.recvFn)
-	var firstErr error
-	firstAt := -1
-	for gi := range e.recv {
-		g := &e.recv[gi]
-		e.group[g.to] = -1
-		if g.err != nil && (firstAt < 0 || g.errAt < firstAt) {
-			firstErr, firstAt = g.err, g.errAt
-		}
+	e.stats.Units += len(e.units)
+	if err := e.compute(); err != nil {
+		return err
 	}
-	return firstErr
-}
-
-// runRecvGroup drains one receiver's due deliveries in drain order.
-func (e *tickEngine) runRecvGroup(gi int) {
-	g := &e.recv[gi]
-	for _, di := range g.idxs {
-		if err := e.s.receiveQueued(&e.due[di]); err != nil {
-			g.err, g.errAt = err, di
-			return
-		}
-	}
-}
-
-// growRecv appends a recvGroup slot for node `to`, reusing capacity.
-func (e *tickEngine) growRecv(to int) int {
-	if len(e.recv) < cap(e.recv) {
-		e.recv = e.recv[:len(e.recv)+1]
-	} else {
-		e.recv = append(e.recv, recvGroup{})
-	}
-	g := &e.recv[len(e.recv)-1]
-	g.to = to
-	g.idxs = g.idxs[:0]
-	g.err = nil
-	g.errAt = -1
-	return len(e.recv) - 1
-}
-
-// runWakes executes the tick's due wake-ups in stages of
-// plan-then-compute, committing queued sends after each stage.
-func (e *tickEngine) runWakes() error {
-	s := e.s
-	next := 0
-	for next < len(s.nodes) {
-		planned, err := e.planStage(&next)
-		if err != nil {
-			return err
-		}
-		if planned == 0 {
-			break
-		}
-		e.stats.Stages++
-		e.stats.Units += planned
-		if err := e.computeStage(); err != nil {
-			return err
-		}
-		e.commitStage()
-	}
+	e.commit()
 	return nil
 }
 
-// planStage is the serial planning pass: it advances *next over due
-// wakers in node-ID order — planWake, then planSend per target, exactly
-// as the serial loop interleaves them — until the scan ends or (for
-// protocols whose OnReceive advances the receiver's RNG) the next waker
-// is an inline target of a wake already planned in this stage, whose
-// compute must run first to keep that node's RNG order serial.
-// PassiveReceiver protocols never break: their receive path only adds
-// to the inbox sum, so a tainted waker's planning reads the same RNG
-// state either way, and the compute-order hazard is handled by the precedence
-// coloring.
-func (e *tickEngine) planStage(next *int) (int, error) {
+// plan is the serial planning pass: over due wakers in node-ID order,
+// planWake, then planSend per target, exactly as the serial loop
+// interleaves them.
+func (e *tickEngine) plan() error {
 	s := e.s
 	e.units = e.units[:0]
-	if !e.passive {
-		for _, id := range e.taintedList {
-			e.tainted[id] = false
-		}
-		e.taintedList = e.taintedList[:0]
-	}
-	for ; *next < len(s.nodes); *next++ {
-		node := s.nodes[*next]
+	for _, node := range s.nodes {
 		if node.nextWake > s.tick || s.down[node.ID] {
 			continue
 		}
-		if !e.passive && e.tainted[node.ID] {
-			break // planned earlier wakes deliver to it this tick
-		}
 		targets, err := s.planWake(node)
 		if err != nil {
-			return 0, err
+			return err
 		}
 		u := e.growUnit()
 		u.node = node
 		for _, to := range targets {
 			p, err := s.planSend(node.ID, to, node.Model.NumParams())
 			if err != nil {
-				return 0, s.wakeErr(node, err)
+				return s.wakeErr(node, err)
 			}
 			u.sends = append(u.sends, p)
-			if p.mode == sendInline && !e.passive && !e.tainted[to] {
-				e.tainted[to] = true
-				e.taintedList = append(e.taintedList, to)
-			}
 		}
 		node.nextWake = s.tick + node.interval
 	}
-	return len(e.units), nil
+	return nil
 }
 
 // growUnit appends a unit slot, reusing send capacity.
@@ -329,8 +200,8 @@ func (e *tickEngine) growUnit() *tickUnit {
 	return u
 }
 
-// computeStage packs the stage's units into conflict-free batches by
-// greedy precedence coloring and runs each batch concurrently.
+// compute packs the tick's units into conflict-free batches by greedy
+// precedence coloring and runs each batch concurrently.
 //
 // A unit's touch set is its waker plus its inline-delivery targets.
 // Walking units in serial (node-ID) order, each unit takes the
@@ -339,13 +210,10 @@ func (e *tickEngine) growUnit() *tickUnit {
 // color stamped there (0 when untouched). Batches execute in color
 // order with a barrier between colors, so every conflicting pair runs
 // in serial order across a barrier, while non-conflicting units share
-// a batch no matter how far apart they sit in node-ID order. The old
-// scheduler cut batches as *contiguous runs* of the serial order at
-// the first conflict, which under dense wakes degenerated to
-// near-serial schedules (~1.2 units/batch on the dense-wake arm);
-// coloring packs the same stage into near-minimal barriers while
-// computing byte-identical results.
-func (e *tickEngine) computeStage() error {
+// a batch no matter how far apart they sit in node-ID order — unlike
+// cutting batches as contiguous runs of the serial order, which under
+// dense wakes degenerates to near-serial schedules.
+func (e *tickEngine) compute() error {
 	n := len(e.units)
 	if n == 0 {
 		return nil
@@ -461,10 +329,10 @@ func (e *tickEngine) runUnit(u *tickUnit) error {
 	return nil
 }
 
-// commitStage schedules the stage's queued sends in (waker, send) order
-// — the serial loop's send order, preserving the delivery queue's FIFO
+// commit schedules the tick's queued sends in (waker, send) order — the
+// serial loop's send order, preserving the delivery queue's FIFO
 // tie-break for same-tick deliveries.
-func (e *tickEngine) commitStage() {
+func (e *tickEngine) commit() {
 	for ui := range e.units {
 		u := &e.units[ui]
 		for si := range u.sends {

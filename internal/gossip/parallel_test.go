@@ -56,9 +56,9 @@ func appendBits(dst []byte, v float64) []byte {
 // parallelScenarios is the determinism matrix: every transport family
 // (inline, queued, lossy), every dynamics mode, and churn. Wake
 // intervals are deliberately short so many nodes wake in the same tick
-// — forcing same-tick sender→waker collisions, multi-stage planning,
-// and conflict batches, the paths where a buffered-commit engine could
-// diverge from the serial loop.
+// — forcing same-tick sender→waker collisions and conflict batches,
+// the paths where a buffered-commit engine could diverge from the
+// serial loop.
 func parallelScenarios() map[string]Config {
 	base := Config{
 		Nodes: 10, ViewSize: 3, Rounds: 3, TicksPerRound: 10,
@@ -101,9 +101,11 @@ func matrixProtocols() map[string]Protocol {
 // TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single
 // arm's run must be byte-identical — every parameter bit, every inbox
 // sum, every counter — for any Workers setting, for every protocol
-// and scenario in the matrix, with the serial loop at Workers = 1 and
-// the engine (it planned wake units) above. Run under -race this also
-// proves the compute batches share no node state.
+// and scenario in the matrix. The serial loop runs at Workers = 1 and,
+// at every setting, for protocols that train on receive; the engine (it
+// planned wake units) runs above Workers = 1 exactly when the protocol
+// receives passively. Run under -race this also proves the compute
+// batches share no node state.
 func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
 	for scName, cfg := range parallelScenarios() {
 		for pName, proto := range matrixProtocols() {
@@ -120,8 +122,9 @@ func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
 					if got != want {
 						t.Fatalf("workers=%d diverged from serial run", workers)
 					}
-					if sched.Units == 0 {
-						t.Fatalf("workers=%d did not run on the engine", workers)
+					if engine := sched.Units > 0; engine != receivesPassively(proto) {
+						t.Fatalf("workers=%d ran on the engine = %v for a protocol that receives passively = %v",
+							workers, engine, receivesPassively(proto))
 					}
 				}
 			})

@@ -33,16 +33,16 @@ type Protocol interface {
 }
 
 // PassiveReceiver is optionally implemented by protocols whose
-// OnReceive only reads the receiver's model into its running sum (the
-// inbox) without consuming the receiver's RNG stream or mutating its
-// model or optimizer state. The node-parallel tick engine can then plan a
-// node's wake before earlier same-tick inline deliveries to it have
-// computed — the plan reads the same RNG state either way — so a
-// dense tick packs into one plan/compute stage instead of fragmenting
-// at every sender→waker collision. Protocols that train on receive
-// (BaseGossip, SAMO's nodelay ablation) must not report passive:
-// their receive path advances the node's RNG ahead of the wake's own
-// draws.
+// OnReceive only reads the received model into the receiver's running
+// sum (the inbox) without consuming the receiver's RNG stream or
+// mutating its model or optimizer state. It selects the node-parallel
+// tick engine, which plans a whole tick's wakes before any of them
+// computes: that is sound only when a wake's planning reads the same
+// RNG state whether or not earlier same-tick deliveries to the waker
+// have run. Protocols that train on receive (BaseGossip, SAMO's
+// nodelay ablation) must not report passive — their receive path
+// advances the node's RNG ahead of the wake's own draws — and run the
+// serial loop at every worker count.
 type PassiveReceiver interface {
 	// ReceivesPassively reports whether OnReceive leaves the
 	// receiver's RNG, model, and optimizer untouched.
@@ -114,7 +114,7 @@ func (p SAMO) Name() string {
 // ReceivesPassively implements PassiveReceiver: standard SAMO's
 // OnReceive only adds to the inbox (no RNG draw, no training), so the
 // parallel engine may plan wakes past pending inline deliveries. The
-// nodelay ablation trains on receive and stays staged.
+// nodelay ablation trains on receive and runs the serial loop.
 func (p SAMO) ReceivesPassively() bool { return !p.MergeOnReceive }
 
 // Targets implements Protocol: SAMO disseminates to its whole current

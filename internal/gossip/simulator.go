@@ -81,12 +81,14 @@ type Config struct {
 	Churn []ChurnEvent
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Workers bounds the goroutines of the node-parallel tick engine:
-	// each tick's due wake-ups run concurrently (one goroutine per
-	// conflict-free wake, each node on its own RNG stream) between a
-	// serial planning pass and a serial commit pass, so runs are
-	// byte-identical to the serial path for every setting. 0 means one
-	// worker per CPU, 1 forces the fully serial loop.
+	// Workers bounds the goroutines of the node-parallel tick engine,
+	// which runs merge-once protocols (standard SAMO, Epidemic — see
+	// PassiveReceiver): each tick's due wake-ups run concurrently (one
+	// goroutine per conflict-free wake, each node on its own RNG stream)
+	// between a serial planning pass and a serial commit pass, so runs
+	// are byte-identical to the serial loop for every setting. 0 means
+	// one worker per CPU, 1 forces the serial loop; protocols that train
+	// on receive run the serial loop at every setting.
 	Workers int
 }
 
@@ -320,15 +322,16 @@ func (s *Simulator) BytesSent() int { return s.bytesSent }
 func paramsWireSize(n int) int { return 4 + 2 + 2 + 8 + 8*n + 4 }
 
 // SchedStats reports the schedule the node-parallel tick engine
-// executed — planned wake units, conflict-free batches, and stages.
-// All-zero when the run took the serial loop (Workers <= 1).
+// executed — planned wake units and conflict-free batches. All-zero
+// when the run took the serial loop (Workers 1, or a protocol that
+// trains on receive).
 func (s *Simulator) SchedStats() SchedStats { return s.sched }
 
 // Every run is made of the six primitives below, each decision written
 // once: planWake and planSend fix, in serial order, everything that
 // touches shared state (topology, the transport's RNG, the counters);
 // carry moves a payload and touches only the two nodes involved;
-// schedule, drainDue and receiveQueued are the queue's two ends. The
+// schedule, drainDue and receiveDue are the queue's two ends. The
 // serial loop calls them back to back per wake; the node-parallel
 // engine (parallel.go) calls the same ones from its plan, compute and
 // commit passes.
@@ -463,13 +466,14 @@ func (s *Simulator) View(node int) []int {
 // transitions, then queued deliveries due this tick, then node wake-ups
 // in ID order — so runs are deterministic for every transport.
 //
-// With Workers resolving above one, each tick's deliveries and wake-ups
-// execute on the node-parallel engine (see parallel.go), which calls
-// the same primitives as serialTick in the same serial order and is
-// therefore byte-identical to it.
+// With Workers resolving above one and a merge-once protocol (see
+// PassiveReceiver), each tick's wake-ups execute on the node-parallel
+// engine (see parallel.go), which calls the same primitives as
+// serialTick in the same serial order and is therefore byte-identical
+// to it.
 func (s *Simulator) Run(observer Observer) error {
 	tick := s.serialTick
-	if workers := par.Workers(s.cfg.Workers); workers > 1 {
+	if workers := par.Workers(s.cfg.Workers); workers > 1 && receivesPassively(s.protocol) {
 		e := newTickEngine(s, workers)
 		defer func() {
 			e.pool.Close()
@@ -494,10 +498,8 @@ func (s *Simulator) Run(observer Observer) error {
 // every due wake-up in node-ID order, each run to completion before the
 // next starts.
 func (s *Simulator) serialTick(due []netmodel.Delivery) error {
-	for i := range due {
-		if err := s.receiveQueued(&due[i]); err != nil {
-			return err
-		}
+	if err := s.receiveDue(due); err != nil {
+		return err
 	}
 	for _, node := range s.nodes {
 		if node.nextWake > s.tick || s.down[node.ID] {
@@ -583,14 +585,18 @@ func (s *Simulator) drainDue() []netmodel.Delivery {
 	return s.drainBuf
 }
 
-// receiveQueued hands one due delivery to the protocol, which consumes
-// the payload, and recycles the payload's buffer.
-func (s *Simulator) receiveQueued(d *netmodel.Delivery) error {
-	err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: d.Params})
-	s.pool.Put(d.Params) // VecPool is safe for concurrent use
-	d.Params = nil
-	if err != nil {
-		return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
+// receiveDue hands the tick's due deliveries to the protocol in drain
+// order, recycling each payload's buffer once OnReceive has consumed
+// it, and stops at the first failure.
+func (s *Simulator) receiveDue(due []netmodel.Delivery) error {
+	for i := range due {
+		d := &due[i]
+		err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: d.Params})
+		s.pool.Put(d.Params)
+		d.Params = nil
+		if err != nil {
+			return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
+		}
 	}
 	return nil
 }

@@ -283,11 +283,8 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	// other traffic muddies the counters).
 	for ; sim.tick < 12; sim.tick++ {
 		sim.applyChurn()
-		due := sim.drainDue()
-		for i := range due {
-			if err := sim.receiveQueued(&due[i]); err != nil {
-				t.Fatal(err)
-			}
+		if err := sim.receiveDue(sim.drainDue()); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if sim.MessagesDropped() != 0 {

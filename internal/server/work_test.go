@@ -8,9 +8,12 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"net/http"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -497,5 +500,38 @@ func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
 	}
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("reclaimed arm diverged from the in-process run:\n got %s\nwant %s", got, refJSON)
+	}
+}
+
+// TestAuditSampled holds the audit sample to its contract: fractions 0
+// and 1 are never and always, a key's answer never changes, and over
+// many content keys the sampled share tracks the fraction.
+func TestAuditSampled(t *testing.T) {
+	const n = 10_000
+	keys := make([]string, n)
+	for i := range keys {
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		keys[i] = hex.EncodeToString(sum[:])
+	}
+	sampled := 0
+	for _, key := range keys[:100] {
+		if auditSampled(key, 0) {
+			t.Fatalf("fraction 0 sampled %s", key)
+		}
+		if !auditSampled(key, 1) {
+			t.Fatalf("fraction 1 skipped %s", key)
+		}
+	}
+	for _, key := range keys {
+		got := auditSampled(key, 0.25)
+		if auditSampled(key, 0.25) != got {
+			t.Fatalf("key %s sampled inconsistently", key)
+		}
+		if got {
+			sampled++
+		}
+	}
+	if share := float64(sampled) / n; share < 0.23 || share > 0.27 {
+		t.Fatalf("fraction 0.25 sampled %.4f of %d keys, want within ±0.02", share, n)
 	}
 }

@@ -77,15 +77,22 @@ func (j *JSONL) Record(r metrics.RoundRecord) error {
 
 // Close implements Sink.
 func (j *JSONL) Close() error {
-	if err := j.w.Flush(); err != nil {
+	if err := closeFlushed(j.w, j.c); err != nil {
 		return fmt.Errorf("sink: jsonl: %w", err)
 	}
-	if j.c != nil {
-		if err := j.c.Close(); err != nil {
-			return fmt.Errorf("sink: jsonl: %w", err)
+	return nil
+}
+
+// closeFlushed flushes w and then closes c (when set) even if the flush
+// failed, so a full disk never leaks the file; the first error wins.
+func closeFlushed(w *bufio.Writer, c io.Closer) error {
+	err := w.Flush()
+	if c != nil {
+		if cerr := c.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return nil
+	return err
 }
 
 // Quote escapes a free-form CSV field per RFC 4180: a field containing
@@ -138,13 +145,8 @@ func (c *CSV) Record(r metrics.RoundRecord) error {
 
 // Close implements Sink.
 func (c *CSV) Close() error {
-	if err := c.w.Flush(); err != nil {
+	if err := closeFlushed(c.w, c.c); err != nil {
 		return fmt.Errorf("sink: csv: %w", err)
-	}
-	if c.c != nil {
-		if err := c.c.Close(); err != nil {
-			return fmt.Errorf("sink: csv: %w", err)
-		}
 	}
 	return nil
 }

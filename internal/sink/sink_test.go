@@ -2,6 +2,7 @@ package sink
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -131,5 +132,35 @@ func TestFileSinkWritesAndCloses(t *testing.T) {
 	}
 	if _, err := NewFile(filepath.Join(dir, "missing", "x"), "jsonl", "a"); err == nil {
 		t.Fatal("unwritable path accepted")
+	}
+}
+
+// fullDisk is a file whose every Write fails, as on a full disk; it
+// records whether it was closed.
+type fullDisk struct{ closed bool }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (f *fullDisk) Write([]byte) (int, error) { return 0, errDiskFull }
+func (f *fullDisk) Close() error              { f.closed = true; return nil }
+
+// TestCloseReleasesFileOnFailedFlush: a flush that fails must still
+// close the file, and Close reports the flush's error.
+func TestCloseReleasesFileOnFailedFlush(t *testing.T) {
+	for _, format := range []string{"jsonl", "csv"} {
+		f := &fullDisk{}
+		var s Sink = NewJSONL(f, "arm")
+		if format == "csv" {
+			s = NewCSV(f, "arm")
+		}
+		if err := s.Record(sampleRecords()[0]); err != nil {
+			t.Fatalf("%s: buffered record failed: %v", format, err)
+		}
+		if err := s.Close(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("%s: Close = %v, want the flush error", format, err)
+		}
+		if !f.closed {
+			t.Fatalf("%s: failed flush leaked the file", format)
+		}
 	}
 }

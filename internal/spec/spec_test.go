@@ -289,6 +289,8 @@ func TestSweepRejectsBadAxes(t *testing.T) {
 		{"wrong value type", []Axis{{Field: "beta", Values: []any{"high"}}}},
 		{"wrong string type", []Axis{{Field: "protocol", Values: []any{3.0}}}},
 		{"wrong bool type", []Axis{{Field: "canaries", Values: []any{"yes"}}}},
+		{"fractional view size", []Axis{{Field: "viewSize", Values: []any{2.5}}}},
+		{"fractional local epochs", []Axis{{Field: "localEpochs", Values: []any{1.5}}}},
 	}
 	for _, tc := range cases {
 		sp := &Spec{Name: "x", Sweep: &Sweep{Base: base, Axes: tc.axes}}

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -516,6 +517,20 @@ func axisNumber(v any) (float64, error) {
 	return 0, fmt.Errorf("want a number, got %T", v)
 }
 
+// axisInt coerces an axis value to an integer, refusing a fractional
+// number rather than truncating it under a label that names the
+// fraction.
+func axisInt(v any) (int, error) {
+	f, err := axisNumber(v)
+	if err != nil {
+		return 0, err
+	}
+	if f != math.Trunc(f) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("want an integer, got %v", v)
+	}
+	return int(f), nil
+}
+
 // axisString coerces a JSON axis value to string.
 func axisString(v any) (string, error) {
 	s, ok := v.(string)
@@ -540,8 +555,8 @@ var axisSetters = map[string]func(*Arm, any) error{
 		return err
 	},
 	"viewSize": func(a *Arm, v any) error {
-		f, err := axisNumber(v)
-		a.ViewSize = int(f)
+		n, err := axisInt(v)
+		a.ViewSize = n
 		return err
 	},
 	"dynamics": func(a *Arm, v any) error {
@@ -600,8 +615,8 @@ var axisSetters = map[string]func(*Arm, any) error{
 		return err
 	},
 	"localEpochs": func(a *Arm, v any) error {
-		f, err := axisNumber(v)
-		a.LocalEpochs = int(f)
+		n, err := axisInt(v)
+		a.LocalEpochs = n
 		return err
 	},
 	"trainPerFactor": func(a *Arm, v any) error {

@@ -44,6 +44,10 @@ fi
 # which is sound in dlbench's one-workload-per-process runs and races
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
+# One -race pass samples one goroutine interleaving of the tick engine;
+# the determinism matrix, first-error parity and dense-wake tests run
+# three more.
+go test -race -count=3 -run 'IntraArm|FirstError|DenseWake' ./internal/gossip
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
