@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -20,6 +19,7 @@ import (
 	"gossipmia/internal/data"
 	"gossipmia/internal/faultinject"
 	"gossipmia/internal/gossip"
+	"gossipmia/internal/jsonenc"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/par"
 	"gossipmia/internal/sink"
@@ -45,7 +45,11 @@ var ErrArmPanic = errors.New("experiment: arm panicked")
 // flight abort at their next round boundary, and the call returns an
 // error wrapping ctx.Err().
 func RunSpec(ctx context.Context, sp *spec.Spec, sc Scale) (*FigureResult, error) {
-	return runSpecHooked(ctx, sp, sc, specHooks{})
+	arms, err := validArms(sp, sc)
+	if err != nil {
+		return nil, err
+	}
+	return runSpecHooked(ctx, sp, arms, sc, specHooks{})
 }
 
 // RunSpecSinks runs a spec like RunSpec, additionally streaming every
@@ -62,11 +66,15 @@ func RunSpecSinks(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i i
 // executor consulted for every non-cached arm — the entry point the
 // job service's distributed dispatcher rides on. exec may be nil.
 func RunSpecExec(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i int, label string) (sink.Sink, error), exec ArmExecutor) (*FigureResult, error) {
+	arms, err := validArms(sp, sc)
+	if err != nil {
+		return nil, err
+	}
 	h := specHooks{exec: exec}
 	if sinkFor != nil {
 		h.sinks = func(i int, a spec.Arm) (sink.Sink, error) { return sinkFor(i, a.Label) }
 	}
-	return runSpecHooked(ctx, sp, sc, h)
+	return runSpecHooked(ctx, sp, arms, sc, h)
 }
 
 // ArmUnit describes one arm of a spec run as an independently
@@ -124,17 +132,22 @@ func WithOfferDepth(ctx context.Context, depth func() int) context.Context {
 	return context.WithValue(ctx, offerDepthKey{}, depth)
 }
 
-func runSpecHooked(ctx context.Context, sp *spec.Spec, sc Scale, h specHooks) (*FigureResult, error) {
+// validArms validates a run's scale and spec and returns the spec's
+// arms: what every entry point expands once and hands runSpecHooked.
+func validArms(sp *spec.Spec, sc Scale) ([]spec.Arm, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	arms, err := sp.ExpandArms()
-	if err != nil {
-		return nil, err
-	}
+	return sp.ExpandArms()
+}
+
+// runSpecHooked runs arms, sp's validated expansion (validArms), under
+// the hooks.
+func runSpecHooked(ctx context.Context, sp *spec.Spec, arms []spec.Arm, sc Scale, h specHooks) (*FigureResult, error) {
+	var err error
 	scArm := sc
 	scArm.Workers = innerWorkers(sc.Workers, len(arms))
 	fig := &FigureResult{Name: sp.Name, Caption: sp.Caption}
@@ -468,34 +481,121 @@ type SpecManifest struct {
 	Arms           []SpecArmReport `json:"arms"`
 }
 
+// appendManifest appends man as json.MarshalIndent(man, "", " ")
+// spells it, field by field in declaration order.
+func appendManifest(b []byte, man *SpecManifest) ([]byte, error) {
+	e := jsonenc.Encoder{Buf: b}
+	e.String("{\n \"spec\": ", man.Spec)
+	e.String(",\n \"specHash\": ", man.SpecHash)
+	e.Int(",\n \"seed\": ", man.Seed)
+	e.Int(",\n \"workers\": ", int64(man.Workers))
+	e.Raw(",\n \"scale\": ")
+	e.Buf = appendScale(e.Buf, man.Scale, "\n  ")
+	e.String(",\n \"startedAt\": ", man.StartedAt)
+	e.Float(",\n \"elapsedSeconds\": ", man.ElapsedSeconds)
+	switch {
+	case man.Arms == nil:
+		e.Raw(",\n \"arms\": null")
+	case len(man.Arms) == 0:
+		e.Raw(",\n \"arms\": []")
+	default:
+		for i, r := range man.Arms {
+			key := ",\n  {\n   \"label\": "
+			if i == 0 {
+				key = ",\n \"arms\": [\n  {\n   \"label\": "
+			}
+			e.String(key, r.Label)
+			e.String(",\n   \"key\": ", r.Key)
+			e.Buf = strconv.AppendBool(append(e.Buf, ",\n   \"cached\": "...), r.Cached)
+			e.Float(",\n   \"elapsedSeconds\": ", r.ElapsedSeconds)
+			if r.EventsFile != "" {
+				e.String(",\n   \"eventsFile\": ", r.EventsFile)
+			}
+			e.Raw("\n  }")
+		}
+		e.Raw("\n ]")
+	}
+	e.Raw("\n}")
+	if e.Err != nil {
+		return b, e.Err
+	}
+	return e.Buf, nil
+}
+
+// appendScale appends sc's JSON object: compact when indent is "", and
+// otherwise as MarshalIndent spells it one level deep, each field on a
+// line of its own behind indent ("\n" and the field's depth) and the
+// closing brace one space shallower.
+func appendScale(b []byte, sc Scale, indent string) []byte {
+	colon := `":`
+	if indent != "" {
+		colon = `": `
+	}
+	fields := [...]struct {
+		name string
+		v    int64
+	}{
+		{"Nodes", int64(sc.Nodes)}, {"NodesCIFAR100", int64(sc.NodesCIFAR100)}, {"Rounds", int64(sc.Rounds)},
+		{"TrainPerNode", int64(sc.TrainPerNode)}, {"TestPerNode", int64(sc.TestPerNode)},
+		{"GlobalTestSize", int64(sc.GlobalTestSize)}, {"EvalEvery", int64(sc.EvalEvery)},
+		{"EvalNodes", int64(sc.EvalNodes)}, {"Canaries", int64(sc.Canaries)}, {"SpectralN", int64(sc.SpectralN)},
+		{"SpectralIters", int64(sc.SpectralIters)}, {"SpectralRuns", int64(sc.SpectralRuns)},
+		{"Seed", sc.Seed}, {"Workers", int64(sc.Workers)},
+	}
+	b = append(b, '{')
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(append(b, indent...), '"'), f.name...), colon...)
+		b = strconv.AppendInt(b, f.v, 10)
+	}
+	if indent != "" {
+		b = append(b, indent[:len(indent)-1]...)
+	}
+	return append(b, '}')
+}
+
 // armKeys returns the resume cache keys of arms under one scale: for
 // each arm the SHA-256 of {"arm":<arm JSON>,"scale":<scale JSON>}, the
 // bytes json.Marshal gives that pair. The scale fingerprint (seed
 // included, worker count excluded — workers never affect results, so a
 // resumed run may use a different pool size) is encoded once.
 func armKeys(arms []spec.Arm, sc Scale) ([]string, error) {
+	keys, _, err := hashArms(arms, sc)
+	return keys, err
+}
+
+// hashArms encodes each arm's JSON once and hashes it twice: under its
+// resume cache key (armKeys) and, with the arms' bytes framed as a
+// JSON list, into the spec hash — Spec.Hash of the spec arms expand
+// from, without expanding and encoding them again. arms is a validated
+// spec's expansion, never empty.
+func hashArms(arms []spec.Arm, sc Scale) (keys []string, specHash string, err error) {
 	sc.Workers = 0
-	scale, err := json.Marshal(sc)
-	if err != nil {
-		return nil, fmt.Errorf("experiment: arm key: %w", err)
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	keys := make([]string, len(arms))
+	scale := appendScale(nil, sc, "")
+	list := sha256.New()
+	list.Write([]byte("["))
+	const armAt = len(`{"arm":`)
+	buf := make([]byte, 0, 512)
+	var hexKey [2 * sha256.Size]byte
+	keys = make([]string, len(arms))
 	for i, a := range arms {
-		buf.Reset()
-		buf.WriteString(`{"arm":`)
-		if err := enc.Encode(a); err != nil {
-			return nil, fmt.Errorf("experiment: arm key: %w", err)
+		buf = append(buf[:0], `{"arm":`...)
+		if buf, err = a.AppendJSON(buf); err != nil {
+			return nil, "", fmt.Errorf("experiment: arm key: %w", err)
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's newline
-		buf.WriteString(`,"scale":`)
-		buf.Write(scale)
-		buf.WriteByte('}')
-		sum := sha256.Sum256(buf.Bytes())
-		keys[i] = hex.EncodeToString(sum[:])
+		if i > 0 {
+			list.Write([]byte(","))
+		}
+		list.Write(buf[armAt:])
+		buf = append(append(append(buf, `,"scale":`...), scale...), '}')
+		sum := sha256.Sum256(buf)
+		hex.Encode(hexKey[:], sum[:])
+		keys[i] = string(hexKey[:])
 	}
-	return keys, nil
+	list.Write([]byte("]"))
+	return keys, hex.EncodeToString(list.Sum(nil)), nil
 }
 
 // slugify makes an arm label filesystem-safe.
@@ -514,13 +614,18 @@ func slugify(label string) string {
 }
 
 // writeFileAtomic writes data via a temp file + rename, so an
-// interrupted run never leaves a torn results.csv or manifest.
+// interrupted run never leaves a torn results.csv or manifest, and a
+// failed write or rename leaves no temp file behind.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
+	err := os.WriteFile(tmp, data, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	return os.Rename(tmp, path)
+	if err != nil {
+		_ = os.Remove(tmp) // the write's error is the one to report
+	}
+	return err
 }
 
 // RunSpecDir runs a spec like RunSpec and additionally persists the run
@@ -552,13 +657,11 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	if opts.StoreDir == "" {
 		opts.StoreDir = filepath.Join(opts.OutDir, "store")
 	}
-	// runSpecHooked validates below; here only the expansion (for cache
-	// keys) and the content hash are needed.
-	arms, err := sp.ExpandArms()
+	arms, err := validArms(sp, sc)
 	if err != nil {
 		return nil, nil, err
 	}
-	specHash, err := sp.Hash()
+	keys, specHash, err := hashArms(arms, sc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -571,10 +674,6 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 		return nil, nil, fmt.Errorf("experiment: out dir: %w", err)
 	}
 
-	keys, err := armKeys(arms, sc)
-	if err != nil {
-		return nil, nil, err
-	}
 	reports := make([]SpecArmReport, len(arms))
 	for i, a := range arms {
 		reports[i] = SpecArmReport{Label: a.Label, Key: keys[i]}
@@ -599,7 +698,7 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	if opts.Resume {
 		h.lookup = run.lookup
 	}
-	fig, err := runSpecHooked(ctx, sp, sc, h)
+	fig, err := runSpecHooked(ctx, sp, arms, sc, h)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -673,7 +772,7 @@ func (r *dirRun) finish(outDir string, man *SpecManifest) error {
 	if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), r.csv.table()); err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
-	raw, err := json.MarshalIndent(man, "", " ")
+	raw, err := appendManifest(make([]byte, 0, 1024+160*len(man.Arms)), man)
 	if err != nil {
 		return fmt.Errorf("experiment: manifest: %w", err)
 	}

@@ -150,12 +150,8 @@ func TestRunSpecDirWritesArtifacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var onDisk SpecManifest
-	if err := json.Unmarshal(raw, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if onDisk.SpecHash != wantHash {
-		t.Fatalf("on-disk manifest hash = %q", onDisk.SpecHash)
+	if indented, err := json.MarshalIndent(man, "", " "); err != nil || string(raw) != string(indented) {
+		t.Fatalf("manifest.json is not MarshalIndent's (err=%v):\n%s\nwant:\n%s", err, raw, indented)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "arms")); !os.IsNotExist(err) {
 		t.Fatalf("run created an arms/ directory (err=%v)", err)
@@ -353,7 +349,8 @@ func marshalledArmKey(t *testing.T, a spec.Arm, sc Scale) string {
 // TestArmKeysMatchMarshalledPair: the keys armKeys hashes from one
 // encoding of the scale are the keys of the marshalled (arm, scale)
 // pair, for arms whose JSON needs escaping, optional blocks and
-// exponent-form numbers, under scales with and without workers.
+// exponent-form numbers, under scales with and without workers; and the
+// spec hash the same loop streams is Spec.Hash's.
 func TestArmKeysMatchMarshalledPair(t *testing.T) {
 	sp := sweepSpec()
 	arms, err := sp.ExpandArms()
@@ -366,8 +363,12 @@ func TestArmKeysMatchMarshalledPair(t *testing.T) {
 			Net: &spec.Net{Transport: "latency", LatencyMean: 20, LatencyJitter: 6}, ChurnFraction: 0.25,
 			Train: &spec.Train{Hidden: []int{4, 2}, LR: 0.05, BatchSize: 8, LocalEpochs: 2}, TrainPerFactor: 0.34, LocalEpochs: 3},
 	)
+	wantHash, err := (&spec.Spec{Name: "keys", Arms: arms}).Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, sc := range []Scale{TinyScale(), PaperScale(), {Seed: -1, Workers: 7, Nodes: 1 << 40}} {
-		keys, err := armKeys(arms, sc)
+		keys, specHash, err := hashArms(arms, sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,6 +377,12 @@ func TestArmKeysMatchMarshalledPair(t *testing.T) {
 				t.Fatalf("armKeys(%q) = %s, the marshalled pair hashes to %s", a.Label, keys[i], want)
 			}
 		}
+		if specHash != wantHash {
+			t.Fatalf("spec hash of the key loop = %s, Spec.Hash = %s", specHash, wantHash)
+		}
+	}
+	if _, err := armKeys([]spec.Arm{{Label: "nan", Beta: math.NaN()}}, TinyScale()); err == nil {
+		t.Fatal("an arm json.Marshal refuses got a key")
 	}
 }
 

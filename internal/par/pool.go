@@ -48,15 +48,19 @@ func NewPool(workers int) *Pool {
 	p.work = make(chan struct{}, w-1)
 	p.exited.Add(w - 1)
 	for g := 0; g < w-1; g++ {
-		go func() {
-			defer p.exited.Done()
-			for range p.work {
-				p.runShared()
-				p.done.Done()
-			}
-		}()
+		go p.help()
 	}
 	return p
+}
+
+// help is one parked helper: it joins a run per work token and returns
+// when Close closes the channel.
+func (p *Pool) help() {
+	defer p.exited.Done()
+	for range p.work {
+		p.runShared()
+		p.done.Done()
+	}
 }
 
 // Close releases the pool's helper goroutines and returns once they

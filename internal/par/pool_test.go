@@ -1,9 +1,12 @@
 package par
 
 import (
+	"bytes"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestPoolForEachCoversAllIndices(t *testing.T) {
@@ -97,19 +100,33 @@ func TestPoolUsableAfterPanic(t *testing.T) {
 // TestPoolCloseWaitsForHelpers: Close returns only once the helpers
 // are gone, so a tight loop of short-lived pools (what ForEachErr is)
 // holds a bounded number of goroutines instead of leaving every closed
-// pool's helpers queued up to exit.
+// pool's helpers queued up to exit. It counts the goroutines inside a
+// pool helper in a stop-the-world dump of every stack: the runtime's
+// goroutine count also holds goroutines no pool made, and once read 13
+// where the dump listed 2.
 func TestPoolCloseWaitsForHelpers(t *testing.T) {
 	const workers = 4
-	before := runtime.NumGoroutine()
+	buf := make([]byte, 1<<20)
+	helpers := func() int {
+		n := runtime.Stack(buf, true)
+		if n == len(buf) {
+			t.Fatal("goroutine dump truncated")
+		}
+		return bytes.Count(buf[:n], []byte("par.(*Pool).help("))
+	}
+	if n := helpers(); n != 0 {
+		t.Fatalf("%d pool helpers alive before the loop", n)
+	}
 	peak := 0
 	for i := 0; i < 2000; i++ {
 		ForEachErr(workers, workers, func(int) error { return nil })
-		peak = max(peak, runtime.NumGoroutine())
+		peak = max(peak, helpers())
 	}
-	// A helper that has signalled its exit may still be counted for an
-	// instant; more than one pool's worth means helpers outlive Close.
-	if limit := before + workers - 1; peak > limit {
-		t.Fatalf("goroutines peaked at %d across short-lived pools, want <= %d", peak, limit)
+	// A helper that has signalled its exit may still be on its way out
+	// for an instant; more than one pool's worth means helpers outlive
+	// Close.
+	if limit := workers - 1; peak > limit {
+		t.Fatalf("pool helpers peaked at %d across short-lived pools, want <= %d", peak, limit)
 	}
 }
 
@@ -122,5 +139,59 @@ func BenchmarkPoolForEach(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.ForEach(8, fn)
+	}
+}
+
+// spinSink keeps spin's loops from being optimized away.
+var spinSink uint64
+
+// spin runs n rounds of a xorshift from x: work that takes a core's
+// time, so two of them overlap only on two cores, never by time
+// slicing.
+func spin(x uint64, n int) uint64 {
+	x |= 1
+	for i := 0; i < n; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// spinRounds returns the spin rounds that take d on this core.
+func spinRounds(d time.Duration) int {
+	const probe = 1 << 22
+	start := time.Now()
+	spinSink = spin(spinSink, probe)
+	return int(float64(probe) * float64(d) / float64(time.Since(start)))
+}
+
+// BenchmarkPoolHandoff prices the pool's hand-off against the work it
+// splits: a two-worker ForEach of two items of 20 to 500 µs each, beside
+// the same two items run serially, reported as speedup over serial. A
+// dense-wake tick's wakes are ≈150 µs items (DESIGN.md, "Parallelism
+// model").
+func BenchmarkPoolHandoff(b *testing.B) {
+	for _, d := range []time.Duration{20 * time.Microsecond, 50 * time.Microsecond, 150 * time.Microsecond, 500 * time.Microsecond} {
+		b.Run(fmt.Sprintf("item=%dus", d.Microseconds()), func(b *testing.B) {
+			rounds := spinRounds(d)
+			var state [2]uint64
+			item := func(i int) { state[i] = spin(state[i], rounds) }
+			p := NewPool(2)
+			defer p.Close()
+			var serial, pooled time.Duration
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				item(0)
+				item(1)
+				t1 := time.Now()
+				p.ForEach(2, item)
+				serial += t1.Sub(t0)
+				pooled += time.Since(t1)
+			}
+			spinSink = state[0] ^ state[1]
+			b.ReportMetric(float64(serial)/float64(pooled), "speedup")
+		})
 	}
 }

@@ -3,9 +3,10 @@ package result
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"strconv"
 	"unicode/utf8"
+
+	"gossipmia/internal/jsonenc"
 )
 
 // ReadCanonical decodes raw if and only if raw is exactly the bytes
@@ -92,7 +93,7 @@ func (r *canonReader) float(v *float64) bool {
 		return false
 	}
 	var buf [32]byte
-	if !bytes.Equal(appendJSONFloat(buf[:0], f), tok) {
+	if canon, _ := jsonenc.AppendFloat(buf[:0], f); !bytes.Equal(canon, tok) {
 		return false
 	}
 	*v = f
@@ -106,24 +107,6 @@ func (r *canonReader) omitempty(key string, v *float64) bool {
 		return true
 	}
 	return r.float(v) && *v != 0
-}
-
-// appendJSONFloat appends f as encoding/json encodes a float64: like
-// %g with ES6's exponent cut-offs, and an exponent of one digit unpadded.
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 → e-7
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }
 
 // str consumes a string spelled as json.Marshal spells it. A string

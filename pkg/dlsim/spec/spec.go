@@ -24,6 +24,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"gossipmia/internal/jsonenc"
 )
 
 // ErrSpec is returned for invalid scenario specs.
@@ -652,29 +654,150 @@ func axisFieldNames() []string {
 
 // Hash returns the canonical content hash of the spec: the SHA-256 of
 // the canonical JSON of its expanded arm list (name and caption are
-// presentation, not content). Two specs that expand to the same arms —
+// presentation, not content) — json.Marshal's bytes for the list, each
+// arm written by AppendJSON. Two specs that expand to the same arms —
 // e.g. a sweep and its hand-written expansion — hash identically.
 func (s *Spec) Hash() (string, error) {
 	arms, err := s.ExpandArms()
 	if err != nil {
 		return "", err
 	}
-	raw, err := json.Marshal(arms)
-	if err != nil {
-		return "", fmt.Errorf("spec: hash: %w", err)
+	if arms == nil {
+		sum := sha256.Sum256([]byte("null"))
+		return hex.EncodeToString(sum[:]), nil
 	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	buf := []byte("[")
+	for i, a := range arms {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if buf, err = a.AppendJSON(buf); err != nil {
+			return "", fmt.Errorf("spec: hash: %w", err)
+		}
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	h.Write(append(buf, ']'))
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // Hash returns the canonical content hash of one arm (the SHA-256 of
-// its canonical JSON). It keys the resumable sweep cache together with
-// the run's scale fingerprint.
+// its canonical JSON, AppendJSON's bytes).
 func (a Arm) Hash() (string, error) {
-	raw, err := json.Marshal(a)
+	raw, err := a.AppendJSON(nil)
 	if err != nil {
 		return "", fmt.Errorf("spec: arm hash: %w", err)
 	}
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:]), nil
+}
+
+// AppendJSON appends the arm's canonical JSON to b: exactly the bytes
+// json.Marshal(a) gives, fields in declaration order, the omitempty
+// ones left out when zero, strings escaped as the encoder escapes them.
+// Like json.Marshal it fails on a NaN or infinite float, and then
+// returns b as it was.
+func (a Arm) AppendJSON(b []byte) ([]byte, error) {
+	e := jsonenc.Encoder{Buf: b}
+	e.String(`{"label":`, a.Label)
+	e.String(`,"corpus":`, a.Corpus)
+	e.String(`,"protocol":`, a.Protocol)
+	e.Int(`,"viewSize":`, int64(a.ViewSize))
+	if a.Dynamics != "" {
+		e.String(`,"dynamics":`, a.Dynamics)
+	}
+	if a.Beta != 0 {
+		e.Float(`,"beta":`, a.Beta)
+	}
+	if d := a.DP; d != nil {
+		e.Float(`,"dp":{"epsilon":`, d.Epsilon)
+		e.Float(`,"delta":`, d.Delta)
+		e.Float(`,"clip":`, d.Clip)
+		e.Raw(`}`)
+	}
+	if a.Canaries {
+		e.Raw(`,"canaries":true`)
+	}
+	e.Int(`,"seedOffset":`, a.SeedOffset)
+	if n := a.Net; n != nil {
+		e.String(`,"net":{"transport":`, n.Transport)
+		if n.LatencyMean != 0 {
+			e.Float(`,"latencyMean":`, n.LatencyMean)
+		}
+		if n.LatencyJitter != 0 {
+			e.Float(`,"latencyJitter":`, n.LatencyJitter)
+		}
+		if n.BandwidthBytesPerTick != 0 {
+			e.Int(`,"bandwidthBytesPerTick":`, int64(n.BandwidthBytesPerTick))
+		}
+		if n.DropProb != 0 {
+			e.Float(`,"dropProb":`, n.DropProb)
+		}
+		for i, p := range n.Partitions {
+			key := `,{"fromTick":`
+			if i == 0 {
+				key = `,"partitions":[{"fromTick":`
+			}
+			e.Int(key, int64(p.FromTick))
+			e.Int(`,"toTick":`, int64(p.ToTick))
+			e.Ints(`,"members":`, p.Members)
+			e.Raw(`}`)
+		}
+		if len(n.Partitions) > 0 {
+			e.Raw(`]`)
+		}
+		e.Raw(`}`)
+	}
+	for i, c := range a.Churn {
+		key := `,{"node":`
+		if i == 0 {
+			key = `,"churn":[{"node":`
+		}
+		e.Int(key, int64(c.Node))
+		e.Int(`,"leaveTick":`, int64(c.LeaveTick))
+		if c.RejoinTick != 0 {
+			e.Int(`,"rejoinTick":`, int64(c.RejoinTick))
+		}
+		e.Raw(`}`)
+	}
+	if len(a.Churn) > 0 {
+		e.Raw(`]`)
+	}
+	if a.ChurnFraction != 0 {
+		e.Float(`,"churnFraction":`, a.ChurnFraction)
+	}
+	if t := a.Train; t != nil {
+		e.Raw(`,"train":{`)
+		if len(t.Hidden) > 0 {
+			e.Ints(`"hidden":`, t.Hidden)
+			e.Raw(`,`)
+		}
+		e.Float(`"lr":`, t.LR)
+		if t.Momentum != 0 {
+			e.Float(`,"momentum":`, t.Momentum)
+		}
+		if t.WeightDecay != 0 {
+			e.Float(`,"weightDecay":`, t.WeightDecay)
+		}
+		if t.LRDecay != 0 {
+			e.Float(`,"lrDecay":`, t.LRDecay)
+		}
+		if t.BatchSize != 0 {
+			e.Int(`,"batchSize":`, int64(t.BatchSize))
+		}
+		e.Int(`,"localEpochs":`, int64(t.LocalEpochs))
+		e.Raw(`}`)
+	}
+	if a.TrainPerFactor != 0 {
+		e.Float(`,"trainPerFactor":`, a.TrainPerFactor)
+	}
+	if a.LocalEpochs != 0 {
+		e.Int(`,"localEpochs":`, int64(a.LocalEpochs))
+	}
+	e.Raw(`}`)
+	if e.Err != nil {
+		return b, e.Err
+	}
+	return e.Buf, nil
 }

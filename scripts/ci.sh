@@ -51,11 +51,15 @@ go test -race -count=3 -run 'IntraArm|FirstError|DenseWake' ./internal/gossip
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
 go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s ./internal/experiment
+# So is the arm's canonical encoder (spec.Arm.AppendJSON), which every
+# arm key and spec hash is built from: a short real fuzzing run holds it
+# and Spec.Hash to json.Marshal on arms no seed lists.
+go test -run=NONE -fuzz=FuzzArmJSON -fuzztime=10s ./pkg/dlsim/spec
 # tensor.RNG runs math/rand's samplers on its own lazily filled source:
 # a short real fuzzing run holds byte-coded call sequences on it to
 # rand.New(rand.NewSource(seed)) beyond the seed corpus.
