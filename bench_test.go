@@ -70,15 +70,15 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkIntraArmSpeedup isolates the node-parallel tick engine: ONE
-// arm (so arm fan-out contributes nothing) with a wake schedule dense
-// enough that several nodes wake in the same tick. The scaling of
+// BenchmarkIntraArmSpeedup isolates the node-parallel round engine:
+// ONE arm (so arm fan-out contributes nothing) with a wake schedule
+// dense enough that several nodes wake in the same tick. The scaling of
 // these rows is intra-arm: concurrent wake compute (merge + local SGD)
 // plus the parallel per-node evaluation; results are byte-identical
 // across rows. Besides wall clock, workers>1 rows report the engine's
-// schedule occupancy (average wakes per conflict-free batch) — the
-// machine-independent speedup ceiling, readable even on a host whose
-// GOMAXPROCS caps the wall-clock ratio at 1.0x.
+// schedule occupancy (wakes over the rounds' critical paths in wakes) —
+// the machine-independent speedup ceiling, readable even on a host
+// whose GOMAXPROCS caps the wall-clock ratio at 1.0x.
 func BenchmarkIntraArmSpeedup(b *testing.B) {
 	for _, workers := range parallelWorkerMatrix() {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -68,7 +68,7 @@ func TestSeriesIdenticalAcrossWorkerCounts(t *testing.T) {
 // engine end to end on a non-Instant scenario: a latency transport plus
 // a churn schedule, with wake intervals short enough that several nodes
 // wake in the same tick. StudyConfig.Workers flows into the simulator's
-// node-parallel tick engine here, so this proves a whole study arm —
+// node-parallel round engine here, so this proves a whole study arm —
 // sim, training, evaluation — is byte-identical across worker counts.
 // Run under -race it also proves the tick fan-out is data-race free.
 func TestSeriesIdenticalAcrossWorkerCountsLatencyChurn(t *testing.T) {

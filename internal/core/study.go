@@ -111,12 +111,13 @@ type StudyConfig struct {
 	// Workers is the intra-arm parallelism knob. It bounds the
 	// goroutines used to fan out the per-node evaluation (test accuracy,
 	// MIA attack, generalization error, and the canary audit) at each
-	// observed round and the simulator's node-parallel tick execution
+	// observed round and the simulator's node-parallel round execution
 	// of merge-once protocols (gossip.Config.Workers; protocols that
 	// train on receive tick serially at every setting): 0 means one
-	// worker per CPU, 1 forces the serial paths. Both are deterministic by construction — indexed
-	// result slots, buffered-commit tick ordering — so the resulting
-	// Series is byte-identical for every worker count.
+	// worker per CPU, 1 forces the serial paths. Both are deterministic
+	// by construction — indexed result slots, per-node operation chains
+	// planned in serial order — so the resulting Series is
+	// byte-identical for every worker count.
 	Workers int
 }
 
@@ -168,12 +169,13 @@ type Result struct {
 	// Final holds per-node end-of-run snapshots when
 	// StudyConfig.KeepFinalModels is set.
 	Final []NodeSnapshot
-	// Sched describes the schedule the node-parallel tick engine
+	// Sched describes the schedule the node-parallel round engine
 	// executed (zero-valued when the run took the serial path). Its
-	// Occupancy is the machine-independent packing quality of the
-	// conflict-batch scheduler — what the speedup benchmarks report
-	// alongside wall clock, since the latter saturates at 1.0x on a
-	// single-P runtime no matter how good the schedule is.
+	// Occupancy — wakes over the rounds' critical paths — is the
+	// machine-independent speedup ceiling of the schedule, what the
+	// speedup benchmarks report alongside wall clock, since the latter
+	// saturates at 1.0x on a single-P runtime no matter how good the
+	// schedule is.
 	Sched gossip.SchedStats
 }
 
@@ -232,7 +234,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	cfg := s.cfg
 	simCfg := cfg.Sim.Defaulted()
 	// One Workers knob drives both intra-arm levels: the simulator's
-	// node-parallel tick engine and the per-node evaluation.
+	// node-parallel round engine and the per-node evaluation.
 	if simCfg.Workers == 0 {
 		simCfg.Workers = cfg.Workers
 	}

@@ -38,7 +38,7 @@ type Scale struct {
 	Seed int64
 	// Workers bounds the goroutines the experiment engine uses to run
 	// independent study arms and, within each arm, the node-parallel
-	// tick engine and the per-node evaluation fan-out: 0 means one
+	// round engine and the per-node evaluation fan-out: 0 means one
 	// worker per CPU, 1 forces the serial paths. The budget is divided
 	// across the fan-out levels (replication repeats > arms >
 	// intra-arm). Each arm owns its seed and RNG streams and the

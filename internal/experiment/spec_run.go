@@ -299,7 +299,7 @@ func runSpecArmLocal(ctx context.Context, sc Scale, i int, a spec.Arm, sinks fun
 // anywhere in the arm's execution into an ErrArmPanic carrying the
 // panic value and stack. par pools re-raise worker panics on their
 // caller with the worker's own stack preserved, so the recovery here
-// covers the node-parallel tick engine and the evaluation fan-out too.
+// covers the node-parallel round engine and the evaluation fan-out too.
 func runSpecArmSafe(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (arm Arm, err error) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -1,14 +1,18 @@
 package gossip
 
 import (
+	"math"
+	"sync"
+
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/par"
+	"gossipmia/internal/tensor"
 )
 
-// This file implements node-parallel tick execution: a single arm's
+// This file implements node-parallel round execution: a single arm's
 // wake-ups fanned out over worker goroutines while staying
-// byte-identical to Simulator.serialTick. The engine owns only the
-// scheduling — which wakes may run together, in what order, and whose
+// byte-identical to the serial loop (Simulator.serialRound). The engine
+// owns only the scheduling — which operation may run when, and whose
 // error is reported; what a wake, a send and a delivery do is the
 // Simulator's primitives (simulator.go), called here in the serial
 // loop's order.
@@ -16,55 +20,60 @@ import (
 // Run takes the engine only for protocols that implement
 // PassiveReceiver and report passive (standard SAMO, Epidemic: the
 // merge-once protocols of Algorithm 2). Their OnReceive only adds to
-// the receiver's inbox sum, so a wake's planning reads the same state
-// whether or not earlier same-tick deliveries to the waker have run.
-// Protocols that train on receive run the serial loop at every worker
-// count.
+// the receiver's inbox sum, so a delivery touches nothing but the
+// receiver's inbox and reads nothing but the received model and the
+// receiver's own parameters. Protocols that train on receive run the
+// serial loop at every worker count.
 //
-// After churn and drainDue (Run, shared with the serial loop) a tick is:
+// A round is one dataflow graph. A serial planner walks the round's
+// ticks in the serial loop's exact order — churn flips, drainDue, then
+// every due waker's planWake and one planSend per target — doing all
+// the shared-state work there (topology, the transport's RNG and queue,
+// counters) and emitting the node-local work as operations:
 //
-//  1. Due queued deliveries, handed to receiveDue in drain order — the
-//     serial loop's own pass.
-//  2. Plan (serial): walk due wakers in node-ID order and perform
-//     exactly the shared-state work the serial loop would: planWake
-//     (topology dynamics, then the protocol's Targets drawing the
-//     node's own RNG) and one planSend per target, whose drop coins and
-//     counters consume the shared stream in the serial send order.
-//  3. Compute: pack the planned wakes into conflict-free batches by
-//     greedy precedence coloring over the touch-set interference graph
-//     (see compute) and run each batch's wakes concurrently on the
-//     engine's persistent worker pool: each wake's local work
-//     (Protocol.Wake — merge pending models, train) plus carry for
-//     each of its sends (inline OnReceive on the target, or the queued
-//     copy). Two wakes conflict when their touched node sets — the
-//     waker plus its inline targets — intersect; conflicting wakes get
-//     strictly increasing colors, so they execute in serial order with
-//     a barrier between their batches, including a waker that receives
-//     before (or after) its own wake in serial order.
-//  4. Commit (serial): queued sends copied during compute are
-//     scheduled in (waker, send) order — the exact order the serial
-//     loop's Send calls would have scheduled them, preserving the
-//     delivery queue's FIFO tie-break.
+//   - wake(X): Protocol.Wake (merge pending models, train), then fill
+//     the payloads of X's queued sends with X's parameters;
+//   - carry(X→T): an inline send, T's OnReceive of X's live parameters;
+//   - deliver(T): a queued payload due now, handed to T's OnReceive;
+//   - release(T): a queued payload lost because T went down, recycled;
+//   - drop(T): a departing node's unmerged inbox, recycled.
 //
-// Because planning preserves every shared-RNG draw and counter update
-// in serial order, compute touches only node-local state with
-// conflicting wakes ordered as the serial loop orders them, and commit
-// preserves queue order, the observable run — every parameter byte,
-// every counter, every error — equals the serial loop's for any worker
-// count.
+// Every operation sits on one node's chain (the waker's, else the
+// receiver's) and waits for the operation before it there, so each node
+// sees its operations in serial order. Two more edges and a gate make
+// the cross-node reads safe:
+//
+//   - a carry, delivery or release waits for the sender's wake that
+//     produced its model (the queued payload is taken from the pool and
+//     put on the delivery queue at plan time, in send order, so the
+//     queue's FIFO tie-break is the serial loop's; the wake fills it);
+//   - write-after-read: X's next wake waits for every carry still
+//     reading X's parameters from its previous wake;
+//   - the RNG gate: the planner plans X's wake only once X's previous
+//     wake has run, because Targets and PeerSwap draw X's RNG, which
+//     training draws too.
+//
+// Workers — the planner among them while it waits at a gate — run every
+// operation whose dependencies are done, lowest serial index first,
+// from one mutex-guarded ready queue inside a single par.Pool.ForEach
+// per round. The round boundary, where the observer reads the nodes, is
+// the only barrier. The first error reported is the serial loop's: the
+// lowest failing operation in serial order wins, every operation after
+// it is skipped, and a plan error counts only if no earlier operation
+// failed.
 
 // SchedStats describes the schedule the node-parallel engine executed
-// for one run: how many wake-ups it planned and how tightly it packed
-// them into conflict-free batches. Units/Batches — Occupancy — is the
-// average number of wakes running concurrently between barriers, the
-// machine-independent upper bound on the intra-arm speedup the
-// schedule can deliver: on a host with enough cores, wall-clock
-// wake-compute time approaches (serial time) / Occupancy.
+// for one run: how many wake-ups it planned, and how many of them lay on
+// each round's longest dependency path. Units/Batches — Occupancy — is
+// the average number of wakes that could run at once, the
+// machine-independent upper bound on the intra-arm speedup the schedule
+// can deliver: on a host with enough cores, wall-clock wake-compute time
+// approaches (serial time) / Occupancy.
 type SchedStats struct {
 	// Ticks executed on the parallel engine.
 	Ticks int
-	// Batches is the number of conflict-free batches computed; each
-	// batch boundary is a barrier.
+	// Batches is the schedule's critical path in wakes, summed over
+	// rounds: the most wakes on any one dependency path of a round.
 	Batches int
 	// Units is the total number of planned wake-ups.
 	Units int
@@ -86,257 +95,452 @@ func receivesPassively(protocol Protocol) bool {
 	return ok && pr.ReceivesPassively()
 }
 
-// tickUnit is one planned wake-up.
-type tickUnit struct {
-	node  *Node
-	sends []plannedSend
-	err   error
+// opKind names what an operation does; see the file comment.
+type opKind uint8
+
+const (
+	opWake opKind = iota
+	opCarry
+	opDeliver
+	opRelease
+	opDrop
+)
+
+// op is one operation of a round, identified by its serial index in
+// roundEngine.ops. It holds no pointers: payloads live in
+// roundEngine.bufs.
+type op struct {
+	kind opKind
+	done bool
+	node int32 // the node whose chain it is on: waker, receiver, or departing node
+	from int32 // the sender of a carry or a queued payload
+	tick int32
+	// buf indexes the payload of a delivery or release; for a wake, the
+	// first of the nbuf payloads it fills.
+	buf, nbuf int32
+	// pending counts dependencies not done yet, plus one while the
+	// planner is still building the operation.
+	pending int32
+	// succ heads the list of operations waiting for this one in
+	// roundEngine.edges (-1: none).
+	succ int32
+	// level is the number of wakes on the longest dependency path
+	// ending here, this operation included.
+	level int32
 }
 
-// tickEngine holds the reusable scratch of the parallel tick loop.
-type tickEngine struct {
-	s *Simulator
-	// pool is the engine's persistent worker pool: batches are handed
-	// off over channels instead of spawning goroutines per batch.
-	pool *par.Pool
+// edge is one link of an operation's successor list.
+type edge struct{ to, next int32 }
 
-	units []tickUnit
+// noFail is roundEngine.failAt while no operation has failed.
+const noFail = math.MaxInt32
 
-	// Precedence-coloring scratch (compute). nodeColor[id] is the color
-	// of the latest unit touching node id, valid only when
-	// nodeEpoch[id] == epoch — epoch stamping makes per-tick resets
-	// O(1) instead of O(nodes).
-	nodeColor []int
-	nodeEpoch []int
-	epoch     int
-	colors    []int // per-unit color
-	counts    []int // per-color unit count, then the fill cursor
-	starts    []int // color -> start offset into order
-	order     []int // unit indices grouped by color, serial order within
+// roundEngine holds the state of the node-parallel round loop. Its
+// slices are reused across rounds, and the engine itself across runs
+// (engines).
+type roundEngine struct {
+	s       *Simulator
+	pool    *par.Pool
+	workers int
+	itemFn  func(int)
 
-	// Batch execution state read by the prebound pool closure.
-	batchBase int
-	// minFail is the lowest-index unit that failed in this tick
-	// (len(units) when none): units above it are skipped so the engine
-	// reports exactly the error the serial loop would have hit first.
-	minFail int
+	// carryTo and fills are the planner's own scratch (stage), used
+	// without mu.
+	carryTo []int32
+	fills   []tensor.Vector
 
-	runUnitFn func(int)
+	// mu guards everything below; cond wakes idle workers and the
+	// planner at its gate.
+	mu   sync.Mutex
+	cond sync.Cond
+
+	ops   []op
+	edges []edge
+	bufs  []tensor.Vector
+	ready []int32 // min-heap of runnable operations by serial index
+	// Per node: the last operation on its chain and its last wake this
+	// round (-1: none).
+	lastOp, lastWake []int32
+	// wakes lists the round's wake operations in serial order; the
+	// wakes of the round's k-th tick are wakes[tickWake[k]:tickWake[k+1]].
+	wakes    []int32
+	tickWake []int32
+	lo, end  int // the round's ticks
+
+	finished int   // operations done (run or skipped)
+	planned  bool  // the planner has emitted the whole round
+	aborted  bool  // a goroutine panicked; everyone stops
+	gate     int32 // the wake the planner waits for (-1: none)
+	failAt   int32 // serial index of the first failure, noFail while none
+	err      error // the error at failAt
+	span     int32 // the round's critical path in wakes
 
 	stats SchedStats
 }
 
-// newTickEngine assembles the engine and its persistent pool.
-func newTickEngine(s *Simulator, workers int) *tickEngine {
-	e := &tickEngine{
-		s:         s,
-		pool:      par.NewPool(workers),
-		nodeColor: make([]int, len(s.nodes)),
-		nodeEpoch: make([]int, len(s.nodes)),
-	}
-	e.runUnitFn = func(i int) {
-		u := &e.units[e.order[e.batchBase+i]]
-		u.err = e.runUnit(u)
-	}
+// engines recycles round engines, and with them their operation and
+// edge storage, across runs, as core recycles arm arenas.
+var engines = sync.Pool{New: func() any {
+	e := new(roundEngine)
+	e.cond.L = &e.mu
+	e.itemFn = e.item
+	return e
+}}
+
+// newRoundEngine readies a pooled engine and a worker pool for s.
+func newRoundEngine(s *Simulator, workers int) *roundEngine {
+	e := engines.Get().(*roundEngine)
+	e.s, e.workers, e.pool = s, workers, par.NewPool(workers)
+	e.lastOp = grow(e.lastOp, len(s.nodes))
+	e.lastWake = grow(e.lastWake, len(s.nodes))
+	e.tickWake = grow(e.tickWake, s.cfg.TicksPerRound+1)
+	e.stats = SchedStats{}
 	return e
 }
 
-// tick is serialTick on the node-parallel engine.
-func (e *tickEngine) tick(due []netmodel.Delivery) error {
-	e.stats.Ticks++
-	if err := e.s.receiveDue(due); err != nil {
-		return err
+// grow returns s resized to n, reusing its storage when it fits.
+func grow(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
 	}
-	if err := e.plan(); err != nil {
-		return err
-	}
-	e.stats.Units += len(e.units)
-	if err := e.compute(); err != nil {
-		return err
-	}
-	e.commit()
-	return nil
+	return s[:n]
 }
 
-// plan is the serial planning pass: over due wakers in node-ID order,
-// planWake, then planSend per target, exactly as the serial loop
-// interleaves them.
-func (e *tickEngine) plan() error {
+// close releases the worker pool, hands the schedule to the simulator
+// and returns the engine to engines.
+func (e *roundEngine) close() {
+	e.pool.Close()
+	e.s.sched = e.stats
+	clear(e.bufs)
+	clear(e.fills)
+	e.s, e.pool, e.err = nil, nil, nil
+	engines.Put(e)
+}
+
+// round runs the ticks up to end as one dataflow graph and returns the
+// serial loop's first error.
+func (e *roundEngine) round(end int) error {
+	e.ops, e.edges, e.ready, e.wakes = e.ops[:0], e.edges[:0], e.ready[:0], e.wakes[:0]
+	clear(e.bufs)
+	e.bufs = e.bufs[:0]
+	for i := range e.lastOp {
+		e.lastOp[i], e.lastWake[i] = -1, -1
+	}
+	e.lo, e.end, e.finished, e.span = e.s.tick, end, 0, 0
+	e.planned, e.aborted = false, false
+	e.gate, e.failAt, e.err = -1, noFail, nil
+	e.pool.ForEach(e.workers, e.itemFn) // re-raises a panic as *par.WorkerPanic
+	e.stats.Units += len(e.wakes)
+	e.stats.Batches += int(e.span)
+	return e.err
+}
+
+// item is one worker's share of a round; item 0 plans it first. A
+// panic anywhere reaches the deferred call with mu held: it wakes every
+// waiter so the pool can wind down and re-raise it.
+func (e *roundEngine) item(k int) {
+	e.mu.Lock()
+	ok := false
+	defer func() {
+		if !ok {
+			e.aborted = true
+			e.cond.Broadcast()
+		}
+		e.mu.Unlock()
+	}()
+	if k == 0 {
+		e.plan()
+		e.planned = true
+		e.cond.Broadcast()
+	}
+	for !e.aborted && !(e.planned && e.finished == len(e.ops)) {
+		if !e.runNext() {
+			e.cond.Wait()
+		}
+	}
+	ok = true
+}
+
+// plan walks the round's ticks in the serial loop's order and emits
+// their operations. It stops at the first plan error, or once an
+// operation has failed: everything it would emit would be skipped.
+func (e *roundEngine) plan() {
 	s := e.s
-	e.units = e.units[:0]
-	for _, node := range s.nodes {
-		if node.nextWake > s.tick || s.down[node.ID] {
-			continue
+	for ; s.tick < e.end; s.tick++ {
+		if e.failAt != noFail || e.aborted {
+			return
 		}
-		targets, err := s.planWake(node)
-		if err != nil {
-			return err
+		e.stats.Ticks++
+		tick := int32(s.tick)
+		e.tickWake[s.tick-e.lo] = int32(len(e.wakes))
+		for _, id := range s.flipChurn() {
+			e.release(e.emit(op{kind: opDrop, node: int32(id), tick: tick}))
 		}
-		u := e.growUnit()
-		u.node = node
-		for _, to := range targets {
-			p, err := s.planSend(node.ID, to, node.Model.NumParams())
-			if err != nil {
-				return s.wakeErr(node, err)
+		due := s.drainDue()
+		for i := range due {
+			d := &due[i]
+			kind := opDeliver
+			if s.down[d.To] {
+				kind = opRelease
 			}
-			u.sends = append(u.sends, p)
+			o := e.emit(op{kind: kind, node: int32(d.To), from: int32(d.From), tick: tick, buf: int32(len(e.bufs))})
+			e.bufs = append(e.bufs, d.Params)
+			e.after(o, e.filler(d))
+			e.release(o)
 		}
-		node.nextWake = s.tick + node.interval
-	}
-	return nil
-}
-
-// growUnit appends a unit slot, reusing send capacity.
-func (e *tickEngine) growUnit() *tickUnit {
-	if len(e.units) < cap(e.units) {
-		e.units = e.units[:len(e.units)+1]
-	} else {
-		e.units = append(e.units, tickUnit{})
-	}
-	u := &e.units[len(e.units)-1]
-	u.node = nil
-	u.sends = u.sends[:0]
-	u.err = nil
-	return u
-}
-
-// compute packs the tick's units into conflict-free batches by greedy
-// precedence coloring and runs each batch concurrently.
-//
-// A unit's touch set is its waker plus its inline-delivery targets.
-// Walking units in serial (node-ID) order, each unit takes the
-// smallest color strictly greater than every earlier conflicting
-// unit's color: color(i) = 1 + max over touched nodes of the latest
-// color stamped there (0 when untouched). Batches execute in color
-// order with a barrier between colors, so every conflicting pair runs
-// in serial order across a barrier, while non-conflicting units share
-// a batch no matter how far apart they sit in node-ID order — unlike
-// cutting batches as contiguous runs of the serial order, which under
-// dense wakes degenerates to near-serial schedules.
-func (e *tickEngine) compute() error {
-	n := len(e.units)
-	if n == 0 {
-		return nil
-	}
-	e.epoch++
-	if cap(e.colors) < n {
-		e.colors = make([]int, n)
-		e.order = make([]int, n)
-	}
-	e.colors = e.colors[:n]
-	e.order = e.order[:n]
-	maxColor := 0
-	for i := range e.units {
-		u := &e.units[i]
-		c := 0
-		if e.nodeEpoch[u.node.ID] == e.epoch {
-			c = e.nodeColor[u.node.ID] + 1
-		}
-		for si := range u.sends {
-			p := &u.sends[si]
-			if p.mode != sendInline {
+		for _, node := range s.nodes {
+			if node.nextWake > s.tick || s.down[node.ID] {
 				continue
 			}
-			if e.nodeEpoch[p.to] == e.epoch && e.nodeColor[p.to]+1 > c {
-				c = e.nodeColor[p.to] + 1
+			if !e.planWake(node) {
+				return
 			}
-		}
-		e.colors[i] = c
-		if c > maxColor {
-			maxColor = c
-		}
-		e.nodeColor[u.node.ID] = c
-		e.nodeEpoch[u.node.ID] = e.epoch
-		for si := range u.sends {
-			p := &u.sends[si]
-			if p.mode == sendInline {
-				e.nodeColor[p.to] = c
-				e.nodeEpoch[p.to] = e.epoch
-			}
+			node.nextWake = s.tick + node.interval
 		}
 	}
-	// Counting sort by color: order holds unit indices grouped by
-	// color, ascending (= serial) order within each color.
-	nc := maxColor + 1
-	if cap(e.counts) < nc {
-		e.counts = make([]int, nc)
-		e.starts = make([]int, nc+1)
-	}
-	e.counts = e.counts[:nc]
-	e.starts = e.starts[:nc+1]
-	for c := range e.counts {
-		e.counts[c] = 0
-	}
-	for _, c := range e.colors {
-		e.counts[c]++
-	}
-	sum := 0
-	for c := 0; c < nc; c++ {
-		e.starts[c] = sum
-		sum += e.counts[c]
-		e.counts[c] = e.starts[c] // becomes the fill cursor
-	}
-	e.starts[nc] = sum
-	for i, c := range e.colors {
-		e.order[e.counts[c]] = i
-		e.counts[c]++
-	}
-	// Execute color batches in order. After a failure, only units that
-	// precede the earliest failure in serial order keep running — they
-	// are exactly the units the serial loop would still have executed,
-	// and their conflicts all sit in earlier colors, so the reported
-	// error is the serial loop's first error.
-	e.minFail = n
-	for c := 0; c < nc; c++ {
-		lo, hi := e.starts[c], e.starts[c+1]
-		for hi > lo && e.order[hi-1] > e.minFail {
-			hi--
-		}
-		if hi <= lo {
-			continue
-		}
-		e.stats.Batches++
-		e.batchBase = lo
-		e.pool.ForEach(hi-lo, e.runUnitFn)
-		for j := lo; j < hi; j++ {
-			ui := e.order[j]
-			if e.units[ui].err != nil && ui < e.minFail {
-				e.minFail = ui
-			}
-		}
-	}
-	if e.minFail < n {
-		return e.units[e.minFail].err
-	}
-	return nil
 }
 
-// runUnit performs one wake's compute: the protocol's local work, then
-// carry for each planned send — inline deliveries on this goroutine
-// (the batch guarantees exclusive access to the targets), queued
-// payload copies for the commit pass.
-func (e *tickEngine) runUnit(u *tickUnit) error {
+// planWake passes node's RNG gate, plans its wake (stage) and emits the
+// wake and its carries. It reports false when planning must stop.
+func (e *roundEngine) planWake(node *Node) bool {
+	id := int32(node.ID)
+	prev := e.lastWake[id]
+	for prev >= 0 && !e.ops[prev].done {
+		if e.aborted || e.failAt != noFail {
+			return false
+		}
+		if !e.runNext() {
+			e.gate = prev
+			e.cond.Wait()
+			e.gate = -1
+		}
+	}
+	if e.aborted || e.failAt != noFail {
+		return false
+	}
+	woke, err := e.stage(node)
+	if !woke {
+		e.planFail(err)
+		return false
+	}
+	tick := int32(e.s.tick)
+	w := e.emit(op{kind: opWake, node: id, tick: tick, buf: int32(len(e.bufs)), nbuf: int32(len(e.fills))})
+	e.bufs = append(e.bufs, e.fills...)
+	// The planner emits a wake's carries right after it.
+	for c := prev + 1; prev >= 0 && e.ops[c].kind == opCarry && e.ops[c].from == id; c++ {
+		e.after(w, c)
+	}
+	e.ops[w].level++
+	e.span = max(e.span, e.ops[w].level)
+	e.lastWake[id] = w
+	e.wakes = append(e.wakes, w)
+	for _, to := range e.carryTo {
+		c := e.emit(op{kind: opCarry, node: to, from: id, tick: tick})
+		e.after(c, w)
+		e.release(c)
+	}
+	e.release(w)
+	if err != nil {
+		e.planFail(err)
+		return false
+	}
+	return true
+}
+
+// stage plans node's wake with mu released, since Targets is protocol
+// code: planWake, then planSend per target, leaving the inline
+// receivers in carryTo and the queued payloads in fills. It reports
+// whether the wake itself was planned, and the first plan error.
+func (e *roundEngine) stage(node *Node) (woke bool, err error) {
 	s := e.s
-	if err := s.protocol.Wake(u.node); err != nil {
-		return s.wakeErr(u.node, err)
+	e.carryTo, e.fills = e.carryTo[:0], e.fills[:0]
+	e.mu.Unlock()
+	defer e.mu.Lock()
+	targets, err := s.planWake(node)
+	if err != nil {
+		return false, err
 	}
-	params := u.node.Model.Params()
-	for si := range u.sends {
-		if err := s.carry(&u.sends[si], params); err != nil {
-			return s.wakeErr(u.node, err)
+	nparams := node.Model.NumParams()
+	for _, to := range targets {
+		p, err := s.planSend(node.ID, to, nparams)
+		if err != nil {
+			return true, s.wakeErr(node, s.tick, err)
 		}
+		switch p.mode {
+		case sendInline:
+			e.carryTo = append(e.carryTo, int32(to))
+		case sendQueued:
+			e.fills = append(e.fills, s.enqueue(&p, nparams))
+		}
+	}
+	return true, nil
+}
+
+// filler returns the wake that fills d's payload: the sender's wake at
+// the send tick, or -1 when the payload is filled already — sent in an
+// earlier round, or by a Send outside any wake.
+func (e *roundEngine) filler(d *netmodel.Delivery) int32 {
+	k := d.SentTick - e.lo
+	if k < 0 {
+		return -1
+	}
+	for _, w := range e.wakes[e.tickWake[k]:e.tickWake[k+1]] {
+		if int(e.ops[w].node) == d.From {
+			return w
+		}
+	}
+	return -1
+}
+
+// emit appends o to its node's chain, held until the planner releases
+// it.
+func (e *roundEngine) emit(o op) int32 {
+	i := int32(len(e.ops))
+	o.pending, o.succ = 1, -1
+	e.ops = append(e.ops, o)
+	e.after(i, e.lastOp[o.node])
+	e.lastOp[o.node] = i
+	return i
+}
+
+// after makes operation i wait for operation j (j < 0: nothing).
+func (e *roundEngine) after(i, j int32) {
+	if j < 0 {
+		return
+	}
+	o, d := &e.ops[i], &e.ops[j]
+	o.level = max(o.level, d.level)
+	if d.done {
+		return
+	}
+	o.pending++
+	e.edges = append(e.edges, edge{to: i, next: d.succ})
+	d.succ = int32(len(e.edges) - 1)
+}
+
+// release counts one dependency of operation i done, or the planner's
+// hold on it dropped, and queues i once none is left.
+func (e *roundEngine) release(i int32) {
+	if e.ops[i].pending--; e.ops[i].pending > 0 {
+		return
+	}
+	// Push onto the min-heap.
+	h := append(e.ready, i)
+	for c := len(h) - 1; c > 0; {
+		p := (c - 1) / 2
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		c = p
+	}
+	e.ready = h
+	e.cond.Signal()
+}
+
+// pop takes the lowest runnable serial index off the min-heap.
+func (e *roundEngine) pop() int32 {
+	h := e.ready
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for p := 0; ; {
+		c := 2*p + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[p] <= h[c] {
+			break
+		}
+		h[p], h[c] = h[c], h[p]
+		p = c
+	}
+	e.ready = h
+	return top
+}
+
+// planFail records a plan error at the serial position the next
+// operation would take.
+func (e *roundEngine) planFail(err error) {
+	if i := int32(len(e.ops)); i < e.failAt {
+		e.failAt, e.err = i, err
+	}
+}
+
+// runNext runs the lowest runnable operation with mu released and
+// reports whether there was one. An operation after the first failure
+// is skipped. A panicking operation returns with mu held, as item
+// expects.
+func (e *roundEngine) runNext() bool {
+	if len(e.ready) == 0 {
+		return false
+	}
+	i := e.pop()
+	o, bufs := e.ops[i], e.bufs
+	skip := i > e.failAt
+	e.mu.Unlock()
+	ok := false
+	defer func() {
+		if !ok {
+			e.mu.Lock()
+		}
+	}()
+	var err error
+	if !skip {
+		err = e.exec(&o, bufs)
+	}
+	ok = true
+	e.mu.Lock()
+	e.complete(i, err)
+	return true
+}
+
+// exec performs operation o, whose payloads index bufs.
+func (e *roundEngine) exec(o *op, bufs []tensor.Vector) error {
+	tick := int(o.tick)
+	s := e.s
+	node := s.nodes[o.node]
+	switch o.kind {
+	case opWake:
+		if err := s.protocol.Wake(node); err != nil {
+			return s.wakeErr(node, tick, err)
+		}
+		params := node.Model.Params()
+		for _, buf := range bufs[o.buf : o.buf+o.nbuf] {
+			copy(buf, params)
+		}
+	case opCarry:
+		from := s.nodes[o.from]
+		if err := s.protocol.OnReceive(node, Message{From: from.ID, Params: from.Model.Params()}); err != nil {
+			return s.wakeErr(from, tick, err)
+		}
+	case opDeliver:
+		return s.deliver(int(o.from), node, tick, bufs[o.buf])
+	case opRelease:
+		s.pool.Put(bufs[o.buf])
+	case opDrop:
+		node.RecycleInbox()
 	}
 	return nil
 }
 
-// commit schedules the tick's queued sends in (waker, send) order — the
-// serial loop's send order, preserving the delivery queue's FIFO
-// tie-break for same-tick deliveries.
-func (e *tickEngine) commit() {
-	for ui := range e.units {
-		u := &e.units[ui]
-		for si := range u.sends {
-			e.s.schedule(&u.sends[si])
-		}
+// complete marks operation i done, keeps the lowest failure, and
+// releases the operations waiting for it.
+func (e *roundEngine) complete(i int32, err error) {
+	o := &e.ops[i]
+	o.done = true
+	e.finished++
+	if err != nil && i < e.failAt {
+		e.failAt, e.err = i, err
+	}
+	for ed := o.succ; ed >= 0; ed = e.edges[ed].next {
+		e.release(e.edges[ed].to)
+	}
+	if i == e.gate || e.planned && e.finished == len(e.ops) {
+		e.cond.Broadcast()
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/nn"
+	"gossipmia/internal/par"
 	"gossipmia/internal/tensor"
 )
 
@@ -25,10 +27,21 @@ func runFingerprint(t *testing.T, cfg Config, protocol Protocol) string {
 // reports, which says which tick loop it took.
 func runFingerprintSched(t *testing.T, cfg Config, protocol Protocol) (string, SchedStats) {
 	t.Helper()
+	return runFingerprintOf(t, cfg, protocol, testFactory(), nil)
+}
+
+// runFingerprintOf is runFingerprintSched with the nodes' updaters
+// from factory, and prepare (when non-nil) applied to the simulator
+// before it runs.
+func runFingerprintOf(t *testing.T, cfg Config, protocol Protocol, factory UpdaterFactory, prepare func(*Simulator)) (string, SchedStats) {
+	t.Helper()
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
-	sim, err := New(cfg, protocol, model, parts, testFactory())
+	sim, err := New(cfg, protocol, model, parts, factory)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prepare != nil {
+		prepare(sim)
 	}
 	if err := sim.Run(nil); err != nil {
 		t.Fatal(err)
@@ -181,5 +194,126 @@ func TestFirstErrorMatchesSerialLoop(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// sleepyUpdater sleeps before every local update: its node's wakes run
+// long while the rest of the round goes on.
+type sleepyUpdater struct {
+	LocalUpdater
+	d time.Duration
+}
+
+func (u sleepyUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {
+	time.Sleep(u.d)
+	return u.LocalUpdater.Update(model, train, rng)
+}
+
+// mutedSAMO is SAMO with one node that never sends.
+type mutedSAMO struct {
+	SAMO
+	mute int
+}
+
+func (p mutedSAMO) Targets(node *Node, view []int, size int, dst []int) ([]int, error) {
+	if node.ID == p.mute {
+		return dst, nil
+	}
+	return p.SAMO.Targets(node, view, size, dst)
+}
+
+// TestEngineWriteAfterRead pins the write-after-read edge: a carry
+// reads its sender's live parameters, so the sender's next wake must
+// wait for it. Node 0 wakes once, at tick 1, slowly, and sends nothing,
+// so its neighbours run on while the carries they send it from tick 1
+// on queue behind that wake; waking every tick, they wake again. Bytes
+// must equal the serial loop's, and under -race no carry may read
+// parameters a merge writes.
+func TestEngineWriteAfterRead(t *testing.T) {
+	inner := testFactory()
+	factory := func(id int) LocalUpdater {
+		if id == 0 {
+			return sleepyUpdater{LocalUpdater: inner(id), d: 20 * time.Millisecond}
+		}
+		return inner(id)
+	}
+	slowOnce := func(sim *Simulator) {
+		sim.nodes[0].interval, sim.nodes[0].nextWake = 1000, 1
+	}
+	cfg := denseWakeConfig(1)
+	proto := mutedSAMO{mute: 0}
+	want, _ := runFingerprintOf(t, cfg, proto, factory, slowOnce)
+	for _, workers := range []int{2, 3, 8} {
+		cfg.Workers = workers
+		if got, _ := runFingerprintOf(t, cfg, proto, factory, slowOnce); got != want {
+			t.Fatalf("workers=%d diverged from the serial loop behind a lagging carry", workers)
+		}
+	}
+}
+
+// TestEngineRNGGate pins the RNG gate: Epidemic's Targets and PeerSwap
+// draw the waker's RNG, which its training draws too, so a wake may be
+// planned only once the node's previous wake has run. Every node wakes
+// every tick, so a planner running ahead would draw a stream the serial
+// loop draws later.
+func TestEngineRNGGate(t *testing.T) {
+	cfg := denseWakeConfig(1)
+	cfg.Dynamics = DynamicsPeerSwap
+	proto := Epidemic{Fanout: 2}
+	want := runFingerprint(t, cfg, proto)
+	for _, workers := range []int{2, 3, 8} {
+		cfg.Workers = workers
+		if got := runFingerprint(t, cfg, proto); got != want {
+			t.Fatalf("workers=%d diverged from the serial loop on interval-1 Epidemic/PeerSwap", workers)
+		}
+	}
+}
+
+// panickyUpdater panics on its second local update.
+type panickyUpdater struct {
+	LocalUpdater
+	calls int
+}
+
+func (u *panickyUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {
+	if u.calls++; u.calls == 2 {
+		panic("injected panic on update 2")
+	}
+	return u.LocalUpdater.Update(model, train, rng)
+}
+
+// TestEnginePanicSurfaces: a wake that panics on a worker must reach
+// Run's caller as a *par.WorkerPanic carrying the original value, with
+// no other worker left waiting on the ready queue for an operation that
+// will never finish.
+func TestEnginePanicSurfaces(t *testing.T) {
+	cfg := denseWakeConfig(2)
+	model, parts, _ := testWorld(t, cfg.Nodes, 10)
+	inner := testFactory()
+	sim, err := New(cfg, SAMO{}, model, parts, func(id int) LocalUpdater {
+		if id == 5 {
+			return &panickyUpdater{LocalUpdater: inner(id)}
+		}
+		return inner(id)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		_ = sim.Run(nil)
+	}()
+	select {
+	case r := <-done:
+		wp, ok := r.(*par.WorkerPanic)
+		if !ok {
+			t.Fatalf("Run raised %v (%T), want a *par.WorkerPanic", r, r)
+		}
+		if wp.Value != "injected panic on update 2" {
+			t.Fatalf("WorkerPanic carries %v, want the updater's panic", wp.Value)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Run hung after a wake panicked")
 	}
 }

@@ -36,13 +36,14 @@ type Protocol interface {
 // OnReceive only reads the received model into the receiver's running
 // sum (the inbox) without consuming the receiver's RNG stream or
 // mutating its model or optimizer state. It selects the node-parallel
-// tick engine, which plans a whole tick's wakes before any of them
-// computes: that is sound only when a wake's planning reads the same
-// RNG state whether or not earlier same-tick deliveries to the waker
-// have run. Protocols that train on receive (BaseGossip, SAMO's
-// nodelay ablation) must not report passive — their receive path
-// advances the node's RNG ahead of the wake's own draws — and run the
-// serial loop at every worker count.
+// round engine, which plans a node's wake as soon as its previous wake
+// has run, possibly before deliveries to it that precede the wake in
+// serial order: that is sound only when those deliveries leave the
+// waker's RNG alone, and it lets a delivery wait only for its receiver's
+// inbox and its sender's wake. Protocols that train on receive
+// (BaseGossip, SAMO's nodelay ablation) must not report passive — their
+// receive path advances the node's RNG ahead of the wake's own draws —
+// and run the serial loop at every worker count.
 type PassiveReceiver interface {
 	// ReceivesPassively reports whether OnReceive leaves the
 	// receiver's RNG, model, and optimizer untouched.
@@ -113,8 +114,8 @@ func (p SAMO) Name() string {
 
 // ReceivesPassively implements PassiveReceiver: standard SAMO's
 // OnReceive only adds to the inbox (no RNG draw, no training), so the
-// parallel engine may plan wakes past pending inline deliveries. The
-// nodelay ablation trains on receive and runs the serial loop.
+// parallel engine may plan wakes past pending deliveries. The nodelay
+// ablation trains on receive and runs the serial loop.
 func (p SAMO) ReceivesPassively() bool { return !p.MergeOnReceive }
 
 // Targets implements Protocol: SAMO disseminates to its whole current

@@ -81,14 +81,15 @@ type Config struct {
 	Churn []ChurnEvent
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Workers bounds the goroutines of the node-parallel tick engine,
-	// which runs merge-once protocols (standard SAMO, Epidemic — see
-	// PassiveReceiver): each tick's due wake-ups run concurrently (one
-	// goroutine per conflict-free wake, each node on its own RNG stream)
-	// between a serial planning pass and a serial commit pass, so runs
-	// are byte-identical to the serial loop for every setting. 0 means
-	// one worker per CPU, 1 forces the serial loop; protocols that train
-	// on receive run the serial loop at every setting.
+	// Workers bounds the goroutines of the node-parallel engine, which
+	// runs merge-once protocols (standard SAMO, Epidemic — see
+	// PassiveReceiver): a serial planner turns each round into per-node
+	// chains of wakes, sends and deliveries, and the workers run every
+	// operation whose predecessors are done (each node on its own RNG
+	// stream), so runs are byte-identical to the serial loop for every
+	// setting. 0 means one worker per CPU, 1 forces the serial loop;
+	// protocols that train on receive run the serial loop at every
+	// setting.
 	Workers int
 }
 
@@ -159,10 +160,11 @@ type Simulator struct {
 	// transport decides, per message, between loss, inline delivery,
 	// and queued delivery at a later tick (drained at tick start).
 	transport netmodel.Transport
-	// drainBuf and targets are the reusable scratch of drainDue and
-	// planWake.
+	// drainBuf, targets and leaving are the reusable scratch of
+	// drainDue, planWake and flipChurn.
 	drainBuf []netmodel.Delivery
 	targets  []int
+	leaving  []int
 
 	// churn state: transitions sorted by tick, the index of the next
 	// one to apply, and the per-node offline flags.
@@ -321,28 +323,27 @@ func (s *Simulator) BytesSent() int { return s.bytesSent }
 // in bytes); nothing is serialized.
 func paramsWireSize(n int) int { return 4 + 2 + 2 + 8 + 8*n + 4 }
 
-// SchedStats reports the schedule the node-parallel tick engine
-// executed — planned wake units and conflict-free batches. All-zero
-// when the run took the serial loop (Workers 1, or a protocol that
-// trains on receive).
+// SchedStats reports the schedule the node-parallel engine executed —
+// planned wake units and the rounds' critical paths. All-zero when the
+// run took the serial loop (Workers 1, or a protocol that trains on
+// receive).
 func (s *Simulator) SchedStats() SchedStats { return s.sched }
 
-// Every run is made of the six primitives below, each decision written
+// Every run is made of the primitives below, each decision written
 // once: planWake and planSend fix, in serial order, everything that
 // touches shared state (topology, the transport's RNG, the counters);
-// carry moves a payload and touches only the two nodes involved;
-// schedule, drainDue and receiveDue are the queue's two ends. The
-// serial loop calls them back to back per wake; the node-parallel
-// engine (parallel.go) calls the same ones from its plan, compute and
-// commit passes.
+// enqueue and drainDue are the delivery queue's two ends, and deliver
+// hands a queued payload to its receiver. The serial loop calls them
+// back to back per wake; the node-parallel engine (parallel.go) calls
+// the same ones from its planner and its operations.
 
 // sendMode classifies a planned transmission.
 type sendMode uint8
 
 const (
 	sendDropped sendMode = iota // lost: failure model, partition, or offline receiver
-	sendInline                  // delivered at the send tick, by carry
-	sendQueued                  // copied by carry, put on the delivery queue by schedule
+	sendInline                  // delivered at the send tick, from the sender's live parameters
+	sendQueued                  // put on the delivery queue by enqueue
 )
 
 // plannedSend is one transmission whose fate planSend fixed.
@@ -350,7 +351,6 @@ type plannedSend struct {
 	from, to  int
 	deliverAt int
 	mode      sendMode
-	buf       tensor.Vector // queued payload, copied by carry
 }
 
 // planWake opens one wake-up of node: topology dynamics first (PeerSwap
@@ -368,7 +368,7 @@ func (s *Simulator) planWake(node *Node) ([]int, error) {
 	var err error
 	s.targets, err = s.protocol.Targets(node, s.View(node.ID), len(s.nodes), s.targets[:0])
 	if err != nil {
-		return nil, s.wakeErr(node, err)
+		return nil, s.wakeErr(node, s.tick, err)
 	}
 	return s.targets, nil
 }
@@ -379,7 +379,7 @@ func (s *Simulator) planWake(node *Node) ([]int, error) {
 // zero-delay semantics), or queued for a later tick. The sender pays
 // the communication cost in every case.
 func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
-	p := plannedSend{from: from, to: to}
+	p := plannedSend{from: from, to: to, mode: sendDropped}
 	if to < 0 || to >= len(s.nodes) {
 		return p, fmt.Errorf("%w: send to unknown node %d", ErrProtocol, to)
 	}
@@ -406,49 +406,37 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	return p, nil
 }
 
-// carry moves the payload of a planned send. An inline receiver reads
-// the sender's live parameters: OnReceive consumes them before it
-// returns, so no copy is made. A queued payload must survive the
-// sender's future updates, so it is copied into a buffer from the pool,
-// which takes it back as soon as it is delivered; steady-state sends
-// allocate nothing on either path.
-func (s *Simulator) carry(p *plannedSend, params tensor.Vector) error {
-	switch p.mode {
-	case sendDropped: // nothing to move
-	case sendInline:
-		return s.protocol.OnReceive(s.nodes[p.to], Message{From: p.from, Params: params})
-	case sendQueued:
-		p.buf = s.pool.Get(len(params))
-		copy(p.buf, params)
-	}
-	return nil
-}
-
-// schedule puts a queued send that carry has copied on the transport's
-// delivery queue. Callers schedule in send order, which the queue keeps
-// as the tie-break between deliveries due at the same tick.
-func (s *Simulator) schedule(p *plannedSend) {
-	if p.buf == nil {
-		return
-	}
+// enqueue puts a queued send on the transport's delivery queue with a
+// payload buffer of nparams from the pool, and returns the buffer for
+// the caller to fill with the sender's parameters before it comes due:
+// a queued payload must survive the sender's future updates. The pool
+// takes the buffer back once it is delivered, so steady-state sends
+// allocate nothing. Callers enqueue in send order, which the queue
+// keeps as the tie-break between deliveries due at the same tick.
+func (s *Simulator) enqueue(p *plannedSend, nparams int) tensor.Vector {
+	buf := s.pool.Get(nparams)
 	s.transport.Schedule(netmodel.Delivery{
-		From: p.from, To: p.to, SentTick: s.tick, DeliverAt: p.deliverAt, Params: p.buf,
+		From: p.from, To: p.to, SentTick: s.tick, DeliverAt: p.deliverAt, Params: buf,
 	})
-	p.buf = nil
+	return buf
 }
 
 // Send transmits params from one node to another on the spot: planSend,
-// carry, schedule. The serial loop's wakes send through it; the engine
-// calls the three steps from its separate passes.
+// then an inline receiver reads params before Send returns (OnReceive
+// consumes them, so no copy is made), or a queued send copies them into
+// its payload. The serial loop's wakes send through it; the engine
+// calls the steps from its planner and its operations.
 func (s *Simulator) Send(from, to int, params tensor.Vector) error {
 	p, err := s.planSend(from, to, len(params))
 	if err != nil {
 		return err
 	}
-	if err := s.carry(&p, params); err != nil {
-		return err
+	switch p.mode {
+	case sendInline:
+		return s.protocol.OnReceive(s.nodes[to], Message{From: from, Params: params})
+	case sendQueued:
+		copy(s.enqueue(&p, len(params)), params)
 	}
-	s.schedule(&p)
 	return nil
 }
 
@@ -467,27 +455,36 @@ func (s *Simulator) View(node int) []int {
 // in ID order — so runs are deterministic for every transport.
 //
 // With Workers resolving above one and a merge-once protocol (see
-// PassiveReceiver), each tick's wake-ups execute on the node-parallel
-// engine (see parallel.go), which calls the same primitives as
-// serialTick in the same serial order and is therefore byte-identical
-// to it.
+// PassiveReceiver), each round executes on the node-parallel engine
+// (see parallel.go), which calls the same primitives as the serial loop
+// in the same serial order and is therefore byte-identical to it.
 func (s *Simulator) Run(observer Observer) error {
-	tick := s.serialTick
+	round := s.serialRound
 	if workers := par.Workers(s.cfg.Workers); workers > 1 && receivesPassively(s.protocol) {
-		e := newTickEngine(s, workers)
-		defer func() {
-			e.pool.Close()
-			s.sched = e.stats
-		}()
-		tick = e.tick
+		e := newRoundEngine(s, workers)
+		defer e.close()
+		round = e.round
 	}
-	totalTicks := s.cfg.Rounds * s.cfg.TicksPerRound
-	for ; s.tick < totalTicks; s.tick++ {
-		s.applyChurn()
-		if err := tick(s.drainDue()); err != nil {
+	tpr := s.cfg.TicksPerRound
+	for s.tick < s.cfg.Rounds*tpr {
+		end := (s.tick/tpr + 1) * tpr
+		if err := round(end); err != nil {
 			return err
 		}
-		if err := s.observeTick(observer); err != nil {
+		if observer != nil {
+			if err := observer(end/tpr-1, s); err != nil {
+				return fmt.Errorf("gossip: observer at round %d: %w", end/tpr-1, err)
+			}
+		}
+	}
+	return nil
+}
+
+// serialRound runs the ticks up to end on the reference loop.
+func (s *Simulator) serialRound(end int) error {
+	for ; s.tick < end; s.tick++ {
+		s.applyChurn()
+		if err := s.serialTick(s.drainDue()); err != nil {
 			return err
 		}
 	}
@@ -520,30 +517,19 @@ func (s *Simulator) wake(node *Node) error {
 		return err
 	}
 	if err := s.protocol.Wake(node); err != nil {
-		return s.wakeErr(node, err)
+		return s.wakeErr(node, s.tick, err)
 	}
 	for _, to := range targets {
 		if err := s.Send(node.ID, to, node.Model.Params()); err != nil {
-			return s.wakeErr(node, err)
+			return s.wakeErr(node, s.tick, err)
 		}
 	}
 	return nil
 }
 
 // wakeErr attributes a wake-time failure to its node and tick.
-func (s *Simulator) wakeErr(node *Node, err error) error {
-	return fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, s.tick, err)
-}
-
-// observeTick fires observer when the current tick closes a round.
-func (s *Simulator) observeTick(observer Observer) error {
-	if (s.tick+1)%s.cfg.TicksPerRound == 0 && observer != nil {
-		round := (s.tick + 1) / s.cfg.TicksPerRound
-		if err := observer(round-1, s); err != nil {
-			return fmt.Errorf("gossip: observer at round %d: %w", round-1, err)
-		}
-	}
-	return nil
+func (s *Simulator) wakeErr(node *Node, tick int, err error) error {
+	return fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, tick, err)
 }
 
 // applyChurn processes the churn transitions scheduled for the current
@@ -551,6 +537,16 @@ func (s *Simulator) observeTick(observer Observer) error {
 // the sum's buffer goes back to the pool); its model persists across
 // the outage.
 func (s *Simulator) applyChurn() {
+	for _, id := range s.flipChurn() {
+		s.nodes[id].RecycleInbox()
+	}
+}
+
+// flipChurn applies the current tick's churn transitions to the
+// offline flags and returns the nodes that went down, whose inboxes
+// the caller drops. The slice is valid until the next call.
+func (s *Simulator) flipChurn() []int {
+	s.leaving = s.leaving[:0]
 	for s.churnNext < len(s.churn) && s.churn[s.churnNext].tick <= s.tick {
 		tr := s.churn[s.churnNext]
 		s.churnNext++
@@ -559,44 +555,52 @@ func (s *Simulator) applyChurn() {
 		}
 		s.down[tr.node] = !tr.up
 		if !tr.up {
-			s.nodes[tr.node].RecycleInbox()
+			s.leaving = append(s.leaving, tr.node)
 		}
 	}
+	return s.leaving
 }
 
 // drainDue takes the current tick's due deliveries off the transport's
-// queue, in delivery order, and returns those whose receiver is up; a
-// delivery to a node that went offline after the send is lost here and
-// its buffer recycled.
+// queue, in delivery order. A delivery to a node that went offline
+// after the send is lost: it is counted here, and its payload goes back
+// to the pool unread by whoever consumes the list.
 func (s *Simulator) drainDue() []netmodel.Delivery {
 	if s.transport.Pending() == 0 {
 		return nil
 	}
-	due := s.transport.Drain(s.drainBuf[:0], s.tick)
-	s.drainBuf = due[:0]
-	for _, d := range due {
+	s.drainBuf = s.transport.Drain(s.drainBuf[:0], s.tick)
+	for _, d := range s.drainBuf {
 		if s.down[d.To] {
 			s.messagesDropped++
-			s.pool.Put(d.Params)
-			continue
 		}
-		s.drainBuf = append(s.drainBuf, d)
 	}
 	return s.drainBuf
 }
 
 // receiveDue hands the tick's due deliveries to the protocol in drain
-// order, recycling each payload's buffer once OnReceive has consumed
-// it, and stops at the first failure.
+// order, recycling every payload, lost ones unread, and stops at the
+// first failure.
 func (s *Simulator) receiveDue(due []netmodel.Delivery) error {
 	for i := range due {
 		d := &due[i]
-		err := s.protocol.OnReceive(s.nodes[d.To], Message{From: d.From, Params: d.Params})
-		s.pool.Put(d.Params)
-		d.Params = nil
-		if err != nil {
-			return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", d.From, d.To, s.tick, err)
+		if s.down[d.To] {
+			s.pool.Put(d.Params)
+		} else if err := s.deliver(d.From, s.nodes[d.To], s.tick, d.Params); err != nil {
+			return err
 		}
+		d.Params = nil
+	}
+	return nil
+}
+
+// deliver hands node a queued payload from sender from, due at tick,
+// and recycles its buffer once OnReceive has consumed it.
+func (s *Simulator) deliver(from int, node *Node, tick int, buf tensor.Vector) error {
+	err := s.protocol.OnReceive(node, Message{From: from, Params: buf})
+	s.pool.Put(buf)
+	if err != nil {
+		return fmt.Errorf("gossip: deliver %d->%d at tick %d: %w", from, node.ID, tick, err)
 	}
 	return nil
 }

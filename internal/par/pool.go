@@ -7,13 +7,12 @@ import (
 
 // Pool is a persistent fork-join worker pool: the goroutines are
 // spawned once and reused across ForEach calls, so a caller that forks
-// many small batches (the tick engine runs several conflict batches per
-// tick, tens of thousands per arm) pays a channel handoff per batch
-// instead of a goroutine spawn per worker per batch. Profiles of the
-// dense-wake arm showed the spawn-per-batch scheme behind most of the
-// workers=4 alloc creep (+595 allocs/op over serial) and a 20% wall
-// clock penalty on a single-P runtime; the pool's steady-state ForEach
-// allocates nothing.
+// many times (the gossip round engine forks once per round, with one
+// item per worker) pays a channel handoff per fork instead of a
+// goroutine spawn per worker per fork. Profiles of the dense-wake arm
+// showed the spawn-per-fork scheme behind most of the workers=4 alloc
+// creep (+595 allocs/op over serial) and a 20% wall clock penalty on a
+// single-P runtime; the pool's steady-state ForEach allocates nothing.
 //
 // A Pool serves one fork-join at a time: ForEach must not be called
 // concurrently or reentrantly from inside a work item (nested fan-outs

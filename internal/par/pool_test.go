@@ -25,9 +25,9 @@ func TestPoolForEachCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestPoolReuseAcrossBatches exercises the pool the way the tick engine
-// does: many consecutive small fork-joins on one pool, each of which
-// must see a clean index counter.
+// TestPoolReuseAcrossBatches exercises the pool the way the gossip
+// round engine does: many consecutive small fork-joins on one pool,
+// each of which must see a clean index counter.
 func TestPoolReuseAcrossBatches(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()

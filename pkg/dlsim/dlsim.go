@@ -93,7 +93,7 @@ func WithScale(name string) Option {
 }
 
 // WithWorkers bounds the worker goroutines at every level of a run:
-// arm fan-out, the node-parallel tick engine inside each SAMO or
+// arm fan-out, the node-parallel round engine inside each SAMO or
 // Epidemic arm (protocols that train on receive tick serially), and
 // per-node evaluation. 0 (default) means one per CPU, 1 forces the
 // serial paths. Results are byte-identical for every value.

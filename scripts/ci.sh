@@ -44,10 +44,11 @@ fi
 # which is sound in dlbench's one-workload-per-process runs and races
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
-# One -race pass samples one goroutine interleaving of the tick engine;
-# the determinism matrix, first-error parity and dense-wake tests run
-# three more.
-go test -race -count=3 -run 'IntraArm|FirstError|DenseWake' ./internal/gossip
+# One -race pass samples one goroutine interleaving of the round
+# engine; the determinism matrix, first-error parity, the dense-wake
+# tests and the engine's hazard tests (write-after-read, the RNG gate, a
+# panicking wake) run ten more.
+go test -race -count=10 -run 'IntraArm|FirstError|DenseWake|RoundChains|Engine' ./internal/gossip
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
@@ -479,25 +480,38 @@ fi
 # Intra-arm scaling smoke: BenchmarkHostParallel (what two busy threads
 # buy over one on this host) beside BenchmarkIntraArmSpeedup at workers
 # 1 vs min(2, GOMAXPROCS), so the engine is asked only for what the host
-# can give. Advisory, not a gate — single-run ns/op on a shared host is
-# too noisy to fail CI on — but both numbers are always logged, and the
-# warning fires only on ROADMAP item 8's two thresholds together: the
-# host overlapped (>= 1.6x) and the engine did not (< 1.3x). The numbers
-# that gate a PR are the repo benchmark's (bash benchmark/run.sh,
-# BENCHMARK.json).
+# can give. The host hands out its second CPU by the minute, so the trio
+# runs three times, interleaved, and the medians of the three host
+# factors and of the three engine ratios are printed. Advisory, not a
+# gate — ns/op on a shared host is too noisy to fail CI on — but the
+# numbers are always logged, and the warning fires only on ROADMAP item
+# 8's two thresholds together: the host overlapped (>= 1.6x) and the
+# engine did not (< 1.3x). The numbers that gate a PR are the repo
+# benchmark's (bash benchmark/run.sh, BENCHMARK.json).
 procs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)}
 par=2
 [ "$procs" -ge 2 ] || par=1
-go test -run=NONE -bench="BenchmarkHostParallel\$|BenchmarkIntraArmSpeedup/workers=(1|$par)\$" \
-    -benchtime=5x . >"$specout/scaling.log" 2>&1 || { cat "$specout/scaling.log" >&2; exit 1; }
+: >"$specout/scaling.log"
+for pass in 1 2 3; do
+    echo "pass $pass" >>"$specout/scaling.log"
+    go test -run=NONE -bench="BenchmarkHostParallel\$|BenchmarkIntraArmSpeedup/workers=(1|$par)\$" \
+        -benchtime=5x . >>"$specout/scaling.log" 2>&1 || { cat "$specout/scaling.log" >&2; exit 1; }
+done
 awk -v procs="$procs" -v par="$par" '
-/^BenchmarkHostParallel/ { host = $5 }
-/^BenchmarkIntraArmSpeedup\/workers=/ { split($1, name, /[=-]/); ns[name[2]] = $3 }
+function median3(a, b, c) { return a < b ? (b < c ? b : (a < c ? c : a)) : (a < c ? a : (b < c ? c : b)) }
+/^pass / { p = $2 }
+/^BenchmarkHostParallel/ { host[p] = $5 }
+/^BenchmarkIntraArmSpeedup\/workers=/ { split($1, name, /[=-]/); ns[p, name[2]] = $3 }
 END {
-    if (host == "" || ns[1] == "" || ns[par] == "") { print "ci: scaling smoke ran no benchmarks"; exit 1 }
-    ratio = ns[1] / ns[par]
-    printf "intra-arm scaling smoke: workers=%d speedup %.2fx over workers=1, host factor %.2fx for two threads (GOMAXPROCS=%s)\n", par, ratio, host, procs
-    if (host >= 1.6 && ratio < 1.3)
-        printf "ci: WARNING: the host overlaps two threads (%.2fx) and the tick engine does not (%.2fx < 1.3x)\n", host, ratio
+    for (i = 1; i <= 3; i++) {
+        if (host[i] == "" || ns[i, 1] == "" || ns[i, par] == "") { print "ci: scaling smoke ran no benchmarks"; exit 1 }
+        ratio[i] = ns[i, 1] / ns[i, par]
+        printf "intra-arm scaling pass %d: workers=%d speedup %.2fx over workers=1, host factor %.2fx\n", i, par, ratio[i], host[i]
+    }
+    r = median3(ratio[1], ratio[2], ratio[3])
+    h = median3(host[1], host[2], host[3])
+    printf "intra-arm scaling smoke: median workers=%d speedup %.2fx over workers=1, median host factor %.2fx for two threads (GOMAXPROCS=%s)\n", par, r, h, procs
+    if (h >= 1.6 && r < 1.3)
+        printf "ci: WARNING: the host overlaps two threads (%.2fx) and the tick engine does not (%.2fx < 1.3x)\n", h, r
 }' "$specout/scaling.log"
 echo "scaling smoke ok"
