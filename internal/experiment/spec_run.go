@@ -101,14 +101,17 @@ type ArmUnit struct {
 // byte-identical to local execution.
 type ArmExecutor func(ctx context.Context, u ArmUnit) (Arm, bool, error)
 
-// specHooks customize the executor per arm: a cache lookup that can
-// skip execution, a remote executor consulted before running locally,
+// specHooks customize the executor per arm: the arms a resume pass
+// already served, a remote executor consulted before running locally,
 // a sink factory for streaming records, and a completion callback.
 // All may be nil. Hooks are invoked from the worker goroutines; the
 // engine guarantees distinct arms per call, so hooks only need to be
 // safe across distinct arm indices.
 type specHooks struct {
-	lookup func(i int, a spec.Arm) (Arm, bool)
+	// served, when set, is the figure's arm slots, one per arm, with the
+	// arms served before the run (dirRun.serveCached) in place; an arm
+	// whose slot is filled is not run.
+	served []Arm
 	exec   ArmExecutor
 	// keys are the arms' content hashes (armKeys), one per arm, that the
 	// executor is offered. A caller that has them already sets them, so
@@ -150,8 +153,10 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, arms []spec.Arm, sc Scale
 	var err error
 	scArm := sc
 	scArm.Workers = innerWorkers(sc.Workers, len(arms))
-	fig := &FigureResult{Name: sp.Name, Caption: sp.Caption}
-	fig.Arms = make([]Arm, len(arms))
+	fig := &FigureResult{Name: sp.Name, Caption: sp.Caption, Arms: h.served}
+	if fig.Arms == nil {
+		fig.Arms = make([]Arm, len(arms))
+	}
 	// With an executor the arms mostly wait on a fleet, so more of them
 	// are on offer than may run here: local is the gate that holds what
 	// the executor declines to Workers arms at a time all the same.
@@ -166,11 +171,8 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, arms []spec.Arm, sc Scale
 	}
 	runArm := func(i int) error {
 		a := arms[i]
-		if h.lookup != nil {
-			if cached, ok := h.lookup(i, a); ok {
-				fig.Arms[i] = cached
-				return nil
-			}
+		if fig.Arms[i].Series != nil {
+			return nil
 		}
 		start := time.Now()
 		arm, remote, err := runSpecArmRemote(ctx, sp, sc, i, a, h)
@@ -444,9 +446,12 @@ type SpecRunOptions struct {
 	// — neither to event files nor to extra sinks.
 	ExtraSinks func(i int, label string) (sink.Sink, error)
 	// OnArmDone, when non-nil, observes every arm as it is satisfied
-	// (executed or loaded from cache), after its cache record is in the
-	// store. It is invoked from worker goroutines with distinct arms
-	// per call, in completion order — not spec order.
+	// (executed or loaded from cache), once its cache record is in the
+	// store and its results.csv row has reached the file. With Resume,
+	// the cached arms are reported first, in spec order, from the
+	// calling goroutine, before any arm runs. Executed arms follow from
+	// worker goroutines with distinct arms per call, in completion
+	// order — not spec order.
 	OnArmDone func(i int, report SpecArmReport)
 	// Exec, when non-nil, is offered every non-cached arm before local
 	// execution (see ArmExecutor). Results it returns flow through the
@@ -613,9 +618,11 @@ func slugify(label string) string {
 	return b.String()
 }
 
-// writeFileAtomic writes data via a temp file + rename, so an
-// interrupted run never leaves a torn results.csv or manifest, and a
-// failed write or rename leaves no temp file behind.
+// writeFileAtomic writes data via a temp file + rename, so the file is
+// either what it was or all of data — an interrupted run never leaves
+// a torn manifest, nor a torn rewrite of results.csv (whose streamed
+// rows a killed sweep may leave partial) — and a failed write or rename
+// leaves no temp file behind.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	err := os.WriteFile(tmp, data, 0o644)
@@ -634,11 +641,19 @@ func writeFileAtomic(path string, data []byte) error {
 // event files, and a results.csv summary. The returned report says
 // which arms ran and which were loaded from cache.
 //
+// With Resume, every cached arm is served before any arm runs: one
+// parallel pass looks the arms up and renders their results.csv rows,
+// the rows reach the file in spec order in one write, and only then
+// are those arms counted cached and reported (see
+// SpecRunOptions.OnArmDone). The other arms then run.
+//
 // results.csv streams: a row lands (in completion order) as each arm
 // commits, so an interrupted sweep leaves a usable partial CSV. On
-// success the file is atomically rewritten in spec order — the final
-// artifact is byte-identical to what a serial, uninterrupted run
-// produces, for any worker count and any resume history.
+// success the file is the table in spec order — byte-identical to what
+// a serial, uninterrupted run produces, for any worker count and any
+// resume history. When every row landed in spec order (a full resume,
+// or Workers 1) the streamed file already is that table and is kept;
+// otherwise it is atomically rewritten.
 //
 // On cancellation the sweep checkpoints cleanly: completed arms keep
 // their cache records (no manifest is written for the aborted run), so
@@ -696,7 +711,10 @@ func RunSpecDir(ctx context.Context, sp *spec.Spec, sc Scale, opts SpecRunOption
 	started := time.Now()
 	h := specHooks{exec: opts.Exec, keys: keys, done: run.done, sinks: dirSinks(opts, reports)}
 	if opts.Resume {
-		h.lookup = run.lookup
+		h.served = make([]Arm, len(arms))
+		if err := run.serveCached(ctx, sc.Workers, arms, h.served); err != nil {
+			return nil, nil, err
+		}
 	}
 	fig, err := runSpecHooked(ctx, sp, arms, sc, h)
 	if err != nil {
@@ -729,20 +747,40 @@ type dirRun struct {
 	onDone  func(i int, report SpecArmReport)
 }
 
-// lookup is the resume hook: it serves arm i from the cache. The arm
-// counts as cached only once its results.csv row is written — if the
-// stream is broken the arm is recomputed, and that path surfaces the
-// error.
-func (r *dirRun) lookup(i int, a spec.Arm) (Arm, bool) {
-	arm, ok := r.cache.lookup(i, a.Label)
-	if !ok || r.csv.row(i, arm) != nil {
-		return Arm{}, false
+// serveCached is a resume pass's first step: it serves every arm the
+// cache holds into its slot before any arm runs. One parallel pass
+// looks each arm up, decodes it and renders its results.csv row; the
+// hits' rows then reach the file in spec order in one write. An arm
+// counts as cached only once its row is written: only after that write
+// returns are the hits marked and reported, in spec order. If it fails
+// no arm is served — the slots are emptied, every arm is recomputed,
+// and that path surfaces the error.
+func (r *dirRun) serveCached(ctx context.Context, workers int, arms []spec.Arm, slots []Arm) error {
+	rows := r.csv.carve(arms)
+	err := par.ForEachErrCtx(ctx, workers, len(arms), func(i int) error {
+		if arm, ok := r.cache.lookup(i, arms[i].Label); ok {
+			slots[i] = arm
+			rows[i] = appendResultsCSVRow(rows[i], arm)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	r.reports[i].Cached = true
-	if r.onDone != nil {
-		r.onDone(i, r.reports[i])
+	if r.csv.writeCarved(arms) != nil {
+		clear(slots)
+		return nil
 	}
-	return arm, true
+	for i := range slots {
+		if slots[i].Series == nil {
+			continue
+		}
+		r.reports[i].Cached = true
+		if r.onDone != nil {
+			r.onDone(i, r.reports[i])
+		}
+	}
+	return nil
 }
 
 // done is the completion hook: it commits an executed arm to the cache
@@ -764,13 +802,16 @@ func (r *dirRun) done(i int, _ spec.Arm, arm Arm, elapsed time.Duration) error {
 // finish writes a completed run's final artifacts. The streamed
 // results.csv rows landed in completion order; the final file is the
 // canonical spec-order table — the same rows, kept as they were
-// streamed — swapped in atomically, followed by the manifest.
+// streamed. Unless the stream already wrote exactly that table, it is
+// swapped in atomically. Then the manifest is written.
 func (r *dirRun) finish(outDir string, man *SpecManifest) error {
 	if err := r.csv.close(); err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), r.csv.table()); err != nil {
-		return fmt.Errorf("experiment: results.csv: %w", err)
+	if !r.csv.inSpecOrder() {
+		if err := writeFileAtomic(filepath.Join(outDir, "results.csv"), r.csv.table()); err != nil {
+			return fmt.Errorf("experiment: results.csv: %w", err)
+		}
 	}
 	raw, err := appendManifest(make([]byte, 0, 1024+160*len(man.Arms)), man)
 	if err != nil {
@@ -837,13 +878,17 @@ func appendResultsCSVRow(b []byte, a Arm) []byte {
 	}
 	b = append(b, sink.Quote(a.Label)...)
 	for _, f := range [...]float64{at.TestAcc, at.MIAAcc, a.Series.MaxMIAAcc(), a.Series.MaxTPR(), maxGen} {
-		b = strconv.AppendFloat(append(b, ','), f, 'f', 6, 64)
+		b = sink.AppendFixed(append(b, ','), f, 6)
 	}
 	b = strconv.AppendInt(append(b, ','), int64(a.MessagesSent), 10)
 	b = strconv.AppendInt(append(b, ','), int64(a.BytesSent), 10)
-	b = strconv.AppendFloat(append(b, ','), a.RealizedEpsilon, 'f', 4, 64)
+	b = sink.AppendFixed(append(b, ','), a.RealizedEpsilon, 4)
 	return append(b, '\n')
 }
+
+// rowRoom is the room a row of an arm labelled label is rendered into
+// before it must grow: enough for the label and the usual numbers.
+func rowRoom(label string) int { return 96 + len(label) }
 
 // csvStream appends results.csv rows as arms commit, in completion
 // order and unbuffered — each row reaches the kernel before the commit
@@ -854,6 +899,12 @@ type csvStream struct {
 	mu   sync.Mutex
 	f    *os.File
 	rows [][]byte
+	// buf is the one buffer carve cuts rows from.
+	buf []byte
+	// inOrder counts the rows that reached the file in spec order from
+	// the first, every write whole; -1 once a row lands out of order or
+	// a write fails.
+	inOrder int
 }
 
 // newCSVStream truncates path and writes the header row; the run has n
@@ -872,17 +923,97 @@ func newCSVStream(path string, n int) (*csvStream, error) {
 
 // row renders arm i's summary row, keeps it and appends it to the file.
 func (w *csvStream) row(i int, a Arm) error {
-	row := appendResultsCSVRow(make([]byte, 0, 96+len(a.Label)), a)
+	row := appendResultsCSVRow(make([]byte, 0, rowRoom(a.Label)), a)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.rows[i] = row
 	if w.f == nil {
 		return nil
 	}
-	if _, err := w.f.Write(row); err != nil {
+	_, err := w.f.Write(row)
+	if err != nil || w.inOrder != i {
+		w.inOrder = -1
+	} else {
+		w.inOrder++
+	}
+	if err != nil {
 		return fmt.Errorf("experiment: results.csv: %w", err)
 	}
 	return nil
+}
+
+// carve cuts an empty row for each of arms out of one buffer the stream
+// keeps, with rowRoom of the arm's label, and returns the rows: a
+// resume pass renders the rows of the arms it serves into them, in
+// parallel, and hands them back with writeCarved. A row that outgrows
+// its room moves out of the buffer, as append does.
+func (w *csvStream) carve(arms []spec.Arm) [][]byte {
+	n := 0
+	for _, a := range arms {
+		n += rowRoom(a.Label)
+	}
+	w.buf = make([]byte, n)
+	off := 0
+	for i, a := range arms {
+		end := off + rowRoom(a.Label)
+		w.rows[i] = w.buf[off:off:end]
+		off = end
+	}
+	return w.rows
+}
+
+// writeCarved is carve's second half, called once the rows are
+// rendered (arms are carve's arms): it packs the rendered rows to the
+// front of the buffer in spec order, moving each down over the unused
+// room before it, and appends them to the file in one write. The rows
+// are then kept where they were packed. If the write fails they are
+// dropped, not kept: their arms will be rendered again.
+func (w *csvStream) writeCarved(arms []spec.Arm) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	b := w.buf[:0]
+	w.buf = nil   // the kept rows hold what they use of it
+	inBuf := true // b is still carve's buffer
+	end := 0      // where row i's room ends: packing past it would overwrite row i+1
+	n, inOrder := 0, true
+	for i, row := range w.rows {
+		end += rowRoom(arms[i].Label)
+		if len(row) == 0 {
+			w.rows[i] = nil
+			continue
+		}
+		if inBuf && len(b)+len(row) > end {
+			// A row outgrew its room: pack the rest into a new buffer.
+			b, inBuf = append(make([]byte, 0, 2*cap(b)), b...), false
+		}
+		start := len(b)
+		b = append(b, row...)
+		w.rows[i] = b[start:len(b):len(b)]
+		inOrder = inOrder && i == w.inOrder+n
+		n++
+	}
+	if n == 0 || w.f == nil {
+		return nil
+	}
+	_, err := w.f.Write(b)
+	if err != nil || !inOrder {
+		w.inOrder = -1
+	} else {
+		w.inOrder += n
+	}
+	if err != nil {
+		clear(w.rows) // only served rows are kept yet
+		return fmt.Errorf("experiment: results.csv: %w", err)
+	}
+	return nil
+}
+
+// inSpecOrder reports whether the file holds every row, in spec order,
+// each write whole: the table itself.
+func (w *csvStream) inSpecOrder() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.inOrder == len(w.rows)
 }
 
 // table returns the header and the kept rows in spec order: results.csv

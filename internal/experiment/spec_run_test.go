@@ -672,12 +672,14 @@ func TestResumeIgnoresCorruptCache(t *testing.T) {
 }
 
 // TestResumeCountsArmCachedOnlyAfterCSVRow: when the results.csv
-// stream is broken the resume hook declines the cached arm (it is
-// recomputed, and that path surfaces the error) — so the manifest must
-// not call the arm cached, and nobody is told it is done.
+// stream is broken the resume pass serves no cached arm (each is
+// recomputed, and that path surfaces the error) — so no slot is filled,
+// the manifest must not call the arm cached, and nobody is told it is
+// done.
 func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 	arm := Arm{Label: "a", Series: &metrics.Series{Label: "a", Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5}}}}
-	cache, release, err := openArmCache(filepath.Join(t.TempDir(), "store"), "csvfail", []string{strings.Repeat("ab", 32)})
+	arms := []spec.Arm{{Label: "a"}, {Label: "miss"}}
+	cache, release, err := openArmCache(filepath.Join(t.TempDir(), "store"), "csvfail", []string{strings.Repeat("ab", 32), strings.Repeat("cd", 32)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,25 +699,183 @@ func TestResumeCountsArmCachedOnlyAfterCSVRow(t *testing.T) {
 	defer f.Close()
 	run := &dirRun{
 		cache:   cache,
-		csv:     &csvStream{f: f, rows: make([][]byte, 1)},
-		reports: []SpecArmReport{{Label: "a"}},
+		csv:     &csvStream{f: f, rows: make([][]byte, len(arms))},
+		reports: []SpecArmReport{{Label: "a"}, {Label: "miss"}},
 		onDone:  func(int, SpecArmReport) { t.Error("OnArmDone fired for an arm that was not served") },
 	}
-	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); ok {
-		t.Fatal("lookup served an arm whose results.csv row failed")
+	slots := make([]Arm, len(arms))
+	if err := run.serveCached(t.Context(), 2, arms, slots); err != nil {
+		t.Fatal(err)
 	}
-	if run.reports[0].Cached {
-		t.Fatal("arm reported cached although it will be recomputed")
+	if slots[0].Series != nil {
+		t.Fatal("resume pass served an arm whose results.csv row failed")
+	}
+	if run.reports[0].Cached || run.csv.rows[0] != nil {
+		t.Fatal("arm reported cached, or its row kept, although it will be recomputed")
 	}
 
-	// Same record, working stream: served and reported.
-	w, err := newCSVStream(path, 1)
+	// Same record, working stream: served and reported; the miss is not.
+	w, err := newCSVStream(path, len(arms))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.close()
-	run.csv, run.onDone = w, nil
-	if _, ok := run.lookup(0, spec.Arm{Label: "a"}); !ok || !run.reports[0].Cached {
-		t.Fatal("lookup declined an intact arm over a working stream")
+	var reported []int
+	run.csv, run.onDone = w, func(i int, _ SpecArmReport) { reported = append(reported, i) }
+	if err := run.serveCached(t.Context(), 2, arms, slots); err != nil {
+		t.Fatal(err)
+	}
+	if slots[0].Label != "a" || !run.reports[0].Cached || slots[1].Series != nil || run.reports[1].Cached {
+		t.Fatal("resume pass declined an intact arm over a working stream, or served a miss")
+	}
+	if len(reported) != 1 || reported[0] != 0 {
+		t.Fatalf("OnArmDone reported arms %v, want [0]", reported)
+	}
+}
+
+// TestResumeReportsCachedArmAfterItsRow: with Resume, a cached arm is
+// reported only once its row is in results.csv — OnArmDone reads the
+// file and finds it there — and cached arms are reported first, in
+// spec order, before any arm runs.
+func TestResumeReportsCachedArmAfterItsRow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sc := TinyScale()
+	full := sweepSpec()
+	refDir := t.TempDir()
+	if _, _, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: refDir, Events: "none"}); err != nil {
+		t.Fatal(err)
+	}
+	refCSV, err := os.ReadFile(filepath.Join(refDir, "results.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refRows := strings.SplitAfter(string(refCSV), "\n")[1:]
+
+	// The cache holds arms 0 and 2; arm 1 must run.
+	dir := t.TempDir()
+	arms, err := full.ExpandArms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := &spec.Spec{Name: full.Name, Arms: []spec.Arm{arms[0], arms[2]}}
+	if _, _, err := RunSpecDir(t.Context(), partial, sc, SpecRunOptions{OutDir: dir, Events: "none"}); err != nil {
+		t.Fatal(err)
+	}
+	var order []int
+	_, man, err := RunSpecDir(t.Context(), full, sc, SpecRunOptions{OutDir: dir, Events: "none", Resume: true,
+		OnArmDone: func(i int, rep SpecArmReport) {
+			order = append(order, i)
+			if !rep.Cached {
+				return
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, "results.csv"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !strings.Contains(string(raw), refRows[i]) {
+				t.Errorf("arm %d reported cached before its row %q reached results.csv:\n%s", i, refRows[i], raw)
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(order) != "[0 2 1]" || !man.Arms[0].Cached || man.Arms[1].Cached || !man.Arms[2].Cached {
+		t.Fatalf("reports in order %v, manifest %+v; want the cached arms 0 and 2 first, then arm 1 run", order, man.Arms)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "results.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(refCSV) {
+		t.Fatalf("resumed results.csv:\n%s\nwant:\n%s", got, refCSV)
+	}
+}
+
+// TestFullResumeKeepsStreamedCSV: a resume that serves every arm
+// streams the rows in spec order, so the streamed results.csv already
+// is the table: it equals the cold run's byte for byte and is never
+// replaced by a rename — the file OnArmDone saw is the file left.
+func TestFullResumeKeepsStreamedCSV(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sc := TinyScale()
+	sc.Workers = 2
+	dir := t.TempDir()
+	path := filepath.Join(dir, "results.csv")
+	if _, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none"}); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen os.FileInfo
+	_, man, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{OutDir: dir, Events: "none", Resume: true,
+		OnArmDone: func(int, SpecArmReport) {
+			if seen == nil {
+				var err error
+				if seen, err = os.Stat(path); err != nil {
+					t.Error(err)
+				}
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ar := range man.Arms {
+		if !ar.Cached {
+			t.Fatalf("full resume recomputed arm %q", ar.Label)
+		}
+	}
+	left, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen == nil || !os.SameFile(seen, left) {
+		t.Fatal("full resume replaced the streamed results.csv")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != string(cold) {
+		t.Fatalf("full resume's results.csv (err=%v):\n%s\nwant the cold run's:\n%s", err, got, cold)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("full resume left a temp file (err=%v)", err)
+	}
+}
+
+// TestCarvedRowsPack: rows rendered into carved room reach the file in
+// spec order in one write, whatever their lengths — a row that
+// outgrows its room included — and are kept as the table's rows.
+func TestCarvedRowsPack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.csv")
+	w, err := newCSVStream(path, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []spec.Arm{{Label: "a"}, {Label: "skipped"}, {Label: "huge"}, {Label: "d"}}
+	rows := w.carve(arms)
+	want := resultsCSVHeader
+	for i, eps := range []float64{0.5, 0, 1e300, 0.25} {
+		if i == 1 {
+			continue
+		}
+		a := Arm{Label: arms[i].Label, Series: &metrics.Series{Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5}}}, RealizedEpsilon: eps}
+		rows[i] = appendResultsCSVRow(rows[i], a)
+		want += fmtResultsCSVRow(a)
+	}
+	if err := w.writeCarved(arms); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != want {
+		t.Fatalf("results.csv (err=%v):\n%q\nwant:\n%q", err, got, want)
+	}
+	if string(w.table()) != want || w.inSpecOrder() {
+		t.Fatal("kept rows diverge from the file, or a missing row counts as in order")
 	}
 }

@@ -13,7 +13,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
 	"gossipmia/internal/metrics"
@@ -108,20 +110,73 @@ func Quote(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
+// pow10 holds 10^0 … 10^15, each exact in a float64.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// AppendFixed appends f with prec digits after the point, the bytes of
+// strconv.AppendFloat(b, f, 'f', prec, 64) (and of fmt's %.<prec>f):
+// the exact binary value rounded to nearest, an exact tie to the even
+// last digit, the sign of -0 kept. strconv takes its big-decimal path
+// for every such call; this takes it only where the value does not fit
+// the shortcut below: prec outside 0–15, NaN, ±Inf, and |f|·10^prec
+// from 2^52 on.
+//
+// The shortcut: with scale = 10^prec exact, p = |f|·scale rounded and
+// the remainder e = |f|·scale − p exact (math.FMA), the exact product
+// is p + e. Below 2^52 the fraction p − ⌊p⌋ is exact too, so it and the
+// sign of e decide the rounding of the exact product to an integer q,
+// whose digits are the output.
+func AppendFixed(b []byte, f float64, prec int) []byte {
+	if prec < 0 || prec >= len(pow10) {
+		return strconv.AppendFloat(b, f, 'f', prec, 64)
+	}
+	scale := pow10[prec]
+	a := math.Abs(f)
+	// The conversion rounds the product here: unrounded, the compiler
+	// may fuse it into a later operation (arm64 does), and e would no
+	// longer be p's remainder.
+	p := float64(a * scale)
+	if !(p < 1<<52) { // NaN, ±Inf and the large values
+		return strconv.AppendFloat(b, f, 'f', prec, 64)
+	}
+	e := math.FMA(a, scale, -p)
+	q := math.Floor(p)
+	n := uint64(q)
+	if frac := p - q; frac > 0.5 || frac == 0.5 && (e > 0 || e == 0 && n&1 == 1) {
+		n++
+	}
+	if math.Signbit(f) {
+		b = append(b, '-')
+	}
+	unit := uint64(scale)
+	b = strconv.AppendUint(b, n/unit, 10)
+	if prec == 0 {
+		return b
+	}
+	var digits [16]byte
+	frac := n % unit
+	for i := prec - 1; i >= 0; i-- {
+		digits[i] = byte('0' + frac%10)
+		frac /= 10
+	}
+	return append(append(b, '.'), digits[:prec]...)
+}
+
 // CSV writes one row per evaluated round, leading with the RFC
 // 4180-quoted arm label so the stream is self-describing like the
 // JSONL sink's. The header precedes the first record.
 type CSV struct {
-	arm    string
+	arm    string // the label, quoted
 	w      *bufio.Writer
 	c      io.Closer
 	header bool
+	buf    []byte // the row being written
 }
 
 // NewCSV builds a CSV sink over w, tagging every row with the arm
 // label. If w is also an io.Closer, Close closes it.
 func NewCSV(w io.Writer, arm string) *CSV {
-	c := &CSV{arm: arm, w: bufio.NewWriter(w)}
+	c := &CSV{arm: Quote(arm), w: bufio.NewWriter(w)}
 	if cl, ok := w.(io.Closer); ok {
 		c.c = cl
 	}
@@ -136,8 +191,12 @@ func (c *CSV) Record(r metrics.RoundRecord) error {
 		}
 		c.header = true
 	}
-	if _, err := fmt.Fprintf(c.w, "%s,%d,%.6f,%.6f,%.6f,%.6f\n",
-		Quote(c.arm), r.Round, r.TestAcc, r.MIAAcc, r.TPRAt1FPR, r.GenError); err != nil {
+	b := strconv.AppendInt(append(append(c.buf[:0], c.arm...), ','), int64(r.Round), 10)
+	for _, f := range [...]float64{r.TestAcc, r.MIAAcc, r.TPRAt1FPR, r.GenError} {
+		b = AppendFixed(append(b, ','), f, 6)
+	}
+	c.buf = append(b, '\n')
+	if _, err := c.w.Write(c.buf); err != nil {
 		return fmt.Errorf("sink: csv: %w", err)
 	}
 	return nil

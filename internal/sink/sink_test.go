@@ -3,8 +3,11 @@ package sink
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,6 +103,74 @@ func TestQuote(t *testing.T) {
 			t.Fatalf("Quote(%q) = %q, want %q", in, got, want)
 		}
 	}
+}
+
+// TestCSVSinkRowsMatchFmt holds the CSV sink's rows to the fmt format
+// they were written with before AppendFixed, byte for byte.
+func TestCSVSinkRowsMatchFmt(t *testing.T) {
+	recs := []metrics.RoundRecord{
+		{Round: 0, TestAcc: 0.9999995, MIAAcc: math.Copysign(0, -1), TPRAt1FPR: -5e-7, GenError: 1.5e300},
+		{Round: -3, TestAcc: math.Inf(1), MIAAcc: math.NaN(), TPRAt1FPR: math.Inf(-1), GenError: 0.0000005},
+		{Round: 1 << 40, TestAcc: 0.1 + 0.2, MIAAcc: 2.0 / 3, TPRAt1FPR: 0.0625, GenError: 5e-324},
+	}
+	for _, label := range []string{"plain", "cifar10, \"hard\"\narm"} {
+		var b strings.Builder
+		s := NewCSV(&b, label)
+		want := "arm,round,test_acc,mia_acc,tpr_at_1fpr,gen_error\n"
+		for _, r := range recs {
+			if err := s.Record(r); err != nil {
+				t.Fatal(err)
+			}
+			want += fmt.Sprintf("%s,%d,%.6f,%.6f,%.6f,%.6f\n", Quote(label), r.Round, r.TestAcc, r.MIAAcc, r.TPRAt1FPR, r.GenError)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != want {
+			t.Fatalf("csv rows:\n got %q\nwant %q", b.String(), want)
+		}
+	}
+}
+
+// FuzzAppendFixed holds AppendFixed to strconv's 'f' format, its
+// oracle, at every precision it takes its own path for (0–15). The
+// seeds are the edges of that path: signed zeros, exact ties rounding
+// to an odd and an even digit, subnormals, the neighbours of every
+// power of ten, 2^52/10^prec (where it hands over to strconv) and its
+// neighbours, NaN and the infinities.
+func FuzzAppendFixed(f *testing.F) {
+	seed := func(v float64) {
+		for prec := range 16 {
+			f.Add(math.Float64bits(v), uint8(prec))
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		math.MaxFloat64, 0.5, 1.5, 2.5, -2.5, 0.9999995, 0.99999949999, 5e-7, 0.1 + 0.2, 2.0 / 3} {
+		seed(v)
+	}
+	for prec := range 16 {
+		tie := math.Ldexp(1, -(prec + 1)) // ·10^prec = 5^prec/2
+		for _, v := range []float64{tie, 3 * tie, 7 + tie, -tie, math.Nextafter(tie, 1), math.Nextafter(tie, 0)} {
+			f.Add(math.Float64bits(v), uint8(prec))
+		}
+		edge := 0x1p52 / math.Pow10(prec)
+		for _, v := range []float64{edge, math.Nextafter(edge, 0), math.Nextafter(edge, math.Inf(1)), -edge} {
+			f.Add(math.Float64bits(v), uint8(prec))
+		}
+	}
+	for k := -20; k <= 22; k++ {
+		p := math.Pow10(k)
+		seed(math.Nextafter(p, 0))
+		seed(math.Nextafter(p, math.Inf(1)))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, prec uint8) {
+		v, p := math.Float64frombits(bits), int(prec%16)
+		got := AppendFixed([]byte("x"), v, p)
+		if want := strconv.AppendFloat([]byte("x"), v, 'f', p, 64); string(got) != string(want) {
+			t.Fatalf("AppendFixed(%v [%#x], %d) = %q, want %q", v, bits, p, got, want)
+		}
+	})
 }
 
 func TestMultiSinkFansOut(t *testing.T) {

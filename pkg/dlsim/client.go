@@ -265,6 +265,19 @@ func (c *Client) newRequest(ctx context.Context, method, path string, raw []byte
 	return req, nil
 }
 
+// maxDrain bounds what drainClose reads of a body nobody wants.
+const maxDrain = 64 << 10
+
+// drainClose reads what is left of a response body, up to maxDrain,
+// and closes it. The transport keeps a connection for the next call
+// only once its body was read to the end; a body closed early closes
+// the connection, and every call that does not read its body (an
+// answer without a value, an error envelope) would open a new one.
+func drainClose(body io.ReadCloser) {
+	_, _ = io.Copy(io.Discard, io.LimitReader(body, maxDrain))
+	_ = body.Close()
+}
+
 // errorOf translates a non-2xx response into a typed *APIError.
 func errorOf(resp *http.Response, method, path string) *APIError {
 	ae := &APIError{Status: resp.StatusCode, Method: method, Path: path}
@@ -347,7 +360,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, raw []byte, ou
 	if err != nil {
 		return fmt.Errorf("dlsim: %s %s: %w", method, path, err)
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return errorOf(resp, method, path)
 	}
@@ -489,10 +502,12 @@ func (c *Client) streamEvents(ctx context.Context, id string, offset *int, lastR
 	if err != nil {
 		return &errStreamDropped{fmt.Errorf("dlsim: events: %w", err)}
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		defer drainClose(resp.Body)
 		return errorOf(resp, http.MethodGet, path)
 	}
+	// A live stream is closed, not drained: its end is the job's.
+	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	for sc.Scan() {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -130,6 +131,55 @@ func TestRegisterDeregisterClient(t *testing.T) {
 	}
 	if err := client.RegisterWorker(context.Background(), ""); err == nil {
 		t.Fatal("register with empty worker name must fail client-side")
+	}
+}
+
+// TestCallsWithoutValueKeepConnection: calls that want no value from
+// the answer (Health, RegisterWorker, DeregisterWorker) and a call that
+// gets an error envelope still read the body to its end, so the client
+// keeps its one connection instead of opening one per call.
+func TestCallsWithoutValueKeepConnection(t *testing.T) {
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/work/deregister" && strings.Contains(r.URL.RawQuery, "fail") {
+			w.WriteHeader(http.StatusBadRequest)
+			fmt.Fprintf(w, "{\n \"error\": \"no such worker\"\n}\n%s\n", strings.Repeat(" ", 8<<10))
+			return
+		}
+		// A body the call does not want, as a proxy or a newer service
+		// may send.
+		fmt.Fprintf(w, "{\n \"status\": \"ok\"\n}\n%s\n", strings.Repeat(" ", 8<<10))
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	client := NewClient(ts.URL)
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if err := client.Health(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.RegisterWorker(ctx, "w1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := client.DeregisterWorker(ctx, "w1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ae *APIError
+	if err := client.do(ctx, http.MethodPost, "/v1/work/deregister?fail=1", RegisterRequest{Worker: "w1"}, nil); !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("4xx call = %v, want a 400 APIError", err)
+	}
+	if err := client.Health(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("61 calls and one 4xx opened %d connections, want 1", n)
 	}
 }
 

@@ -2,8 +2,9 @@
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
 # cross-build (the kernels' pure-Go tier), the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
-# targets run once over their seed corpus; the arm cache's reader and
-# the RNG are fuzzed, for 10 s each), the one-generator gates (math/rand
+# targets run once over their seed corpus; the arm cache's reader, the
+# arm encoder, the fixed-point float formatter and the RNG are fuzzed,
+# for 10 s each), the one-generator gates (math/rand
 # only in tests, and no fused multiply-add in the samplers on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
@@ -52,7 +53,7 @@ go test -race -count=10 -run 'IntraArm|FirstError|DenseWake|RoundChains|Engine' 
 go test ./benchmark
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -61,6 +62,10 @@ go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s ./internal/experiment
 # arm key and spec hash is built from: a short real fuzzing run holds it
 # and Spec.Hash to json.Marshal on arms no seed lists.
 go test -run=NONE -fuzz=FuzzArmJSON -fuzztime=10s ./pkg/dlsim/spec
+# results.csv and the event CSV spell their floats with sink.AppendFixed,
+# a shortcut past strconv's big-decimal path: a short real fuzzing run
+# holds it to strconv's 'f' format on values and precisions no seed lists.
+go test -run=NONE -fuzz=FuzzAppendFixed -fuzztime=10s ./internal/sink
 # tensor.RNG runs math/rand's samplers on its own lazily filled source:
 # a short real fuzzing run holds byte-coded call sequences on it to
 # rand.New(rand.NewSource(seed)) beyond the seed corpus.

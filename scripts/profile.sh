@@ -94,15 +94,15 @@ go tool pprof -top -cum -unit=ms -nodecount=100000 -focus='core\.\(\*Study\)\.ru
 # The resume pass's table of DESIGN.md §4: of the samples the passes
 # take (the benchmark labels them on every goroutine a pass starts; the
 # cold run that builds the directory is unlabelled), the cumulative
-# shares of the strict read of each cached record, the results.csv row,
-# the key loop (each arm encoded once for its key and the spec hash)
-# and the manifest appender.
+# shares of the strict read of each cached record, the results.csv row
+# and its one write, the key loop (each arm encoded once for its key and
+# the spec hash), the manifest appender and the atomic file writes.
 echo "resume pass, cumulative share of its samples:"
 go tool pprof -top -cum -unit=ms -nodecount=100000 -tagfocus=bench=resume-pass "$OUT/resume_cpu.pprof" 2>/dev/null |
     awk '
     /^Showing nodes accounting for/ { total = $5; sub(/ms,?$/, "", total) }
     { name = $NF; ms = $4; sub(/ms$/, "", ms) }
-    name ~ /experiment\.(decodeArmRecord|appendResultsCSVRow|hashArms|appendManifest)$/ { row[name] = ms }
+    name ~ /experiment\.(decodeArmRecord|appendResultsCSVRow|\(\*csvStream\)\.writeCarved|hashArms|appendManifest|writeFileAtomic)$/ { row[name] = ms }
     END {
         if (total + 0 == 0) { print "  no resume-pass samples"; exit }
         printf "  %-52s %8.0f ms\n", "all", total
