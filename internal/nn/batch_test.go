@@ -12,45 +12,128 @@ import (
 // matrix-matrix BatchGrad accumulates every gradient element in the same
 // per-example order as looping ExampleGrad, so the two paths agree to
 // the last bit for any batch size (including sizes that straddle the
-// 4-wide kernel blocking).
+// 4-wide kernel blocking). The 10- and 100-class models also hold the
+// block softmax, one exp pass over every row of the batch, to the
+// one-row Softmax: their output bias puts a −Inf logit first and one
+// near −800 last in every row, so with 10 classes the four-lane group
+// that spans the end of one row and the start of the next goes back to
+// math.Exp.
 func TestBatchGradBitIdenticalToExampleLoop(t *testing.T) {
 	rng := tensor.NewRNG(7)
-	model, err := NewMLP([]int{13, 11, 6, 4}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16} {
-		xs := make([]tensor.Vector, batch)
-		ys := make([]int, batch)
-		for i := range xs {
-			xs[i] = tensor.NewVector(13)
-			rng.FillNormal(xs[i], 0, 1)
-			ys[i] = rng.Intn(4)
-		}
-		batchGrad := tensor.NewVector(model.NumParams())
-		batchLoss, err := model.BatchGrad(xs, ys, batchGrad)
+	for _, tc := range []struct {
+		classes int
+		batches []int
+	}{
+		{4, []int{1, 2, 3, 4, 5, 7, 8, 9, 16}},
+		{10, []int{1, 5, 16}},
+		{100, []int{1, 5, 16}},
+	} {
+		model, err := NewMLP([]int{13, 11, 6, tc.classes}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		loopGrad := tensor.NewVector(model.NumParams())
-		var loopLoss float64
-		for i := range xs {
-			l, err := model.ExampleGrad(xs[i], ys[i], loopGrad)
+		if tc.classes > 4 {
+			bias := model.bias(2)
+			bias[0], bias[tc.classes-1] = math.Inf(-1), -800
+		}
+		for _, batch := range tc.batches {
+			xs := make([]tensor.Vector, batch)
+			ys := make([]int, batch)
+			for i := range xs {
+				xs[i] = tensor.NewVector(13)
+				rng.FillNormal(xs[i], 0, 1)
+				ys[i] = rng.Intn(tc.classes)
+			}
+			batchGrad := tensor.NewVector(model.NumParams())
+			batchLoss, err := model.BatchGrad(xs, ys, batchGrad)
 			if err != nil {
 				t.Fatal(err)
 			}
-			loopLoss += l
-		}
-		inv := 1 / float64(batch)
-		loopGrad.Scale(inv)
-		loopLoss *= inv
 
-		if !tensor.EqualApprox(batchGrad, loopGrad, 0) {
-			t.Fatalf("batch=%d: gradients differ from example loop", batch)
+			loopGrad := tensor.NewVector(model.NumParams())
+			var loopLoss float64
+			for i := range xs {
+				l, err := model.ExampleGrad(xs[i], ys[i], loopGrad)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loopLoss += l
+			}
+			inv := 1 / float64(batch)
+			loopGrad.Scale(inv)
+			loopLoss *= inv
+
+			for i := range batchGrad {
+				if math.Float64bits(batchGrad[i]) != math.Float64bits(loopGrad[i]) {
+					t.Fatalf("classes=%d batch=%d: gradient element %d is %v, the example loop's %v",
+						tc.classes, batch, i, batchGrad[i], loopGrad[i])
+				}
+			}
+			if math.Float64bits(batchLoss) != math.Float64bits(loopLoss) || math.IsNaN(batchLoss) {
+				t.Fatalf("classes=%d batch=%d: loss %v != %v", tc.classes, batch, batchLoss, loopLoss)
+			}
 		}
-		if batchLoss != loopLoss {
-			t.Fatalf("batch=%d: loss %v != %v", batch, batchLoss, loopLoss)
+	}
+}
+
+// TestRunEpochsLossIsFinalEpochMean holds the loss RunEpochs returns,
+// which only its final epoch computes, to the mean of BatchGrad's losses
+// over that epoch in a reference loop of BatchGrad and SGD.Step, and the
+// parameters RunEpochs leaves to the loop's, bit for bit.
+func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
+	const n, batch, epochs = 37, 8, 3
+	model := mustMLP(t, []int{13, 9, 10}, 3)
+	rng := tensor.NewRNG(4)
+	xs, ys := make([]tensor.Vector, n), make([]int, n)
+	for i := range xs {
+		xs[i] = tensor.NewVector(13)
+		rng.FillNormal(xs[i], 0, 1)
+		ys[i] = rng.Intn(10)
+	}
+	cfg := SGDConfig{LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4, LRDecay: 0.9}
+
+	ref, opt := model.Clone(), NewSGD(cfg)
+	shuffle := tensor.NewRNG(11)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	grad := tensor.NewVector(ref.NumParams())
+	var want float64
+	for e := 0; e < epochs; e++ {
+		shuffle.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		var sum float64
+		var batches int
+		for start := 0; start < n; start += batch {
+			var bx []tensor.Vector
+			var by []int
+			for _, idx := range order[start:min(start+batch, n)] {
+				bx, by = append(bx, xs[idx]), append(by, ys[idx])
+			}
+			loss, err := ref.BatchGrad(bx, by, grad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := opt.Step(ref.Params(), grad); err != nil {
+				t.Fatal(err)
+			}
+			sum += loss
+			batches++
+		}
+		want = sum / float64(batches)
+		opt.DecayLR()
+	}
+
+	got, err := NewTrainer(model, NewSGD(cfg), batch, epochs).RunEpochs(xs, ys, tensor.NewRNG(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) || got <= 0 {
+		t.Fatalf("RunEpochs returned loss %v, the final epoch's mean of BatchGrad losses is %v", got, want)
+	}
+	for i, p := range ref.Params() {
+		if math.Float64bits(model.Params()[i]) != math.Float64bits(p) {
+			t.Fatalf("parameter %d: RunEpochs leaves %v, the reference loop %v", i, model.Params()[i], p)
 		}
 	}
 }

@@ -354,7 +354,7 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 // example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
-	loss, err := m.batchGradSum(xs, ys, grad, batch)
+	loss, err := m.batchGradSum(xs, ys, grad, batch, true)
 	m.pool.Put(batch)
 	if err != nil {
 		return 0, err
@@ -396,11 +396,11 @@ func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
 
 // batchGradSum is BatchGrad before the division by len(xs): it writes the
 // sum of the example gradients into grad — every element once, none read
-// first — and returns the sum of their losses. batch is scratch of at
-// least batchFloats(len(xs), true). The trainer folds the division into
-// its optimizer step (SGD.step) instead of paying a pass over the
-// gradient for it.
-func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector) (float64, error) {
+// first — and returns the sum of their losses, or 0 without withLoss.
+// batch is scratch of at least batchFloats(len(xs), true). The trainer
+// folds the division into its optimizer step (SGD.step) instead of
+// paying a pass over the gradient for it.
+func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector, withLoss bool) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("batch of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
@@ -425,12 +425,14 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vect
 	classes := m.sizes[layers]
 	logits := m.act(batch, layers, B)
 	dOut := m.delta(batch, layers-1, B)
+	softmaxRows(logits, dOut, classes)
 	var loss float64
-	for r := 0; r < B; r++ {
+	for r, y := range ys {
 		row := dOut[r*classes : (r+1)*classes]
-		Softmax(logits[r*classes:(r+1)*classes], row)
-		loss += crossEntropyFromProbs(row, ys[r])
-		row[ys[r]] -= 1
+		if withLoss {
+			loss += crossEntropyFromProbs(row, y)
+		}
+		row[y] -= 1
 	}
 
 	// Backward: dW_l = Δ_lᵀ·A_l, db_l = Σ_b Δ_l, Δ_{l-1} = Δ_l·W_l
@@ -528,19 +530,47 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 // Softmax writes the softmax of logits into out (same length), using the
 // max-subtraction trick for numerical stability.
 func Softmax(logits, out tensor.Vector) {
-	maxv, _ := logits.Max()
-	var sum float64
-	for i, z := range logits {
-		e := math.Exp(z - maxv)
-		out[i] = e
-		sum += e
+	softmaxRows(logits, out, len(logits))
+}
+
+// softmaxRows writes the softmax of each classes-wide row of logits into
+// the same row of out: z − max into every row, one tensor.Exp pass over
+// the whole block (so no row leaves a scalar tail), then each row summed
+// in index order and scaled by 1/sum — the bits of a math.Exp loop.
+func softmaxRows(logits, out tensor.Vector, classes int) {
+	for r := 0; r < len(logits); r += classes {
+		row, dst := logits[r:r+classes], out[r:r+classes]
+		maxv := rowMax(row)
+		for i, z := range row {
+			dst[i] = z - maxv
+		}
 	}
-	if sum == 0 {
-		// All logits were -Inf; fall back to uniform.
-		out.Fill(1 / float64(len(out)))
-		return
+	tensor.Exp(out, out)
+	for r := 0; r < len(out); r += classes {
+		row := out[r : r+classes]
+		var sum float64
+		for _, e := range row {
+			sum += e
+		}
+		if sum == 0 {
+			// Fall back to uniform. A row of −Inf logits does not get
+			// here: −Inf − −Inf is NaN, and so is its sum.
+			row.Fill(1 / float64(classes))
+			continue
+		}
+		row.Scale(1 / sum)
 	}
-	out.Scale(1 / sum)
+}
+
+// rowMax is Vector.Max without the index.
+func rowMax(v tensor.Vector) float64 {
+	best := math.Inf(-1)
+	for _, x := range v {
+		if x > best {
+			best = x
+		}
+	}
+	return best
 }
 
 // crossEntropyFromProbs returns -log p[y], floored to avoid Inf.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,59 @@ func TestSoftmaxProperties(t *testing.T) {
 	Softmax(shifted, out2)
 	if !tensor.EqualApprox(out, out2, 1e-12) {
 		t.Fatalf("softmax not shift invariant: %v vs %v", out, out2)
+	}
+}
+
+// TestSoftmaxMatchesMathExpLoop holds Softmax, and softmaxRows over a
+// block of rows, to the plain loop they replace — z − max through
+// math.Exp, summed in index order, scaled by 1/sum — bit for bit, on
+// rows with huge, −Inf and −800 logits. A row of −Inf logits gives NaN
+// (−Inf − −Inf) on both sides, so the uniform fallback for a zero sum
+// is never reached.
+func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
+	ref := func(logits tensor.Vector) tensor.Vector {
+		maxv, _ := logits.Max()
+		out := tensor.NewVector(len(logits))
+		var sum float64
+		for i, z := range logits {
+			out[i] = math.Exp(z - maxv)
+			sum += out[i]
+		}
+		if sum == 0 {
+			out.Fill(1 / float64(len(out)))
+			return out
+		}
+		out.Scale(1 / sum)
+		return out
+	}
+	same := func(what string, got, want tensor.Vector) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: element %d is %v, the math.Exp loop's %v", what, i, got[i], want[i])
+			}
+		}
+	}
+	rng := tensor.NewRNG(36)
+	for _, classes := range []int{1, 3, 4, 5, 10, 100} {
+		const rows = 5
+		block := tensor.NewVector(rows * classes)
+		rng.FillNormal(block, 0, 10)
+		block[classes] = 1000 // row 1 is far from zero
+		block[4*classes-1] = -800
+		block[2*classes] = math.Inf(-1)
+		last := block[(rows-1)*classes:]
+		last.Fill(math.Inf(-1))
+		out := tensor.NewVector(len(block))
+		softmaxRows(block, out, classes)
+		for r := 0; r < rows; r++ {
+			row := block[r*classes : (r+1)*classes]
+			want := ref(row)
+			one := tensor.NewVector(classes)
+			Softmax(row, one)
+			same(fmt.Sprintf("Softmax, %d classes, row %d", classes, r), one, want)
+			same(fmt.Sprintf("softmaxRows, %d classes, row %d", classes, r), out[r*classes:(r+1)*classes], want)
+		}
 	}
 }
 

@@ -115,10 +115,11 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 }
 
 // RunEpochs performs Epochs passes of shuffled minibatch SGD over
-// (xs, ys) and returns the mean training loss of the final epoch. Each
-// minibatch is MLP.BatchGrad then SGD.Step to the bit — per-example
-// accumulation order included — with the division by the batch size
-// folded into the step, so the gradient is written once and read once.
+// (xs, ys) and returns the mean training loss of the final epoch, the
+// only epoch that computes one. Each minibatch is MLP.BatchGrad then
+// SGD.Step to the bit — per-example accumulation order included — with
+// the division by the batch size folded into the step, so the gradient
+// is written once and read once.
 func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
@@ -142,6 +143,7 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 	}
 	var lastLoss float64
 	for e := 0; e < t.Epochs; e++ {
+		last := e == t.Epochs-1 // the only loss returned
 		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var epochLoss float64
 		var batches int
@@ -156,7 +158,7 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 				t.batchXs = append(t.batchXs, xs[idx])
 				t.batchYs = append(t.batchYs, ys[idx])
 			}
-			lossSum, err := m.batchGradSum(t.batchXs, t.batchYs, grad, batch)
+			lossSum, err := m.batchGradSum(t.batchXs, t.batchYs, grad, batch, last)
 			if err != nil {
 				return 0, err
 			}

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // The AVX2 tier of the GEMM kernels and of the element-wise vector
 // operations (kernels_amd64.s), and the choice between it and the Go
 // loops in matrix.go and vector.go. The choice is made once at start-up
@@ -42,6 +44,27 @@ func hasAVX2() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&avx2 != 0
+}
+
+// mathExpFMA reports whether math.Exp takes its FMA path in this
+// process, which math decides from the CPU (AVX and FMA, saved by the
+// OS) and GODEBUG's cpu.fma and cpu.avx switches. CPUID says whether the
+// path can run; the probe, an input the two paths round apart, says
+// whether math took it.
+func mathExpFMA() bool {
+	const (
+		fma     = 1 << 12 // CPUID.1:ECX
+		osxsave = 1 << 27
+		avx     = 1 << 28
+		xmmYMM  = 0b110
+	)
+	if _, _, c, _ := cpuid(1, 0); c&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&xmmYMM != xmmYMM {
+		return false
+	}
+	return math.Float64bits(math.Exp(-0.00345)) == 0x3fefe3c94abc47d3 // the other path gives …d4
 }
 
 // The three functions below run as much of a GEMM as the AVX2 kernels
@@ -108,6 +131,9 @@ func reluAVX2(v []float64, n int)
 //go:noescape
 func reluMaskAVX2(v, h []float64, n int)
 
+//go:noescape
+func expAVX2(dst, src []float64, n int) int
+
 // The element-wise kernels return the number of leading elements done
 // (a multiple of 4). Operands have equal length.
 
@@ -154,4 +180,26 @@ func reluMaskVec(v, h []float64) int {
 	}
 	reluMaskAVX2(v, h, n4)
 	return n4
+}
+
+// expVec writes math.Exp(src[i]) into the leading multiple of 4
+// elements of dst and returns how many; src is at least as long as dst.
+// The kernel replays math.Exp's FMA path, so it runs only where
+// math.Exp takes that path. A group it hands back has a lane outside
+// the path's straight line, and math.Exp itself does that group.
+func expVec(dst, src []float64) int {
+	n4 := len(dst) &^ 3
+	if !useAVX2 || !expFMA || n4 == 0 {
+		return 0
+	}
+	i := 0
+	for {
+		i += expAVX2(dst[i:], src[i:], n4-i)
+		if i == n4 {
+			return n4
+		}
+		for end := i + 4; i < end; i++ {
+			dst[i] = math.Exp(src[i])
+		}
+	}
 }

@@ -717,3 +717,104 @@ reluMaskLoop:
 	JLT     reluMaskLoop
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------
+// Exp: math.Exp's FMA path (Go 1.24's archExp, taken where the CPU has
+// AVX and FMA) four lanes wide, operation for operation: the same
+// reduction by e·ln2 in two fused steps, the same ×1/16, the same
+// Horner chain and four (r+2)·r steps, the last one fused, and the same
+// scale by 2^e. A lane whose biased exponent e+1023 leaves [1, 2046] is
+// one archExp does not take down that straight path — NaN and ±Inf
+// convert to the integer indefinite 0x80000000, anything above its
+// overflow threshold rounds to e ≥ 1024, a result below the normals to
+// e ≤ −1023 — and its group is handed back to math.Exp unwritten.
+
+// expConst<> holds each constant four times, one 32-byte vector each,
+// and the exponent bounds and bias as four int32 lanes.
+#define EXP_CONST4(off, v) \
+	DATA expConst<>+off(SB)/8, v; \
+	DATA expConst<>+off+8(SB)/8, v; \
+	DATA expConst<>+off+16(SB)/8, v; \
+	DATA expConst<>+off+24(SB)/8, v
+
+EXP_CONST4(0, $1.4426950408889634073599246810018920)            // log2(e)
+EXP_CONST4(32, $0.69314718055966295651160180568695068359375)    // ln2, upper half
+EXP_CONST4(64, $0.28235290563031577122588448175013436025525412068e-12) // ln2, lower half
+EXP_CONST4(96, $0.0625)
+EXP_CONST4(128, $2.4801587301587301587e-5)
+EXP_CONST4(160, $1.9841269841269841270e-4)
+EXP_CONST4(192, $1.3888888888888888889e-3)
+EXP_CONST4(224, $8.3333333333333333333e-3)
+EXP_CONST4(256, $4.1666666666666666667e-2)
+EXP_CONST4(288, $1.6666666666666666667e-1)
+EXP_CONST4(320, $0.5)
+EXP_CONST4(352, $1.0)
+EXP_CONST4(384, $2.0)
+DATA expConst<>+416(SB)/8, $0xfffffc01fffffc01 // e > −1023
+DATA expConst<>+424(SB)/8, $0xfffffc01fffffc01
+DATA expConst<>+432(SB)/8, $0x0000040000000400 // 1024 > e
+DATA expConst<>+440(SB)/8, $0x0000040000000400
+DATA expConst<>+448(SB)/8, $0x000003ff000003ff // the bias
+DATA expConst<>+456(SB)/8, $0x000003ff000003ff
+GLOBL expConst<>(SB), RODATA|NOPTR, $464
+
+// func expAVX2(dst, src []float64, n int) int
+// dst = math.Exp(src) for the first n elements (n a multiple of 4,
+// possibly 0) up to the first group with a lane out of range; returns the
+// number of elements written. A group is read whole before it is written,
+// so dst may be src.
+TEXT ·expAVX2(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ n+48(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+	CMPQ AX, CX
+	JGE  expDone
+
+expLoop:
+	VMOVUPD (SI)(AX*1), Y0             // x
+	VMULPD  expConst<>+0(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2                  // e, rounded to nearest
+	VPCMPGTD expConst<>+416(SB), X2, X3
+	VMOVDQU expConst<>+432(SB), X4
+	VPCMPGTD X2, X4, X4
+	VPAND   X4, X3, X3
+	VMOVMSKPS X3, DX
+	CMPL    DX, $15
+	JNE     expDone
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD expConst<>+32(SB), Y1, Y0 // x − e·ln2u, one rounding
+	VFNMADD231PD expConst<>+64(SB), Y1, Y0 // − e·ln2l
+	VMULPD  expConst<>+96(SB), Y0, Y0      // r
+	VMOVUPD expConst<>+128(SB), Y1
+	VFMADD213PD expConst<>+160(SB), Y0, Y1 // p = p·r + c
+	VFMADD213PD expConst<>+192(SB), Y0, Y1
+	VFMADD213PD expConst<>+224(SB), Y0, Y1
+	VFMADD213PD expConst<>+256(SB), Y0, Y1
+	VFMADD213PD expConst<>+288(SB), Y0, Y1
+	VFMADD213PD expConst<>+320(SB), Y0, Y1
+	VFMADD213PD expConst<>+352(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expConst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expConst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expConst<>+384(SB), Y0, Y1
+	VMULPD  Y1, Y0, Y0
+	VADDPD  expConst<>+384(SB), Y0, Y1
+	VFMADD213PD expConst<>+352(SB), Y1, Y0 // r = (r+2)·r + 1
+	VPADDD  expConst<>+448(SB), X2, X2
+	VPMOVZXDQ X2, Y2
+	VPSLLQ  $52, Y2, Y2                    // 2^e
+	VMULPD  Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     expLoop
+
+expDone:
+	SHRQ $3, AX
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET

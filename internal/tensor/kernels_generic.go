@@ -6,6 +6,8 @@ package tensor
 
 func hasAVX2() bool { return false }
 
+func mathExpFMA() bool { return false }
+
 func gemmNTVec(c, a, b []float64, m, n, k int) int { return 0 }
 func gemmTNVec(c, a, b []float64, m, n, k int) int { return 0 }
 func gemmNNVec(c, a, b []float64, m, n, k int) int { return 0 }
@@ -19,3 +21,5 @@ func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) int { return
 
 func reluVec(v []float64) int        { return 0 }
 func reluMaskVec(v, h []float64) int { return 0 }
+
+func expVec(dst, src []float64) int { return 0 }

@@ -60,13 +60,25 @@ func (m *Matrix) MatVec(x, out Vector) (Vector, error) {
 // only so that the tests can clear it and run the Go kernels.
 var useAVX2 = hasAVX2()
 
-// Kernels names the tier the GEMM kernels run on in this process:
-// "avx2" or "go". Results do not depend on it; speed does.
+// expFMA records that math.Exp takes its FMA path here, the one Exp's
+// AVX2 tier replays.
+var expFMA = mathExpFMA()
+
+// Kernels names the tiers this process runs on: "avx2" or "go" for the
+// kernels, then "+fma" where math.Exp takes its FMA path (under avx2,
+// Exp then runs four lanes wide). The kernel tier changes no result;
+// the exp path does, since math.Exp's two paths round some inputs
+// apart, so bytes match only between processes of one architecture
+// that agree on "+fma".
 func Kernels() string {
+	tier := "go"
 	if useAVX2 {
-		return "avx2"
+		tier = "avx2"
 	}
-	return "go"
+	if expFMA {
+		tier += "+fma"
+	}
+	return tier
 }
 
 // GemmNT accumulates C += A·Bᵀ for row-major flat slices: A is m×k, B is

@@ -86,6 +86,17 @@ func (v Vector) Scale(c float64) {
 	}
 }
 
+// Exp writes math.Exp(src[i]) into dst[i] for every i < len(dst); src
+// is at least as long, and is dst itself or does not overlap it. Where
+// math.Exp takes its FMA path the AVX2 tier runs that path four lanes
+// wide (expVec), so the bits are math.Exp's on every tier.
+func Exp(dst, src Vector) {
+	src = src[:len(dst)]
+	for i := expVec(dst, src); i < len(dst); i++ {
+		dst[i] = math.Exp(src[i])
+	}
+}
+
 // ReLU sets every negative element of v to +0. −0 and NaN are not
 // negative and stay as they are.
 func (v Vector) ReLU() {

@@ -319,7 +319,9 @@ func TestVersionIdentity(t *testing.T) {
 	if v.SpecSchemaHash != spec.SchemaHash() {
 		t.Fatal("version does not report the engine's schema hash")
 	}
-	if v.Kernels != "avx2" && v.Kernels != "go" {
+	switch v.Kernels {
+	case "avx2+fma", "avx2", "go+fma", "go":
+	default:
 		t.Fatalf("version names kernel tier %q", v.Kernels)
 	}
 	if v.Arch != runtime.GOARCH {

@@ -12,14 +12,16 @@ import (
 // version, the Go toolchain it was built with, and the hash of the
 // scenario-spec schema it accepts. Matching SpecSchemaHash values mean
 // two builds understand exactly the same scenario language. Kernels
-// names the tier the process's GEMM kernels run on, "avx2" or "go", and
-// Arch the architecture it was compiled for (runtime.GOARCH). Results
-// are byte-identical across tiers on one architecture, so among amd64
-// workers Kernels tells which are the slow ones, not which to distrust.
-// Across architectures they are not: the compiler fuses a*b + c into
-// one rounding where the target has the instruction (arm64 does, amd64
-// at the default GOAMD64 does not), so a fleet that must reproduce
-// bytes shares one Arch.
+// names the tier the process's kernels run on, "avx2" or "go", followed
+// by "+fma" where math.Exp takes its FMA path, and Arch the
+// architecture it was compiled for (runtime.GOARCH). Results are
+// byte-identical across the avx2 and go tiers, but not across exp
+// paths: on amd64 math.Exp takes its FMA path only where the CPU has
+// AVX and FMA, and rounds differently without it. Nor across
+// architectures: the compiler fuses a*b + c into one rounding where the
+// target has the instruction (arm64 does, amd64 at the default GOAMD64
+// does not). A fleet that must reproduce bytes therefore shares one
+// Arch and one exp path ("+fma" or not).
 type VersionInfo struct {
 	Module         string `json:"module"`
 	Version        string `json:"version"`

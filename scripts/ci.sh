@@ -3,8 +3,8 @@
 # cross-build (the kernels' pure-Go tier), the race
 # detector over the parallelized packages, the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
-# arm encoder, the fixed-point float formatter and the RNG are fuzzed,
-# for 10 s each), the one-generator gates (math/rand
+# arm encoder, the fixed-point float formatter, the RNG and the exp
+# kernel are fuzzed, for 10 s each), the one-generator gates (math/rand
 # only in tests, and no fused multiply-add in the samplers on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
@@ -70,6 +70,10 @@ go test -run=NONE -fuzz=FuzzAppendFixed -fuzztime=10s ./internal/sink
 # a short real fuzzing run holds byte-coded call sequences on it to
 # rand.New(rand.NewSource(seed)) beyond the seed corpus.
 go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s ./internal/tensor
+# tensor.Exp's AVX2 tier replays math.Exp's FMA path four lanes wide and
+# hands groups it cannot take back to math.Exp: a short real fuzzing run
+# holds both tiers to math.Exp bit for bit on inputs no seed lists.
+go test -run=NONE -fuzz=FuzzExp -fuzztime=10s ./internal/tensor
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held

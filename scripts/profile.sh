@@ -61,11 +61,15 @@ echo "profiles and top-20 summaries written to $OUT/"
 grep -m4 'flat%' -A6 "$OUT/intraarm_cpu.txt" | head -8 || true
 # The heavy arm outside its GEMMs, the table of DESIGN.md §4: the fused
 # step, what is left of clearing and scaling the gradient, the ReLU and
-# its mask, and memmove by caller. One of them climbing back is a
-# regression.
+# its mask, the softmax (its exp kernel, math.Exp where the kernel hands
+# a group back or does not run, and the loss's math.Log), and memmove by
+# caller. One of them climbing back is a regression.
 echo "heavy arm (figure2, quick scale), flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX2$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|runtime\.memmove$' || true
+    grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX2$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|expAVX2$|tensor\.Exp$|math\.arch(Exp|Log)$|nn\.softmaxRows$|runtime\.memmove$' || true
+echo "heavy arm, cumulative share of the softmax:"
+go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
+    grep -E 'nn\.softmaxRows$' || true
 echo "runtime.memmove by caller:"
 go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
     awk '/\| +runtime\.memmove$/ { exit } /\|/ && !/calls%/ { print }' || true
