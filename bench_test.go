@@ -166,7 +166,7 @@ func BenchmarkMLPExampleGrad(b *testing.B) {
 
 func BenchmarkMixingStep(b *testing.B) {
 	rng := tensor.NewRNG(1)
-	g, err := graph.NewRegular(150, 25, rng)
+	g, err := graph.NewRegular(150, 25, rng, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func BenchmarkMixingStep(b *testing.B) {
 
 func BenchmarkContractionFactor(b *testing.B) {
 	rng := tensor.NewRNG(1)
-	g, err := graph.NewRegular(150, 5, rng)
+	g, err := graph.NewRegular(150, 5, rng, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func BenchmarkMPEAttack(b *testing.B) {
 
 func BenchmarkPeerSwap(b *testing.B) {
 	rng := tensor.NewRNG(1)
-	g, err := graph.NewRegular(150, 5, rng)
+	g, err := graph.NewRegular(150, 5, rng, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

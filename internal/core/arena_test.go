@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"gossipmia/internal/data"
@@ -82,24 +83,24 @@ func TestArenaArmsMatchHeapArms(t *testing.T) {
 			t.Fatal(err)
 		}
 		studies[i] = s
-		if want[i], err = s.run(ctx, nil); err != nil {
+		if want[i], err = s.run(ctx, nil, new(evalScratch)); err != nil {
 			t.Fatalf("%s on the heap: %v", cfg.Label, err)
 		}
 		if len(want[i].Series.Records) != 3 {
 			t.Fatalf("%s: %d records, want 3", cfg.Label, len(want[i].Series.Records))
 		}
 	}
-	var shared tensor.Arena
+	var shared armMemory
 	for pass := 0; pass < 2; pass++ {
 		for i, s := range studies {
-			got, err := s.run(ctx, &shared)
+			got, err := s.run(ctx, &shared.arena, &shared.eval)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if shared.Used() == 0 {
+			if shared.arena.Used() == 0 {
 				t.Fatalf("%s drew nothing from its arena", configs[i].Label)
 			}
-			shared.Reset()
+			shared.arena.Reset()
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("pass %d, %s on a recycled arena:\n got %+v\nwant %+v", pass, configs[i].Label, got, want[i])
 			}
@@ -108,6 +109,133 @@ func TestArenaArmsMatchHeapArms(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want[i]) {
 				t.Fatalf("pass %d, %s through RunContext:\n got %+v\nwant %+v", pass, configs[i].Label, got, want[i])
+			}
+		}
+	}
+	t.Run("pooled state across shapes", reuseAcrossShapes)
+}
+
+// lightArm is the shape of a sweep's light arm (the benchmark's and
+// BenchmarkLightArmSweep's) at tiny scale: six nodes, three rounds, one
+// evaluation, of four eval nodes. trainPerFactor scales the train split
+// of twelve.
+func lightArm(label, protocol string, evalNodes int, trainPerFactor float64, seed int64) StudyConfig {
+	return StudyConfig{
+		Label:          label,
+		Corpus:         data.FashionMNIST,
+		Protocol:       protocol,
+		Sim:            gossip.Config{Nodes: 6, ViewSize: 2, Rounds: 3, Seed: seed},
+		Train:          TrainConfig{Hidden: []int{4}, LR: 0.05, BatchSize: 8, LocalEpochs: 1},
+		Part:           PartitionConfig{TrainPerNode: int(12 * trainPerFactor), TestPerNode: 12},
+		GlobalTestSize: 60,
+		EvalEvery:      3,
+		EvalNodes:      evalNodes,
+		Workers:        1,
+	}
+}
+
+// figure2Purchase100SAMO is Figure 2's Purchase100-like SAMO arm at
+// quick scale, with the catalog's training config: twelve nodes of
+// 5-regular graph, twelve rounds, eight eval nodes, splits of 40.
+func figure2Purchase100SAMO() StudyConfig {
+	return StudyConfig{
+		Label:    "purchase100/samo/k=5/static",
+		Corpus:   data.Purchase100,
+		Protocol: "samo",
+		Sim:      gossip.Config{Nodes: 12, ViewSize: 5, Rounds: 12, Seed: 1_000_003 + 7},
+		Train: TrainConfig{
+			Hidden: []int{64}, LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 2,
+		},
+		Part:           PartitionConfig{TrainPerNode: 40, TestPerNode: 40},
+		GlobalTestSize: 200,
+		EvalEvery:      3,
+		EvalNodes:      8,
+	}
+}
+
+// reuseAcrossShapes: pooled arm memory — the arena and the evaluation
+// scratch — left by an arm of one shape serves the next, whatever it
+// needs. A light arm, then a heavy one with twice the eval nodes and
+// longer splits, then a light arm with fewer eval nodes and a different
+// train split, all on one armMemory: scratch left longer or shorter
+// than the next arm needs is where recycling bugs hide. Each Result
+// must be that arm's on the heap.
+func reuseAcrossShapes(t *testing.T) {
+	ctx := context.Background()
+	var mem armMemory
+	for _, cfg := range []StudyConfig{
+		lightArm("light/samo", "samo", 4, 0.34, 1_000_003),
+		figure2Purchase100SAMO(),
+		lightArm("light/base/fewer-evals", "base", 2, 0.5, 1_000_004),
+	} {
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := s.run(ctx, nil, new(evalScratch))
+		if err != nil {
+			t.Fatalf("%s on the heap: %v", cfg.Label, err)
+		}
+		got, err := s.run(ctx, &mem.arena, &mem.eval)
+		mem.arena.Reset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s on recycled arm memory:\n got %+v\nwant %+v", cfg.Label, got, want)
+		}
+	}
+}
+
+// TestArmAllocsIndependentOfRounds: nothing is allocated per tick. An
+// arm runs its rounds on what it built, so fifteen rounds allocate what
+// three do, on the serial loop and on the node-parallel engine alike
+// (one evaluation each, so the count is the arm's build alone). A queue
+// that reaches a new high-water mark, or the runtime's own noise around
+// the engine's goroutines, may add an object or two, but not one per
+// round. The DP arm is left out: its σ calibration searches further for
+// more steps, a cost of the arm's build that grows with its rounds. So
+// is the engine under the race detector, whose wider interleavings take
+// the pool's free lists of heap-sized gradients to a different high-water
+// mark from run to run.
+func TestArmAllocsIndependentOfRounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	mallocs := func(cfg StudyConfig, rounds int) uint64 {
+		cfg.Sim.Rounds, cfg.EvalEvery = rounds, rounds
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fewest of three runs on warm arm memory.
+		var mem armMemory
+		best := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := s.run(context.Background(), &mem.arena, &mem.eval)
+			runtime.ReadMemStats(&after)
+			mem.arena.Reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	for _, cfg := range mixedArms() {
+		if cfg.DP != nil {
+			continue
+		}
+		for _, workers := range []int{1, 4} {
+			if workers > 1 && raceDetector {
+				continue
+			}
+			cfg.Workers = workers
+			short, long := mallocs(cfg, 3), mallocs(cfg, 15)
+			if long >= short+12 {
+				t.Errorf("%s, workers=%d: 15 rounds allocate %d objects, 3 rounds %d", cfg.Label, workers, long, short)
 			}
 		}
 	}
@@ -181,7 +309,7 @@ func TestArenaUseIsBoundedByRounds(t *testing.T) {
 			t.Fatal(err)
 		}
 		var a tensor.Arena
-		if _, err := s.run(context.Background(), &a); err != nil {
+		if _, err := s.run(context.Background(), &a, new(evalScratch)); err != nil {
 			t.Fatal(err)
 		}
 		return a.Used()

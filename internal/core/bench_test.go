@@ -35,7 +35,7 @@ func newEvalFixture(b testing.TB) *evalFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	parts, err := study.buildPartition(gen, simCfg.Nodes, rng)
+	parts, err := study.buildPartition(gen, simCfg.Nodes, rng, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -58,8 +58,10 @@ func newEvalFixture(b testing.TB) *evalFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	evalIDs := study.pickEvalNodes(simCfg.Nodes, rng)
-	return &evalFixture{study, sim, evalIDs, globalTest, newEvalScratch(len(evalIDs), nil)}
+	evalIDs := study.pickEvalNodes(simCfg.Nodes, rng, nil)
+	es := new(evalScratch)
+	es.size(len(evalIDs))
+	return &evalFixture{study, sim, evalIDs, globalTest, es}
 }
 
 func (f *evalFixture) evaluate(round int) (metrics.RoundRecord, error) {

@@ -201,36 +201,46 @@ func (s *Study) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// arenas recycles arm arenas between the arms of a process. An arena
+// armMemory is what an arm borrows for its lifetime: the arena
+// everything it sizes comes from, and the evaluation scratch, whose
+// buffers keep their room from arm to arm.
+type armMemory struct {
+	arena tensor.Arena
+	eval  evalScratch
+}
+
+// arenas recycles arm memory between the arms of a process. An arena
 // outlives its arm only inside this pool, which the collector empties.
-var arenas = sync.Pool{New: func() any { return new(tensor.Arena) }}
+var arenas = sync.Pool{New: func() any { return new(armMemory) }}
 
 // RunContext executes the study arm like Run, aborting between rounds
 // when ctx is cancelled. Cancellation is checked at every round
 // boundary (before the round's evaluation), so a cancelled run returns
 // ctx.Err() within one round without producing a partial record.
 //
-// Everything with the arm's lifetime — datasets, models, trainers,
-// scratch, generators, message buffers — comes from one pooled arena
-// that is reset when the arm ends; the Result holds none of it. Under
+// Everything with the arm's lifetime — datasets, index lists, models,
+// trainers, scratch, generators, message buffers — comes from one
+// pooled arena that is reset when the arm ends, and the evaluation
+// scratch is pooled with it; the Result holds none of it. Under
 // KeepFinalModels the snapshots outlive the arm, so that arm runs on
 // the heap.
 func (s *Study) RunContext(ctx context.Context) (*Result, error) {
 	if s.cfg.KeepFinalModels {
-		return s.run(ctx, nil)
+		return s.run(ctx, nil, new(evalScratch))
 	}
 	// Not deferred: an arena abandoned by a panic may still be written
 	// by the arm's goroutines and must not reach another arm.
-	arena := arenas.Get().(*tensor.Arena)
-	res, err := s.run(ctx, arena)
-	arena.Reset()
-	arenas.Put(arena)
+	mem := arenas.Get().(*armMemory)
+	res, err := s.run(ctx, &mem.arena, &mem.eval)
+	mem.arena.Reset()
+	arenas.Put(mem)
 	return res, err
 }
 
 // run executes the arm with arena (nil = the heap) as the source of
-// everything that dies with it.
-func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
+// everything that dies with it, evaluating on es, whatever an earlier
+// arm left in it.
+func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (*Result, error) {
 	cfg := s.cfg
 	simCfg := cfg.Sim.Defaulted()
 	// One Workers knob drives both intra-arm levels: the simulator's
@@ -240,13 +250,12 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	}
 	rng := arena.RNG(simCfg.Seed)
 
-	gen, err := data.NewGenerator(cfg.Corpus, rng)
+	gen, err := data.NewGeneratorIn(cfg.Corpus, rng, arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: corpus: %w", err)
 	}
-	gen.SetArena(arena)
 
-	parts, err := s.buildPartition(gen, simCfg.Nodes, rng)
+	parts, err := s.buildPartition(gen, simCfg.Nodes, rng, arena)
 	if err != nil {
 		return nil, err
 	}
@@ -260,13 +269,13 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 		}
 	}
 
-	sizes := append([]int{gen.Dim()}, cfg.Train.Hidden...)
-	sizes = append(sizes, gen.Classes())
-	initial, err := nn.NewMLP(sizes, rng)
+	sizes := arena.Ints(len(cfg.Train.Hidden) + 2)
+	sizes[0], sizes[len(sizes)-1] = gen.Dim(), gen.Classes()
+	copy(sizes[1:], cfg.Train.Hidden)
+	initial, err := nn.NewMLPIn(sizes, rng, arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: model: %w", err)
 	}
-	initial.SetArena(arena)
 
 	protocol, err := gossip.ProtocolByName(cfg.Protocol)
 	if err != nil {
@@ -283,9 +292,11 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 		return nil, fmt.Errorf("core: simulator: %w", err)
 	}
 
-	evalIDs := s.pickEvalNodes(simCfg.Nodes, rng)
-	series := &metrics.Series{Label: cfg.Label}
-	scratch := newEvalScratch(len(evalIDs), arena)
+	evalIDs := s.pickEvalNodes(simCfg.Nodes, rng, arena)
+	// One record per EvalEvery rounds, and one for the last round.
+	evals := (simCfg.Rounds + cfg.EvalEvery - 1) / cfg.EvalEvery
+	series := &metrics.Series{Label: cfg.Label, Records: make([]metrics.RoundRecord, 0, evals)}
+	es.size(len(evalIDs))
 
 	observer := func(round int, sim *gossip.Simulator) error {
 		if err := ctx.Err(); err != nil {
@@ -294,7 +305,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 		if (round+1)%cfg.EvalEvery != 0 && round != simCfg.Rounds-1 {
 			return nil
 		}
-		rec, err := s.evaluateRound(round, sim, evalIDs, globalTest, canaries, scratch)
+		rec, err := s.evaluateRound(round, sim, evalIDs, globalTest, canaries, es)
 		if err != nil {
 			return err
 		}
@@ -344,8 +355,9 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena) (*Result, error) {
 	return res, nil
 }
 
-// buildPartition samples a base corpus and splits it across nodes.
-func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG) ([]data.NodeData, error) {
+// buildPartition samples a base corpus and splits it across nodes, the
+// IID splits' index lists in arena.
+func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG, arena *tensor.Arena) ([]data.NodeData, error) {
 	p := s.cfg.Part
 	if p.DirichletBeta > 0 {
 		// Training (member) sets are label-skewed via Dirichlet(β); each
@@ -366,7 +378,7 @@ func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG) (
 		return parts, nil
 	}
 	base := gen.Sample(nodes*(p.TrainPerNode+p.TestPerNode), rng)
-	parts, err := data.PartitionIID(base, nodes, p.TrainPerNode, p.TestPerNode, rng)
+	parts, err := data.PartitionIID(base, nodes, p.TrainPerNode, p.TestPerNode, rng, arena)
 	if err != nil {
 		return nil, fmt.Errorf("core: iid partition: %w", err)
 	}
@@ -476,39 +488,44 @@ func (s *Study) realizedEpsilon(steps int, sigma float64, parts []data.NodeData)
 	return eps, nil
 }
 
-// pickEvalNodes samples the fixed node subset evaluated each round.
-func (s *Study) pickEvalNodes(nodes int, rng *tensor.RNG) []int {
+// pickEvalNodes samples the fixed node subset evaluated each round, in
+// arena.
+func (s *Study) pickEvalNodes(nodes int, rng *tensor.RNG, arena *tensor.Arena) []int {
+	ids := arena.Ints(nodes)
 	k := s.cfg.EvalNodes
 	if k <= 0 || k >= nodes {
-		ids := make([]int, nodes)
 		for i := range ids {
 			ids[i] = i
 		}
 		return ids
 	}
-	return rng.Perm(nodes)[:k]
+	rng.PermInto(ids)
+	return ids[:k]
 }
 
-// evalScratch holds the per-run buffers of evaluateRound: the four
-// indexed metric slots plus one mia.Scratch per eval slot (each slot is
-// worked by at most one goroutine per round), so a study's evaluation
-// rounds allocate nothing at steady state regardless of how often they
-// fire.
+// evalScratch holds the buffers of evaluateRound: the four indexed
+// metric slots plus one mia.Scratch per eval slot (each slot is worked
+// by at most one goroutine per round). It is pooled with the arm's
+// arena and keeps its buffers' room from arm to arm, so evaluation
+// rounds allocate nothing once an arm of the same or a larger shape
+// has run, however often they fire.
 type evalScratch struct {
 	accs, miaAccs, tprs, genErrs []float64
 	attack                       []mia.Scratch
 	models                       []*nn.MLP
 }
 
-// newEvalScratch sizes the scratch for n evaluated nodes per round, the
-// metric slots in a.
-func newEvalScratch(n int, a *tensor.Arena) *evalScratch {
-	return &evalScratch{
-		accs:    a.Vector(n),
-		miaAccs: a.Vector(n),
-		tprs:    a.Vector(n),
-		genErrs: a.Vector(n),
-		attack:  make([]mia.Scratch, n),
+// size readies the scratch for n evaluated nodes per round. Every slot
+// is written before a round reads it, so what an earlier arm left in
+// them never shows.
+func (es *evalScratch) size(n int) {
+	if cap(es.accs) < n {
+		slots := make([]float64, 4*n)
+		es.accs, es.miaAccs, es.tprs, es.genErrs = slots[:n:n], slots[n:2*n:2*n], slots[2*n:3*n:3*n], slots[3*n:]
+	}
+	es.accs, es.miaAccs, es.tprs, es.genErrs = es.accs[:n], es.miaAccs[:n], es.tprs[:n], es.genErrs[:n]
+	if len(es.attack) < n {
+		es.attack = append(es.attack, make([]mia.Scratch, n-len(es.attack))...)
 	}
 }
 
@@ -549,13 +566,15 @@ func (s *Study) evaluateRound(round int, sim *gossip.Simulator, evalIDs []int,
 		GenError:  metrics.Mean(es.genErrs),
 	}
 	if canaries != nil {
-		if len(es.models) != len(nodes) {
+		if cap(es.models) < len(nodes) {
 			es.models = make([]*nn.MLP, len(nodes))
 		}
+		models := es.models[:len(nodes)]
 		for i, n := range nodes {
-			es.models[i] = n.Model
+			models[i] = n.Model
 		}
-		maxTPR, err := canaries.MaxTPRWorkers(es.models, s.cfg.Workers)
+		maxTPR, err := canaries.MaxTPRWorkers(models, s.cfg.Workers)
+		clear(models) // the pooled scratch must not keep the arm's models
 		if err != nil {
 			return metrics.RoundRecord{}, fmt.Errorf("core: canary audit: %w", err)
 		}

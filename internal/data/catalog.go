@@ -49,28 +49,35 @@ func Catalog() []CorpusInfo {
 	}
 }
 
-// NewGenerator builds the synthetic generator for a corpus. The margin,
-// noise, and label-noise parameters encode the paper's observed difficulty
-// ordering: FashionMNIST reaches the highest accuracy, CIFAR-100 the
-// lowest, and Purchase100 overfits most visibly.
+// NewGenerator builds the synthetic generator for a corpus on the heap:
+// NewGeneratorIn with a nil arena.
 func NewGenerator(name CorpusName, rng *tensor.RNG) (Generator, error) {
+	return NewGeneratorIn(name, rng, nil)
+}
+
+// NewGeneratorIn builds the synthetic generator for a corpus, its
+// prototypes and every dataset it samples in a (nil = the heap). The
+// margin, noise, and label-noise parameters encode the paper's observed
+// difficulty ordering: FashionMNIST reaches the highest accuracy,
+// CIFAR-100 the lowest, and Purchase100 overfits most visibly.
+func NewGeneratorIn(name CorpusName, rng *tensor.RNG, a *tensor.Arena) (Generator, error) {
 	switch name {
 	case CIFAR10:
 		return NewGaussianGenerator(GaussianConfig{
 			Dim: 64, Classes: 10, Margin: 2.4, Noise: 1.0, LabelNoise: 0.08,
-		}, rng)
+		}, rng, a)
 	case CIFAR100:
 		return NewGaussianGenerator(GaussianConfig{
 			Dim: 128, Classes: 100, Margin: 2.1, Noise: 1.0, LabelNoise: 0.12,
-		}, rng)
+		}, rng, a)
 	case FashionMNIST:
 		return NewGaussianGenerator(GaussianConfig{
 			Dim: 49, Classes: 10, Margin: 3.2, Noise: 1.0, LabelNoise: 0.04,
-		}, rng)
+		}, rng, a)
 	case Purchase100:
 		return NewBasketGenerator(BasketConfig{
 			Dim: 600, Classes: 100, Density: 0.25, FlipProb: 0.1,
-		}, rng)
+		}, rng, a)
 	default:
 		return nil, fmt.Errorf("data: unknown corpus %q", name)
 	}

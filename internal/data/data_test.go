@@ -65,7 +65,7 @@ func TestDatasetCloneIsDeep(t *testing.T) {
 
 func TestGaussianGeneratorBasics(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	g, err := NewGaussianGenerator(GaussianConfig{Dim: 8, Classes: 4, Margin: 3, Noise: 0.5}, rng)
+	g, err := NewGaussianGenerator(GaussianConfig{Dim: 8, Classes: 4, Margin: 3, Noise: 0.5}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestGaussianConfigValidation(t *testing.T) {
 		{Dim: 2, Classes: 2, Margin: 1, LabelNoise: 1},
 	}
 	for i, cfg := range bad {
-		if _, err := NewGaussianGenerator(cfg, rng); err == nil {
+		if _, err := NewGaussianGenerator(cfg, rng, nil); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
 	}
@@ -104,7 +104,7 @@ func TestGaussianClassesAreSeparable(t *testing.T) {
 	// A nearest-prototype classifier on generated data should beat chance
 	// comfortably when margin >> noise.
 	rng := tensor.NewRNG(3)
-	g, err := NewGaussianGenerator(GaussianConfig{Dim: 16, Classes: 4, Margin: 4, Noise: 0.8}, rng)
+	g, err := NewGaussianGenerator(GaussianConfig{Dim: 16, Classes: 4, Margin: 4, Noise: 0.8}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestGaussianClassesAreSeparable(t *testing.T) {
 
 func TestBasketGeneratorBasics(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	g, err := NewBasketGenerator(BasketConfig{Dim: 50, Classes: 5, Density: 0.3, FlipProb: 0.05}, rng)
+	g, err := NewBasketGenerator(BasketConfig{Dim: 50, Classes: 5, Density: 0.3, FlipProb: 0.05}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestBasketConfigValidation(t *testing.T) {
 		{Dim: 2, Classes: 2, Density: 0.5, FlipProb: 0.6},
 	}
 	for i, cfg := range bad {
-		if _, err := NewBasketGenerator(cfg, rng); err == nil {
+		if _, err := NewBasketGenerator(cfg, rng, nil); err == nil {
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
 	}
@@ -201,12 +201,12 @@ func TestCatalogAndGenerators(t *testing.T) {
 
 func TestPartitionIID(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	g, err := NewGaussianGenerator(GaussianConfig{Dim: 4, Classes: 2, Margin: 2, Noise: 1}, rng)
+	g, err := NewGaussianGenerator(GaussianConfig{Dim: 4, Classes: 2, Margin: 2, Noise: 1}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := g.Sample(100, rng)
-	parts, err := PartitionIID(base, 5, 10, 5, rng)
+	parts, err := PartitionIID(base, 5, 10, 5, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,17 +226,17 @@ func TestPartitionIID(t *testing.T) {
 			seen[key] = true
 		}
 	}
-	if _, err := PartitionIID(base, 5, 100, 100, rng); err == nil {
+	if _, err := PartitionIID(base, 5, 100, 100, rng, nil); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
-	if _, err := PartitionIID(base, 0, 1, 1, rng); err == nil {
+	if _, err := PartitionIID(base, 0, 1, 1, rng, nil); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 }
 
 func TestPartitionDirichletHeterogeneity(t *testing.T) {
 	rng := tensor.NewRNG(7)
-	g, err := NewGaussianGenerator(GaussianConfig{Dim: 4, Classes: 10, Margin: 2, Noise: 1}, rng)
+	g, err := NewGaussianGenerator(GaussianConfig{Dim: 4, Classes: 10, Margin: 2, Noise: 1}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestPartitionDirichletHeterogeneity(t *testing.T) {
 
 func TestPartitionDirichletEveryNodeViable(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	g, err := NewGaussianGenerator(GaussianConfig{Dim: 2, Classes: 3, Margin: 2, Noise: 1}, rng)
+	g, err := NewGaussianGenerator(GaussianConfig{Dim: 2, Classes: 3, Margin: 2, Noise: 1}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,16 +62,24 @@ func (d *Dataset) Validate() error {
 // Subset returns a view of the dataset restricted to the given indices.
 // The underlying example vectors are shared, not copied.
 func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{
-		X:       make([]tensor.Vector, len(idx)),
-		Y:       make([]int, len(idx)),
-		Classes: d.Classes,
-	}
+	out := d.gather(idx, nil)
+	return &out
+}
+
+// gather is Subset with the row and label lists in a (nil = the heap).
+func (d *Dataset) gather(idx []int, a *tensor.Arena) Dataset {
+	out := Dataset{X: a.Vectors(len(idx)), Y: a.Ints(len(idx)), Classes: d.Classes}
 	for i, j := range idx {
 		out.X[i] = d.X[j]
 		out.Y[i] = d.Y[j]
 	}
 	return out
+}
+
+// rows returns the view of examples [lo, hi), capacity clipped so an
+// append cannot reach the next view's rows.
+func (d *Dataset) rows(lo, hi int) Dataset {
+	return Dataset{X: d.X[lo:hi:hi], Y: d.Y[lo:hi:hi], Classes: d.Classes}
 }
 
 // Shuffle permutes the dataset in place using rng.

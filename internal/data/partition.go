@@ -18,8 +18,10 @@ type NodeData struct {
 // PartitionIID distributes base uniformly across nodes: each node gets
 // trainPer training and testPer test examples, all disjoint, sampled
 // i.i.d. from the base split (implemented as a global shuffle followed by
-// chunking). It returns an error when base is too small.
-func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG) ([]NodeData, error) {
+// chunking). The splits' row and label lists come from a (nil = the
+// heap); the rows themselves are base's, shared. It returns an error
+// when base is too small.
+func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG, a *tensor.Arena) ([]NodeData, error) {
 	if nodes <= 0 || trainPer <= 0 || testPer < 0 {
 		return nil, fmt.Errorf("data: invalid partition nodes=%d trainPer=%d testPer=%d", nodes, trainPer, testPer)
 	}
@@ -27,15 +29,20 @@ func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG) 
 	if base.Len() < need {
 		return nil, fmt.Errorf("data: base has %d examples, need %d for %d nodes", base.Len(), need, nodes)
 	}
-	perm := rng.Perm(base.Len())
+	perm := a.Ints(base.Len())
+	rng.PermInto(perm)
+	// Every split is a run of the permutation: gather the rows once in
+	// that order, and each split is a view of its run.
+	all := base.gather(perm[:need], a)
+	sets := make([]Dataset, 2*nodes)
 	out := make([]NodeData, nodes)
 	pos := 0
-	for i := 0; i < nodes; i++ {
-		trainIdx := perm[pos : pos+trainPer]
+	for i := range out {
+		sets[2*i] = all.rows(pos, pos+trainPer)
 		pos += trainPer
-		testIdx := perm[pos : pos+testPer]
+		sets[2*i+1] = all.rows(pos, pos+testPer)
 		pos += testPer
-		out[i] = NodeData{Train: base.Subset(trainIdx), Test: base.Subset(testIdx)}
+		out[i] = NodeData{Train: &sets[2*i], Test: &sets[2*i+1]}
 	}
 	return out, nil
 }

@@ -39,18 +39,19 @@ func (c GaussianConfig) Validate() error {
 type GaussianGenerator struct {
 	cfg        GaussianConfig
 	prototypes []tensor.Vector
-	rowArena
+	arena      *tensor.Arena
 }
 
 // NewGaussianGenerator draws the class prototypes with rng and returns a
-// generator bound to them.
-func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG) (*GaussianGenerator, error) {
+// generator bound to them. The prototypes, and every dataset the
+// generator samples, come from a (nil = the heap) and die at a.Reset.
+func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG, a *tensor.Arena) (*GaussianGenerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &GaussianGenerator{cfg: cfg, prototypes: make([]tensor.Vector, cfg.Classes)}
+	g := &GaussianGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a}
 	for c := 0; c < cfg.Classes; c++ {
-		p := tensor.NewVector(cfg.Dim)
+		p := a.Vector(cfg.Dim)
 		rng.FillNormal(p, 0, 1)
 		n := p.Norm2()
 		if n == 0 {
@@ -66,11 +67,7 @@ func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG) (*GaussianGenerat
 // Sample draws n labelled examples with balanced class frequencies
 // (round-robin labels, then shuffled).
 func (g *GaussianGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{
-		X:       make([]tensor.Vector, n),
-		Y:       make([]int, n),
-		Classes: g.cfg.Classes,
-	}
+	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		x := g.arena.Vector(g.cfg.Dim)
@@ -118,20 +115,24 @@ func (c BasketConfig) Validate() error {
 // BasketGenerator produces binary basket examples from fixed prototypes.
 type BasketGenerator struct {
 	cfg        BasketConfig
-	prototypes [][]bool
-	rowArena
+	prototypes []tensor.Vector // each class's basket, as 0 and 1
+	arena      *tensor.Arena
 }
 
-// NewBasketGenerator draws the class prototype baskets with rng.
-func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG) (*BasketGenerator, error) {
+// NewBasketGenerator draws the class prototype baskets with rng. The
+// prototypes, and every dataset the generator samples, come from a (nil
+// = the heap) and die at a.Reset.
+func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*BasketGenerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &BasketGenerator{cfg: cfg, prototypes: make([][]bool, cfg.Classes)}
-	for c := 0; c < cfg.Classes; c++ {
-		p := make([]bool, cfg.Dim)
+	g := &BasketGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a}
+	for c := range g.prototypes {
+		p := a.Vector(cfg.Dim)
 		for j := range p {
-			p[j] = rng.Float64() < cfg.Density
+			if rng.Float64() < cfg.Density {
+				p[j] = 1
+			}
 		}
 		g.prototypes[c] = p
 	}
@@ -140,23 +141,16 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG) (*BasketGenerator, er
 
 // Sample draws n labelled basket examples with balanced classes.
 func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{
-		X:       make([]tensor.Vector, n),
-		Y:       make([]int, n),
-		Classes: g.cfg.Classes,
-	}
+	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		proto := g.prototypes[label]
 		x := g.arena.Vector(g.cfg.Dim)
 		for j, bit := range proto {
-			v := bit
 			if rng.Float64() < g.cfg.FlipProb {
-				v = !v
+				bit = 1 - bit
 			}
-			if v {
-				x[j] = 1
-			}
+			x[j] = bit
 		}
 		ds.X[i] = x
 		ds.Y[i] = label
@@ -168,22 +162,13 @@ func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 // Generator is the common sampling interface implemented by both
 // synthetic families; the catalog exposes each paper dataset through it.
 type Generator interface {
-	// Sample draws n fresh labelled examples.
+	// Sample draws n fresh labelled examples, in the generator's arena.
 	Sample(n int, rng *tensor.RNG) *Dataset
-	// SetArena makes a the source of every row sampled from now on
-	// (nil, the default, is the heap); the rows die at a.Reset.
-	SetArena(a *tensor.Arena)
 	// Classes returns the number of labels.
 	Classes() int
 	// Dim returns the input dimensionality.
 	Dim() int
 }
-
-// rowArena is the SetArena half of Generator, shared by both families.
-type rowArena struct{ arena *tensor.Arena }
-
-// SetArena implements Generator.
-func (r *rowArena) SetArena(a *tensor.Arena) { r.arena = a }
 
 // Classes implements Generator.
 func (g *GaussianGenerator) Classes() int { return g.cfg.Classes }

@@ -181,7 +181,7 @@ func testTrainSet(t *testing.T) (*nn.MLP, *data.Dataset, *tensor.RNG) {
 	rng := tensor.NewRNG(5)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 6, Classes: 2, Margin: 3, Noise: 0.5,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

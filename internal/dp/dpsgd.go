@@ -67,17 +67,18 @@ func (u *Updater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) er
 	if n == 0 {
 		return data.ErrEmpty
 	}
+	// The buffers share the model's lifetime: they come from its arena.
 	d := model.NumParams()
 	if len(u.exGrad) != d {
-		u.exGrad = tensor.NewVector(d)
-		u.sumGrad = tensor.NewVector(d)
+		u.exGrad = model.Arena().Vector(d)
+		u.sumGrad = model.Arena().Vector(d)
 	}
 	bs := u.cfg.BatchSize
 	if bs > n {
 		bs = n
 	}
 	if cap(u.order) < n {
-		u.order = make([]int, n)
+		u.order = model.Arena().Ints(n)
 	}
 	order := u.order[:n]
 	for i := range order {
@@ -86,7 +87,7 @@ func (u *Updater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) er
 	params := model.Params()
 	noiseStd := u.cfg.NoiseMultiplier * u.cfg.Clip
 	for e := 0; e < u.cfg.Epochs; e++ {
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.ShuffleInts(order)
 		for start := 0; start < n; start += bs {
 			end := start + bs
 			if end > n {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gossipmia/internal/core"
@@ -27,60 +28,73 @@ type TrainingRow struct {
 	Train core.TrainConfig
 }
 
-// TrainingCatalog reproduces Table 2. The effective configs keep the
+// trainingCatalog reproduces Table 2. The effective configs keep the
 // paper's momentum/weight-decay/epoch structure but use MLP widths and
 // learning rates tuned so the synthetic stand-ins train in the same
 // regime (fast early progress, then local overfitting).
-func TrainingCatalog() []TrainingRow {
-	return []TrainingRow{
-		{
-			Corpus:     data.CIFAR10,
-			PaperModel: "CNN", PaperParams: "124k",
-			PaperLR: 0.01, PaperMomentum: 0, PaperWeightDecay: 5e-4,
-			PaperLocalEpochs: 3, PaperRounds: 250,
-			Train: core.TrainConfig{
-				Hidden: []int{48}, LR: 0.05, Momentum: 0,
-				WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 3,
-			},
+var trainingCatalog = []TrainingRow{
+	{
+		Corpus:     data.CIFAR10,
+		PaperModel: "CNN", PaperParams: "124k",
+		PaperLR: 0.01, PaperMomentum: 0, PaperWeightDecay: 5e-4,
+		PaperLocalEpochs: 3, PaperRounds: 250,
+		Train: core.TrainConfig{
+			Hidden: []int{48}, LR: 0.05, Momentum: 0,
+			WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 3,
 		},
-		{
-			Corpus:     data.CIFAR100,
-			PaperModel: "ResNet-8", PaperParams: "1.2M",
-			PaperLR: 0.001, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
-			PaperLocalEpochs: 5, PaperRounds: 500,
-			Train: core.TrainConfig{
-				Hidden: []int{96}, LR: 0.03, Momentum: 0.9,
-				WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 5,
-			},
+	},
+	{
+		Corpus:     data.CIFAR100,
+		PaperModel: "ResNet-8", PaperParams: "1.2M",
+		PaperLR: 0.001, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
+		PaperLocalEpochs: 5, PaperRounds: 500,
+		Train: core.TrainConfig{
+			Hidden: []int{96}, LR: 0.03, Momentum: 0.9,
+			WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 5,
 		},
-		{
-			Corpus:     data.FashionMNIST,
-			PaperModel: "CNN", PaperParams: "124k",
-			PaperLR: 0.01, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
-			PaperLocalEpochs: 3, PaperRounds: 250,
-			Train: core.TrainConfig{
-				Hidden: []int{48}, LR: 0.05, Momentum: 0.9,
-				WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 3,
-			},
+	},
+	{
+		Corpus:     data.FashionMNIST,
+		PaperModel: "CNN", PaperParams: "124k",
+		PaperLR: 0.01, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
+		PaperLocalEpochs: 3, PaperRounds: 250,
+		Train: core.TrainConfig{
+			Hidden: []int{48}, LR: 0.05, Momentum: 0.9,
+			WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 3,
 		},
-		{
-			Corpus:     data.Purchase100,
-			PaperModel: "MLP", PaperParams: "1.3M",
-			PaperLR: 0.01, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
-			PaperLocalEpochs: 10, PaperRounds: 250,
-			Train: core.TrainConfig{
-				Hidden: []int{64}, LR: 0.02, Momentum: 0.9,
-				WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 2,
-			},
+	},
+	{
+		Corpus:     data.Purchase100,
+		PaperModel: "MLP", PaperParams: "1.3M",
+		PaperLR: 0.01, PaperMomentum: 0.9, PaperWeightDecay: 5e-4,
+		PaperLocalEpochs: 10, PaperRounds: 250,
+		Train: core.TrainConfig{
+			Hidden: []int{64}, LR: 0.02, Momentum: 0.9,
+			WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 2,
 		},
-	}
+	},
 }
 
-// TrainingFor returns the effective reproduction config for a corpus.
+// TrainingCatalog returns a copy of Table 2, hidden widths included, so
+// a caller may edit what it gets.
+func TrainingCatalog() []TrainingRow {
+	rows := slices.Clone(trainingCatalog)
+	for i := range rows {
+		rows[i].Train.Hidden = slices.Clone(rows[i].Train.Hidden)
+	}
+	return rows
+}
+
+// TrainingFor returns the effective reproduction config for a corpus,
+// read from the table without copying it: the config's Hidden is the
+// table's, capacity clipped, so an append copies it and no caller may
+// write its elements.
 func TrainingFor(corpus data.CorpusName) (core.TrainConfig, error) {
-	for _, row := range TrainingCatalog() {
-		if row.Corpus == corpus {
-			return row.Train, nil
+	for i := range trainingCatalog {
+		if row := &trainingCatalog[i]; row.Corpus == corpus {
+			train := row.Train
+			train.Hidden = slices.Clip(train.Hidden)
+			return train, nil
 		}
 	}
 	return core.TrainConfig{}, fmt.Errorf("experiment: no training config for corpus %q", corpus)

@@ -130,7 +130,7 @@ func mixingCurve(sc Scale, k int, kind mixKind, checkpoints []int) (MixingCurve,
 		if n*k%2 != 0 {
 			n++
 		}
-		g, err := graph.NewRegular(n, k, rng)
+		g, err := graph.NewRegular(n, k, rng, nil)
 		if err != nil {
 			return MixingCurve{}, err
 		}

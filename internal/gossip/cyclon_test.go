@@ -54,7 +54,7 @@ func TestCyclonViewsComeFromSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := sim.View(0)
+	view := sim.appendView(nil, 0)
 	if len(view) == 0 || len(view) > 3 {
 		t.Fatalf("cyclon view size %d out of (0,3]", len(view))
 	}
@@ -68,7 +68,7 @@ func TestCyclonViewsComeFromSampler(t *testing.T) {
 	if err := sim.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	after := sim.View(0)
+	after := sim.appendView(nil, 0)
 	same := len(before) == len(after)
 	if same {
 		bm := map[int]bool{}

@@ -53,7 +53,7 @@ func TestRoundChainsBeatPerTickColoring(t *testing.T) {
 	// same wakes with the same touch sets.
 	touch := make([][]int, cfg.Nodes)
 	for id := range touch {
-		touch[id] = append([]int{id}, sim.View(id)...)
+		touch[id] = append([]int{id}, sim.appendView(nil, id)...)
 	}
 	ticks := cfg.Rounds * cfg.TicksPerRound
 	colored := ticks * perTickColoringBatches(touch, cfg.Nodes)

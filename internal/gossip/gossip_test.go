@@ -18,12 +18,12 @@ func testWorld(t *testing.T, nodes, trainPer int) (*nn.MLP, []data.NodeData, *da
 	rng := tensor.NewRNG(99)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 8, Classes: 3, Margin: 3, Noise: 0.8,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := gen.Sample(nodes*(trainPer+trainPer)+100, rng)
-	parts, err := data.PartitionIID(base, nodes, trainPer, trainPer, rng)
+	parts, err := data.PartitionIID(base, nodes, trainPer, trainPer, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

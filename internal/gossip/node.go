@@ -127,25 +127,26 @@ func (n *Node) localUpdate() error {
 // SGDUpdater is the standard local updater: Epochs passes of minibatch
 // SGD with the Table 2 hyperparameters. It keeps one Trainer alive
 // across wake-ups so the optimizer state and shuffle scratch are
-// allocated once per node rather than once per local update.
+// allocated once per node rather than once per local update; the
+// optimizer and the trainer live inside it, one object per node.
 type SGDUpdater struct {
-	opt       *nn.SGD
-	batchSize int
-	epochs    int
-	tr        *nn.Trainer
+	opt nn.SGD
+	// tr holds the batch size and epoch count from the start, and is
+	// bound to the node's model at the first update.
+	tr nn.Trainer
 }
 
 var _ LocalUpdater = (*SGDUpdater)(nil)
 
 // NewSGDUpdater returns a stateful SGD updater.
 func NewSGDUpdater(cfg nn.SGDConfig, batchSize, epochs int) *SGDUpdater {
-	return &SGDUpdater{opt: nn.NewSGD(cfg), batchSize: batchSize, epochs: epochs}
+	return &SGDUpdater{opt: *nn.NewSGD(cfg), tr: nn.Trainer{BatchSize: batchSize, Epochs: epochs}}
 }
 
 // Update implements LocalUpdater.
 func (u *SGDUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {
-	if u.tr == nil || u.tr.Model != model {
-		u.tr = nn.NewTrainer(model, u.opt, u.batchSize, u.epochs)
+	if u.tr.Model != model {
+		u.tr.Init(model, &u.opt, u.tr.BatchSize, u.tr.Epochs)
 	}
 	_, err := u.tr.RunEpochs(train.X, train.Y, rng)
 	return err

@@ -1,9 +1,10 @@
 package gossip
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/graph"
@@ -160,10 +161,11 @@ type Simulator struct {
 	// transport decides, per message, between loss, inline delivery,
 	// and queued delivery at a later tick (drained at tick start).
 	transport netmodel.Transport
-	// drainBuf, targets and leaving are the reusable scratch of
+	// drainBuf, targets, view and leaving are the reusable scratch of
 	// drainDue, planWake and flipChurn.
 	drainBuf []netmodel.Delivery
 	targets  []int
+	view     []int
 	leaving  []int
 
 	// churn state: transitions sorted by tick, the index of the next
@@ -215,7 +217,7 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	// topology stream's next draw, on a recycled generator.
 	arena := initial.Arena()
 	rng := arena.RNG(cfg.Seed)
-	topo, err := graph.NewRegular(cfg.Nodes, cfg.ViewSize, rng)
+	topo, err := graph.NewRegular(cfg.Nodes, cfg.ViewSize, rng, arena)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build topology: %w", err)
 	}
@@ -226,6 +228,10 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 		protocol: protocol,
 		rng:      rng,
 		pool:     initial.Pool(),
+		// A wake sends to at most every other node, and sees at most
+		// ViewSize of them.
+		targets: arena.Ints(cfg.Nodes)[:0],
+		view:    arena.Ints(cfg.ViewSize)[:0],
 	}
 	if cfg.Dynamics == DynamicsCyclon {
 		shuffleLen := cfg.ViewSize/2 + 1
@@ -234,14 +240,19 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 			return nil, fmt.Errorf("gossip: build peer sampler: %w", err)
 		}
 	}
-	for i := 0; i < cfg.Nodes; i++ {
+	// The nodes and their models are two slices, not a pair of objects
+	// per node.
+	nodes, models := make([]Node, cfg.Nodes), make([]nn.MLP, cfg.Nodes)
+	for i := range nodes {
 		interval := int(rng.Normal(cfg.WakeMean, cfg.WakeStd))
 		if interval < 1 {
 			interval = 1
 		}
-		s.nodes[i] = &Node{
+		initial.CloneInto(&models[i])
+		s.nodes[i] = &nodes[i]
+		nodes[i] = Node{
 			ID:       i,
-			Model:    initial.Clone(),
+			Model:    &models[i],
 			Data:     nodeData[i],
 			Updater:  factory(i),
 			RNG:      arena.RNG(rng.Int63()),
@@ -270,11 +281,17 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	// back-to-back windows ([10,20) then [20,30)) the tick-20 rejoin
 	// must apply before the tick-20 leave regardless of how the events
 	// were listed, or the later outage would be silently cancelled.
-	sort.SliceStable(s.churn, func(i, j int) bool {
-		if s.churn[i].tick != s.churn[j].tick {
-			return s.churn[i].tick < s.churn[j].tick
+	slices.SortStableFunc(s.churn, func(a, b churnTransition) int {
+		if a.tick != b.tick {
+			return cmp.Compare(a.tick, b.tick)
 		}
-		return s.churn[i].up && !s.churn[j].up
+		switch {
+		case a.up && !b.up:
+			return -1
+		case b.up && !a.up:
+			return 1
+		}
+		return 0
 	})
 	return s, nil
 }
@@ -366,7 +383,8 @@ func (s *Simulator) planWake(node *Node) ([]int, error) {
 		s.sampler.Shuffle(node.ID)
 	}
 	var err error
-	s.targets, err = s.protocol.Targets(node, s.View(node.ID), len(s.nodes), s.targets[:0])
+	s.view = s.appendView(s.view[:0], node.ID)
+	s.targets, err = s.protocol.Targets(node, s.view, len(s.nodes), s.targets[:0])
 	if err != nil {
 		return nil, s.wakeErr(node, s.tick, err)
 	}
@@ -440,13 +458,13 @@ func (s *Simulator) Send(from, to int, params tensor.Vector) error {
 	return nil
 }
 
-// View returns node's current neighbor set: the k-regular neighborhood,
-// or the RPS view under Cyclon dynamics.
-func (s *Simulator) View(node int) []int {
+// appendView appends node's current neighbor set to dst: the k-regular
+// neighborhood, or the RPS view under Cyclon dynamics.
+func (s *Simulator) appendView(dst []int, node int) []int {
 	if s.sampler != nil {
-		return s.sampler.View(node)
+		return s.sampler.AppendView(dst, node)
 	}
-	return s.topo.Neighbors(node)
+	return s.topo.AppendNeighbors(dst, node)
 }
 
 // Run simulates cfg.Rounds rounds, invoking observer (when non-nil) at

@@ -11,7 +11,7 @@ import (
 
 func mustRegular(t *testing.T, n, k int, seed int64) *Regular {
 	t.Helper()
-	g, err := NewRegular(n, k, tensor.NewRNG(seed))
+	g, err := NewRegular(n, k, tensor.NewRNG(seed), nil)
 	if err != nil {
 		t.Fatalf("NewRegular(%d,%d): %v", n, k, err)
 	}
@@ -24,7 +24,7 @@ func mustRegular(t *testing.T, n, k int, seed int64) *Regular {
 func TestNewRegularParameters(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	for _, tc := range []struct{ n, k int }{{10, 0}, {10, 10}, {5, 3}, {3, -1}} {
-		if _, err := NewRegular(tc.n, tc.k, rng); !errors.Is(err, ErrInfeasible) {
+		if _, err := NewRegular(tc.n, tc.k, rng, nil); !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("n=%d k=%d: error = %v, want ErrInfeasible", tc.n, tc.k, err)
 		}
 	}
@@ -38,10 +38,10 @@ func TestNewRegularParameters(t *testing.T) {
 
 func TestNeighborsIsCopy(t *testing.T) {
 	g := mustRegular(t, 10, 3, 1)
-	nb := g.Neighbors(0)
+	nb := g.AppendNeighbors(nil, 0)
 	nb[0] = -99
-	if g.Neighbors(0)[0] == -99 {
-		t.Fatal("Neighbors exposes internal storage")
+	if g.AppendNeighbors(nil, 0)[0] == -99 {
+		t.Fatal("AppendNeighbors exposes internal storage")
 	}
 }
 
@@ -49,7 +49,7 @@ func TestNeighborsIsCopy(t *testing.T) {
 func TestPeerSwapPreservesRegularityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := tensor.NewRNG(seed)
-		g, err := NewRegular(20, 4, rng)
+		g, err := NewRegular(20, 4, rng, nil)
 		if err != nil {
 			return false
 		}
@@ -85,19 +85,19 @@ func TestSwapNodesRelabels(t *testing.T) {
 		return v
 	}
 	wantI := map[int]bool{}
-	for _, v := range before.Neighbors(j) {
+	for _, v := range before.AppendNeighbors(nil, j) {
 		wantI[relabel(v)] = true
 	}
-	for _, v := range g.Neighbors(i) {
+	for _, v := range g.AppendNeighbors(nil, i) {
 		if !wantI[v] {
-			t.Fatalf("node %d view %v, want relabeled %v", i, g.Neighbors(i), before.Neighbors(j))
+			t.Fatalf("node %d view %v, want relabeled %v", i, g.AppendNeighbors(nil, i), before.AppendNeighbors(nil, j))
 		}
 	}
 	// Swapping a node with itself is a no-op.
 	snapshot := g.Clone()
 	g.SwapNodes(3, 3)
 	for v := 0; v < g.N(); v++ {
-		a, b := g.Neighbors(v), snapshot.Neighbors(v)
+		a, b := g.AppendNeighbors(nil, v), snapshot.AppendNeighbors(nil, v)
 		for idx := range a {
 			if a[idx] != b[idx] {
 				t.Fatal("self-swap changed the graph")
@@ -119,7 +119,7 @@ func TestPermute(t *testing.T) {
 	}
 	// Edge (a,b) before must be (perm[a],perm[b]) after.
 	for a := 0; a < 8; a++ {
-		for _, b := range before.Neighbors(a) {
+		for _, b := range before.AppendNeighbors(nil, a) {
 			if !g.HasEdge(perm[a], perm[b]) {
 				t.Fatalf("edge (%d,%d) lost under permutation", a, b)
 			}
@@ -219,13 +219,13 @@ func TestSecondEigenvalueRingExact(t *testing.T) {
 // directly here to get an exact known spectrum.
 func mustRegularRing(t *testing.T, n int) *Regular {
 	t.Helper()
-	g := &Regular{n: n, k: 2, adj: make([][]int, n)}
+	g := &Regular{n: n, k: 2, adj: make([]int, 2*n), swap: make([]int, 4)}
 	for i := 0; i < n; i++ {
 		a, b := (i+1)%n, (i-1+n)%n
 		if a > b {
 			a, b = b, a
 		}
-		g.adj[i] = []int{a, b}
+		copy(g.row(i), []int{a, b})
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)

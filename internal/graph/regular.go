@@ -7,7 +7,7 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gossipmia/internal/tensor"
 )
@@ -16,39 +16,38 @@ import (
 // requested parameters (need 0 < k < n and n·k even).
 var ErrInfeasible = errors.New("graph: infeasible k-regular parameters")
 
-// Regular is an undirected k-regular graph on n nodes. Adjacency lists
-// are kept sorted for deterministic iteration.
+// Regular is an undirected k-regular graph on n nodes. Every node has
+// exactly k neighbors, so the adjacency lists are the rows of one
+// n×k block, each kept sorted for deterministic iteration.
 type Regular struct {
 	n, k int
-	adj  [][]int
+	adj  []int // row i, adj[i*k:(i+1)*k], is node i's sorted view
+	// swap is SwapNodes' scratch: the two views before a swap.
+	swap []int
 }
 
 // NewRegular generates a uniform-ish random k-regular graph: it starts
 // from a circulant k-regular graph and applies many random double-edge
 // switches, the standard MCMC that mixes toward the uniform distribution
 // over k-regular graphs while preserving simplicity (no self-loops or
-// parallel edges).
-func NewRegular(n, k int, rng *tensor.RNG) (*Regular, error) {
+// parallel edges). The adjacency comes from a (nil = the heap).
+func NewRegular(n, k int, rng *tensor.RNG, a *tensor.Arena) (*Regular, error) {
 	if k <= 0 || k >= n || (n*k)%2 != 0 {
 		return nil, fmt.Errorf("n=%d k=%d: %w", n, k, ErrInfeasible)
 	}
-	g := &Regular{n: n, k: k, adj: make([][]int, n)}
-	for i := range g.adj {
-		g.adj[i] = make([]int, 0, k)
-	}
+	g := &Regular{n: n, k: k, adj: a.Ints(n * k), swap: a.Ints(2 * k)}
 	// Circulant seed: connect to offsets 1..k/2 on both sides; when k is
 	// odd (n must then be even) add the antipodal edge i <-> i+n/2.
 	half := k / 2
 	for i := 0; i < n; i++ {
+		row := g.row(i)[:0]
 		for d := 1; d <= half; d++ {
-			g.adj[i] = append(g.adj[i], (i+d)%n, (i-d+n)%n)
+			row = append(row, (i+d)%n, (i-d+n)%n)
 		}
 		if k%2 == 1 {
-			g.adj[i] = append(g.adj[i], (i+n/2)%n)
+			row = append(row, (i+n/2)%n)
 		}
-	}
-	for i := range g.adj {
-		sort.Ints(g.adj[i])
+		slices.Sort(row)
 	}
 	// Randomize with double-edge switches. 10·n·k attempts is far past
 	// the empirical mixing time for these sizes.
@@ -59,13 +58,16 @@ func NewRegular(n, k int, rng *tensor.RNG) (*Regular, error) {
 	return g, nil
 }
 
+// row returns node i's live, sorted view.
+func (g *Regular) row(i int) []int { return g.adj[i*g.k : (i+1)*g.k : (i+1)*g.k] }
+
 // trySwitch picks two random edges (a,b), (c,d) and rewires them to
 // (a,c),(b,d) or (a,d),(b,c) when that keeps the graph simple.
 func (g *Regular) trySwitch(rng *tensor.RNG) {
 	a := rng.Intn(g.n)
-	b := g.adj[a][rng.Intn(g.k)]
+	b := g.row(a)[rng.Intn(g.k)]
 	c := rng.Intn(g.n)
-	d := g.adj[c][rng.Intn(g.k)]
+	d := g.row(c)[rng.Intn(g.k)]
 	if a == c || a == d || b == c || b == d {
 		return
 	}
@@ -73,71 +75,60 @@ func (g *Regular) trySwitch(rng *tensor.RNG) {
 	if rng.Intn(2) == 0 {
 		c, d = d, c
 	}
-	// New edges: (a,c) and (b,d).
+	// New edges: (a,c) and (b,d); a, b, c and d are four nodes.
 	if g.HasEdge(a, c) || g.HasEdge(b, d) {
 		return
 	}
-	g.removeEdge(a, b)
-	g.removeEdge(c, d)
-	g.addEdge(a, c)
-	g.addEdge(b, d)
+	replaceSorted(g.row(a), b, c)
+	replaceSorted(g.row(b), a, d)
+	replaceSorted(g.row(c), d, a)
+	replaceSorted(g.row(d), c, b)
 }
 
 // N returns the number of nodes.
 func (g *Regular) N() int { return g.n }
 
-// Neighbors returns a copy of node i's view.
-func (g *Regular) Neighbors(i int) []int {
-	return append([]int(nil), g.adj[i]...)
+// AppendNeighbors appends node i's view to dst and returns it: a copy,
+// without an allocation when dst has room.
+func (g *Regular) AppendNeighbors(dst []int, i int) []int {
+	return append(dst, g.row(i)...)
 }
 
 // HasEdge reports whether i and j are adjacent.
 func (g *Regular) HasEdge(i, j int) bool {
-	pos := sort.SearchInts(g.adj[i], j)
-	return pos < len(g.adj[i]) && g.adj[i][pos] == j
+	_, found := slices.BinarySearch(g.row(i), j)
+	return found
 }
 
-func (g *Regular) removeEdge(i, j int) {
-	g.adj[i] = removeSorted(g.adj[i], j)
-	g.adj[j] = removeSorted(g.adj[j], i)
-}
-
-func (g *Regular) addEdge(i, j int) {
-	g.adj[i] = insertSorted(g.adj[i], j)
-	g.adj[j] = insertSorted(g.adj[j], i)
-}
-
-func removeSorted(s []int, v int) []int {
-	pos := sort.SearchInts(s, v)
-	if pos < len(s) && s[pos] == v {
-		return append(s[:pos], s[pos+1:]...)
+// replaceSorted replaces one occurrence of old in the sorted row s with
+// v and restores the order: the row a removal of old and an insertion
+// of v leave.
+func replaceSorted(s []int, old, v int) {
+	pos, found := slices.BinarySearch(s, old)
+	if !found {
+		return
 	}
-	return s
+	// Close the gap, then open one at v's place.
+	copy(s[pos:], s[pos+1:])
+	s = s[:len(s)-1]
+	at, _ := slices.BinarySearch(s, v)
+	s = s[:len(s)+1]
+	copy(s[at+1:], s[at:])
+	s[at] = v
 }
 
-func insertSorted(s []int, v int) []int {
-	pos := sort.SearchInts(s, v)
-	s = append(s, 0)
-	copy(s[pos+1:], s[pos:])
-	s[pos] = v
-	return s
-}
-
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph, on the heap.
 func (g *Regular) Clone() *Regular {
-	out := &Regular{n: g.n, k: g.k, adj: make([][]int, g.n)}
-	for i, a := range g.adj {
-		out.adj[i] = append([]int(nil), a...)
-	}
-	return out
+	return &Regular{n: g.n, k: g.k, adj: slices.Clone(g.adj), swap: make([]int, 2*g.k)}
 }
 
 // Validate checks that the graph is simple, undirected, and k-regular.
 func (g *Regular) Validate() error {
-	for i, a := range g.adj {
-		if len(a) != g.k {
-			return fmt.Errorf("graph: node %d has degree %d, want %d", i, len(a), g.k)
-		}
+	if len(g.adj) != g.n*g.k {
+		return fmt.Errorf("graph: %d adjacency entries for %d nodes of degree %d", len(g.adj), g.n, g.k)
+	}
+	for i := 0; i < g.n; i++ {
+		a := g.row(i)
 		for idx, j := range a {
 			if j == i {
 				return fmt.Errorf("graph: self-loop at %d", i)
@@ -161,18 +152,20 @@ func (g *Regular) Validate() error {
 // uniformly chosen neighbor j. The operation relabels i and j, so the
 // graph stays k-regular and simple.
 func (g *Regular) PeerSwap(i int, rng *tensor.RNG) {
-	j := g.adj[i][rng.Intn(g.k)]
+	j := g.row(i)[rng.Intn(g.k)]
 	g.SwapNodes(i, j)
 }
 
-// SwapNodes exchanges the positions of nodes i and j in the graph.
+// SwapNodes exchanges the positions of nodes i and j in the graph, in
+// place.
 func (g *Regular) SwapNodes(i, j int) {
 	if i == j {
 		return
 	}
 	// Neighbor sets before the swap.
-	ni := append([]int(nil), g.adj[i]...)
-	nj := append([]int(nil), g.adj[j]...)
+	ni, nj := g.swap[:g.k], g.swap[g.k:]
+	copy(ni, g.row(i))
+	copy(nj, g.row(j))
 
 	relabel := func(v int) int {
 		switch v {
@@ -186,33 +179,24 @@ func (g *Regular) SwapNodes(i, j int) {
 	}
 	// New views for i and j: i takes j's view and vice versa; when i and
 	// j are adjacent they remain adjacent (the paper's ∪{j} term).
-	newI := make([]int, 0, g.k)
-	for _, v := range nj {
-		newI = append(newI, relabel(v))
+	newI, newJ := g.row(i), g.row(j)
+	for idx := range nj {
+		newI[idx] = relabel(nj[idx])
+		newJ[idx] = relabel(ni[idx])
 	}
-	newJ := make([]int, 0, g.k)
-	for _, v := range ni {
-		newJ = append(newJ, relabel(v))
-	}
-	sort.Ints(newI)
-	sort.Ints(newJ)
-	g.adj[i] = newI
-	g.adj[j] = newJ
+	slices.Sort(newI)
+	slices.Sort(newJ)
 
 	// Update third-party views.
 	for _, v := range ni {
-		if v == j {
-			continue
+		if v != j {
+			replaceSorted(g.row(v), i, j)
 		}
-		g.adj[v] = removeSorted(g.adj[v], i)
-		g.adj[v] = insertSorted(g.adj[v], j)
 	}
 	for _, v := range nj {
-		if v == i {
-			continue
+		if v != i {
+			replaceSorted(g.row(v), j, i)
 		}
-		g.adj[v] = removeSorted(g.adj[v], j)
-		g.adj[v] = insertSorted(g.adj[v], i)
 	}
 }
 
@@ -222,14 +206,13 @@ func (g *Regular) Permute(perm []int) error {
 	if len(perm) != g.n {
 		return fmt.Errorf("graph: permutation of length %d for %d nodes", len(perm), g.n)
 	}
-	adj := make([][]int, g.n)
-	for i, a := range g.adj {
-		na := make([]int, len(a))
-		for idx, j := range a {
+	adj := make([]int, len(g.adj))
+	for i := 0; i < g.n; i++ {
+		na := adj[perm[i]*g.k : (perm[i]+1)*g.k]
+		for idx, j := range g.row(i) {
 			na[idx] = perm[j]
 		}
-		sort.Ints(na)
-		adj[perm[i]] = na
+		slices.Sort(na)
 	}
 	g.adj = adj
 	return nil

@@ -19,7 +19,7 @@ func (g *Regular) MixingMatrix() *tensor.Matrix {
 	inv := 1 / float64(g.k+1)
 	for i := 0; i < g.n; i++ {
 		w.Set(i, i, inv)
-		for _, j := range g.adj[i] {
+		for _, j := range g.row(i) {
 			w.Set(i, j, inv)
 		}
 	}
@@ -41,7 +41,7 @@ func (g *Regular) ApplyMixing(x, out tensor.Vector) (tensor.Vector, error) {
 	inv := 1 / float64(g.k+1)
 	for i := 0; i < g.n; i++ {
 		s := x[i]
-		for _, j := range g.adj[i] {
+		for _, j := range g.row(i) {
 			s += x[j]
 		}
 		out[i] = s * inv

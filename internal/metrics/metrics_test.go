@@ -16,7 +16,7 @@ func toyModelAndData(t *testing.T) (*nn.MLP, *data.Dataset) {
 	rng := tensor.NewRNG(3)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 4, Classes: 2, Margin: 4, Noise: 0.3,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

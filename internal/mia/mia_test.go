@@ -212,7 +212,7 @@ func trainOverfitModel(t *testing.T) (*nn.MLP, data.NodeData) {
 	rng := tensor.NewRNG(17)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 10, Classes: 4, Margin: 1.2, Noise: 1.0, LabelNoise: 0.15,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestAttackNodeNearChanceOnFreshModel(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 10, Classes: 4, Margin: 2, Noise: 1,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,12 +273,12 @@ func TestPlantCanaries(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 6, Classes: 3, Margin: 2, Noise: 0.5,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := gen.Sample(200, rng)
-	parts, err := data.PartitionIID(base, 4, 20, 10, rng)
+	parts, err := data.PartitionIID(base, 4, 20, 10, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,12 +319,12 @@ func TestCanaryAuditDetectsMemorization(t *testing.T) {
 	rng := tensor.NewRNG(41)
 	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
 		Dim: 6, Classes: 3, Margin: 2.5, Noise: 0.6,
-	}, rng)
+	}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := gen.Sample(200, rng)
-	parts, err := data.PartitionIID(base, 2, 16, 8, rng)
+	parts, err := data.PartitionIID(base, 2, 16, 8, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,14 @@ import (
 
 // Scratch holds the reusable buffers of the thresholded-attack pipeline:
 // member/non-member score slices, the softmax probability row, the
-// threshold-sweep point list, and the sorted copies the ROC needs. The
-// per-round evaluation keeps one Scratch per evaluated node slot, so
-// repeated attacks (one per node per evaluated round — the eval hot
-// path) allocate nothing at steady state. A Scratch must not be shared
-// between goroutines; the zero value is ready to use.
+// threshold-sweep point list, and the sorted copies the ROC needs. Each
+// list grows to the longest splits it has attacked and is reused from
+// then on; the probability row is re-made only when the class count
+// changes. core pools one Scratch per evaluated node slot with the arm
+// arena, across arms, so an attack allocates nothing once an arm of the
+// same shape or a larger one has run — an arm that evaluates once
+// included. A Scratch must not be shared between goroutines; the zero
+// value is ready to use.
 type Scratch struct {
 	member, nonMember []float64
 	probs             tensor.Vector

@@ -27,30 +27,46 @@ var ErrArchitecture = errors.New("nn: invalid architecture")
 // MLP is a fully-connected network with ReLU hidden activations and a
 // linear output layer (softmax is applied by the loss / Probs).
 type MLP struct {
-	sizes  []int         // layer widths, len >= 2: [in, h..., out]
-	params tensor.Vector // flat parameters: per layer W (out*in) then b (out)
+	*layout               // immutable, shared with every clone
+	params  tensor.Vector // flat parameters: per layer W (out*in) then b (out)
 
+	// ex is the per-example scratch, sized on the first per-example
+	// call (the batched paths borrow theirs from the pool): the
+	// activation of every layer, the input copy first, then the
+	// back-propagated error of every layer's output, then the softmax
+	// row. See example.
+	ex []tensor.Vector
+
+	// arena supplies the model's and its clones' parameters and scratch
+	// (nil = the heap); pool, shared with every clone, lends the batch
+	// scratch and the trainer's gradient for one call.
+	arena *tensor.Arena
+	pool  *tensor.VecPool
+}
+
+// layout is an architecture's tables.
+type layout struct {
+	sizes []int // layer widths, len >= 2: [in, h..., out]
 	// Per-layer offsets into params, and aOff[l] = Σ sizes[:l], the
 	// offsets of the batch matrices in one row of batch scratch.
 	wOff, bOff, aOff []int
-
-	// Per-example scratch buffers reused across calls.
-	acts   []tensor.Vector // acts[0] = input copy, acts[l] = activation of layer l
-	deltas []tensor.Vector // back-propagated errors per layer
-	probs  tensor.Vector   // softmax output scratch
-
-	// arena supplies the parameters and scratch of clones (nil = the
-	// heap); pool, shared with every clone, lends the batch scratch and
-	// the trainer's gradient for one call.
-	arena *tensor.Arena
-	pool  *tensor.VecPool
 }
 
 // NewMLP builds an MLP with the given layer sizes (input, hidden...,
 // output) and Kaiming-normal weight initialization; biases start at zero.
 // All nodes in the paper start from a common θ0, so callers typically
-// build one MLP and Clone it per node.
+// build one MLP and Clone it per node. It is NewMLPIn on the heap.
 func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
+	return NewMLPIn(sizes, rng, nil)
+}
+
+// NewMLPIn is NewMLP with a (nil = the heap) as the source of the
+// model's allocations: its layer tables, parameters and scratch, the
+// parameters and scratch of every Clone (and of their clones), the
+// buffers of a Trainer built over it, and the pool the model and its
+// clones share. Everything so allocated dies at a.Reset, so the models
+// must not be used past it.
+func NewMLPIn(sizes []int, rng *tensor.RNG, a *tensor.Arena) (*MLP, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("need at least input and output sizes, got %v: %w", sizes, ErrArchitecture)
 	}
@@ -59,10 +75,14 @@ func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 			return nil, fmt.Errorf("non-positive layer size in %v: %w", sizes, ErrArchitecture)
 		}
 	}
-	m := &MLP{sizes: append([]int(nil), sizes...), pool: tensor.NewVecPool(nil)}
 	layers := len(sizes) - 1
-	m.wOff = make([]int, layers)
-	m.bOff = make([]int, layers)
+	// One block of ints holds the four layer tables.
+	tables := a.Ints(len(sizes) + 2*layers + len(sizes) + 1)
+	m := &MLP{layout: new(layout), arena: a, pool: tensor.NewVecPool(a)}
+	m.sizes, tables = tables[:len(sizes):len(sizes)], tables[len(sizes):]
+	copy(m.sizes, sizes)
+	m.wOff, tables = tables[:layers:layers], tables[layers:]
+	m.bOff, m.aOff = tables[:layers:layers], tables[layers:]
 	total := 0
 	for l := 0; l < layers; l++ {
 		in, out := sizes[l], sizes[l+1]
@@ -71,31 +91,35 @@ func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 		m.bOff[l] = total
 		total += out
 	}
-	m.aOff = make([]int, len(sizes)+1)
 	for i, s := range sizes {
 		m.aOff[i+1] = m.aOff[i] + s
 	}
-	m.params = tensor.NewVector(total)
+	m.params = a.Vector(total)
 	for l := 0; l < layers; l++ {
 		in := sizes[l]
 		w := m.weight(l)
 		rng.KaimingNormal(w, in)
 	}
-	m.allocScratch()
 	return m, nil
 }
 
-func (m *MLP) allocScratch() {
+// example returns the per-example scratch, from the model's arena on
+// first use: acts[0] is the input copy and acts[l] the activation of
+// layer l, deltas[l] the back-propagated error of layer l's output, and
+// probs the softmax row.
+func (m *MLP) example() (acts, deltas []tensor.Vector, probs tensor.Vector) {
 	layers := len(m.sizes) - 1
-	m.acts = make([]tensor.Vector, layers+1)
-	m.deltas = make([]tensor.Vector, layers)
-	for i, s := range m.sizes {
-		m.acts[i] = m.arena.Vector(s)
-		if i > 0 {
-			m.deltas[i-1] = m.arena.Vector(s)
+	if m.ex == nil {
+		m.ex = m.arena.Vectors(2*layers + 2)
+		for i, s := range m.sizes {
+			m.ex[i] = m.arena.Vector(s)
+			if i > 0 {
+				m.ex[layers+i] = m.arena.Vector(s)
+			}
 		}
+		m.ex[2*layers+1] = m.arena.Vector(m.sizes[layers])
 	}
-	m.probs = m.arena.Vector(m.sizes[len(m.sizes)-1])
+	return m.ex[:layers+1], m.ex[layers+1 : 2*layers+1], m.ex[2*layers+1]
 }
 
 // weight returns the live slice holding layer l's weight matrix
@@ -137,36 +161,28 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 }
 
 // Clone returns a model with the same architecture and a deep copy of the
-// parameters, with its own scratch buffers (safe to use from another
-// goroutine than the original). The layer tables are immutable and
-// shared; the arena and the pool carry over.
+// parameters, with its own per-example scratch once it needs one (safe
+// to use from another goroutine than the original). The layer tables
+// are immutable and shared; the arena and the pool carry over.
 func (m *MLP) Clone() *MLP {
-	out := &MLP{
-		sizes:  m.sizes,
-		params: m.arena.Vector(len(m.params)),
-		wOff:   m.wOff,
-		bOff:   m.bOff,
-		aOff:   m.aOff,
-		arena:  m.arena,
-		pool:   m.pool,
-	}
-	copy(out.params, m.params)
-	out.allocScratch()
+	out := new(MLP)
+	m.CloneInto(out)
 	return out
 }
 
-// SetArena makes a the source of this model's later allocations: the
-// parameters and scratch of every Clone (and of their clones), the
-// buffers of a Trainer built over the model, and a new pool, shared by
-// the later clones, whose vectors come from a. Everything so allocated
-// dies at a.Reset, so the models must not be used past it. nil (the
-// default) allocates from the heap.
-func (m *MLP) SetArena(a *tensor.Arena) {
-	m.arena = a
-	m.pool = tensor.NewVecPool(a)
+// CloneInto makes *dst a Clone of m, so a caller that holds many
+// models, such as a simulator's nodes, can keep them in one slice.
+func (m *MLP) CloneInto(dst *MLP) {
+	*dst = MLP{
+		layout: m.layout,
+		params: m.arena.Vector(len(m.params)),
+		arena:  m.arena,
+		pool:   m.pool,
+	}
+	copy(dst.params, m.params)
 }
 
-// Arena returns the arena set by SetArena, nil for the heap.
+// Arena returns the arena given to NewMLPIn, nil for the heap.
 func (m *MLP) Arena() *tensor.Arena { return m.arena }
 
 // Pool returns the free list the model and its clones borrow their
@@ -174,18 +190,20 @@ func (m *MLP) Arena() *tensor.Arena { return m.arena }
 // message buffers through it too, so one arm has one.
 func (m *MLP) Pool() *tensor.VecPool { return m.pool }
 
-// forward runs the network on x, filling m.acts. The final activation is
-// the logits (no softmax).
-func (m *MLP) forward(x tensor.Vector) error {
+// forward runs the network on x and returns the per-example
+// activations it filled. The final activation is the logits (no
+// softmax).
+func (m *MLP) forward(x tensor.Vector) ([]tensor.Vector, error) {
 	if len(x) != m.sizes[0] {
-		return fmt.Errorf("input dim %d, model expects %d: %w", len(x), m.sizes[0], tensor.ErrShape)
+		return nil, fmt.Errorf("input dim %d, model expects %d: %w", len(x), m.sizes[0], tensor.ErrShape)
 	}
-	copy(m.acts[0], x)
+	acts, _, _ := m.example()
+	copy(acts[0], x)
 	layers := len(m.sizes) - 1
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
 		w, b := m.weight(l), m.bias(l)
-		src, dst := m.acts[l], m.acts[l+1]
+		src, dst := acts[l], acts[l+1]
 		for o := 0; o < out; o++ {
 			row := w[o*in : (o+1)*in]
 			s := b[o]
@@ -198,16 +216,17 @@ func (m *MLP) forward(x tensor.Vector) error {
 			dst[o] = s
 		}
 	}
-	return nil
+	return acts, nil
 }
 
 // Logits computes the pre-softmax outputs for x into out (allocated when
 // nil).
 func (m *MLP) Logits(x, out tensor.Vector) (tensor.Vector, error) {
-	if err := m.forward(x); err != nil {
+	acts, err := m.forward(x)
+	if err != nil {
 		return nil, err
 	}
-	last := m.acts[len(m.acts)-1]
+	last := acts[len(acts)-1]
 	if out == nil {
 		out = tensor.NewVector(len(last))
 	} else if len(out) != len(last) {
@@ -236,19 +255,21 @@ func (m *MLP) ProbsInto(x, out tensor.Vector) error {
 	if len(out) != m.Classes() {
 		return fmt.Errorf("probs out %d != %d: %w", len(out), m.Classes(), tensor.ErrShape)
 	}
-	if err := m.forward(x); err != nil {
+	acts, err := m.forward(x)
+	if err != nil {
 		return err
 	}
-	Softmax(m.acts[len(m.acts)-1], out)
+	Softmax(acts[len(acts)-1], out)
 	return nil
 }
 
 // Predict returns the arg-max class for x.
 func (m *MLP) Predict(x tensor.Vector) (int, error) {
-	if err := m.forward(x); err != nil {
+	acts, err := m.forward(x)
+	if err != nil {
 		return 0, err
 	}
-	return m.acts[len(m.acts)-1].ArgMax(), nil
+	return acts[len(acts)-1].ArgMax(), nil
 }
 
 // Loss returns the cross-entropy loss of the model on (x, y).
@@ -256,12 +277,13 @@ func (m *MLP) Loss(x tensor.Vector, y int) (float64, error) {
 	if err := m.checkLabel(y); err != nil {
 		return 0, err
 	}
-	if err := m.forward(x); err != nil {
+	acts, err := m.forward(x)
+	if err != nil {
 		return 0, err
 	}
-	logits := m.acts[len(m.acts)-1]
-	Softmax(logits, m.probs)
-	return crossEntropyFromProbs(m.probs, y), nil
+	_, _, probs := m.example()
+	Softmax(acts[len(acts)-1], probs)
+	return crossEntropyFromProbs(probs, y), nil
 }
 
 func (m *MLP) checkLabel(y int) error {
@@ -284,17 +306,18 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 	if err := m.checkLabel(y); err != nil {
 		return 0, err
 	}
-	if err := m.forward(x); err != nil {
+	acts, err := m.forward(x)
+	if err != nil {
 		return 0, err
 	}
+	_, deltas, probs := m.example()
 	layers := len(m.sizes) - 1
-	logits := m.acts[layers]
-	Softmax(logits, m.probs)
-	loss := crossEntropyFromProbs(m.probs, y)
+	Softmax(acts[layers], probs)
+	loss := crossEntropyFromProbs(probs, y)
 
 	// Output delta: softmax-CE gradient p - onehot(y).
-	dOut := m.deltas[layers-1]
-	copy(dOut, m.probs)
+	dOut := deltas[layers-1]
+	copy(dOut, probs)
 	dOut[y] -= 1
 
 	for l := layers - 1; l >= 0; l-- {
@@ -302,8 +325,8 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 		w := m.weight(l)
 		gw := grad[m.wOff[l] : m.wOff[l]+in*out]
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
-		delta := m.deltas[l]
-		src := m.acts[l]
+		delta := deltas[l]
+		src := acts[l]
 		for o := 0; o < out; o++ {
 			d := delta[o]
 			if d != 0 {
@@ -318,7 +341,7 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 			break
 		}
 		// Back-propagate through W and the ReLU of layer l-1.
-		prev := m.deltas[l-1]
+		prev := deltas[l-1]
 		prev.Zero()
 		for o := 0; o < out; o++ {
 			d := delta[o]
@@ -330,7 +353,7 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 				prev[j] += d * row[j]
 			}
 		}
-		hidden := m.acts[l]
+		hidden := acts[l]
 		for j := range prev {
 			if hidden[j] <= 0 {
 				prev[j] = 0

@@ -73,12 +73,12 @@ func TestScoreBatchRejectsBadInput(t *testing.T) {
 // batch scratch — and a clone of the clone does too.
 func TestCloneCarriesArena(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	model, err := NewMLP([]int{6, 5, 3}, rng)
+	var a tensor.Arena
+	model, err := NewMLPIn([]int{6, 5, 3}, rng, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a tensor.Arena
-	model.SetArena(&a)
+	before := a.Used()
 	clone := model.Clone().Clone()
 	if clone.Arena() != &a {
 		t.Fatal("clone of a clone lost the arena")
@@ -86,8 +86,8 @@ func TestCloneCarriesArena(t *testing.T) {
 	if !tensor.EqualApprox(clone.Params(), model.Params(), 0) {
 		t.Fatal("clone parameters differ from the original")
 	}
-	if a.Used() == 0 {
-		t.Fatal("clone did not draw from the arena")
+	if before == 0 || a.Used() == before {
+		t.Fatal("model or clone did not draw from the arena")
 	}
 	grow := func(what string, op func()) {
 		t.Helper()
@@ -119,12 +119,11 @@ func TestCloneCarriesArena(t *testing.T) {
 // returns what it borrowed, so a repeat of a call draws nothing new.
 func TestScoreBatchSizesNoDeltas(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	model, err := NewMLP([]int{6, 5, 3}, rng)
+	var a tensor.Arena
+	model, err := NewMLPIn([]int{6, 5, 3}, rng, &a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a tensor.Arena
-	model.SetArena(&a)
 	xs := make([]tensor.Vector, 20)
 	ys := make([]int, len(xs))
 	for i := range xs {

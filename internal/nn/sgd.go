@@ -98,6 +98,15 @@ type Trainer struct {
 // non-positive batch size means full-batch; a non-positive epoch count
 // defaults to 1.
 func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
+	t := new(Trainer)
+	t.Init(model, opt, batchSize, epochs)
+	return t
+}
+
+// Init makes *t the trainer NewTrainer returns, so a caller can hold
+// one in place. Its scratch, sized on first use, comes from the
+// model's arena.
+func (t *Trainer) Init(model *MLP, opt *SGD, batchSize, epochs int) {
 	if epochs <= 0 {
 		epochs = 1
 	}
@@ -106,7 +115,7 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 		// buffer shares the model's allocation lifetime.
 		opt.velocity = model.arena.Vector(model.NumParams())
 	}
-	return &Trainer{
+	*t = Trainer{
 		Model:     model,
 		Opt:       opt,
 		BatchSize: batchSize,
@@ -135,7 +144,10 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 	defer m.pool.Put(grad)
 	defer m.pool.Put(batch)
 	if cap(t.order) < n {
-		t.order = make([]int, n)
+		t.order = m.arena.Ints(n)
+	}
+	if cap(t.batchXs) < bs {
+		t.batchXs, t.batchYs = m.arena.Vectors(bs), m.arena.Ints(bs)
 	}
 	order := t.order[:n]
 	for i := range order {
@@ -144,7 +156,7 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 	var lastLoss float64
 	for e := 0; e < t.Epochs; e++ {
 		last := e == t.Epochs-1 // the only loss returned
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.ShuffleInts(order)
 		var epochLoss float64
 		var batches int
 		for start := 0; start < n; start += bs {
@@ -152,13 +164,11 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 			if end > n {
 				end = n
 			}
-			t.batchXs = t.batchXs[:0]
-			t.batchYs = t.batchYs[:0]
-			for _, idx := range order[start:end] {
-				t.batchXs = append(t.batchXs, xs[idx])
-				t.batchYs = append(t.batchYs, ys[idx])
+			xb, yb := t.batchXs[:end-start], t.batchYs[:end-start]
+			for i, idx := range order[start:end] {
+				xb[i], yb[i] = xs[idx], ys[idx]
 			}
-			lossSum, err := m.batchGradSum(t.batchXs, t.batchYs, grad, batch, last)
+			lossSum, err := m.batchGradSum(xb, yb, grad, batch, last)
 			if err != nil {
 				return 0, err
 			}

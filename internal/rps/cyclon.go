@@ -10,6 +10,7 @@ package rps
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gossipmia/internal/tensor"
 )
@@ -32,6 +33,13 @@ type Service struct {
 	shuffleLen int
 	views      [][]Descriptor
 	rng        *tensor.RNG
+
+	// Shuffle's scratch, so a shuffle allocates nothing: the offer and
+	// the reply, a permutation of view slots, and merge's lists of the
+	// peers it knows and the slots it may replace.
+	offer, reply       []Descriptor
+	perm               []int
+	known, replaceable []int
 }
 
 // New builds a service with the given view size and shuffle length
@@ -54,6 +62,12 @@ func New(n, viewSize, shuffleLen int, rng *tensor.RNG) (*Service, error) {
 		shuffleLen: shuffleLen,
 		views:      make([][]Descriptor, n),
 		rng:        rng,
+		offer:      make([]Descriptor, 0, shuffleLen),
+		reply:      make([]Descriptor, 0, shuffleLen),
+		perm:       make([]int, viewSize),
+		// merge knows at most a full view and what it received.
+		known:       make([]int, 0, viewSize+shuffleLen),
+		replaceable: make([]int, 0, viewSize),
 	}
 	perm := rng.Perm(n)
 	for idx, i := range perm {
@@ -76,13 +90,12 @@ func New(n, viewSize, shuffleLen int, rng *tensor.RNG) (*Service, error) {
 	return s, nil
 }
 
-// View returns the peer ids currently in node i's view.
-func (s *Service) View(i int) []int {
-	out := make([]int, len(s.views[i]))
-	for idx, d := range s.views[i] {
-		out[idx] = d.Peer
+// AppendView appends the peer ids currently in node i's view to dst.
+func (s *Service) AppendView(dst []int, i int) []int {
+	for _, d := range s.views[i] {
+		dst = append(dst, d.Peer)
 	}
-	return out
+	return dst
 }
 
 // Shuffle performs one Cyclon exchange initiated by node i:
@@ -112,8 +125,9 @@ func (s *Service) Shuffle(i int) {
 	view = append(view[:oldest], view[oldest+1:]...)
 
 	// Build i's offer: fresh self + up to shuffleLen-1 random others.
-	offer := []Descriptor{{Peer: i, Age: 0}}
-	idxs := s.rng.Perm(len(view))
+	offer := append(s.offer[:0], Descriptor{Peer: i, Age: 0})
+	idxs := s.perm[:len(view)]
+	s.rng.PermInto(idxs)
 	for _, idx := range idxs {
 		if len(offer) >= s.shuffleLen {
 			break
@@ -123,50 +137,56 @@ func (s *Service) Shuffle(i int) {
 
 	// q's reply: up to shuffleLen random descriptors from its view.
 	qview := s.views[q]
-	reply := make([]Descriptor, 0, s.shuffleLen)
-	for _, idx := range s.rng.Perm(len(qview)) {
+	reply := s.reply[:0]
+	idxs = s.perm[:len(qview)]
+	s.rng.PermInto(idxs)
+	for _, idx := range idxs {
 		if len(reply) >= s.shuffleLen {
 			break
 		}
 		reply = append(reply, qview[idx])
 	}
 
-	s.views[q] = merge(qview, offer, peersOf(reply), q, s.viewSize)
-	s.views[i] = merge(view, reply, peersOf(offer), i, s.viewSize)
+	s.views[q] = s.merge(qview, offer, reply, q)
+	s.views[i] = s.merge(view, reply, offer, i)
 }
 
-func peersOf(ds []Descriptor) map[int]bool {
-	out := make(map[int]bool, len(ds))
+// hasPeer reports whether p is among the peers of ds.
+func hasPeer(ds []Descriptor, p int) bool {
 	for _, d := range ds {
-		out[d.Peer] = true
+		if d.Peer == p {
+			return true
+		}
 	}
-	return out
+	return false
 }
 
-// merge folds received descriptors into view (capacity cap) for owner,
-// following Cyclon's replacement policy: drop self-pointers and peers
-// already known, fill empty slots first, then replace entries that were
-// sent to the shuffle partner (and are therefore redundant), and discard
-// any remainder.
-func merge(view, received []Descriptor, sent map[int]bool, owner, cap int) []Descriptor {
-	known := make(map[int]bool, len(view))
+// merge folds received descriptors into view (capacity viewSize) for
+// owner, following Cyclon's replacement policy: drop self-pointers and
+// peers already known, fill empty slots first, then replace entries
+// whose peers were sent to the shuffle partner (and are therefore
+// redundant), and discard any remainder. A peer stays known once seen,
+// replaced or not. Views and shuffles are a few descriptors long, so
+// the sets are lists.
+func (s *Service) merge(view, received, sent []Descriptor, owner int) []Descriptor {
+	known := s.known[:0]
 	for _, d := range view {
-		known[d.Peer] = true
+		known = append(known, d.Peer)
 	}
 	// Indices of entries eligible for replacement (they were offered to
 	// the partner).
-	replaceable := make([]int, 0, len(view))
+	replaceable := s.replaceable[:0]
 	for idx, d := range view {
-		if sent[d.Peer] {
+		if hasPeer(sent, d.Peer) {
 			replaceable = append(replaceable, idx)
 		}
 	}
 	for _, d := range received {
-		if d.Peer == owner || known[d.Peer] {
+		if d.Peer == owner || slices.Contains(known, d.Peer) {
 			continue
 		}
 		switch {
-		case len(view) < cap:
+		case len(view) < s.viewSize:
 			view = append(view, d)
 		case len(replaceable) > 0:
 			idx := replaceable[len(replaceable)-1]
@@ -175,7 +195,7 @@ func merge(view, received []Descriptor, sent map[int]bool, owner, cap int) []Des
 		default:
 			continue // view full, nothing replaceable: drop
 		}
-		known[d.Peer] = true
+		known = append(known, d.Peer)
 	}
 	return view
 }

@@ -41,8 +41,8 @@ func TestNewValidation(t *testing.T) {
 func TestViewsStartFullAndValid(t *testing.T) {
 	s := mustService(t, 20, 4, 3, 2)
 	for i := 0; i < s.n; i++ {
-		if len(s.View(i)) != 4 {
-			t.Fatalf("node %d view size %d", i, len(s.View(i)))
+		if len(s.AppendView(nil, i)) != 4 {
+			t.Fatalf("node %d view size %d", i, len(s.AppendView(nil, i)))
 		}
 	}
 }
@@ -116,11 +116,11 @@ func TestInDegreeStaysNearUniform(t *testing.T) {
 func TestViewsActuallyChange(t *testing.T) {
 	rng := tensor.NewRNG(11)
 	s := mustService(t, 20, 4, 3, 11)
-	before := append([]int(nil), s.View(0)...)
+	before := append([]int(nil), s.AppendView(nil, 0)...)
 	for step := 0; step < 100; step++ {
 		s.Shuffle(rng.Intn(s.n))
 	}
-	after := s.View(0)
+	after := s.AppendView(nil, 0)
 	same := true
 	if len(before) == len(after) {
 		bm := map[int]bool{}
@@ -152,7 +152,7 @@ func TestSelfDescriptorSpreads(t *testing.T) {
 		if j == 0 {
 			continue
 		}
-		for _, p := range s.View(j) {
+		for _, p := range s.AppendView(nil, j) {
 			if p == 0 {
 				found = true
 			}
@@ -167,17 +167,17 @@ func TestMergeCyclonPolicy(t *testing.T) {
 	// Known peers are not duplicated; empty slots fill first.
 	view := []Descriptor{{Peer: 1, Age: 5}}
 	received := []Descriptor{{Peer: 1, Age: 0}, {Peer: 2, Age: 3}}
-	out := merge(view, received, nil, 0, 4)
+	out := (&Service{viewSize: 4}).merge(view, received, nil, 0)
 	if len(out) != 2 {
 		t.Fatalf("merged view %v", out)
 	}
 	// Self descriptors are dropped; with a full view only sent entries
 	// are replaced.
-	out = merge(
+	out = (&Service{viewSize: 2}).merge(
 		[]Descriptor{{Peer: 1, Age: 9}, {Peer: 2, Age: 1}},
 		[]Descriptor{{Peer: 0, Age: 0}, {Peer: 3, Age: 2}, {Peer: 4, Age: 1}},
-		map[int]bool{1: true}, // only peer 1 was sent out
-		0, 2)
+		[]Descriptor{{Peer: 1}}, // only peer 1 was sent out
+		0)
 	if len(out) != 2 {
 		t.Fatalf("capacity not enforced: %v", out)
 	}

@@ -2,53 +2,90 @@ package tensor
 
 import "sync"
 
-// arenaChunk is the float64 count of one arena chunk (256 KiB). Requests
-// above arenaMax, a quarter chunk, go to the heap: a chunk that cannot
-// fit a request is abandoned for the next, so the cap bounds what one
-// step wastes, and arms of very different shapes sharing an arena never
-// pay for dedicated oversize chunks.
+// Chunk sizes of the arena's slabs, in elements: 256 KiB of float64,
+// 32 KiB of int, 48 KiB of Vector headers. A request above a quarter
+// chunk goes to the heap: a chunk that cannot fit a request is
+// abandoned for the next, so the cap bounds what one step wastes, and
+// arms of very different shapes sharing an arena never pay for
+// dedicated oversize chunks.
 const (
-	arenaChunk = 32 << 10
-	arenaMax   = arenaChunk / 4
+	arenaChunk   = 32 << 10
+	intChunk     = 4 << 10
+	vectorsChunk = 2 << 10
 )
 
-// Arena is a chunked bump allocator of float64 with one lifetime: every
-// vector it hands out is dead once Reset is called, and the memory
-// serves the next user. One experiment arm builds its models, datasets,
-// scratch and message buffers from one Arena and resets it when the arm
-// ends, so a sweep of short arms produces no garbage for them. An Arena
-// also recycles the arm's random generators (RNG).
+// Arena is a chunked bump allocator with one lifetime: every value it
+// hands out is dead once Reset is called, and the memory serves the
+// next user. One experiment arm builds its models, datasets, index
+// lists, scratch and message buffers from one Arena and resets it when
+// the arm ends, so a sweep of short arms produces no garbage for them.
+// It has a slab per element type the arm sizes — float64 (Vector), int
+// and Vector headers (a dataset's rows) — and also recycles the arm's
+// random generators (RNG).
 //
-// A nil *Arena is the heap: Vector and RNG allocate as NewVector and
-// NewRNG do, so callers thread one value and keep one code path. All
-// methods are safe for concurrent use.
+// A nil *Arena is the heap: every method allocates as make and NewRNG
+// do, so callers thread one value and keep one code path. All methods
+// are safe for concurrent use.
 type Arena struct {
-	mu     sync.Mutex
-	chunks []Vector
-	cur    int // chunk being bumped
-	off    int // floats handed out of chunks[cur]
-	rngs   []*RNG
-	nrng   int // generators handed out since Reset
+	mu      sync.Mutex
+	floats  slab[float64]
+	ints    slab[int]
+	vectors slab[Vector]
+	rngs    []*RNG
+	nrng    int // generators handed out since Reset
+}
+
+// slab is one element type's chunks: chunks[cur] is being bumped, off
+// elements of it handed out.
+type slab[T any] struct {
+	chunks   [][]T
+	cur, off int
+}
+
+// take hands out n zeroed elements of s, whose chunks hold size
+// elements, or of the heap when n is above a quarter chunk.
+func take[T any](mu *sync.Mutex, s *slab[T], n, size int) []T {
+	if n > size/4 {
+		return make([]T, n)
+	}
+	mu.Lock()
+	if s.cur < len(s.chunks) && s.off+n > size {
+		s.cur++
+		s.off = 0
+	}
+	if s.cur == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, size))
+	}
+	v := s.chunks[s.cur][s.off : s.off+n : s.off+n]
+	s.off += n
+	mu.Unlock()
+	clear(v) // recycled memory holds the previous user's values
+	return v
 }
 
 // Vector returns a zero vector of length n that lives until Reset.
 func (a *Arena) Vector(n int) Vector {
-	if a == nil || n > arenaMax {
+	if a == nil {
 		return make(Vector, n)
 	}
-	a.mu.Lock()
-	if a.cur < len(a.chunks) && a.off+n > arenaChunk {
-		a.cur++
-		a.off = 0
+	return take(&a.mu, &a.floats, n, arenaChunk)
+}
+
+// Ints returns n zero ints that live until Reset.
+func (a *Arena) Ints(n int) []int {
+	if a == nil {
+		return make([]int, n)
 	}
-	if a.cur == len(a.chunks) {
-		a.chunks = append(a.chunks, make(Vector, arenaChunk))
+	return take(&a.mu, &a.ints, n, intChunk)
+}
+
+// Vectors returns n nil Vector headers that live until Reset: the rows
+// of a dataset, the slots of a free list.
+func (a *Arena) Vectors(n int) []Vector {
+	if a == nil {
+		return make([]Vector, n)
 	}
-	v := a.chunks[a.cur][a.off : a.off+n : a.off+n]
-	a.off += n
-	a.mu.Unlock()
-	clear(v) // recycled memory holds the previous user's values
-	return v
+	return take(&a.mu, &a.vectors, n, vectorsChunk)
 }
 
 // RNG returns a generator seeded with seed, stream-identical to
@@ -71,21 +108,32 @@ func (a *Arena) RNG(seed int64) *RNG {
 	return g
 }
 
-// Used returns the bytes of chunk memory consumed since Reset, skipped
-// chunk tails included.
+// Used returns the bytes of float64 chunk memory consumed since Reset,
+// skipped chunk tails included.
 func (a *Arena) Used() int {
 	if a == nil {
 		return 0
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return 8 * (a.cur*arenaChunk + a.off)
+	return 8 * (a.floats.cur*arenaChunk + a.floats.off)
 }
 
 // Reset ends the lifetime of everything the arena handed out; the
-// chunks and generators are kept for the next user.
+// chunks and generators are kept for the next user. The Vector headers
+// handed out are cleared, so an arena waiting in a pool holds no heap
+// vector of the arm that used it.
 func (a *Arena) Reset() {
 	a.mu.Lock()
-	a.cur, a.off, a.nrng = 0, 0, 0
+	for i, c := range a.vectors.chunks[:min(a.vectors.cur+1, len(a.vectors.chunks))] {
+		if i == a.vectors.cur {
+			c = c[:a.vectors.off]
+		}
+		clear(c)
+	}
+	a.floats.cur, a.floats.off = 0, 0
+	a.ints.cur, a.ints.off = 0, 0
+	a.vectors.cur, a.vectors.off = 0, 0
+	a.nrng = 0
 	a.mu.Unlock()
 }

@@ -38,7 +38,7 @@ func TestArenaLiveVectorsNeverOverlap(t *testing.T) {
 	var a Arena
 	var live []Vector
 	for i := 0; i < 40; i++ {
-		for _, n := range []int{1, 0, 49, 250, 3000, arenaMax} {
+		for _, n := range []int{1, 0, 49, 250, 3000, arenaChunk / 4} {
 			v := a.Vector(n)
 			if len(v) != n || cap(v) != n {
 				t.Fatalf("Vector(%d): len %d cap %d", n, len(v), cap(v))
@@ -86,7 +86,7 @@ func TestArenaOversizeBypasses(t *testing.T) {
 	var a Arena
 	small := a.Vector(8)
 	before := a.Used()
-	big := a.Vector(arenaMax + 1)
+	big := a.Vector(arenaChunk/4 + 1)
 	if a.Used() != before {
 		t.Fatalf("oversize request consumed arena memory: %d -> %d", before, a.Used())
 	}
@@ -173,5 +173,70 @@ func TestVecPoolOverArena(t *testing.T) {
 	p.Put(v)
 	if w := p.Get(8); &w[0] != &v[0] || a.Used() != 64 {
 		t.Fatal("Put buffer was not reused by the next Get")
+	}
+}
+
+// The int and Vector-header slabs keep the float slab's rules: handed
+// out zeroed from recycled chunks, exact capacity, the heap past a
+// quarter chunk or on a nil arena. Reset also drops the headers, so a
+// pooled arena does not keep the last arm's heap vectors alive.
+func TestArenaTypedSlabs(t *testing.T) {
+	var a Arena
+	ints, vecs := a.Ints(10), a.Vectors(3)
+	if len(ints) != 10 || cap(ints) != 10 || len(vecs) != 3 || cap(vecs) != 3 {
+		t.Fatalf("Ints(10) len %d cap %d, Vectors(3) len %d cap %d", len(ints), cap(ints), len(vecs), cap(vecs))
+	}
+	for i := range ints {
+		ints[i] = i + 1
+	}
+	heap := NewVector(4)
+	vecs[0], vecs[2] = a.Vector(2), heap
+	rest := a.Vectors(2) // the rest of the chunk stays in use
+	rest[1] = heap
+	a.Reset()
+	if vecs[2] != nil || rest[1] != nil {
+		t.Fatal("Reset kept the headers handed out")
+	}
+	ints2, vecs2 := a.Ints(10), a.Vectors(3)
+	if &ints2[0] != &ints[0] || &vecs2[0] != &vecs[0] {
+		t.Fatal("Reset did not recycle the int and Vector chunks")
+	}
+	for i, x := range ints2 {
+		if x != 0 {
+			t.Fatalf("recycled ints[%d] = %d, want 0", i, x)
+		}
+	}
+	if big := a.Ints(intChunk/4 + 1); &big[0] == &ints2[0] || a.Ints(1)[0] != 0 {
+		t.Fatal("oversize Ints came from the arena")
+	}
+	if big := a.Vectors(vectorsChunk/4 + 1); len(big) != vectorsChunk/4+1 {
+		t.Fatal("oversize Vectors has the wrong length")
+	}
+	var none *Arena
+	if p, q := none.Ints(4), none.Ints(4); &p[0] == &q[0] || len(none.Vectors(2)) != 2 {
+		t.Fatal("nil arena must hand out independent heap slices")
+	}
+}
+
+// A pool's free lists past the eight it holds itself, and its slots,
+// grow without losing a vector.
+func TestVecPoolManyLengths(t *testing.T) {
+	var a Arena
+	p := NewVecPool(&a)
+	var held []Vector
+	for n := 1; n <= 12; n++ {
+		for range 5 {
+			held = append(held, p.Get(n))
+		}
+	}
+	for _, v := range held {
+		p.Put(v)
+	}
+	for n := 12; n >= 1; n-- {
+		for i := range 5 {
+			if v := p.Get(n); len(v) != n || &v[0] != &held[5*(n-1)+4-i][0] {
+				t.Fatalf("Get(%d) #%d did not return the last vector put back", n, i)
+			}
+		}
 	}
 }

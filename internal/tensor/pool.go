@@ -10,29 +10,52 @@ import "sync"
 // reading it.
 //
 // The list of each length grows to the peak number of that length in
-// use at once and lives as long as the pool's owner (one arm), so a
-// Get/Put cycle allocates nothing at steady state.
+// use at once and lives as long as the pool's owner (one arm); its
+// slots come from the arena too. An arm uses a handful of lengths, so
+// the lists are found by a linear scan, and the first eight live in
+// the pool itself. A Get/Put cycle allocates nothing at steady state.
 //
 // A VecPool is safe for concurrent use.
 type VecPool struct {
 	arena *Arena
 	mu    sync.Mutex
-	free  map[int][]Vector
+	lists []freeList
+	first [8]freeList // lists' first backing array
+}
+
+// freeList holds the free vectors of one length.
+type freeList struct {
+	n    int
+	free []Vector
 }
 
 // NewVecPool returns a pool whose buffers come from a (nil = the heap).
 func NewVecPool(a *Arena) *VecPool {
-	return &VecPool{arena: a, free: map[int][]Vector{}}
+	p := &VecPool{arena: a}
+	p.lists = p.first[:0]
+	return p
+}
+
+// list returns the free list of length n, adding it if new. p.mu must be
+// held.
+func (p *VecPool) list(n int) *freeList {
+	for i := range p.lists {
+		if p.lists[i].n == n {
+			return &p.lists[i]
+		}
+	}
+	p.lists = append(p.lists, freeList{n: n})
+	return &p.lists[len(p.lists)-1]
 }
 
 // Get returns a vector of length n: the last one of that length Put
 // back, or a new one from the pool's arena.
 func (p *VecPool) Get(n int) Vector {
 	p.mu.Lock()
-	if list := p.free[n]; len(list) > 0 {
-		v := list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[n] = list[:len(list)-1]
+	if l := p.list(n); len(l.free) > 0 {
+		v := l.free[len(l.free)-1]
+		l.free[len(l.free)-1] = nil
+		l.free = l.free[:len(l.free)-1]
 		p.mu.Unlock()
 		return v
 	}
@@ -44,6 +67,14 @@ func (p *VecPool) Get(n int) Vector {
 // after it.
 func (p *VecPool) Put(v Vector) {
 	p.mu.Lock()
-	p.free[len(v)] = append(p.free[len(v)], v)
+	l := p.list(len(v))
+	if len(l.free) == cap(l.free) {
+		// The slots come from the arena: a full list moves to twice the
+		// room, and the old slots die with the arm.
+		grown := p.arena.Vectors(max(4, 2*cap(l.free)))[:len(l.free)]
+		copy(grown, l.free)
+		l.free = grown
+	}
+	l.free = append(l.free, v)
 	p.mu.Unlock()
 }

@@ -104,12 +104,18 @@ func (g *RNG) Normal(mu, sigma float64) float64 {
 // Perm returns a uniform random permutation of [0, n).
 func (g *RNG) Perm(n int) []int {
 	m := make([]int, n)
-	for i := 0; i < n; i++ {
+	g.PermInto(m)
+	return m
+}
+
+// PermInto fills m with a uniform random permutation of [0, len(m)),
+// drawing what Perm(len(m)) draws.
+func (g *RNG) PermInto(m []int) {
+	for i := range m {
 		j := g.Intn(i + 1)
 		m[i] = m[j]
 		m[j] = i
 	}
-	return m
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
@@ -125,6 +131,20 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) {
 	for ; i > 0; i-- {
 		j := int(g.lemire31n(int32(i + 1)))
 		swap(i, j)
+	}
+}
+
+// ShuffleInts is Shuffle(len(a), swap of a[i] and a[j]) without the
+// call per swap: the same draws, the same order.
+func (g *RNG) ShuffleInts(a []int) {
+	i := len(a) - 1
+	for ; i > 1<<31-1-1; i-- {
+		j := int(g.int63n(int64(i + 1)))
+		a[i], a[j] = a[j], a[i]
+	}
+	for ; i > 0; i-- {
+		j := int(g.lemire31n(int32(i + 1)))
+		a[i], a[j] = a[j], a[i]
 	}
 }
 

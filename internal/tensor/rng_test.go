@@ -15,7 +15,9 @@ type sampler interface {
 	Intn(n int) int
 	Normal(mu, sigma float64) float64
 	Perm(n int) []int
+	PermInto(m []int)
 	Shuffle(n int, swap func(i, j int))
+	ShuffleInts(a []int)
 	FillNormal(v Vector, mu, sigma float64)
 	KaimingNormal(v Vector, fanIn int)
 	Dirichlet(k int, beta float64) Vector
@@ -45,6 +47,14 @@ func (s *tallySource) Int63() int64 {
 	v := s.Source.Int63()
 	s.drawn = append(s.drawn, v)
 	return v
+}
+
+// PermInto is RNG.PermInto on math/rand: Perm's draws, copied out.
+func (o *oracle) PermInto(m []int) { copy(m, o.Perm(len(m))) }
+
+// ShuffleInts is RNG.ShuffleInts on math/rand: Shuffle with the swap.
+func (o *oracle) ShuffleInts(a []int) {
+	o.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
 }
 
 func oracleRNG(seed int64) *oracle {
@@ -200,7 +210,7 @@ func runOps(g sampler, ops []byte) []uint64 {
 	for len(ops) >= 2 {
 		op, arg := ops[0], int(ops[1])
 		ops = ops[2:]
-		switch op % 9 {
+		switch op % 11 {
 		case 0:
 			ints(int(g.Int63()))
 		case 1:
@@ -237,6 +247,20 @@ func runOps(g sampler, ops []byte) []uint64 {
 			v := NewVector(arg % 64)
 			g.KaimingNormal(v, arg%4)
 			floats(v...)
+		case 9: // over a dirty slice: PermInto writes every element
+			m := make([]int, arg%64)
+			for i := range m {
+				m[i] = -1 - i
+			}
+			g.PermInto(m)
+			ints(m...)
+		case 10:
+			a := make([]int, arg%64)
+			for i := range a {
+				a[i] = 3*i + 1
+			}
+			g.ShuffleInts(a)
+			ints(a...)
 		}
 	}
 	return out
@@ -331,11 +355,13 @@ func TestArenaRNGReseedZeroAllocs(t *testing.T) {
 // fuzzOps calls every sampler once or more: Int63, Float64, Intn at 1,
 // 2³¹−1, 2⁴⁰, 2⁶²+1 and 9, Normal, FillNormal of 700, 101 and 0 values,
 // Perm, Shuffle of 9 and of 2⁶²+1, 2³¹ and 2³²/3+2 (the first swaps),
-// Dirichlet with β < 1 and β ≥ 1, and KaimingNormal with fanIn 0 and 1.
+// Dirichlet with β < 1 and β ≥ 1, KaimingNormal with fanIn 0 and 1,
+// PermInto of 9, 0 and 63 and ShuffleInts of 9, 1 and 63.
 var fuzzOps = []byte{
 	0, 0, 1, 0, 2, 63, 2, 31, 2, 103, 2, 188, 2, 129,
 	3, 7, 4, 255, 4, 37, 4, 0,
 	5, 9, 6, 9, 6, 192, 6, 193, 6, 194, 7, 3, 7, 24, 8, 12, 8, 13,
+	9, 9, 9, 0, 9, 63, 10, 9, 10, 1, 10, 63,
 }
 
 func FuzzRNGMatchesMathRand(f *testing.F) {

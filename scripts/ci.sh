@@ -1,7 +1,9 @@
 #!/bin/sh
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
 # cross-build (the kernels' pure-Go tier), the race
-# detector over the parallelized packages, the fuzz-corpus smoke (fuzz
+# detector over the parallelized packages, the allocation budgets
+# without it (under it sync.Pool drops the arm memory at random, so
+# those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG and the exp
 # kernel are fuzzed, for 10 s each), the one-generator gates (math/rand
@@ -51,6 +53,9 @@ go test -race $(go list ./... | grep -v '/benchmark$')
 # panicking wake) run ten more.
 go test -race -count=10 -run 'IntraArm|FirstError|DenseWake|RoundChains|Engine' ./internal/gossip
 go test ./benchmark
+# The allocation budgets and zero-allocation tests, which skip or loosen
+# under the race detector, hold here.
+go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
 go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink

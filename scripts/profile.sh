@@ -5,8 +5,8 @@
 # (via dlsim's -cpuprofile/-memprofile flags; five seeds merged for each,
 # since one run is little over a second of samples), the dense-wake arm (via the
 # IntraArmSpeedup benchmark), a sweep of sub-millisecond arms (via
-# the LightArmSweep benchmark, which also prints KiB and collections
-# per arm) and a resume pass over a finished directory of them (via the
+# the LightArmSweep benchmark, which also prints KiB, heap objects and
+# collections per arm) and a resume pass over a finished directory of them (via the
 # ResumePass benchmark, CPU only). Writes raw profiles plus plain-text
 # top-20 summaries under profiles/ — the summaries are what DESIGN.md's
 # "Where the time goes" section is built from.
@@ -95,6 +95,14 @@ go tool pprof -top -cum -unit=ms -nodecount=100000 -focus='core\.\(\*Study\)\.ru
         printf "  %-52s %8.0f ms\n", "(*Study).run", total
         for (n in row) printf "  %-52s %8.1f %%\n", n, 100 * row[n] / total
     }' || true
+# What the light arms' garbage costs: the cumulative shares, of all the
+# sweep's samples, of the allocator and of the collector's background
+# and assist work. The arms allocate almost nothing, so each sits near
+# its floor; one climbing back means per-arm or per-tick state has gone
+# back to the heap.
+echo "light-arm sweep, cumulative share of the allocator and the collector:"
+go tool pprof -top -cum -nodecount=100000 "$OUT/lightarm_cpu.pprof" 2>/dev/null |
+    awk '$NF ~ /^runtime\.(mallocgc|gcBgMarkWorker|gcAssistAlloc)$/ { printf "  %-52s %8s\n", $NF, $5 }' || true
 # The resume pass's table of DESIGN.md §4: of the samples the passes
 # take (the benchmark labels them on every goroutine a pass starts; the
 # cold run that builds the directory is unlabelled), the cumulative
