@@ -189,13 +189,13 @@ func reuseAcrossShapes(t *testing.T) {
 
 // TestArmAllocsIndependentOfRounds: nothing is allocated per tick. An
 // arm runs its rounds on what it built, so fifteen rounds allocate what
-// three do, on the serial loop and on the node-parallel engine alike
-// (one evaluation each, so the count is the arm's build alone). A queue
-// that reaches a new high-water mark, or the runtime's own noise around
-// the engine's goroutines, may add an object or two, but not one per
-// round. The DP arm is left out: its σ calibration searches further for
-// more steps, a cost of the arm's build that grows with its rounds. So
-// is the engine under the race detector, whose wider interleavings take
+// three do, at one worker and at four alike (one evaluation each, so
+// the count is the arm's build alone). A queue that reaches a new
+// high-water mark, or the runtime's own noise around the engine's
+// goroutines, may add an object or two, but not one per round. The DP
+// arm is left out: its σ calibration searches further for more steps, a
+// cost of the arm's build that grows with its rounds. So are four
+// workers under the race detector, whose wider interleavings take
 // the pool's free lists of heap-sized gradients to a different high-water
 // mark from run to run.
 func TestArmAllocsIndependentOfRounds(t *testing.T) {

@@ -111,13 +111,13 @@ type StudyConfig struct {
 	// Workers is the intra-arm parallelism knob. It bounds the
 	// goroutines used to fan out the per-node evaluation (test accuracy,
 	// MIA attack, generalization error, and the canary audit) at each
-	// observed round and the simulator's node-parallel round execution
-	// of merge-once protocols (gossip.Config.Workers; protocols that
-	// train on receive tick serially at every setting): 0 means one
-	// worker per CPU, 1 forces the serial paths. Both are deterministic
-	// by construction — indexed result slots, per-node operation chains
-	// planned in serial order — so the resulting Series is
-	// byte-identical for every worker count.
+	// observed round and the simulator's round engine
+	// (gossip.Config.Workers; protocols that train on receive get one
+	// worker at every setting): 0 means one worker per CPU, 1 runs both
+	// on the calling goroutine. Both are deterministic by construction
+	// — indexed result slots, per-node operation chains planned in
+	// serial order — so the resulting Series is byte-identical for every
+	// worker count.
 	Workers int
 }
 
@@ -169,13 +169,12 @@ type Result struct {
 	// Final holds per-node end-of-run snapshots when
 	// StudyConfig.KeepFinalModels is set.
 	Final []NodeSnapshot
-	// Sched describes the schedule the node-parallel round engine
-	// executed (zero-valued when the run took the serial path). Its
-	// Occupancy — wakes over the rounds' critical paths — is the
-	// machine-independent speedup ceiling of the schedule, what the
-	// speedup benchmarks report alongside wall clock, since the latter
-	// saturates at 1.0x on a single-P runtime no matter how good the
-	// schedule is.
+	// Sched describes the schedule the simulator's round engine
+	// planned, the same at every worker count. Its Occupancy — wakes
+	// over the rounds' critical paths — is the machine-independent
+	// speedup ceiling of the schedule, what the speedup benchmarks
+	// report alongside wall clock, since the latter saturates at 1.0x on
+	// a single-P runtime no matter how good the schedule is.
 	Sched gossip.SchedStats
 }
 
@@ -244,7 +243,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 	cfg := s.cfg
 	simCfg := cfg.Sim.Defaulted()
 	// One Workers knob drives both intra-arm levels: the simulator's
-	// node-parallel round engine and the per-node evaluation.
+	// round engine and the per-node evaluation.
 	if simCfg.Workers == 0 {
 		simCfg.Workers = cfg.Workers
 	}

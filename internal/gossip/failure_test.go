@@ -113,7 +113,7 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	}
 	node := sim.Nodes()[0]
 	before := sim.MessagesSent()
-	if err := sim.wake(node); err != nil {
+	if err := wakeAlone(sim, node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 3 {
@@ -122,7 +122,7 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	// Fanout beyond n-1 is capped.
 	before = sim.MessagesSent()
 	sim.protocol = Epidemic{Fanout: 100}
-	if err := sim.wake(node); err != nil {
+	if err := wakeAlone(sim, node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 5 {
@@ -131,7 +131,7 @@ func TestEpidemicSendsFanoutDistinctPeers(t *testing.T) {
 	// Fanout below 1 becomes 1.
 	before = sim.MessagesSent()
 	sim.protocol = Epidemic{}
-	if err := sim.wake(node); err != nil {
+	if err := wakeAlone(sim, node); err != nil {
 		t.Fatal(err)
 	}
 	if got := sim.MessagesSent() - before; got != 1 {
@@ -156,7 +156,7 @@ func TestEpidemicMergesLikeSAMO(t *testing.T) {
 		t.Fatal("epidemic should add the model to its inbox on receive")
 	}
 	before := node.Model.ParamsCopy()
-	if err := sim.wake(node); err != nil {
+	if err := wakeAlone(sim, node); err != nil {
 		t.Fatal(err)
 	}
 	if node.Inbox.Count != 0 || node.Inbox.Sum != nil {

@@ -104,17 +104,12 @@ func TestDenseWakeSchedStats(t *testing.T) {
 // TestDenseWakeColoredDeterminism pins byte-identical results for the
 // dense-wake arm specifically — the workload where the engine reorders
 // the most compute relative to node-ID order — for both protocols the
-// engine runs. Run under -race this also checks that concurrent
-// operations share no node state.
+// engine runs on several workers: every worker count must give the
+// serial loop's bytes (engine.golden). Run under -race this also checks
+// that concurrent operations share no node state.
 func TestDenseWakeColoredDeterminism(t *testing.T) {
+	golden := engineGolden(t)
 	for _, proto := range []Protocol{SAMO{}, Epidemic{Fanout: 2}} {
-		cfg := denseWakeConfig(1)
-		want := runFingerprint(t, cfg, proto)
-		for _, workers := range []int{2, 4, 8} {
-			cfg.Workers = workers
-			if got := runFingerprint(t, cfg, proto); got != want {
-				t.Fatalf("%s workers=%d diverged from serial run on the dense-wake arm", proto.Name(), workers)
-			}
-		}
+		checkPinned(t, golden, "dense/"+proto.Name(), denseWakeConfig(1), proto, testFactory(), nil, []int{1, 2, 4, 8})
 	}
 }

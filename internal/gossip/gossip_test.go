@@ -39,6 +39,18 @@ func testFactory() UpdaterFactory {
 	return NewSGDUpdaterFactory(nn.SGDConfig{LR: 0.05}, 8, 1)
 }
 
+// wakeAlone runs one tick on the round engine in which node is the only
+// waker: its wake-up and its sends, as a run performs them.
+func wakeAlone(sim *Simulator, node *Node) error {
+	for _, n := range sim.nodes {
+		n.nextWake = math.MaxInt
+	}
+	node.nextWake = sim.tick
+	e := newRoundEngine(sim, 1)
+	defer e.close()
+	return e.round(sim.tick + 1)
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{Nodes: 10, ViewSize: 3, Rounds: 5}.Defaulted()
 	if err := good.Validate(); err != nil {
@@ -186,7 +198,7 @@ func TestSAMOMergeOnceSemantics(t *testing.T) {
 		t.Fatal("inbox sum is not the own model plus the received one")
 	}
 	// On wake it merges, trains, clears the inbox, and sends to all.
-	if err := sim.wake(node); err != nil {
+	if err := wakeAlone(sim, node); err != nil {
 		t.Fatal(err)
 	}
 	if node.Inbox.Count != 0 || node.Inbox.Sum != nil {

@@ -9,26 +9,15 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-// This file implements node-parallel round execution: a single arm's
-// wake-ups fanned out over worker goroutines while staying
-// byte-identical to the serial loop (Simulator.serialRound). The engine
-// owns only the scheduling — which operation may run when, and whose
-// error is reported; what a wake, a send and a delivery do is the
-// Simulator's primitives (simulator.go), called here in the serial
-// loop's order.
-//
-// Run takes the engine only for protocols that implement
-// PassiveReceiver and report passive (standard SAMO, Epidemic: the
-// merge-once protocols of Algorithm 2). Their OnReceive only adds to
-// the receiver's inbox sum, so a delivery touches nothing but the
-// receiver's inbox and reads nothing but the received model and the
-// receiver's own parameters. Protocols that train on receive run the
-// serial loop at every worker count.
+// This file is the round engine, the simulator's only tick loop (Run).
+// The engine owns only the scheduling — which operation may run when,
+// and whose error is reported; what a wake, a send and a delivery do is
+// the Simulator's primitives (simulator.go).
 //
 // A round is one dataflow graph. A serial planner walks the round's
-// ticks in the serial loop's exact order — churn flips, drainDue, then
-// every due waker's planWake and one planSend per target — doing all
-// the shared-state work there (topology, the transport's RNG and queue,
+// ticks in the reference order — churn flips, drainDue, then every due
+// waker's planWake and one planSend per target — doing all the
+// shared-state work there (topology, the transport's RNG and queue,
 // counters) and emitting the node-local work as operations:
 //
 //   - wake(X): Protocol.Wake (merge pending models, train), then fill
@@ -38,15 +27,27 @@ import (
 //   - release(T): a queued payload lost because T went down, recycled;
 //   - drop(T): a departing node's unmerged inbox, recycled.
 //
-// Every operation sits on one node's chain (the waker's, else the
-// receiver's) and waits for the operation before it there, so each node
-// sees its operations in serial order. Two more edges and a gate make
-// the cross-node reads safe:
+// An operation's serial index is its place in that order, and the
+// reference run executes the operations in it, each to completion
+// before the next starts. At one worker the engine is that run: the
+// planner executes each operation the moment it releases it, on the
+// calling goroutine, with no par.Pool.
+//
+// More workers are for protocols that implement PassiveReceiver and
+// report passive (standard SAMO, Epidemic: the merge-once protocols of
+// Algorithm 2); Run gives every other protocol one worker. A passive
+// OnReceive only adds to the receiver's inbox sum, so a delivery
+// touches nothing but the receiver's inbox and reads nothing but the
+// received model and the receiver's own parameters. Every operation
+// sits on one node's chain (the waker's, else the receiver's) and waits
+// for the operation before it there, so each node sees its operations
+// in serial order. Two more edges and a gate make the cross-node reads
+// safe:
 //
 //   - a carry, delivery or release waits for the sender's wake that
 //     produced its model (the queued payload is taken from the pool and
 //     put on the delivery queue at plan time, in send order, so the
-//     queue's FIFO tie-break is the serial loop's; the wake fills it);
+//     queue's FIFO tie-break is the serial order's; the wake fills it);
 //   - write-after-read: X's next wake waits for every carry still
 //     reading X's parameters from its previous wake;
 //   - the RNG gate: the planner plans X's wake only once X's previous
@@ -57,20 +58,20 @@ import (
 // operation whose dependencies are done, lowest serial index first,
 // from one mutex-guarded ready queue inside a single par.Pool.ForEach
 // per round. The round boundary, where the observer reads the nodes, is
-// the only barrier. The first error reported is the serial loop's: the
-// lowest failing operation in serial order wins, every operation after
-// it is skipped, and a plan error counts only if no earlier operation
-// failed.
+// the only barrier. The first error reported is the serial order's: the
+// lowest failing operation wins, every operation after it is skipped,
+// and a plan error counts only if no earlier operation failed.
 
-// SchedStats describes the schedule the node-parallel engine executed
-// for one run: how many wake-ups it planned, and how many of them lay on
-// each round's longest dependency path. Units/Batches — Occupancy — is
-// the average number of wakes that could run at once, the
+// SchedStats describes the schedule the round engine planned for one
+// run: how many wake-ups it planned, and how many of them lay on each
+// round's longest dependency path. The plan is the same at every worker
+// count, and so are the stats. Units/Batches — Occupancy — is the
+// average number of wakes that could run at once, the
 // machine-independent upper bound on the intra-arm speedup the schedule
-// can deliver: on a host with enough cores, wall-clock wake-compute time
-// approaches (serial time) / Occupancy.
+// can deliver to a passive protocol: on a host with enough cores,
+// wall-clock wake-compute time approaches (serial time) / Occupancy.
 type SchedStats struct {
-	// Ticks executed on the parallel engine.
+	// Ticks executed.
 	Ticks int
 	// Batches is the schedule's critical path in wakes, summed over
 	// rounds: the most wakes on any one dependency path of a round.
@@ -86,13 +87,6 @@ func (st SchedStats) Occupancy() float64 {
 		return 0
 	}
 	return float64(st.Units) / float64(st.Batches)
-}
-
-// receivesPassively reports whether protocol is a PassiveReceiver that
-// reports passive, the engine's only selector.
-func receivesPassively(protocol Protocol) bool {
-	pr, ok := protocol.(PassiveReceiver)
-	return ok && pr.ReceivesPassively()
 }
 
 // opKind names what an operation does; see the file comment.
@@ -135,12 +129,12 @@ type edge struct{ to, next int32 }
 // noFail is roundEngine.failAt while no operation has failed.
 const noFail = math.MaxInt32
 
-// roundEngine holds the state of the node-parallel round loop. Its
-// slices are reused across rounds, and the engine itself across runs
-// (engines).
+// roundEngine holds the state of the round loop. Its slices are reused
+// across rounds, and the engine itself across the runs of one arena
+// (tensor.Arena.Keep).
 type roundEngine struct {
 	s       *Simulator
-	pool    *par.Pool
+	pool    *par.Pool // nil at one worker
 	workers int
 	itemFn  func(int)
 
@@ -178,19 +172,19 @@ type roundEngine struct {
 	stats SchedStats
 }
 
-// engines recycles round engines, and with them their operation and
-// edge storage, across runs, as core recycles arm arenas.
-var engines = sync.Pool{New: func() any {
-	e := new(roundEngine)
-	e.cond.L = &e.mu
-	e.itemFn = e.item
-	return e
-}}
-
-// newRoundEngine readies a pooled engine and a worker pool for s.
+// newRoundEngine readies the engine an earlier run left on s's arena,
+// or a new one, and a worker pool when more than one worker runs.
 func newRoundEngine(s *Simulator, workers int) *roundEngine {
-	e := engines.Get().(*roundEngine)
-	e.s, e.workers, e.pool = s, workers, par.NewPool(workers)
+	e, _ := s.arena().Take().(*roundEngine)
+	if e == nil {
+		e = new(roundEngine)
+		e.cond.L = &e.mu
+		e.itemFn = e.item
+	}
+	e.s, e.workers = s, workers
+	if workers > 1 {
+		e.pool = par.NewPool(workers)
+	}
 	e.lastOp = grow(e.lastOp, len(s.nodes))
 	e.lastWake = grow(e.lastWake, len(s.nodes))
 	e.tickWake = grow(e.tickWake, s.cfg.TicksPerRound+1)
@@ -207,18 +201,21 @@ func grow(s []int32, n int) []int32 {
 }
 
 // close releases the worker pool, hands the schedule to the simulator
-// and returns the engine to engines.
+// and leaves the engine, holding nothing of the run, on its arena.
 func (e *roundEngine) close() {
-	e.pool.Close()
-	e.s.sched = e.stats
+	if e.pool != nil {
+		e.pool.Close()
+	}
+	s := e.s
+	s.sched = e.stats
 	clear(e.bufs)
 	clear(e.fills)
 	e.s, e.pool, e.err = nil, nil, nil
-	engines.Put(e)
+	s.arena().Keep(e)
 }
 
 // round runs the ticks up to end as one dataflow graph and returns the
-// serial loop's first error.
+// first error in serial order.
 func (e *roundEngine) round(end int) error {
 	e.ops, e.edges, e.ready, e.wakes = e.ops[:0], e.edges[:0], e.ready[:0], e.wakes[:0]
 	clear(e.bufs)
@@ -229,7 +226,9 @@ func (e *roundEngine) round(end int) error {
 	e.lo, e.end, e.finished, e.span = e.s.tick, end, 0, 0
 	e.planned, e.aborted = false, false
 	e.gate, e.failAt, e.err = -1, noFail, nil
-	e.pool.ForEach(e.workers, e.itemFn) // re-raises a panic as *par.WorkerPanic
+	// A pool re-raises a panic as *par.WorkerPanic; a nil pool runs
+	// item(0) inline.
+	e.pool.ForEach(e.workers, e.itemFn)
 	e.stats.Units += len(e.wakes)
 	e.stats.Batches += int(e.span)
 	return e.err
@@ -261,9 +260,9 @@ func (e *roundEngine) item(k int) {
 	ok = true
 }
 
-// plan walks the round's ticks in the serial loop's order and emits
-// their operations. It stops at the first plan error, or once an
-// operation has failed: everything it would emit would be skipped.
+// plan walks the round's ticks in serial order and emits their
+// operations. It stops at the first plan error, or once an operation
+// has failed: everything it would emit would be skipped.
 func (e *roundEngine) plan() {
 	s := e.s
 	for ; s.tick < e.end; s.tick++ {
@@ -326,20 +325,21 @@ func (e *roundEngine) planWake(node *Node) bool {
 	tick := int32(e.s.tick)
 	w := e.emit(op{kind: opWake, node: id, tick: tick, buf: int32(len(e.bufs)), nbuf: int32(len(e.fills))})
 	e.bufs = append(e.bufs, e.fills...)
-	// The planner emits a wake's carries right after it.
-	for c := prev + 1; prev >= 0 && e.ops[c].kind == opCarry && e.ops[c].from == id; c++ {
+	// The planner emitted prev's carries right after it, so they lie
+	// between prev and w (none when the two wakes abut).
+	for c := prev + 1; prev >= 0 && c < w && e.ops[c].kind == opCarry && e.ops[c].from == id; c++ {
 		e.after(w, c)
 	}
 	e.ops[w].level++
 	e.span = max(e.span, e.ops[w].level)
 	e.lastWake[id] = w
 	e.wakes = append(e.wakes, w)
+	e.release(w)
 	for _, to := range e.carryTo {
 		c := e.emit(op{kind: opCarry, node: to, from: id, tick: tick})
 		e.after(c, w)
 		e.release(c)
 	}
-	e.release(w)
 	if err != nil {
 		e.planFail(err)
 		return false
@@ -419,7 +419,9 @@ func (e *roundEngine) after(i, j int32) {
 }
 
 // release counts one dependency of operation i done, or the planner's
-// hold on it dropped, and queues i once none is left.
+// hold on it dropped, and queues i once none is left. At one worker it
+// runs i instead: every operation before i has run by then, so the
+// operations run in serial order and the RNG gate never waits.
 func (e *roundEngine) release(i int32) {
 	if e.ops[i].pending--; e.ops[i].pending > 0 {
 		return
@@ -435,6 +437,10 @@ func (e *roundEngine) release(i int32) {
 		c = p
 	}
 	e.ready = h
+	if e.pool == nil {
+		e.runNext()
+		return
+	}
 	e.cond.Signal()
 }
 

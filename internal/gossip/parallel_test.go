@@ -1,8 +1,12 @@
 package gossip
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
+	"os"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,18 +17,10 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-// runFingerprint runs one simulation and captures everything the engine
-// is contracted to reproduce byte for byte: every node's final
+// runFingerprintSched runs one simulation and captures everything the
+// engine is contracted to reproduce byte for byte: every node's final
 // parameter vector (exact bits), the unmerged inbox (count and sum),
-// and all run counters.
-func runFingerprint(t *testing.T, cfg Config, protocol Protocol) string {
-	t.Helper()
-	fp, _ := runFingerprintSched(t, cfg, protocol)
-	return fp
-}
-
-// runFingerprintSched is runFingerprint plus the schedule the run
-// reports, which says which tick loop it took.
+// and all run counters. It also returns the schedule the run reports.
 func runFingerprintSched(t *testing.T, cfg Config, protocol Protocol) (string, SchedStats) {
 	t.Helper()
 	return runFingerprintOf(t, cfg, protocol, testFactory(), nil)
@@ -71,7 +67,7 @@ func appendBits(dst []byte, v float64) []byte {
 // intervals are deliberately short so many nodes wake in the same tick
 // — forcing same-tick sender→waker collisions and conflict batches,
 // the paths where a buffered-commit engine could diverge from the
-// serial loop.
+// serial order.
 func parallelScenarios() map[string]Config {
 	base := Config{
 		Nodes: 10, ViewSize: 3, Rounds: 3, TicksPerRound: 10,
@@ -111,33 +107,102 @@ func matrixProtocols() map[string]Protocol {
 	return m
 }
 
+// matrixWorkers are the worker counts every matrix case runs at.
+var matrixWorkers = []int{1, 2, 3, 8}
+
+// pinnedCase is one line of testdata/matrix.golden.
+type pinnedCase struct{ fingerprint, err string }
+
+// matrixGolden reads testdata/matrix.golden: per scenario/protocol case
+// of the matrix, the sha256 of runFingerprintSched's fingerprint and
+// the error of the failing-updater run (firstErrorOf), as the serial
+// tick loop the round engine replaced produced them. It is the
+// reference every worker count is held to; a line that moves is a bug,
+// never a re-pin. The file must name exactly the matrix's cases.
+func matrixGolden(t *testing.T) map[string]pinnedCase {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/matrix.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]pinnedCase{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		f := strings.SplitN(line, " ", 3)
+		if len(f) != 3 {
+			t.Fatalf("malformed matrix.golden line %q", line)
+		}
+		golden[f[0]] = pinnedCase{fingerprint: f[1], err: f[2]}
+	}
+	if want := len(parallelScenarios()) * len(matrixProtocols()); len(golden) != want {
+		t.Fatalf("matrix.golden pins %d cases, the matrix has %d", len(golden), want)
+	}
+	return golden
+}
+
+// engineGolden reads testdata/engine.golden: the sha256 of
+// runFingerprintOf's fingerprint for each of the engine's hazard
+// configs (the dense-wake arm, the write-after-read and RNG-gate tests,
+// the lone waker), as the serial tick loop the round engine replaced
+// produced it. Like matrix.golden it is the reference every worker
+// count is held to; a line that moves is a bug, never a re-pin.
+func engineGolden(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/engine.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		name, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed engine.golden line %q", line)
+		}
+		golden[name] = sum
+	}
+	return golden
+}
+
+// checkPinned runs cfg at every worker count in workers and fails
+// unless each run's fingerprint hashes to golden[name].
+func checkPinned(t *testing.T, golden map[string]string, name string, cfg Config, proto Protocol, factory UpdaterFactory, prepare func(*Simulator), workers []int) {
+	t.Helper()
+	want, ok := golden[name]
+	if !ok {
+		t.Fatalf("engine.golden pins no %q", name)
+	}
+	for _, w := range workers {
+		cfg.Workers = w
+		fp, _ := runFingerprintOf(t, cfg, proto, factory, prepare)
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != want {
+			t.Fatalf("%s workers=%d: fingerprint %s, pinned %s", name, w, got, want)
+		}
+	}
+}
+
 // TestIntraArmDeterminismAcrossWorkers is the tentpole guard: a single
-// arm's run must be byte-identical — every parameter bit, every inbox
-// sum, every counter — for any Workers setting, for every protocol
-// and scenario in the matrix. The serial loop runs at Workers = 1 and,
-// at every setting, for protocols that train on receive; the engine (it
-// planned wake units) runs above Workers = 1 exactly when the protocol
-// receives passively. Run under -race this also proves the compute
-// batches share no node state.
+// arm's run — every parameter bit, every inbox sum, every counter —
+// must be the pinned one for every Workers setting, for every protocol
+// and scenario in the matrix, and so must the schedule the engine
+// planned. Run under -race this also proves concurrent operations share
+// no node state.
 func TestIntraArmDeterminismAcrossWorkers(t *testing.T) {
+	golden := matrixGolden(t)
 	for scName, cfg := range parallelScenarios() {
 		for pName, proto := range matrixProtocols() {
-			t.Run(scName+"/"+pName, func(t *testing.T) {
+			name := scName + "/" + pName
+			t.Run(name, func(t *testing.T) {
 				cfg := cfg
-				cfg.Workers = 1
-				want, sched := runFingerprintSched(t, cfg, proto)
-				if sched != (SchedStats{}) {
-					t.Fatalf("workers=1 ran on the engine: %+v", sched)
-				}
-				for _, workers := range []int{2, 3, 8} {
+				var first SchedStats
+				for i, workers := range matrixWorkers {
 					cfg.Workers = workers
-					got, sched := runFingerprintSched(t, cfg, proto)
-					if got != want {
-						t.Fatalf("workers=%d diverged from serial run", workers)
+					fp, sched := runFingerprintSched(t, cfg, proto)
+					if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != golden[name].fingerprint {
+						t.Fatalf("workers=%d: fingerprint %s, pinned %s", workers, got, golden[name].fingerprint)
 					}
-					if engine := sched.Units > 0; engine != receivesPassively(proto) {
-						t.Fatalf("workers=%d ran on the engine = %v for a protocol that receives passively = %v",
-							workers, engine, receivesPassively(proto))
+					if i == 0 {
+						first = sched
+					} else if sched != first {
+						t.Fatalf("workers=%d planned %+v, workers=%d %+v", workers, sched, matrixWorkers[0], first)
 					}
 				}
 			})
@@ -159,37 +224,41 @@ func (u *failingUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.
 	return u.LocalUpdater.Update(model, train, rng)
 }
 
-// TestFirstErrorMatchesSerialLoop holds the engine to "report exactly
-// the error the serial loop would have hit first": every node's updater
-// starts failing after a few updates, so one tick can hold several
-// failing wakes and deliveries, in one batch or across batches, and the
-// error string — which names the node and the tick — must be the serial
-// loop's at every worker count.
-func TestFirstErrorMatchesSerialLoop(t *testing.T) {
-	run := func(t *testing.T, cfg Config, proto Protocol) string {
-		model, parts, _ := testWorld(t, cfg.Nodes, 10)
-		inner := testFactory()
-		sim, err := New(cfg, proto, model, parts, func(id int) LocalUpdater {
-			return &failingUpdater{LocalUpdater: inner(id), failAt: 2 + id%3}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err = sim.Run(nil); err == nil {
-			t.Fatal("run survived the injected failures")
-		}
-		return err.Error()
+// firstErrorOf runs cfg with every node's updater failing after a few
+// updates and returns the error Run reports.
+func firstErrorOf(t *testing.T, cfg Config, proto Protocol) string {
+	t.Helper()
+	model, parts, _ := testWorld(t, cfg.Nodes, 10)
+	inner := testFactory()
+	sim, err := New(cfg, proto, model, parts, func(id int) LocalUpdater {
+		return &failingUpdater{LocalUpdater: inner(id), failAt: 2 + id%3}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err = sim.Run(nil); err == nil {
+		t.Fatal("run survived the injected failures")
+	}
+	return err.Error()
+}
+
+// TestFirstErrorMatchesSerialLoop holds the engine to "report exactly
+// the error the serial order hits first": every node's updater starts
+// failing after a few updates, so one tick can hold several failing
+// wakes and deliveries, and the error string — which names the node and
+// the tick — must be the one the serial loop reported (matrix.golden)
+// at every worker count.
+func TestFirstErrorMatchesSerialLoop(t *testing.T) {
+	golden := matrixGolden(t)
 	for scName, cfg := range parallelScenarios() {
 		for pName, proto := range matrixProtocols() {
-			t.Run(scName+"/"+pName, func(t *testing.T) {
+			name := scName + "/" + pName
+			t.Run(name, func(t *testing.T) {
 				cfg := cfg
-				cfg.Workers = 1
-				want := run(t, cfg, proto)
-				for _, workers := range []int{2, 3, 8} {
+				for _, workers := range matrixWorkers {
 					cfg.Workers = workers
-					if got := run(t, cfg, proto); got != want {
-						t.Fatalf("workers=%d reported %q, serial loop %q", workers, got, want)
+					if got := firstErrorOf(t, cfg, proto); got != golden[name].err {
+						t.Fatalf("workers=%d reported %q, pinned %q", workers, got, golden[name].err)
 					}
 				}
 			})
@@ -227,8 +296,8 @@ func (p mutedSAMO) Targets(node *Node, view []int, size int, dst []int) ([]int, 
 // wait for it. Node 0 wakes once, at tick 1, slowly, and sends nothing,
 // so its neighbours run on while the carries they send it from tick 1
 // on queue behind that wake; waking every tick, they wake again. Bytes
-// must equal the serial loop's, and under -race no carry may read
-// parameters a merge writes.
+// must be the serial loop's (engine.golden) at every worker count, and
+// under -race no carry may read parameters a merge writes.
 func TestEngineWriteAfterRead(t *testing.T) {
 	inner := testFactory()
 	factory := func(id int) LocalUpdater {
@@ -240,32 +309,34 @@ func TestEngineWriteAfterRead(t *testing.T) {
 	slowOnce := func(sim *Simulator) {
 		sim.nodes[0].interval, sim.nodes[0].nextWake = 1000, 1
 	}
-	cfg := denseWakeConfig(1)
-	proto := mutedSAMO{mute: 0}
-	want, _ := runFingerprintOf(t, cfg, proto, factory, slowOnce)
-	for _, workers := range []int{2, 3, 8} {
-		cfg.Workers = workers
-		if got, _ := runFingerprintOf(t, cfg, proto, factory, slowOnce); got != want {
-			t.Fatalf("workers=%d diverged from the serial loop behind a lagging carry", workers)
-		}
-	}
+	checkPinned(t, engineGolden(t), "write-after-read", denseWakeConfig(1), mutedSAMO{mute: 0}, factory, slowOnce, matrixWorkers)
 }
 
 // TestEngineRNGGate pins the RNG gate: Epidemic's Targets and PeerSwap
 // draw the waker's RNG, which its training draws too, so a wake may be
 // planned only once the node's previous wake has run. Every node wakes
 // every tick, so a planner running ahead would draw a stream the serial
-// loop draws later.
+// order draws later.
 func TestEngineRNGGate(t *testing.T) {
 	cfg := denseWakeConfig(1)
 	cfg.Dynamics = DynamicsPeerSwap
-	proto := Epidemic{Fanout: 2}
-	want := runFingerprint(t, cfg, proto)
-	for _, workers := range []int{2, 3, 8} {
-		cfg.Workers = workers
-		if got := runFingerprint(t, cfg, proto); got != want {
-			t.Fatalf("workers=%d diverged from the serial loop on interval-1 Epidemic/PeerSwap", workers)
-		}
+	checkPinned(t, engineGolden(t), "rng-gate", cfg, Epidemic{Fanout: 2}, testFactory(), nil, matrixWorkers)
+}
+
+// TestEngineLoneWaker: two nodes wake every tick and node 1 leaves at
+// tick 1, so from tick 2 on node 0 wakes alone and sends to no live
+// node: its wakes follow one another in the plan with no operation
+// between them. Every protocol must give the serial loop's bytes at
+// every worker count.
+func TestEngineLoneWaker(t *testing.T) {
+	golden := engineGolden(t)
+	cfg := Config{
+		Nodes: 2, ViewSize: 1, Rounds: 2, TicksPerRound: 5,
+		WakeMean: 1, WakeStd: 1e-9, Seed: 7,
+		Churn: []ChurnEvent{{Node: 1, LeaveTick: 1}},
+	}
+	for pName, proto := range matrixProtocols() {
+		checkPinned(t, golden, "lone-waker/"+pName, cfg, proto, testFactory(), nil, matrixWorkers)
 	}
 }
 
@@ -315,5 +386,37 @@ func TestEnginePanicSurfaces(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Run hung after a wake panicked")
+	}
+}
+
+// TestEngineOneWorkerStartsNoGoroutine: at one worker the round engine
+// runs every operation on Run's own goroutine, with no worker pool — a
+// passive protocol at Workers = 1, and a protocol that trains on
+// receive, which gets one worker at every setting. The count may only
+// fall: a goroutine an earlier test left may still be exiting.
+func TestEngineOneWorkerStartsNoGoroutine(t *testing.T) {
+	for _, c := range []struct {
+		proto   Protocol
+		workers int
+	}{{SAMO{}, 1}, {BaseGossip{}, 1}, {BaseGossip{}, 8}} {
+		cfg := denseWakeConfig(c.workers)
+		model, parts, _ := testWorld(t, cfg.Nodes, 10)
+		sim, err := New(cfg, c.proto, model, parts, testFactory())
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := runtime.NumGoroutine()
+		if err := sim.Run(func(round int, _ *Simulator) error {
+			if n := runtime.NumGoroutine(); n > before {
+				t.Errorf("%s workers=%d: %d goroutines at round %d, %d before Run",
+					c.proto.Name(), c.workers, n, round, before)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if sim.SchedStats().Units == 0 {
+			t.Fatalf("%s workers=%d planned no wake", c.proto.Name(), c.workers)
+		}
 	}
 }

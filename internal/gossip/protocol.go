@@ -13,8 +13,8 @@ var ErrProtocol = errors.New("gossip: protocol error")
 // Algorithms 1 and 2: whom a waking node sends to, what it does to its
 // own model on waking, and what it does with a model it receives. The
 // simulator does the sending: each wake is Targets, then Wake, then one
-// transmission of the node's current model per target — in both tick
-// loops, so neither can disagree with the other about a protocol.
+// transmission of the node's current model per target, at every worker
+// count.
 type Protocol interface {
 	// Name returns a short identifier ("base", "samo").
 	Name() string
@@ -35,15 +35,16 @@ type Protocol interface {
 // PassiveReceiver is optionally implemented by protocols whose
 // OnReceive only reads the received model into the receiver's running
 // sum (the inbox) without consuming the receiver's RNG stream or
-// mutating its model or optimizer state. It selects the node-parallel
-// round engine, which plans a node's wake as soon as its previous wake
-// has run, possibly before deliveries to it that precede the wake in
-// serial order: that is sound only when those deliveries leave the
-// waker's RNG alone, and it lets a delivery wait only for its receiver's
-// inbox and its sender's wake. Protocols that train on receive
-// (BaseGossip, SAMO's nodelay ablation) must not report passive — their
-// receive path advances the node's RNG ahead of the wake's own draws —
-// and run the serial loop at every worker count.
+// mutating its model or optimizer state. It decides only whether the
+// round engine may run more than one worker: with more than one, the
+// engine plans a node's wake as soon as its previous wake has run,
+// possibly before deliveries to it that precede the wake in serial
+// order, which is sound only when those deliveries leave the waker's
+// RNG alone, and it lets a delivery wait only for its receiver's inbox
+// and its sender's wake. Protocols that train on receive (BaseGossip,
+// SAMO's nodelay ablation) must not report passive — their receive path
+// advances the node's RNG ahead of the wake's own draws — and get one
+// worker at every setting.
 type PassiveReceiver interface {
 	// ReceivesPassively reports whether OnReceive leaves the
 	// receiver's RNG, model, and optimizer untouched.
@@ -114,8 +115,8 @@ func (p SAMO) Name() string {
 
 // ReceivesPassively implements PassiveReceiver: standard SAMO's
 // OnReceive only adds to the inbox (no RNG draw, no training), so the
-// parallel engine may plan wakes past pending deliveries. The nodelay
-// ablation trains on receive and runs the serial loop.
+// engine may plan wakes past pending deliveries. The nodelay ablation
+// trains on receive and gets one worker.
 func (p SAMO) ReceivesPassively() bool { return !p.MergeOnReceive }
 
 // Targets implements Protocol: SAMO disseminates to its whole current

@@ -82,15 +82,14 @@ type Config struct {
 	Churn []ChurnEvent
 	// Seed drives all randomness of the run.
 	Seed int64
-	// Workers bounds the goroutines of the node-parallel engine, which
-	// runs merge-once protocols (standard SAMO, Epidemic — see
-	// PassiveReceiver): a serial planner turns each round into per-node
-	// chains of wakes, sends and deliveries, and the workers run every
-	// operation whose predecessors are done (each node on its own RNG
-	// stream), so runs are byte-identical to the serial loop for every
-	// setting. 0 means one worker per CPU, 1 forces the serial loop;
-	// protocols that train on receive run the serial loop at every
-	// setting.
+	// Workers bounds the goroutines of the round engine that runs every
+	// protocol: a serial planner turns each round into per-node chains of
+	// wakes, sends and deliveries, and the workers run every operation
+	// whose predecessors are done (each node on its own RNG stream), so
+	// runs are byte-identical for every setting. 0 means one worker per
+	// CPU; one worker runs the operations in serial order on the calling
+	// goroutine. Protocols that train on receive (not PassiveReceiver)
+	// get one worker at every setting.
 	Workers int
 }
 
@@ -184,8 +183,7 @@ type Simulator struct {
 	messagesDelayed int
 	bytesSent       int
 
-	// sched captures the schedule the node-parallel engine executed
-	// (zero when the run took the serial loop).
+	// sched captures the schedule the round engine planned.
 	sched SchedStats
 }
 
@@ -296,6 +294,10 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	return s, nil
 }
 
+// arena is the arm's arena, which every node's model shares with the
+// initial one.
+func (s *Simulator) arena() *tensor.Arena { return s.nodes[0].Model.Arena() }
+
 // Nodes returns the simulator's nodes. Callers must treat them as
 // read-only between Run callbacks.
 func (s *Simulator) Nodes() []*Node { return s.nodes }
@@ -340,19 +342,16 @@ func (s *Simulator) BytesSent() int { return s.bytesSent }
 // in bytes); nothing is serialized.
 func paramsWireSize(n int) int { return 4 + 2 + 2 + 8 + 8*n + 4 }
 
-// SchedStats reports the schedule the node-parallel engine executed —
-// planned wake units and the rounds' critical paths. All-zero when the
-// run took the serial loop (Workers 1, or a protocol that trains on
-// receive).
+// SchedStats reports the schedule the round engine planned — wake units
+// and the rounds' critical paths — the same at every worker count.
 func (s *Simulator) SchedStats() SchedStats { return s.sched }
 
 // Every run is made of the primitives below, each decision written
 // once: planWake and planSend fix, in serial order, everything that
 // touches shared state (topology, the transport's RNG, the counters);
 // enqueue and drainDue are the delivery queue's two ends, and deliver
-// hands a queued payload to its receiver. The serial loop calls them
-// back to back per wake; the node-parallel engine (parallel.go) calls
-// the same ones from its planner and its operations.
+// hands a queued payload to its receiver. The round engine
+// (parallel.go) calls them from its planner and its operations.
 
 // sendMode classifies a planned transmission.
 type sendMode uint8
@@ -439,11 +438,11 @@ func (s *Simulator) enqueue(p *plannedSend, nparams int) tensor.Vector {
 	return buf
 }
 
-// Send transmits params from one node to another on the spot: planSend,
-// then an inline receiver reads params before Send returns (OnReceive
-// consumes them, so no copy is made), or a queued send copies them into
-// its payload. The serial loop's wakes send through it; the engine
-// calls the steps from its planner and its operations.
+// Send transmits params from one node to another on the spot, outside
+// any wake: planSend, then an inline receiver reads params before Send
+// returns (OnReceive consumes them, so no copy is made), or a queued
+// send copies them into its payload. A wake's sends are the same steps,
+// split by the round engine between its planner and its operations.
 func (s *Simulator) Send(from, to int, params tensor.Vector) error {
 	p, err := s.planSend(from, to, len(params))
 	if err != nil {
@@ -470,23 +469,20 @@ func (s *Simulator) appendView(dst []int, node int) []int {
 // Run simulates cfg.Rounds rounds, invoking observer (when non-nil) at
 // every round boundary. Each tick proceeds in a fixed order: churn
 // transitions, then queued deliveries due this tick, then node wake-ups
-// in ID order — so runs are deterministic for every transport.
-//
-// With Workers resolving above one and a merge-once protocol (see
-// PassiveReceiver), each round executes on the node-parallel engine
-// (see parallel.go), which calls the same primitives as the serial loop
-// in the same serial order and is therefore byte-identical to it.
+// in ID order — so runs are deterministic for every transport. Every
+// round runs on the round engine (parallel.go), at Workers workers for
+// a protocol that receives passively and at one otherwise.
 func (s *Simulator) Run(observer Observer) error {
-	round := s.serialRound
-	if workers := par.Workers(s.cfg.Workers); workers > 1 && receivesPassively(s.protocol) {
-		e := newRoundEngine(s, workers)
-		defer e.close()
-		round = e.round
+	workers := 1
+	if pr, ok := s.protocol.(PassiveReceiver); ok && pr.ReceivesPassively() {
+		workers = par.Workers(s.cfg.Workers)
 	}
+	e := newRoundEngine(s, workers)
+	defer e.close()
 	tpr := s.cfg.TicksPerRound
 	for s.tick < s.cfg.Rounds*tpr {
 		end := (s.tick/tpr + 1) * tpr
-		if err := round(end); err != nil {
+		if err := e.round(end); err != nil {
 			return err
 		}
 		if observer != nil {
@@ -498,66 +494,9 @@ func (s *Simulator) Run(observer Observer) error {
 	return nil
 }
 
-// serialRound runs the ticks up to end on the reference loop.
-func (s *Simulator) serialRound(end int) error {
-	for ; s.tick < end; s.tick++ {
-		s.applyChurn()
-		if err := s.serialTick(s.drainDue()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// serialTick is the reference tick: due deliveries in drain order, then
-// every due wake-up in node-ID order, each run to completion before the
-// next starts.
-func (s *Simulator) serialTick(due []netmodel.Delivery) error {
-	if err := s.receiveDue(due); err != nil {
-		return err
-	}
-	for _, node := range s.nodes {
-		if node.nextWake > s.tick || s.down[node.ID] {
-			continue
-		}
-		if err := s.wake(node); err != nil {
-			return err
-		}
-		node.nextWake = s.tick + node.interval
-	}
-	return nil
-}
-
-// wake performs one wake-up of node on the serial loop.
-func (s *Simulator) wake(node *Node) error {
-	targets, err := s.planWake(node)
-	if err != nil {
-		return err
-	}
-	if err := s.protocol.Wake(node); err != nil {
-		return s.wakeErr(node, s.tick, err)
-	}
-	for _, to := range targets {
-		if err := s.Send(node.ID, to, node.Model.Params()); err != nil {
-			return s.wakeErr(node, s.tick, err)
-		}
-	}
-	return nil
-}
-
 // wakeErr attributes a wake-time failure to its node and tick.
 func (s *Simulator) wakeErr(node *Node, tick int, err error) error {
 	return fmt.Errorf("gossip: node %d wake at tick %d: %w", node.ID, tick, err)
-}
-
-// applyChurn processes the churn transitions scheduled for the current
-// tick. A departing node loses its unmerged inbox (volatile state —
-// the sum's buffer goes back to the pool); its model persists across
-// the outage.
-func (s *Simulator) applyChurn() {
-	for _, id := range s.flipChurn() {
-		s.nodes[id].RecycleInbox()
-	}
 }
 
 // flipChurn applies the current tick's churn transitions to the
@@ -594,22 +533,6 @@ func (s *Simulator) drainDue() []netmodel.Delivery {
 		}
 	}
 	return s.drainBuf
-}
-
-// receiveDue hands the tick's due deliveries to the protocol in drain
-// order, recycling every payload, lost ones unread, and stops at the
-// first failure.
-func (s *Simulator) receiveDue(due []netmodel.Delivery) error {
-	for i := range due {
-		d := &due[i]
-		if s.down[d.To] {
-			s.pool.Put(d.Params)
-		} else if err := s.deliver(d.From, s.nodes[d.To], s.tick, d.Params); err != nil {
-			return err
-		}
-		d.Params = nil
-	}
-	return nil
 }
 
 // deliver hands node a queued payload from sender from, due at tick,

@@ -263,15 +263,22 @@ func TestChurnLosesInFlightMessages(t *testing.T) {
 	}
 }
 
+// listener is SAMO that neither sends nor merges: a run of it moves
+// only churn and queued deliveries, which stay in the inboxes.
+type listener struct{ SAMO }
+
+func (listener) Targets(_ *Node, _ []int, _ int, dst []int) ([]int, error) { return dst, nil }
+func (listener) Wake(*Node) error                                          { return nil }
+
 func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	// The documented semantics: a queued delivery coming due during the
 	// outage is lost, one coming due after the rejoin still arrives.
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
-		Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 3,
+		Nodes: 6, ViewSize: 2, Rounds: 1, TicksPerRound: 12, Seed: 3,
 		Net:   netmodel.Config{Transport: "latency", LatencyMean: 10}, // jitter 0: exactly 10 ticks
 		Churn: []ChurnEvent{{Node: 1, LeaveTick: 2, RejoinTick: 8}},
-	}, SAMO{}, model, parts, testFactory())
+	}, listener{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,13 +286,10 @@ func TestChurnDeliveryDueAfterRejoinArrives(t *testing.T) {
 	if err := sim.Send(0, 1, sent); err != nil {
 		t.Fatal(err) // queued at tick 0, due tick 10 — after the rejoin
 	}
-	// Drive ticks 0..11 through churn and delivery only (no wakes, so no
-	// other traffic muddies the counters).
-	for ; sim.tick < 12; sim.tick++ {
-		sim.applyChurn()
-		if err := sim.receiveDue(sim.drainDue()); err != nil {
-			t.Fatal(err)
-		}
+	// Run ticks 0..11: the listener's wakes neither send nor merge, so no
+	// other traffic muddies the counters.
+	if err := sim.Run(nil); err != nil {
+		t.Fatal(err)
 	}
 	if sim.MessagesDropped() != 0 {
 		t.Fatalf("post-rejoin delivery dropped (%d drops)", sim.MessagesDropped())
@@ -362,9 +366,9 @@ func TestChurnBackToBackWindowsOrderIndependent(t *testing.T) {
 func TestChurnedInboxIsRecycled(t *testing.T) {
 	model, parts, _ := testWorld(t, 6, 10)
 	sim, err := New(Config{
-		Nodes: 6, ViewSize: 2, Rounds: 1, Seed: 3,
+		Nodes: 6, ViewSize: 2, Rounds: 50, TicksPerRound: 2, Seed: 3,
 		Churn: []ChurnEvent{{Node: 1, LeaveTick: 1, RejoinTick: 50}},
-	}, SAMO{}, model, parts, testFactory())
+	}, listener{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,18 +382,21 @@ func TestChurnedInboxIsRecycled(t *testing.T) {
 		t.Fatalf("inbox count = %d, want 1 and a sum", node.Inbox.Count)
 	}
 	sum := node.Inbox.Sum
-	for ; sim.tick <= 1; sim.tick++ {
-		sim.applyChurn()
-	}
-	if !sim.NodeDown(1) || node.Inbox.Count != 0 || node.Inbox.Sum != nil {
-		t.Fatalf("after the leave: down=%v, inbox count %d", sim.NodeDown(1), node.Inbox.Count)
-	}
-	if got := sim.pool.Get(len(sum)); &got[0] != &sum[0] {
-		t.Fatal("the dropped inbox sum did not go back to the pool")
-	} else {
-		sim.pool.Put(got)
-	}
-	if err := sim.Run(nil); err != nil {
+	// Round 0 is ticks 0 and 1: the leave has applied at its end.
+	if err := sim.Run(func(round int, s *Simulator) error {
+		if round != 0 {
+			return nil
+		}
+		if !s.NodeDown(1) || node.Inbox.Count != 0 || node.Inbox.Sum != nil {
+			t.Fatalf("after the leave: down=%v, inbox count %d", s.NodeDown(1), node.Inbox.Count)
+		}
+		if got := s.pool.Get(len(sum)); &got[0] != &sum[0] {
+			t.Fatal("the dropped inbox sum did not go back to the pool")
+		} else {
+			s.pool.Put(got)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if sim.NodeDown(1) {

@@ -21,7 +21,7 @@ const (
 // the arm ends, so a sweep of short arms produces no garbage for them.
 // It has a slab per element type the arm sizes — float64 (Vector), int
 // and Vector headers (a dataset's rows) — and also recycles the arm's
-// random generators (RNG).
+// random generators (RNG) and keeps one value for the next arm (Keep).
 //
 // A nil *Arena is the heap: every method allocates as make and NewRNG
 // do, so callers thread one value and keep one code path. All methods
@@ -33,6 +33,7 @@ type Arena struct {
 	vectors slab[Vector]
 	rngs    []*RNG
 	nrng    int // generators handed out since Reset
+	kept    any // what Keep left for the next user
 }
 
 // slab is one element type's chunks: chunks[cur] is being bumped, off
@@ -106,6 +107,32 @@ func (a *Arena) RNG(seed int64) *RNG {
 	g := a.rngs[a.nrng]
 	a.nrng++
 	return g
+}
+
+// Keep leaves v for the arena's next user to Take: state that its user
+// sizes once and reuses from arm to arm (the gossip simulator's round
+// engine), recycled with the arena instead of through a pool of its
+// own. It survives Reset; v must hold nothing of the arm that used it.
+// A nil arena drops v.
+func (a *Arena) Keep(v any) {
+	if a == nil {
+		return
+	}
+	a.mu.Lock()
+	a.kept = v
+	a.mu.Unlock()
+}
+
+// Take removes and returns the value Keep left, or nil.
+func (a *Arena) Take() any {
+	if a == nil {
+		return nil
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	v := a.kept
+	a.kept = nil
+	return v
 }
 
 // Used returns the bytes of float64 chunk memory consumed since Reset,

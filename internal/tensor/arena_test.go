@@ -240,3 +240,26 @@ func TestVecPoolManyLengths(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaKeepSurvivesReset: what Keep leaves outlives Reset and is
+// taken once; a nil arena keeps nothing.
+func TestArenaKeepSurvivesReset(t *testing.T) {
+	var a Arena
+	if a.Take() != nil {
+		t.Fatal("a new arena holds a kept value")
+	}
+	v := new(int)
+	a.Keep(v)
+	a.Reset()
+	if got := a.Take(); got != v {
+		t.Fatalf("Take after Reset = %v, want the kept value", got)
+	}
+	if a.Take() != nil {
+		t.Fatal("a kept value was taken twice")
+	}
+	var heap *Arena
+	heap.Keep(v)
+	if heap.Take() != nil {
+		t.Fatal("the nil arena kept a value")
+	}
+}

@@ -93,10 +93,11 @@ func WithScale(name string) Option {
 }
 
 // WithWorkers bounds the worker goroutines at every level of a run:
-// arm fan-out, the node-parallel round engine inside each SAMO or
-// Epidemic arm (protocols that train on receive tick serially), and
-// per-node evaluation. 0 (default) means one per CPU, 1 forces the
-// serial paths. Results are byte-identical for every value.
+// arm fan-out, the round engine inside each arm (one worker for the
+// protocols that train on receive), and per-node evaluation. 0
+// (default) means one per CPU; 1 runs every level on the calling
+// goroutine, in serial order. Results are byte-identical for every
+// value.
 func WithWorkers(n int) Option {
 	return func(r *Runner) error {
 		if n < 0 {

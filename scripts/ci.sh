@@ -48,9 +48,11 @@ fi
 # only between the smoke test's parallel subtests.
 go test -race $(go list ./... | grep -v '/benchmark$')
 # One -race pass samples one goroutine interleaving of the round
-# engine; the determinism matrix, first-error parity, the dense-wake
-# tests and the engine's hazard tests (write-after-read, the RNG gate, a
-# panicking wake) run ten more.
+# engine; the determinism matrix and the first errors (both held to
+# internal/gossip/testdata/matrix.golden at workers 1, 2, 3 and 8), the
+# dense-wake tests and the engine's hazard tests (write-after-read, the
+# RNG gate, a lone waker, all held to testdata/engine.golden; a
+# panicking wake; no goroutine at one worker) run ten more.
 go test -race -count=10 -run 'IntraArm|FirstError|DenseWake|RoundChains|Engine' ./internal/gossip
 go test ./benchmark
 # The allocation budgets and zero-allocation tests, which skip or loosen
