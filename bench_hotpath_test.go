@@ -237,49 +237,6 @@ func denseWakeStudy(tb testing.TB, workers int) *core.Study {
 	return study
 }
 
-// parallelCreepBudget is how many more heap objects one workers=4 run
-// of the dense-wake arm (40 ticks, 279 wakes) may allocate than the
-// serial run: the engine's per-run set-up — the worker pool, and the
-// pooled round engine, whose operation storage is grown once — reads
-// +15 to +20 with the engine pool warm and +74 after two collections
-// emptied it. It is an absolute count because the serial run's own
-// count is not a yardstick: the arm arena cut it threefold and left the
-// engine's share where it was.
-const parallelCreepBudget = 100
-
-// TestParallelPathAllocRatio: the node-parallel engine reuses its
-// operation, edge and pool storage across rounds and runs, so a
-// workers=4 run of the dense-wake arm must stay within
-// parallelCreepBudget objects of the serial run (the per-batch
-// goroutine spawns the pool replaced cost +595). Creep beyond the
-// budget means per-round or per-run storage has started leaking back
-// into the hot loop.
-func TestParallelPathAllocRatio(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs simulations")
-	}
-	// Heap objects allocated by one build-and-run of the arm, all
-	// goroutines counted; the smaller of two runs drops one-time costs.
-	mallocs := func(workers int) uint64 {
-		best := ^uint64(0)
-		for run := 0; run < 2; run++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			if _, err := denseWakeStudy(t, workers).Run(); err != nil {
-				t.Fatal(err)
-			}
-			runtime.ReadMemStats(&after)
-			best = min(best, after.Mallocs-before.Mallocs)
-		}
-		return best
-	}
-	serial, parallel := mallocs(1), mallocs(4)
-	if parallel > serial+parallelCreepBudget {
-		t.Fatalf("workers=4 allocates %d objects vs %d serial (budget +%d): per-round storage is leaking", parallel, serial, parallelCreepBudget)
-	}
-	t.Logf("workers=4: %d allocations, serial: %d", parallel, serial)
-}
-
 // lightArmSpec is n of dlbench's light arms (benchmark/workloads.go):
 // sub-millisecond arms — the shape of a large sweep, where what an arm
 // allocates and discards decides how often the collector runs.

@@ -241,6 +241,82 @@ func TestArmAllocsIndependentOfRounds(t *testing.T) {
 	}
 }
 
+// parallelCreepBudget is how many more heap objects one workers=4 run
+// of the dense-wake arm (40 ticks, 279 wakes) may allocate than the
+// serial run: the engine's per-run set-up — the worker pool, and the
+// round engine's operation storage, grown once and kept on the arena —
+// reads +15 to +20 warm. It is an absolute count because the serial
+// run's own count is not a yardstick: the arm arena cut it threefold
+// and left the engine's share where it was.
+const parallelCreepBudget = 100
+
+// TestParallelPathAllocRatio: the node-parallel engine reuses its
+// operation, edge and pool storage across rounds and runs, so a
+// workers=4 run of the dense-wake arm must stay within
+// parallelCreepBudget objects of the serial run (the per-batch
+// goroutine spawns the pool replaced cost +595). Creep beyond the
+// budget means per-round or per-run storage has started leaking back
+// into the hot loop. Both worker counts run on one arm memory, as
+// TestArmAllocsIndependentOfRounds does: a fresh one from the arenas
+// pool, which the race detector drains at random, costs ≈310 objects.
+func TestParallelPathAllocRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	var mem armMemory
+	// Heap objects allocated by one run of the arm, all goroutines
+	// counted; the smaller of two runs drops one-time costs.
+	mallocs := func(workers int) uint64 {
+		s, err := NewStudy(denseWakeConfig(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := ^uint64(0)
+		for range 2 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := s.run(context.Background(), &mem.arena, &mem.eval)
+			runtime.ReadMemStats(&after)
+			mem.arena.Reset()
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, after.Mallocs-before.Mallocs)
+		}
+		return best
+	}
+	serial, parallel := mallocs(1), mallocs(4)
+	if parallel > serial+parallelCreepBudget {
+		t.Fatalf("workers=4 allocates %d objects vs %d serial (budget +%d): per-round storage is leaking", parallel, serial, parallelCreepBudget)
+	}
+	t.Logf("workers=4: %d allocations, serial: %d", parallel, serial)
+}
+
+// denseWakeConfig is the dense-wake SAMO arm of the root package's
+// BenchmarkIntraArmSpeedup, with the CIFAR-10-like row of Table 2:
+// nearly every node wakes every few ticks, so the node-parallel round
+// engine has wakes to overlap.
+func denseWakeConfig(workers int) StudyConfig {
+	return StudyConfig{
+		Label:    "intra-arm/samo/k=3/dense-wakes",
+		Corpus:   data.CIFAR10,
+		Protocol: "samo",
+		Sim: gossip.Config{
+			Nodes: 24, ViewSize: 3, Rounds: 2,
+			TicksPerRound: 20, WakeMean: 5, WakeStd: 2,
+			Seed: 7,
+		},
+		Train: TrainConfig{
+			Hidden: []int{48}, LR: 0.05, WeightDecay: 5e-4, BatchSize: 16, LocalEpochs: 3,
+		},
+		Part:           PartitionConfig{TrainPerNode: 32, TestPerNode: 32},
+		GlobalTestSize: 128,
+		EvalEvery:      2,
+		EvalNodes:      8,
+		Workers:        workers,
+	}
+}
+
 // TestKeepFinalModelsSurviveLaterArms: snapshots outlive their arm, so
 // they must not sit in memory later arms recycle.
 func TestKeepFinalModelsSurviveLaterArms(t *testing.T) {

@@ -368,8 +368,9 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 // have equal non-zero length.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
-// (tensor.GemmNT/GemmTNStore/GemmNN) over batch-major activation and
-// delta matrices instead of len(xs) independent per-example passes. Each
+// (tensor.GemmNT/GemmTNStore/GemmNN; sparse rows take the sparse first
+// layer, sparse.go) over batch-major activation and delta matrices
+// instead of len(xs) independent per-example passes. Each
 // gradient element still accumulates its per-example terms in increasing
 // example order from +0, so the result is bit-identical to looping
 // ExampleGrad over a zeroed vector — only faster, because weight and
@@ -377,7 +378,18 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 // example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
-	loss, err := m.batchGradSum(xs, ys, grad, batch, true)
+	var sp sparseL0
+	sp.init(m, len(xs), nil)
+	loss, err := m.batchGradSum(xs, ys, grad, batch, true, &sp)
+	if err == nil && sp.on {
+		// The layer-0 block holds dW0ᵀ; wT, which only the forward
+		// read, turns it back.
+		in, out := m.sizes[0], m.sizes[1]
+		gw := grad[:in*out]
+		tensor.Transpose(sp.wT, gw, in, out)
+		copy(gw, sp.wT)
+	}
+	sp.release()
 	m.pool.Put(batch)
 	if err != nil {
 		return 0, err
@@ -422,8 +434,10 @@ func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
 // first — and returns the sum of their losses, or 0 without withLoss.
 // batch is scratch of at least batchFloats(len(xs), true). The trainer
 // folds the division into its optimizer step (SGD.step) instead of
-// paying a pass over the gradient for it.
-func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector, withLoss bool) (float64, error) {
+// paying a pass over the gradient for it. When sp takes the rows, layer
+// 0 runs sparse and, if sp is still on at the return, grad's layer-0
+// block holds dW0ᵀ (in×out) rather than dW0.
+func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector, withLoss bool, sp *sparseL0) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("batch of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
@@ -442,7 +456,12 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vect
 		}
 	}
 	layers := len(m.sizes) - 1
-	m.batchForward(xs, batch)
+	sparse := sp.ready(xs)
+	if sparse {
+		m.batchForward(xs, batch, sp)
+	} else {
+		m.batchForward(xs, batch, nil)
+	}
 
 	// Loss and output deltas: softmax rows, p - onehot(y).
 	classes := m.sizes[layers]
@@ -465,7 +484,12 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vect
 		gw := grad[m.wOff[l] : m.wOff[l]+in*out]
 		gb := grad[m.bOff[l] : m.bOff[l]+out]
 		delta := m.delta(batch, l, B)
-		tensor.GemmTNStore(gw, delta, m.act(batch, l, B), out, in, B)
+		if l > 0 || !sparse || !sp.gradient(gw, delta, B) {
+			if l == 0 && sparse {
+				m.copyInputs(xs, batch) // the sparse forward left them out
+			}
+			tensor.GemmTNStore(gw, delta, m.act(batch, l, B), out, in, B)
+		}
 		gb.Zero()
 		for r := 0; r < B; r++ {
 			drow := delta[r*out : (r+1)*out]
@@ -489,14 +513,13 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vect
 // Callers must have validated input dimensions. Each logit accumulates
 // its terms in increasing input-index order — the same chained sum as
 // the per-example forward — so the rows are bit-identical to calling
-// forward example by example.
-func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector) {
+// forward example by example. With sp (nil = dense), which has indexed
+// xs, layer 0 runs over the nonzeros, and the input copy is left out.
+func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector, sp *sparseL0) {
 	B := len(xs)
 	layers := len(m.sizes) - 1
-	in0 := m.sizes[0]
-	a0 := m.act(batch, 0, B)
-	for r, x := range xs {
-		copy(a0[r*in0:(r+1)*in0], x)
+	if sp == nil {
+		m.copyInputs(xs, batch)
 	}
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
@@ -505,17 +528,35 @@ func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector) {
 		for r := 0; r < B; r++ {
 			copy(dst[r*out:(r+1)*out], b)
 		}
-		tensor.GemmNT(dst, src, w, B, out, in)
+		if l == 0 && sp != nil {
+			sp.forward(dst, B)
+		} else {
+			tensor.GemmNT(dst, src, w, B, out, in)
+		}
 		if l < layers-1 {
 			dst.ReLU()
 		}
 	}
 }
 
+// copyInputs copies the rows of xs into the input matrix of batch.
+func (m *MLP) copyInputs(xs []tensor.Vector, batch tensor.Vector) {
+	in0 := m.sizes[0]
+	a0 := m.act(batch, 0, len(xs))
+	for r, x := range xs {
+		copy(a0[r*in0:(r+1)*in0], x)
+	}
+}
+
 // scoreChunk is the row count of one ScoreBatch forward pass: large
 // enough that the blocked GEMM kernels pay off, small enough that the
-// borrowed scratch stays modest (scoreChunk × Σ widths floats).
-const scoreChunk = 64
+// borrowed scratch stays modest (scoreChunk × Σ widths floats). While
+// the first layer runs sparse a pass takes sparseChunk rows, so the
+// nonzero index is the trainer's size: the GEMMs cost the same per row.
+const (
+	scoreChunk  = 64
+	sparseChunk = 16
+)
 
 // ScoreBatch runs the model forward over xs in fixed-size chunks using
 // the same blocked GEMM kernels as BatchGrad and invokes score(i,
@@ -526,7 +567,8 @@ const scoreChunk = 64
 // The logits are bit-identical to the per-example forward pass
 // (Predict, ProbsInto), so scoring sweeps — accuracy, MIA attacks —
 // can batch without changing a single result bit. Steady-state calls
-// perform no allocation: the scratch goes back to the pool.
+// perform no allocation: the scratch goes back to the pool. Sparse
+// rows take the sparse first layer, W0 transposed once per call.
 func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vector)) error {
 	in0 := m.sizes[0]
 	for i, x := range xs {
@@ -536,16 +578,28 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 	}
 	batch := m.pool.Get(m.batchFloats(min(len(xs), scoreChunk), false))
 	defer m.pool.Put(batch)
+	var sp sparseL0
+	sp.init(m, sparseChunk, nil)
+	defer sp.release()
 	layers := len(m.sizes) - 1
 	classes := m.sizes[layers]
-	for start := 0; start < len(xs); start += scoreChunk {
-		chunk := xs[start:min(start+scoreChunk, len(xs))]
+	for start := 0; start < len(xs); {
+		rows := scoreChunk
+		if !sp.off {
+			rows = sparseChunk
+		}
+		chunk := xs[start:min(start+rows, len(xs))]
 		B := len(chunk)
-		m.batchForward(chunk, batch)
+		if sp.ready(chunk) {
+			m.batchForward(chunk, batch, &sp)
+		} else {
+			m.batchForward(chunk, batch, nil)
+		}
 		logits := m.act(batch, layers, B)
 		for r := 0; r < B; r++ {
 			score(start+r, logits[r*classes:(r+1)*classes])
 		}
+		start += B
 	}
 	return nil
 }

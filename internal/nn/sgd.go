@@ -25,6 +25,10 @@ type SGDConfig struct {
 type SGD struct {
 	cfg      SGDConfig
 	velocity tensor.Vector
+	// velT is in×out while the velocity's first in·out elements, a first
+	// layer's, are held input-major (transposed) for a trainer's sparse
+	// first layer, and zero while they are in the model's layout.
+	velT [2]int
 }
 
 // NewSGD returns an optimizer with the given configuration.
@@ -36,8 +40,9 @@ func NewSGD(cfg SGDConfig) *SGD {
 // with an aggregated one and optimizer state no longer matches).
 func (s *SGD) Reset() {
 	if s.velocity != nil {
-		s.velocity.Zero()
+		s.velocity.Zero() // zero in either layout
 	}
+	s.velT = [2]int{}
 }
 
 // LR returns the current learning rate.
@@ -66,13 +71,64 @@ func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 	if len(params) != len(grad) {
 		return fmt.Errorf("sgd step params %d, grad %d: %w", len(params), len(grad), tensor.ErrShape)
 	}
-	if s.velocity == nil {
-		s.velocity = tensor.NewVector(len(params))
-	} else if len(s.velocity) != len(params) {
-		return fmt.Errorf("sgd velocity %d, params %d: %w", len(s.velocity), len(params), tensor.ErrShape)
+	vel, err := s.vel(len(params))
+	if err != nil {
+		return err
 	}
-	tensor.SGDStep(params, s.velocity, grad, scale, s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR)
+	s.velModelMajor()
+	tensor.SGDStep(params, vel, grad, scale, s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR)
 	return nil
+}
+
+// velInputMajor holds the velocity's first in·out elements input-major,
+// transposing them through scratch (in·out floats) unless they already
+// are.
+func (s *SGD) velInputMajor(in, out int, scratch tensor.Vector) {
+	if s.velT == [2]int{in, out} {
+		return
+	}
+	s.velModelMajor()
+	n := in * out
+	tensor.Transpose(scratch, s.velocity[:n], out, in)
+	copy(s.velocity[:n], scratch)
+	s.velT = [2]int{in, out}
+}
+
+// velModelMajor puts an input-major first-layer block of the velocity
+// back in the model's layout. Only a node whose updates turn from
+// sparse to dense gets here, so the scratch is allocated.
+func (s *SGD) velModelMajor() {
+	in, out := s.velT[0], s.velT[1]
+	if in == 0 {
+		return
+	}
+	n := in * out
+	scratch := tensor.NewVector(n)
+	tensor.Transpose(scratch, s.velocity[:n], in, out)
+	copy(s.velocity[:n], scratch)
+	s.velT = [2]int{}
+}
+
+// vel returns the velocity of n parameters, sized on first use.
+func (s *SGD) vel(n int) (tensor.Vector, error) {
+	if s.velocity == nil {
+		s.velocity = tensor.NewVector(n)
+	} else if len(s.velocity) != n {
+		return nil, fmt.Errorf("sgd velocity %d, params %d: %w", len(s.velocity), n, tensor.ErrShape)
+	}
+	return s.velocity, nil
+}
+
+// stepT is step while sp holds layer 0 input-major: the first
+// len(sp.wT) elements of the parameters live transposed in sp.wT, the
+// velocity's are input-major in place, and grad's are dW0ᵀ. The update
+// is element-wise, so every element gets the bits step gives it. The
+// step tells sp whether the W0 it wrote is finite.
+func (s *SGD) stepT(params, grad tensor.Vector, scale float64, sp *sparseL0) {
+	n := len(sp.wT)
+	wd, mom, lr := s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR
+	sp.w0ok = tensor.SGDStep(sp.wT, s.velocity[:n], grad[:n], scale, wd, mom, lr)
+	tensor.SGDStep(params[n:], s.velocity[n:], grad[n:], scale, wd, mom, lr)
 }
 
 // Trainer couples a model, optimizer, and minibatch settings into the
@@ -139,10 +195,18 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 		bs = n
 	}
 	m := t.Model
+	if _, err := t.Opt.vel(m.NumParams()); err != nil {
+		return 0, err
+	}
 	grad := m.pool.Get(m.NumParams())
 	batch := m.pool.Get(m.batchFloats(bs, true))
 	defer m.pool.Put(grad)
 	defer m.pool.Put(batch)
+	// Layer 0 may run sparse for the whole update; release writes W0
+	// back.
+	var sp sparseL0
+	sp.init(m, bs, t.Opt)
+	defer sp.release()
 	if cap(t.order) < n {
 		t.order = m.arena.Ints(n)
 	}
@@ -168,12 +232,14 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 			for i, idx := range order[start:end] {
 				xb[i], yb[i] = xs[idx], ys[idx]
 			}
-			lossSum, err := m.batchGradSum(xb, yb, grad, batch, last)
+			lossSum, err := m.batchGradSum(xb, yb, grad, batch, last, &sp)
 			if err != nil {
 				return 0, err
 			}
 			inv := 1 / float64(end-start)
-			if err := t.Opt.step(m.Params(), grad, inv); err != nil {
+			if sp.on {
+				t.Opt.stepT(m.Params(), grad, inv, &sp)
+			} else if err := t.Opt.step(m.Params(), grad, inv); err != nil {
 				return 0, err
 			}
 			epochLoss += float64(lossSum * inv) // rounded, as BatchGrad returns it

@@ -498,7 +498,10 @@ func TestFusedElementwiseKernels(t *testing.T) {
 				onBothTiers(func() {
 					op := operands(x, y, z)
 					p, vel, grad := op[0], op[1], op[2]
-					SGDStep(p, vel, grad, hp.scale, hp.wd, hp.mom, hp.lr)
+					finite := SGDStep(p, vel, grad, hp.scale, hp.wd, hp.mom, hp.lr)
+					if finite != allFinite(p) {
+						t.Fatalf("SGDStep n=%d %+v on the %s tier reports finite=%v for %v", n, hp, Kernels(), finite, p)
+					}
 					for i := range p {
 						g := float64(z[i]*hp.scale) + float64(hp.wd*x[i])
 						v := float64(hp.mom*y[i]) + g

@@ -117,13 +117,86 @@ func gemmNNVec(c, a, b []float64, m, n, k int) int {
 }
 
 //go:noescape
+func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+
+//go:noescape
+func transposeAVX2(dst, src []float64, rows, cols int) bool
+
+//go:noescape
+func finiteAVX2(v []float64, n int) bool
+
+//go:noescape
+func nonzerosAVX2(idx []int32, val, x []float64, n int, perm *[16][8]uint32, lanes *[16][4]uint32) (count int, finite bool)
+
+// nzPerm and nzLanes are nonzerosAVX2's compress tables: for each 4-bit
+// mask of nonzero lanes, the VPERMD indices that move those lanes'
+// doubles to the front, and the lane numbers in the same order.
+var nzPerm, nzLanes = func() (perm [16][8]uint32, lanes [16][4]uint32) {
+	for m := range perm {
+		k := 0
+		for lane := uint32(0); lane < 4; lane++ {
+			if m>>lane&1 != 0 {
+				perm[m][2*k], perm[m][2*k+1] = 2*lane, 2*lane+1
+				lanes[m][k] = lane
+				k++
+			}
+		}
+	}
+	return perm, lanes
+}()
+
+// sparseRowsVec returns the number of leading rows of c done (c is cut
+// to rows·n, and ptr holds rows+1 entries). The kernel stops at the
+// first row whose span or one of whose indices lies outside its
+// operand; the Go loop meets it next and panics on it.
+func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
+	if !useAVX2 {
+		return 0
+	}
+	return sparseRowsAVX2(c, m, n, ptr, idx, val, rows, len(m)/n, min(len(idx), len(val)), store)
+}
+
+// transposeVec transposes the leading r4×c4 block (multiples of 4) of
+// src into dst, returns r4 and c4, and reports whether the block is
+// finite. The caller has cut both to rows·cols.
+func transposeVec(dst, src []float64, rows, cols int) (r4, c4 int, finite bool) {
+	r4, c4 = rows&^3, cols&^3
+	if !useAVX2 || r4 == 0 || c4 == 0 {
+		return 0, 0, true
+	}
+	return r4, c4, transposeAVX2(dst, src, rows, cols)
+}
+
+// nonzerosVec indexes the leading multiple of 4 elements of x and
+// returns how many it took, how many of them are nonzero, and whether
+// they are finite. idx and val hold at least len(x) elements.
+func nonzerosVec(idx []int32, val, x []float64) (done, count int, finite bool) {
+	n4 := len(x) &^ 3
+	if !useAVX2 || n4 == 0 || len(idx) < n4 || len(val) < n4 {
+		return 0, 0, true
+	}
+	count, finite = nonzerosAVX2(idx, val, x, n4, &nzPerm, &nzLanes)
+	return n4, count, finite
+}
+
+// finiteVec reports how many leading elements of v (a multiple of 4)
+// it checked and whether they are finite.
+func finiteVec(v []float64) (int, bool) {
+	n4 := len(v) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0, true
+	}
+	return n4, finiteAVX2(v, n4)
+}
+
+//go:noescape
 func addAVX2(v, w []float64, n int)
 
 //go:noescape
 func scaleAVX2(v []float64, n int, c float64)
 
 //go:noescape
-func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64)
+func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64) bool
 
 //go:noescape
 func reluAVX2(v []float64, n int)
@@ -155,13 +228,12 @@ func scaleVec(v []float64, c float64) int {
 	return n4
 }
 
-func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) int {
+func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) (int, bool) {
 	n4 := len(p) &^ 3
 	if !useAVX2 || n4 == 0 {
-		return 0
+		return 0, true
 	}
-	sgdStepAVX2(p, vel, grad, n4, scale, wd, mom, lr)
-	return n4
+	return n4, sgdStepAVX2(p, vel, grad, n4, scale, wd, mom, lr)
 }
 
 func reluVec(v []float64) int {

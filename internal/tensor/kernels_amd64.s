@@ -642,10 +642,13 @@ scaleLoop:
 	VZEROUPPER
 	RET
 
-// func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64)
+// func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64) bool
 // g = grad·scale + wd·p; v = mom·vel + g; vel = v; p −= lr·v, every
 // product rounded before its add and none skipped when its factor is 0.
-TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-112
+// Reports whether every p it wrote is finite (see NONFINITE_OR, defined
+// with Transpose below; here the lanes gather in Y11 against the mask
+// in Y10).
+TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-113
 	MOVQ p_base+0(FP), DI
 	MOVQ vel_base+24(FP), SI
 	MOVQ grad_base+48(FP), DX
@@ -654,6 +657,8 @@ TEXT ·sgdStepAVX2(SB), NOSPLIT, $0-112
 	VBROADCASTSD wd+88(FP), Y13
 	VBROADCASTSD mom+96(FP), Y14
 	VBROADCASTSD lr+104(FP), Y15
+	VBROADCASTSD expBits<>(SB), Y10
+	VPXOR Y11, Y11, Y11
 	SHLQ $3, CX
 	XORQ AX, AX
 
@@ -668,9 +673,14 @@ stepLoop:
 	VMULPD  Y3, Y15, Y4
 	VSUBPD  Y4, Y1, Y1
 	VMOVUPD Y1, (DI)(AX*1)
+	VANDPD   Y1, Y10, Y1
+	VPCMPEQQ Y10, Y1, Y1
+	VPOR     Y1, Y11, Y11
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     stepLoop
+	VPTEST Y11, Y11
+	SETEQ  ret+112(FP)
 	VZEROUPPER
 	RET
 
@@ -816,5 +826,399 @@ expLoop:
 expDone:
 	SHRQ $3, AX
 	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// SparseRows: lanes are four consecutive columns of a row of C, held in
+// registers for the whole of the row's index list: s = c (or +0 for
+// SparseRowsStore); for each p, s += val[p]·m[idx[p]], product rounded
+// (VMULPD) before the add (VADDPD). A val[p] of exactly 1 — every value
+// of a binary row — adds m's elements as they are: 1·x is x to the bit,
+// and the add then runs alone. Thirty-two columns run at once, eight
+// independent add chains over p; then four; then the last n%4 under the
+// lane mask. Every block walks the row's whole list, and the first
+// block of a row checks each index against m's rows before it loads: a
+// row whose span leaves idx or val, or that holds an index outside m,
+// ends the call unwritten, and the Go loop panics on it.
+
+DATA oneF64<>+0(SB)/8, $1.0
+GLOBL oneF64<>(SB), RODATA|NOPTR, $8
+
+// SR_UNLESS_ONE jumps to label unless val[p], broadcast in Y8, is
+// exactly 1: UCOMISD sets ZF for equal and for unordered, and PF for
+// unordered alone.
+#define SR_UNLESS_ONE(label) \
+	VUCOMISD oneF64<>(SB), X8; \
+	JNE      label; \
+	JPS      label
+
+// SR_ADD adds the row of m at off(CX) as it is.
+#define SR_ADD(off, ACC) \
+	VADDPD off(CX), ACC, ACC
+
+// SR_INIT loads the accumulator ACC from off(DI)(R13*1).
+#define SR_INIT(off, ACC) \
+	VMOVUPD off(DI)(R13*1), ACC
+
+// SR_ROW turns the index idx[p] in CX, checked against m's rows, into
+// the address of that row of m at the block's column, and broadcasts
+// val[p] into Y8. Reads p in AX. (The terms then address m without an
+// index register, which keeps each load fused with its multiply.)
+#define SR_ROW \
+	IMULQ R8, CX; \
+	ADDQ  SI, CX; \
+	ADDQ  R13, CX; \
+	VBROADCASTSD (R9)(AX*8), Y8
+
+#define SR_TERM(off, ACC, T) \
+	VMULPD off(CX), Y8, T; \
+	VADDPD T, ACC, ACC
+
+// func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+// Rows 0..rows−1 of c (n ≥ 1 columns, stride n) and m (mrows rows,
+// stride n); nnz = min(len(idx), len(val)). Returns the rows done.
+TEXT ·sparseRowsAVX2(SB), NOSPLIT, $0-168
+	MOVQ c_base+0(FP), DI // C: row r
+	MOVQ m_base+24(FP), SI
+	MOVQ ptr_base+56(FP), BX // &ptr[r]
+	MOVQ idx_base+80(FP), DX
+	MOVQ val_base+104(FP), R9
+	MOVQ n+48(FP), R8
+	MOVQ R8, CX
+	ANDQ $3, CX
+	NEGQ CX
+	LEAQ tailMask<>+32(SB), AX
+	VMOVDQU (AX)(CX*8), Y15 // the first n%4 lanes
+	SHLQ $3, R8 // bytes per row of C and of m
+	XORQ R10, R10 // r
+
+srRow:
+	CMPQ R10, rows+128(FP)
+	JGE  srDone
+	MOVL (BX), R11 // p from
+	MOVL 4(BX), R12 // p to
+	CMPQ R11, R12
+	JA   srDone
+	CMPQ R12, nnz+144(FP)
+	JA   srDone
+	XORQ R13, R13 // column j, in bytes
+	MOVQ n+48(FP), R14 // columns left
+
+srCols32:
+	CMPQ R14, $32
+	JLT  srCols4
+	CMPB store+152(FP), $0
+	JNE  sr32Zero
+	SR_INIT(0, Y0)
+	SR_INIT(32, Y1)
+	SR_INIT(64, Y2)
+	SR_INIT(96, Y3)
+	SR_INIT(128, Y4)
+	SR_INIT(160, Y5)
+	SR_INIT(192, Y6)
+	SR_INIT(224, Y7)
+	JMP  sr32Start
+
+sr32Zero:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+sr32Start:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  sr32Store
+
+sr32Loop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srDone
+	SR_ROW
+	SR_UNLESS_ONE(sr32Mul)
+	SR_ADD(0, Y0)
+	SR_ADD(32, Y1)
+	SR_ADD(64, Y2)
+	SR_ADD(96, Y3)
+	SR_ADD(128, Y4)
+	SR_ADD(160, Y5)
+	SR_ADD(192, Y6)
+	SR_ADD(224, Y7)
+	INCQ AX
+	CMPQ AX, R12
+	JB   sr32Loop
+	JMP  sr32Store
+
+sr32Mul:
+	SR_TERM(0, Y0, Y9)
+	SR_TERM(32, Y1, Y10)
+	SR_TERM(64, Y2, Y11)
+	SR_TERM(96, Y3, Y12)
+	SR_TERM(128, Y4, Y9)
+	SR_TERM(160, Y5, Y10)
+	SR_TERM(192, Y6, Y11)
+	SR_TERM(224, Y7, Y12)
+	INCQ AX
+	CMPQ AX, R12
+	JB   sr32Loop
+
+sr32Store:
+	VMOVUPD Y0, 0(DI)(R13*1)
+	VMOVUPD Y1, 32(DI)(R13*1)
+	VMOVUPD Y2, 64(DI)(R13*1)
+	VMOVUPD Y3, 96(DI)(R13*1)
+	VMOVUPD Y4, 128(DI)(R13*1)
+	VMOVUPD Y5, 160(DI)(R13*1)
+	VMOVUPD Y6, 192(DI)(R13*1)
+	VMOVUPD Y7, 224(DI)(R13*1)
+	ADDQ $256, R13
+	SUBQ $32, R14
+	JMP  srCols32
+
+srCols4:
+	CMPQ R14, $4
+	JLT  srColsTail
+	VXORPD Y0, Y0, Y0
+	CMPB store+152(FP), $0
+	JNE  sr4Start
+	SR_INIT(0, Y0)
+
+sr4Start:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  sr4Store
+
+sr4Loop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srDone
+	SR_ROW
+	SR_UNLESS_ONE(sr4Mul)
+	SR_ADD(0, Y0)
+	JMP  sr4Next
+
+sr4Mul:
+	SR_TERM(0, Y0, Y9)
+
+sr4Next:
+	INCQ AX
+	CMPQ AX, R12
+	JB   sr4Loop
+
+sr4Store:
+	VMOVUPD Y0, (DI)(R13*1)
+	ADDQ $32, R13
+	SUBQ $4, R14
+	JMP  srCols4
+
+srColsTail:
+	TESTQ R14, R14
+	JZ    srRowNext
+	VXORPD Y0, Y0, Y0
+	CMPB  store+152(FP), $0
+	JNE   srTailStart
+	VMASKMOVPD (DI)(R13*1), Y15, Y0
+
+srTailStart:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  srTailStore
+
+srTailLoop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srDone
+	SR_ROW
+	VMASKMOVPD (CX), Y15, Y9
+	VMULPD     Y9, Y8, Y9
+	VADDPD     Y9, Y0, Y0
+	INCQ AX
+	CMPQ AX, R12
+	JB   srTailLoop
+
+srTailStore:
+	VMASKMOVPD Y0, Y15, (DI)(R13*1)
+
+srRowNext:
+	ADDQ R8, DI
+	ADDQ $4, BX
+	INCQ R10
+	JMP  srRow
+
+srDone:
+	MOVQ R10, ret+160(FP)
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// Transpose and Finite. An element is finite unless its exponent bits
+// are all set: AND with them, compare equal to them, and OR the lanes
+// that are into Y13, which VPTEST then finds all clear or not.
+
+DATA expBits<>+0(SB)/8, $0x7ff0000000000000
+GLOBL expBits<>(SB), RODATA|NOPTR, $8
+
+#define NONFINITE_OR(Y, T) \
+	VANDPD   Y, Y14, T; \
+	VPCMPEQQ Y14, T, T; \
+	VPOR     T, Y13, Y13
+
+// func transposeAVX2(dst, src []float64, rows, cols int) bool
+// dst[j][i] = src[i][j] over the leading (rows&^3)×(cols&^3) block, both
+// at least 4, one 4×4 block at a time (transposed in registers as
+// NT_LOAD_A4 does); reports whether the block is finite. The inner loop
+// walks down a band of four src columns, so each dst row is written in
+// order and each src line is read once while it is still in cache.
+TEXT ·transposeAVX2(SB), NOSPLIT, $0-65
+	MOVQ dst_base+0(FP), DI // dst: row j, column 0
+	MOVQ src_base+24(FP), SI // src: row 0, column j
+	MOVQ cols+56(FP), R8
+	MOVQ rows+48(FP), R10
+	SHLQ $3, R8 // bytes per src row
+	SHLQ $3, R10 // bytes per dst row
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R10)(R10*2), R11
+	VBROADCASTSD expBits<>(SB), Y14
+	VPXOR Y13, Y13, Y13
+	MOVQ cols+56(FP), R12
+	SHRQ $2, R12
+
+trCols:
+	MOVQ SI, AX // src: rows i..i+3, column j
+	MOVQ DI, BX // dst: rows j..j+3, column i
+	MOVQ rows+48(FP), R13
+	SHRQ $2, R13
+
+trRows:
+	VMOVUPD (AX), Y0
+	VMOVUPD (AX)(R8*1), Y1
+	VMOVUPD (AX)(R8*2), Y2
+	VMOVUPD (AX)(R9*1), Y3
+	NONFINITE_OR(Y0, Y4)
+	NONFINITE_OR(Y1, Y5)
+	NONFINITE_OR(Y2, Y6)
+	NONFINITE_OR(Y3, Y7)
+	VUNPCKLPD Y1, Y0, Y4
+	VUNPCKHPD Y1, Y0, Y5
+	VUNPCKLPD Y3, Y2, Y6
+	VUNPCKHPD Y3, Y2, Y7
+	VPERM2F128 $0x20, Y6, Y4, Y0
+	VPERM2F128 $0x20, Y7, Y5, Y1
+	VPERM2F128 $0x31, Y6, Y4, Y2
+	VPERM2F128 $0x31, Y7, Y5, Y3
+	VMOVUPD Y0, (BX)
+	VMOVUPD Y1, (BX)(R10*1)
+	VMOVUPD Y2, (BX)(R10*2)
+	VMOVUPD Y3, (BX)(R11*1)
+	LEAQ (AX)(R8*4), AX
+	ADDQ $32, BX
+	DECQ R13
+	JNZ  trRows
+	ADDQ $32, SI
+	LEAQ (DI)(R10*4), DI
+	DECQ R12
+	JNZ  trCols
+	VPTEST Y13, Y13
+	SETEQ ret+64(FP)
+	VZEROUPPER
+	RET
+
+// func finiteAVX2(v []float64, n int) bool
+// Whether v[0..n) is finite; n is a positive multiple of 4. Sixteen
+// elements a pass, then four.
+TEXT ·finiteAVX2(SB), NOSPLIT, $0-33
+	MOVQ v_base+0(FP), DI
+	MOVQ n+24(FP), CX
+	VBROADCASTSD expBits<>(SB), Y14
+	VPXOR Y13, Y13, Y13
+	SHLQ $3, CX
+	XORQ AX, AX
+	MOVQ CX, DX
+	ANDQ $-128, DX // bytes in whole passes of sixteen
+	JZ   fin4
+
+fin16:
+	VANDPD   (DI)(AX*1), Y14, Y0
+	VANDPD   32(DI)(AX*1), Y14, Y1
+	VANDPD   64(DI)(AX*1), Y14, Y2
+	VANDPD   96(DI)(AX*1), Y14, Y3
+	VPCMPEQQ Y14, Y0, Y0
+	VPCMPEQQ Y14, Y1, Y1
+	VPCMPEQQ Y14, Y2, Y2
+	VPCMPEQQ Y14, Y3, Y3
+	VPOR     Y0, Y1, Y1
+	VPOR     Y2, Y3, Y3
+	VPOR     Y1, Y13, Y13
+	VPOR     Y3, Y13, Y13
+	ADDQ     $128, AX
+	CMPQ     AX, DX
+	JLT      fin16
+
+fin4:
+	CMPQ AX, CX
+	JGE  finDone
+	VMOVUPD (DI)(AX*1), Y0
+	NONFINITE_OR(Y0, Y1)
+	ADDQ $32, AX
+	JMP  fin4
+
+finDone:
+	VPTEST Y13, Y13
+	SETEQ  ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func nonzerosAVX2(idx []int32, val, x []float64, n int, perm *[16][8]uint32, lanes *[16][4]uint32) (count int, finite bool)
+// The nonzeros of x[0..n), n a positive multiple of 4, four at a time:
+// the lanes that compare unequal to +0 (NaN included) give a 4-bit mask,
+// whose perm entry moves their doubles to the front of a register
+// stored whole at val[count] and whose lanes entry, plus t, gives
+// their columns, stored whole at idx[count]; count grows by the mask's
+// popcount. count never passes t, so no store reaches past n.
+TEXT ·nonzerosAVX2(SB), NOSPLIT, $0-105
+	MOVQ idx_base+0(FP), DI
+	MOVQ val_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+	MOVQ n+72(FP), CX
+	MOVQ perm+80(FP), R8
+	MOVQ lanes+88(FP), R9
+	VBROADCASTSD expBits<>(SB), Y14
+	VPXOR  Y13, Y13, Y13
+	VXORPD Y15, Y15, Y15
+	VPXOR  X12, X12, X12 // t in four int32 lanes
+	MOVL   $4, AX
+	MOVL   AX, X11
+	VPBROADCASTD X11, X11 // 4 in four int32 lanes
+	XORQ AX, AX // t
+	XORQ BX, BX // count
+
+nzLoop:
+	VMOVUPD (DX)(AX*8), Y0
+	NONFINITE_OR(Y0, Y1)
+	VCMPPD    $4, Y15, Y0, Y2 // x ≠ 0, unordered: a NaN is nonzero
+	VMOVMSKPD Y2, R10
+	MOVQ      R10, R11
+	SHLQ      $5, R11
+	VMOVDQU   (R8)(R11*1), Y3
+	VPERMD    Y0, Y3, Y0
+	VMOVUPD   Y0, (SI)(BX*8)
+	MOVQ      R10, R11
+	SHLQ      $4, R11
+	VPADDD    (R9)(R11*1), X12, X4
+	VMOVDQU   X4, (DI)(BX*4)
+	POPCNTL   R10, R10
+	ADDQ      R10, BX
+	VPADDD    X11, X12, X12
+	ADDQ      $4, AX
+	CMPQ      AX, CX
+	JLT       nzLoop
+	MOVQ   BX, count+96(FP)
+	VPTEST Y13, Y13
+	SETEQ  finite+104(FP)
 	VZEROUPPER
 	RET

@@ -17,9 +17,21 @@ func gemmTNStoreVec(c, a, b []float64, m, n int) bool { return false }
 func addVec(v, w []float64) int           { return 0 }
 func scaleVec(v []float64, c float64) int { return 0 }
 
-func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) int { return 0 }
+func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) (int, bool) {
+	return 0, true
+}
 
 func reluVec(v []float64) int        { return 0 }
 func reluMaskVec(v, h []float64) int { return 0 }
 
 func expVec(dst, src []float64) int { return 0 }
+
+func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
+	return 0
+}
+
+func transposeVec(dst, src []float64, rows, cols int) (r4, c4 int, finite bool) { return 0, 0, true }
+
+func finiteVec(v []float64) (int, bool) { return 0, true }
+
+func nonzerosVec(idx []int32, val, x []float64) (done, count int, finite bool) { return 0, 0, true }

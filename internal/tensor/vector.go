@@ -128,15 +128,20 @@ func (v Vector) ReLUMask(h Vector) {
 // keep a compiler that has a fused multiply-add from using it — and
 // none is skipped when its factor is 0, so the AVX2 tier and this loop
 // give the same bits on every architecture. vel and grad are at least
-// as long as p.
-func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) {
+// as long as p. It reports whether every element of p it wrote is
+// finite.
+func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) bool {
 	vel, grad = vel[:len(p)], grad[:len(p)]
-	for i := sgdStepVec(p, vel, grad, scale, wd, mom, lr); i < len(p); i++ {
+	i, finite := sgdStepVec(p, vel, grad, scale, wd, mom, lr)
+	bad := uint64(0)
+	for ; i < len(p); i++ {
 		g := float64(grad[i]*scale) + float64(wd*p[i])
 		v := float64(mom*vel[i]) + g
 		vel[i] = v
 		p[i] -= float64(lr * v)
+		bad |= nonFinite(p[i])
 	}
+	return finite && bad == 0
 }
 
 // Axpy sets v += a*w (the BLAS axpy kernel). It returns an error when

@@ -5,9 +5,10 @@
 # without it (under it sync.Pool drops the arm memory at random, so
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
-# arm encoder, the fixed-point float formatter, the RNG and the exp
-# kernel are fuzzed, for 10 s each), the one-generator gates (math/rand
-# only in tests, and no fused multiply-add in the samplers on arm64), the
+# arm encoder, the fixed-point float formatter, the RNG, the exp kernel
+# and the sparse kernels are fuzzed, for 10 s each), the one-generator
+# gates (math/rand only in tests, and no fused multiply-add in the
+# samplers or the sparse kernels on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -81,6 +82,12 @@ go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s ./internal/tensor
 # hands groups it cannot take back to math.Exp: a short real fuzzing run
 # holds both tiers to math.Exp bit for bit on inputs no seed lists.
 go test -run=NONE -fuzz=FuzzExp -fuzztime=10s ./internal/tensor
+# tensor.SparseRows and SparseRowsStore stand in for GemmNT and
+# GemmTNStore on the first layer of sparse inputs: a short real fuzzing
+# run holds them to their Go tier always, and to the GEMMs' bits
+# whenever the preconditions hold, on shapes, densities and special
+# values no seed lists.
+go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s ./internal/tensor
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -99,15 +106,17 @@ echo "rng import gate ok"
 # The same samplers on arm64: the compiler may fuse a*b + c there, and
 # every product in rng*.go that feeds an add is rounded explicitly so it
 # cannot. A fused multiply-add attributed to those files moves arm64's
-# stream off amd64's.
+# stream off amd64's. The sparse kernels' Go tier (sparse.go), the only
+# one arm64 runs, rounds its products the same way: a fused one there
+# would move the sparse first layer off the dense one's bits.
 fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/tensor=-S' ./internal/tensor 2>&1 |
-    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' | grep -E '/rng[a-z_]*\.go:' || true)
+    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' | grep -E '/(rng[a-z_]*|sparse)\.go:' || true)
 if [ -n "$fused" ]; then
-    echo "arm64 fuses multiply-adds in the samplers:" >&2
+    echo "arm64 fuses multiply-adds in the samplers or the sparse kernels:" >&2
     echo "$fused" >&2
     exit 1
 fi
-echo "rng arm64 rounding gate ok"
+echo "rng and sparse arm64 rounding gate ok"
 
 # One scenario schema: the language lives in pkg/dlsim/spec, and
 # internal/spec is an alias file kept for benchmark/ until a benchmark

@@ -1,9 +1,11 @@
 #!/bin/sh
-# profile.sh — capture pprof CPU + allocation profiles for the four
+# profile.sh — capture pprof CPU + allocation profiles for the
 # workloads the perf work steers by: the figure2 end-to-end run at quick
 # scale and default workers, the shape dlbench's figure2_quick measures
 # (via dlsim's -cpuprofile/-memprofile flags; five seeds merged for each,
-# since one run is little over a second of samples), the dense-wake arm (via the
+# since one run is little over a second of samples), its two
+# Purchase100-like arms alone (the sparse first layer's workload, CPU
+# only, five seeds merged), the dense-wake arm (via the
 # IntraArmSpeedup benchmark), a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB, heap objects and
 # collections per arm) and a resume pass over a finished directory of them (via the
@@ -28,7 +30,23 @@ done
 for p in cpu mem; do
     go tool pprof -proto "$OUT"/figure2_${p}_[1-5].pprof >"$OUT/figure2_$p.pprof" 2>/dev/null
 done
-rm -f "$OUT/dlsim" "$OUT"/figure2_cpu_[1-5].pprof "$OUT"/figure2_mem_[1-5].pprof
+rm -f "$OUT"/figure2_cpu_[1-5].pprof "$OUT"/figure2_mem_[1-5].pprof
+
+echo "== Purchase100-like arms (Figure 2's purchase100/*, quick scale, seeds 1-5) =="
+# The two arms as a spec of their own, with the labels and seed offsets
+# Figure 2 gives them, so they run what the figure runs.
+cat >"$OUT/purchase100.json" <<'EOF'
+{"name": "Figure 2, Purchase100-like arms", "caption": "the sparse first layer's workload",
+ "arms": [
+  {"label": "purchase100/base/k=5/static", "corpus": "purchase100", "protocol": "base", "viewSize": 5, "seedOffset": 6},
+  {"label": "purchase100/samo/k=5/static", "corpus": "purchase100", "protocol": "samo", "viewSize": 5, "seedOffset": 7}]}
+EOF
+for seed in 1 2 3 4 5; do
+    "$OUT/dlsim" run -spec "$OUT/purchase100.json" -scale quick -seed "$seed" \
+        -cpuprofile "$OUT/purchase100_cpu_$seed.pprof" >/dev/null
+done
+go tool pprof -proto "$OUT"/purchase100_cpu_[1-5].pprof >"$OUT/purchase100_cpu.pprof" 2>/dev/null
+rm -f "$OUT/dlsim" "$OUT/purchase100.json" "$OUT"/purchase100_cpu_[1-5].pprof
 
 echo "== dense-wake arm (IntraArmSpeedup benchmark, workers sweep) =="
 go test -run=NONE -bench='BenchmarkIntraArmSpeedup' -benchtime=5x \
@@ -47,7 +65,7 @@ go test -run=NONE -bench='BenchmarkResumePass' -benchtime=1000x \
     -cpuprofile "$OUT/resume_cpu.pprof" \
     -o "$OUT/bench.test" ./internal/experiment | grep '^Benchmark'
 
-for p in figure2_cpu figure2_mem intraarm_cpu intraarm_mem lightarm_cpu lightarm_mem resume_cpu; do
+for p in figure2_cpu figure2_mem purchase100_cpu intraarm_cpu intraarm_mem lightarm_cpu lightarm_mem resume_cpu; do
     case "$p" in
         *_mem) sample="-sample_index=alloc_space" ;;
         *) sample="" ;;
@@ -67,6 +85,16 @@ grep -m4 'flat%' -A6 "$OUT/intraarm_cpu.txt" | head -8 || true
 echo "heavy arm (figure2, quick scale), flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
     grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX2$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|expAVX2$|tensor\.Exp$|math\.arch(Exp|Log)$|nn\.softmaxRows$|runtime\.memmove$' || true
+# The Purchase100-like arms' first layer: the GEMMs its dense form ran
+# (gemmNT forward; gemmTN and gemmTNStore, the weight gradient) and the
+# sparse form's kernels (the products, the transposes of W0 and its
+# velocity, the nonzero index, the finiteness check, and the column
+# index in Go), with memmove beside them. The GEMMs keep a share for the
+# deeper layers; a layer-0 share climbing back means the sparse path
+# stopped being taken.
+echo "Purchase100-like arms, flat share of samples:"
+go tool pprof -top -nodecount=400 "$OUT/purchase100_cpu.pprof" 2>/dev/null |
+    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|nonzeros|finite)AVX2$|sparseL0\)\.columns$|runtime\.memmove$' || true
 echo "heavy arm, cumulative share of the softmax:"
 go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
     grep -E 'nn\.softmaxRows$' || true
