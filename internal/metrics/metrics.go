@@ -15,18 +15,25 @@ import (
 )
 
 // Accuracy returns top-1 accuracy of model on ds (Equation 5). The
-// sweep runs through the model's batched scoring path — blocked GEMM
+// sweep runs through the model's chunked scoring path — blocked GEMM
 // forward passes that are bit-identical to per-example Predict calls —
-// so the result is unchanged and the evaluation loop allocates nothing
-// at steady state.
+// and takes each chunk's argmax in one tensor.ArgMaxRows pass, the same
+// argmax the attack's scoring pass takes, so the result is unchanged and
+// the evaluation loop allocates nothing at steady state.
 func Accuracy(model *nn.MLP, ds *data.Dataset) (float64, error) {
 	if ds.Len() == 0 {
 		return 0, data.ErrEmpty
 	}
+	classes := model.Classes()
+	var top [nn.ScoreChunkRows]int
 	correct := 0
-	err := model.ScoreBatch(ds.X, func(i int, logits tensor.Vector) {
-		if logits.ArgMax() == ds.Y[i] {
-			correct++
+	err := model.ScoreChunks(ds.X, func(start int, logits tensor.Vector) {
+		rows := top[:len(logits)/classes]
+		tensor.ArgMaxRows(rows, logits, classes)
+		for r, k := range rows {
+			if k == ds.Y[start+r] {
+				correct++
+			}
 		}
 	})
 	if err != nil {

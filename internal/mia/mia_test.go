@@ -60,11 +60,21 @@ func TestMPEScoreSaturatedDistribution(t *testing.T) {
 	}
 }
 
+// bestThreshold sorts the two sides on a fresh Scratch and sweeps them.
+func bestThreshold(member, non []float64) (acc, tau float64, err error) {
+	var s Scratch
+	if err := s.sortScores(member, non); err != nil {
+		return 0, 0, err
+	}
+	acc, tau = s.bestThresholdAccuracy()
+	return acc, tau, nil
+}
+
 func TestBestThresholdAccuracySeparated(t *testing.T) {
 	// Perfectly separated scores -> accuracy 1 at a threshold between.
 	member := []float64{0.1, 0.2, 0.3}
 	non := []float64{0.9, 1.0, 1.1}
-	acc, tau, err := new(Scratch).bestThresholdAccuracy(member, non)
+	acc, tau, err := bestThreshold(member, non)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func TestBestThresholdAccuracySeparated(t *testing.T) {
 func TestBestThresholdAccuracyIndistinguishable(t *testing.T) {
 	// Identical distributions -> accuracy 0.5.
 	same := []float64{1, 2, 3, 4}
-	acc, _, err := new(Scratch).bestThresholdAccuracy(same, same)
+	acc, _, err := bestThreshold(same, same)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestBestThresholdAccuracyImbalanced(t *testing.T) {
 	for i := range non {
 		non[i] = 1
 	}
-	acc, _, err := new(Scratch).bestThresholdAccuracy(member, non)
+	acc, _, err := bestThreshold(member, non)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +116,10 @@ func TestBestThresholdAccuracyImbalanced(t *testing.T) {
 }
 
 func TestBestThresholdAccuracyErrors(t *testing.T) {
-	if _, _, err := new(Scratch).bestThresholdAccuracy(nil, []float64{1}); !errors.Is(err, ErrNoScores) {
+	if _, _, err := bestThreshold(nil, []float64{1}); !errors.Is(err, ErrNoScores) {
 		t.Fatalf("empty member error = %v", err)
 	}
-	if _, _, err := new(Scratch).bestThresholdAccuracy([]float64{1}, nil); !errors.Is(err, ErrNoScores) {
+	if _, _, err := bestThreshold([]float64{1}, nil); !errors.Is(err, ErrNoScores) {
 		t.Fatalf("empty non-member error = %v", err)
 	}
 }
@@ -124,7 +134,7 @@ func TestBestThresholdAccuracyRangeProperty(t *testing.T) {
 			member[i] = rng.Normal(0, 1)
 			non[i] = rng.Normal(0.5, 1)
 		}
-		acc, _, err := new(Scratch).bestThresholdAccuracy(member, non)
+		acc, _, err := bestThreshold(member, non)
 		if err != nil {
 			return false
 		}
@@ -168,6 +178,22 @@ func TestTPRAtFPR(t *testing.T) {
 	}
 	if tpr != 1 {
 		t.Fatalf("tpr@100%%fpr = %v, want 1", tpr)
+	}
+	// The threshold that admits every non-member is +Inf, and a member
+	// scored +Inf is at or below it.
+	tpr, err = TPRAtFPR([]float64{math.Inf(1), 0.5}, []float64{0.1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tpr != 1 {
+		t.Fatalf("tpr@100%%fpr with a member at +Inf = %v, want 1", tpr)
+	}
+	// A NaN score has no place among the thresholds.
+	if _, err := TPRAtFPR([]float64{math.NaN(), 0.5}, []float64{0.1}, 1); !errors.Is(err, ErrNaNScore) {
+		t.Fatalf("tpr with a NaN member: err = %v, want ErrNaNScore", err)
+	}
+	if _, err := TPRAtFPR([]float64{0.5}, []float64{0.1, math.NaN()}, 0); !errors.Is(err, ErrNaNScore) {
+		t.Fatalf("tpr with a NaN non-member: err = %v, want ErrNaNScore", err)
 	}
 }
 

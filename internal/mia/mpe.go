@@ -18,6 +18,11 @@ import (
 // non-member scores.
 var ErrNoScores = errors.New("mia: no scores")
 
+// ErrNaNScore is returned when an attack is evaluated on a NaN score,
+// which has no place among the thresholds — as when a diverged model's
+// probabilities are NaN.
+var ErrNaNScore = errors.New("mia: NaN score")
+
 // MPEScore computes the Modified Prediction Entropy of Equation (3) for
 // a predicted distribution p and true label y:
 //
@@ -25,27 +30,33 @@ var ErrNoScores = errors.New("mia: no scores")
 //
 // Members (training points) tend to receive low scores. Probabilities
 // are floored to avoid infinities from saturated softmax outputs.
+//
+// MPEScore is the per-row reference of the attack's chunked scores
+// (Scratch.appendMPE), which give its bits.
 func MPEScore(p tensor.Vector, y int) float64 {
-	const floor = 1e-12
-	clamp := func(v float64) float64 {
-		if v < floor {
-			return floor
-		}
-		if v > 1-floor {
-			return 1 - floor
-		}
-		return v
-	}
-	py := clamp(p[y])
+	py := clampProb(p[y])
 	s := -(1 - py) * math.Log(py)
 	for i, pi := range p {
 		if i == y {
 			continue
 		}
-		pi = clamp(pi)
+		pi = clampProb(pi)
 		s -= pi * math.Log(1-pi)
 	}
 	return s
+}
+
+// clampProb floors a probability to 1e-12 and caps it at 1 − 1e-12, so
+// that neither it nor its complement has an infinite log.
+func clampProb(v float64) float64 {
+	const floor = 1e-12
+	if v < floor {
+		return floor
+	}
+	if v > 1-floor {
+		return 1 - floor
+	}
+	return v
 }
 
 // Scores returns the MPE score of every example in ds under model; it
@@ -58,10 +69,13 @@ func Scores(model *nn.MLP, ds *data.Dataset) ([]float64, error) {
 // TPRAtFPR returns the true-positive rate of the score-thresholded attack
 // at the largest threshold whose false-positive rate does not exceed
 // maxFPR (Equation 7 uses maxFPR = 0.01). Members are positives and are
-// predicted when score ≤ τ.
+// predicted when score ≤ τ. A NaN score is ErrNaNScore.
 func TPRAtFPR(member, nonMember []float64, maxFPR float64) (float64, error) {
 	var s Scratch
-	return s.tprAtFPR(member, nonMember, maxFPR)
+	if err := s.sortScores(member, nonMember); err != nil {
+		return 0, err
+	}
+	return s.tprAtFPR(maxFPR)
 }
 
 // Result bundles the two vulnerability measures for one victim model

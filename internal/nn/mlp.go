@@ -548,43 +548,44 @@ func (m *MLP) copyInputs(xs []tensor.Vector, batch tensor.Vector) {
 	}
 }
 
-// scoreChunk is the row count of one ScoreBatch forward pass: large
-// enough that the blocked GEMM kernels pay off, small enough that the
-// borrowed scratch stays modest (scoreChunk × Σ widths floats). While
-// the first layer runs sparse a pass takes sparseChunk rows, so the
-// nonzero index is the trainer's size: the GEMMs cost the same per row.
+// ScoreChunkRows is the row count of one scoring forward pass, the most
+// rows ScoreChunks hands its consumer at once: large enough that the
+// blocked GEMM kernels pay off, small enough that the borrowed scratch
+// stays modest (ScoreChunkRows × Σ widths floats). While the first
+// layer runs sparse a pass takes sparseChunk rows, so the nonzero index
+// is the trainer's size: the GEMMs cost the same per row.
 const (
-	scoreChunk  = 64
-	sparseChunk = 16
+	ScoreChunkRows = 64
+	sparseChunk    = 16
 )
 
-// ScoreBatch runs the model forward over xs in fixed-size chunks using
-// the same blocked GEMM kernels as BatchGrad and invokes score(i,
-// logits) once per example, in order, with example i's logit row. The
-// row aliases scratch borrowed for the call and is only valid during
-// the callback.
+// ScoreChunks runs the model forward over xs in chunks using the same
+// blocked GEMM kernels as BatchGrad and invokes score(start, logits)
+// once per chunk, in order, with the logits of xs[start:start+rows] as
+// one rows × Classes() block, rows ≤ ScoreChunkRows. The block aliases
+// scratch borrowed for the call and is only valid during the callback.
 //
 // The logits are bit-identical to the per-example forward pass
 // (Predict, ProbsInto), so scoring sweeps — accuracy, MIA attacks —
-// can batch without changing a single result bit. Steady-state calls
+// can batch without changing a single result bit, and can run their
+// softmax, argmax and logs over the chunk at once. Steady-state calls
 // perform no allocation: the scratch goes back to the pool. Sparse
 // rows take the sparse first layer, W0 transposed once per call.
-func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vector)) error {
+func (m *MLP) ScoreChunks(xs []tensor.Vector, score func(start int, logits tensor.Vector)) error {
 	in0 := m.sizes[0]
 	for i, x := range xs {
 		if len(x) != in0 {
 			return fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), in0, tensor.ErrShape)
 		}
 	}
-	batch := m.pool.Get(m.batchFloats(min(len(xs), scoreChunk), false))
+	batch := m.pool.Get(m.batchFloats(min(len(xs), ScoreChunkRows), false))
 	defer m.pool.Put(batch)
 	var sp sparseL0
 	sp.init(m, sparseChunk, nil)
 	defer sp.release()
 	layers := len(m.sizes) - 1
-	classes := m.sizes[layers]
 	for start := 0; start < len(xs); {
-		rows := scoreChunk
+		rows := ScoreChunkRows
 		if !sp.off {
 			rows = sparseChunk
 		}
@@ -595,35 +596,66 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 		} else {
 			m.batchForward(chunk, batch, nil)
 		}
-		logits := m.act(batch, layers, B)
-		for r := 0; r < B; r++ {
-			score(start+r, logits[r*classes:(r+1)*classes])
-		}
+		score(start, m.act(batch, layers, B))
 		start += B
 	}
 	return nil
 }
 
+// ScoreBatch is ScoreChunks one row at a time: it invokes score(i,
+// logits) once per example, in order, with example i's logit row, which
+// is only valid during the callback.
+func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vector)) error {
+	classes := m.Classes()
+	return m.ScoreChunks(xs, func(start int, logits tensor.Vector) {
+		for r := 0; r*classes < len(logits); r++ {
+			score(start+r, logits[r*classes:(r+1)*classes])
+		}
+	})
+}
+
 // Softmax writes the softmax of logits into out (same length), using the
 // max-subtraction trick for numerical stability.
 func Softmax(logits, out tensor.Vector) {
-	softmaxRows(logits, out, len(logits))
+	var top [1]int
+	SoftmaxRows(logits, out, len(logits), top[:])
 }
 
-// softmaxRows writes the softmax of each classes-wide row of logits into
-// the same row of out: z − max into every row, one tensor.Exp pass over
-// the whole block (so no row leaves a scalar tail), then each row summed
-// in index order and scaled by 1/sum — the bits of a math.Exp loop.
+// softmaxRows is SoftmaxRows over any number of rows, in pieces of
+// ScoreChunkRows, for a caller that does not read the indices.
 func softmaxRows(logits, out tensor.Vector, classes int) {
-	for r := 0; r < len(logits); r += classes {
-		row, dst := logits[r:r+classes], out[r:r+classes]
-		maxv := rowMax(row)
+	var top [ScoreChunkRows]int
+	for r := 0; r*classes < len(logits); r += ScoreChunkRows {
+		n := min(ScoreChunkRows, len(logits)/classes-r)
+		lo, hi := r*classes, (r+n)*classes
+		SoftmaxRows(logits[lo:hi], out[lo:hi], classes, top[:n])
+	}
+}
+
+// SoftmaxRows writes the softmax of each classes-wide row of logits into
+// the same row of out, for len(top) rows, and each row's ArgMax into
+// top. One tensor.ArgMaxRows pass gives both the indices and the max the
+// softmax subtracts (the logit at the index, −Inf at −1: Vector.Max's
+// value); then z − max goes into every row, one tensor.Exp pass runs
+// over the whole block (so no row leaves a scalar tail), and each row is
+// summed in index order and scaled by 1/sum — the bits of a math.Exp
+// loop.
+func SoftmaxRows(logits, out tensor.Vector, classes int, top []int) {
+	n := len(top) * classes
+	logits, out = logits[:n], out[:n]
+	tensor.ArgMaxRows(top, logits, classes)
+	for r, t := range top {
+		row, dst := logits[r*classes:(r+1)*classes], out[r*classes:(r+1)*classes]
+		maxv := math.Inf(-1)
+		if t >= 0 {
+			maxv = row[t]
+		}
 		for i, z := range row {
 			dst[i] = z - maxv
 		}
 	}
 	tensor.Exp(out, out)
-	for r := 0; r < len(out); r += classes {
+	for r := 0; r < n; r += classes {
 		row := out[r : r+classes]
 		var sum float64
 		for _, e := range row {
@@ -637,17 +669,6 @@ func softmaxRows(logits, out tensor.Vector, classes int) {
 		}
 		row.Scale(1 / sum)
 	}
-}
-
-// rowMax is Vector.Max without the index.
-func rowMax(v tensor.Vector) float64 {
-	best := math.Inf(-1)
-	for _, x := range v {
-		if x > best {
-			best = x
-		}
-	}
-	return best
 }
 
 // crossEntropyFromProbs returns -log p[y], floored to avoid Inf.

@@ -57,7 +57,8 @@ func TestSoftmaxProperties(t *testing.T) {
 }
 
 // TestSoftmaxMatchesMathExpLoop holds Softmax, and softmaxRows over a
-// block of rows, to the plain loop they replace — z − max through
+// block of rows (one of them longer than its ScoreChunkRows pieces), to
+// the plain loop they replace — z − max through
 // math.Exp, summed in index order, scaled by 1/sum — bit for bit, on
 // rows with huge, −Inf and −800 logits. A row of −Inf logits gives NaN
 // (−Inf − −Inf) on both sides, so the uniform fallback for a zero sum
@@ -87,8 +88,8 @@ func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
 		}
 	}
 	rng := tensor.NewRNG(36)
-	for _, classes := range []int{1, 3, 4, 5, 10, 100} {
-		const rows = 5
+	for _, tc := range [][2]int{{1, 5}, {3, 5}, {4, 5}, {5, 5}, {10, 5}, {100, 5}, {10, 2*ScoreChunkRows + 3}} {
+		classes, rows := tc[0], tc[1]
 		block := tensor.NewVector(rows * classes)
 		rng.FillNormal(block, 0, 10)
 		block[classes] = 1000 // row 1 is far from zero

@@ -18,7 +18,7 @@ func TestScoreBatchMatchesPerExampleForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{1, 5, scoreChunk - 1, scoreChunk, scoreChunk + 1, 3 * scoreChunk} {
+	for _, n := range []int{1, 5, ScoreChunkRows - 1, ScoreChunkRows, ScoreChunkRows + 1, 3 * ScoreChunkRows} {
 		xs := make([]tensor.Vector, n)
 		for i := range xs {
 			xs[i] = tensor.NewVector(19)

@@ -207,6 +207,12 @@ func reluMaskAVX2(v, h []float64, n int)
 //go:noescape
 func expAVX2(dst, src []float64, n int) int
 
+//go:noescape
+func logAVX2(dst, src []float64, n int)
+
+//go:noescape
+func argMaxRowsAVX2(idx []int, m []float64, rows, cols int)
+
 // The element-wise kernels return the number of leading elements done
 // (a multiple of 4). Operands have equal length.
 
@@ -274,4 +280,28 @@ func expVec(dst, src []float64) int {
 			dst[i] = math.Exp(src[i])
 		}
 	}
+}
+
+// logVec writes math.Log(src[i]) into the leading multiple of 4
+// elements of dst and returns how many; src is at least as long as dst.
+// The kernel replays math.Log's amd64 assembly, which takes one path on
+// every amd64 host, special cases included.
+func logVec(dst, src []float64) int {
+	n4 := len(dst) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0
+	}
+	logAVX2(dst, src, n4)
+	return n4
+}
+
+// argMaxRowsVec fills the leading multiple of 4 entries of idx and
+// returns how many; m holds len(idx) rows of cols elements.
+func argMaxRowsVec(idx []int, m []float64, cols int) int {
+	r4 := len(idx) &^ 3
+	if !useAVX2 || r4 == 0 || cols <= 0 {
+		return 0
+	}
+	argMaxRowsAVX2(idx, m, r4, cols)
+	return r4
 }

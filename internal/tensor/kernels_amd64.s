@@ -58,7 +58,10 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 // are loaded at a time and transposed in registers, so that register u
 // holds a0[t+u], a1[t+u], a2[t+u], a3[t+u] to multiply by a broadcast
 // b[j][t+u]. Eight columns run at once: eight independent add chains
-// cover the adder's latency.
+// cover the adder's latency. The n%8 columns left run as a block of
+// four, then of two, then one alone, so a narrow layer (four hidden
+// units, the last two or four of ten or a hundred classes) still shares
+// each transposed A load between columns and runs several chains.
 
 // NT_GATHER_A loads a[r][t] of the four rows into the lanes of Y;
 // NT_LOAD_C and NT_STORE_C move column off/8 of the four C rows.
@@ -128,6 +131,30 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VADDPD Y14, Y6, Y6; \
 	VADDPD Y15, Y7, Y7
 
+// NT_STEP4 and NT_STEP2 are NT_STEP8's first four and first two
+// columns; NT_STEP1 its first.
+#define NT_STEP4(A, off) \
+	VBROADCASTSD off(BX), Y12; \
+	VBROADCASTSD off(BX)(R8*1), Y13; \
+	VBROADCASTSD off(BX)(R8*2), Y14; \
+	VBROADCASTSD off(BX)(R9*1), Y15; \
+	VMULPD A, Y12, Y12; \
+	VMULPD A, Y13, Y13; \
+	VMULPD A, Y14, Y14; \
+	VMULPD A, Y15, Y15; \
+	VADDPD Y12, Y0, Y0; \
+	VADDPD Y13, Y1, Y1; \
+	VADDPD Y14, Y2, Y2; \
+	VADDPD Y15, Y3, Y3
+
+#define NT_STEP2(A, off) \
+	VBROADCASTSD off(BX), Y12; \
+	VBROADCASTSD off(BX)(R8*1), Y13; \
+	VMULPD A, Y12, Y12; \
+	VMULPD A, Y13, Y13; \
+	VADDPD Y12, Y0, Y0; \
+	VADDPD Y13, Y1, Y1
+
 #define NT_STEP1(A, off) \
 	VBROADCASTSD off(BX), Y12; \
 	VMULPD A, Y12, Y12; \
@@ -151,7 +178,7 @@ ntRows:
 
 ntCols8:
 	CMPQ R13, $8
-	JLT  ntCols1
+	JLT  ntCols4
 	NT_LOAD_C(0, X0, Y0, X8)
 	NT_LOAD_C(8, X1, Y1, X8)
 	NT_LOAD_C(16, X2, Y2, X8)
@@ -207,6 +234,94 @@ nt8Store:
 	SUBQ $8, R13
 	JMP  ntCols8
 
+ntCols4:
+	CMPQ R13, $4
+	JLT  ntCols2
+	NT_LOAD_C(0, X0, Y0, X8)
+	NT_LOAD_C(8, X1, Y1, X8)
+	NT_LOAD_C(16, X2, Y2, X8)
+	NT_LOAD_C(24, X3, Y3, X8)
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+88(FP), R12
+	SHRQ $2, R12
+	JZ   nt4Tail
+
+nt4Loop:
+	NT_LOAD_A4
+	NT_STEP4(Y8, 0)
+	NT_STEP4(Y9, 8)
+	NT_STEP4(Y10, 16)
+	NT_STEP4(Y11, 24)
+	ADDQ $32, AX
+	ADDQ $32, BX
+	DECQ R12
+	JNZ  nt4Loop
+
+nt4Tail:
+	MOVQ k+88(FP), R12
+	ANDQ $3, R12
+	JZ   nt4Store
+
+nt4TailLoop:
+	NT_GATHER_A(X8, Y8, X9)
+	NT_STEP4(Y8, 0)
+	ADDQ $8, AX
+	ADDQ $8, BX
+	DECQ R12
+	JNZ  nt4TailLoop
+
+nt4Store:
+	NT_STORE_C(0, X0, Y0, X8)
+	NT_STORE_C(8, X1, Y1, X8)
+	NT_STORE_C(16, X2, Y2, X8)
+	NT_STORE_C(24, X3, Y3, X8)
+	ADDQ $32, DI
+	LEAQ (DX)(R8*4), DX
+	SUBQ $4, R13
+
+ntCols2:
+	CMPQ R13, $2
+	JLT  ntCols1
+	NT_LOAD_C(0, X0, Y0, X8)
+	NT_LOAD_C(8, X1, Y1, X8)
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+88(FP), R12
+	SHRQ $2, R12
+	JZ   nt2Tail
+
+nt2Loop:
+	NT_LOAD_A4
+	NT_STEP2(Y8, 0)
+	NT_STEP2(Y9, 8)
+	NT_STEP2(Y10, 16)
+	NT_STEP2(Y11, 24)
+	ADDQ $32, AX
+	ADDQ $32, BX
+	DECQ R12
+	JNZ  nt2Loop
+
+nt2Tail:
+	MOVQ k+88(FP), R12
+	ANDQ $3, R12
+	JZ   nt2Store
+
+nt2TailLoop:
+	NT_GATHER_A(X8, Y8, X9)
+	NT_STEP2(Y8, 0)
+	ADDQ $8, AX
+	ADDQ $8, BX
+	DECQ R12
+	JNZ  nt2TailLoop
+
+nt2Store:
+	NT_STORE_C(0, X0, Y0, X8)
+	NT_STORE_C(8, X1, Y1, X8)
+	ADDQ $16, DI
+	LEAQ (DX)(R8*2), DX
+	SUBQ $2, R13
+
 ntCols1:
 	TESTQ R13, R13
 	JZ    ntRowsNext
@@ -244,9 +359,6 @@ nt1TailLoop:
 nt1Store:
 	NT_STORE_C(0, X0, Y0, X8)
 	ADDQ $8, DI
-	ADDQ R8, DX
-	DECQ R13
-	JMP  ntCols1
 
 ntRowsNext:
 	ADDQ R11, DI // DI walked row 0; the block has three more
@@ -826,6 +938,174 @@ expLoop:
 expDone:
 	SHRQ $3, AX
 	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// ArgMaxRows: lanes are four rows. Column j of the four is gathered into
+// one register; x > best (ordered, so never for a NaN) picks j into the
+// lane's index and VMAXPD, which returns its second source on a tie or
+// a NaN, moves best only where that compare holds — Vector.Max's
+// statement, with no branch on the data. The index runs as a double
+// from −1 and is converted once per row group.
+
+DATA argMaxConst<>+0(SB)/8, $0xfff0000000000000 // −Inf
+DATA argMaxConst<>+8(SB)/8, $-1.0
+DATA argMaxConst<>+16(SB)/8, $1.0
+GLOBL argMaxConst<>(SB), RODATA|NOPTR, $24
+
+// func argMaxRowsAVX2(idx []int, m []float64, rows, cols int)
+// rows a positive multiple of 4, cols ≥ 1.
+TEXT ·argMaxRowsAVX2(SB), NOSPLIT, $0-64
+	MOVQ idx_base+0(FP), DI
+	MOVQ m_base+24(FP), SI
+	MOVQ rows+48(FP), DX
+	MOVQ cols+56(FP), R8
+	SHLQ $3, R8 // bytes per row
+	LEAQ (R8)(R8*2), R9
+	VBROADCASTSD argMaxConst<>+16(SB), Y3
+
+amRows:
+	VBROADCASTSD argMaxConst<>+0(SB), Y0 // best
+	VBROADCASTSD argMaxConst<>+8(SB), Y1 // its index
+	VXORPD Y2, Y2, Y2                    // j
+	MOVQ SI, AX
+	MOVQ cols+56(FP), CX
+
+amCols:
+	VMOVSD  (AX), X4
+	VMOVHPD (AX)(R8*1), X4, X4
+	VMOVSD  (AX)(R8*2), X5
+	VMOVHPD (AX)(R9*1), X5, X5
+	VINSERTF128 $1, X5, Y4, Y4
+	VCMPPD    $0x1e, Y0, Y4, Y5 // x > best
+	VMAXPD    Y0, Y4, Y0
+	VBLENDVPD Y5, Y2, Y1, Y1
+	VADDPD    Y3, Y2, Y2
+	ADDQ $8, AX
+	DECQ CX
+	JNZ  amCols
+
+	VCVTTPD2DQY Y1, X1
+	VPMOVSXDQ   X1, Y1
+	VMOVDQU     Y1, (DI)
+	ADDQ $32, DI
+	LEAQ (SI)(R8*4), SI
+	SUBQ $4, DX
+	JNZ  amRows
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// Log: math.Log's amd64 assembly (Go 1.24's archLog, which uses no FMA
+// and is the same on every amd64 host) four lanes wide, operation for
+// operation: frexp by bit masks — f1 the mantissa under the exponent of
+// 0.5, k the biased exponent less 1022, as archLog takes them for
+// subnormals too — the √2/2 compare that doubles f1 and takes one from
+// k, s = f/(2+f) by a true division, the two polynomials with every
+// product rounded before its add, and the same final expression in the
+// same order. k is exact in either form: archLog converts the integer,
+// here 2^52 + e is built by its bits and 2^52 + 1022 taken away. Every
+// lane runs the straight line; the special cases are then blended in
+// archLog's order: +Inf and NaN give x, a set sign bit (−NaN too) gives
+// archLog's NaN, and ±0 gives −Inf.
+
+#define LOG_CONST4(off, v) \
+	DATA logConst<>+off(SB)/8, v; \
+	DATA logConst<>+off+8(SB)/8, v; \
+	DATA logConst<>+off+16(SB)/8, v; \
+	DATA logConst<>+off+24(SB)/8, v
+
+LOG_CONST4(0, $0x000fffffffffffff)   // the mantissa
+LOG_CONST4(32, $0x3fe0000000000000)  // 0.5's exponent
+LOG_CONST4(64, $0x00000000000007ff)  // the exponent, shifted down
+LOG_CONST4(96, $0x4330000000000000)  // 2^52
+LOG_CONST4(128, $0x43300000000003fe) // 2^52 + 1022
+LOG_CONST4(160, $7.07106781186547524401e-01) // √2/2
+LOG_CONST4(192, $1.0)
+LOG_CONST4(224, $2.0)
+LOG_CONST4(256, $1.479819860511658591e-01) // L7
+LOG_CONST4(288, $1.818357216161805012e-01) // L5
+LOG_CONST4(320, $2.857142874366239149e-01) // L3
+LOG_CONST4(352, $6.666666666666735130e-01) // L1
+LOG_CONST4(384, $1.531383769920937332e-01) // L6
+LOG_CONST4(416, $2.222219843214978396e-01) // L4
+LOG_CONST4(448, $3.999999999940941908e-01) // L2
+LOG_CONST4(480, $0.5)
+LOG_CONST4(512, $1.90821492927058770002e-10) // Ln2Lo
+LOG_CONST4(544, $6.93147180369123816490e-01) // Ln2Hi
+LOG_CONST4(576, $0x7fffffffffffffff) // all but the sign
+LOG_CONST4(608, $0x7ff0000000000000) // +Inf
+LOG_CONST4(640, $0x7ff8000000000001) // archLog's NaN
+LOG_CONST4(672, $0xfff0000000000000) // −Inf
+GLOBL logConst<>(SB), RODATA|NOPTR, $704
+
+// func logAVX2(dst, src []float64, n int)
+// dst = math.Log(src) for the first n elements, n a positive multiple
+// of 4. A group is read whole before it is written, so dst may be src.
+TEXT ·logAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ src_base+24(FP), SI
+	MOVQ n+48(FP), CX
+	SHLQ $3, CX
+	XORQ AX, AX
+	VPXOR   Y15, Y15, Y15
+	VMOVUPD logConst<>+608(SB), Y14 // +Inf
+	VMOVUPD logConst<>+640(SB), Y13 // NaN
+	VMOVUPD logConst<>+672(SB), Y12 // −Inf
+
+logLoop:
+	VMOVUPD (SI)(AX*1), Y0                 // x
+	VANDPD  logConst<>+0(SB), Y0, Y2
+	VORPD   logConst<>+32(SB), Y2, Y2      // f1
+	VPSRLQ  $52, Y0, Y1
+	VPAND   logConst<>+64(SB), Y1, Y1
+	VPOR    logConst<>+96(SB), Y1, Y1
+	VSUBPD  logConst<>+128(SB), Y1, Y1     // k
+	VCMPPD  $2, logConst<>+160(SB), Y2, Y3 // f1 <= √2/2: archLog's cmpnlt
+	VANDPD  logConst<>+192(SB), Y3, Y3     // 0 or 1
+	VSUBPD  Y3, Y1, Y1
+	VADDPD  logConst<>+192(SB), Y3, Y3     // 1 or 2
+	VMULPD  Y3, Y2, Y2
+	VSUBPD  logConst<>+192(SB), Y2, Y2     // f
+	VADDPD  logConst<>+224(SB), Y2, Y4
+	VDIVPD  Y4, Y2, Y3                     // s
+	VMULPD  Y3, Y3, Y4                     // s2
+	VMULPD  Y4, Y4, Y5                     // s4
+	VMULPD  logConst<>+256(SB), Y5, Y6
+	VADDPD  logConst<>+288(SB), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  logConst<>+320(SB), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  logConst<>+352(SB), Y6, Y6
+	VMULPD  Y6, Y4, Y4                     // t1
+	VMULPD  logConst<>+384(SB), Y5, Y6
+	VADDPD  logConst<>+416(SB), Y6, Y6
+	VMULPD  Y5, Y6, Y6
+	VADDPD  logConst<>+448(SB), Y6, Y6
+	VMULPD  Y6, Y5, Y5                     // t2
+	VADDPD  Y5, Y4, Y4                     // R
+	VMULPD  logConst<>+480(SB), Y2, Y7
+	VMULPD  Y2, Y7, Y7                     // hfsq
+	VADDPD  Y7, Y4, Y4
+	VMULPD  Y4, Y3, Y3                     // s·(hfsq+R)
+	VMULPD  logConst<>+512(SB), Y1, Y4
+	VADDPD  Y4, Y3, Y3                     // + k·Ln2Lo
+	VSUBPD  Y3, Y7, Y7
+	VSUBPD  Y2, Y7, Y7
+	VMULPD  logConst<>+544(SB), Y1, Y1
+	VSUBPD  Y7, Y1, Y1                     // k·Ln2Hi − (…)
+	VPCMPGTQ  Y0, Y14, Y8                  // x < +Inf as integers: not +Inf or NaN
+	VBLENDVPD Y8, Y1, Y0, Y1
+	VPCMPGTQ  Y0, Y15, Y8                  // the sign bit
+	VBLENDVPD Y8, Y13, Y1, Y1
+	VANDPD    logConst<>+576(SB), Y0, Y8
+	VPCMPEQQ  Y15, Y8, Y8                  // ±0
+	VBLENDVPD Y8, Y12, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     logLoop
 	VZEROUPPER
 	RET
 

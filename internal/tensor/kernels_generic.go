@@ -25,6 +25,9 @@ func reluVec(v []float64) int        { return 0 }
 func reluMaskVec(v, h []float64) int { return 0 }
 
 func expVec(dst, src []float64) int { return 0 }
+func logVec(dst, src []float64) int { return 0 }
+
+func argMaxRowsVec(idx []int, m []float64, cols int) int { return 0 }
 
 func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
 	return 0

@@ -97,6 +97,17 @@ func Exp(dst, src Vector) {
 	}
 }
 
+// Log writes math.Log(src[i]) into dst[i] for every i < len(dst), with
+// the same contract on src as Exp. On amd64 the AVX2 tier replays
+// math.Log's assembly four lanes wide (logVec), so the bits are
+// math.Log's on every tier.
+func Log(dst, src Vector) {
+	src = src[:len(dst)]
+	for i := logVec(dst, src); i < len(dst); i++ {
+		dst[i] = math.Log(src[i])
+	}
+}
+
 // ReLU sets every negative element of v to +0. −0 and NaN are not
 // negative and stay as they are.
 func (v Vector) ReLU() {
@@ -228,6 +239,17 @@ func (v Vector) Max() (float64, int) {
 func (v Vector) ArgMax() int {
 	_, idx := v.Max()
 	return idx
+}
+
+// ArgMaxRows writes into idx[r] the ArgMax of row r of m, read as
+// len(idx) rows of cols elements: the lowest index of the row's largest
+// element, never a NaN's, and −1 where nothing beats −Inf. The AVX2
+// tier takes four rows at a time with no branch on the data.
+func ArgMaxRows(idx []int, m Vector, cols int) {
+	m = m[:len(idx)*cols]
+	for r := argMaxRowsVec(idx, m, cols); r < len(idx); r++ {
+		idx[r] = m[r*cols : (r+1)*cols].ArgMax()
+	}
 }
 
 // ClipNorm rescales v in place so that its Euclidean norm is at most c.

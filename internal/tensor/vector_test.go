@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -171,5 +172,72 @@ func TestClipNormProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestArgMaxRowsMatchesArgMax holds ArgMaxRows on both tiers to
+// Vector.ArgMax row by row: ties to the lowest index, NaN never chosen,
+// −1 for a row of −Inf and NaN, and ±0 as equals, on row counts either
+// side of the four-row groups and widths from 0 to 101.
+func TestArgMaxRowsMatchesArgMax(t *testing.T) {
+	rng := NewRNG(40)
+	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), 1, 1, -1}
+	for _, cols := range []int{0, 1, 2, 3, 4, 9, 10, 17, 100, 101} {
+		for _, rows := range []int{0, 1, 3, 4, 5, 8, 16, 63, 64, 65} {
+			m := NewVector(rows * cols)
+			for i := range m {
+				m[i] = rng.Float64()*2 - 1
+			}
+			if rows > 0 && cols > 0 {
+				sprinkle(m, 3, pool, rng)
+				// A row nothing in which beats −Inf, and a row of ties.
+				for c := 0; c < cols; c++ {
+					m[c] = []float64{math.Inf(-1), math.NaN()}[c&1]
+					m[(rows-1)*cols+c] = 2
+				}
+			}
+			check := func() {
+				idx := make([]int, rows+1)
+				idx[rows] = 7
+				ArgMaxRows(idx[:rows], m, cols)
+				for r := 0; r < rows; r++ {
+					if want := m[r*cols : (r+1)*cols].ArgMax(); idx[r] != want {
+						t.Fatalf("ArgMaxRows %dx%d on the %s tier: row %d = %d, ArgMax %d (%v)",
+							rows, cols, Kernels(), r, idx[r], want, m[r*cols:(r+1)*cols])
+					}
+				}
+				if idx[rows] != 7 {
+					t.Fatalf("ArgMaxRows %dx%d wrote past its rows", rows, cols)
+				}
+			}
+			check()
+			onGoTier(check)
+		}
+	}
+}
+
+// BenchmarkArgMaxRows times ArgMaxRows on both tiers at the scoring
+// chunk's and the training batch's shapes, per row.
+func BenchmarkArgMaxRows(b *testing.B) {
+	rng := NewRNG(1)
+	for _, sh := range [][2]int{{64, 10}, {64, 100}, {16, 100}, {8, 10}} {
+		rows, cols := sh[0], sh[1]
+		m := NewVector(rows * cols)
+		for i := range m {
+			m[i] = rng.Float64()*20 - 10
+		}
+		idx := make([]int, rows)
+		for _, tier := range []string{Kernels(), "go"} {
+			b.Run(fmt.Sprintf("%dx%d/%s", rows, cols, tier), func(b *testing.B) {
+				if tier == "go" {
+					defer func(was bool) { useAVX2 = was }(useAVX2)
+					useAVX2 = false
+				}
+				for b.Loop() {
+					ArgMaxRows(idx, m, cols)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
+		}
 	}
 }

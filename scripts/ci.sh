@@ -5,8 +5,9 @@
 # without it (under it sync.Pool drops the arm memory at random, so
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
-# arm encoder, the fixed-point float formatter, the RNG, the exp kernel
-# and the sparse kernels are fuzzed, for 10 s each), the one-generator
+# arm encoder, the fixed-point float formatter, the RNG, the exp and log
+# kernels, the attack's metrics and the sparse kernels are fuzzed, for
+# 10 s each), the one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
 # samplers or the sparse kernels on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
@@ -61,7 +62,7 @@ go test ./benchmark
 go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -82,6 +83,15 @@ go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s ./internal/tensor
 # hands groups it cannot take back to math.Exp: a short real fuzzing run
 # holds both tiers to math.Exp bit for bit on inputs no seed lists.
 go test -run=NONE -fuzz=FuzzExp -fuzztime=10s ./internal/tensor
+# tensor.Log's AVX2 tier replays math.Log's amd64 assembly four lanes
+# wide, special cases blended in: a short real fuzzing run holds both
+# tiers to math.Log bit for bit on inputs no seed lists.
+go test -run=NONE -fuzz=FuzzLog -fuzztime=10s ./internal/tensor
+# The attack sorts its scores once and reads both sides' sorted lists
+# off that order: a short real fuzzing run holds its threshold accuracy
+# and TPR@FPR to O(n²) oracles that sort nothing, on scores full of
+# ties and infinities no seed lists.
+go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s ./internal/mia
 # tensor.SparseRows and SparseRowsStore stand in for GemmNT and
 # GemmTNStore on the first layer of sparse inputs: a short real fuzzing
 # run holds them to their Go tier always, and to the GEMMs' bits

@@ -123,6 +123,17 @@ go tool pprof -top -cum -unit=ms -nodecount=100000 -focus='core\.\(\*Study\)\.ru
         printf "  %-52s %8.0f ms\n", "(*Study).run", total
         for (n in row) printf "  %-52s %8.1f %%\n", n, 100 * row[n] / total
     }' || true
+# The light arm's evaluation pass (DESIGN.md §4, "The light arm"): the
+# cumulative share, of all the sweep's samples, of evaluateRound, and
+# inside it of the GEMM kernel the narrow layers run on, the log kernel
+# beside math's own archLog (a per-row log path brings it back), the
+# argmax (ArgMaxRows' kernel; Vector.Max on a per-row path), the chunk
+# softmax, and the attack's one sort with the sweeps over it (sort.Sort
+# is a per-side sort come back). One climbing back is a regression.
+echo "light arm, the evaluation pass, cumulative share of all samples:"
+go tool pprof -top -cum -nodecount=100000 -focus='core\.\(\*Study\)\.evaluateRound$' "$OUT/lightarm_cpu.pprof" 2>/dev/null |
+    awk '$6 ~ /core\.\(\*Study\)\.evaluateRound$|tensor\.(gemmNTAVX2|logAVX2|argMaxRowsAVX2|Vector\.Max)$|math\.archLog$|nn\.(softmaxRows|SoftmaxRows)$|^sort\.Sort$|mia\.\(\*Scratch\)\.(sortScores|bestThresholdAccuracy|tprAtFPR)$/ {
+        printf "  %-52s %8s\n", $6, $5 }' || true
 # What the light arms' garbage costs: the cumulative shares, of all the
 # sweep's samples, of the allocator and of the collector's background
 # and assist work. The arms allocate almost nothing, so each sits near
