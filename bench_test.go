@@ -1,7 +1,8 @@
 // Package gossipmia's root benchmarks measure layers, not experiments:
 // BenchmarkParallelSpeedup and BenchmarkIntraArmSpeedup track the
 // parallel engine against the forced-serial path, BenchmarkHostParallel
-// what the host's second core is worth to them, and the
+// what the host's second core is worth to them, BenchmarkPaperArm and
+// BenchmarkPaperDPArm one paper-shaped arm each, and the
 // micro-benchmarks at the bottom the hot kernels of the substrates.
 // The paper's tables, figures, ablations and extensions are catalog
 // entries — `dlsim list` prints them, `dlsim run -figure NAME` runs
@@ -26,6 +27,7 @@ import (
 	"gossipmia/internal/mia"
 	"gossipmia/internal/nn"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // parallelWorkerMatrix is the deduplicated worker sweep of the speedup
@@ -124,6 +126,61 @@ func BenchmarkHostParallel(b *testing.B) {
 		parallel += time.Since(start)
 	}
 	b.ReportMetric(float64(series)/float64(parallel), "host-x")
+}
+
+// paperArm times one paper-shaped arm, PaperScale cut to rounds rounds
+// with one evaluation at the end, on workers workers, and reports its
+// seconds per round.
+func paperArm(b *testing.B, arm spec.Arm, rounds, workers int) {
+	sc := experiment.PaperScale()
+	sc.Rounds, sc.EvalEvery, sc.Workers = rounds, rounds, workers
+	sp := &spec.Spec{Name: arm.Label, Arms: []spec.Arm{arm}}
+	runs := 0
+	start := time.Now()
+	for b.Loop() {
+		if _, err := experiment.RunSpec(context.Background(), sp, sc); err != nil {
+			b.Fatal(err)
+		}
+		runs++
+	}
+	b.ReportMetric(time.Since(start).Seconds()/float64(runs*rounds), "s/round")
+}
+
+// BenchmarkPaperArm times the paper-shaped CIFAR-10-like arm — 150
+// nodes of a 5-regular graph, 128 training and 128 test samples each,
+// 10 rounds, one evaluation of 30 nodes over 2,048 global-test rows —
+// under SAMO and Base Gossip, at one worker and at two. Read beside
+// BenchmarkHostParallel, its workers=2 rows are what the node-parallel
+// round engine buys at the paper's shape. It claims nothing, and takes
+// seconds a row: run it with -benchtime 1x or 3x.
+func BenchmarkPaperArm(b *testing.B) {
+	for _, protocol := range []string{"samo", "base"} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("protocol=%s/workers=%d", protocol, workers), func(b *testing.B) {
+				paperArm(b, spec.Arm{
+					Label:    "cifar10/" + protocol + "/k=5/static",
+					Corpus:   string(data.CIFAR10),
+					Protocol: protocol,
+					ViewSize: 5,
+				}, 10, workers)
+			})
+		}
+	}
+}
+
+// BenchmarkPaperDPArm times the paper-shaped Purchase100-like DP-SGD
+// arm — SAMO, 150 nodes of a 5-regular graph, 128 samples each, ε = 10,
+// 2 rounds, one worker — the shape whose per-example updates dominate
+// Figure 9. It claims nothing, and takes tens of seconds: run it with
+// -benchtime 1x.
+func BenchmarkPaperDPArm(b *testing.B) {
+	paperArm(b, spec.Arm{
+		Label:    "purchase100/eps=10/static",
+		Corpus:   string(data.Purchase100),
+		Protocol: "samo",
+		ViewSize: 5,
+		DP:       &spec.DP{Epsilon: 10, Delta: 1e-5, Clip: 1},
+	}, 2, 1)
 }
 
 // --- substrate micro-benchmarks -------------------------------------

@@ -253,6 +253,12 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 	if err != nil {
 		return nil, fmt.Errorf("core: corpus: %w", err)
 	}
+	// A first layer that runs sparse on these rows reads each row's
+	// nonzero list, found once here, in every minibatch and scoring
+	// chunk of the arm.
+	if limit := nn.SparseLimit(gen.Dim()); limit > 0 {
+		gen = data.WithNonzeroLists(gen, limit, arena)
+	}
 
 	parts, err := s.buildPartition(gen, simCfg.Nodes, rng, arena)
 	if err != nil {

@@ -142,11 +142,9 @@ func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG)
 	}
 	out := make([]*Dataset, nodes)
 	for i, p := range parts {
-		merged := &Dataset{
-			X:       append(append([]tensor.Vector(nil), p.Train.X...), p.Test.X...),
-			Y:       append(append([]int(nil), p.Train.Y...), p.Test.Y...),
-			Classes: base.Classes,
-		}
+		merged := &Dataset{Classes: base.Classes}
+		merged.Append(p.Train)
+		merged.Append(p.Test)
 		out[i] = merged
 	}
 	return out, nil

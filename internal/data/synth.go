@@ -182,7 +182,34 @@ func (g *BasketGenerator) Classes() int { return g.cfg.Classes }
 // Dim implements Generator.
 func (g *BasketGenerator) Dim() int { return g.cfg.Dim }
 
+// WithNonzeroLists returns g with every dataset it samples carrying its
+// rows' nonzero lists (Dataset.NZ) in a (nil = the heap), listed up to
+// limit nonzeros a row: for a reader that indexes each row's nonzeros
+// many times, such as a sparse first layer (nn.SparseLimit), to find
+// them once.
+func WithNonzeroLists(g Generator, limit int, a *tensor.Arena) Generator {
+	return &listing{Generator: g, limit: limit, arena: a, idx: a.Int32s(g.Dim()), val: a.Vector(g.Dim())}
+}
+
+// listing is WithNonzeroLists' generator; idx and val are the scratch
+// its listings share.
+type listing struct {
+	Generator
+	limit int
+	arena *tensor.Arena
+	idx   []int32
+	val   tensor.Vector
+}
+
+// Sample implements Generator.
+func (g *listing) Sample(n int, rng *tensor.RNG) *Dataset {
+	ds := g.Generator.Sample(n, rng)
+	ds.listNonzeros(g.limit, g.idx, g.val, g.arena)
+	return ds
+}
+
 var (
+	_ Generator = (*listing)(nil)
 	_ Generator = (*GaussianGenerator)(nil)
 	_ Generator = (*BasketGenerator)(nil)
 )

@@ -148,7 +148,7 @@ func (u *SGDUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG)
 	if u.tr.Model != model {
 		u.tr.Init(model, &u.opt, u.tr.BatchSize, u.tr.Epochs)
 	}
-	_, err := u.tr.RunEpochs(train.X, train.Y, rng)
+	_, err := u.tr.RunEpochsNZ(train.X, train.NZ, train.Y, rng)
 	return err
 }
 

@@ -27,7 +27,7 @@ func Accuracy(model *nn.MLP, ds *data.Dataset) (float64, error) {
 	classes := model.Classes()
 	var top [nn.ScoreChunkRows]int
 	correct := 0
-	err := model.ScoreChunks(ds.X, func(start int, logits tensor.Vector) {
+	err := model.ScoreChunks(ds.X, ds.NZ, func(start int, logits tensor.Vector) {
 		rows := top[:len(logits)/classes]
 		tensor.ArgMaxRows(rows, logits, classes)
 		for r, k := range rows {

@@ -56,11 +56,8 @@ func PlantCanaries(parts []data.NodeData, gen data.Generator, total int, rng *te
 	}
 	for c := 0; c < planted.Len(); c++ {
 		nodeID := c % len(parts)
-		x, y := planted.X[c], planted.Y[c]
-		set.PerNode[nodeID].X = append(set.PerNode[nodeID].X, x)
-		set.PerNode[nodeID].Y = append(set.PerNode[nodeID].Y, y)
-		parts[nodeID].Train.X = append(parts[nodeID].Train.X, x)
-		parts[nodeID].Train.Y = append(parts[nodeID].Train.Y, y)
+		set.PerNode[nodeID].AppendRow(planted, c)
+		parts[nodeID].Train.AppendRow(planted, c)
 	}
 	return set, nil
 }

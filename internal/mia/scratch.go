@@ -90,7 +90,7 @@ func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []fl
 		s.top = make([]int, rows)
 	}
 	hits := 0
-	err := model.ScoreChunks(ds.X, func(start int, logits tensor.Vector) {
+	err := model.ScoreChunks(ds.X, ds.NZ, func(start int, logits tensor.Vector) {
 		probs, top := s.probs[:len(logits)], s.top[:len(logits)/classes]
 		ys := ds.Y[start : start+len(top)]
 		nn.SoftmaxRows(logits, probs, classes, top)

@@ -380,7 +380,7 @@ func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
 	var sp sparseL0
 	sp.init(m, len(xs), nil)
-	loss, err := m.batchGradSum(xs, ys, grad, batch, true, &sp)
+	loss, err := m.batchGradSum(xs, rowLists{}, ys, grad, batch, true, &sp)
 	if err == nil && sp.on {
 		// The layer-0 block holds dW0ᵀ; wT, which only the forward
 		// read, turns it back.
@@ -434,10 +434,10 @@ func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
 // first — and returns the sum of their losses, or 0 without withLoss.
 // batch is scratch of at least batchFloats(len(xs), true). The trainer
 // folds the division into its optimizer step (SGD.step) instead of
-// paying a pass over the gradient for it. When sp takes the rows, layer
-// 0 runs sparse and, if sp is still on at the return, grad's layer-0
-// block holds dW0ᵀ (in×out) rather than dW0.
-func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vector, withLoss bool, sp *sparseL0) (float64, error) {
+// paying a pass over the gradient for it. When sp takes the rows (with
+// their nonzero lists), layer 0 runs sparse and, if sp is still on at
+// the return, grad's layer-0 block holds dW0ᵀ (in×out) rather than dW0.
+func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, batch tensor.Vector, withLoss bool, sp *sparseL0) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("batch of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
 	}
@@ -456,7 +456,7 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, ys []int, grad, batch tensor.Vect
 		}
 	}
 	layers := len(m.sizes) - 1
-	sparse := sp.ready(xs)
+	sparse := sp.ready(xs, lists)
 	if sparse {
 		m.batchForward(xs, batch, sp)
 	} else {
@@ -559,7 +559,8 @@ const (
 	sparseChunk    = 16
 )
 
-// ScoreChunks runs the model forward over xs in chunks using the same
+// ScoreChunks runs the model forward over xs, whose nonzero lists are
+// nz (nil: none; see data.Dataset.NZ), in chunks using the same
 // blocked GEMM kernels as BatchGrad and invokes score(start, logits)
 // once per chunk, in order, with the logits of xs[start:start+rows] as
 // one rows × Classes() block, rows ≤ ScoreChunkRows. The block aliases
@@ -571,12 +572,15 @@ const (
 // softmax, argmax and logs over the chunk at once. Steady-state calls
 // perform no allocation: the scratch goes back to the pool. Sparse
 // rows take the sparse first layer, W0 transposed once per call.
-func (m *MLP) ScoreChunks(xs []tensor.Vector, score func(start int, logits tensor.Vector)) error {
+func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int, logits tensor.Vector)) error {
 	in0 := m.sizes[0]
 	for i, x := range xs {
 		if len(x) != in0 {
 			return fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), in0, tensor.ErrShape)
 		}
+	}
+	if nz != nil && len(nz) != len(xs) {
+		return fmt.Errorf("%d inputs, %d nonzero lists: %w", len(xs), len(nz), tensor.ErrShape)
 	}
 	batch := m.pool.Get(m.batchFloats(min(len(xs), ScoreChunkRows), false))
 	defer m.pool.Put(batch)
@@ -589,9 +593,13 @@ func (m *MLP) ScoreChunks(xs []tensor.Vector, score func(start int, logits tenso
 		if !sp.off {
 			rows = sparseChunk
 		}
-		chunk := xs[start:min(start+rows, len(xs))]
+		end := min(start+rows, len(xs))
+		chunk, lists := xs[start:end], rowLists{}
+		if nz != nil {
+			lists.all = nz[start:end]
+		}
 		B := len(chunk)
-		if sp.ready(chunk) {
+		if sp.ready(chunk, lists) {
 			m.batchForward(chunk, batch, &sp)
 		} else {
 			m.batchForward(chunk, batch, nil)
@@ -607,7 +615,7 @@ func (m *MLP) ScoreChunks(xs []tensor.Vector, score func(start int, logits tenso
 // is only valid during the callback.
 func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vector)) error {
 	classes := m.Classes()
-	return m.ScoreChunks(xs, func(start int, logits tensor.Vector) {
+	return m.ScoreChunks(xs, nil, func(start int, logits tensor.Vector) {
 		for r := 0; r*classes < len(logits); r++ {
 			score(start+r, logits[r*classes:(r+1)*classes])
 		}

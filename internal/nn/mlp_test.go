@@ -406,4 +406,11 @@ func TestTrainerValidation(t *testing.T) {
 	if _, err := tr.RunEpochs([]tensor.Vector{{1, 2}}, []int{0, 1}, tensor.NewRNG(1)); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("length mismatch error = %v", err)
 	}
+	lists := [][]int32{{0}}
+	if _, err := tr.RunEpochsNZ([]tensor.Vector{{1, 2}, {0, 1}}, lists, []int{0, 1}, tensor.NewRNG(1)); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("list count mismatch error = %v", err)
+	}
+	if err := m.ScoreChunks([]tensor.Vector{{1, 2}, {0, 1}}, lists, func(int, tensor.Vector) {}); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("scoring list count mismatch error = %v", err)
+	}
 }

@@ -186,8 +186,19 @@ func (t *Trainer) Init(model *MLP, opt *SGD, batchSize, epochs int) {
 // the division by the batch size folded into the step, so the gradient
 // is written once and read once.
 func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (float64, error) {
+	return t.RunEpochsNZ(xs, nil, ys, rng)
+}
+
+// RunEpochsNZ is RunEpochs over rows whose nonzero lists are nz (nil:
+// none; see data.Dataset.NZ), which a sparse first layer indexes each
+// minibatch from instead of its rows. The result is RunEpochs' to the
+// bit.
+func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *tensor.RNG) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
+	}
+	if nz != nil && len(nz) != len(xs) {
+		return 0, fmt.Errorf("train set of %d inputs, %d nonzero lists: %w", len(xs), len(nz), tensor.ErrShape)
 	}
 	n := len(xs)
 	bs := t.BatchSize
@@ -232,7 +243,8 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 			for i, idx := range order[start:end] {
 				xb[i], yb[i] = xs[idx], ys[idx]
 			}
-			lossSum, err := m.batchGradSum(xb, yb, grad, batch, last, &sp)
+			lists := rowLists{all: nz, sel: order[start:end]}
+			lossSum, err := m.batchGradSum(xb, lists, yb, grad, batch, last, &sp)
 			if err != nil {
 				return 0, err
 			}

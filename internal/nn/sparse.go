@@ -16,8 +16,19 @@ import (
 // rows are finite, b0 holds no −0, W0 is finite before every forward
 // that reads it, and the errors are finite before the gradient. When a
 // check fails, the rest of the call — for the trainer, the rest of its
-// local update — runs dense. The nonzero index is built inside each
-// call from its rows, so datasets and callers know nothing of it.
+// local update — runs dense.
+//
+// The nonzero index of a batch is built from its rows' nonzero lists
+// (data.Dataset.NZ), which an arm finds once, when it samples its data
+// (core lists every row up to SparseLimit), and which data's operations
+// keep with their rows; the trainer and ScoreChunks hand a batch's
+// lists in beside its rows. The index copies a row's list, takes the
+// values the list marks as 1 from it and reads the others from the row
+// (a binary row is not read at all), and checks those finite and the
+// count against the limit: the entries tensor.Nonzeros would write,
+// and the same decision. A row without a list is indexed per call
+// (tensor.Nonzeros) in the same loop, so any caller's rows take the
+// same path.
 //
 // The trainer keeps layer 0 input-major for a whole update: W0 is
 // transposed in once and out once at the end, and the step runs on the
@@ -64,13 +75,22 @@ type sparseL0 struct {
 	colVal         []float64
 }
 
+// SparseLimit returns the most nonzeros a row of in inputs may hold and
+// take the sparse first layer, or 0 when a first layer that wide runs
+// dense: what a caller lists its rows' nonzeros up to.
+func SparseLimit(in int) int {
+	if !useSparse || in < sparseMinInputs {
+		return 0
+	}
+	return int(sparseDensity * float64(in))
+}
+
 // init readies s for calls of at most rows rows; opt is the trainer's
 // optimizer (nil outside training). A layer too narrow, or useSparse
 // cleared, leaves s off.
 func (s *sparseL0) init(m *MLP, rows int, opt *SGD) {
-	in := m.sizes[0]
-	*s = sparseL0{m: m, rows: rows, limit: int(sparseDensity * float64(in)), opt: opt}
-	s.off = !useSparse || in < sparseMinInputs
+	limit := SparseLimit(m.sizes[0])
+	*s = sparseL0{m: m, rows: rows, limit: limit, opt: opt, off: limit == 0}
 }
 
 // rowFloats and colFloats are the lengths of the two index buffers:
@@ -92,11 +112,30 @@ func carve(buf tensor.Vector, n, ptrs int) (val []float64, idx, ptr []int32) {
 	return buf[:n], ints[:n], ints[n : n+ptrs]
 }
 
+// rowLists names the nonzero lists (data.Dataset.NZ) of a batch's rows
+// without gathering them: row r's is all[sel[r]], or all[r] when sel is
+// nil. A nil all gives none.
+type rowLists struct {
+	all [][]int32
+	sel []int
+}
+
+// of returns row r's list, nil for none.
+func (l rowLists) of(r int) []int32 {
+	switch {
+	case l.all == nil:
+		return nil
+	case l.sel != nil:
+		return l.all[l.sel[r]]
+	}
+	return l.all[r]
+}
+
 // ready reports whether xs, of at most s.rows rows of the model's input
-// width, run layer 0 sparse: it indexes them, checks b0 and W0 (taking
-// W0ᵀ on the first call), and on any failure turns the rest of the call
-// dense.
-func (s *sparseL0) ready(xs []tensor.Vector) bool {
+// width, with their nonzero lists, run layer 0 sparse: it indexes them,
+// checks b0 and W0 (taking W0ᵀ on the first call), and on any failure
+// turns the rest of the call dense.
+func (s *sparseL0) ready(xs []tensor.Vector, lists rowLists) bool {
 	if s.off {
 		return false
 	}
@@ -104,7 +143,7 @@ func (s *sparseL0) ready(xs []tensor.Vector) bool {
 		s.rowBuf = s.m.pool.Get(s.rowFloats())
 		s.rowVal, s.rowIdx, s.rowPtr = carve(s.rowBuf, s.rows*s.limit+s.m.sizes[0], s.rows+1)
 	}
-	if !s.index(xs) || hasNegZero(s.m.bias(0)) || !s.w0Finite() {
+	if !s.index(xs, lists) || hasNegZero(s.m.bias(0)) || !s.w0Finite() {
 		s.leave()
 		s.off = true
 		return false
@@ -112,13 +151,20 @@ func (s *sparseL0) ready(xs []tensor.Vector) bool {
 	return true
 }
 
-// index builds the row index of xs and reports whether every row is
+// index builds the row index of xs from their nonzero lists, a row
+// without a list from the row itself, and reports whether every row is
 // finite and has at most s.limit nonzeros.
-func (s *sparseL0) index(xs []tensor.Vector) bool {
+func (s *sparseL0) index(xs []tensor.Vector, lists rowLists) bool {
 	n := 0
 	s.rowPtr[0] = 0
 	for r, x := range xs {
-		k, finite := tensor.Nonzeros(s.rowIdx[n:], s.rowVal[n:], x)
+		ids := lists.of(r)
+		k, finite := len(ids), true
+		if k == 0 {
+			k, finite = tensor.Nonzeros(s.rowIdx[n:], s.rowVal[n:], x)
+		} else if k <= s.limit {
+			finite = copyList(s.rowIdx[n:n+k], s.rowVal[n:n+k], ids, x)
+		}
 		if !finite || k > s.limit {
 			return false
 		}
@@ -126,6 +172,25 @@ func (s *sparseL0) index(xs []tensor.Vector) bool {
 		s.rowPtr[r+1] = int32(n)
 	}
 	return true
+}
+
+// copyList writes the index entries of a row x from its nonzero list
+// ids: each column into idx, and into val 1 where ids marks it (^c) and
+// x's element elsewhere. It reports whether the elements it read are
+// finite: the row's others are zeros and ones.
+func copyList(idx []int32, val []float64, ids []int32, x tensor.Vector) bool {
+	idx, val = idx[:len(ids)], val[:len(ids)]
+	bad := uint64(0)
+	for k, t := range ids {
+		if t < 0 {
+			idx[k], val[k] = ^t, 1
+			continue
+		}
+		v := x[t]
+		idx[k], val[k] = t, v
+		bad |= (math.Float64bits(v)>>52&0x7ff + 1) >> 11 // 1 for ±Inf and NaN
+	}
+	return bad == 0
 }
 
 // w0Finite reports whether W0 is finite: the first time by the

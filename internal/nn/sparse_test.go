@@ -158,7 +158,7 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 			m, xs, ys := c.build(t)
 			var sp sparseL0
 			sp.init(m, 16, nil)
-			if got := sp.ready(xs[:16]); got != c.sparse {
+			if got := sp.ready(xs[:16], rowLists{}); got != c.sparse {
 				t.Fatalf("the first 16 rows take the sparse path: %v, want %v", got, c.sparse)
 			}
 			sp.release()
@@ -169,7 +169,7 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 				var sp sparseL0
 				sp.init(m, len(xs), nil)
 				defer sp.release()
-				if sp.ready(xs) {
+				if sp.ready(xs, rowLists{}) {
 					m.batchForward(xs, batch, &sp)
 				} else {
 					m.batchForward(xs, batch, nil)
@@ -232,10 +232,12 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 }
 
 // TestSparseFirstLayerAllocatesNothing: at steady state a sparse local
-// update and a sparse scoring pass allocate nothing — the state lives
-// on the caller's stack, and W0ᵀ and the index come from the pool.
+// update and a sparse scoring pass allocate nothing, with the rows'
+// nonzero lists or without — the state lives on the caller's stack, and
+// W0ᵀ and the index come from the pool.
 func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 	m, xs, ys := sparseCases[0].build(t)
+	nz := nonzeroLists(xs)
 	tr := NewTrainer(m, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
 	rng := tensor.NewRNG(9)
 	var err error
@@ -243,7 +245,13 @@ func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 		if _, e := tr.RunEpochs(xs, ys, rng); e != nil {
 			err = e
 		}
+		if _, e := tr.RunEpochsNZ(xs, nz, ys, rng); e != nil {
+			err = e
+		}
 		if e := m.ScoreBatch(xs, func(int, tensor.Vector) {}); e != nil {
+			err = e
+		}
+		if e := m.ScoreChunks(xs, nz, func(int, tensor.Vector) {}); e != nil {
 			err = e
 		}
 	}
@@ -253,10 +261,28 @@ func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 	}
 }
 
+// nonzeroLists returns the nonzero list of every row of xs, its columns
+// of 1 marked, as data lists them.
+func nonzeroLists(xs []tensor.Vector) [][]int32 {
+	nz := make([][]int32, len(xs))
+	for i, x := range xs {
+		idx, val := make([]int32, len(x)), make([]float64, len(x))
+		k, _ := tensor.Nonzeros(idx, val, x)
+		for j, v := range val[:k] {
+			if v == 1 {
+				idx[j] = ^idx[j]
+			}
+		}
+		nz[i] = idx[:k]
+	}
+	return nz
+}
+
 // BenchmarkSparseFirstLayer times one node's local update (40 rows, two
 // epochs of 16-row batches, momentum 0.9) and the scoring of 40 and 200
 // rows on the Purchase100-like arm's model, 600 → 64 → 100, on the
-// sparse and the dense first layer.
+// sparse first layer fed the rows' nonzero lists, on the sparse first
+// layer indexing the rows per call, and on the dense first layer.
 func BenchmarkSparseFirstLayer(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	model, err := NewMLP([]int{600, 64, 100}, rng)
@@ -269,23 +295,29 @@ func BenchmarkSparseFirstLayer(b *testing.B) {
 		ys[i] = rng.Intn(100)
 	}
 	tr := NewTrainer(model, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
+	all := nonzeroLists(xs)
 	cases := []struct {
 		name string
-		run  func() error
+		run  func(nz [][]int32) error
 	}{
-		{"RunEpochs40", func() error { _, err := tr.RunEpochs(xs[:40], ys[:40], rng); return err }},
-		{"ScoreBatch40", func() error { return model.ScoreBatch(xs[:40], func(int, tensor.Vector) {}) }},
-		{"ScoreBatch200", func() error { return model.ScoreBatch(xs, func(int, tensor.Vector) {}) }},
+		{"RunEpochs40", func(nz [][]int32) error { _, err := tr.RunEpochsNZ(xs[:40], nz, ys[:40], rng); return err }},
+		{"ScoreChunks40", func(nz [][]int32) error { return model.ScoreChunks(xs[:40], nz, func(int, tensor.Vector) {}) }},
+		{"ScoreChunks200", func(nz [][]int32) error { return model.ScoreChunks(xs, nz, func(int, tensor.Vector) {}) }},
 	}
 	for _, bc := range cases {
-		run := func(b *testing.B) {
+		run := func(b *testing.B, nz [][]int32) {
 			for b.Loop() {
-				if err := bc.run(); err != nil {
+				if err := bc.run(nz); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
-		b.Run(bc.name+"/sparse", run)
-		b.Run(bc.name+"/dense", func(b *testing.B) { onDensePath(func() { run(b) }) })
+		lists := all
+		if bc.name != "ScoreChunks200" {
+			lists = all[:40]
+		}
+		b.Run(bc.name+"/listed", func(b *testing.B) { run(b, lists) })
+		b.Run(bc.name+"/sparse", func(b *testing.B) { run(b, nil) })
+		b.Run(bc.name+"/dense", func(b *testing.B) { onDensePath(func() { run(b, nil) }) })
 	}
 }

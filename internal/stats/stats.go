@@ -17,13 +17,19 @@ import (
 var ErrInput = errors.New("stats: invalid input")
 
 // Spearman returns the Spearman rank-correlation coefficient between xs
-// and ys (average ranks for ties). It needs at least three pairs.
+// and ys (average ranks for ties). It needs at least three pairs, and no
+// NaN: a NaN has no rank.
 func Spearman(xs, ys []float64) (float64, error) {
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("%w: %d vs %d points", ErrInput, len(xs), len(ys))
 	}
 	if len(xs) < 3 {
 		return 0, fmt.Errorf("%w: need at least 3 pairs, got %d", ErrInput, len(xs))
+	}
+	for i := range xs {
+		if math.IsNaN(xs[i]) || math.IsNaN(ys[i]) {
+			return 0, fmt.Errorf("%w: NaN in pair %d", ErrInput, i)
+		}
 	}
 	rx := ranks(xs)
 	ry := ranks(ys)

@@ -182,3 +182,62 @@ func TestMeanDiff(t *testing.T) {
 		t.Fatalf("resamples error = %v", err)
 	}
 }
+
+// FuzzSpearman holds Spearman to a brute-force oracle: each value's rank
+// is 1 + #less + (#equal − 1)/2 (itself among the equal), and rho is the
+// Pearson correlation of the two rank vectors, within 1e-12. The inputs
+// are drawn from a small alphabet, so ties are common; ±0 tie, ±Inf
+// rank, and a NaN on either side must be refused with ErrInput.
+func FuzzSpearman(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5})
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 3, 0})
+	f.Add([]byte{7, 7, 7, 7, 7, 7})
+	f.Add([]byte{8, 9, 10, 11, 12, 13, 2, 5})
+	f.Add([]byte{14, 3, 1, 2, 6, 4})
+	alphabet := []float64{-2, -1, 0, 0.5, 1, 2, 3, 4, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 1e300, -1e-300, 5e-324, math.NaN()}
+	rank := func(xs []float64) []float64 {
+		out := make([]float64, len(xs))
+		for i, x := range xs {
+			less, equal := 0, 0
+			for _, y := range xs {
+				switch {
+				case y < x:
+					less++
+				case y == x:
+					equal++
+				}
+			}
+			out[i] = 1 + float64(less) + float64(equal-1)/2
+		}
+		return out
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 128 {
+			return
+		}
+		n := len(in) / 2
+		xs, ys := make([]float64, n), make([]float64, n)
+		nan := false
+		for i := range n {
+			xs[i], ys[i] = alphabet[int(in[2*i])%len(alphabet)], alphabet[int(in[2*i+1])%len(alphabet)]
+			nan = nan || math.IsNaN(xs[i]) || math.IsNaN(ys[i])
+		}
+		got, err := Spearman(xs, ys)
+		if n < 3 || nan {
+			if !errors.Is(err, ErrInput) {
+				t.Fatalf("Spearman(%v, %v) = %v, %v; want ErrInput", xs, ys, got, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Pearson(rank(xs), rank(ys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got-want) > 1e-12 {
+			t.Fatalf("Spearman(%v, %v) = %v, oracle %v", xs, ys, got, want)
+		}
+	})
+}

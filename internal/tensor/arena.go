@@ -3,7 +3,8 @@ package tensor
 import "sync"
 
 // Chunk sizes of the arena's slabs, in elements: 256 KiB of float64,
-// 32 KiB of int, 48 KiB of Vector headers. A request above a quarter
+// 32 KiB of int, 48 KiB of Vector headers, 32 KiB of int32 and 24 KiB
+// of []int32 headers. A request above a quarter
 // chunk goes to the heap: a chunk that cannot fit a request is
 // abandoned for the next, so the cap bounds what one step wastes, and
 // arms of very different shapes sharing an arena never pay for
@@ -12,6 +13,8 @@ const (
 	arenaChunk   = 32 << 10
 	intChunk     = 4 << 10
 	vectorsChunk = 2 << 10
+	int32Chunk   = 8 << 10
+	listsChunk   = 1 << 10
 )
 
 // Arena is a chunked bump allocator with one lifetime: every value it
@@ -19,8 +22,9 @@ const (
 // next user. One experiment arm builds its models, datasets, index
 // lists, scratch and message buffers from one Arena and resets it when
 // the arm ends, so a sweep of short arms produces no garbage for them.
-// It has a slab per element type the arm sizes — float64 (Vector), int
-// and Vector headers (a dataset's rows) — and also recycles the arm's
+// It has a slab per element type the arm sizes — float64 (Vector), int,
+// Vector headers (a dataset's rows), int32 and []int32 headers (the
+// rows' nonzero lists) — and also recycles the arm's
 // random generators (RNG) and keeps one value for the next arm (Keep).
 //
 // A nil *Arena is the heap: every method allocates as make and NewRNG
@@ -31,6 +35,8 @@ type Arena struct {
 	floats  slab[float64]
 	ints    slab[int]
 	vectors slab[Vector]
+	int32s  slab[int32]
+	lists   slab[[]int32]
 	rngs    []*RNG
 	nrng    int // generators handed out since Reset
 	kept    any // what Keep left for the next user
@@ -87,6 +93,23 @@ func (a *Arena) Vectors(n int) []Vector {
 		return make([]Vector, n)
 	}
 	return take(&a.mu, &a.vectors, n, vectorsChunk)
+}
+
+// Int32s returns n zero int32s that live until Reset.
+func (a *Arena) Int32s(n int) []int32 {
+	if a == nil {
+		return make([]int32, n)
+	}
+	return take(&a.mu, &a.int32s, n, int32Chunk)
+}
+
+// Int32Lists returns n nil []int32 headers that live until Reset: the
+// nonzero lists of a dataset's rows.
+func (a *Arena) Int32Lists(n int) [][]int32 {
+	if a == nil {
+		return make([][]int32, n)
+	}
+	return take(&a.mu, &a.lists, n, listsChunk)
 }
 
 // RNG returns a generator seeded with seed, stream-identical to
@@ -147,20 +170,28 @@ func (a *Arena) Used() int {
 }
 
 // Reset ends the lifetime of everything the arena handed out; the
-// chunks and generators are kept for the next user. The Vector headers
-// handed out are cleared, so an arena waiting in a pool holds no heap
-// vector of the arm that used it.
+// chunks and generators are kept for the next user. The Vector and
+// []int32 headers handed out are cleared, so an arena waiting in a pool
+// holds no heap slice of the arm that used it.
 func (a *Arena) Reset() {
 	a.mu.Lock()
-	for i, c := range a.vectors.chunks[:min(a.vectors.cur+1, len(a.vectors.chunks))] {
-		if i == a.vectors.cur {
-			c = c[:a.vectors.off]
-		}
-		clear(c)
-	}
+	clearUsed(&a.vectors)
+	clearUsed(&a.lists)
 	a.floats.cur, a.floats.off = 0, 0
 	a.ints.cur, a.ints.off = 0, 0
 	a.vectors.cur, a.vectors.off = 0, 0
+	a.int32s.cur, a.int32s.off = 0, 0
+	a.lists.cur, a.lists.off = 0, 0
 	a.nrng = 0
 	a.mu.Unlock()
+}
+
+// clearUsed zeroes the elements of s handed out since the last Reset.
+func clearUsed[T any](s *slab[T]) {
+	for i, c := range s.chunks[:min(s.cur+1, len(s.chunks))] {
+		if i == s.cur {
+			c = c[:s.off]
+		}
+		clear(c)
+	}
 }

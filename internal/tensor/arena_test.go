@@ -216,6 +216,40 @@ func TestArenaTypedSlabs(t *testing.T) {
 	if p, q := none.Ints(4), none.Ints(4); &p[0] == &q[0] || len(none.Vectors(2)) != 2 {
 		t.Fatal("nil arena must hand out independent heap slices")
 	}
+	if p, q := none.Int32s(4), none.Int32s(4); &p[0] == &q[0] || len(none.Int32Lists(2)) != 2 {
+		t.Fatal("nil arena must hand out independent heap slices")
+	}
+}
+
+// The int32 and []int32-header slabs, which hold datasets' nonzero
+// lists, keep the same rules: Reset drops the headers and recycles the
+// ids zeroed.
+func TestArenaListSlabs(t *testing.T) {
+	var a Arena
+	ids, lists := a.Int32s(5), a.Int32Lists(3)
+	if len(ids) != 5 || cap(ids) != 5 || len(lists) != 3 || cap(lists) != 3 {
+		t.Fatalf("Int32s(5) len %d cap %d, Int32Lists(3) len %d cap %d", len(ids), cap(ids), len(lists), cap(lists))
+	}
+	for i := range ids {
+		ids[i] = int32(i + 1)
+	}
+	lists[0], lists[2] = ids, make([]int32, 2)
+	a.Reset()
+	if lists[0] != nil || lists[2] != nil {
+		t.Fatal("Reset kept the list headers handed out")
+	}
+	ids2, lists2 := a.Int32s(5), a.Int32Lists(3)
+	if &ids2[0] != &ids[0] || &lists2[0] != &lists[0] {
+		t.Fatal("Reset did not recycle the int32 and list chunks")
+	}
+	for i, x := range ids2 {
+		if x != 0 {
+			t.Fatalf("recycled ids[%d] = %d, want 0", i, x)
+		}
+	}
+	if big := a.Int32s(int32Chunk/4 + 1); &big[0] == &ids2[0] || a.Int32s(1)[0] != 0 {
+		t.Fatal("oversize Int32s came from the arena")
+	}
 }
 
 // A pool's free lists past the eight it holds itself, and its slots,

@@ -6,8 +6,9 @@
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
-# kernels, the attack's metrics and the sparse kernels are fuzzed, for
-# 10 s each), the one-generator
+# kernels, the attack's metrics, the sparse kernels, the list-fed first
+# layer and the rank correlation are fuzzed, for 10 s each), the
+# one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
 # samplers or the sparse kernels on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
@@ -62,7 +63,7 @@ go test ./benchmark
 go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -98,6 +99,16 @@ go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s ./internal/mia
 # whenever the preconditions hold, on shapes, densities and special
 # values no seed lists.
 go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s ./internal/tensor
+# The first layer indexes a batch from its rows' nonzero lists
+# (data.Dataset.NZ) when they have them: a short real fuzzing run holds
+# that path to the per-call index, its decision and its entries, and
+# RunEpochs and ScoreChunks to the bit, on densities, special values and
+# lists absent, empty, plain or with their ones marked.
+go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s ./internal/nn
+# Figure 7's rank correlation: a short real fuzzing run holds
+# stats.Spearman to brute-force average ranks on inputs full of ties,
+# and to ErrInput on a NaN.
+go test -run=NONE -fuzz=FuzzSpearman -fuzztime=10s ./internal/stats
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held

@@ -88,13 +88,16 @@ go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
 # The Purchase100-like arms' first layer: the GEMMs its dense form ran
 # (gemmNT forward; gemmTN and gemmTNStore, the weight gradient) and the
 # sparse form's kernels (the products, the transposes of W0 and its
-# velocity, the nonzero index, the finiteness check, and the column
-# index in Go), with memmove beside them. The GEMMs keep a share for the
-# deeper layers; a layer-0 share climbing back means the sparse path
-# stopped being taken.
+# velocity, the finiteness check, and the column index in Go), the
+# batch's row index — copied from the rows' nonzero lists (copyList;
+# pprof may mark it inline), with the per-call scan (nonzerosAVX2) left
+# to listing the rows once per arm — and memmove beside them. The GEMMs
+# keep a share for the deeper layers; a layer-0 share climbing back
+# means the sparse path stopped being taken, and nonzerosAVX2 climbing
+# back means the batches stopped getting their rows' lists.
 echo "Purchase100-like arms, flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/purchase100_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|nonzeros|finite)AVX2$|sparseL0\)\.columns$|runtime\.memmove$' || true
+    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|nonzeros|finite)AVX2$|nn\.copyList( \(inline\))?$|sparseL0\)\.columns$|runtime\.memmove$' || true
 echo "heavy arm, cumulative share of the softmax:"
 go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
     grep -E 'nn\.softmaxRows$' || true
