@@ -253,12 +253,6 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 	if err != nil {
 		return nil, fmt.Errorf("core: corpus: %w", err)
 	}
-	// A first layer that runs sparse on these rows reads each row's
-	// nonzero list, found once here, in every minibatch and scoring
-	// chunk of the arm.
-	if limit := nn.SparseLimit(gen.Dim()); limit > 0 {
-		gen = data.WithNonzeroLists(gen, limit, arena)
-	}
 
 	parts, err := s.buildPartition(gen, simCfg.Nodes, rng, arena)
 	if err != nil {
@@ -404,16 +398,7 @@ func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (goss
 	// Expected mechanism invocations per node: roughly one local update
 	// per round (the wake interval equals the round length), each with
 	// LocalEpochs × ⌈n/B⌉ noisy steps.
-	minTrain := parts[0].Train.Len()
-	for _, p := range parts[1:] {
-		if p.Train.Len() < minTrain {
-			minTrain = p.Train.Len()
-		}
-	}
-	batch := t.BatchSize
-	if batch <= 0 || batch > minTrain {
-		batch = minTrain
-	}
+	minTrain, batch := s.dpBatch(parts)
 	stepsPerUpdate := t.LocalEpochs * ((minTrain + batch - 1) / batch)
 	expectedSteps := simCfg.Rounds * stepsPerUpdate
 	q := float64(batch) / float64(minTrain)
@@ -464,6 +449,21 @@ func (s *Study) evalNode(i int, evalIDs []int, nodes []*gossip.Node,
 	return nil
 }
 
+// dpBatch returns the smallest node training split and the DP batch
+// size: the configured one, clipped to that split. Calibration and
+// accounting both sample at batch/minTrain.
+func (s *Study) dpBatch(parts []data.NodeData) (minTrain, batch int) {
+	minTrain = parts[0].Train.Len()
+	for _, p := range parts[1:] {
+		minTrain = min(minTrain, p.Train.Len())
+	}
+	batch = s.cfg.Train.BatchSize
+	if batch <= 0 || batch > minTrain {
+		batch = minTrain
+	}
+	return minTrain, batch
+}
+
 // realizedEpsilon converts the realized step count into the actually
 // spent (ε,δ) budget.
 func (s *Study) realizedEpsilon(steps int, sigma float64, parts []data.NodeData) (float64, error) {
@@ -471,16 +471,7 @@ func (s *Study) realizedEpsilon(steps int, sigma float64, parts []data.NodeData)
 		return 0, nil
 	}
 	d := s.cfg.DP
-	minTrain := parts[0].Train.Len()
-	for _, p := range parts[1:] {
-		if p.Train.Len() < minTrain {
-			minTrain = p.Train.Len()
-		}
-	}
-	batch := s.cfg.Train.BatchSize
-	if batch <= 0 || batch > minTrain {
-		batch = minTrain
-	}
+	minTrain, batch := s.dpBatch(parts)
 	acc, err := dp.NewAccountant(float64(batch)/float64(minTrain), sigma)
 	if err != nil {
 		return 0, fmt.Errorf("core: accountant: %w", err)

@@ -304,3 +304,37 @@ func TestStudyOnRecordErrorAborts(t *testing.T) {
 		t.Fatalf("run error = %v, want the sink error", err)
 	}
 }
+
+// TestPurchase100RowsCarryLists: every row a Purchase100-like arm's
+// nodes train and are attacked on comes with its list of ones, through
+// the IID partition with canaries planted and through the Dirichlet
+// one. A row without a list would only run dense — the same bits — so
+// only this test sees the sparse first layer fall out of use.
+func TestPurchase100RowsCarryLists(t *testing.T) {
+	for _, edit := range []func(*StudyConfig){
+		func(c *StudyConfig) { c.Canaries = 8 },
+		func(c *StudyConfig) { c.Part.DirichletBeta = 0.5 },
+	} {
+		cfg := quickConfig()
+		cfg.Corpus, cfg.Sim.Rounds, cfg.KeepFinalModels = data.Purchase100, 1, true
+		edit(&cfg)
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, snap := range res.Final {
+			for _, ds := range []*data.Dataset{snap.Data.Train, snap.Data.Test} {
+				if ds.NZ == nil || len(ds.NZ) != ds.Len() {
+					t.Fatalf("canaries %d, beta %v: node %d has %d lists for %d rows", cfg.Canaries, cfg.Part.DirichletBeta, snap.ID, len(ds.NZ), ds.Len())
+				}
+				if err := ds.Validate(); err != nil {
+					t.Fatalf("canaries %d, beta %v: node %d: %v", cfg.Canaries, cfg.Part.DirichletBeta, snap.ID, err)
+				}
+			}
+		}
+	}
+}

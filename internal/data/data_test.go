@@ -193,6 +193,11 @@ func TestCatalogAndGenerators(t *testing.T) {
 		if err := ds.Validate(); err != nil {
 			t.Fatalf("%s: %v", info.Name, err)
 		}
+		// Validate holds each list to its row's ones; only the binary
+		// corpus has them.
+		if listed := ds.NZ != nil; listed != (info.Name == Purchase100) {
+			t.Fatalf("%s: rows listed %v", info.Name, listed)
+		}
 	}
 	if _, err := NewGenerator("nope", tensor.NewRNG(1)); err == nil {
 		t.Fatal("unknown corpus accepted")

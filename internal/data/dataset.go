@@ -23,15 +23,13 @@ var ErrEmpty = errors.New("data: empty dataset")
 // Dataset is a labelled classification dataset held in memory.
 //
 // NZ, when not nil, holds one entry per row: the columns of X[i]'s
-// nonzero elements, increasing, as tensor.Nonzeros finds them (NaN and
-// ±Inf are nonzeros, ±0 is not), a column whose element is exactly 1
-// stored complemented (^c, negative), so a reader takes those values
-// from the list and reads the others from the row: a binary row's
-// nonzeros are known without reading it. An empty entry means the row
-// has no list, and a reader finds its nonzeros itself. The datasets a
-// WithNonzeroLists generator samples have lists; every operation below
-// keeps them with their rows. The rows must not change while they have
-// lists.
+// ones, increasing, X[i] binary (every element 0 or 1). Only
+// BasketGenerator writes lists, as it writes each row. An empty entry
+// means the row has no ones; a nil NZ means the rows have no lists, and
+// the sparse first layer (nn) runs dense on them. Every operation below
+// keeps each list with its row; Append drops them all when it joins
+// rows with lists to rows without. The rows must not change while they
+// have lists.
 type Dataset struct {
 	X       []tensor.Vector
 	Y       []int
@@ -51,7 +49,7 @@ func (d *Dataset) Dim() int {
 }
 
 // Validate checks internal consistency: matching lengths, labels in
-// range, and uniform dimensionality.
+// range, uniform dimensionality, and each list (NZ) its row's ones.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("data: %d inputs but %d labels", len(d.X), len(d.Y))
@@ -70,6 +68,9 @@ func (d *Dataset) Validate() error {
 		if d.Y[i] < 0 || d.Y[i] >= d.Classes {
 			return fmt.Errorf("data: example %d label %d out of range [0,%d)", i, d.Y[i], d.Classes)
 		}
+		if d.NZ != nil && !isOnes(x, d.NZ[i]) {
+			return fmt.Errorf("data: example %d's list %v is not its ones", i, d.NZ[i])
+		}
 	}
 	return nil
 }
@@ -81,7 +82,7 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return &out
 }
 
-// gather is Subset with the row, label and nonzero lists in a (nil =
+// gather is Subset with the row, label and list slices in a (nil =
 // the heap).
 func (d *Dataset) gather(idx []int, a *tensor.Arena) Dataset {
 	out := Dataset{X: a.Vectors(len(idx)), Y: a.Ints(len(idx)), Classes: d.Classes}
@@ -130,11 +131,14 @@ func (d *Dataset) Split(n int) (head, tail *Dataset, err error) {
 	return &h, &t, nil
 }
 
-// Append appends the examples of src to d. When either keeps nonzero
-// lists, so does d: a row that came without one gets an empty entry.
+// Append appends the examples of src to d. d keeps lists only when
+// both have them, or d is empty: rows with lists joined to rows without
+// have none (see NZ).
 func (d *Dataset) Append(src *Dataset) {
-	if d.NZ != nil || src.NZ != nil {
-		d.NZ = append(d.lists(), src.lists()...)
+	if d.listed() && src.listed() {
+		d.NZ = append(d.NZ, src.NZ...)
+	} else {
+		d.NZ = nil
 	}
 	d.X = append(d.X, src.X...)
 	d.Y = append(d.Y, src.Y...)
@@ -146,38 +150,22 @@ func (d *Dataset) AppendRow(src *Dataset, i int) {
 	d.Append(&row)
 }
 
-// lists returns d's nonzero lists, or as many empty entries.
-func (d *Dataset) lists() [][]int32 {
-	if d.NZ == nil {
-		return make([][]int32, len(d.X))
-	}
-	return d.NZ
-}
+// listed reports whether every row of d has a list: d has lists or no
+// rows.
+func (d *Dataset) listed() bool { return d.NZ != nil || len(d.X) == 0 }
 
-// listNonzeros gives every row its nonzero list (see NZ), in a (nil =
-// the heap), for a reader that takes a row's nonzeros only when the row
-// is finite and holds at most limit of them; idx and val are scratch of
-// Dim() elements. It stops at the first row that is not, and leaves
-// that row and the rest without a list: a dataset whose first row is
-// not gets no lists at all.
-func (d *Dataset) listNonzeros(limit int, idx []int32, val tensor.Vector, a *tensor.Arena) {
-	for i, x := range d.X {
-		k, finite := tensor.Nonzeros(idx, val, x)
-		if !finite || k > limit {
-			return
+// isOnes reports whether x is binary and ids the columns of its ones,
+// increasing.
+func isOnes(x tensor.Vector, ids []int32) bool {
+	for j, v := range x {
+		switch {
+		case v == 1 && len(ids) > 0 && ids[0] == int32(j):
+			ids = ids[1:]
+		case v != 0:
+			return false
 		}
-		if d.NZ == nil {
-			d.NZ = a.Int32Lists(len(d.X))
-		}
-		ids := a.Int32s(k)
-		for j, t := range idx[:k] {
-			if val[j] == 1 {
-				t = ^t
-			}
-			ids[j] = t
-		}
-		d.NZ[i] = ids
 	}
+	return len(ids) == 0
 }
 
 // LabelHistogram returns the count of examples per class.

@@ -1,7 +1,6 @@
 package data_test
 
 import (
-	"math"
 	"slices"
 	"testing"
 
@@ -10,51 +9,60 @@ import (
 	"gossipmia/internal/tensor"
 )
 
-// checkLists fails unless every row of ds with a nonzero list has the
-// list tensor.Nonzeros finds in it, its columns of 1 marked (^c), ds
-// has one entry per row, and (with listed) every row has a list.
+// onesOf returns the columns of x's ones, increasing: the oracle of a
+// binary row's list.
+func onesOf(x tensor.Vector) []int32 {
+	ids := []int32{}
+	for j, v := range x {
+		if v == 1 {
+			ids = append(ids, int32(j))
+		}
+	}
+	return ids
+}
+
+// checkLists fails unless ds is valid and, with listed, every row has
+// a list and that list is the row's ones; without, ds has no lists.
 func checkLists(t *testing.T, what string, ds *data.Dataset, listed bool) {
 	t.Helper()
 	if err := ds.Validate(); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	if listed && ds.Len() > 0 && ds.NZ == nil {
-		t.Fatalf("%s: no lists", what)
+	if !listed {
+		if ds.NZ != nil {
+			t.Fatalf("%s: lists %v, want none", what, ds.NZ)
+		}
+		return
+	}
+	if ds.Len() > 0 && len(ds.NZ) != ds.Len() {
+		t.Fatalf("%s: %d lists for %d rows", what, len(ds.NZ), ds.Len())
 	}
 	for i, ids := range ds.NZ {
-		x := ds.X[i]
-		if len(ids) == 0 {
-			if listed {
-				t.Fatalf("%s: row %d has no list", what, i)
-			}
-			continue
-		}
-		idx, val := make([]int32, len(x)), make([]float64, len(x))
-		k, _ := tensor.Nonzeros(idx, val, x)
-		for j, v := range val[:k] {
-			if v == 1 {
-				idx[j] = ^idx[j]
-			}
-		}
-		if !slices.Equal(ids, idx[:k]) {
-			t.Fatalf("%s: row %d lists %v, its nonzeros are %v", what, i, ids, idx[:k])
+		if want := onesOf(ds.X[i]); !slices.Equal(ids, want) {
+			t.Fatalf("%s: row %d lists %v, its ones are %v", what, i, ids, want)
 		}
 	}
 }
 
+// basket returns a Purchase100-like generator of 200 items.
+func basket(t *testing.T, rng *tensor.RNG, a *tensor.Arena) *data.BasketGenerator {
+	t.Helper()
+	g, err := data.NewBasketGenerator(data.BasketConfig{Dim: 200, Classes: 4, Density: 0.25, FlipProb: 0.1}, rng, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestRowListsFollowRows walks every operation that moves a dataset's
-// rows — sampling through WithNonzeroLists, Subset, Split, Shuffle,
-// Clone, Append, AppendRow, both partitioners, the Dirichlet merge and
-// canary planting — on the heap and in an arena, and checks that each
-// row still carries its own nonzero list.
+// rows — sampling, Subset, Split, Shuffle, Clone, Append, AppendRow,
+// both partitioners, the Dirichlet merge and canary planting — on the
+// heap and in an arena, and checks that each row still carries its
+// own list of ones.
 func TestRowListsFollowRows(t *testing.T) {
 	for _, arena := range []*tensor.Arena{nil, new(tensor.Arena)} {
 		rng := tensor.NewRNG(3)
-		basket, err := data.NewBasketGenerator(data.BasketConfig{Dim: 200, Classes: 4, Density: 0.25, FlipProb: 0.1}, rng, arena)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := data.WithNonzeroLists(basket, 100, arena)
+		gen := basket(t, rng, arena)
 
 		base := gen.Sample(96, rng)
 		checkLists(t, "Sample", base, true)
@@ -72,17 +80,9 @@ func TestRowListsFollowRows(t *testing.T) {
 		checkLists(t, "Clone", clone, true)
 		clone.Append(tail)
 		checkLists(t, "Append", clone, true)
-		// Rows without lists appended to rows with them, and the other
-		// way round: the lists stay in step, the new rows have none.
-		bare := &data.Dataset{X: []tensor.Vector{tensor.NewVector(200)}, Y: []int{1}, Classes: 4}
-		bare.X[0][3] = 1
-		clone.Append(bare)
-		checkLists(t, "Append of a dataset without lists", clone, false)
-		bare.AppendRow(base, 7)
-		checkLists(t, "AppendRow into a dataset without lists", bare, false)
-		if len(bare.NZ[0]) != 0 || len(bare.NZ[1]) == 0 {
-			t.Fatalf("AppendRow lists %v", bare.NZ)
-		}
+		empty := &data.Dataset{Classes: 4}
+		empty.AppendRow(base, 7)
+		checkLists(t, "AppendRow into an empty dataset", empty, true)
 
 		parts, err := data.PartitionIID(base, 4, 12, 6, rng, arena)
 		if err != nil {
@@ -122,40 +122,78 @@ func TestRowListsFollowRows(t *testing.T) {
 	}
 }
 
-// fixedRows is a generator that samples the same rows every time.
-type fixedRows []tensor.Vector
-
-func (g fixedRows) Sample(n int, _ *tensor.RNG) *data.Dataset {
-	return &data.Dataset{X: slices.Clone(g[:n]), Y: make([]int, n), Classes: 2}
-}
-func (g fixedRows) Classes() int { return 2 }
-func (g fixedRows) Dim() int     { return len(g[0]) }
-
-// TestRowListsStopAtFirstUnlistedRow: each row's list marks its ones,
-// and listing stops at the first row over the limit or not finite, so a
-// dense dataset gets no lists at all and a row past the first such row
-// gets none either.
-func TestRowListsStopAtFirstUnlistedRow(t *testing.T) {
-	row := func(vals ...float64) tensor.Vector { return tensor.Vector(vals) }
-	g := fixedRows{
-		row(0, 1, 0, 0), row(1, 0, -2, 0), row(0, math.Copysign(0, -1), 0, 0),
-		row(1, 1, 1, 0), row(0, 0, 0, 5), row(math.NaN(), 0, 0, 0),
+// TestRowListsOfEmptyRows: a basket row without ones has an empty list,
+// not a missing one.
+func TestRowListsOfEmptyRows(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	g, err := data.NewBasketGenerator(data.BasketConfig{Dim: 3, Classes: 2, Density: 0.05, FlipProb: 0.2}, rng, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ds := data.WithNonzeroLists(g, 2, nil).Sample(5, nil)
-	want := [][]int32{{^1}, {^0, 2}, nil, nil, nil}
-	if len(ds.NZ) != len(want) {
-		t.Fatalf("lists %v, want %v", ds.NZ, want)
-	}
-	for i := range want {
-		if !slices.Equal(ds.NZ[i], want[i]) {
-			t.Fatalf("lists %v, want %v", ds.NZ, want)
+	ds := g.Sample(64, rng)
+	checkLists(t, "Sample", ds, true)
+	empty := 0
+	for _, ids := range ds.NZ {
+		if len(ids) == 0 {
+			empty++
 		}
 	}
-	if ds := data.WithNonzeroLists(g[3:], 2, nil).Sample(3, nil); ds.NZ != nil {
-		t.Fatalf("a first row over the limit left lists %v", ds.NZ)
+	if empty == 0 {
+		t.Fatal("no all-zero row among 64; the test needs one")
 	}
-	if ds := data.WithNonzeroLists(g[5:], 2, nil).Sample(1, nil); ds.NZ != nil {
-		t.Fatalf("a first row not finite left lists %v", ds.NZ)
+}
+
+// TestAppendMixedDropsLists: rows with lists joined to rows without, in
+// either order, leave a dataset without lists, since an empty entry
+// would claim a row without ones.
+func TestAppendMixedDropsLists(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	listed := basket(t, rng, nil).Sample(4, rng)
+	bare := func() *data.Dataset {
+		ds := &data.Dataset{X: []tensor.Vector{tensor.NewVector(200)}, Y: []int{1}, Classes: 4}
+		ds.X[0][3] = 1
+		return ds
+	}
+	ds := listed.Clone()
+	ds.Append(bare())
+	checkLists(t, "Append of rows without lists", ds, false)
+	ds = bare()
+	ds.AppendRow(listed, 2)
+	checkLists(t, "AppendRow into rows without lists", ds, false)
+	ds = bare()
+	ds.Append(listed)
+	checkLists(t, "Append into rows without lists", ds, false)
+	ds = listed.Clone()
+	ds.Append(&data.Dataset{Classes: 4})
+	checkLists(t, "Append of no rows", ds, true)
+}
+
+// TestValidateLists: Validate refuses a list that is not its row's
+// ones — a one missing or extra, out of order, repeated, on a row that
+// is not binary — and a list count that is not the row count.
+func TestValidateLists(t *testing.T) {
+	row := tensor.Vector{0, 1, 0, 1}
+	for _, tc := range []struct {
+		name string
+		x    tensor.Vector
+		nz   [][]int32
+		ok   bool
+	}{
+		{"its ones", row, [][]int32{{1, 3}}, true},
+		{"no ones", tensor.Vector{0, 0, 0, 0}, [][]int32{{}}, true},
+		{"no lists", tensor.Vector{0, 2.5, 0, 1}, nil, true},
+		{"a one missing", row, [][]int32{{1}}, false},
+		{"a one extra", row, [][]int32{{0, 1, 3}}, false},
+		{"out of order", row, [][]int32{{3, 1}}, false},
+		{"repeated", row, [][]int32{{1, 1, 3}}, false},
+		{"empty for a row with ones", row, [][]int32{{}}, false},
+		{"not binary", tensor.Vector{0, 2.5, 0, 1}, [][]int32{{1, 3}}, false},
+		{"a list too many", row, [][]int32{{1, 3}, {1, 3}}, false},
+	} {
+		ds := &data.Dataset{X: []tensor.Vector{tc.x}, Y: []int{0}, NZ: tc.nz, Classes: 2}
+		if err := ds.Validate(); (err == nil) != tc.ok {
+			t.Fatalf("%s: Validate = %v", tc.name, err)
+		}
 	}
 }
 
@@ -163,19 +201,24 @@ func TestRowListsStopAtFirstUnlistedRow(t *testing.T) {
 // clipped, so appending to it leaves the tail's rows, labels and lists
 // as they were.
 func TestSplitHeadAppendKeepsTail(t *testing.T) {
-	g := fixedRows{{1, 0}, {0, 1}, {1, 1}}
-	ds := data.WithNonzeroLists(g, 2, nil).Sample(3, nil)
-	ds.Y = []int{0, 1, 0}
+	ds := &data.Dataset{
+		X:       []tensor.Vector{{1, 0}, {0, 1}, {1, 1}},
+		Y:       []int{0, 1, 0},
+		NZ:      [][]int32{{0}, {1}, {0, 1}},
+		Classes: 2,
+	}
 	head, tail, err := ds.Split(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x0, nz0 := tail.X[0], tail.NZ[0]
-	head.AppendRow(&data.Dataset{X: []tensor.Vector{{5, 5}}, Y: []int{1}, NZ: [][]int32{{0, 1}}, Classes: 2}, 0)
+	added := tensor.Vector{1, 1}
+	head.AppendRow(&data.Dataset{X: []tensor.Vector{added}, Y: []int{1}, NZ: [][]int32{{0, 1}}, Classes: 2}, 0)
 	if &tail.X[0][0] != &x0[0] || tail.Y[0] != 1 || !slices.Equal(tail.NZ[0], nz0) || &ds.X[1][0] != &x0[0] {
 		t.Fatalf("an append to the head reached the tail: %v %v %v", tail.X, tail.Y, tail.NZ)
 	}
-	if head.Len() != 2 || head.X[1][0] != 5 {
-		t.Fatalf("head after append: %v", head.X)
+	if head.Len() != 2 || &head.X[1][0] != &added[0] || len(head.NZ) != 2 {
+		t.Fatalf("head after append: %v %v", head.X, head.NZ)
 	}
+	checkLists(t, "head after append", head, true)
 }

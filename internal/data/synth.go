@@ -117,6 +117,7 @@ type BasketGenerator struct {
 	cfg        BasketConfig
 	prototypes []tensor.Vector // each class's basket, as 0 and 1
 	arena      *tensor.Arena
+	ones       []int32 // Sample's scratch: the columns of the row it writes (one Sample at a time)
 }
 
 // NewBasketGenerator draws the class prototype baskets with rng. The
@@ -126,7 +127,7 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*Ba
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &BasketGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a}
+	g := &BasketGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a, ones: a.Int32s(cfg.Dim)}
 	for c := range g.prototypes {
 		p := a.Vector(cfg.Dim)
 		for j := range p {
@@ -139,21 +140,29 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*Ba
 	return g, nil
 }
 
-// Sample draws n labelled basket examples with balanced classes.
+// Sample draws n labelled basket examples with balanced classes, each
+// row with its list of ones (Dataset.NZ).
 func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), Classes: g.cfg.Classes}
+	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), NZ: g.arena.Int32Lists(n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		proto := g.prototypes[label]
 		x := g.arena.Vector(g.cfg.Dim)
+		k := 0
 		for j, bit := range proto {
 			if rng.Float64() < g.cfg.FlipProb {
 				bit = 1 - bit
 			}
 			x[j] = bit
+			if bit == 1 {
+				g.ones[k] = int32(j)
+				k++
+			}
 		}
 		ds.X[i] = x
 		ds.Y[i] = label
+		ds.NZ[i] = g.arena.Int32s(k)
+		copy(ds.NZ[i], g.ones)
 	}
 	ds.Shuffle(rng)
 	return ds
@@ -182,34 +191,7 @@ func (g *BasketGenerator) Classes() int { return g.cfg.Classes }
 // Dim implements Generator.
 func (g *BasketGenerator) Dim() int { return g.cfg.Dim }
 
-// WithNonzeroLists returns g with every dataset it samples carrying its
-// rows' nonzero lists (Dataset.NZ) in a (nil = the heap), listed up to
-// limit nonzeros a row: for a reader that indexes each row's nonzeros
-// many times, such as a sparse first layer (nn.SparseLimit), to find
-// them once.
-func WithNonzeroLists(g Generator, limit int, a *tensor.Arena) Generator {
-	return &listing{Generator: g, limit: limit, arena: a, idx: a.Int32s(g.Dim()), val: a.Vector(g.Dim())}
-}
-
-// listing is WithNonzeroLists' generator; idx and val are the scratch
-// its listings share.
-type listing struct {
-	Generator
-	limit int
-	arena *tensor.Arena
-	idx   []int32
-	val   tensor.Vector
-}
-
-// Sample implements Generator.
-func (g *listing) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := g.Generator.Sample(n, rng)
-	ds.listNonzeros(g.limit, g.idx, g.val, g.arena)
-	return ds
-}
-
 var (
-	_ Generator = (*listing)(nil)
 	_ Generator = (*GaussianGenerator)(nil)
 	_ Generator = (*BasketGenerator)(nil)
 )

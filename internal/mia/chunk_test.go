@@ -24,10 +24,11 @@ func sameScore(x, y float64) bool {
 // path it replaced: ProbsInto, MethodScore and Logits(x).ArgMax()
 // example by example. Every method's scores match bit for bit, and the
 // hits the pass counts match the per-row argmax and metrics.Accuracy,
-// on 1, 63, 64, 65 and 150 dense rows and on rows the sparse first
-// layer takes in chunks of 16. Classes 1 and 2 share their weights and
-// bias, so every row on which they lead ties; every seventh dense row
-// holds a NaN input, so its logits are all NaN.
+// on 1, 63, 64, 65 and 150 dense rows and on binary rows with their
+// lists, which the sparse first layer takes in chunks of 16. Classes 1
+// and 2 share their weights and bias, so every row on which they lead
+// ties; every seventh dense row holds a NaN input, so its logits are
+// all NaN.
 func TestChunkPassMatchesPerRow(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -48,12 +49,16 @@ func TestChunkPassMatchesPerRow(t *testing.T) {
 		p[b1+2] = p[b1+1]
 		for _, n := range []int{1, 63, 64, 65, 150} {
 			ds := &data.Dataset{X: make([]tensor.Vector, n), Y: make([]int, n), Classes: classes}
+			if tc.sparse {
+				ds.NZ = make([][]int32, n)
+			}
 			for i := range ds.X {
 				x := tensor.NewVector(tc.in)
 				if tc.sparse {
 					for j := range x {
 						if rng.Float64() < 0.1 {
 							x[j] = 1
+							ds.NZ[i] = append(ds.NZ[i], int32(j))
 						}
 					}
 				} else {

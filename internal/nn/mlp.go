@@ -368,28 +368,17 @@ func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, 
 // have equal non-zero length.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
-// (tensor.GemmNT/GemmTNStore/GemmNN; sparse rows take the sparse first
-// layer, sparse.go) over batch-major activation and delta matrices
-// instead of len(xs) independent per-example passes. Each
-// gradient element still accumulates its per-example terms in increasing
-// example order from +0, so the result is bit-identical to looping
-// ExampleGrad over a zeroed vector — only faster, because weight and
-// gradient rows are walked once per four examples instead of once per
-// example.
+// (tensor.GemmNT/GemmTNStore/GemmNN; the rows come without lists, so
+// the first layer runs dense, sparse.go) over batch-major activation
+// and delta matrices instead of len(xs) independent per-example
+// passes. Each gradient element still accumulates its per-example terms
+// in increasing example order from +0, so the result is bit-identical
+// to looping ExampleGrad over a zeroed vector — only faster, because
+// weight and gradient rows are walked once per four examples instead of
+// once per example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
-	var sp sparseL0
-	sp.init(m, len(xs), nil)
-	loss, err := m.batchGradSum(xs, rowLists{}, ys, grad, batch, true, &sp)
-	if err == nil && sp.on {
-		// The layer-0 block holds dW0ᵀ; wT, which only the forward
-		// read, turns it back.
-		in, out := m.sizes[0], m.sizes[1]
-		gw := grad[:in*out]
-		tensor.Transpose(sp.wT, gw, in, out)
-		copy(gw, sp.wT)
-	}
-	sp.release()
+	loss, err := m.batchGradSum(xs, rowLists{}, ys, grad, batch, true, &sparseL0{off: true})
 	m.pool.Put(batch)
 	if err != nil {
 		return 0, err
@@ -435,7 +424,7 @@ func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
 // batch is scratch of at least batchFloats(len(xs), true). The trainer
 // folds the division into its optimizer step (SGD.step) instead of
 // paying a pass over the gradient for it. When sp takes the rows (with
-// their nonzero lists), layer 0 runs sparse and, if sp is still on at
+// their lists), layer 0 runs sparse and, if sp is still on at
 // the return, grad's layer-0 block holds dW0ᵀ (in×out) rather than dW0.
 func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, batch tensor.Vector, withLoss bool, sp *sparseL0) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
@@ -559,7 +548,7 @@ const (
 	sparseChunk    = 16
 )
 
-// ScoreChunks runs the model forward over xs, whose nonzero lists are
+// ScoreChunks runs the model forward over xs, whose lists of ones are
 // nz (nil: none; see data.Dataset.NZ), in chunks using the same
 // blocked GEMM kernels as BatchGrad and invokes score(start, logits)
 // once per chunk, in order, with the logits of xs[start:start+rows] as
@@ -570,7 +559,7 @@ const (
 // (Predict, ProbsInto), so scoring sweeps — accuracy, MIA attacks —
 // can batch without changing a single result bit, and can run their
 // softmax, argmax and logs over the chunk at once. Steady-state calls
-// perform no allocation: the scratch goes back to the pool. Sparse
+// perform no allocation: the scratch goes back to the pool. Listed
 // rows take the sparse first layer, W0 transposed once per call.
 func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int, logits tensor.Vector)) error {
 	in0 := m.sizes[0]
@@ -585,7 +574,7 @@ func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int
 	batch := m.pool.Get(m.batchFloats(min(len(xs), ScoreChunkRows), false))
 	defer m.pool.Put(batch)
 	var sp sparseL0
-	sp.init(m, sparseChunk, nil)
+	sp.init(m, sparseChunk, nil, nz != nil)
 	defer sp.release()
 	layers := len(m.sizes) - 1
 	for start := 0; start < len(xs); {

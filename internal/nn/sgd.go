@@ -189,10 +189,10 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 	return t.RunEpochsNZ(xs, nil, ys, rng)
 }
 
-// RunEpochsNZ is RunEpochs over rows whose nonzero lists are nz (nil:
-// none; see data.Dataset.NZ), which a sparse first layer indexes each
-// minibatch from instead of its rows. The result is RunEpochs' to the
-// bit.
+// RunEpochsNZ is RunEpochs over rows whose lists of ones are nz (nil:
+// none, and the first layer runs dense; see data.Dataset.NZ), which a
+// sparse first layer indexes each minibatch from instead of its rows.
+// The result is RunEpochs' to the bit.
 func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *tensor.RNG) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
@@ -216,7 +216,7 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 	// Layer 0 may run sparse for the whole update; release writes W0
 	// back.
 	var sp sparseL0
-	sp.init(m, bs, t.Opt)
+	sp.init(m, bs, t.Opt, nz != nil)
 	defer sp.release()
 	if cap(t.order) < n {
 		t.order = m.arena.Ints(n)

@@ -7,28 +7,25 @@ import (
 )
 
 // The first layer over the nonzeros of its inputs. A batched call whose
-// rows are finite and sparse enough runs layer 0 through
-// tensor.SparseRows over W0ᵀ (input-major, in×out) instead of
+// rows come with their lists of ones and are sparse enough runs layer 0
+// through tensor.SparseRows over W0ᵀ (input-major, in×out) instead of
 // tensor.GemmNT over W0, and a training call builds the weight gradient
 // as dW0ᵀ with tensor.SparseRowsStore over the layer's errors instead
 // of tensor.GemmTNStore. The bits are the dense path's under the
-// preconditions tensor's sparse.go states, which the call checks: the
-// rows are finite, b0 holds no −0, W0 is finite before every forward
-// that reads it, and the errors are finite before the gradient. When a
-// check fails, the rest of the call — for the trainer, the rest of its
-// local update — runs dense.
+// preconditions tensor's sparse.go states: the rows are finite (a
+// listed row is binary), and the call checks the rest: b0 holds no −0,
+// W0 is finite before every forward that reads it, and the errors are
+// finite before the gradient. When a check fails, the rest of the call
+// — for the trainer, the rest of its local update — runs dense.
 //
-// The nonzero index of a batch is built from its rows' nonzero lists
-// (data.Dataset.NZ), which an arm finds once, when it samples its data
-// (core lists every row up to SparseLimit), and which data's operations
-// keep with their rows; the trainer and ScoreChunks hand a batch's
-// lists in beside its rows. The index copies a row's list, takes the
-// values the list marks as 1 from it and reads the others from the row
-// (a binary row is not read at all), and checks those finite and the
-// count against the limit: the entries tensor.Nonzeros would write,
-// and the same decision. A row without a list is indexed per call
-// (tensor.Nonzeros) in the same loop, so any caller's rows take the
-// same path.
+// A batch's index is its rows' lists (data.Dataset.NZ): the columns of
+// each binary row's ones, increasing, which data.BasketGenerator writes
+// as it writes the row and data's operations keep with their rows; the
+// trainer and ScoreChunks hand them in beside the rows. The index copies
+// the lists, every entry with value 1, and never reads the rows. An
+// empty list is a row without ones. A call without lists runs dense, and
+// so does the rest of a call from its first batch holding a row with
+// more than limit ones.
 //
 // The trainer keeps layer 0 input-major for a whole update: W0 is
 // transposed in once and out once at the end, and the step runs on the
@@ -58,7 +55,7 @@ const (
 // pool. It lives on the caller's stack, from init to release.
 type sparseL0 struct {
 	m           *MLP
-	rows, limit int  // the most rows one index holds, and nonzeros one row may
+	rows, limit int  // the most rows one index holds, and ones one row may
 	off         bool // the rest of the call runs dense
 	on          bool // wT holds W0ᵀ
 	w0ok        bool // wT is finite, as found by what last wrote it
@@ -70,34 +67,25 @@ type sparseL0 struct {
 
 	rowBuf, colBuf tensor.Vector // the index's floats, and its int32s behind them
 	rowPtr, rowIdx []int32
-	rowVal         []float64
+	rowVal         tensor.Vector // all 1: the values of a binary row's ones
 	colPtr, colIdx []int32
 	colVal         []float64
 }
 
-// SparseLimit returns the most nonzeros a row of in inputs may hold and
-// take the sparse first layer, or 0 when a first layer that wide runs
-// dense: what a caller lists its rows' nonzeros up to.
-func SparseLimit(in int) int {
-	if !useSparse || in < sparseMinInputs {
-		return 0
-	}
-	return int(sparseDensity * float64(in))
-}
-
 // init readies s for calls of at most rows rows; opt is the trainer's
-// optimizer (nil outside training). A layer too narrow, or useSparse
-// cleared, leaves s off.
-func (s *sparseL0) init(m *MLP, rows int, opt *SGD) {
-	limit := SparseLimit(m.sizes[0])
-	*s = sparseL0{m: m, rows: rows, limit: limit, opt: opt, off: limit == 0}
+// optimizer (nil outside training), and listed whether the rows come
+// with their lists. Rows without lists, a layer too narrow, or
+// useSparse cleared leave s off.
+func (s *sparseL0) init(m *MLP, rows int, opt *SGD, listed bool) {
+	in := m.sizes[0]
+	limit := int(sparseDensity * float64(in))
+	*s = sparseL0{m: m, rows: rows, limit: limit, opt: opt, off: !useSparse || !listed || in < sparseMinInputs}
 }
 
 // rowFloats and colFloats are the lengths of the two index buffers:
-// values, then int32 indices and row starts two to a float. A row may
-// write up to in entries before it is found over the limit.
+// values, then int32 indices and row starts two to a float.
 func (s *sparseL0) rowFloats() int {
-	n := s.rows*s.limit + s.m.sizes[0]
+	n := s.rows * s.limit
 	return n + (n+s.rows+2)/2
 }
 
@@ -112,38 +100,37 @@ func carve(buf tensor.Vector, n, ptrs int) (val []float64, idx, ptr []int32) {
 	return buf[:n], ints[:n], ints[n : n+ptrs]
 }
 
-// rowLists names the nonzero lists (data.Dataset.NZ) of a batch's rows
-// without gathering them: row r's is all[sel[r]], or all[r] when sel is
-// nil. A nil all gives none.
+// rowLists names the lists (data.Dataset.NZ) of a batch's rows without
+// gathering them: row r's is all[sel[r]], or all[r] when sel is nil.
 type rowLists struct {
 	all [][]int32
 	sel []int
 }
 
-// of returns row r's list, nil for none.
+// of returns row r's list.
 func (l rowLists) of(r int) []int32 {
-	switch {
-	case l.all == nil:
-		return nil
-	case l.sel != nil:
+	if l.sel != nil {
 		return l.all[l.sel[r]]
 	}
 	return l.all[r]
 }
 
 // ready reports whether xs, of at most s.rows rows of the model's input
-// width, with their nonzero lists, run layer 0 sparse: it indexes them,
-// checks b0 and W0 (taking W0ᵀ on the first call), and on any failure
-// turns the rest of the call dense.
+// width, with their lists, run layer 0 sparse: it indexes them, checks
+// b0 and W0 (taking W0ᵀ on the first call), and on any failure turns
+// the rest of the call dense.
 func (s *sparseL0) ready(xs []tensor.Vector, lists rowLists) bool {
 	if s.off {
 		return false
 	}
 	if s.rowBuf == nil {
+		n := s.rows * s.limit
 		s.rowBuf = s.m.pool.Get(s.rowFloats())
-		s.rowVal, s.rowIdx, s.rowPtr = carve(s.rowBuf, s.rows*s.limit+s.m.sizes[0], s.rows+1)
+		s.rowVal, s.rowIdx, s.rowPtr = carve(s.rowBuf, n, s.rows+1)
+		s.rowVal.Fill(1) // a listed row is binary
+		s.rowPtr[0] = 0
 	}
-	if !s.index(xs, lists) || hasNegZero(s.m.bias(0)) || !s.w0Finite() {
+	if !s.index(len(xs), lists) || hasNegZero(s.m.bias(0)) || !s.w0Finite() {
 		s.leave()
 		s.off = true
 		return false
@@ -151,46 +138,19 @@ func (s *sparseL0) ready(xs []tensor.Vector, lists rowLists) bool {
 	return true
 }
 
-// index builds the row index of xs from their nonzero lists, a row
-// without a list from the row itself, and reports whether every row is
-// finite and has at most s.limit nonzeros.
-func (s *sparseL0) index(xs []tensor.Vector, lists rowLists) bool {
-	n := 0
-	s.rowPtr[0] = 0
-	for r, x := range xs {
+// index builds the row index of B rows from their lists, and reports
+// whether every row has at most s.limit ones.
+func (s *sparseL0) index(B int, lists rowLists) bool {
+	n := int32(0)
+	for r := range B {
 		ids := lists.of(r)
-		k, finite := len(ids), true
-		if k == 0 {
-			k, finite = tensor.Nonzeros(s.rowIdx[n:], s.rowVal[n:], x)
-		} else if k <= s.limit {
-			finite = copyList(s.rowIdx[n:n+k], s.rowVal[n:n+k], ids, x)
-		}
-		if !finite || k > s.limit {
+		if len(ids) > s.limit {
 			return false
 		}
-		n += k
-		s.rowPtr[r+1] = int32(n)
+		n += int32(copy(s.rowIdx[n:], ids))
+		s.rowPtr[r+1] = n
 	}
 	return true
-}
-
-// copyList writes the index entries of a row x from its nonzero list
-// ids: each column into idx, and into val 1 where ids marks it (^c) and
-// x's element elsewhere. It reports whether the elements it read are
-// finite: the row's others are zeros and ones.
-func copyList(idx []int32, val []float64, ids []int32, x tensor.Vector) bool {
-	idx, val = idx[:len(ids)], val[:len(ids)]
-	bad := uint64(0)
-	for k, t := range ids {
-		if t < 0 {
-			idx[k], val[k] = ^t, 1
-			continue
-		}
-		v := x[t]
-		idx[k], val[k] = t, v
-		bad |= (math.Float64bits(v)>>52&0x7ff + 1) >> 11 // 1 for ±Inf and NaN
-	}
-	return bad == 0
 }
 
 // w0Finite reports whether W0 is finite: the first time by the

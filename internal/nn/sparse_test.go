@@ -32,8 +32,9 @@ func onDensePath(f func()) {
 // sparseCase is a model and rows on which the sparse first layer must
 // give the dense path's bits: Purchase100-like rows, and rows or
 // parameters that break one precondition each, which must send the
-// call (or the rest of the update) dense. sparse says whether the first
-// 16 rows pass the checks.
+// call (or the rest of the update) dense. Rows that are all binary come
+// with their lists (listsOf), others without. sparse says whether the
+// first 16 rows pass the checks.
 type sparseCase struct {
 	name   string
 	sizes  []int
@@ -49,7 +50,8 @@ var sparseCases = []sparseCase{
 	// −0 only where every product is skipped.
 	{name: "empty rows", sizes: []int{600, 64, 100}, sparse: true,
 		setup: func(m *MLP, xs []tensor.Vector, _ *tensor.RNG) { xs[0].Zero(); xs[5].Zero() }},
-	{name: "signed zeros and denormals", sizes: []int{600, 64, 100}, sparse: true,
+	// Rows that are not binary have no lists: the call runs dense.
+	{name: "signed zeros and denormals", sizes: []int{600, 64, 100},
 		setup: func(m *MLP, xs []tensor.Vector, rng *tensor.RNG) {
 			for _, x := range xs {
 				for j := rng.Intn(7); j < len(x); j += 1 + rng.Intn(13) {
@@ -63,13 +65,26 @@ var sparseCases = []sparseCase{
 				rng.FillNormal(x, 0, 1)
 			}
 		}},
-	// One dense row among sparse ones: the batch that meets it, and the
-	// rest of the update, run dense.
+	// Binary rows, each with more ones than the limit.
+	{name: "rows over the limit", sizes: []int{600, 64, 100},
+		setup: func(m *MLP, xs []tensor.Vector, rng *tensor.RNG) {
+			for _, x := range xs {
+				for j := range x {
+					x[j] = 1
+					if rng.Intn(5) == 0 {
+						x[j] = 0
+					}
+				}
+			}
+		}},
+	// One row of ones among sparse ones: the batch that meets it, and
+	// the rest of the update, run dense.
 	{name: "one dense row late", sizes: []int{600, 64, 100}, sparse: true,
-		setup: func(m *MLP, xs []tensor.Vector, rng *tensor.RNG) { rng.FillNormal(xs[len(xs)-1], 0, 1) }},
+		setup: func(m *MLP, xs []tensor.Vector, _ *tensor.RNG) { xs[len(xs)-1].Fill(1) }},
 	// An Inf input whose weights are all negative: its row's hidden
-	// units are ReLU(−Inf) = 0 and its errors finite, so only the input
-	// check keeps Inf·0 = NaN out of a gradient the dense path skips.
+	// units are ReLU(−Inf) = 0 and its errors finite: only the rows
+	// having no lists (a row with an Inf is not binary) keeps Inf·0 = NaN
+	// out of a gradient the dense path skips.
 	{name: "inf input", sizes: []int{600, 64, 100},
 		setup: func(m *MLP, xs []tensor.Vector, _ *tensor.RNG) {
 			xs[3][17] = math.Inf(1)
@@ -149,61 +164,57 @@ func sameBitsAt(t *testing.T, what string, got, want tensor.Vector) {
 // TestSparseFirstLayerMatchesDense holds every batched path to the dense
 // first layer bit for bit on each sparseCase: every activation
 // batchForward fills (the hidden ones included, where a −0 would show),
-// ScoreBatch's logits, BatchGrad's gradient and loss, and the
-// parameters, velocity and loss two RunEpochs calls of three epochs
-// leave.
+// ScoreChunks' logits, and the parameters, velocity and loss two
+// RunEpochsNZ calls of three epochs leave.
 func TestSparseFirstLayerMatchesDense(t *testing.T) {
 	for _, c := range sparseCases {
 		t.Run(c.name, func(t *testing.T) {
 			m, xs, ys := c.build(t)
+			nz := listsOf(xs)
+			lists := func(lo, hi int) [][]int32 {
+				if nz == nil {
+					return nil
+				}
+				return nz[lo:hi]
+			}
 			var sp sparseL0
-			sp.init(m, 16, nil)
-			if got := sp.ready(xs[:16], rowLists{}); got != c.sparse {
+			sp.init(m, 16, nil, nz != nil)
+			if got := sp.ready(xs[:16], rowLists{all: lists(0, 16)}); got != c.sparse {
 				t.Fatalf("the first 16 rows take the sparse path: %v, want %v", got, c.sparse)
 			}
 			sp.release()
 
 			// The forward, every layer.
-			forward := func(xs []tensor.Vector) tensor.Vector {
+			forward := func(lo, hi int) tensor.Vector {
+				xs, nz := xs[lo:hi], lists(lo, hi)
 				batch := tensor.NewVector(m.batchFloats(len(xs), false))
 				var sp sparseL0
-				sp.init(m, len(xs), nil)
+				sp.init(m, len(xs), nil, nz != nil)
 				defer sp.release()
-				if sp.ready(xs, rowLists{}) {
+				if sp.ready(xs, rowLists{all: nz}) {
 					m.batchForward(xs, batch, &sp)
 				} else {
 					m.batchForward(xs, batch, nil)
 				}
 				return batch[len(xs)*m.sizes[0]:]
 			}
-			for _, rows := range [][]tensor.Vector{xs[:16], xs[16:21], xs} {
-				got := forward(rows)
+			for _, rows := range [][2]int{{0, 16}, {16, 21}, {0, len(xs)}} {
+				got := forward(rows[0], rows[1])
 				var want tensor.Vector
-				onDensePath(func() { want = forward(rows) })
+				onDensePath(func() { want = forward(rows[0], rows[1]) })
 				sameBitsAt(t, "batchForward activations", got, want)
 			}
 
 			logits := func() tensor.Vector {
 				var out tensor.Vector
-				if err := m.ScoreBatch(xs, func(_ int, l tensor.Vector) { out = append(out, l...) }); err != nil {
+				if err := m.ScoreChunks(xs, nz, func(_ int, l tensor.Vector) { out = append(out, l...) }); err != nil {
 					t.Fatal(err)
 				}
 				return out
 			}
 			want := tensor.Vector(nil)
 			onDensePath(func() { want = logits() })
-			sameBitsAt(t, "ScoreBatch logits", logits(), want)
-
-			grad := func() tensor.Vector {
-				g := tensor.NewVector(m.NumParams())
-				loss, err := m.BatchGrad(xs[:16], ys[:16], g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return append(g, loss)
-			}
-			onDensePath(func() { want = grad() })
-			sameBitsAt(t, "BatchGrad gradient and loss", grad(), want)
+			sameBitsAt(t, "ScoreChunks logits", logits(), want)
 
 			train := func() tensor.Vector {
 				model := m.Clone()
@@ -214,9 +225,9 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 				// Two local updates: the second starts from the velocity
 				// the first left.
 				rng := tensor.NewRNG(5)
-				loss, err := tr.RunEpochs(xs, ys, rng)
+				loss, err := tr.RunEpochsNZ(xs, nz, ys, rng)
 				if err == nil {
-					loss, err = tr.RunEpochs(xs[8:], ys[8:], rng)
+					loss, err = tr.RunEpochsNZ(xs[8:], lists(8, len(xs)), ys[8:], rng)
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -226,23 +237,26 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 				return append(out, loss)
 			}
 			onDensePath(func() { want = train() })
-			sameBitsAt(t, "RunEpochs parameters, velocity and loss", train(), want)
+			sameBitsAt(t, "RunEpochsNZ parameters, velocity and loss", train(), want)
 		})
 	}
 }
 
 // TestSparseFirstLayerAllocatesNothing: at steady state a sparse local
-// update and a sparse scoring pass allocate nothing, with the rows'
-// nonzero lists or without — the state lives on the caller's stack, and
-// W0ᵀ and the index come from the pool.
+// update and a sparse scoring pass allocate nothing, and neither do the
+// dense ones on the same rows without their lists — the state lives on
+// the caller's stack, and W0ᵀ and the index come from the pool.
 func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 	m, xs, ys := sparseCases[0].build(t)
-	nz := nonzeroLists(xs)
-	tr := NewTrainer(m, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
+	nz := listsOf(xs)
+	// Two trainers: a node whose updates turn from sparse to dense
+	// allocates the scratch that turns its velocity back (SGD.velModelMajor).
+	cfg := SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}
+	tr, dense := NewTrainer(m, NewSGD(cfg), 16, 2), NewTrainer(m.Clone(), NewSGD(cfg), 16, 2)
 	rng := tensor.NewRNG(9)
 	var err error
 	op := func() {
-		if _, e := tr.RunEpochs(xs, ys, rng); e != nil {
+		if _, e := dense.RunEpochs(xs, ys, rng); e != nil {
 			err = e
 		}
 		if _, e := tr.RunEpochsNZ(xs, nz, ys, rng); e != nil {
@@ -261,28 +275,10 @@ func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 	}
 }
 
-// nonzeroLists returns the nonzero list of every row of xs, its columns
-// of 1 marked, as data lists them.
-func nonzeroLists(xs []tensor.Vector) [][]int32 {
-	nz := make([][]int32, len(xs))
-	for i, x := range xs {
-		idx, val := make([]int32, len(x)), make([]float64, len(x))
-		k, _ := tensor.Nonzeros(idx, val, x)
-		for j, v := range val[:k] {
-			if v == 1 {
-				idx[j] = ^idx[j]
-			}
-		}
-		nz[i] = idx[:k]
-	}
-	return nz
-}
-
 // BenchmarkSparseFirstLayer times one node's local update (40 rows, two
 // epochs of 16-row batches, momentum 0.9) and the scoring of 40 and 200
 // rows on the Purchase100-like arm's model, 600 → 64 → 100, on the
-// sparse first layer fed the rows' nonzero lists, on the sparse first
-// layer indexing the rows per call, and on the dense first layer.
+// sparse first layer fed the rows' lists and on the dense first layer.
 func BenchmarkSparseFirstLayer(b *testing.B) {
 	rng := tensor.NewRNG(3)
 	model, err := NewMLP([]int{600, 64, 100}, rng)
@@ -295,7 +291,7 @@ func BenchmarkSparseFirstLayer(b *testing.B) {
 		ys[i] = rng.Intn(100)
 	}
 	tr := NewTrainer(model, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
-	all := nonzeroLists(xs)
+	all := listsOf(xs)
 	cases := []struct {
 		name string
 		run  func(nz [][]int32) error
@@ -317,7 +313,6 @@ func BenchmarkSparseFirstLayer(b *testing.B) {
 			lists = all[:40]
 		}
 		b.Run(bc.name+"/listed", func(b *testing.B) { run(b, lists) })
-		b.Run(bc.name+"/sparse", func(b *testing.B) { run(b, nil) })
-		b.Run(bc.name+"/dense", func(b *testing.B) { onDensePath(func() { run(b, nil) }) })
+		b.Run(bc.name+"/dense", func(b *testing.B) { run(b, nil) })
 	}
 }

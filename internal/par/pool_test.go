@@ -114,8 +114,12 @@ func TestPoolCloseWaitsForHelpers(t *testing.T) {
 		}
 		return bytes.Count(buf[:n], []byte("par.(*Pool).help("))
 	}
-	if n := helpers(); n != 0 {
-		t.Fatalf("%d pool helpers alive before the loop", n)
+	// A helper of a pool an earlier test closed may still be on its way
+	// out: wait for it, for a bounded time.
+	for deadline := time.Now().Add(5 * time.Second); helpers() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pool helpers alive before the loop", helpers())
+		}
 	}
 	peak := 0
 	for i := 0; i < 2000; i++ {

@@ -24,7 +24,7 @@ const (
 // the arm ends, so a sweep of short arms produces no garbage for them.
 // It has a slab per element type the arm sizes — float64 (Vector), int,
 // Vector headers (a dataset's rows), int32 and []int32 headers (the
-// rows' nonzero lists) — and also recycles the arm's
+// rows' lists of ones) — and also recycles the arm's
 // random generators (RNG) and keeps one value for the next arm (Keep).
 //
 // A nil *Arena is the heap: every method allocates as make and NewRNG
@@ -104,7 +104,7 @@ func (a *Arena) Int32s(n int) []int32 {
 }
 
 // Int32Lists returns n nil []int32 headers that live until Reset: the
-// nonzero lists of a dataset's rows.
+// lists of ones of a dataset's rows.
 func (a *Arena) Int32Lists(n int) [][]int32 {
 	if a == nil {
 		return make([][]int32, n)

@@ -125,26 +125,6 @@ func transposeAVX2(dst, src []float64, rows, cols int) bool
 //go:noescape
 func finiteAVX2(v []float64, n int) bool
 
-//go:noescape
-func nonzerosAVX2(idx []int32, val, x []float64, n int, perm *[16][8]uint32, lanes *[16][4]uint32) (count int, finite bool)
-
-// nzPerm and nzLanes are nonzerosAVX2's compress tables: for each 4-bit
-// mask of nonzero lanes, the VPERMD indices that move those lanes'
-// doubles to the front, and the lane numbers in the same order.
-var nzPerm, nzLanes = func() (perm [16][8]uint32, lanes [16][4]uint32) {
-	for m := range perm {
-		k := 0
-		for lane := uint32(0); lane < 4; lane++ {
-			if m>>lane&1 != 0 {
-				perm[m][2*k], perm[m][2*k+1] = 2*lane, 2*lane+1
-				lanes[m][k] = lane
-				k++
-			}
-		}
-	}
-	return perm, lanes
-}()
-
 // sparseRowsVec returns the number of leading rows of c done (c is cut
 // to rows·n, and ptr holds rows+1 entries). The kernel stops at the
 // first row whose span or one of whose indices lies outside its
@@ -165,18 +145,6 @@ func transposeVec(dst, src []float64, rows, cols int) (r4, c4 int, finite bool) 
 		return 0, 0, true
 	}
 	return r4, c4, transposeAVX2(dst, src, rows, cols)
-}
-
-// nonzerosVec indexes the leading multiple of 4 elements of x and
-// returns how many it took, how many of them are nonzero, and whether
-// they are finite. idx and val hold at least len(x) elements.
-func nonzerosVec(idx []int32, val, x []float64) (done, count int, finite bool) {
-	n4 := len(x) &^ 3
-	if !useAVX2 || n4 == 0 || len(idx) < n4 || len(val) < n4 {
-		return 0, 0, true
-	}
-	count, finite = nonzerosAVX2(idx, val, x, n4, &nzPerm, &nzLanes)
-	return n4, count, finite
 }
 
 // finiteVec reports how many leading elements of v (a multiple of 4)

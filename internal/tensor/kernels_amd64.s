@@ -1452,53 +1452,3 @@ finDone:
 	SETEQ  ret+32(FP)
 	VZEROUPPER
 	RET
-
-// func nonzerosAVX2(idx []int32, val, x []float64, n int, perm *[16][8]uint32, lanes *[16][4]uint32) (count int, finite bool)
-// The nonzeros of x[0..n), n a positive multiple of 4, four at a time:
-// the lanes that compare unequal to +0 (NaN included) give a 4-bit mask,
-// whose perm entry moves their doubles to the front of a register
-// stored whole at val[count] and whose lanes entry, plus t, gives
-// their columns, stored whole at idx[count]; count grows by the mask's
-// popcount. count never passes t, so no store reaches past n.
-TEXT ·nonzerosAVX2(SB), NOSPLIT, $0-105
-	MOVQ idx_base+0(FP), DI
-	MOVQ val_base+24(FP), SI
-	MOVQ x_base+48(FP), DX
-	MOVQ n+72(FP), CX
-	MOVQ perm+80(FP), R8
-	MOVQ lanes+88(FP), R9
-	VBROADCASTSD expBits<>(SB), Y14
-	VPXOR  Y13, Y13, Y13
-	VXORPD Y15, Y15, Y15
-	VPXOR  X12, X12, X12 // t in four int32 lanes
-	MOVL   $4, AX
-	MOVL   AX, X11
-	VPBROADCASTD X11, X11 // 4 in four int32 lanes
-	XORQ AX, AX // t
-	XORQ BX, BX // count
-
-nzLoop:
-	VMOVUPD (DX)(AX*8), Y0
-	NONFINITE_OR(Y0, Y1)
-	VCMPPD    $4, Y15, Y0, Y2 // x ≠ 0, unordered: a NaN is nonzero
-	VMOVMSKPD Y2, R10
-	MOVQ      R10, R11
-	SHLQ      $5, R11
-	VMOVDQU   (R8)(R11*1), Y3
-	VPERMD    Y0, Y3, Y0
-	VMOVUPD   Y0, (SI)(BX*8)
-	MOVQ      R10, R11
-	SHLQ      $4, R11
-	VPADDD    (R9)(R11*1), X12, X4
-	VMOVDQU   X4, (DI)(BX*4)
-	POPCNTL   R10, R10
-	ADDQ      R10, BX
-	VPADDD    X11, X12, X12
-	ADDQ      $4, AX
-	CMPQ      AX, CX
-	JLT       nzLoop
-	MOVQ   BX, count+96(FP)
-	VPTEST Y13, Y13
-	SETEQ  finite+104(FP)
-	VZEROUPPER
-	RET

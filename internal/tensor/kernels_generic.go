@@ -36,5 +36,3 @@ func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows 
 func transposeVec(dst, src []float64, rows, cols int) (r4, c4 int, finite bool) { return 0, 0, true }
 
 func finiteVec(v []float64) (int, bool) { return 0, true }
-
-func nonzerosVec(idx []int32, val, x []float64) (done, count int, finite bool) { return 0, 0, true }

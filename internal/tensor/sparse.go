@@ -75,24 +75,6 @@ func sparseRows(c, m []float64, n int, ptr, idx []int32, val []float64, store bo
 	}
 }
 
-// Nonzeros writes the column and the value of every nonzero element of
-// x, in increasing column order, to the front of idx and val, which
-// hold at least len(x) elements each, and returns how many there are and
-// whether x is finite. Either zero is a zero; NaN is not.
-func Nonzeros(idx []int32, val, x []float64) (n int, finite bool) {
-	done, n, finite := nonzerosVec(idx, val, x)
-	bad := uint64(0)
-	idx, val = idx[:len(x)], val[:len(x)]
-	for t := done; t < len(x); t++ {
-		v := x[t]
-		idx[n], val[n] = int32(t), v
-		b := math.Float64bits(v) << 1 // the sign shifted out
-		bad |= (b>>53 + 1) >> 11      // 1 when the exponent is all ones
-		n += int((b | -b) >> 63)      // 1 when v is not ±0
-	}
-	return n, finite && bad == 0
-}
-
 // Transpose writes the rows×cols matrix src into dst as its cols×rows
 // transpose, dst[j·rows+i] = src[i·cols+j], and reports whether every
 // element it moved is finite (no ±Inf, no NaN). dst and src must not

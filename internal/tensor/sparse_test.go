@@ -241,41 +241,6 @@ func TestSparseRowsPanicsOutsideOperands(t *testing.T) {
 	}
 }
 
-// TestNonzeros holds both tiers of Nonzeros to the plain loop, on rows
-// whose x, idx and val end against an inaccessible page (so a store one
-// element past len(x) faults), at every density and with every special
-// value.
-func TestNonzeros(t *testing.T) {
-	rng := NewRNG(37)
-	xs, vals, idxs := guardedArena(t, 700), guardedArena(t, 700), guardedArena(t, 350)
-	for _, n := range append(elementwiseLens, 600) {
-		for _, density := range sparseDensities {
-			for _, plant := range []byte{0, plantZero, plantAll, plantNaN, plantInf} {
-				x := Vector(xs(n))
-				copy(x, sparseOperand(rng, n, density, false, plant))
-				wantPtr, wantIdx, wantVal := rowIndex(x, 1, n)
-				check := func() {
-					val := vals(n)
-					idx := Int32s(idxs((n + 1) / 2))[n%2:]
-					got, finite := Nonzeros(idx, val, x)
-					if finite != allFinite(x) || got != int(wantPtr[1]) {
-						t.Fatalf("Nonzeros n=%d density %.2f plant %#x on the %s tier: %d nonzeros, finite=%v; want %d, %v",
-							n, density, plant, Kernels(), got, finite, wantPtr[1], allFinite(x))
-					}
-					for i := range wantIdx {
-						if idx[i] != wantIdx[i] || !sameBits(val[i], wantVal[i]) {
-							t.Fatalf("Nonzeros n=%d on the %s tier: entry %d = (%d, %v), want (%d, %v)",
-								n, Kernels(), i, idx[i], val[i], wantIdx[i], wantVal[i])
-						}
-					}
-				}
-				check()
-				onGoTier(check)
-			}
-		}
-	}
-}
-
 func TestFinite(t *testing.T) {
 	rng := NewRNG(31)
 	ar := guardedArena(t, 128)
@@ -309,7 +274,6 @@ func BenchmarkSparseRows(b *testing.B) {
 	wT, g := NewVector(n*k), NewVector(n*k)
 	Transpose(wT, w, n, k)
 	rp, ri, rv := rowIndex(x, rows, k)
-	idx, val := make([]int32, k), NewVector(k)
 	cp, ci, cv := rowIndex(naiveTranspose(x, rows, k), k, rows)
 	cases := []struct {
 		name string
@@ -322,11 +286,6 @@ func BenchmarkSparseRows(b *testing.B) {
 		{"Transpose", func() { Transpose(wT, w, n, k) }},
 		{"TransposeBack", func() { Transpose(w, wT, k, n) }},
 		{"Finite", func() { Finite(wT) }},
-		{"Nonzeros", func() {
-			for r := 0; r < rows; r++ {
-				Nonzeros(idx, val, x[r*k:(r+1)*k])
-			}
-		}},
 	}
 	for _, bc := range cases {
 		b.Run(bc.name+"/go", func(b *testing.B) {

@@ -99,11 +99,11 @@ go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s ./internal/mia
 # whenever the preconditions hold, on shapes, densities and special
 # values no seed lists.
 go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s ./internal/tensor
-# The first layer indexes a batch from its rows' nonzero lists
-# (data.Dataset.NZ) when they have them: a short real fuzzing run holds
-# that path to the per-call index, its decision and its entries, and
-# RunEpochs and ScoreChunks to the bit, on densities, special values and
-# lists absent, empty, plain or with their ones marked.
+# The first layer indexes a batch from its rows' lists of ones
+# (data.Dataset.NZ): a short real fuzzing run, on binary rows of every
+# density with all-zero rows and rows over the limit among them, holds
+# its decision and its entries to each row's ones, and RunEpochsNZ and
+# ScoreChunks to the dense path bit for bit.
 go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s ./internal/nn
 # Figure 7's rank correlation: a short real fuzzing run holds
 # stats.Spearman to brute-force average ranks on inputs full of ties,

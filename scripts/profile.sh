@@ -88,16 +88,15 @@ go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
 # The Purchase100-like arms' first layer: the GEMMs its dense form ran
 # (gemmNT forward; gemmTN and gemmTNStore, the weight gradient) and the
 # sparse form's kernels (the products, the transposes of W0 and its
-# velocity, the finiteness check, and the column index in Go), the
-# batch's row index — copied from the rows' nonzero lists (copyList;
-# pprof may mark it inline), with the per-call scan (nonzerosAVX2) left
-# to listing the rows once per arm — and memmove beside them. The GEMMs
-# keep a share for the deeper layers; a layer-0 share climbing back
-# means the sparse path stopped being taken, and nonzerosAVX2 climbing
-# back means the batches stopped getting their rows' lists.
+# velocity, the finiteness check, and the column index in Go), the cost
+# of the rows' lists of ones — written as the generator writes the rows
+# (BasketGenerator.Sample) and copied into each batch's row index
+# (sparseL0.index; pprof may mark it inline) — and memmove beside them.
+# The GEMMs keep a share for the deeper layers; a layer-0 share
+# climbing back means the sparse path stopped being taken.
 echo "Purchase100-like arms, flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/purchase100_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|nonzeros|finite)AVX2$|nn\.copyList( \(inline\))?$|sparseL0\)\.columns$|runtime\.memmove$' || true
+    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|finite)AVX2$|data\.\(\*BasketGenerator\)\.Sample$|sparseL0\)\.(index|columns)( \(inline\))?$|runtime\.memmove$' || true
 echo "heavy arm, cumulative share of the softmax:"
 go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
     grep -E 'nn\.softmaxRows$' || true
