@@ -197,23 +197,28 @@ func benchModel(b *testing.B) (*nn.MLP, tensor.Vector) {
 	return model, x
 }
 
+// BenchmarkMLPForward is one row's scoring pass: a one-row ScoreChunks.
 func BenchmarkMLPForward(b *testing.B) {
 	model, x := benchModel(b)
+	xs := []tensor.Vector{x}
+	score := func(int, tensor.Vector) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.Predict(x); err != nil {
+		if err := model.ScoreChunks(xs, nil, score); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkMLPExampleGrad is one example's gradient as DP-SGD takes it:
+// a one-row BatchGrad.
 func BenchmarkMLPExampleGrad(b *testing.B) {
 	model, x := benchModel(b)
+	xs, ys := []tensor.Vector{x}, []int{3}
 	grad := tensor.NewVector(model.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		grad.Zero()
-		if _, err := model.ExampleGrad(x, 3, grad); err != nil {
+		if _, err := model.BatchGrad(xs, ys, grad); err != nil {
 			b.Fatal(err)
 		}
 	}

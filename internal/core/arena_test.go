@@ -362,7 +362,7 @@ func TestKeepFinalModelsSurviveLaterArms(t *testing.T) {
 		if !reflect.DeepEqual(snap.Data.Train, before[i].train) || !reflect.DeepEqual(snap.Data.Test, before[i].test) {
 			t.Fatalf("node %d: snapshot data changed after later arms ran", i)
 		}
-		if _, err := snap.Model.Probs(snap.Data.Test.X[0]); err != nil {
+		if err := snap.Model.ScoreChunks(snap.Data.Test.X[:1], nil, func(int, tensor.Vector) {}); err != nil {
 			t.Fatalf("node %d: snapshot model unusable: %v", i, err)
 		}
 	}

@@ -428,7 +428,8 @@ func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (goss
 // evalNode measures one eval slot: global test accuracy, the MPE
 // attack (on the slot's scratch), and generalization error from the
 // accuracies the attack's own passes counted, written into the slot's
-// indexed result cells. One ScoreBatch pass per split.
+// indexed result cells. One chunked scoring pass (nn.ScoreChunks) over
+// the global test set for accuracy, and one per split for the attack.
 func (s *Study) evalNode(i int, evalIDs []int, nodes []*gossip.Node,
 	globalTest *data.Dataset, es *evalScratch) error {
 	id := evalIDs[i]

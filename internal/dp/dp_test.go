@@ -220,9 +220,7 @@ func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	if _, err := ref.BatchGrad(train.X, train.Y, grad); err != nil {
 		t.Fatal(err)
 	}
-	if err := grad.Axpy(0, grad); err != nil { // no-op, keep grad as mean
-		t.Fatal(err)
-	}
+	grad.Scale(1 / float64(train.Len())) // the mean gradient
 	refParams := ref.ParamsCopy()
 	if err := refParams.Axpy(-0.05, grad); err != nil {
 		t.Fatal(err)
@@ -323,15 +321,12 @@ func TestUpdaterEmptyDataset(t *testing.T) {
 	}
 }
 
+// meanLoss is BatchGrad's summed loss over ds, divided.
 func meanLoss(t *testing.T, m *nn.MLP, ds *data.Dataset) float64 {
 	t.Helper()
-	var s float64
-	for i, x := range ds.X {
-		l, err := m.Loss(x, ds.Y[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		s += l
+	loss, err := m.BatchGrad(ds.X, ds.Y, tensor.NewVector(m.NumParams()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s / float64(ds.Len())
+	return loss / float64(ds.Len())
 }

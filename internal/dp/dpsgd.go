@@ -44,7 +44,7 @@ type Updater struct {
 	cfg   SGDConfig
 	steps int
 
-	exGrad  tensor.Vector // per-example gradient scratch
+	exGrad  tensor.Vector // one example's gradient, written whole by BatchGrad
 	sumGrad tensor.Vector // clipped-sum scratch
 	order   []int         // shuffle scratch
 }
@@ -95,8 +95,7 @@ func (u *Updater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) er
 			}
 			u.sumGrad.Zero()
 			for _, idx := range order[start:end] {
-				u.exGrad.Zero()
-				if _, err := model.ExampleGrad(train.X[idx], train.Y[idx], u.exGrad); err != nil {
+				if _, err := model.BatchGrad(train.X[idx:idx+1], train.Y[idx:idx+1], u.exGrad); err != nil {
 					return fmt.Errorf("dp: example gradient: %w", err)
 				}
 				u.exGrad.ClipNorm(u.cfg.Clip)

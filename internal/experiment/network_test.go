@@ -52,34 +52,47 @@ func TestInstantFigureMatchesSeedGolden(t *testing.T) {
 	}
 }
 
-// TestLatencyFigureMatchesGolden pins the Latency transport path the
-// same way the Instant golden pins the zero-delay path: Figure 2 at
-// tiny scale under a latency overlay (mean 20 ticks, 30% jitter) must
-// stay byte-identical across refactors — summary table and every
-// per-round series value.
-func TestLatencyFigureMatchesGolden(t *testing.T) {
+// TestFigureMatchesGolden pins one figure per row at tiny scale, byte
+// for byte — summary table and every per-round series value — across
+// refactors: Figure 2 under a latency overlay (mean 20 ticks, 30%
+// jitter), the Latency transport path beside the Instant golden's
+// zero-delay one, and Figure 9, whose DP-SGD arms clip and noise every
+// example's gradient.
+func TestFigureMatchesGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 8 simulations")
+		t.Skip("runs simulations")
 	}
-	fig, err := runOverlaid("2", TinyScale(), &spec.Net{Transport: "latency", LatencyMean: 20, LatencyJitter: 6}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := figureDump(fig)
-	const path = "testdata/figure2_tiny_latency.golden"
-	if *updateGolden {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("regenerated %s", path)
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("latency Figure 2 output diverged from the golden\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	for _, row := range []struct {
+		name string
+		run  func() (*FigureResult, error)
+	}{
+		{"figure2_tiny_latency", func() (*FigureResult, error) {
+			return runOverlaid("2", TinyScale(), &spec.Net{Transport: "latency", LatencyMean: 20, LatencyJitter: 6}, 0)
+		}},
+		{"figure9_tiny", func() (*FigureResult, error) { return runEntry("9", TinyScale()) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fig, err := row.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := figureDump(fig)
+			path := "testdata/" + row.name + ".golden"
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("regenerated %s", path)
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s diverged from the golden\n--- got ---\n%s\n--- want ---\n%s", row.name, got, want)
+			}
+		})
 	}
 }
 

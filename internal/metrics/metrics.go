@@ -16,7 +16,7 @@ import (
 
 // Accuracy returns top-1 accuracy of model on ds (Equation 5). The
 // sweep runs through the model's chunked scoring path — blocked GEMM
-// forward passes that are bit-identical to per-example Predict calls —
+// forward passes whose rows' logits do not depend on the chunk —
 // and takes each chunk's argmax in one tensor.ArgMaxRows pass, the same
 // argmax the attack's scoring pass takes, so the result is unchanged and
 // the evaluation loop allocates nothing at steady state.

@@ -20,9 +20,10 @@ func sameScore(x, y float64) bool {
 }
 
 // TestChunkPassMatchesPerRow holds the chunked scoring pass — one
-// softmax, argmax and (for MPE) log pass per chunk — to the per-row
-// path it replaced: ProbsInto, MethodScore and Logits(x).ArgMax()
-// example by example. Every method's scores match bit for bit, and the
+// softmax, argmax and (for MPE) log pass per chunk — to a per-row
+// path: a one-row ScoreChunks pass (dense, without lists), the one-row
+// nn.SoftmaxRows, MethodScore and the logits' ArgMax, example by
+// example. Every method's scores match bit for bit, and the
 // hits the pass counts match the per-row argmax and metrics.Accuracy,
 // on 1, 63, 64, 65 and 150 dense rows and on binary rows with their
 // lists, which the sparse first layer takes in chunks of 16. Classes 1
@@ -70,13 +71,18 @@ func TestChunkPassMatchesPerRow(t *testing.T) {
 				ds.X[i], ds.Y[i] = x, rng.Intn(classes)
 			}
 
-			probs := tensor.NewVector(classes)
-			wantHits, ties, nans := 0, 0, 0
+			rowLogits := make([]tensor.Vector, n)
 			for i, x := range ds.X {
-				logits, err := model.Logits(x, nil)
+				err := model.ScoreChunks([]tensor.Vector{x}, nil, func(_ int, logits tensor.Vector) {
+					rowLogits[i] = logits.Clone()
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
+			}
+			probs := tensor.NewVector(classes)
+			wantHits, ties, nans := 0, 0, 0
+			for i, logits := range rowLogits {
 				top := logits.ArgMax()
 				if top == ds.Y[i] {
 					wantHits++
@@ -100,10 +106,9 @@ func TestChunkPassMatchesPerRow(t *testing.T) {
 				if len(got) != n || hits != wantHits {
 					t.Fatalf("%s n=%d %s: %d scores and %d hits, want %d and %d", tc.name, n, m, len(got), hits, n, wantHits)
 				}
-				for i, x := range ds.X {
-					if err := model.ProbsInto(x, probs); err != nil {
-						t.Fatal(err)
-					}
+				for i, logits := range rowLogits {
+					var top [1]int
+					nn.SoftmaxRows(logits, probs, classes, top[:])
 					want, err := MethodScore(m, probs, ds.Y[i])
 					if err != nil {
 						t.Fatal(err)

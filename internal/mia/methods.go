@@ -79,8 +79,9 @@ func MethodScore(m Method, p tensor.Vector, y int) (float64, error) {
 }
 
 // ScoresWith returns the method-m score of every example in ds. The
-// sweep runs through the model's batched scoring path (bit-identical to
-// per-example forward passes), reusing one probability buffer.
+// sweep runs through the model's chunked scoring path (nn.ScoreChunks,
+// whose rows' logits do not depend on the chunk), one softmax per chunk
+// into one reused probability buffer.
 func ScoresWith(m Method, model *nn.MLP, ds *data.Dataset) ([]float64, error) {
 	if ds.Len() == 0 {
 		return nil, data.ErrEmpty

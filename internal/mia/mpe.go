@@ -67,9 +67,14 @@ func Scores(model *nn.MLP, ds *data.Dataset) ([]float64, error) {
 }
 
 // TPRAtFPR returns the true-positive rate of the score-thresholded attack
-// at the largest threshold whose false-positive rate does not exceed
-// maxFPR (Equation 7 uses maxFPR = 0.01). Members are positives and are
-// predicted when score ≤ τ. A NaN score is ErrNaNScore.
+// at a false-positive rate of at most maxFPR (Equation 7 uses 0.01).
+// Members are positives and are predicted when score ≤ τ, and τ is the
+// allowed-th smallest non-member score, allowed = ⌊maxFPR·len(nonMember)⌋
+// — not the largest threshold within the budget: a member scoring
+// between it and the next non-member score is not caught. Where that
+// score ties the next one, or no false positive is allowed, τ sits just
+// below it instead, so the FPR stays ≤ maxFPR; where every non-member
+// is allowed, τ is +Inf. A NaN score is ErrNaNScore.
 func TPRAtFPR(member, nonMember []float64, maxFPR float64) (float64, error) {
 	var s Scratch
 	if err := s.sortScores(member, nonMember); err != nil {

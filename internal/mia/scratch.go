@@ -64,8 +64,8 @@ func (s *Scratch) AttackNodeWith(m Method, model *nn.MLP, nd data.NodeData) (Res
 }
 
 // scoresInto appends the method-m score of every example in ds to dst,
-// sweeping the model through its chunked scoring path (bit-identical to
-// the per-example forward). Each chunk's softmax runs over the chunk at
+// sweeping the model through its chunked scoring path (each row's bits
+// those of a one-row pass). Each chunk's softmax runs over the chunk at
 // once, and the same pass takes each row's argmax and counts the
 // examples the model classifies correctly (hits), so an evaluation that
 // wants both the attack and top-1 accuracy forward-passes the split

@@ -10,11 +10,12 @@ import (
 // TestBatchGradBitIdenticalToExampleLoop pins the contract the parallel
 // engine and the determinism guarantees rest on: the blocked
 // matrix-matrix BatchGrad accumulates every gradient element in the same
-// per-example order as looping ExampleGrad, so the two paths agree to
-// the last bit for any batch size (including sizes that straddle the
-// 4-wide kernel blocking). The 10- and 100-class models also hold the
+// per-example order as looping the scalar reference refExampleGrad, so
+// the two sums agree to the last bit for any batch size (including
+// sizes that straddle the 4-wide kernel blocking, and the one row
+// DP-SGD takes per example). The 10- and 100-class models also hold the
 // block softmax, one exp pass over every row of the batch, to the
-// one-row Softmax: their output bias puts a −Inf logit first and one
+// one-row softmax: their output bias puts a −Inf logit first and one
 // near −800 last in every row, so with 10 classes the four-lane group
 // that spans the end of one row and the start of the next goes back to
 // math.Exp.
@@ -45,6 +46,7 @@ func TestBatchGradBitIdenticalToExampleLoop(t *testing.T) {
 				ys[i] = rng.Intn(tc.classes)
 			}
 			batchGrad := tensor.NewVector(model.NumParams())
+			batchGrad.Fill(math.NaN()) // BatchGrad writes every element
 			batchLoss, err := model.BatchGrad(xs, ys, batchGrad)
 			if err != nil {
 				t.Fatal(err)
@@ -53,15 +55,8 @@ func TestBatchGradBitIdenticalToExampleLoop(t *testing.T) {
 			loopGrad := tensor.NewVector(model.NumParams())
 			var loopLoss float64
 			for i := range xs {
-				l, err := model.ExampleGrad(xs[i], ys[i], loopGrad)
-				if err != nil {
-					t.Fatal(err)
-				}
-				loopLoss += l
+				loopLoss += refExampleGrad(model, xs[i], ys[i], loopGrad)
 			}
-			inv := 1 / float64(batch)
-			loopGrad.Scale(inv)
-			loopLoss *= inv
 
 			for i := range batchGrad {
 				if math.Float64bits(batchGrad[i]) != math.Float64bits(loopGrad[i]) {
@@ -77,9 +72,10 @@ func TestBatchGradBitIdenticalToExampleLoop(t *testing.T) {
 }
 
 // TestRunEpochsLossIsFinalEpochMean holds the loss RunEpochs returns,
-// which only its final epoch computes, to the mean of BatchGrad's losses
-// over that epoch in a reference loop of BatchGrad and SGD.Step, and the
-// parameters RunEpochs leaves to the loop's, bit for bit.
+// which only its final epoch computes, to the mean of the batches' mean
+// losses over that epoch in a reference loop of BatchGrad, a division
+// by the batch size and SGD.Step, and the parameters RunEpochs leaves to
+// the loop's, bit for bit.
 func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
 	const n, batch, epochs = 37, 8, 3
 	model := mustMLP(t, []int{13, 9, 10}, 3)
@@ -114,10 +110,12 @@ func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			inv := 1 / float64(len(bx))
+			grad.Scale(inv)
 			if err := opt.Step(ref.Params(), grad); err != nil {
 				t.Fatal(err)
 			}
-			sum += loss
+			sum += loss * inv
 			batches++
 		}
 		want = sum / float64(batches)
@@ -129,37 +127,12 @@ func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Float64bits(got) != math.Float64bits(want) || got <= 0 {
-		t.Fatalf("RunEpochs returned loss %v, the final epoch's mean of BatchGrad losses is %v", got, want)
+		t.Fatalf("RunEpochs returned loss %v, the final epoch's mean of batch mean losses is %v", got, want)
 	}
 	for i, p := range ref.Params() {
 		if math.Float64bits(model.Params()[i]) != math.Float64bits(p) {
 			t.Fatalf("parameter %d: RunEpochs leaves %v, the reference loop %v", i, model.Params()[i], p)
 		}
-	}
-}
-
-// TestProbsIntoMatchesProbs checks the allocation-free scoring kernel.
-func TestProbsIntoMatchesProbs(t *testing.T) {
-	rng := tensor.NewRNG(9)
-	model, err := NewMLP([]int{8, 6, 3}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.NewVector(8)
-	rng.FillNormal(x, 0, 1)
-	want, err := model.Probs(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tensor.NewVector(3)
-	if err := model.ProbsInto(x, got); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.EqualApprox(got, want, 0) {
-		t.Fatal("ProbsInto differs from Probs")
-	}
-	if err := model.ProbsInto(x, tensor.NewVector(2)); err == nil {
-		t.Fatal("expected shape error for wrong out length")
 	}
 }
 
@@ -205,9 +178,10 @@ func (o *threePassTrainer) batchGrad(xs []tensor.Vector, ys []int) float64 {
 	}
 	classes := m.sizes[layers]
 	var loss float64
+	var top [1]int
 	for r := 0; r < B; r++ {
 		row := m.delta(batch, layers-1, B)[r*classes : (r+1)*classes]
-		Softmax(m.act(batch, layers, B)[r*classes:(r+1)*classes], row)
+		SoftmaxRows(m.act(batch, layers, B)[r*classes:(r+1)*classes], row, classes, top[:])
 		loss += crossEntropyFromProbs(row, ys[r])
 		row[ys[r]] -= 1
 	}

@@ -8,9 +8,11 @@
 // gossip aggregation rules (pairwise average in Base Gossip, |Θ|-way
 // average in SAMO) a one-line vector operation.
 //
-// A model instance is not safe for concurrent use: forward/backward passes
-// reuse internal scratch buffers. The simulator is single-threaded per
-// node, and experiment arms clone models per goroutine.
+// Every forward and backward pass is batched: BatchGrad and the trainer
+// run the blocked GEMM kernels over a minibatch (one row for DP-SGD's
+// per-example gradients), and ScoreChunks runs the forward pass over
+// chunks of a scoring sweep. A model instance is not safe for concurrent
+// use; experiment arms clone models per goroutine.
 package nn
 
 import (
@@ -25,17 +27,11 @@ import (
 var ErrArchitecture = errors.New("nn: invalid architecture")
 
 // MLP is a fully-connected network with ReLU hidden activations and a
-// linear output layer (softmax is applied by the loss / Probs).
+// linear output layer (softmax is applied by the loss and the scoring
+// callers, SoftmaxRows).
 type MLP struct {
 	*layout               // immutable, shared with every clone
 	params  tensor.Vector // flat parameters: per layer W (out*in) then b (out)
-
-	// ex is the per-example scratch, sized on the first per-example
-	// call (the batched paths borrow theirs from the pool): the
-	// activation of every layer, the input copy first, then the
-	// back-propagated error of every layer's output, then the softmax
-	// row. See example.
-	ex []tensor.Vector
 
 	// arena supplies the model's and its clones' parameters and scratch
 	// (nil = the heap); pool, shared with every clone, lends the batch
@@ -103,25 +99,6 @@ func NewMLPIn(sizes []int, rng *tensor.RNG, a *tensor.Arena) (*MLP, error) {
 	return m, nil
 }
 
-// example returns the per-example scratch, from the model's arena on
-// first use: acts[0] is the input copy and acts[l] the activation of
-// layer l, deltas[l] the back-propagated error of layer l's output, and
-// probs the softmax row.
-func (m *MLP) example() (acts, deltas []tensor.Vector, probs tensor.Vector) {
-	layers := len(m.sizes) - 1
-	if m.ex == nil {
-		m.ex = m.arena.Vectors(2*layers + 2)
-		for i, s := range m.sizes {
-			m.ex[i] = m.arena.Vector(s)
-			if i > 0 {
-				m.ex[layers+i] = m.arena.Vector(s)
-			}
-		}
-		m.ex[2*layers+1] = m.arena.Vector(m.sizes[layers])
-	}
-	return m.ex[:layers+1], m.ex[layers+1 : 2*layers+1], m.ex[2*layers+1]
-}
-
 // weight returns the live slice holding layer l's weight matrix
 // (row-major, out x in).
 func (m *MLP) weight(l int) tensor.Vector {
@@ -161,9 +138,9 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 }
 
 // Clone returns a model with the same architecture and a deep copy of the
-// parameters, with its own per-example scratch once it needs one (safe
-// to use from another goroutine than the original). The layer tables
-// are immutable and shared; the arena and the pool carry over.
+// parameters (safe to use from another goroutine than the original). The
+// layer tables are immutable and shared; the arena and the pool carry
+// over.
 func (m *MLP) Clone() *MLP {
 	out := new(MLP)
 	m.CloneInto(out)
@@ -190,102 +167,6 @@ func (m *MLP) Arena() *tensor.Arena { return m.arena }
 // message buffers through it too, so one arm has one.
 func (m *MLP) Pool() *tensor.VecPool { return m.pool }
 
-// forward runs the network on x and returns the per-example
-// activations it filled. The final activation is the logits (no
-// softmax).
-func (m *MLP) forward(x tensor.Vector) ([]tensor.Vector, error) {
-	if len(x) != m.sizes[0] {
-		return nil, fmt.Errorf("input dim %d, model expects %d: %w", len(x), m.sizes[0], tensor.ErrShape)
-	}
-	acts, _, _ := m.example()
-	copy(acts[0], x)
-	layers := len(m.sizes) - 1
-	for l := 0; l < layers; l++ {
-		in, out := m.sizes[l], m.sizes[l+1]
-		w, b := m.weight(l), m.bias(l)
-		src, dst := acts[l], acts[l+1]
-		for o := 0; o < out; o++ {
-			row := w[o*in : (o+1)*in]
-			s := b[o]
-			for j, wj := range row {
-				s += wj * src[j]
-			}
-			if l < layers-1 && s < 0 {
-				s = 0 // ReLU on hidden layers
-			}
-			dst[o] = s
-		}
-	}
-	return acts, nil
-}
-
-// Logits computes the pre-softmax outputs for x into out (allocated when
-// nil).
-func (m *MLP) Logits(x, out tensor.Vector) (tensor.Vector, error) {
-	acts, err := m.forward(x)
-	if err != nil {
-		return nil, err
-	}
-	last := acts[len(acts)-1]
-	if out == nil {
-		out = tensor.NewVector(len(last))
-	} else if len(out) != len(last) {
-		return nil, fmt.Errorf("logits out %d != %d: %w", len(out), len(last), tensor.ErrShape)
-	}
-	copy(out, last)
-	return out, nil
-}
-
-// Probs returns the softmax class distribution for x. The returned slice
-// is freshly allocated and safe to retain; hot loops should prefer
-// ProbsInto with a reused buffer.
-func (m *MLP) Probs(x tensor.Vector) (tensor.Vector, error) {
-	out := tensor.NewVector(m.Classes())
-	if err := m.ProbsInto(x, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ProbsInto writes the softmax class distribution for x into out, which
-// must have length Classes. It performs no allocation, making it the
-// kernel of choice for per-example scoring loops (MIA attacks, accuracy
-// sweeps).
-func (m *MLP) ProbsInto(x, out tensor.Vector) error {
-	if len(out) != m.Classes() {
-		return fmt.Errorf("probs out %d != %d: %w", len(out), m.Classes(), tensor.ErrShape)
-	}
-	acts, err := m.forward(x)
-	if err != nil {
-		return err
-	}
-	Softmax(acts[len(acts)-1], out)
-	return nil
-}
-
-// Predict returns the arg-max class for x.
-func (m *MLP) Predict(x tensor.Vector) (int, error) {
-	acts, err := m.forward(x)
-	if err != nil {
-		return 0, err
-	}
-	return acts[len(acts)-1].ArgMax(), nil
-}
-
-// Loss returns the cross-entropy loss of the model on (x, y).
-func (m *MLP) Loss(x tensor.Vector, y int) (float64, error) {
-	if err := m.checkLabel(y); err != nil {
-		return 0, err
-	}
-	acts, err := m.forward(x)
-	if err != nil {
-		return 0, err
-	}
-	_, _, probs := m.example()
-	Softmax(acts[len(acts)-1], probs)
-	return crossEntropyFromProbs(probs, y), nil
-}
-
 func (m *MLP) checkLabel(y int) error {
 	if y < 0 || y >= m.Classes() {
 		return fmt.Errorf("label %d out of range [0,%d): %w", y, m.Classes(), ErrArchitecture)
@@ -293,99 +174,25 @@ func (m *MLP) checkLabel(y int) error {
 	return nil
 }
 
-// ExampleGrad computes the cross-entropy loss on a single example and
-// accumulates (adds) its parameter gradient into grad, which must have
-// length NumParams. It returns the example loss.
-//
-// Accumulation (rather than overwrite) lets minibatch and DP-SGD callers
-// choose their own normalization.
-func (m *MLP) ExampleGrad(x tensor.Vector, y int, grad tensor.Vector) (float64, error) {
-	if len(grad) != len(m.params) {
-		return 0, fmt.Errorf("grad len %d != %d: %w", len(grad), len(m.params), tensor.ErrShape)
-	}
-	if err := m.checkLabel(y); err != nil {
-		return 0, err
-	}
-	acts, err := m.forward(x)
-	if err != nil {
-		return 0, err
-	}
-	_, deltas, probs := m.example()
-	layers := len(m.sizes) - 1
-	Softmax(acts[layers], probs)
-	loss := crossEntropyFromProbs(probs, y)
-
-	// Output delta: softmax-CE gradient p - onehot(y).
-	dOut := deltas[layers-1]
-	copy(dOut, probs)
-	dOut[y] -= 1
-
-	for l := layers - 1; l >= 0; l-- {
-		in, out := m.sizes[l], m.sizes[l+1]
-		w := m.weight(l)
-		gw := grad[m.wOff[l] : m.wOff[l]+in*out]
-		gb := grad[m.bOff[l] : m.bOff[l]+out]
-		delta := deltas[l]
-		src := acts[l]
-		for o := 0; o < out; o++ {
-			d := delta[o]
-			if d != 0 {
-				row := gw[o*in : (o+1)*in]
-				for j := range row {
-					row[j] += d * src[j]
-				}
-			}
-			gb[o] += d
-		}
-		if l == 0 {
-			break
-		}
-		// Back-propagate through W and the ReLU of layer l-1.
-		prev := deltas[l-1]
-		prev.Zero()
-		for o := 0; o < out; o++ {
-			d := delta[o]
-			if d == 0 {
-				continue
-			}
-			row := w[o*in : (o+1)*in]
-			for j := range row {
-				prev[j] += d * row[j]
-			}
-		}
-		hidden := acts[l]
-		for j := range prev {
-			if hidden[j] <= 0 {
-				prev[j] = 0
-			}
-		}
-	}
-	return loss, nil
-}
-
-// BatchGrad computes the mean loss and mean gradient over the given
-// examples, writing the gradient over whatever grad held. xs and ys must
-// have equal non-zero length.
+// BatchGrad computes the summed loss and summed gradient over the given
+// examples, writing the gradient over whatever grad held — every
+// element once, none read first. xs and ys must have equal non-zero
+// length. Callers that want the mean divide; DP-SGD calls it one row at
+// a time for each example's gradient, which it clips.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
 // (tensor.GemmNT/GemmTNStore/GemmNN; the rows come without lists, so
 // the first layer runs dense, sparse.go) over batch-major activation
-// and delta matrices instead of len(xs) independent per-example
-// passes. Each gradient element still accumulates its per-example terms
-// in increasing example order from +0, so the result is bit-identical
-// to looping ExampleGrad over a zeroed vector — only faster, because
-// weight and gradient rows are walked once per four examples instead of
-// once per example.
+// and delta matrices. Each gradient element accumulates its per-example
+// terms in increasing example order from +0, so the result is
+// bit-identical to summing one-row calls example by example — only
+// faster, because weight and gradient rows are walked once per four
+// examples instead of once per example.
 func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
 	loss, err := m.batchGradSum(xs, rowLists{}, ys, grad, batch, true, &sparseL0{off: true})
 	m.pool.Put(batch)
-	if err != nil {
-		return 0, err
-	}
-	inv := 1 / float64(len(xs))
-	grad.Scale(inv)
-	return loss * inv, nil
+	return loss, err
 }
 
 // Batch scratch is one call's batch-major matrices of B rows, back to
@@ -418,12 +225,12 @@ func (m *MLP) delta(batch tensor.Vector, l, B int) tensor.Vector {
 	return batch[off : off+B*m.sizes[l+1]]
 }
 
-// batchGradSum is BatchGrad before the division by len(xs): it writes the
-// sum of the example gradients into grad — every element once, none read
-// first — and returns the sum of their losses, or 0 without withLoss.
-// batch is scratch of at least batchFloats(len(xs), true). The trainer
-// folds the division into its optimizer step (SGD.step) instead of
-// paying a pass over the gradient for it. When sp takes the rows (with
+// batchGradSum is BatchGrad on the caller's scratch and first layer: it
+// writes the sum of the example gradients into grad — every element
+// once, none read first — and returns the sum of their losses, or 0
+// without withLoss. batch is scratch of at least batchFloats(len(xs),
+// true). The trainer folds the division by len(xs) into its optimizer
+// step (SGD.step). When sp takes the rows (with
 // their lists), layer 0 runs sparse and, if sp is still on at
 // the return, grad's layer-0 block holds dW0ᵀ (in×out) rather than dW0.
 func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, batch tensor.Vector, withLoss bool, sp *sparseL0) (float64, error) {
@@ -500,9 +307,10 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, b
 // batchForward runs the blocked forward pass A_{l+1} = relu(A_l·W_lᵀ +
 // b_l) over the B examples in xs, filling the activations of batch.
 // Callers must have validated input dimensions. Each logit accumulates
-// its terms in increasing input-index order — the same chained sum as
-// the per-example forward — so the rows are bit-identical to calling
-// forward example by example. With sp (nil = dense), which has indexed
+// its terms in increasing input-index order from the bias — a plain
+// chained dot product per row — so a row's logits do not depend on the
+// other rows of the batch (the package's tests hold them to a scalar
+// reference forward pass). With sp (nil = dense), which has indexed
 // xs, layer 0 runs over the nonzeros, and the input copy is left out.
 func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector, sp *sparseL0) {
 	B := len(xs)
@@ -555,10 +363,10 @@ const (
 // one rows × Classes() block, rows ≤ ScoreChunkRows. The block aliases
 // scratch borrowed for the call and is only valid during the callback.
 //
-// The logits are bit-identical to the per-example forward pass
-// (Predict, ProbsInto), so scoring sweeps — accuracy, MIA attacks —
-// can batch without changing a single result bit, and can run their
-// softmax, argmax and logs over the chunk at once. Steady-state calls
+// A row's logits do not depend on the chunk it rides in, so scoring
+// sweeps — accuracy, MIA attacks — can batch without changing a single
+// result bit, and can run their softmax, argmax and logs over the chunk
+// at once. Steady-state calls
 // perform no allocation: the scratch goes back to the pool. Listed
 // rows take the sparse first layer, W0 transposed once per call.
 func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int, logits tensor.Vector)) error {
@@ -609,13 +417,6 @@ func (m *MLP) ScoreBatch(xs []tensor.Vector, score func(i int, logits tensor.Vec
 			score(start+r, logits[r*classes:(r+1)*classes])
 		}
 	})
-}
-
-// Softmax writes the softmax of logits into out (same length), using the
-// max-subtraction trick for numerical stability.
-func Softmax(logits, out tensor.Vector) {
-	var top [1]int
-	SoftmaxRows(logits, out, len(logits), top[:])
 }
 
 // softmaxRows is SoftmaxRows over any number of rows, in pieces of

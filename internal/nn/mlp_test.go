@@ -38,9 +38,7 @@ func TestNewMLPValidation(t *testing.T) {
 }
 
 func TestSoftmaxProperties(t *testing.T) {
-	logits := tensor.Vector{1, 2, 3}
-	out := tensor.NewVector(3)
-	Softmax(logits, out)
+	out := softmaxRow(tensor.Vector{1, 2, 3})
 	if math.Abs(out.Sum()-1) > 1e-12 {
 		t.Fatalf("softmax sum = %v", out.Sum())
 	}
@@ -48,16 +46,15 @@ func TestSoftmaxProperties(t *testing.T) {
 		t.Fatalf("softmax not monotone: %v", out)
 	}
 	// Shift invariance.
-	shifted := tensor.Vector{1001, 1002, 1003}
-	out2 := tensor.NewVector(3)
-	Softmax(shifted, out2)
+	out2 := softmaxRow(tensor.Vector{1001, 1002, 1003})
 	if !tensor.EqualApprox(out, out2, 1e-12) {
 		t.Fatalf("softmax not shift invariant: %v vs %v", out, out2)
 	}
 }
 
-// TestSoftmaxMatchesMathExpLoop holds Softmax, and softmaxRows over a
-// block of rows (one of them longer than its ScoreChunkRows pieces), to
+// TestSoftmaxMatchesMathExpLoop holds SoftmaxRows on one row, and
+// softmaxRows over a block of rows (longer than its ScoreChunkRows
+// pieces), to
 // the plain loop they replace — z − max through
 // math.Exp, summed in index order, scaled by 1/sum — bit for bit, on
 // rows with huge, −Inf and −800 logits. A row of −Inf logits gives NaN
@@ -102,9 +99,7 @@ func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
 		for r := 0; r < rows; r++ {
 			row := block[r*classes : (r+1)*classes]
 			want := ref(row)
-			one := tensor.NewVector(classes)
-			Softmax(row, one)
-			same(fmt.Sprintf("Softmax, %d classes, row %d", classes, r), one, want)
+			same(fmt.Sprintf("SoftmaxRows, %d classes, row %d", classes, r), softmaxRow(row), want)
 			same(fmt.Sprintf("softmaxRows, %d classes, row %d", classes, r), out[r*classes:(r+1)*classes], want)
 		}
 	}
@@ -120,10 +115,7 @@ func TestProbsSumToOneProperty(t *testing.T) {
 			}
 			x[i] = math.Mod(v, 10)
 		}
-		p, err := m.Probs(x)
-		if err != nil {
-			return false
-		}
+		p := softmaxRow(scoreRow(t, m, x))
 		if math.Abs(p.Sum()-1) > 1e-9 {
 			return false
 		}
@@ -139,8 +131,9 @@ func TestProbsSumToOneProperty(t *testing.T) {
 	}
 }
 
-// TestGradientCheck compares the analytic gradient against central finite
-// differences on every parameter of a small network.
+// TestGradientCheck compares the analytic gradient of a one-row
+// BatchGrad, DP-SGD's per-example call, against central finite
+// differences of its loss on every parameter of a small network.
 func TestGradientCheck(t *testing.T) {
 	m := mustMLP(t, []int{4, 6, 3}, 42)
 	rng := tensor.NewRNG(7)
@@ -149,24 +142,17 @@ func TestGradientCheck(t *testing.T) {
 	y := 2
 
 	grad := tensor.NewVector(m.NumParams())
-	if _, err := m.ExampleGrad(x, y, grad); err != nil {
-		t.Fatalf("ExampleGrad: %v", err)
-	}
+	rowLoss(t, m, x, y, grad)
 
 	const eps = 1e-5
 	params := m.Params()
+	scratch := tensor.NewVector(m.NumParams())
 	for i := 0; i < m.NumParams(); i++ {
 		orig := params[i]
 		params[i] = orig + eps
-		lp, err := m.Loss(x, y)
-		if err != nil {
-			t.Fatalf("Loss(+eps): %v", err)
-		}
+		lp := rowLoss(t, m, x, y, scratch)
 		params[i] = orig - eps
-		lm, err := m.Loss(x, y)
-		if err != nil {
-			t.Fatalf("Loss(-eps): %v", err)
-		}
+		lm := rowLoss(t, m, x, y, scratch)
 		params[i] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
@@ -188,11 +174,10 @@ func TestBatchGradIsMeanOfExampleGrads(t *testing.T) {
 	if _, err := m.BatchGrad(xs, ys, batch); err != nil {
 		t.Fatalf("BatchGrad: %v", err)
 	}
+	batch.Scale(1 / float64(len(xs)))
 	manual := tensor.NewVector(m.NumParams())
 	for i := range xs {
-		if _, err := m.ExampleGrad(xs[i], ys[i], manual); err != nil {
-			t.Fatalf("ExampleGrad: %v", err)
-		}
+		refExampleGrad(m, xs[i], ys[i], manual)
 	}
 	manual.Scale(1 / float64(len(xs)))
 	if !tensor.EqualApprox(batch, manual, 1e-12) {
@@ -210,15 +195,7 @@ func TestCloneIndependence(t *testing.T) {
 	// Clone preserves outputs before divergence.
 	m2 := m.Clone()
 	x := tensor.Vector{0.3, -0.4}
-	p1, err := m.Probs(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := m2.Probs(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.EqualApprox(p1, p2, 0) {
+	if !tensor.EqualApprox(scoreRow(t, m, x), scoreRow(t, m2, x), 0) {
 		t.Fatal("clone output differs")
 	}
 }
@@ -237,13 +214,25 @@ func TestSetParamsAndErrors(t *testing.T) {
 	if m.Params()[0] == 99 {
 		t.Fatal("SetParams did not copy")
 	}
-	if _, err := m.Loss(tensor.Vector{1, 2}, 5); !errors.Is(err, ErrArchitecture) {
+	// The forward pass reads the loaded vector: 0.5 + 0.5·1 + 0.5·1.
+	if got := scoreRow(t, m, tensor.Vector{1, 1}); got[0] != 1.5 || got[1] != 1.5 {
+		t.Fatalf("logits %v after SetParams, want 1.5 per class", got)
+	}
+	grad := tensor.NewVector(m.NumParams())
+	one := func(x tensor.Vector, y int, grad tensor.Vector) error {
+		_, err := m.BatchGrad([]tensor.Vector{x}, []int{y}, grad)
+		return err
+	}
+	if err := one(tensor.Vector{1, 2}, 5, grad); !errors.Is(err, ErrArchitecture) {
 		t.Fatalf("label range error = %v", err)
 	}
-	if _, err := m.Probs(tensor.Vector{1}); !errors.Is(err, tensor.ErrShape) {
+	if err := one(tensor.Vector{1}, 0, grad); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("input dim error = %v", err)
 	}
-	if _, err := m.ExampleGrad(tensor.Vector{1, 2}, 0, tensor.NewVector(1)); !errors.Is(err, tensor.ErrShape) {
+	if err := m.ScoreChunks([]tensor.Vector{{1}}, nil, func(int, tensor.Vector) {}); !errors.Is(err, tensor.ErrShape) {
+		t.Fatalf("scoring input dim error = %v", err)
+	}
+	if err := one(tensor.Vector{1, 2}, 0, tensor.NewVector(1)); !errors.Is(err, tensor.ErrShape) {
 		t.Fatalf("grad size error = %v", err)
 	}
 }
@@ -281,11 +270,7 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 	// Should reach high accuracy on this separable problem.
 	correct := 0
 	for i, x := range xs {
-		pred, err := m.Predict(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pred == ys[i] {
+		if scoreRow(t, m, x).ArgMax() == ys[i] {
 			correct++
 		}
 	}
@@ -294,17 +279,14 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 	}
 }
 
+// meanLoss is BatchGrad's summed loss over the whole set, divided.
 func meanLoss(t *testing.T, m *MLP, xs []tensor.Vector, ys []int) float64 {
 	t.Helper()
-	var s float64
-	for i, x := range xs {
-		l, err := m.Loss(x, ys[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		s += l
+	loss, err := m.BatchGrad(xs, ys, tensor.NewVector(m.NumParams()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s / float64(len(xs))
+	return loss / float64(len(xs))
 }
 
 func TestSGDMomentumAccelerates(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 
 // TestScoreBatchMatchesPerExampleForward pins the bit-identity contract
 // of the batched scoring path: for every example, the logits handed to
-// the callback must equal the per-example forward pass exactly — same
+// the callback must equal the scalar reference forward pass exactly — same
 // bits, not just same values — for batch sizes around the chunk
 // boundary.
 func TestScoreBatchMatchesPerExampleForward(t *testing.T) {
@@ -26,11 +26,7 @@ func TestScoreBatchMatchesPerExampleForward(t *testing.T) {
 		}
 		want := make([]tensor.Vector, n)
 		for i, x := range xs {
-			lg, err := model.Logits(x, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = lg
+			want[i] = refLogits(model, x)
 		}
 		seen := 0
 		err := model.ScoreBatch(xs, func(i int, logits tensor.Vector) {

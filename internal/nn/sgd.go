@@ -181,10 +181,10 @@ func (t *Trainer) Init(model *MLP, opt *SGD, batchSize, epochs int) {
 
 // RunEpochs performs Epochs passes of shuffled minibatch SGD over
 // (xs, ys) and returns the mean training loss of the final epoch, the
-// only epoch that computes one. Each minibatch is MLP.BatchGrad then
-// SGD.Step to the bit — per-example accumulation order included — with
-// the division by the batch size folded into the step, so the gradient
-// is written once and read once.
+// only epoch that computes one. Each minibatch is MLP.BatchGrad's sum
+// scaled by 1/B, then SGD.Step, to the bit — per-example accumulation
+// order included — with the division folded into the step, so the
+// gradient is written once and read once.
 func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (float64, error) {
 	return t.RunEpochsNZ(xs, nil, ys, rng)
 }
@@ -254,7 +254,7 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 			} else if err := t.Opt.step(m.Params(), grad, inv); err != nil {
 				return 0, err
 			}
-			epochLoss += float64(lossSum * inv) // rounded, as BatchGrad returns it
+			epochLoss += float64(lossSum * inv) // the batch's mean, rounded
 			batches++
 		}
 		lastLoss = epochLoss / float64(batches)

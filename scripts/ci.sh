@@ -7,10 +7,10 @@
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the attack's metrics, the sparse kernels, the list-fed first
-# layer and the rank correlation are fuzzed, for 10 s each), the
-# one-generator
+# layer, the rank correlation and the DP accountant are fuzzed, for 10 s
+# each), the one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
-# samplers or the sparse kernels on arm64), the
+# samplers, the sparse kernels or internal/nn on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -109,6 +109,10 @@ go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s ./internal/nn
 # stats.Spearman to brute-force average ranks on inputs full of ties,
 # and to ErrInput on a NaN.
 go test -run=NONE -fuzz=FuzzSpearman -fuzztime=10s ./internal/stats
+# RQ7's privacy accounting: a short real fuzzing run holds the sampled
+# Gaussian mechanism's RDP to a quadrature of its defining integral and
+# CalibrateSigma's σ to the smallest that meets Figure 9's budgets.
+go test -run=NONE -fuzz=FuzzRDP -fuzztime=10s ./internal/dp
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -138,6 +142,18 @@ if [ -n "$fused" ]; then
     exit 1
 fi
 echo "rng and sparse arm64 rounding gate ok"
+# internal/nn leaves its dot products to the tensor kernels (the scalar
+# per-example pass is a test oracle) and rounds every other product that
+# feeds an add: a fused multiply-add in the package would round the
+# training or scoring path on arm64 differently from amd64.
+fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/nn=-S' ./internal/nn 2>&1 |
+    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+if [ -n "$fused" ]; then
+    echo "arm64 fuses multiply-adds in internal/nn:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+echo "nn arm64 rounding gate ok"
 
 # One scenario schema: the language lives in pkg/dlsim/spec, and
 # internal/spec is an alias file kept for benchmark/ until a benchmark

@@ -41,12 +41,6 @@ var reachability = struct {
 	apiDirs:  []string{"pkg"},
 	byName:   []string{"Is", "As", "Unwrap"},
 	ledger: []ledgerEntry{
-		// The per-example reference the batched path is held bit-identical to.
-		{"internal/nn.MLP.Logits", "internal/nn.TestScoreBatchMatchesPerExampleForward", "the per-example forward pass ScoreBatch is held bit-identical to"},
-		{"internal/nn.MLP.Probs", "internal/nn.TestProbsIntoMatchesProbs", "softmax of the per-example forward pass (keeps ProbsInto, its no-allocation form)"},
-		{"internal/nn.MLP.Loss", "internal/nn.TestGradientCheck", "the scalar loss the analytic gradient is differenced against"},
-		{"internal/nn.MLP.Predict", "internal/nn.TestTrainingReducesLossOnToyProblem", "per-example argmax: the toy problem's accuracy"},
-		{"internal/nn.MLP.BatchGrad", "internal/nn.TestBatchGradBitIdenticalToExampleLoop", "the mean gradient held bit-identical to the ExampleGrad loop DP-SGD runs"},
 		{"internal/nn.MLP.SetParams", "internal/nn.TestSetParamsAndErrors", "loads a parameter vector to show the forward pass reads the flat buffer"},
 		{"internal/nn.SGD.Step", "internal/nn.TestSGDMomentumAccelerates", "the optimizer step alone, without a trainer: momentum, weight decay, shape errors"},
 		{"internal/nn.SGD.LR", "internal/nn.TestTrainerAppliesDecayPerEpoch", "reads the decayed rate the trainer's fused step uses"},
