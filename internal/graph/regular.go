@@ -94,27 +94,28 @@ func (g *Regular) AppendNeighbors(dst []int, i int) []int {
 	return append(dst, g.row(i)...)
 }
 
-// HasEdge reports whether i and j are adjacent.
+// HasEdge reports whether i and j are adjacent. A row holds k entries,
+// a handful, where a linear scan beats a binary search's branches.
 func (g *Regular) HasEdge(i, j int) bool {
-	_, found := slices.BinarySearch(g.row(i), j)
-	return found
+	return slices.Contains(g.row(i), j)
 }
 
 // replaceSorted replaces one occurrence of old in the sorted row s with
 // v and restores the order: the row a removal of old and an insertion
-// of v leave.
+// of v leave. It finds old by a linear scan and slides v from there to
+// its place, one insertion-sort pass.
 func replaceSorted(s []int, old, v int) {
-	pos, found := slices.BinarySearch(s, old)
-	if !found {
+	pos := slices.Index(s, old)
+	if pos < 0 {
 		return
 	}
-	// Close the gap, then open one at v's place.
-	copy(s[pos:], s[pos+1:])
-	s = s[:len(s)-1]
-	at, _ := slices.BinarySearch(s, v)
-	s = s[:len(s)+1]
-	copy(s[at+1:], s[at:])
-	s[at] = v
+	for ; pos > 0 && s[pos-1] > v; pos-- {
+		s[pos] = s[pos-1]
+	}
+	for ; pos+1 < len(s) && s[pos+1] < v; pos++ {
+		s[pos] = s[pos+1]
+	}
+	s[pos] = v
 }
 
 // Clone returns a deep copy of the graph, on the heap.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -72,16 +73,23 @@ func TestKernelsNamesExpPath(t *testing.T) {
 	}
 	var names []string
 	onGoTier(func() { names = append(names, Kernels()) })
+	onAVX2Tier(func() { names = append(names, Kernels()) })
 	names = append(names, Kernels())
 	for _, name := range names {
 		switch name {
-		case "go", "go+fma", "avx2", "avx2+fma":
+		case "go", "go+fma", "avx2", "avx2+fma", "avx512", "avx512+fma":
 		default:
 			t.Fatalf("Kernels() = %q", name)
 		}
 	}
-	if names[0] != "go" && names[0] != "go+fma" {
+	if strings.TrimSuffix(names[0], "+fma") != "go" {
 		t.Fatalf("with the AVX2 tier off Kernels() = %q", names[0])
+	}
+	if strings.HasPrefix(names[1], "avx512") {
+		t.Fatalf("with the AVX-512 tier off Kernels() = %q", names[1])
+	}
+	if strings.HasPrefix(names[2], "avx512") != (useAVX2 && useAVX512) {
+		t.Fatalf("Kernels() = %q with useAVX2 %v, useAVX512 %v", names[2], useAVX2, useAVX512)
 	}
 }
 

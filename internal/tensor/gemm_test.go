@@ -71,11 +71,31 @@ var gemmKernels = []gemmKernel{
 	}},
 }
 
-// onGoTier runs f with the AVX2 tier switched off.
+// onGoTier runs f with the assembly tiers switched off.
 func onGoTier(f func()) {
 	defer func(was bool) { useAVX2 = was }(useAVX2)
 	useAVX2 = false
 	f()
+}
+
+// onAVX2Tier runs f with the AVX-512 tier switched off.
+func onAVX2Tier(f func()) {
+	defer func(was bool) { useAVX512 = was }(useAVX512)
+	useAVX512 = false
+	f()
+}
+
+// onEachAsmTier runs f on every assembly tier this host has: AVX-512,
+// where the CPU and the OS have it, and AVX2. On a CPU without AVX-512
+// the 512-bit run is not made, and on one without AVX2 neither is.
+func onEachAsmTier(f func()) {
+	if !useAVX2 {
+		return
+	}
+	if useAVX512 {
+		f()
+	}
+	onAVX2Tier(f)
 }
 
 // sameBits is bit equality with any NaN equal to any NaN: which payload
@@ -166,12 +186,13 @@ func (ar gemmArenas) cWithCanaries(n int) (c, buf []float64) {
 
 // checkGemmTiers runs kn at m×n×k on normal operands with exact zeros
 // about zeroGap apart in A (the skip paths; 0 plants none) and the
-// special values of plant sprinkled over A, B and C, and requires the
-// tier this host detected to produce the bits of the Go tier and to
-// leave the canaries around C alone. With no special value planted both
-// must equal the naive loop. A store kernel meets a C full of NaN on the
-// detected tier and full of canaries on the Go tier: one element read,
-// or one left unwritten, and the two disagree.
+// special values of plant sprinkled over A, B and C, and requires every
+// assembly tier this host has (onEachAsmTier) to produce the bits of
+// the Go tier and to leave the canaries around C alone. With no special
+// value planted the Go tier must equal the naive loop. A store kernel
+// meets a C full of NaN on the assembly tiers and full of canaries on
+// the Go tier: one element read, or one left unwritten, and the two
+// disagree.
 func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng *RNG, zeroGap int, plant byte) {
 	t.Helper()
 	a, b, init := ar.a(m*k), ar.b(n*k), make([]float64, m*n)
@@ -184,28 +205,35 @@ func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng
 	if kn.accum != nil {
 		Vector(init).Fill(math.NaN())
 	}
+	checkGemmOperands(t, ar, kn, m, n, k, a, b, init, plant)
+}
 
-	c, buf := ar.cWithCanaries(m * n)
-	copy(c, init)
-	kn.run(c, a, b, m, n, k)
-	got := Vector(c).Clone()
-	for i, v := range buf {
-		if j := i - gemmCanaries; (j < 0 || j >= len(c)) && v != canary {
-			t.Fatalf("Gemm%s %dx%dx%d: wrote %v at C[%d]", kn.name, m, n, k, v, j)
-		}
-	}
-
+// checkGemmOperands is checkGemmTiers on given operands; init is C's
+// starting value on the assembly tiers.
+func checkGemmOperands(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, a, b, init []float64, plant byte) {
+	t.Helper()
 	want := Vector(init).Clone()
 	if kn.accum != nil {
 		want.Fill(canary)
 	}
 	onGoTier(func() { kn.run(want, a, b, m, n, k) })
-	for i := range want {
-		if !sameBits(got[i], want[i]) {
-			t.Fatalf("Gemm%s %dx%dx%d (plant %#x): element %d = %x on the %s tier, %x on the go tier",
-				kn.name, m, n, k, plant, i, math.Float64bits(got[i]), Kernels(), math.Float64bits(want[i]))
+
+	onEachAsmTier(func() {
+		c, buf := ar.cWithCanaries(m * n)
+		copy(c, init)
+		kn.run(c, a, b, m, n, k)
+		for i, v := range buf {
+			if j := i - gemmCanaries; (j < 0 || j >= len(c)) && v != canary {
+				t.Fatalf("Gemm%s %dx%dx%d on the %s tier: wrote %v at C[%d]", kn.name, m, n, k, Kernels(), v, j)
+			}
 		}
-	}
+		for i := range want {
+			if !sameBits(c[i], want[i]) {
+				t.Fatalf("Gemm%s %dx%dx%d (plant %#x): element %d = %x on the %s tier, %x on the go tier",
+					kn.name, m, n, k, plant, i, math.Float64bits(c[i]), Kernels(), math.Float64bits(want[i]))
+			}
+		}
+	})
 	if kn.accum != nil {
 		acc := NewVector(m * n)
 		onGoTier(func() { kn.accum(acc, a, b, m, n, k) })
@@ -219,7 +247,7 @@ func checkGemmTiers(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, rng
 	if plant != 0 {
 		return // a skipped 0·Inf is the Go kernels' own behaviour, not the naive loop's
 	}
-	naive := init
+	naive := Vector(init).Clone()
 	kn.naive(naive, a, b, m, n, k)
 	if !EqualApprox(want, naive, 0) {
 		t.Fatalf("Gemm%s %dx%dx%d: blocked result differs from naive", kn.name, m, n, k)
@@ -300,9 +328,70 @@ func TestGemmTNStoreSignedZeros(t *testing.T) {
 	}
 }
 
+// TestGemmSkipGranularity tells the skip tests' granularity apart: TN
+// and its store form skip per (block of four k rows counted from t = 0,
+// C row), NN per (block of four A rows counted from i = 0, t), on every
+// tier. Over eight rows (k rows for TN, A rows for NN) with B's first
+// column +Inf, four zero deltas in an aligned block are skipped and
+// leave that column +Inf; the same four straddling two blocks are not,
+// and 0·Inf makes it NaN. A kernel that skipped per eight rows, or per
+// block counted from elsewhere, would turn the first case into NaN or
+// the second into +Inf. The widths run every column block and tail of
+// both tiers' TN and NN kernels.
+func TestGemmSkipGranularity(t *testing.T) {
+	ar := newGemmArenas(t, 8*40)
+	for _, n := range []int{4, 8, 13, 29, 40} {
+		for _, zeros := range [][2]int{{0, 4}, {4, 8}, {2, 6}, {0, 0}} {
+			aligned := zeros[0]%4 == 0
+			for _, kn := range gemmKernels {
+				if kn.name == "NT" {
+					continue // no skip test
+				}
+				const m, k = 8, 8
+				a, b := ar.a(m*k), ar.b(n*k)
+				Vector(a).Fill(1)
+				Vector(b).Fill(0.5)
+				// Row r of the eight: k row r of A (TN, for C row 3) or A
+				// row r (NN, at t = 3), and the B row it multiplies.
+				for r := zeros[0]; r < zeros[1]; r++ {
+					if kn.name == "NN" {
+						a[r*k+3] = 0
+					} else {
+						a[r*m+3] = 0
+					}
+				}
+				for r := range k {
+					b[r*n] = math.Inf(1)
+				}
+				init := make([]float64, m*n)
+				if kn.accum != nil {
+					Vector(init).Fill(math.NaN())
+				}
+				checkGemmOperands(t, ar, kn, m, n, k, a, b, init, plantAll)
+
+				c := Vector(init).Clone()
+				if kn.accum != nil {
+					c.Zero()
+				}
+				onGoTier(func() { kn.run(c, a, b, m, n, k) })
+				for r := zeros[0]; r < zeros[1]; r++ {
+					i := 3 // the C row of the zero deltas
+					if kn.name == "NN" {
+						i = r
+					}
+					if got := c[i*n]; math.IsNaN(got) == aligned {
+						t.Fatalf("Gemm%s n=%d, zero deltas in rows %d..%d: C[%d][0] = %v on the go tier", kn.name, n, zeros[0], zeros[1]-1, i, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkGemm is the layer's table: every kernel at every shape of
-// gemmShapes on both tiers, in GFLOP/s. DESIGN.md §4 quotes it, and the
-// shape cut-off between the tiers (kernels_amd64.go) is read from it.
+// gemmShapes on every tier this host has, in GFLOP/s. DESIGN.md §4
+// quotes it, and the shape cut-offs between the tiers
+// (kernels_amd64.go) are read from it.
 func BenchmarkGemm(b *testing.B) {
 	rng := NewRNG(3)
 	for _, kn := range gemmKernels {
@@ -318,7 +407,10 @@ func BenchmarkGemm(b *testing.B) {
 			name := fmt.Sprintf("%s/%dx%dx%d/", kn.name, m, n, k)
 			b.Run(name+"go", func(b *testing.B) { onGoTier(func() { run(b) }) })
 			if useAVX2 {
-				b.Run(name+"avx2", run)
+				b.Run(name+"avx2", func(b *testing.B) { onAVX2Tier(func() { run(b) }) })
+			}
+			if useAVX2 && useAVX512 {
+				b.Run(name+"avx512", run)
 			}
 		}
 	}

@@ -2,15 +2,16 @@ package tensor
 
 import "math"
 
-// The AVX2 tier of the GEMM kernels and of the element-wise vector
-// operations (kernels_amd64.s), and the choice between it and the Go
-// loops in matrix.go and vector.go. The choice is made once at start-up
-// from the CPU and the OS, and per call from m, n, k; both tiers
-// produce the same bits, so nothing above this package can tell which
-// ran except by the clock.
+// The assembly tiers (kernels_amd64.s) — AVX-512 under the GEMM and
+// sparse kernels, AVX2 under those and the element-wise vector
+// operations — and the choice between them and the Go loops in
+// matrix.go, sparse.go and vector.go. The choice is made once at
+// start-up from the CPU and the OS, and per call from the shape; every
+// tier produces the same bits, so nothing above this package can tell
+// which ran except by the clock.
 
 //go:noescape
-func gemmNTAVX2(c, a, b []float64, m, n, k int)
+func gemmNTAVX2(c, a, b []float64, m, n, k, ldc int)
 
 //go:noescape
 func gemmTNAVX2(c, a, b []float64, m, n, k int)
@@ -20,6 +21,18 @@ func gemmTNStoreAVX2(c, a, b []float64, m, n int)
 
 //go:noescape
 func gemmNNAVX2(c, a, b []float64, m, n, k int)
+
+//go:noescape
+func gemmNTAVX512(c, a, b []float64, m, n, k, ldc int)
+
+//go:noescape
+func gemmTNAVX512(c, a, b []float64, m, n, k int)
+
+//go:noescape
+func gemmTNStoreAVX512(c, a, b []float64, m, n int)
+
+//go:noescape
+func gemmNNAVX512(c, a, b []float64, m, n, k int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
@@ -46,6 +59,28 @@ func hasAVX2() bool {
 	return b&avx2 != 0
 }
 
+// hasAVX512 reports whether the CPU has AVX512F and the OS saves the
+// opmask registers and all 512 bits of all 32 ZMM registers (XCR0 bits
+// 5-7) beside the YMM state. The kernels use nothing beyond AVX512F.
+func hasAVX512() bool {
+	const (
+		osxsave  = 1 << 27     // CPUID.1:ECX
+		avx512f  = 1 << 16     // CPUID.7.0:EBX
+		zmmState = 0b1110_0110 // XCR0: SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
+	)
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&zmmState != zmmState {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx512f != 0
+}
+
 // mathExpFMA reports whether math.Exp takes its FMA path in this
 // process, which math decides from the CPU (AVX and FMA, saved by the
 // OS) and GODEBUG's cpu.fma and cpu.avx switches. CPUID says whether the
@@ -67,14 +102,23 @@ func mathExpFMA() bool {
 	return math.Float64bits(math.Exp(-0.00345)) == 0x3fefe3c94abc47d3 // the other path gives …d4
 }
 
-// The three functions below run as much of a GEMM as the AVX2 kernels
-// take and report how far they got; the Go kernel finishes from there.
-// The per-call half of the tier choice is structural — four rows (NT,
-// NN) or four k rows and one whole vector of columns (TN) to fill the
-// lanes with — because BenchmarkGemm finds no shape with them that the
-// Go kernels win, down to 4×1×1. A call whose slices are shorter than
-// its shape is left to the Go kernel whole, which panics on it as it
-// always has.
+// The four functions below run as much of a GEMM as the assembly
+// kernels take and report how far they got; the Go kernel finishes from
+// there. The AVX-512 tier takes what fills its eight lanes and the AVX2
+// tier what is left that fills four: NT's AVX-512 kernel runs whole
+// tiles of eight rows by eight or sixteen columns and hands the n%8
+// columns right of them, and a four-row remainder, to the AVX2 kernel;
+// TN, its store form and NN take the same rows or k blocks on either
+// tier and finish their column tails themselves. The per-call half of
+// the choice is structural, because BenchmarkGemm finds no shape that
+// fills a tier's lanes on which the tier below it wins: four rows (NT,
+// NN) or four k rows and one whole vector of columns (TN) for AVX2,
+// whose lanes the Go kernels lose to down to 4×1×1; eight rows and
+// eight columns for NT's AVX-512 tiles, and eight columns for TN's and
+// NN's (below eight, their one vector would be masked or, in TN's
+// kernel, run the AVX2 chain anyway). A call whose slices are shorter
+// than its shape is left to the Go kernel whole, which panics on it as
+// it always has.
 
 // gemmNTVec returns the number of leading C rows done (a multiple of 4).
 func gemmNTVec(c, a, b []float64, m, n, k int) int {
@@ -82,7 +126,18 @@ func gemmNTVec(c, a, b []float64, m, n, k int) int {
 	if !useAVX2 || m4 <= 0 || n <= 0 || k <= 0 || len(c) < m*n || len(a) < m*k || len(b) < n*k {
 		return 0
 	}
-	gemmNTAVX2(c, a, b, m4, n, k)
+	m8, n8 := m&^7, n&^7
+	if !useAVX512 || m8 == 0 || n8 == 0 {
+		m8 = 0
+	} else {
+		gemmNTAVX512(c, a, b, m8, n8, k, n)
+		if n8 < n {
+			gemmNTAVX2(c[n8:], a, b[n8*k:], m8, n-n8, k, n)
+		}
+	}
+	if m8 < m4 {
+		gemmNTAVX2(c[m8*n:], a[m8*k:], b, m4-m8, n, k, n)
+	}
 	return m4
 }
 
@@ -92,7 +147,11 @@ func gemmTNVec(c, a, b []float64, m, n, k int) int {
 	if !useAVX2 || k4 <= 0 || m <= 0 || n < 4 || len(c) < m*n || len(a) < k4*m || len(b) < k4*n {
 		return 0
 	}
-	gemmTNAVX2(c, a, b, m, n, k4)
+	if useAVX512 && n >= 8 {
+		gemmTNAVX512(c, a, b, m, n, k4)
+	} else {
+		gemmTNAVX2(c, a, b, m, n, k4)
+	}
 	return k4
 }
 
@@ -102,7 +161,11 @@ func gemmTNStoreVec(c, a, b []float64, m, n int) bool {
 	if !useAVX2 || n < 4 || len(a) < 4*m || len(b) < 4*n {
 		return false
 	}
-	gemmTNStoreAVX2(c, a, b, m, n)
+	if useAVX512 && n >= 8 {
+		gemmTNStoreAVX512(c, a, b, m, n)
+	} else {
+		gemmTNStoreAVX2(c, a, b, m, n)
+	}
 	return true
 }
 
@@ -112,12 +175,19 @@ func gemmNNVec(c, a, b []float64, m, n, k int) int {
 	if !useAVX2 || m4 <= 0 || n <= 0 || k <= 0 || len(c) < m*n || len(a) < m*k || len(b) < k*n {
 		return 0
 	}
-	gemmNNAVX2(c, a, b, m4, n, k)
+	if useAVX512 && n >= 8 {
+		gemmNNAVX512(c, a, b, m4, n, k)
+	} else {
+		gemmNNAVX2(c, a, b, m4, n, k)
+	}
 	return m4
 }
 
 //go:noescape
 func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+
+//go:noescape
+func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
 
 //go:noescape
 func transposeAVX2(dst, src []float64, rows, cols int) bool
@@ -132,6 +202,9 @@ func finiteAVX2(v []float64, n int) bool
 func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
 	if !useAVX2 {
 		return 0
+	}
+	if useAVX512 {
+		return sparseRowsAVX512(c, m, n, ptr, idx, val, rows, len(m)/n, min(len(idx), len(val)), store)
 	}
 	return sparseRowsAVX2(c, m, n, ptr, idx, val, rows, len(m)/n, min(len(idx), len(val)), store)
 }

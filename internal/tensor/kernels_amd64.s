@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// The AVX2 tier of the blocked GEMM kernels in matrix.go (and, at the
-// end, of the element-wise kernels in vector.go). Each GEMM kernel
+// The AVX2 tier of the blocked GEMM kernels in matrix.go, then their
+// AVX-512 tier (eight lanes, the same designs; see its section), and
+// at the end the element-wise and sparse kernels. Each GEMM kernel
 // puts four *output elements* in the four lanes of a register, so every
 // C element is still one chained sum over increasing k that starts from
 // the value C held (from +0 in GemmTNStore), and every product is
@@ -160,12 +161,14 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD A, Y12, Y12; \
 	VADDPD Y12, Y0, Y0
 
-// func gemmNTAVX2(c, a, b []float64, m, n, k int)
-// C += A·Bᵀ over m rows, m a positive multiple of 4; n, k ≥ 1.
-TEXT ·gemmNTAVX2(SB), NOSPLIT, $0-96
+// func gemmNTAVX2(c, a, b []float64, m, n, k, ldc int)
+// C += A·Bᵀ over m rows, m a positive multiple of 4; n, k ≥ 1. C rows
+// are ldc ≥ n elements apart (the AVX-512 tier hands this kernel the
+// columns right of its own, n%8 of each row).
+TEXT ·gemmNTAVX2(SB), NOSPLIT, $0-104
 	MOVQ c_base+0(FP), DI // C: row 0 of the block, column j
 	MOVQ a_base+24(FP), SI // A: row 0 of the block
-	MOVQ n+80(FP), R10
+	MOVQ ldc+96(FP), R10
 	MOVQ k+88(FP), R8
 	SHLQ $3, R10 // bytes per C row
 	SHLQ $3, R8 // bytes per A row and per B row
@@ -361,7 +364,10 @@ nt1Store:
 	ADDQ $8, DI
 
 ntRowsNext:
-	ADDQ R11, DI // DI walked row 0; the block has three more
+	MOVQ n+80(FP), R12 // DI walked n columns of row 0
+	SHLQ $3, R12
+	SUBQ R12, DI
+	LEAQ (DI)(R10*4), DI
 	LEAQ (SI)(R8*4), SI
 	SUBQ $4, m+72(FP)
 	JNZ  ntRows
@@ -710,6 +716,717 @@ nnRowsNext:
 	LEAQ (SI)(R8*4), SI
 	SUBQ $4, m+72(FP)
 	JNZ  nnRows
+	VZEROUPPER
+	RET
+
+// ---------------------------------------------------------------------
+// The AVX-512 tier: the same three designs, eight lanes wide, on the
+// AVX512F subset only. Lanes are still output elements, every product
+// is still rounded by VMULPD before VADDPD adds it (no FMA and no
+// embedded rounding), and each C element is still one chain over
+// increasing k. Loads and stores under a K mask (zeroing on load) take
+// NN's column tail and NT's k%8 tail; TN, TNStore and SparseRows run
+// their last n%8 columns with the AVX2 kernels' four-column step and
+// VMASKMOVPD tail. Either way a masked-out lane is never read or
+// written, and its fault is suppressed, so the guard-page tests hold.
+// The skip tests keep the
+// granularity of the Go kernels: TN per (block of four k rows, C row),
+// NN per (block of four A rows, t).
+
+// LANE_MASK sets the first CX lanes of K, CX ≤ 8. Clobbers BX.
+#define LANE_MASK(K) \
+	MOVL  $1, BX; \
+	SHLL  CX, BX; \
+	DECL  BX; \
+	KMOVW BX, K
+
+// TRANSPOSE8 transposes the 8×8 block whose rows are R0..R7 into
+// T0..T7 (T0 = the first element of every row, …), clobbering R0..R7:
+// pairs within 128-bit lanes, then 128-bit lanes between row pairs,
+// then between row quadruples; 24 shuffles.
+#define TRANSPOSE8(R0, R1, R2, R3, R4, R5, R6, R7, T0, T1, T2, T3, T4, T5, T6, T7) \
+	VUNPCKLPD  R1, R0, T0; \
+	VUNPCKHPD  R1, R0, T1; \
+	VUNPCKLPD  R3, R2, T2; \
+	VUNPCKHPD  R3, R2, T3; \
+	VUNPCKLPD  R5, R4, T4; \
+	VUNPCKHPD  R5, R4, T5; \
+	VUNPCKLPD  R7, R6, T6; \
+	VUNPCKHPD  R7, R6, T7; \
+	VSHUFF64X2 $0x88, T2, T0, R0; \
+	VSHUFF64X2 $0x88, T3, T1, R1; \
+	VSHUFF64X2 $0xdd, T2, T0, R2; \
+	VSHUFF64X2 $0xdd, T3, T1, R3; \
+	VSHUFF64X2 $0x88, T6, T4, R4; \
+	VSHUFF64X2 $0x88, T7, T5, R5; \
+	VSHUFF64X2 $0xdd, T6, T4, R6; \
+	VSHUFF64X2 $0xdd, T7, T5, R7; \
+	VSHUFF64X2 $0x88, R4, R0, T0; \
+	VSHUFF64X2 $0xdd, R4, R0, T4; \
+	VSHUFF64X2 $0x88, R5, R1, T1; \
+	VSHUFF64X2 $0xdd, R5, R1, T5; \
+	VSHUFF64X2 $0x88, R6, R2, T2; \
+	VSHUFF64X2 $0xdd, R6, R2, T6; \
+	VSHUFF64X2 $0x88, R7, R3, T3; \
+	VSHUFF64X2 $0xdd, R7, R3, T7
+
+// GemmNT: lanes are eight rows of A. An 8×16 tile of C (8×8 for the
+// last eight columns when n%16 = 8) is loaded row by row and
+// transposed, so that Zq holds column j+q of the eight rows; eight
+// elements of each A row are loaded and transposed the same way, so
+// that the register for t holds a0[t], …, a7[t], to multiply by
+// b[j+q][t] broadcast from memory. Only whole tiles run here: the Go
+// side hands the n%8 columns right of them to the AVX2 kernel, which
+// continues nothing — each of its elements is a whole chain too.
+
+// NTZ_LOAD8 loads eight doubles of each of the eight rows at (P) and
+// (Q) (rows 0-3 and 4-7, S bytes apart, S3 = 3·S) into D0..D7, the
+// lanes outside MASK as zeros.
+#define NTZ_LOAD8(P, Q, S, S3, MASK, D0, D1, D2, D3, D4, D5, D6, D7) \
+	VMOVUPD.Z (P), MASK, D0; \
+	VMOVUPD.Z (P)(S*1), MASK, D1; \
+	VMOVUPD.Z (P)(S*2), MASK, D2; \
+	VMOVUPD.Z (P)(S3*1), MASK, D3; \
+	VMOVUPD.Z (Q), MASK, D4; \
+	VMOVUPD.Z (Q)(S*1), MASK, D5; \
+	VMOVUPD.Z (Q)(S*2), MASK, D6; \
+	VMOVUPD.Z (Q)(S3*1), MASK, D7
+
+// NTZ_STEP adds one t to the eight column accumulators Z0..Z7: A holds
+// the eight rows at that t, off(BX) and off(CX) address b[j..j+3][t]
+// and b[j+4..j+7][t].
+#define NTZ_STEP(A, off) \
+	VMULPD.BCST off(BX), A, Z24; \
+	VMULPD.BCST off(BX)(R8*1), A, Z25; \
+	VMULPD.BCST off(BX)(R8*2), A, Z26; \
+	VMULPD.BCST off(BX)(R9*1), A, Z27; \
+	VMULPD.BCST off(CX), A, Z28; \
+	VMULPD.BCST off(CX)(R8*1), A, Z29; \
+	VMULPD.BCST off(CX)(R8*2), A, Z30; \
+	VMULPD.BCST off(CX)(R9*1), A, Z31; \
+	VADDPD Z24, Z0, Z0; \
+	VADDPD Z25, Z1, Z1; \
+	VADDPD Z26, Z2, Z2; \
+	VADDPD Z27, Z3, Z3; \
+	VADDPD Z28, Z4, Z4; \
+	VADDPD Z29, Z5, Z5; \
+	VADDPD Z30, Z6, Z6; \
+	VADDPD Z31, Z7, Z7
+
+// NTZ_STEP16 is NTZ_STEP over sixteen columns: accumulators Z0..Z15,
+// b[j+8..j+11][t] and b[j+12..j+15][t] at off(R10) and off(R11).
+#define NTZ_STEP16(A, off) \
+	NTZ_STEP(A, off); \
+	VMULPD.BCST off(R10), A, Z24; \
+	VMULPD.BCST off(R10)(R8*1), A, Z25; \
+	VMULPD.BCST off(R10)(R8*2), A, Z26; \
+	VMULPD.BCST off(R10)(R9*1), A, Z27; \
+	VMULPD.BCST off(R11), A, Z28; \
+	VMULPD.BCST off(R11)(R8*1), A, Z29; \
+	VMULPD.BCST off(R11)(R8*2), A, Z30; \
+	VMULPD.BCST off(R11)(R9*1), A, Z31; \
+	VADDPD Z24, Z8, Z8; \
+	VADDPD Z25, Z9, Z9; \
+	VADDPD Z26, Z10, Z10; \
+	VADDPD Z27, Z11, Z11; \
+	VADDPD Z28, Z12, Z12; \
+	VADDPD Z29, Z13, Z13; \
+	VADDPD Z30, Z14, Z14; \
+	VADDPD Z31, Z15, Z15
+
+// NTZ_LOAD_C loads eight doubles at off of each of the eight C rows
+// and transposes them into C0..C7, one column a register; NTZ_STORE_C
+// transposes C0..C7 back and stores them. Both take R12 = DI + 4·R10
+// and clobber Z24..Z31.
+#define NTZ_LOAD_C(off, C0, C1, C2, C3, C4, C5, C6, C7) \
+	VMOVUPD off(DI), Z24; \
+	VMOVUPD off(DI)(R10*1), Z25; \
+	VMOVUPD off(DI)(R10*2), Z26; \
+	VMOVUPD off(DI)(R11*1), Z27; \
+	VMOVUPD off(R12), Z28; \
+	VMOVUPD off(R12)(R10*1), Z29; \
+	VMOVUPD off(R12)(R10*2), Z30; \
+	VMOVUPD off(R12)(R11*1), Z31; \
+	TRANSPOSE8(Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, C0, C1, C2, C3, C4, C5, C6, C7)
+
+#define NTZ_STORE_C(off, C0, C1, C2, C3, C4, C5, C6, C7) \
+	TRANSPOSE8(C0, C1, C2, C3, C4, C5, C6, C7, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31); \
+	VMOVUPD Z24, off(DI); \
+	VMOVUPD Z25, off(DI)(R10*1); \
+	VMOVUPD Z26, off(DI)(R10*2); \
+	VMOVUPD Z27, off(DI)(R11*1); \
+	VMOVUPD Z28, off(R12); \
+	VMOVUPD Z29, off(R12)(R10*1); \
+	VMOVUPD Z30, off(R12)(R10*2); \
+	VMOVUPD Z31, off(R12)(R11*1)
+
+// func gemmNTAVX512(c, a, b []float64, m, n, k, ldc int)
+// C += A·Bᵀ over m rows and n columns, both positive multiples of 8;
+// k ≥ 1; C rows are ldc ≥ n elements apart.
+TEXT ·gemmNTAVX512(SB), NOSPLIT, $0-104
+	MOVQ c_base+0(FP), DI // C: row 0 of the block, column j
+	MOVQ a_base+24(FP), SI // A: row 0 of the block
+	MOVQ ldc+96(FP), R10
+	MOVQ k+88(FP), R8
+	SHLQ $3, R10 // bytes per C row
+	SHLQ $3, R8 // bytes per A row and per B row
+	LEAQ (R10)(R10*2), R11
+	LEAQ (R8)(R8*2), R9
+	MOVQ k+88(FP), CX
+	ANDQ $7, CX
+	LANE_MASK(K1) // the first k%8 lanes
+	KXNORW K2, K2, K2 // every lane
+
+ntzRows:
+	MOVQ b_base+48(FP), DX // B: row j
+	MOVQ n+80(FP), R13 // columns left
+
+	// Sixteen columns a tile while they last: each transposed A
+	// register feeds sixteen chains. R10 and R11 address B rows
+	// j+8..j+15 inside the k loop and are reloaded for C after it.
+ntzTile16:
+	CMPQ R13, $16
+	JLT  ntzTile
+	LEAQ (DI)(R10*4), R12
+	NTZ_LOAD_C(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	NTZ_LOAD_C(64, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ SI, AX
+	LEAQ (SI)(R8*4), R14
+	MOVQ DX, BX
+	LEAQ (DX)(R8*4), CX
+	LEAQ (DX)(R8*8), R10
+	LEAQ (R10)(R8*4), R11
+	MOVQ k+88(FP), R12
+	SHRQ $3, R12
+	JZ   ntz16Tail
+
+ntz16Loop:
+	NTZ_LOAD8(AX, R14, R8, R9, K2, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
+	TRANSPOSE8(Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	NTZ_STEP16(Z16, 0)
+	NTZ_STEP16(Z17, 8)
+	NTZ_STEP16(Z18, 16)
+	NTZ_STEP16(Z19, 24)
+	NTZ_STEP16(Z20, 32)
+	NTZ_STEP16(Z21, 40)
+	NTZ_STEP16(Z22, 48)
+	NTZ_STEP16(Z23, 56)
+	ADDQ $64, AX
+	ADDQ $64, R14
+	ADDQ $64, BX
+	ADDQ $64, CX
+	ADDQ $64, R10
+	ADDQ $64, R11
+	DECQ R12
+	JNZ  ntz16Loop
+
+ntz16Tail:
+	MOVQ k+88(FP), R12
+	ANDQ $7, R12
+	JZ   ntz16Store
+	NTZ_LOAD8(AX, R14, R8, R9, K1, Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31)
+	TRANSPOSE8(Z24, Z25, Z26, Z27, Z28, Z29, Z30, Z31, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	NTZ_STEP16(Z16, 0)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z17, 8)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z18, 16)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z19, 24)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z20, 32)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z21, 40)
+	DECQ R12
+	JZ   ntz16Store
+	NTZ_STEP16(Z22, 48)
+
+ntz16Store:
+	MOVQ ldc+96(FP), R10
+	SHLQ $3, R10
+	LEAQ (R10)(R10*2), R11
+	LEAQ (DI)(R10*4), R12
+	NTZ_STORE_C(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	NTZ_STORE_C(64, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	ADDQ $128, DI
+	LEAQ (DX)(R8*8), DX
+	LEAQ (DX)(R8*8), DX
+	SUBQ $16, R13
+	JMP  ntzTile16
+
+	// One tile of eight columns, when n%16 = 8.
+ntzTile:
+	TESTQ R13, R13
+	JZ    ntzRowsNext
+	LEAQ  (DI)(R10*4), R12
+	NTZ_LOAD_C(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	MOVQ SI, AX
+	LEAQ (SI)(R8*4), R14
+	MOVQ DX, BX
+	LEAQ (DX)(R8*4), CX
+	MOVQ k+88(FP), R12
+	SHRQ $3, R12
+	JZ   ntzTail
+
+ntzLoop:
+	NTZ_LOAD8(AX, R14, R8, R9, K2, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	NTZ_STEP(Z16, 0)
+	NTZ_STEP(Z17, 8)
+	NTZ_STEP(Z18, 16)
+	NTZ_STEP(Z19, 24)
+	NTZ_STEP(Z20, 32)
+	NTZ_STEP(Z21, 40)
+	NTZ_STEP(Z22, 48)
+	NTZ_STEP(Z23, 56)
+	ADDQ $64, AX
+	ADDQ $64, R14
+	ADDQ $64, BX
+	ADDQ $64, CX
+	DECQ R12
+	JNZ  ntzLoop
+
+	// The last k%8 t: the lanes past them load as zeros and are never
+	// multiplied.
+ntzTail:
+	MOVQ k+88(FP), R12
+	ANDQ $7, R12
+	JZ   ntzStore
+	NTZ_LOAD8(AX, R14, R8, R9, K1, Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	TRANSPOSE8(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15, Z16, Z17, Z18, Z19, Z20, Z21, Z22, Z23)
+	NTZ_STEP(Z16, 0)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z17, 8)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z18, 16)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z19, 24)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z20, 32)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z21, 40)
+	DECQ R12
+	JZ   ntzStore
+	NTZ_STEP(Z22, 48)
+
+ntzStore:
+	LEAQ (DI)(R10*4), R12
+	NTZ_STORE_C(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	ADDQ $64, DI
+
+ntzRowsNext:
+	MOVQ    n+80(FP), R12 // DI walked n columns of row 0
+	SHLQ    $3, R12
+	SUBQ    R12, DI
+	LEAQ    (DI)(R10*8), DI
+	LEAQ    (SI)(R8*8), SI
+	SUBQ    $8, m+72(FP)
+	JNZ     ntzRows
+	VZEROUPPER
+	RET
+
+// GemmTN: lanes are eight consecutive columns of C; otherwise the AVX2
+// kernel's loop, thirty-two columns an iteration, then eight. The last
+// n%8 columns run the AVX2 kernel's own four-column chain and masked
+// tail on the low halves of the same registers: BenchmarkGemm finds an
+// eight-lane masked tail slower than those, down to n = 4.
+
+// TNZ_TERMS adds the block's four products, in order, to the value in
+// START, leaves the sum in ACC and stores it at off(DI).
+#define TNZ_TERMS(off, START, ACC, T) \
+	VMULPD  off(BX), Z12, T; \
+	VADDPD  T, START, ACC; \
+	VMULPD  off(BX)(R10*1), Z13, T; \
+	VADDPD  T, ACC, ACC; \
+	VMULPD  off(BX)(R10*2), Z14, T; \
+	VADDPD  T, ACC, ACC; \
+	VMULPD  off(BX)(R11*1), Z15, T; \
+	VADDPD  T, ACC, ACC; \
+	VMOVUPD ACC, off(DI)
+
+#define TNZ_CHAIN(off, ACC, T) \
+	VMOVUPD off(DI), ACC; \
+	TNZ_TERMS(off, ACC, ACC, T)
+
+#define TNZ_BROADCAST_D \
+	VBROADCASTSD (AX), Z12; \
+	VBROADCASTSD (AX)(R8*1), Z13; \
+	VBROADCASTSD (AX)(R8*2), Z14; \
+	VBROADCASTSD (AX)(R9*1), Z15
+
+// func gemmTNAVX512(c, a, b []float64, m, n, k int)
+// C += Aᵀ·B: a[t*m+i] pairs k row t with C row i. k is a positive
+// multiple of 4; m, n ≥ 1.
+TEXT ·gemmTNAVX512(SB), NOSPLIT, $0-96
+	MOVQ a_base+24(FP), SI // A: k row t of the block, C row 0
+	MOVQ b_base+48(FP), DX // B: k row t of the block
+	TN_SETUP
+
+tnzBlock:
+	MOVQ c_base+0(FP), DI // C: row i, column j
+	MOVQ SI, AX // A: k row t, C row i
+	MOVQ m+72(FP), R13
+
+tnzRow:
+	SKIP_IF_ZERO4(tnzSkip)
+	TNZ_BROADCAST_D
+	MOVQ DX, BX
+	MOVQ n+80(FP), R12
+
+tnzCols32:
+	CMPQ R12, $32
+	JLT  tnzCols8
+	TNZ_CHAIN(0, Z0, Z4)
+	TNZ_CHAIN(64, Z1, Z5)
+	TNZ_CHAIN(128, Z2, Z6)
+	TNZ_CHAIN(192, Z3, Z7)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, R12
+	JMP  tnzCols32
+
+tnzCols8:
+	CMPQ R12, $8
+	JLT  tnzCols4
+	TNZ_CHAIN(0, Z0, Z4)
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SUBQ $8, R12
+	JMP  tnzCols8
+
+tnzCols4:
+	CMPQ R12, $4
+	JLT  tnzColsTail
+	TN_CHAIN(0, Y0, Y4)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, R12
+
+tnzColsTail:
+	TESTQ R12, R12
+	JZ    tnzRowDone
+	VMASKMOVPD (DI), Y11, Y0
+	TN_TAIL_TERMS(Y0)
+	LEAQ       (DI)(R12*8), DI
+
+tnzRowDone:
+	ADDQ $8, AX
+	DECQ R13
+	JNZ  tnzRow
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DX)(R10*4), DX
+	SUBQ $4, k+88(FP)
+	JNZ  tnzBlock
+	VZEROUPPER
+	RET
+
+tnzSkip:
+	ADDQ R10, DI
+	JMP  tnzRowDone
+
+// func gemmTNStoreAVX512(c, a, b []float64, m, n int)
+// C = Aᵀ·B over one block of four k rows, as gemmTNStoreAVX2. m, n ≥ 1.
+TEXT ·gemmTNStoreAVX512(SB), NOSPLIT, $0-88
+	MOVQ c_base+0(FP), DI // C: row i, column j
+	MOVQ a_base+24(FP), AX // A: k row 0, C row i
+	MOVQ b_base+48(FP), DX // B: k row 0
+	TN_SETUP
+	VPXORQ Z10, Z10, Z10 // +0, the start of every chain
+	MOVQ   m+72(FP), R13
+
+tszRow:
+	SKIP_IF_ZERO4(tszZeroRow)
+	TNZ_BROADCAST_D
+	MOVQ DX, BX
+	MOVQ n+80(FP), R12
+
+tszCols32:
+	CMPQ R12, $32
+	JLT  tszCols8
+	TNZ_TERMS(0, Z10, Z0, Z4)
+	TNZ_TERMS(64, Z10, Z1, Z5)
+	TNZ_TERMS(128, Z10, Z2, Z6)
+	TNZ_TERMS(192, Z10, Z3, Z7)
+	ADDQ $256, DI
+	ADDQ $256, BX
+	SUBQ $32, R12
+	JMP  tszCols32
+
+tszCols8:
+	CMPQ R12, $8
+	JLT  tszCols4
+	TNZ_TERMS(0, Z10, Z0, Z4)
+	ADDQ $64, DI
+	ADDQ $64, BX
+	SUBQ $8, R12
+	JMP  tszCols8
+
+tszCols4:
+	CMPQ R12, $4
+	JLT  tszColsTail
+	TN_TERMS(0, Y10, Y0, Y4)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, R12
+
+tszColsTail:
+	TESTQ R12, R12
+	JZ    tszRowDone
+	TN_TAIL_TERMS(Y10)
+	LEAQ  (DI)(R12*8), DI
+
+tszRowDone:
+	ADDQ $8, AX
+	DECQ R13
+	JNZ  tszRow
+	VZEROUPPER
+	RET
+
+	// Four deltas of ±0: written as +0, as in gemmTNStoreAVX2.
+tszZeroRow:
+	MOVQ n+80(FP), R12
+
+tszZero8:
+	CMPQ R12, $8
+	JLT  tszZero4
+	VMOVUPD Z10, (DI)
+	ADDQ $64, DI
+	SUBQ $8, R12
+	JMP  tszZero8
+
+tszZero4:
+	CMPQ    R12, $4
+	JLT     tszZeroTail
+	VMOVUPD Y10, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, R12
+
+tszZeroTail:
+	TESTQ   R12, R12
+	JZ      tszRowDone
+	VMASKMOVPD Y10, Y11, (DI)
+	LEAQ       (DI)(R12*8), DI
+	JMP        tszRowDone
+
+// GemmNN: lanes are eight consecutive columns of C. A 4-row × 32-column
+// block of C stays in sixteen registers while t runs over k (then 4 ×
+// 16 in eight), as in the AVX2 kernel; the skip test is per (block of
+// four rows, t), as there.
+
+// NNZ_ROW32 adds the products of one A row's delta, broadcast in D, with
+// the thirty-two columns of B in Z16..Z19 to that row's accumulators.
+#define NNZ_ROW32(D, C0, C1, C2, C3) \
+	VMULPD Z16, D, Z24; \
+	VMULPD Z17, D, Z25; \
+	VMULPD Z18, D, Z26; \
+	VMULPD Z19, D, Z27; \
+	VADDPD Z24, C0, C0; \
+	VADDPD Z25, C1, C1; \
+	VADDPD Z26, C2, C2; \
+	VADDPD Z27, C3, C3
+
+// func gemmNNAVX512(c, a, b []float64, m, n, k int)
+// C += A·B over m rows, m a positive multiple of 4; n, k ≥ 1.
+TEXT ·gemmNNAVX512(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), DI // C: row 0 of the block, column j
+	MOVQ a_base+24(FP), SI // A: row 0 of the block
+	MOVQ n+80(FP), R10
+	MOVQ k+88(FP), R8
+	SHLQ $3, R10 // bytes per B row and per C row
+	SHLQ $3, R8 // bytes per A row
+	LEAQ (R10)(R10*2), R11
+	LEAQ (R8)(R8*2), R9
+
+nnzRows:
+	MOVQ b_base+48(FP), DX // B: row 0, column j
+	MOVQ n+80(FP), R13 // columns left
+
+	// Thirty-two columns a block while they last: sixteen chains.
+nnzCols32:
+	CMPQ R13, $32
+	JLT  nnzCols16
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD (DI)(R10*1), Z4
+	VMOVUPD 64(DI)(R10*1), Z5
+	VMOVUPD 128(DI)(R10*1), Z6
+	VMOVUPD 192(DI)(R10*1), Z7
+	VMOVUPD (DI)(R10*2), Z8
+	VMOVUPD 64(DI)(R10*2), Z9
+	VMOVUPD 128(DI)(R10*2), Z10
+	VMOVUPD 192(DI)(R10*2), Z11
+	VMOVUPD (DI)(R11*1), Z12
+	VMOVUPD 64(DI)(R11*1), Z13
+	VMOVUPD 128(DI)(R11*1), Z14
+	VMOVUPD 192(DI)(R11*1), Z15
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+88(FP), CX
+
+nnz32Loop:
+	SKIP_IF_ZERO4(nnz32Next)
+	VMOVUPD (BX), Z16
+	VMOVUPD 64(BX), Z17
+	VMOVUPD 128(BX), Z18
+	VMOVUPD 192(BX), Z19
+	VBROADCASTSD (AX), Z20
+	VBROADCASTSD (AX)(R8*1), Z21
+	VBROADCASTSD (AX)(R8*2), Z22
+	VBROADCASTSD (AX)(R9*1), Z23
+	NNZ_ROW32(Z20, Z0, Z1, Z2, Z3)
+	NNZ_ROW32(Z21, Z4, Z5, Z6, Z7)
+	NNZ_ROW32(Z22, Z8, Z9, Z10, Z11)
+	NNZ_ROW32(Z23, Z12, Z13, Z14, Z15)
+
+nnz32Next:
+	ADDQ $8, AX
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  nnz32Loop
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, (DI)(R10*1)
+	VMOVUPD Z5, 64(DI)(R10*1)
+	VMOVUPD Z6, 128(DI)(R10*1)
+	VMOVUPD Z7, 192(DI)(R10*1)
+	VMOVUPD Z8, (DI)(R10*2)
+	VMOVUPD Z9, 64(DI)(R10*2)
+	VMOVUPD Z10, 128(DI)(R10*2)
+	VMOVUPD Z11, 192(DI)(R10*2)
+	VMOVUPD Z12, (DI)(R11*1)
+	VMOVUPD Z13, 64(DI)(R11*1)
+	VMOVUPD Z14, 128(DI)(R11*1)
+	VMOVUPD Z15, 192(DI)(R11*1)
+	ADDQ $256, DI
+	ADDQ $256, DX
+	SUBQ $32, R13
+	JMP  nnzCols32
+
+nnzCols16:
+	CMPQ R13, $16
+	JLT  nnzCols8
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD (DI)(R10*1), Z2
+	VMOVUPD 64(DI)(R10*1), Z3
+	VMOVUPD (DI)(R10*2), Z4
+	VMOVUPD 64(DI)(R10*2), Z5
+	VMOVUPD (DI)(R11*1), Z6
+	VMOVUPD 64(DI)(R11*1), Z7
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+88(FP), CX
+
+nnz16Loop:
+	SKIP_IF_ZERO4(nnz16Next)
+	VMOVUPD (BX), Z8
+	VMOVUPD 64(BX), Z9
+	VBROADCASTSD (AX), Z10
+	VBROADCASTSD (AX)(R8*1), Z11
+	VBROADCASTSD (AX)(R8*2), Z12
+	VBROADCASTSD (AX)(R9*1), Z13
+	VMULPD Z8, Z10, Z16
+	VMULPD Z9, Z10, Z17
+	VMULPD Z8, Z11, Z18
+	VMULPD Z9, Z11, Z19
+	VMULPD Z8, Z12, Z20
+	VMULPD Z9, Z12, Z21
+	VMULPD Z8, Z13, Z22
+	VMULPD Z9, Z13, Z23
+	VADDPD Z16, Z0, Z0
+	VADDPD Z17, Z1, Z1
+	VADDPD Z18, Z2, Z2
+	VADDPD Z19, Z3, Z3
+	VADDPD Z20, Z4, Z4
+	VADDPD Z21, Z5, Z5
+	VADDPD Z22, Z6, Z6
+	VADDPD Z23, Z7, Z7
+
+nnz16Next:
+	ADDQ $8, AX
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  nnz16Loop
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, (DI)(R10*1)
+	VMOVUPD Z3, 64(DI)(R10*1)
+	VMOVUPD Z4, (DI)(R10*2)
+	VMOVUPD Z5, 64(DI)(R10*2)
+	VMOVUPD Z6, (DI)(R11*1)
+	VMOVUPD Z7, 64(DI)(R11*1)
+	ADDQ $128, DI
+	ADDQ $128, DX
+	SUBQ $16, R13
+	JMP  nnzCols16
+
+	// The last n%16 columns, at most eight at a time under a lane mask
+	// (a whole vector first when nine or more are left).
+nnzCols8:
+	TESTQ   R13, R13
+	JZ      nnzRowsNext
+	MOVQ    $8, CX
+	CMPQ    R13, CX
+	CMOVQLT R13, CX
+	LANE_MASK(K1) // the first min(8, columns left) lanes
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z (DI)(R10*1), K1, Z1
+	VMOVUPD.Z (DI)(R10*2), K1, Z2
+	VMOVUPD.Z (DI)(R11*1), K1, Z3
+	MOVQ SI, AX
+	MOVQ DX, BX
+	MOVQ k+88(FP), CX
+
+nnz8Loop:
+	SKIP_IF_ZERO4(nnz8Next)
+	VMOVUPD.Z (BX), K1, Z8
+	VMULPD.BCST (AX), Z8, Z10
+	VMULPD.BCST (AX)(R8*1), Z8, Z11
+	VMULPD.BCST (AX)(R8*2), Z8, Z12
+	VMULPD.BCST (AX)(R9*1), Z8, Z13
+	VADDPD Z10, Z0, Z0
+	VADDPD Z11, Z1, Z1
+	VADDPD Z12, Z2, Z2
+	VADDPD Z13, Z3, Z3
+
+nnz8Next:
+	ADDQ $8, AX
+	ADDQ R10, BX
+	DECQ CX
+	JNZ  nnz8Loop
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K1, (DI)(R10*1)
+	VMOVUPD Z2, K1, (DI)(R10*2)
+	VMOVUPD Z3, K1, (DI)(R11*1)
+	CMPQ R13, $8
+	JLE  nnzLastCols
+	ADDQ $64, DI
+	ADDQ $64, DX
+	SUBQ $8, R13
+	JMP  nnzCols8
+
+nnzLastCols:
+	LEAQ (DI)(R13*8), DI
+
+nnzRowsNext:
+	ADDQ R11, DI // DI walked row 0; the block has three more
+	LEAQ (SI)(R8*4), SI
+	SUBQ $4, m+72(FP)
+	JNZ  nnzRows
 	VZEROUPPER
 	RET
 
@@ -1331,6 +2048,235 @@ srRowNext:
 	JMP  srRow
 
 srDone:
+	MOVQ R10, ret+160(FP)
+	VZEROUPPER
+	RET
+
+// SRZ_ROW and SRZ_TERM are SR_ROW and SR_TERM with val[p] broadcast to
+// all of Z8 (so Y8 and X8 hold it too).
+#define SRZ_ROW \
+	IMULQ R8, CX; \
+	ADDQ  SI, CX; \
+	ADDQ  R13, CX; \
+	VBROADCASTSD (R9)(AX*8), Z8
+
+#define SRZ_TERM(off, ACC, T) \
+	VMULPD off(CX), Z8, T; \
+	VADDPD T, ACC, ACC
+
+// func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+// sparseRowsAVX2 with eight lanes: sixty-four columns at once, then
+// eight, then the AVX2 kernel's four and masked n%4 on the low halves
+// of the same registers.
+TEXT ·sparseRowsAVX512(SB), NOSPLIT, $0-168
+	MOVQ c_base+0(FP), DI // C: row r
+	MOVQ m_base+24(FP), SI
+	MOVQ ptr_base+56(FP), BX // &ptr[r]
+	MOVQ idx_base+80(FP), DX
+	MOVQ val_base+104(FP), R9
+	MOVQ n+48(FP), R8
+	MOVQ R8, CX
+	ANDQ $3, CX
+	NEGQ CX
+	LEAQ tailMask<>+32(SB), AX
+	VMOVDQU (AX)(CX*8), Y15 // the first n%4 lanes
+	SHLQ $3, R8 // bytes per row of C and of m
+	XORQ R10, R10 // r
+
+srzRow:
+	CMPQ R10, rows+128(FP)
+	JGE  srzDone
+	MOVL (BX), R11 // p from
+	MOVL 4(BX), R12 // p to
+	CMPQ R11, R12
+	JA   srzDone
+	CMPQ R12, nnz+144(FP)
+	JA   srzDone
+	XORQ R13, R13 // column j, in bytes
+	MOVQ n+48(FP), R14 // columns left
+
+srzCols64:
+	CMPQ R14, $64
+	JLT  srzCols8
+	CMPB store+152(FP), $0
+	JNE  srz64Zero
+	SR_INIT(0, Z0)
+	SR_INIT(64, Z1)
+	SR_INIT(128, Z2)
+	SR_INIT(192, Z3)
+	SR_INIT(256, Z4)
+	SR_INIT(320, Z5)
+	SR_INIT(384, Z6)
+	SR_INIT(448, Z7)
+	JMP  srz64Start
+
+srz64Zero:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+
+srz64Start:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  srz64Store
+
+srz64Loop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srzDone
+	SRZ_ROW
+	SR_UNLESS_ONE(srz64Mul)
+	SR_ADD(0, Z0)
+	SR_ADD(64, Z1)
+	SR_ADD(128, Z2)
+	SR_ADD(192, Z3)
+	SR_ADD(256, Z4)
+	SR_ADD(320, Z5)
+	SR_ADD(384, Z6)
+	SR_ADD(448, Z7)
+	INCQ AX
+	CMPQ AX, R12
+	JB   srz64Loop
+	JMP  srz64Store
+
+srz64Mul:
+	SRZ_TERM(0, Z0, Z9)
+	SRZ_TERM(64, Z1, Z10)
+	SRZ_TERM(128, Z2, Z11)
+	SRZ_TERM(192, Z3, Z12)
+	SRZ_TERM(256, Z4, Z9)
+	SRZ_TERM(320, Z5, Z10)
+	SRZ_TERM(384, Z6, Z11)
+	SRZ_TERM(448, Z7, Z12)
+	INCQ AX
+	CMPQ AX, R12
+	JB   srz64Loop
+
+srz64Store:
+	VMOVUPD Z0, 0(DI)(R13*1)
+	VMOVUPD Z1, 64(DI)(R13*1)
+	VMOVUPD Z2, 128(DI)(R13*1)
+	VMOVUPD Z3, 192(DI)(R13*1)
+	VMOVUPD Z4, 256(DI)(R13*1)
+	VMOVUPD Z5, 320(DI)(R13*1)
+	VMOVUPD Z6, 384(DI)(R13*1)
+	VMOVUPD Z7, 448(DI)(R13*1)
+	ADDQ $512, R13
+	SUBQ $64, R14
+	JMP  srzCols64
+
+srzCols8:
+	CMPQ R14, $8
+	JLT  srzCols4
+	VPXORQ Z0, Z0, Z0
+	CMPB store+152(FP), $0
+	JNE  srz8Start
+	SR_INIT(0, Z0)
+
+srz8Start:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  srz8Store
+
+srz8Loop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srzDone
+	SRZ_ROW
+	SR_UNLESS_ONE(srz8Mul)
+	SR_ADD(0, Z0)
+	JMP  srz8Next
+
+srz8Mul:
+	SRZ_TERM(0, Z0, Z9)
+
+srz8Next:
+	INCQ AX
+	CMPQ AX, R12
+	JB   srz8Loop
+
+srz8Store:
+	VMOVUPD Z0, (DI)(R13*1)
+	ADDQ $64, R13
+	SUBQ $8, R14
+	JMP  srzCols8
+
+srzCols4:
+	CMPQ R14, $4
+	JLT  srzColsTail
+	VXORPD Y0, Y0, Y0
+	CMPB store+152(FP), $0
+	JNE  srz4Start
+	SR_INIT(0, Y0)
+
+srz4Start:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  srz4Store
+
+srz4Loop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srzDone
+	SRZ_ROW
+	SR_UNLESS_ONE(srz4Mul)
+	SR_ADD(0, Y0)
+	JMP  srz4Next
+
+srz4Mul:
+	SR_TERM(0, Y0, Y9)
+
+srz4Next:
+	INCQ AX
+	CMPQ AX, R12
+	JB   srz4Loop
+
+srz4Store:
+	VMOVUPD Y0, (DI)(R13*1)
+	ADDQ $32, R13
+	SUBQ $4, R14
+	JMP  srzCols4
+
+srzColsTail:
+	TESTQ R14, R14
+	JZ    srzRowNext
+	VXORPD Y0, Y0, Y0
+	CMPB  store+152(FP), $0
+	JNE   srzTailStart
+	VMASKMOVPD (DI)(R13*1), Y15, Y0
+
+srzTailStart:
+	MOVQ R11, AX
+	CMPQ AX, R12
+	JAE  srzTailStore
+
+srzTailLoop:
+	MOVL (DX)(AX*4), CX
+	CMPQ CX, mrows+136(FP)
+	JAE  srzDone
+	SRZ_ROW
+	VMASKMOVPD (CX), Y15, Y9
+	VMULPD     Y9, Y8, Y9
+	VADDPD     Y9, Y0, Y0
+	INCQ AX
+	CMPQ AX, R12
+	JB   srzTailLoop
+
+srzTailStore:
+	VMASKMOVPD Y0, Y15, (DI)(R13*1)
+
+srzRowNext:
+	ADDQ R8, DI
+	ADDQ $4, BX
+	INCQ R10
+	JMP  srzRow
+
+srzDone:
 	MOVQ R10, ret+160(FP)
 	VZEROUPPER
 	RET

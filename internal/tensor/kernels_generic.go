@@ -4,7 +4,8 @@ package tensor
 
 // Off amd64 the Go kernels in matrix.go are the only tier.
 
-func hasAVX2() bool { return false }
+func hasAVX2() bool   { return false }
+func hasAVX512() bool { return false }
 
 func mathExpFMA() bool { return false }
 

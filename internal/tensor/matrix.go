@@ -50,29 +50,36 @@ func (m *Matrix) MatVec(x, out Vector) (Vector, error) {
 // kernels for any batch size.
 //
 // On amd64 with AVX2 an assembly tier (kernels_amd64.s) runs the same
-// chains four output elements to an instruction and hands back what it
-// does not take: row remainders, the k tail of GemmTN, and shapes too
-// small to fill the lanes. The loops here finish from where it stopped,
-// are the only path everywhere else, and are the oracle its tests
-// compare with.
+// chains four output elements to an instruction, eight with AVX-512,
+// and hands back what it does not take: row remainders, the k tail of
+// GemmTN, and shapes too small to fill the lanes. The loops here finish
+// from where it stopped, are the only path everywhere else, and are the
+// oracle its tests compare with.
 
-// useAVX2 is the start-up half of the tier choice. It is a variable
-// only so that the tests can clear it and run the Go kernels.
-var useAVX2 = hasAVX2()
+// useAVX2 and useAVX512 are the start-up half of the tier choice. They
+// are variables only so that the tests can clear them: clearing
+// useAVX512 runs the AVX2 tier, clearing useAVX2 the Go kernels.
+var (
+	useAVX2   = hasAVX2()
+	useAVX512 = useAVX2 && hasAVX512()
+)
 
 // expFMA records that math.Exp takes its FMA path here, the one Exp's
 // AVX2 tier replays.
 var expFMA = mathExpFMA()
 
-// Kernels names the tiers this process runs on: "avx2" or "go" for the
-// kernels, then "+fma" where math.Exp takes its FMA path (under avx2,
-// Exp then runs four lanes wide). The kernel tier changes no result;
-// the exp path does, since math.Exp's two paths round some inputs
-// apart, so bytes match only between processes of one architecture
-// that agree on "+fma".
+// Kernels names the tiers this process runs on: "avx512", "avx2" or
+// "go" for the kernels (avx512 is the GEMM and sparse kernels' tier;
+// the element-wise kernels stay on avx2 under it), then "+fma" where math.Exp takes its
+// FMA path (under avx2 or avx512, Exp then runs four lanes wide). The
+// kernel tier changes no result; the exp path does, since math.Exp's two
+// paths round some inputs apart, so bytes match only between processes
+// of one architecture that agree on "+fma".
 func Kernels() string {
 	tier := "go"
-	if useAVX2 {
+	if useAVX2 && useAVX512 {
+		tier = "avx512"
+	} else if useAVX2 {
 		tier = "avx2"
 	}
 	if expFMA {

@@ -92,7 +92,8 @@ func checkCanaries(t testing.TB, what string, c, buf []float64) {
 //   - Transpose to the plain transpose and its finiteness report to
 //     the plain one;
 //   - SparseRows over Wᵀ with X's row index and SparseRowsStore over D
-//     with X's column index to their Go tier, on operands that end
+//     with X's column index, on every assembly tier this host has, to
+//     their Go tier, on operands that end
 //     against an inaccessible page (the store form meets NaN on one
 //     tier and canaries on the other: one element read, or one left
 //     unwritten, and the two disagree);
@@ -101,7 +102,7 @@ func checkCanaries(t testing.TB, what string, c, buf []float64) {
 //     second to the transpose of GemmTNStore's.
 func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, ones bool, plant byte, rng *RNG) {
 	t.Helper()
-	name := fmt.Sprintf("%dx%dx%d density %.2f plant %#x on the %s tier", rows, n, k, density, plant, Kernels())
+	name := fmt.Sprintf("%dx%dx%d density %.2f plant %#x", rows, n, k, density, plant)
 	x := sparseOperand(rng, rows*k, density, ones, plant)
 	w, d, init := randSlice(rng, n*k), randSlice(rng, rows*n), randSlice(rng, rows*n)
 	for _, v := range [][]float64{w, d, init} {
@@ -122,35 +123,42 @@ func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, o
 		sameVectorBits(t, "Transpose on the go tier "+name, goT, naiveTranspose(w, n, k))
 	})
 	ptr, idx, val := rowIndex(x, rows, k)
-	c, buf := ar.cWithCanaries(rows * n)
-	copy(c, init)
-	SparseRows(c, wT, n, ptr, idx, val)
-	checkCanaries(t, "SparseRows "+name, c, buf)
 	want := Vector(init).Clone()
 	onGoTier(func() { SparseRows(want, wT, n, ptr, idx, val) })
-	sameVectorBits(t, "SparseRows against its go tier "+name, c, want)
+	onEachAsmTier(func() {
+		name := name + " on the " + Kernels() + " tier"
+		c, buf := ar.cWithCanaries(rows * n)
+		copy(c, init)
+		SparseRows(c, wT, n, ptr, idx, val)
+		checkCanaries(t, "SparseRows "+name, c, buf)
+		sameVectorBits(t, "SparseRows against its go tier "+name, c, want)
+	})
 	if allFinite(x) && allFinite(w) && !hasNegZero(init) {
 		dense := Vector(init).Clone()
 		GemmNT(dense, x, w, rows, n, k)
-		sameVectorBits(t, "SparseRows against GemmNT "+name, c, dense)
+		sameVectorBits(t, "SparseRows against GemmNT "+name, want, dense)
 	}
 
-	// The weight gradient: Gᵀ = Dᵀ·X, written as G (k×n).
+	// The weight gradient: Gᵀ = Dᵀ·X, written as G (k×n). (dm is taken
+	// from the arena wT came from, so after the forward is done.)
 	dm := ar.b(rows * n)
 	copy(dm, d)
 	ptr, idx, val = rowIndex(naiveTranspose(x, rows, k), k, rows)
-	g, buf := ar.cWithCanaries(k * n)
-	Vector(g).Fill(math.NaN())
-	SparseRowsStore(g, dm, n, ptr, idx, val)
-	checkCanaries(t, "SparseRowsStore "+name, g, buf)
 	want = NewVector(k * n)
 	want.Fill(canary)
 	onGoTier(func() { SparseRowsStore(want, dm, n, ptr, idx, val) })
-	sameVectorBits(t, "SparseRowsStore against its go tier "+name, g, want)
+	onEachAsmTier(func() {
+		name := name + " on the " + Kernels() + " tier"
+		g, buf := ar.cWithCanaries(k * n)
+		Vector(g).Fill(math.NaN())
+		SparseRowsStore(g, dm, n, ptr, idx, val)
+		checkCanaries(t, "SparseRowsStore "+name, g, buf)
+		sameVectorBits(t, "SparseRowsStore against its go tier "+name, g, want)
+	})
 	if allFinite(x) && allFinite(d) {
 		dense := NewVector(n * k)
 		GemmTNStore(dense, d, x, n, k, rows)
-		sameVectorBits(t, "SparseRowsStore against GemmTNStore "+name, g, naiveTranspose(dense, n, k))
+		sameVectorBits(t, "SparseRowsStore against GemmTNStore "+name, want, naiveTranspose(dense, n, k))
 	}
 }
 
@@ -295,12 +303,16 @@ func BenchmarkSparseRows(b *testing.B) {
 				}
 			})
 		})
+		run := func(b *testing.B) {
+			for b.Loop() {
+				bc.run()
+			}
+		}
 		if useAVX2 {
-			b.Run(bc.name+"/avx2", func(b *testing.B) {
-				for b.Loop() {
-					bc.run()
-				}
-			})
+			b.Run(bc.name+"/avx2", func(b *testing.B) { onAVX2Tier(func() { run(b) }) })
+		}
+		if useAVX2 && useAVX512 {
+			b.Run(bc.name+"/avx512", run)
 		}
 	}
 }

@@ -36,8 +36,9 @@ func (v Vector) Fill(c float64) {
 	}
 }
 
-// Zero sets every element of v to 0.
-func (v Vector) Zero() { v.Fill(0) }
+// Zero sets every element of v to +0. clear compiles to a memory clear,
+// which Fill's store loop does not, and all-zero bits are +0.
+func (v Vector) Zero() { clear(v) }
 
 // AddInPlace sets v += w. It returns an error when lengths differ.
 // Element-wise updates are independent, so the AVX2 tier (addVec, see

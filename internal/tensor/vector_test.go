@@ -25,6 +25,22 @@ func TestVectorAddSub(t *testing.T) {
 	}
 }
 
+// TestZeroWritesPositiveZero: Zero leaves +0 bits in every element,
+// whatever the element held: −0, NaN, ±Inf, a denormal or a normal.
+func TestZeroWritesPositiveZero(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 8, 33, 1000} {
+		v := randSlice(NewRNG(int64(n)), n)
+		sprinkle(v, 2, specials(plantAll), NewRNG(7))
+		copy(v, []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)})
+		Vector(v).Zero()
+		for i, x := range v {
+			if math.Float64bits(x) != 0 {
+				t.Fatalf("Zero n=%d: element %d = %v (%#x), want +0", n, i, x, math.Float64bits(x))
+			}
+		}
+	}
+}
+
 func TestVectorShapeErrors(t *testing.T) {
 	v := Vector{1}
 	w := Vector{1, 2}

@@ -12,10 +12,10 @@ import (
 // version, the Go toolchain it was built with, and the hash of the
 // scenario-spec schema it accepts. Matching SpecSchemaHash values mean
 // two builds understand exactly the same scenario language. Kernels
-// names the tier the process's kernels run on, "avx2" or "go", followed
-// by "+fma" where math.Exp takes its FMA path, and Arch the
-// architecture it was compiled for (runtime.GOARCH). Results are
-// byte-identical across the avx2 and go tiers, but not across exp
+// names the tier the process's kernels run on, "avx512", "avx2" or
+// "go", followed by "+fma" where math.Exp takes its FMA path, and Arch
+// the architecture it was compiled for (runtime.GOARCH). Results are
+// byte-identical across the avx512, avx2 and go tiers, but not across exp
 // paths: on amd64 math.Exp takes its FMA path only where the CPU has
 // AVX and FMA, and rounds differently without it. Nor across
 // architectures: the compiler fuses a*b + c into one rounding where the

@@ -6,9 +6,10 @@
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
-# kernels, the attack's metrics, the sparse kernels, the list-fed first
-# layer, the rank correlation and the DP accountant are fuzzed, for 10 s
-# each), the one-generator
+# kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
+# kernels, the list-fed first layer, the rank correlation, the DP
+# accountant and the spectral instruments are fuzzed, for 10 s each),
+# the one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
 # samplers, the sparse kernels or internal/nn on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
@@ -63,7 +64,7 @@ go test ./benchmark
 go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -88,6 +89,11 @@ go test -run=NONE -fuzz=FuzzExp -fuzztime=10s ./internal/tensor
 # wide, special cases blended in: a short real fuzzing run holds both
 # tiers to math.Log bit for bit on inputs no seed lists.
 go test -run=NONE -fuzz=FuzzLog -fuzztime=10s ./internal/tensor
+# The GEMM kernels have three tiers (AVX-512, AVX2, Go) that must give
+# the same bits: a short real fuzzing run holds every tier this CPU has
+# to the Go kernels, on shapes, operands and special values no seed
+# lists (a CPU without AVX-512 makes no 512-bit comparison).
+go test -run=NONE -fuzz=FuzzGemmKernels -fuzztime=10s ./internal/tensor
 # The attack sorts its scores once and reads both sides' sorted lists
 # off that order: a short real fuzzing run holds its threshold accuracy
 # and TPR@FPR to O(n²) oracles that sort nothing, on scores full of
@@ -113,6 +119,11 @@ go test -run=NONE -fuzz=FuzzSpearman -fuzztime=10s ./internal/stats
 # Gaussian mechanism's RDP to a quadrature of its defining integral and
 # CalibrateSigma's σ to the smallest that meets Figure 9's budgets.
 go test -run=NONE -fuzz=FuzzRDP -fuzztime=10s ./internal/dp
+# Figure 10's instruments: a short real fuzzing run holds
+# graph.SecondEigenvalue and Sequence.ContractionFactor, on random
+# k-regular graphs and products of their mixing steps (n ≤ 12), to a
+# dense Jacobi eigensolve.
+go test -run=NONE -fuzz=FuzzSpectral -fuzztime=10s ./internal/graph
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -239,6 +250,9 @@ echo "spec smoke ok"
 # the determinism claim checked over the whole index, not over the
 # figures that have a test of their own.
 go build -race -o "$specout/dlsim" ./cmd/dlsim
+# The kernel tier this run exercised (avx512, avx2 or go, +fma where
+# math.Exp takes its FMA path), for the log.
+"$specout/dlsim" version | grep '^kernels:'
 "$specout/dlsim" run -figure all -scale tiny -workers 1 >"$specout/catalog-w1.txt"
 "$specout/dlsim" run -figure all -scale tiny -workers 4 >"$specout/catalog-w4.txt"
 cmp "$specout/catalog-w1.txt" "$specout/catalog-w4.txt" || {

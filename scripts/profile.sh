@@ -84,7 +84,7 @@ grep -m4 'flat%' -A6 "$OUT/intraarm_cpu.txt" | head -8 || true
 # caller. One of them climbing back is a regression.
 echo "heavy arm (figure2, quick scale), flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX2$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|expAVX2$|tensor\.Exp$|math\.arch(Exp|Log)$|nn\.softmaxRows$|runtime\.memmove$' || true
+    grep -E 'flat%|Total samples|gemm[A-Za-z]+AVX(2|512)$|\(\*SGD\)|sgdStepAVX2|Vector\.Fill|memclr|scaleAVX2|Vector\.Scale$|relu|ReLU|MLP\)\.(batchForward|batchGradSum)$|expAVX2$|tensor\.Exp$|math\.arch(Exp|Log)$|nn\.softmaxRows$|runtime\.memmove$' || true
 # The Purchase100-like arms' first layer: the GEMMs its dense form ran
 # (gemmNT forward; gemmTN and gemmTNStore, the weight gradient) and the
 # sparse form's kernels (the products, the transposes of W0 and its
@@ -96,7 +96,7 @@ go tool pprof -top -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
 # climbing back means the sparse path stopped being taken.
 echo "Purchase100-like arms, flat share of samples:"
 go tool pprof -top -nodecount=400 "$OUT/purchase100_cpu.pprof" 2>/dev/null |
-    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX2$|(sparseRows|transpose|finite)AVX2$|data\.\(\*BasketGenerator\)\.Sample$|sparseL0\)\.(index|columns)( \(inline\))?$|runtime\.memmove$' || true
+    grep -E 'flat%|Total samples|gemm(NT|TN|TNStore)AVX(2|512)$|sparseRowsAVX(2|512)$|(transpose|finite)AVX2$|data\.\(\*BasketGenerator\)\.Sample$|sparseL0\)\.(index|columns)( \(inline\))?$|runtime\.memmove$' || true
 echo "heavy arm, cumulative share of the softmax:"
 go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
     grep -E 'nn\.softmaxRows$' || true
@@ -134,7 +134,7 @@ go tool pprof -top -cum -unit=ms -nodecount=100000 -focus='core\.\(\*Study\)\.ru
 # is a per-side sort come back). One climbing back is a regression.
 echo "light arm, the evaluation pass, cumulative share of all samples:"
 go tool pprof -top -cum -nodecount=100000 -focus='core\.\(\*Study\)\.evaluateRound$' "$OUT/lightarm_cpu.pprof" 2>/dev/null |
-    awk '$6 ~ /core\.\(\*Study\)\.evaluateRound$|tensor\.(gemmNTAVX2|logAVX2|argMaxRowsAVX2|Vector\.Max)$|math\.archLog$|nn\.(softmaxRows|SoftmaxRows)$|^sort\.Sort$|mia\.\(\*Scratch\)\.(sortScores|bestThresholdAccuracy|tprAtFPR)$/ {
+    awk '$6 ~ /core\.\(\*Study\)\.evaluateRound$|tensor\.(gemmNTAVX(2|512)|logAVX2|argMaxRowsAVX2|Vector\.Max)$|math\.archLog$|nn\.(softmaxRows|SoftmaxRows)$|^sort\.Sort$|mia\.\(\*Scratch\)\.(sortScores|bestThresholdAccuracy|tprAtFPR)$/ {
         printf "  %-52s %8s\n", $6, $5 }' || true
 # What the light arms' garbage costs: the cumulative shares, of all the
 # sweep's samples, of the allocator and of the collector's background
