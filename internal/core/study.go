@@ -501,11 +501,11 @@ func (s *Study) pickEvalNodes(nodes int, rng *tensor.RNG, arena *tensor.Arena) [
 }
 
 // evalScratch holds the buffers of evaluateRound: the four indexed
-// metric slots plus one mia.Scratch per eval slot (each slot is worked
-// by at most one goroutine per round). It is pooled with the arm's
-// arena and keeps its buffers' room from arm to arm, so evaluation
-// rounds allocate nothing once an arm of the same or a larger shape
-// has run, however often they fire.
+// metric slots plus one mia.Scratch per eval slot, or per node where
+// canaries are audited (each scratch is worked by at most one goroutine
+// at a time). It is pooled with the arm's arena and keeps its buffers'
+// room from arm to arm, so evaluation rounds allocate nothing once an
+// arm of the same or a larger shape has run, however often they fire.
 type evalScratch struct {
 	accs, miaAccs, tprs, genErrs []float64
 	attack                       []mia.Scratch
@@ -521,9 +521,17 @@ func (es *evalScratch) size(n int) {
 		es.accs, es.miaAccs, es.tprs, es.genErrs = slots[:n:n], slots[n:2*n:2*n], slots[2*n:3*n:3*n], slots[3*n:]
 	}
 	es.accs, es.miaAccs, es.tprs, es.genErrs = es.accs[:n], es.miaAccs[:n], es.tprs[:n], es.genErrs[:n]
+	es.attackScratch(n)
+}
+
+// attackScratch returns the first n attack scratches, growing the pool
+// to n: eval slot i attacks through the i-th, and the canary audit,
+// which runs after the slots' attacks, audits node i through it.
+func (es *evalScratch) attackScratch(n int) []mia.Scratch {
 	if len(es.attack) < n {
 		es.attack = append(es.attack, make([]mia.Scratch, n-len(es.attack))...)
 	}
+	return es.attack[:n]
 }
 
 // evaluateRound measures the paper's four metrics averaged over the eval
@@ -570,7 +578,7 @@ func (s *Study) evaluateRound(round int, sim *gossip.Simulator, evalIDs []int,
 		for i, n := range nodes {
 			models[i] = n.Model
 		}
-		maxTPR, err := canaries.MaxTPRWorkers(models, s.cfg.Workers)
+		maxTPR, err := canaries.MaxTPRWorkers(models, es.attackScratch(len(nodes)), s.cfg.Workers)
 		clear(models) // the pooled scratch must not keep the arm's models
 		if err != nil {
 			return metrics.RoundRecord{}, fmt.Errorf("core: canary audit: %w", err)

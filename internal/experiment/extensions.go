@@ -150,14 +150,17 @@ func RunAttackComparison(sc Scale, a spec.Arm) (*AttackComparison, error) {
 	cmp := &AttackComparison{
 		Caption: fmt.Sprintf("CIFAR-10-like, SAMO, %d nodes, %d rounds", sc.Nodes, sc.Rounds),
 	}
-	// Each goroutine attacks a distinct node's snapshot model, so the
-	// per-node fan-out needs no cloning; results reduce in node order.
+	// Each goroutine attacks a distinct node's snapshot model through
+	// that node's scratch, which it keeps across the four methods, so
+	// the per-node fan-out needs no cloning; results reduce in node
+	// order.
+	scratch := make([]mia.Scratch, len(res.Final))
 	for _, m := range mia.AllMethods() {
 		accs := make([]float64, len(res.Final))
 		tprs := make([]float64, len(res.Final))
 		err := par.ForEachErr(sc.Workers, len(res.Final), func(i int) error {
 			snap := res.Final[i]
-			r, err := mia.AttackNodeWith(m, snap.Model, snap.Data)
+			r, err := scratch[i].AttackNodeWith(m, snap.Model, snap.Data)
 			if err != nil {
 				return fmt.Errorf("experiment: %s on node %d: %w", m, snap.ID, err)
 			}

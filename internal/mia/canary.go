@@ -62,38 +62,35 @@ func PlantCanaries(parts []data.NodeData, gen data.Generator, total int, rng *te
 	return set, nil
 }
 
-// NodeTPR runs the targeted, node-specific entropy attack: the node's
-// planted canaries (members) against the held-out canaries (non-members),
-// both scored under the node's model, and returns TPR@1%FPR.
-func (c *CanarySet) NodeTPR(nodeID int, model *nn.MLP) (float64, error) {
+// NodeTPR runs the targeted, node-specific MPE attack through s: the
+// node's planted canaries (members) against the held-out canaries
+// (non-members), both scored under the node's model, and returns
+// TPR@1%FPR.
+func (c *CanarySet) NodeTPR(s *Scratch, nodeID int, model *nn.MLP) (float64, error) {
 	if nodeID < 0 || nodeID >= len(c.PerNode) {
 		return 0, fmt.Errorf("%w: node %d of %d", ErrCanary, nodeID, len(c.PerNode))
 	}
-	memberScores, err := Scores(model, c.PerNode[nodeID])
-	if err != nil {
-		return 0, fmt.Errorf("mia: canary member scores node %d: %w", nodeID, err)
+	if _, _, err := s.score(MethodMPE, model, c.PerNode[nodeID], c.HeldOut); err != nil {
+		return 0, fmt.Errorf("mia: canary node %d: %w", nodeID, err)
 	}
-	nonScores, err := Scores(model, c.HeldOut)
-	if err != nil {
-		return 0, fmt.Errorf("mia: canary held-out scores node %d: %w", nodeID, err)
-	}
-	return TPRAtFPR(memberScores, nonScores, 0.01)
+	return s.tprAtFPR(0.01)
 }
 
 // MaxTPRWorkers returns the maximum per-node canary TPR@1%FPR across all
 // nodes, the quantity Figure 4 tracks over communication rounds, with
 // the per-node audits fanned out over the given worker count (0 = one
-// per CPU). models[i] must be node i's current model. Each goroutine
-// scores under a distinct node's model, so no cloning is needed, and the
-// maximum is taken in node order — the result is identical for every
-// worker count.
-func (c *CanarySet) MaxTPRWorkers(models []*nn.MLP, workers int) (float64, error) {
-	if len(models) != len(c.PerNode) {
-		return 0, fmt.Errorf("%w: %d models for %d nodes", ErrCanary, len(models), len(c.PerNode))
+// per CPU). models[i] must be node i's current model, and node i scores
+// through scratch[i] (scratch holds at least one per model). Each
+// goroutine scores under a distinct node's model, so no cloning is
+// needed, and the maximum is taken in node order — the result is
+// identical for every worker count.
+func (c *CanarySet) MaxTPRWorkers(models []*nn.MLP, scratch []Scratch, workers int) (float64, error) {
+	if len(models) != len(c.PerNode) || len(scratch) < len(models) {
+		return 0, fmt.Errorf("%w: %d models and %d scratches for %d nodes", ErrCanary, len(models), len(scratch), len(c.PerNode))
 	}
 	tprs := make([]float64, len(models))
 	err := par.ForEachErr(workers, len(models), func(i int) error {
-		tpr, err := c.NodeTPR(i, models[i])
+		tpr, err := c.NodeTPR(&scratch[i], i, models[i])
 		if err != nil {
 			return err
 		}

@@ -20,16 +20,16 @@ func sameScore(x, y float64) bool {
 }
 
 // TestChunkPassMatchesPerRow holds the chunked scoring pass — one
-// softmax, argmax and (for MPE) log pass per chunk — to a per-row
-// path: a one-row ScoreChunks pass (dense, without lists), the one-row
-// nn.SoftmaxRows, MethodScore and the logits' ArgMax, example by
-// example. Every method's scores match bit for bit, and the
-// hits the pass counts match the per-row argmax and metrics.Accuracy,
-// on 1, 63, 64, 65 and 150 dense rows and on binary rows with their
-// lists, which the sparse first layer takes in chunks of 16. Classes 1
-// and 2 share their weights and bias, so every row on which they lead
-// ties; every seventh dense row holds a NaN input, so its logits are
-// all NaN.
+// softmax, argmax and log pass per chunk — to a per-row path: a one-row
+// ScoreChunks pass (dense, without lists), the one-row nn.SoftmaxRows,
+// the oracle MethodScore and the logits' ArgMax, example by example.
+// Every method's scores match bit for bit, and the hits the pass counts
+// match the per-row argmax and metrics.Accuracy, on 1, 63, 64, 65 and
+// 150 dense rows, on binary rows with their lists, which the sparse
+// first layer takes in chunks of 16, and on saturated probability rows
+// (testSaturatedRows). Classes 1 and 2 share their weights and bias, so
+// every row on which they lead ties; every seventh dense row holds a
+// NaN input, so its logits are all NaN.
 func TestChunkPassMatchesPerRow(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -134,6 +134,52 @@ func TestChunkPassMatchesPerRow(t *testing.T) {
 				if !errors.Is(err, ErrNaNScore) {
 					t.Fatalf("%s n=%d: the attack on NaN scores returned %v, want ErrNaNScore", tc.name, n, err)
 				}
+			}
+		}
+	}
+	t.Run("saturated", testSaturatedRows)
+}
+
+// testSaturatedRows (TestChunkPassMatchesPerRow/saturated) holds the
+// chunk scorer, on
+// probability rows no softmax of the fixture reaches — exactly 0, one
+// ulp below, at and one ulp above the 1e-12 floor, the 1 − 1e-12 cap
+// and one ulp above it, exactly 1, and NaN — in every combination of
+// three classes and with every label, to the per-row oracle.
+func testSaturatedRows(t *testing.T) {
+	const floor = 1e-12
+	specials := []float64{
+		0, math.Nextafter(floor, 0), floor, math.Nextafter(floor, 1),
+		1 - floor, math.Nextafter(1-floor, 2), 1, 0.5, math.NaN(),
+	}
+	const classes = 3
+	var probs tensor.Vector
+	var ys []int
+	for _, a := range specials {
+		for _, b := range specials {
+			for _, c := range specials {
+				for y := 0; y < classes; y++ {
+					probs = append(probs, a, b, c)
+					ys = append(ys, y)
+				}
+			}
+		}
+	}
+	for _, m := range AllMethods() {
+		s := Scratch{logs: tensor.NewVector(len(probs))}
+		got := s.appendScores(m, nil, probs, ys, classes)
+		if len(got) != len(ys) {
+			t.Fatalf("%s: %d scores for %d rows", m, len(got), len(ys))
+		}
+		for r, y := range ys {
+			row := probs[r*classes : (r+1)*classes]
+			want, err := MethodScore(m, row, y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameScore(got[r], want) {
+				t.Fatalf("%s: row %v label %d scores %v (%#x), the per-row oracle %v (%#x)",
+					m, row, y, got[r], math.Float64bits(got[r]), want, math.Float64bits(want))
 			}
 		}
 	}
@@ -249,7 +295,7 @@ func FuzzAttackMetrics(f *testing.F) {
 		var s Scratch
 		err := s.sortScores(member, non)
 		if slices.ContainsFunc(slices.Concat(member, non), math.IsNaN) {
-			_, pubErr := TPRAtFPR(member, non, maxFPR)
+			_, pubErr := tprAt(member, non, maxFPR)
 			if !errors.Is(err, ErrNaNScore) || !errors.Is(pubErr, ErrNaNScore) {
 				t.Fatalf("scores %v vs %v hold a NaN: sortScores = %v, TPRAtFPR = %v, want ErrNaNScore", member, non, err, pubErr)
 			}
@@ -280,7 +326,7 @@ func FuzzAttackMetrics(f *testing.F) {
 		if math.Float64bits(tpr) != math.Float64bits(want) {
 			t.Fatalf("TPR@%v of %v vs %v = %v, by counting %v", maxFPR, member, non, tpr, want)
 		}
-		if pub, err := TPRAtFPR(member, non, maxFPR); err != nil || pub != tpr {
+		if pub, err := tprAt(member, non, maxFPR); err != nil || pub != tpr {
 			t.Fatalf("TPRAtFPR = %v, %v; the attack's sweep %v", pub, err, tpr)
 		}
 	})

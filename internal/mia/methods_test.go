@@ -110,12 +110,12 @@ func TestMethodScoresFiniteProperty(t *testing.T) {
 
 func TestAllMethodsDetectOverfitting(t *testing.T) {
 	model, nd := trainOverfitModel(t)
-	mpe, err := AttackNodeWith(MethodMPE, model, nd)
+	mpe, err := new(Scratch).AttackNodeWith(MethodMPE, model, nd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range AllMethods() {
-		res, err := AttackNodeWith(m, model, nd)
+		res, err := new(Scratch).AttackNodeWith(m, model, nd)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -129,7 +129,7 @@ func TestAllMethodsDetectOverfitting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if direct != mpe {
-		t.Fatalf("AttackNode %+v != AttackNodeWith(MPE) %+v", direct, mpe)
+		t.Fatalf("AttackNode %+v != Scratch.AttackNodeWith(MPE) %+v", direct, mpe)
 	}
 }
 
@@ -149,7 +149,7 @@ func TestAttackNodeAccuraciesMatchMetricsAccuracy(t *testing.T) {
 		t.Fatalf("fixture does not separate the splits: both %v", trainAcc)
 	}
 	for _, m := range AllMethods() {
-		res, err := AttackNodeWith(m, model, nd)
+		res, err := new(Scratch).AttackNodeWith(m, model, nd)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -160,8 +160,16 @@ func TestAttackNodeAccuraciesMatchMetricsAccuracy(t *testing.T) {
 	}
 }
 
+// An unknown method is refused by the oracle and, before any chunk is
+// scored, by the attack.
 func TestMethodScoreUnknown(t *testing.T) {
 	if _, err := MethodScore(Method(99), tensor.Vector{1}, 0); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+	model, nd := trainOverfitModel(t)
+	for _, m := range []Method{0, MethodLoss + 1, 99} {
+		if _, err := new(Scratch).AttackNodeWith(m, model, nd); err == nil {
+			t.Fatalf("the attack accepted unknown method %d", int(m))
+		}
 	}
 }

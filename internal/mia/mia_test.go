@@ -70,6 +70,15 @@ func bestThreshold(member, non []float64) (acc, tau float64, err error) {
 	return acc, tau, nil
 }
 
+// tprAt sorts the two sides on a fresh Scratch and reads TPR@maxFPR.
+func tprAt(member, non []float64, maxFPR float64) (float64, error) {
+	var s Scratch
+	if err := s.sortScores(member, non); err != nil {
+		return 0, err
+	}
+	return s.tprAtFPR(maxFPR)
+}
+
 func TestBestThresholdAccuracySeparated(t *testing.T) {
 	// Perfectly separated scores -> accuracy 1 at a threshold between.
 	member := []float64{0.1, 0.2, 0.3}
@@ -153,7 +162,7 @@ func TestTPRAtFPR(t *testing.T) {
 	for i := range non {
 		non[i] = float64(i) / 100 // 0.00..0.99
 	}
-	tpr, err := TPRAtFPR(member, non, 0.01)
+	tpr, err := tprAt(member, non, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +173,7 @@ func TestTPRAtFPR(t *testing.T) {
 	}
 	// With 50% FPR the threshold is 0.49 (50 admissible false positives:
 	// scores 0.00..0.49), catching members 0.1 and 0.2 only.
-	tpr, err = TPRAtFPR(member, non, 0.5)
+	tpr, err = tprAt(member, non, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +181,7 @@ func TestTPRAtFPR(t *testing.T) {
 		t.Fatalf("tpr@50%%fpr = %v, want 0.5", tpr)
 	}
 	// FPR = 1 admits everything.
-	tpr, err = TPRAtFPR(member, non, 1)
+	tpr, err = tprAt(member, non, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +190,7 @@ func TestTPRAtFPR(t *testing.T) {
 	}
 	// The threshold that admits every non-member is +Inf, and a member
 	// scored +Inf is at or below it.
-	tpr, err = TPRAtFPR([]float64{math.Inf(1), 0.5}, []float64{0.1}, 1)
+	tpr, err = tprAt([]float64{math.Inf(1), 0.5}, []float64{0.1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +198,10 @@ func TestTPRAtFPR(t *testing.T) {
 		t.Fatalf("tpr@100%%fpr with a member at +Inf = %v, want 1", tpr)
 	}
 	// A NaN score has no place among the thresholds.
-	if _, err := TPRAtFPR([]float64{math.NaN(), 0.5}, []float64{0.1}, 1); !errors.Is(err, ErrNaNScore) {
+	if _, err := tprAt([]float64{math.NaN(), 0.5}, []float64{0.1}, 1); !errors.Is(err, ErrNaNScore) {
 		t.Fatalf("tpr with a NaN member: err = %v, want ErrNaNScore", err)
 	}
-	if _, err := TPRAtFPR([]float64{0.5}, []float64{0.1, math.NaN()}, 0); !errors.Is(err, ErrNaNScore) {
+	if _, err := tprAt([]float64{0.5}, []float64{0.1, math.NaN()}, 0); !errors.Is(err, ErrNaNScore) {
 		t.Fatalf("tpr with a NaN non-member: err = %v, want ErrNaNScore", err)
 	}
 }
@@ -200,7 +209,7 @@ func TestTPRAtFPR(t *testing.T) {
 func TestTPRAtFPRSeparated(t *testing.T) {
 	member := []float64{0.1, 0.2}
 	non := []float64{10, 11, 12}
-	tpr, err := TPRAtFPR(member, non, 0)
+	tpr, err := tprAt(member, non, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestTPRAtFPRTiesRespectBudget(t *testing.T) {
 	// have FPR=1, so with maxFPR=0.1 the threshold must drop below it.
 	member := []float64{5, 5, 5}
 	non := []float64{5, 5, 5, 5}
-	tpr, err := TPRAtFPR(member, non, 0.1)
+	tpr, err := tprAt(member, non, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +233,10 @@ func TestTPRAtFPRTiesRespectBudget(t *testing.T) {
 }
 
 func TestTPRAtFPRValidation(t *testing.T) {
-	if _, err := TPRAtFPR(nil, []float64{1}, 0.01); !errors.Is(err, ErrNoScores) {
+	if _, err := tprAt(nil, []float64{1}, 0.01); !errors.Is(err, ErrNoScores) {
 		t.Fatalf("empty member error = %v", err)
 	}
-	if _, err := TPRAtFPR([]float64{1}, []float64{1}, 2); err == nil {
+	if _, err := tprAt([]float64{1}, []float64{1}, 2); err == nil {
 		t.Fatal("maxFPR out of range accepted")
 	}
 }
@@ -369,7 +378,8 @@ func TestCanaryAuditDetectsMemorization(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tpr, err := set.NodeTPR(0, model)
+	var s Scratch
+	tpr, err := set.NodeTPR(&s, 0, model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,25 +391,98 @@ func TestCanaryAuditDetectsMemorization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshTPR, err := set.NodeTPR(0, fresh)
+	freshTPR, err := set.NodeTPR(&s, 0, fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if freshTPR >= tpr {
 		t.Fatalf("fresh model TPR %v should be below memorized %v", freshTPR, tpr)
 	}
-	// MaxTPRWorkers validates model count.
-	if _, err := set.MaxTPRWorkers([]*nn.MLP{model}, 1); !errors.Is(err, ErrCanary) {
+	// The scratch keeps no state from one audit to the next.
+	if again, err := set.NodeTPR(&s, 0, model); err != nil || again != tpr {
+		t.Fatalf("node 0 audited again through the same scratch: %v, %v; first %v", again, err, tpr)
+	}
+	// MaxTPRWorkers validates the model and scratch counts.
+	scratch := make([]Scratch, 2)
+	if _, err := set.MaxTPRWorkers([]*nn.MLP{model}, scratch, 1); !errors.Is(err, ErrCanary) {
 		t.Fatalf("model count error = %v", err)
 	}
-	maxTPR, err := set.MaxTPRWorkers([]*nn.MLP{model, fresh}, 1)
+	if _, err := set.MaxTPRWorkers([]*nn.MLP{model, fresh}, scratch[:1], 1); !errors.Is(err, ErrCanary) {
+		t.Fatalf("scratch count error = %v", err)
+	}
+	maxTPR, err := set.MaxTPRWorkers([]*nn.MLP{model, fresh}, scratch, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if maxTPR < tpr {
 		t.Fatalf("max TPR %v below node-0 TPR %v", maxTPR, tpr)
 	}
-	if _, err := set.NodeTPR(99, model); !errors.Is(err, ErrCanary) {
+	if _, err := set.NodeTPR(&s, 99, model); !errors.Is(err, ErrCanary) {
 		t.Fatalf("node range error = %v", err)
+	}
+}
+
+// MaxTPRWorkers takes the same maximum at one worker and at four, on
+// fresh scratches and on scratches another audit has grown, and a
+// node's audit allocates nothing once its scratch has grown.
+func TestCanaryAuditWorkersAndAllocs(t *testing.T) {
+	rng := tensor.NewRNG(43)
+	gen, err := data.NewGaussianGenerator(data.GaussianConfig{
+		Dim: 6, Classes: 3, Margin: 2.5, Noise: 0.6,
+	}, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := data.PartitionIID(gen.Sample(300, rng), 6, 16, 8, rng, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := PlantCanaries(parts, gen, 90, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := make([]*nn.MLP, len(parts))
+	for i, p := range parts {
+		if models[i], err = nn.NewMLP([]int{6, 32, 3}, rng); err != nil {
+			t.Fatal(err)
+		}
+		tr := nn.NewTrainer(models[i], nn.NewSGD(nn.SGDConfig{LR: 0.1}), 8, 1)
+		for e := 0; e < 20*i; e++ { // node i trains 20·i epochs: the TPRs differ
+			if _, err := tr.RunEpochs(p.Train.X, p.Train.Y, rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	serial, err := set.MaxTPRWorkers(models, make([]Scratch, len(models)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := make([]Scratch, len(models))
+	for i := range grown {
+		// Grow each scratch on a wider split than the canaries first.
+		if _, err := grown[len(grown)-1-i].AttackNode(models[i], parts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, scratch := range [][]Scratch{make([]Scratch, len(models)), grown} {
+		got, err := set.MaxTPRWorkers(models, scratch, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != math.Float64bits(serial) {
+			t.Fatalf("max canary TPR at 4 workers %v, at 1 worker %v", got, serial)
+		}
+	}
+	var s Scratch
+	if _, err := set.NodeTPR(&s, 1, models[1]); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := set.NodeTPR(&s, 1, models[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a canary audit through a grown scratch allocates %v times, want 0", allocs)
 	}
 }

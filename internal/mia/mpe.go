@@ -7,11 +7,9 @@ package mia
 
 import (
 	"errors"
-	"math"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/nn"
-	"gossipmia/internal/tensor"
 )
 
 // ErrNoScores is returned when an attack is evaluated without member or
@@ -23,64 +21,19 @@ var ErrNoScores = errors.New("mia: no scores")
 // probabilities are NaN.
 var ErrNaNScore = errors.New("mia: NaN score")
 
-// MPEScore computes the Modified Prediction Entropy of Equation (3) for
-// a predicted distribution p and true label y:
-//
-//	M(p,y) = -(1-p_y)·log(p_y) - Σ_{y'≠y} p_{y'}·log(1-p_{y'}).
-//
-// Members (training points) tend to receive low scores. Probabilities
-// are floored to avoid infinities from saturated softmax outputs.
-//
-// MPEScore is the per-row reference of the attack's chunked scores
-// (Scratch.appendMPE), which give its bits.
-func MPEScore(p tensor.Vector, y int) float64 {
-	py := clampProb(p[y])
-	s := -(1 - py) * math.Log(py)
-	for i, pi := range p {
-		if i == y {
-			continue
-		}
-		pi = clampProb(pi)
-		s -= pi * math.Log(1-pi)
-	}
-	return s
-}
+// probFloor is the smallest probability a score takes the log of.
+const probFloor = 1e-12
 
 // clampProb floors a probability to 1e-12 and caps it at 1 − 1e-12, so
 // that neither it nor its complement has an infinite log.
 func clampProb(v float64) float64 {
-	const floor = 1e-12
-	if v < floor {
-		return floor
+	if v < probFloor {
+		return probFloor
 	}
-	if v > 1-floor {
-		return 1 - floor
+	if v > 1-probFloor {
+		return 1 - probFloor
 	}
 	return v
-}
-
-// Scores returns the MPE score of every example in ds under model; it
-// is ScoresWith(MethodMPE, ...), kept as the named entry point for the
-// paper's attack.
-func Scores(model *nn.MLP, ds *data.Dataset) ([]float64, error) {
-	return ScoresWith(MethodMPE, model, ds)
-}
-
-// TPRAtFPR returns the true-positive rate of the score-thresholded attack
-// at a false-positive rate of at most maxFPR (Equation 7 uses 0.01).
-// Members are positives and are predicted when score ≤ τ, and τ is the
-// allowed-th smallest non-member score, allowed = ⌊maxFPR·len(nonMember)⌋
-// — not the largest threshold within the budget: a member scoring
-// between it and the next non-member score is not caught. Where that
-// score ties the next one, or no false positive is allowed, τ sits just
-// below it instead, so the FPR stays ≤ maxFPR; where every non-member
-// is allowed, τ is +Inf. A NaN score is ErrNaNScore.
-func TPRAtFPR(member, nonMember []float64, maxFPR float64) (float64, error) {
-	var s Scratch
-	if err := s.sortScores(member, nonMember); err != nil {
-		return 0, err
-	}
-	return s.tprAtFPR(maxFPR)
 }
 
 // Result bundles the two vulnerability measures for one victim model

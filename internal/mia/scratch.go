@@ -12,12 +12,13 @@ import (
 
 // Scratch holds the reusable buffers of the thresholded-attack pipeline:
 // member/non-member score slices, one scoring chunk's probabilities,
-// argmax indices and MPE logs, the threshold-sweep point list, and the
+// argmax indices and logs, the threshold-sweep point list, and the
 // two sides' sorted scores the ROC needs. Each buffer grows to the
 // longest splits or the widest chunk it has met and is reused from then
-// on. core pools one Scratch per evaluated node slot with the arm arena,
-// across arms, so an attack allocates nothing once an arm of the same
-// shape or a larger one has run — an arm that evaluates once included.
+// on. core pools one Scratch per evaluated node slot (and per node for
+// the canary audit) with the arm arena, across arms, so an attack
+// allocates nothing once an arm of the same shape or a larger one has
+// run — an arm that evaluates once included.
 // A Scratch must not be shared between goroutines; the zero value is
 // ready to use.
 type Scratch struct {
@@ -28,26 +29,18 @@ type Scratch struct {
 	mem, non          []float64
 }
 
-// AttackNode is the scratch-backed equivalent of the package-level
-// AttackNode: same result bits, zero steady-state allocation.
+// AttackNode runs the MPE attack of the package-level AttackNode: same
+// result bits, zero steady-state allocation.
 func (s *Scratch) AttackNode(model *nn.MLP, nd data.NodeData) (Result, error) {
 	return s.AttackNodeWith(MethodMPE, model, nd)
 }
 
-// AttackNodeWith runs the thresholded attack with an arbitrary score
-// method, reusing the scratch buffers.
+// AttackNodeWith runs the thresholded attack with score method m: the
+// node's training records are the members, its local test records the
+// non-members.
 func (s *Scratch) AttackNodeWith(m Method, model *nn.MLP, nd data.NodeData) (Result, error) {
-	var err error
-	var trainHits, testHits int
-	s.member, trainHits, err = s.scoresInto(m, model, nd.Train, s.member[:0])
+	trainHits, testHits, err := s.score(m, model, nd.Train, nd.Test)
 	if err != nil {
-		return Result{}, fmt.Errorf("mia: member scores: %w", err)
-	}
-	s.nonMember, testHits, err = s.scoresInto(m, model, nd.Test, s.nonMember[:0])
-	if err != nil {
-		return Result{}, fmt.Errorf("mia: non-member scores: %w", err)
-	}
-	if err := s.sortScores(s.member, s.nonMember); err != nil {
 		return Result{}, err
 	}
 	acc, _ := s.bestThresholdAccuracy()
@@ -63,23 +56,34 @@ func (s *Scratch) AttackNodeWith(m Method, model *nn.MLP, nd data.NodeData) (Res
 	}, nil
 }
 
+// score scores member and nonMember under model with method m and puts
+// the two sides in order (sortScores) for the threshold sweeps, returning
+// how many examples of each side the model classifies correctly.
+func (s *Scratch) score(m Method, model *nn.MLP, member, nonMember *data.Dataset) (memberHits, nonHits int, err error) {
+	if s.member, memberHits, err = s.scoresInto(m, model, member, s.member[:0]); err != nil {
+		return 0, 0, fmt.Errorf("mia: member scores: %w", err)
+	}
+	if s.nonMember, nonHits, err = s.scoresInto(m, model, nonMember, s.nonMember[:0]); err != nil {
+		return 0, 0, fmt.Errorf("mia: non-member scores: %w", err)
+	}
+	return memberHits, nonHits, s.sortScores(s.member, s.nonMember)
+}
+
 // scoresInto appends the method-m score of every example in ds to dst,
 // sweeping the model through its chunked scoring path (each row's bits
 // those of a one-row pass). Each chunk's softmax runs over the chunk at
 // once, and the same pass takes each row's argmax and counts the
 // examples the model classifies correctly (hits), so an evaluation that
 // wants both the attack and top-1 accuracy forward-passes the split
-// once. MPE takes the logs of a chunk in one tensor.Log call.
+// once; appendScores then scores the chunk.
 func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []float64) ([]float64, int, error) {
 	if ds.Len() == 0 {
 		return dst, 0, data.ErrEmpty
 	}
-	// Reject an unknown method before the sweep: the batched forward
-	// has no early exit, so a per-example failure would still pay for
-	// every remaining chunk's GEMM passes.
-	switch m {
-	case MethodMPE, MethodEntropy, MethodConfidence, MethodLoss:
-	default:
+	// Reject an unknown method before the sweep: appendScores scores
+	// only the four known ones, and the batched forward has no early
+	// exit.
+	if m < MethodMPE || m > MethodLoss {
 		return dst, 0, fmt.Errorf("mia: unknown method %d", int(m))
 	}
 	classes, rows := model.Classes(), min(ds.Len(), nn.ScoreChunkRows)
@@ -99,46 +103,9 @@ func (s *Scratch) scoresInto(m Method, model *nn.MLP, ds *data.Dataset, dst []fl
 				hits++
 			}
 		}
-		if m == MethodMPE {
-			dst = s.appendMPE(dst, probs, ys, classes)
-			return
-		}
-		for r, y := range ys {
-			v, _ := MethodScore(m, probs[r*classes:(r+1)*classes], y) // m is known: no error
-			dst = append(dst, v)
-		}
+		dst = s.appendScores(m, dst, probs, ys, classes)
 	})
 	return dst, hits, err
-}
-
-// appendMPE appends MPEScore of each classes-wide row of probs, with
-// the labels ys, to dst. The arguments of every log of the chunk — the
-// clamped p_y, and 1 − p for the other classes — go through one
-// tensor.Log call; each row's sum then runs in MPEScore's index order,
-// so the scores are MPEScore's bits.
-func (s *Scratch) appendMPE(dst []float64, probs tensor.Vector, ys []int, classes int) []float64 {
-	logs := s.logs[:len(probs)]
-	for r, y := range ys {
-		row, arg := probs[r*classes:(r+1)*classes], logs[r*classes:(r+1)*classes]
-		for i, p := range row {
-			arg[i] = 1 - clampProb(p)
-		}
-		arg[y] = clampProb(row[y])
-	}
-	tensor.Log(logs, logs)
-	for r, y := range ys {
-		row, lg := probs[r*classes:(r+1)*classes], logs[r*classes:(r+1)*classes]
-		py := clampProb(row[y])
-		v := -(1 - py) * lg[y]
-		for i, p := range row {
-			if i == y {
-				continue
-			}
-			v -= clampProb(p) * lg[i]
-		}
-		dst = append(dst, v)
-	}
-	return dst
 }
 
 // attackPoint is one (score, membership) observation of the threshold
@@ -239,18 +206,21 @@ func (s *Scratch) bestThresholdAccuracy() (acc, threshold float64) {
 	return best, bestTau
 }
 
-// tprAtFPR is TPRAtFPR on the lists sortScores read off.
+// tprAtFPR returns the true-positive rate of the score-thresholded
+// attack at a false-positive rate of at most maxFPR (Equation 7 uses
+// 0.01), on the lists sortScores read off. Members are positives and
+// are predicted when score ≤ τ, and τ is the allowed-th smallest
+// non-member score, allowed = ⌊maxFPR·len(non)⌋ — not the largest
+// threshold within the budget: a member scoring between it and the
+// next non-member score is not caught. Where that score ties the next
+// one, or no false positive is allowed, τ sits just below it instead,
+// so the FPR stays ≤ maxFPR; where every non-member is allowed, τ is
+// +Inf and catches every member.
 func (s *Scratch) tprAtFPR(maxFPR float64) (float64, error) {
 	if maxFPR < 0 || maxFPR > 1 {
 		return 0, fmt.Errorf("mia: maxFPR %v out of [0,1]", maxFPR)
 	}
 	non, mem := s.non, s.mem
-
-	// The threshold is the allowed-th smallest non-member score: a
-	// member is caught when it scores at or below it. Where that score
-	// ties the next one, or where no false positive is allowed, τ sits
-	// just below the score instead, so FPR stays ≤ maxFPR; where every
-	// non-member is allowed, τ is +Inf and catches every member.
 	allowed := int(maxFPR * float64(len(non))) // false positives allowed
 	var tp int
 	switch {

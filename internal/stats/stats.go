@@ -104,47 +104,25 @@ type Interval struct {
 // the mean of xs at the given confidence level (e.g. 0.95), using
 // resamples draws from rng.
 func BootstrapMeanCI(xs []float64, confidence float64, resamples int, rng *tensor.RNG) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, fmt.Errorf("%w: empty sample", ErrInput)
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return Interval{}, fmt.Errorf("%w: confidence %v out of (0,1)", ErrInput, confidence)
-	}
-	if resamples < 10 {
-		return Interval{}, fmt.Errorf("%w: need at least 10 resamples, got %d", ErrInput, resamples)
-	}
-	mean := func(v []float64) float64 {
-		var s float64
-		for _, x := range v {
-			s += x
-		}
-		return s / float64(len(v))
-	}
-	point := mean(xs)
-	boots := make([]float64, resamples)
-	sample := make([]float64, len(xs))
-	for b := 0; b < resamples; b++ {
-		for i := range sample {
-			sample[i] = xs[rng.Intn(len(xs))]
-		}
-		boots[b] = mean(sample)
-	}
-	sort.Float64s(boots)
-	alpha := (1 - confidence) / 2
-	lo := boots[int(alpha*float64(resamples))]
-	hiIdx := int((1 - alpha) * float64(resamples))
-	if hiIdx >= resamples {
-		hiIdx = resamples - 1
-	}
-	hi := boots[hiIdx]
-	return Interval{Point: point, Lo: lo, Hi: hi}, nil
+	return bootstrap(confidence, resamples, rng, xs)
 }
 
 // MeanDiff reports the difference in means (a - b) with a bootstrap CI,
 // for comparing two experimental arms (e.g. static vs dynamic MIA).
 func MeanDiff(a, b []float64, confidence float64, resamples int, rng *tensor.RNG) (Interval, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return Interval{}, fmt.Errorf("%w: empty sample", ErrInput)
+	return bootstrap(confidence, resamples, rng, a, b)
+}
+
+// bootstrap is the percentile bootstrap of the mean of samples[0], less
+// the mean of samples[1] when there are two. Each of the resamples
+// draws every sample with replacement, in order, one rng.Intn per
+// element; the interval's ends are the order statistics ⌊α·R⌋ and
+// min(⌊(1−α)·R⌋, R−1) of the R resampled statistics, α = (1−confidence)/2.
+func bootstrap(confidence float64, resamples int, rng *tensor.RNG, samples ...[]float64) (Interval, error) {
+	for _, xs := range samples {
+		if len(xs) == 0 {
+			return Interval{}, fmt.Errorf("%w: empty sample", ErrInput)
+		}
 	}
 	if confidence <= 0 || confidence >= 1 {
 		return Interval{}, fmt.Errorf("%w: confidence %v out of (0,1)", ErrInput, confidence)
@@ -152,35 +130,50 @@ func MeanDiff(a, b []float64, confidence float64, resamples int, rng *tensor.RNG
 	if resamples < 10 {
 		return Interval{}, fmt.Errorf("%w: need at least 10 resamples, got %d", ErrInput, resamples)
 	}
-	mean := func(v []float64) float64 {
-		var s float64
-		for _, x := range v {
-			s += x
+	stat := func(ss [][]float64) float64 {
+		v := mean(ss[0])
+		for _, s := range ss[1:] {
+			v -= mean(s)
 		}
-		return s / float64(len(v))
+		return v
 	}
-	point := mean(a) - mean(b)
+	draws := make([][]float64, len(samples))
+	for k, xs := range samples {
+		draws[k] = make([]float64, len(xs))
+	}
 	boots := make([]float64, resamples)
-	sa := make([]float64, len(a))
-	sb := make([]float64, len(b))
-	for r := 0; r < resamples; r++ {
-		for i := range sa {
-			sa[i] = a[rng.Intn(len(a))]
+	for r := range boots {
+		for k, xs := range samples {
+			for i := range draws[k] {
+				draws[k][i] = xs[rng.Intn(len(xs))]
+			}
 		}
-		for i := range sb {
-			sb[i] = b[rng.Intn(len(b))]
-		}
-		boots[r] = mean(sa) - mean(sb)
+		boots[r] = stat(draws)
 	}
 	sort.Float64s(boots)
 	alpha := (1 - confidence) / 2
-	hiIdx := int((1 - alpha) * float64(resamples))
-	if hiIdx >= resamples {
-		hiIdx = resamples - 1
-	}
 	return Interval{
-		Point: point,
+		Point: stat(samples),
 		Lo:    boots[int(alpha*float64(resamples))],
-		Hi:    boots[hiIdx],
+		Hi:    boots[min(int((1-alpha)*float64(resamples)), resamples-1)],
 	}, nil
+}
+
+// mean is the arithmetic mean of xs, summed in order and held within
+// [min xs, max xs], which the rounded sum can leave: three 0.1s sum to
+// 0.30000000000000004, and a third of that is above 0.1.
+func mean(xs []float64) float64 {
+	s, lo, hi := 0.0, xs[0], xs[0]
+	for _, x := range xs {
+		s += x
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	switch m := s / float64(len(xs)); {
+	case m < lo:
+		return lo
+	case m > hi:
+		return hi
+	default:
+		return m
+	}
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -239,5 +240,139 @@ func FuzzSpearman(f *testing.F) {
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("Spearman(%v, %v) = %v, oracle %v", xs, ys, got, want)
 		}
+	})
+}
+
+// refBootstrap is the oracle of BootstrapMeanCI (one sample) and
+// MeanDiff (two): the same resample indices from the same rng stream,
+// and the interval's ends picked as the ⌊α·R⌋-th and
+// min(⌊(1−α)·R⌋, R−1)-th smallest statistics by counting, without a
+// sort.
+func refBootstrap(samples [][]float64, confidence float64, resamples int, rng *tensor.RNG) Interval {
+	refMean := func(xs []float64) float64 {
+		var s float64
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, x := range xs {
+			s += x
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+		m := s / float64(len(xs))
+		if m < lo {
+			m = lo
+		}
+		if m > hi {
+			m = hi
+		}
+		return m
+	}
+	stat := func(ss [][]float64) float64 {
+		v := refMean(ss[0])
+		if len(ss) == 2 {
+			v -= refMean(ss[1])
+		}
+		return v
+	}
+	boots := make([]float64, resamples)
+	for r := range boots {
+		draws := make([][]float64, len(samples))
+		for k, xs := range samples {
+			for range xs {
+				draws[k] = append(draws[k], xs[rng.Intn(len(xs))])
+			}
+		}
+		boots[r] = stat(draws)
+	}
+	// kth is the k-th smallest statistic, from 0: the one with at most k
+	// below it and more than k at or below it.
+	kth := func(k int) float64 {
+		for _, v := range boots {
+			below, atOrBelow := 0, 0
+			for _, w := range boots {
+				if w < v {
+					below++
+				}
+				if w <= v {
+					atOrBelow++
+				}
+			}
+			if below <= k && k < atOrBelow {
+				return v
+			}
+		}
+		panic("no k-th statistic")
+	}
+	alpha := (1 - confidence) / 2
+	hi := int((1 - alpha) * float64(resamples))
+	if hi > resamples-1 {
+		hi = resamples - 1
+	}
+	return Interval{Point: stat(samples), Lo: kth(int(alpha * float64(resamples))), Hi: kth(hi)}
+}
+
+// bootstrapFuzzValues are the sample values a fuzz byte picks: few, so
+// that resamples tie often, with values whose sums round (0.1, 1/3) and
+// magnitudes far apart.
+var bootstrapFuzzValues = []float64{-2, -1, -0.5, math.Copysign(0, -1), 0, 0.1, 0.25, 1.0 / 3, 0.7, 1, 3, 1e-300, 1e10, -1e10, 1e300}
+
+// bootstrapFuzzSample decodes at most 24 sample values from raw.
+func bootstrapFuzzSample(raw []byte) []float64 {
+	out := make([]float64, 0, min(len(raw), 24))
+	for _, b := range raw[:min(len(raw), 24)] {
+		out = append(out, bootstrapFuzzValues[int(b)%len(bootstrapFuzzValues)])
+	}
+	return out
+}
+
+// FuzzBootstrapMeanCI holds BootstrapMeanCI and MeanDiff to
+// refBootstrap (the point bit for bit, the ends as values), and checks what a percentile interval of a
+// mean must satisfy whatever the draws: Lo ≤ Hi, both within the
+// sample's range (for MeanDiff, within [min a − max b, max a − min b]),
+// and [c, c] around a point of c for a sample of one value c.
+func FuzzBootstrapMeanCI(f *testing.F) {
+	f.Add([]byte{5, 5, 5}, []byte{1, 2}, uint8(95), uint16(0), int64(1))        // three 0.1s: the rounded sum's third is above 0.1
+	f.Add([]byte{7, 7, 7, 7, 7, 7}, []byte{5}, uint8(80), uint16(90), int64(2)) // 1/3s, and a one-value b
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, []byte{9, 10, 11, 12}, uint8(50), uint16(300), int64(3))
+	f.Add([]byte{12, 13, 14, 11}, []byte{14, 14, 13}, uint8(1), uint16(17), int64(4))
+	f.Add([]byte{3, 4}, []byte{4, 3}, uint8(98), uint16(5), int64(5))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, conf uint8, rs uint16, seed int64) {
+		a, b := bootstrapFuzzSample(rawA), bootstrapFuzzSample(rawB)
+		if len(a) == 0 || len(b) == 0 {
+			return
+		}
+		confidence := float64(conf%99+1) / 100
+		resamples := 10 + int(rs)%291
+		// The point to the bit; the ends as values, since −0 and +0 tie
+		// in the order and the sort may leave either where they meet.
+		same := func(x, y Interval) bool {
+			return math.Float64bits(x.Point) == math.Float64bits(y.Point) && x.Lo == y.Lo && x.Hi == y.Hi
+		}
+		inside := func(name string, ci Interval, lo, hi float64) {
+			t.Helper()
+			if !(lo <= ci.Lo && ci.Lo <= ci.Hi && ci.Hi <= hi) {
+				t.Fatalf("%s: interval %+v, want %v ≤ Lo ≤ Hi ≤ %v", name, ci, lo, hi)
+			}
+		}
+		constant := slices.Repeat([]float64{a[0]}, len(a))
+		for _, xs := range [][]float64{a, constant} {
+			ci, err := BootstrapMeanCI(xs, confidence, resamples, tensor.NewRNG(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refBootstrap([][]float64{xs}, confidence, resamples, tensor.NewRNG(seed)); !same(ci, want) {
+				t.Fatalf("BootstrapMeanCI(%v, %v, %d) = %+v, the oracle %+v", xs, confidence, resamples, ci, want)
+			}
+			inside("BootstrapMeanCI", ci, slices.Min(xs), slices.Max(xs))
+		}
+		if ci, _ := BootstrapMeanCI(constant, confidence, resamples, tensor.NewRNG(seed)); ci.Point != a[0] || ci.Lo != a[0] || ci.Hi != a[0] {
+			t.Fatalf("BootstrapMeanCI of %d copies of %v = %+v, want [c, c] around c", len(a), a[0], ci)
+		}
+		ci, err := MeanDiff(a, b, confidence, resamples, tensor.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refBootstrap([][]float64{a, b}, confidence, resamples, tensor.NewRNG(seed)); !same(ci, want) {
+			t.Fatalf("MeanDiff(%v, %v, %v, %d) = %+v, the oracle %+v", a, b, confidence, resamples, ci, want)
+		}
+		inside("MeanDiff", ci, slices.Min(a)-slices.Max(b), slices.Max(a)-slices.Min(b))
 	})
 }

@@ -258,8 +258,9 @@ func checkGemmOperands(t testing.TB, ar gemmArenas, kn gemmKernel, m, n, k int, 
 // 4 k, 8 and 16 columns, the 4-lane tails) and include zero.
 var gemmTestDims = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 100, 600}
 
-// gemmShapes are the m×n×k the experiments call each kernel with: the
-// Figure-2 arms' training and scoring shapes, and the light arm's two.
+// gemmShapes are m×n×k the tests run every kernel at whole: Figure 2's
+// paper-scale NT training and scoring shapes, and the light arm's two.
+// gemmBenchShapes lists the shapes each kernel is really called with.
 var gemmShapes = [][3]int{
 	{16, 64, 600}, {16, 100, 64}, {16, 48, 64}, {40, 64, 600}, {64, 600, 16}, {100, 64, 16}, {16, 64, 100},
 	{8, 4, 49}, {8, 10, 4},
@@ -388,14 +389,31 @@ func TestGemmSkipGranularity(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm is the layer's table: every kernel at every shape of
-// gemmShapes on every tier this host has, in GFLOP/s. DESIGN.md §4
+// gemmBenchShapes are the m×n×k the program calls each kernel with, in
+// each kernel's own convention: Figure 2's arms at quick scale, by
+// their share of its GEMM FLOPs (16-row training batches, 8-row epoch
+// tails, 64-row scoring chunks for NT), then the light arms' of
+// BenchmarkLightArmSweep and dlbench's sweep workloads (49 inputs, 4
+// hidden units, 10 classes; four training rows a node, so one 4-row
+// batch, and 12- and 60-row splits to score). A weight gradient is one
+// TNStore call, which writes its first four k rows itself and hands the
+// rest to TN: TN's shapes are those tails, and the light arms' are
+// empty.
+var gemmBenchShapes = map[string][][3]int{
+	"NT":      {{16, 96, 128}, {16, 100, 96}, {16, 100, 64}, {64, 96, 128}, {16, 10, 48}, {4, 4, 49}, {4, 10, 4}, {60, 4, 49}, {60, 10, 4}},
+	"TN":      {{96, 128, 12}, {100, 96, 12}, {100, 64, 12}, {48, 49, 12}},
+	"TNStore": {{96, 128, 16}, {100, 96, 16}, {100, 64, 16}, {48, 64, 16}, {10, 48, 16}, {10, 4, 4}, {4, 49, 4}},
+	"NN":      {{16, 96, 100}, {16, 64, 100}, {8, 96, 100}, {16, 48, 10}, {4, 4, 10}},
+}
+
+// BenchmarkGemm is the layer's table: every kernel at each of its
+// gemmBenchShapes on every tier this host has, in GFLOP/s. DESIGN.md §4
 // quotes it, and the shape cut-offs between the tiers
 // (kernels_amd64.go) are read from it.
 func BenchmarkGemm(b *testing.B) {
 	rng := NewRNG(3)
 	for _, kn := range gemmKernels {
-		for _, sh := range gemmShapes {
+		for _, sh := range gemmBenchShapes[kn.name] {
 			m, n, k := sh[0], sh[1], sh[2]
 			a, bm, c := randSlice(rng, m*k), randSlice(rng, n*k), randSlice(rng, m*n)
 			run := func(b *testing.B) {

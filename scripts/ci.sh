@@ -8,10 +8,10 @@
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
 # kernels, the list-fed first layer, the rank correlation, the DP
-# accountant and the spectral instruments are fuzzed, for 10 s each),
-# the one-generator
+# accountant, the spectral instruments and the bootstrap intervals are
+# fuzzed, for 10 s each), the one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
-# samplers, the sparse kernels or internal/nn on arm64), the
+# samplers, the sparse kernels, internal/nn or internal/mia on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -124,6 +124,11 @@ go test -run=NONE -fuzz=FuzzRDP -fuzztime=10s ./internal/dp
 # k-regular graphs and products of their mixing steps (n ≤ 12), to a
 # dense Jacobi eigensolve.
 go test -run=NONE -fuzz=FuzzSpectral -fuzztime=10s ./internal/graph
+# Multi-seed replication's intervals: a short real fuzzing run holds
+# stats.BootstrapMeanCI and MeanDiff to a reimplementation that draws
+# the same resamples and picks the order statistics by counting, and
+# each interval to the sample's range ([c, c] for a sample of one c).
+go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s ./internal/stats
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -165,6 +170,18 @@ if [ -n "$fused" ]; then
     exit 1
 fi
 echo "nn arm64 rounding gate ok"
+# internal/mia scores every attack method in one chunk pass and rounds
+# each product before its add (the per-row scorers are test oracles):
+# a fused multiply-add there would move arm64's attack scores off
+# amd64's.
+fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/mia=-S' ./internal/mia 2>&1 |
+    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+if [ -n "$fused" ]; then
+    echo "arm64 fuses multiply-adds in internal/mia:" >&2
+    echo "$fused" >&2
+    exit 1
+fi
+echo "mia arm64 rounding gate ok"
 
 # One scenario schema: the language lives in pkg/dlsim/spec, and
 # internal/spec is an alias file kept for benchmark/ until a benchmark
