@@ -50,7 +50,7 @@ func newEvalFixture(b testing.TB) *evalFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, _, _, err := study.buildUpdaters(parts, simCfg)
+	factory, _, err := study.buildUpdaters(parts, simCfg)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -281,7 +281,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 		return nil, fmt.Errorf("core: protocol: %w", err)
 	}
 
-	factory, dpUpdaters, sigma, err := s.buildUpdaters(parts, simCfg)
+	factory, sigma, err := s.buildUpdaters(parts, simCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -340,10 +340,8 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 	}
 	if cfg.DP != nil {
 		maxSteps := 0
-		for _, u := range dpUpdaters {
-			if u.Steps() > maxSteps {
-				maxSteps = u.Steps()
-			}
+		for _, node := range sim.Nodes() {
+			maxSteps = max(maxSteps, node.Updater.(*gossip.SGDUpdater).Steps())
 		}
 		eps, err := s.realizedEpsilon(maxSteps, sigma, parts)
 		if err != nil {
@@ -384,45 +382,31 @@ func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG, a
 	return parts, nil
 }
 
-// buildUpdaters returns the per-node updater factory; for DP arms it also
-// calibrates σ and exposes the updaters for post-run accounting.
-func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (gossip.UpdaterFactory, []*dp.Updater, float64, error) {
+// buildUpdaters returns the per-node updater factory: the arm's
+// optimizer, which a DP arm runs clipped and noised (nn.SGDConfig.Clip)
+// at σ calibrated here and at the DP batch size. It returns σ, 0
+// without DP.
+func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (gossip.UpdaterFactory, float64, error) {
 	t := s.cfg.Train
-	if s.cfg.DP == nil {
-		f := gossip.NewSGDUpdaterFactory(nn.SGDConfig{
-			LR: t.LR, Momentum: t.Momentum, WeightDecay: t.WeightDecay, LRDecay: t.LRDecay,
-		}, t.BatchSize, t.LocalEpochs)
-		return f, nil, 0, nil
+	cfg := nn.SGDConfig{LR: t.LR, Momentum: t.Momentum, WeightDecay: t.WeightDecay, LRDecay: t.LRDecay}
+	batch := t.BatchSize
+	var sigma float64
+	if d := s.cfg.DP; d != nil {
+		// Expected mechanism invocations per node: roughly one local
+		// update per round (the wake interval equals the round length),
+		// each with LocalEpochs × ⌈n/B⌉ noisy steps.
+		var minTrain int
+		minTrain, batch = s.dpBatch(parts)
+		stepsPerUpdate := t.LocalEpochs * ((minTrain + batch - 1) / batch)
+		q := float64(batch) / float64(minTrain)
+		var err error
+		sigma, err = dp.CalibrateSigma(d.Epsilon, d.Delta, q, simCfg.Rounds*stepsPerUpdate)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: calibrate sigma: %w", err)
+		}
+		cfg.Clip, cfg.NoiseMultiplier = d.Clip, sigma
 	}
-	d := s.cfg.DP
-	// Expected mechanism invocations per node: roughly one local update
-	// per round (the wake interval equals the round length), each with
-	// LocalEpochs × ⌈n/B⌉ noisy steps.
-	minTrain, batch := s.dpBatch(parts)
-	stepsPerUpdate := t.LocalEpochs * ((minTrain + batch - 1) / batch)
-	expectedSteps := simCfg.Rounds * stepsPerUpdate
-	q := float64(batch) / float64(minTrain)
-	sigma, err := dp.CalibrateSigma(d.Epsilon, d.Delta, q, expectedSteps)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("core: calibrate sigma: %w", err)
-	}
-	dpCfg := dp.SGDConfig{
-		LR:              t.LR,
-		Clip:            d.Clip,
-		NoiseMultiplier: sigma,
-		BatchSize:       batch,
-		Epochs:          t.LocalEpochs,
-	}
-	if err := dpCfg.Validate(); err != nil {
-		return nil, nil, 0, fmt.Errorf("core: dp config: %w", err)
-	}
-	updaters := make([]*dp.Updater, simCfg.Nodes)
-	factory := func(nodeID int) gossip.LocalUpdater {
-		u, _ := dp.NewUpdater(dpCfg) // cannot fail: dpCfg validated above
-		updaters[nodeID] = u
-		return u
-	}
-	return factory, updaters, sigma, nil
+	return gossip.NewSGDUpdaterFactory(cfg, batch, t.LocalEpochs), sigma, nil
 }
 
 // evalNode measures one eval slot: global test accuracy, the MPE

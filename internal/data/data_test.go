@@ -248,15 +248,15 @@ func TestPartitionDirichletHeterogeneity(t *testing.T) {
 	base := g.Sample(2000, rng)
 
 	imbalance := func(beta float64) float64 {
-		parts, err := PartitionDirichlet(base, 10, beta, 0.7, tensor.NewRNG(11))
+		sets, err := DirichletTrainSets(base, 10, beta, tensor.NewRNG(11))
 		if err != nil {
 			t.Fatalf("beta=%v: %v", beta, err)
 		}
 		// Average, over nodes, of the max label share in the node's
 		// training set. IID-like ~0.1; fully skewed -> 1.0.
 		var s float64
-		for _, p := range parts {
-			h := p.Train.LabelHistogram()
+		for _, ds := range sets {
+			h := ds.LabelHistogram()
 			maxC, total := 0, 0
 			for _, c := range h {
 				total += c
@@ -266,7 +266,7 @@ func TestPartitionDirichletHeterogeneity(t *testing.T) {
 			}
 			s += float64(maxC) / float64(total)
 		}
-		return s / float64(len(parts))
+		return s / float64(len(sets))
 	}
 
 	lo, hi := imbalance(0.1), imbalance(100)
@@ -285,16 +285,16 @@ func TestPartitionDirichletEveryNodeViable(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := g.Sample(300, rng)
-	parts, err := PartitionDirichlet(base, 20, 0.05, 0.7, rng)
+	sets, err := DirichletTrainSets(base, 20, 0.05, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for i, p := range parts {
-		if p.Train.Len() < 1 || p.Test.Len() < 1 {
-			t.Fatalf("node %d has train=%d test=%d", i, p.Train.Len(), p.Test.Len())
+	for i, ds := range sets {
+		if ds.Len() < 4 {
+			t.Fatalf("node %d has %d examples, want at least 4", i, ds.Len())
 		}
-		total += p.Train.Len() + p.Test.Len()
+		total += ds.Len()
 	}
 	if total != base.Len() {
 		t.Fatalf("partition covers %d of %d examples", total, base.Len())
@@ -304,14 +304,14 @@ func TestPartitionDirichletEveryNodeViable(t *testing.T) {
 func TestPartitionDirichletValidation(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	base := &Dataset{X: []tensor.Vector{{1}, {2}, {3}, {4}}, Y: []int{0, 1, 0, 1}, Classes: 2}
-	if _, err := PartitionDirichlet(base, 0, 0.5, 0.7, rng); err == nil {
+	if _, err := DirichletTrainSets(base, 0, 0.5, rng); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
-	if _, err := PartitionDirichlet(base, 2, 0, 0.7, rng); err == nil {
+	if _, err := DirichletTrainSets(base, 2, 0, rng); err == nil {
 		t.Fatal("beta=0 accepted")
 	}
-	if _, err := PartitionDirichlet(base, 2, 0.5, 1.5, rng); err == nil {
-		t.Fatal("trainFrac out of range accepted")
+	if _, err := DirichletTrainSets(base, 3, 0.5, rng); err == nil {
+		t.Fatal("a base of fewer than two examples per node accepted")
 	}
 }
 

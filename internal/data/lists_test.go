@@ -92,19 +92,11 @@ func TestRowListsFollowRows(t *testing.T) {
 			checkLists(t, "PartitionIID train", p.Train, true)
 			checkLists(t, "PartitionIID test", p.Test, true)
 		}
-		split, err := data.PartitionDirichlet(base, 4, 0.5, 0.75, rng)
+		skewed, err := data.DirichletTrainSets(base, 4, 0.5, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range split {
-			checkLists(t, "PartitionDirichlet train", p.Train, true)
-			checkLists(t, "PartitionDirichlet test", p.Test, true)
-		}
-		merged, err := data.DirichletTrainSets(base, 4, 0.5, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ds := range merged {
+		for _, ds := range skewed {
 			checkLists(t, "DirichletTrainSets", ds, true)
 		}
 

@@ -47,23 +47,23 @@ func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG, 
 	return out, nil
 }
 
-// PartitionDirichlet applies the label-imbalance scheme of Li et al.: for
-// each class k, the fraction of class-k records assigned to each node is
-// drawn from Dirichlet(beta·1_nodes). Smaller beta means stronger
-// heterogeneity. Each node's allocation is then split into train and test
-// parts with proportion trainFrac.
-//
-// Nodes that end up with fewer than two examples are topped up with
-// random leftovers so every node can train.
-func PartitionDirichlet(base *Dataset, nodes int, beta, trainFrac float64, rng *tensor.RNG) ([]NodeData, error) {
+// DirichletTrainSets distributes all of base across nodes with the
+// label-imbalance scheme of Li et al. and returns the per-node training
+// sets: for each class k, the fraction of class-k records assigned to
+// each node is drawn from Dirichlet(beta·1_nodes), so a smaller beta
+// means stronger heterogeneity, and each node's records are then
+// shuffled. Nodes that end up with fewer than four records are topped
+// up from the richest ones so every node can train. The paper samples
+// each node's *test* (non-member) split i.i.d. from the base
+// distribution even in the non-IID experiments (Section 3.1), so
+// callers pair these skewed training sets with separately drawn IID
+// test sets.
+func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG) ([]*Dataset, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("data: invalid node count %d", nodes)
 	}
 	if beta <= 0 {
 		return nil, fmt.Errorf("data: dirichlet beta must be positive, got %v", beta)
-	}
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, fmt.Errorf("data: trainFrac %v out of (0,1)", trainFrac)
 	}
 	if base.Len() < 2*nodes {
 		return nil, fmt.Errorf("data: base has %d examples for %d nodes: %w", base.Len(), nodes, ErrEmpty)
@@ -93,8 +93,7 @@ func PartitionDirichlet(base *Dataset, nodes int, beta, trainFrac float64, rng *
 		}
 	}
 
-	// Top up starved nodes from the richest ones so everyone can train
-	// and hold out at least one test record.
+	// Top up starved nodes from the richest ones so everyone can train.
 	const minPerNode = 4
 	for i := range perNode {
 		for len(perNode[i]) < minPerNode {
@@ -108,44 +107,10 @@ func PartitionDirichlet(base *Dataset, nodes int, beta, trainFrac float64, rng *
 		}
 	}
 
-	out := make([]NodeData, nodes)
+	out := make([]*Dataset, nodes)
 	for i, idx := range perNode {
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		nTrain := int(trainFrac * float64(len(idx)))
-		if nTrain < 1 {
-			nTrain = 1
-		}
-		if nTrain >= len(idx) {
-			nTrain = len(idx) - 1
-		}
-		out[i] = NodeData{
-			Train: base.Subset(idx[:nTrain]),
-			Test:  base.Subset(idx[nTrain:]),
-		}
-	}
-	return out, nil
-}
-
-// DirichletTrainSets distributes all of base across nodes with the
-// Dirichlet(beta) label-imbalance scheme and returns only the per-node
-// training sets. The paper samples each node's *test* (non-member) split
-// i.i.d. from the base distribution even in the non-IID experiments
-// (Section 3.1), so callers pair these skewed training sets with
-// separately drawn IID test sets.
-func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG) ([]*Dataset, error) {
-	// Reuse the full partitioner with a high train fraction, then merge
-	// each node's residual test part back into its training set so no
-	// record is wasted.
-	parts, err := PartitionDirichlet(base, nodes, beta, 0.75, rng)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Dataset, nodes)
-	for i, p := range parts {
-		merged := &Dataset{Classes: base.Classes}
-		merged.Append(p.Train)
-		merged.Append(p.Test)
-		out[i] = merged
+		out[i] = base.Subset(idx)
 	}
 	return out, nil
 }

@@ -1,8 +1,9 @@
-// Package dp implements the differential-privacy machinery of RQ7:
-// DP-SGD local updates (per-example gradient clipping plus Gaussian
-// noise) and a Rényi-DP accountant for the sampled Gaussian mechanism
-// with conversion to (ε,δ) guarantees, following Mironov's composition
-// rule as the paper's Opacus setup does.
+// Package dp implements the privacy accounting of RQ7: a Rényi-DP
+// accountant for the sampled Gaussian mechanism with conversion to
+// (ε,δ) guarantees, following Mironov's composition rule as the paper's
+// Opacus setup does, and the calibration of DP-SGD's noise multiplier
+// to a budget. The mechanism itself — per-example clipping plus
+// Gaussian noise — is the nn trainer's under a clip (nn.SGDConfig.Clip).
 package dp
 
 import (

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gossipmia/internal/data"
+	"gossipmia/internal/gossip"
 	"gossipmia/internal/nn"
 	"gossipmia/internal/tensor"
 )
@@ -193,27 +194,16 @@ func testTrainSet(t *testing.T) (*nn.MLP, *data.Dataset, *tensor.RNG) {
 	return model, train, rng
 }
 
-func TestUpdaterValidation(t *testing.T) {
-	bad := []SGDConfig{
-		{LR: 0, Clip: 1, BatchSize: 4, Epochs: 1},
-		{LR: 0.1, Clip: 0, BatchSize: 4, Epochs: 1},
-		{LR: 0.1, Clip: 1, NoiseMultiplier: -1, BatchSize: 4, Epochs: 1},
-		{LR: 0.1, Clip: 1, BatchSize: 0, Epochs: 1},
-		{LR: 0.1, Clip: 1, BatchSize: 4, Epochs: 0},
-	}
-	for i, cfg := range bad {
-		if _, err := NewUpdater(cfg); !errors.Is(err, ErrParams) {
-			t.Fatalf("config %d accepted: %+v", i, cfg)
-		}
-	}
+// newUpdater is the local updater a DP arm runs: the node's trainer
+// with a clip and a noise multiplier, here without momentum, weight
+// decay or LR decay.
+func newUpdater(lr, clip, sigma float64, batch, epochs int) *gossip.SGDUpdater {
+	return gossip.NewSGDUpdater(nn.SGDConfig{LR: lr, Clip: clip, NoiseMultiplier: sigma}, batch, epochs)
 }
 
 func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	model, train, rng := testTrainSet(t)
-	u, err := NewUpdater(SGDConfig{LR: 0.05, Clip: 1e9, NoiseMultiplier: 0, BatchSize: train.Len(), Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := newUpdater(0.05, 1e9, 0, train.Len(), 1)
 	// Reference: plain full-batch SGD step with the same seed.
 	ref := model.Clone()
 	grad := tensor.NewVector(ref.NumParams())
@@ -222,8 +212,8 @@ func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	}
 	grad.Scale(1 / float64(train.Len())) // the mean gradient
 	refParams := ref.ParamsCopy()
-	if err := refParams.Axpy(-0.05, grad); err != nil {
-		t.Fatal(err)
+	for i, g := range grad {
+		refParams[i] -= 0.05 * g
 	}
 	if err := u.Update(model, train, tensor.NewRNG(rng.Int63())); err != nil {
 		t.Fatal(err)
@@ -246,10 +236,7 @@ func TestUpdaterClippingBoundsStep(t *testing.T) {
 		lr   = 0.1
 		clip = 0.5
 	)
-	u, err := NewUpdater(SGDConfig{LR: lr, Clip: clip, NoiseMultiplier: 0, BatchSize: train.Len(), Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := newUpdater(lr, clip, 0, train.Len(), 1)
 	before := model.ParamsCopy()
 	if err := u.Update(model, train, rng); err != nil {
 		t.Fatal(err)
@@ -268,14 +255,8 @@ func TestUpdaterNoiseChangesTrajectory(t *testing.T) {
 	model, train, _ := testTrainSet(t)
 	a := model.Clone()
 	b := model.Clone()
-	ua, err := NewUpdater(SGDConfig{LR: 0.05, Clip: 1, NoiseMultiplier: 1, BatchSize: 8, Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ub, err := NewUpdater(SGDConfig{LR: 0.05, Clip: 1, NoiseMultiplier: 1, BatchSize: 8, Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ua := newUpdater(0.05, 1, 1, 8, 1)
+	ub := newUpdater(0.05, 1, 1, 8, 1)
 	if err := ua.Update(a, train, tensor.NewRNG(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -289,10 +270,7 @@ func TestUpdaterNoiseChangesTrajectory(t *testing.T) {
 
 func TestUpdaterLearnsUnderModerateNoise(t *testing.T) {
 	model, train, rng := testTrainSet(t)
-	u, err := NewUpdater(SGDConfig{LR: 0.05, Clip: 2, NoiseMultiplier: 0.3, BatchSize: 10, Epochs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := newUpdater(0.05, 2, 0.3, 10, 5)
 	lossBefore := meanLoss(t, model, train)
 	for i := 0; i < 10; i++ {
 		if err := u.Update(model, train, rng); err != nil {
@@ -311,10 +289,7 @@ func TestUpdaterLearnsUnderModerateNoise(t *testing.T) {
 
 func TestUpdaterEmptyDataset(t *testing.T) {
 	model, _, rng := testTrainSet(t)
-	u, err := NewUpdater(SGDConfig{LR: 0.05, Clip: 1, BatchSize: 4, Epochs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := newUpdater(0.05, 1, 0, 4, 1)
 	empty := &data.Dataset{Classes: 2}
 	if err := u.Update(model, empty, rng); !errors.Is(err, data.ErrEmpty) {
 		t.Fatalf("empty dataset error = %v", err)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"gossipmia/internal/data"
-	"gossipmia/internal/dp"
 	"gossipmia/internal/gossip"
 	"gossipmia/internal/mia"
 	"gossipmia/internal/nn"
@@ -82,16 +81,9 @@ func RunOverfit(sc Scale) (*OverfitResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		var updater gossip.LocalUpdater = gossip.NewSGDUpdater(
-			nn.SGDConfig{LR: train.LR, LRDecay: v.decay}, train.BatchSize, 1)
-		if v.clip > 0 {
-			updater, err = dp.NewUpdater(dp.SGDConfig{
-				LR: train.LR, Clip: v.clip, NoiseMultiplier: v.sigma, BatchSize: train.BatchSize, Epochs: 1,
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
+		updater := gossip.NewSGDUpdater(nn.SGDConfig{
+			LR: train.LR, LRDecay: v.decay, Clip: v.clip, NoiseMultiplier: v.sigma,
+		}, train.BatchSize, 1)
 		checkpoints := spectralCheckpoints(epochs)
 		for e := 1; e <= epochs; e++ {
 			if err := updater.Update(model, nd.Train, rng); err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 
 	"gossipmia/internal/data"
 	"gossipmia/internal/metrics"
@@ -37,6 +38,15 @@ func testWorld(t *testing.T, nodes, trainPer int) (*nn.MLP, []data.NodeData, *da
 
 func testFactory() UpdaterFactory {
 	return NewSGDUpdaterFactory(nn.SGDConfig{LR: 0.05}, 8, 1)
+}
+
+// TestSGDUpdaterSize: a node's updater stays in the 176-byte size class
+// it had before it could clip, so a light arm's nodes pay nothing for
+// DP state, which sits behind one pointer, nil without a clip.
+func TestSGDUpdaterSize(t *testing.T) {
+	if got := unsafe.Sizeof(SGDUpdater{}); got > 176 {
+		t.Fatalf("SGDUpdater is %d bytes, want at most 176", got)
+	}
 }
 
 // wakeAlone runs one tick on the round engine in which node is the only

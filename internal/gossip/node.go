@@ -28,8 +28,8 @@ type Message struct {
 
 // LocalUpdater performs the "local update" operation of Equation (2) on
 // a node's model: some number of SGD steps over the node's training data.
-// Implementations carry per-node optimizer state (momentum, DP noise
-// state), so each node owns one updater instance.
+// Implementations carry per-node optimizer state (momentum, DP step
+// count), so each node owns one updater instance.
 type LocalUpdater interface {
 	Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error
 }
@@ -124,11 +124,12 @@ func (n *Node) localUpdate() error {
 	return nil
 }
 
-// SGDUpdater is the standard local updater: Epochs passes of minibatch
-// SGD with the Table 2 hyperparameters. It keeps one Trainer alive
-// across wake-ups so the optimizer state and shuffle scratch are
-// allocated once per node rather than once per local update; the
-// optimizer and the trainer live inside it, one object per node.
+// SGDUpdater is the local updater: Epochs passes of minibatch SGD with
+// the Table 2 hyperparameters, DP-SGD's when the config carries a clip
+// (nn.SGDConfig.Clip). It keeps one Trainer alive across wake-ups so the
+// optimizer state and shuffle scratch are allocated once per node rather
+// than once per local update; the optimizer and the trainer live inside
+// it, one object per node.
 type SGDUpdater struct {
 	opt nn.SGD
 	// tr holds the batch size and epoch count from the start, and is
@@ -143,14 +144,23 @@ func NewSGDUpdater(cfg nn.SGDConfig, batchSize, epochs int) *SGDUpdater {
 	return &SGDUpdater{opt: *nn.NewSGD(cfg), tr: nn.Trainer{BatchSize: batchSize, Epochs: epochs}}
 }
 
-// Update implements LocalUpdater.
+// Update implements LocalUpdater. An empty training split is
+// data.ErrEmpty.
 func (u *SGDUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.RNG) error {
+	if train.Len() == 0 {
+		return data.ErrEmpty
+	}
 	if u.tr.Model != model {
 		u.tr.Init(model, &u.opt, u.tr.BatchSize, u.tr.Epochs)
 	}
 	_, err := u.tr.RunEpochsNZ(train.X, train.NZ, train.Y, rng)
 	return err
 }
+
+// Steps returns the number of clipped, noised steps the updater has
+// taken: the count the node's privacy accounting composes, 0 without a
+// clip.
+func (u *SGDUpdater) Steps() int { return u.opt.ClippedSteps() }
 
 // UpdaterFactory builds one LocalUpdater per node.
 type UpdaterFactory func(nodeID int) LocalUpdater

@@ -31,6 +31,19 @@ func runFingerprintSched(t *testing.T, cfg Config, protocol Protocol) (string, S
 // before it runs.
 func runFingerprintOf(t *testing.T, cfg Config, protocol Protocol, factory UpdaterFactory, prepare func(*Simulator)) (string, SchedStats) {
 	t.Helper()
+	return runFingerprintOn(t, engineRun, cfg, protocol, factory, prepare)
+}
+
+// A runner runs a simulation to its end: on the round engine
+// (engineRun), or on the serial tick loop it replaced (serialRun,
+// reference_test.go).
+type runner func(*Simulator) error
+
+func engineRun(s *Simulator) error { return s.Run(nil) }
+
+// runFingerprintOn is runFingerprintOf on run.
+func runFingerprintOn(t *testing.T, run runner, cfg Config, protocol Protocol, factory UpdaterFactory, prepare func(*Simulator)) (string, SchedStats) {
+	t.Helper()
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
 	sim, err := New(cfg, protocol, model, parts, factory)
 	if err != nil {
@@ -39,7 +52,7 @@ func runFingerprintOf(t *testing.T, cfg Config, protocol Protocol, factory Updat
 	if prepare != nil {
 		prepare(sim)
 	}
-	if err := sim.Run(nil); err != nil {
+	if err := run(sim); err != nil {
 		t.Fatal(err)
 	}
 	var out []byte
@@ -162,13 +175,18 @@ func engineGolden(t *testing.T) map[string]string {
 	return golden
 }
 
-// checkPinned runs cfg at every worker count in workers and fails
-// unless each run's fingerprint hashes to golden[name].
+// checkPinned runs cfg on the serial tick loop and at every worker
+// count in workers, and fails unless each run's fingerprint hashes to
+// golden[name].
 func checkPinned(t *testing.T, golden map[string]string, name string, cfg Config, proto Protocol, factory UpdaterFactory, prepare func(*Simulator), workers []int) {
 	t.Helper()
 	want, ok := golden[name]
 	if !ok {
 		t.Fatalf("engine.golden pins no %q", name)
+	}
+	fp, _ := runFingerprintOn(t, serialRun, cfg, proto, factory, prepare)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fp))); got != want {
+		t.Fatalf("%s on the serial loop: fingerprint %s, pinned %s", name, got, want)
 	}
 	for _, w := range workers {
 		cfg.Workers = w
@@ -228,6 +246,12 @@ func (u *failingUpdater) Update(model *nn.MLP, train *data.Dataset, rng *tensor.
 // updates and returns the error Run reports.
 func firstErrorOf(t *testing.T, cfg Config, proto Protocol) string {
 	t.Helper()
+	return firstErrorOn(t, engineRun, cfg, proto)
+}
+
+// firstErrorOn is firstErrorOf on run.
+func firstErrorOn(t *testing.T, run runner, cfg Config, proto Protocol) string {
+	t.Helper()
 	model, parts, _ := testWorld(t, cfg.Nodes, 10)
 	inner := testFactory()
 	sim, err := New(cfg, proto, model, parts, func(id int) LocalUpdater {
@@ -236,7 +260,7 @@ func firstErrorOf(t *testing.T, cfg Config, proto Protocol) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err = sim.Run(nil); err == nil {
+	if err = run(sim); err == nil {
 		t.Fatal("run survived the injected failures")
 	}
 	return err.Error()

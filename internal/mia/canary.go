@@ -83,10 +83,25 @@ func (c *CanarySet) NodeTPR(s *Scratch, nodeID int, model *nn.MLP) (float64, err
 // through scratch[i] (scratch holds at least one per model). Each
 // goroutine scores under a distinct node's model, so no cloning is
 // needed, and the maximum is taken in node order — the result is
-// identical for every worker count.
+// identical for every worker count. At one worker the audits run inline
+// with a running maximum, and a call through grown scratches allocates
+// nothing.
 func (c *CanarySet) MaxTPRWorkers(models []*nn.MLP, scratch []Scratch, workers int) (float64, error) {
 	if len(models) != len(c.PerNode) || len(scratch) < len(models) {
 		return 0, fmt.Errorf("%w: %d models and %d scratches for %d nodes", ErrCanary, len(models), len(scratch), len(c.PerNode))
+	}
+	best := 0.0
+	if par.Workers(workers) <= 1 {
+		for i, m := range models {
+			tpr, err := c.NodeTPR(&scratch[i], i, m)
+			if err != nil {
+				return 0, err
+			}
+			if tpr > best {
+				best = tpr
+			}
+		}
+		return best, nil
 	}
 	tprs := make([]float64, len(models))
 	err := par.ForEachErr(workers, len(models), func(i int) error {
@@ -100,7 +115,6 @@ func (c *CanarySet) MaxTPRWorkers(models []*nn.MLP, scratch []Scratch, workers i
 	if err != nil {
 		return 0, err
 	}
-	best := 0.0
 	for _, tpr := range tprs {
 		if tpr > best {
 			best = tpr

@@ -473,11 +473,19 @@ func TestCanaryAuditWorkersAndAllocs(t *testing.T) {
 			t.Fatalf("max canary TPR at 4 workers %v, at 1 worker %v", got, serial)
 		}
 	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if got, err := set.MaxTPRWorkers(models, grown, 1); err != nil || got != serial {
+			t.Fatalf("max canary TPR at 1 worker %v (%v), first %v", got, err, serial)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a one-worker canary audit through grown scratches allocates %v times, want 0", allocs)
+	}
 	var s Scratch
 	if _, err := set.NodeTPR(&s, 1, models[1]); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	allocs = testing.AllocsPerRun(20, func() {
 		if _, err := set.NodeTPR(&s, 1, models[1]); err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,8 @@
 // average in SAMO) a one-line vector operation.
 //
 // Every forward and backward pass is batched: BatchGrad and the trainer
-// run the blocked GEMM kernels over a minibatch (one row for DP-SGD's
-// per-example gradients), and ScoreChunks runs the forward pass over
+// run the blocked GEMM kernels over a minibatch (one row for a clipped
+// trainer's per-example gradients), and ScoreChunks runs the forward pass over
 // chunks of a scoring sweep. A model instance is not safe for concurrent
 // use; experiment arms clone models per goroutine.
 package nn
@@ -177,8 +177,9 @@ func (m *MLP) checkLabel(y int) error {
 // BatchGrad computes the summed loss and summed gradient over the given
 // examples, writing the gradient over whatever grad held — every
 // element once, none read first. xs and ys must have equal non-zero
-// length. Callers that want the mean divide; DP-SGD calls it one row at
-// a time for each example's gradient, which it clips.
+// length. Callers that want the mean divide; a clipped trainer
+// (SGDConfig.Clip) calls it one row at a time for each example's
+// gradient, which it clips.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
 // (tensor.GemmNT/GemmTNStore/GemmNN; the rows come without lists, so

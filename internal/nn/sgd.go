@@ -11,29 +11,58 @@ import (
 // in (0,1), multiplies the learning rate after every epoch — the
 // "dynamic learning rates" mitigation the paper's Section 5 recommends
 // against early overfitting.
+//
+// A positive Clip makes the trainer DP-SGD's (Abadi et al.,
+// arXiv:1607.00133; RQ7): each minibatch gradient is the sum of the
+// examples' gradients, each clipped to L2 norm Clip, plus Gaussian noise
+// of standard deviation NoiseMultiplier·Clip on every parameter.
+// Momentum, weight decay and LR decay then act on that privatized sum —
+// post-processing, which leaves the guarantee and its accounting as
+// they are.
 type SGDConfig struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
 	LRDecay     float64
+
+	Clip            float64
+	NoiseMultiplier float64
 }
 
 // SGD is a stateful SGD optimizer with momentum and weight decay over a
 // flat parameter vector. The velocity buffer is lazily sized on first
-// Step, so an SGD value can be freely copied into each node before the
-// model dimensionality is known.
+// Step, so an unclipped SGD value can be freely copied into each node
+// before the model dimensionality is known; copies of a clipped one
+// share its step count, so each node's comes from NewSGD. The
+// configuration is held field by field, with the clip behind a pointer,
+// so that a node's optimizer and trainer (gossip.SGDUpdater) stay in
+// one 176-byte size class.
 type SGD struct {
-	cfg      SGDConfig
+	lr, momentum, weightDecay, lrDecay float64
+
 	velocity tensor.Vector
 	// velT is in×out while the velocity's first in·out elements, a first
 	// layer's, are held input-major (transposed) for a trainer's sparse
 	// first layer, and zero while they are in the model's layout.
-	velT [2]int
+	velT [2]int32
+	// clip is the per-example clip of a DP-SGD trainer, nil without one.
+	clip *clipping
+}
+
+// clipping is DP-SGD's per-example clip, the standard deviation of its
+// noise, and the count of clipped, noised steps taken.
+type clipping struct {
+	norm, noiseStd float64
+	steps          int
 }
 
 // NewSGD returns an optimizer with the given configuration.
 func NewSGD(cfg SGDConfig) *SGD {
-	return &SGD{cfg: cfg}
+	s := &SGD{lr: cfg.LR, momentum: cfg.Momentum, weightDecay: cfg.WeightDecay, lrDecay: cfg.LRDecay}
+	if cfg.Clip > 0 {
+		s.clip = &clipping{norm: cfg.Clip, noiseStd: cfg.NoiseMultiplier * cfg.Clip}
+	}
+	return s
 }
 
 // Reset clears the momentum buffer (used when a node replaces its model
@@ -42,17 +71,26 @@ func (s *SGD) Reset() {
 	if s.velocity != nil {
 		s.velocity.Zero() // zero in either layout
 	}
-	s.velT = [2]int{}
+	s.velT = [2]int32{}
 }
 
 // LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.cfg.LR }
+func (s *SGD) LR() float64 { return s.lr }
+
+// ClippedSteps returns the number of clipped, noised minibatch steps
+// taken, the count a privacy accountant composes; 0 without a clip.
+func (s *SGD) ClippedSteps() int {
+	if s.clip == nil {
+		return 0
+	}
+	return s.clip.steps
+}
 
 // DecayLR applies one LRDecay step when configured; a zero or >=1 decay
 // leaves the rate unchanged.
 func (s *SGD) DecayLR() {
-	if s.cfg.LRDecay > 0 && s.cfg.LRDecay < 1 {
-		s.cfg.LR *= s.cfg.LRDecay
+	if s.lrDecay > 0 && s.lrDecay < 1 {
+		s.lr *= s.lrDecay
 	}
 }
 
@@ -76,7 +114,7 @@ func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 		return err
 	}
 	s.velModelMajor()
-	tensor.SGDStep(params, vel, grad, scale, s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR)
+	tensor.SGDStep(params, vel, grad, scale, s.weightDecay, s.momentum, s.lr)
 	return nil
 }
 
@@ -84,21 +122,21 @@ func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 // transposing them through scratch (in·out floats) unless they already
 // are.
 func (s *SGD) velInputMajor(in, out int, scratch tensor.Vector) {
-	if s.velT == [2]int{in, out} {
+	if s.velT == [2]int32{int32(in), int32(out)} {
 		return
 	}
 	s.velModelMajor()
 	n := in * out
 	tensor.Transpose(scratch, s.velocity[:n], out, in)
 	copy(s.velocity[:n], scratch)
-	s.velT = [2]int{in, out}
+	s.velT = [2]int32{int32(in), int32(out)}
 }
 
 // velModelMajor puts an input-major first-layer block of the velocity
 // back in the model's layout. Only a node whose updates turn from
 // sparse to dense gets here, so the scratch is allocated.
 func (s *SGD) velModelMajor() {
-	in, out := s.velT[0], s.velT[1]
+	in, out := int(s.velT[0]), int(s.velT[1])
 	if in == 0 {
 		return
 	}
@@ -106,7 +144,7 @@ func (s *SGD) velModelMajor() {
 	scratch := tensor.NewVector(n)
 	tensor.Transpose(scratch, s.velocity[:n], in, out)
 	copy(s.velocity[:n], scratch)
-	s.velT = [2]int{}
+	s.velT = [2]int32{}
 }
 
 // vel returns the velocity of n parameters, sized on first use.
@@ -126,7 +164,7 @@ func (s *SGD) vel(n int) (tensor.Vector, error) {
 // step tells sp whether the W0 it wrote is finite.
 func (s *SGD) stepT(params, grad tensor.Vector, scale float64, sp *sparseL0) {
 	n := len(sp.wT)
-	wd, mom, lr := s.cfg.WeightDecay, s.cfg.Momentum, s.cfg.LR
+	wd, mom, lr := s.weightDecay, s.momentum, s.lr
 	sp.w0ok = tensor.SGDStep(sp.wT, s.velocity[:n], grad[:n], scale, wd, mom, lr)
 	tensor.SGDStep(params[n:], s.velocity[n:], grad[n:], scale, wd, mom, lr)
 }
@@ -184,7 +222,9 @@ func (t *Trainer) Init(model *MLP, opt *SGD, batchSize, epochs int) {
 // only epoch that computes one. Each minibatch is MLP.BatchGrad's sum
 // scaled by 1/B, then SGD.Step, to the bit — per-example accumulation
 // order included — with the division folded into the step, so the
-// gradient is written once and read once.
+// gradient is written once and read once. With a clip (SGDConfig.Clip)
+// the sum is DP-SGD's clipped, noised one (clippedGradSum) and the
+// first layer runs dense; the step is the same.
 func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (float64, error) {
 	return t.RunEpochsNZ(xs, nil, ys, rng)
 }
@@ -210,13 +250,21 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 		return 0, err
 	}
 	grad := m.pool.Get(m.NumParams())
-	batch := m.pool.Get(m.batchFloats(bs, true))
 	defer m.pool.Put(grad)
-	defer m.pool.Put(batch)
-	// Layer 0 may run sparse for the whole update; release writes W0
-	// back.
+	// A clipped trainer sums one-row gradients, which borrow their own
+	// scratch and run dense, into grad through ex. Otherwise layer 0 may
+	// run sparse for the whole update; release writes W0 back.
+	clip := t.Opt.clip
+	var batch, ex tensor.Vector
+	if clip != nil {
+		ex = m.pool.Get(m.NumParams())
+		defer m.pool.Put(ex)
+	} else {
+		batch = m.pool.Get(m.batchFloats(bs, true))
+		defer m.pool.Put(batch)
+	}
 	var sp sparseL0
-	sp.init(m, bs, t.Opt, nz != nil)
+	sp.init(m, bs, t.Opt, nz != nil && clip == nil)
 	defer sp.release()
 	if cap(t.order) < n {
 		t.order = m.arena.Ints(n)
@@ -243,8 +291,14 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 			for i, idx := range order[start:end] {
 				xb[i], yb[i] = xs[idx], ys[idx]
 			}
-			lists := rowLists{all: nz, sel: order[start:end]}
-			lossSum, err := m.batchGradSum(xb, lists, yb, grad, batch, last, &sp)
+			var lossSum float64
+			var err error
+			if clip != nil {
+				lossSum, err = m.clippedGradSum(xb, yb, clip, grad, ex, rng)
+			} else {
+				lists := rowLists{all: nz, sel: order[start:end]}
+				lossSum, err = m.batchGradSum(xb, lists, yb, grad, batch, last, &sp)
+			}
 			if err != nil {
 				return 0, err
 			}
@@ -261,4 +315,32 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 		t.Opt.DecayLR()
 	}
 	return lastLoss, nil
+}
+
+// clippedGradSum is DP-SGD's minibatch gradient: it writes into grad the
+// sum, in example order from +0, of each example's gradient (a one-row
+// BatchGrad into ex, whose first layer runs dense) clipped to L2 norm
+// c.norm (Vector.ClipNorm), then adds N(0, c.noiseStd²) to every
+// parameter, drawn from rng in parameter order, and counts the step. It
+// returns the examples' summed loss.
+func (m *MLP) clippedGradSum(xs []tensor.Vector, ys []int, c *clipping, grad, ex tensor.Vector, rng *tensor.RNG) (float64, error) {
+	grad.Zero()
+	var loss float64
+	for i := range xs {
+		l, err := m.BatchGrad(xs[i:i+1], ys[i:i+1], ex)
+		if err != nil {
+			return 0, err
+		}
+		loss += l
+		ex.ClipNorm(c.norm)
+		_ = grad.AddInPlace(ex) // lengths checked by BatchGrad
+	}
+	// A NaN deviation (σ = 0 at an infinite clip) draws nothing, as 0 does.
+	if c.noiseStd > 0 {
+		for i := range grad {
+			grad[i] += rng.Normal(0, c.noiseStd)
+		}
+	}
+	c.steps++
+	return loss, nil
 }

@@ -214,7 +214,9 @@ func GemmTNStore(c, a, b []float64, m, n, k int) {
 			}
 		}
 	}
-	GemmTN(c, a[4*m:], b[4*n:], m, n, k-4)
+	if k > 4 {
+		GemmTN(c, a[4*m:], b[4*n:], m, n, k-4)
+	}
 }
 
 // GemmNN accumulates C += A·B for row-major flat slices: A is m×k, B is

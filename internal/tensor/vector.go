@@ -156,25 +156,6 @@ func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) bool {
 	return finite && bad == 0
 }
 
-// Axpy sets v += a*w (the BLAS axpy kernel). It returns an error when
-// lengths differ. Unrolled four-wide (element-wise, order-free).
-func (v Vector) Axpy(a float64, w Vector) error {
-	if len(v) != len(w) {
-		return fmt.Errorf("axpy %d += a*%d: %w", len(v), len(w), ErrShape)
-	}
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		v[i] += a * w[i]
-		v[i+1] += a * w[i+1]
-		v[i+2] += a * w[i+2]
-		v[i+3] += a * w[i+3]
-	}
-	for ; i < len(v); i++ {
-		v[i] += a * w[i]
-	}
-	return nil
-}
-
 // Dot returns the inner product <v, w>. It returns an error when lengths
 // differ. The loop body is unrolled but keeps a single accumulator chain
 // (terms added in increasing index order), so the result is bit-identical

@@ -50,23 +50,12 @@ func TestVectorShapeErrors(t *testing.T) {
 	if err := v.SubInPlace(w); !errors.Is(err, ErrShape) {
 		t.Fatalf("SubInPlace error = %v, want ErrShape", err)
 	}
-	if err := v.Axpy(2, w); !errors.Is(err, ErrShape) {
-		t.Fatalf("Axpy error = %v, want ErrShape", err)
-	}
 	if _, err := Dot(v, w); !errors.Is(err, ErrShape) {
 		t.Fatalf("Dot error = %v, want ErrShape", err)
 	}
 }
 
-func TestAxpyDotNorm(t *testing.T) {
-	v := Vector{1, 0, -1}
-	w := Vector{2, 3, 4}
-	if err := v.Axpy(0.5, w); err != nil {
-		t.Fatalf("Axpy: %v", err)
-	}
-	if !EqualApprox(v, Vector{2, 1.5, 1}, 1e-15) {
-		t.Fatalf("axpy: got %v", v)
-	}
+func TestDotNorm(t *testing.T) {
 	d, err := Dot(Vector{1, 2}, Vector{3, 4})
 	if err != nil || d != 11 {
 		t.Fatalf("dot = %v, %v; want 11", d, err)

@@ -102,7 +102,12 @@ type Arm struct {
 
 // DP enables node-level DP-SGD (RQ7). Epsilon/Delta form the per-node
 // privacy target for the whole run; the engine calibrates the noise
-// multiplier with its RDP accountant from the expected step count.
+// multiplier σ with its RDP accountant from the expected step count. A
+// DP arm trains with the arm's own optimizer (learning rate, momentum,
+// weight decay and LR decay), whose minibatch gradient is the sum of
+// the examples' gradients, each clipped to L2 norm Clip, plus Gaussian
+// noise of deviation σ·Clip on every parameter; its batch is the
+// arm's, capped at the smallest node's training split.
 type DP struct {
 	Epsilon float64 `json:"epsilon"`
 	Delta   float64 `json:"delta"`

@@ -8,8 +8,9 @@
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
 # kernels, the list-fed first layer, the rank correlation, the DP
-# accountant, the spectral instruments and the bootstrap intervals are
-# fuzzed, for 10 s each), the one-generator
+# accountant, the spectral instruments, the bootstrap intervals and the
+# round engine against the serial tick loop it replaced are fuzzed, for
+# 10 s each), the one-generator
 # gates (math/rand only in tests, and no fused multiply-add in the
 # samplers, the sparse kernels, internal/nn or internal/mia on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
@@ -64,7 +65,7 @@ go test ./benchmark
 go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -129,6 +130,13 @@ go test -run=NONE -fuzz=FuzzSpectral -fuzztime=10s ./internal/graph
 # the same resamples and picks the order statistics by counting, and
 # each interval to the sample's range ([c, c] for a sample of one c).
 go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s ./internal/stats
+# The round engine: a short real fuzzing run holds every round
+# boundary's counters and node states, and the run's error, at workers
+# 1, 2, 3 and 8 to the serial tick loop the engine replaced
+# (internal/gossip/reference_test.go, which first reproduces
+# matrix.golden and engine.golden), over protocols, transports, drops,
+# churn, views, node counts, rounds and seeds no golden pins.
+go test -run=NONE -fuzz=FuzzEngineMatchesSerial -fuzztime=10s ./internal/gossip
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -160,8 +168,9 @@ fi
 echo "rng and sparse arm64 rounding gate ok"
 # internal/nn leaves its dot products to the tensor kernels (the scalar
 # per-example pass is a test oracle) and rounds every other product that
-# feeds an add: a fused multiply-add in the package would round the
-# training or scoring path on arm64 differently from amd64.
+# feeds an add, the clipped trainer's noise included: a fused
+# multiply-add in the package would round the training or scoring path
+# on arm64 differently from amd64.
 fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/nn=-S' ./internal/nn 2>&1 |
     grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
 if [ -n "$fused" ]; then
