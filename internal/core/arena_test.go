@@ -317,57 +317,6 @@ func denseWakeConfig(workers int) StudyConfig {
 	}
 }
 
-// TestKeepFinalModelsSurviveLaterArms: snapshots outlive their arm, so
-// they must not sit in memory later arms recycle.
-func TestKeepFinalModelsSurviveLaterArms(t *testing.T) {
-	cfg := quickConfig()
-	cfg.Sim.Rounds = 2
-	cfg.KeepFinalModels = true
-	keep, err := NewStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := keep.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Final) != cfg.Sim.Nodes {
-		t.Fatalf("%d snapshots, want %d", len(res.Final), cfg.Sim.Nodes)
-	}
-	type frozen struct {
-		params      tensor.Vector
-		train, test *data.Dataset
-	}
-	before := make([]frozen, len(res.Final))
-	for i, snap := range res.Final {
-		before[i] = frozen{snap.Model.ParamsCopy(), snap.Data.Train.Clone(), snap.Data.Test.Clone()}
-	}
-	// Same-shaped arms first: they would land on exactly the snapshots'
-	// addresses if those were arena memory.
-	later := []StudyConfig{quickConfig(), quickConfig(), mixedArms()[1]}
-	later[1].Sim.Seed = 12
-	for _, c := range later {
-		s, err := NewStudy(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i, snap := range res.Final {
-		if !reflect.DeepEqual(snap.Model.Params(), before[i].params) {
-			t.Fatalf("node %d: snapshot parameters changed after later arms ran", i)
-		}
-		if !reflect.DeepEqual(snap.Data.Train, before[i].train) || !reflect.DeepEqual(snap.Data.Test, before[i].test) {
-			t.Fatalf("node %d: snapshot data changed after later arms ran", i)
-		}
-		if err := snap.Model.ScoreChunks(snap.Data.Test.X[:1], nil, func(int, tensor.Vector) {}); err != nil {
-			t.Fatalf("node %d: snapshot model unusable: %v", i, err)
-		}
-	}
-}
-
 // TestArenaUseIsBoundedByRounds: the arena has no free, so nothing on
 // the per-tick path may draw from it without bound. Everything it hands
 // out is created once per arm or grows to a high-water mark (batch

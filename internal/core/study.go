@@ -98,15 +98,19 @@ type StudyConfig struct {
 	// (0 = all); nodes are sampled once per run for comparability.
 	EvalNodes int
 
-	// KeepFinalModels retains every node's final model and data splits
-	// in the Result, enabling post-hoc analyses (e.g. comparing attack
-	// score functions) without re-running the simulation.
-	KeepFinalModels bool
-
 	// OnRecord, when non-nil, receives every evaluated RoundRecord in
 	// round order as soon as it is measured — the streaming hook result
 	// sinks attach to. An error aborts the run.
 	OnRecord func(metrics.RoundRecord) error
+
+	// OnFinal, when non-nil, is called once on a successful run, after
+	// the last round's record, with every node in ID order — the hook
+	// for post-hoc analyses of the final models (e.g. comparing attack
+	// score functions) without re-running the simulation. The nodes,
+	// their models and their data are lent for the call only: they live
+	// in the arm's arena, which is reset when the arm ends. An error
+	// fails the run.
+	OnFinal func(nodes []*gossip.Node) error
 
 	// Workers is the intra-arm parallelism knob. It bounds the
 	// goroutines used to fan out the per-node evaluation (test accuracy,
@@ -119,13 +123,6 @@ type StudyConfig struct {
 	// serial order — so the resulting Series is byte-identical for every
 	// worker count.
 	Workers int
-}
-
-// NodeSnapshot is one node's state at the end of a run.
-type NodeSnapshot struct {
-	ID    int
-	Model *nn.MLP
-	Data  data.NodeData
 }
 
 // Defaulted fills unset evaluation fields.
@@ -166,9 +163,6 @@ type Result struct {
 	// NoiseMultiplier is the calibrated σ used by DP-SGD (zero when DP
 	// is disabled).
 	NoiseMultiplier float64
-	// Final holds per-node end-of-run snapshots when
-	// StudyConfig.KeepFinalModels is set.
-	Final []NodeSnapshot
 	// Sched describes the schedule the simulator's round engine
 	// planned, the same at every worker count. Its Occupancy — wakes
 	// over the rounds' critical paths — is the machine-independent
@@ -220,13 +214,8 @@ var arenas = sync.Pool{New: func() any { return new(armMemory) }}
 // Everything with the arm's lifetime — datasets, index lists, models,
 // trainers, scratch, generators, message buffers — comes from one
 // pooled arena that is reset when the arm ends, and the evaluation
-// scratch is pooled with it; the Result holds none of it. Under
-// KeepFinalModels the snapshots outlive the arm, so that arm runs on
-// the heap.
+// scratch is pooled with it; the Result holds none of it.
 func (s *Study) RunContext(ctx context.Context) (*Result, error) {
-	if s.cfg.KeepFinalModels {
-		return s.run(ctx, nil, new(evalScratch))
-	}
 	// Not deferred: an arena abandoned by a panic may still be written
 	// by the arm's goroutines and must not reach another arm.
 	mem := arenas.Get().(*armMemory)
@@ -329,15 +318,6 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 		NoiseMultiplier: sigma,
 		Sched:           sim.SchedStats(),
 	}
-	if cfg.KeepFinalModels {
-		for _, node := range sim.Nodes() {
-			res.Final = append(res.Final, NodeSnapshot{
-				ID:    node.ID,
-				Model: node.Model.Clone(),
-				Data:  node.Data,
-			})
-		}
-	}
 	if cfg.DP != nil {
 		maxSteps := 0
 		for _, node := range sim.Nodes() {
@@ -348,6 +328,11 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 			return nil, err
 		}
 		res.RealizedEpsilon = eps
+	}
+	if cfg.OnFinal != nil {
+		if err := cfg.OnFinal(sim.Nodes()); err != nil {
+			return nil, fmt.Errorf("core: final models: %w", err)
+		}
 	}
 	return res, nil
 }
@@ -452,17 +437,8 @@ func (s *Study) dpBatch(parts []data.NodeData) (minTrain, batch int) {
 // realizedEpsilon converts the realized step count into the actually
 // spent (ε,δ) budget.
 func (s *Study) realizedEpsilon(steps int, sigma float64, parts []data.NodeData) (float64, error) {
-	if steps == 0 {
-		return 0, nil
-	}
-	d := s.cfg.DP
 	minTrain, batch := s.dpBatch(parts)
-	acc, err := dp.NewAccountant(float64(batch)/float64(minTrain), sigma)
-	if err != nil {
-		return 0, fmt.Errorf("core: accountant: %w", err)
-	}
-	acc.AddSteps(steps)
-	eps, err := acc.Epsilon(d.Delta)
+	eps, err := dp.Epsilon(float64(batch)/float64(minTrain), sigma, steps, s.cfg.DP.Delta)
 	if err != nil {
 		return 0, fmt.Errorf("core: epsilon: %w", err)
 	}

@@ -305,6 +305,65 @@ func TestStudyOnRecordErrorAborts(t *testing.T) {
 	}
 }
 
+// TestOnFinalLendsFinalNodes: OnFinal runs exactly once, after the last
+// round's record, with every node in ID order, and the lent models
+// score on the lent data — on the pooled arena every arm runs on.
+func TestOnFinalLendsFinalNodes(t *testing.T) {
+	cfg := quickConfig()
+	var records, calls int
+	cfg.OnRecord = func(metrics.RoundRecord) error {
+		if calls > 0 {
+			t.Error("a record arrived after OnFinal")
+		}
+		records++
+		return nil
+	}
+	cfg.OnFinal = func(nodes []*gossip.Node) error {
+		calls++
+		if records != cfg.Sim.Rounds/cfg.EvalEvery {
+			t.Errorf("OnFinal after %d records, want %d", records, cfg.Sim.Rounds/cfg.EvalEvery)
+		}
+		if len(nodes) != cfg.Sim.Nodes {
+			t.Fatalf("%d nodes, want %d", len(nodes), cfg.Sim.Nodes)
+		}
+		for i, node := range nodes {
+			if node.ID != i {
+				t.Fatalf("node %d has ID %d", i, node.ID)
+			}
+			acc, err := metrics.Accuracy(node.Model, node.Data.Test)
+			if err != nil || acc <= 0 || acc > 1 {
+				t.Fatalf("node %d: test accuracy %v, %v", i, acc, err)
+			}
+		}
+		return nil
+	}
+	st, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 {
+		t.Fatalf("OnFinal called %d times, want 1", calls)
+	}
+}
+
+// TestOnFinalErrorFailsRun: an error from OnFinal fails the run,
+// wrapped, with no result.
+func TestOnFinalErrorFailsRun(t *testing.T) {
+	boom := errors.New("analysis failed")
+	cfg := quickConfig()
+	cfg.OnFinal = func([]*gossip.Node) error { return boom }
+	st, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := st.Run(); !errors.Is(err, boom) || res != nil {
+		t.Fatalf("run = %v, %v; want no result and the OnFinal error", res, err)
+	}
+}
+
 // TestPurchase100RowsCarryLists: every row a Purchase100-like arm's
 // nodes train and are attacked on comes with its list of ones, through
 // the IID partition with canaries planted and through the Dirichlet
@@ -316,25 +375,32 @@ func TestPurchase100RowsCarryLists(t *testing.T) {
 		func(c *StudyConfig) { c.Part.DirichletBeta = 0.5 },
 	} {
 		cfg := quickConfig()
-		cfg.Corpus, cfg.Sim.Rounds, cfg.KeepFinalModels = data.Purchase100, 1, true
+		cfg.Corpus, cfg.Sim.Rounds = data.Purchase100, 1
 		edit(&cfg)
+		checked := 0
+		cfg.OnFinal = func(nodes []*gossip.Node) error {
+			for _, node := range nodes {
+				for _, ds := range []*data.Dataset{node.Data.Train, node.Data.Test} {
+					if ds.NZ == nil || len(ds.NZ) != ds.Len() {
+						t.Fatalf("canaries %d, beta %v: node %d has %d lists for %d rows", cfg.Canaries, cfg.Part.DirichletBeta, node.ID, len(ds.NZ), ds.Len())
+					}
+					if err := ds.Validate(); err != nil {
+						t.Fatalf("canaries %d, beta %v: node %d: %v", cfg.Canaries, cfg.Part.DirichletBeta, node.ID, err)
+					}
+				}
+				checked++
+			}
+			return nil
+		}
 		s, err := NewStudy(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run()
-		if err != nil {
+		if _, err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
-		for _, snap := range res.Final {
-			for _, ds := range []*data.Dataset{snap.Data.Train, snap.Data.Test} {
-				if ds.NZ == nil || len(ds.NZ) != ds.Len() {
-					t.Fatalf("canaries %d, beta %v: node %d has %d lists for %d rows", cfg.Canaries, cfg.Part.DirichletBeta, snap.ID, len(ds.NZ), ds.Len())
-				}
-				if err := ds.Validate(); err != nil {
-					t.Fatalf("canaries %d, beta %v: node %d: %v", cfg.Canaries, cfg.Part.DirichletBeta, snap.ID, err)
-				}
-			}
+		if checked != cfg.Sim.Nodes {
+			t.Fatalf("checked %d nodes, want %d", checked, cfg.Sim.Nodes)
 		}
 	}
 }

@@ -54,15 +54,6 @@ func TestDatasetSubsetSplitHistogram(t *testing.T) {
 	}
 }
 
-func TestDatasetCloneIsDeep(t *testing.T) {
-	ds := &Dataset{X: []tensor.Vector{{1}}, Y: []int{0}, Classes: 1}
-	c := ds.Clone()
-	c.X[0][0] = 99
-	if ds.X[0][0] == 99 {
-		t.Fatal("clone shares storage")
-	}
-}
-
 func TestGaussianGeneratorBasics(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	g, err := NewGaussianGenerator(GaussianConfig{Dim: 8, Classes: 4, Margin: 3, Noise: 0.5}, rng, nil)

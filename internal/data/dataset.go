@@ -178,22 +178,3 @@ func (d *Dataset) LabelHistogram() []int {
 	}
 	return h
 }
-
-// Clone returns a deep copy of the dataset (fresh example vectors).
-func (d *Dataset) Clone() *Dataset {
-	out := &Dataset{
-		X:       make([]tensor.Vector, len(d.X)),
-		Y:       append([]int(nil), d.Y...),
-		Classes: d.Classes,
-	}
-	for i, x := range d.X {
-		out.X[i] = x.Clone()
-	}
-	if d.NZ != nil {
-		out.NZ = make([][]int32, len(d.NZ))
-		for i, ids := range d.NZ {
-			out.NZ[i] = append([]int32(nil), ids...)
-		}
-	}
-	return out
-}

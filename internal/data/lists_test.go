@@ -55,7 +55,7 @@ func basket(t *testing.T, rng *tensor.RNG, a *tensor.Arena) *data.BasketGenerato
 }
 
 // TestRowListsFollowRows walks every operation that moves a dataset's
-// rows — sampling, Subset, Split, Shuffle, Clone, Append, AppendRow,
+// rows — sampling, Subset, Split, Shuffle, Append, AppendRow,
 // both partitioners, the Dirichlet merge and canary planting — on the
 // heap and in an arena, and checks that each row still carries its
 // own list of ones.
@@ -76,10 +76,10 @@ func TestRowListsFollowRows(t *testing.T) {
 		checkLists(t, "Split tail", tail, true)
 		sub.Shuffle(rng)
 		checkLists(t, "Shuffle", sub, true)
-		clone := sub.Clone()
-		checkLists(t, "Clone", clone, true)
-		clone.Append(tail)
-		checkLists(t, "Append", clone, true)
+		grown := &data.Dataset{Classes: 4}
+		grown.Append(sub)
+		grown.Append(tail)
+		checkLists(t, "Append", grown, true)
 		empty := &data.Dataset{Classes: 4}
 		empty.AppendRow(base, 7)
 		checkLists(t, "AppendRow into an empty dataset", empty, true)
@@ -146,7 +146,12 @@ func TestAppendMixedDropsLists(t *testing.T) {
 		ds.X[0][3] = 1
 		return ds
 	}
-	ds := listed.Clone()
+	copyListed := func() *data.Dataset {
+		ds := &data.Dataset{Classes: 4}
+		ds.Append(listed)
+		return ds
+	}
+	ds := copyListed()
 	ds.Append(bare())
 	checkLists(t, "Append of rows without lists", ds, false)
 	ds = bare()
@@ -155,7 +160,7 @@ func TestAppendMixedDropsLists(t *testing.T) {
 	ds = bare()
 	ds.Append(listed)
 	checkLists(t, "Append into rows without lists", ds, false)
-	ds = listed.Clone()
+	ds = copyListed()
 	ds.Append(&data.Dataset{Classes: 4})
 	checkLists(t, "Append of no rows", ds, true)
 }

@@ -1,5 +1,5 @@
-// Package dp implements the privacy accounting of RQ7: a Rényi-DP
-// accountant for the sampled Gaussian mechanism with conversion to
+// Package dp implements the privacy accounting of RQ7: the Rényi-DP
+// cost of the sampled Gaussian mechanism with conversion to
 // (ε,δ) guarantees, following Mironov's composition rule as the paper's
 // Opacus setup does, and the calibration of DP-SGD's noise multiplier
 // to a budget. The mechanism itself — per-example clipping plus
@@ -15,15 +15,9 @@ import (
 // ErrParams is returned for invalid privacy parameters.
 var ErrParams = errors.New("dp: invalid parameters")
 
-// defaultOrders are the integer Rényi orders scanned when converting to
-// (ε,δ); the usual 2..64 range covers practical regimes.
-func defaultOrders() []int {
-	orders := make([]int, 0, 63)
-	for a := 2; a <= 64; a++ {
-		orders = append(orders, a)
-	}
-	return orders
-}
+// maxOrder bounds the integer Rényi orders 2..maxOrder scanned when
+// converting to (ε,δ); the usual 2..64 range covers practical regimes.
+const maxOrder = 64
 
 // rdpSampledGaussian returns the RDP ε(α) of one step of the sampled
 // Gaussian mechanism with sampling rate q and noise multiplier sigma, at
@@ -67,62 +61,33 @@ func logBinom(n, k int) float64 {
 	return ln - lk - lnk
 }
 
-// Accountant tracks the cumulative RDP budget of a DP-SGD run with fixed
-// sampling rate and noise multiplier.
-type Accountant struct {
-	q, sigma float64
-	steps    int
-	orders   []int
-}
-
-// NewAccountant returns an accountant for sampling rate q ∈ (0,1] and
-// noise multiplier sigma > 0.
-func NewAccountant(q, sigma float64) (*Accountant, error) {
+// Epsilon returns the (ε, δ) guarantee of steps invocations of the
+// sampled Gaussian mechanism at sampling rate q ∈ (0,1] and noise
+// multiplier sigma > 0, composed in RDP and converted at the best order:
+// ε = min_α [ steps·ε(α) + ln(1/δ)/(α−1) ]. No steps cost nothing.
+func Epsilon(q, sigma float64, steps int, delta float64) (float64, error) {
 	if q <= 0 || q > 1 {
-		return nil, fmt.Errorf("%w: sampling rate %v out of (0,1]", ErrParams, q)
+		return 0, fmt.Errorf("%w: sampling rate %v out of (0,1]", ErrParams, q)
 	}
 	if sigma <= 0 {
-		return nil, fmt.Errorf("%w: noise multiplier %v must be positive", ErrParams, sigma)
+		return 0, fmt.Errorf("%w: noise multiplier %v must be positive", ErrParams, sigma)
 	}
-	return &Accountant{q: q, sigma: sigma, orders: defaultOrders()}, nil
-}
-
-// AddSteps records n additional mechanism invocations (SGD steps).
-func (a *Accountant) AddSteps(n int) {
-	if n > 0 {
-		a.steps += n
-	}
-}
-
-// Steps returns the number of recorded steps.
-func (a *Accountant) Steps() int { return a.steps }
-
-// Epsilon converts the accumulated RDP budget to an (ε, δ) guarantee:
-// ε = min_α [ steps·ε(α) + ln(1/δ)/(α−1) ].
-func (a *Accountant) Epsilon(delta float64) (float64, error) {
 	if delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("%w: delta %v out of (0,1)", ErrParams, delta)
 	}
-	if a.steps == 0 {
+	if steps <= 0 {
 		return 0, nil
 	}
 	best := math.Inf(1)
 	logInvDelta := math.Log(1 / delta)
-	for _, alpha := range a.orders {
-		eps := float64(a.steps)*rdpSampledGaussian(a.q, a.sigma, alpha) +
+	for alpha := 2; alpha <= maxOrder; alpha++ {
+		eps := float64(steps)*rdpSampledGaussian(q, sigma, alpha) +
 			logInvDelta/float64(alpha-1)
 		if eps < best {
 			best = eps
 		}
 	}
 	return best, nil
-}
-
-// EpsilonFor returns the (ε, δ) cost of a hypothetical run of steps
-// invocations at the accountant's q and sigma, without mutating state.
-func (a *Accountant) EpsilonFor(steps int, delta float64) (float64, error) {
-	tmp := &Accountant{q: a.q, sigma: a.sigma, steps: steps, orders: a.orders}
-	return tmp.Epsilon(delta)
 }
 
 // CalibrateSigma binary-searches the smallest noise multiplier that keeps
@@ -135,17 +100,9 @@ func CalibrateSigma(targetEps, delta, q float64, steps int) (float64, error) {
 	if steps <= 0 {
 		return 0, fmt.Errorf("%w: steps %d must be positive", ErrParams, steps)
 	}
-	epsAt := func(sigma float64) (float64, error) {
-		acc, err := NewAccountant(q, sigma)
-		if err != nil {
-			return 0, err
-		}
-		acc.AddSteps(steps)
-		return acc.Epsilon(delta)
-	}
 	lo, hi := 1e-2, 1e-2
 	for iter := 0; ; iter++ {
-		eps, err := epsAt(hi)
+		eps, err := Epsilon(q, hi, steps, delta)
 		if err != nil {
 			return 0, err
 		}
@@ -159,7 +116,7 @@ func CalibrateSigma(targetEps, delta, q float64, steps int) (float64, error) {
 	}
 	for iter := 0; iter < 80; iter++ {
 		mid := (lo + hi) / 2
-		eps, err := epsAt(mid)
+		eps, err := Epsilon(q, mid, steps, delta)
 		if err != nil {
 			return 0, err
 		}

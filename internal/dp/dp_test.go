@@ -53,71 +53,66 @@ func TestRDPMonotoneInSamplingRate(t *testing.T) {
 	}
 }
 
-func TestAccountantValidation(t *testing.T) {
-	if _, err := NewAccountant(0, 1); !errors.Is(err, ErrParams) {
-		t.Fatalf("q=0 error = %v", err)
+func TestEpsilonValidation(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		q, sigma, dl float64
+	}{{"q=0", 0, 1, 1e-5}, {"q>1", 1.5, 1, 1e-5}, {"sigma=0", 0.5, 0, 1e-5}, {"delta=0", 0.5, 1, 0}, {"delta=1", 0.5, 1, 1}} {
+		if _, err := Epsilon(c.q, c.sigma, 10, c.dl); !errors.Is(err, ErrParams) {
+			t.Fatalf("%s error = %v", c.name, err)
+		}
 	}
-	if _, err := NewAccountant(1.5, 1); !errors.Is(err, ErrParams) {
-		t.Fatalf("q>1 error = %v", err)
-	}
-	if _, err := NewAccountant(0.5, 0); !errors.Is(err, ErrParams) {
-		t.Fatalf("sigma=0 error = %v", err)
-	}
-	acc, err := NewAccountant(0.5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := acc.Epsilon(0); !errors.Is(err, ErrParams) {
-		t.Fatalf("delta=0 error = %v", err)
-	}
-	eps, err := acc.Epsilon(1e-5)
-	if err != nil || eps != 0 {
-		t.Fatalf("zero steps should cost zero: %v %v", eps, err)
+	for _, steps := range []int{0, -3} {
+		eps, err := Epsilon(0.5, 1, steps, 1e-5)
+		if err != nil || eps != 0 {
+			t.Fatalf("%d steps should cost zero: %v %v", steps, eps, err)
+		}
 	}
 }
 
-func TestAccountantComposition(t *testing.T) {
-	acc, err := NewAccountant(0.1, 1.5)
+// TestEpsilonComposition: ε grows with the step count, and equals, bit
+// for bit, what the stateful accountant it replaces spent for the same
+// q, σ, steps and δ.
+func TestEpsilonComposition(t *testing.T) {
+	e10, err := Epsilon(0.1, 1.5, 10, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc.AddSteps(100)
-	e100, err := acc.Epsilon(1e-5)
+	e100, err := Epsilon(0.1, 1.5, 100, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	acc.AddSteps(900)
-	e1000, err := acc.Epsilon(1e-5)
+	e1000, err := Epsilon(0.1, 1.5, 1000, 1e-5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(e1000 > e100 && e100 > 0) {
-		t.Fatalf("epsilon must grow with steps: %v -> %v", e100, e1000)
+	if !(e1000 > e100 && e100 > e10 && e10 > 0) {
+		t.Fatalf("epsilon must grow with steps: %v -> %v -> %v", e10, e100, e1000)
 	}
-	if acc.Steps() != 1000 {
-		t.Fatalf("steps = %d", acc.Steps())
-	}
-	// EpsilonFor must not mutate.
-	probe, err := acc.EpsilonFor(10, 1e-5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if probe >= e100 {
-		t.Fatalf("10-step probe %v should be below 100-step %v", probe, e100)
-	}
-	if acc.Steps() != 1000 {
-		t.Fatal("EpsilonFor mutated the accountant")
+	for _, c := range []struct {
+		q, sigma float64
+		steps    int
+		delta    float64
+		bits     uint64
+	}{
+		{0.1, 1.5, 100, 1e-5, 0x4012175a49165016},
+		{0.1, 1.5, 1000, 1e-5, 0x402d420f699949ee},
+		{1, 2, 7, 1e-3, 0x401735d8dddaaa8a},
+		{0.025, 0.8, 480, 1e-5, 0x401ee7e3ef4414fe},
+	} {
+		got, err := Epsilon(c.q, c.sigma, c.steps, c.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got) != c.bits {
+			t.Fatalf("q=%v σ=%v steps=%d δ=%v: ε=%v, the accountant's %v", c.q, c.sigma, c.steps, c.delta, got, math.Float64frombits(c.bits))
+		}
 	}
 }
 
 func TestMoreNoiseLessEpsilon(t *testing.T) {
 	eps := func(sigma float64) float64 {
-		acc, err := NewAccountant(0.2, sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc.AddSteps(500)
-		e, err := acc.Epsilon(1e-5)
+		e, err := Epsilon(0.2, sigma, 500, 1e-5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +134,7 @@ func TestCalibrateSigma(t *testing.T) {
 		if err != nil {
 			t.Fatalf("target %v: %v", target, err)
 		}
-		acc, err := NewAccountant(q, sigma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc.AddSteps(steps)
-		eps, err := acc.Epsilon(delta)
+		eps, err := Epsilon(q, sigma, steps, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +195,8 @@ func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	model, train, rng := testTrainSet(t)
 	u := newUpdater(0.05, 1e9, 0, train.Len(), 1)
 	// Reference: plain full-batch SGD step with the same seed.
-	ref := model.Clone()
+	ref := new(nn.MLP)
+	model.CloneInto(ref)
 	grad := tensor.NewVector(ref.NumParams())
 	if _, err := ref.BatchGrad(train.X, train.Y, grad); err != nil {
 		t.Fatal(err)
@@ -253,8 +244,9 @@ func TestUpdaterClippingBoundsStep(t *testing.T) {
 
 func TestUpdaterNoiseChangesTrajectory(t *testing.T) {
 	model, train, _ := testTrainSet(t)
-	a := model.Clone()
-	b := model.Clone()
+	a, b := new(nn.MLP), new(nn.MLP)
+	model.CloneInto(a)
+	model.CloneInto(b)
 	ua := newUpdater(0.05, 1, 1, 8, 1)
 	ub := newUpdater(0.05, 1, 1, 8, 1)
 	if err := ua.Update(a, train, tensor.NewRNG(1)); err != nil {

@@ -60,7 +60,7 @@ func rdpQuadrature(q, sigma float64, alpha int) float64 {
 // figure9Targets are Figure 9's privacy budgets, at δ = 1e-5.
 var figure9Targets = [...]float64{50, 25, 15, 10}
 
-// FuzzRDP holds the accountant to first principles over the regime the
+// FuzzRDP holds Epsilon and its RDP bound to first principles over the regime the
 // program calibrates in: integer α ∈ [2, 64], q ∈ [1e-4, 1] and
 // σ ∈ [0.3, 50] (each drawn log-uniform from the fraction of its
 // input). rdpSampledGaussian must agree with the quadrature within 1e-9
@@ -105,11 +105,7 @@ func FuzzRDP(f *testing.F) {
 			sigma float64
 			meets bool
 		}{{s, true}, {s * (1 - 1e-6), false}} {
-			acc, err := NewAccountant(q, c.sigma)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spent, err := acc.EpsilonFor(n, delta)
+			spent, err := Epsilon(q, c.sigma, n, delta)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"gossipmia/internal/core"
 	"gossipmia/internal/data"
+	"gossipmia/internal/gossip"
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/mia"
 	"gossipmia/internal/par"
@@ -124,9 +125,9 @@ func AttackComparisonSpec() *spec.Spec {
 
 // RunAttackComparison trains one arm (AttackComparisonSpec's, possibly
 // with a run-wide network filled in) and attacks every node's final
-// model with each score method. It is not a spec run: it needs the
-// final models, evaluates only the last round, and keeps the seed
-// derivation it has always had.
+// model with each score method, in place, before the arm ends. It is
+// not a spec run: it needs the final models, evaluates only the last
+// round, and keeps the seed derivation it has always had.
 func RunAttackComparison(sc Scale, a spec.Arm) (*AttackComparison, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -138,45 +139,45 @@ func RunAttackComparison(sc Scale, a spec.Arm) (*AttackComparison, error) {
 	cfg.Sim.Seed = sc.Seed*17 + 3
 	cfg.EvalEvery = sc.Rounds // only the final round matters here
 	cfg.EvalNodes = 1
-	cfg.KeepFinalModels = true
+	cmp := &AttackComparison{
+		Caption: fmt.Sprintf("CIFAR-10-like, SAMO, %d nodes, %d rounds", sc.Nodes, sc.Rounds),
+	}
+	// Each goroutine attacks a distinct node's final model through that
+	// node's scratch, which it keeps across the four methods, so the
+	// per-node fan-out needs no cloning; results reduce in node order.
+	cfg.OnFinal = func(nodes []*gossip.Node) error {
+		scratch := make([]mia.Scratch, len(nodes))
+		for _, m := range mia.AllMethods() {
+			accs := make([]float64, len(nodes))
+			tprs := make([]float64, len(nodes))
+			err := par.ForEachErr(sc.Workers, len(nodes), func(i int) error {
+				node := nodes[i]
+				r, err := scratch[i].AttackNodeWith(m, node.Model, node.Data)
+				if err != nil {
+					return fmt.Errorf("experiment: %s on node %d: %w", m, node.ID, err)
+				}
+				accs[i] = r.Accuracy
+				tprs[i] = r.TPRAt1FPR
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			cmp.Rows = append(cmp.Rows, AttackComparisonRow{
+				Method:      m,
+				MeanAcc:     metrics.Mean(accs),
+				MaxAcc:      metrics.Max(accs),
+				MeanTPR1FPR: metrics.Mean(tprs),
+			})
+		}
+		return nil
+	}
 	study, err := core.NewStudy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := study.Run()
-	if err != nil {
+	if _, err := study.Run(); err != nil {
 		return nil, err
-	}
-	cmp := &AttackComparison{
-		Caption: fmt.Sprintf("CIFAR-10-like, SAMO, %d nodes, %d rounds", sc.Nodes, sc.Rounds),
-	}
-	// Each goroutine attacks a distinct node's snapshot model through
-	// that node's scratch, which it keeps across the four methods, so
-	// the per-node fan-out needs no cloning; results reduce in node
-	// order.
-	scratch := make([]mia.Scratch, len(res.Final))
-	for _, m := range mia.AllMethods() {
-		accs := make([]float64, len(res.Final))
-		tprs := make([]float64, len(res.Final))
-		err := par.ForEachErr(sc.Workers, len(res.Final), func(i int) error {
-			snap := res.Final[i]
-			r, err := scratch[i].AttackNodeWith(m, snap.Model, snap.Data)
-			if err != nil {
-				return fmt.Errorf("experiment: %s on node %d: %w", m, snap.ID, err)
-			}
-			accs[i] = r.Accuracy
-			tprs[i] = r.TPRAt1FPR
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		cmp.Rows = append(cmp.Rows, AttackComparisonRow{
-			Method:      m,
-			MeanAcc:     metrics.Mean(accs),
-			MaxAcc:      metrics.Max(accs),
-			MeanTPR1FPR: metrics.Mean(tprs),
-		})
 	}
 	return cmp, nil
 }

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"errors"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -33,6 +35,43 @@ func TestRunAttackComparisonTiny(t *testing.T) {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
+	}
+}
+
+// TestAttackComparisonMatchesGolden pins every row of the attack
+// comparison at tiny scale at full precision: the table's %.3f would
+// hide a moved bit.
+func TestAttackComparisonMatchesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration runner")
+	}
+	cmp, err := RunAttackComparison(TinyScale(), AttackComparisonSpec().Arms[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, r := range cmp.Rows {
+		b.WriteString(r.Method.String())
+		for _, v := range []float64{r.MeanAcc, r.MaxAcc, r.MeanTPR1FPR} {
+			b.WriteByte(' ')
+			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+		}
+		b.WriteByte('\n')
+	}
+	const path = "testdata/attacks_tiny.golden"
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("regenerated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("attack comparison diverged from the golden\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

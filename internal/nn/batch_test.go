@@ -88,7 +88,7 @@ func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
 	}
 	cfg := SGDConfig{LR: 0.1, Momentum: 0.9, WeightDecay: 5e-4, LRDecay: 0.9}
 
-	ref, opt := model.Clone(), NewSGD(cfg)
+	ref, opt := cloneOf(model), NewSGD(cfg)
 	shuffle := tensor.NewRNG(11)
 	order := make([]int, n)
 	for i := range order {
@@ -296,7 +296,7 @@ func TestTrainerEpochMatchesThreePassOracle(t *testing.T) {
 					}
 					cfg := SGDConfig{LR: 0.05, Momentum: mom, WeightDecay: wd, LRDecay: 0.9}
 					ref := &threePassTrainer{
-						m: model.Clone(), cfg: cfg, batch: batch, epochs: 3,
+						m: cloneOf(model), cfg: cfg, batch: batch, epochs: 3,
 						velocity: tensor.NewVector(model.NumParams()),
 						grad:     tensor.NewVector(model.NumParams()),
 					}

@@ -53,7 +53,7 @@ func TestClippedTrainerAtInfiniteClipIsTrainer(t *testing.T) {
 		for _, batch := range []int{1, 3, 4, 5, 16} {
 			cfg := SGDConfig{LR: 0.05, Momentum: 0.9, WeightDecay: 5e-4, LRDecay: 0.9}
 			plain := mustMLP(t, sizes, 11)
-			clipped := plain.Clone()
+			clipped := cloneOf(plain)
 			pt := NewTrainer(plain, NewSGD(cfg), batch, epochs)
 			cfg.Clip = math.Inf(1)
 			ct := NewTrainer(clipped, NewSGD(cfg), batch, epochs)
@@ -158,8 +158,8 @@ func TestClippedTrainerMatchesOracle(t *testing.T) {
 			// σ > 0 draws noise of deviation 0.5 at every clip.
 			for _, sigma := range []float64{0, 0.5 / regime.clip} {
 				cfg := SGDConfig{LR: 0.01, Momentum: 0.9, WeightDecay: 5e-4, LRDecay: 0.9, Clip: regime.clip, NoiseMultiplier: sigma}
-				model := initial.Clone()
-				ref := initial.Clone()
+				model := cloneOf(initial)
+				ref := cloneOf(initial)
 				refVel, refLR := tensor.NewVector(model.NumParams()), cfg.LR
 				tr := NewTrainer(model, NewSGD(cfg), batch, epochs)
 				var clipped, total int

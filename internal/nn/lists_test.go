@@ -132,7 +132,7 @@ func FuzzRowLists(f *testing.F) {
 		}
 
 		train := func() tensor.Vector {
-			model := m.Clone()
+			model := cloneOf(m)
 			tr := NewTrainer(model, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
 			rng := tensor.NewRNG(seed + 2)
 			loss, err := tr.RunEpochsNZ(xs, nz, ys, rng)

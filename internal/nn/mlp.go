@@ -51,14 +51,14 @@ type layout struct {
 // NewMLP builds an MLP with the given layer sizes (input, hidden...,
 // output) and Kaiming-normal weight initialization; biases start at zero.
 // All nodes in the paper start from a common θ0, so callers typically
-// build one MLP and Clone it per node. It is NewMLPIn on the heap.
+// build one MLP and CloneInto each node. It is NewMLPIn on the heap.
 func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 	return NewMLPIn(sizes, rng, nil)
 }
 
 // NewMLPIn is NewMLP with a (nil = the heap) as the source of the
 // model's allocations: its layer tables, parameters and scratch, the
-// parameters and scratch of every Clone (and of their clones), the
+// parameters and scratch of every CloneInto copy (and of its copies), the
 // buffers of a Trainer built over it, and the pool the model and its
 // clones share. Everything so allocated dies at a.Reset, so the models
 // must not be used past it.
@@ -137,18 +137,11 @@ func (m *MLP) SetParams(v tensor.Vector) error {
 	return nil
 }
 
-// Clone returns a model with the same architecture and a deep copy of the
-// parameters (safe to use from another goroutine than the original). The
-// layer tables are immutable and shared; the arena and the pool carry
-// over.
-func (m *MLP) Clone() *MLP {
-	out := new(MLP)
-	m.CloneInto(out)
-	return out
-}
-
-// CloneInto makes *dst a Clone of m, so a caller that holds many
-// models, such as a simulator's nodes, can keep them in one slice.
+// CloneInto makes *dst a model with m's architecture and a deep copy of
+// its parameters (safe to use from another goroutine than m), so a
+// caller that holds many models, such as a simulator's nodes, can keep
+// them in one slice. The layer tables are immutable and shared; the
+// arena and the pool carry over.
 func (m *MLP) CloneInto(dst *MLP) {
 	*dst = MLP{
 		layout: m.layout,
@@ -438,7 +431,8 @@ func softmaxRows(logits, out tensor.Vector, classes int) {
 // value); then z − max goes into every row, one tensor.Exp pass runs
 // over the whole block (so no row leaves a scalar tail), and each row is
 // summed in index order and scaled by 1/sum — the bits of a math.Exp
-// loop.
+// loop. The argmax's term is exp(0) = 1, so every sum is at least 1 or
+// NaN: a row of −Inf logits gives NaN (−Inf − −Inf).
 func SoftmaxRows(logits, out tensor.Vector, classes int, top []int) {
 	n := len(top) * classes
 	logits, out = logits[:n], out[:n]
@@ -459,12 +453,6 @@ func SoftmaxRows(logits, out tensor.Vector, classes int, top []int) {
 		var sum float64
 		for _, e := range row {
 			sum += e
-		}
-		if sum == 0 {
-			// Fall back to uniform. A row of −Inf logits does not get
-			// here: −Inf − −Inf is NaN, and so is its sum.
-			row.Fill(1 / float64(classes))
-			continue
 		}
 		row.Scale(1 / sum)
 	}

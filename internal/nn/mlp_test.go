@@ -19,6 +19,13 @@ func mustMLP(t *testing.T, sizes []int, seed int64) *MLP {
 	return m
 }
 
+// cloneOf is m.CloneInto a fresh model.
+func cloneOf(m *MLP) *MLP {
+	c := new(MLP)
+	m.CloneInto(c)
+	return c
+}
+
 func TestNewMLPValidation(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	if _, err := NewMLP([]int{4}, rng); !errors.Is(err, ErrArchitecture) {
@@ -58,8 +65,7 @@ func TestSoftmaxProperties(t *testing.T) {
 // the plain loop they replace — z − max through
 // math.Exp, summed in index order, scaled by 1/sum — bit for bit, on
 // rows with huge, −Inf and −800 logits. A row of −Inf logits gives NaN
-// (−Inf − −Inf) on both sides, so the uniform fallback for a zero sum
-// is never reached.
+// (−Inf − −Inf) on both sides: no sum is ever zero.
 func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
 	ref := func(logits tensor.Vector) tensor.Vector {
 		maxv, _ := logits.Max()
@@ -68,10 +74,6 @@ func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
 		for i, z := range logits {
 			out[i] = math.Exp(z - maxv)
 			sum += out[i]
-		}
-		if sum == 0 {
-			out.Fill(1 / float64(len(out)))
-			return out
 		}
 		out.Scale(1 / sum)
 		return out
@@ -187,13 +189,13 @@ func TestBatchGradIsMeanOfExampleGrads(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	m := mustMLP(t, []int{2, 3, 2}, 1)
-	c := m.Clone()
+	c := cloneOf(m)
 	c.Params()[0] += 10
 	if m.Params()[0] == c.Params()[0] {
 		t.Fatal("clone shares parameter storage")
 	}
-	// Clone preserves outputs before divergence.
-	m2 := m.Clone()
+	// CloneInto preserves outputs before divergence.
+	m2 := cloneOf(m)
 	x := tensor.Vector{0.3, -0.4}
 	if !tensor.EqualApprox(scoreRow(t, m, x), scoreRow(t, m2, x), 0) {
 		t.Fatal("clone output differs")

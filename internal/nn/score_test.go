@@ -75,7 +75,7 @@ func TestCloneCarriesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.Used()
-	clone := model.Clone().Clone()
+	clone := cloneOf(cloneOf(model))
 	if clone.Arena() != &a {
 		t.Fatal("clone of a clone lost the arena")
 	}

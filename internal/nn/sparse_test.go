@@ -217,7 +217,7 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 			sameBitsAt(t, "ScoreChunks logits", logits(), want)
 
 			train := func() tensor.Vector {
-				model := m.Clone()
+				model := cloneOf(m)
 				tr := NewTrainer(model, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4, LRDecay: 0.9}), 16, 3)
 				if c.vel != nil {
 					c.vel(tr.Opt.velocity)
@@ -252,7 +252,7 @@ func TestSparseFirstLayerAllocatesNothing(t *testing.T) {
 	// Two trainers: a node whose updates turn from sparse to dense
 	// allocates the scratch that turns its velocity back (SGD.velModelMajor).
 	cfg := SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}
-	tr, dense := NewTrainer(m, NewSGD(cfg), 16, 2), NewTrainer(m.Clone(), NewSGD(cfg), 16, 2)
+	tr, dense := NewTrainer(m, NewSGD(cfg), 16, 2), NewTrainer(cloneOf(m), NewSGD(cfg), 16, 2)
 	rng := tensor.NewRNG(9)
 	var err error
 	op := func() {

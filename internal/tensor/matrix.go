@@ -34,7 +34,7 @@ func (m *Matrix) MatVec(x, out Vector) (Vector, error) {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, w := range row {
-			s += w * x[j]
+			s += float64(w * x[j])
 		}
 		out[i] = s
 	}
@@ -54,7 +54,9 @@ func (m *Matrix) MatVec(x, out Vector) (Vector, error) {
 // and hands back what it does not take: row remainders, the k tail of
 // GemmTN, and shapes too small to fill the lanes. The loops here finish
 // from where it stopped, are the only path everywhere else, and are the
-// oracle its tests compare with.
+// oracle its tests compare with. Every product is rounded (float64(a*b))
+// before its add, as the assembly and amd64's MULSD/ADDSD do, so arm64,
+// which runs only these loops, cannot fuse it into one FMA.
 
 // useAVX2 and useAVX512 are the start-up half of the tier choice. They
 // are variables only so that the tests can clear them: clearing
@@ -105,10 +107,10 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 			brow := b[j*k : (j+1)*k]
 			s0, s1, s2, s3 := c0[j], c1[j], c2[j], c3[j]
 			for t, bv := range brow {
-				s0 += a0[t] * bv
-				s1 += a1[t] * bv
-				s2 += a2[t] * bv
-				s3 += a3[t] * bv
+				s0 += float64(a0[t] * bv)
+				s1 += float64(a1[t] * bv)
+				s2 += float64(a2[t] * bv)
+				s3 += float64(a3[t] * bv)
 			}
 			c0[j], c1[j], c2[j], c3[j] = s0, s1, s2, s3
 		}
@@ -120,7 +122,7 @@ func GemmNT(c, a, b []float64, m, n, k int) {
 			brow := b[j*k : (j+1)*k]
 			s := crow[j]
 			for t, bv := range brow {
-				s += arow[t] * bv
+				s += float64(arow[t] * bv)
 			}
 			crow[j] = s
 		}
@@ -154,10 +156,10 @@ func GemmTN(c, a, b []float64, m, n, k int) {
 			crow := c[i*n : (i+1)*n]
 			for j := range crow {
 				s := crow[j]
-				s += d0 * b0[j]
-				s += d1 * b1[j]
-				s += d2 * b2[j]
-				s += d3 * b3[j]
+				s += float64(d0 * b0[j])
+				s += float64(d1 * b1[j])
+				s += float64(d2 * b2[j])
+				s += float64(d3 * b3[j])
 				crow[j] = s
 			}
 		}
@@ -172,7 +174,7 @@ func GemmTN(c, a, b []float64, m, n, k int) {
 			}
 			crow := c[i*n : (i+1)*n]
 			for j, bv := range brow {
-				crow[j] += d * bv
+				crow[j] += float64(d * bv)
 			}
 		}
 	}
@@ -206,10 +208,10 @@ func GemmTNStore(c, a, b []float64, m, n, k int) {
 			}
 			for j := range crow {
 				var s float64
-				s += d0 * b0[j]
-				s += d1 * b1[j]
-				s += d2 * b2[j]
-				s += d3 * b3[j]
+				s += float64(d0 * b0[j])
+				s += float64(d1 * b1[j])
+				s += float64(d2 * b2[j])
+				s += float64(d3 * b3[j])
 				crow[j] = s
 			}
 		}
@@ -241,10 +243,10 @@ func GemmNN(c, a, b []float64, m, n, k int) {
 				continue
 			}
 			for j, bv := range brow {
-				c0[j] += d0 * bv
-				c1[j] += d1 * bv
-				c2[j] += d2 * bv
-				c3[j] += d3 * bv
+				c0[j] += float64(d0 * bv)
+				c1[j] += float64(d1 * bv)
+				c2[j] += float64(d2 * bv)
+				c3[j] += float64(d3 * bv)
 			}
 		}
 	}
@@ -258,7 +260,7 @@ func GemmNN(c, a, b []float64, m, n, k int) {
 			}
 			brow := b[t*n : (t+1)*n]
 			for j, bv := range brow {
-				crow[j] += d * bv
+				crow[j] += float64(d * bv)
 			}
 		}
 	}

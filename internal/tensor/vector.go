@@ -158,8 +158,9 @@ func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) bool {
 
 // Dot returns the inner product <v, w>. It returns an error when lengths
 // differ. The loop body is unrolled but keeps a single accumulator chain
-// (terms added in increasing index order), so the result is bit-identical
-// to the naive loop everywhere it is used.
+// (terms added in increasing index order, each product rounded before
+// its add, so arm64 cannot fuse it), so the result is bit-identical to
+// the naive loop everywhere it is used.
 func Dot(v, w Vector) (float64, error) {
 	if len(v) != len(w) {
 		return 0, fmt.Errorf("dot %d . %d: %w", len(v), len(w), ErrShape)
@@ -167,22 +168,23 @@ func Dot(v, w Vector) (float64, error) {
 	var s float64
 	i := 0
 	for ; i+4 <= len(v); i += 4 {
-		s += v[i] * w[i]
-		s += v[i+1] * w[i+1]
-		s += v[i+2] * w[i+2]
-		s += v[i+3] * w[i+3]
+		s += float64(v[i] * w[i])
+		s += float64(v[i+1] * w[i+1])
+		s += float64(v[i+2] * w[i+2])
+		s += float64(v[i+3] * w[i+3])
 	}
 	for ; i < len(v); i++ {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s, nil
 }
 
-// Norm2 returns the Euclidean norm of v.
+// Norm2 returns the Euclidean norm of v: squares rounded and summed in
+// index order on every architecture.
 func (v Vector) Norm2() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -7,12 +7,12 @@
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
-# kernels, the list-fed first layer, the rank correlation, the DP
-# accountant, the spectral instruments, the bootstrap intervals and the
+# kernels, the list-fed first layer, the rank correlation, the RDP
+# bound, the spectral instruments, the bootstrap intervals and the
 # round engine against the serial tick loop it replaced are fuzzed, for
 # 10 s each), the one-generator
-# gates (math/rand only in tests, and no fused multiply-add in the
-# samplers, the sparse kernels, internal/nn or internal/mia on arm64), the
+# gates (math/rand only in tests, and no fused multiply-add in
+# internal/tensor, internal/nn or internal/mia on arm64), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -152,20 +152,20 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 echo "rng import gate ok"
-# The same samplers on arm64: the compiler may fuse a*b + c there, and
-# every product in rng*.go that feeds an add is rounded explicitly so it
-# cannot. A fused multiply-add attributed to those files moves arm64's
-# stream off amd64's. The sparse kernels' Go tier (sparse.go), the only
-# one arm64 runs, rounds its products the same way: a fused one there
-# would move the sparse first layer off the dense one's bits.
+# The same package on arm64: the compiler may fuse a*b + c there, and
+# every product in internal/tensor that feeds an add is rounded
+# explicitly so it cannot — the samplers (rng*.go), the sparse kernels
+# and the GEMM, dot and norm loops (the Go tier is the only one arm64
+# runs; Norm2 is DP-SGD's clip). A fused multiply-add anywhere in the
+# package moves arm64's streams, training and scores off amd64's.
 fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/tensor=-S' ./internal/tensor 2>&1 |
-    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' | grep -E '/(rng[a-z_]*|sparse)\.go:' || true)
+    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
 if [ -n "$fused" ]; then
-    echo "arm64 fuses multiply-adds in the samplers or the sparse kernels:" >&2
+    echo "arm64 fuses multiply-adds in internal/tensor:" >&2
     echo "$fused" >&2
     exit 1
 fi
-echo "rng and sparse arm64 rounding gate ok"
+echo "tensor arm64 rounding gate ok"
 # internal/nn leaves its dot products to the tensor kernels (the scalar
 # per-example pass is a test oracle) and rounds every other product that
 # feeds an add, the clipped trainer's noise included: a fused

@@ -60,7 +60,6 @@ var reachability = struct {
 		{"internal/rps.Service.InDegrees", "internal/rps.TestInDegreeStaysNearUniform", "the in-degree balance peer sampling promises"},
 		{"internal/rps.Service.Reachable", "internal/rps.TestShuffleKeepsNetworkConnected", "connectivity of the overlay"},
 		{"internal/data.Dataset.Validate", "internal/data.TestCatalogAndGenerators", "shape and label range of every generated corpus (keeps Dataset.Dim)"},
-		{"internal/data.Dataset.Clone", "internal/core.TestKeepFinalModelsSurviveLaterArms", "freezes a kept split before later arms reuse the arena"},
 		{"internal/data.Dataset.LabelHistogram", "internal/data.TestPartitionDirichletHeterogeneity", "the label skew a Dirichlet partition must show"},
 		{"internal/tensor.Arena.Used", "internal/core.TestArenaUseIsBoundedByRounds", "the arena's high-water mark"},
 		{"internal/distrib.Dispatcher.Draining", "internal/server.TestDrainRefusesClaimsHonorsLeases", "the drain flag behind refused claims"},
@@ -72,8 +71,6 @@ var reachability = struct {
 		{"internal/gossip.Simulator.MessagesDelayed", "internal/gossip.TestLatencyTransportDelaysDelivery", "the delivery queue's counter"},
 		{"internal/gossip.Simulator.PendingDeliveries", "internal/gossip.TestChurnLosesInFlightMessages", "messages still in flight"},
 		{"internal/netmodel.Latency.LinkDelay", "internal/netmodel.TestLatencyDeterministicAndPositive", "one link's delay: symmetric, positive, a function of the seed"},
-		{"internal/dp.Accountant.Steps", "internal/dp.TestAccountantComposition", "the composed step count"},
-		{"internal/dp.Accountant.EpsilonFor", "internal/dp.TestAccountantComposition", "ε at a step count without spending it: monotone in steps"},
 		{"internal/metrics.Series.Last", "internal/core.TestStudyRunProducesSeries", "the final round's record"},
 		// Shared test helpers.
 		{"internal/tensor.EqualApprox", "internal/gossip.TestDeterminism", "vector comparison in 28 tests of five packages"},
