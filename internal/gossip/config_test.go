@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/netmodel"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // validBase is a minimal valid, already-defaulted configuration that
@@ -35,7 +36,7 @@ func TestConfigValidateErrorPaths(t *testing.T) {
 		{"net invalid", func(c *Config) { c.Net = netmodel.Config{DropProb: 7} }, "net"},
 		{"net bad partition", func(c *Config) {
 			c.Net = netmodel.Config{Transport: "lossy",
-				Partitions: []netmodel.Partition{{FromTick: 3, ToTick: 2, Members: []int{0}}}}
+				Partitions: []spec.Partition{{FromTick: 3, ToTick: 2, Members: []int{0}}}}
 		}, "partition"},
 		{"churn node out of range", func(c *Config) {
 			c.Churn = []ChurnEvent{{Node: 10, LeaveTick: 1}}

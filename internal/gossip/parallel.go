@@ -17,7 +17,7 @@ import (
 // A round is one dataflow graph. A serial planner walks the round's
 // ticks in the reference order — churn flips, drainDue, then every due
 // waker's planWake and one planSend per target — doing all the
-// shared-state work there (topology, the transport's RNG and queue,
+// shared-state work there (topology, the network's RNG and queue,
 // counters) and emitting the node-local work as operations:
 //
 //   - wake(X): Protocol.Wake (merge pending models, train), then fill

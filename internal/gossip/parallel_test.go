@@ -15,6 +15,7 @@ import (
 	"gossipmia/internal/nn"
 	"gossipmia/internal/par"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // runFingerprintSched runs one simulation and captures everything the
@@ -104,7 +105,7 @@ func parallelScenarios() map[string]Config {
 		"latency/churn":    withChurn(withNet(base, netmodel.Config{Transport: "latency", LatencyMean: 3, LatencyJitter: 2})),
 		"lossy/latency": withChurn(withNet(dyn(base, DynamicsPeerSwap), netmodel.Config{
 			Transport: "lossy", LatencyMean: 2, LatencyJitter: 1, DropProb: 0.1,
-			Partitions: []netmodel.Partition{{FromTick: 4, ToTick: 12, Members: []int{0, 1, 2, 3}}},
+			Partitions: []spec.Partition{{FromTick: 4, ToTick: 12, Members: []int{0, 1, 2, 3}}},
 		})),
 		"instant/churn": withChurn(base),
 	}

@@ -7,6 +7,7 @@ import (
 
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 // The serial tick loop the round engine replaced, kept as the engine's
@@ -179,7 +180,7 @@ func fuzzConfig(transport, drop, churn, view, nodes, rounds uint8, seed int64) C
 		cfg.Net.Transport, cfg.Net.LatencyMean, cfg.Net.LatencyJitter = "latency", 3, 2
 	case 2:
 		cfg.Net.Transport, cfg.Net.LatencyMean, cfg.Net.LatencyJitter = "lossy", 2, 1
-		cfg.Net.Partitions = []netmodel.Partition{{FromTick: 3, ToTick: 11, Members: []int{0, 1}}}
+		cfg.Net.Partitions = []spec.Partition{{FromTick: 3, ToTick: 11, Members: []int{0, 1}}}
 	}
 	rng := tensor.NewRNG(seed)
 	ticks := cfg.Rounds * cfg.TicksPerRound

@@ -67,7 +67,7 @@ type Config struct {
 	// scenario): the transport model for message delivery, including the
 	// probability Net.DropProb that a transmission is lost in transit
 	// (gossip protocols tolerate loss by design — dropped models are
-	// simply never merged). The zero value is the Instant transport —
+	// simply never merged). The zero value is the instant transport —
 	// the paper's zero-transmission-delay semantics, byte-identical to
 	// the seed implementation.
 	Net netmodel.Config
@@ -157,9 +157,9 @@ type Simulator struct {
 	protocol Protocol
 	rng      *tensor.RNG
 
-	// transport decides, per message, between loss, inline delivery,
-	// and queued delivery at a later tick (drained at tick start).
-	transport netmodel.Transport
+	// net decides, per message, between loss, inline delivery, and
+	// queued delivery at a later tick (drained at tick start).
+	net *netmodel.Net
 	// drainBuf, targets, view and leaving are the reusable scratch of
 	// drainDue, planWake and flipChurn.
 	drainBuf []netmodel.Delivery
@@ -259,12 +259,12 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 			nextWake: rng.Intn(interval),
 		}
 	}
-	// The transport shares s.rng: built after node init, it consumes
-	// construction randomness (per-link delays) only for non-instant
-	// kinds, and its drop coin interleaves with the run exactly as the
-	// seed implementation's DropProb check did — the Instant path stays
+	// The network shares s.rng: built after node init, it consumes
+	// construction randomness (per-link delays) only when it has link
+	// delays, and its drop coin interleaves with the run exactly as the
+	// seed implementation's DropProb check did — the instant path stays
 	// byte-identical.
-	s.transport, err = netmodel.New(cfg.Net, cfg.Nodes, rng)
+	s.net, err = netmodel.New(cfg.Net, cfg.Nodes, rng)
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build transport: %w", err)
 	}
@@ -316,17 +316,14 @@ func (s *Simulator) MessagesSent() int { return s.messagesSent }
 func (s *Simulator) MessagesDropped() int { return s.messagesDropped }
 
 // MessagesDelayed returns how many transmissions went through the
-// transport's delivery queue instead of arriving inline (always zero on
-// the Instant transport).
+// network's delivery queue instead of arriving inline (always zero on
+// the instant transport).
 func (s *Simulator) MessagesDelayed() int { return s.messagesDelayed }
 
 // PendingDeliveries returns how many messages are still in flight
-// inside the transport queue (at the end of a run: sent but never
+// inside the network's queue (at the end of a run: sent but never
 // delivered).
-func (s *Simulator) PendingDeliveries() int { return s.transport.Pending() }
-
-// TransportName identifies the active transport model.
-func (s *Simulator) TransportName() string { return s.transport.Name() }
+func (s *Simulator) PendingDeliveries() int { return s.net.Pending() }
 
 // NodeDown reports whether node id is currently churned out.
 func (s *Simulator) NodeDown(id int) bool { return s.down[id] }
@@ -348,7 +345,7 @@ func (s *Simulator) SchedStats() SchedStats { return s.sched }
 
 // Every run is made of the primitives below, each decision written
 // once: planWake and planSend fix, in serial order, everything that
-// touches shared state (topology, the transport's RNG, the counters);
+// touches shared state (topology, the network's RNG, the counters);
 // enqueue and drainDue are the delivery queue's two ends, and deliver
 // hands a queued payload to its receiver. The round engine
 // (parallel.go) calls them from its planner and its operations.
@@ -392,7 +389,7 @@ func (s *Simulator) planWake(node *Node) ([]int, error) {
 
 // planSend decides the fate of one transmission of a model of nparams
 // parameters: lost (failure model, partition, or offline receiver),
-// delivered inline at the send tick (the Instant transport, the paper's
+// delivered inline at the send tick (the instant transport, the paper's
 // zero-delay semantics), or queued for a later tick. The sender pays
 // the communication cost in every case.
 func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
@@ -404,13 +401,13 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	s.messagesSent++
 	s.bytesSent += wireBytes
 	// An offline receiver loses the message at send time, before the
-	// transport consumes any randomness; without churn this branch is
+	// network consumes any randomness; without churn this branch is
 	// dead and the seed RNG stream is untouched.
 	if s.down[to] {
 		s.messagesDropped++
 		return p, nil
 	}
-	deliverAt, dropped := s.transport.Plan(s.tick, from, to, wireBytes)
+	deliverAt, dropped := s.net.Plan(s.tick, from, to, wireBytes)
 	switch {
 	case dropped:
 		s.messagesDropped++
@@ -423,7 +420,7 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	return p, nil
 }
 
-// enqueue puts a queued send on the transport's delivery queue with a
+// enqueue puts a queued send on the network's delivery queue with a
 // payload buffer of nparams from the pool, and returns the buffer for
 // the caller to fill with the sender's parameters before it comes due:
 // a queued payload must survive the sender's future updates. The pool
@@ -432,7 +429,7 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 // keeps as the tie-break between deliveries due at the same tick.
 func (s *Simulator) enqueue(p *plannedSend, nparams int) tensor.Vector {
 	buf := s.pool.Get(nparams)
-	s.transport.Schedule(netmodel.Delivery{
+	s.net.Schedule(netmodel.Delivery{
 		From: p.from, To: p.to, SentTick: s.tick, DeliverAt: p.deliverAt, Params: buf,
 	})
 	return buf
@@ -518,15 +515,15 @@ func (s *Simulator) flipChurn() []int {
 	return s.leaving
 }
 
-// drainDue takes the current tick's due deliveries off the transport's
+// drainDue takes the current tick's due deliveries off the network's
 // queue, in delivery order. A delivery to a node that went offline
 // after the send is lost: it is counted here, and its payload goes back
 // to the pool unread by whoever consumes the list.
 func (s *Simulator) drainDue() []netmodel.Delivery {
-	if s.transport.Pending() == 0 {
+	if s.net.Pending() == 0 {
 		return nil
 	}
-	s.drainBuf = s.transport.Drain(s.drainBuf[:0], s.tick)
+	s.drainBuf = s.net.Drain(s.drainBuf[:0], s.tick)
 	for _, d := range s.drainBuf {
 		if s.down[d.To] {
 			s.messagesDropped++

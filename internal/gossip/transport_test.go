@@ -6,6 +6,7 @@ import (
 	"gossipmia/internal/metrics"
 	"gossipmia/internal/netmodel"
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 func TestLatencyTransportDelaysDelivery(t *testing.T) {
@@ -16,9 +17,6 @@ func TestLatencyTransportDelaysDelivery(t *testing.T) {
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sim.TransportName() != "latency" {
-		t.Fatalf("transport = %q", sim.TransportName())
 	}
 	receiver := sim.Nodes()[1]
 	if err := sim.Send(0, 1, sim.Nodes()[0].Model.Params()); err != nil {
@@ -120,7 +118,7 @@ func TestPartitionBlocksCrossCutTraffic(t *testing.T) {
 			Transport: "lossy",
 			// Split the whole run (and the post-run probes below):
 			// nodes {0,1,2} vs {3,4,5}.
-			Partitions: []netmodel.Partition{{FromTick: 0, ToTick: total + 100, Members: []int{0, 1, 2}}},
+			Partitions: []spec.Partition{{FromTick: 0, ToTick: total + 100, Members: []int{0, 1, 2}}},
 		},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
@@ -156,7 +154,7 @@ func TestPartitionHeals(t *testing.T) {
 		Nodes: 8, ViewSize: 3, Rounds: 12, Seed: 5,
 		Net: netmodel.Config{
 			Transport:  "lossy",
-			Partitions: []netmodel.Partition{{FromTick: total / 3, ToTick: 2 * total / 3, Members: []int{0, 1, 2, 3}}},
+			Partitions: []spec.Partition{{FromTick: total / 3, ToTick: 2 * total / 3, Members: []int{0, 1, 2, 3}}},
 		},
 	}, SAMO{}, model, parts, testFactory())
 	if err != nil {
@@ -405,7 +403,7 @@ func TestChurnedInboxIsRecycled(t *testing.T) {
 }
 
 func TestInstantWithDropProbMatchesSeedStream(t *testing.T) {
-	// Net.DropProb on the Instant transport is the Lossy transport; the
+	// Net.DropProb on the instant transport flips one coin per send; the
 	// coin flips must consume the simulator RNG exactly as the seed code did,
 	// so two identically-seeded runs — and, transitively, the pinned
 	// golden figures — stay byte-identical.

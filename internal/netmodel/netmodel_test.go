@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossipmia/internal/tensor"
+	"gossipmia/pkg/dlsim/spec"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -21,10 +22,14 @@ func TestConfigValidate(t *testing.T) {
 		{Transport: "instant", LatencyMean: 5},
 		{LatencyJitter: 2},
 		{BandwidthBytesPerTick: 100},
-		{Partitions: []Partition{{FromTick: 5, ToTick: 5, Members: []int{0}}}},
-		{Partitions: []Partition{{FromTick: -1, ToTick: 5, Members: []int{0}}}},
-		{Partitions: []Partition{{FromTick: 0, ToTick: 5}}},
-		{Partitions: []Partition{{FromTick: 0, ToTick: 5, Members: []int{9}}}},
+		{Transport: "lossy", Partitions: []spec.Partition{{FromTick: 5, ToTick: 5, Members: []int{0}}}},
+		{Transport: "lossy", Partitions: []spec.Partition{{FromTick: -1, ToTick: 5, Members: []int{0}}}},
+		{Transport: "lossy", Partitions: []spec.Partition{{FromTick: 0, ToTick: 5}}},
+		{Transport: "lossy", Partitions: []spec.Partition{{FromTick: 0, ToTick: 5, Members: []int{9}}}},
+		// Partitions off "lossy" would be silently ignored; likewise.
+		{Partitions: []spec.Partition{{FromTick: 0, ToTick: 5, Members: []int{0}}}},
+		{Transport: "instant", Partitions: []spec.Partition{{FromTick: 0, ToTick: 5, Members: []int{0}}}},
+		{Transport: "latency", LatencyMean: 3, Partitions: []spec.Partition{{FromTick: 0, ToTick: 5, Members: []int{0}}}},
 	}
 	for i, cfg := range bad {
 		if err := Validate(cfg, 4); !errors.Is(err, ErrConfig) {
@@ -32,14 +37,24 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	good := Config{Transport: "lossy", LatencyMean: 3, DropProb: 0.2,
-		Partitions: []Partition{{FromTick: 10, ToTick: 20, Members: []int{0, 1}}}}
+		Partitions: []spec.Partition{{FromTick: 10, ToTick: 20, Members: []int{0, 1}}}}
 	if err := Validate(good, 4); err != nil {
 		t.Fatalf("good config rejected: %v", err)
 	}
 }
 
+// newNet is New for a config the test knows to be valid.
+func newNet(t *testing.T, cfg Config, nodes int, rng *tensor.RNG) *Net {
+	t.Helper()
+	net, err := New(cfg, nodes, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 func TestInstantPlansInline(t *testing.T) {
-	tr := NewInstant()
+	tr := newNet(t, Config{}, 4, tensor.NewRNG(1))
 	at, dropped := tr.Plan(17, 0, 1, 4096)
 	if at != 17 || dropped {
 		t.Fatalf("Plan = %d, %v", at, dropped)
@@ -47,12 +62,6 @@ func TestInstantPlansInline(t *testing.T) {
 	if tr.Pending() != 0 || len(tr.Drain(nil, 1000)) != 0 {
 		t.Fatal("instant transport has a queue")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Schedule on instant did not panic")
-		}
-	}()
-	tr.Schedule(Delivery{})
 }
 
 func TestQueueFIFOTieBreak(t *testing.T) {
@@ -84,8 +93,8 @@ func TestQueueFIFOTieBreak(t *testing.T) {
 
 func TestLatencyDeterministicAndPositive(t *testing.T) {
 	cfg := Config{Transport: "latency", LatencyMean: 10, LatencyJitter: 4}
-	a := NewLatency(cfg, 8, tensor.NewRNG(5))
-	b := NewLatency(cfg, 8, tensor.NewRNG(5))
+	a := newNet(t, cfg, 8, tensor.NewRNG(5))
+	b := newNet(t, cfg, 8, tensor.NewRNG(5))
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
 			if i == j {
@@ -107,7 +116,7 @@ func TestLatencyDeterministicAndPositive(t *testing.T) {
 
 func TestLatencyBandwidthTerm(t *testing.T) {
 	cfg := Config{Transport: "latency", LatencyMean: 5, BandwidthBytesPerTick: 100}
-	tr := NewLatency(cfg, 4, tensor.NewRNG(1))
+	tr := newNet(t, cfg, 4, tensor.NewRNG(1))
 	base, _ := tr.Plan(0, 0, 1, 0)
 	withBytes, _ := tr.Plan(0, 0, 1, 250) // ceil(250/100) = 3 extra ticks
 	if withBytes-base != 3 {
@@ -116,7 +125,7 @@ func TestLatencyBandwidthTerm(t *testing.T) {
 }
 
 func TestLatencyQueueRoundTrip(t *testing.T) {
-	tr := NewLatency(Config{Transport: "latency", LatencyMean: 4}, 4, tensor.NewRNG(2))
+	tr := newNet(t, Config{Transport: "latency", LatencyMean: 4}, 4, tensor.NewRNG(2))
 	payload := tensor.Vector{1, 2, 3}
 	at, dropped := tr.Plan(10, 0, 1, 0)
 	if dropped || at <= 10 {
@@ -136,11 +145,8 @@ func TestLatencyQueueRoundTrip(t *testing.T) {
 }
 
 func TestLossyPartitionWindowAndHeal(t *testing.T) {
-	parts := []Partition{{FromTick: 10, ToTick: 20, Members: []int{0, 1}}}
-	tr, err := NewLossy(0, parts, 4, NewInstant(), tensor.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := []spec.Partition{{FromTick: 10, ToTick: 20, Members: []int{0, 1}}}
+	tr := newNet(t, Config{Transport: "lossy", Partitions: parts}, 4, tensor.NewRNG(1))
 	cases := []struct {
 		now, from, to int
 		dropped       bool
@@ -160,10 +166,7 @@ func TestLossyPartitionWindowAndHeal(t *testing.T) {
 }
 
 func TestLossyDropRate(t *testing.T) {
-	tr, err := NewLossy(0.4, nil, 4, NewInstant(), tensor.NewRNG(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newNet(t, Config{Transport: "lossy", DropProb: 0.4}, 4, tensor.NewRNG(7))
 	dropped := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
@@ -178,10 +181,7 @@ func TestLossyDropRate(t *testing.T) {
 
 func TestLossyZeroProbConsumesNoRandomness(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	tr, err := NewLossy(0, nil, 4, NewInstant(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := newNet(t, Config{Transport: "lossy"}, 4, rng)
 	want := tensor.NewRNG(3).Float64()
 	for i := 0; i < 50; i++ {
 		tr.Plan(i, 0, 1, 0)
@@ -191,29 +191,56 @@ func TestLossyZeroProbConsumesNoRandomness(t *testing.T) {
 	}
 }
 
+// TestNewMapsKinds: each transport a Config names plans as it should —
+// inline, queued or dropped — and draws what it should from the shared
+// RNG: one normal per directed link at New when it has link delays
+// (even "latency" with every knob at zero), one coin per Plan when the
+// drop probability is positive and no partition cuts the message first,
+// nothing otherwise.
 func TestNewMapsKinds(t *testing.T) {
-	rng := tensor.NewRNG(1)
+	const nodes, now = 6, 7
 	cases := []struct {
-		cfg  Config
-		name string
+		cfg    Config
+		queued bool // Plan queues a surviving message rather than delivering it inline
+		coin   bool // Plan draws a drop coin
+		cut    bool // a partition separates 0 and 1 at tick now
 	}{
-		{Config{}, "instant"},
-		{Config{Transport: "instant"}, "instant"},
-		{Config{DropProb: 0.1}, "lossy(instant)"},
-		{Config{Transport: "latency", LatencyMean: 5}, "latency"},
-		{Config{Transport: "latency", LatencyMean: 5, DropProb: 0.1}, "lossy(latency)"},
-		{Config{Transport: "lossy", DropProb: 0.1}, "lossy(instant)"},
-		{Config{Transport: "lossy", LatencyMean: 5}, "lossy(latency)"},
+		{Config{}, false, false, false},
+		{Config{Transport: "instant"}, false, false, false},
+		{Config{DropProb: 0.1}, false, true, false},
+		{Config{Transport: "latency"}, true, false, false},
+		{Config{Transport: "latency", LatencyMean: 5}, true, false, false},
+		{Config{Transport: "latency", LatencyMean: 5, DropProb: 0.1}, true, true, false},
+		{Config{Transport: "lossy"}, false, false, false},
+		{Config{Transport: "lossy", DropProb: 0.1}, false, true, false},
+		{Config{Transport: "lossy", LatencyMean: 5}, true, false, false},
+		{Config{Transport: "lossy", BandwidthBytesPerTick: 100, DropProb: 0.1}, true, true, false},
+		{Config{Transport: "lossy", LatencyMean: 5, DropProb: 0.1,
+			Partitions: []spec.Partition{{FromTick: 0, ToTick: 10, Members: []int{0}}}}, true, false, true},
 	}
 	for _, c := range cases {
-		tr, err := New(c.cfg, 6, rng)
-		if err != nil {
-			t.Fatalf("New(%+v): %v", c.cfg, err)
+		rng, want := tensor.NewRNG(1), tensor.NewRNG(1)
+		tr := newNet(t, c.cfg, nodes, rng)
+		if c.queued {
+			for range nodes * (nodes - 1) {
+				want.Normal(c.cfg.LatencyMean, c.cfg.LatencyJitter)
+			}
 		}
-		if tr.Name() != c.name {
-			t.Fatalf("New(%+v).Name() = %q, want %q", c.cfg, tr.Name(), c.name)
+		at, dropped := tr.Plan(now, 0, 1, 0)
+		wantDropped := c.cut || c.coin && want.Float64() < c.cfg.DropProb
+		switch {
+		case dropped != wantDropped:
+			t.Fatalf("New(%+v).Plan dropped = %v, want %v", c.cfg, dropped, wantDropped)
+		case !dropped && c.queued && at != now+tr.LinkDelay(0, 1):
+			t.Fatalf("New(%+v).Plan = %d, want queued for link delay %d", c.cfg, at, tr.LinkDelay(0, 1))
+		case !dropped && !c.queued && at != now:
+			t.Fatalf("New(%+v).Plan = %d, want inline at %d", c.cfg, at, now)
+		}
+		if got, w := rng.Int63(), want.Int63(); got != w {
+			t.Fatalf("New(%+v) and one Plan left the RNG at %d, want %d", c.cfg, got, w)
 		}
 	}
+	rng := tensor.NewRNG(1)
 	if _, err := New(Config{}, 1, rng); !errors.Is(err, ErrConfig) {
 		t.Fatalf("one-node network error = %v", err)
 	}

@@ -130,8 +130,8 @@ func (d *DP) Validate() error {
 type Net struct {
 	// Transport is "instant" (every message delivered inline at the send
 	// tick), "latency" (per-link delays through a tick-ordered queue), or
-	// "lossy" (loss and partitions, wrapping latency when a latency or
-	// bandwidth knob is set and instant delivery otherwise).
+	// "lossy" (loss and partitions, with latency's delays when a latency
+	// or bandwidth knob is set and inline delivery otherwise).
 	Transport string `json:"transport"`
 	// LatencyMean/LatencyJitter parameterize the per-link propagation
 	// delay (ticks): each directed link samples its delay once from
@@ -144,7 +144,8 @@ type Net struct {
 	// DropProb is the i.i.d. probability that a transmission is lost, on
 	// any transport.
 	DropProb float64 `json:"dropProb,omitempty"`
-	// Partitions schedules healing network partitions ("lossy" only).
+	// Partitions schedules healing network partitions. Only "lossy"
+	// takes them; any other transport with one is rejected.
 	Partitions []Partition `json:"partitions,omitempty"`
 }
 
@@ -350,6 +351,9 @@ func (a Arm) ValidateNetwork() error {
 		}
 		if n.DropProb < 0 || n.DropProb >= 1 {
 			return fmt.Errorf("net dropProb %v out of [0,1)", n.DropProb)
+		}
+		if len(n.Partitions) > 0 && n.Transport != "lossy" {
+			return errors.New(`net: only the "lossy" transport can model partitions`)
 		}
 		for i, p := range n.Partitions {
 			if p.FromTick < 0 || p.ToTick <= p.FromTick || len(p.Members) == 0 {

@@ -8,11 +8,11 @@
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
 # kernels, the list-fed first layer, the rank correlation, the RDP
-# bound, the spectral instruments, the bootstrap intervals and the
-# round engine against the serial tick loop it replaced are fuzzed, for
-# 10 s each), the one-generator
-# gates (math/rand only in tests, and no fused multiply-add in
-# internal/tensor, internal/nn or internal/mia on arm64), the
+# bound, the spectral instruments, the bootstrap intervals, the round
+# engine against the serial tick loop it replaced and the network against
+# the transports it replaced are fuzzed, for 10 s each), the one-generator
+# gates (math/rand only in tests, and no fused multiply-add on arm64 in
+# internal/tensor, nn, mia, netmodel or gossip), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -65,7 +65,7 @@ go test ./benchmark
 go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip ./internal/netmodel
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
@@ -137,6 +137,11 @@ go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s ./internal/stats
 # matrix.golden and engine.golden), over protocols, transports, drops,
 # churn, views, node counts, rounds and seeds no golden pins.
 go test -run=NONE -fuzz=FuzzEngineMatchesSerial -fuzztime=10s ./internal/gossip
+# The one network type against the transport interface, its three
+# implementations and the loss decorator it replaced
+# (internal/netmodel/reference_test.go): every plan, drained order,
+# queue length and RNG draw, over configs and call sequences.
+go test -run=NONE -fuzz=FuzzNetMatchesReference -fuzztime=10s ./internal/netmodel
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -152,45 +157,30 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 echo "rng import gate ok"
-# The same package on arm64: the compiler may fuse a*b + c there, and
-# every product in internal/tensor that feeds an add is rounded
-# explicitly so it cannot — the samplers (rng*.go), the sparse kernels
-# and the GEMM, dot and norm loops (the Go tier is the only one arm64
-# runs; Norm2 is DP-SGD's clip). A fused multiply-add anywhere in the
-# package moves arm64's streams, training and scores off amd64's.
-fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/tensor=-S' ./internal/tensor 2>&1 |
-    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
-if [ -n "$fused" ]; then
-    echo "arm64 fuses multiply-adds in internal/tensor:" >&2
-    echo "$fused" >&2
-    exit 1
-fi
-echo "tensor arm64 rounding gate ok"
-# internal/nn leaves its dot products to the tensor kernels (the scalar
-# per-example pass is a test oracle) and rounds every other product that
-# feeds an add, the clipped trainer's noise included: a fused
-# multiply-add in the package would round the training or scoring path
-# on arm64 differently from amd64.
-fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/nn=-S' ./internal/nn 2>&1 |
-    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
-if [ -n "$fused" ]; then
-    echo "arm64 fuses multiply-adds in internal/nn:" >&2
-    echo "$fused" >&2
-    exit 1
-fi
-echo "nn arm64 rounding gate ok"
-# internal/mia scores every attack method in one chunk pass and rounds
-# each product before its add (the per-row scorers are test oracles):
-# a fused multiply-add there would move arm64's attack scores off
-# amd64's.
-fused=$(GOARCH=arm64 go build -a -gcflags='gossipmia/internal/mia=-S' ./internal/mia 2>&1 |
-    grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
-if [ -n "$fused" ]; then
-    echo "arm64 fuses multiply-adds in internal/mia:" >&2
-    echo "$fused" >&2
-    exit 1
-fi
-echo "mia arm64 rounding gate ok"
+# No fused multiply-add on arm64: the compiler may fuse a*b + c there,
+# rounding once where amd64 rounds twice, so every product that feeds an
+# add is rounded explicitly (float64(a*b)). One in any of these packages
+# would move arm64's streams, training, scores or network off amd64's:
+#   tensor    the samplers (rng*.go), the sparse kernels and the GEMM,
+#             dot and norm loops (the Go tier is the only one arm64
+#             runs; Norm2 is DP-SGD's clip);
+#   nn        every product outside the tensor kernels, the clipped
+#             trainer's noise included (the scalar per-example pass is
+#             a test oracle);
+#   mia       the one chunk pass that scores every attack method (the
+#             per-row scorers are test oracles);
+#   netmodel  the link delays, rounded to whole ticks, and the drop coin;
+#   gossip    the wake intervals and the merge weights.
+for pkg in tensor nn mia netmodel gossip; do
+    fused=$(GOARCH=arm64 go build -a -gcflags="gossipmia/internal/$pkg=-S" ./internal/$pkg 2>&1 |
+        grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+    if [ -n "$fused" ]; then
+        echo "arm64 fuses multiply-adds in internal/$pkg:" >&2
+        echo "$fused" >&2
+        exit 1
+    fi
+    echo "$pkg arm64 rounding gate ok"
+done
 
 # One scenario schema: the language lives in pkg/dlsim/spec, and
 # internal/spec is an alias file kept for benchmark/ until a benchmark

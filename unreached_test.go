@@ -65,12 +65,11 @@ var reachability = struct {
 		{"internal/distrib.Dispatcher.Draining", "internal/server.TestDrainRefusesClaimsHonorsLeases", "the drain flag behind refused claims"},
 		{"internal/server.Server.Draining", "internal/server.TestDrainFinishesRunningJobs", "the drain flag behind refused submissions"},
 		{"internal/gossip.Simulator.Topology", "internal/gossip.TestDynamicKeepsGraphRegular", "the live graph PeerSwap rewires"},
-		{"internal/gossip.Simulator.TransportName", "internal/gossip.TestLatencyTransportDelaysDelivery", "which transport the configuration selected"},
 		{"internal/gossip.Simulator.NodeDown", "internal/gossip.TestChurnPermanentDeparture", "a node's churn state"},
 		{"internal/gossip.Simulator.MessagesDropped", "internal/gossip.TestDropNearOnePreventsDelivery", "the loss counter of the failure, partition and churn models"},
 		{"internal/gossip.Simulator.MessagesDelayed", "internal/gossip.TestLatencyTransportDelaysDelivery", "the delivery queue's counter"},
 		{"internal/gossip.Simulator.PendingDeliveries", "internal/gossip.TestChurnLosesInFlightMessages", "messages still in flight"},
-		{"internal/netmodel.Latency.LinkDelay", "internal/netmodel.TestLatencyDeterministicAndPositive", "one link's delay: symmetric, positive, a function of the seed"},
+		{"internal/netmodel.Net.LinkDelay", "internal/netmodel.TestLatencyDeterministicAndPositive", "one link's delay: symmetric, positive, a function of the seed"},
 		{"internal/metrics.Series.Last", "internal/core.TestStudyRunProducesSeries", "the final round's record"},
 		// Shared test helpers.
 		{"internal/tensor.EqualApprox", "internal/gossip.TestDeterminism", "vector comparison in 28 tests of five packages"},
