@@ -126,7 +126,7 @@ func apportion(p tensor.Vector, total int) []int {
 	rems := make([]rem, len(p))
 	assigned := 0
 	for i, pi := range p {
-		exact := pi * float64(total)
+		exact := float64(pi * float64(total))
 		c := int(exact)
 		counts[i] = c
 		assigned += c

@@ -36,9 +36,9 @@ func rdpSampledGaussian(q, sigma float64, alpha int) float64 {
 	maxTerm := math.Inf(-1)
 	terms := make([]float64, alpha+1)
 	for k := 0; k <= alpha; k++ {
-		t := logBinom(alpha, k) + float64(alpha-k)*lognq
+		t := logBinom(alpha, k) + float64(float64(alpha-k)*lognq)
 		if k > 0 {
-			t += float64(k) * logq
+			t += float64(float64(k) * logq)
 		}
 		t += float64(k*(k-1)) / (2 * sigma * sigma)
 		terms[k] = t
@@ -81,7 +81,7 @@ func Epsilon(q, sigma float64, steps int, delta float64) (float64, error) {
 	best := math.Inf(1)
 	logInvDelta := math.Log(1 / delta)
 	for alpha := 2; alpha <= maxOrder; alpha++ {
-		eps := float64(steps)*rdpSampledGaussian(q, sigma, alpha) +
+		eps := float64(float64(steps)*rdpSampledGaussian(q, sigma, alpha)) +
 			logInvDelta/float64(alpha-1)
 		if eps < best {
 			best = eps

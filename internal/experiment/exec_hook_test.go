@@ -23,6 +23,22 @@ import (
 	"gossipmia/pkg/dlsim/spec"
 )
 
+// execFunc is an ArmExecutor made of its Execute method alone: it keeps
+// no more arms on offer than the run's Workers.
+type execFunc func(ctx context.Context, u ArmUnit) (Arm, bool, error)
+
+func (f execFunc) Execute(ctx context.Context, u ArmUnit) (Arm, bool, error) { return f(ctx, u) }
+
+func (execFunc) OfferDepth() int { return 0 }
+
+// deepExec is an execFunc that keeps depth arms on offer.
+type deepExec struct {
+	execFunc
+	depth int
+}
+
+func (d deepExec) OfferDepth() int { return d.depth }
+
 // remoteStyleExec re-executes the offered arm the way a worker does:
 // a fresh single-arm spec run from the unit's own scale, completely
 // outside the hooked run's engine state.
@@ -77,7 +93,7 @@ func TestRunSpecDirExecHookByteIdentical(t *testing.T) {
 	hookedDir := t.TempDir()
 	hookedFig, _, err := RunSpecDir(t.Context(), sweepSpec(), sc, SpecRunOptions{
 		OutDir: hookedDir,
-		Exec:   remoteStyleExec,
+		Exec:   execFunc(remoteStyleExec),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +143,10 @@ func TestExecHookDecline(t *testing.T) {
 	}
 	var offered atomic.Int64 // the hook runs on the arm workers
 	declined, err := RunSpecExec(t.Context(), sweepSpec(), sc, nil,
-		func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
+		execFunc(func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
 			offered.Add(1)
 			return Arm{}, false, nil
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,32 +166,52 @@ func TestExecHookErrorPropagates(t *testing.T) {
 	}
 	boom := errors.New("fleet exploded")
 	_, err := RunSpecExec(t.Context(), sweepSpec(), TinyScale(), nil,
-		func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
+		execFunc(func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
 			return Arm{}, true, fmt.Errorf("arm %s: %w", u.Arm.Label, boom)
-		})
+		}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("hook error = %v, want wrapped executor failure", err)
 	}
 }
 
 // TestExecHookRejectsMislabeledResult: a result whose label does not
-// match the offered arm is a protocol violation, not data.
+// match the offered arm is a protocol violation, not data: the engine's
+// one label check fails the run.
 func TestExecHookRejectsMislabeledResult(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
+	err := runForged(t, func(a Arm, _ ArmUnit) Arm { a.Label = "impostor"; return a })
+	if err == nil || !strings.Contains(err.Error(), "remote executor returned arm") {
+		t.Fatalf("mislabeled executor result: err = %v", err)
+	}
+}
+
+// TestExecHookRejectsEmptyResult: a result that carries the offered
+// label but no series fails the run at the same check.
+func TestExecHookRejectsEmptyResult(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	err := runForged(t, func(_ Arm, u ArmUnit) Arm { return Arm{Label: u.Arm.Label} })
+	if err == nil || !strings.Contains(err.Error(), "remote executor returned arm") {
+		t.Fatalf("empty executor result: err = %v", err)
+	}
+}
+
+// runForged runs the sweep with an executor that handles every arm and
+// hands back forge of the arm it computed.
+func runForged(t *testing.T, forge func(Arm, ArmUnit) Arm) error {
+	t.Helper()
 	_, err := RunSpecExec(t.Context(), sweepSpec(), TinyScale(), nil,
-		func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
+		execFunc(func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
 			a, _, err := remoteStyleExec(ctx, u)
 			if err != nil {
 				return Arm{}, true, err
 			}
-			a.Label = "impostor"
-			return a, true, nil
-		})
-	if err == nil {
-		t.Fatal("mislabeled executor result was accepted")
-	}
+			return forge(a, u), true, nil
+		}))
+	return err
 }
 
 // localGauge counts the arms executing in this process through their
@@ -229,11 +265,11 @@ func (s *gaugeSink) Close() error {
 	return nil
 }
 
-// TestLocalBoundSurvivesOfferDepth: under an offer depth of eight a run
-// keeps eight arms on offer, but what the executor declines — all of it
-// with no fleet, everything from the fifth arm on when the fleet is lost
-// mid-job — still runs Workers arms at a time here, and the figure is the
-// Workers-wide run's, byte for byte.
+// TestLocalBoundSurvivesOfferDepth: with an executor whose OfferDepth is
+// eight a run keeps eight arms on offer, but what the executor declines
+// — all of it with no fleet, everything from the fifth arm on when the
+// fleet is lost mid-job — still runs Workers arms at a time here, and the
+// figure is the Workers-wide run's, byte for byte.
 func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -246,14 +282,13 @@ func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep := WithOfferDepth(t.Context(), func() int { return 8 })
 	for name, lostFrom := range map[string]int{"no fleet": 0, "fleet lost mid-job": 4} {
 		g := &localGauge{handled: map[int]bool{}, limit: sc.Workers, crowd: make(chan struct{})}
 		// The fleet's arms leave the executor only once all lostFrom of
 		// them are in it: the window is wider than Workers, or this hangs.
 		var inside atomic.Int64
 		all := make(chan struct{})
-		got, err := RunSpecExec(deep, sp, sc, g.sinkFor, func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
+		got, err := RunSpecExec(t.Context(), sp, sc, g.sinkFor, deepExec{depth: 8, execFunc: func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
 			if u.Index >= lostFrom {
 				return Arm{}, false, nil
 			}
@@ -269,7 +304,7 @@ func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 				return Arm{}, true, fmt.Errorf("arm %d waited alone: the window is not %d wide", u.Index, lostFrom)
 			}
 			return remoteStyleExec(ctx, u)
-		})
+		}})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -41,7 +41,7 @@ func totalTicks(sim gossip.Config) int {
 // rejoin at two thirds. It is a pure function of its arguments, so
 // every repeat and worker count sees the same schedule.
 func churnSchedule(nodes, ticks int, frac float64) []spec.Churn {
-	m := int(frac*float64(nodes) + 0.5)
+	m := int(float64(frac*float64(nodes)) + 0.5)
 	if m > nodes-1 {
 		m = nodes - 1
 	}

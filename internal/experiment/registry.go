@@ -81,21 +81,21 @@ func (e CatalogEntry) Overlaid(net *spec.Net, churnFraction float64) (CatalogEnt
 	return e, nil
 }
 
-// Run executes a spec entry at a scale with no observers: RunExec with
-// no sink factory and no remote executor.
+// Run executes a spec entry at a scale with no observers: RunSinks
+// with no sink factory.
 func (e CatalogEntry) Run(ctx context.Context, sc Scale) (*FigureResult, error) {
-	return e.RunExec(ctx, sc, nil, nil)
+	return e.RunSinks(ctx, sc, nil)
 }
 
-// RunExec is the one "entry → spec → run → Post" every caller goes
+// RunSinks is the one "entry → spec → run → Post" every caller goes
 // through — the CLI, Replicate, and the SDK's Runner.RunFigure — so an
 // entry's Post step cannot hold on one path and not on another.
-// sinkFor and exec are RunSpecExec's; both may be nil.
-func (e CatalogEntry) RunExec(ctx context.Context, sc Scale, sinkFor func(i int, label string) (sink.Sink, error), exec ArmExecutor) (*FigureResult, error) {
+// sinkFor is RunSpecSinks'; it may be nil.
+func (e CatalogEntry) RunSinks(ctx context.Context, sc Scale, sinkFor func(i int, label string) (sink.Sink, error)) (*FigureResult, error) {
 	if !e.Runnable() {
 		return nil, fmt.Errorf("%w: catalog entry %q renders text and cannot run as a spec", ErrScale, e.Name)
 	}
-	fig, err := RunSpecExec(ctx, e.Spec(sc), sc, sinkFor, exec)
+	fig, err := RunSpecSinks(ctx, e.Spec(sc), sc, sinkFor)
 	if err != nil {
 		return nil, err
 	}

@@ -54,17 +54,17 @@ func RunSpec(ctx context.Context, sp *spec.Spec, sc Scale) (*FigureResult, error
 
 // RunSpecSinks runs a spec like RunSpec, additionally streaming every
 // arm's evaluated rounds into the sink returned by sinkFor — the
-// entry point the HTTP job service and the pkg/dlsim SDK attach their
-// observers to. sinkFor is called once per arm (from worker goroutines,
-// distinct arms per call) and may return a nil sink to skip an arm's
-// stream; each non-nil sink is closed after the arm's last record.
+// entry point the pkg/dlsim SDK attaches its observers to. sinkFor is
+// called once per arm (from worker goroutines, distinct arms per call)
+// and may return a nil sink to skip an arm's stream; each non-nil sink
+// is closed after the arm's last record.
 func RunSpecSinks(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i int, label string) (sink.Sink, error)) (*FigureResult, error) {
 	return RunSpecExec(ctx, sp, sc, sinkFor, nil)
 }
 
 // RunSpecExec runs a spec like RunSpecSinks with an additional remote
-// executor consulted for every non-cached arm — the entry point the
-// job service's distributed dispatcher rides on. exec may be nil.
+// executor consulted for every arm — the entry point the job service
+// runs a job on when it keeps no checkpoint directory. exec may be nil.
 func RunSpecExec(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i int, label string) (sink.Sink, error), exec ArmExecutor) (*FigureResult, error) {
 	arms, err := validArms(sp, sc)
 	if err != nil {
@@ -91,15 +91,28 @@ type ArmUnit struct {
 	Scale Scale
 }
 
-// ArmExecutor may run one arm somewhere other than this process (the
-// distributed dispatch path). Returning handled=false declines the
-// unit — the engine executes it locally, preserving single-process
-// behavior exactly. Returning handled=true with an error fails the
-// arm (transience decided by the usual core taxonomy); with a nil
-// error the returned Arm is taken as the unit's result and its
-// records are replayed into the arm's sinks, so event streams stay
-// byte-identical to local execution.
-type ArmExecutor func(ctx context.Context, u ArmUnit) (Arm, bool, error)
+// ArmExecutor may run arms somewhere other than this process (the
+// distributed dispatch path).
+//
+// Execute is offered one unit. Returning handled=false declines it —
+// the engine executes it locally, preserving single-process behavior
+// exactly. Returning handled=true with an error fails the arm
+// (transience decided by the usual core taxonomy); with a nil error
+// the returned Arm is taken as the unit's result and its records are
+// replayed into the arm's sinks, so event streams stay byte-identical
+// to local execution.
+//
+// OfferDepth is how many arms the run keeps on offer to Execute at
+// once, asked again before every launch — the job service answers
+// twice its fleet's live slot count, so every slot has one unit leased
+// and one queued behind it however many slots join or leave mid-job.
+// The run's own Workers still bounds the arms executing in this
+// process (and the window never shrinks below it): what Execute
+// declines waits for one of those places.
+type ArmExecutor interface {
+	Execute(ctx context.Context, u ArmUnit) (Arm, bool, error)
+	OfferDepth() int
+}
 
 // specHooks customize the executor per arm: the arms a resume pass
 // already served, a remote executor consulted before running locally,
@@ -120,19 +133,6 @@ type specHooks struct {
 	keys  []string
 	sinks func(i int, a spec.Arm) (sink.Sink, error)
 	done  func(i int, a spec.Arm, arm Arm, elapsed time.Duration) error
-}
-
-type offerDepthKey struct{}
-
-// WithOfferDepth returns a context under which a run with an
-// ArmExecutor keeps up to depth() arms on offer to it at once, asked
-// again as arms are launched — the job service passes twice its
-// dispatcher's live slot count, so every slot has one unit leased and
-// one queued behind it however many slots join or leave mid-job. The
-// run's own Workers still bounds the arms executing in this process:
-// what the executor declines waits for one of those places.
-func WithOfferDepth(ctx context.Context, depth func() int) context.Context {
-	return context.WithValue(ctx, offerDepthKey{}, depth)
 }
 
 // validArms validates a run's scale and spec and returns the spec's
@@ -209,12 +209,8 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, arms []spec.Arm, sc Scale
 	if h.exec == nil {
 		err = par.ForEachErrCtx(ctx, sc.Workers, len(arms), runArm)
 	} else {
-		depth, _ := ctx.Value(offerDepthKey{}).(func() int)
 		err = par.ForEachErrWindow(ctx, len(arms), func() int {
-			if depth == nil {
-				return cap(local)
-			}
-			return max(cap(local), depth())
+			return max(cap(local), h.exec.OfferDepth())
 		}, runArm)
 	}
 	if err != nil {
@@ -233,7 +229,7 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 	if h.exec == nil {
 		return Arm{}, false, nil
 	}
-	arm, handled, err := h.exec(ctx, ArmUnit{Index: i, Key: h.keys[i], Spec: sp.Name, Arm: a, Scale: sc})
+	arm, handled, err := h.exec.Execute(ctx, ArmUnit{Index: i, Key: h.keys[i], Spec: sp.Name, Arm: a, Scale: sc})
 	if err != nil {
 		return Arm{}, true, err
 	}

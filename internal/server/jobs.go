@@ -14,22 +14,30 @@ import (
 	"gossipmia/internal/distrib"
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/faultinject"
+	"gossipmia/internal/par"
+	"gossipmia/internal/sink"
 	"gossipmia/pkg/dlsim"
 )
 
 // job is one submitted scenario run. Status fields are guarded by the
 // server mutex; the event log has its own lock so streaming subscribers
-// never contend with the job table.
+// never contend with the job table. A job is also the engine's fleet
+// seam for its own arms (experiment.ArmExecutor, see work.go).
 type job struct {
 	id  string
 	key string
+	srv *Server
 
 	spec *dlsim.Spec
 	// scale is the resolved preset (with any seed override applied) —
-	// the dedup fingerprint and the source of the status report's
-	// seed/workers fields. Execution goes through the public SDK Runner.
+	// the dedup fingerprint, the scale the engine runs the job at, and
+	// the source of the status report's seed/workers fields; scaleName
+	// is the preset's name, which work orders carry on the wire.
 	scale     experiment.Scale
 	scaleName string
+	// auditing holds the job's result audits to Workers at a time,
+	// however many more arms it keeps on offer to the fleet.
+	auditing chan struct{}
 
 	status string
 	errMsg string
@@ -148,9 +156,11 @@ func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName string) (
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.seq),
 		key:       key,
+		srv:       s,
 		spec:      sp,
 		scale:     sc,
 		scaleName: scaleName,
+		auditing:  make(chan struct{}, par.Workers(sc.Workers)),
 		status:    dlsim.StatusQueued,
 		submitted: s.now(),
 		cancel:    cancel,
@@ -217,50 +227,48 @@ func (s *Server) signalLocked() {
 	}
 }
 
-// runAttempt executes the job through the public SDK Runner — the
-// service is itself a pkg/dlsim consumer, so the wire result and
-// streamed events are the SDK's types by construction. With a
-// checkpoint directory configured the job runs directory-backed with
-// resume on: completed arms are served from their caches (and do not
-// re-stream), so a resubmission after a restart pays only for the arms
-// that never finished.
+// runAttempt executes the job on the engine at its resolved scale.
+// Every evaluated round streams onto the job's event log, and every
+// arm is offered to the worker fleet first (the job is the executor,
+// see work.go); with no workers connected it declines synchronously and
+// the arm runs in-process, Workers at a time. With a checkpoint
+// directory configured the job runs directory-backed with resume on:
+// completed arms are served from their caches (and do not re-stream),
+// so a resubmission after a restart pays only for the arms that never
+// finished.
 func (s *Server) runAttempt(ctx context.Context, j *job) (*dlsim.Result, error) {
-	runner, err := dlsim.NewRunner(
-		dlsim.WithScale(j.scaleName),
-		dlsim.WithSeed(j.scale.Seed),
-		dlsim.WithWorkers(j.scale.Workers),
-		dlsim.WithSink(&jobSink{log: j.events}),
-		// Arms are offered to the worker fleet first, offerDepth of them
-		// at a time; with no workers connected the executor declines
-		// synchronously and the arm runs in-process, Workers at a time,
-		// exactly as before.
-		dlsim.WithArmExecutor(s.armExecutor(j)),
-	)
+	events := func(_ int, label string) (sink.Sink, error) {
+		return &eventSink{log: j.events, arm: label}, nil
+	}
+	if s.cfg.CheckpointDir == "" {
+		fig, err := experiment.RunSpecExec(ctx, j.spec, j.scale, events, j)
+		if err != nil {
+			return nil, err
+		}
+		return fig.Result(), nil
+	}
+	fig, man, err := experiment.RunSpecDir(ctx, j.spec, j.scale, experiment.SpecRunOptions{
+		OutDir: filepath.Join(s.cfg.CheckpointDir, j.key[:16]),
+		Resume: true,
+		Events: "none", // the event log is the stream; no second copy
+		// One store for every job: arms are content-hash keyed, so
+		// resubmissions and overlapping sweeps share cached results
+		// across job boundaries through the shared handle.
+		StoreDir:   s.cfg.StoreDir,
+		ExtraSinks: events,
+		Exec:       j,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.CheckpointDir != "" {
-		res, report, err := runner.RunDir(ctx, j.spec, dlsim.DirOptions{
-			OutDir: filepath.Join(s.cfg.CheckpointDir, j.key[:16]),
-			Resume: true,
-			Events: "none", // the event log is the stream; no second copy
-			// One store for every job: arms are content-hash keyed, so
-			// resubmissions and overlapping sweeps share cached results
-			// across job boundaries through the shared handle.
-			StoreDir: s.cfg.StoreDir,
-		})
-		if report != nil {
-			for _, a := range report.Arms {
-				if a.Cached {
-					s.cacheHits.Add(1)
-				} else {
-					s.cacheMisses.Add(1)
-				}
-			}
+	for _, a := range man.Arms {
+		if a.Cached {
+			s.cacheHits.Add(1)
+		} else {
+			s.cacheMisses.Add(1)
 		}
-		return res, err
 	}
-	return runner.Run(ctx, j.spec)
+	return fig.Result(), nil
 }
 
 // runJob executes one dequeued job and records its terminal status.
@@ -277,9 +285,7 @@ func (s *Server) runJob(j *job) {
 
 	// The fault injector rides the context into the engine's execution
 	// path; production runs carry a nil injector at zero cost.
-	ctx := faultinject.With(j.ctx, s.cfg.Fault)
-	ctx = experiment.WithOfferDepth(ctx, s.offerDepth)
-	res, err := s.runAttempt(ctx, j)
+	res, err := s.runAttempt(faultinject.With(j.ctx, s.cfg.Fault), j)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,21 +370,26 @@ func (s *Server) pruneLocked() {
 	s.order = kept
 }
 
-// jobSink adapts the SDK's event stream onto the job event log. The
-// Runner serializes Record calls, so the only locking is the log's own.
-type jobSink struct {
+// eventSink streams one arm's evaluated rounds onto its job's event
+// log, one marshaled Event per line. An arm's records arrive in round
+// order from the goroutine running it; the log's lock orders arms.
+type eventSink struct {
 	log *eventLog
+	arm string
 }
 
-// Record implements dlsim.Sink.
-func (js *jobSink) Record(ev dlsim.Event) error {
-	line, err := json.Marshal(ev)
+// Record implements sink.Sink.
+func (es *eventSink) Record(rec dlsim.RoundRecord) error {
+	line, err := json.Marshal(dlsim.Event{Arm: es.arm, RoundRecord: rec})
 	if err != nil {
 		return fmt.Errorf("server: encode event: %w", err)
 	}
-	js.log.append(line)
+	es.log.append(line)
 	return nil
 }
+
+// Close implements sink.Sink.
+func (*eventSink) Close() error { return nil }
 
 // statusOf snapshots a job into its wire representation. Callers must
 // hold the server mutex.

@@ -7,8 +7,9 @@ package server
 //   - an arm that keeps failing on distinct workers is contained after
 //     three workers, executes locally, and the job completes with the
 //     per-worker error history in its status;
-//   - a worker whose upload fails checksum verification is quarantined
-//     at once and its bytes never reach the result store;
+//   - a worker whose upload fails checksum verification, or carries
+//     another arm than its lease names, is quarantined at once and its
+//     bytes never reach the result store;
 //   - a consistently lying worker (valid checksum over wrong bytes) is
 //     caught by the re-execution audit;
 //   - a deregistered worker leaves the live set immediately;
@@ -148,6 +149,28 @@ func TestPoisonedArmFallsBackLocal(t *testing.T) {
 // (its next claim answers 403, mapped to ErrWorkerQuarantined), and the
 // sweep still completes byte-identical via local fallback.
 func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
+	// The liar executes honestly but flips a byte after computing the
+	// checksum — exactly what `dlsim worker -inject upload-corrupt` does.
+	liarIsQuarantined(t, func(res *dlsim.WorkResult) { res.Arm.BytesSent++ })
+}
+
+// TestMislabeledUploadRejectedAndQuarantined: a correctly summed arm
+// uploaded under another arm's lease is a lie like a checksum mismatch:
+// rejected, quarantining, requeued — not a result the engine's label
+// check would fail the whole job on.
+func TestMislabeledUploadRejectedAndQuarantined(t *testing.T) {
+	liarIsQuarantined(t, func(res *dlsim.WorkResult) {
+		res.Arm.Label = "impostor"
+		res.Sum = res.Arm.Checksum()
+	})
+}
+
+// liarIsQuarantined runs a one-arm job beside a worker that executes
+// each order honestly and then tampers with its upload. The first
+// upload must be rejected and quarantine the worker for good, and the
+// job must complete byte-identical to the fault-free run.
+func liarIsQuarantined(t *testing.T, tamper func(*dlsim.WorkResult)) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
@@ -156,15 +179,12 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 
-	// The corrupter executes honestly but flips a byte after computing
-	// the checksum — exactly what `dlsim worker -inject upload-corrupt`
-	// does. The first rejected upload quarantines it.
 	quarantined := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		for {
-			order, err := client.ClaimWork(ctx, "corrupter", 500*time.Millisecond)
+			order, err := client.ClaimWork(ctx, "liar", 500*time.Millisecond)
 			if err != nil {
 				quarantined <- err
 				return
@@ -178,7 +198,7 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 				return
 			}
 			res := workResult(arm)
-			res.Arm.BytesSent++ // tamper AFTER the sum: checksum mismatch
+			tamper(&res)
 			client.CompleteWork(ctx, order.Lease, res)
 		}
 	}()
@@ -193,7 +213,7 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	if final.Status != dlsim.StatusDone {
-		t.Fatalf("job with corrupting worker = %q (%s), want done", final.Status, final.Error)
+		t.Fatalf("job with a lying worker = %q (%s), want done", final.Status, final.Error)
 	}
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("store was polluted — result diverged:\n got %s\nwant %s", got, refJSON)
@@ -201,7 +221,7 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 	err = <-quarantined
 	var ae *dlsim.APIError
 	if !errors.Is(err, dlsim.ErrWorkerQuarantined) || !errors.As(err, &ae) || ae.RetryAfter != 0 {
-		t.Fatalf("corrupter's claim error = %v, want ErrWorkerQuarantined with no Retry-After: the refusal is permanent", err)
+		t.Fatalf("liar's claim error = %v, want ErrWorkerQuarantined with no Retry-After: the refusal is permanent", err)
 	}
 
 	st, err := client.Statz(t.Context())
@@ -213,7 +233,7 @@ func TestCorruptUploadRejectedAndQuarantined(t *testing.T) {
 	}
 	var row *dlsim.WorkerRow
 	for i := range st.Work.PerWorker {
-		if st.Work.PerWorker[i].Name == "corrupter" {
+		if st.Work.PerWorker[i].Name == "liar" {
 			row = &st.Work.PerWorker[i]
 		}
 	}

@@ -5,12 +5,14 @@
 // as NDJSON, and cancellable at any time. Identical submissions (same
 // spec content hash, scale, and seed) dedup onto one execution.
 //
-// Every /v1 endpoint sits behind the hardening chain of
-// internal/server/middleware (panic recovery → request ID → structured
-// logging → body-size limit → shared-token auth), and job execution is
-// resilient by construction: the engine re-runs an arm that failed on a
-// transient error, arm panics become failed jobs instead of a dead
-// process, and Drain stops intake and finishes — or,
+// Every /v1 endpoint sits behind one request wrapper, harden (panic
+// recovery → request ID → structured logging → body-size limit →
+// shared-token auth). Jobs run on the engine (internal/experiment) at
+// the scale the submission resolved, and each job is the engine's
+// executor for its own arms, offering them to the worker fleet first.
+// Job execution is resilient by construction: the engine re-runs an
+// arm that failed on a transient error, arm panics become failed jobs
+// instead of a dead process, and Drain stops intake and finishes — or,
 // with a checkpoint directory, checkpoints — the work in flight before
 // shutting down.
 //
@@ -51,13 +53,17 @@ package server
 
 import (
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +71,6 @@ import (
 	"gossipmia/internal/distrib"
 	"gossipmia/internal/experiment"
 	"gossipmia/internal/faultinject"
-	"gossipmia/internal/server/middleware"
 	"gossipmia/internal/store"
 	"gossipmia/pkg/dlsim"
 )
@@ -90,8 +95,8 @@ type Config struct {
 	// DefaultScale names the scale used by submissions that do not set
 	// one. Default "quick".
 	DefaultScale string
-	// MaxBodyBytes bounds a request body (enforced by the middleware
-	// chain). Default 1 MiB.
+	// MaxBodyBytes bounds a request body (enforced by harden). Default
+	// 1 MiB.
 	MaxBodyBytes int64
 
 	// Token is the one bearer token every request must carry. Empty
@@ -198,6 +203,9 @@ type Server struct {
 	cacheHits, cacheMisses atomic.Int64
 	// chained counts claims answered in a result upload's receipt.
 	chained atomic.Int64
+	// reqSeq numbers requests; its IDs correlate log lines and error
+	// envelopes without a randomness source.
+	reqSeq atomic.Int64
 	// audits/auditsFailed count result audits (re-executions of
 	// worker-completed arms) and the divergences they caught.
 	audits, auditsFailed atomic.Int64
@@ -236,18 +244,8 @@ func New(cfg Config) *Server {
 			}
 		}
 	}
-	// The hardening chain around every /v1 route, outermost first:
-	// recovery must see everything, identity must exist before logging,
-	// and a rejected token is logged like any other answer.
-	chain := middleware.Chain(
-		middleware.Recover(cfg.Log),
-		middleware.RequestID(),
-		middleware.Log(cfg.Log),
-		middleware.BodyLimit(cfg.MaxBodyBytes),
-		middleware.Auth(cfg.Token),
-	)
 	mux := http.NewServeMux()
-	handle := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, chain(h)) }
+	handle := func(pattern string, h http.HandlerFunc) { mux.Handle(pattern, s.harden(h)) }
 	handle("POST /v1/jobs", s.handleSubmit)
 	handle("GET /v1/jobs", s.handleList)
 	handle("GET /v1/jobs/{id}", s.handleJob)
@@ -273,6 +271,104 @@ func New(cfg Config) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
+}
+
+// harden wraps a /v1 route in the service's request hardening, in this
+// order, outermost first:
+//
+//   - recover: a panic anywhere below — handler or logger — is logged
+//     with its stack and answered with a 500 error envelope, unless the
+//     response already started, in which case the connection is just
+//     closed;
+//   - request ID: a sequential ID on the X-Request-Id header and in the
+//     context (requestIDFrom);
+//   - log: one "request" line per answered request, a rejected one
+//     included;
+//   - body limit: bodies beyond MaxBodyBytes fail to read with
+//     http.MaxBytesError, which decodeBody answers 413;
+//   - auth: with a Token, a request without "Authorization: Bearer
+//     TOKEN" is answered 401 with a WWW-Authenticate challenge (the
+//     comparison is constant-time); with none, nothing is checked.
+func (s *Server) harden(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w}
+		id := fmt.Sprintf("req-%08d", s.reqSeq.Add(1))
+		defer func() {
+			if rec := recover(); rec != nil {
+				s.log.Error("panic in request handler",
+					"requestID", id, "method", r.Method, "path", r.URL.Path,
+					"panic", rec, "stack", string(debug.Stack()))
+				if !sw.wrote {
+					writeWire(sw, http.StatusInternalServerError,
+						map[string]string{"error": fmt.Sprintf("internal error (request %s)", id)})
+				}
+			}
+		}()
+		sw.Header().Set("X-Request-Id", id)
+		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
+		start := time.Now()
+		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		if s.authorized(r) {
+			next.ServeHTTP(sw, r)
+		} else {
+			sw.Header().Set("WWW-Authenticate", `Bearer realm="dlsim"`)
+			writeWire(sw, http.StatusUnauthorized, map[string]string{"error": "missing or wrong bearer token"})
+		}
+		s.log.Info("request",
+			"requestID", id, "method", r.Method, "path", r.URL.Path,
+			"status", sw.status, "durationMS", time.Since(start).Milliseconds())
+	})
+}
+
+// authorized reports whether r may reach its route: always on an open
+// service, otherwise only with the service's bearer token.
+func (s *Server) authorized(r *http.Request) bool {
+	if s.cfg.Token == "" {
+		return true
+	}
+	bearer, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	return ok && subtle.ConstantTimeCompare([]byte(bearer), []byte(s.cfg.Token)) == 1
+}
+
+// requestIDKey keys the request ID on the context.
+type requestIDKey struct{}
+
+// requestIDFrom returns the ID harden assigned the request, or "".
+func requestIDFrom(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
+}
+
+// statusWriter records a response's status code and whether it has
+// started, for harden's log line and panic recovery, while passing
+// Flush through — event streams must keep flushing NDJSON lines.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+	wrote  bool
+}
+
+func (sw *statusWriter) WriteHeader(code int) {
+	if !sw.wrote {
+		sw.status = code
+		sw.wrote = true
+	}
+	sw.ResponseWriter.WriteHeader(code)
+}
+
+func (sw *statusWriter) Write(b []byte) (int, error) {
+	if !sw.wrote {
+		sw.status = http.StatusOK
+		sw.wrote = true
+	}
+	return sw.ResponseWriter.Write(b)
+}
+
+// Flush implements http.Flusher when the underlying writer does.
+func (sw *statusWriter) Flush() {
+	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
+		f.Flush()
+	}
 }
 
 // Close aborts every queued and running job and waits for the workers
@@ -372,9 +468,16 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// retryAfter sets h's Retry-After header to wait in the integral
+// seconds the header requires, rounding up so "retry after 0s" never
+// invites an immediate re-spin. Every 503 carries one.
+func retryAfter(h http.Header, wait time.Duration) {
+	h.Set("Retry-After", strconv.FormatInt(max(1, int64(math.Ceil(wait.Seconds()))), 10))
+}
+
 // decodeBody decodes the request's JSON body into v, refusing unknown
-// fields. On failure it answers — 413 when the body ran into the
-// middleware's size limit, 400 otherwise — and returns false.
+// fields. On failure it answers — 413 when the body ran into harden's
+// size limit, 400 otherwise — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -394,7 +497,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool
 // handleSubmit is POST /v1/jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		middleware.RetryAfter(w.Header(), 5*time.Second)
+		retryAfter(w.Header(), 5*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 		return
 	}
@@ -433,7 +536,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQueueFull):
 		// Retry-After makes the back-off machine-readable: clients must
 		// not have to parse the error string to know to come back.
-		middleware.RetryAfter(w.Header(), 2*time.Second)
+		retryAfter(w.Header(), 2*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "job queue full (depth %d): retry later", s.cfg.QueueDepth)
 		return
 	case err != nil:

@@ -746,7 +746,7 @@ func TestOneEventEncoding(t *testing.T) {
 	}
 
 	log := newEventLog()
-	if err := (&jobSink{log: log}).Record(ev); err != nil {
+	if err := (&eventSink{log: log, arm: ev.Arm}).Record(ev.RoundRecord); err != nil {
 		t.Fatal(err)
 	}
 	lines, _, _ := log.next(0)

@@ -11,15 +11,15 @@ package server
 //	                                the receipt carries the worker's next order
 //	GET  /v1/statz                  dispatch + cache counters snapshot
 //
-// Jobs decompose into per-arm units through the SDK's ArmExecutor
-// hook: when at least one worker is live, each non-cached arm is
-// enqueued on the dispatcher and the job's executing goroutine blocks
-// until a worker uploads the result (or every worker disappears, in
-// which case the arm falls back to local execution — a server with no
-// fleet behaves exactly as before). Results are keyed by the same
-// content hash as the in-process cache, so a worker's upload lands in
-// the server's result store through the ordinary RunDir ingest path
-// and the cache is shared cluster-wide.
+// Jobs decompose into per-arm units through one seam: a job is the
+// engine's experiment.ArmExecutor. When at least one worker is live,
+// each non-cached arm is enqueued on the dispatcher and the arm's
+// engine goroutine blocks until a worker uploads the result (or every
+// worker disappears, in which case the arm falls back to local
+// execution — a server with no fleet behaves exactly as before).
+// Results are keyed by the same content hash as the in-process cache,
+// so a worker's upload lands in the server's result store through the
+// ordinary RunSpecDir ingest path and the cache is shared cluster-wide.
 //
 // The fleet is trusted until it is caught lying: every uploaded
 // result's bytes are re-hashed and checked against the checksum the
@@ -37,15 +37,15 @@ import (
 	"time"
 
 	"gossipmia/internal/distrib"
-	"gossipmia/internal/par"
-	"gossipmia/internal/server/middleware"
+	"gossipmia/internal/experiment"
 	"gossipmia/pkg/dlsim"
 )
 
 // maxClaimWait bounds how long one claim request may long-poll.
 const maxClaimWait = 30 * time.Second
 
-// armExecutor bridges a job's arms onto the dispatcher. It declines
+// Execute implements experiment.ArmExecutor: it offers one of the
+// job's arms to the worker fleet as a work order. It declines
 // (handled=false) when no worker fleet is live, so the engine runs
 // the arm in-process — the no-worker behavior is byte-identical to a
 // server without the distributed path. An arm the fleet kept failing
@@ -55,65 +55,71 @@ const maxClaimWait = 30 * time.Second
 // worker-completed arms is re-executed locally and cross-checked for
 // byte-identity; a divergent worker is quarantined on the spot and
 // the local result wins.
-func (s *Server) armExecutor(j *job) dlsim.ArmExecutor {
-	// The job keeps more arms on offer than its Workers (see offerDepth);
-	// the audits it runs here keep to Workers at a time.
-	auditing := make(chan struct{}, par.Workers(j.scale.Workers))
-	return func(ctx context.Context, order dlsim.WorkOrder) (*dlsim.ArmResult, bool, error) {
-		order.Job = j.id
-		out, worker, err := s.dispatch.Execute(ctx, distrib.Unit{
-			Key:     order.Key,
-			Job:     j.id,
-			Spec:    order.Spec,
-			Label:   order.Label,
-			Index:   order.Index,
-			Payload: order,
-		})
-		if errors.Is(err, distrib.ErrNoWorkers) {
-			s.localArms.Add(1)
-			return nil, false, nil
-		}
-		var pe *distrib.PoisonedError
-		if errors.As(err, &pe) {
-			// Containment: the arm failed on too many distinct workers.
-			// Surface who failed it and run it here — determinism makes
-			// the local bytes identical to what a healthy worker would
-			// have produced.
-			s.recordWorkerFailures(j, order.Label, pe.Failures)
-			s.localArms.Add(1)
-			s.log.Warn("arm contained after repeated worker failures; executing locally",
-				"job", j.id, "arm", order.Label, "failures", len(pe.Failures))
-			return nil, false, nil
-		}
-		if err != nil {
-			return nil, true, err
-		}
-		res, ok := out.(*dlsim.ArmResult)
-		if !ok || res == nil {
-			return nil, true, fmt.Errorf("server: worker returned no result for arm %q", order.Label)
-		}
-		s.remoteArms.Add(1)
-		if auditSampled(order.Key, s.cfg.AuditFraction) {
-			select {
-			case auditing <- struct{}{}:
-			case <-ctx.Done():
-				return nil, true, ctx.Err()
-			}
-			local, divergent := s.auditArm(ctx, j, order, worker, res)
-			<-auditing
-			if divergent {
-				return local, true, nil
-			}
-		}
-		return res, true, nil
+func (j *job) Execute(ctx context.Context, u experiment.ArmUnit) (experiment.Arm, bool, error) {
+	s := j.srv
+	order := dlsim.WorkOrder{
+		Job:   j.id,
+		Spec:  u.Spec,
+		Label: u.Arm.Label,
+		Index: u.Index,
+		Key:   u.Key,
+		Arm:   u.Arm,
+		Scale: j.scaleName,
+		Seed:  j.scale.Seed,
 	}
+	out, worker, err := s.dispatch.Execute(ctx, distrib.Unit{
+		Key:     order.Key,
+		Job:     j.id,
+		Spec:    order.Spec,
+		Label:   order.Label,
+		Index:   order.Index,
+		Payload: order,
+	})
+	if errors.Is(err, distrib.ErrNoWorkers) {
+		s.localArms.Add(1)
+		return experiment.Arm{}, false, nil
+	}
+	var pe *distrib.PoisonedError
+	if errors.As(err, &pe) {
+		// Containment: the arm failed on too many distinct workers.
+		// Surface who failed it and run it here — determinism makes
+		// the local bytes identical to what a healthy worker would
+		// have produced.
+		s.recordWorkerFailures(j, order.Label, pe.Failures)
+		s.localArms.Add(1)
+		s.log.Warn("arm contained after repeated worker failures; executing locally",
+			"job", j.id, "arm", order.Label, "failures", len(pe.Failures))
+		return experiment.Arm{}, false, nil
+	}
+	if err != nil {
+		return experiment.Arm{}, true, err
+	}
+	res, ok := out.(*dlsim.ArmResult)
+	if !ok || res == nil {
+		return experiment.Arm{}, true, fmt.Errorf("server: worker returned no result for arm %q", order.Label)
+	}
+	s.remoteArms.Add(1)
+	if auditSampled(order.Key, s.cfg.AuditFraction) {
+		select {
+		case j.auditing <- struct{}{}:
+		case <-ctx.Done():
+			return experiment.Arm{}, true, ctx.Err()
+		}
+		local, divergent := s.auditArm(ctx, j, order, worker, res)
+		<-j.auditing
+		if divergent {
+			res = local
+		}
+	}
+	return experiment.ArmOf(*res), true, nil
 }
 
-// offerDepth is how many arms a job keeps on offer to the dispatcher:
-// two per live slot, one leased and one queued behind it, so the claim
-// that rides on a slot's result upload finds a unit waiting. With no
-// fleet it is zero and the job runs Workers arms wide, in process.
-func (s *Server) offerDepth() int { return 2 * s.dispatch.LiveWorkers() }
+// OfferDepth implements experiment.ArmExecutor: a job keeps two arms
+// on offer per live slot, one leased and one queued behind it, so the
+// claim that rides on a slot's result upload finds a unit waiting.
+// With no fleet it is zero and the job runs Workers arms wide, in
+// process.
+func (j *job) OfferDepth() int { return 2 * j.srv.dispatch.LiveWorkers() }
 
 // auditSampled picks the deterministic audit sample: the arm content
 // hash's leading 60 bits, reduced mod 1e6, against fraction·1e6. The
@@ -184,7 +190,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusForbidden, "worker %q is quarantined", req.Worker)
 		return
 	case errors.Is(err, distrib.ErrDraining) || errors.Is(err, distrib.ErrClosed):
-		middleware.RetryAfter(w.Header(), 5*time.Second)
+		retryAfter(w.Header(), 5*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "%v", ErrDraining)
 		return
 	case err != nil && r.Context().Err() != nil:
@@ -202,7 +208,7 @@ func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	s.log.Info("work claimed", "requestID", middleware.RequestIDFrom(r.Context()),
+	s.log.Info("work claimed", "requestID", requestIDFrom(r.Context()),
 		"worker", lease.Worker, "lease", lease.ID, "job", order.Job, "key", order.Key)
 	writeWire(w, http.StatusOK, order)
 }
@@ -237,7 +243,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.dispatch.Register(req.Worker); err != nil {
-		middleware.RetryAfter(w.Header(), 5*time.Second)
+		retryAfter(w.Header(), 5*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "register failed: %v", err)
 		return
 	}
@@ -287,10 +293,12 @@ func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 //
 // Every successful upload is audited before ingestion: the server
 // re-hashes the decoded arm result and compares it to the checksum
-// the worker computed over its own bytes. A missing or mismatched sum
-// means the payload was corrupted (in flight or by the worker) — the
-// result is rejected with 422, never reaches the store, and the worker
-// is quarantined.
+// the worker computed over its own bytes, and, while it remembers the
+// lease, compares the arm's label to the one the lease was issued for.
+// A missing or mismatched sum means the payload was corrupted (in
+// flight or by the worker); a correctly summed arm under another arm's
+// lease is a lie all the same. Either is rejected with 422, never
+// reaches the store, and quarantines the worker; the arm is requeued.
 //
 // An upload sent with ?next=1 also claims: once the result is taken,
 // the lease's worker is handed the unit its plain claim would get, if
@@ -318,21 +326,13 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "work result has neither arm nor error")
 		return
 	case res.Sum != res.Arm.Checksum():
-		stale, err := s.dispatch.Reject(id, "result checksum mismatch")
-		if stale || errors.Is(err, distrib.ErrLeaseNotFound) {
-			// The arm already resolved from elsewhere, or the worker was
-			// quarantined before: the corrupt duplicate is discarded and
-			// answered stale. Corrupt bytes prove a lie either way, so a
-			// stale one still quarantines its worker, which learns of it
-			// on its next claim.
-			s.logUpload(r, held, id, "stale", nil)
-			writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
-			return
-		}
-		s.logUpload(r, held, id, "rejected", nil)
-		writeErr(w, http.StatusUnprocessableEntity,
-			"result checksum mismatch for arm %q: claimed %.12s…, computed %.12s…",
-			res.Arm.Label, res.Sum, res.Arm.Checksum())
+		s.rejectUpload(w, r, held, id, "result checksum mismatch",
+			fmt.Sprintf("result checksum mismatch for arm %q: claimed %.12s…, computed %.12s…",
+				res.Arm.Label, res.Sum, res.Arm.Checksum()))
+		return
+	case held.Unit.Label != "" && res.Arm.Label != held.Unit.Label:
+		s.rejectUpload(w, r, held, id, "result for another arm",
+			fmt.Sprintf("result for arm %q uploaded under the lease of arm %q", res.Arm.Label, held.Unit.Label))
 		return
 	default:
 		outcome = res.Arm
@@ -357,6 +357,23 @@ func (s *Server) handleWorkResult(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logUpload(r, held, id, verdict, receipt.Next)
 	writeWire(w, http.StatusOK, receipt)
+}
+
+// rejectUpload refuses an upload that proves its worker lied: the
+// dispatcher quarantines the worker and requeues the arm, and the
+// upload is answered 422 with msg. If the arm already resolved from
+// elsewhere, or the worker was quarantined before, the lie is discarded
+// and answered stale; it still quarantines its worker, which learns of
+// it on its next claim.
+func (s *Server) rejectUpload(w http.ResponseWriter, r *http.Request, held distrib.Lease, lease, reason, msg string) {
+	stale, err := s.dispatch.Reject(lease, reason)
+	if stale || errors.Is(err, distrib.ErrLeaseNotFound) {
+		s.logUpload(r, held, lease, "stale", nil)
+		writeJSON(w, http.StatusOK, dlsim.WorkReceipt{Stale: true})
+		return
+	}
+	s.logUpload(r, held, lease, "rejected", nil)
+	writeErr(w, http.StatusUnprocessableEntity, "%s", msg)
 }
 
 // chainClaim is the claim a result upload makes for its worker: the
@@ -386,7 +403,7 @@ func (s *Server) logUpload(r *http.Request, held distrib.Lease, lease, verdict s
 	if next != nil {
 		nextLease, nextKey = next.Lease, next.Key
 	}
-	s.log.Info("work result", "requestID", middleware.RequestIDFrom(r.Context()),
+	s.log.Info("work result", "requestID", requestIDFrom(r.Context()),
 		"worker", held.Worker, "lease", lease, "job", held.Unit.Job, "key", held.Unit.Key,
 		"verdict", verdict, "nextLease", nextLease, "nextKey", nextKey)
 }

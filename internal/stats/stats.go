@@ -56,9 +56,9 @@ func Pearson(xs, ys []float64) (float64, error) {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0, nil
@@ -151,7 +151,8 @@ func bootstrap(confidence float64, resamples int, rng *tensor.RNG, samples ...[]
 		boots[r] = stat(draws)
 	}
 	sort.Float64s(boots)
-	alpha := (1 - confidence) / 2
+	// Halving is a multiply by 0.5, which arm64 would fuse into 1-alpha.
+	alpha := float64((1 - confidence) / 2)
 	return Interval{
 		Point: stat(samples),
 		Lo:    boots[int(alpha*float64(resamples))],

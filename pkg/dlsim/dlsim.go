@@ -60,11 +60,7 @@ func (f SinkFunc) Record(ev Event) error { return f(ev) }
 // runs share it and their events interleave.
 type Runner struct {
 	scale experiment.Scale
-	// scaleName remembers which named scale the Runner was built at, so
-	// work orders handed to remote executors can name it on the wire.
-	scaleName string
-	sink      Sink
-	exec      ArmExecutor
+	sink  Sink
 	// sinkMu serializes Record calls into sink across every arm of
 	// every run of this Runner — the no-locking contract of Sink.
 	sinkMu sync.Mutex
@@ -87,7 +83,6 @@ func WithScale(name string) Option {
 			sc.Seed = r.scale.Seed
 		}
 		r.scale = sc
-		r.scaleName = name
 		return nil
 	}
 }
@@ -125,20 +120,10 @@ func WithSink(s Sink) Option {
 	}
 }
 
-// WithArmExecutor offers every non-cached arm of a run to f before
-// executing it locally (see ArmExecutor) — the hook the job service
-// uses to dispatch arms to a connected worker fleet.
-func WithArmExecutor(f ArmExecutor) Option {
-	return func(r *Runner) error {
-		r.exec = f
-		return nil
-	}
-}
-
 // NewRunner builds a Runner at the quick scale, then applies opts in
 // order.
 func NewRunner(opts ...Option) (*Runner, error) {
-	r := &Runner{scale: defaultScale(), scaleName: "quick"}
+	r := &Runner{scale: defaultScale()}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
@@ -190,7 +175,7 @@ func (a *sinkAdapter) Close() error { return nil }
 // Run executes a scenario spec and returns its result. Cancelling ctx
 // stops the run and returns an error wrapping ctx.Err().
 func (r *Runner) Run(ctx context.Context, sp *Spec) (*Result, error) {
-	fig, err := experiment.RunSpecExec(ctx, sp, r.scale, r.sinkFor(), r.execFor())
+	fig, err := experiment.RunSpecSinks(ctx, sp, r.scale, r.sinkFor())
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +240,6 @@ func (r *Runner) RunDir(ctx context.Context, sp *Spec, opts DirOptions) (*Result
 		Events:     opts.Events,
 		StoreDir:   opts.StoreDir,
 		ExtraSinks: r.sinkFor(),
-		Exec:       r.execFor(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -278,7 +262,7 @@ func (r *Runner) RunFigure(ctx context.Context, name string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("dlsim: unknown figure %q (see Catalog)", name)
 	}
-	fig, err := e.RunExec(ctx, r.scale, r.sinkFor(), r.execFor())
+	fig, err := e.RunSinks(ctx, r.scale, r.sinkFor())
 	if err != nil {
 		return nil, err
 	}

@@ -367,19 +367,3 @@ func TestRunDirStreamsToSink(t *testing.T) {
 		t.Fatalf("cached resume streamed %d events, want 0", events)
 	}
 }
-
-// TestArmExecutorResultChecked: a nil or mislabeled executor result
-// fails the run at the engine's one label check.
-func TestArmExecutorResultChecked(t *testing.T) {
-	for name, res := range map[string]*ArmResult{"nil": nil, "mislabeled": {Label: "impostor"}} {
-		runner, err := NewRunner(WithScale("tiny"), WithArmExecutor(func(context.Context, WorkOrder) (*ArmResult, bool, error) {
-			return res, true, nil
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runner.Run(t.Context(), testSpec()); err == nil || !strings.Contains(err.Error(), "remote executor returned arm") {
-			t.Fatalf("%s result: err = %v", name, err)
-		}
-	}
-}

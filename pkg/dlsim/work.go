@@ -2,8 +2,8 @@ package dlsim
 
 // Distributed sweep execution: the wire types and client methods of
 // the work-claim API (`POST /v1/work/claim`, `POST
-// /v1/work/{lease}/result`, `POST /v1/work/{lease}/heartbeat`), plus
-// the ArmExecutor hook a Runner uses to offer arms to a remote fleet.
+// /v1/work/{lease}/result`, `POST /v1/work/{lease}/heartbeat`), and
+// ExecuteOrder, which runs one claimed order as the service would.
 //
 // The unit of distribution is one arm, identified by its content hash
 // (arm JSON + scale fingerprint + seed, worker count excluded).
@@ -22,8 +22,6 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"gossipmia/internal/experiment"
 )
 
 // ErrLeaseExpired reports a work lease the server no longer honors:
@@ -38,21 +36,11 @@ var ErrLeaseExpired = errors.New("dlsim: work lease expired")
 // worker should stop, not retry.
 var ErrWorkerQuarantined = errors.New("dlsim: worker quarantined")
 
-// ArmExecutor may execute one arm of a run somewhere other than this
-// process. It is consulted for every arm that is not served from a
-// resume cache. Return handled=false to decline — the Runner executes
-// the arm locally. Return handled=true with a result to substitute
-// remote execution; the result must carry the records of the exact
-// ordered series the arm produces locally (guaranteed when the remote
-// side ran the same order through a Runner).
-type ArmExecutor func(ctx context.Context, order WorkOrder) (*ArmResult, bool, error)
-
 // WorkOrder is one leased arm execution: everything a worker needs to
 // reproduce the arm byte-for-byte, plus its lease obligations.
 type WorkOrder struct {
 	// Lease identifies the claim; heartbeat and result URLs embed it.
-	// It is empty inside a Runner's ArmExecutor hook (the lease is
-	// minted when a worker claims the unit).
+	// It is empty until a worker claims the unit.
 	Lease string `json:"lease,omitempty"`
 	// Job is the server job this arm belongs to.
 	Job string `json:"job,omitempty"`
@@ -332,34 +320,4 @@ func (c *Client) Statz(ctx context.Context) (*ServiceStats, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// execFor adapts the Runner's public ArmExecutor into the engine's
-// hook: the order carries the arm the engine expanded, as is.
-func (r *Runner) execFor() experiment.ArmExecutor {
-	if r.exec == nil {
-		return nil
-	}
-	return func(ctx context.Context, u experiment.ArmUnit) (experiment.Arm, bool, error) {
-		order := WorkOrder{
-			Spec:  u.Spec,
-			Label: u.Arm.Label,
-			Index: u.Index,
-			Key:   u.Key,
-			Arm:   u.Arm,
-			Scale: r.scaleName,
-			Seed:  r.scale.Seed,
-		}
-		res, handled, err := r.exec(ctx, order)
-		if !handled || err != nil {
-			return experiment.Arm{}, handled, err
-		}
-		// A nil result reaches the engine as an arm with no series,
-		// which it refuses beside a mislabeled one.
-		var arm experiment.Arm
-		if res != nil {
-			arm = experiment.ArmOf(*res)
-		}
-		return arm, true, nil
-	}
 }

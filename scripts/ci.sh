@@ -12,7 +12,8 @@
 # engine against the serial tick loop it replaced and the network against
 # the transports it replaced are fuzzed, for 10 s each), the one-generator
 # gates (math/rand only in tests, and no fused multiply-add on arm64 in
-# internal/tensor, nn, mia, netmodel or gossip), the
+# internal/tensor, nn, mia, netmodel, gossip, stats, dp, experiment,
+# metrics or data), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
@@ -66,82 +67,86 @@ go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
 go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip ./internal/netmodel
+# Every fuzzing run below caps the minimization of a new or failing
+# input at one execution (-fuzzminimizetime=1x): Go's default budget of
+# 60 s would spend most of a 10-s run shrinking inputs instead of fuzzing.
+# A failing input still fails the run, reported less minimized.
 # The arm cache's reader is hand-written (result.ReadCanonical): a short
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
-go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s ./internal/experiment
+go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s -fuzzminimizetime=1x ./internal/experiment
 # So is the arm's canonical encoder (spec.Arm.AppendJSON), which every
 # arm key and spec hash is built from: a short real fuzzing run holds it
 # and Spec.Hash to json.Marshal on arms no seed lists.
-go test -run=NONE -fuzz=FuzzArmJSON -fuzztime=10s ./pkg/dlsim/spec
+go test -run=NONE -fuzz=FuzzArmJSON -fuzztime=10s -fuzzminimizetime=1x ./pkg/dlsim/spec
 # results.csv and the event CSV spell their floats with sink.AppendFixed,
 # a shortcut past strconv's big-decimal path: a short real fuzzing run
 # holds it to strconv's 'f' format on values and precisions no seed lists.
-go test -run=NONE -fuzz=FuzzAppendFixed -fuzztime=10s ./internal/sink
+go test -run=NONE -fuzz=FuzzAppendFixed -fuzztime=10s -fuzzminimizetime=1x ./internal/sink
 # tensor.RNG runs math/rand's samplers on its own lazily filled source:
 # a short real fuzzing run holds byte-coded call sequences on it to
 # rand.New(rand.NewSource(seed)) beyond the seed corpus.
-go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s ./internal/tensor
+go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # tensor.Exp's AVX2 tier replays math.Exp's FMA path four lanes wide and
 # hands groups it cannot take back to math.Exp: a short real fuzzing run
 # holds both tiers to math.Exp bit for bit on inputs no seed lists.
-go test -run=NONE -fuzz=FuzzExp -fuzztime=10s ./internal/tensor
+go test -run=NONE -fuzz=FuzzExp -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # tensor.Log's AVX2 tier replays math.Log's amd64 assembly four lanes
 # wide, special cases blended in: a short real fuzzing run holds both
 # tiers to math.Log bit for bit on inputs no seed lists.
-go test -run=NONE -fuzz=FuzzLog -fuzztime=10s ./internal/tensor
+go test -run=NONE -fuzz=FuzzLog -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # The GEMM kernels have three tiers (AVX-512, AVX2, Go) that must give
 # the same bits: a short real fuzzing run holds every tier this CPU has
 # to the Go kernels, on shapes, operands and special values no seed
 # lists (a CPU without AVX-512 makes no 512-bit comparison).
-go test -run=NONE -fuzz=FuzzGemmKernels -fuzztime=10s ./internal/tensor
+go test -run=NONE -fuzz=FuzzGemmKernels -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # The attack sorts its scores once and reads both sides' sorted lists
 # off that order: a short real fuzzing run holds its threshold accuracy
 # and TPR@FPR to O(n²) oracles that sort nothing, on scores full of
 # ties and infinities no seed lists.
-go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s ./internal/mia
+go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s -fuzzminimizetime=1x ./internal/mia
 # tensor.SparseRows and SparseRowsStore stand in for GemmNT and
 # GemmTNStore on the first layer of sparse inputs: a short real fuzzing
 # run holds them to their Go tier always, and to the GEMMs' bits
 # whenever the preconditions hold, on shapes, densities and special
 # values no seed lists.
-go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s ./internal/tensor
+go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # The first layer indexes a batch from its rows' lists of ones
 # (data.Dataset.NZ): a short real fuzzing run, on binary rows of every
 # density with all-zero rows and rows over the limit among them, holds
 # its decision and its entries to each row's ones, and RunEpochsNZ and
 # ScoreChunks to the dense path bit for bit.
-go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s ./internal/nn
+go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s -fuzzminimizetime=1x ./internal/nn
 # Figure 7's rank correlation: a short real fuzzing run holds
 # stats.Spearman to brute-force average ranks on inputs full of ties,
 # and to ErrInput on a NaN.
-go test -run=NONE -fuzz=FuzzSpearman -fuzztime=10s ./internal/stats
+go test -run=NONE -fuzz=FuzzSpearman -fuzztime=10s -fuzzminimizetime=1x ./internal/stats
 # RQ7's privacy accounting: a short real fuzzing run holds the sampled
 # Gaussian mechanism's RDP to a quadrature of its defining integral and
 # CalibrateSigma's σ to the smallest that meets Figure 9's budgets.
-go test -run=NONE -fuzz=FuzzRDP -fuzztime=10s ./internal/dp
+go test -run=NONE -fuzz=FuzzRDP -fuzztime=10s -fuzzminimizetime=1x ./internal/dp
 # Figure 10's instruments: a short real fuzzing run holds
 # graph.SecondEigenvalue and Sequence.ContractionFactor, on random
 # k-regular graphs and products of their mixing steps (n ≤ 12), to a
 # dense Jacobi eigensolve.
-go test -run=NONE -fuzz=FuzzSpectral -fuzztime=10s ./internal/graph
+go test -run=NONE -fuzz=FuzzSpectral -fuzztime=10s -fuzzminimizetime=1x ./internal/graph
 # Multi-seed replication's intervals: a short real fuzzing run holds
 # stats.BootstrapMeanCI and MeanDiff to a reimplementation that draws
 # the same resamples and picks the order statistics by counting, and
 # each interval to the sample's range ([c, c] for a sample of one c).
-go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s ./internal/stats
+go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s -fuzzminimizetime=1x ./internal/stats
 # The round engine: a short real fuzzing run holds every round
 # boundary's counters and node states, and the run's error, at workers
 # 1, 2, 3 and 8 to the serial tick loop the engine replaced
 # (internal/gossip/reference_test.go, which first reproduces
 # matrix.golden and engine.golden), over protocols, transports, drops,
 # churn, views, node counts, rounds and seeds no golden pins.
-go test -run=NONE -fuzz=FuzzEngineMatchesSerial -fuzztime=10s ./internal/gossip
+go test -run=NONE -fuzz=FuzzEngineMatchesSerial -fuzztime=10s -fuzzminimizetime=1x ./internal/gossip
 # The one network type against the transport interface, its three
 # implementations and the loss decorator it replaced
 # (internal/netmodel/reference_test.go): every plan, drained order,
 # queue length and RNG draw, over configs and call sequences.
-go test -run=NONE -fuzz=FuzzNetMatchesReference -fuzztime=10s ./internal/netmodel
+go test -run=NONE -fuzz=FuzzNetMatchesReference -fuzztime=10s -fuzzminimizetime=1x ./internal/netmodel
 
 # One generator family: every stream in the program comes from
 # tensor.RNG, which runs the Go 1 samplers on its own source and is held
@@ -170,8 +175,15 @@ echo "rng import gate ok"
 #   mia       the one chunk pass that scores every attack method (the
 #             per-row scorers are test oracles);
 #   netmodel  the link delays, rounded to whole ticks, and the drop coin;
-#   gossip    the wake intervals and the merge weights.
-for pkg in tensor nn mia netmodel gossip; do
+#   gossip    the wake intervals and the merge weights;
+#   stats     the rank correlation's sums and the bootstrap's quantiles;
+#   dp        the RDP terms and the ε bound;
+#   experiment the churn schedule's leaver count;
+#   metrics   the variance sums;
+#   data      the Dirichlet partition's apportioned counts.
+# What is left on the results path is deliberate: sink.AppendFixed's
+# math.FMA, and pkg/dlsim's retry jitter, which no result depends on.
+for pkg in tensor nn mia netmodel gossip stats dp experiment metrics data; do
     fused=$(GOARCH=arm64 go build -a -gcflags="gossipmia/internal/$pkg=-S" ./internal/$pkg 2>&1 |
         grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
     if [ -n "$fused" ]; then
