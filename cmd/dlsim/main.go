@@ -145,6 +145,13 @@ func runAndSweep(cmd string, args []string) (retErr error) {
 	if *repeats != 0 && *repeats < 2 {
 		return fmt.Errorf("-repeats needs at least 2 seeds, got %d", *repeats)
 	}
+	// An event stream is written into the result directory only: an
+	// explicit -events without one would be silently ignored.
+	eventsSet := false
+	fs.Visit(func(f *flag.Flag) { eventsSet = eventsSet || f.Name == "events" })
+	if eventsSet && *outDir == "" {
+		return fmt.Errorf("-events requires -out")
+	}
 
 	stopDiag, err := diag.start()
 	if err != nil {

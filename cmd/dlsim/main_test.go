@@ -309,6 +309,18 @@ func TestRunSpecFlagValidation(t *testing.T) {
 	if err := run([]string{"run", "-spec", "x.json", "-resume"}); err == nil {
 		t.Fatal("-resume without -out accepted")
 	}
+	// An event stream needs a result directory to land in, whatever
+	// the run: a catalog entry, a local spec, or a remote one.
+	for _, args := range [][]string{
+		{"run", "-figure", "nope", "-events", "csv"},
+		{"run", "-spec", "x.json", "-events", "jsonl"},
+		{"run", "-spec", "x.json", "-remote", "http://127.0.0.1:1", "-events", "none"},
+		{"sweep", "-spec", "x.json", "-events", "csv"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "-events requires -out") {
+			t.Fatalf("%v: %v, want -events refused without -out", args, err)
+		}
+	}
 	if err := run([]string{"run", "-spec", "x.json", "-figure", "2"}); err == nil {
 		t.Fatal("-spec with -figure accepted")
 	}

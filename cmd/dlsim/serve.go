@@ -29,7 +29,7 @@ func serveCmd(args []string) error {
 	drain := fs.Duration("drain", 30*time.Second, "graceful-drain window on SIGTERM/SIGINT before running jobs are checkpointed and aborted")
 	lease := fs.Duration("lease", 15*time.Second, "work-lease TTL for distributed workers; a worker that misses heartbeats this long has its arm reclaimed")
 	audit := fs.Float64("audit", 0, "fraction of worker-completed arms to re-execute locally and cross-check byte-for-byte (0 disables, 1 audits everything); a divergent worker is quarantined")
-	inject := fs.String("inject", "", `fault-injection spec for chaos testing, e.g. "arm-error=2,errors=3,arm-panic=5,panics=1,event-delay=10ms"`)
+	inject := fs.String("inject", "", `fault-injection spec for chaos testing, e.g. "arm-panic=5,panics=1,event-delay=10ms"`)
 	logLevel := fs.String("log", "info", "log level: debug, info, warn, or error")
 	if err := fs.Parse(args); err != nil {
 		return err

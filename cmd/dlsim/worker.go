@@ -37,7 +37,7 @@ func workerCmd(args []string) error {
 	parallel := fs.Int("parallel", 1, "arms this worker executes concurrently")
 	workers := fs.Int("workers", 1, "goroutines inside each arm (intra-arm parallelism); results are identical for any value")
 	poll := fs.Duration("poll", 15*time.Second, "claim long-poll window (the server clamps it)")
-	inject := fs.String("inject", "", `fault-injection spec for chaos testing worker-side failures, e.g. "arm-error=2,errors=3,upload-corrupt=1,corruptions=2"`)
+	inject := fs.String("inject", "", `fault-injection spec for chaos testing worker-side failures, e.g. "arm-panic=2,panics=3,upload-corrupt=1,corruptions=2"`)
 	logLevel := fs.String("log", "info", "log level: debug, info, warn, or error")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -29,32 +29,6 @@ import (
 // ErrStudy is returned for invalid study configurations.
 var ErrStudy = errors.New("core: invalid study config")
 
-// ErrTransient marks an error as transient: the run failed for a reason
-// its source declares will clear on its own (an injected fault) rather
-// than a property of the study itself. The experiment engine's arm loop
-// is the one caller that tests it, and re-runs such an arm in place;
-// everything else — a record sink's error included, unless the sink
-// marks it — is fatal and surfaces immediately. Determinism makes the
-// re-run safe: the same arm yields byte-identical records.
-var ErrTransient = errors.New("transient")
-
-// Transient wraps err so it classifies as transient (errors.Is
-// ErrTransient). A nil err stays nil; context cancellation is never
-// transient — retrying a cancelled run would override the caller's
-// explicit abort — so cancellation errors pass through unwrapped.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return fmt.Errorf("%w: %w", ErrTransient, err)
-}
-
-// IsTransient reports whether err carries the transient marker.
-func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
-
 // TrainConfig and DPConfig are the scenario language's training and
 // DP-SGD blocks: an arm's declared values reach the study as written.
 type (
@@ -298,8 +272,6 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 			return err
 		}
 		if cfg.OnRecord != nil {
-			// A sink's error aborts the run as it is: only the sink knows
-			// whether it can clear, and marks it Transient if so.
 			if err := cfg.OnRecord(rec); err != nil {
 				return fmt.Errorf("core: record sink at round %d: %w", round, err)
 			}

@@ -124,9 +124,7 @@ func (c Config) withDefaults() Config {
 type Unit struct {
 	Key   string // sha256 content hash; the idempotency identity
 	Job   string
-	Spec  string
 	Label string
-	Index int
 	// Payload is the order served on claim, opaque to the dispatcher. A
 	// reclaimed unit is leased again with the same value, so whoever
 	// serves it copies before writing per-lease fields.

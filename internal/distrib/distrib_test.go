@@ -21,7 +21,7 @@ func newTestDispatcher(t *testing.T, cfg Config) *Dispatcher {
 }
 
 func testUnit(key string) Unit {
-	return Unit{Key: key, Job: "job-1", Spec: "s", Label: key, Payload: []byte(`{"k":"` + key + `"}`)}
+	return Unit{Key: key, Job: "job-1", Label: key, Payload: []byte(`{"k":"` + key + `"}`)}
 }
 
 // execAsync submits a unit on a background goroutine and returns the

@@ -38,8 +38,8 @@ var ErrArmPanic = errors.New("experiment: arm panicked")
 // core.Study at the given scale on the worker pool, and assembles the
 // figure. Arms are fully independent — each derives its seed from the
 // scale and its own seed offset — and land in spec order, so the figure
-// is byte-identical to a serial run for any worker count. An arm that
-// fails on a transient error is re-run in place (see armAttempts).
+// is byte-identical to a serial run for any worker count. An arm runs
+// once: its error, or its panic (ErrArmPanic), fails the run.
 //
 // Cancelling ctx stops the run promptly: no new arm is started, arms in
 // flight abort at their next round boundary, and the call returns an
@@ -96,11 +96,10 @@ type ArmUnit struct {
 //
 // Execute is offered one unit. Returning handled=false declines it —
 // the engine executes it locally, preserving single-process behavior
-// exactly. Returning handled=true with an error fails the arm
-// (transience decided by the usual core taxonomy); with a nil error
-// the returned Arm is taken as the unit's result and its records are
-// replayed into the arm's sinks, so event streams stay byte-identical
-// to local execution.
+// exactly. Returning handled=true with an error fails the arm; with a
+// nil error the returned Arm is taken as the unit's result and its
+// records are replayed into the arm's sinks, so event streams stay
+// byte-identical to local execution.
 //
 // OfferDepth is how many arms the run keeps on offer to Execute at
 // once, asked again before every launch — the job service answers
@@ -188,13 +187,7 @@ func runSpecHooked(ctx context.Context, sp *spec.Spec, arms []spec.Arm, sc Scale
 					return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, ctx.Err())
 				}
 			}
-			for attempt := 1; ; attempt++ {
-				arm, err = runSpecArmLocal(ctx, scArm, i, a, h.sinks)
-				if err == nil || attempt == armAttempts || ctx.Err() != nil || !core.IsTransient(err) {
-					break
-				}
-			}
-			if err != nil {
+			if arm, err = runSpecArmLocal(ctx, scArm, i, a, h.sinks); err != nil {
 				return fmt.Errorf("experiment: %s arm %q: %w", sp.Name, a.Label, err)
 			}
 		}
@@ -262,43 +255,21 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 	return arm, true, nil
 }
 
-// armAttempts bounds the executions of one local arm that keeps failing
-// on an error its source marked transient (see core.IsTransient): an
-// injected fault, or a sink's error the sink marked. Panics, invalid
-// arms, cancellation and any other sink error fail at once. There is no
-// backoff: none of these is congestion, and waiting that out is the
-// client's RetryPolicy's job on the wire.
-const armAttempts = 3
-
-// runSpecArmLocal executes arm i once in this process: it opens the
-// arm's sink, runs the arm behind the resilience boundary and closes the
-// sink. Each call opens a fresh sink — an event file is truncated — so a
-// retried arm streams from its first round again.
-func runSpecArmLocal(ctx context.Context, sc Scale, i int, a spec.Arm, sinks func(int, spec.Arm) (sink.Sink, error)) (Arm, error) {
-	var snk sink.Sink
-	if sinks != nil {
-		s, err := sinks(i, a)
-		if err != nil {
-			return Arm{}, err
-		}
-		snk = s
-	}
-	arm, err := runSpecArmSafe(ctx, sc, a, snk)
-	if snk != nil {
-		if cerr := snk.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return arm, err
-}
-
-// runSpecArmSafe is runSpecArm behind the resilience boundary: it fires
+// runSpecArmLocal executes arm i once in this process, streaming its
+// evaluated rounds into the arm's sink (when sinks gives one) and
+// closing it after. It runs behind the resilience boundary: it fires
 // the context's fault-injection hook (if any) and converts a panic
 // anywhere in the arm's execution into an ErrArmPanic carrying the
 // panic value and stack. par pools re-raise worker panics on their
 // caller with the worker's own stack preserved, so the recovery here
 // covers the node-parallel round engine and the evaluation fan-out too.
-func runSpecArmSafe(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (arm Arm, err error) {
+func runSpecArmLocal(ctx context.Context, sc Scale, i int, a spec.Arm, sinks func(int, spec.Arm) (sink.Sink, error)) (arm Arm, err error) {
+	var snk sink.Sink
+	if sinks != nil {
+		if snk, err = sinks(i, a); err != nil {
+			return Arm{}, err
+		}
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			stack := debug.Stack()
@@ -307,23 +278,21 @@ func runSpecArmSafe(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (a
 			}
 			err = fmt.Errorf("%w: %v\n%s", ErrArmPanic, r, stack)
 		}
+		if snk != nil {
+			if cerr := snk.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}
 	}()
-	if err := faultinject.FromContext(ctx).ArmStart(a.Label); err != nil {
-		return Arm{}, err
-	}
-	return runSpecArm(ctx, sc, a, snk)
-}
-
-// runSpecArm runs one declarative arm at a scale, streaming evaluated
-// rounds into snk (when non-nil).
-func runSpecArm(ctx context.Context, sc Scale, a spec.Arm, snk sink.Sink) (Arm, error) {
+	inj := faultinject.FromContext(ctx)
+	inj.ArmStart(a.Label)
 	cfg, err := studyConfig(sc, a)
 	if err != nil {
 		return Arm{}, err
 	}
 	if snk != nil {
 		cfg.OnRecord = snk.Record
-		if inj := faultinject.FromContext(ctx); inj != nil {
+		if inj != nil {
 			cfg.OnRecord = func(rec metrics.RoundRecord) error {
 				inj.EventDelay(ctx)
 				return snk.Record(rec)

@@ -1,11 +1,11 @@
 // Package faultinject is the chaos-engineering harness of the engine:
-// deterministic error, panic, and latency injection hooks that the
-// resilience layers (arm retry, panic recovery, graceful drain, client
-// reconnect) are tested against. An Injector travels down the execution
-// path on the context — submitting layers attach it with With, executing
-// layers consult it with FromContext — so no public API grows a fault
-// parameter and production paths pay one nil check when injection is
-// off.
+// deterministic panic, upload-corruption and latency injection hooks
+// that the resilience layers (panic recovery, fleet requeue, graceful
+// drain, client reconnect) are tested against. An Injector travels down
+// the execution path on the context — submitting layers attach it with
+// With, executing layers consult it with FromContext — so no public API
+// grows a fault parameter and production paths pay one nil check when
+// injection is off.
 //
 // Faults fire on deterministic counters ("every Nth arm start"), never
 // on wall-clock or RNG state, so a chaos test that converges once
@@ -19,20 +19,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
-
-	"gossipmia/internal/core"
 )
 
 // Config declares which faults fire and how often. The zero Config
 // injects nothing.
 type Config struct {
-	// ArmErrorEvery > 0 makes every Nth ArmStart call return an injected
-	// transient error (1 = every call).
-	ArmErrorEvery int
-	// ArmErrorBudget caps how many errors are injected in total; 0 with
-	// ArmErrorEvery > 0 means unlimited. A finite budget is what lets a
-	// retried arm eventually converge.
-	ArmErrorBudget int
 	// ArmPanicEvery > 0 makes every Nth ArmStart call panic (1 = every
 	// call). Panics count against ArmPanicBudget.
 	ArmPanicEvery int
@@ -54,8 +45,7 @@ type Config struct {
 
 // Validate reports nonsensical knob combinations.
 func (c Config) Validate() error {
-	if c.ArmErrorEvery < 0 || c.ArmPanicEvery < 0 ||
-		c.ArmErrorBudget < 0 || c.ArmPanicBudget < 0 || c.EventDelay < 0 ||
+	if c.ArmPanicEvery < 0 || c.ArmPanicBudget < 0 || c.EventDelay < 0 ||
 		c.UploadCorruptEvery < 0 || c.UploadCorruptBudget < 0 {
 		return fmt.Errorf("faultinject: negative knob in %+v", c)
 	}
@@ -64,14 +54,14 @@ func (c Config) Validate() error {
 
 // Enabled reports whether the config injects anything at all.
 func (c Config) Enabled() bool {
-	return c.ArmErrorEvery > 0 || c.ArmPanicEvery > 0 || c.EventDelay > 0 ||
-		c.UploadCorruptEvery > 0
+	return c.ArmPanicEvery > 0 || c.EventDelay > 0 || c.UploadCorruptEvery > 0
 }
 
 // Parse decodes the CLI's compact injection spec: comma-separated
-// key=value pairs, e.g. "arm-error=2,errors=3,arm-panic=5,event-delay=10ms".
-// Keys: arm-error (every Nth arm), errors (error budget), arm-panic
-// (every Nth arm), panics (panic budget), event-delay (duration).
+// key=value pairs, e.g. "arm-panic=5,panics=1,event-delay=10ms".
+// Keys: arm-panic (every Nth arm), panics (panic budget), upload-corrupt
+// (every Nth upload), corruptions (corruption budget), event-delay
+// (duration).
 func Parse(s string) (Config, error) {
 	var cfg Config
 	if strings.TrimSpace(s) == "" {
@@ -83,16 +73,12 @@ func Parse(s string) (Config, error) {
 			return Config{}, fmt.Errorf("faultinject: bad spec element %q (want key=value)", part)
 		}
 		switch key {
-		case "arm-error", "errors", "arm-panic", "panics", "upload-corrupt", "corruptions":
+		case "arm-panic", "panics", "upload-corrupt", "corruptions":
 			n, err := strconv.Atoi(val)
 			if err != nil || n < 0 {
 				return Config{}, fmt.Errorf("faultinject: bad %s value %q", key, val)
 			}
 			switch key {
-			case "arm-error":
-				cfg.ArmErrorEvery = n
-			case "errors":
-				cfg.ArmErrorBudget = n
 			case "arm-panic":
 				cfg.ArmPanicEvery = n
 			case "panics":
@@ -109,7 +95,7 @@ func Parse(s string) (Config, error) {
 			}
 			cfg.EventDelay = d
 		default:
-			return Config{}, fmt.Errorf("faultinject: unknown knob %q (want arm-error, errors, arm-panic, panics, upload-corrupt, corruptions, event-delay)", key)
+			return Config{}, fmt.Errorf("faultinject: unknown knob %q (want arm-panic, panics, upload-corrupt, corruptions, event-delay)", key)
 		}
 	}
 	return cfg, cfg.Validate()
@@ -117,12 +103,11 @@ func Parse(s string) (Config, error) {
 
 // Injector fires the configured faults. It is safe for concurrent use;
 // counters are global across every execution the injector is attached
-// to, which is what makes "every Nth arm" deterministic under retries.
+// to, which is what makes "every Nth arm" deterministic.
 type Injector struct {
 	cfg Config
 
 	armStarts atomic.Int64
-	errsFired atomic.Int64
 	pansFired atomic.Int64
 	uploads   atomic.Int64
 	corrFired atomic.Int64
@@ -137,18 +122,13 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg}
 }
 
-// ErrInjected is the root of every injected error, so tests can tell an
-// injected failure from an organic one.
-var ErrInjected = fmt.Errorf("faultinject: injected fault")
-
-// ArmStart fires arm-level faults. Every arm execution attempt calls it
-// once before doing work: depending on the schedule it returns nil, an
-// injected transient error (errors.Is core.ErrTransient and
-// ErrInjected), or panics — exactly what a buggy protocol extension or
-// a flaky datasource would do from inside the engine.
-func (i *Injector) ArmStart(label string) error {
+// ArmStart fires arm-level faults. Every arm execution calls it once
+// before doing work: depending on the schedule it returns or panics —
+// exactly what a buggy protocol extension would do from inside the
+// engine.
+func (i *Injector) ArmStart(label string) {
 	if i == nil {
-		return nil
+		return
 	}
 	n := i.armStarts.Add(1)
 	if every := int64(i.cfg.ArmPanicEvery); every > 0 && n%every == 0 {
@@ -156,12 +136,6 @@ func (i *Injector) ArmStart(label string) error {
 			panic(fmt.Sprintf("faultinject: injected panic (arm %q, start #%d)", label, n))
 		}
 	}
-	if every := int64(i.cfg.ArmErrorEvery); every > 0 && n%every == 0 {
-		if b := int64(i.cfg.ArmErrorBudget); b == 0 || i.errsFired.Add(1) <= b {
-			return core.Transient(fmt.Errorf("%w: arm %q, start #%d", ErrInjected, label, n))
-		}
-	}
-	return nil
 }
 
 // UploadCorrupt reports whether this result upload should be tampered

@@ -89,7 +89,7 @@ func TestResultUploadChainsNextOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, refJSON := referenceRun(t)
+	_, refJSON := referenceRun(t, smallSpec())
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 	job, first := leasedWithOneQueued(t, svc, client)
 
@@ -208,7 +208,7 @@ func TestOldWorkerIsNeverChained(t *testing.T) {
 	}
 	sp := longSpec()
 	sp.Sweep.Axes = sp.Sweep.Axes[:2] // ten arms
-	refJSON := referenceRunSpec(t, sp)
+	_, refJSON := referenceRun(t, sp)
 
 	svc, ts, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny", LeaseTTL: 2 * time.Second})
 	ctx, stop := context.WithCancel(t.Context())

@@ -35,25 +35,6 @@ func singleArmSpec() *dlsim.Spec {
 	return sp
 }
 
-// referenceRunSpec executes sp fault-free on a worker-less service and
-// returns the canonical result JSON — the byte-identity baseline.
-func referenceRunSpec(t *testing.T, sp *dlsim.Spec) string {
-	t.Helper()
-	client := newTestService(t, Config{Jobs: 1, DefaultScale: "tiny"})
-	job, err := client.Submit(t.Context(), dlsim.JobRequest{Spec: sp, Scale: "tiny", Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, err := client.Await(t.Context(), job.ID, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Status != dlsim.StatusDone {
-		t.Fatalf("reference run = %q (%s)", final.Status, final.Error)
-	}
-	return resultJSON(t, final.Result)
-}
-
 // waitLive spins until the dispatcher sees n live workers.
 func waitLive(t *testing.T, svc *Server, n int) {
 	t.Helper()
@@ -68,14 +49,14 @@ func waitLive(t *testing.T, svc *Server, n int) {
 // TestPoisonedArmFallsBackLocal is acceptance criterion (a): an arm
 // that fails on three distinct workers stops being
 // redispatched, executes locally, the job completes byte-identical to
-// the fault-free run, and the job status carries every worker's
-// failure.
+// the fault-free run with each round streamed once, and the job status
+// carries every worker's failure.
 func TestPoisonedArmFallsBackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	sp := singleArmSpec()
-	refJSON := referenceRunSpec(t, sp)
+	ref, refJSON := referenceRun(t, sp)
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 
@@ -120,6 +101,10 @@ func TestPoisonedArmFallsBackLocal(t *testing.T) {
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("contained result diverged from fault-free run:\n got %s\nwant %s", got, refJSON)
 	}
+	if final.Events != ref.Events {
+		t.Fatalf("event log = %d lines, want the fault-free %d", final.Events, ref.Events)
+	}
+	eventsOnce(t, client, job.ID, ref.Events)
 	if len(final.WorkerFailures) != 3 {
 		t.Fatalf("worker failures = %+v, want one per saboteur", final.WorkerFailures)
 	}
@@ -175,7 +160,7 @@ func liarIsQuarantined(t *testing.T, tamper func(*dlsim.WorkResult)) {
 		t.Skip("runs simulations")
 	}
 	sp := singleArmSpec()
-	refJSON := referenceRunSpec(t, sp)
+	_, refJSON := referenceRun(t, sp)
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 
@@ -252,7 +237,7 @@ func TestAuditCatchesDivergentWorker(t *testing.T) {
 		t.Skip("runs simulations")
 	}
 	sp := singleArmSpec()
-	refJSON := referenceRunSpec(t, sp)
+	_, refJSON := referenceRun(t, sp)
 
 	svc, _, client := newChaosService(t, Config{
 		Jobs:          1,

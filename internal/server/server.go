@@ -10,11 +10,10 @@
 // shared-token auth). Jobs run on the engine (internal/experiment) at
 // the scale the submission resolved, and each job is the engine's
 // executor for its own arms, offering them to the worker fleet first.
-// Job execution is resilient by construction: the engine re-runs an
-// arm that failed on a transient error, arm panics become failed jobs
-// instead of a dead process, and Drain stops intake and finishes — or,
-// with a checkpoint directory, checkpoints — the work in flight before
-// shutting down.
+// Job execution is resilient by construction: the fleet requeues an
+// arm a worker failed, arm panics become failed jobs instead of a dead
+// process, and Drain stops intake and finishes — or, with a checkpoint
+// directory, checkpoints — the work in flight before shutting down.
 //
 // v1 endpoints:
 //

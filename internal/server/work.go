@@ -70,9 +70,7 @@ func (j *job) Execute(ctx context.Context, u experiment.ArmUnit) (experiment.Arm
 	out, worker, err := s.dispatch.Execute(ctx, distrib.Unit{
 		Key:     order.Key,
 		Job:     j.id,
-		Spec:    order.Spec,
 		Label:   order.Label,
-		Index:   order.Index,
 		Payload: order,
 	})
 	if errors.Is(err, distrib.ErrNoWorkers) {

@@ -99,7 +99,7 @@ func TestDistributedFleetByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, refJSON := referenceRun(t)
+	_, refJSON := referenceRun(t, smallSpec())
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 	ctx, stopWorkers := context.WithCancel(context.Background())
@@ -153,7 +153,7 @@ func TestWorkerKillReclaimByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, refJSON := referenceRun(t)
+	_, refJSON := referenceRun(t, smallSpec())
 
 	svc, _, client := newChaosService(t, Config{
 		Jobs:         1,
@@ -218,16 +218,17 @@ func TestWorkerKillReclaimByteIdentical(t *testing.T) {
 }
 
 // TestWorkerTransientErrorRetries: a worker-side failure (what a
-// worker uploads once its engine gives up on an arm) does not fail the
+// worker uploads as soon as its engine fails an arm) does not fail the
 // job — the dispatcher charges the arm, requeues it, and the same (now
 // behaving, never quarantined) worker redoes it. The job completes
-// byte-identical to the fault-free run, and the worker's error shows in
-// the per-worker stats.
+// byte-identical to the fault-free run, with its event log as long as
+// the fault-free one and each round streamed once, and the worker's
+// error shows in the per-worker stats.
 func TestWorkerTransientErrorRetries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
-	_, refJSON := referenceRun(t)
+	ref, refJSON := referenceRun(t, smallSpec())
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
 	var failed atomic.Bool
@@ -279,6 +280,10 @@ func TestWorkerTransientErrorRetries(t *testing.T) {
 	if got := resultJSON(t, final.Result); got != refJSON {
 		t.Fatalf("redispatched distributed result diverged:\n got %s\nwant %s", got, refJSON)
 	}
+	if final.Events != ref.Events {
+		t.Fatalf("event log = %d lines, want the fault-free %d", final.Events, ref.Events)
+	}
+	eventsOnce(t, client, job.ID, ref.Events)
 	st, err := client.Statz(t.Context())
 	if err != nil {
 		t.Fatal(err)
@@ -291,6 +296,71 @@ func TestWorkerTransientErrorRetries(t *testing.T) {
 	}
 	if row == nil || row.Errors != 1 {
 		t.Fatalf("per-worker stats missing the reported error: %+v", st.Work.PerWorker)
+	}
+}
+
+// TestFailingUnitPoisonedAfterSixWorkerRuns: a worker's engine runs an
+// order once and uploads its failure at once, so a unit that fails on
+// every worker runs on the fleet at most 2 × the poison budget = 6
+// times before it is poisoned and runs locally. The lone worker's sink
+// refuses every arm's first round, so it counts the engine's runs.
+func TestFailingUnitPoisonedAfterSixWorkerRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	sp := singleArmSpec()
+	_, refJSON := referenceRun(t, sp)
+
+	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
+	var runs atomic.Int64
+	refuse := dlsim.WithSink(dlsim.SinkFunc(func(dlsim.Event) error {
+		runs.Add(1)
+		return errors.New("sink refused")
+	}))
+	ctx, stopWorker := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ctx.Err() == nil {
+			order, err := client.ClaimWork(ctx, "broken", 500*time.Millisecond)
+			if err != nil || order == nil {
+				continue
+			}
+			runner, err := dlsim.NewRunner(dlsim.WithScale(order.Scale), dlsim.WithSeed(order.Seed), dlsim.WithWorkers(1), refuse)
+			if err == nil {
+				_, err = runner.Run(ctx, &dlsim.Spec{Name: order.Spec, Arms: []dlsim.Arm{order.Arm}})
+			}
+			if err == nil {
+				t.Error("an order ran clean past a refusing sink")
+				continue
+			}
+			client.CompleteWork(ctx, order.Lease, dlsim.WorkResult{Error: err.Error()})
+		}
+	}()
+	defer func() { stopWorker(); wg.Wait() }()
+	waitLive(t, svc, 1)
+
+	job, err := client.Submit(t.Context(), dlsim.JobRequest{Spec: sp, Scale: "tiny", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := client.Await(t.Context(), job.ID, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != dlsim.StatusDone {
+		t.Fatalf("job = %q (%s), want done", final.Status, final.Error)
+	}
+	if got := resultJSON(t, final.Result); got != refJSON {
+		t.Fatalf("local fallback diverged from the fault-free run:\n got %s\nwant %s", got, refJSON)
+	}
+	st, err := client.Statz(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); st.Work.Poisoned != 1 || n < 1 || n > 6 {
+		t.Fatalf("worker runs = %d, poisoned = %d; want at most 6 runs, then poisoned", n, st.Work.Poisoned)
 	}
 }
 
@@ -450,7 +520,7 @@ func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
 	sp := singleArmSpec()
 	sp.Arms[0].Net = &dlsim.Net{Transport: "latency", LatencyMean: 2, LatencyJitter: 0.5}
 	sp.Arms[0].Train = &dlsim.Train{Hidden: []int{4}, LR: 0.05, BatchSize: 8, LocalEpochs: 1}
-	refJSON := referenceRunSpec(t, sp)
+	_, refJSON := referenceRun(t, sp)
 
 	svc, _, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny", LeaseTTL: 300 * time.Millisecond})
 	for _, name := range []string{"first", "second"} {

@@ -454,15 +454,12 @@ func (e *errStreamDropped) Unwrap() error { return e.err }
 // a connection an intermediary closed while the job was still live)
 // reconnects automatically under the retry budget, resuming from the
 // replay offset already consumed via the server's ?offset parameter.
-// Records of an arm are delivered to fn exactly once in round order
-// even across reconnects and arms the engine re-ran after a transient
-// error: the engine is deterministic, so a re-streamed round is
-// byte-identical and the client drops it by its round number.
+// The server's log holds each round of an arm once, so fn sees each
+// record once, in round order per arm, across reconnects too.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) error {
 	offset := 0
-	lastRound := map[string]int{}
 	for attempt := 1; ; attempt++ {
-		err := c.streamEvents(ctx, id, &offset, lastRound, fn)
+		err := c.streamEvents(ctx, id, &offset, fn)
 		if err == nil {
 			return nil
 		}
@@ -487,9 +484,9 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 }
 
 // streamEvents consumes one events connection from *offset, advancing
-// the offset per raw line and filtering per-arm round duplicates, so a
-// resumed or retried stream delivers each record exactly once.
-func (c *Client) streamEvents(ctx context.Context, id string, offset *int, lastRound map[string]int, fn func(Event) error) error {
+// the offset per line, so a resumed stream picks up where this one
+// stopped.
+func (c *Client) streamEvents(ctx context.Context, id string, offset *int, fn func(Event) error) error {
 	path := "/v1/jobs/" + url.PathEscape(id) + "/events"
 	if *offset > 0 {
 		path += "?offset=" + strconv.Itoa(*offset)
@@ -520,10 +517,6 @@ func (c *Client) streamEvents(ctx context.Context, id string, offset *int, lastR
 		if err := json.Unmarshal(line, &ev); err != nil {
 			return fmt.Errorf("dlsim: events: bad line %q: %w", line, err)
 		}
-		if last, seen := lastRound[ev.Arm]; seen && ev.Round <= last {
-			continue // re-streamed by an arm retry: drop
-		}
-		lastRound[ev.Arm] = ev.Round
 		if err := fn(ev); err != nil {
 			return err
 		}

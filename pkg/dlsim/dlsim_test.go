@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"gossipmia/internal/experiment"
-	"gossipmia/internal/faultinject"
 	"gossipmia/pkg/dlsim/spec"
 )
 
@@ -198,17 +197,15 @@ func TestRunnerMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestSinkSeesEachRoundOnce holds the Sink contract under the engine's
-// arm retry: a Sink's error aborts the run at once, its round never
-// offered again, and an arm the engine re-runs after an injected
-// transient fault streams each of its rounds to the Sink exactly once.
+// TestSinkSeesEachRoundOnce holds the Sink contract: a Sink's error
+// aborts the run at once, its round never offered again.
 func TestSinkSeesEachRoundOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
 	}
 	refused := errors.New("sink refused")
 	sp := &Spec{Name: "sink once", Arms: testSpec().Arms[:1]}
-	run := func(ctx context.Context, failAt int) ([]int, error) {
+	run := func(failAt int) ([]int, error) {
 		var rounds []int
 		runner, err := NewRunner(WithScale("tiny"), WithWorkers(1), WithSink(SinkFunc(func(ev Event) error {
 			rounds = append(rounds, ev.Round)
@@ -221,20 +218,16 @@ func TestSinkSeesEachRoundOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		runner.scale.EvalEvery = 1 // three evaluated rounds
-		_, err = runner.Run(ctx, sp)
+		_, err = runner.Run(t.Context(), sp)
 		return rounds, err
 	}
-	clean, err := run(t.Context(), 0)
+	clean, err := run(0)
 	if err != nil || len(clean) != 3 {
 		t.Fatalf("clean run: rounds %v, err %v", clean, err)
 	}
 	// The Sink fails once: were its error retried, the run would succeed.
-	if got, err := run(t.Context(), 2); !errors.Is(err, refused) || !reflect.DeepEqual(got, clean[:2]) {
+	if got, err := run(2); !errors.Is(err, refused) || !reflect.DeepEqual(got, clean[:2]) {
 		t.Fatalf("failing sink: rounds %v, err %v; want rounds %v and the sink's error", got, err, clean[:2])
-	}
-	ctx := faultinject.With(t.Context(), faultinject.New(faultinject.Config{ArmErrorEvery: 1, ArmErrorBudget: 2}))
-	if got, err := run(ctx, 0); err != nil || !reflect.DeepEqual(got, clean) {
-		t.Fatalf("retried arm: rounds %v, err %v; want %v", got, err, clean)
 	}
 }
 

@@ -140,7 +140,11 @@ go test -run=NONE -fuzz=FuzzBootstrapMeanCI -fuzztime=10s -fuzzminimizetime=1x .
 # 1, 2, 3 and 8 to the serial tick loop the engine replaced
 # (internal/gossip/reference_test.go, which first reproduces
 # matrix.golden and engine.golden), over protocols, transports, drops,
-# churn, views, node counts, rounds and seeds no golden pins.
+# churn, views, node counts, rounds and seeds no golden pins. Its
+# machine-local corpus cache grows with every run and replaying it eats
+# into the 10 s, so the line starts from the test's own f.Add seeds; a
+# failing input is written to testdata/fuzz, not to the cache.
+rm -rf "$(go env GOCACHE)/fuzz/gossipmia/internal/gossip/FuzzEngineMatchesSerial"
 go test -run=NONE -fuzz=FuzzEngineMatchesSerial -fuzztime=10s -fuzzminimizetime=1x ./internal/gossip
 # The one network type against the transport interface, its three
 # implementations and the loss decorator it replaced
@@ -332,15 +336,15 @@ curl -sf "$base/v1/healthz" >/dev/null
 stop_serve
 echo "service smoke ok"
 
-# Chaos smoke, race-enabled: serve with injected transient faults (the
-# engine re-runs the failed arm) and a checkpoint directory; submit the
+# Chaos smoke, race-enabled: serve with an injected arm panic (the third
+# arm fails, and with it the job) and a checkpoint directory; submit the
 # example spec;
 # SIGTERM mid-run (graceful drain checkpoints at an arm boundary);
 # restart clean and resubmit. The resumed run must finish and its
 # results.csv must be byte-identical to the fault-free sweep's from the
 # spec smoke above (same spec, scale, and seed).
 ckpt="$specout/ckpt"
-start_serve "$specout/chaos1.log" -checkpoint "$ckpt" -inject "arm-error=3,errors=1" -drain 50ms
+start_serve "$specout/chaos1.log" -checkpoint "$ckpt" -inject "arm-panic=3,panics=1" -drain 50ms
 printf '{"scale":"tiny","spec":%s}' "$(cat examples/specs/latency_churn_dp.json)" >"$specout/chaosreq.json"
 curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$specout/chaosreq.json" "$base/v1/jobs" >/dev/null
 sleep 0.5
