@@ -218,7 +218,7 @@ func BenchmarkMLPExampleGrad(b *testing.B) {
 	grad := tensor.NewVector(model.NumParams())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := model.BatchGrad(xs, ys, grad); err != nil {
+		if _, err := model.BatchGrad(xs, nil, ys, grad); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,8 +51,8 @@ func mixedArms() []StudyConfig {
 			c.Corpus, c.Workers = data.CIFAR10, 4
 			c.Sim.TicksPerRound, c.Sim.WakeMean, c.Sim.WakeStd = 10, 4, 2
 		}),
-		// ≈45k parameters, above the arena's oversize cap: the pool lends
-		// heap-backed gradients, inbox sums and message buffers.
+		// ≈45k parameters: the arena serves its model-sized vectors from
+		// chunks of their own, which the arms after it walk.
 		arm("purchase100/samo/h64", func(c *StudyConfig) {
 			c.Corpus, c.Train.Hidden = data.Purchase100, []int{64}
 		}),
@@ -153,18 +153,32 @@ func figure2Purchase100SAMO() StudyConfig {
 	}
 }
 
+// figure2CIFAR100SAMO is Figure 2's CIFAR-100-like SAMO arm at quick
+// scale: figure2Purchase100SAMO's network on the CIFAR-100-like corpus,
+// with its catalog training config, whose model-sized vectors are half
+// the Purchase100-like arm's.
+func figure2CIFAR100SAMO() StudyConfig {
+	cfg := figure2Purchase100SAMO()
+	cfg.Label, cfg.Corpus = "cifar100/samo/k=5/static", data.CIFAR100
+	cfg.Train.Hidden, cfg.Train.LR, cfg.Train.LocalEpochs = []int{96}, 0.03, 5
+	return cfg
+}
+
 // reuseAcrossShapes: pooled arm memory — the arena and the evaluation
 // scratch — left by an arm of one shape serves the next, whatever it
-// needs. A light arm, then a heavy one with twice the eval nodes and
-// longer splits, then a light arm with fewer eval nodes and a different
-// train split, all on one armMemory: scratch left longer or shorter
-// than the next arm needs is where recycling bugs hide. Each Result
-// must be that arm's on the heap.
+// needs. A light arm; a CIFAR-100-like arm, whose model-sized vectors
+// grow the arena chunks of their own; a Purchase100-like arm, with
+// twice as many parameters and listed rows, which walks those chunks
+// and passes over the ones too small for its vectors; then a light arm
+// with fewer eval nodes and a different train split, all on one
+// armMemory: scratch left longer or shorter than the next arm needs is
+// where recycling bugs hide. Each Result must be that arm's on the heap.
 func reuseAcrossShapes(t *testing.T) {
 	ctx := context.Background()
 	var mem armMemory
 	for _, cfg := range []StudyConfig{
 		lightArm("light/samo", "samo", 4, 0.34, 1_000_003),
+		figure2CIFAR100SAMO(),
 		figure2Purchase100SAMO(),
 		lightArm("light/base/fewer-evals", "base", 2, 0.5, 1_000_004),
 	} {

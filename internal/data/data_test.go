@@ -64,8 +64,8 @@ func TestGaussianGeneratorBasics(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatalf("generated dataset invalid: %v", err)
 	}
-	if ds.Len() != 400 || ds.Dim() != 8 || ds.Classes != 4 {
-		t.Fatalf("shape: len=%d dim=%d classes=%d", ds.Len(), ds.Dim(), ds.Classes)
+	if ds.Len() != 400 || len(ds.X[0]) != 8 || ds.Classes != 4 {
+		t.Fatalf("shape: len=%d dim=%d classes=%d", ds.Len(), len(ds.X[0]), ds.Classes)
 	}
 	// Balanced classes.
 	for c, n := range ds.LabelHistogram() {
@@ -131,19 +131,21 @@ func TestBasketGeneratorBasics(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, x := range ds.X {
-		for _, v := range x {
-			if v != 0 && v != 1 {
-				t.Fatalf("non-binary basket value %v", v)
-			}
+	// Every row is a listed row: no floats, its ones in its list.
+	for i, x := range ds.X {
+		if x != nil {
+			t.Fatalf("row %d holds floats %v; a basket row is its list alone", i, x)
 		}
 	}
 	// Mean density should be near the configured 0.3 (flip prob is
 	// symmetric-ish at low values).
 	var ones, total float64
-	for _, x := range ds.X {
-		ones += x.Sum()
-		total += float64(len(x))
+	for i, ids := range ds.NZ {
+		if len(ids) > 0 && ids[len(ids)-1] >= 50 {
+			t.Fatalf("row %d lists column %d of 50", i, ids[len(ids)-1])
+		}
+		ones += float64(len(ids))
+		total += 50
 	}
 	if d := ones / total; math.Abs(d-0.3) > 0.08 {
 		t.Fatalf("observed density %v, want ~0.3", d)

@@ -13,6 +13,7 @@ package data
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"gossipmia/internal/tensor"
 )
@@ -22,14 +23,17 @@ var ErrEmpty = errors.New("data: empty dataset")
 
 // Dataset is a labelled classification dataset held in memory.
 //
-// NZ, when not nil, holds one entry per row: the columns of X[i]'s
-// ones, increasing, X[i] binary (every element 0 or 1). Only
-// BasketGenerator writes lists, as it writes each row. An empty entry
-// means the row has no ones; a nil NZ means the rows have no lists, and
-// the sparse first layer (nn) runs dense on them. Every operation below
-// keeps each list with its row; Append drops them all when it joins
-// rows with lists to rows without. The rows must not change while they
-// have lists.
+// NZ, when not nil, holds one entry per row: the columns of row i's
+// ones, increasing, the row binary (every element 0 or 1). Only
+// BasketGenerator writes lists, as it samples each row, and it writes
+// the list alone: X[i] is nil, a listed row, whose floats are its
+// list's ones in a row of zeros as wide as the model's input. An empty
+// entry means the row has no ones; a nil NZ means the rows have no
+// lists, every X[i] holds the row, and the sparse first layer (nn) runs
+// dense on them. Every operation below keeps each list with its row;
+// Append drops them all when it joins rows with lists to rows without,
+// writing out the floats of the listed rows that had none. The rows
+// must not change while they have lists.
 type Dataset struct {
 	X       []tensor.Vector
 	Y       []int
@@ -40,16 +44,10 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.X) }
 
-// Dim returns the input dimensionality (0 for an empty dataset).
-func (d *Dataset) Dim() int {
-	if len(d.X) == 0 {
-		return 0
-	}
-	return len(d.X[0])
-}
-
 // Validate checks internal consistency: matching lengths, labels in
-// range, uniform dimensionality, and each list (NZ) its row's ones.
+// range, one width for every row held as floats, and each list (NZ) its
+// row's ones, or for a listed row (nil X[i]) increasing columns inside
+// that width.
 func (d *Dataset) Validate() error {
 	if len(d.X) != len(d.Y) {
 		return fmt.Errorf("data: %d inputs but %d labels", len(d.X), len(d.Y))
@@ -60,15 +58,27 @@ func (d *Dataset) Validate() error {
 	if d.Classes <= 0 {
 		return fmt.Errorf("data: non-positive class count %d", d.Classes)
 	}
-	dim := d.Dim()
-	for i, x := range d.X {
-		if len(x) != dim {
-			return fmt.Errorf("data: example %d has dim %d, want %d", i, len(x), dim)
+	dim := -1 // the width of the rows held as floats; -1 while none is
+	for _, x := range d.X {
+		if x != nil {
+			dim = len(x)
+			break
 		}
+	}
+	for i, x := range d.X {
 		if d.Y[i] < 0 || d.Y[i] >= d.Classes {
 			return fmt.Errorf("data: example %d label %d out of range [0,%d)", i, d.Y[i], d.Classes)
 		}
-		if d.NZ != nil && !isOnes(x, d.NZ[i]) {
+		switch {
+		case x == nil && d.NZ == nil:
+			return fmt.Errorf("data: example %d has neither floats nor a list", i)
+		case x == nil:
+			if !isColumns(d.NZ[i], dim) {
+				return fmt.Errorf("data: example %d's list %v is not increasing columns of a row of %d", i, d.NZ[i], dim)
+			}
+		case len(x) != dim:
+			return fmt.Errorf("data: example %d has dim %d, want %d", i, len(x), dim)
+		case d.NZ != nil && !isOnes(x, d.NZ[i]):
 			return fmt.Errorf("data: example %d's list %v is not its ones", i, d.NZ[i])
 		}
 	}
@@ -133,15 +143,42 @@ func (d *Dataset) Split(n int) (head, tail *Dataset, err error) {
 
 // Append appends the examples of src to d. d keeps lists only when
 // both have them, or d is empty: rows with lists joined to rows without
-// have none (see NZ).
+// have none (see NZ), and the listed rows among them get their floats.
 func (d *Dataset) Append(src *Dataset) {
+	xs := src.X
 	if d.listed() && src.listed() {
 		d.NZ = append(d.NZ, src.NZ...)
 	} else {
+		// One side has rows without lists, which are floats: their
+		// width is every row's.
+		dim := len(src.X[0])
+		if !d.listed() {
+			dim = len(d.X[0])
+		}
+		d.X, xs = d.floats(dim), src.floats(dim)
 		d.NZ = nil
 	}
-	d.X = append(d.X, src.X...)
+	d.X = append(d.X, xs...)
 	d.Y = append(d.Y, src.Y...)
+}
+
+// floats returns d's rows with each listed row written out as dim
+// floats, in a new slice when there is one: d.X itself otherwise.
+func (d *Dataset) floats(dim int) []tensor.Vector {
+	if !slices.ContainsFunc(d.X, func(x tensor.Vector) bool { return x == nil }) {
+		return d.X
+	}
+	xs := slices.Clone(d.X)
+	for i, x := range xs {
+		if x == nil {
+			x = tensor.NewVector(dim)
+			for _, j := range d.NZ[i] {
+				x[j] = 1
+			}
+			xs[i] = x
+		}
+	}
+	return xs
 }
 
 // AppendRow appends example i of src to d, as Append does.
@@ -166,6 +203,19 @@ func isOnes(x tensor.Vector, ids []int32) bool {
 		}
 	}
 	return len(ids) == 0
+}
+
+// isColumns reports whether ids are increasing columns of a row of dim
+// elements (of any width while dim is -1).
+func isColumns(ids []int32, dim int) bool {
+	prev := int32(-1)
+	for _, j := range ids {
+		if j <= prev || (dim >= 0 && int(j) >= dim) {
+			return false
+		}
+		prev = j
+	}
+	return true
 }
 
 // LabelHistogram returns the count of examples per class.

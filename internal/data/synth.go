@@ -113,6 +113,8 @@ func (c BasketConfig) Validate() error {
 }
 
 // BasketGenerator produces binary basket examples from fixed prototypes.
+// Every row it samples is a listed row: its list of ones (Dataset.NZ)
+// and no floats.
 type BasketGenerator struct {
 	cfg        BasketConfig
 	prototypes []tensor.Vector // each class's basket, as 0 and 1
@@ -140,26 +142,22 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*Ba
 	return g, nil
 }
 
-// Sample draws n labelled basket examples with balanced classes, each
-// row with its list of ones (Dataset.NZ).
+// Sample draws n labelled basket examples with balanced classes: listed
+// rows, each a list of ones (Dataset.NZ) and a nil X[i].
 func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), NZ: g.arena.Int32Lists(n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
-		proto := g.prototypes[label]
-		x := g.arena.Vector(g.cfg.Dim)
 		k := 0
-		for j, bit := range proto {
+		for j, bit := range g.prototypes[label] {
 			if rng.Float64() < g.cfg.FlipProb {
 				bit = 1 - bit
 			}
-			x[j] = bit
 			if bit == 1 {
 				g.ones[k] = int32(j)
 				k++
 			}
 		}
-		ds.X[i] = x
 		ds.Y[i] = label
 		ds.NZ[i] = g.arena.Int32s(k)
 		copy(ds.NZ[i], g.ones)

@@ -198,7 +198,7 @@ func TestUpdaterNoNoiseMatchesClippedSGD(t *testing.T) {
 	ref := new(nn.MLP)
 	model.CloneInto(ref)
 	grad := tensor.NewVector(ref.NumParams())
-	if _, err := ref.BatchGrad(train.X, train.Y, grad); err != nil {
+	if _, err := ref.BatchGrad(train.X, nil, train.Y, grad); err != nil {
 		t.Fatal(err)
 	}
 	grad.Scale(1 / float64(train.Len())) // the mean gradient
@@ -291,7 +291,7 @@ func TestUpdaterEmptyDataset(t *testing.T) {
 // meanLoss is BatchGrad's summed loss over ds, divided.
 func meanLoss(t *testing.T, m *nn.MLP, ds *data.Dataset) float64 {
 	t.Helper()
-	loss, err := m.BatchGrad(ds.X, ds.Y, tensor.NewVector(m.NumParams()))
+	loss, err := m.BatchGrad(ds.X, nil, ds.Y, tensor.NewVector(m.NumParams()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestBatchGradBitIdenticalToExampleLoop(t *testing.T) {
 			}
 			batchGrad := tensor.NewVector(model.NumParams())
 			batchGrad.Fill(math.NaN()) // BatchGrad writes every element
-			batchLoss, err := model.BatchGrad(xs, ys, batchGrad)
+			batchLoss, err := model.BatchGrad(xs, nil, ys, batchGrad)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func TestRunEpochsLossIsFinalEpochMean(t *testing.T) {
 			for _, idx := range order[start:min(start+batch, n)] {
 				bx, by = append(bx, xs[idx]), append(by, ys[idx])
 			}
-			loss, err := ref.BatchGrad(bx, by, grad)
+			loss, err := ref.BatchGrad(bx, nil, by, grad)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,7 +105,7 @@ func refClippedUpdate(m *MLP, xs []tensor.Vector, ys []int, cfg SGDConfig, vel t
 			end := min(start+batch, n)
 			sum.Zero()
 			for _, idx := range order[start:end] {
-				if _, err := m.BatchGrad(xs[idx:idx+1], ys[idx:idx+1], ex); err != nil {
+				if _, err := m.BatchGrad(xs[idx:idx+1], nil, ys[idx:idx+1], ex); err != nil {
 					panic(err)
 				}
 				if ex.ClipNorm(cfg.Clip) > cfg.Clip {
@@ -145,7 +145,7 @@ func TestClippedTrainerMatchesOracle(t *testing.T) {
 		norms, initial := make([]float64, n), mustMLP(t, sizes, 13)
 		ex := tensor.NewVector(initial.NumParams())
 		for i := range xs {
-			if _, err := initial.BatchGrad(xs[i:i+1], ys[i:i+1], ex); err != nil {
+			if _, err := initial.BatchGrad(xs[i:i+1], nil, ys[i:i+1], ex); err != nil {
 				t.Fatal(err)
 			}
 			norms[i] = ex.Norm2()

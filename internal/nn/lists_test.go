@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -73,13 +74,73 @@ func sameBits(t *testing.T, what string, got, want tensor.Vector) {
 	}
 }
 
+// listedVariant is a model on which FuzzRowLists runs the rows: the
+// sparse first layer, or a model that sends it dense.
+type listedVariant struct {
+	name string
+	in   int          // the input width
+	edit func(m *MLP) // nil: as built
+}
+
+var listedVariants = []listedVariant{
+	{name: "sparse first layer", in: 160},
+	{name: "-0 in b0", in: 160, edit: func(m *MLP) { m.bias(0)[3] = math.Copysign(0, -1) }},
+	{name: "non-finite W0", in: 160, edit: func(m *MLP) { m.weight(0)[2*160+7] = math.Inf(1) }},
+	// An Inf in W1 makes every softmax row NaN: the errors' check sends
+	// the gradient dense.
+	{name: "non-finite errors", in: 160, edit: func(m *MLP) { m.weight(1)[0] = math.Inf(1) }},
+	{name: "first layer narrower than 128", in: 96},
+}
+
+// rowPasses runs every pass that reads rows over xs, whose lists are
+// nz, each on its own copy of m, and returns what they leave, end to
+// end: two local updates (RunEpochsNZ) — parameters, velocity, loss —,
+// ScoreChunks' logits, a BatchGrad over all rows — gradient and loss —
+// and two clipped, noised updates (the DP trainer's one-row gradients)
+// — parameters, velocity, loss.
+func rowPasses(t *testing.T, m *MLP, xs []tensor.Vector, nz [][]int32, ys []int, seed int64) tensor.Vector {
+	t.Helper()
+	train := func(cfg SGDConfig) tensor.Vector {
+		model := cloneOf(m)
+		tr := NewTrainer(model, NewSGD(cfg), 16, 2)
+		rng := tensor.NewRNG(seed + 2)
+		loss, err := tr.RunEpochsNZ(xs, nz, ys, rng)
+		if err == nil {
+			loss, err = tr.RunEpochsNZ(xs[8:], nz[8:], ys[8:], rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Opt.velModelMajor()
+		out := append(model.Params().Clone(), tr.Opt.velocity...)
+		return append(out, loss)
+	}
+	cfg := SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}
+	out := train(cfg)
+	if err := m.ScoreChunks(xs, nz, func(_ int, l tensor.Vector) { out = append(out, l...) }); err != nil {
+		t.Fatal(err)
+	}
+	grad := tensor.NewVector(m.NumParams())
+	loss, err := m.BatchGrad(xs, nz, ys, grad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(append(out, grad...), loss)
+	cfg.Clip, cfg.NoiseMultiplier = 1, 0.5
+	return append(out, train(cfg)...)
+}
+
 // FuzzRowLists holds the list-fed first layer to its contract: on
 // binary rows of every density, all-zero rows and rows over the limit
 // among them, every 16-row window takes the sparse path exactly when no
-// row holds more than limit ones, its index is each row's ones with
-// value 1, entry for entry, and two local updates (RunEpochsNZ) leave
-// the dense path's parameters, velocity and loss, and ScoreChunks its
-// logits, bit for bit.
+// row holds more than limit ones, and its index is each row's ones with
+// value 1, entry for entry. Then every pass that reads rows (rowPasses:
+// RunEpochsNZ, ScoreChunks, BatchGrad and the clipped trainer) must
+// leave the dense path's bits, NaN payloads included, on the rows held
+// as floats and on the same rows as listed rows (nil, named by their
+// lists alone), on the sparse path and on each way a call goes dense:
+// a row over the limit, -0 in b0, a non-finite W0 or errors, a first
+// layer narrower than sparseMinInputs, and the clipped trainer.
 func FuzzRowLists(f *testing.F) {
 	f.Add(int64(1), []byte{77})
 	f.Add(int64(2), []byte{77, 0, 200, 255})
@@ -131,33 +192,61 @@ func FuzzRowLists(f *testing.F) {
 			sp.release()
 		}
 
-		train := func() tensor.Vector {
-			model := cloneOf(m)
-			tr := NewTrainer(model, NewSGD(SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}), 16, 2)
-			rng := tensor.NewRNG(seed + 2)
-			loss, err := tr.RunEpochsNZ(xs, nz, ys, rng)
-			if err == nil {
-				loss, err = tr.RunEpochsNZ(xs[8:], nz[8:], ys[8:], rng)
+		listed := make([]tensor.Vector, n) // the rows as listed rows: nil
+		for _, v := range listedVariants {
+			xs, nz, model := xs, nz, m
+			if v.in != in {
+				xs, _ = listRows(seed, v.in, n, dens)
+				nz = listsOf(xs)
+				if model, err = NewMLP([]int{v.in, 8, 5}, tensor.NewRNG(seed+1)); err != nil {
+					t.Fatal(err)
+				}
+				model.bias(0).Fill(0.01)
+			} else if v.edit != nil {
+				model = cloneOf(m)
+				v.edit(model)
 			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr.Opt.velModelMajor()
-			out := append(model.Params().Clone(), tr.Opt.velocity...)
-			return append(out, loss)
+			var want, got tensor.Vector
+			onDensePath(func() { want = rowPasses(t, model, xs, nz, ys, seed) })
+			sameBits(t, v.name+": rows held as floats", rowPasses(t, model, xs, nz, ys, seed), want)
+			sameBits(t, v.name+": listed rows", rowPasses(t, model, listed, nz, ys, seed), want)
+			onDensePath(func() { got = rowPasses(t, model, listed, nz, ys, seed) })
+			sameBits(t, v.name+": listed rows on the dense path", got, want)
 		}
-		var want tensor.Vector
-		onDensePath(func() { want = train() })
-		sameBits(t, "RunEpochsNZ parameters, velocity and loss", train(), want)
-
-		score := func() tensor.Vector {
-			var out tensor.Vector
-			if err := m.ScoreChunks(xs, nz, func(_ int, l tensor.Vector) { out = append(out, l...) }); err != nil {
-				t.Fatal(err)
-			}
-			return out
-		}
-		onDensePath(func() { want = score() })
-		sameBits(t, "ScoreChunks logits", score(), want)
 	})
+}
+
+// TestListedRowsChecked: a nil row is a listed row only beside its
+// list, and its list must name columns of the model's input. Every pass
+// that reads rows refuses the rest with tensor.ErrShape before it reads
+// a row.
+func TestListedRowsChecked(t *testing.T) {
+	m, err := NewMLP([]int{160, 8, 5}, tensor.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, ys := []tensor.Vector{nil, nil}, []int{0, 1}
+	for _, tc := range []struct {
+		name string
+		nz   [][]int32
+	}{
+		{"no lists", nil},
+		{"a column past the input", [][]int32{{3}, {7, 160}}},
+		{"a negative column", [][]int32{{-1, 4}, {}}},
+		{"a list too few", [][]int32{{3}}},
+	} {
+		grad := tensor.NewVector(m.NumParams())
+		if _, err := m.BatchGrad(xs, tc.nz, ys, grad); !errors.Is(err, tensor.ErrShape) {
+			t.Errorf("%s: BatchGrad error %v, want ErrShape", tc.name, err)
+		}
+		if err := m.ScoreChunks(xs, tc.nz, func(int, tensor.Vector) {}); !errors.Is(err, tensor.ErrShape) {
+			t.Errorf("%s: ScoreChunks error %v, want ErrShape", tc.name, err)
+		}
+		for _, clip := range []float64{0, 1} {
+			tr := NewTrainer(cloneOf(m), NewSGD(SGDConfig{LR: 0.1, Clip: clip}), 2, 1)
+			if _, err := tr.RunEpochsNZ(xs, tc.nz, ys, tensor.NewRNG(2)); !errors.Is(err, tensor.ErrShape) {
+				t.Errorf("%s: RunEpochsNZ (clip %v) error %v, want ErrShape", tc.name, clip, err)
+			}
+		}
+	}
 }

@@ -168,23 +168,28 @@ func (m *MLP) checkLabel(y int) error {
 }
 
 // BatchGrad computes the summed loss and summed gradient over the given
-// examples, writing the gradient over whatever grad held — every
+// examples, whose lists of ones are nz (nil: none; see
+// data.Dataset.NZ), writing the gradient over whatever grad held — every
 // element once, none read first. xs and ys must have equal non-zero
-// length. Callers that want the mean divide; a clipped trainer
-// (SGDConfig.Clip) calls it one row at a time for each example's
-// gradient, which it clips.
+// length; a row may be nil when nz lists its ones (a listed row).
+// Callers that want the mean divide; a clipped trainer (SGDConfig.Clip)
+// calls it one row at a time for each example's gradient, which it
+// clips.
 //
 // The whole minibatch is processed as blocked matrix-matrix multiplies
-// (tensor.GemmNT/GemmTNStore/GemmNN; the rows come without lists, so
-// the first layer runs dense, sparse.go) over batch-major activation
-// and delta matrices. Each gradient element accumulates its per-example
-// terms in increasing example order from +0, so the result is
-// bit-identical to summing one-row calls example by example — only
-// faster, because weight and gradient rows are walked once per four
-// examples instead of once per example.
-func (m *MLP) BatchGrad(xs []tensor.Vector, ys []int, grad tensor.Vector) (float64, error) {
+// (tensor.GemmNT/GemmTNStore/GemmNN; the first layer runs dense, and a
+// listed row is written into the input matrix as its zeros and ones)
+// over batch-major activation and delta matrices. Each gradient element
+// accumulates its per-example terms in increasing example order from
+// +0, so the result is bit-identical to summing one-row calls example
+// by example — only faster, because weight and gradient rows are walked
+// once per four examples instead of once per example.
+func (m *MLP) BatchGrad(xs []tensor.Vector, nz [][]int32, ys []int, grad tensor.Vector) (float64, error) {
+	if nz != nil && len(nz) != len(xs) {
+		return 0, fmt.Errorf("batch of %d inputs, %d nonzero lists: %w", len(xs), len(nz), tensor.ErrShape)
+	}
 	batch := m.pool.Get(m.batchFloats(len(xs), true))
-	loss, err := m.batchGradSum(xs, rowLists{}, ys, grad, batch, true, &sparseL0{off: true})
+	loss, err := m.batchGradSum(xs, rowLists{all: nz}, ys, grad, batch, true, &sparseL0{off: true})
 	m.pool.Put(batch)
 	return loss, err
 }
@@ -235,10 +240,8 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, b
 		return 0, fmt.Errorf("grad len %d != %d: %w", len(grad), len(m.params), tensor.ErrShape)
 	}
 	B := len(xs)
-	for i, x := range xs {
-		if len(x) != m.sizes[0] {
-			return 0, fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), m.sizes[0], tensor.ErrShape)
-		}
+	if err := m.checkRows(xs, lists); err != nil {
+		return 0, err
 	}
 	for _, y := range ys {
 		if err := m.checkLabel(y); err != nil {
@@ -248,9 +251,9 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, b
 	layers := len(m.sizes) - 1
 	sparse := sp.ready(xs, lists)
 	if sparse {
-		m.batchForward(xs, batch, sp)
+		m.batchForward(xs, lists, batch, sp)
 	} else {
-		m.batchForward(xs, batch, nil)
+		m.batchForward(xs, lists, batch, nil)
 	}
 
 	// Loss and output deltas: softmax rows, p - onehot(y).
@@ -276,15 +279,26 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, b
 		delta := m.delta(batch, l, B)
 		if l > 0 || !sparse || !sp.gradient(gw, delta, B) {
 			if l == 0 && sparse {
-				m.copyInputs(xs, batch) // the sparse forward left them out
+				m.copyInputs(xs, lists, batch) // the sparse forward left them out
 			}
 			tensor.GemmTNStore(gw, delta, m.act(batch, l, B), out, in, B)
 		}
+		// db_l: each element's sum in example order from +0, four rows
+		// a pass. Storing gb once a row made the loop's time hang on
+		// where the arena put gb beside the batch (twice as slow in one
+		// placement); once per four rows it does not.
 		gb.Zero()
-		for r := 0; r < B; r++ {
-			drow := delta[r*out : (r+1)*out]
-			for o, d := range drow {
-				gb[o] += d
+		r := 0
+		for ; r+4 <= B; r += 4 {
+			d := delta[r*out : (r+4)*out]
+			d0, d1, d2, d3 := d[:out], d[out:2*out], d[2*out:3*out], d[3*out:]
+			for o := range gb {
+				gb[o] = gb[o] + d0[o] + d1[o] + d2[o] + d3[o]
+			}
+		}
+		for ; r < B; r++ {
+			for o, x := range delta[r*out : (r+1)*out] {
+				gb[o] += x
 			}
 		}
 		if l == 0 {
@@ -299,18 +313,19 @@ func (m *MLP) batchGradSum(xs []tensor.Vector, lists rowLists, ys []int, grad, b
 }
 
 // batchForward runs the blocked forward pass A_{l+1} = relu(A_l·W_lᵀ +
-// b_l) over the B examples in xs, filling the activations of batch.
-// Callers must have validated input dimensions. Each logit accumulates
+// b_l) over the B examples in xs, with their lists, filling the
+// activations of batch. Callers must have checked the rows (checkRows).
+// Each logit accumulates
 // its terms in increasing input-index order from the bias — a plain
 // chained dot product per row — so a row's logits do not depend on the
 // other rows of the batch (the package's tests hold them to a scalar
 // reference forward pass). With sp (nil = dense), which has indexed
 // xs, layer 0 runs over the nonzeros, and the input copy is left out.
-func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector, sp *sparseL0) {
+func (m *MLP) batchForward(xs []tensor.Vector, lists rowLists, batch tensor.Vector, sp *sparseL0) {
 	B := len(xs)
 	layers := len(m.sizes) - 1
 	if sp == nil {
-		m.copyInputs(xs, batch)
+		m.copyInputs(xs, lists, batch)
 	}
 	for l := 0; l < layers; l++ {
 		in, out := m.sizes[l], m.sizes[l+1]
@@ -330,13 +345,43 @@ func (m *MLP) batchForward(xs []tensor.Vector, batch tensor.Vector, sp *sparseL0
 	}
 }
 
-// copyInputs copies the rows of xs into the input matrix of batch.
-func (m *MLP) copyInputs(xs []tensor.Vector, batch tensor.Vector) {
+// copyInputs copies the rows of xs into the input matrix of batch,
+// writing a listed row (nil) as zeros with a 1 at each column of its
+// list: the floats the row stands for.
+func (m *MLP) copyInputs(xs []tensor.Vector, lists rowLists, batch tensor.Vector) {
 	in0 := m.sizes[0]
 	a0 := m.act(batch, 0, len(xs))
 	for r, x := range xs {
-		copy(a0[r*in0:(r+1)*in0], x)
+		row := a0[r*in0 : (r+1)*in0]
+		if x != nil {
+			copy(row, x)
+			continue
+		}
+		row.Zero()
+		for _, j := range lists.of(r) {
+			row[j] = 1
+		}
 	}
+}
+
+// checkRows returns an error unless every row of xs holds the model's
+// input width of floats or is a listed row (nil) whose list names
+// columns inside it. A list is increasing (data.Dataset.NZ), so its
+// ends bound it.
+func (m *MLP) checkRows(xs []tensor.Vector, lists rowLists) error {
+	in0 := m.sizes[0]
+	for i, x := range xs {
+		if x != nil || lists.all == nil {
+			if len(x) != in0 {
+				return fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), in0, tensor.ErrShape)
+			}
+			continue
+		}
+		if ids := lists.of(i); len(ids) > 0 && (ids[0] < 0 || int(ids[len(ids)-1]) >= in0) {
+			return fmt.Errorf("input %d lists columns %d to %d, model expects %d: %w", i, ids[0], ids[len(ids)-1], in0, tensor.ErrShape)
+		}
+	}
+	return nil
 }
 
 // ScoreChunkRows is the row count of one scoring forward pass, the most
@@ -351,10 +396,11 @@ const (
 )
 
 // ScoreChunks runs the model forward over xs, whose lists of ones are
-// nz (nil: none; see data.Dataset.NZ), in chunks using the same
-// blocked GEMM kernels as BatchGrad and invokes score(start, logits)
-// once per chunk, in order, with the logits of xs[start:start+rows] as
-// one rows × Classes() block, rows ≤ ScoreChunkRows. The block aliases
+// nz (nil: none; see data.Dataset.NZ; a row may be nil when nz lists
+// its ones), in chunks using the same blocked GEMM kernels as
+// BatchGrad and invokes score(start, logits) once per chunk, in order,
+// with the logits of xs[start:start+rows] as one rows × Classes()
+// block, rows ≤ ScoreChunkRows. The block aliases
 // scratch borrowed for the call and is only valid during the callback.
 //
 // A row's logits do not depend on the chunk it rides in, so scoring
@@ -364,14 +410,11 @@ const (
 // perform no allocation: the scratch goes back to the pool. Listed
 // rows take the sparse first layer, W0 transposed once per call.
 func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int, logits tensor.Vector)) error {
-	in0 := m.sizes[0]
-	for i, x := range xs {
-		if len(x) != in0 {
-			return fmt.Errorf("input %d dim %d, model expects %d: %w", i, len(x), in0, tensor.ErrShape)
-		}
-	}
 	if nz != nil && len(nz) != len(xs) {
 		return fmt.Errorf("%d inputs, %d nonzero lists: %w", len(xs), len(nz), tensor.ErrShape)
+	}
+	if err := m.checkRows(xs, rowLists{all: nz}); err != nil {
+		return err
 	}
 	batch := m.pool.Get(m.batchFloats(min(len(xs), ScoreChunkRows), false))
 	defer m.pool.Put(batch)
@@ -391,9 +434,9 @@ func (m *MLP) ScoreChunks(xs []tensor.Vector, nz [][]int32, score func(start int
 		}
 		B := len(chunk)
 		if sp.ready(chunk, lists) {
-			m.batchForward(chunk, batch, &sp)
+			m.batchForward(chunk, lists, batch, &sp)
 		} else {
-			m.batchForward(chunk, batch, nil)
+			m.batchForward(chunk, lists, batch, nil)
 		}
 		score(start, m.act(batch, layers, B))
 		start += B

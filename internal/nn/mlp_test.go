@@ -173,7 +173,7 @@ func TestBatchGradIsMeanOfExampleGrads(t *testing.T) {
 		rng.FillNormal(xs[i], 0, 1)
 	}
 	batch := tensor.NewVector(m.NumParams())
-	if _, err := m.BatchGrad(xs, ys, batch); err != nil {
+	if _, err := m.BatchGrad(xs, nil, ys, batch); err != nil {
 		t.Fatalf("BatchGrad: %v", err)
 	}
 	batch.Scale(1 / float64(len(xs)))
@@ -222,7 +222,7 @@ func TestSetParamsAndErrors(t *testing.T) {
 	}
 	grad := tensor.NewVector(m.NumParams())
 	one := func(x tensor.Vector, y int, grad tensor.Vector) error {
-		_, err := m.BatchGrad([]tensor.Vector{x}, []int{y}, grad)
+		_, err := m.BatchGrad([]tensor.Vector{x}, nil, []int{y}, grad)
 		return err
 	}
 	if err := one(tensor.Vector{1, 2}, 5, grad); !errors.Is(err, ErrArchitecture) {
@@ -284,7 +284,7 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 // meanLoss is BatchGrad's summed loss over the whole set, divided.
 func meanLoss(t *testing.T, m *MLP, xs []tensor.Vector, ys []int) float64 {
 	t.Helper()
-	loss, err := m.BatchGrad(xs, ys, tensor.NewVector(m.NumParams()))
+	loss, err := m.BatchGrad(xs, nil, ys, tensor.NewVector(m.NumParams()))
 	if err != nil {
 		t.Fatal(err)
 	}

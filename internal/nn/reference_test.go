@@ -118,7 +118,7 @@ func scoreRow(t testing.TB, m *MLP, x tensor.Vector) tensor.Vector {
 // DP-SGD makes; it writes over grad.
 func rowLoss(t testing.TB, m *MLP, x tensor.Vector, y int, grad tensor.Vector) float64 {
 	t.Helper()
-	loss, err := m.BatchGrad([]tensor.Vector{x}, []int{y}, grad)
+	loss, err := m.BatchGrad([]tensor.Vector{x}, nil, []int{y}, grad)
 	if err != nil {
 		t.Fatal(err)
 	}

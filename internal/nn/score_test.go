@@ -137,7 +137,7 @@ func TestScoreBatchSizesNoDeltas(t *testing.T) {
 	score := func(n int) func() error {
 		return func() error { return model.ScoreBatch(xs[:n], func(int, tensor.Vector) {}) }
 	}
-	gradient := func() error { _, err := model.BatchGrad(xs[:8], ys[:8], grad); return err }
+	gradient := func() error { _, err := model.BatchGrad(xs[:8], nil, ys[:8], grad); return err }
 	if got := draws(score(4)); got != 4*(6+5+3) {
 		t.Fatalf("scoring 4 rows borrowed %d floats, want %d activations", got, 4*(6+5+3))
 	}

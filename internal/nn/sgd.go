@@ -232,7 +232,8 @@ func (t *Trainer) RunEpochs(xs []tensor.Vector, ys []int, rng *tensor.RNG) (floa
 // RunEpochsNZ is RunEpochs over rows whose lists of ones are nz (nil:
 // none, and the first layer runs dense; see data.Dataset.NZ), which a
 // sparse first layer indexes each minibatch from instead of its rows.
-// The result is RunEpochs' to the bit.
+// A row may be nil when nz lists its ones (a listed row). The result is
+// RunEpochs' over the rows as floats, to the bit.
 func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *tensor.RNG) (float64, error) {
 	if len(xs) == 0 || len(xs) != len(ys) {
 		return 0, fmt.Errorf("train set of %d inputs, %d labels: %w", len(xs), len(ys), tensor.ErrShape)
@@ -293,10 +294,10 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 			}
 			var lossSum float64
 			var err error
+			lists := rowLists{all: nz, sel: order[start:end]}
 			if clip != nil {
-				lossSum, err = m.clippedGradSum(xb, yb, clip, grad, ex, rng)
+				lossSum, err = m.clippedGradSum(xb, lists, yb, clip, grad, ex, rng)
 			} else {
-				lists := rowLists{all: nz, sel: order[start:end]}
 				lossSum, err = m.batchGradSum(xb, lists, yb, grad, batch, last, &sp)
 			}
 			if err != nil {
@@ -319,15 +320,16 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 
 // clippedGradSum is DP-SGD's minibatch gradient: it writes into grad the
 // sum, in example order from +0, of each example's gradient (a one-row
-// BatchGrad into ex, whose first layer runs dense) clipped to L2 norm
+// BatchGrad into ex, whose first layer runs dense; lists names the
+// rows' lists of ones) clipped to L2 norm
 // c.norm (Vector.ClipNorm), then adds N(0, c.noiseStd²) to every
 // parameter, drawn from rng in parameter order, and counts the step. It
 // returns the examples' summed loss.
-func (m *MLP) clippedGradSum(xs []tensor.Vector, ys []int, c *clipping, grad, ex tensor.Vector, rng *tensor.RNG) (float64, error) {
+func (m *MLP) clippedGradSum(xs []tensor.Vector, lists rowLists, ys []int, c *clipping, grad, ex tensor.Vector, rng *tensor.RNG) (float64, error) {
 	grad.Zero()
 	var loss float64
 	for i := range xs {
-		l, err := m.BatchGrad(xs[i:i+1], ys[i:i+1], ex)
+		l, err := m.BatchGrad(xs[i:i+1], lists.row(i), ys[i:i+1], ex)
 		if err != nil {
 			return 0, err
 		}

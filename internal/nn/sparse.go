@@ -20,12 +20,16 @@ import (
 //
 // A batch's index is its rows' lists (data.Dataset.NZ): the columns of
 // each binary row's ones, increasing, which data.BasketGenerator writes
-// as it writes the row and data's operations keep with their rows; the
-// trainer and ScoreChunks hand them in beside the rows. The index copies
-// the lists, every entry with value 1, and never reads the rows. An
-// empty list is a row without ones. A call without lists runs dense, and
-// so does the rest of a call from its first batch holding a row with
-// more than limit ones.
+// in place of the row (a listed row: nil, its list alone) and data's
+// operations keep with their rows; the trainer and ScoreChunks hand
+// them in beside the rows. The index copies the lists, every entry with
+// value 1, and never reads the rows. An empty list is a row without
+// ones. A call without lists runs dense, and so does the rest of a call
+// from its first batch holding a row with more than limit ones. Every
+// dense pass — a fallback, a first layer too narrow, BatchGrad and so
+// the clipped trainer's one-row gradients — writes a listed row into
+// the input matrix as the zeros and ones it stands for (copyInputs),
+// the floats a row held as floats would copy, so the bits are the same.
 //
 // The trainer keeps layer 0 input-major for a whole update: W0 is
 // transposed in once and out once at the end, and the step runs on the
@@ -113,6 +117,18 @@ func (l rowLists) of(r int) []int32 {
 		return l.all[l.sel[r]]
 	}
 	return l.all[r]
+}
+
+// row returns row r's list as the lists of a one-row batch: nil when
+// the rows have none.
+func (l rowLists) row(r int) [][]int32 {
+	if l.all == nil {
+		return nil
+	}
+	if l.sel != nil {
+		r = l.sel[r]
+	}
+	return l.all[r : r+1]
 }
 
 // ready reports whether xs, of at most s.rows rows of the model's input

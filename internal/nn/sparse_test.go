@@ -192,9 +192,9 @@ func TestSparseFirstLayerMatchesDense(t *testing.T) {
 				sp.init(m, len(xs), nil, nz != nil)
 				defer sp.release()
 				if sp.ready(xs, rowLists{all: nz}) {
-					m.batchForward(xs, batch, &sp)
+					m.batchForward(xs, rowLists{all: nz}, batch, &sp)
 				} else {
-					m.batchForward(xs, batch, nil)
+					m.batchForward(xs, rowLists{all: nz}, batch, nil)
 				}
 				return batch[len(xs)*m.sizes[0]:]
 			}

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -30,6 +32,20 @@ func TestArenaReusedVectorIsZeroed(t *testing.T) {
 			t.Fatalf("recycled vector[%d] = %v, want 0", i, x)
 		}
 	}
+	// A chunk made in one lifetime is handed out unzeroed, the heap's
+	// zeroes, and recycled, zeroed, in the next.
+	for life := 0; life < 3; life++ {
+		a.Reset()
+		for k := 0; k < 3; k++ {
+			v := a.Vector(arenaChunk)
+			for i, x := range v {
+				if x != 0 {
+					t.Fatalf("lifetime %d, vector %d: [%d] = %v, want 0", life, k, i, x)
+				}
+			}
+			v.Fill(float64(k + 1))
+		}
+	}
 }
 
 // Sizes that cross chunk boundaries: every live vector must own its
@@ -38,7 +54,7 @@ func TestArenaLiveVectorsNeverOverlap(t *testing.T) {
 	var a Arena
 	var live []Vector
 	for i := 0; i < 40; i++ {
-		for _, n := range []int{1, 0, 49, 250, 3000, arenaChunk / 4} {
+		for _, n := range []int{1, 0, 49, 250, 3000, arenaChunk / 4, arenaChunk + 3} {
 			v := a.Vector(n)
 			if len(v) != n || cap(v) != n {
 				t.Fatalf("Vector(%d): len %d cap %d", n, len(v), cap(v))
@@ -82,24 +98,104 @@ func TestNilArenaIsTheHeap(t *testing.T) {
 	}
 }
 
-func TestArenaOversizeBypasses(t *testing.T) {
+// TestArenaServesEverySize: a request of four chunks comes from a chunk
+// of the arena, no live vector overlaps it, and after Reset the same
+// requests get the same memory back. A mixed sequence of requests, small
+// and model-sized, leaves skipped tails of at most a quarter of what it
+// was handed.
+func TestArenaServesEverySize(t *testing.T) {
 	var a Arena
 	small := a.Vector(8)
-	before := a.Used()
-	big := a.Vector(arenaChunk/4 + 1)
-	if a.Used() != before {
-		t.Fatalf("oversize request consumed arena memory: %d -> %d", before, a.Used())
+	big := a.Vector(4 * arenaChunk)
+	after := a.Vector(100)
+	if a.Used() < 8*(4*arenaChunk) {
+		t.Fatalf("a request of four chunks did not come from the arena: used %d bytes", a.Used())
 	}
 	big.Fill(1)
+	for _, v := range []Vector{small, after} {
+		if overlaps(v, big) {
+			t.Fatal("a live vector overlaps the large one")
+		}
+	}
 	a.Reset()
-	again := a.Vector(8)
-	if &again[0] != &small[0] {
+	if v := a.Vector(8); &v[0] != &small[0] {
 		t.Fatal("arena did not restart at its first chunk")
 	}
-	for _, x := range big {
-		if x != 1 {
-			t.Fatal("oversize vector was recycled with the arena")
+	again := a.Vector(4 * arenaChunk)
+	if &again[0] != &big[0] {
+		t.Fatal("Reset did not recycle the large request's chunk")
+	}
+	for i, x := range again {
+		if x != 0 {
+			t.Fatalf("recycled large vector[%d] = %v, want 0", i, x)
 		}
+	}
+
+	var m Arena
+	handed := 0
+	for i := 0; i < 200; i++ {
+		n := []int{5, 120, 3000, 45_000, 640, 7_000, 130_000, 33}[i*7%8] + i
+		m.Vector(n)
+		handed += 8 * n
+	}
+	waste := m.Used() - handed
+	if waste > handed/4 {
+		t.Fatalf("mixed requests: handed out %d bytes, skipped %d", handed, waste)
+	}
+	t.Logf("mixed requests: handed out %d bytes, skipped %d", handed, waste)
+}
+
+// TestArenaVectorsAligned: every vector starts on a 64-byte line, at
+// every length up to three chunks, after Reset, and when goroutines
+// race for the arena (run with -race).
+func TestArenaVectorsAligned(t *testing.T) {
+	check := func(v Vector) {
+		if p := uintptr(unsafe.Pointer(&v[0])); p%64 != 0 {
+			t.Errorf("Vector(%d) starts at %#x, not on a 64-byte line", len(v), p)
+		}
+	}
+	var a Arena
+	for pass := 0; pass < 2; pass++ {
+		for n := 1; n <= 3*arenaChunk; n += 1 + n/7 {
+			check(a.Vector(n))
+		}
+		a.Reset()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				check(a.Vector(1 + (w*300+i)*37%5000))
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestPooledArenaIsCollected: an arena waiting in a sync.Pool, the way
+// arms share theirs, holds nothing that keeps its chunks alive once the
+// pool lets it go: a chunk is freed by the second collection.
+func TestPooledArenaIsCollected(t *testing.T) {
+	var pool sync.Pool
+	freed := make(chan struct{})
+	func() {
+		a := new(Arena)
+		v := a.Vector(4 * arenaChunk)
+		runtime.AddCleanup(&v[0], func(ch chan struct{}) { close(ch) }, freed)
+		held := a.Vectors(1)
+		held[0] = a.Vector(3)
+		a.Keep(new(int))
+		a.Reset()
+		pool.Put(a)
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a chunk of an arena dropped by its pool survived two collections")
 	}
 }
 
@@ -177,8 +273,8 @@ func TestVecPoolOverArena(t *testing.T) {
 }
 
 // The int and Vector-header slabs keep the float slab's rules: handed
-// out zeroed from recycled chunks, exact capacity, the heap past a
-// quarter chunk or on a nil arena. Reset also drops the headers, so a
+// out zeroed from recycled chunks, exact capacity, at every size, and
+// the heap on a nil arena. Reset also drops the headers, so a
 // pooled arena does not keep the last arm's heap vectors alive.
 func TestArenaTypedSlabs(t *testing.T) {
 	var a Arena
@@ -206,11 +302,11 @@ func TestArenaTypedSlabs(t *testing.T) {
 			t.Fatalf("recycled ints[%d] = %d, want 0", i, x)
 		}
 	}
-	if big := a.Ints(intChunk/4 + 1); &big[0] == &ints2[0] || a.Ints(1)[0] != 0 {
-		t.Fatal("oversize Ints came from the arena")
+	if big := a.Ints(intChunk + 1); len(big) != intChunk+1 || cap(big) != intChunk+1 || a.Ints(1)[0] != 0 {
+		t.Fatal("a request over a chunk of Ints has the wrong size")
 	}
-	if big := a.Vectors(vectorsChunk/4 + 1); len(big) != vectorsChunk/4+1 {
-		t.Fatal("oversize Vectors has the wrong length")
+	if big := a.Vectors(vectorsChunk + 1); len(big) != vectorsChunk+1 || big[vectorsChunk] != nil {
+		t.Fatal("a request over a chunk of Vectors has the wrong size")
 	}
 	var none *Arena
 	if p, q := none.Ints(4), none.Ints(4); &p[0] == &q[0] || len(none.Vectors(2)) != 2 {
@@ -247,8 +343,8 @@ func TestArenaListSlabs(t *testing.T) {
 			t.Fatalf("recycled ids[%d] = %d, want 0", i, x)
 		}
 	}
-	if big := a.Int32s(int32Chunk/4 + 1); &big[0] == &ids2[0] || a.Int32s(1)[0] != 0 {
-		t.Fatal("oversize Int32s came from the arena")
+	if big := a.Int32s(int32Chunk + 1); len(big) != int32Chunk+1 || &big[0] == &ids2[0] || a.Int32s(1)[0] != 0 {
+		t.Fatal("a request over a chunk of Int32s overlaps a live one")
 	}
 }
 

@@ -112,10 +112,14 @@ go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s -fuzzminimizetime=1x ./i
 # values no seed lists.
 go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # The first layer indexes a batch from its rows' lists of ones
-# (data.Dataset.NZ): a short real fuzzing run, on binary rows of every
-# density with all-zero rows and rows over the limit among them, holds
-# its decision and its entries to each row's ones, and RunEpochsNZ and
-# ScoreChunks to the dense path bit for bit.
+# (data.Dataset.NZ), and a Purchase100-like row is its list alone (a
+# nil row): a short real fuzzing run, on binary rows of every density
+# with all-zero rows and rows over the limit among them, holds the
+# index's decision and its entries to each row's ones, and
+# RunEpochsNZ, ScoreChunks, BatchGrad and the clipped trainer, on the
+# rows held as floats and on the same rows listed, to the dense path
+# bit for bit: on the sparse path and on each dense fallback (-0 in b0,
+# a non-finite W0 or errors, a first layer narrower than 128).
 go test -run=NONE -fuzz=FuzzRowLists -fuzztime=10s -fuzzminimizetime=1x ./internal/nn
 # Figure 7's rank correlation: a short real fuzzing run holds
 # stats.Spearman to brute-force average ranks on inputs full of ties,

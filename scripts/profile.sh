@@ -8,8 +8,10 @@
 # only, five seeds merged), the dense-wake arm (via the
 # IntraArmSpeedup benchmark), a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB, heap objects and
-# collections per arm) and a resume pass over a finished directory of them (via the
-# ResumePass benchmark, CPU only). Writes raw profiles plus plain-text
+# collections per arm), a resume pass over a finished directory of them (via the
+# ResumePass benchmark, CPU only) and the heavy arm's memory, cold and
+# on a warm arena (via the HeavyArm allocation tests, every allocation
+# sampled). Writes raw profiles plus plain-text
 # top-20 summaries under profiles/ — the summaries are what DESIGN.md's
 # "Where the time goes" section is built from.
 #
@@ -60,6 +62,12 @@ go test -run=NONE -bench='BenchmarkLightArmSweep' -benchtime=100x \
     -memprofile "$OUT/lightarm_mem.pprof" \
     -o "$OUT/bench.test" . | grep '^Benchmark'
 
+echo "== heavy arm memory (Figure 2's purchase100/samo, quick scale: one cold pass; a cold and a warm pass) =="
+go test -run='^TestHeavyArmAllocBudget$' -count=1 -memprofilerate=1 \
+    -memprofile "$OUT/heavy_cold_mem.pprof" -o "$OUT/bench.test" . >/dev/null
+go test -run='^TestHeavyArmWarmAllocBudget$' -count=1 -memprofilerate=1 \
+    -memprofile "$OUT/heavy_warm_mem.pprof" -o "$OUT/bench.test" . >/dev/null
+
 echo "== resume pass (ResumePass benchmark, 256 cached light arms per pass) =="
 go test -run=NONE -bench='BenchmarkResumePass' -benchtime=1000x \
     -cpuprofile "$OUT/resume_cpu.pprof" \
@@ -103,12 +111,20 @@ go tool pprof -top -cum -nodecount=400 "$OUT/figure2_cpu.pprof" 2>/dev/null |
 echo "runtime.memmove by caller:"
 go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
     awk '/\| +runtime\.memmove$/ { exit } /\|/ && !/calls%/ { print }' || true
-# What the heavy arm holds: the bytes its arenas hand out (the oversize
-# vectors the arena passes to the heap included), by the caller that
-# asked for them.
+# What the heavy arm holds: the bytes of the chunks its arenas take from
+# the heap, every vector of every size served from them, by the caller
+# whose request found no room and made a chunk.
 echo "heavy arm, bytes allocated by caller of tensor.(*Arena).Vector:"
 go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$OUT/figure2_mem.pprof" 2>/dev/null |
     awk '/\| +gossipmia\/internal\/tensor\.\(\*Arena\)\.Vector$/ { exit } /\|/ && !/calls%/ { print }' || true
+# The same arm run again on the arena its first pass grew: the second
+# pass's allocations (the warm profile less the cold one) in the
+# arena's take, by slab. A repeated arm walks the chunks its first pass
+# made, so this prints nothing; a line here is a request the arena no
+# longer serves from its chunks, or a chunk walk that grows each arm.
+echo "heavy arm, warm second pass, chunk growth in tensor.take by caller (empty):"
+go tool pprof -sample_index=alloc_space -diff_base "$OUT/heavy_cold_mem.pprof" -peek 'tensor\.take\[' "$OUT/heavy_warm_mem.pprof" 2>/dev/null |
+    awk '/\|/ && !/calls%/ { print }' || true
 # The light arm's shares DESIGN.md §4 quotes, of the samples under
 # (*Study).run: data synthesis (FillNormal), the generators' lazy register
 # fill and the topology (graph.NewRegular); and the generalization-error
