@@ -377,6 +377,33 @@ func TestHeavyArmAllocBudget(t *testing.T) {
 	}
 }
 
+// TestDenseArmAllocBudget: the dense-wake arm (denseWakeStudy, the
+// CIFAR-10-like SAMO arm of 24 nodes, at one worker) built and run on a
+// fresh arena allocates at most 3.2 MiB. Its optimizer has no momentum,
+// so a node holds its model and no velocity (it sits near 2.8 MiB; with
+// a model-sized velocity per node it took 3.5). The collections come
+// first, as in dlbench, so the pooled arena is gone and the arm builds
+// its own.
+func TestDenseArmAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	const budgetMiB = 3.2
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := denseWakeStudy(t, 1).RunContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mib > budgetMiB {
+		t.Fatalf("the dense-wake arm allocates %.2f MiB, budget %.1f MiB", mib, budgetMiB)
+	} else {
+		t.Logf("dense-wake arm: %.2f MiB", mib)
+	}
+}
+
 // TestHeavyArmWarmAllocBudget: the same heavy arm, run again on the
 // arena its first run grew, allocates under 1 MiB. Every vector it
 // sizes, model-sized ones included, comes from the arena's chunks, and

@@ -100,6 +100,7 @@ func CalibrateSigma(targetEps, delta, q float64, steps int) (float64, error) {
 	if steps <= 0 {
 		return 0, fmt.Errorf("%w: steps %d must be positive", ErrParams, steps)
 	}
+	// Bracket the answer: ε(lo) misses the target and ε(hi) meets it.
 	lo, hi := 1e-2, 1e-2
 	for iter := 0; ; iter++ {
 		eps, err := Epsilon(q, hi, steps, delta)
@@ -112,6 +113,22 @@ func CalibrateSigma(targetEps, delta, q float64, steps int) (float64, error) {
 		hi *= 2
 		if iter > 60 {
 			return 0, fmt.Errorf("%w: cannot reach epsilon %v", ErrParams, targetEps)
+		}
+	}
+	if hi == lo { // σ = 0.01 already meets the target: search below it
+		for iter := 0; ; iter++ {
+			lo /= 2
+			eps, err := Epsilon(q, lo, steps, delta)
+			if err != nil {
+				return 0, err
+			}
+			if eps > targetEps {
+				break
+			}
+			hi = lo
+			if iter > 60 {
+				return 0, fmt.Errorf("%w: epsilon %v needs noise below %v", ErrParams, targetEps, lo)
+			}
 		}
 	}
 	for iter := 0; iter < 80; iter++ {

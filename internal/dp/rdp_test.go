@@ -57,15 +57,17 @@ func rdpQuadrature(q, sigma float64, alpha int) float64 {
 	return (top + math.Log((sum+carry)*h)) / float64(alpha-1)
 }
 
-// figure9Targets are Figure 9's privacy budgets, at δ = 1e-5.
-var figure9Targets = [...]float64{50, 25, 15, 10}
+// calibrationTargets are Figure 9's privacy budgets, at δ = 1e-5, and
+// the budget of a noise-free diagnostic arm, which σ = 0.01 already
+// meets.
+var calibrationTargets = [...]float64{50, 25, 15, 10, 1e9}
 
 // FuzzRDP holds Epsilon and its RDP bound to first principles over the regime the
 // program calibrates in: integer α ∈ [2, 64], q ∈ [1e-4, 1] and
 // σ ∈ [0.3, 50] (each drawn log-uniform from the fraction of its
 // input). rdpSampledGaussian must agree with the quadrature within 1e-9
 // relative or 1e-12 absolute, and with α/(2σ²) exactly at q = 1. Then,
-// at one of Figure 9's budgets and a fuzzed step count, the σ
+// at one of Figure 9's budgets or 1e9 and a fuzzed step count, the σ
 // CalibrateSigma returns must meet the budget, and σ·(1−1e-6) must not:
 // the search returns the smallest noise that keeps the guarantee.
 func FuzzRDP(f *testing.F) {
@@ -74,6 +76,8 @@ func FuzzRDP(f *testing.F) {
 	f.Add(uint8(30), 0.9999, 0.0001, uint8(1), uint16(7))
 	f.Add(uint8(5), 0.25, 0.5, uint8(2), uint16(60000))
 	f.Add(uint8(62), 0.999, 0.0, uint8(3), uint16(1))
+	f.Add(uint8(9), 0.3, 0.7, uint8(4), uint16(99))
+	f.Add(uint8(2), 0.0, 0.5, uint8(4), uint16(0))
 	f.Fuzz(func(t *testing.T, a uint8, qf, sf float64, target uint8, steps uint16) {
 		frac := func(v float64) float64 {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -96,7 +100,7 @@ func FuzzRDP(f *testing.F) {
 		}
 
 		const delta = 1e-5
-		eps, n := figure9Targets[int(target)%len(figure9Targets)], 1+int(steps)
+		eps, n := calibrationTargets[int(target)%len(calibrationTargets)], 1+int(steps)
 		s, err := CalibrateSigma(eps, delta, q, n)
 		if err != nil {
 			t.Fatalf("ε=%v q=%v steps=%d: %v", eps, q, n, err)

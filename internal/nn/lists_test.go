@@ -94,8 +94,9 @@ var listedVariants = []listedVariant{
 
 // rowPasses runs every pass that reads rows over xs, whose lists are
 // nz, each on its own copy of m, and returns what they leave, end to
-// end: two local updates (RunEpochsNZ) — parameters, velocity, loss —,
-// ScoreChunks' logits, a BatchGrad over all rows — gradient and loss —
+// end: two local updates (RunEpochsNZ) with momentum — parameters,
+// velocity, loss — and two without — parameters, loss —, ScoreChunks'
+// logits, a BatchGrad over all rows — gradient and loss —
 // and two clipped, noised updates (the DP trainer's one-row gradients)
 // — parameters, velocity, loss.
 func rowPasses(t *testing.T, m *MLP, xs []tensor.Vector, nz [][]int32, ys []int, seed int64) tensor.Vector {
@@ -111,12 +112,17 @@ func rowPasses(t *testing.T, m *MLP, xs []tensor.Vector, nz [][]int32, ys []int,
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cfg.Momentum == 0 && tr.Opt.velocity != nil {
+			t.Fatalf("a velocity of %d at momentum 0", len(tr.Opt.velocity))
+		}
 		tr.Opt.velModelMajor()
 		out := append(model.Params().Clone(), tr.Opt.velocity...)
 		return append(out, loss)
 	}
 	cfg := SGDConfig{LR: 0.02, Momentum: 0.9, WeightDecay: 5e-4}
-	out := train(cfg)
+	plain := cfg
+	plain.Momentum = 0
+	out := append(train(cfg), train(plain)...)
 	if err := m.ScoreChunks(xs, nz, func(_ int, l tensor.Vector) { out = append(out, l...) }); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +142,8 @@ func rowPasses(t *testing.T, m *MLP, xs []tensor.Vector, nz [][]int32, ys []int,
 // row holds more than limit ones, and its index is each row's ones with
 // value 1, entry for entry. Then every pass that reads rows (rowPasses:
 // RunEpochsNZ, ScoreChunks, BatchGrad and the clipped trainer) must
-// leave the dense path's bits, NaN payloads included, on the rows held
+// leave the dense path's bits, NaN payloads included, with momentum and
+// without (the sparse step's velocity-free form), on the rows held
 // as floats and on the same rows as listed rows (nil, named by their
 // lists alone), on the sparse path and on each way a call goes dense:
 // a row over the limit, -0 in b0, a non-finite W0 or errors, a first

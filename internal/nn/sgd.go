@@ -30,17 +30,19 @@ type SGDConfig struct {
 }
 
 // SGD is a stateful SGD optimizer with momentum and weight decay over a
-// flat parameter vector. The velocity buffer is lazily sized on first
-// Step, so an unclipped SGD value can be freely copied into each node
-// before the model dimensionality is known; copies of a clipped one
-// share its step count, so each node's comes from NewSGD. The
+// flat parameter vector. It keeps a velocity only when its momentum is
+// nonzero: plain SGD (momentum 0) holds no state but its learning rate.
+// The velocity is lazily sized on first Step, so an unclipped SGD value
+// can be freely copied into each node before the model dimensionality
+// is known; copies of a clipped one share its step count, so each
+// node's comes from NewSGD. The
 // configuration is held field by field, with the clip behind a pointer,
 // so that a node's optimizer and trainer (gossip.SGDUpdater) stay in
 // one 176-byte size class.
 type SGD struct {
 	lr, momentum, weightDecay, lrDecay float64
 
-	velocity tensor.Vector
+	velocity tensor.Vector // nil at momentum 0
 	// velT is in×out while the velocity's first in·out elements, a first
 	// layer's, are held input-major (transposed) for a trainer's sparse
 	// first layer, and zero while they are in the model's layout.
@@ -65,15 +67,6 @@ func NewSGD(cfg SGDConfig) *SGD {
 	return s
 }
 
-// Reset clears the momentum buffer (used when a node replaces its model
-// with an aggregated one and optimizer state no longer matches).
-func (s *SGD) Reset() {
-	if s.velocity != nil {
-		s.velocity.Zero() // zero in either layout
-	}
-	s.velT = [2]int32{}
-}
-
 // LR returns the current learning rate.
 func (s *SGD) LR() float64 { return s.lr }
 
@@ -96,18 +89,29 @@ func (s *SGD) DecayLR() {
 
 // Step applies one update: v <- momentum*v + (grad + wd*params);
 // params <- params - lr*v, every product rounded before its sum
-// (tensor.SGDStep). With zero momentum this reduces to plain SGD with L2
-// regularization.
+// (tensor.SGDStep). At momentum 0 no velocity is kept, and the update is
+// params <- params - lr*(grad + wd*params) (tensor.SGDStepPlain).
 func (s *SGD) Step(params, grad tensor.Vector) error {
 	return s.step(params, grad, 1) // grad·1 is grad, exactly
 }
 
 // step is Step on the gradient grad·scale, the product taken inside the
-// update's one pass over the three vectors: the trainer hands it the
-// summed batch gradient and 1/B.
+// update's one pass over its vectors: the trainer hands it the summed
+// batch gradient and 1/B.
 func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 	if len(params) != len(grad) {
 		return fmt.Errorf("sgd step params %d, grad %d: %w", len(params), len(grad), tensor.ErrShape)
+	}
+	if s.momentum == 0 {
+		// The velocity form's bits: 0·v + g is g for every finite v
+		// unless g is −0. The trainer's gradient is a sum started from
+		// +0, never −0, so g is −0 only where a negative subnormal
+		// gradient times 1/B underflows and wd·p is −0 too; the two
+		// steps then differ only on a parameter of −0, in the sign of
+		// the zero they leave. A non-finite v has already made the
+		// parameters non-finite, and both forms leave NaN.
+		tensor.SGDStepPlain(params, grad, scale, s.weightDecay, s.lr)
+		return nil
 	}
 	vel, err := s.vel(len(params))
 	if err != nil {
@@ -120,9 +124,9 @@ func (s *SGD) step(params, grad tensor.Vector, scale float64) error {
 
 // velInputMajor holds the velocity's first in·out elements input-major,
 // transposing them through scratch (in·out floats) unless they already
-// are.
+// are or there is no velocity (momentum 0).
 func (s *SGD) velInputMajor(in, out int, scratch tensor.Vector) {
-	if s.velT == [2]int32{int32(in), int32(out)} {
+	if s.momentum == 0 || s.velT == [2]int32{int32(in), int32(out)} {
 		return
 	}
 	s.velModelMajor()
@@ -159,12 +163,17 @@ func (s *SGD) vel(n int) (tensor.Vector, error) {
 
 // stepT is step while sp holds layer 0 input-major: the first
 // len(sp.wT) elements of the parameters live transposed in sp.wT, the
-// velocity's are input-major in place, and grad's are dW0ᵀ. The update
-// is element-wise, so every element gets the bits step gives it. The
-// step tells sp whether the W0 it wrote is finite.
+// velocity's (if any) are input-major in place, and grad's are dW0ᵀ.
+// The update is element-wise, so every element gets the bits step gives
+// it. The step tells sp whether the W0 it wrote is finite.
 func (s *SGD) stepT(params, grad tensor.Vector, scale float64, sp *sparseL0) {
 	n := len(sp.wT)
 	wd, mom, lr := s.weightDecay, s.momentum, s.lr
+	if mom == 0 {
+		sp.w0ok = tensor.SGDStepPlain(sp.wT, grad[:n], scale, wd, lr)
+		tensor.SGDStepPlain(params[n:], grad[n:], scale, wd, lr)
+		return
+	}
 	sp.w0ok = tensor.SGDStep(sp.wT, s.velocity[:n], grad[:n], scale, wd, mom, lr)
 	tensor.SGDStep(params[n:], s.velocity[n:], grad[n:], scale, wd, mom, lr)
 }
@@ -198,13 +207,13 @@ func NewTrainer(model *MLP, opt *SGD, batchSize, epochs int) *Trainer {
 }
 
 // Init makes *t the trainer NewTrainer returns, so a caller can hold
-// one in place. Its scratch, sized on first use, comes from the
-// model's arena.
+// one in place. Its scratch, sized on first use, and the optimizer's
+// velocity, if its momentum keeps one, come from the model's arena.
 func (t *Trainer) Init(model *MLP, opt *SGD, batchSize, epochs int) {
 	if epochs <= 0 {
 		epochs = 1
 	}
-	if opt.velocity == nil {
+	if opt.velocity == nil && opt.momentum != 0 {
 		// Sized here rather than on the first Step so the momentum
 		// buffer shares the model's allocation lifetime.
 		opt.velocity = model.arena.Vector(model.NumParams())
@@ -247,8 +256,10 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 		bs = n
 	}
 	m := t.Model
-	if _, err := t.Opt.vel(m.NumParams()); err != nil {
-		return 0, err
+	if t.Opt.momentum != 0 {
+		if _, err := t.Opt.vel(m.NumParams()); err != nil {
+			return 0, err
+		}
 	}
 	grad := m.pool.Get(m.NumParams())
 	defer m.pool.Put(grad)

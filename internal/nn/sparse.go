@@ -35,9 +35,10 @@ import (
 // transposed in once and out once at the end, and the step runs on the
 // transposed blocks (it is element-wise, so each element gets the same
 // bits). Until then the model's own W0 block is stale. The layer's
-// velocity, which only the trainer's steps read, stays input-major from
-// one update to the next (SGD.velT): it is transposed once when the
-// node's first sparse update starts, and back only before a dense step.
+// velocity, which only the trainer's steps read (a trainer without
+// momentum has none), stays input-major from one update to the next
+// (SGD.velT): it is transposed once when the node's first sparse update
+// starts, and back only before a dense step.
 
 // useSparse is the start-up half of the choice between the sparse and
 // the dense first layer: a variable only so that tests can clear it

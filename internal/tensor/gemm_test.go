@@ -528,8 +528,9 @@ func TestUnrolledVectorKernels(t *testing.T) {
 // kernels and its remainder loop.
 var elementwiseLens = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65}
 
-// TestFusedElementwiseKernels holds ReLU, ReLUMask and SGDStep, on both
-// tiers, to the scalar Go statements they replaced in nn — signed
+// TestFusedElementwiseKernels holds ReLU, ReLUMask, SGDStep and
+// SGDStepPlain, on both tiers, to the scalar Go statements they
+// replaced in nn — signed
 // zeros, NaN and the rest included — on operands that end against an
 // inaccessible page. The products of the step are converted before they
 // are added so that this oracle means the same where the compiler has a
@@ -610,6 +611,24 @@ func TestFusedElementwiseKernels(t *testing.T) {
 						}
 						if !sameBits(grad[i], z[i]) {
 							t.Fatalf("SGDStep n=%d on the %s tier wrote grad[%d]", n, Kernels(), i)
+						}
+					}
+				})
+				onBothTiers(func() {
+					op := operands(x, z)
+					p, grad := op[0], op[1]
+					finite := SGDStepPlain(p, grad, hp.scale, hp.wd, hp.lr)
+					if finite != allFinite(p) {
+						t.Fatalf("SGDStepPlain n=%d %+v on the %s tier reports finite=%v for %v", n, hp, Kernels(), finite, p)
+					}
+					for i := range p {
+						g := float64(z[i]*hp.scale) + float64(hp.wd*x[i])
+						if want := x[i] - float64(hp.lr*g); !sameBits(p[i], want) {
+							t.Fatalf("SGDStepPlain n=%d %+v on the %s tier: element %d (p=%v grad=%v) gives %v, want %v",
+								n, hp, Kernels(), i, x[i], z[i], p[i], want)
+						}
+						if !sameBits(grad[i], z[i]) {
+							t.Fatalf("SGDStepPlain n=%d on the %s tier wrote grad[%d]", n, Kernels(), i)
 						}
 					}
 				})

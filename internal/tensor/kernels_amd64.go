@@ -240,6 +240,9 @@ func scaleAVX2(v []float64, n int, c float64)
 func sgdStepAVX2(p, vel, grad []float64, n int, scale, wd, mom, lr float64) bool
 
 //go:noescape
+func sgdStepPlainAVX2(p, grad []float64, n int, scale, wd, lr float64) bool
+
+//go:noescape
 func reluAVX2(v []float64, n int)
 
 //go:noescape
@@ -281,6 +284,14 @@ func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) (int, bool) 
 		return 0, true
 	}
 	return n4, sgdStepAVX2(p, vel, grad, n4, scale, wd, mom, lr)
+}
+
+func sgdStepPlainVec(p, grad []float64, scale, wd, lr float64) (int, bool) {
+	n4 := len(p) &^ 3
+	if !useAVX2 || n4 == 0 {
+		return 0, true
+	}
+	return n4, sgdStepPlainAVX2(p, grad, n4, scale, wd, lr)
 }
 
 func reluVec(v []float64) int {

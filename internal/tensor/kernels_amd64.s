@@ -1513,6 +1513,40 @@ stepLoop:
 	VZEROUPPER
 	RET
 
+// func sgdStepPlainAVX2(p, grad []float64, n int, scale, wd, lr float64) bool
+// p −= lr·(grad·scale + wd·p): sgdStepAVX2 without the velocity's two
+// streams, the same rounding, and the same finiteness report.
+TEXT ·sgdStepPlainAVX2(SB), NOSPLIT, $0-81
+	MOVQ p_base+0(FP), DI
+	MOVQ grad_base+24(FP), DX
+	MOVQ n+48(FP), CX
+	VBROADCASTSD scale+56(FP), Y12
+	VBROADCASTSD wd+64(FP), Y13
+	VBROADCASTSD lr+72(FP), Y15
+	VBROADCASTSD expBits<>(SB), Y10
+	VPXOR Y11, Y11, Y11
+	SHLQ $3, CX
+	XORQ AX, AX
+
+stepPlainLoop:
+	VMOVUPD (DI)(AX*1), Y1
+	VMULPD  (DX)(AX*1), Y12, Y0
+	VMULPD  Y1, Y13, Y2
+	VADDPD  Y2, Y0, Y0 // g
+	VMULPD  Y0, Y15, Y4
+	VSUBPD  Y4, Y1, Y1
+	VMOVUPD Y1, (DI)(AX*1)
+	VANDPD   Y1, Y10, Y1
+	VPCMPEQQ Y10, Y1, Y1
+	VPOR     Y1, Y11, Y11
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JLT     stepPlainLoop
+	VPTEST Y11, Y11
+	SETEQ  ret+80(FP)
+	VZEROUPPER
+	RET
+
 // func reluAVX2(v []float64, n int)
 // if v < 0 { v = 0 }. VMAXPD returns its second source (the memory
 // operand here) when the two compare equal or either is a NaN, so −0

@@ -22,6 +22,10 @@ func sgdStepVec(p, vel, grad []float64, scale, wd, mom, lr float64) (int, bool) 
 	return 0, true
 }
 
+func sgdStepPlainVec(p, grad []float64, scale, wd, lr float64) (int, bool) {
+	return 0, true
+}
+
 func reluVec(v []float64) int        { return 0 }
 func reluMaskVec(v, h []float64) int { return 0 }
 

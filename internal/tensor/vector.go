@@ -156,6 +156,27 @@ func SGDStep(p, vel, grad Vector, scale, wd, mom, lr float64) bool {
 	return finite && bad == 0
 }
 
+// SGDStepPlain is SGDStep without momentum, and so without a velocity:
+//
+//	p −= lr·(grad·scale + wd·p)
+//
+// every product rounded before it is added and none skipped, on both
+// tiers. It leaves in p the bits SGDStep at mom = 0 leaves wherever that
+// step's 0·vel + g is g: wherever vel is finite, unless g is −0 and vel
+// has a clear sign bit. grad is at least as long as p. It reports
+// whether every element of p it wrote is finite.
+func SGDStepPlain(p, grad Vector, scale, wd, lr float64) bool {
+	grad = grad[:len(p)]
+	i, finite := sgdStepPlainVec(p, grad, scale, wd, lr)
+	bad := uint64(0)
+	for ; i < len(p); i++ {
+		g := float64(grad[i]*scale) + float64(wd*p[i])
+		p[i] -= float64(lr * g)
+		bad |= nonFinite(p[i])
+	}
+	return finite && bad == 0
+}
+
 // Dot returns the inner product <v, w>. It returns an error when lengths
 // differ. The loop body is unrolled but keeps a single accumulator chain
 // (terms added in increasing index order, each product rounded before

@@ -19,8 +19,9 @@
 # and two overlaid runs twice under the race detector (workers 1 and 4,
 # compared), a race-enabled service smoke (serve + submit + stream +
 # cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
-# signatures), and the one-schema import gate (internal/spec is
-# benchmark/'s shim only).
+# signatures), the one-schema import gate (internal/spec is
+# benchmark/'s shim only), and one HEAD-against-HEAD pair of the claim
+# tool (scripts/pairs.go).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -627,3 +628,17 @@ END {
         printf "ci: WARNING: the host overlaps two threads (%.2fx) and the tick engine does not (%.2fx < 1.3x)\n", h, r
 }' "$specout/scaling.log"
 echo "scaling smoke ok"
+# The claim rule as a program (scripts/pairs.go, go:build ignore): one
+# pair of the cheapest instrument, HEAD against HEAD in two worktrees,
+# must run and read NOT MET. Outside a git checkout there is nothing to
+# pair.
+if git rev-parse --verify -q HEAD >/dev/null 2>&1; then
+    go run scripts/pairs.go -base HEAD -change HEAD -pairs 1 \
+        -instrument bench:BenchmarkTrainerEpoch >"$specout/pairs.log" 2>&1 ||
+        { cat "$specout/pairs.log" >&2; exit 1; }
+    grep -q '^verdict: NOT MET$' "$specout/pairs.log" ||
+        { echo "pairs.go: HEAD against HEAD does not read NOT MET" >&2; cat "$specout/pairs.log" >&2; exit 1; }
+    echo "pairs smoke ok"
+else
+    echo "not a git checkout; skipping the pairs smoke"
+fi

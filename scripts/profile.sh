@@ -9,11 +9,12 @@
 # IntraArmSpeedup benchmark), a sweep of sub-millisecond arms (via
 # the LightArmSweep benchmark, which also prints KiB, heap objects and
 # collections per arm), a resume pass over a finished directory of them (via the
-# ResumePass benchmark, CPU only) and the heavy arm's memory, cold and
+# ResumePass benchmark, CPU only), the heavy arm's memory, cold and
 # on a warm arena (via the HeavyArm allocation tests, every allocation
-# sampled). Writes raw profiles plus plain-text
-# top-20 summaries under profiles/ — the summaries are what DESIGN.md's
-# "Where the time goes" section is built from.
+# sampled) and the dense-wake arm's, cold (via TestDenseArmAllocBudget).
+# Writes raw profiles plus plain-text top-20 summaries under profiles/ —
+# the summaries are what DESIGN.md's "Where the time goes" section is
+# built from.
 #
 # Usage: scripts/profile.sh [outdir]   (default: profiles/)
 set -eu
@@ -68,6 +69,10 @@ go test -run='^TestHeavyArmAllocBudget$' -count=1 -memprofilerate=1 \
 go test -run='^TestHeavyArmWarmAllocBudget$' -count=1 -memprofilerate=1 \
     -memprofile "$OUT/heavy_warm_mem.pprof" -o "$OUT/bench.test" . >/dev/null
 
+echo "== dense-wake arm memory (the IntraArmSpeedup arm at one worker: one cold pass) =="
+go test -run='^TestDenseArmAllocBudget$' -count=1 -memprofilerate=1 \
+    -memprofile "$OUT/dense_cold_mem.pprof" -o "$OUT/bench.test" . >/dev/null
+
 echo "== resume pass (ResumePass benchmark, 256 cached light arms per pass) =="
 go test -run=NONE -bench='BenchmarkResumePass' -benchtime=1000x \
     -cpuprofile "$OUT/resume_cpu.pprof" \
@@ -116,6 +121,12 @@ go tool pprof -peek 'runtime\.memmove$' "$OUT/figure2_cpu.pprof" 2>/dev/null |
 # whose request found no room and made a chunk.
 echo "heavy arm, bytes allocated by caller of tensor.(*Arena).Vector:"
 go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$OUT/figure2_mem.pprof" 2>/dev/null |
+    awk '/\| +gossipmia\/internal\/tensor\.\(\*Arena\)\.Vector$/ { exit } /\|/ && !/calls%/ { print }' || true
+# The dense-wake arm's chunks by the caller that made them. Its
+# optimizer has no momentum, so nn.(*Trainer).Init makes none: a line
+# for it is a velocity come back.
+echo "dense-wake arm, cold, bytes allocated by caller of tensor.(*Arena).Vector:"
+go tool pprof -sample_index=alloc_space -peek 'tensor\.\(\*Arena\)\.Vector$' "$OUT/dense_cold_mem.pprof" 2>/dev/null |
     awk '/\| +gossipmia\/internal\/tensor\.\(\*Arena\)\.Vector$/ { exit } /\|/ && !/calls%/ { print }' || true
 # The same arm run again on the arena its first pass grew: the second
 # pass's allocations (the warm profile less the cold one) in the

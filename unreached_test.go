@@ -44,7 +44,6 @@ var reachability = struct {
 		{"internal/nn.MLP.SetParams", "internal/nn.TestSetParamsAndErrors", "loads a parameter vector to show the forward pass reads the flat buffer"},
 		{"internal/nn.SGD.Step", "internal/nn.TestSGDMomentumAccelerates", "the optimizer step alone, without a trainer: momentum, weight decay, shape errors"},
 		{"internal/nn.SGD.LR", "internal/nn.TestTrainerAppliesDecayPerEpoch", "reads the decayed rate the trainer's fused step uses"},
-		{"internal/nn.SGD.Reset", "internal/nn.TestSGDShapeErrorsAndReset", "clears the velocity so the next step is a first step"},
 		{"internal/metrics.GenError", "internal/core.TestGenErrorScoredOnceMatchesGenError", "Equation 8 from two Accuracy sweeps: the oracle of the attack's scored-once count"},
 		{"internal/tensor.Average", "internal/gossip.TestGossipDrivesConsensus", "the consensus point the nodes' models are measured against"},
 		{"internal/tensor.Dot", "internal/tensor.TestUnrolledVectorKernels", "kept by ISSUE 23's list; its own bit-exactness check is its only caller"},
