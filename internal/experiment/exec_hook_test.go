@@ -282,6 +282,18 @@ func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	arms, err := sp.ExpandArms()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := armKeys(arms, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	index := make(map[string]int, len(keys)) // a unit's arm, by its key
+	for i, k := range keys {
+		index[k] = i
+	}
 	for name, lostFrom := range map[string]int{"no fleet": 0, "fleet lost mid-job": 4} {
 		g := &localGauge{handled: map[int]bool{}, limit: sc.Workers, crowd: make(chan struct{})}
 		// The fleet's arms leave the executor only once all lostFrom of
@@ -289,11 +301,12 @@ func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 		var inside atomic.Int64
 		all := make(chan struct{})
 		got, err := RunSpecExec(t.Context(), sp, sc, g.sinkFor, deepExec{depth: 8, execFunc: func(ctx context.Context, u ArmUnit) (Arm, bool, error) {
-			if u.Index >= lostFrom {
+			i := index[u.Key]
+			if i >= lostFrom {
 				return Arm{}, false, nil
 			}
 			g.mu.Lock()
-			g.handled[u.Index] = true
+			g.handled[i] = true
 			g.mu.Unlock()
 			if inside.Add(1) == int64(lostFrom) {
 				close(all)
@@ -301,7 +314,7 @@ func TestLocalBoundSurvivesOfferDepth(t *testing.T) {
 			select {
 			case <-all:
 			case <-time.After(10 * time.Second):
-				return Arm{}, true, fmt.Errorf("arm %d waited alone: the window is not %d wide", u.Index, lostFrom)
+				return Arm{}, true, fmt.Errorf("arm %d waited alone: the window is not %d wide", i, lostFrom)
 			}
 			return remoteStyleExec(ctx, u)
 		}})

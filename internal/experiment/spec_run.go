@@ -84,7 +84,6 @@ func RunSpecExec(ctx context.Context, sp *spec.Spec, sc Scale, sinkFor func(i in
 // so two units with equal keys produce identical bytes no matter
 // where or how often they run.
 type ArmUnit struct {
-	Index int
 	Key   string
 	Spec  string
 	Arm   spec.Arm
@@ -222,7 +221,7 @@ func runSpecArmRemote(ctx context.Context, sp *spec.Spec, sc Scale, i int, a spe
 	if h.exec == nil {
 		return Arm{}, false, nil
 	}
-	arm, handled, err := h.exec.Execute(ctx, ArmUnit{Index: i, Key: h.keys[i], Spec: sp.Name, Arm: a, Scale: sc})
+	arm, handled, err := h.exec.Execute(ctx, ArmUnit{Key: h.keys[i], Spec: sp.Name, Arm: a, Scale: sc})
 	if err != nil {
 		return Arm{}, true, err
 	}

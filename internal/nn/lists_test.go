@@ -139,8 +139,9 @@ func rowPasses(t *testing.T, m *MLP, xs []tensor.Vector, nz [][]int32, ys []int,
 // FuzzRowLists holds the list-fed first layer to its contract: on
 // binary rows of every density, all-zero rows and rows over the limit
 // among them, every 16-row window takes the sparse path exactly when no
-// row holds more than limit ones, and its index is each row's ones with
-// value 1, entry for entry. Then every pass that reads rows (rowPasses:
+// row holds more than limit ones, its index is each row's ones, entry
+// for entry, and the weight gradient's column index is the transpose of
+// those lists. Then every pass that reads rows (rowPasses:
 // RunEpochsNZ, ScoreChunks, BatchGrad and the clipped trainer) must
 // leave the dense path's bits, NaN payloads included, with momentum and
 // without (the sparse step's velocity-free form), on the rows held
@@ -155,6 +156,7 @@ func FuzzRowLists(f *testing.F) {
 	f.Add(int64(4), []byte{60, 90, 130})
 	f.Add(int64(5), []byte{0})
 	f.Add(int64(6), []byte{140})
+	f.Add(int64(9), []byte{110}) // rows 32–39 all hold one column
 	f.Fuzz(func(t *testing.T, seed int64, dens []byte) {
 		if len(dens) == 0 || len(dens) > 64 {
 			return
@@ -188,12 +190,26 @@ func FuzzRowLists(f *testing.F) {
 					if got := sp.rowIdx[p : p+len(ids)]; !slices.Equal(got, ids) {
 						t.Fatalf("rows %d–%d: row %d indexes %v, its ones are %v", lo, hi, r, got, ids)
 					}
-					for _, v := range sp.rowVal[p : p+len(ids)] {
-						if v != 1 {
-							t.Fatalf("rows %d–%d: row %d has an entry of value %v", lo, hi, r, v)
+					p += len(ids)
+				}
+				// The weight gradient's column index: a plain transpose.
+				B := hi - lo
+				if !sp.gradient(tensor.NewVector(in*8), tensor.NewVector(B*8), B) {
+					t.Fatalf("rows %d–%d: zero errors left the sparse gradient", lo, hi)
+				}
+				if sp.colPtr[0] != 0 {
+					t.Fatalf("rows %d–%d: column 0 starts at %d", lo, hi, sp.colPtr[0])
+				}
+				for col := range int32(in) {
+					var want []int32
+					for r, ids := range nz[lo:hi] {
+						if slices.Contains(ids, col) {
+							want = append(want, int32(r))
 						}
 					}
-					p += len(ids)
+					if got := sp.colIdx[sp.colPtr[col]:sp.colPtr[col+1]]; !slices.Equal(got, want) {
+						t.Fatalf("rows %d–%d: column %d lists rows %v, want %v", lo, hi, col, got, want)
+					}
 				}
 			}
 			sp.release()

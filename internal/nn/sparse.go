@@ -22,14 +22,15 @@ import (
 // each binary row's ones, increasing, which data.BasketGenerator writes
 // in place of the row (a listed row: nil, its list alone) and data's
 // operations keep with their rows; the trainer and ScoreChunks hand
-// them in beside the rows. The index copies the lists, every entry with
-// value 1, and never reads the rows. An empty list is a row without
-// ones. A call without lists runs dense, and so does the rest of a call
-// from its first batch holding a row with more than limit ones. Every
-// dense pass — a fallback, a first layer too narrow, BatchGrad and so
-// the clipped trainer's one-row gradients — writes a listed row into
-// the input matrix as the zeros and ones it stands for (copyInputs),
-// the floats a row held as floats would copy, so the bits are the same.
+// them in beside the rows. The index copies the lists, the only thing
+// the kernels take of a row, and never reads the rows. An empty list is
+// a row without ones. A call without lists runs dense, and so does the
+// rest of a call from its first batch holding a row with more than
+// limit ones. Every dense pass — a fallback, a first layer too narrow,
+// BatchGrad and so the clipped trainer's one-row gradients — writes a
+// listed row into the input matrix as the zeros and ones it stands for
+// (copyInputs), the floats a row held as floats would copy, so the bits
+// are the same.
 //
 // The trainer keeps layer 0 input-major for a whole update: W0 is
 // transposed in once and out once at the end, and the step runs on the
@@ -70,11 +71,9 @@ type sparseL0 struct {
 	opt *SGD
 	wT  tensor.Vector
 
-	rowBuf, colBuf tensor.Vector // the index's floats, and its int32s behind them
+	rowBuf, colBuf tensor.Vector // the index's int32s, two to a float
 	rowPtr, rowIdx []int32
-	rowVal         tensor.Vector // all 1: the values of a binary row's ones
 	colPtr, colIdx []int32
-	colVal         []float64
 }
 
 // init readies s for calls of at most rows rows; opt is the trainer's
@@ -87,22 +86,12 @@ func (s *sparseL0) init(m *MLP, rows int, opt *SGD, listed bool) {
 	*s = sparseL0{m: m, rows: rows, limit: limit, opt: opt, off: !useSparse || !listed || in < sparseMinInputs}
 }
 
-// rowFloats and colFloats are the lengths of the two index buffers:
-// values, then int32 indices and row starts two to a float.
-func (s *sparseL0) rowFloats() int {
-	n := s.rows * s.limit
-	return n + (n+s.rows+2)/2
-}
-
-func (s *sparseL0) colFloats() int {
-	n := s.rows * s.limit
-	return n + (n+s.m.sizes[0]+2)/2
-}
-
-// carve splits a buffer into n values, n indices and ptrs row starts.
-func carve(buf tensor.Vector, n, ptrs int) (val []float64, idx, ptr []int32) {
-	ints := tensor.Int32s(buf[n:])
-	return buf[:n], ints[:n], ints[n : n+ptrs]
+// carve borrows from the pool a buffer of n indices and ptrs row
+// starts, int32s two to a float.
+func (s *sparseL0) carve(n, ptrs int) (buf tensor.Vector, idx, ptr []int32) {
+	buf = s.m.pool.Get((n + ptrs + 1) / 2)
+	ints := tensor.Int32s(buf)
+	return buf, ints[:n], ints[n : n+ptrs]
 }
 
 // rowLists names the lists (data.Dataset.NZ) of a batch's rows without
@@ -141,10 +130,7 @@ func (s *sparseL0) ready(xs []tensor.Vector, lists rowLists) bool {
 		return false
 	}
 	if s.rowBuf == nil {
-		n := s.rows * s.limit
-		s.rowBuf = s.m.pool.Get(s.rowFloats())
-		s.rowVal, s.rowIdx, s.rowPtr = carve(s.rowBuf, n, s.rows+1)
-		s.rowVal.Fill(1) // a listed row is binary
+		s.rowBuf, s.rowIdx, s.rowPtr = s.carve(s.rows*s.limit, s.rows+1)
 		s.rowPtr[0] = 0
 	}
 	if !s.index(len(xs), lists) || hasNegZero(s.m.bias(0)) || !s.w0Finite() {
@@ -218,7 +204,7 @@ func (s *sparseL0) release() {
 // forward adds the B×out product of the indexed rows and W0ᵀ to dst,
 // which holds b0 in every row.
 func (s *sparseL0) forward(dst tensor.Vector, B int) {
-	tensor.SparseRows(dst, s.wT, s.m.sizes[1], s.rowPtr[:B+1], s.rowIdx, s.rowVal)
+	tensor.SparseRows(dst, s.wT, s.m.sizes[1], s.rowPtr[:B+1], s.rowIdx)
 }
 
 // gradient writes dW0ᵀ (in×out) into gw from the B×out errors delta, and
@@ -231,13 +217,11 @@ func (s *sparseL0) gradient(gw, delta tensor.Vector, B int) bool {
 		s.off = true
 		return false
 	}
-	in := s.m.sizes[0]
 	if s.colBuf == nil {
-		s.colBuf = s.m.pool.Get(s.colFloats())
-		s.colVal, s.colIdx, s.colPtr = carve(s.colBuf, s.rows*s.limit, in+1)
+		s.colBuf, s.colIdx, s.colPtr = s.carve(s.rows*s.limit, s.m.sizes[0]+1)
 	}
 	s.columns(B)
-	tensor.SparseRowsStore(gw, delta, s.m.sizes[1], s.colPtr, s.colIdx, s.colVal)
+	tensor.SparseRowsStore(gw, delta, s.m.sizes[1], s.colPtr, s.colIdx)
 	return true
 }
 
@@ -248,8 +232,7 @@ func (s *sparseL0) columns(B int) {
 	ptr := s.colPtr
 	clear(ptr)
 	nnz := s.rowPtr[B]
-	rowIdx, rowVal := s.rowIdx[:nnz], s.rowVal[:nnz]
-	colIdx, colVal := s.colIdx[:nnz], s.colVal[:nnz]
+	rowIdx, colIdx := s.rowIdx[:nnz], s.colIdx[:nnz]
 	for _, t := range rowIdx {
 		ptr[t+1]++
 	}
@@ -258,12 +241,10 @@ func (s *sparseL0) columns(B int) {
 	}
 	lo := int32(0)
 	for r, hi := range s.rowPtr[1 : B+1] {
-		ts, vs := rowIdx[lo:hi], rowVal[lo:hi]
-		vs = vs[:len(ts)]
-		for k, t := range ts {
+		for _, t := range rowIdx[lo:hi] {
 			q := ptr[t]
 			ptr[t] = q + 1
-			colIdx[q], colVal[q] = int32(r), vs[k]
+			colIdx[q] = int32(r)
 		}
 		lo = hi
 	}

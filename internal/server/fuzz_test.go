@@ -28,7 +28,7 @@ const fuzzBodyLimit = 4 << 10
 // the named worker's next ClaimWork returns, without a request.
 func FuzzWorkBodies(f *testing.F) {
 	order := dlsim.WorkOrder{
-		Lease: "L00000002-92cb89e5", Job: "job-000001", Spec: "service e2e", Label: "b", Index: 1,
+		Lease: "L00000002-92cb89e5", Job: "job-000001", Spec: "service e2e", Label: "b",
 		Key:   strings.Repeat("9", 64),
 		Arm:   dlsim.Arm{Label: "b", Corpus: "cifar10", Protocol: "base", ViewSize: 2, SeedOffset: 2},
 		Scale: "tiny", Seed: 1, LeaseSeconds: 15, Worker: "w1", Chained: true,

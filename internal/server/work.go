@@ -61,7 +61,6 @@ func (j *job) Execute(ctx context.Context, u experiment.ArmUnit) (experiment.Arm
 		Job:   j.id,
 		Spec:  u.Spec,
 		Label: u.Arm.Label,
-		Index: u.Index,
 		Key:   u.Key,
 		Arm:   u.Arm,
 		Scale: j.scaleName,

@@ -184,10 +184,10 @@ func gemmNNVec(c, a, b []float64, m, n, k int) int {
 }
 
 //go:noescape
-func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, rows, mrows, nnz int, store bool) int
 
 //go:noescape
-func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, rows, mrows, nnz int, store bool) int
 
 //go:noescape
 func transposeAVX2(dst, src []float64, rows, cols int) bool
@@ -199,14 +199,14 @@ func finiteAVX2(v []float64, n int) bool
 // to rows·n, and ptr holds rows+1 entries). The kernel stops at the
 // first row whose span or one of whose indices lies outside its
 // operand; the Go loop meets it next and panics on it.
-func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
+func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, rows int, store bool) int {
 	if !useAVX2 {
 		return 0
 	}
 	if useAVX512 {
-		return sparseRowsAVX512(c, m, n, ptr, idx, val, rows, len(m)/n, min(len(idx), len(val)), store)
+		return sparseRowsAVX512(c, m, n, ptr, idx, rows, len(m)/n, len(idx), store)
 	}
-	return sparseRowsAVX2(c, m, n, ptr, idx, val, rows, len(m)/n, min(len(idx), len(val)), store)
+	return sparseRowsAVX2(c, m, n, ptr, idx, rows, len(m)/n, len(idx), store)
 }
 
 // transposeVec transposes the leading r4×c4 block (multiples of 4) of

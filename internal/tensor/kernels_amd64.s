@@ -1863,26 +1863,13 @@ logLoop:
 // ---------------------------------------------------------------------
 // SparseRows: lanes are four consecutive columns of a row of C, held in
 // registers for the whole of the row's index list: s = c (or +0 for
-// SparseRowsStore); for each p, s += val[p]·m[idx[p]], product rounded
-// (VMULPD) before the add (VADDPD). A val[p] of exactly 1 — every value
-// of a binary row — adds m's elements as they are: 1·x is x to the bit,
-// and the add then runs alone. Thirty-two columns run at once, eight
-// independent add chains over p; then four; then the last n%4 under the
-// lane mask. Every block walks the row's whole list, and the first
-// block of a row checks each index against m's rows before it loads: a
-// row whose span leaves idx or val, or that holds an index outside m,
-// ends the call unwritten, and the Go loop panics on it.
-
-DATA oneF64<>+0(SB)/8, $1.0
-GLOBL oneF64<>(SB), RODATA|NOPTR, $8
-
-// SR_UNLESS_ONE jumps to label unless val[p], broadcast in Y8, is
-// exactly 1: UCOMISD sets ZF for equal and for unordered, and PF for
-// unordered alone.
-#define SR_UNLESS_ONE(label) \
-	VUCOMISD oneF64<>(SB), X8; \
-	JNE      label; \
-	JPS      label
+// SparseRowsStore); for each p, s += m[idx[p]] (VADDPD), the row of m
+// as it is. Thirty-two columns run at once, eight independent add
+// chains over p; then four; then the last n%4 under the lane mask.
+// Every block walks the row's whole list, and the first block of a row
+// checks each index against m's rows before it loads: a row whose span
+// leaves idx or runs backwards, or that holds an index outside m, ends
+// the call unwritten, and the Go loop panics on it.
 
 // SR_ADD adds the row of m at off(CX) as it is.
 #define SR_ADD(off, ACC) \
@@ -1893,28 +1880,22 @@ GLOBL oneF64<>(SB), RODATA|NOPTR, $8
 	VMOVUPD off(DI)(R13*1), ACC
 
 // SR_ROW turns the index idx[p] in CX, checked against m's rows, into
-// the address of that row of m at the block's column, and broadcasts
-// val[p] into Y8. Reads p in AX. (The terms then address m without an
-// index register, which keeps each load fused with its multiply.)
+// the address of that row of m at the block's column. (The adds then
+// address m without an index register, which keeps each load fused
+// with its add.)
 #define SR_ROW \
 	IMULQ R8, CX; \
 	ADDQ  SI, CX; \
-	ADDQ  R13, CX; \
-	VBROADCASTSD (R9)(AX*8), Y8
+	ADDQ  R13, CX
 
-#define SR_TERM(off, ACC, T) \
-	VMULPD off(CX), Y8, T; \
-	VADDPD T, ACC, ACC
-
-// func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+// func sparseRowsAVX2(c, m []float64, n int, ptr, idx []int32, rows, mrows, nnz int, store bool) int
 // Rows 0..rows−1 of c (n ≥ 1 columns, stride n) and m (mrows rows,
-// stride n); nnz = min(len(idx), len(val)). Returns the rows done.
-TEXT ·sparseRowsAVX2(SB), NOSPLIT, $0-168
+// stride n); nnz = len(idx). Returns the rows done.
+TEXT ·sparseRowsAVX2(SB), NOSPLIT, $0-144
 	MOVQ c_base+0(FP), DI // C: row r
 	MOVQ m_base+24(FP), SI
 	MOVQ ptr_base+56(FP), BX // &ptr[r]
 	MOVQ idx_base+80(FP), DX
-	MOVQ val_base+104(FP), R9
 	MOVQ n+48(FP), R8
 	MOVQ R8, CX
 	ANDQ $3, CX
@@ -1925,13 +1906,13 @@ TEXT ·sparseRowsAVX2(SB), NOSPLIT, $0-168
 	XORQ R10, R10 // r
 
 srRow:
-	CMPQ R10, rows+128(FP)
+	CMPQ R10, rows+104(FP)
 	JGE  srDone
 	MOVL (BX), R11 // p from
 	MOVL 4(BX), R12 // p to
 	CMPQ R11, R12
 	JA   srDone
-	CMPQ R12, nnz+144(FP)
+	CMPQ R12, nnz+120(FP)
 	JA   srDone
 	XORQ R13, R13 // column j, in bytes
 	MOVQ n+48(FP), R14 // columns left
@@ -1939,7 +1920,7 @@ srRow:
 srCols32:
 	CMPQ R14, $32
 	JLT  srCols4
-	CMPB store+152(FP), $0
+	CMPB store+128(FP), $0
 	JNE  sr32Zero
 	SR_INIT(0, Y0)
 	SR_INIT(32, Y1)
@@ -1968,10 +1949,9 @@ sr32Start:
 
 sr32Loop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srDone
 	SR_ROW
-	SR_UNLESS_ONE(sr32Mul)
 	SR_ADD(0, Y0)
 	SR_ADD(32, Y1)
 	SR_ADD(64, Y2)
@@ -1980,20 +1960,6 @@ sr32Loop:
 	SR_ADD(160, Y5)
 	SR_ADD(192, Y6)
 	SR_ADD(224, Y7)
-	INCQ AX
-	CMPQ AX, R12
-	JB   sr32Loop
-	JMP  sr32Store
-
-sr32Mul:
-	SR_TERM(0, Y0, Y9)
-	SR_TERM(32, Y1, Y10)
-	SR_TERM(64, Y2, Y11)
-	SR_TERM(96, Y3, Y12)
-	SR_TERM(128, Y4, Y9)
-	SR_TERM(160, Y5, Y10)
-	SR_TERM(192, Y6, Y11)
-	SR_TERM(224, Y7, Y12)
 	INCQ AX
 	CMPQ AX, R12
 	JB   sr32Loop
@@ -2015,7 +1981,7 @@ srCols4:
 	CMPQ R14, $4
 	JLT  srColsTail
 	VXORPD Y0, Y0, Y0
-	CMPB store+152(FP), $0
+	CMPB store+128(FP), $0
 	JNE  sr4Start
 	SR_INIT(0, Y0)
 
@@ -2026,17 +1992,10 @@ sr4Start:
 
 sr4Loop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srDone
 	SR_ROW
-	SR_UNLESS_ONE(sr4Mul)
 	SR_ADD(0, Y0)
-	JMP  sr4Next
-
-sr4Mul:
-	SR_TERM(0, Y0, Y9)
-
-sr4Next:
 	INCQ AX
 	CMPQ AX, R12
 	JB   sr4Loop
@@ -2051,7 +2010,7 @@ srColsTail:
 	TESTQ R14, R14
 	JZ    srRowNext
 	VXORPD Y0, Y0, Y0
-	CMPB  store+152(FP), $0
+	CMPB  store+128(FP), $0
 	JNE   srTailStart
 	VMASKMOVPD (DI)(R13*1), Y15, Y0
 
@@ -2062,11 +2021,10 @@ srTailStart:
 
 srTailLoop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srDone
 	SR_ROW
 	VMASKMOVPD (CX), Y15, Y9
-	VMULPD     Y9, Y8, Y9
 	VADDPD     Y9, Y0, Y0
 	INCQ AX
 	CMPQ AX, R12
@@ -2082,32 +2040,19 @@ srRowNext:
 	JMP  srRow
 
 srDone:
-	MOVQ R10, ret+160(FP)
+	MOVQ R10, ret+136(FP)
 	VZEROUPPER
 	RET
 
-// SRZ_ROW and SRZ_TERM are SR_ROW and SR_TERM with val[p] broadcast to
-// all of Z8 (so Y8 and X8 hold it too).
-#define SRZ_ROW \
-	IMULQ R8, CX; \
-	ADDQ  SI, CX; \
-	ADDQ  R13, CX; \
-	VBROADCASTSD (R9)(AX*8), Z8
-
-#define SRZ_TERM(off, ACC, T) \
-	VMULPD off(CX), Z8, T; \
-	VADDPD T, ACC, ACC
-
-// func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, val []float64, rows, mrows, nnz int, store bool) int
+// func sparseRowsAVX512(c, m []float64, n int, ptr, idx []int32, rows, mrows, nnz int, store bool) int
 // sparseRowsAVX2 with eight lanes: sixty-four columns at once, then
 // eight, then the AVX2 kernel's four and masked n%4 on the low halves
 // of the same registers.
-TEXT ·sparseRowsAVX512(SB), NOSPLIT, $0-168
+TEXT ·sparseRowsAVX512(SB), NOSPLIT, $0-144
 	MOVQ c_base+0(FP), DI // C: row r
 	MOVQ m_base+24(FP), SI
 	MOVQ ptr_base+56(FP), BX // &ptr[r]
 	MOVQ idx_base+80(FP), DX
-	MOVQ val_base+104(FP), R9
 	MOVQ n+48(FP), R8
 	MOVQ R8, CX
 	ANDQ $3, CX
@@ -2118,13 +2063,13 @@ TEXT ·sparseRowsAVX512(SB), NOSPLIT, $0-168
 	XORQ R10, R10 // r
 
 srzRow:
-	CMPQ R10, rows+128(FP)
+	CMPQ R10, rows+104(FP)
 	JGE  srzDone
 	MOVL (BX), R11 // p from
 	MOVL 4(BX), R12 // p to
 	CMPQ R11, R12
 	JA   srzDone
-	CMPQ R12, nnz+144(FP)
+	CMPQ R12, nnz+120(FP)
 	JA   srzDone
 	XORQ R13, R13 // column j, in bytes
 	MOVQ n+48(FP), R14 // columns left
@@ -2132,7 +2077,7 @@ srzRow:
 srzCols64:
 	CMPQ R14, $64
 	JLT  srzCols8
-	CMPB store+152(FP), $0
+	CMPB store+128(FP), $0
 	JNE  srz64Zero
 	SR_INIT(0, Z0)
 	SR_INIT(64, Z1)
@@ -2161,10 +2106,9 @@ srz64Start:
 
 srz64Loop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srzDone
-	SRZ_ROW
-	SR_UNLESS_ONE(srz64Mul)
+	SR_ROW
 	SR_ADD(0, Z0)
 	SR_ADD(64, Z1)
 	SR_ADD(128, Z2)
@@ -2173,20 +2117,6 @@ srz64Loop:
 	SR_ADD(320, Z5)
 	SR_ADD(384, Z6)
 	SR_ADD(448, Z7)
-	INCQ AX
-	CMPQ AX, R12
-	JB   srz64Loop
-	JMP  srz64Store
-
-srz64Mul:
-	SRZ_TERM(0, Z0, Z9)
-	SRZ_TERM(64, Z1, Z10)
-	SRZ_TERM(128, Z2, Z11)
-	SRZ_TERM(192, Z3, Z12)
-	SRZ_TERM(256, Z4, Z9)
-	SRZ_TERM(320, Z5, Z10)
-	SRZ_TERM(384, Z6, Z11)
-	SRZ_TERM(448, Z7, Z12)
 	INCQ AX
 	CMPQ AX, R12
 	JB   srz64Loop
@@ -2208,7 +2138,7 @@ srzCols8:
 	CMPQ R14, $8
 	JLT  srzCols4
 	VPXORQ Z0, Z0, Z0
-	CMPB store+152(FP), $0
+	CMPB store+128(FP), $0
 	JNE  srz8Start
 	SR_INIT(0, Z0)
 
@@ -2219,17 +2149,10 @@ srz8Start:
 
 srz8Loop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srzDone
-	SRZ_ROW
-	SR_UNLESS_ONE(srz8Mul)
+	SR_ROW
 	SR_ADD(0, Z0)
-	JMP  srz8Next
-
-srz8Mul:
-	SRZ_TERM(0, Z0, Z9)
-
-srz8Next:
 	INCQ AX
 	CMPQ AX, R12
 	JB   srz8Loop
@@ -2244,7 +2167,7 @@ srzCols4:
 	CMPQ R14, $4
 	JLT  srzColsTail
 	VXORPD Y0, Y0, Y0
-	CMPB store+152(FP), $0
+	CMPB store+128(FP), $0
 	JNE  srz4Start
 	SR_INIT(0, Y0)
 
@@ -2255,17 +2178,10 @@ srz4Start:
 
 srz4Loop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srzDone
-	SRZ_ROW
-	SR_UNLESS_ONE(srz4Mul)
+	SR_ROW
 	SR_ADD(0, Y0)
-	JMP  srz4Next
-
-srz4Mul:
-	SR_TERM(0, Y0, Y9)
-
-srz4Next:
 	INCQ AX
 	CMPQ AX, R12
 	JB   srz4Loop
@@ -2280,7 +2196,7 @@ srzColsTail:
 	TESTQ R14, R14
 	JZ    srzRowNext
 	VXORPD Y0, Y0, Y0
-	CMPB  store+152(FP), $0
+	CMPB  store+128(FP), $0
 	JNE   srzTailStart
 	VMASKMOVPD (DI)(R13*1), Y15, Y0
 
@@ -2291,11 +2207,10 @@ srzTailStart:
 
 srzTailLoop:
 	MOVL (DX)(AX*4), CX
-	CMPQ CX, mrows+136(FP)
+	CMPQ CX, mrows+112(FP)
 	JAE  srzDone
-	SRZ_ROW
+	SR_ROW
 	VMASKMOVPD (CX), Y15, Y9
-	VMULPD     Y9, Y8, Y9
 	VADDPD     Y9, Y0, Y0
 	INCQ AX
 	CMPQ AX, R12
@@ -2311,7 +2226,7 @@ srzRowNext:
 	JMP  srzRow
 
 srzDone:
-	MOVQ R10, ret+160(FP)
+	MOVQ R10, ret+136(FP)
 	VZEROUPPER
 	RET
 

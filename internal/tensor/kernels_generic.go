@@ -34,7 +34,7 @@ func logVec(dst, src []float64) int { return 0 }
 
 func argMaxRowsVec(idx []int, m []float64, cols int) int { return 0 }
 
-func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, val []float64, rows int, store bool) int {
+func sparseRowsVec(c, m []float64, n int, ptr, idx []int32, rows int, store bool) int {
 	return 0
 }
 

@@ -5,71 +5,61 @@ import (
 	"unsafe"
 )
 
-// The sparse kernels: a product whose left operand is given by the
-// nonzeros of its rows, and the transpose that lays a matrix out for
-// it. The nn package runs a first layer whose inputs are mostly zeros
-// through them (see nn's sparse.go); every product here is rounded
-// before it is added — the float64 conversions keep a compiler that
-// has a fused multiply-add from using it — so the AVX2 tier and these
-// loops give the same bits on every architecture.
+// The sparse kernels: a product whose left operand is binary, given by
+// the columns of each row's ones, and the transpose that lays a matrix
+// out for it. The nn package runs a first layer whose inputs are mostly
+// zeros through them (see nn's sparse.go). A one times x is x to the
+// bit, so a term adds a row of the right operand as it is, and the AVX2
+// tier and these loops give the same bits on every architecture.
 //
 // The bits of GemmNT and GemmTNStore, under stated preconditions. Let X
-// be rows×k, W n×k and D rows×n. With ptr, idx, val the row index of X
-// (row r's nonzeros are p in [ptr[r], ptr[r+1]), idx[p] the column,
-// increasing, val[p] the value), SparseRows(c, Wᵀ, n, ptr, idx, val)
-// leaves in c the bits GemmNT(c, X, W, rows, n, k) does, when X and W
-// are finite and c holds no −0. With them the column index of X (idx[p]
-// the row, increasing), SparseRowsStore(g, D, n, ptr, idx, val) writes
-// into the k×n g the transpose of what GemmTNStore(gᵀ, D, X, n, k, rows)
-// writes, when X and D are finite. The terms the sparse forms leave out
-// are products with a factor ±0, hence ±0 themselves (the others are
-// finite); adding ±0 changes no sum but −0, and a chain that starts from
-// a value other than −0 never reaches −0 in round-to-nearest. GemmTN's
-// own skipped rows are such terms too. A non-finite operand breaks this
-// (0·Inf is NaN), as does a −0 start.
+// be a binary rows×k matrix, W n×k and D rows×n. With ptr, idx the row
+// index of X (row r's ones are p in [ptr[r], ptr[r+1]), idx[p] the
+// column, increasing), SparseRows(c, Wᵀ, n, ptr, idx) leaves in c the
+// bits GemmNT(c, X, W, rows, n, k) does, when W is finite and c holds
+// no −0. With them the column index of X (idx[p] the row, increasing),
+// SparseRowsStore(g, D, n, ptr, idx) writes into the k×n g the
+// transpose of what GemmTNStore(gᵀ, D, X, n, k, rows) writes, when D is
+// finite. The terms the sparse forms leave out are products with a zero
+// factor, hence ±0 themselves (the others are finite); adding ±0
+// changes no sum but −0, and a chain that starts from a value other
+// than −0 never reaches −0 in round-to-nearest. GemmTN's own skipped
+// rows are such terms too. A non-finite operand breaks this (0·Inf is
+// NaN), as does a −0 start.
 
 // SparseRows accumulates, for every row r < len(ptr)−1,
 //
-//	c[r·n : r·n+n] += Σ val[p]·m[idx[p]·n : idx[p]·n+n],  p = ptr[r] … ptr[r+1]−1
+//	c[r·n : r·n+n] += Σ m[idx[p]·n : idx[p]·n+n],  p = ptr[r] … ptr[r+1]−1
 //
 // with p increasing: c and m are row-major with n columns, and each
 // element of a row of c is one chain over p that starts from the value
-// it held. A val[p] of exactly 1 adds m's row as it is, which is the
-// product's bits without the multiply. It panics when an index lies
-// outside its operand.
-func SparseRows(c, m []float64, n int, ptr, idx []int32, val []float64) {
-	sparseRows(c, m, n, ptr, idx, val, false)
+// it held. It panics, as slice bounds do, when a row's span or an index
+// lies outside its operand.
+func SparseRows(c, m []float64, n int, ptr, idx []int32) {
+	sparseRows(c, m, n, ptr, idx, false)
 }
 
 // SparseRowsStore sets every row of c to the sum SparseRows adds to it,
 // started from +0: the bits SparseRows leaves in a c of +0 (a row with
 // no terms is +0), written without reading c or clearing it first.
-func SparseRowsStore(c, m []float64, n int, ptr, idx []int32, val []float64) {
-	sparseRows(c, m, n, ptr, idx, val, true)
+func SparseRowsStore(c, m []float64, n int, ptr, idx []int32) {
+	sparseRows(c, m, n, ptr, idx, true)
 }
 
-func sparseRows(c, m []float64, n int, ptr, idx []int32, val []float64, store bool) {
+func sparseRows(c, m []float64, n int, ptr, idx []int32, store bool) {
 	rows := len(ptr) - 1
 	if rows <= 0 || n <= 0 {
 		return
 	}
 	c = c[:rows*n]
-	for r := sparseRowsVec(c, m, n, ptr, idx, val, rows, store); r < rows; r++ {
+	for r := sparseRowsVec(c, m, n, ptr, idx, rows, store); r < rows; r++ {
 		crow := c[r*n : (r+1)*n]
 		if store {
 			clear(crow)
 		}
-		for p := ptr[r]; p < ptr[r+1]; p++ {
-			v, row := val[p], int(idx[p])
-			mrow := m[row*n : (row+1)*n]
-			if v == 1 { // 1·x is x to the bit: a binary row adds rows of m
-				for j, mv := range mrow {
-					crow[j] += mv
-				}
-				continue
-			}
-			for j, mv := range mrow {
-				crow[j] += float64(v * mv)
+		for _, row := range idx[ptr[r]:ptr[r+1]] {
+			for j, mv := range m[int(row)*n : (int(row)+1)*n] {
+				crow[j] += mv
 			}
 		}
 	}

@@ -6,20 +6,19 @@ import (
 	"testing"
 )
 
-// rowIndex is the nonzero index of the rows×k matrix x in the form
-// SparseRows reads, built the plain way: a NaN is nonzero, either zero
-// is not.
-func rowIndex(x []float64, rows, k int) (ptr, idx []int32, val []float64) {
+// rowIndex is the index of the ones of the binary rows×k matrix x in
+// the form SparseRows reads, built the plain way.
+func rowIndex(x []float64, rows, k int) (ptr, idx []int32) {
 	ptr = []int32{0}
 	for r := 0; r < rows; r++ {
 		for t, v := range x[r*k : (r+1)*k] {
-			if v != 0 {
-				idx, val = append(idx, int32(t)), append(val, v)
+			if v == 1 {
+				idx = append(idx, int32(t))
 			}
 		}
 		ptr = append(ptr, int32(len(idx)))
 	}
-	return ptr, idx, val
+	return ptr, idx
 }
 
 // naiveTranspose returns the k×rows transpose of the rows×k matrix x.
@@ -51,20 +50,17 @@ func hasNegZero(v []float64) bool {
 	return false
 }
 
-// sparseOperand returns n normals (ones when ones is set) of which each
-// is kept with probability density and is otherwise +0 or −0, then the
-// special values of plant sprinkled over it.
-func sparseOperand(rng *RNG, n int, density float64, ones bool, plant byte) []float64 {
-	x := randSlice(rng, n)
+// binaryOperand returns n elements of which each is 1 with probability
+// density and is otherwise +0 or −0.
+func binaryOperand(rng *RNG, n int, density float64) []float64 {
+	x := make([]float64, n)
 	for i := range x {
-		switch {
-		case rng.Float64() >= density:
-			x[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
-		case ones:
+		if rng.Float64() < density {
 			x[i] = 1
+		} else {
+			x[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
 		}
 	}
-	sprinkle(x, 6, specials(plant), rng)
 	return x
 }
 
@@ -86,9 +82,9 @@ func checkCanaries(t testing.TB, what string, c, buf []float64) {
 	}
 }
 
-// checkSparse draws X (rows×k, nonzeros at the given density), W (n×k),
-// D (rows×n) and a start for C (rows×n), with the special values of
-// plant sprinkled over all four, and holds:
+// checkSparse draws a binary X (rows×k, ones at the given density), W
+// (n×k), D (rows×n) and a start for C (rows×n), with the special values
+// of plant sprinkled over the last three, and holds:
 //   - Transpose to the plain transpose and its finiteness report to
 //     the plain one;
 //   - SparseRows over Wᵀ with X's row index and SparseRowsStore over D
@@ -97,13 +93,13 @@ func checkCanaries(t testing.TB, what string, c, buf []float64) {
 //     against an inaccessible page (the store form meets NaN on one
 //     tier and canaries on the other: one element read, or one left
 //     unwritten, and the two disagree);
-//   - and, whenever the preconditions hold (X and W finite and no −0 in
-//     the start; X and D finite), the first to GemmNT's bits and the
-//     second to the transpose of GemmTNStore's.
-func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, ones bool, plant byte, rng *RNG) {
+//   - and, whenever the preconditions hold (W finite and no −0 in the
+//     start; D finite), the first to GemmNT's bits and the second to
+//     the transpose of GemmTNStore's.
+func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, plant byte, rng *RNG) {
 	t.Helper()
 	name := fmt.Sprintf("%dx%dx%d density %.2f plant %#x", rows, n, k, density, plant)
-	x := sparseOperand(rng, rows*k, density, ones, plant)
+	x := binaryOperand(rng, rows*k, density)
 	w, d, init := randSlice(rng, n*k), randSlice(rng, rows*n), randSlice(rng, rows*n)
 	for _, v := range [][]float64{w, d, init} {
 		sprinkle(v, 6, specials(plant), rng)
@@ -122,18 +118,18 @@ func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, o
 		}
 		sameVectorBits(t, "Transpose on the go tier "+name, goT, naiveTranspose(w, n, k))
 	})
-	ptr, idx, val := rowIndex(x, rows, k)
+	ptr, idx := rowIndex(x, rows, k)
 	want := Vector(init).Clone()
-	onGoTier(func() { SparseRows(want, wT, n, ptr, idx, val) })
+	onGoTier(func() { SparseRows(want, wT, n, ptr, idx) })
 	onEachAsmTier(func() {
 		name := name + " on the " + Kernels() + " tier"
 		c, buf := ar.cWithCanaries(rows * n)
 		copy(c, init)
-		SparseRows(c, wT, n, ptr, idx, val)
+		SparseRows(c, wT, n, ptr, idx)
 		checkCanaries(t, "SparseRows "+name, c, buf)
 		sameVectorBits(t, "SparseRows against its go tier "+name, c, want)
 	})
-	if allFinite(x) && allFinite(w) && !hasNegZero(init) {
+	if allFinite(w) && !hasNegZero(init) {
 		dense := Vector(init).Clone()
 		GemmNT(dense, x, w, rows, n, k)
 		sameVectorBits(t, "SparseRows against GemmNT "+name, want, dense)
@@ -143,26 +139,26 @@ func checkSparse(t testing.TB, ar gemmArenas, rows, n, k int, density float64, o
 	// from the arena wT came from, so after the forward is done.)
 	dm := ar.b(rows * n)
 	copy(dm, d)
-	ptr, idx, val = rowIndex(naiveTranspose(x, rows, k), k, rows)
+	ptr, idx = rowIndex(naiveTranspose(x, rows, k), k, rows)
 	want = NewVector(k * n)
 	want.Fill(canary)
-	onGoTier(func() { SparseRowsStore(want, dm, n, ptr, idx, val) })
+	onGoTier(func() { SparseRowsStore(want, dm, n, ptr, idx) })
 	onEachAsmTier(func() {
 		name := name + " on the " + Kernels() + " tier"
 		g, buf := ar.cWithCanaries(k * n)
 		Vector(g).Fill(math.NaN())
-		SparseRowsStore(g, dm, n, ptr, idx, val)
+		SparseRowsStore(g, dm, n, ptr, idx)
 		checkCanaries(t, "SparseRowsStore "+name, g, buf)
 		sameVectorBits(t, "SparseRowsStore against its go tier "+name, g, want)
 	})
-	if allFinite(x) && allFinite(d) {
+	if allFinite(d) {
 		dense := NewVector(n * k)
 		GemmTNStore(dense, d, x, n, k, rows)
 		sameVectorBits(t, "SparseRowsStore against GemmTNStore "+name, want, naiveTranspose(dense, n, k))
 	}
 }
 
-// sparseDensities run from no nonzero to no zero, through the
+// sparseDensities run from no one to no zero, through the
 // Purchase100-like corpus's ≈0.3 and the crossover nn uses.
 var sparseDensities = []float64{0, 0.05, 0.3, 0.5, 1}
 
@@ -186,26 +182,26 @@ func TestSparseRowsMatchesGemm(t *testing.T) {
 	for _, sh := range shapes {
 		for _, density := range sparseDensities {
 			for _, plant := range []byte{0, plantZero, plantAll} {
-				checkSparse(t, ar, sh[0], sh[1], sh[2], density, density == 0.3, plant, rng)
+				checkSparse(t, ar, sh[0], sh[1], sh[2], density, plant, rng)
 			}
 		}
 	}
 }
 
 // TestSparseRowsSignedZeros holds the one place where the store form
-// and a bare product differ by the sign of a zero: a chain of −0
-// products starts from +0, and +0 + −0 is +0, so it must come out +0.
+// and a bare sum differ by the sign of a zero: a chain of −0 terms
+// starts from +0, and +0 + −0 is +0, so it must come out +0.
 // A row with no terms is +0 too. n = 41 runs the 32-column, 4-column
 // and masked-tail blocks of the assembly.
 func TestSparseRowsSignedZeros(t *testing.T) {
 	const n = 41
 	m := NewVector(2 * n)
 	m.Fill(math.Copysign(0, -1))
-	ptr, idx, val := []int32{0, 2, 2, 3}, []int32{0, 1, 1}, []float64{1, 2, -0.5}
+	ptr, idx := []int32{0, 2, 2, 3}, []int32{0, 1, 1}
 	check := func() {
 		c := NewVector(3 * n)
 		c.Fill(math.NaN())
-		SparseRowsStore(c, m, n, ptr, idx, val)
+		SparseRowsStore(c, m, n, ptr, idx)
 		for i, v := range c {
 			if math.Float64bits(v) != 0 {
 				t.Fatalf("SparseRowsStore on the %s tier: C[%d] = %v (%#x), want +0", Kernels(), i, v, math.Float64bits(v))
@@ -217,8 +213,9 @@ func TestSparseRowsSignedZeros(t *testing.T) {
 }
 
 // TestSparseRowsPanicsOutsideOperands: an index past m's rows, a span
-// past the index, and a row whose index is negative fail on both tiers
-// as slice bounds do, and leave the rows before them done.
+// past the index or running backwards, and a row whose index is
+// negative fail on both tiers as slice bounds do, and leave the rows
+// before them done.
 func TestSparseRowsPanicsOutsideOperands(t *testing.T) {
 	const n = 8
 	m := NewVector(3 * n)
@@ -230,6 +227,7 @@ func TestSparseRowsPanicsOutsideOperands(t *testing.T) {
 		{"index past m", []int32{0, 1, 2}, []int32{2, 3}},
 		{"negative index", []int32{0, 1, 2}, []int32{2, -1}},
 		{"span past the index", []int32{0, 1, 3}, []int32{2, 0}},
+		{"backward span", []int32{0, 1, 0}, []int32{2, 0}},
 	}
 	for _, tc := range cases {
 		run := func() {
@@ -242,7 +240,7 @@ func TestSparseRowsPanicsOutsideOperands(t *testing.T) {
 					t.Fatalf("%s on the %s tier: row 0 not done before the panic: %v", tc.name, Kernels(), c[:n])
 				}
 			}()
-			SparseRows(c, m, n, tc.ptr, tc.idx, []float64{1, 1, 1})
+			SparseRows(c, m, n, tc.ptr, tc.idx)
 		}
 		run()
 		onGoTier(run)
@@ -277,20 +275,20 @@ func TestFinite(t *testing.T) {
 func BenchmarkSparseRows(b *testing.B) {
 	const rows, n, k = 16, 64, 600
 	rng := NewRNG(3)
-	x := sparseOperand(rng, rows*k, 0.3, true, 0)
+	x := binaryOperand(rng, rows*k, 0.3)
 	w, d, c := randSlice(rng, n*k), randSlice(rng, rows*n), randSlice(rng, rows*n)
 	wT, g := NewVector(n*k), NewVector(n*k)
 	Transpose(wT, w, n, k)
-	rp, ri, rv := rowIndex(x, rows, k)
-	cp, ci, cv := rowIndex(naiveTranspose(x, rows, k), k, rows)
+	rp, ri := rowIndex(x, rows, k)
+	cp, ci := rowIndex(naiveTranspose(x, rows, k), k, rows)
 	cases := []struct {
 		name string
 		run  func()
 	}{
 		{"GemmNT", func() { GemmNT(c, x, w, rows, n, k) }},
-		{"SparseRows", func() { SparseRows(c, wT, n, rp, ri, rv) }},
+		{"SparseRows", func() { SparseRows(c, wT, n, rp, ri) }},
 		{"GemmTNStore", func() { GemmTNStore(g, d, x, n, k, rows) }},
-		{"SparseRowsStore", func() { SparseRowsStore(g, d, n, cp, ci, cv) }},
+		{"SparseRowsStore", func() { SparseRowsStore(g, d, n, cp, ci) }},
 		{"Transpose", func() { Transpose(wT, w, n, k) }},
 		{"TransposeBack", func() { Transpose(w, wT, k, n) }},
 		{"Finite", func() { Finite(wT) }},
@@ -319,7 +317,8 @@ func BenchmarkSparseRows(b *testing.B) {
 
 // FuzzSparseRows holds the sparse kernels to their Go tier always, and
 // to GemmNT and GemmTNStore bit for bit whenever the preconditions hold,
-// on shapes, densities and special values nobody listed.
+// on binary X and on shapes, densities and special values of the other
+// operands nobody listed.
 func FuzzSparseRows(f *testing.F) {
 	f.Add(uint8(16), uint8(64), uint16(600), int64(1), uint8(77), byte(0))
 	f.Add(uint8(5), uint8(37), uint16(9), int64(2), uint8(128), byte(plantAll))
@@ -328,6 +327,6 @@ func FuzzSparseRows(f *testing.F) {
 	ar := newGemmArenas(f, 255*1023)
 	f.Fuzz(func(t *testing.T, rows, n uint8, k uint16, seed int64, density uint8, plant byte) {
 		rng := NewRNG(seed)
-		checkSparse(t, ar, int(rows), int(n), int(k%1024), float64(density)/255, seed&1 == 0, plant, rng)
+		checkSparse(t, ar, int(rows), int(n), int(k%1024), float64(density)/255, plant, rng)
 	})
 }

@@ -44,12 +44,11 @@ type WorkOrder struct {
 	Lease string `json:"lease,omitempty"`
 	// Job is the server job this arm belongs to.
 	Job string `json:"job,omitempty"`
-	// Spec and Index locate the arm within its submitted spec; Label
-	// names it; Key is its content hash (the idempotency identity and
-	// cluster-wide cache key).
+	// Spec is the submitted spec the arm belongs to; Label names it; Key
+	// is its content hash (the idempotency identity and cluster-wide
+	// cache key).
 	Spec  string `json:"spec"`
 	Label string `json:"label"`
-	Index int    `json:"index"`
 	Key   string `json:"key"`
 	// Arm is the fully expanded declarative arm.
 	Arm Arm `json:"arm"`

@@ -107,10 +107,10 @@ go test -run=NONE -fuzz=FuzzGemmKernels -fuzztime=10s -fuzzminimizetime=1x ./int
 # ties and infinities no seed lists.
 go test -run=NONE -fuzz=FuzzAttackMetrics -fuzztime=10s -fuzzminimizetime=1x ./internal/mia
 # tensor.SparseRows and SparseRowsStore stand in for GemmNT and
-# GemmTNStore on the first layer of sparse inputs: a short real fuzzing
+# GemmTNStore on the first layer of binary inputs: a short real fuzzing
 # run holds them to their Go tier always, and to the GEMMs' bits
-# whenever the preconditions hold, on shapes, densities and special
-# values no seed lists.
+# whenever the preconditions hold, on binary X of every density and on
+# shapes and special values of the other operands no seed lists.
 go test -run=NONE -fuzz=FuzzSparseRows -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
 # The first layer indexes a batch from its rows' lists of ones
 # (data.Dataset.NZ), and a Purchase100-like row is its list alone (a

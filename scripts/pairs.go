@@ -17,6 +17,8 @@
 //	    -instrument dlbench:dense_wake:alloc_kb_per_arm
 //	go run scripts/pairs.go -base HEAD -change HEAD -pairs 1 \
 //	    -instrument bench:BenchmarkTrainerEpoch
+//	go run scripts/pairs.go -base HEAD -change "$(git stash create)" \
+//	    -instrument dlbench:figure2_quick:arms_per_s
 //
 // Instruments:
 //
@@ -30,8 +32,12 @@
 //	                         named, Benchmark/sub) per side and pair: its
 //	                         ns/op, lower is better
 //
-// Both revisions must be committed. It needs git and the Go toolchain,
-// and nothing from the network. It exits non-zero when a run fails or
+// Both revisions must be committed. `git stash create` commits the
+// tracked edits on top of HEAD without touching the tree, so the third
+// example measures uncommitted work against HEAD; it prints nothing on
+// a clean tree (use HEAD then), and untracked files are not included
+// (`git add` a new file first). It needs git and the Go toolchain, and
+// nothing from the network. It exits non-zero when a run fails or
 // two digests differ, whatever the verdict.
 package main
 

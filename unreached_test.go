@@ -73,6 +73,7 @@ var reachability = struct {
 		// Shared test helpers.
 		{"internal/tensor.EqualApprox", "internal/gossip.TestDeterminism", "vector comparison in 28 tests of five packages"},
 		{"internal/tensor.Vector.SubInPlace", "internal/gossip.TestGossipDrivesConsensus", "distance to the consensus point"},
+		{"internal/tensor.Vector.Fill", "internal/tensor.TestSparseRowsMatchesGemm", "canaries, NaN starts and constant operands in 26 places of two packages"},
 		{"internal/sink.Memory", "internal/sink.TestMultiSinkFansOut", "the sink a test can read back"},
 		// A forward reference: ROADMAP item 2's claims evaluator is its
 		// first caller. It leaves this list when that lands, or goes if it
