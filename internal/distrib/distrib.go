@@ -150,6 +150,15 @@ type WorkerStatus struct {
 	Errors     int64 // worker-reported execution errors
 	Mismatches int64 // checksum-mismatched or audit-divergent uploads
 	Registered bool
+	Arch       string // as registered (Build)
+	Kernels    string
+}
+
+// Build is what a worker reports of its binary when it registers: the
+// architecture and the kernel tier. The dispatcher keeps it for the
+// stats and checks nothing.
+type Build struct {
+	Arch, Kernels string
 }
 
 // Stats is a point-in-time counters snapshot for observability.
@@ -205,6 +214,7 @@ type lease struct {
 type workerRec struct {
 	name        string
 	registered  bool // explicit Register handshake (vs. implicit on claim)
+	build       Build
 	seen        time.Time
 	parked      int  // claimers currently long-polling
 	quarantined bool // caught lying; never lifted, never forgotten
@@ -372,6 +382,12 @@ func (d *Dispatcher) failLeaseLocked(l *lease, rec *workerRec, reason string, no
 // explicit handshake lets the fleet count the worker as live before
 // it parks and pairs with Deregister for a clean exit.
 func (d *Dispatcher) Register(worker string) error {
+	return d.RegisterBuild(worker, Build{})
+}
+
+// RegisterBuild is Register for a worker that names its build, which
+// replaces any it named before.
+func (d *Dispatcher) RegisterBuild(worker string, b Build) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
@@ -380,8 +396,19 @@ func (d *Dispatcher) Register(worker string) error {
 	if d.draining {
 		return ErrDraining
 	}
-	d.recLocked(worker, d.now()).registered = true
+	rec := d.recLocked(worker, d.now())
+	rec.registered, rec.build = true, b
 	return nil
+}
+
+// WorkerBuild returns the build worker registered with, zero if none.
+func (d *Dispatcher) WorkerBuild(worker string) Build {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if rec, ok := d.workers[worker]; ok {
+		return rec.build
+	}
+	return Build{}
 }
 
 // Deregister removes the worker from the live set immediately — no
@@ -803,6 +830,8 @@ func (d *Dispatcher) Stats() Stats {
 			Errors:     rec.uploadErrs,
 			Mismatches: rec.mismatches,
 			Registered: rec.registered,
+			Arch:       rec.build.Arch,
+			Kernels:    rec.build.Kernels,
 		})
 	}
 	sort.Slice(per, func(i, j int) bool { return per[i].Name < per[j].Name })

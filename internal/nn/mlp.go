@@ -508,5 +508,5 @@ func crossEntropyFromProbs(p tensor.Vector, y int) float64 {
 	if v < floor {
 		v = floor
 	}
-	return -math.Log(v)
+	return -tensor.LogScalar(v)
 }

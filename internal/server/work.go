@@ -158,8 +158,11 @@ func (s *Server) auditArm(ctx context.Context, j *job, order dlsim.WorkOrder, wo
 	reason := fmt.Sprintf("audit: divergent bytes for arm %q", order.Label)
 	s.dispatch.Quarantine(worker)
 	s.recordWorkerFailures(j, order.Label, []distrib.UnitFailure{{Worker: worker, Reason: reason}})
+	wb, v := s.dispatch.WorkerBuild(worker), dlsim.Version()
 	s.log.Warn("audit caught divergent worker; quarantined",
-		"job", j.id, "arm", order.Label, "worker", worker)
+		"job", j.id, "arm", order.Label, "worker", worker,
+		"workerArch", wb.Arch, "workerKernels", wb.Kernels,
+		"serverArch", v.Arch, "serverKernels", v.Kernels)
 	return local, true
 }
 
@@ -239,7 +242,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "register request has no worker name")
 		return
 	}
-	if err := s.dispatch.Register(req.Worker); err != nil {
+	if err := s.dispatch.RegisterBuild(req.Worker, distrib.Build{Arch: req.Arch, Kernels: req.Kernels}); err != nil {
 		retryAfter(w.Header(), 5*time.Second)
 		writeErr(w, http.StatusServiceUnavailable, "register failed: %v", err)
 		return

@@ -7,9 +7,11 @@ package server
 // byte-identical to in-process execution.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"reflect"
@@ -576,6 +578,42 @@ func TestReclaimedOrderServedAgainUnchanged(t *testing.T) {
 // TestAuditSampled holds the audit sample to its contract: fractions 0
 // and 1 are never and always, a key's answer never changes, and over
 // many content keys the sampled share tracks the fraction.
+// TestRegisterShowsBuild: a worker's register handshake carries its
+// build's arch and kernel tier, and /v1/statz shows each worker's own.
+// The service refuses neither: neither changes a result's bytes.
+func TestRegisterShowsBuild(t *testing.T) {
+	_, ts, client := newChaosService(t, Config{Jobs: 1, DefaultScale: "tiny"})
+	if err := client.RegisterWorker(t.Context(), "here"); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(dlsim.RegisterRequest{Worker: "other", Arch: "arm64", Kernels: "go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/work/register", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("register other = %s", resp.Status)
+	}
+	st, err := client.Statz(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := dlsim.Version()
+	want := map[string][2]string{"here": {v.Arch, v.Kernels}, "other": {"arm64", "go"}}
+	for _, row := range st.Work.PerWorker {
+		if w, ok := want[row.Name]; ok && row.Registered && [2]string{row.Arch, row.Kernels} == w {
+			delete(want, row.Name)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("statz rows %+v miss %v", st.Work.PerWorker, want)
+	}
+}
+
 func TestAuditSampled(t *testing.T) {
 	const n = 10_000
 	keys := make([]string, n)

@@ -1,7 +1,5 @@
 package tensor
 
-import "math"
-
 // The assembly tiers (kernels_amd64.s) — AVX-512 under the GEMM and
 // sparse kernels, AVX2 under those and the element-wise vector
 // operations — and the choice between them and the Go loops in
@@ -81,12 +79,9 @@ func hasAVX512() bool {
 	return b&avx512f != 0
 }
 
-// mathExpFMA reports whether math.Exp takes its FMA path in this
-// process, which math decides from the CPU (AVX and FMA, saved by the
-// OS) and GODEBUG's cpu.fma and cpu.avx switches. CPUID says whether the
-// path can run; the probe, an input the two paths round apart, says
-// whether math took it.
-func mathExpFMA() bool {
+// hasFMA reports whether the CPU has FMA and AVX and the OS saves the
+// YMM registers: what expAVX2 executes beyond AVX2.
+func hasFMA() bool {
 	const (
 		fma     = 1 << 12 // CPUID.1:ECX
 		osxsave = 1 << 27
@@ -96,11 +91,12 @@ func mathExpFMA() bool {
 	if _, _, c, _ := cpuid(1, 0); c&(fma|osxsave|avx) != fma|osxsave|avx {
 		return false
 	}
-	if lo, _ := xgetbv(); lo&xmmYMM != xmmYMM {
-		return false
-	}
-	return math.Float64bits(math.Exp(-0.00345)) == 0x3fefe3c94abc47d3 // the other path gives …d4
+	lo, _ := xgetbv()
+	return lo&xmmYMM == xmmYMM
 }
+
+// useFMA gates expAVX2, whose FMA instructions AVX2 does not imply.
+var useFMA = hasFMA()
 
 // The four functions below run as much of a GEMM as the assembly
 // kernels take and report how far they got; the Go kernel finishes from
@@ -312,14 +308,14 @@ func reluMaskVec(v, h []float64) int {
 	return n4
 }
 
-// expVec writes math.Exp(src[i]) into the leading multiple of 4
+// expVec writes ExpScalar(src[i]) into the leading multiple of 4
 // elements of dst and returns how many; src is at least as long as dst.
-// The kernel replays math.Exp's FMA path, so it runs only where
-// math.Exp takes that path. A group it hands back has a lane outside
-// the path's straight line, and math.Exp itself does that group.
+// The kernel runs ExpScalar's steps four lanes wide, with FMA where it
+// calls math.FMA. A group it hands back has a lane outside the straight
+// line, and ExpScalar itself does that group.
 func expVec(dst, src []float64) int {
 	n4 := len(dst) &^ 3
-	if !useAVX2 || !expFMA || n4 == 0 {
+	if !useAVX2 || !useFMA || n4 == 0 {
 		return 0
 	}
 	i := 0
@@ -329,15 +325,15 @@ func expVec(dst, src []float64) int {
 			return n4
 		}
 		for end := i + 4; i < end; i++ {
-			dst[i] = math.Exp(src[i])
+			dst[i] = ExpScalar(src[i])
 		}
 	}
 }
 
-// logVec writes math.Log(src[i]) into the leading multiple of 4
+// logVec writes LogScalar(src[i]) into the leading multiple of 4
 // elements of dst and returns how many; src is at least as long as dst.
-// The kernel replays math.Log's amd64 assembly, which takes one path on
-// every amd64 host, special cases included.
+// The kernel runs LogScalar's steps four lanes wide, special cases
+// included.
 func logVec(dst, src []float64) int {
 	n4 := len(dst) &^ 3
 	if !useAVX2 || n4 == 0 {

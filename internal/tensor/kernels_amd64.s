@@ -1592,15 +1592,15 @@ reluMaskLoop:
 	RET
 
 // ---------------------------------------------------------------------
-// Exp: math.Exp's FMA path (Go 1.24's archExp, taken where the CPU has
-// AVX and FMA) four lanes wide, operation for operation: the same
+// Exp: ExpScalar, which is math.Exp's FMA path (Go 1.24's archExp),
+// four lanes wide, operation for operation: the same
 // reduction by e·ln2 in two fused steps, the same ×1/16, the same
 // Horner chain and four (r+2)·r steps, the last one fused, and the same
 // scale by 2^e. A lane whose biased exponent e+1023 leaves [1, 2046] is
 // one archExp does not take down that straight path — NaN and ±Inf
 // convert to the integer indefinite 0x80000000, anything above its
 // overflow threshold rounds to e ≥ 1024, a result below the normals to
-// e ≤ −1023 — and its group is handed back to math.Exp unwritten.
+// e ≤ −1023 — and its group is handed back to ExpScalar unwritten.
 
 // expConst<> holds each constant four times, one 32-byte vector each,
 // and the exponent bounds and bias as four int32 lanes.
@@ -1632,7 +1632,7 @@ DATA expConst<>+456(SB)/8, $0x000003ff000003ff
 GLOBL expConst<>(SB), RODATA|NOPTR, $464
 
 // func expAVX2(dst, src []float64, n int) int
-// dst = math.Exp(src) for the first n elements (n a multiple of 4,
+// dst = ExpScalar(src) for the first n elements (n a multiple of 4,
 // possibly 0) up to the first group with a lane out of range; returns the
 // number of elements written. A group is read whole before it is written,
 // so dst may be src.
@@ -1748,8 +1748,8 @@ amCols:
 	RET
 
 // ---------------------------------------------------------------------
-// Log: math.Log's amd64 assembly (Go 1.24's archLog, which uses no FMA
-// and is the same on every amd64 host) four lanes wide, operation for
+// Log: LogScalar, which is math.Log's amd64 assembly (Go 1.24's
+// archLog, which uses no FMA), four lanes wide, operation for
 // operation: frexp by bit masks — f1 the mantissa under the exponent of
 // 0.5, k the biased exponent less 1022, as archLog takes them for
 // subnormals too — the √2/2 compare that doubles f1 and takes one from
@@ -1792,7 +1792,7 @@ LOG_CONST4(672, $0xfff0000000000000) // −Inf
 GLOBL logConst<>(SB), RODATA|NOPTR, $704
 
 // func logAVX2(dst, src []float64, n int)
-// dst = math.Log(src) for the first n elements, n a positive multiple
+// dst = LogScalar(src) for the first n elements, n a positive multiple
 // of 4. A group is read whole before it is written, so dst may be src.
 TEXT ·logAVX2(SB), NOSPLIT, $0-56
 	MOVQ dst_base+0(FP), DI

@@ -7,8 +7,6 @@ package tensor
 func hasAVX2() bool   { return false }
 func hasAVX512() bool { return false }
 
-func mathExpFMA() bool { return false }
-
 func gemmNTVec(c, a, b []float64, m, n, k int) int { return 0 }
 func gemmTNVec(c, a, b []float64, m, n, k int) int { return 0 }
 func gemmNNVec(c, a, b []float64, m, n, k int) int { return 0 }

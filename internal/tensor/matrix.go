@@ -66,28 +66,18 @@ var (
 	useAVX512 = useAVX2 && hasAVX512()
 )
 
-// expFMA records that math.Exp takes its FMA path here, the one Exp's
-// AVX2 tier replays.
-var expFMA = mathExpFMA()
-
-// Kernels names the tiers this process runs on: "avx512", "avx2" or
-// "go" for the kernels (avx512 is the GEMM and sparse kernels' tier;
-// the element-wise kernels stay on avx2 under it), then "+fma" where math.Exp takes its
-// FMA path (under avx2 or avx512, Exp then runs four lanes wide). The
-// kernel tier changes no result; the exp path does, since math.Exp's two
-// paths round some inputs apart, so bytes match only between processes
-// of one architecture that agree on "+fma".
+// Kernels names the tier this process's kernels run on: "avx512",
+// "avx2" or "go" (avx512 is the GEMM and sparse kernels' tier; the
+// element-wise kernels stay on avx2 under it). The tier changes the
+// speed of a run, never its bytes.
 func Kernels() string {
-	tier := "go"
-	if useAVX2 && useAVX512 {
-		tier = "avx512"
-	} else if useAVX2 {
-		tier = "avx2"
+	switch {
+	case useAVX2 && useAVX512:
+		return "avx512"
+	case useAVX2:
+		return "avx2"
 	}
-	if expFMA {
-		tier += "+fma"
-	}
-	return tier
+	return "go"
 }
 
 // GemmNT accumulates C += A·Bᵀ for row-major flat slices: A is m×k, B is

@@ -173,8 +173,8 @@ func (g *RNG) normEdge(j int32, x float64) (_ float64, ok bool) {
 	if i == 0 {
 		// This extra work is only required for the base strip.
 		for {
-			x = float64(-math.Log(g.Float64()) * (1.0 / rn))
-			y := -math.Log(g.Float64())
+			x = float64(-LogScalar(g.Float64()) * (1.0 / rn))
+			y := -LogScalar(g.Float64())
 			if y+y >= x*x {
 				break
 			}
@@ -184,7 +184,7 @@ func (g *RNG) normEdge(j int32, x float64) (_ float64, ok bool) {
 		}
 		return -rn - x, true
 	}
-	if fn[i]+float32(float32(g.Float64())*(fn[i-1]-fn[i])) < float32(math.Exp(-.5*x*x)) {
+	if fn[i]+float32(float32(g.Float64())*(fn[i-1]-fn[i])) < float32(ExpScalar(-.5*x*x)) {
 		return x, true
 	}
 	return 0, false
@@ -278,7 +278,7 @@ func (g *RNG) gamma(shape float64) float64 {
 		for u == 0 {
 			u = g.Float64()
 		}
-		return g.gamma(shape+1) * math.Pow(u, 1/shape)
+		return g.gamma(shape+1) * pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
@@ -293,8 +293,46 @@ func (g *RNG) gamma(shape float64) float64 {
 		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
+		if u > 0 && LogScalar(u) < float64(0.5*x*x)+float64(d*(1-v+LogScalar(v))) {
 			return d * v
 		}
 	}
+}
+
+// pow returns x**y for the one call gamma makes, x in (0, 1) and y > 1
+// (+Inf included): math.Pow's algorithm over that domain alone, on
+// ExpScalar and LogScalar, with every product rounded.
+func pow(x, y float64) float64 {
+	yi, yf := math.Modf(y)
+	if yi >= 1<<63 { // x**y underflows: y is +Inf or a huge even integer
+		return 0
+	}
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = ExpScalar(float64(yf * LogScalar(x)))
+	}
+	// a1·2**ae *= x**yi, by successive squarings of x's mantissa, the
+	// powers of two kept apart.
+	x1, xe := math.Frexp(x)
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			ae += xe // the result is 0 already: stop before xe overflows
+			break
+		}
+		if i&1 == 1 {
+			a1 = float64(a1 * x1)
+			ae += xe
+		}
+		x1 = float64(x1 * x1)
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	return math.Ldexp(a1, ae)
 }

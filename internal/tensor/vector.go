@@ -87,25 +87,25 @@ func (v Vector) Scale(c float64) {
 	}
 }
 
-// Exp writes math.Exp(src[i]) into dst[i] for every i < len(dst); src
+// Exp writes ExpScalar(src[i]) into dst[i] for every i < len(dst); src
 // is at least as long, and is dst itself or does not overlap it. Where
-// math.Exp takes its FMA path the AVX2 tier runs that path four lanes
-// wide (expVec), so the bits are math.Exp's on every tier.
+// the CPU has AVX2 and FMA the AVX2 tier runs ExpScalar's steps four
+// lanes wide (expVec), so the bits are ExpScalar's on every tier.
 func Exp(dst, src Vector) {
 	src = src[:len(dst)]
 	for i := expVec(dst, src); i < len(dst); i++ {
-		dst[i] = math.Exp(src[i])
+		dst[i] = ExpScalar(src[i])
 	}
 }
 
-// Log writes math.Log(src[i]) into dst[i] for every i < len(dst), with
-// the same contract on src as Exp. On amd64 the AVX2 tier replays
-// math.Log's assembly four lanes wide (logVec), so the bits are
-// math.Log's on every tier.
+// Log writes LogScalar(src[i]) into dst[i] for every i < len(dst), with
+// the same contract on src as Exp. On amd64 the AVX2 tier runs
+// LogScalar's steps four lanes wide (logVec), so the bits are
+// LogScalar's on every tier.
 func Log(dst, src Vector) {
 	src = src[:len(dst)]
 	for i := logVec(dst, src); i < len(dst); i++ {
-		dst[i] = math.Log(src[i])
+		dst[i] = LogScalar(src[i])
 	}
 }
 

@@ -313,7 +313,7 @@ func TestVersionIdentity(t *testing.T) {
 		t.Fatal("version does not report the engine's schema hash")
 	}
 	switch v.Kernels {
-	case "avx512+fma", "avx512", "avx2+fma", "avx2", "go+fma", "go":
+	case "avx512", "avx2", "go":
 	default:
 		t.Fatalf("version names kernel tier %q", v.Kernels)
 	}

@@ -13,15 +13,13 @@ import (
 // scenario-spec schema it accepts. Matching SpecSchemaHash values mean
 // two builds understand exactly the same scenario language. Kernels
 // names the tier the process's kernels run on, "avx512", "avx2" or
-// "go", followed by "+fma" where math.Exp takes its FMA path, and Arch
-// the architecture it was compiled for (runtime.GOARCH). Results are
-// byte-identical across the avx512, avx2 and go tiers, but not across exp
-// paths: on amd64 math.Exp takes its FMA path only where the CPU has
-// AVX and FMA, and rounds differently without it. Nor across
-// architectures: the compiler fuses a*b + c into one rounding where the
-// target has the instruction (arm64 does, amd64 at the default GOAMD64
-// does not). A fleet that must reproduce bytes therefore shares one
-// Arch and one exp path ("+fma" or not).
+// "go", and Arch the architecture it was compiled for (runtime.GOARCH).
+// Both change a run's speed, not its bytes: the tiers are held to the
+// same bits, every product on the results path is rounded before its
+// add (ci.sh fails on a fused multiply-add arm64 would otherwise emit),
+// and exp and log are the simulator's own (tensor.ExpScalar and
+// LogScalar), not the host's libm. A worker reports both when it
+// registers, and /v1/statz shows them.
 type VersionInfo struct {
 	Module         string `json:"module"`
 	Version        string `json:"version"`

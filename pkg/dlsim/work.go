@@ -94,9 +94,13 @@ type WorkResult struct {
 }
 
 // RegisterRequest is the POST /v1/work/register and
-// /v1/work/deregister body.
+// /v1/work/deregister body. A registering worker names its build's Arch
+// and Kernels (VersionInfo's); the service shows them and checks
+// nothing, since neither changes a result's bytes.
 type RegisterRequest struct {
-	Worker string `json:"worker"`
+	Worker  string `json:"worker"`
+	Arch    string `json:"arch,omitempty"`
+	Kernels string `json:"kernels,omitempty"`
 }
 
 // WorkReceipt is the result-upload response.
@@ -152,6 +156,10 @@ type WorkerRow struct {
 	Errors     int64  `json:"errors"`     // worker-reported execution errors
 	Mismatches int64  `json:"mismatches"` // checksum/audit failures
 	Registered bool   `json:"registered,omitempty"`
+	// Arch and Kernels are what the worker registered with ("" when it
+	// only claimed).
+	Arch    string `json:"arch,omitempty"`
+	Kernels string `json:"kernels,omitempty"`
 }
 
 // CacheStats counts result-store (or file-cache) hits across jobs.
@@ -255,14 +263,16 @@ func (c *Client) CompleteWork(ctx context.Context, lease string, res WorkResult)
 }
 
 // RegisterWorker announces a worker to the service ahead of its first
-// claim, making the fleet count as live immediately. Registration is
-// optional — claiming registers implicitly — but an explicit
-// handshake pairs with DeregisterWorker for a clean exit.
+// claim, making the fleet count as live immediately, with this build's
+// Arch and Kernels. Registration is optional — claiming registers
+// implicitly — but an explicit handshake pairs with DeregisterWorker
+// for a clean exit.
 func (c *Client) RegisterWorker(ctx context.Context, worker string) error {
 	if worker == "" {
 		return fmt.Errorf("dlsim: register needs a worker name")
 	}
-	return c.do(ctx, http.MethodPost, "/v1/work/register", RegisterRequest{Worker: worker}, nil)
+	v := Version()
+	return c.do(ctx, http.MethodPost, "/v1/work/register", RegisterRequest{Worker: worker, Arch: v.Arch, Kernels: v.Kernels}, nil)
 }
 
 // DeregisterWorker removes the worker from the service's live set

@@ -6,18 +6,19 @@
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
 # targets run once over their seed corpus; the arm cache's reader, the
 # arm encoder, the fixed-point float formatter, the RNG, the exp and log
-# kernels, the GEMM kernels' tiers, the attack's metrics, the sparse
+# kernels, the scalar libm ports, the GEMM kernels' tiers, the attack's metrics, the sparse
 # kernels, the list-fed first layer, the rank correlation, the RDP
 # bound, the spectral instruments, the bootstrap intervals, the round
 # engine against the serial tick loop it replaced and the network against
 # the transports it replaced are fuzzed, for 10 s each), the one-generator
-# gates (math/rand only in tests, and no fused multiply-add on arm64 in
-# internal/tensor, nn, mia, netmodel, gossip, stats, dp, experiment,
-# metrics or data), the
+# gates (math/rand only in tests, no libm exp, log, log1p, lgamma or pow
+# outside them, and no fused multiply-add on arm64 in internal/tensor,
+# nn, mia, netmodel, gossip, stats, dp, experiment, metrics or data but
+# tensor.ExpScalar's), the
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
-# compared), a race-enabled service smoke (serve + submit + stream +
+# compared), the catalog with and without GODEBUG=cpu.fma=off (compared), a race-enabled service smoke (serve + submit + stream +
 # cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
 # signatures), the one-schema import gate (internal/spec is
 # benchmark/'s shim only), and one HEAD-against-HEAD pair of the claim
@@ -88,14 +89,25 @@ go test -run=NONE -fuzz=FuzzAppendFixed -fuzztime=10s -fuzzminimizetime=1x ./int
 # a short real fuzzing run holds byte-coded call sequences on it to
 # rand.New(rand.NewSource(seed)) beyond the seed corpus.
 go test -run=NONE -fuzz=FuzzRNGMatchesMathRand -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
-# tensor.Exp's AVX2 tier replays math.Exp's FMA path four lanes wide and
-# hands groups it cannot take back to math.Exp: a short real fuzzing run
-# holds both tiers to math.Exp bit for bit on inputs no seed lists.
+# tensor.Exp's AVX2 tier runs tensor.ExpScalar (math.Exp's FMA path on
+# amd64, in Go) four lanes wide and hands groups it cannot take back to
+# it: a short real fuzzing run holds both tiers to ExpScalar, and
+# ExpScalar to math.Exp where math.Exp takes that path, bit for bit on
+# inputs no seed lists.
 go test -run=NONE -fuzz=FuzzExp -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
-# tensor.Log's AVX2 tier replays math.Log's amd64 assembly four lanes
-# wide, special cases blended in: a short real fuzzing run holds both
-# tiers to math.Log bit for bit on inputs no seed lists.
+# tensor.Log's AVX2 tier runs tensor.LogScalar (math.Log's amd64
+# assembly, in Go) four lanes wide, special cases blended in: a short
+# real fuzzing run holds both tiers to LogScalar, and LogScalar to
+# math.Log on amd64, bit for bit on inputs no seed lists.
 go test -run=NONE -fuzz=FuzzLog -fuzztime=10s -fuzzminimizetime=1x ./internal/tensor
+# The results path's own libm: a short real fuzzing run holds
+# tensor.LogScalar to math.Log on every bit pattern and the gamma
+# sampler's pow to math.Pow over its domain (tensor), and the
+# accountant's log1p to math.Log1p over its sampling rates (dp), bit for
+# bit on amd64.
+for pkg in tensor dp; do
+    go test -run=NONE -fuzz=FuzzLibm -fuzztime=10s -fuzzminimizetime=1x ./internal/$pkg
+done
 # The GEMM kernels have three tiers (AVX-512, AVX2, Go) that must give
 # the same bits: a short real fuzzing run holds every tier this CPU has
 # to the Go kernels, on shapes, operands and special values no seed
@@ -171,6 +183,19 @@ if [ -n "$strays" ]; then
     exit 1
 fi
 echo "rng import gate ok"
+# One exp and one log on every host: the host's libm picks its rounding
+# from the CPU (math.Exp's FMA path on amd64) and is other code,
+# compiled with fused multiply-adds, on arm64. The results path calls
+# tensor.ExpScalar and LogScalar, dp's log1p and ln n! table and the
+# gamma sampler's pow instead; the libm functions are their tests'
+# oracles and nothing else's.
+strays=$(grep -rnE --include='*.go' --exclude='*_test.go' 'math\.(Exp|Log|Log1p|Lgamma|Pow)\(' internal pkg || true)
+if [ -n "$strays" ]; then
+    echo "libm exp, log, log1p, lgamma or pow called outside the tests:" >&2
+    echo "$strays" >&2
+    exit 1
+fi
+echo "libm census gate ok"
 # No fused multiply-add on arm64: the compiler may fuse a*b + c there,
 # rounding once where amd64 rounds twice, so every product that feeds an
 # add is rounded explicitly (float64(a*b)). One in any of these packages
@@ -190,11 +215,14 @@ echo "rng import gate ok"
 #   experiment the churn schedule's leaver count;
 #   metrics   the variance sums;
 #   data      the Dirichlet partition's apportioned counts.
-# What is left on the results path is deliberate: sink.AppendFixed's
-# math.FMA, and pkg/dlsim's retry jitter, which no result depends on.
+# What is left on the results path is deliberate: tensor.ExpScalar's
+# math.FMA steps (math.Exp's FMA path on amd64; exact on every CPU), the
+# only fused ops the listing may hold, found by the symbol they are
+# compiled into; sink.AppendFixed's math.FMA; and pkg/dlsim's retry
+# jitter, which no result depends on.
 for pkg in tensor nn mia netmodel gossip stats dp experiment metrics data; do
     fused=$(GOARCH=arm64 go build -a -gcflags="gossipmia/internal/$pkg=-S" ./internal/$pkg 2>&1 |
-        grep -E 'FMADD|FMSUB|FNMADD|FNMSUB' || true)
+        awk '/ STEXT /{sym=$1} /FMADD|FMSUB|FNMADD|FNMSUB/ && sym != "gossipmia/internal/tensor.ExpScalar" {print sym ": " $0}')
     if [ -n "$fused" ]; then
         echo "arm64 fuses multiply-adds in internal/$pkg:" >&2
         echo "$fused" >&2
@@ -287,8 +315,7 @@ echo "spec smoke ok"
 # the determinism claim checked over the whole index, not over the
 # figures that have a test of their own.
 go build -race -o "$specout/dlsim" ./cmd/dlsim
-# The kernel tier this run exercised (avx512, avx2 or go, +fma where
-# math.Exp takes its FMA path), for the log.
+# The kernel tier this run exercised (avx512, avx2 or go), for the log.
 "$specout/dlsim" version | grep '^kernels:'
 "$specout/dlsim" run -figure all -scale tiny -workers 1 >"$specout/catalog-w1.txt"
 "$specout/dlsim" run -figure all -scale tiny -workers 4 >"$specout/catalog-w4.txt"
@@ -311,6 +338,15 @@ overlaid() {
 }
 overlaid overlay-8 -figure 8 -latency 20 -churn 0.3
 overlaid overlay-attacks -figure attacks -drop 0.2
+# exp and log are the simulator's own, so the CPU's FMA changes speed,
+# not bytes: GODEBUG=cpu.fma=off sends math.Exp down its other path and
+# math.FMA into software, and the catalog must print the same bytes.
+"$specout/dlsim" run -figure all -scale tiny -csv >"$specout/catalog-fma.csv"
+GODEBUG=cpu.fma=off "$specout/dlsim" run -figure all -scale tiny -csv >"$specout/catalog-nofma.csv"
+cmp "$specout/catalog-fma.csv" "$specout/catalog-nofma.csv" || {
+    echo "dlsim run -figure all: GODEBUG=cpu.fma=off moves bytes" >&2
+    exit 1
+}
 echo "catalog smoke ok"
 
 # Service smoke, race-enabled: start serve on an ephemeral port, submit

@@ -6,8 +6,8 @@
 // from its own detached git worktree under .bench_build/pairs/. Beside
 // each pair it prints what two busy threads bought on the host just
 // before (BenchmarkHostParallel's host-x; a pair below 1.3 is flagged,
-// never dropped), and for dlbench it checks that the two sides' digests
-// are equal. The verdict is MET when at least nine pairs in ten are wins
+// never dropped), and for dlbench and dlsim it checks that the two
+// sides' output digests are equal. The verdict is MET when at least nine pairs in ten are wins
 // and the two medians lie further apart, in the better direction, than
 // the parent's interquartile range; fewer than ten pairs never meet it.
 //
@@ -19,6 +19,8 @@
 //	    -instrument bench:BenchmarkTrainerEpoch
 //	go run scripts/pairs.go -base HEAD -change "$(git stash create)" \
 //	    -instrument dlbench:figure2_quick:arms_per_s
+//	go run scripts/pairs.go -base HEAD -change "$(git stash create)" -pairs 3 \
+//	    -instrument 'dlsim:run -figure 9 -scale quick -workers 1'
 //
 // Instruments:
 //
@@ -31,6 +33,12 @@
 //	                         root's benchmark NAME (a sub-benchmark may be
 //	                         named, Benchmark/sub) per side and pair: its
 //	                         ns/op, lower is better
+//	dlsim:ARGS               one run of each side's own cmd/dlsim with
+//	                         ARGS (split at spaces) per side and pair: its
+//	                         wall clock in seconds, lower is better, with
+//	                         its user CPU seconds beside; the digest is
+//	                         its stdout's, so both sides must print the
+//	                         same bytes
 //
 // Both revisions must be committed. `git stash create` commits the
 // tracked edits on top of HEAD without touching the tree, so the third
@@ -44,6 +52,8 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -55,12 +65,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 func main() {
 	base := flag.String("base", "HEAD~1", "the parent revision")
 	change := flag.String("change", "HEAD", "the changed revision")
-	instrument := flag.String("instrument", "", "dlbench:WORKLOAD:METRIC or bench:NAME")
+	instrument := flag.String("instrument", "", "dlbench:WORKLOAD:METRIC, bench:NAME or dlsim:ARGS")
 	pairs := flag.Int("pairs", 10, "parent/change pairs to run")
 	seed := flag.Int("seed", 1, "dlbench's --seed")
 	flag.Parse()
@@ -74,12 +85,15 @@ func main() {
 type side struct {
 	name, rev, dir string
 	test           string // the module root's test binary
+	dlsim          string // its cmd/dlsim, for a dlsim instrument
 }
 
-// reading is one instrument run: its value and, for dlbench, its digest.
+// reading is one instrument run: its value and, for dlbench and dlsim,
+// its digest; for dlsim also its user CPU seconds.
 type reading struct {
 	value  float64
 	digest string
+	user   float64
 }
 
 func run(base, change, instrument string, pairs, seed int) error {
@@ -87,7 +101,7 @@ func run(base, change, instrument string, pairs, seed int) error {
 	var workload, metric string
 	switch {
 	case !ok:
-		return fmt.Errorf("instrument %q: want dlbench:WORKLOAD:METRIC or bench:NAME", instrument)
+		return fmt.Errorf("instrument %q: want dlbench:WORKLOAD:METRIC, bench:NAME or dlsim:ARGS", instrument)
 	case kind == "dlbench":
 		if workload, metric, ok = strings.Cut(arg, ":"); !ok || workload == "" || metric == "" {
 			return fmt.Errorf("instrument %q: want dlbench:WORKLOAD:METRIC", instrument)
@@ -95,6 +109,10 @@ func run(base, change, instrument string, pairs, seed int) error {
 	case kind == "bench":
 		if arg == "" || strings.Contains(arg, ":") {
 			return fmt.Errorf("instrument %q: want bench:NAME", instrument)
+		}
+	case kind == "dlsim":
+		if len(strings.Fields(arg)) == 0 {
+			return fmt.Errorf("instrument %q: want dlsim:ARGS", instrument)
 		}
 	default:
 		return fmt.Errorf("instrument %q: unknown kind %q", instrument, kind)
@@ -118,7 +136,7 @@ func run(base, change, instrument string, pairs, seed int) error {
 	// host-x is read from the change's tests; the parent's are built
 	// only to run a bench instrument.
 	built := sides[:]
-	if kind == "dlbench" {
+	if kind != "bench" {
 		built = sides[1:]
 	}
 	for _, s := range built {
@@ -126,27 +144,39 @@ func run(base, change, instrument string, pairs, seed int) error {
 			return err
 		}
 	}
+	digested := kind != "bench"
 
 	measure := func(s *side) (reading, error) { return s.bench(arg, "1x", "ns/op") }
 	higher, seconds := false, 0
-	if kind == "dlbench" {
+	switch kind {
+	case "dlbench":
 		if higher, seconds, err = dlbenchTerms(sides[1].dir, metric); err != nil {
 			return err
 		}
 		measure = func(s *side) (reading, error) { return s.dlbench(workload, metric, seed, seconds) }
+	case "dlsim":
+		for _, s := range sides {
+			if err := s.buildDlsim(); err != nil {
+				return err
+			}
+		}
+		measure = func(s *side) (reading, error) { return s.runDlsim(strings.Fields(arg)) }
 	}
 	better := "lower"
 	if higher {
 		better = "higher"
 	}
 	fmt.Printf("instrument %s (%s is better), base %s = %s, change %s = %s", instrument, better, base, sides[0].commit(), change, sides[1].commit())
-	if kind == "dlbench" {
+	switch kind {
+	case "dlbench":
 		fmt.Printf(", seed %d, %d s a run", seed, seconds)
+	case "dlsim":
+		fmt.Print(", wall clock in s (user CPU s under digests)")
 	}
 	fmt.Println()
 	fmt.Printf("%4s %5s %7s %14s %14s %9s %4s %s\n", "pair", "order", "host-x", "base", "change", "delta", "win", "digests")
 
-	var bs, cs []float64
+	var bs, cs, bu, cu []float64
 	wins, mismatched, flagged := 0, 0, 0
 	for p := 0; p < pairs; p++ {
 		host, err := sides[1].hostX()
@@ -169,12 +199,16 @@ func run(base, change, instrument string, pairs, seed int) error {
 			wins++
 		}
 		digests := "-"
-		if kind == "dlbench" {
+		if digested {
 			digests = "equal"
 			if got[0].digest != got[1].digest {
 				digests = "DIFFER " + got[0].digest + " " + got[1].digest
 				mismatched++
 			}
+		}
+		if kind == "dlsim" {
+			digests += fmt.Sprintf(" user %.2f %.2f", got[0].user, got[1].user)
+			bu, cu = append(bu, got[0].user), append(cu, got[1].user)
 		}
 		mark := ""
 		if host < 1.3 {
@@ -198,6 +232,10 @@ func run(base, change, instrument string, pairs, seed int) error {
 	}
 	fmt.Printf("wins %d/%d (a claim needs 10 pairs or more and %d wins); median base %.4f, change %.4f (%+.2f%%); base IQR %.4f (q1 %.4f, q3 %.4f)\n",
 		wins, pairs, need, mb, mc, 100*(mc/mb-1), q3-q1, q1, q3)
+	if kind == "dlsim" {
+		ub, uc := quantile(bu, 0.5), quantile(cu, 0.5)
+		fmt.Printf("median user CPU base %.2f s, change %.2f s (%+.2f%%)\n", ub, uc, 100*(uc/ub-1))
+	}
 	if met {
 		fmt.Println("verdict: MET")
 	} else {
@@ -241,6 +279,29 @@ func (s *side) build() error {
 	s.test = filepath.Join(s.dir, ".bench_build", "root.test")
 	_, err := output(s.dir, "go", "test", "-c", "-o", s.test, ".")
 	return err
+}
+
+// buildDlsim compiles the side's cmd/dlsim.
+func (s *side) buildDlsim() error {
+	s.dlsim = filepath.Join(s.dir, ".bench_build", "dlsim")
+	_, err := output(s.dir, "go", "build", "-o", s.dlsim, "./cmd/dlsim")
+	return err
+}
+
+// runDlsim runs the side's dlsim with args in its worktree and returns
+// its wall clock and user CPU in seconds and its stdout's sha256.
+func (s *side) runDlsim(args []string) (reading, error) {
+	cmd := exec.Command(s.dlsim, args...)
+	cmd.Dir = s.dir
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	start := time.Now()
+	if err := cmd.Run(); err != nil {
+		return reading{}, fmt.Errorf("dlsim %s: %w\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	wall := time.Since(start).Seconds()
+	sum := sha256.Sum256(stdout.Bytes())
+	return reading{value: wall, digest: hex.EncodeToString(sum[:8]), user: cmd.ProcessState.UserTime().Seconds()}, nil
 }
 
 // hostX reads BenchmarkHostParallel's host-x.
