@@ -297,16 +297,18 @@ func BenchmarkLightArmSweep(b *testing.B) {
 }
 
 // TestLightArmAllocBudget: a light arm takes everything it sizes —
-// datasets and their index lists, models, scratch, generators, message
-// buffers — from the recycled arm arena, and its evaluation scratch is
-// pooled with it, so after a warm-up arm it allocates at most 7.5 KiB
-// in 36 objects: what outlives the arm, the structs it holds its nodes
-// in, and the sweep's own per-arm work (it sits near 5.3 KiB and 25;
-// before the typed slabs, 32 KiB and 280; before the arena, 358 KiB and
-// 638). Growth means per-arm state has gone back to the heap. The
-// collector is off from the warm-up arm to the end of the batch: a
-// collection there can empty the arena pool, and the next arm would
-// then count a whole arena against the budget.
+// datasets, their headers and index lists, models, updaters, the
+// simulator and its nodes, scratch, generators, message buffers, the
+// study itself — from the recycled arm arena, and its evaluation
+// scratch is pooled with it, so after a warm-up arm it allocates at
+// most 1.5 KiB in 10 objects: what outlives the arm and the sweep's own
+// per-arm work (it sits near 0.8 KiB and 3; with the structs holding
+// its nodes on the heap, 5.5 KiB and 25; before the typed slabs, 32 KiB
+// and 280; before the arena, 358 KiB and 638). Growth means per-arm
+// state has gone back to the heap. The collector is off from the
+// warm-up arm to the end of the batch: a collection there can empty the
+// arena pool, and the next arm would then count a whole arena against
+// the budget.
 func TestLightArmAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -322,8 +324,8 @@ func TestLightArmAllocBudget(t *testing.T) {
 	runLightArms(t, 1)
 	bytes, objects, _ := runLightArms(t, arms)
 	kib, objs := float64(bytes)/1024/arms, float64(objects)/arms
-	if kib > 7.5 || objs > 36 {
-		t.Fatalf("a light arm allocates %.1f KiB in %.0f objects, budget 7.5 KiB in 36", kib, objs)
+	if kib > 1.5 || objs > 10 {
+		t.Fatalf("a light arm allocates %.1f KiB in %.0f objects, budget 1.5 KiB in 10", kib, objs)
 	}
 	t.Logf("light arm: %.1f KiB, %.0f objects", kib, objs)
 }

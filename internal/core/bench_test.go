@@ -50,11 +50,11 @@ func newEvalFixture(b testing.TB) *evalFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	factory, _, err := study.buildUpdaters(parts, simCfg)
+	opt, batch, _, err := study.optimizer(parts, simCfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := gossip.New(simCfg, protocol, initial, parts, factory)
+	sim, err := gossip.New(simCfg, protocol, initial, parts, gossip.NewSGDUpdaterFactory(opt, batch, cfg.Train.LocalEpochs))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -185,14 +185,33 @@ var arenas = sync.Pool{New: func() any { return new(armMemory) }}
 // boundary (before the round's evaluation), so a cancelled run returns
 // ctx.Err() within one round without producing a partial record.
 //
-// Everything with the arm's lifetime — datasets, index lists, models,
-// trainers, scratch, generators, message buffers — comes from one
-// pooled arena that is reset when the arm ends, and the evaluation
-// scratch is pooled with it; the Result holds none of it.
+// Everything with the arm's lifetime — the study's copy it runs,
+// datasets and their headers, index lists, models, trainers, updaters,
+// the simulator and its nodes, scratch, generators, message buffers —
+// comes from one pooled arena that is reset when the arm ends, and the
+// evaluation scratch is pooled with it; the Result holds none of it.
 func (s *Study) RunContext(ctx context.Context) (*Result, error) {
+	return runPooled(ctx, s.cfg)
+}
+
+// RunArm runs the arm cfg describes as NewStudy and RunContext do, with
+// no Study on the heap: what the arm leaves there is its Result.
+func RunArm(ctx context.Context, cfg StudyConfig) (*Result, error) {
+	cfg = cfg.Defaulted()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return runPooled(ctx, cfg)
+}
+
+// runPooled runs the arm of the valid, defaulted cfg on pooled arm
+// memory, its Study in the arena.
+func runPooled(ctx context.Context, cfg StudyConfig) (*Result, error) {
 	// Not deferred: an arena abandoned by a panic may still be written
 	// by the arm's goroutines and must not reach another arm.
 	mem := arenas.Get().(*armMemory)
+	s := tensor.New[Study](&mem.arena)
+	s.cfg = cfg
 	res, err := s.run(ctx, &mem.arena, &mem.eval)
 	mem.arena.Reset()
 	arenas.Put(mem)
@@ -231,7 +250,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 		}
 	}
 
-	sizes := arena.Ints(len(cfg.Train.Hidden) + 2)
+	sizes := tensor.Make[int](arena, len(cfg.Train.Hidden)+2)
 	sizes[0], sizes[len(sizes)-1] = gen.Dim(), gen.Classes()
 	copy(sizes[1:], cfg.Train.Hidden)
 	initial, err := nn.NewMLPIn(sizes, rng, arena)
@@ -244,12 +263,16 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 		return nil, fmt.Errorf("core: protocol: %w", err)
 	}
 
-	factory, sigma, err := s.buildUpdaters(parts, simCfg)
+	opt, batch, sigma, err := s.optimizer(parts, simCfg)
 	if err != nil {
 		return nil, err
 	}
-
-	sim, err := gossip.New(simCfg, protocol, initial, parts, factory)
+	// The nodes' updaters are the elements of one slab.
+	updaters := tensor.Make[gossip.SGDUpdater](arena, simCfg.Nodes)
+	sim, err := gossip.New(simCfg, protocol, initial, parts, func(i int) gossip.LocalUpdater {
+		updaters[i].Init(opt, batch, cfg.Train.LocalEpochs)
+		return &updaters[i]
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: simulator: %w", err)
 	}
@@ -310,7 +333,7 @@ func (s *Study) run(ctx context.Context, arena *tensor.Arena, es *evalScratch) (
 }
 
 // buildPartition samples a base corpus and splits it across nodes, the
-// IID splits' index lists in arena.
+// splits and their index lists in arena.
 func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG, arena *tensor.Arena) ([]data.NodeData, error) {
 	p := s.cfg.Part
 	if p.DirichletBeta > 0 {
@@ -318,11 +341,11 @@ func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG, a
 		// node's test (non-member) split stays i.i.d. from the base
 		// distribution, as in the paper's Section 3.1 setup.
 		base := gen.Sample(nodes*p.TrainPerNode, rng)
-		trainSets, err := data.DirichletTrainSets(base, nodes, p.DirichletBeta, rng)
+		trainSets, err := data.DirichletTrainSets(base, nodes, p.DirichletBeta, rng, arena)
 		if err != nil {
 			return nil, fmt.Errorf("core: dirichlet partition: %w", err)
 		}
-		parts := make([]data.NodeData, nodes)
+		parts := tensor.Make[data.NodeData](arena, nodes)
 		for i, train := range trainSets {
 			parts[i] = data.NodeData{
 				Train: train,
@@ -339,11 +362,10 @@ func (s *Study) buildPartition(gen data.Generator, nodes int, rng *tensor.RNG, a
 	return parts, nil
 }
 
-// buildUpdaters returns the per-node updater factory: the arm's
-// optimizer, which a DP arm runs clipped and noised (nn.SGDConfig.Clip)
-// at σ calibrated here and at the DP batch size. It returns σ, 0
-// without DP.
-func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (gossip.UpdaterFactory, float64, error) {
+// optimizer returns the nodes' optimizer and batch size: the arm's,
+// which a DP arm runs clipped and noised (nn.SGDConfig.Clip) at σ
+// calibrated here and at the DP batch size. It returns σ, 0 without DP.
+func (s *Study) optimizer(parts []data.NodeData, simCfg gossip.Config) (nn.SGDConfig, int, float64, error) {
 	t := s.cfg.Train
 	cfg := nn.SGDConfig{LR: t.LR, Momentum: t.Momentum, WeightDecay: t.WeightDecay, LRDecay: t.LRDecay}
 	batch := t.BatchSize
@@ -359,11 +381,11 @@ func (s *Study) buildUpdaters(parts []data.NodeData, simCfg gossip.Config) (goss
 		var err error
 		sigma, err = dp.CalibrateSigma(d.Epsilon, d.Delta, q, simCfg.Rounds*stepsPerUpdate)
 		if err != nil {
-			return nil, 0, fmt.Errorf("core: calibrate sigma: %w", err)
+			return cfg, 0, 0, fmt.Errorf("core: calibrate sigma: %w", err)
 		}
 		cfg.Clip, cfg.NoiseMultiplier = d.Clip, sigma
 	}
-	return gossip.NewSGDUpdaterFactory(cfg, batch, t.LocalEpochs), sigma, nil
+	return cfg, batch, sigma, nil
 }
 
 // evalNode measures one eval slot: global test accuracy, the MPE
@@ -420,7 +442,7 @@ func (s *Study) realizedEpsilon(steps int, sigma float64, parts []data.NodeData)
 // pickEvalNodes samples the fixed node subset evaluated each round, in
 // arena.
 func (s *Study) pickEvalNodes(nodes int, rng *tensor.RNG, arena *tensor.Arena) []int {
-	ids := arena.Ints(nodes)
+	ids := tensor.Make[int](arena, nodes)
 	k := s.cfg.EvalNodes
 	if k <= 0 || k >= nodes {
 		for i := range ids {

@@ -37,7 +37,7 @@ func TestDatasetSubsetSplitHistogram(t *testing.T) {
 		Y:       []int{0, 1, 0, 1},
 		Classes: 2,
 	}
-	sub := ds.Subset([]int{2, 0})
+	sub := ds.Subset([]int{2, 0}, nil)
 	if sub.Len() != 2 || sub.X[0][0] != 2 || sub.Y[1] != 0 {
 		t.Fatalf("subset wrong: %+v", sub)
 	}
@@ -241,7 +241,7 @@ func TestPartitionDirichletHeterogeneity(t *testing.T) {
 	base := g.Sample(2000, rng)
 
 	imbalance := func(beta float64) float64 {
-		sets, err := DirichletTrainSets(base, 10, beta, tensor.NewRNG(11))
+		sets, err := DirichletTrainSets(base, 10, beta, tensor.NewRNG(11), nil)
 		if err != nil {
 			t.Fatalf("beta=%v: %v", beta, err)
 		}
@@ -278,7 +278,7 @@ func TestPartitionDirichletEveryNodeViable(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := g.Sample(300, rng)
-	sets, err := DirichletTrainSets(base, 20, 0.05, rng)
+	sets, err := DirichletTrainSets(base, 20, 0.05, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,13 +297,13 @@ func TestPartitionDirichletEveryNodeViable(t *testing.T) {
 func TestPartitionDirichletValidation(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	base := &Dataset{X: []tensor.Vector{{1}, {2}, {3}, {4}}, Y: []int{0, 1, 0, 1}, Classes: 2}
-	if _, err := DirichletTrainSets(base, 0, 0.5, rng); err == nil {
+	if _, err := DirichletTrainSets(base, 0, 0.5, rng, nil); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
-	if _, err := DirichletTrainSets(base, 2, 0, rng); err == nil {
+	if _, err := DirichletTrainSets(base, 2, 0, rng, nil); err == nil {
 		t.Fatal("beta=0 accepted")
 	}
-	if _, err := DirichletTrainSets(base, 3, 0.5, rng); err == nil {
+	if _, err := DirichletTrainSets(base, 3, 0.5, rng, nil); err == nil {
 		t.Fatal("a base of fewer than two examples per node accepted")
 	}
 }

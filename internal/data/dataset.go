@@ -85,19 +85,20 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Subset returns a view of the dataset restricted to the given indices.
+// Subset returns a view of the dataset restricted to the given indices,
+// its header and its row, label and list slices in a (nil = the heap).
 // The underlying example vectors are shared, not copied.
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := d.gather(idx, nil)
-	return &out
+func (d *Dataset) Subset(idx []int, a *tensor.Arena) *Dataset {
+	out := tensor.New[Dataset](a)
+	*out = d.gather(idx, a)
+	return out
 }
 
-// gather is Subset with the row, label and list slices in a (nil =
-// the heap).
+// gather is Subset's view as a value.
 func (d *Dataset) gather(idx []int, a *tensor.Arena) Dataset {
-	out := Dataset{X: a.Vectors(len(idx)), Y: a.Ints(len(idx)), Classes: d.Classes}
+	out := Dataset{X: tensor.Make[tensor.Vector](a, len(idx)), Y: tensor.Make[int](a, len(idx)), Classes: d.Classes}
 	if d.NZ != nil {
-		out.NZ = a.Int32Lists(len(idx))
+		out.NZ = tensor.Make[[]int32](a, len(idx))
 	}
 	for i, j := range idx {
 		out.X[i] = d.X[j]

@@ -86,7 +86,7 @@ type moved struct {
 func moveRows(t *testing.T, base *data.Dataset, gen data.Generator, rng *tensor.RNG, arena *tensor.Arena) []moved {
 	t.Helper()
 	out := []moved{{"Sample", base}}
-	sub := base.Subset([]int{5, 0, 17, 5})
+	sub := base.Subset([]int{5, 0, 17, 5}, nil)
 	out = append(out, moved{"Subset", sub})
 	head, tail, err := sub.Split(1)
 	if err != nil {
@@ -109,7 +109,7 @@ func moveRows(t *testing.T, base *data.Dataset, gen data.Generator, rng *tensor.
 	for _, p := range parts {
 		out = append(out, moved{"PartitionIID train", p.Train}, moved{"PartitionIID test", p.Test})
 	}
-	skewed, err := data.DirichletTrainSets(base, 4, 0.5, rng)
+	skewed, err := data.DirichletTrainSets(base, 4, 0.5, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,9 @@ type NodeData struct {
 // PartitionIID distributes base uniformly across nodes: each node gets
 // trainPer training and testPer test examples, all disjoint, sampled
 // i.i.d. from the base split (implemented as a global shuffle followed by
-// chunking). The splits' row and label lists come from a (nil = the
-// heap); the rows themselves are base's, shared. It returns an error
-// when base is too small.
+// chunking). The splits, their headers and their row and label lists
+// come from a (nil = the heap); the rows themselves are base's, shared.
+// It returns an error when base is too small.
 func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG, a *tensor.Arena) ([]NodeData, error) {
 	if nodes <= 0 || trainPer <= 0 || testPer < 0 {
 		return nil, fmt.Errorf("data: invalid partition nodes=%d trainPer=%d testPer=%d", nodes, trainPer, testPer)
@@ -29,13 +29,13 @@ func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG, 
 	if base.Len() < need {
 		return nil, fmt.Errorf("data: base has %d examples, need %d for %d nodes", base.Len(), need, nodes)
 	}
-	perm := a.Ints(base.Len())
+	perm := tensor.Make[int](a, base.Len())
 	rng.PermInto(perm)
 	// Every split is a run of the permutation: gather the rows once in
 	// that order, and each split is a view of its run.
 	all := base.gather(perm[:need], a)
-	sets := make([]Dataset, 2*nodes)
-	out := make([]NodeData, nodes)
+	sets := tensor.Make[Dataset](a, 2*nodes)
+	out := tensor.Make[NodeData](a, nodes)
 	pos := 0
 	for i := range out {
 		sets[2*i] = all.rows(pos, pos+trainPer)
@@ -57,8 +57,9 @@ func PartitionIID(base *Dataset, nodes, trainPer, testPer int, rng *tensor.RNG, 
 // each node's *test* (non-member) split i.i.d. from the base
 // distribution even in the non-IID experiments (Section 3.1), so
 // callers pair these skewed training sets with separately drawn IID
-// test sets.
-func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG) ([]*Dataset, error) {
+// test sets. The sets, their headers and their row and label lists come
+// from a (nil = the heap); the rows themselves are base's, shared.
+func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG, a *tensor.Arena) ([]*Dataset, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("data: invalid node count %d", nodes)
 	}
@@ -107,10 +108,10 @@ func DirichletTrainSets(base *Dataset, nodes int, beta float64, rng *tensor.RNG)
 		}
 	}
 
-	out := make([]*Dataset, nodes)
+	out := tensor.Make[*Dataset](a, nodes)
 	for i, idx := range perNode {
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		out[i] = base.Subset(idx)
+		rng.Shuffle(len(idx), func(j, k int) { idx[j], idx[k] = idx[k], idx[j] })
+		out[i] = base.Subset(idx, a)
 	}
 	return out, nil
 }

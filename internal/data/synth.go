@@ -43,13 +43,15 @@ type GaussianGenerator struct {
 }
 
 // NewGaussianGenerator draws the class prototypes with rng and returns a
-// generator bound to them. The prototypes, and every dataset the
-// generator samples, come from a (nil = the heap) and die at a.Reset.
+// generator bound to them. The generator, its prototypes, and every
+// dataset it samples (headers included) come from a (nil = the heap)
+// and die at a.Reset.
 func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG, a *tensor.Arena) (*GaussianGenerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &GaussianGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a}
+	g := tensor.New[GaussianGenerator](a)
+	*g = GaussianGenerator{cfg: cfg, prototypes: tensor.Make[tensor.Vector](a, cfg.Classes), arena: a}
 	for c := 0; c < cfg.Classes; c++ {
 		p := a.Vector(cfg.Dim)
 		rng.FillNormal(p, 0, 1)
@@ -67,7 +69,8 @@ func NewGaussianGenerator(cfg GaussianConfig, rng *tensor.RNG, a *tensor.Arena) 
 // Sample draws n labelled examples with balanced class frequencies
 // (round-robin labels, then shuffled).
 func (g *GaussianGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), Classes: g.cfg.Classes}
+	ds := tensor.New[Dataset](g.arena)
+	*ds = Dataset{X: tensor.Make[tensor.Vector](g.arena, n), Y: tensor.Make[int](g.arena, n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		x := g.arena.Vector(g.cfg.Dim)
@@ -123,13 +126,14 @@ type BasketGenerator struct {
 }
 
 // NewBasketGenerator draws the class prototype baskets with rng. The
-// prototypes, and every dataset the generator samples, come from a (nil
-// = the heap) and die at a.Reset.
+// generator, its prototypes, and every dataset it samples (headers
+// included) come from a (nil = the heap) and die at a.Reset.
 func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*BasketGenerator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &BasketGenerator{cfg: cfg, prototypes: a.Vectors(cfg.Classes), arena: a, ones: a.Int32s(cfg.Dim)}
+	g := tensor.New[BasketGenerator](a)
+	*g = BasketGenerator{cfg: cfg, prototypes: tensor.Make[tensor.Vector](a, cfg.Classes), arena: a, ones: tensor.Make[int32](a, cfg.Dim)}
 	for c := range g.prototypes {
 		p := a.Vector(cfg.Dim)
 		for j := range p {
@@ -145,7 +149,8 @@ func NewBasketGenerator(cfg BasketConfig, rng *tensor.RNG, a *tensor.Arena) (*Ba
 // Sample draws n labelled basket examples with balanced classes: listed
 // rows, each a list of ones (Dataset.NZ) and a nil X[i].
 func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
-	ds := &Dataset{X: g.arena.Vectors(n), Y: g.arena.Ints(n), NZ: g.arena.Int32Lists(n), Classes: g.cfg.Classes}
+	ds := tensor.New[Dataset](g.arena)
+	*ds = Dataset{X: tensor.Make[tensor.Vector](g.arena, n), Y: tensor.Make[int](g.arena, n), NZ: tensor.Make[[]int32](g.arena, n), Classes: g.cfg.Classes}
 	for i := 0; i < n; i++ {
 		label := i % g.cfg.Classes
 		k := 0
@@ -159,7 +164,7 @@ func (g *BasketGenerator) Sample(n int, rng *tensor.RNG) *Dataset {
 			}
 		}
 		ds.Y[i] = label
-		ds.NZ[i] = g.arena.Int32s(k)
+		ds.NZ[i] = tensor.Make[int32](g.arena, k)
 		copy(ds.NZ[i], g.ones)
 	}
 	ds.Shuffle(rng)

@@ -298,11 +298,7 @@ func runSpecArmLocal(ctx context.Context, sc Scale, i int, a spec.Arm, sinks fun
 			}
 		}
 	}
-	study, err := core.NewStudy(cfg)
-	if err != nil {
-		return Arm{}, err
-	}
-	res, err := study.RunContext(ctx)
+	res, err := core.RunArm(ctx, cfg)
 	if err != nil {
 		return Arm{}, err
 	}

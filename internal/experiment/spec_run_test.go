@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -346,6 +347,10 @@ func marshalledArmKey(t *testing.T, a spec.Arm, sc Scale) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// wideInt is a count past 32 bits where int has 64 (2⁴⁰), and 2²⁰
+// where it has 32.
+const wideInt = 1 << (bits.UintSize * 5 / 8)
+
 // TestArmKeysMatchMarshalledPair: the keys armKeys hashes from one
 // encoding of the scale are the keys of the marshalled (arm, scale)
 // pair, for arms whose JSON needs escaping, optional blocks and
@@ -367,7 +372,7 @@ func TestArmKeysMatchMarshalledPair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range []Scale{TinyScale(), PaperScale(), {Seed: -1, Workers: 7, Nodes: 1 << 40}} {
+	for _, sc := range []Scale{TinyScale(), PaperScale(), {Seed: -1, Workers: 7, Nodes: wideInt}} {
 		keys, specHash, err := hashArms(arms, sc)
 		if err != nil {
 			t.Fatal(err)
@@ -464,7 +469,7 @@ func TestResultsCSVRowMatchesFmt(t *testing.T) {
 				{Round: 2, TestAcc: w, MIAAcc: v, TPRAt1FPR: v, GenError: -w},
 			}},
 			MessagesSent:    []int{0, -1, math.MaxInt, math.MinInt}[i%4],
-			BytesSent:       []int{1 << 40, math.MinInt, 7, -0}[i%4],
+			BytesSent:       []int{wideInt, math.MinInt, 7, -0}[i%4],
 			RealizedEpsilon: v,
 		})
 	}

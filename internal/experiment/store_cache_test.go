@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -491,7 +492,7 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	keys := make([]string, n)
 	raws := make([][]byte, n)
 	for i := 0; i < n; i++ {
-		keys[i] = fmt.Sprintf("%064x", i*2654435761)
+		keys[i] = fmt.Sprintf("%064x", i*(2654435761&math.MaxInt)) // 2³²/φ, its low 31 bits where int has 32
 		label := fmt.Sprintf("purchase100 beta=%.4f", 0.1+float64(i)*0.0005)
 		raw, err := encodeArmRecord(Arm{
 			Label: label,

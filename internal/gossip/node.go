@@ -141,7 +141,15 @@ var _ LocalUpdater = (*SGDUpdater)(nil)
 
 // NewSGDUpdater returns a stateful SGD updater.
 func NewSGDUpdater(cfg nn.SGDConfig, batchSize, epochs int) *SGDUpdater {
-	return &SGDUpdater{opt: *nn.NewSGD(cfg), tr: nn.Trainer{BatchSize: batchSize, Epochs: epochs}}
+	u := new(SGDUpdater)
+	u.Init(cfg, batchSize, epochs)
+	return u
+}
+
+// Init makes *u the updater NewSGDUpdater returns, so a caller can hold
+// its nodes' updaters in one slice (an arena slab).
+func (u *SGDUpdater) Init(cfg nn.SGDConfig, batchSize, epochs int) {
+	*u = SGDUpdater{opt: *nn.NewSGD(cfg), tr: nn.Trainer{BatchSize: batchSize, Epochs: epochs}}
 }
 
 // Update implements LocalUpdater. An empty training split is

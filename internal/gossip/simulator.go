@@ -196,10 +196,11 @@ type churnTransition struct {
 
 // New builds a simulator. Every node starts from a clone of the shared
 // initial model (the common θ0 of the paper), owns its NodeData split,
-// and gets an updater from factory. The initial model's arena (nn.MLP
-// SetArena; nil = the heap) also supplies the simulator's random
-// generators, and its pool the message buffers and inbox sums, so the
-// simulator shares the models' allocation lifetime.
+// and gets an updater from factory. The initial model's arena
+// (nn.NewMLPIn; nil = the heap) also supplies the simulator itself, its
+// nodes, its graph and its random generators, and the model's pool the
+// message buffers and inbox sums, so the simulator shares the models'
+// allocation lifetime.
 func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeData, factory UpdaterFactory) (*Simulator, error) {
 	cfg = cfg.Defaulted()
 	if err := cfg.Validate(); err != nil {
@@ -219,17 +220,20 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build topology: %w", err)
 	}
-	s := &Simulator{
+	s := tensor.New[Simulator](arena)
+	*s = Simulator{
 		cfg:      cfg,
 		topo:     topo,
-		nodes:    make([]*Node, cfg.Nodes),
+		nodes:    tensor.Make[*Node](arena, cfg.Nodes),
 		protocol: protocol,
 		rng:      rng,
 		pool:     initial.Pool(),
 		// A wake sends to at most every other node, and sees at most
 		// ViewSize of them.
-		targets: arena.Ints(cfg.Nodes)[:0],
-		view:    arena.Ints(cfg.ViewSize)[:0],
+		targets: tensor.Make[int](arena, cfg.Nodes)[:0],
+		view:    tensor.Make[int](arena, cfg.ViewSize)[:0],
+		down:    tensor.Make[bool](arena, cfg.Nodes),
+		churn:   tensor.Make[churnTransition](arena, 2*len(cfg.Churn))[:0],
 	}
 	if cfg.Dynamics == DynamicsCyclon {
 		shuffleLen := cfg.ViewSize/2 + 1
@@ -240,7 +244,7 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	}
 	// The nodes and their models are two slices, not a pair of objects
 	// per node.
-	nodes, models := make([]Node, cfg.Nodes), make([]nn.MLP, cfg.Nodes)
+	nodes, models := tensor.Make[Node](arena, cfg.Nodes), tensor.Make[nn.MLP](arena, cfg.Nodes)
 	for i := range nodes {
 		interval := int(rng.Normal(cfg.WakeMean, cfg.WakeStd))
 		if interval < 1 {
@@ -268,7 +272,6 @@ func New(cfg Config, protocol Protocol, initial *nn.MLP, nodeData []data.NodeDat
 	if err != nil {
 		return nil, fmt.Errorf("gossip: build transport: %w", err)
 	}
-	s.down = make([]bool, cfg.Nodes)
 	for _, ev := range cfg.Churn {
 		s.churn = append(s.churn, churnTransition{tick: ev.LeaveTick, node: ev.Node, up: false})
 		if ev.RejoinTick > ev.LeaveTick {

@@ -30,12 +30,14 @@ type Regular struct {
 // from a circulant k-regular graph and applies many random double-edge
 // switches, the standard MCMC that mixes toward the uniform distribution
 // over k-regular graphs while preserving simplicity (no self-loops or
-// parallel edges). The adjacency comes from a (nil = the heap).
+// parallel edges). The graph and its adjacency come from a (nil = the
+// heap).
 func NewRegular(n, k int, rng *tensor.RNG, a *tensor.Arena) (*Regular, error) {
 	if k <= 0 || k >= n || (n*k)%2 != 0 {
 		return nil, fmt.Errorf("n=%d k=%d: %w", n, k, ErrInfeasible)
 	}
-	g := &Regular{n: n, k: k, adj: a.Ints(n * k), swap: a.Ints(2 * k)}
+	g := tensor.New[Regular](a)
+	*g = Regular{n: n, k: k, adj: tensor.Make[int](a, n*k), swap: tensor.Make[int](a, 2*k)}
 	// Circulant seed: connect to offsets 1..k/2 on both sides; when k is
 	// odd (n must then be even) add the antipodal edge i <-> i+n/2.
 	half := k / 2

@@ -57,11 +57,11 @@ func NewMLP(sizes []int, rng *tensor.RNG) (*MLP, error) {
 }
 
 // NewMLPIn is NewMLP with a (nil = the heap) as the source of the
-// model's allocations: its layer tables, parameters and scratch, the
-// parameters and scratch of every CloneInto copy (and of its copies), the
-// buffers of a Trainer built over it, and the pool the model and its
-// clones share. Everything so allocated dies at a.Reset, so the models
-// must not be used past it.
+// model's allocations: the model, its layer tables, parameters and
+// scratch, the parameters and scratch of every CloneInto copy (and of
+// its copies), the buffers of a Trainer built over it, and the pool the
+// model and its clones share. Everything so allocated dies at a.Reset,
+// so the models must not be used past it.
 func NewMLPIn(sizes []int, rng *tensor.RNG, a *tensor.Arena) (*MLP, error) {
 	if len(sizes) < 2 {
 		return nil, fmt.Errorf("need at least input and output sizes, got %v: %w", sizes, ErrArchitecture)
@@ -73,8 +73,9 @@ func NewMLPIn(sizes []int, rng *tensor.RNG, a *tensor.Arena) (*MLP, error) {
 	}
 	layers := len(sizes) - 1
 	// One block of ints holds the four layer tables.
-	tables := a.Ints(len(sizes) + 2*layers + len(sizes) + 1)
-	m := &MLP{layout: new(layout), arena: a, pool: tensor.NewVecPool(a)}
+	tables := tensor.Make[int](a, len(sizes)+2*layers+len(sizes)+1)
+	m := tensor.New[MLP](a)
+	*m = MLP{layout: tensor.New[layout](a), arena: a, pool: tensor.NewVecPool(a)}
 	m.sizes, tables = tables[:len(sizes):len(sizes)], tables[len(sizes):]
 	copy(m.sizes, sizes)
 	m.wOff, tables = tables[:layers:layers], tables[layers:]

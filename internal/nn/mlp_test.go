@@ -61,18 +61,19 @@ func TestSoftmaxProperties(t *testing.T) {
 
 // TestSoftmaxMatchesMathExpLoop holds SoftmaxRows on one row, and
 // softmaxRows over a block of rows (longer than its ScoreChunkRows
-// pieces), to
-// the plain loop they replace — z − max through
-// math.Exp, summed in index order, scaled by 1/sum — bit for bit, on
-// rows with huge, −Inf and −800 logits. A row of −Inf logits gives NaN
-// (−Inf − −Inf) on both sides: no sum is ever zero.
+// pieces), to the plain loop they replace — z − max through
+// tensor.ExpScalar (math.Exp's amd64 FMA path on every host, which
+// tensor's tests hold to math.Exp where it takes that path), summed in
+// index order, scaled by 1/sum — bit for bit, on rows with huge, −Inf
+// and −800 logits. A row of −Inf logits gives NaN (−Inf − −Inf) on
+// both sides: no sum is ever zero.
 func TestSoftmaxMatchesMathExpLoop(t *testing.T) {
 	ref := func(logits tensor.Vector) tensor.Vector {
 		maxv, _ := logits.Max()
 		out := tensor.NewVector(len(logits))
 		var sum float64
 		for i, z := range logits {
-			out[i] = math.Exp(z - maxv)
+			out[i] = tensor.ExpScalar(z - maxv)
 			sum += out[i]
 		}
 		out.Scale(1 / sum)

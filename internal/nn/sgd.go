@@ -279,10 +279,10 @@ func (t *Trainer) RunEpochsNZ(xs []tensor.Vector, nz [][]int32, ys []int, rng *t
 	sp.init(m, bs, t.Opt, nz != nil && clip == nil)
 	defer sp.release()
 	if cap(t.order) < n {
-		t.order = m.arena.Ints(n)
+		t.order = tensor.Make[int](m.arena, n)
 	}
 	if cap(t.batchXs) < bs {
-		t.batchXs, t.batchYs = m.arena.Vectors(bs), m.arena.Ints(bs)
+		t.batchXs, t.batchYs = tensor.Make[tensor.Vector](m.arena, bs), tensor.Make[int](m.arena, bs)
 	}
 	order := t.order[:n]
 	for i := range order {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -105,13 +106,17 @@ func TestQuote(t *testing.T) {
 	}
 }
 
+// wideInt is a round past 32 bits where int has 64 (2⁴⁰), and 2²⁰
+// where it has 32.
+const wideInt = 1 << (bits.UintSize * 5 / 8)
+
 // TestCSVSinkRowsMatchFmt holds the CSV sink's rows to the fmt format
 // they were written with before AppendFixed, byte for byte.
 func TestCSVSinkRowsMatchFmt(t *testing.T) {
 	recs := []metrics.RoundRecord{
 		{Round: 0, TestAcc: 0.9999995, MIAAcc: math.Copysign(0, -1), TPRAt1FPR: -5e-7, GenError: 1.5e300},
 		{Round: -3, TestAcc: math.Inf(1), MIAAcc: math.NaN(), TPRAt1FPR: math.Inf(-1), GenError: 0.0000005},
-		{Round: 1 << 40, TestAcc: 0.1 + 0.2, MIAAcc: 2.0 / 3, TPRAt1FPR: 0.0625, GenError: 5e-324},
+		{Round: wideInt, TestAcc: 0.1 + 0.2, MIAAcc: 2.0 / 3, TPRAt1FPR: 0.0625, GenError: 5e-324},
 	}
 	for _, label := range []string{"plain", "cifar10, \"hard\"\narm"} {
 		var b strings.Builder

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 	"unsafe"
+	"weak"
 )
 
 // overlaps reports whether two vectors share any element.
@@ -184,7 +185,7 @@ func TestPooledArenaIsCollected(t *testing.T) {
 		a := new(Arena)
 		v := a.Vector(4 * arenaChunk)
 		runtime.AddCleanup(&v[0], func(ch chan struct{}) { close(ch) }, freed)
-		held := a.Vectors(1)
+		held := Make[Vector](a, 1)
 		held[0] = a.Vector(3)
 		a.Keep(new(int))
 		a.Reset()
@@ -199,12 +200,13 @@ func TestPooledArenaIsCollected(t *testing.T) {
 	}
 }
 
-// Run with -race: the node-parallel compute pass grows batch scratch
-// from several goroutines at once.
+// Run with -race: the node-parallel compute pass grows batch scratch,
+// and its trainers their typed lists, from several goroutines at once.
 func TestArenaConcurrentVector(t *testing.T) {
 	var a Arena
 	const workers, each = 8, 400
 	got := make([][]Vector, workers)
+	ints := make([][][]int, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -215,6 +217,12 @@ func TestArenaConcurrentVector(t *testing.T) {
 				v.Fill(float64(w))
 				got[w] = append(got[w], v)
 				a.RNG(int64(i))
+				ids := Make[int](&a, 1+i%7)
+				for j := range ids {
+					ids[j] = w
+				}
+				ints[w] = append(ints[w], ids)
+				New[Vector](&a)
 			}
 		}(w)
 	}
@@ -224,6 +232,13 @@ func TestArenaConcurrentVector(t *testing.T) {
 			for _, x := range v {
 				if x != float64(w) {
 					t.Fatalf("worker %d's vector holds %v", w, x)
+				}
+			}
+		}
+		for _, ids := range ints[w] {
+			for _, x := range ids {
+				if x != w {
+					t.Fatalf("worker %d's ints hold %d", w, x)
 				}
 			}
 		}
@@ -272,28 +287,28 @@ func TestVecPoolOverArena(t *testing.T) {
 	}
 }
 
-// The int and Vector-header slabs keep the float slab's rules: handed
-// out zeroed from recycled chunks, exact capacity, at every size, and
-// the heap on a nil arena. Reset also drops the headers, so a
-// pooled arena does not keep the last arm's heap vectors alive.
+// The typed slabs keep the float slab's rules: handed out zeroed,
+// exact capacity, at every size, and the heap on a nil arena. Reset
+// also drops the headers, so a pooled arena does not keep the last
+// arm's heap vectors alive.
 func TestArenaTypedSlabs(t *testing.T) {
 	var a Arena
-	ints, vecs := a.Ints(10), a.Vectors(3)
+	ints, vecs := Make[int](&a, 10), Make[Vector](&a, 3)
 	if len(ints) != 10 || cap(ints) != 10 || len(vecs) != 3 || cap(vecs) != 3 {
-		t.Fatalf("Ints(10) len %d cap %d, Vectors(3) len %d cap %d", len(ints), cap(ints), len(vecs), cap(vecs))
+		t.Fatalf("Make[int](10) len %d cap %d, Make[Vector](3) len %d cap %d", len(ints), cap(ints), len(vecs), cap(vecs))
 	}
 	for i := range ints {
 		ints[i] = i + 1
 	}
 	heap := NewVector(4)
 	vecs[0], vecs[2] = a.Vector(2), heap
-	rest := a.Vectors(2) // the rest of the chunk stays in use
+	rest := Make[Vector](&a, 2) // the next chunk stays in use
 	rest[1] = heap
 	a.Reset()
 	if vecs[2] != nil || rest[1] != nil {
 		t.Fatal("Reset kept the headers handed out")
 	}
-	ints2, vecs2 := a.Ints(10), a.Vectors(3)
+	ints2, vecs2 := Make[int](&a, 10), Make[Vector](&a, 3)
 	if &ints2[0] != &ints[0] || &vecs2[0] != &vecs[0] {
 		t.Fatal("Reset did not recycle the int and Vector chunks")
 	}
@@ -302,29 +317,30 @@ func TestArenaTypedSlabs(t *testing.T) {
 			t.Fatalf("recycled ints[%d] = %d, want 0", i, x)
 		}
 	}
-	if big := a.Ints(intChunk + 1); len(big) != intChunk+1 || cap(big) != intChunk+1 || a.Ints(1)[0] != 0 {
-		t.Fatal("a request over a chunk of Ints has the wrong size")
+	limit := typedChunkBytes / 8
+	if big := Make[int](&a, limit+1); len(big) != limit+1 || cap(big) != limit+1 || Make[int](&a, 1)[0] != 0 {
+		t.Fatal("a request over a chunk of ints has the wrong size")
 	}
-	if big := a.Vectors(vectorsChunk + 1); len(big) != vectorsChunk+1 || big[vectorsChunk] != nil {
+	if big := Make[Vector](&a, limit+1); len(big) != limit+1 || big[limit] != nil {
 		t.Fatal("a request over a chunk of Vectors has the wrong size")
 	}
 	var none *Arena
-	if p, q := none.Ints(4), none.Ints(4); &p[0] == &q[0] || len(none.Vectors(2)) != 2 {
+	if p, q := Make[int](none, 4), Make[int](none, 4); &p[0] == &q[0] || len(Make[Vector](none, 2)) != 2 {
 		t.Fatal("nil arena must hand out independent heap slices")
 	}
-	if p, q := none.Int32s(4), none.Int32s(4); &p[0] == &q[0] || len(none.Int32Lists(2)) != 2 {
-		t.Fatal("nil arena must hand out independent heap slices")
+	if p, q := New[Arena](none), New[Arena](none); p == q {
+		t.Fatal("nil arena must hand out independent heap values")
 	}
 }
 
 // The int32 and []int32-header slabs, which hold datasets' nonzero
 // lists, keep the same rules: Reset drops the headers and recycles the
-// ids zeroed.
+// ids zeroed, and a request past the chunks never overlaps a live one.
 func TestArenaListSlabs(t *testing.T) {
 	var a Arena
-	ids, lists := a.Int32s(5), a.Int32Lists(3)
+	ids, lists := Make[int32](&a, 5), Make[[]int32](&a, 3)
 	if len(ids) != 5 || cap(ids) != 5 || len(lists) != 3 || cap(lists) != 3 {
-		t.Fatalf("Int32s(5) len %d cap %d, Int32Lists(3) len %d cap %d", len(ids), cap(ids), len(lists), cap(lists))
+		t.Fatalf("Make[int32](5) len %d cap %d, Make[[]int32](3) len %d cap %d", len(ids), cap(ids), len(lists), cap(lists))
 	}
 	for i := range ids {
 		ids[i] = int32(i + 1)
@@ -334,7 +350,7 @@ func TestArenaListSlabs(t *testing.T) {
 	if lists[0] != nil || lists[2] != nil {
 		t.Fatal("Reset kept the list headers handed out")
 	}
-	ids2, lists2 := a.Int32s(5), a.Int32Lists(3)
+	ids2, lists2 := Make[int32](&a, 5), Make[[]int32](&a, 3)
 	if &ids2[0] != &ids[0] || &lists2[0] != &lists[0] {
 		t.Fatal("Reset did not recycle the int32 and list chunks")
 	}
@@ -343,9 +359,92 @@ func TestArenaListSlabs(t *testing.T) {
 			t.Fatalf("recycled ids[%d] = %d, want 0", i, x)
 		}
 	}
-	if big := a.Int32s(int32Chunk + 1); len(big) != int32Chunk+1 || &big[0] == &ids2[0] || a.Int32s(1)[0] != 0 {
-		t.Fatal("a request over a chunk of Int32s overlaps a live one")
+	limit := typedChunkBytes / 4
+	if big := Make[int32](&a, limit+1); len(big) != limit+1 || &big[0] == &ids2[0] || Make[int32](&a, 1)[0] != 0 {
+		t.Fatal("a request over a chunk of int32s overlaps a live one")
 	}
+}
+
+// TestArenaTypedChunksGrow: a typed slab's first chunk is its first
+// request, so an arena that serves one struct of a type holds one; each
+// next chunk doubles, up to typedChunkBytes, a larger request gets a
+// chunk of its own size, and what a user handed out never overlaps.
+// After Reset the same requests walk the same chunks.
+func TestArenaTypedChunksGrow(t *testing.T) {
+	type node struct {
+		id   int
+		next *node
+		pad  [5]int
+	}
+	var a Arena
+	first := New[node](&a)
+	s := slabOf[node](&a)
+	if len(s.chunks) != 1 || len(s.chunks[0]) != 1 {
+		t.Fatalf("a first request of one made chunks %d", chunkLens(s))
+	}
+	live := []*node{first}
+	for i := 1; i < 300; i++ {
+		n := New[node](&a)
+		if n.id != 0 || n.next != nil {
+			t.Fatalf("node %d handed out dirty: %+v", i, *n)
+		}
+		n.id, n.next = i, live[i-1]
+		live = append(live, n)
+	}
+	limit := typedChunkBytes / int(unsafe.Sizeof(node{}))
+	for i, c := range s.chunks {
+		if want := min(1<<i, limit); len(c) != want {
+			t.Fatalf("chunk lengths %v, want doubling from 1 up to %d", chunkLens(s), limit)
+		}
+	}
+	big := Make[node](&a, 3*limit)
+	if c := s.chunks[len(s.chunks)-1]; len(big) != 3*limit || len(c) != 3*limit || &c[0] != &big[0] {
+		t.Fatalf("a request of %d nodes made chunks %v, want one of its own size last", 3*limit, chunkLens(s))
+	}
+	for i, n := range live {
+		if n.id != i || (i > 0 && n.next != live[i-1]) {
+			t.Fatalf("node %d was overwritten: %+v", i, *n)
+		}
+	}
+	chunks := len(s.chunks)
+	a.Reset()
+	for i := range live {
+		if n := New[node](&a); n != live[i] || n.id != 0 || n.next != nil {
+			t.Fatalf("after Reset, request %d did not get its cleared element back", i)
+		}
+	}
+	if len(s.chunks) != chunks {
+		t.Fatalf("a repeated pass made %d new chunks", len(s.chunks)-chunks)
+	}
+}
+
+func chunkLens[T any](s *slab[T]) []int {
+	var n []int
+	for _, c := range s.chunks {
+		n = append(n, len(c))
+	}
+	return n
+}
+
+// TestArenaResetReleasesHeapObjects: a heap object reachable only
+// through an element of a typed slab is collectable once the arena is
+// reset, while the arena itself stays alive, as it does in the arm pool.
+func TestArenaResetReleasesHeapObjects(t *testing.T) {
+	type holder struct{ obj *[64]byte }
+	a := new(Arena)
+	h := New[holder](a)
+	h.obj = new([64]byte)
+	w := weak.Make(h.obj)
+	runtime.GC()
+	if w.Value() == nil {
+		t.Fatal("the object was collected while the arena's slab held it")
+	}
+	a.Reset()
+	runtime.GC()
+	if w.Value() != nil {
+		t.Fatal("a reset arena kept a heap object of its last user alive")
+	}
+	runtime.KeepAlive(a)
 }
 
 // A pool's free lists past the eight it holds itself, and its slots,

@@ -10,10 +10,11 @@ import "sync"
 // reading it.
 //
 // The list of each length grows to the peak number of that length in
-// use at once and lives as long as the pool's owner (one arm); its
-// slots come from the arena too. An arm uses a handful of lengths, so
-// the lists are found by a linear scan, and the first eight live in
-// the pool itself. A Get/Put cycle allocates nothing at steady state.
+// use at once and lives as long as the pool's owner (one arm); the pool
+// and its slots come from the arena too. An arm uses a handful of
+// lengths, so the lists are found by a linear scan, and the first eight
+// live in the pool itself. A Get/Put cycle allocates nothing at steady
+// state.
 //
 // A VecPool is safe for concurrent use.
 type VecPool struct {
@@ -29,9 +30,11 @@ type freeList struct {
 	free []Vector
 }
 
-// NewVecPool returns a pool whose buffers come from a (nil = the heap).
+// NewVecPool returns a pool in a whose buffers come from a (nil = the
+// heap).
 func NewVecPool(a *Arena) *VecPool {
-	p := &VecPool{arena: a}
+	p := New[VecPool](a)
+	p.arena = a
 	p.lists = p.first[:0]
 	return p
 }
@@ -71,7 +74,7 @@ func (p *VecPool) Put(v Vector) {
 	if len(l.free) == cap(l.free) {
 		// The slots come from the arena: a full list moves to twice the
 		// room, and the old slots die with the arm.
-		grown := p.arena.Vectors(max(4, 2*cap(l.free)))[:len(l.free)]
+		grown := Make[Vector](p.arena, max(4, 2*cap(l.free)))[:len(l.free)]
 		copy(grown, l.free)
 		l.free = grown
 	}

@@ -29,6 +29,13 @@ type sampler interface {
 // own. A toolchain that ever changed math/rand fails these tests and
 // nothing else moves. Its source is passed through a tally, which lets
 // the tests count the ziggurat's rare paths without touching the stream.
+//
+// Where the oracle's samplers called math.Exp, math.Log and math.Pow,
+// it calls their ports, ExpScalar, LogScalar and pow, as RNG does: the
+// bits the repository pins are those of math.Exp's amd64 FMA path,
+// which the ports replay on every host. Where this process's math.Exp
+// takes that path, the normal draws are math/rand's NormFloat64 itself;
+// elsewhere they are its text on the ports (normPorted).
 type oracle struct {
 	*rand.Rand
 	src *tallySource
@@ -67,7 +74,12 @@ func oracleRNG(seed int64) *oracle {
 // other strip's wedge accepts on exactly one more draw.
 func (o *oracle) norm() float64 {
 	o.src.drawn = o.src.drawn[:0]
-	x := o.NormFloat64()
+	var x float64
+	if mathExpFused {
+		x = o.NormFloat64()
+	} else {
+		x = o.normPorted()
+	}
 	j := int32(uint32(o.src.drawn[0] >> 31))
 	i := j & 0x7F
 	switch {
@@ -80,7 +92,37 @@ func (o *oracle) norm() float64 {
 	return x
 }
 
-func (o *oracle) Normal(mu, sigma float64) float64 { return mu + sigma*o.norm() }
+// normPorted is math/rand's NormFloat64, statement for statement, with
+// LogScalar and ExpScalar for math.Log and math.Exp, and every product
+// that feeds an add rounded.
+func (o *oracle) normPorted() float64 {
+	for {
+		j := int32(o.Uint32()) // Possibly negative
+		i := j & 0x7F
+		x := float64(j) * float64(wn[i])
+		if absInt32(j) < kn[i] {
+			return x
+		}
+		if i == 0 {
+			for {
+				x = float64(-LogScalar(o.Float64()) * (1.0 / rn))
+				y := -LogScalar(o.Float64())
+				if y+y >= x*x {
+					break
+				}
+			}
+			if j > 0 {
+				return rn + x
+			}
+			return -rn - x
+		}
+		if fn[i]+float32(float32(o.Float64())*(fn[i-1]-fn[i])) < float32(ExpScalar(-.5*x*x)) {
+			return x
+		}
+	}
+}
+
+func (o *oracle) Normal(mu, sigma float64) float64 { return mu + float64(sigma*o.norm()) }
 
 func (o *oracle) FillNormal(v Vector, mu, sigma float64) {
 	for i := range v {
@@ -121,22 +163,22 @@ func (o *oracle) gamma(shape float64) float64 {
 		for u == 0 {
 			u = o.Float64()
 		}
-		return o.gamma(shape+1) * math.Pow(u, 1/shape)
+		return o.gamma(shape+1) * pow(u, 1/shape)
 	}
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
 		x := o.norm()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := o.Float64()
-		if u < 1-0.0331*x*x*x*x {
+		if u < 1-float64(0.0331*x*x*x*x) {
 			return d * v
 		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u > 0 && LogScalar(u) < float64(0.5*x*x)+float64(d*(1-v+LogScalar(v))) {
 			return d * v
 		}
 	}
@@ -231,8 +273,9 @@ func runOps(g sampler, ops []byte) []uint64 {
 				// A huge shuffle's first swaps: Int63n above 2³¹−1
 				// (rejecting half its draws at 2⁶²+1), the hand-over to
 				// Lemire's at 2³¹, and Lemire's rejection, which near
-				// 2³²/3 takes a third of them.
-				ints(firstSwaps(g, []int{1<<62 + 1, 1 << 31, 1<<32/3 + 2, 1<<31 - 1}[arg%4], 16)...)
+				// 2³²/3 takes a third of them. Where int has 32 bits,
+				// the first two are 2³⁰+1 and 2³¹−1.
+				ints(firstSwaps(g, []int{math.MaxInt>>1 + 2, min(1<<31, math.MaxInt), 1<<32/3 + 2, 1<<31 - 1}[arg%4], 16)...)
 				continue
 			}
 			order := make([]int, arg%64)

@@ -3,6 +3,7 @@ package result
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,7 +26,7 @@ func TestReadCanonicalReadsMarshal(t *testing.T) {
 			Label:           labels[i%len(labels)],
 			Records:         []RoundRecord{{Round: -i, TestAcc: f, MIAAcc: g, TPRAt1FPR: -f, GenError: g}, {Round: math.MaxInt, TestAcc: g}},
 			MessagesSent:    []int{math.MinInt, 0, math.MaxInt}[i%3],
-			BytesSent:       i << 40,
+			BytesSent:       i << (bits.UintSize * 5 / 8), // i·2⁴⁰ where int has 64 bits
 			RealizedEpsilon: f,
 			NoiseMultiplier: g,
 		}

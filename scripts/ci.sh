@@ -1,6 +1,7 @@
 #!/bin/sh
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
-# cross-build (the kernels' pure-Go tier), the race
+# cross-build (the kernels' pure-Go tier), a 32-bit vet, the tensor, nn
+# and dp tests under GODEBUG=cpu.fma=off, the race
 # detector over the parallelized packages, the allocation budgets
 # without it (under it sync.Pool drops the arm memory at random, so
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
@@ -42,6 +43,14 @@ go vet ./...
 # cross-compiling (offline, ~30 s cold) keeps its files building.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/tensor
+# A 32-bit int: every package, tests included, must compile where int
+# has 32 bits (test constants derive their width from math.MaxInt or
+# bits.UintSize).
+GOARCH=386 go vet ./...
+# The results path calls no host libm, so the exp, log and RNG tests
+# hold their oracles to the ports and pass whichever exp path math.Exp
+# takes on this CPU.
+GODEBUG=cpu.fma=off go test ./internal/tensor ./internal/nn ./internal/dp
 # staticcheck is advisory-but-enforced where available: the container
 # image may not ship it, so the gate activates only when installed.
 if command -v staticcheck >/dev/null 2>&1; then

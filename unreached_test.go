@@ -58,7 +58,7 @@ var reachability = struct {
 		{"internal/rps.Service.Validate", "internal/rps.TestShuffleInvariantsProperty", "view invariants after every shuffle"},
 		{"internal/rps.Service.InDegrees", "internal/rps.TestInDegreeStaysNearUniform", "the in-degree balance peer sampling promises"},
 		{"internal/rps.Service.Reachable", "internal/rps.TestShuffleKeepsNetworkConnected", "connectivity of the overlay"},
-		{"internal/data.Dataset.Validate", "internal/data.TestCatalogAndGenerators", "shape and label range of every generated corpus (keeps Dataset.Dim)"},
+		{"internal/data.Dataset.Validate", "internal/data.TestCatalogAndGenerators", "shape and label range of every generated corpus, and each list of ones its row's"},
 		{"internal/data.Dataset.LabelHistogram", "internal/data.TestPartitionDirichletHeterogeneity", "the label skew a Dirichlet partition must show"},
 		{"internal/tensor.Arena.Used", "internal/core.TestArenaUseIsBoundedByRounds", "the arena's high-water mark"},
 		{"internal/distrib.Dispatcher.Draining", "internal/server.TestDrainRefusesClaimsHonorsLeases", "the drain flag behind refused claims"},
