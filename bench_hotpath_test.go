@@ -411,7 +411,10 @@ func TestDenseArmAllocBudget(t *testing.T) {
 // sizes, model-sized ones included, comes from the arena's chunks, and
 // a repeated arm walks the chunks its first run made (before the arena
 // served every size, the second run allocated ≈14 MiB again). The
-// collector is off, so the pool keeps the arena between the runs.
+// collector is off, so the pool keeps the arena between the runs, and
+// both runs are on one P: a sync.Pool Put lands in the putting P's
+// private slot, which a Get on another P cannot take, so with two Ps
+// the second run sometimes built a fresh arena (≈17 MiB).
 func TestHeavyArmWarmAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs simulations")
@@ -422,6 +425,7 @@ func TestHeavyArmWarmAllocBudget(t *testing.T) {
 	const budgetMiB = 1
 	label, run := heavyArm(t)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	run()
 	if mib := run(); mib > budgetMiB {
 		t.Fatalf("%s on a warm arena allocates %.2f MiB, budget %d MiB", label, mib, budgetMiB)

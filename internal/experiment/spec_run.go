@@ -139,10 +139,7 @@ func validArms(sp *spec.Spec, sc Scale) ([]spec.Arm, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	return sp.ExpandArms()
+	return sp.ValidArms()
 }
 
 // runSpecHooked runs arms, sp's validated expansion (validArms), under

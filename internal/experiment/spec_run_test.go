@@ -647,7 +647,7 @@ func TestResumeIgnoresCorruptCache(t *testing.T) {
 	// label.
 	relabeledArm := decoded(3)
 	relabeledArm.Label = man.Arms[4].Label
-	relabeled, err := encodeArmRecord(ArmOf(relabeledArm))
+	relabeled, err := appendArmRecord(nil, ArmOf(relabeledArm))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 
+	"gossipmia/internal/jsonenc"
 	"gossipmia/internal/store"
 	"gossipmia/pkg/dlsim/result"
 )
@@ -14,11 +17,11 @@ import (
 // in one embedded store (internal/store) — OutDir/store unless several
 // runs share one, as the job service's do — so a resume reads one log
 // at indexed offsets instead of opening a file per arm. Each record is
-// the arm's canonical result.ArmResult JSON behind its sum. The trust
-// rule: a record is trusted only if its bytes are exactly the canonical
-// encoding of an arm with this label, behind a matching sum — checked
-// by result.ReadCanonical, the strict reader, in one pass. Anything
-// else is recomputed.
+// the arm's canonical result.ArmResult JSON, written by its AppendJSON,
+// behind its sum. The trust rule: a record is trusted only if its bytes
+// are exactly the canonical encoding of an arm with this label, behind a
+// matching sum — checked by result.ReadCanonical, the strict reader, in
+// one pass. Anything else is recomputed.
 //
 // Key space:
 //
@@ -53,17 +56,19 @@ func storeIndexKey(specName, label, key string) string {
 // sumLen is the length of the hex sha256 that prefixes a cached record.
 const sumLen = 2 * sha256.Size
 
-// encodeArmRecord renders an executed arm as its cache record: the
-// arm's canonical result.ArmResult JSON — the bytes a fleet upload's
-// checksum covers — prefixed by result.Sum of exactly those bytes.
-func encodeArmRecord(arm Arm) ([]byte, error) {
-	raw, err := json.Marshal(arm.Result())
+// appendArmRecord appends an executed arm's cache record to b: the
+// arm's canonical result.ArmResult JSON (AppendJSON) — the bytes a
+// fleet upload's checksum covers — behind result.Sum of exactly those
+// bytes, written into the sumLen bytes reserved ahead of them.
+func appendArmRecord(b []byte, arm Arm) ([]byte, error) {
+	start := len(b)
+	rec, err := arm.Result().AppendJSON(append(b, make([]byte, sumLen)...))
 	if err != nil {
-		return nil, fmt.Errorf("experiment: cache record: %w", err)
+		return b, fmt.Errorf("experiment: cache record: %w", err)
 	}
-	rec := make([]byte, 0, sumLen+len(raw))
-	rec = append(rec, result.Sum(raw)...)
-	return append(rec, raw...), nil
+	sum := sha256.Sum256(rec[start+sumLen:])
+	hex.Encode(rec[start:start+sumLen], sum[:])
+	return rec, nil
 }
 
 // decodeArmRecord validates and decodes one cached arm record by the
@@ -114,6 +119,33 @@ func storeArmSummary(specName, key string, arm Arm) StoreArmSummary {
 	}
 }
 
+// appendJSON appends the row's JSON to b: exactly the bytes json.Marshal
+// emits for it. A NaN or an infinity is an error, and b is returned as
+// it was.
+func (s StoreArmSummary) appendJSON(b []byte) ([]byte, error) {
+	e := jsonenc.Encoder{Buf: b}
+	e.String(`{"spec":`, s.Spec)
+	e.String(`,"label":`, s.Label)
+	e.String(`,"key":`, s.Key)
+	e.Float(`,"maxAcc":`, s.MaxAcc)
+	e.Float(`,"miaAtMax":`, s.MIAAtMax)
+	e.Int(`,"messages":`, int64(s.Messages))
+	e.Int(`,"bytes":`, int64(s.Bytes))
+	if s.Epsilon != 0 {
+		e.Float(`,"epsilon":`, s.Epsilon)
+	}
+	e.Raw(`}`)
+	if e.Err != nil {
+		return b, e.Err
+	}
+	return e.Buf, nil
+}
+
+// recordBufs recycles the buffers a commit builds its record and index
+// row in: store.Put copies what it is handed into its frame before it
+// returns, so a commit allocates only the keys the store's index keeps.
+var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // armCache is one run's view of the arm store: the spec's arms by
 // index and their content-hash keys. Methods are safe for concurrent
 // use (the store serializes its own writes).
@@ -159,11 +191,14 @@ func (c *armCache) lookup(i int, label string) (Arm, bool) {
 
 // put commits arm i: the full record, then its listing-index row.
 func (c *armCache) put(i int, arm Arm) error {
-	raw, err := encodeArmRecord(arm)
-	if err != nil {
-		return err
+	buf := recordBufs.Get().(*[]byte)
+	rec, err := appendArmRecord((*buf)[:0], arm)
+	if err == nil {
+		err = c.st.Put(storeArmKey(c.keys[i]), rec)
 	}
-	if err := c.st.Put(storeArmKey(c.keys[i]), raw); err != nil {
+	*buf = rec[:0]
+	recordBufs.Put(buf)
+	if err != nil {
 		return err
 	}
 	return c.putIndex(i, arm)
@@ -171,11 +206,14 @@ func (c *armCache) put(i int, arm Arm) error {
 
 // putIndex writes arm i's listing-index row.
 func (c *armCache) putIndex(i int, arm Arm) error {
-	idx, err := json.Marshal(storeArmSummary(c.spec, c.keys[i], arm))
+	buf := recordBufs.Get().(*[]byte)
+	defer recordBufs.Put(buf)
+	row, err := storeArmSummary(c.spec, c.keys[i], arm).appendJSON((*buf)[:0])
+	*buf = row[:0]
 	if err != nil {
 		return fmt.Errorf("experiment: index row: %w", err)
 	}
-	return c.st.Put(storeIndexKey(c.spec, arm.Label, c.keys[i]), idx)
+	return c.st.Put(storeIndexKey(c.spec, arm.Label, c.keys[i]), row)
 }
 
 // ListStoreArms pages through a store's listing index in (figure,

@@ -494,7 +494,7 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 	for i := 0; i < n; i++ {
 		keys[i] = fmt.Sprintf("%064x", i*(2654435761&math.MaxInt)) // 2³²/φ, its low 31 bits where int has 32
 		label := fmt.Sprintf("purchase100 beta=%.4f", 0.1+float64(i)*0.0005)
-		raw, err := encodeArmRecord(Arm{
+		raw, err := appendArmRecord(nil, Arm{
 			Label: label,
 			Series: &metrics.Series{Label: label, Records: []metrics.RoundRecord{{
 				Round: 3, TestAcc: 0.61, MIAAcc: 0.52, TPRAt1FPR: 0.08, GenError: 0.10,
@@ -711,7 +711,7 @@ func TestArmRecordSumIsChecksum(t *testing.T) {
 		RealizedEpsilon: 7.5,
 		NoiseMultiplier: 1.1,
 	}
-	raw, err := encodeArmRecord(arm)
+	raw, err := appendArmRecord(nil, arm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,6 +724,74 @@ func TestArmRecordSumIsChecksum(t *testing.T) {
 	}
 	if _, ok := decodeArmRecord(raw, "another label"); ok {
 		t.Fatal("a record was served for another label")
+	}
+}
+
+// TestIndexRowIsMarshal: the listing-index row a commit writes is
+// json.Marshal's encoding of its StoreArmSummary — the form
+// ListStoreArms decodes — with the omitempty epsilon absent at zero,
+// and a non-finite metric is refused as json.Marshal refuses it.
+func TestIndexRowIsMarshal(t *testing.T) {
+	for _, s := range []StoreArmSummary{
+		{Spec: "figure2", Label: "purchase100 beta=0.25", Key: strings.Repeat("ab", 32), MaxAcc: 0.1 + 0.2, MIAAtMax: 2.0 / 3, Messages: 1234, Bytes: 1 << 30},
+		{Spec: `q"\ <&>`, Label: "é\u2028\xff", Key: "k", MaxAcc: 1e-7, MIAAtMax: 1e21, Messages: math.MinInt, Bytes: math.MaxInt, Epsilon: 7.5},
+		{Epsilon: math.Copysign(0, -1)},
+		{Label: "nan", MaxAcc: math.NaN()},
+		{Label: "inf", Epsilon: math.Inf(1)},
+	} {
+		want, wantErr := json.Marshal(s)
+		got, err := s.appendJSON([]byte("x"))
+		switch {
+		case (err != nil) != (wantErr != nil):
+			t.Fatalf("appendJSON(%+v) error %v, json.Marshal's %v", s, err, wantErr)
+		case err != nil && string(got) != "x":
+			t.Fatalf("a refused appendJSON(%+v) left %q", s, got)
+		case err == nil && string(got) != "x"+string(want):
+			t.Fatalf("appendJSON(%+v) = %s, json.Marshal = %s", s, got[1:], want)
+		}
+	}
+}
+
+// TestArmCommitAllocs: committing a light arm to a fresh key — its
+// record, its index row and the two store writes — allocates only the
+// two keys the store's index keeps. The record and the row are built in
+// a pooled buffer that store.Put copies from.
+func TestArmCommitAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	const commits = 256
+	keys := make([]string, commits+1) // AllocsPerRun runs once more to warm up
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%064x", i)
+	}
+	cache, release, err := openArmCache(filepath.Join(t.TempDir(), "store"), "light", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	label := "light/00001/samo"
+	series := &metrics.Series{Label: label}
+	for r := range 4 {
+		series.Append(metrics.RoundRecord{Round: 2 * r, TestAcc: 0.3 + 0.1*float64(r), MIAAcc: 0.5 + 0.01*float64(r), TPRAt1FPR: 0.02, GenError: 0.125})
+	}
+	arm := Arm{Label: label, Series: series, MessagesSent: 96, BytesSent: 3 << 20}
+	i := 0
+	allocs := testing.AllocsPerRun(commits, func() {
+		if err == nil {
+			err = cache.put(i, arm)
+		}
+		i++
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 2 {
+		t.Fatalf("a commit makes %.0f allocations, want at most 2", allocs)
+	}
+	t.Logf("a commit makes %.0f allocations", allocs)
+	if got, ok := cache.lookup(commits, label); !ok || got.Result().Checksum() != arm.Result().Checksum() {
+		t.Fatal("the last commit does not read back")
 	}
 }
 
@@ -758,7 +826,7 @@ func oracleDecodeArmRecord(raw []byte, label string) (result.ArmResult, bool) {
 // to the body and whose Checksum is its sum.
 func FuzzArmRecord(f *testing.F) {
 	arm := Arm{Label: "a", Series: &metrics.Series{Label: "a", Records: []metrics.RoundRecord{{Round: 1, TestAcc: 0.5, MIAAcc: 0.75}}}, MessagesSent: 3}
-	valid, err := encodeArmRecord(arm)
+	valid, err := appendArmRecord(nil, arm)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -831,6 +899,9 @@ func FuzzArmRecord(f *testing.F) {
 				}
 				if !bytes.Equal(canon, rec[sumLen:]) {
 					t.Fatalf("accepted %q re-encodes to %q", rec[sumLen:], canon)
+				}
+				if enc, err := res.AppendJSON(nil); err != nil || !bytes.Equal(enc, rec[sumLen:]) {
+					t.Fatalf("accepted %q re-encodes through AppendJSON to %q, %v", rec[sumLen:], enc, err)
 				}
 				if sum := res.Checksum(); string(rec[:sumLen]) != sum {
 					t.Fatalf("accepted sum %s, Checksum %s", rec[:sumLen], sum)

@@ -1,8 +1,12 @@
 // Package jsonenc appends JSON spelled exactly as encoding/json spells
 // it, without reflection: the canonical encodings this tree hashes and
-// writes on its hot paths (an arm's JSON under its cache key, the spec
-// hash, a run's manifest) are built field by field from these pieces,
-// and their tests hold every byte to json.Marshal.
+// writes on its hot paths are built field by field from these pieces —
+// an arm's JSON under its cache key and the spec hash
+// (spec.Arm.AppendJSON), a run's manifest, an arm result's cache record
+// and Checksum (result.ArmResult.AppendJSON), the arm cache's index row,
+// and the event line of the JSONL files and the service's stream
+// (result.Event.AppendJSON) — and their tests hold every byte to
+// json.Marshal.
 package jsonenc
 
 import (

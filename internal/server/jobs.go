@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -371,20 +372,23 @@ func (s *Server) pruneLocked() {
 }
 
 // eventSink streams one arm's evaluated rounds onto its job's event
-// log, one marshaled Event per line. An arm's records arrive in round
+// log, one encoded Event per line. An arm's records arrive in round
 // order from the goroutine running it; the log's lock orders arms.
 type eventSink struct {
 	log *eventLog
 	arm string
+	buf []byte // the line being encoded, reused across rounds
 }
 
-// Record implements sink.Sink.
+// Record implements sink.Sink. The log keeps the line, so it gets a
+// copy of exactly its length.
 func (es *eventSink) Record(rec dlsim.RoundRecord) error {
-	line, err := json.Marshal(dlsim.Event{Arm: es.arm, RoundRecord: rec})
+	line, err := dlsim.Event{Arm: es.arm, RoundRecord: rec}.AppendJSON(es.buf[:0])
 	if err != nil {
 		return fmt.Errorf("server: encode event: %w", err)
 	}
-	es.log.append(line)
+	es.buf = line
+	es.log.append(bytes.Clone(line))
 	return nil
 }
 

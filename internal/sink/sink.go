@@ -10,7 +10,6 @@ package sink
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -52,6 +51,7 @@ type JSONL struct {
 	arm string
 	w   *bufio.Writer
 	c   io.Closer
+	buf []byte // the line being written, reused across rounds
 }
 
 // NewJSONL builds a JSONL sink over w, tagging every event with the arm
@@ -66,12 +66,12 @@ func NewJSONL(w io.Writer, arm string) *JSONL {
 
 // Record implements Sink.
 func (j *JSONL) Record(r metrics.RoundRecord) error {
-	raw, err := json.Marshal(result.Event{Arm: j.arm, RoundRecord: r})
+	line, err := result.Event{Arm: j.arm, RoundRecord: r}.AppendJSON(j.buf[:0])
 	if err != nil {
 		return fmt.Errorf("sink: jsonl: %w", err)
 	}
-	raw = append(raw, '\n')
-	if _, err := j.w.Write(raw); err != nil {
+	j.buf = append(line, '\n')
+	if _, err := j.w.Write(j.buf); err != nil {
 		return fmt.Errorf("sink: jsonl: %w", err)
 	}
 	return nil

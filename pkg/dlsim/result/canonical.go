@@ -9,6 +9,71 @@ import (
 	"gossipmia/internal/jsonenc"
 )
 
+// AppendJSON appends the arm result's canonical JSON to b: exactly the
+// bytes json.Marshal emits for it, built without reflection — the fields
+// in declaration order, "records" null for a nil slice, the two
+// omitempty floats only when nonzero. A NaN or an infinity, which
+// json.Marshal refuses, is an error, and b is returned as it was.
+// ReadCanonical reads these bytes back, and nothing else.
+func (a ArmResult) AppendJSON(b []byte) ([]byte, error) {
+	e := jsonenc.Encoder{Buf: b}
+	e.String(`{"label":`, a.Label)
+	e.Raw(`,"records":`)
+	if a.Records == nil {
+		e.Raw(`null`)
+	} else {
+		e.Raw(`[`)
+		for i, rec := range a.Records {
+			if i > 0 {
+				e.Raw(`,`)
+			}
+			e.Raw(`{`)
+			rec.appendFields(&e)
+			e.Raw(`}`)
+		}
+		e.Raw(`]`)
+	}
+	e.Int(`,"messagesSent":`, int64(a.MessagesSent))
+	e.Int(`,"bytesSent":`, int64(a.BytesSent))
+	if a.RealizedEpsilon != 0 {
+		e.Float(`,"realizedEpsilon":`, a.RealizedEpsilon)
+	}
+	if a.NoiseMultiplier != 0 {
+		e.Float(`,"noiseMultiplier":`, a.NoiseMultiplier)
+	}
+	e.Raw(`}`)
+	if e.Err != nil {
+		return b, e.Err
+	}
+	return e.Buf, nil
+}
+
+// AppendJSON appends the event's JSON line, without the newline, to b:
+// exactly the bytes json.Marshal emits for it, the arm's label followed
+// by the round record's fields. A NaN or an infinity is an error, and b
+// is returned as it was.
+func (ev Event) AppendJSON(b []byte) ([]byte, error) {
+	e := jsonenc.Encoder{Buf: b}
+	e.String(`{"arm":`, ev.Arm)
+	e.Raw(`,`)
+	ev.RoundRecord.appendFields(&e)
+	e.Raw(`}`)
+	if e.Err != nil {
+		return b, e.Err
+	}
+	return e.Buf, nil
+}
+
+// appendFields appends the record's fields without the braces around
+// them: the one writer of a round, in an arm result and in an event.
+func (r RoundRecord) appendFields(e *jsonenc.Encoder) {
+	e.Int(`"round":`, int64(r.Round))
+	e.Float(`,"testAcc":`, r.TestAcc)
+	e.Float(`,"miaAcc":`, r.MIAAcc)
+	e.Float(`,"tprAt1FPR":`, r.TPRAt1FPR)
+	e.Float(`,"genError":`, r.GenError)
+}
+
 // ReadCanonical decodes raw if and only if raw is exactly the bytes
 // json.Marshal emits for an ArmResult: the fields in declaration order,
 // no whitespace, every number spelled as the encoder spells it (exponent

@@ -5,15 +5,16 @@
 // The engine's series, the JSONL event files, the service's NDJSON
 // event stream, the fleet's result uploads and the arm cache all carry
 // these types, so an arm's outcome is the same bytes wherever it ran.
-// The package imports nothing of the module, so every layer may.
+// The package imports only internal/jsonenc of the module, which imports
+// nothing of it, so every layer may import this one.
 package result
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // RoundRecord holds the per-round measurements the paper reports:
@@ -52,20 +53,26 @@ type ArmResult struct {
 // the arm cache.
 func Sum(raw []byte) string {
 	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
+	var buf [2 * sha256.Size]byte
+	return string(hex.AppendEncode(buf[:0], sum[:]))
 }
 
-// Checksum returns the Sum of the arm result's canonical JSON encoding.
-// Floats survive a JSON round trip exactly (Go emits the shortest
-// representation that decodes back to the same value), so
+// sumBufs recycles the buffers Checksum encodes into.
+var sumBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// Checksum returns the Sum of the arm result's canonical JSON encoding
+// (AppendJSON), or "" for a result json.Marshal refuses (a NaN or an
+// infinity). Floats survive a JSON round trip exactly (Go emits the
+// shortest representation that decodes back to the same value), so
 // decode(encode(a)).Checksum() == a.Checksum() — which lets the service
 // re-verify an uploaded result against the sum the worker claimed,
 // without trusting the worker's bytes.
 func (a ArmResult) Checksum() string {
-	raw, err := json.Marshal(a)
+	buf := sumBufs.Get().(*[]byte)
+	defer sumBufs.Put(buf)
+	raw, err := a.AppendJSON((*buf)[:0])
+	*buf = raw[:0]
 	if err != nil {
-		// ArmResult contains only marshalable fields; this cannot
-		// happen for real values.
 		return ""
 	}
 	return Sum(raw)

@@ -251,40 +251,47 @@ func oneOf(v string, set []string) bool {
 // labels, and unexpandable sweeps. Parameters that depend on the run
 // scale (node indices, tick horizons) are validated by the executor.
 func (s *Spec) Validate() error {
+	_, err := s.ValidArms()
+	return err
+}
+
+// ValidArms validates the spec (Validate) and returns its arms
+// (ExpandArms) in one expansion: what an executor runs.
+func (s *Spec) ValidArms() ([]Arm, error) {
 	if s == nil {
-		return errNilSpec
+		return nil, errNilSpec
 	}
 	if s.Name == "" {
-		return fmt.Errorf("%w: spec has no name", ErrSpec)
+		return nil, fmt.Errorf("%w: spec has no name", ErrSpec)
 	}
 	if hasControl(s.Name) {
-		return fmt.Errorf("%w: spec name %q contains a control character", ErrSpec, s.Name)
+		return nil, fmt.Errorf("%w: spec name %q contains a control character", ErrSpec, s.Name)
 	}
 	if len(s.Arms) == 0 && s.Sweep == nil {
-		return fmt.Errorf("%w: %q has neither arms nor a sweep", ErrSpec, s.Name)
+		return nil, fmt.Errorf("%w: %q has neither arms nor a sweep", ErrSpec, s.Name)
 	}
 	arms, err := s.ExpandArms()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	seen := map[string]bool{}
-	offsets := map[int64]string{}
+	seen := make(map[string]bool, len(arms))
+	offsets := make(map[int64]string, len(arms))
 	for i, a := range arms {
 		if err := a.validate(); err != nil {
-			return fmt.Errorf("%w: arm %d (%q): %v", ErrSpec, i, a.Label, err)
+			return nil, fmt.Errorf("%w: arm %d (%q): %v", ErrSpec, i, a.Label, err)
 		}
 		if seen[a.Label] {
-			return fmt.Errorf("%w: duplicate arm label %q", ErrSpec, a.Label)
+			return nil, fmt.Errorf("%w: duplicate arm label %q", ErrSpec, a.Label)
 		}
 		seen[a.Label] = true
 		// Arms sharing a seed offset would share every RNG stream
 		// (topology, partitions, wake schedule) and silently correlate.
 		if other, ok := offsets[a.SeedOffset]; ok {
-			return fmt.Errorf("%w: arms %q and %q share seed offset %d", ErrSpec, other, a.Label, a.SeedOffset)
+			return nil, fmt.Errorf("%w: arms %q and %q share seed offset %d", ErrSpec, other, a.Label, a.SeedOffset)
 		}
 		offsets[a.SeedOffset] = a.Label
 	}
-	return nil
+	return arms, nil
 }
 
 // validate reports structural errors in one arm.

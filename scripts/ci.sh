@@ -1,12 +1,13 @@
 #!/bin/sh
 # ci.sh — the tier-1 gate plus gofmt cleanliness, vet, an arm64
-# cross-build (the kernels' pure-Go tier), a 32-bit vet, the tensor, nn
+# cross-build (the kernels' pure-Go tier), a 32-bit vet and the numeric
+# packages' tests on 386, the tensor, nn
 # and dp tests under GODEBUG=cpu.fma=off, the race
 # detector over the parallelized packages, the allocation budgets
 # without it (under it sync.Pool drops the arm memory at random, so
 # those tests skip or loosen), the fuzz-corpus smoke (fuzz
-# targets run once over their seed corpus; the arm cache's reader, the
-# arm encoder, the fixed-point float formatter, the RNG, the exp and log
+# targets run once over their seed corpus; the arm cache's reader and
+# writer, the arm encoder, the fixed-point float formatter, the RNG, the exp and log
 # kernels, the scalar libm ports, the GEMM kernels' tiers, the attack's metrics, the sparse
 # kernels, the list-fed first layer, the rank correlation, the RDP
 # bound, the spectral instruments, the bootstrap intervals, the round
@@ -19,7 +20,8 @@
 # one-way-in layout gate (cmd/ holds dlsim, examples/ holds specs), a
 # declarative-spec end-to-end smoke at tiny scale, the whole catalog
 # and two overlaid runs twice under the race detector (workers 1 and 4,
-# compared), the catalog with and without GODEBUG=cpu.fma=off (compared), a race-enabled service smoke (serve + submit + stream +
+# compared), the catalog with and without GODEBUG=cpu.fma=off and from a
+# GOARCH=386 build (compared), a race-enabled service smoke (serve + submit + stream +
 # cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
 # signatures), the one-schema import gate (internal/spec is
 # benchmark/'s shim only), and one HEAD-against-HEAD pair of the claim
@@ -47,6 +49,10 @@ GOARCH=arm64 go vet ./internal/tensor
 # has 32 bits (test constants derive their width from math.MaxInt or
 # bits.UintSize).
 GOARCH=386 go vet ./...
+# ... and the numeric packages' tests pass there (a 386 binary runs on an
+# amd64 host; its floats take the SSE2 path, so the bit-exact oracles
+# hold).
+GOARCH=386 go test -short ./internal/tensor ./internal/nn ./internal/dp ./internal/gossip ./internal/core
 # The results path calls no host libm, so the exp, log and RNG tests
 # hold their oracles to the ports and pass whichever exp path math.Exp
 # takes on this CPU.
@@ -74,10 +80,10 @@ go test -race -count=10 -run 'IntraArm|FirstError|DenseWake|RoundChains|Engine' 
 go test ./benchmark
 # The allocation budgets and zero-allocation tests, which skip or loosen
 # under the race detector, hold here.
-go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core
+go test -run 'AllocBudget|AllocRatio|Allocs' . ./internal/core ./internal/experiment ./pkg/dlsim/result
 # (FuzzParse fuzzes pkg/dlsim/spec; it sits in internal/spec with the
 # rest of that package's black-box tests until the directory goes.)
-go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip ./internal/netmodel
+go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./pkg/dlsim/result ./internal/store ./internal/tensor ./internal/server ./internal/experiment ./internal/sink ./internal/mia ./internal/nn ./internal/stats ./internal/graph ./internal/gossip ./internal/netmodel
 # Every fuzzing run below caps the minimization of a new or failing
 # input at one execution (-fuzzminimizetime=1x): Go's default budget of
 # 60 s would spend most of a 10-s run shrinking inputs instead of fuzzing.
@@ -86,6 +92,10 @@ go test -run='^Fuzz' ./internal/spec ./pkg/dlsim/spec ./internal/store ./interna
 # real fuzzing run holds it to the decode-and-re-encode oracle on inputs
 # no seed lists.
 go test -run=NONE -fuzz=FuzzArmRecord -fuzztime=10s -fuzzminimizetime=1x ./internal/experiment
+# So is its writer (result.ArmResult.AppendJSON, and Event.AppendJSON
+# beside it), behind every cache record and Checksum: a short real
+# fuzzing run holds it to json.Marshal's bytes and errors.
+go test -run=NONE -fuzz=FuzzArmResultJSON -fuzztime=10s -fuzzminimizetime=1x ./pkg/dlsim/result
 # So is the arm's canonical encoder (spec.Arm.AppendJSON), which every
 # arm key and spec hash is built from: a short real fuzzing run holds it
 # and Spec.Hash to json.Marshal on arms no seed lists.
@@ -354,6 +364,13 @@ overlaid overlay-attacks -figure attacks -drop 0.2
 GODEBUG=cpu.fma=off "$specout/dlsim" run -figure all -scale tiny -csv >"$specout/catalog-nofma.csv"
 cmp "$specout/catalog-fma.csv" "$specout/catalog-nofma.csv" || {
     echo "dlsim run -figure all: GODEBUG=cpu.fma=off moves bytes" >&2
+    exit 1
+}
+# Nor does the architecture: a 32-bit build prints the same bytes.
+GOARCH=386 go build -o "$specout/dlsim-386" ./cmd/dlsim
+"$specout/dlsim-386" run -figure all -scale tiny -csv >"$specout/catalog-386.csv"
+cmp "$specout/catalog-fma.csv" "$specout/catalog-386.csv" || {
+    echo "dlsim run -figure all: a GOARCH=386 build moves bytes" >&2
     exit 1
 }
 echo "catalog smoke ok"
