@@ -362,9 +362,11 @@ func (m *leaseModel) step() {
 
 // check holds the dispatcher to: every submitted unit is queued, leased
 // or resolved, and was resolved by exactly one path; a queued unit is in
-// the queue once; a leased unit has one active lease; a worker's lease
-// count is its active leases; a quarantined worker holds no active
-// lease.
+// the queue once; a leased unit has one active lease; every lease the
+// dispatcher knows is either in its holder's active list, at its slot,
+// or in the FIFO of ended leases, which runs in end order; a quarantined
+// worker holds no active lease; a resolved unit has let go of its
+// payload and its outcome channel.
 func (m *leaseModel) check(when string) {
 	d := m.d
 	d.mu.Lock()
@@ -374,18 +376,30 @@ func (m *leaseModel) check(when string) {
 		inQueue[u]++
 	}
 	active := map[*unit]int{}
-	perWorker := map[string]int{}
-	for _, l := range d.leases {
-		if l.done {
-			continue
+	held := 0
+	for name, rec := range d.workers {
+		for i, l := range rec.active {
+			if l.slot != i || l.worker != name || d.leases[l.id] != l {
+				m.t.Fatalf("%s: worker %s holds lease %s at %d, its slot %d", when, name, l.id, i, l.slot)
+			}
+			if l.u.state == unitLeased {
+				active[l.u]++
+			}
+			if rec.quarantined {
+				m.t.Fatalf("%s: quarantined worker %s holds lease %s", when, l.worker, l.id)
+			}
 		}
-		perWorker[l.worker]++
-		if l.u.state == unitLeased {
-			active[l.u]++
+		held += len(rec.active)
+	}
+	ended := 0
+	for l := d.oldest; l != nil; l = l.next {
+		if l.slot != -1 || d.leases[l.id] != l || (l.next == nil) != (l == d.newest) || (l.next != nil && l.next.at.Before(l.at)) {
+			m.t.Fatalf("%s: ended lease %s is out of place in the FIFO", when, l.id)
 		}
-		if rec := d.workers[l.worker]; rec != nil && rec.quarantined {
-			m.t.Fatalf("%s: quarantined worker %s holds lease %s", when, l.worker, l.id)
-		}
+		ended++
+	}
+	if held+ended != len(d.leases) {
+		m.t.Fatalf("%s: %d active and %d ended leases, %d known", when, held, ended, len(d.leases))
 	}
 	queued, leased, resolved := 0, 0, 0
 	for _, u := range m.units {
@@ -405,6 +419,9 @@ func (m *leaseModel) check(when string) {
 			if inQueue[u] != 0 {
 				m.t.Fatalf("%s: resolved unit %s is still queued", when, u.Key)
 			}
+			if u.Payload != nil || u.done != nil {
+				m.t.Fatalf("%s: resolved unit %s holds its payload or outcome channel", when, u.Key)
+			}
 		}
 	}
 	if queued != len(d.queue) || queued+leased+resolved != len(m.units) {
@@ -414,11 +431,6 @@ func (m *leaseModel) check(when string) {
 	if once := d.completes + d.poisoned + d.noWorkers - int64(m.refused); once != int64(resolved) {
 		m.t.Fatalf("%s: %d units resolved, but completes %d + poisoned %d + failed-over %d = %d deliveries",
 			when, resolved, d.completes, d.poisoned, d.noWorkers-int64(m.refused), once)
-	}
-	for name, rec := range d.workers {
-		if rec.leases != perWorker[name] {
-			m.t.Fatalf("%s: worker %s counts %d leases, holds %d", when, name, rec.leases, perWorker[name])
-		}
 	}
 }
 

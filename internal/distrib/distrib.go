@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -131,7 +132,9 @@ type Unit struct {
 	Payload any
 }
 
-// Lease is a claimed unit with a renewal deadline.
+// Lease is a claimed unit with a renewal deadline. Lookup of a lease
+// that has ended reports its unit without a payload once the unit has
+// resolved, and a zero Deadline.
 type Lease struct {
 	ID       string
 	Unit     Unit
@@ -197,17 +200,39 @@ type unit struct {
 	state    unitState
 	attempts int
 	failures []UnitFailure
-	done     chan outcome // buffered 1; written exactly once
+	done     chan outcome // buffered 1; written exactly once, then dropped
 }
 
-type lease struct {
-	id         string
-	u          *unit
-	worker     string
-	deadline   time.Time
-	done       bool // expired or resolved; kept briefly for stale uploads
-	resolvedAt time.Time
+// resolveLocked delivers the unit's one outcome and lets go of what only
+// its submitter needed: the payload and the channel the outcome rides
+// on. A lease that ended while the unit was pending may still point at
+// the unit; it keeps the small record, not the order.
+func resolveLocked(u *unit, out outcome) {
+	u.state = unitResolved
+	u.done <- out
+	u.Payload, u.done = nil, nil
 }
+
+// lease is one claim of a unit. While active it sits in its holder's
+// active list. Once it ends — resolved, expired, released or failed — it
+// joins the dispatcher's FIFO of ended leases for the 4×LeaseTTL
+// stale-upload window, and once its unit has resolved it is a
+// tombstone: the lease's ID, worker, the unit's key, job and label, and
+// the time it ended. It keeps the unit itself only while the unit is
+// still pending, so that a late upload under it is accepted.
+type lease struct {
+	id, worker      string
+	key, job, label string
+	u               *unit // nil once the lease has ended and its unit resolved
+	// at is the renewal deadline while the lease is active, and the time
+	// it ended after.
+	at   time.Time
+	slot int    // index in the holder's active list; -1 once ended
+	next *lease // the lease that ended next
+}
+
+// settled reports whether the lease's unit has resolved.
+func (l *lease) settled() bool { return l.u == nil || l.u.state == unitResolved }
 
 // workerRec is the registry entry for one worker: liveness, parked
 // long-polls, quarantine, and lifetime counters.
@@ -219,7 +244,7 @@ type workerRec struct {
 	parked      int  // claimers currently long-polling
 	quarantined bool // caught lying; never lifted, never forgotten
 
-	leases                 int // unresolved leases held
+	active                 []*lease // leases held, by lease.slot
 	completes, expiries    int64
 	uploadErrs, mismatches int64
 }
@@ -231,14 +256,18 @@ type Dispatcher struct {
 	// in-package test may replace it (under mu) while the janitor runs.
 	now func() time.Time
 
-	mu       sync.Mutex
-	queue    []*unit
-	leases   map[string]*lease
-	workers  map[string]*workerRec
-	wake     chan struct{} // closed-and-replaced broadcast
-	seq      int64
-	draining bool
-	closed   bool
+	mu    sync.Mutex
+	queue []*unit
+	// leases finds every lease by ID: the active ones, held in their
+	// workers' active lists, and the ended ones, held from oldest to
+	// newest in the FIFO the janitor pops after the stale-upload window.
+	leases         map[string]*lease
+	oldest, newest *lease
+	workers        map[string]*workerRec
+	wake           chan struct{} // closed-and-replaced broadcast
+	seq            int64
+	draining       bool
+	closed         bool
 
 	claims, completes, reclaims  int64
 	stales, noWorkers            int64
@@ -299,11 +328,13 @@ func (d *Dispatcher) quarantineLocked(rec *workerRec, now time.Time) {
 // its unit at the front without charging it a failure: the worker is
 // leaving or barred, and the unit did nothing wrong.
 func (d *Dispatcher) releaseLocked(rec *workerRec, now time.Time) {
-	for _, l := range d.leases {
-		if l.worker == rec.name && d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased {
+	for len(rec.active) > 0 {
+		l := rec.active[len(rec.active)-1]
+		if l.u.state == unitLeased {
 			d.reclaims++
 			d.retryUnitLocked(l.u, true, rec.name, "")
 		}
+		d.endLeaseLocked(l, rec, now)
 	}
 }
 
@@ -322,26 +353,37 @@ func (d *Dispatcher) failUnitLocked(u *unit, worker, reason string) bool {
 	if len(distinct) < maxAttempts && u.attempts < 2*maxAttempts {
 		return false
 	}
-	u.state = unitResolved
 	d.poisoned++
-	u.done <- outcome{err: &PoisonedError{
+	resolveLocked(u, outcome{err: &PoisonedError{
 		Key:      u.Key,
 		Label:    u.Label,
 		Failures: append([]UnitFailure(nil), u.failures...),
-	}}
+	}})
 	return true
 }
 
-// endLeaseLocked retires a lease and releases its worker's slot. It
-// reports whether the lease was still active.
-func (d *Dispatcher) endLeaseLocked(l *lease, rec *workerRec, now time.Time) bool {
-	if l.done {
-		return false
+// endLeaseLocked retires a lease, once what becomes of its unit is
+// settled: an active lease leaves its worker's active list for the back
+// of the FIFO of ended leases. Either way a lease whose unit has
+// resolved lets go of it, and stays a tombstone.
+func (d *Dispatcher) endLeaseLocked(l *lease, rec *workerRec, now time.Time) {
+	if l.slot >= 0 {
+		last := len(rec.active) - 1
+		moved := rec.active[last]
+		rec.active[l.slot], moved.slot = moved, l.slot
+		rec.active[last] = nil
+		rec.active = rec.active[:last]
+		l.slot, l.at = -1, now
+		if d.newest == nil {
+			d.oldest = l
+		} else {
+			d.newest.next = l
+		}
+		d.newest = l
 	}
-	l.done = true
-	l.resolvedAt = now
-	rec.leases--
-	return true
+	if l.settled() {
+		l.u = nil
+	}
 }
 
 // retryUnitLocked sends an unresolved unit back for another worker. A
@@ -368,11 +410,12 @@ func (d *Dispatcher) retryUnitLocked(u *unit, held bool, worker, reason string) 
 // retries it. stale=true reports the unit had already been resolved
 // elsewhere.
 func (d *Dispatcher) failLeaseLocked(l *lease, rec *workerRec, reason string, now time.Time) (stale bool) {
-	held := d.endLeaseLocked(l, rec, now) && l.u.state == unitLeased
-	if l.u.state == unitResolved {
+	defer d.endLeaseLocked(l, rec, now)
+	if l.settled() {
 		d.stales++
 		return true
 	}
+	held := l.slot >= 0 && l.u.state == unitLeased
 	d.retryUnitLocked(l.u, held, l.worker, reason)
 	return false
 }
@@ -450,29 +493,26 @@ func (d *Dispatcher) Execute(ctx context.Context, spec Unit) (any, string, error
 		d.mu.Unlock()
 		return nil, "", ErrNoWorkers
 	}
-	u := &unit{Unit: spec, state: unitQueued, done: make(chan outcome, 1)}
+	done := make(chan outcome, 1)
+	u := &unit{Unit: spec, state: unitQueued, done: done}
 	d.queue = append(d.queue, u)
 	d.wakeLocked()
 	d.mu.Unlock()
 
+	var out outcome
 	select {
-	case out := <-u.done:
-		return out.result, out.worker, out.err
+	case out = <-done:
 	case <-ctx.Done():
-		d.withdraw(u)
-		select {
-		case out := <-u.done:
-			return out.result, out.worker, out.err
-		default:
-			return nil, "", ctx.Err()
-		}
+		d.withdraw(u, ctx.Err())
+		out = <-done
 	}
+	return out.result, out.worker, out.err
 }
 
-// withdraw removes a unit whose submitter gave up waiting. A lease
-// already out for it becomes a dead letter: the worker's upload is
-// accepted and discarded as stale.
-func (d *Dispatcher) withdraw(u *unit) {
+// withdraw resolves a unit whose submitter gave up waiting with err,
+// unless an outcome won the race. A lease already out for it becomes a
+// dead letter: the worker's upload is accepted and discarded as stale.
+func (d *Dispatcher) withdraw(u *unit, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if u.state == unitResolved {
@@ -481,15 +521,14 @@ func (d *Dispatcher) withdraw(u *unit) {
 	if u.state == unitQueued {
 		d.dequeueLocked(u)
 	}
-	u.state = unitResolved
+	resolveLocked(u, outcome{err: err})
 }
 
+// dequeueLocked removes u from the queue, clearing the slot it vacates:
+// the queue's array must not keep a resolved unit's payload alive.
 func (d *Dispatcher) dequeueLocked(u *unit) {
-	for i, q := range d.queue {
-		if q == u {
-			d.queue = append(d.queue[:i], d.queue[i+1:]...)
-			return
-		}
+	if i := slices.Index(d.queue, u); i >= 0 {
+		d.queue = slices.Delete(d.queue, i, i+1)
 	}
 }
 
@@ -578,21 +617,24 @@ func (d *Dispatcher) Claim(ctx context.Context, worker string, wait time.Duratio
 		if i := d.nextLocked(worker, now); i >= 0 {
 			u := d.queue[i]
 			if i == 0 {
+				d.queue[0] = nil
 				d.queue = d.queue[1:]
 			} else {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
+				d.queue = slices.Delete(d.queue, i, i+1)
 			}
 			u.state = unitLeased
 			d.seq++
 			l := &lease{
-				id:       fmt.Sprintf("L%08d-%s", d.seq, u.Key[:min(8, len(u.Key))]),
-				u:        u,
-				worker:   worker,
-				deadline: now.Add(d.cfg.LeaseTTL),
+				id:     fmt.Sprintf("L%08d-%s", d.seq, u.Key[:min(8, len(u.Key))]),
+				worker: worker,
+				key:    u.Key, job: u.Job, label: u.Label,
+				u:    u,
+				at:   now.Add(d.cfg.LeaseTTL),
+				slot: len(rec.active),
 			}
 			d.leases[l.id] = l
+			rec.active = append(rec.active, l)
 			d.claims++
-			rec.leases++
 			out := d.leaseOf(l)
 			d.mu.Unlock()
 			return out, true, nil
@@ -653,7 +695,14 @@ func (d *Dispatcher) Lookup(leaseID string) (Lease, bool) {
 
 // leaseOf is the caller's view of a lease record.
 func (d *Dispatcher) leaseOf(l *lease) Lease {
-	return Lease{ID: l.id, Unit: l.u.Unit, Worker: l.worker, Deadline: l.deadline, TTL: d.cfg.LeaseTTL}
+	out := Lease{ID: l.id, Unit: Unit{Key: l.key, Job: l.job, Label: l.label}, Worker: l.worker, TTL: d.cfg.LeaseTTL}
+	if l.slot >= 0 {
+		out.Deadline = l.at
+	}
+	if l.u != nil {
+		out.Unit.Payload = l.u.Payload
+	}
+	return out
 }
 
 // Heartbeat extends a lease's deadline by LeaseTTL and returns the new
@@ -662,13 +711,13 @@ func (d *Dispatcher) Heartbeat(leaseID string) (time.Time, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l, ok := d.leases[leaseID]
-	if !ok || l.done || l.u.state != unitLeased {
+	if !ok || l.slot < 0 || l.u.state != unitLeased {
 		return time.Time{}, ErrLeaseNotFound
 	}
 	now := d.now()
-	l.deadline = now.Add(d.cfg.LeaseTTL)
+	l.at = now.Add(d.cfg.LeaseTTL)
 	d.recLocked(l.worker, now)
-	return l.deadline, nil
+	return l.at, nil
 }
 
 // Complete resolves a lease with the worker's outcome. stale=true
@@ -700,17 +749,15 @@ func (d *Dispatcher) Complete(leaseID string, result any, workErr error) (stale 
 		rec.uploadErrs++
 		return d.failLeaseLocked(l, rec, workErr.Error(), now), nil
 	}
-	d.endLeaseLocked(l, rec, now)
-	u := l.u
-	if u.state == unitResolved {
+	defer d.endLeaseLocked(l, rec, now)
+	if l.settled() {
 		d.stales++
 		return true, nil
 	}
-	if u.state == unitQueued { // lease expired, unit re-queued, not yet re-claimed
-		d.dequeueLocked(u)
+	if l.u.state == unitQueued { // lease expired, unit re-queued, not yet re-claimed
+		d.dequeueLocked(l.u)
 	}
-	u.state = unitResolved
-	u.done <- outcome{result: result, worker: l.worker}
+	resolveLocked(l.u, outcome{result: result, worker: l.worker})
 	d.completes++
 	rec.completes++
 	return false, nil
@@ -787,15 +834,17 @@ func (d *Dispatcher) Close() {
 	d.closed = true
 	d.draining = true
 	for _, u := range d.queue {
-		u.state = unitResolved
-		u.done <- outcome{err: ErrClosed}
+		resolveLocked(u, outcome{err: ErrClosed})
 	}
 	d.queue = nil
-	for _, l := range d.leases {
-		if !l.done && l.u.state == unitLeased {
-			l.done = true
-			l.u.state = unitResolved
-			l.u.done <- outcome{err: ErrClosed}
+	now := d.now()
+	for _, rec := range d.workers {
+		for len(rec.active) > 0 {
+			l := rec.active[len(rec.active)-1]
+			if l.u.state == unitLeased {
+				resolveLocked(l.u, outcome{err: ErrClosed})
+			}
+			d.endLeaseLocked(l, rec, now)
 		}
 	}
 	d.wakeLocked()
@@ -810,21 +859,17 @@ func (d *Dispatcher) Stats() Stats {
 	defer d.mu.Unlock()
 	now := d.now()
 	active := 0
-	for _, l := range d.leases {
-		if !l.done {
-			active++
-		}
-	}
 	per := make([]WorkerStatus, 0, len(d.workers))
 	for _, rec := range d.workers {
 		state := "live"
 		if rec.quarantined {
 			state = "quarantined"
 		}
+		active += len(rec.active)
 		per = append(per, WorkerStatus{
 			Name:       rec.name,
 			State:      state,
-			Leases:     rec.leases,
+			Leases:     len(rec.active),
 			Completes:  rec.completes,
 			Expiries:   rec.expiries,
 			Errors:     rec.uploadErrs,
@@ -856,8 +901,7 @@ func (d *Dispatcher) Stats() Stats {
 // submitter runs it locally.
 func (d *Dispatcher) failQueueLocked() {
 	for _, u := range d.queue {
-		u.state = unitResolved
-		u.done <- outcome{err: ErrNoWorkers}
+		resolveLocked(u, outcome{err: ErrNoWorkers})
 		d.noWorkers++
 	}
 	d.queue = nil
@@ -880,11 +924,14 @@ func (d *Dispatcher) janitor() {
 	}
 }
 
-// sweep is one janitor pass at the dispatcher's clock: it expires
-// overdue leases (reclaiming their units to the front of the queue,
-// charging the unit), fails queued units over to local execution when
-// the worker fleet disappears, and prunes stale bookkeeping. It reports
-// false once the dispatcher is closed.
+// sweep is one janitor pass at the dispatcher's clock: it forgets the
+// leases that ended more than 4×LeaseTTL ago (until then a late
+// duplicate upload is answered as stale), expires overdue leases
+// (reclaiming their units to the front of the queue, charging the
+// unit), fails queued units over to local execution when the worker
+// fleet disappears, and prunes stale bookkeeping. It reads the ended
+// leases it forgets and the active ones, nothing else. It reports false
+// once the dispatcher is closed.
 func (d *Dispatcher) sweep() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -892,26 +939,29 @@ func (d *Dispatcher) sweep() bool {
 		return false
 	}
 	now := d.now()
-	for id, l := range d.leases {
-		if l.done {
-			// Keep resolved leases around long enough for a late
-			// duplicate upload to be answered as stale.
-			if now.Sub(l.resolvedAt) > 4*d.cfg.LeaseTTL {
-				delete(d.leases, id)
+	for l := d.oldest; l != nil && now.Sub(l.at) > 4*d.cfg.LeaseTTL; l = d.oldest {
+		delete(d.leases, l.id)
+		d.oldest, l.next = l.next, nil
+	}
+	if d.oldest == nil {
+		d.newest = nil
+	}
+	// An active lease's holder always has a record: Deregister ends a
+	// worker's leases before dropping it, and pruning skips holders.
+	for _, rec := range d.workers {
+		// Backwards: ending a lease moves the list's last one into its
+		// slot, and that one has been read.
+		for i := len(rec.active) - 1; i >= 0; i-- {
+			l := rec.active[i]
+			if !now.After(l.at) {
+				continue
 			}
-			continue
-		}
-		if !now.After(l.deadline) {
-			continue
-		}
-		// An active lease's holder always has a record: Deregister ends a
-		// worker's leases before dropping it, and pruning skips holders.
-		rec := d.workers[l.worker]
-		d.endLeaseLocked(l, rec, now)
-		rec.expiries++
-		if l.u.state == unitLeased {
-			d.reclaims++
-			d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
+			rec.expiries++
+			if l.u.state == unitLeased {
+				d.reclaims++
+				d.retryUnitLocked(l.u, true, l.worker, "lease expired (worker crashed or wedged)")
+			}
+			d.endLeaseLocked(l, rec, now)
 		}
 	}
 	if len(d.queue) > 0 {
@@ -928,7 +978,7 @@ func (d *Dispatcher) sweep() bool {
 		// A quarantined worker is never forgotten, so it cannot shed
 		// the quarantine by vanishing and re-registering under the same
 		// name.
-		if rec.parked == 0 && rec.leases == 0 && !rec.quarantined && now.Sub(rec.seen) > 2*d.cfg.workerTTL {
+		if rec.parked == 0 && len(rec.active) == 0 && !rec.quarantined && now.Sub(rec.seen) > 2*d.cfg.workerTTL {
 			delete(d.workers, w)
 		}
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,11 +47,18 @@ func storeArmKey(key string) string { return storeArmPrefix + key }
 
 // storeIndexKey returns the listing-index key of an arm.
 func storeIndexKey(specName, label, key string) string {
+	var buf [128]byte
+	return string(appendStoreIndexKey(buf[:0], specName, label, key))
+}
+
+// appendStoreIndexKey appends the listing-index key of an arm to b.
+func appendStoreIndexKey(b []byte, specName, label, key string) []byte {
 	short := key
 	if len(short) > 16 {
 		short = short[:16]
 	}
-	return storeIndexPrefix + specName + "\x00" + label + "\x00" + short
+	b = append(append(append(b, storeIndexPrefix...), specName...), 0)
+	return append(append(append(b, label...), 0), short...)
 }
 
 // sumLen is the length of the hex sha256 that prefixes a cached record.
@@ -81,7 +89,10 @@ func decodeArmRecord(raw []byte, label string) (Arm, bool) {
 		return Arm{}, false
 	}
 	body := raw[sumLen:]
-	if result.Sum(body) != string(raw[:sumLen]) {
+	sum := sha256.Sum256(body)
+	var hexSum [sumLen]byte
+	hex.Encode(hexSum[:], sum[:])
+	if !bytes.Equal(hexSum[:], raw[:sumLen]) {
 		return Arm{}, false
 	}
 	res, ok := result.ReadCanonical(body)
@@ -142,8 +153,9 @@ func (s StoreArmSummary) appendJSON(b []byte) ([]byte, error) {
 }
 
 // recordBufs recycles the buffers a commit builds its record and index
-// row in: store.Put copies what it is handed into its frame before it
-// returns, so a commit allocates only the keys the store's index keeps.
+// row in, and a lookup its keys: store.Put copies what it is handed into
+// its frame before it returns, so a commit allocates only the keys the
+// store's index keeps, and a probe of a []byte key makes no string.
 var recordBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // armCache is one run's view of the arm store: the spec's arms by
@@ -174,7 +186,13 @@ func openArmCache(dir, specName string, keys []string) (*armCache, func() error,
 // repaired in passing — the existence probe reads the store's
 // in-memory index, so resuming 10^5 intact arms writes nothing.
 func (c *armCache) lookup(i int, label string) (Arm, bool) {
-	raw, ok, err := c.st.Get(storeArmKey(c.keys[i]))
+	buf := recordBufs.Get().(*[]byte)
+	key := append(append((*buf)[:0], storeArmPrefix...), c.keys[i]...)
+	defer func() {
+		*buf = key[:0]
+		recordBufs.Put(buf)
+	}()
+	raw, ok, err := c.st.GetBytes(key)
 	if err != nil || !ok {
 		return Arm{}, false
 	}
@@ -182,7 +200,8 @@ func (c *armCache) lookup(i int, label string) (Arm, bool) {
 	if !ok {
 		return Arm{}, false
 	}
-	has, err := c.st.Has(storeIndexKey(c.spec, label, c.keys[i]))
+	key = appendStoreIndexKey(key[:0], c.spec, label, c.keys[i])
+	has, err := c.st.HasBytes(key)
 	if err == nil && !has {
 		err = c.putIndex(i, arm)
 	}

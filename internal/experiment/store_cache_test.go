@@ -201,7 +201,7 @@ func TestStoreResumeSurvivesTornLog(t *testing.T) {
 			}
 			wantCached := 0
 			for _, k := range keys {
-				if ok, err := st.Has(storeArmKey(k)); err != nil {
+				if ok, err := st.HasBytes([]byte(storeArmKey(k))); err != nil {
 					t.Fatal(err)
 				} else if ok {
 					wantCached++
@@ -793,6 +793,49 @@ func TestArmCommitAllocs(t *testing.T) {
 	if got, ok := cache.lookup(commits, label); !ok || got.Result().Checksum() != arm.Result().Checksum() {
 		t.Fatal("the last commit does not read back")
 	}
+}
+
+// TestArmLookupAllocs: serving a cached arm allocates what reading its
+// record and decoding it do, and nothing more: the probe keys are built
+// in a pooled buffer and the record's sum is checked in a stack array.
+func TestArmLookupAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	keys := []string{fmt.Sprintf("%064x", 1)}
+	cache, release, err := openArmCache(filepath.Join(t.TempDir(), "store"), "light", keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	label := "light/00001/samo"
+	series := &metrics.Series{Label: label}
+	for r := range 4 {
+		series.Append(metrics.RoundRecord{Round: 2 * r, TestAcc: 0.3 + 0.1*float64(r), MIAAcc: 0.5 + 0.01*float64(r), TPRAt1FPR: 0.02, GenError: 0.125})
+	}
+	if err := cache.put(0, Arm{Label: label, Series: series, MessagesSent: 96, BytesSent: 3 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	armKey := storeArmKey(keys[0])
+	var arm Arm
+	read := testing.AllocsPerRun(100, func() {
+		raw, _, _ := cache.st.Get(armKey)
+		res, _ := result.ReadCanonical(raw[sumLen:])
+		arm = ArmOf(res)
+	})
+	lookup := testing.AllocsPerRun(100, func() {
+		var ok bool
+		if arm, ok = cache.lookup(0, label); !ok {
+			t.Fatal("the committed arm does not read back")
+		}
+	})
+	if lookup > read {
+		t.Fatalf("a lookup makes %.0f allocations, reading and decoding its record %.0f", lookup, read)
+	}
+	if arm.Label != label {
+		t.Fatalf("lookup served arm %q, want %q", arm.Label, label)
+	}
+	t.Logf("a lookup makes %.0f allocations", lookup)
 }
 
 // oracleDecodeArmRecord is the trust rule as it was first written, kept

@@ -24,12 +24,19 @@ import (
 // server mutex; the event log has its own lock so streaming subscribers
 // never contend with the job table. A job is also the engine's fleet
 // seam for its own arms (experiment.ArmExecutor, see work.go).
+//
+// A finished job keeps what its status reports — its spec's name, the
+// status fields and, once done, its result — and its event log, which a
+// done job replays from its result.
 type job struct {
 	id  string
 	key string
 	srv *Server
 
+	// spec is the decoded submission, held until the job reaches a
+	// terminal status; name is its name, which the status reports.
 	spec *dlsim.Spec
+	name string
 	// scale is the resolved preset (with any seed override applied) —
 	// the dedup fingerprint, the scale the engine runs the job at, and
 	// the source of the status report's seed/workers fields; scaleName
@@ -64,57 +71,99 @@ type job struct {
 // replay + follow semantics: a subscriber first drains everything
 // already produced, then waits on the wake channel for more (or for
 // the terminal close).
+//
+// The log holds where each line's record sits in the job's result —
+// the arm's index and the record's — and, while the job runs, the line.
+// A done job's log keeps only the places and rebuilds each line from
+// the result on replay, byte for byte (Event.AppendJSON is the one
+// encoder of a line); a failed or cancelled job has no result and keeps
+// its lines.
 type eventLog struct {
 	mu    sync.Mutex
+	refs  []eventRef
 	lines [][]byte
+	res   *dlsim.Result // set when the job is done; lines are then nil
 	done  bool
 	wake  chan struct{}
 }
+
+// eventRef is where a line's record sits in the job's result:
+// res.Arms[arm].Records[rec].
+type eventRef struct{ arm, rec uint32 }
 
 func newEventLog() *eventLog {
 	return &eventLog{wake: make(chan struct{})}
 }
 
-// append adds one pre-marshaled NDJSON line (without trailing newline).
-func (l *eventLog) append(line []byte) {
+// append adds one pre-marshaled NDJSON line (without trailing newline)
+// and the place of its record.
+func (l *eventLog) append(line []byte, ref eventRef) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
 		return
 	}
+	l.refs = append(l.refs, ref)
 	l.lines = append(l.lines, line)
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
 
-// finish marks the stream complete and releases every waiter.
-func (l *eventLog) finish() {
+// finish marks the stream complete and releases every waiter. A done
+// job passes its result, whose records then stand in for the lines.
+func (l *eventLog) finish(res *dlsim.Result) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.done {
 		return
 	}
 	l.done = true
+	if res != nil {
+		l.lines, l.res = nil, res
+	}
 	close(l.wake)
 	l.wake = make(chan struct{})
 }
 
+// eventPage is a run of a log's lines: stored, or places in a done
+// job's result. Nothing in it is written after it is handed out.
+type eventPage struct {
+	refs  []eventRef
+	lines [][]byte // nil when res is set
+	res   *dlsim.Result
+}
+
+// len returns the number of lines on the page.
+func (p eventPage) len() int { return len(p.refs) }
+
+// line appends the page's line i, without its newline, to b.
+func (p eventPage) line(b []byte, i int) ([]byte, error) {
+	if p.res == nil {
+		return append(b, p.lines[i]...), nil
+	}
+	arm := &p.res.Arms[p.refs[i].arm]
+	return dlsim.Event{Arm: arm.Label, RoundRecord: arm.Records[p.refs[i].rec]}.AppendJSON(b)
+}
+
 // next returns the lines at and after cursor, whether the stream is
 // complete, and a channel that wakes when either changes.
-func (l *eventLog) next(cursor int) (lines [][]byte, done bool, wake <-chan struct{}) {
+func (l *eventLog) next(cursor int) (page eventPage, done bool, wake <-chan struct{}) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if cursor < len(l.lines) {
-		lines = l.lines[cursor:]
+	if cursor < len(l.refs) {
+		page = eventPage{refs: l.refs[cursor:], res: l.res}
+		if l.res == nil {
+			page.lines = l.lines[cursor:]
+		}
 	}
-	return lines, l.done, l.wake
+	return page, l.done, l.wake
 }
 
 // len returns the number of events produced so far.
 func (l *eventLog) len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.lines)
+	return len(l.refs)
 }
 
 // jobKey is the dedup key of a submission: the SHA-256 of the spec's
@@ -159,6 +208,7 @@ func (s *Server) submit(sp *dlsim.Spec, sc experiment.Scale, scaleName string) (
 		key:       key,
 		srv:       s,
 		spec:      sp,
+		name:      sp.Name,
 		scale:     sc,
 		scaleName: scaleName,
 		auditing:  make(chan struct{}, par.Workers(sc.Workers)),
@@ -238,8 +288,8 @@ func (s *Server) signalLocked() {
 // so a resubmission after a restart pays only for the arms that never
 // finished.
 func (s *Server) runAttempt(ctx context.Context, j *job) (*dlsim.Result, error) {
-	events := func(_ int, label string) (sink.Sink, error) {
-		return &eventSink{log: j.events, arm: label}, nil
+	events := func(i int, label string) (sink.Sink, error) {
+		return &eventSink{log: j.events, arm: label, ref: eventRef{arm: uint32(i)}}, nil
 	}
 	if s.cfg.CheckpointDir == "" {
 		fig, err := experiment.RunSpecExec(ctx, j.spec, j.scale, events, j)
@@ -310,7 +360,8 @@ func (s *Server) runJob(j *job) {
 	if j.status != dlsim.StatusDone && s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
 	}
-	j.events.finish()
+	j.events.finish(j.result)
+	s.endLocked(j)
 	s.pruneLocked()
 	s.log.Info("job finished",
 		"job", j.id, "status", j.status, "error", j.errMsg,
@@ -334,7 +385,8 @@ func (s *Server) cancelJob(j *job) {
 				break
 			}
 		}
-		j.events.finish()
+		j.events.finish(nil)
+		s.endLocked(j)
 		s.pruneLocked()
 	}
 	// Drop the dedup key as soon as cancellation is requested — not
@@ -344,6 +396,14 @@ func (s *Server) cancelJob(j *job) {
 	if j.status != dlsim.StatusDone && s.byKey[j.key] == j {
 		delete(s.byKey, j.key)
 	}
+}
+
+// endLocked lets go of what a job needed only while it could run: its
+// decoded spec, and its context, which the server's would otherwise
+// hold until shutdown. Callers hold s.mu.
+func (s *Server) endLocked(j *job) {
+	j.spec = nil
+	j.cancel()
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention
@@ -373,11 +433,13 @@ func (s *Server) pruneLocked() {
 
 // eventSink streams one arm's evaluated rounds onto its job's event
 // log, one encoded Event per line. An arm's records arrive in round
-// order from the goroutine running it; the log's lock orders arms.
+// order from the goroutine running it, and are the records of the
+// arm's result in the same order; the log's lock orders arms.
 type eventSink struct {
 	log *eventLog
 	arm string
-	buf []byte // the line being encoded, reused across rounds
+	ref eventRef // the next record's place in the job's result
+	buf []byte   // the line being encoded, reused across rounds
 }
 
 // Record implements sink.Sink. The log keeps the line, so it gets a
@@ -388,7 +450,8 @@ func (es *eventSink) Record(rec dlsim.RoundRecord) error {
 		return fmt.Errorf("server: encode event: %w", err)
 	}
 	es.buf = line
-	es.log.append(bytes.Clone(line))
+	es.log.append(bytes.Clone(line), es.ref)
+	es.ref.rec++
 	return nil
 }
 
@@ -404,7 +467,7 @@ func (s *Server) statusOf(j *job, deduped bool) *dlsim.JobStatus {
 		Status:      j.status,
 		Deduped:     deduped,
 		Error:       j.errMsg,
-		Spec:        j.spec.Name,
+		Spec:        j.name,
 		Scale:       j.scaleName,
 		Seed:        j.scale.Seed,
 		Workers:     j.scale.Workers,

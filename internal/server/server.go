@@ -649,20 +649,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	var buf []byte // one line and its newline, reused
 	for {
-		lines, done, wake := j.events.next(cursor)
-		for _, line := range lines {
-			// Two writes, not append(line, '\n'): the line's backing
-			// array is shared by every subscriber of the log.
-			if _, err := w.Write(line); err != nil {
+		page, done, wake := j.events.next(cursor)
+		n := page.len()
+		for i := range n {
+			var err error
+			if buf, err = page.line(buf[:0], i); err != nil {
 				return
 			}
-			if _, err := w.Write([]byte{'\n'}); err != nil {
+			buf = append(buf, '\n')
+			if _, err := w.Write(buf); err != nil {
 				return
 			}
 		}
-		cursor += len(lines)
-		if len(lines) > 0 && flusher != nil {
+		cursor += n
+		if n > 0 && flusher != nil {
 			flusher.Flush()
 		}
 		if done {

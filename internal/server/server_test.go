@@ -749,15 +749,26 @@ func TestOneEventEncoding(t *testing.T) {
 	if err := (&eventSink{log: log, arm: ev.Arm}).Record(ev.RoundRecord); err != nil {
 		t.Fatal(err)
 	}
-	lines, _, _ := log.next(0)
-	if len(lines) != 1 {
-		t.Fatalf("job log holds %d lines, want 1", len(lines))
+	page, _, _ := log.next(0)
+	if page.len() != 1 {
+		t.Fatalf("job log holds %d lines, want 1", page.len())
+	}
+	line, err := page.line(nil, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	if got := strings.TrimSuffix(file.String(), "\n"); got != string(want) {
 		t.Fatalf("JSONL line %s, want %s", got, want)
 	}
-	if string(lines[0]) != string(want) {
-		t.Fatalf("NDJSON line %s, want %s", lines[0], want)
+	if string(line) != string(want) {
+		t.Fatalf("NDJSON line %s, want %s", line, want)
+	}
+
+	// Once the job is done the log rebuilds the line from its result.
+	log.finish(&dlsim.Result{Arms: []dlsim.ArmResult{{Label: ev.Arm, Records: []dlsim.RoundRecord{ev.RoundRecord}}}})
+	page, _, _ = log.next(0)
+	if line, err = page.line(nil, 0); err != nil || page.len() != 1 || string(line) != string(want) {
+		t.Fatalf("done job's line %s (%d lines, %v), want %s", line, page.len(), err, want)
 	}
 }

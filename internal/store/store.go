@@ -212,30 +212,39 @@ func (s *Store) Put(key string, val []byte) error {
 // Get returns the newest value recorded for key. The returned slice is
 // the caller's to keep. A record that no longer reproduces its checksum
 // is an ErrCorrupt error, not an absent key.
-func (s *Store) Get(key string) ([]byte, bool, error) {
-	s.gets.Add(1)
-	sp, ok, err := s.probe(key)
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	val, err := s.read(key, sp, make([]byte, sp.frameLen()))
-	return val, err == nil, err
-}
+func (s *Store) Get(key string) ([]byte, bool, error) { return get(s, key) }
 
-// Has reports whether key has a recorded value: an index probe, no I/O.
-func (s *Store) Has(key string) (bool, error) {
-	_, ok, err := s.probe(key)
+// GetBytes is Get for a key held in a byte slice, which it does not
+// keep: a caller that builds its keys in a reused buffer looks them up
+// without making a string of each.
+func (s *Store) GetBytes(key []byte) ([]byte, bool, error) { return get(s, key) }
+
+// HasBytes reports whether key has a recorded value: an index probe, no
+// I/O. The key is held in a byte slice, which it does not keep.
+func (s *Store) HasBytes(key []byte) (bool, error) {
+	_, ok, err := probe(s, key)
 	return ok, err
 }
 
-// probe looks key up in the index.
-func (s *Store) probe(key string) (span, bool, error) {
+func get[K string | []byte](s *Store, key K) ([]byte, bool, error) {
+	s.gets.Add(1)
+	sp, ok, err := probe(s, key)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	val, err := read(s, key, sp, make([]byte, sp.frameLen()))
+	return val, err == nil, err
+}
+
+// probe looks key up in the index. The lookup makes no string of a
+// []byte key.
+func probe[K string | []byte](s *Store, key K) (span, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return span{}, false, ErrClosed
 	}
-	sp, ok := s.index[key]
+	sp, ok := s.index[string(key)]
 	return sp, ok, nil
 }
 
@@ -243,7 +252,7 @@ func (s *Store) probe(key string) (span, bool, error) {
 // returns the value, aliasing buf. Frames are immutable once written,
 // so a span stays readable however many Puts followed the probe that
 // found it.
-func (s *Store) read(key string, sp span, buf []byte) ([]byte, error) {
+func read[K string | []byte](s *Store, key K, sp span, buf []byte) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -255,7 +264,7 @@ func (s *Store) read(key string, sp span, buf []byte) ([]byte, error) {
 	if err == nil {
 		k, val, err = decodePayload(binary.LittleEndian.Uint32(buf[4:8]), buf[frameHeader:])
 	}
-	if err == nil && string(k) != key {
+	if err == nil && string(k) != string(key) {
 		err = fmt.Errorf("store: frame holds another key: %w", ErrCorrupt)
 	}
 	if err != nil {
@@ -293,7 +302,7 @@ func (s *Store) Scan(start, end string, fn func(key string, val []byte) error) e
 
 	buf := make([]byte, longest)
 	for _, e := range ents {
-		val, err := s.read(e.key, e.sp, buf)
+		val, err := read(s, e.key, e.sp, buf)
 		if err != nil {
 			return err
 		}

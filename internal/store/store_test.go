@@ -47,6 +47,31 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 }
 
+// TestBytesKeysMakeNoString: a key held in a byte slice is looked up
+// without a string made of it — HasBytes allocates nothing, and GetBytes
+// only the value it returns, as Get does.
+func TestBytesKeysMakeNoString(t *testing.T) {
+	s := testOpen(t, t.TempDir(), Options{})
+	key := strings.Repeat("k", 66) // longer than a string kept on the stack
+	if err := s.Put(key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	b := []byte(key)
+	if v, ok, err := s.GetBytes(b); err != nil || !ok || string(v) != "value" {
+		t.Fatalf("GetBytes = (%q, %v, %v)", v, ok, err)
+	}
+	if ok, err := s.HasBytes(append(b[:len(b):len(b)], '~')); err != nil || ok {
+		t.Fatalf("HasBytes(absent) = (%v, %v)", ok, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.HasBytes(b) }); n != 0 {
+		t.Fatalf("HasBytes allocates %v times, want 0", n)
+	}
+	get := testing.AllocsPerRun(100, func() { s.Get(key) })
+	if n := testing.AllocsPerRun(100, func() { s.GetBytes(b) }); n != get {
+		t.Fatalf("GetBytes allocates %v times, Get %v", n, get)
+	}
+}
+
 func TestReopenRecoversLog(t *testing.T) {
 	dir := t.TempDir()
 	s := testOpen(t, dir, Options{})
@@ -317,8 +342,8 @@ func TestEmptyStoreScans(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ok, err := s.Has("k"); ok || err != nil {
-		t.Fatalf("Has on an empty store = %v, %v", ok, err)
+	if ok, err := s.HasBytes([]byte("k")); ok || err != nil {
+		t.Fatalf("HasBytes on an empty store = %v, %v", ok, err)
 	}
 }
 

@@ -22,7 +22,7 @@
 # and two overlaid runs twice under the race detector (workers 1 and 4,
 # compared), the catalog with and without GODEBUG=cpu.fma=off and from a
 # GOARCH=386 build (compared), a race-enabled service smoke (serve + submit + stream +
-# cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
+# a done job's replay compared to its live stream + cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
 # signatures), the one-schema import gate (internal/spec is
 # benchmark/'s shim only), and one HEAD-against-HEAD pair of the claim
 # tool (scripts/pairs.go).
@@ -377,11 +377,26 @@ echo "catalog smoke ok"
 
 # Service smoke, race-enabled: start serve on an ephemeral port, submit
 # a tiny example spec through the CLI thin client (streams NDJSON
-# events), then submit a second job over raw HTTP and cancel it.
+# events), stream a second job over raw HTTP live and again once done,
+# then submit a third and cancel it.
 start_serve "$specout/serve.log"
 
 "$specout/dlsim" run -spec examples/specs/latency_churn_dp.json -scale tiny -remote "$base" >"$specout/remote.log"
 grep -q '^event ' "$specout/remote.log" || { echo "remote run streamed no events" >&2; cat "$specout/remote.log" >&2; exit 1; }
+
+# Event replay: a job's stream read live from its submission, and read
+# again once the job is done (a done job rebuilds its lines from its
+# result), are the same bytes.
+printf '{"scale":"tiny","seed":7,"spec":%s}' "$(cat examples/specs/latency_churn_dp.json)" >"$specout/livereq.json"
+job=$(curl -sf -X POST -H 'Content-Type: application/json' --data-binary @"$specout/livereq.json" "$base/v1/jobs")
+job_id=$(echo "$job" | sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -n 1)
+[ -n "$job_id" ] || { echo "no job id in: $job" >&2; exit 1; }
+curl -sfN "$base/v1/jobs/$job_id/events" >"$specout/events-live.ndjson"
+status=$(curl -sf "$base/v1/jobs/$job_id" | sed -n 's/.*"status": *"\([^"]*\)".*/\1/p' | head -n 1)
+[ "$status" = done ] || { echo "event replay job finished '$status'" >&2; exit 1; }
+[ -s "$specout/events-live.ndjson" ] || { echo "event replay job streamed no events" >&2; exit 1; }
+curl -sf "$base/v1/jobs/$job_id/events" >"$specout/events-replay.ndjson"
+cmp -s "$specout/events-live.ndjson" "$specout/events-replay.ndjson" || { echo "a done job's event replay differs from its live stream" >&2; exit 1; }
 
 # Version endpoints agree between the local build and the service.
 "$specout/dlsim" version >"$specout/ver-local.log"
