@@ -379,6 +379,41 @@ func TestHeavyArmAllocBudget(t *testing.T) {
 	}
 }
 
+// TestFigure2RepAllocBudget: one rep of Figure 2 at quick scale on two
+// workers, as dlbench's figure2_quick runs it, allocates at most 32 MiB.
+// The sweep starts its heaviest arms first, the two Purchase100-like
+// arms, so they size both pooled arm arenas and every later arm fits in
+// them (it sits near 30 MiB; started in spec order, the Purchase100-like
+// arms came last and passed over the chunks the smaller arms had grown:
+// 35.4 MiB). The collections come first, as in dlbench, and the rep runs
+// on one P, as TestHeavyArmWarmAllocBudget's runs do: a sync.Pool Put
+// lands in the putting P's private slot.
+func TestFigure2RepAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs simulations")
+	}
+	if raceDetector {
+		t.Skip("the arm arena's sync.Pool is lossy under -race")
+	}
+	const budgetMiB = 32
+	sc := experiment.QuickScale()
+	sc.Workers = 2
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := experiment.RunSpec(context.Background(), experiment.Figure2Spec(), sc); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if mib := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mib > budgetMiB {
+		t.Fatalf("a Figure 2 rep allocates %.1f MiB, budget %d MiB", mib, budgetMiB)
+	} else {
+		t.Logf("Figure 2 rep: %.1f MiB", mib)
+	}
+}
+
 // TestDenseArmAllocBudget: the dense-wake arm (denseWakeStudy, the
 // CIFAR-10-like SAMO arm of 24 nodes, at one worker) built and run on a
 // fresh arena allocates at most 3.2 MiB. Its optimizer has no momentum,

@@ -129,7 +129,7 @@ type Result struct {
 	// communication cost).
 	MessagesSent int
 	// BytesSent is the total wire-format traffic in bytes.
-	BytesSent int
+	BytesSent int64
 	// RealizedEpsilon is the per-node (ε,δ)-DP guarantee actually spent,
 	// computed from the maximum realized step count across nodes; zero
 	// when DP is disabled.

@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 
 	"gossipmia/internal/tensor"
 )
@@ -35,18 +36,29 @@ type CorpusInfo struct {
 	PaperTrain, PaperTest int
 }
 
+// catalog is Table 1, one row per corpus in AllCorpora's order.
+var catalog = [...]CorpusInfo{
+	{Name: CIFAR10, Classes: 10, Dim: 64, PaperTrain: 50000, PaperTest: 10000,
+		Description: "CIFAR-10-like: 10-class Gaussian prototype mixture (64-dim embedding)"},
+	{Name: CIFAR100, Classes: 100, Dim: 128, PaperTrain: 50000, PaperTest: 10000,
+		Description: "CIFAR-100-like: 100-class fine-grained Gaussian mixture (128-dim)"},
+	{Name: FashionMNIST, Classes: 10, Dim: 49, PaperTrain: 60000, PaperTest: 10000,
+		Description: "FashionMNIST-like: easy 10-class Gaussian mixture (49-dim)"},
+	{Name: Purchase100, Classes: 100, Dim: 600, PaperTrain: 157859, PaperTest: 39465,
+		Description: "Purchase100-like: 100 binary basket prototypes over 600 items"},
+}
+
 // Catalog returns the Table 1 row for each corpus.
-func Catalog() []CorpusInfo {
-	return []CorpusInfo{
-		{Name: CIFAR10, Classes: 10, Dim: 64, PaperTrain: 50000, PaperTest: 10000,
-			Description: "CIFAR-10-like: 10-class Gaussian prototype mixture (64-dim embedding)"},
-		{Name: CIFAR100, Classes: 100, Dim: 128, PaperTrain: 50000, PaperTest: 10000,
-			Description: "CIFAR-100-like: 100-class fine-grained Gaussian mixture (128-dim)"},
-		{Name: FashionMNIST, Classes: 10, Dim: 49, PaperTrain: 60000, PaperTest: 10000,
-			Description: "FashionMNIST-like: easy 10-class Gaussian mixture (49-dim)"},
-		{Name: Purchase100, Classes: 100, Dim: 600, PaperTrain: 157859, PaperTest: 39465,
-			Description: "Purchase100-like: 100 binary basket prototypes over 600 items"},
+func Catalog() []CorpusInfo { return slices.Clone(catalog[:]) }
+
+// Lookup returns a corpus's Table 1 row, without allocating.
+func Lookup(name CorpusName) (CorpusInfo, bool) {
+	for _, info := range catalog {
+		if info.Name == name {
+			return info, true
+		}
 	}
+	return CorpusInfo{}, false
 }
 
 // NewGenerator builds the synthetic generator for a corpus on the heap:

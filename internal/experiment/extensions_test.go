@@ -159,7 +159,7 @@ func TestArmBytesAccounting(t *testing.T) {
 		}
 		// Each message is one model frame; bytes must be a multiple of
 		// the per-message frame size implied by messages.
-		if arm.BytesSent%arm.MessagesSent != 0 {
+		if arm.BytesSent%int64(arm.MessagesSent) != 0 {
 			t.Fatalf("arm %s: %d bytes not divisible by %d messages",
 				arm.Label, arm.BytesSent, arm.MessagesSent)
 		}

@@ -18,7 +18,7 @@ type Arm struct {
 	Label           string
 	Series          *metrics.Series
 	MessagesSent    int
-	BytesSent       int
+	BytesSent       int64
 	RealizedEpsilon float64
 	NoiseMultiplier float64
 }

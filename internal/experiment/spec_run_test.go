@@ -469,7 +469,7 @@ func TestResultsCSVRowMatchesFmt(t *testing.T) {
 				{Round: 2, TestAcc: w, MIAAcc: v, TPRAt1FPR: v, GenError: -w},
 			}},
 			MessagesSent:    []int{0, -1, math.MaxInt, math.MinInt}[i%4],
-			BytesSent:       []int{wideInt, math.MinInt, 7, -0}[i%4],
+			BytesSent:       []int64{1 << 40, math.MinInt64, 7, -0}[i%4],
 			RealizedEpsilon: v,
 		})
 	}

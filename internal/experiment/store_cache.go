@@ -111,7 +111,7 @@ type StoreArmSummary struct {
 	MaxAcc   float64 `json:"maxAcc"`
 	MIAAtMax float64 `json:"miaAtMax"`
 	Messages int     `json:"messages"`
-	Bytes    int     `json:"bytes"`
+	Bytes    int64   `json:"bytes"`
 	Epsilon  float64 `json:"epsilon,omitempty"`
 }
 
@@ -141,7 +141,7 @@ func (s StoreArmSummary) appendJSON(b []byte) ([]byte, error) {
 	e.Float(`,"maxAcc":`, s.MaxAcc)
 	e.Float(`,"miaAtMax":`, s.MIAAtMax)
 	e.Int(`,"messages":`, int64(s.Messages))
-	e.Int(`,"bytes":`, int64(s.Bytes))
+	e.Int(`,"bytes":`, s.Bytes)
 	if s.Epsilon != 0 {
 		e.Float(`,"epsilon":`, s.Epsilon)
 	}

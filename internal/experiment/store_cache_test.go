@@ -500,7 +500,7 @@ func benchArmRecords(b *testing.B, n int) ([]string, [][]byte) {
 				Round: 3, TestAcc: 0.61, MIAAcc: 0.52, TPRAt1FPR: 0.08, GenError: 0.10,
 			}}},
 			MessagesSent: 1000 + i,
-			BytesSent:    64000 + i,
+			BytesSent:    64000 + int64(i),
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -617,7 +617,7 @@ func legacyArmRecord(t testing.TB, key string, res result.ArmResult) []byte {
 		Key             string               `json:"key"`
 		Records         []result.RoundRecord `json:"records"`
 		MessagesSent    int                  `json:"messagesSent"`
-		BytesSent       int                  `json:"bytesSent"`
+		BytesSent       int64                `json:"bytesSent"`
 		RealizedEpsilon float64              `json:"realizedEpsilon,omitempty"`
 		NoiseMultiplier float64              `json:"noiseMultiplier,omitempty"`
 		Sum             string               `json:"sum"`

@@ -75,7 +75,7 @@ func TestBytesSentAccounting(t *testing.T) {
 	if err := sim.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	want := sim.MessagesSent() * paramsWireSize(model.NumParams())
+	want := int64(sim.MessagesSent() * paramsWireSize(model.NumParams()))
 	if sim.BytesSent() != want {
 		t.Fatalf("bytes sent %d, want %d", sim.BytesSent(), want)
 	}

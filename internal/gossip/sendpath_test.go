@@ -61,7 +61,7 @@ func TestSendAccountingAcrossReceivePaths(t *testing.T) {
 			t.Fatalf("%s: no messages sent", protocol)
 		}
 		perMsg := paramsWireSize(sim.Nodes()[0].Model.NumParams())
-		if got, want := sim.BytesSent(), sent*perMsg; got != want {
+		if got, want := sim.BytesSent(), int64(sent*perMsg); got != want {
 			t.Fatalf("%s: BytesSent = %d, want %d (%d msgs x %d bytes)", protocol, got, want, sent, perMsg)
 		}
 	}
@@ -99,7 +99,7 @@ func TestSyncFastPathMatchesCloningSend(t *testing.T) {
 				for _, to := range targets {
 					params := node.Model.Params()
 					ref.messagesSent++
-					ref.bytesSent += paramsWireSize(len(params))
+					ref.bytesSent += int64(paramsWireSize(len(params)))
 					msg := Message{From: node.ID, Params: params.Clone()}
 					if err := ref.protocol.OnReceive(ref.nodes[to], msg); err != nil {
 						t.Fatal(err)

@@ -181,7 +181,7 @@ type Simulator struct {
 	messagesSent    int
 	messagesDropped int
 	messagesDelayed int
-	bytesSent       int
+	bytesSent       int64
 
 	// sched captures the schedule the round engine planned.
 	sched SchedStats
@@ -333,7 +333,7 @@ func (s *Simulator) NodeDown(id int) bool { return s.down[id] }
 
 // BytesSent returns the total wire-format bytes transmitted,
 // paramsWireSize for each model.
-func (s *Simulator) BytesSent() int { return s.bytesSent }
+func (s *Simulator) BytesSent() int64 { return s.bytesSent }
 
 // paramsWireSize is the size in bytes of a model of n parameters on the
 // wire: a little-endian frame of the flat parameter vector, magic(4)
@@ -402,7 +402,7 @@ func (s *Simulator) planSend(from, to, nparams int) (plannedSend, error) {
 	}
 	wireBytes := paramsWireSize(nparams)
 	s.messagesSent++
-	s.bytesSent += wireBytes
+	s.bytesSent += int64(wireBytes)
 	// An offline receiver loses the message at send time, before the
 	// network consumes any randomness; without churn this branch is
 	// dead and the seed RNG stream is untouched.

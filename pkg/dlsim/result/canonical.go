@@ -34,7 +34,7 @@ func (a ArmResult) AppendJSON(b []byte) ([]byte, error) {
 		e.Raw(`]`)
 	}
 	e.Int(`,"messagesSent":`, int64(a.MessagesSent))
-	e.Int(`,"bytesSent":`, int64(a.BytesSent))
+	e.Int(`,"bytesSent":`, a.BytesSent)
 	if a.RealizedEpsilon != 0 {
 		e.Float(`,"realizedEpsilon":`, a.RealizedEpsilon)
 	}
@@ -93,7 +93,7 @@ func ReadCanonical(raw []byte) (ArmResult, bool) {
 	ok := r.lit(`{"label":`) && r.str(&a.Label) &&
 		r.lit(`,"records":`) && r.records(&a.Records) &&
 		r.lit(`,"messagesSent":`) && r.int(&a.MessagesSent) &&
-		r.lit(`,"bytesSent":`) && r.int(&a.BytesSent) &&
+		r.lit(`,"bytesSent":`) && r.int64(&a.BytesSent) &&
 		r.omitempty(`,"realizedEpsilon":`, &a.RealizedEpsilon) &&
 		r.omitempty(`,"noiseMultiplier":`, &a.NoiseMultiplier) &&
 		r.lit(`}`) && r.i == len(r.b)
@@ -135,19 +135,30 @@ func (r *canonReader) number() []byte {
 	return tok
 }
 
-// int consumes an integer spelled as strconv.AppendInt spells it.
+// int consumes an int spelled as strconv.AppendInt spells it.
 func (r *canonReader) int(v *int) bool {
+	n, ok := r.integer(strconv.IntSize)
+	*v = int(n)
+	return ok
+}
+
+// int64 consumes an int64 spelled as strconv.AppendInt spells it.
+func (r *canonReader) int64(v *int64) bool {
+	n, ok := r.integer(64)
+	*v = n
+	return ok
+}
+
+// integer consumes an integer of bitSize bits spelled as
+// strconv.AppendInt spells it.
+func (r *canonReader) integer(bitSize int) (int64, bool) {
 	tok := r.number()
-	n, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
+	n, err := strconv.ParseInt(string(tok), 10, bitSize)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	var buf [24]byte
-	if !bytes.Equal(strconv.AppendInt(buf[:0], n, 10), tok) {
-		return false
-	}
-	*v = int(n)
-	return true
+	return n, bytes.Equal(strconv.AppendInt(buf[:0], n, 10), tok)
 }
 
 // float consumes a float64 spelled as encoding/json spells it.

@@ -43,7 +43,7 @@ type ArmResult struct {
 	Label           string        `json:"label"`
 	Records         []RoundRecord `json:"records"`
 	MessagesSent    int           `json:"messagesSent"`
-	BytesSent       int           `json:"bytesSent"`
+	BytesSent       int64         `json:"bytesSent"`
 	RealizedEpsilon float64       `json:"realizedEpsilon,omitempty"`
 	NoiseMultiplier float64       `json:"noiseMultiplier,omitempty"`
 }

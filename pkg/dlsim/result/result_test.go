@@ -3,7 +3,6 @@ package result
 import (
 	"encoding/json"
 	"math"
-	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,7 +25,7 @@ func TestReadCanonicalReadsMarshal(t *testing.T) {
 			Label:           labels[i%len(labels)],
 			Records:         []RoundRecord{{Round: -i, TestAcc: f, MIAAcc: g, TPRAt1FPR: -f, GenError: g}, {Round: math.MaxInt, TestAcc: g}},
 			MessagesSent:    []int{math.MinInt, 0, math.MaxInt}[i%3],
-			BytesSent:       i << (bits.UintSize * 5 / 8), // i·2⁴⁰ where int has 64 bits
+			BytesSent:       int64(i) << 40,
 			RealizedEpsilon: f,
 			NoiseMultiplier: g,
 		}
@@ -109,7 +108,7 @@ func TestAppendJSONIsMarshal(t *testing.T) {
 		a := ArmResult{
 			Label:           labels[i%len(labels)],
 			MessagesSent:    []int{math.MinInt, 0, math.MaxInt}[i%3],
-			BytesSent:       i << (bits.UintSize * 5 / 8),
+			BytesSent:       int64(i) << 40,
 			RealizedEpsilon: f,
 			NoiseMultiplier: g,
 		}
@@ -175,6 +174,29 @@ func TestChecksumAllocs(t *testing.T) {
 	}
 }
 
+// TestBytesSentPast32Bits: an arm's byte count is an int64 on every
+// host, so 3 GiB — past a 32-bit int, and short of a paper-scale arm's
+// ≈64 GiB — survives AppendJSON, ReadCanonical and json.Unmarshal, on
+// 386 as on amd64.
+func TestBytesSentPast32Bits(t *testing.T) {
+	a := ArmResult{Label: "paper/samo", Records: []RoundRecord{{Round: 250, TestAcc: 0.5}}, MessagesSent: 37500, BytesSent: 3 << 30}
+	raw, err := a.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"bytesSent":3221225472`; !strings.Contains(string(raw), want) {
+		t.Fatalf("AppendJSON wrote %s, want it to hold %s", raw, want)
+	}
+	got, ok := ReadCanonical(raw)
+	if !ok || !reflect.DeepEqual(got, a) {
+		t.Fatalf("ReadCanonical(%s) = %+v, %v; want %+v", raw, got, ok, a)
+	}
+	var dec ArmResult
+	if err := json.Unmarshal(raw, &dec); err != nil || !reflect.DeepEqual(dec, a) {
+		t.Fatalf("json.Unmarshal(%s) = %+v, %v; want %+v", raw, dec, err, a)
+	}
+}
+
 func mustMarshal(t *testing.T, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)
@@ -197,7 +219,7 @@ func FuzzArmResultJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, label string, round int64, acc, mia, tpr, gen, eps, noise uint64, msgs, sent int64, shape uint8) {
 		rec := RoundRecord{Round: int(round), TestAcc: math.Float64frombits(acc), MIAAcc: math.Float64frombits(mia),
 			TPRAt1FPR: math.Float64frombits(tpr), GenError: math.Float64frombits(gen)}
-		a := ArmResult{Label: label, MessagesSent: int(msgs), BytesSent: int(sent),
+		a := ArmResult{Label: label, MessagesSent: int(msgs), BytesSent: sent,
 			RealizedEpsilon: math.Float64frombits(eps), NoiseMultiplier: math.Float64frombits(noise)}
 		switch shape % 4 {
 		case 1:

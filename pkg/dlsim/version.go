@@ -18,8 +18,10 @@ import (
 // same bits, every product on the results path is rounded before its
 // add (ci.sh fails on a fused multiply-add arm64 would otherwise emit),
 // and exp and log are the simulator's own (tensor.ExpScalar and
-// LogScalar), not the host's libm. A worker reports both when it
-// registers, and /v1/statz shows them.
+// LogScalar), not the host's libm. That is observed on 386 (ci.sh
+// compares a 386 build's bytes with amd64's, and audits a 386 fleet
+// worker's arms on amd64) and argued for arm64. A worker reports both
+// when it registers, and /v1/statz shows them.
 type VersionInfo struct {
 	Module         string `json:"module"`
 	Version        string `json:"version"`

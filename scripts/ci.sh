@@ -22,7 +22,9 @@
 # and two overlaid runs twice under the race detector (workers 1 and 4,
 # compared), the catalog with and without GODEBUG=cpu.fma=off and from a
 # GOARCH=386 build (compared), a race-enabled service smoke (serve + submit + stream +
-# a done job's replay compared to its live stream + cancel over HTTP), the pkg/dlsim API gate (no internal types in exported
+# a done job's replay compared to its live stream + cancel over HTTP), a
+# mixed-architecture fleet smoke (a 386 worker beside an amd64 one, every
+# arm audited, results compared), the pkg/dlsim API gate (no internal types in exported
 # signatures), the one-schema import gate (internal/spec is
 # benchmark/'s shim only), and one HEAD-against-HEAD pair of the claim
 # tool (scripts/pairs.go).
@@ -52,7 +54,7 @@ GOARCH=386 go vet ./...
 # ... and the numeric packages' tests pass there (a 386 binary runs on an
 # amd64 host; its floats take the SSE2 path, so the bit-exact oracles
 # hold).
-GOARCH=386 go test -short ./internal/tensor ./internal/nn ./internal/dp ./internal/gossip ./internal/core
+GOARCH=386 go test -short ./internal/tensor ./internal/nn ./internal/dp ./internal/gossip ./internal/core ./pkg/dlsim/result
 # The results path calls no host libm, so the exp, log and RNG tests
 # hold their oracles to the ports and pass whichever exp path math.Exp
 # takes on this CPU.
@@ -419,7 +421,8 @@ stop_serve
 echo "service smoke ok"
 
 # Chaos smoke, race-enabled: serve with an injected arm panic (the third
-# arm fails, and with it the job) and a checkpoint directory; submit the
+# arm to start fails, and with it the job; arms start longest first, so
+# it is not the third declared) and a checkpoint directory; submit the
 # example spec;
 # SIGTERM mid-run (graceful drain checkpoints at an arm boundary);
 # restart clean and resubmit. The resumed run must finish and its
@@ -580,6 +583,62 @@ grep -q 'cache: 6 hits / 0 misses' "$specout/dist-statz.log" || {
 stop_serve
 unset DLSIM_TOKEN
 echo "distributed smoke ok"
+
+# Mixed-architecture fleet smoke: a GOARCH=386 worker (the Go kernels
+# only, math.FMA in software, a 32-bit int) beside an amd64 worker under
+# `serve -audit 1`, which re-executes every uploaded arm on the amd64
+# server and compares the bytes. Every audit must pass with no
+# quarantine, the 386 worker must run at least one arm, and results.csv
+# must be byte-identical to the single-process sweep's (the spec smoke
+# above). The 386 worker is the fleet's only worker when the job starts,
+# so it leases the first arm offered; the amd64 worker joins once it
+# has, and takes arms queued behind it.
+"$specout/dlsim-386" version | grep -q '^arch: 386$' || { echo "the 386 build does not report arch: 386" >&2; exit 1; }
+xckpt="$specout/xarch-ckpt"
+start_serve "$specout/xarch.log" -checkpoint "$xckpt" -audit 1
+wait_workers() {
+    i=0
+    while [ $i -lt 100 ]; do
+        "$specout/dlsim" list -jobs -addr "$base" | grep -q " workers=$1 " && return 0
+        sleep 0.05
+        i=$((i + 1))
+    done
+    echo "the fleet never reached $1 workers" >&2
+    exit 1
+}
+"$specout/dlsim-386" worker -server "$base" -name w386 >"$specout/xarch-w386.log" 2>&1 &
+x386_pid=$!
+wait_workers 1
+"$specout/dlsim" run -spec examples/specs/latency_churn_dp.json -scale tiny -remote "$base" >"$specout/xarch-run.log" 2>&1 &
+xrun_pid=$!
+i=0
+until grep -q 'claimed arm' "$specout/xarch-w386.log"; do
+    [ $i -lt 200 ] || { echo "the 386 worker never claimed an arm" >&2; cat "$specout/xarch-w386.log" >&2; exit 1; }
+    sleep 0.05
+    i=$((i + 1))
+done
+"$specout/dlsim" worker -server "$base" -name w64 >"$specout/xarch-w64.log" 2>&1 &
+x64_pid=$!
+wait "$xrun_pid" || { echo "mixed-architecture run failed" >&2; cat "$specout/xarch-run.log" >&2; exit 1; }
+xarch_csv=$(find "$xckpt" -name results.csv | head -n 1)
+[ -n "$xarch_csv" ] || { echo "mixed-architecture run left no results.csv" >&2; exit 1; }
+cmp -s "$xarch_csv" "$specout/run/results.csv" || {
+    echo "mixed-architecture fleet results.csv diverges from the single-process sweep:" >&2
+    diff "$xarch_csv" "$specout/run/results.csv" >&2 || true
+    exit 1
+}
+grep -q 'arm done' "$specout/xarch-w386.log" || { echo "the 386 worker ran no arm" >&2; cat "$specout/xarch-w386.log" >&2; exit 1; }
+"$specout/dlsim" list -jobs -addr "$base" >"$specout/xarch-statz.log"
+grep -Eq '^health: .* quarantines=0 audits=0/[1-9][0-9]* failed$' "$specout/xarch-statz.log" || {
+    echo "mixed-architecture fleet: an audit failed, a worker was quarantined, or nothing was audited:" >&2
+    cat "$specout/xarch-statz.log" >&2
+    exit 1
+}
+kill -TERM "$x386_pid" "$x64_pid" 2>/dev/null || true
+wait "$x386_pid" 2>/dev/null || true
+wait "$x64_pid" 2>/dev/null || true
+stop_serve
+echo "mixed-architecture fleet smoke ok"
 
 # Self-healing fleet smoke, race-enabled: a three-worker fleet where
 # one worker corrupts every upload after checksumming it (`-inject
